@@ -8,6 +8,7 @@ package dpuv2
 // CPU baseline.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -223,12 +224,16 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 	const batchSize = 32
 	batches := make([][]float64, batchSize)
+	outs := make([][]float64, batchSize)
+	errs := make([]error, batchSize)
 	for i := range batches {
 		batches[i] = inputs
+		outs[i] = make([]float64, len(c.Graph.Outputs()))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteBatch(c, batches); err != nil {
+		eng.ExecuteBatchInto(c, batches, outs, nil, errs)
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,14 +366,31 @@ func runClients(b *testing.B, nc int, op func() error) {
 	wg.Wait()
 }
 
-// BenchmarkServeConcurrent is the PR 3 acceptance benchmark: the same
-// serving workload driven by concurrent closed-loop clients through PR
-// 2's per-request path (each client does Compile-hit + Execute on its
-// own) versus the micro-batching scheduler (clients coalesce into
-// ExecuteBatchInto batches). Batched must be strictly faster at ≥8
-// clients: it pays one compile-cache touch and a couple of machine
-// leases per batch instead of per request, and no per-item result maps
-// or stats clones. Short mode runs the 8-client pair only.
+// BenchmarkServeConcurrent races the scheduler against calling the
+// engine directly: the same serving workload driven by concurrent
+// closed-loop clients, each doing Compile-hit + Execute on its own
+// ("direct") versus submitting to the batch-while-busy scheduler
+// ("batched": clients coalesce into ExecuteBatchInto batches while one
+// executes). Batching pays one compile-cache touch and one machine
+// lease per batch instead of per request, and builds no per-item result
+// maps or stats clones; it costs a mutex, a batch record and a channel
+// wakeup per request. With a ~1 µs functional execute the second bill
+// is the larger one: batched is SLOWER than direct here, and more so
+// under batch-while-busy than under the linger timer it replaced,
+// because a sub-microsecond execution is a short coalescing window
+// (batches of 3, not 8). Measured on 2 vCPUs (-benchtime 1s -count 3,
+// ns/op medians):
+//
+//	                          direct   batched   items/batch
+//	linger timer, 8 clients      987      1616        8.0
+//	linger timer, 32 clients    1017      1262       32.0
+//	batch-while-busy, 8         1057      2453        2.9
+//	batch-while-busy, 32        1037      1793       12.0
+//
+// What the timer bought in this throughput race it took back in
+// latency: a real server's p50 on one-vector requests fell from 1.48 ms
+// to 0.72 ms when it went (DESIGN.md "Scheduling & load"). Short mode runs the 8-client pair
+// only.
 func BenchmarkServeConcurrent(b *testing.B) {
 	clientCounts := []int{8, 32}
 	if testing.Short() {
@@ -376,7 +398,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 	g, in, cfg := serveConcurrentWorkload()
 	for _, nc := range clientCounts {
-		b.Run(fmt.Sprintf("unbatched/clients=%d", nc), func(b *testing.B) {
+		b.Run(fmt.Sprintf("direct/clients=%d", nc), func(b *testing.B) {
 			eng := engine.New(engine.Options{})
 			if _, err := eng.Execute(g, cfg, compiler.Options{}, in); err != nil {
 				b.Fatal(err)
@@ -390,7 +412,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("batched/clients=%d", nc), func(b *testing.B) {
 			eng := engine.New(engine.Options{})
-			sch := sched.New(eng, sched.Options{MaxBatch: nc, Linger: 200 * time.Microsecond})
+			sch := sched.New(eng, sched.Options{MaxBatch: nc})
 			defer sch.Close()
 			if _, err := sch.Submit(g, cfg, compiler.Options{}, in); err != nil {
 				b.Fatal(err)
@@ -439,15 +461,15 @@ func TestServeBatchHotPathAllocZero(t *testing.T) {
 	}
 }
 
-// TestSchedulerSubmitAllocCeiling bounds the full coalescing round trip
-// (admission, batch bookkeeping, dispatch goroutine, delivery): the
+// TestSchedulerSubmitAllocCeiling bounds the full scheduler round trip
+// (admission, batch bookkeeping, dispatch, delivery): the
 // ceiling is deliberately generous — it exists to catch a regression
 // that reintroduces per-item result maps or stats clones on the batched
 // path, which would blow well past it.
 func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(engine.Options{Workers: 1})
-	sch := sched.New(eng, sched.Options{Linger: -1}) // dispatch immediately: serial round trip
+	sch := sched.New(eng, sched.Options{}) // idle key: every submission dispatches at once
 	defer sch.Close()
 	if _, err := sch.Submit(g, cfg, compiler.Options{}, in); err != nil {
 		t.Fatal(err)
@@ -470,17 +492,18 @@ func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(engine.Options{Workers: 1})
-	sch := sched.New(eng, sched.Options{Linger: -1})
+	sch := sched.New(eng, sched.Options{})
 	defer sch.Close()
 	tracer := trace.New(trace.Options{SampleEvery: 1, MaxSpans: 4096})
 	tr := tracer.Start(trace.ID{}, "bench", time.Time{})
 	defer tracer.Finish(tr)
-	if _, err := sch.SubmitTraced(g, cfg, compiler.Options{}, in, tr); err != nil {
-		t.Fatal(err)
+	vecs := [][]float64{in}
+	if _, errs := sch.SubmitManyTraced(g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := sch.SubmitTraced(g, cfg, compiler.Options{}, in, tr); err != nil {
-			t.Fatal(err)
+		if _, errs := sch.SubmitManyTraced(g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	})
 	const ceiling = 40 // identical to the untraced ceiling

@@ -20,8 +20,10 @@
 //	                batch-size histogram, p50/p95/p99 latency)
 //	GET /healthz  → 200 ok (503 while draining)
 //
-// Batching is on by default; -unbatched restores PR 2's per-request
-// path for A/B comparison. SIGINT/SIGTERM drain gracefully: in-flight
+// Every request goes through the scheduler, which needs no tuning: a
+// request whose graph is idle executes at once, and requests arriving
+// while a batch of their graph executes coalesce into the next one
+// (-max-batch caps it). SIGINT/SIGTERM drain gracefully: in-flight
 // requests complete, new ones are answered 503 until the listener
 // closes. The whole drain sequence (including background tunes and
 // store flushes) runs under the single -drain-timeout deadline, and a
@@ -64,7 +66,7 @@
 //
 // Example:
 //
-//	dpu-serve -addr :8080 -cache 256 -max-batch 32 -linger 500us \
+//	dpu-serve -addr :8080 -cache 256 -max-batch 32 \
 //	          -artifact-dir /var/lib/dpu/artifacts &
 //	curl -s localhost:8080/execute -d '{
 //	  "graph": "input\ninput\nadd 0 1\nconst 3\nmul 2 3",
@@ -97,10 +99,8 @@ func main() {
 	workers := flag.Int("workers", 0, "batch worker pool size (0: one per CPU)")
 	pool := flag.Int("pool", 0, "idle machines retained per config (0: 2 per CPU)")
 	maxBatch := flag.Int("max-batch", 32, "dispatch a batch at this many coalesced executions")
-	linger := flag.Duration("linger", 500*time.Microsecond, "max wait for a batch to fill (negative: no coalescing)")
 	queueDepth := flag.Int("queue-depth", 4096, "admitted-but-unfinished executions before 429s")
 	maxInputs := flag.Int("max-inputs", 1024, "input vectors allowed per request before 413s")
-	unbatched := flag.Bool("unbatched", false, "bypass the batching scheduler (PR 2 behavior)")
 	backendName := flag.String("backend", "functional", "execution backend: functional (fast path, the default) or cycle (cycle-accurate simulation)")
 	artifactDir := flag.String("artifact-dir", "", "persistent compiled-program store: preload .dpuprog artifacts and .dputune decisions at boot, persist new ones")
 	autotune := flag.Bool("autotune", false, "serve each graph fingerprint on its tuned config (stored .dputune decisions; unseen fingerprints tune in the background)")
@@ -163,11 +163,9 @@ func main() {
 	srv := serve.New(eng, serve.Options{
 		Sched: sched.Options{
 			MaxBatch:   *maxBatch,
-			Linger:     *linger,
 			QueueDepth: *queueDepth,
 		},
 		MaxInputsPerRequest: *maxInputs,
-		Unbatched:           *unbatched,
 		Trace: trace.Options{
 			SampleEvery:   sampleEvery,
 			SlowThreshold: *traceSlow,
@@ -219,8 +217,8 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("dpu-serve listening on %s (backend=%s cache=%d max-batch=%d linger=%v queue-depth=%d batched=%v)",
-		*addr, backend, *cache, *maxBatch, *linger, *queueDepth, !*unbatched)
+	log.Printf("dpu-serve listening on %s (backend=%s cache=%d max-batch=%d queue-depth=%d)",
+		*addr, backend, *cache, *maxBatch, *queueDepth)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

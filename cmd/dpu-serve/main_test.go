@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"dpuv2/internal/engine"
 	"dpuv2/internal/sched"
@@ -22,7 +21,7 @@ import (
 func TestDefaultWiringServesBatched(t *testing.T) {
 	eng := engine.New(engine.Options{CacheSize: 128})
 	srv := serve.New(eng, serve.Options{
-		Sched: sched.Options{MaxBatch: 32, Linger: 500 * time.Microsecond, QueueDepth: 4096},
+		Sched: sched.Options{MaxBatch: 32, QueueDepth: 4096},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

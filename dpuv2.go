@@ -119,7 +119,8 @@ func Execute(p *Program, inputs []float64) (*Result, error) {
 }
 
 // EngineOptions tune a serving Engine; the zero value is a
-// production-ready default.
+// production-ready default. The Backend field is ignored: a façade
+// Engine always executes on the cycle-accurate machine (see NewEngine).
 type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of a serving engine's activity: compile-cache
@@ -135,8 +136,14 @@ type Engine struct {
 	e *engine.Engine
 }
 
-// NewEngine returns a serving engine with the given options.
+// NewEngine returns a serving engine with the given options. Every
+// Result carries an energy Report, and the energy model is driven by the
+// machine's register-file, memory and datapath activity counts — which
+// only the cycle-accurate backend produces (the functional backend
+// reports Cycles alone, under-stating power by the whole activity
+// term) — so the façade runs cycle-accurately whatever opts.Backend says.
 func NewEngine(opts EngineOptions) *Engine {
+	opts.Backend = sim.BackendCycleAccurate
 	return &Engine{e: engine.New(opts)}
 }
 
@@ -173,24 +180,16 @@ func (en *Engine) Execute(p *Program, inputs []float64) (*Result, error) {
 }
 
 // ExecuteBatch runs the program over a batch of input vectors on the
-// engine's worker pool. Results come back in input order; failed items
-// are nil with their errors joined, so callers can salvage the completed
-// part of a batch. Successful items are verified against the reference
-// evaluator like Execute — in parallel, since a reference evaluation
-// costs about as much as the simulation it checks.
+// engine's worker pool, each item executed and verified like Execute.
+// Results come back in input order; failed items are nil with their
+// errors joined, so callers can salvage the completed part of a batch.
 func (en *Engine) ExecuteBatch(p *Program, batches [][]float64) ([]*Result, error) {
-	raw, errs := en.e.ExecuteBatchItems(p.compiled, batches)
-	out := make([]*Result, len(raw))
-	par.ForEach(len(raw), en.e.Workers(), func(i int) {
-		if errs[i] != nil {
-			errs[i] = fmt.Errorf("dpuv2: batch %d: %w", i, errs[i])
-			return
+	out := make([]*Result, len(batches))
+	errs := make([]error, len(batches))
+	par.ForEach(len(batches), en.e.Workers(), func(i int) {
+		if out[i], errs[i] = en.Execute(p, batches[i]); errs[i] != nil {
+			errs[i] = fmt.Errorf("batch %d: %w", i, errs[i])
 		}
-		if cerr := sim.CheckOutputs(p.compiled, batches[i], raw[i], 0); cerr != nil {
-			errs[i] = fmt.Errorf("dpuv2: batch %d: %w", i, cerr)
-			return
-		}
-		out[i] = wrapResult(p, raw[i])
 	})
 	return out, errors.Join(errs...)
 }

@@ -3,6 +3,10 @@ package dpuv2
 import (
 	"math"
 	"testing"
+
+	"dpuv2/internal/energy"
+	"dpuv2/internal/sim"
+	"dpuv2/internal/suite"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -237,5 +241,49 @@ func TestFacadeDefaultEngineCaching(t *testing.T) {
 	}
 	if r1.Outputs[r1.Sinks[0]] != 155 || r2.Outputs[r2.Sinks[0]] != 155 {
 		t.Errorf("results = %v / %v, want 155", r1.Outputs, r2.Outputs)
+	}
+}
+
+// TestFacadeReportMatchesCycleAccurateEnergy pins the façade's energy
+// numbers to the model the rest of the repository reports: Result.Report
+// must be energy.EstimateRun over the cycle-accurate machine's
+// statistics. The functional backend fills only Stats.Cycles, so an
+// engine left on it under-reports power by the whole activity term.
+func TestFacadeReportMatchesCycleAccurateEnergy(t *testing.T) {
+	g, err := suite.Build("tretail", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]float64, len(g.Inputs()))
+	for i := range inputs {
+		inputs[i] = 0.5 + 0.001*float64(i%97)
+	}
+	for name, en := range map[string]*Engine{
+		"default":    DefaultEngine(),
+		"functional": NewEngine(EngineOptions{Backend: sim.BackendFunctional}),
+	} {
+		prog, err := en.Compile(g, MinEDP(), CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := en.Execute(prog, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sim.Run(prog.compiled, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := energy.EstimateRun(prog.compiled.Prog.Cfg, prog.compiled.Stats.Nodes, ref.Stats, prog.compiled.Prog)
+		want := Report{
+			Cycles:         ref.Stats.Cycles,
+			ThroughputGOPS: est.ThroughputGOP,
+			PowerMW:        est.PowerMW,
+			EnergyPerOpPJ:  est.EnergyPerOp,
+			EDP:            est.EDP,
+		}
+		if res.Report != want {
+			t.Errorf("%s engine: report %+v, want the cycle-accurate estimate %+v", name, res.Report, want)
+		}
 	}
 }

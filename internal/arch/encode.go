@@ -143,9 +143,6 @@ type BitReader struct {
 // NewBitReader wraps buf for reading from bit offset 0.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
 
-// Seek positions the reader at an absolute bit offset.
-func (br *BitReader) Seek(bit int) { br.pos = bit }
-
 // Pos returns the current bit offset.
 func (br *BitReader) Pos() int { return br.pos }
 

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -88,5 +89,28 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestReadLongLine: a single node line of more than 64 KiB (a wide k-ary
+// node) parses — Read's line cap is 16 MiB, not bufio's default 64 KiB.
+func TestReadLongLine(t *testing.T) {
+	const inputs = 20000
+	var sb strings.Builder
+	sb.WriteString(strings.Repeat("input\n", inputs))
+	sb.WriteString("add")
+	for i := 0; i < inputs; i++ {
+		fmt.Fprintf(&sb, " %d", i)
+	}
+	sb.WriteByte('\n')
+	if lineLen := sb.Len() - 6*inputs; lineLen <= 64<<10 {
+		t.Fatalf("test premise: line is %d bytes, want > 64 KiB", lineLen)
+	}
+	g, err := Read(strings.NewReader(sb.String()), "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(g.Node(NodeID(inputs)).Args); got != inputs {
+		t.Errorf("wide node has %d arguments, want %d", got, inputs)
 	}
 }

@@ -84,30 +84,3 @@ func TestExecuteBatchIntoSerialAllocFree(t *testing.T) {
 		t.Errorf("serial ExecuteBatchInto allocates %v objects per batch, want 0", allocs)
 	}
 }
-
-func TestExecuteAsync(t *testing.T) {
-	e := New(Options{})
-	g := testGraph(3)
-	in := testInputs(g, 2)
-	res := <-e.ExecuteAsync(g, testCfg, compiler.Options{}, in)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	c, err := e.Compile(g, testCfg, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := dag.Eval(c.Graph, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sink, got := range res.Result.Outputs {
-		if got != want[sink] {
-			t.Errorf("sink %d = %v, want %v", sink, got, want[sink])
-		}
-	}
-	// Error path: wrong arity surfaces on the channel.
-	if res := <-e.ExecuteAsync(g, testCfg, compiler.Options{}, in[:1]); res.Err == nil {
-		t.Error("wrong-arity ExecuteAsync did not error")
-	}
-}

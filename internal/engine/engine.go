@@ -54,7 +54,7 @@ type Options struct {
 	// PoolSize bounds the idle machines retained per configuration;
 	// machines beyond it are dropped to the GC. Default 2×GOMAXPROCS.
 	PoolSize int
-	// Workers sizes the ExecuteBatch worker pool. Default GOMAXPROCS.
+	// Workers sizes the ExecuteBatchInto worker pool. Default GOMAXPROCS.
 	Workers int
 	// Store, when non-nil, backs the compile cache with persisted
 	// artifacts: misses consult it before compiling, successful
@@ -204,19 +204,10 @@ type Stats struct {
 	Pools map[string]int
 }
 
-// cacheKey is the content address of a compiled program. All fields are
-// comparable values: the graph's structural hash, the normalized
-// configuration and the compiler options (which change generated code).
-type cacheKey struct {
-	fp   dag.Fingerprint
-	cfg  arch.Config
-	opts compiler.Options
-}
-
 // entry is one cache slot. done is closed when the single-flight
 // compilation finishes; waiters then read c/err.
 type entry struct {
-	key  cacheKey
+	key  artifact.Key // content address: fingerprint, normalized config, compiler options
 	done chan struct{}
 	c    *compiler.Compiled
 	err  error
@@ -249,7 +240,7 @@ type Engine struct {
 	opts Options
 
 	mu         sync.Mutex // guards the cache and its counters
-	entries    map[cacheKey]*entry
+	entries    map[artifact.Key]*entry
 	head, tail *entry
 	hits       int64
 	misses     int64
@@ -272,7 +263,7 @@ type Engine struct {
 	verified      atomic.Int64
 	verifyRejects atomic.Int64
 	verifyMu      sync.Mutex
-	verifiedKeys  map[cacheKey]struct{}
+	verifiedKeys  map[artifact.Key]struct{}
 	// persists tracks in-flight async artifact writes; Flush waits on it.
 	persists sync.WaitGroup
 
@@ -292,9 +283,9 @@ type Engine struct {
 func New(opts Options) *Engine {
 	return &Engine{
 		opts:         opts.normalize(),
-		entries:      make(map[cacheKey]*entry),
+		entries:      make(map[artifact.Key]*entry),
 		pools:        make(map[arch.Config]*executorPool),
-		verifiedKeys: make(map[cacheKey]struct{}),
+		verifiedKeys: make(map[artifact.Key]struct{}),
 		tune: tuneState{
 			decisions: make(map[dag.Fingerprint]residentDecision),
 			tuning:    make(map[dag.Fingerprint]struct{}),
@@ -317,7 +308,7 @@ func (e *Engine) Compile(g *dag.Graph, cfg arch.Config, opts compiler.Options) (
 // CompileTraced in trace.go): resolveMiss records store_decode/compile
 // spans under parent, and hit reports whether the cache answered.
 func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, tr *trace.Trace, parent int) (_ *compiler.Compiled, _ error, hit bool) {
-	k := cacheKey{fp: g.Fingerprint(), cfg: cfg.Normalize(), opts: opts.Normalized()}
+	k := artifact.KeyFor(g.Fingerprint(), cfg, opts)
 
 	e.mu.Lock()
 	if ent, ok := e.entries[k]; ok {
@@ -339,11 +330,11 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 			if e.dropEntry(k, ent) {
 				e.storeErrors.Add(1)
 				if st := e.opts.Store; st != nil {
-					st.Remove(artifact.Key{Fingerprint: k.fp, Config: k.cfg, Options: k.opts})
+					st.Remove(k)
 				}
 			}
 			return nil, fmt.Errorf("engine: cached program for %s maps %d nodes, graph has %d (poisoned artifact evicted; retry recompiles)",
-				k.fp.Short(), len(ent.c.Remap), g.NumNodes()), true
+				k.Fingerprint.Short(), len(ent.c.Remap), g.NumNodes()), true
 		}
 		return ent.c, ent.err, true
 	}
@@ -378,7 +369,7 @@ const maxVerifiedKeys = 4096
 // pays the verifier once per store key, not once per decode. A false
 // return (counted in Stats.VerifyRejects) means the program carries
 // error-severity findings and must be treated like a checksum failure.
-func (e *Engine) verifyDecoded(k cacheKey, c *compiler.Compiled) bool {
+func (e *Engine) verifyDecoded(k artifact.Key, c *compiler.Compiled) bool {
 	e.verifyMu.Lock()
 	_, done := e.verifiedKeys[k]
 	e.verifyMu.Unlock()
@@ -405,11 +396,10 @@ func (e *Engine) verifyDecoded(k cacheKey, c *compiler.Compiled) bool {
 // and, on success, persisted to the store off the request path. The
 // store consult and the compilation record spans under parent when a
 // trace rides the miss (tr and every span handle are nil-safe).
-func (e *Engine) resolveMiss(g *dag.Graph, k cacheKey, tr *trace.Trace, parent int) (*compiler.Compiled, error) {
+func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, parent int) (*compiler.Compiled, error) {
 	if st := e.opts.Store; st != nil {
 		sd := tr.Begin("store_decode", parent)
-		key := artifact.Key{Fingerprint: k.fp, Config: k.cfg, Options: k.opts}
-		switch a, err := st.Get(key); {
+		switch a, err := st.Get(k); {
 		case err == nil && len(a.Compiled.Remap) == g.NumNodes():
 			if e.verifyDecoded(k, a.Compiled) {
 				e.storeHits.Add(1)
@@ -421,13 +411,13 @@ func (e *Engine) resolveMiss(g *dag.Graph, k cacheKey, tr *trace.Trace, parent i
 			// model — semantically corrupt. Same treatment as a checksum
 			// failure: purge the file and fall back to compiling.
 			e.storeErrors.Add(1)
-			st.Remove(key)
+			st.Remove(k)
 		case err == nil:
 			// Internally consistent artifact, but its remap does not fit
 			// the graph being served — crafted or foreign content at this
 			// key. Purge it and compile; the persist below replaces it.
 			e.storeErrors.Add(1)
-			st.Remove(key)
+			st.Remove(k)
 		case errors.Is(err, artifact.ErrNotFound):
 			e.storeMisses.Add(1)
 		default:
@@ -451,7 +441,7 @@ func (e *Engine) resolveMiss(g *dag.Graph, k cacheKey, tr *trace.Trace, parent i
 	}
 	cs := tr.Begin("compile", parent)
 	tr.SetAttrs(cs, trace.Int("nodes", int64(g.NumNodes())))
-	c, err := compiler.Compile(cg, k.cfg, k.opts)
+	c, err := compiler.Compile(cg, k.Config, k.Options)
 	tr.End(cs)
 	if err == nil && e.opts.VerifyCompiles {
 		if fs := verify.Compiled(c); verify.HasErrors(fs) {
@@ -459,7 +449,7 @@ func (e *Engine) resolveMiss(g *dag.Graph, k cacheKey, tr *trace.Trace, parent i
 		}
 	}
 	if err == nil && e.opts.Store != nil {
-		a := &artifact.Artifact{Fingerprint: k.fp, Options: k.opts, Compiled: c}
+		a := &artifact.Artifact{Fingerprint: k.Fingerprint, Options: k.Options, Compiled: c}
 		e.persists.Add(1)
 		go func() {
 			defer e.persists.Done()
@@ -495,13 +485,13 @@ func (e *Engine) Preload() (n int, err error) {
 			}
 			return true
 		}
-		k := cacheKey{fp: a.Fingerprint, cfg: a.Compiled.Prog.Cfg, opts: a.Options}
+		k := a.Key()
 		if !e.verifyDecoded(k, a.Compiled) {
 			// Same gate as the decode path: an illegal program must not
 			// warm-start into the serving cache. Purge it so the next
 			// compile of the key persists a clean replacement.
 			e.storeErrors.Add(1)
-			st.Remove(a.Key())
+			st.Remove(k)
 			return true
 		}
 		e.mu.Lock()
@@ -568,7 +558,7 @@ func (e *Engine) Flush() { e.persists.Wait() }
 // dropEntry removes a completed entry from the cache if it is still the
 // resident one for k, reporting whether this caller won the removal
 // (concurrent droppers of the same entry get false).
-func (e *Engine) dropEntry(k cacheKey, ent *entry) bool {
+func (e *Engine) dropEntry(k artifact.Key, ent *entry) bool {
 	e.mu.Lock()
 	won := e.entries[k] == ent
 	if won {
@@ -737,20 +727,6 @@ func (e *Engine) Execute(g *dag.Graph, cfg arch.Config, opts compiler.Options, i
 	return e.ExecuteCompiled(c, inputs)
 }
 
-// ExecuteBatchItems runs the same compiled program over a batch of
-// input vectors on the engine's worker pool, each on its own pooled
-// machine. Results and errors come back in input order, one slot per
-// item (both nil-padded), so servers can itemize failures without
-// re-executing anything.
-func (e *Engine) ExecuteBatchItems(c *compiler.Compiled, batches [][]float64) ([]*sim.Result, []error) {
-	results := make([]*sim.Result, len(batches))
-	errs := make([]error, len(batches))
-	par.ForEach(len(batches), e.opts.Workers, func(i int) {
-		results[i], errs[i] = e.ExecuteCompiled(c, batches[i])
-	})
-	return results, errs
-}
-
 // ExecuteBatchInto is the scheduler's hot path: it runs one compiled
 // program over a batch of input vectors, writing the sink values of item
 // i (in c.Graph.Outputs() order) into outs[i] and its error into
@@ -796,39 +772,6 @@ func (e *Engine) runChunk(c *compiler.Compiled, batches, outs [][]float64, cycle
 		}
 	}
 	e.putExecutor(m)
-}
-
-// AsyncResult carries one ExecuteAsync completion.
-type AsyncResult struct {
-	Result *sim.Result
-	Err    error
-}
-
-// ExecuteAsync is Execute without the wait: it fires the
-// compile-or-hit/execute pipeline on its own goroutine and returns a
-// 1-buffered channel that receives the completion exactly once, so
-// callers interleaving submission with other work (load generators,
-// fan-out clients) never block and never leak the goroutine by
-// abandoning the channel.
-func (e *Engine) ExecuteAsync(g *dag.Graph, cfg arch.Config, opts compiler.Options, inputs []float64) <-chan AsyncResult {
-	ch := make(chan AsyncResult, 1)
-	go func() {
-		res, err := e.Execute(g, cfg, opts, inputs)
-		ch <- AsyncResult{Result: res, Err: err}
-	}()
-	return ch
-}
-
-// ExecuteBatch is ExecuteBatchItems with the per-item errors indexed and
-// joined: failed items are nil results, completed items are salvaged.
-func (e *Engine) ExecuteBatch(c *compiler.Compiled, batches [][]float64) ([]*sim.Result, error) {
-	results, errs := e.ExecuteBatchItems(c, batches)
-	for i, err := range errs {
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: batch %d: %w", i, err)
-		}
-	}
-	return results, errors.Join(errs...)
 }
 
 // Workers returns the configured worker-pool size, so wrappers layering

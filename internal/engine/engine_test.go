@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -167,6 +166,8 @@ func TestExecuteIntoSteadyStateIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchSalvagesPartialFailure: a malformed item fails in its
+// own slot; its neighbours complete and only they count as executions.
 func TestExecuteBatchSalvagesPartialFailure(t *testing.T) {
 	e := New(Options{})
 	g := testGraph(3)
@@ -174,25 +175,24 @@ func TestExecuteBatchSalvagesPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := testInputs(g, 1)
-	batches := [][]float64{good, {1}, testInputs(g, 2)} // middle one has the wrong arity
-	results, err := e.ExecuteBatch(c, batches)
-	if err == nil {
-		t.Fatal("expected a joined error for the malformed batch")
+	sinks := c.Graph.Outputs()
+	batches := [][]float64{testInputs(g, 1), {1}, testInputs(g, 2)} // middle one has the wrong arity
+	outs := make([][]float64, len(batches))
+	for i := range outs {
+		outs[i] = make([]float64, len(sinks))
 	}
-	if !strings.Contains(err.Error(), "batch 1") {
-		t.Errorf("error %q does not name the failing batch", err)
+	errs := make([]error, len(batches))
+	e.ExecuteBatchInto(c, batches, outs, nil, errs)
+	if errs[0] != nil || errs[2] != nil {
+		t.Errorf("good items were not salvaged: %v / %v", errs[0], errs[2])
 	}
-	if results[0] == nil || results[2] == nil {
-		t.Error("good batches were not salvaged")
+	if errs[1] == nil {
+		t.Error("malformed item did not error")
 	}
-	if results[1] != nil {
-		t.Error("failed batch has a non-nil result")
-	}
-	want, _ := dag.Eval(c.Graph, testInputs(g, 2))
-	for sink, got := range results[2].Outputs {
-		if got != want[sink] {
-			t.Errorf("salvaged batch: sink %d = %v, want %v", sink, got, want[sink])
+	want, _ := dag.Eval(c.Graph, batches[2])
+	for j, sink := range sinks {
+		if outs[2][j] != want[sink] {
+			t.Errorf("salvaged item: sink %d = %v, want %v", sink, outs[2][j], want[sink])
 		}
 	}
 	if st := e.Stats(); st.Executions != 2 {

@@ -138,9 +138,8 @@ func (e *Engine) admitDecision(d *artifact.Decision, source string) residentDeci
 		return residentDecision{}
 	}
 	if st := e.opts.Store; st != nil {
-		key := artifact.Key{Fingerprint: d.Fingerprint, Config: d.Config.Normalize(), Options: d.Options.Normalized()}
-		k := cacheKey{fp: key.Fingerprint, cfg: key.Config, opts: key.Options}
-		if a, err := st.Get(key); err == nil && !e.verifyDecoded(k, a.Compiled) {
+		key := artifact.KeyFor(d.Fingerprint, d.Config, d.Options)
+		if a, err := st.Get(key); err == nil && !e.verifyDecoded(key, a.Compiled) {
 			// The decision's pre-compiled program is semantically corrupt:
 			// purge it and keep serving the default config. (A missing or
 			// undecodable artifact is not a rejection — the config switch

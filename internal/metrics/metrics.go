@@ -155,15 +155,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	return m
 }
 
-// MergeAll folds any number of snapshots into one (see Merge).
-func MergeAll(ss ...Snapshot) Snapshot {
-	var m Snapshot
-	for _, s := range ss {
-		m = m.Merge(s)
-	}
-	return m
-}
-
 // Quantile returns a conservative (never underestimating) estimate of
 // the q-quantile, q in [0,1]: the upper bound of the bucket holding the
 // ceil(q·count)-th smallest observation. Returns 0 on an empty snapshot.

@@ -175,14 +175,8 @@ func TestSnapshotMerge(t *testing.T) {
 		t.Errorf("merged summary %+v != combined summary %+v", gs, ws)
 	}
 
-	// Merge with the empty snapshot is the identity; MergeAll folds.
+	// Merge with the empty snapshot is the identity.
 	if !reflect.DeepEqual(want.Merge(Snapshot{}), want) {
 		t.Error("merge with empty snapshot is not the identity")
-	}
-	if !reflect.DeepEqual(MergeAll(a.Snapshot(), b.Snapshot()), want) {
-		t.Error("MergeAll diverges from pairwise Merge")
-	}
-	if !reflect.DeepEqual(MergeAll(), Snapshot{}) {
-		t.Error("MergeAll() is not the zero snapshot")
 	}
 }

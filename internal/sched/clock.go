@@ -1,24 +1,16 @@
 package sched
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// Clock abstracts the scheduler's two uses of time — reading the current
-// instant and arming the linger timer — so tests can drive the batching
-// policy deterministically with a FakeClock while production uses the
-// system clock.
+// Clock abstracts the scheduler's one use of time — reading the current
+// instant for the latency accounting — so tests can make the stage
+// windows exact with a FakeClock while production uses the system clock.
+// The dispatch rule itself reads no clock.
 type Clock interface {
 	Now() time.Time
-	AfterFunc(d time.Duration, f func()) Timer
-}
-
-// Timer is an armed AfterFunc callback. Stop reports whether it
-// prevented the callback from running.
-type Timer interface {
-	Stop() bool
 }
 
 // SystemClock is the production Clock backed by package time.
@@ -33,21 +25,11 @@ type systemClock struct{}
 //lint:allow clockuse
 func (systemClock) Now() time.Time { return time.Now() }
 
-// AfterFunc arms a real timer; see Now for why this is the only place
-// allowed to touch package time directly.
-//
-//lint:allow clockuse
-func (systemClock) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
-
 // FakeClock is a manually advanced Clock for deterministic tests: time
-// moves only on Advance, which fires every timer whose deadline has been
-// reached, in deadline order, synchronously on the caller's goroutine.
-// Callbacks run outside the clock's lock, so they may re-enter the clock
-// (or take the scheduler's lock) freely.
+// moves only on Advance.
 type FakeClock struct {
-	mu     sync.Mutex
-	now    time.Time
-	timers []*fakeTimer
+	mu  sync.Mutex
+	now time.Time
 }
 
 // NewFakeClock returns a FakeClock reading start.
@@ -59,61 +41,9 @@ func (c *FakeClock) Now() time.Time {
 	return c.now
 }
 
-func (c *FakeClock) AfterFunc(d time.Duration, f func()) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{clock: c, when: c.now.Add(d), f: f}
-	c.timers = append(c.timers, t)
-	return t
-}
-
-// Advance moves the clock forward by d and fires every due timer.
+// Advance moves the clock forward by d.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
-	var due []*fakeTimer
-	keep := c.timers[:0]
-	for _, t := range c.timers {
-		if !t.when.After(c.now) {
-			t.fired = true
-			due = append(due, t)
-		} else {
-			keep = append(keep, t)
-		}
-	}
-	for i := len(keep); i < len(c.timers); i++ {
-		c.timers[i] = nil
-	}
-	c.timers = keep
 	c.mu.Unlock()
-	sort.Slice(due, func(i, j int) bool { return due[i].when.Before(due[j].when) })
-	for _, t := range due {
-		t.f()
-	}
-}
-
-type fakeTimer struct {
-	clock *FakeClock
-	when  time.Time
-	f     func()
-	fired bool
-}
-
-func (t *fakeTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if t.fired {
-		return false
-	}
-	t.fired = true
-	for i, other := range t.clock.timers {
-		if other == t {
-			last := len(t.clock.timers) - 1
-			t.clock.timers[i] = t.clock.timers[last]
-			t.clock.timers[last] = nil
-			t.clock.timers = t.clock.timers[:last]
-			break
-		}
-	}
-	return true
 }

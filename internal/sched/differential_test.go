@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
@@ -64,7 +63,7 @@ func TestDifferentialBatchedVsDirect(t *testing.T) {
 	}
 	graphs := diffPopulation(nGraphs)
 	eng := engine.New(engine.Options{})
-	s := New(eng, Options{MaxBatch: 8, Linger: 200 * time.Microsecond})
+	s := New(eng, Options{MaxBatch: 8})
 	defer s.Close()
 
 	// Precompute direct-path references per (graph, iteration).

@@ -1,16 +1,19 @@
 // Package sched is the dynamic micro-batching layer between concurrent
-// callers and the serving engine. N callers submitting the same graph
+// callers and the serving engine. Callers submitting the same graph
 // (same content address: fingerprint + normalized config + compiler
-// options) within a linger window are coalesced into one batched engine
-// invocation, which compiles once and executes every item on a small
-// number of leased machines — the engine's fastest path — instead of N
-// independent compile-cache and machine-pool round trips.
+// options) while a batch of it is executing are coalesced into one
+// batched engine invocation, which compiles once and executes every item
+// on a small number of leased machines — the engine's fastest path —
+// instead of N independent compile-cache and machine-pool round trips.
 //
-// Policy, in order of precedence:
+// There is one dispatch rule and no clock in it (batch-while-busy):
 //
 //   - a batch is dispatched the moment it reaches MaxBatch items;
-//   - otherwise a timer dispatches it Linger after its first item
-//     arrived (bounded latency cost for coalescing);
+//   - a partial batch is dispatched at once when no batch for its key is
+//     executing — a lone request never waits for company;
+//   - otherwise it stays open behind the executing batches, absorbing
+//     arrivals, and is dispatched when the last of them delivers — the
+//     execution itself is the coalescing window;
 //   - admission control bounds memory: a Submit that would exceed
 //     QueueDepth admitted-but-unfinished items is rejected immediately
 //     with ErrQueueFull — callers shed load instead of the server
@@ -26,6 +29,7 @@ import (
 	"time"
 
 	"dpuv2/internal/arch"
+	"dpuv2/internal/artifact"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/metrics"
@@ -68,7 +72,8 @@ type TracedBackend interface {
 
 // Stage names of the scheduler's latency decomposition, as they appear
 // in trace spans and the per-stage histogram labels: Linger is
-// enqueue→batch detach (waiting for company), QueueWait is
+// enqueue→batch detach — the time an item spent parked behind an
+// executing batch of its key, zero when its key was idle — QueueWait is
 // detach→execution start (dispatch overhead and the batch compile),
 // Execute is the backend's batch window. The three are contiguous and
 // non-overlapping, so per item linger+queue_wait+execute ≤ the
@@ -85,15 +90,12 @@ type Options struct {
 	// MaxBatch dispatches a batch when it reaches this many items.
 	// Default 32.
 	MaxBatch int
-	// Linger bounds how long the first item of a batch waits for
-	// company. 0 means the 500µs default; negative disables coalescing
-	// (every submission dispatches immediately).
-	Linger time.Duration
 	// QueueDepth bounds admitted-but-unfinished items; submissions
 	// beyond it are rejected with ErrQueueFull. Default 4096.
 	QueueDepth int
-	// Clock is the time source; nil means SystemClock. Tests inject a
-	// FakeClock to drive the linger policy deterministically.
+	// Clock is the time source of the latency accounting (the dispatch
+	// rule reads no clock); nil means SystemClock. Tests inject a
+	// FakeClock to make the stage windows exact.
 	Clock Clock
 	// NoCycles skips per-item cycle collection: Result.Cycles is 0 for
 	// every item and the per-batch cycles slice is never allocated. The
@@ -107,9 +109,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Linger == 0 {
-		o.Linger = 500 * time.Microsecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4096
@@ -141,7 +140,11 @@ type Stats struct {
 	// finished with a per-item or compile error.
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
-	// Batches counts dispatched batches, split by trigger.
+	// Batches counts dispatched batches. SizeFlushes are those that
+	// reached MaxBatch, LingerFlushes those that parked behind an
+	// executing batch of their key and were dispatched when it
+	// delivered, CloseFlushes those Close dispatched; the remainder
+	// (Batches minus the three) went out at once on an idle key.
 	Batches       int64 `json:"batches"`
 	SizeFlushes   int64 `json:"size_flushes"`
 	LingerFlushes int64 `json:"linger_flushes"`
@@ -156,7 +159,7 @@ type Stats struct {
 	Latency metrics.Summary `json:"latency_ns"`
 	// QueueWait/Linger/Execute decompose Latency per item into the
 	// three contiguous stages (see StageLinger et al.): where a p99
-	// regression actually spends its time — waiting for batch company,
+	// regression actually spends its time — parked behind a busy key,
 	// waiting to start (including the batch compile), or executing.
 	QueueWait metrics.Summary `json:"queue_wait_ns"`
 	Linger    metrics.Summary `json:"linger_wait_ns"`
@@ -175,18 +178,6 @@ type Stats struct {
 	ExecuteHist   metrics.Snapshot `json:"execute_hist"`
 }
 
-// key is the coalescing address: requests batch together iff their
-// compiled program would be the same cache entry in the engine. The
-// serving layer resolves autotuned configurations *before* submitting
-// (engine.Resolve), so once a workload's tuning decision lands, its
-// traffic coalesces under the tuned config's key — the batch key follows
-// the config switch with no scheduler involvement.
-type key struct {
-	fp   dag.Fingerprint
-	cfg  arch.Config
-	opts compiler.Options
-}
-
 // request is one submission's slot in a batch. tr, when non-nil, is the
 // submitting HTTP request's trace; the batch leader records the item's
 // stage spans against it before waking the waiter.
@@ -199,11 +190,17 @@ type request struct {
 // batch accumulates requests for one key until dispatch; after run it
 // carries every item's outcome, and done (closed once) broadcasts
 // completion to all waiters at the cost of a single wakeup operation.
+//
+// The key is the coalescing address (artifact.Key, the engine's
+// compile-cache address): requests batch together iff their compiled
+// program would be the same cache entry. The serving layer resolves
+// autotuned configurations *before* submitting (engine.Resolve), so once
+// a workload's tuning decision lands, its traffic coalesces under the
+// tuned config's key with no scheduler involvement.
 type batch struct {
-	key   key
-	g     *dag.Graph // representative graph (content-equal for all items)
-	reqs  []request
-	timer Timer
+	key  artifact.Key
+	g    *dag.Graph // representative graph (content-equal for all items)
+	reqs []request
 
 	done     chan struct{}
 	c        *compiler.Compiled
@@ -245,9 +242,14 @@ type Scheduler struct {
 	opts   Options
 	clock  Clock
 
-	mu     sync.Mutex
-	open   map[key]*batch // batches still accepting items
-	queued int            // admitted, not yet completed
+	mu sync.Mutex
+	// open holds the batch still accepting items per key, busy the
+	// number of detached-but-undelivered batches per key. Whenever s.mu
+	// is released, a key with an open batch is busy: a partial batch on
+	// an idle key is detached by the call that formed it.
+	open   map[artifact.Key]*batch
+	busy   map[artifact.Key]int
+	queued int // admitted, not yet completed
 	closed bool
 	drain  sync.WaitGroup // dispatched batches not yet delivered
 
@@ -272,44 +274,18 @@ func New(backend Backend, opts Options) *Scheduler {
 		traced:  traced,
 		opts:    opts,
 		clock:   opts.Clock,
-		open:    make(map[key]*batch),
+		open:    make(map[artifact.Key]*batch),
+		busy:    make(map[artifact.Key]int),
 	}
 }
 
 // Submit queues one execution of g (content-addressed, so structurally
-// identical graphs coalesce) and blocks until its batch completes. The
-// returned outputs are in g.Outputs() order and owned by the caller.
-//
-// The submission that fills a batch becomes its leader and executes the
-// whole batch on its own goroutine (no runner-goroutine handoff);
-// everyone else parks on the batch's broadcast channel.
+// identical graphs coalesce) and blocks until its batch completes: it is
+// SubmitMany of one vector. The returned outputs are in g.Outputs()
+// order and owned by the caller.
 func (s *Scheduler) Submit(g *dag.Graph, cfg arch.Config, copts compiler.Options, inputs []float64) (Result, error) {
-	return s.SubmitTraced(g, cfg, copts, inputs, nil)
-}
-
-// SubmitTraced is Submit with the request's trace attached: the batch
-// leader records the item's linger/queue_wait/execute spans against tr
-// before the waiter wakes. A nil tr is exactly Submit.
-func (s *Scheduler) SubmitTraced(g *dag.Graph, cfg arch.Config, copts compiler.Options, inputs []float64, tr *trace.Trace) (Result, error) {
-	k := key{fp: g.Fingerprint(), cfg: cfg.Normalize(), opts: copts.Normalized()}
-	s.mu.Lock()
-	b, idx, lead, err := s.enqueueLocked(g, k, inputs, tr)
-	s.mu.Unlock()
-	if err != nil {
-		return Result{}, err
-	}
-	if lead {
-		s.run(b)
-	} else {
-		<-b.done
-	}
-	if b.batchErr != nil {
-		return Result{}, b.batchErr
-	}
-	if b.errs[idx] != nil {
-		return Result{}, b.errs[idx]
-	}
-	return Result{Outputs: b.outs[idx], Cycles: b.cyclesAt(idx), Compiled: b.c}, nil
+	results, errs := s.SubmitManyTraced(g, cfg, copts, [][]float64{inputs}, nil)
+	return results[0], errs[0]
 }
 
 // SubmitMany queues a whole request's input vectors in one admission
@@ -323,9 +299,16 @@ func (s *Scheduler) SubmitMany(g *dag.Graph, cfg arch.Config, copts compiler.Opt
 
 // SubmitManyTraced is SubmitMany with the request's trace attached to
 // every admitted item (one HTTP request = one trace, however many
-// vectors it carries). A nil tr is exactly SubmitMany.
+// vectors it carries): the batch leader records the item's
+// linger/queue_wait/execute spans against tr before the waiter wakes. A
+// nil tr is exactly SubmitMany.
+//
+// The call that detaches a batch — by filling it, or by finding its key
+// idle — becomes its leader and executes it on its own goroutine (no
+// runner-goroutine handoff); everyone else parks on the batch's
+// broadcast channel.
 func (s *Scheduler) SubmitManyTraced(g *dag.Graph, cfg arch.Config, copts compiler.Options, batches [][]float64, tr *trace.Trace) ([]Result, []error) {
-	k := key{fp: g.Fingerprint(), cfg: cfg.Normalize(), opts: copts.Normalized()}
+	k := artifact.KeyFor(g.Fingerprint(), cfg, copts)
 	type slot struct {
 		b   *batch
 		idx int
@@ -334,16 +317,41 @@ func (s *Scheduler) SubmitManyTraced(g *dag.Graph, cfg arch.Config, copts compil
 	errs := make([]error, len(batches))
 	var lead []*batch
 	s.mu.Lock()
+	now := s.clock.Now()
+	b := s.open[k]
 	for i, in := range batches {
-		b, idx, isLead, err := s.enqueueLocked(g, k, in, tr)
-		if err != nil {
-			errs[i] = err
+		if s.closed {
+			s.rejected.Add(1)
+			errs[i] = ErrClosed
 			continue
 		}
-		slots[i] = slot{b, idx}
-		if isLead {
-			lead = append(lead, b)
+		if s.queued >= s.opts.QueueDepth {
+			s.rejected.Add(1)
+			errs[i] = ErrQueueFull
+			continue
 		}
+		s.queued++
+		s.submitted.Add(1)
+		if b == nil {
+			b = &batch{key: k, g: g, done: make(chan struct{}),
+				reqs: make([]request, 0, min(s.opts.MaxBatch, len(batches)-i))}
+			s.open[k] = b
+		}
+		slots[i] = slot{b, len(b.reqs)}
+		b.reqs = append(b.reqs, request{inputs: in, enq: now, tr: tr})
+		if len(b.reqs) >= s.opts.MaxBatch {
+			s.detachLocked(b, now)
+			s.sizeFlushes.Add(1)
+			lead = append(lead, b)
+			b = nil
+		}
+	}
+	// The dispatch decision, once per call: a partial batch goes out now
+	// if nothing for its key is executing; otherwise it stays open and
+	// the delivery of the last executing batch dispatches it.
+	if b != nil && s.busy[k] == 0 {
+		s.detachLocked(b, now)
+		lead = append(lead, b)
 	}
 	s.mu.Unlock()
 	// Run the batches this call dispatched, then wait for the rest.
@@ -368,75 +376,22 @@ func (s *Scheduler) SubmitManyTraced(g *dag.Graph, cfg arch.Config, copts compil
 	return results, errs
 }
 
-// enqueueLocked admits one input vector into the open batch for k,
-// creating the batch (and arming its linger timer) if none is open. It
-// returns the batch, the caller's item index, and whether the caller
-// became the batch's leader (dispatch was triggered by size or by the
-// no-linger policy, and the caller must run the batch after releasing
-// s.mu). Caller holds s.mu.
-func (s *Scheduler) enqueueLocked(g *dag.Graph, k key, inputs []float64, tr *trace.Trace) (*batch, int, bool, error) {
-	if s.closed {
-		s.rejected.Add(1)
-		return nil, 0, false, ErrClosed
-	}
-	if s.queued >= s.opts.QueueDepth {
-		s.rejected.Add(1)
-		return nil, 0, false, ErrQueueFull
-	}
-	s.queued++
-	s.submitted.Add(1)
-	b := s.open[k]
-	if b == nil {
-		b = &batch{key: k, g: g, done: make(chan struct{})}
-		s.open[k] = b
-		if s.opts.Linger > 0 && s.opts.MaxBatch > 1 {
-			b.timer = s.clock.AfterFunc(s.opts.Linger, func() { s.lingerFire(b) })
-		}
-	}
-	idx := len(b.reqs)
-	b.reqs = append(b.reqs, request{inputs: inputs, enq: s.clock.Now(), tr: tr})
-	if len(b.reqs) >= s.opts.MaxBatch || s.opts.Linger < 0 {
-		s.detachLocked(b, &s.sizeFlushes)
-		return b, idx, true, nil
-	}
-	return b, idx, false, nil
-}
-
-// lingerFire is the timer callback: dispatch b if it is still open (a
-// size flush or Close may have beaten the timer). The timer goroutine
-// runs the batch itself.
-func (s *Scheduler) lingerFire(b *batch) {
-	s.mu.Lock()
-	fire := s.open[b.key] == b
-	if fire {
-		s.detachLocked(b, &s.lingerFlushes)
-	}
-	s.mu.Unlock()
-	if fire {
-		s.run(b)
-	}
-}
-
-// detachLocked closes b to new items and accounts the dispatch; the
-// caller must invoke s.run(b) after releasing s.mu. Caller holds s.mu.
-func (s *Scheduler) detachLocked(b *batch, trigger *atomic.Int64) {
-	if s.open[b.key] == b {
-		delete(s.open, b.key)
-	}
-	if b.timer != nil {
-		b.timer.Stop()
-	}
-	b.detached = s.clock.Now()
-	trigger.Add(1)
+// detachLocked closes b to new items at instant now and accounts the
+// dispatch; the caller must arrange for s.run(b) after releasing s.mu.
+// Caller holds s.mu.
+func (s *Scheduler) detachLocked(b *batch, now time.Time) {
+	delete(s.open, b.key)
+	s.busy[b.key]++
+	b.detached = now
 	s.batches.Add(1)
 	s.drain.Add(1)
 }
 
-// run executes one detached batch — on the leader submitter's goroutine
-// for size flushes, on the timer or Close goroutine otherwise: compile
-// once (almost always a cache hit), fan the items over the backend's
-// leased-machine batch path, then publish every item's outcome and wake
-// all waiters with one channel close.
+// run executes one detached batch — on the submitter's goroutine that
+// detached it, on its own goroutine when a delivery dispatched it, or on
+// Close's: compile once (almost always a cache hit), fan the items over
+// the backend's leased-machine batch path, then publish every item's
+// outcome and wake all waiters with one channel close.
 func (s *Scheduler) run(b *batch) {
 	defer s.drain.Done()
 	n := len(b.reqs)
@@ -454,9 +409,9 @@ func (s *Scheduler) run(b *batch) {
 	var c *compiler.Compiled
 	var cerr error
 	if b.btr != nil {
-		c, cerr = s.traced.CompileTraced(b.g, b.key.cfg, b.key.opts, b.btr)
+		c, cerr = s.traced.CompileTraced(b.g, b.key.Config, b.key.Options, b.btr)
 	} else {
-		c, cerr = s.backend.Compile(b.g, b.key.cfg, b.key.opts)
+		c, cerr = s.backend.Compile(b.g, b.key.Config, b.key.Options)
 	}
 	if cerr != nil {
 		// Stage accounting must conserve counts even on a failed batch:
@@ -524,10 +479,11 @@ func (s *Scheduler) run(b *batch) {
 	s.deliver(b)
 }
 
-// deliver accounts the finished batch, releases its queue slots and
-// wakes every waiter. Publication is safe without per-item signalling:
-// all writes to b happen before close(b.done), and waiters only read b
-// after receiving from it.
+// deliver accounts the finished batch, releases its queue slots, wakes
+// every waiter and — when b was the last executing batch of its key —
+// dispatches the batch that parked behind it. Publication is safe
+// without per-item signalling: all writes to b happen before
+// close(b.done), and waiters only read b after receiving from it.
 func (s *Scheduler) deliver(b *batch) {
 	now := s.clock.Now()
 	for i := range b.reqs {
@@ -560,10 +516,26 @@ func (s *Scheduler) deliver(b *batch) {
 		}
 	}
 	s.batchSize.Observe(int64(len(b.reqs)))
+	var next *batch
 	s.mu.Lock()
 	s.queued -= len(b.reqs)
+	if n := s.busy[b.key] - 1; n > 0 {
+		s.busy[b.key] = n
+	} else {
+		delete(s.busy, b.key)
+		if next = s.open[b.key]; next != nil {
+			s.detachLocked(next, now)
+			s.lingerFlushes.Add(1)
+		}
+	}
 	s.mu.Unlock()
 	close(b.done)
+	if next != nil {
+		// Not inline: this goroutine owes its own caller a reply, and
+		// under sustained load the chain of follow-on batches need never
+		// end. Close waits for it through s.drain.
+		go s.run(next)
+	}
 }
 
 // Close stops admission (new submissions fail with ErrClosed),
@@ -575,8 +547,10 @@ func (s *Scheduler) Close() {
 	var flush []*batch
 	if !s.closed {
 		s.closed = true
+		now := s.clock.Now()
 		for _, b := range s.open {
-			s.detachLocked(b, &s.closeFlushes)
+			s.detachLocked(b, now)
+			s.closeFlushes.Add(1)
 			flush = append(flush, b)
 		}
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
+	"dpuv2/internal/trace"
 )
 
 var testCfg = arch.Config{D: 2, B: 8, R: 16}
@@ -50,7 +52,7 @@ func wantEval(t *testing.T, g *dag.Graph, in []float64) []float64 {
 
 // waitStats polls until cond on the scheduler's stats holds; the policy
 // tests use it only to wait for concurrent Submit goroutines to reach
-// their blocking point, never to time-race the linger policy itself.
+// their blocking point, never to time-race the dispatch rule itself.
 func waitStats(t *testing.T, s *Scheduler, cond func(Stats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -62,70 +64,110 @@ func waitStats(t *testing.T, s *Scheduler, cond func(Stats) bool) {
 	}
 }
 
-// TestCoalescingPolicyTable drives the batching policy deterministically
-// with a fake clock: batches fill before the linger expires, the linger
-// fires first, admission control rejects beyond the queue bound, and
-// negative linger degenerates to immediate dispatch.
+// gatedBackend is a real engine whose batch executions block until the
+// test opens the gate: while the first execution is held, its key is
+// busy, so everything the test submits meanwhile parks — the dispatch
+// rule is driven by events, with no clock to race. It implements
+// TracedBackend so traced batches still carry the engine's spans.
+type gatedBackend struct {
+	eng     *engine.Engine
+	once    sync.Once
+	started chan struct{} // closed when the first execution reaches the gate
+	gate    chan struct{} // executions block until it is closed
+}
+
+func newGatedBackend() *gatedBackend {
+	return &gatedBackend{
+		eng:     engine.New(engine.Options{}),
+		started: make(chan struct{}),
+		gate:    make(chan struct{}),
+	}
+}
+
+// open releases every held execution and lets later ones through.
+func (b *gatedBackend) open() { close(b.gate) }
+
+func (b *gatedBackend) wait() {
+	b.once.Do(func() { close(b.started) })
+	<-b.gate
+}
+
+func (b *gatedBackend) Compile(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
+	return b.eng.Compile(g, cfg, opts)
+}
+
+func (b *gatedBackend) CompileTraced(g *dag.Graph, cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, error) {
+	return b.eng.CompileTraced(g, cfg, opts, tr)
+}
+
+func (b *gatedBackend) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
+	b.wait()
+	b.eng.ExecuteBatchInto(c, batches, outs, cycles, errs)
+}
+
+func (b *gatedBackend) ExecuteBatchIntoTraced(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error, tr *trace.Trace) {
+	b.wait()
+	b.eng.ExecuteBatchIntoTraced(c, batches, outs, cycles, errs, tr)
+}
+
+// TestCoalescingPolicyTable drives the batch-while-busy rule
+// deterministically: one call's vectors go first and are held inside the
+// gated backend, single-vector arrivals are admitted while the key is
+// busy, the fake clock moves, and only then does the gate open. Batch
+// sizes and dispatch triggers are exact for every row.
 func TestCoalescingPolicyTable(t *testing.T) {
+	const parked = 5 * time.Millisecond
 	cases := []struct {
 		name       string
 		maxBatch   int
 		queueDepth int
-		linger     time.Duration
-		submits    int
-		advance    time.Duration
+		first      int // vectors of the first SubmitMany call
+		arrivals   int // single-vector Submits while the first execution is held
 		wantSize   int64
 		wantLinger int64
 		wantRej    int64
+		// wantLingerMax is the longest enqueue→detach window: zero unless
+		// a batch waited out the held execution.
+		wantLingerMax time.Duration
 		// wantSizes maps batch size → how many batches of that size
 		// were dispatched (read back from the batch-size histogram).
 		wantSizes map[int64]uint64
 	}{
 		{
-			name:     "batch fills before linger",
-			maxBatch: 4, linger: time.Hour,
-			submits:   4,
-			wantSize:  1,
-			wantSizes: map[int64]uint64{4: 1},
+			name:     "idle key dispatches a lone request at once",
+			maxBatch: 100, first: 1,
+			wantSizes: map[int64]uint64{1: 1},
 		},
 		{
-			name:     "linger fires first",
-			maxBatch: 100, linger: 10 * time.Millisecond,
-			submits: 3, advance: 10 * time.Millisecond,
-			wantLinger: 1,
-			wantSizes:  map[int64]uint64{3: 1},
+			name:     "arrivals during an execution form one follow-on batch",
+			maxBatch: 100, first: 1, arrivals: 3,
+			wantLinger: 1, wantLingerMax: parked,
+			wantSizes: map[int64]uint64{1: 1, 3: 1},
+		},
+		{
+			name:     "batch fills before linger", // a parked batch that fills goes out by size
+			maxBatch: 2, first: 1, arrivals: 2,
+			wantSize:  1,
+			wantSizes: map[int64]uint64{1: 1, 2: 1},
+		},
+		{
+			name:     "max-batch splits, linger flushes the tail", // the tail parks behind its own call
+			maxBatch: 2, first: 5,
+			wantSize: 2, wantLinger: 1, wantLingerMax: parked,
+			wantSizes: map[int64]uint64{2: 2, 1: 1},
 		},
 		{
 			name:     "queue-full rejection",
-			maxBatch: 100, queueDepth: 2, linger: 10 * time.Millisecond,
-			submits: 5, advance: 10 * time.Millisecond,
-			wantLinger: 1, wantRej: 3,
-			wantSizes: map[int64]uint64{2: 1},
-		},
-		{
-			name:     "negative linger dispatches immediately",
-			maxBatch: 100, linger: -1,
-			submits:   3,
-			wantSize:  3,
-			wantSizes: map[int64]uint64{1: 3},
-		},
-		{
-			name:     "max-batch splits, linger flushes the tail",
-			maxBatch: 2, linger: 10 * time.Millisecond,
-			submits: 5, advance: 10 * time.Millisecond,
-			wantSize: 2, wantLinger: 1,
-			wantSizes: map[int64]uint64{2: 2, 1: 1},
+			maxBatch: 100, queueDepth: 2, first: 1, arrivals: 4,
+			wantLinger: 1, wantRej: 3, wantLingerMax: parked,
+			wantSizes: map[int64]uint64{1: 2},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := NewFakeClock(time.Unix(0, 0))
-			s := New(engine.New(engine.Options{}), Options{
-				MaxBatch:   tc.maxBatch,
-				Linger:     tc.linger,
-				QueueDepth: tc.queueDepth,
-				Clock:      clk,
-			})
+			gb := newGatedBackend()
+			s := New(gb, Options{MaxBatch: tc.maxBatch, QueueDepth: tc.queueDepth, Clock: clk})
 			defer s.Close()
 			g := testGraph(1)
 			in := testInputs(g, 1)
@@ -135,23 +177,34 @@ func TestCoalescingPolicyTable(t *testing.T) {
 				res Result
 				err error
 			}
-			results := make(chan outcome, tc.submits)
-			for i := 0; i < tc.submits; i++ {
+			total := tc.first + tc.arrivals
+			results := make(chan outcome, total)
+			go func() {
+				vecs := make([][]float64, tc.first)
+				for i := range vecs {
+					vecs[i] = in
+				}
+				res, errs := s.SubmitMany(g, testCfg, compiler.Options{}, vecs)
+				for i := range res {
+					results <- outcome{res[i], errs[i]}
+				}
+			}()
+			<-gb.started // the first batch is executing: the key is busy
+			for i := 0; i < tc.arrivals; i++ {
 				go func() {
 					res, err := s.Submit(g, testCfg, compiler.Options{}, in)
 					results <- outcome{res, err}
 				}()
 			}
-			// Every goroutine has either been admitted (blocked on its
-			// batch) or rejected before the clock moves.
+			// Every arrival has been admitted (and parked) or rejected
+			// before the clock moves and the gate opens.
 			waitStats(t, s, func(st Stats) bool {
-				return st.Submitted+st.Rejected == int64(tc.submits)
+				return st.Submitted+st.Rejected == int64(total)
 			})
-			if tc.advance > 0 {
-				clk.Advance(tc.advance)
-			}
+			clk.Advance(parked)
+			gb.open()
 			var rejected int64
-			for i := 0; i < tc.submits; i++ {
+			for i := 0; i < total; i++ {
 				o := <-results
 				if o.err != nil {
 					if !errors.Is(o.err, ErrQueueFull) {
@@ -179,23 +232,26 @@ func TestCoalescingPolicyTable(t *testing.T) {
 			if st.LingerFlushes != tc.wantLinger {
 				t.Errorf("linger flushes = %d, want %d", st.LingerFlushes, tc.wantLinger)
 			}
-			if st.Completed != int64(tc.submits)-tc.wantRej {
-				t.Errorf("completed = %d, want %d", st.Completed, int64(tc.submits)-tc.wantRej)
+			if st.CloseFlushes != 0 {
+				t.Errorf("close flushes = %d, want 0", st.CloseFlushes)
+			}
+			if st.Linger.Max != int64(tc.wantLingerMax) {
+				t.Errorf("linger max = %v, want %v", time.Duration(st.Linger.Max), tc.wantLingerMax)
+			}
+			if st.Completed != int64(total)-tc.wantRej {
+				t.Errorf("completed = %d, want %d", st.Completed, int64(total)-tc.wantRej)
 			}
 			if st.QueueDepth != 0 {
 				t.Errorf("queue depth = %d after quiescence, want 0", st.QueueDepth)
 			}
 			gotSizes := map[int64]uint64{}
 			var nBatches int64
-			for _, b := range s.batchSize.Snapshot().Buckets {
+			for _, b := range st.BatchSizeHist.Buckets {
 				gotSizes[b.Upper] = b.Count
 				nBatches += int64(b.Count)
 			}
-			for size, count := range tc.wantSizes {
-				if gotSizes[size] != count {
-					t.Errorf("batch sizes = %v, want %v", gotSizes, tc.wantSizes)
-					break
-				}
+			if !reflect.DeepEqual(gotSizes, tc.wantSizes) {
+				t.Errorf("batch sizes = %v, want %v", gotSizes, tc.wantSizes)
 			}
 			if st.Batches != nBatches {
 				t.Errorf("batches = %d, histogram holds %d", st.Batches, nBatches)
@@ -205,11 +261,12 @@ func TestCoalescingPolicyTable(t *testing.T) {
 }
 
 // TestCloseDrainsAndRejects pins the graceful-drain contract: Close
-// dispatches open batches immediately (no waiting out the linger),
-// blocks until they deliver, and later submissions fail with ErrClosed.
+// dispatches a parked batch at once (it does not wait for the executing
+// batch to deliver), blocks until everything delivers, and later
+// submissions fail with ErrClosed.
 func TestCloseDrainsAndRejects(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 100, Linger: time.Hour, Clock: clk})
+	gb := newGatedBackend()
+	s := New(gb, Options{MaxBatch: 100})
 	g := testGraph(2)
 	in := testInputs(g, 1)
 	want := wantEval(t, g, in)
@@ -217,18 +274,32 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	const n = 3
 	results := make(chan Result, n)
 	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func() {
-			res, err := s.Submit(g, testCfg, compiler.Options{}, in)
-			results <- res
-			errs <- err
-		}()
+	submit := func() {
+		res, err := s.Submit(g, testCfg, compiler.Options{}, in)
+		results <- res
+		errs <- err
+	}
+	go submit()
+	<-gb.started
+	for i := 1; i < n; i++ {
+		go submit() // parks behind the held execution
 	}
 	waitStats(t, s, func(st Stats) bool { return st.Submitted == n })
-	s.Close() // returns only after the in-flight batch delivered
+	closed := make(chan struct{})
+	go func() {
+		s.Close() // returns only after both batches delivered
+		close(closed)
+	}()
+	// Close flushed the parked batch while the first was still held.
+	waitStats(t, s, func(st Stats) bool { return st.CloseFlushes == 1 })
+	if st := s.Stats(); st.Completed != 0 || st.Batches != 2 {
+		t.Errorf("before the gate opens: %+v, want 2 dispatched batches, none completed", st)
+	}
+	gb.open()
+	<-closed
 	st := s.Stats()
-	if st.CloseFlushes != 1 || st.Completed != n {
-		t.Errorf("after close: %+v, want 1 close flush and %d completed", st, n)
+	if st.CloseFlushes != 1 || st.LingerFlushes != 0 || st.Completed != n {
+		t.Errorf("after close: %+v, want 1 close flush, 0 linger flushes and %d completed", st, n)
 	}
 	for i := 0; i < n; i++ {
 		if err := <-errs; err != nil {
@@ -251,7 +322,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 // vectors coalesce into shared batches, per-item errors stay in their
 // slots, and admission failures past the queue bound are itemized.
 func TestSubmitManyCoalescesAndReportsPerItem(t *testing.T) {
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8, Linger: -1})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8})
 	defer s.Close()
 	g := testGraph(3)
 	in := testInputs(g, 1)
@@ -278,18 +349,8 @@ func TestSubmitManyCoalescesAndReportsPerItem(t *testing.T) {
 
 	// Admission: a queue bound smaller than the request itemizes
 	// ErrQueueFull on the overflow, still running what was admitted.
-	clk := NewFakeClock(time.Unix(0, 0))
-	s2 := New(engine.New(engine.Options{}), Options{MaxBatch: 100, Linger: time.Hour, QueueDepth: 2, Clock: clk})
-	done := make(chan struct{})
-	var r2 []Result
-	var e2 []error
-	go func() {
-		r2, e2 = s2.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in, in, in, in})
-		close(done)
-	}()
-	waitStats(t, s2, func(st Stats) bool { return st.Submitted == 2 && st.Rejected == 2 })
-	clk.Advance(time.Hour)
-	<-done
+	s2 := New(engine.New(engine.Options{}), Options{MaxBatch: 100, QueueDepth: 2})
+	r2, e2 := s2.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in, in, in, in})
 	for i := 0; i < 2; i++ {
 		if e2[i] != nil {
 			t.Errorf("admitted item %d errored: %v", i, e2[i])
@@ -310,7 +371,7 @@ func TestSubmitManyCoalescesAndReportsPerItem(t *testing.T) {
 // permutation: a k-ary multi-sink graph is renumbered by binarization,
 // yet Submit must answer in the submitted graph's sink order.
 func TestKAryGraphOutputsPermuted(t *testing.T) {
-	s := New(engine.New(engine.Options{}), Options{Linger: -1})
+	s := New(engine.New(engine.Options{}), Options{})
 	defer s.Close()
 	// Two sinks, one of them a 3-ary op: binarization renumbers.
 	g := dag.New("kary")
@@ -336,33 +397,33 @@ func TestKAryGraphOutputsPermuted(t *testing.T) {
 }
 
 // TestCompileErrorFailsWholeBatch: an uncompilable configuration must
-// surface to every coalesced caller and count as failures, not hang.
+// surface to every item of its batch as a CompileError and count as
+// failures, not hang.
 func TestCompileErrorFailsWholeBatch(t *testing.T) {
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2, Linger: time.Hour, Clock: NewFakeClock(time.Unix(0, 0))})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2})
 	defer s.Close()
 	g := testGraph(4)
+	in := testInputs(g, 1)
 	bad := arch.Config{D: 5, B: 2, R: 8} // B < 2^D: rejected by the compiler
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Submit(g, bad, compiler.Options{}, testInputs(g, 1)); err == nil {
-				t.Error("compile failure did not surface")
-			}
-		}()
+	_, errs := s.SubmitMany(g, bad, compiler.Options{}, [][]float64{in, in})
+	for i, err := range errs {
+		var ce *CompileError
+		if !errors.As(err, &ce) {
+			t.Errorf("item %d: error %v, want a CompileError", i, err)
+		}
 	}
-	wg.Wait()
-	if st := s.Stats(); st.Failed != 2 || st.Completed != 0 {
-		t.Errorf("stats = %+v, want 2 failed", st)
+	if st := s.Stats(); st.Failed != 2 || st.Completed != 0 || st.Batches != 1 {
+		t.Errorf("stats = %+v, want 2 failed in 1 batch", st)
 	}
 }
 
-// TestDistinctKeysDoNotCoalesce: different graphs (and different
-// configs of the same graph) must land in different batches.
+// TestDistinctKeysDoNotCoalesce: a busy key holds back only its own
+// traffic. While one graph's batch is held executing, a different graph
+// and a different config of the same graph must dispatch at once, each
+// in its own batch, instead of parking.
 func TestDistinctKeysDoNotCoalesce(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 100, Linger: time.Millisecond, Clock: clk})
+	gb := newGatedBackend()
+	s := New(gb, Options{MaxBatch: 100})
 	defer s.Close()
 	g1, g2 := testGraph(5), testGraph(6)
 	var wg sync.WaitGroup
@@ -383,13 +444,15 @@ func TestDistinctKeysDoNotCoalesce(t *testing.T) {
 	}
 	wg.Add(3)
 	go submit(g1, testCfg)
+	<-gb.started
 	go submit(g2, testCfg)
 	go submit(g1, arch.Config{D: 2, B: 8, R: 32})
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == 3 })
-	clk.Advance(time.Millisecond)
+	// All three are dispatched while the gate is still shut.
+	waitStats(t, s, func(st Stats) bool { return st.Batches == 3 })
+	gb.open()
 	wg.Wait()
-	if st := s.Stats(); st.Batches != 3 {
-		t.Errorf("batches = %d, want 3 (distinct keys must not coalesce)", st.Batches)
+	if st := s.Stats(); st.Batches != 3 || st.LingerFlushes != 0 {
+		t.Errorf("batches/linger flushes = %d/%d, want 3/0 (distinct keys must not coalesce)", st.Batches, st.LingerFlushes)
 	}
 }
 
@@ -403,7 +466,7 @@ func TestNoCyclesSkipsCycleCollection(t *testing.T) {
 	in := testInputs(g, 1)
 	want := wantEval(t, g, in)
 
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8, Linger: -1, NoCycles: true})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8, NoCycles: true})
 	defer s.Close()
 	res, err := s.Submit(g, testCfg, compiler.Options{}, in)
 	if err != nil {
@@ -428,7 +491,7 @@ func TestNoCyclesSkipsCycleCollection(t *testing.T) {
 	}
 
 	// Default scheduler on the same graph still reports real cycles.
-	sc := New(engine.New(engine.Options{}), Options{MaxBatch: 8, Linger: -1})
+	sc := New(engine.New(engine.Options{}), Options{MaxBatch: 8})
 	defer sc.Close()
 	res2, err := sc.Submit(g, testCfg, compiler.Options{}, in)
 	if err != nil {

@@ -3,7 +3,6 @@ package sched
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
@@ -33,10 +32,7 @@ func TestStressNoResultCrossWiring(t *testing.T) {
 			wants[i][scale] = wantEval(t, graphs[i], testInputs(graphs[i], scale))
 		}
 	}
-	s := New(engine.New(engine.Options{}), Options{
-		MaxBatch: 8,
-		Linger:   200 * time.Microsecond,
-	})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8})
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -103,7 +99,6 @@ func TestStressAdmissionUnderOverload(t *testing.T) {
 	want := wantEval(t, g, in)
 	s := New(engine.New(engine.Options{}), Options{
 		MaxBatch:   4,
-		Linger:     100 * time.Microsecond,
 		QueueDepth: 3,
 	})
 	defer s.Close()

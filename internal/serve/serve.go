@@ -1,10 +1,10 @@
 // Package serve is the HTTP serving layer over the engine and the
 // micro-batching scheduler: cmd/dpu-serve mounts it on a listener,
-// cmd/dpu-loadgen and the tests drive it in-process. Requests are
-// batched by default — each input vector of a POST /execute becomes one
-// scheduler submission, so concurrent clients with the same graph
-// coalesce into shared engine batches — with admission control surfaced
-// as HTTP status codes:
+// cmd/dpu-loadgen and the tests drive it in-process. Every request goes
+// through the scheduler — each input vector of a POST /execute becomes
+// one submission, so concurrent clients with the same graph coalesce
+// into shared engine batches — with admission control surfaced as HTTP
+// status codes:
 //
 //	400  malformed JSON / graph / config
 //	413  more input vectors than the per-request bound
@@ -49,12 +49,14 @@ type ExecuteResult struct {
 
 // ExecuteResponse is the POST /execute reply.
 type ExecuteResponse struct {
-	Fingerprint string          `json:"fingerprint"`
-	Config      string          `json:"config"`
-	Sinks       []int           `json:"sinks"`
-	Compile     compiler.Stats  `json:"compile"`
-	Batched     bool            `json:"batched"`
-	Results     []ExecuteResult `json:"results"`
+	Fingerprint string         `json:"fingerprint"`
+	Config      string         `json:"config"`
+	Sinks       []int          `json:"sinks"`
+	Compile     compiler.Stats `json:"compile"`
+	// Batched is always true: every request is served through the
+	// scheduler. Kept on the wire for existing clients.
+	Batched bool            `json:"batched"`
+	Results []ExecuteResult `json:"results"`
 }
 
 // HTTPStats is the serving layer's own slice of GET /stats.
@@ -91,18 +93,15 @@ const MaxRequestBytes = 64 << 20
 // Options configure a Server; the zero value is a production-ready
 // default.
 type Options struct {
-	// Sched configures the batching scheduler (MaxBatch, Linger,
-	// QueueDepth, Clock — the latter injected by tests).
+	// Sched configures the batching scheduler (MaxBatch, QueueDepth,
+	// Clock — the latter injected by tests).
 	Sched sched.Options
 	// MaxInputsPerRequest rejects requests carrying more input vectors
 	// with 413, so one client cannot monopolize the queue. Default 1024.
 	MaxInputsPerRequest int
-	// Unbatched bypasses the scheduler and executes each request on its
-	// own (PR 2's serving path) — kept for A/B measurement.
-	Unbatched bool
 	// Trace configures request tracing (sampling, retention; see
 	// trace.Options). The tracer shares the scheduler's clock unless a
-	// clock is set explicitly, so traces and batching policy run on one
+	// clock is set explicitly, so traces and stage accounting run on one
 	// timeline. Requests carrying a traceparent header are always
 	// traced; others are sampled 1-in-Trace.SampleEvery.
 	Trace trace.Options
@@ -123,8 +122,8 @@ type Server struct {
 	sch  *sched.Scheduler
 	opts Options
 	// clock is the scheduler's clock, shared so that request latency is
-	// measured on the same (possibly fake) timeline the batching policy
-	// runs on.
+	// measured on the same (possibly fake) timeline as the scheduler's
+	// stage accounting.
 	clock sched.Clock
 
 	draining atomic.Bool
@@ -180,14 +179,16 @@ func (s *Server) Scheduler() *sched.Scheduler { return s.sch }
 
 // Drain gracefully shuts the serving path down: new requests are
 // answered 503, the scheduler stops admission and flushes its open
-// batches (so requests blocked on a linger timer complete immediately),
-// and Drain returns once every in-flight request has been answered.
+// batches (so requests parked behind an executing batch are dispatched
+// at once), and Drain returns once every in-flight request has been
+// answered.
 // Safe to call more than once.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	// Close the scheduler BEFORE waiting on handlers: an in-flight
-	// request may be parked inside SubmitMany waiting for its batch's
-	// linger timer, and Close is what flushes it.
+	// Close the scheduler BEFORE waiting on handlers: it stops admission
+	// and dispatches parked batches now instead of behind the batches
+	// still executing; the barrier below then waits for the handlers
+	// those batches answer.
 	s.sch.Close()
 	s.drainMu.Lock()
 	s.drainMu.Unlock() //nolint:staticcheck // empty critical section = barrier
@@ -313,7 +314,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ExecuteResponse{
 		Fingerprint: g.Fingerprint().String(),
-		Batched:     !s.opts.Unbatched,
+		Batched:     true,
 		Results:     make([]ExecuteResult, len(req.Inputs)),
 	}
 	tr.SetAttrs(0, trace.Str("fingerprint", g.Fingerprint().Short()))
@@ -322,26 +323,12 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	for _, sk := range g.Outputs() {
 		resp.Sinks = append(resp.Sinks, int(sk))
 	}
-	var c *compiler.Compiled
-	if s.opts.Unbatched {
-		var err error
-		c, err = s.eng.CompileTraced(g, cfg, req.Options, tr)
-		if err != nil {
-			s.fail(w, "compile: "+err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		exStart := s.clock.Now()
-		s.executeUnbatched(c, g, &req, &resp)
-		tr.Span("execute", exStart, s.clock.Now().Sub(exStart), 0,
-			trace.Int("batch_size", int64(len(req.Inputs))))
-	} else {
-		// The scheduler's batch leader compiles (single-flight, cached);
-		// the request does NOT pre-compile, so the batched path touches
-		// the engine's cache lock once per batch, not once per request.
-		var ok bool
-		if c, ok = s.executeBatched(w, g, cfg, &req, &resp, tr); !ok {
-			return // already answered with 422/429/503
-		}
+	// The scheduler's batch leader compiles (single-flight, cached); the
+	// request does NOT pre-compile, so serving touches the engine's cache
+	// lock once per batch, not once per request.
+	c, ok := s.executeBatched(w, g, cfg, &req, &resp, tr)
+	if !ok {
+		return // already answered with 422/429/503
 	}
 	if c == nil {
 		// No item carried the compiled program (empty input list, or
@@ -424,31 +411,4 @@ func (s *Server) executeBatched(w http.ResponseWriter, g *dag.Graph, cfg arch.Co
 		resp.Results[i] = ExecuteResult{Outputs: results[i].Outputs, Cycles: results[i].Cycles}
 	}
 	return c, true
-}
-
-// executeUnbatched is PR 2's per-request path: the request's vectors fan
-// out over the engine's worker pool in isolation, never coalescing with
-// other requests.
-func (s *Server) executeUnbatched(c *compiler.Compiled, g *dag.Graph, req *ExecuteRequest, resp *ExecuteResponse) {
-	origOuts := g.Outputs()
-	sinks := make([]dag.NodeID, len(origOuts))
-	for j, sk := range origOuts {
-		sinks[j] = c.Remap[sk]
-	}
-	results, errs := s.eng.ExecuteBatchItems(c, req.Inputs)
-	for i, res := range results {
-		if res == nil {
-			msg := "execution failed"
-			if errs[i] != nil {
-				msg = errs[i].Error()
-			}
-			resp.Results[i] = ExecuteResult{Error: msg}
-			continue
-		}
-		vals := make([]float64, len(sinks))
-		for j, sk := range sinks {
-			vals[j] = res.Outputs[sk]
-		}
-		resp.Results[i] = ExecuteResult{Outputs: vals, Cycles: res.Stats.Cycles}
-	}
 }

@@ -7,9 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"dpuv2/internal/arch"
+	"dpuv2/internal/compiler"
+	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/sched"
 )
@@ -47,6 +51,46 @@ func waitSched(t *testing.T, s *Server, cond func(sched.Stats) bool) {
 	}
 }
 
+// gatedBackend holds every batch execution until the test opens the
+// gate. While the first one is held its key is busy, so later requests
+// for that key park in the scheduler — the deterministic stand-in for
+// "a batch is executing" that the admission and drain tests need.
+type gatedBackend struct {
+	eng      *engine.Engine
+	once     sync.Once
+	started  chan struct{} // closed when the first execution reaches the gate
+	openOnce sync.Once
+	gate     chan struct{} // executions block until it is closed
+}
+
+func (b *gatedBackend) open() { b.openOnce.Do(func() { close(b.gate) }) }
+
+func (b *gatedBackend) Compile(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
+	return b.eng.Compile(g, cfg, opts)
+}
+
+func (b *gatedBackend) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
+	b.once.Do(func() { close(b.started) })
+	<-b.gate
+	b.eng.ExecuteBatchInto(c, batches, outs, cycles, errs)
+}
+
+// newGatedServer is newTestServer with the server's scheduler swapped
+// for one dispatching onto a gated backend. Cleanup opens the gate if
+// the test has not, so a failing test cannot wedge the drain.
+func newGatedServer(t *testing.T, so sched.Options) (*Server, *httptest.Server, *gatedBackend) {
+	t.Helper()
+	eng := engine.New(engine.Options{})
+	gb := &gatedBackend{eng: eng, started: make(chan struct{}), gate: make(chan struct{})}
+	s := New(eng, Options{Sched: so})
+	s.sch = sched.New(gb, so)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(s.Drain)
+	t.Cleanup(gb.open) // cleanups run last-in first-out: gate, drain, close
+	return s, srv, gb
+}
+
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(engine.New(engine.Options{}), opts)
@@ -57,63 +101,55 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 }
 
 func TestServeExecuteEndToEnd(t *testing.T) {
-	for _, unbatched := range []bool{false, true} {
-		name := "batched"
-		if unbatched {
-			name = "unbatched"
+	t.Run("batched", func(t *testing.T) {
+		s, srv := newTestServer(t, Options{})
+
+		// (x0 + x1) * 3 over two input vectors, plus one malformed vector.
+		req := ExecuteRequest{
+			Graph:  "input\ninput\nadd 0 1\nconst 3\nmul 2 3\n",
+			Inputs: [][]float64{{2, 5}, {1, 1}, {7}},
 		}
-		t.Run(name, func(t *testing.T) {
-			s, srv := newTestServer(t, Options{Unbatched: unbatched})
+		resp, out := postExecute(t, srv, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if out.Fingerprint == "" {
+			t.Error("missing fingerprint")
+		}
+		if !out.Batched {
+			t.Error("batched = false: every request is served through the scheduler")
+		}
+		if len(out.Results) != 3 {
+			t.Fatalf("got %d results, want 3", len(out.Results))
+		}
+		for i, want := range []float64{21, 6} {
+			r := out.Results[i]
+			if r.Error != "" {
+				t.Fatalf("result %d errored: %s", i, r.Error)
+			}
+			if len(r.Outputs) != 1 || r.Outputs[0] != want {
+				t.Errorf("result %d = %v, want [%v]", i, r.Outputs, want)
+			}
+			if r.Cycles <= 0 {
+				t.Errorf("result %d missing cycle count", i)
+			}
+		}
+		if out.Results[2].Error == "" {
+			t.Error("malformed input vector did not surface an error")
+		}
 
-			// (x0 + x1) * 3 over two input vectors, plus one malformed vector.
-			req := ExecuteRequest{
-				Graph:  "input\ninput\nadd 0 1\nconst 3\nmul 2 3\n",
-				Inputs: [][]float64{{2, 5}, {1, 1}, {7}},
-			}
-			resp, out := postExecute(t, srv, req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status = %d", resp.StatusCode)
-			}
-			if out.Fingerprint == "" {
-				t.Error("missing fingerprint")
-			}
-			if out.Batched == unbatched {
-				t.Errorf("batched = %v in %s mode", out.Batched, name)
-			}
-			if len(out.Results) != 3 {
-				t.Fatalf("got %d results, want 3", len(out.Results))
-			}
-			for i, want := range []float64{21, 6} {
-				r := out.Results[i]
-				if r.Error != "" {
-					t.Fatalf("result %d errored: %s", i, r.Error)
-				}
-				if len(r.Outputs) != 1 || r.Outputs[0] != want {
-					t.Errorf("result %d = %v, want [%v]", i, r.Outputs, want)
-				}
-				if r.Cycles <= 0 {
-					t.Errorf("result %d missing cycle count", i)
-				}
-			}
-			if out.Results[2].Error == "" {
-				t.Error("malformed input vector did not surface an error")
-			}
-
-			// Same graph again: the engine must report a cache hit.
-			if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
-				t.Fatalf("second request status = %d", resp.StatusCode)
-			}
-			st := s.Stats()
-			if st.Engine.Misses != 1 || st.Engine.Hits < 1 {
-				t.Errorf("engine stats = %+v, want one miss and at least one hit", st.Engine)
-			}
-			if !unbatched {
-				if st.Sched.Completed != 4 || st.Sched.Failed != 2 {
-					t.Errorf("sched stats = %+v, want 4 completed / 2 failed", st.Sched)
-				}
-			}
-		})
-	}
+		// Same graph again: the engine must report a cache hit.
+		if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("second request status = %d", resp.StatusCode)
+		}
+		st := s.Stats()
+		if st.Engine.Misses != 1 || st.Engine.Hits < 1 {
+			t.Errorf("engine stats = %+v, want one miss and at least one hit", st.Engine)
+		}
+		if st.Sched.Completed != 4 || st.Sched.Failed != 2 {
+			t.Errorf("sched stats = %+v, want 4 completed / 2 failed", st.Sched)
+		}
+	})
 }
 
 // TestServeKAryGraphSinkIDs pins the sink-id contract: the response
@@ -216,19 +252,17 @@ func TestServeBadRequests(t *testing.T) {
 // an overflowing execution must come back as that vector's error — not
 // as a truncated 200 killed by the response encoder.
 func TestServeNonFiniteOutputsItemized(t *testing.T) {
-	for _, unbatched := range []bool{false, true} {
-		_, srv := newTestServer(t, Options{Unbatched: unbatched})
-		req := ExecuteRequest{
-			Graph:  "const 1e308\nconst 1e308\nmul 0 1\n",
-			Inputs: [][]float64{{}},
-		}
-		resp, out := postExecute(t, srv, req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("unbatched=%v: status = %d, want 200", unbatched, resp.StatusCode)
-		}
-		if len(out.Results) != 1 || out.Results[0].Error == "" {
-			t.Errorf("unbatched=%v: overflow not itemized: %+v", unbatched, out.Results)
-		}
+	_, srv := newTestServer(t, Options{})
+	req := ExecuteRequest{
+		Graph:  "const 1e308\nconst 1e308\nmul 0 1\n",
+		Inputs: [][]float64{{}},
+	}
+	resp, out := postExecute(t, srv, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	if len(out.Results) != 1 || out.Results[0].Error == "" {
+		t.Errorf("overflow not itemized: %+v", out.Results)
 	}
 }
 
@@ -250,26 +284,19 @@ func TestServeOversizedBatch413(t *testing.T) {
 	}
 }
 
-// TestServeQueueFull429 fills the scheduler's queue with a request
-// parked on a never-firing fake-clock linger, then checks that the next
-// request is shed with 429 and that draining completes the parked one.
+// TestServeQueueFull429 fills the scheduler's queue with a request held
+// inside the gated backend, then checks that the next request is shed
+// with 429 and that the held one completes once the gate opens.
 func TestServeQueueFull429(t *testing.T) {
-	clk := sched.NewFakeClock(time.Unix(0, 0))
-	s, srv := newTestServer(t, Options{
-		Sched: sched.Options{MaxBatch: 100, Linger: time.Hour, QueueDepth: 1, Clock: clk},
-	})
+	s, srv, gb := newGatedServer(t, sched.Options{MaxBatch: 100, QueueDepth: 1})
 	req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: [][]float64{{1, 2}}}
 
-	type reply struct {
-		status int
-		out    ExecuteResponse
-	}
-	parked := make(chan reply, 1)
+	held := make(chan reply, 1)
 	go func() {
 		resp, out := postExecute(t, srv, req)
-		parked <- reply{resp.StatusCode, out}
+		held <- reply{resp.StatusCode, out}
 	}()
-	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == 1 })
+	<-gb.started
 
 	// Queue is full: the whole next request is turned away.
 	resp, _ := postExecute(t, srv, req)
@@ -280,39 +307,28 @@ func TestServeQueueFull429(t *testing.T) {
 		t.Error("scheduler recorded no rejection")
 	}
 
-	// Drain flushes the parked batch; the in-flight request completes.
-	s.Drain()
-	got := <-parked
+	gb.open()
+	got := <-held
 	if got.status != http.StatusOK {
-		t.Fatalf("parked request status = %d, want 200", got.status)
+		t.Fatalf("held request status = %d, want 200", got.status)
 	}
 	if len(got.out.Results) != 1 || got.out.Results[0].Outputs[0] != 3 {
-		t.Errorf("parked result = %+v, want [3]", got.out.Results)
+		t.Errorf("held result = %+v, want [3]", got.out.Results)
 	}
 }
 
 // TestServePartialAdmission: a request straddling the queue bound keeps
 // its admitted vectors and itemizes ErrQueueFull on the overflow.
 func TestServePartialAdmission(t *testing.T) {
-	clk := sched.NewFakeClock(time.Unix(0, 0))
-	s, srv := newTestServer(t, Options{
-		Sched: sched.Options{MaxBatch: 100, Linger: time.Hour, QueueDepth: 2, Clock: clk},
-	})
+	s, srv := newTestServer(t, Options{Sched: sched.Options{MaxBatch: 100, QueueDepth: 2}})
 	req := ExecuteRequest{
 		Graph:  "input\ninput\nadd 0 1\n",
 		Inputs: [][]float64{{1, 2}, {3, 4}, {5, 6}},
 	}
-	done := make(chan ExecuteResponse, 1)
-	go func() {
-		resp, out := postExecute(t, srv, req)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("status = %d, want 200 (partial admission)", resp.StatusCode)
-		}
-		done <- out
-	}()
-	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == 2 && st.Rejected == 1 })
-	clk.Advance(time.Hour)
-	out := <-done
+	resp, out := postExecute(t, srv, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (partial admission)", resp.StatusCode)
+	}
 	if len(out.Results) != 3 {
 		t.Fatalf("got %d results", len(out.Results))
 	}
@@ -323,6 +339,9 @@ func TestServePartialAdmission(t *testing.T) {
 	}
 	if out.Results[2].Error == "" {
 		t.Error("overflow item did not itemize its rejection")
+	}
+	if st := s.Scheduler().Stats(); st.Submitted != 2 || st.Rejected != 1 {
+		t.Errorf("submitted/rejected = %d/%d, want 2/1", st.Submitted, st.Rejected)
 	}
 }
 
@@ -388,37 +407,36 @@ func TestServeStatsSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeGracefulDrain: requests in flight when the drain starts
-// complete successfully; requests arriving after it are answered 503,
-// and /healthz flips to 503 so load balancers stop routing here.
+// TestServeGracefulDrain: requests in flight when the drain starts — one
+// executing, one parked behind it — complete successfully; requests
+// arriving after it are answered 503, and /healthz flips to 503 so load
+// balancers stop routing here.
 func TestServeGracefulDrain(t *testing.T) {
-	clk := sched.NewFakeClock(time.Unix(0, 0))
-	s, srv := newTestServer(t, Options{
-		Sched: sched.Options{MaxBatch: 100, Linger: time.Hour, Clock: clk},
-	})
+	s, srv, gb := newGatedServer(t, sched.Options{MaxBatch: 100})
 	req := ExecuteRequest{Graph: "input\ninput\nmul 0 1\n", Inputs: [][]float64{{6, 7}}}
 
-	inflight := make(chan reply2, 1)
-	go func() {
+	inflight := make(chan reply, 2)
+	post := func() {
 		resp, out := postExecute(t, srv, req)
-		inflight <- reply2{resp.StatusCode, out}
+		inflight <- reply{resp.StatusCode, out}
+	}
+	go post()
+	<-gb.started
+	go post()
+	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == 2 })
+
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
 	}()
-	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == 1 })
+	// The drain dispatched the parked request without waiting for the
+	// executing one, and blocks until both are answered.
+	waitSched(t, s, func(st sched.Stats) bool { return st.CloseFlushes == 1 })
 
-	s.Drain()
-
-	// The in-flight request was flushed by the drain and completed.
-	got := <-inflight
-	if got.status != http.StatusOK {
-		t.Fatalf("in-flight request during drain: status = %d, want 200", got.status)
-	}
-	if got.out.Results[0].Outputs[0] != 42 {
-		t.Errorf("in-flight result = %+v, want [42]", got.out.Results[0])
-	}
-
-	// New work is rejected.
+	// New work is rejected while the drain is still in progress.
 	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("post-drain execute: status = %d, want 503", resp.StatusCode)
+		t.Errorf("mid-drain execute: status = %d, want 503", resp.StatusCode)
 	}
 	hResp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -426,11 +444,31 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	hResp.Body.Close()
 	if hResp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("post-drain healthz: status = %d, want 503", hResp.StatusCode)
+		t.Errorf("mid-drain healthz: status = %d, want 503", hResp.StatusCode)
+	}
+	select {
+	case <-drained:
+		t.Fatal("Drain returned with requests still held in the backend")
+	default:
+	}
+
+	gb.open()
+	<-drained
+	for i := 0; i < 2; i++ {
+		got := <-inflight
+		if got.status != http.StatusOK {
+			t.Fatalf("in-flight request during drain: status = %d, want 200", got.status)
+		}
+		if got.out.Results[0].Outputs[0] != 42 {
+			t.Errorf("in-flight result = %+v, want [42]", got.out.Results[0])
+		}
+	}
+	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("post-drain execute: status = %d, want 503", resp.StatusCode)
 	}
 }
 
-type reply2 struct {
+type reply struct {
 	status int
 	out    ExecuteResponse
 }

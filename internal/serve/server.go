@@ -26,8 +26,7 @@ const (
 // connection that stalls mid-headers is closed at ReadHeaderTimeout, one
 // that stalls mid-body at ReadTimeout, and an idle keep-alive connection
 // is reclaimed at IdleTimeout. Without these a single slow-loris client
-// pins a connection (and, under -unbatched, a handler goroutine)
-// forever. Non-positive timeouts take the defaults above;
+// pins a connection forever. Non-positive timeouts take the defaults above;
 // ReadHeaderTimeout is the smaller of DefaultReadHeaderTimeout and the
 // read timeout. There is deliberately no WriteTimeout: it would start
 // ticking when the handler does and kill legitimately long executions of

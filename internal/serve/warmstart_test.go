@@ -75,7 +75,7 @@ func TestServeWarmStartNoCompileOnHotPath(t *testing.T) {
 	if n, err := eng.Preload(); err != nil || n != 1 {
 		t.Fatalf("preload: %d artifacts, err %v", n, err)
 	}
-	srv := New(eng, Options{Sched: sched.Options{MaxBatch: 8, Linger: 200 * time.Microsecond}})
+	srv := New(eng, Options{Sched: sched.Options{MaxBatch: 8}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()
@@ -202,7 +202,7 @@ func BenchmarkServeWarmStart(b *testing.B) {
 			if n, err := eng.Preload(); err != nil || n != 1 {
 				b.Fatalf("preload: %d, %v", n, err)
 			}
-			srv := New(eng, Options{Sched: sched.Options{MaxBatch: 8, Linger: 0}})
+			srv := New(eng, Options{Sched: sched.Options{MaxBatch: 8}})
 			b.StartTimer()
 
 			req := httptest.NewRequest(http.MethodPost, "/execute", bytes.NewReader(body))
