@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"bytes"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -16,30 +17,76 @@ func testGraph(seed int64, n int) *dag.Graph {
 
 func decomposeFor(t *testing.T, g *dag.Graph, cfg arch.Config) []*Block {
 	t.Helper()
-	blocks, err := decompose(g, cfg.Normalize(), Options{}.normalize(), partitionKeys(g, dag.DFSOrder(g), 0))
+	return decomposeWith(t, g, cfg, Options{})
+}
+
+func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options) []*Block {
+	t.Helper()
+	opts = opts.normalize()
+	blocks, err := decompose(g, cfg.Normalize(), opts, partitionKeys(g, dag.DFSOrder(g), opts.PartitionSize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return blocks
 }
 
-// Step-1 invariants: every interior node in exactly one cone, cone depths
-// within D, block order topological (constraint A), slots disjoint.
+// Step-1 invariants of the blocks that are executed, i.e. after
+// scheduleCones re-binned the DFS cut: every interior node in exactly one
+// cone, cone depths within D, slot root layer = cone depth, slots disjoint,
+// and block order topological (constraint A) — strictly: a cone reads
+// nothing of another cone in its own block. Checked on the shapes, configs
+// and option rows of internal/verify's conformance matrix.
 func TestDecomposeInvariants(t *testing.T) {
-	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}.Normalize()
-	g := testGraph(5, 800)
-	blocks := decomposeFor(t, g, cfg)
+	type tcase struct {
+		g    *dag.Graph
+		cfg  arch.Config
+		opts Options
+	}
+	cases := []tcase{{testGraph(5, 800), arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}, Options{}}}
+	for _, shape := range []dag.RandomConfig{
+		{Inputs: 6, Interior: 120, MaxArgs: 2, MulFrac: 0.3, Window: 8, Seed: 1},   // deep
+		{Inputs: 60, Interior: 240, MaxArgs: 4, MulFrac: 0.6, Seed: 2},             // wide
+		{Inputs: 16, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Window: 60, Seed: 3}, // mixed
+	} {
+		g, _ := dag.Binarize(dag.RandomGraph(shape))
+		for _, cfg := range []arch.Config{
+			{D: 1, B: 16, R: 16, Output: arch.OutCrossbar},
+			{D: 2, B: 8, R: 24, Output: arch.OutPerPE},
+			{D: 3, B: 32, R: 16, Output: arch.OutPerLayer},
+		} {
+			for _, opts := range []Options{
+				{},
+				{Seed: 99},
+				{Window: 1},
+				{Window: 50, SeedLookahead: 1, FillLookahead: 1},
+				{RandomBanks: true},
+				{PartitionSize: 64},
+			} {
+				cases = append(cases, tcase{g, cfg, opts})
+			}
+		}
+	}
+	for ci, tc := range cases {
+		checkDecomposition(t, ci, tc.g, tc.cfg.Normalize(), decomposeWith(t, tc.g, tc.cfg, tc.opts))
+	}
+}
 
+func checkDecomposition(t *testing.T, ci int, g *dag.Graph, cfg arch.Config, blocks []*Block) {
+	t.Helper()
 	covered := make(map[dag.NodeID]int)
 	blockOf := make(map[dag.NodeID]int)
+	coneOf := make(map[dag.NodeID]dag.NodeID) // node -> its cone's sink
 	for bi, b := range blocks {
+		if len(b.Subgraphs) == 0 {
+			t.Fatalf("case %d block %d: empty", ci, bi)
+		}
 		usedPE := map[int]bool{}
 		for _, sg := range b.Subgraphs {
 			if sg.Depth < 1 || sg.Depth > cfg.D {
-				t.Fatalf("block %d: subgraph depth %d out of range", bi, sg.Depth)
+				t.Fatalf("case %d block %d: subgraph depth %d out of range", ci, bi, sg.Depth)
 			}
 			if sg.Root.Layer != sg.Depth {
-				t.Fatalf("block %d: slot root layer %d != depth %d", bi, sg.Root.Layer, sg.Depth)
+				t.Fatalf("case %d block %d: slot root layer %d != depth %d", ci, bi, sg.Root.Layer, sg.Depth)
 			}
 			// Subtree slots within one block must be disjoint: collect
 			// the slot's PE ids.
@@ -47,7 +94,7 @@ func TestDecomposeInvariants(t *testing.T) {
 			walk = func(p arch.PE) {
 				id := cfg.PEID(p)
 				if usedPE[id] {
-					t.Fatalf("block %d: overlapping slots at PE %d", bi, id)
+					t.Fatalf("case %d block %d: overlapping slots at PE %d", ci, bi, id)
 				}
 				usedPE[id] = true
 				if l, r, ok := cfg.Children(p); ok {
@@ -59,6 +106,7 @@ func TestDecomposeInvariants(t *testing.T) {
 			for _, n := range sg.Nodes {
 				covered[n]++
 				blockOf[n] = bi
+				coneOf[n] = sg.Sink
 			}
 		}
 	}
@@ -70,20 +118,21 @@ func TestDecomposeInvariants(t *testing.T) {
 		}
 		interior++
 		if covered[id] != 1 {
-			t.Fatalf("node %d covered %d times", id, covered[id])
+			t.Fatalf("case %d: node %d covered %d times", ci, id, covered[id])
 		}
-		// Constraint A: args must be leaves or in the same/earlier block.
+		// Constraint A: args must be leaves, in the same cone, or in an
+		// earlier block.
 		for _, a := range g.Args(id) {
-			if g.Op(a).IsLeaf() {
+			if g.Op(a).IsLeaf() || coneOf[a] == coneOf[id] {
 				continue
 			}
-			if blockOf[a] > blockOf[id] {
-				t.Fatalf("node %d (block %d) depends on node %d (block %d)", id, blockOf[id], a, blockOf[a])
+			if blockOf[a] >= blockOf[id] {
+				t.Fatalf("case %d: node %d (block %d) depends on node %d (block %d) of another cone", ci, id, blockOf[id], a, blockOf[a])
 			}
 		}
 	}
 	if interior == 0 {
-		t.Fatal("degenerate test graph")
+		t.Fatalf("case %d: degenerate test graph", ci)
 	}
 }
 
@@ -182,23 +231,38 @@ func TestConflictAwareBeatsRandom(t *testing.T) {
 }
 
 func TestCompileDeterministic(t *testing.T) {
-	g := testGraph(11, 400)
 	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}
-	a, err := Compile(g, cfg, Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Compile(g, cfg, Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := a.Prog.Pack(), b.Prog.Pack()
-	if len(pa) != len(pb) {
-		t.Fatalf("program sizes differ: %d vs %d bytes", len(pa), len(pb))
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("programs differ at byte %d", i)
+	tight := arch.Config{D: 3, B: 16, R: 6, Output: arch.OutPerLayer}
+	tretail := pc.Build(pc.Suite()[0], 0.25)
+	for _, tc := range []struct {
+		name string
+		g    *dag.Graph
+		cfg  arch.Config
+		opts Options
+	}{
+		{"random", testGraph(11, 400), cfg, Options{Seed: 42}},
+		{"tretail@0.25", tretail, cfg, Options{}},
+		{"tretail@0.25 partitioned", tretail, cfg, Options{PartitionSize: 200}},
+		// Several banks over capacity at once: the order spill victims are
+		// gathered in decides how they pack into stores.
+		{"tretail@0.25 spilling", tretail, tight, Options{}},
+	} {
+		a, err := Compile(tc.g, tc.cfg, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.cfg == tight && a.Stats.SpillStores == 0 {
+			t.Errorf("%s: no spills, the case is vacuous", tc.name)
+		}
+		for i := 0; i < 3; i++ {
+			b, err := Compile(tc.g, tc.cfg, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Prog.Pack(), b.Prog.Pack()) {
+				t.Errorf("%s: two compiles of one graph packed to different programs", tc.name)
+				break
+			}
 		}
 	}
 }

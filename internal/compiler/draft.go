@@ -79,6 +79,8 @@ type draftState struct {
 
 	loaded   []bool  // leaf already covered by a draft load
 	firstUse []int32 // leaf -> index of the first block consuming it
+	rowSeen  []int32 // leaf row -> 1 + last block that emitted a load of it
+	rowBuf   []int   // emitLoads' scratch: rows the block touches
 
 	stats *Stats
 }
@@ -112,33 +114,40 @@ func (ds *draftState) newTemp(bank int) ValID {
 	return ValID(len(ds.vals) - 1)
 }
 
+// firstFitWord claims the first free word in the bank's lane (a vector
+// load or store moves lane i to or from bank i) at or after the bank's
+// cursor, growing the memory image as needed, and returns it.
+func (ds *draftState) firstFitWord(bank int) int32 {
+	r := ds.rowHint[bank]
+	for ; ; r++ {
+		if r >= len(ds.rowMask) {
+			ds.rowMask = append(ds.rowMask, 0)
+		}
+		if ds.rowMask[r]&(1<<uint(bank)) == 0 {
+			break
+		}
+	}
+	ds.rowMask[r] |= 1 << uint(bank)
+	ds.rowHint[bank] = r
+	if r+1 > ds.rows {
+		ds.rows = r + 1
+	}
+	return int32(r*ds.cfg.B + bank)
+}
+
 // placeLeafWord assigns a leaf value its init-memory word; lane equals the
 // value's home bank because vector loads deliver lane i to bank i.
 func (ds *draftState) placeLeafWord(v ValID) {
 	if ds.vals[v].word >= 0 {
 		return
 	}
-	bank := int(ds.vals[v].bank)
-	r := ds.rowHint[bank]
-	for {
-		if r >= len(ds.rowMask) {
-			ds.rowMask = append(ds.rowMask, 0)
-		}
-		if ds.rowMask[r]&(1<<uint(bank)) == 0 {
-			ds.rowMask[r] |= 1 << uint(bank)
-			ds.vals[v].word = int32(r*ds.cfg.B + bank)
-			ds.rowHint[bank] = r
-			for r >= len(ds.rowVals) {
-				ds.rowVals = append(ds.rowVals, nil)
-			}
-			ds.rowVals[r] = append(ds.rowVals[r], v)
-			if r+1 > ds.rows {
-				ds.rows = r + 1
-			}
-			return
-		}
-		r++
+	w := ds.firstFitWord(int(ds.vals[v].bank))
+	ds.vals[v].word = w
+	r := int(w) / ds.cfg.B
+	for r >= len(ds.rowVals) {
+		ds.rowVals = append(ds.rowVals, nil)
 	}
+	ds.rowVals[r] = append(ds.rowVals[r], v)
 }
 
 // placeLeaves lays every leaf out in first-use order with per-bank
@@ -160,19 +169,6 @@ func (ds *draftState) placeLeaves(blocks []*Block) {
 	}
 }
 
-// placeAt records leaf v at (row, lane=bank).
-func (ds *draftState) placeAt(v ValID, r, bank int) {
-	ds.rowMask[r] |= 1 << uint(bank)
-	ds.vals[v].word = int32(r*ds.cfg.B + bank)
-	for r >= len(ds.rowVals) {
-		ds.rowVals = append(ds.rowVals, nil)
-	}
-	ds.rowVals[r] = append(ds.rowVals[r], v)
-	if r+1 > ds.rows {
-		ds.rows = r + 1
-	}
-}
-
 // loadLookahead is how many blocks ahead a vector load may prefetch:
 // lanes of a touched row whose first use lies within this window ride
 // along for free, amortizing the load without blowing up register
@@ -183,18 +179,18 @@ const loadLookahead = 8
 // emitLoads brings the block's leaf inputs into the register file, one
 // masked vector load per touched memory row (fig. 5(b)).
 func (ds *draftState) emitLoads(block *Block, bi int) {
-	var rows []int
-	seen := map[int]bool{}
+	rows := ds.rowBuf[:0]
 	for _, v := range block.Inputs {
 		if ds.vals[v].kind != vLeaf || ds.loaded[v] {
 			continue
 		}
 		row := int(ds.vals[v].word) / ds.cfg.B
-		if !seen[row] {
-			seen[row] = true
+		if ds.rowSeen[row] != int32(bi)+1 {
+			ds.rowSeen[row] = int32(bi) + 1
 			rows = append(rows, row)
 		}
 	}
+	ds.rowBuf = rows
 	for _, row := range rows {
 		op := &draftOp{kind: dLoad, row: row}
 		for _, v := range ds.rowVals[row] {
@@ -390,25 +386,9 @@ func (ds *draftState) emitStores() map[dag.NodeID]int {
 			outWord[sink] = int(ds.vals[v].word)
 			continue
 		}
-		bank := int(ds.vals[v].bank)
-		// Reuse the init-region first-fit allocator: the output region
-		// interleaves with it harmlessly since words are unique.
-		r := ds.rowHint[bank]
-		for {
-			if r >= len(ds.rowMask) {
-				ds.rowMask = append(ds.rowMask, 0)
-			}
-			if ds.rowMask[r]&(1<<uint(bank)) == 0 {
-				ds.rowMask[r] |= 1 << uint(bank)
-				ds.vals[v].word = int32(r*ds.cfg.B + bank)
-				ds.rowHint[bank] = r
-				if r+1 > ds.rows {
-					ds.rows = r + 1
-				}
-				break
-			}
-			r++
-		}
+		// The output region shares the init region's first-fit allocator
+		// and interleaves with it harmlessly since words are unique.
+		ds.vals[v].word = ds.firstFitWord(int(ds.vals[v].bank))
 		outWord[sink] = int(ds.vals[v].word)
 		row := int(ds.vals[v].word) / ds.cfg.B
 		if _, ok := byRow[row]; !ok {
@@ -439,6 +419,7 @@ func (ds *draftState) emitStores() map[dag.NodeID]int {
 // order and returns the draft op list plus the sink→word map.
 func (ds *draftState) buildDraft(blocks []*Block) (map[dag.NodeID]int, error) {
 	ds.placeLeaves(blocks)
+	ds.rowSeen = make([]int32, len(ds.rowVals))
 	for bi, b := range blocks {
 		ds.emitLoads(b, bi)
 		alias := ds.repairInputs(b)

@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"container/heap"
 	"fmt"
 
 	"dpuv2/internal/arch"
@@ -17,25 +16,61 @@ import (
 // ("unschedulable"), and only ever decreases as ancestors get mapped, so
 // updates are cheap and monotone.
 //
-// Blocks are built greedily: a seed subgraph is chosen from a small
-// lookahead of the DFS-ordered candidate heap preferring the deepest cone
-// (objective C: utilization), then remaining subtree slots — managed as a
-// buddy allocator over dyadic subtrees — are filled with DFS-adjacent
-// cones (objective D: locality keeps inter-block dependencies short).
+// Cones are cut greedily, one datapath-load ("DFS block") at a time: a
+// seed is chosen from a small lookahead of the DFS-ordered candidate heap
+// preferring the deepest cone (objective C: utilization), then remaining
+// subtree slots — managed as a buddy allocator over dyadic subtrees — are
+// filled with DFS-adjacent cones (objective D: locality keeps the values a
+// block reads recently produced, which is what bounds register pressure).
+//
+// That DFS order is a good *cut* and a bad *schedule*: at least one cone of
+// every DFS block reads the block just before it, so executed as cut the
+// blocks form one serial chain and every exec waits the full D+1 pipeline
+// latency for its predecessor. The cones are therefore re-binned into the
+// blocks that are actually executed by scheduleCones (schedule.go), which
+// keeps the DFS order's locality through a bounded window.
 
-type candHeap struct {
-	key   []int64 // node -> scheduling priority (partition, then DFS order)
-	items []dag.NodeID
+// idHeap is a binary min-heap of int32 ids ordered by less. Hand-rolled
+// because container/heap boxes every pushed id into an interface.
+type idHeap struct {
+	items []int32
+	less  func(a, b int32) bool
 }
 
-func (h *candHeap) Len() int           { return len(h.items) }
-func (h *candHeap) Less(i, j int) bool { return h.key[h.items[i]] < h.key[h.items[j]] }
-func (h *candHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *candHeap) Push(x interface{}) { h.items = append(h.items, x.(dag.NodeID)) }
-func (h *candHeap) Pop() interface{} {
-	n := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return n
+func (h *idHeap) push(x int32) {
+	h.items = append(h.items, x)
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(h.items[i], h.items[p]) {
+			break
+		}
+		h.items[i], h.items[p] = h.items[p], h.items[i]
+		i = p
+	}
+}
+
+// pop removes and returns the least id; the heap must not be empty.
+func (h *idHeap) pop() int32 {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h.less(h.items[c+1], h.items[c]) {
+			c++
+		}
+		if !h.less(h.items[c], h.items[i]) {
+			break
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
+	return top
 }
 
 // slotPool is a buddy allocator over subtree slots: a free slot of depth d
@@ -47,10 +82,18 @@ type slotPool struct {
 
 func newSlotPool(cfg arch.Config) *slotPool {
 	p := &slotPool{free: make([][]arch.PE, cfg.D+1)}
+	p.reset(cfg)
+	return p
+}
+
+// reset frees every slot: one full-depth subtree per tree.
+func (p *slotPool) reset(cfg arch.Config) {
+	for d := range p.free {
+		p.free[d] = p.free[d][:0]
+	}
 	for t := 0; t < cfg.Trees(); t++ {
 		p.free[cfg.D] = append(p.free[cfg.D], arch.PE{Tree: t, Layer: cfg.D, Index: 0})
 	}
-	return p
 }
 
 func (p *slotPool) maxDepth() int {
@@ -96,12 +139,20 @@ type decomposer struct {
 	depth  []int32 // cone depth, capped at D+1; 0 for leaves/mapped
 	mapped []bool
 	inHeap []bool
-	heap   *candHeap
+	heap   idHeap // candidate sinks by (partition, DFS order)
 	// claim stamps avoid reallocating per-block sets.
 	claim      []int32
 	claimStamp int32
 	visit      []int32
 	visitStamp int32
+	stack      []dag.NodeID // cone's traversal scratch
+	interior   int          // interior nodes in g
+
+	// Output: the cones in the order they were cut, the DFS block each
+	// was cut for, and one arena backing every cone's node list.
+	cones    []Subgraph
+	dfsBlock []int32
+	arena    []dag.NodeID
 }
 
 func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *decomposer {
@@ -111,7 +162,7 @@ func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *d
 		depth:  make([]int32, n),
 		mapped: make([]bool, n),
 		inHeap: make([]bool, n),
-		heap:   &candHeap{key: keys},
+		heap:   idHeap{less: func(a, b int32) bool { return keys[a] < keys[b] }},
 		claim:  make([]int32, n),
 		visit:  make([]int32, n),
 	}
@@ -121,6 +172,7 @@ func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *d
 		if g.Op(id).IsLeaf() {
 			continue
 		}
+		d.interior++
 		dep := int32(1)
 		for _, a := range g.Args(id) {
 			if !g.Op(a).IsLeaf() && d.depth[a]+1 > dep {
@@ -135,20 +187,24 @@ func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *d
 			d.push(id)
 		}
 	}
+	d.arena = make([]dag.NodeID, 0, d.interior)
+	// Cones average two to three nodes on the suite; one regrowth at most.
+	d.cones = make([]Subgraph, 0, d.interior/3+1)
+	d.dfsBlock = make([]int32, 0, d.interior/3+1)
 	return d
 }
 
 func (d *decomposer) push(n dag.NodeID) {
 	if !d.inHeap[n] && !d.mapped[n] {
 		d.inHeap[n] = true
-		heap.Push(d.heap, n)
+		d.heap.push(int32(n))
 	}
 }
 
 // pop returns the DFS-earliest valid candidate, or -1.
 func (d *decomposer) pop() dag.NodeID {
-	for d.heap.Len() > 0 {
-		n := heap.Pop(d.heap).(dag.NodeID)
+	for len(d.heap.items) > 0 {
+		n := dag.NodeID(d.heap.pop())
 		d.inHeap[n] = false
 		if !d.mapped[n] && d.depth[n] <= int32(d.cfg.D) {
 			return n
@@ -161,7 +217,7 @@ func (d *decomposer) pop() dag.NodeID {
 // Binary fan-in and depth ≤ D bound the cone at 2^D − 1 distinct nodes.
 func (d *decomposer) cone(sink dag.NodeID, out []dag.NodeID) []dag.NodeID {
 	d.visitStamp++
-	stack := []dag.NodeID{sink}
+	stack := append(d.stack[:0], sink)
 	d.visit[sink] = d.visitStamp
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -175,6 +231,7 @@ func (d *decomposer) cone(sink dag.NodeID, out []dag.NodeID) []dag.NodeID {
 			stack = append(stack, a)
 		}
 	}
+	d.stack = stack
 	return out
 }
 
@@ -187,19 +244,17 @@ func (d *decomposer) coneClaimed(cone []dag.NodeID) bool {
 	return false
 }
 
-// commit marks cone nodes mapped and propagates the monotone depth
-// decrease to downstream consumers, enqueueing nodes that become
-// schedulable.
-func (d *decomposer) commit(block *Block) int {
-	var work []dag.NodeID
-	mappedCount := 0
-	for _, sg := range block.Subgraphs {
+// commit marks the nodes of the DFS block's cones mapped and propagates
+// the monotone depth decrease to downstream consumers, enqueueing nodes
+// that become schedulable.
+func (d *decomposer) commit(cones []Subgraph, work []dag.NodeID) []dag.NodeID {
+	work = work[:0]
+	for _, sg := range cones {
 		for _, n := range sg.Nodes {
 			d.mapped[n] = true
-			mappedCount++
 		}
 	}
-	for _, sg := range block.Subgraphs {
+	for _, sg := range cones {
 		for _, n := range sg.Nodes {
 			work = append(work, d.g.Succs(n)...)
 		}
@@ -232,23 +287,17 @@ func (d *decomposer) commit(block *Block) int {
 			d.push(n)
 		}
 	}
-	return mappedCount
+	return work
 }
 
 // decompose runs step 1 and returns the block list in schedule order.
 func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Block, error) {
 	d := newDecomposer(g, cfg, opts, keys)
-	total := 0
-	for i := 0; i < g.NumNodes(); i++ {
-		if !g.Op(dag.NodeID(i)).IsLeaf() {
-			total++
-		}
-	}
-	var blocks []*Block
-	mapped := 0
+	slots := newSlotPool(cfg)
 	coneBuf := make([]dag.NodeID, 0, 1<<uint(cfg.D))
-	for mapped < total {
-		seed := d.bestSeed()
+	var rejected, others, work []dag.NodeID
+	for nblocks := int32(0); len(d.arena) < d.interior; {
+		seed := d.bestSeed(&others)
 		if seed == dag.InvalidNode {
 			// Safety resweep: the heap can transiently miss candidates
 			// only through a bookkeeping bug; rebuild rather than hang.
@@ -261,21 +310,20 @@ func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Bl
 				}
 			}
 			if !resweep {
-				return nil, fmt.Errorf("compiler: %d nodes unschedulable (graph depth bookkeeping broken)", total-mapped)
+				return nil, fmt.Errorf("compiler: %d nodes unschedulable (graph depth bookkeeping broken)", d.interior-len(d.arena))
 			}
 			continue
 		}
 		d.claimStamp++
-		block := &Block{}
-		slots := newSlotPool(cfg)
+		first := len(d.cones)
+		slots.reset(cfg)
 		// Seed subgraph.
 		coneBuf = d.cone(seed, coneBuf[:0])
-		root, _ := slots.alloc(int(d.depth[seed]))
-		d.addSubgraph(block, seed, coneBuf, root)
+		slots.alloc(int(d.depth[seed]))
+		d.addCone(seed, coneBuf, nblocks)
 		// Fill remaining slots with DFS-adjacent cones.
-		var rejected []dag.NodeID
-		tries := 0
-		for slots.maxDepth() >= 1 && tries < d.opts.FillLookahead {
+		rejected = rejected[:0]
+		for slots.maxDepth() >= 1 && len(rejected) < d.opts.FillLookahead {
 			n := d.pop()
 			if n == dag.InvalidNode {
 				break
@@ -283,38 +331,35 @@ func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Bl
 			dep := int(d.depth[n])
 			if dep > slots.maxDepth() {
 				rejected = append(rejected, n)
-				tries++
 				continue
 			}
 			coneBuf = d.cone(n, coneBuf[:0])
 			if d.coneClaimed(coneBuf) {
 				rejected = append(rejected, n)
-				tries++
 				continue
 			}
-			r, ok := slots.alloc(dep)
-			if !ok {
+			if _, ok := slots.alloc(dep); !ok {
 				rejected = append(rejected, n)
-				tries++
 				continue
 			}
-			d.addSubgraph(block, n, coneBuf, r)
+			d.addCone(n, coneBuf, nblocks)
 		}
-		mapped += d.commit(block)
+		work = d.commit(d.cones[first:], work)
 		for _, n := range rejected {
 			d.push(n)
 		}
-		blocks = append(blocks, block)
+		nblocks++
 	}
-	return blocks, nil
+	return scheduleCones(g, cfg, keys, d.cones, d.dfsBlock), nil
 }
 
 // bestSeed pops up to SeedLookahead candidates and keeps the deepest cone
-// (ties broken toward the DFS-earliest, which is the pop order).
-func (d *decomposer) bestSeed() dag.NodeID {
+// (ties broken toward the DFS-earliest, which is the pop order). others is
+// the caller's scratch for the candidates passed over.
+func (d *decomposer) bestSeed(others *[]dag.NodeID) dag.NodeID {
 	best := dag.InvalidNode
 	var bestDepth int32 = -1
-	var others []dag.NodeID
+	*others = (*others)[:0]
 	for i := 0; i < d.opts.SeedLookahead; i++ {
 		n := d.pop()
 		if n == dag.InvalidNode {
@@ -322,31 +367,31 @@ func (d *decomposer) bestSeed() dag.NodeID {
 		}
 		if d.depth[n] > bestDepth {
 			if best != dag.InvalidNode {
-				others = append(others, best)
+				*others = append(*others, best)
 			}
 			best, bestDepth = n, d.depth[n]
 			if bestDepth == int32(d.cfg.D) {
 				break // cannot do better
 			}
 		} else {
-			others = append(others, n)
+			*others = append(*others, n)
 		}
 	}
-	for _, n := range others {
+	for _, n := range *others {
 		d.push(n)
 	}
 	return best
 }
 
-func (d *decomposer) addSubgraph(block *Block, sink dag.NodeID, cone []dag.NodeID, root arch.PE) {
-	sg := Subgraph{
-		Sink:  sink,
-		Nodes: append([]dag.NodeID(nil), cone...),
-		Depth: int(d.depth[sink]),
-		Root:  root,
-	}
-	for _, n := range sg.Nodes {
+// addCone records the cone of sink, cut for DFS block blk. Its slot is
+// assigned when scheduleCones places it in an executed block.
+func (d *decomposer) addCone(sink dag.NodeID, cone []dag.NodeID, blk int32) {
+	start := len(d.arena)
+	d.arena = append(d.arena, cone...)
+	nodes := d.arena[start:len(d.arena):len(d.arena)]
+	for _, n := range nodes {
 		d.claim[n] = d.claimStamp
 	}
-	block.Subgraphs = append(block.Subgraphs, sg)
+	d.cones = append(d.cones, Subgraph{Sink: sink, Nodes: nodes, Depth: int(d.depth[sink])})
+	d.dfsBlock = append(d.dfsBlock, blk)
 }

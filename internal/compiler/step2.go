@@ -111,38 +111,53 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options)
 		return ba, nil
 	}
 
-	// Mnodes buckets keyed by |compat|; entries are revalidated lazily.
-	buckets := make([][]ValID, cfg.B+1)
+	// Mnodes buckets keyed by |compat|: every pending value sits in exactly
+	// one bucket, an intrusive doubly-linked list threaded through
+	// next/prev with the most recent arrival at the head. A value whose
+	// compatible set shrinks moves to the head of its new bucket.
+	head := make([]ValID, cfg.B+1)
+	for c := range head {
+		head[c] = InvalidVal
+	}
+	links := make([]ValID, 2*nv)
+	next, prev := links[:nv], links[nv:]
+	enter := func(v ValID) {
+		c := bits.OnesCount64(vc.compat[v])
+		next[v], prev[v] = head[c], InvalidVal
+		if head[c] != InvalidVal {
+			prev[head[c]] = v
+		}
+		head[c] = v
+	}
+	leave := func(v ValID) {
+		if prev[v] != InvalidVal {
+			next[prev[v]] = next[v]
+		} else {
+			head[bits.OnesCount64(vc.compat[v])] = next[v]
+		}
+		if next[v] != InvalidVal {
+			prev[next[v]] = prev[v]
+		}
+	}
 	pending := 0
 	for i := 0; i < nv; i++ {
 		if isIO[i] {
-			c := bits.OnesCount64(vc.compat[i])
-			buckets[c] = append(buckets[c], ValID(i))
+			enter(ValID(i))
 			pending++
 		}
 	}
 
-	for pending > 0 {
-		// Lowest non-empty bucket with a still-valid entry.
+	contention := make([]int, cfg.B) // fallback scratch
+	for ; pending > 0; pending-- {
+		// The most constrained value: head of the lowest non-empty bucket.
 		var v ValID = InvalidVal
 		for c := 0; c <= cfg.B && v == InvalidVal; c++ {
-			for len(buckets[c]) > 0 {
-				cand := buckets[c][len(buckets[c])-1]
-				buckets[c] = buckets[c][:len(buckets[c])-1]
-				if ba.bank[cand] >= 0 {
-					continue // already assigned (stale entry)
-				}
-				if bits.OnesCount64(vc.compat[cand]) != c {
-					continue // moved to another bucket (stale entry)
-				}
-				v = cand
-				break
-			}
+			v = head[c]
 		}
 		if v == InvalidVal {
 			return nil, fmt.Errorf("compiler: bank allocator buckets drained with %d values pending", pending)
 		}
-		pending--
+		leave(v)
 
 		var chosen int
 		if m := vc.compat[v]; m != 0 {
@@ -151,7 +166,7 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options)
 			// No conflict-free bank remains: pick the least-contended
 			// hardware-legal bank, measured over this value's groups.
 			ba.fallbacks++
-			contention := make([]int, cfg.B)
+			clear(contention)
 			for _, gi := range vc.member[v] {
 				for _, u := range vc.groups[gi] {
 					if u != v && ba.bank[u] >= 0 {
@@ -173,18 +188,15 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options)
 		ba.bank[v] = int8(chosen)
 
 		// Constraint propagation: remove the bank from partners' sets.
+		bit := uint64(1) << uint(chosen)
 		for _, gi := range vc.member[v] {
 			for _, u := range vc.groups[gi] {
-				if u == v || ba.bank[u] >= 0 {
+				if u == v || ba.bank[u] >= 0 || vc.compat[u]&bit == 0 {
 					continue
 				}
-				bit := uint64(1) << uint(chosen)
-				if vc.compat[u]&bit == 0 {
-					continue
-				}
+				leave(u)
 				vc.compat[u] &^= bit
-				c := bits.OnesCount64(vc.compat[u])
-				buckets[c] = append(buckets[c], u)
+				enter(u)
 			}
 		}
 	}

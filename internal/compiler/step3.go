@@ -8,6 +8,11 @@ package compiler
 // fixed window (300 in the paper) issues; when nothing is ready a nil
 // slot (a nop) is emitted. Step 4 re-validates all gaps after it inserts
 // spill traffic, so this pass is purely a latency optimization.
+//
+// This pass can only hoist loads, copies and *independent* execs into an
+// exec's latency shadow; it cannot shorten a chain of dependent execs.
+// Whether independent execs exist within the window is decided earlier,
+// by how step 1b (schedule.go) bins cones into blocks.
 
 func gapOf(k draftKind, d int) int32 {
 	switch k {

@@ -272,7 +272,14 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 func (r *regalloc) ensureCapacity(need map[int]int, pinned map[ValID]bool) error {
 	for round := 0; ; round++ {
 		var victims []ValID
-		for bank, n := range need {
+		// Banks in ascending order, not map order: the victim list decides
+		// how spills batch into store_4s, and which bank an undersized
+		// register file is reported on.
+		for bank := 0; bank < r.cfg.B; bank++ {
+			n, ok := need[bank]
+			if !ok {
+				continue
+			}
 			over := r.occCnt[bank] + r.inflight[bank] + n - r.cfg.R
 			for _, v := range victims {
 				if r.bankOf(v) == bank {

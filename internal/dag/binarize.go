@@ -10,6 +10,22 @@ package dag
 // computing its value in the binarized graph.
 func Binarize(g *Graph) (*Graph, []NodeID) {
 	out := New(g.Name)
+	// The output size is known up front: a k-ary node becomes max(1, k−1)
+	// binary ones, and 1-ary adds / muls share one neutral constant each.
+	size, unaryAdd, unaryMul := 0, 0, 0
+	for i := range g.nodes {
+		switch n := &g.nodes[i]; {
+		case len(n.Args) > 2:
+			size += len(n.Args) - 1
+		case len(n.Args) == 1 && n.Op == OpAdd:
+			size, unaryAdd = size+1, 1
+		case len(n.Args) == 1:
+			size, unaryMul = size+1, 1
+		default:
+			size++
+		}
+	}
+	out.Grow(size + unaryAdd + unaryMul)
 	remap := make([]NodeID, g.NumNodes())
 	// Neutral-element constants are created lazily and shared.
 	var zeroID, oneID NodeID = InvalidNode, InvalidNode
