@@ -27,7 +27,6 @@ import (
 	"dpuv2/internal/sched"
 	"dpuv2/internal/sim"
 	"dpuv2/internal/sptrsv"
-	"dpuv2/internal/suite"
 	"dpuv2/internal/trace"
 )
 
@@ -238,95 +237,6 @@ func BenchmarkEngineBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(batchSize, "execs/op")
-}
-
-// BenchmarkExecutorBackends races the two execution backends over the
-// Table I suite at reduced scale: the same compiled program, the same
-// pooled-engine execute path, functional fast-path versus cycle-accurate
-// machine. The functional backend skips the per-cycle machine model (PR
-// 6's static verifier already proved the schedule hazard-free), so its
-// advantage is the price of cycle-accuracy on the serving path.
-func BenchmarkExecutorBackends(b *testing.B) {
-	names := suite.Names()
-	if testing.Short() {
-		names = names[:2]
-	}
-	for _, name := range names {
-		g, err := suite.Build(name, 0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, backend := range []sim.Backend{sim.BackendFunctional, sim.BackendCycleAccurate} {
-			b.Run(fmt.Sprintf("%s/%s", name, backend), func(b *testing.B) {
-				eng := engine.New(engine.Options{Backend: backend})
-				c, err := eng.Compile(g, arch.MinEDP(), compiler.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				inputs := make([]float64, len(c.Graph.Inputs()))
-				for i := range inputs {
-					inputs[i] = 0.5
-				}
-				out := make([]float64, len(c.Graph.Outputs()))
-				if _, err := eng.ExecuteInto(c, inputs, out); err != nil { // warm the pool
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.ExecuteInto(c, inputs, out); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(c.Stats.Nodes), "ops/run")
-			})
-		}
-	}
-}
-
-// TestFunctionalBackendStrictlyFaster is the tentpole's performance
-// acceptance gate, cheap enough for tier-1: on a mid-size Table I
-// workload, the functional backend must beat the cycle-accurate machine
-// through the identical engine path — if it doesn't, the fast path has
-// stopped being one. The ratio is logged (and printed by the named CI
-// step) for the record.
-func TestFunctionalBackendStrictlyFaster(t *testing.T) {
-	g, err := suite.Build("tretail", 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 30
-	timeBackend := func(backend sim.Backend) time.Duration {
-		eng := engine.New(engine.Options{Backend: backend})
-		c, err := eng.Compile(g, arch.MinEDP(), compiler.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := make([]float64, len(c.Graph.Inputs()))
-		for i := range inputs {
-			inputs[i] = 0.5
-		}
-		out := make([]float64, len(c.Graph.Outputs()))
-		for i := 0; i < 3; i++ { // warm pool, scratch and caches
-			if _, err := eng.ExecuteInto(c, inputs, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := eng.ExecuteInto(c, inputs, out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	functional := timeBackend(sim.BackendFunctional)
-	cycle := timeBackend(sim.BackendCycleAccurate)
-	ratio := float64(cycle) / float64(functional)
-	t.Logf("functional %v vs cycle-accurate %v per %d runs: %.1fx faster", functional, cycle, iters, ratio)
-	if functional >= cycle {
-		t.Errorf("functional backend (%v) is not strictly faster than cycle-accurate (%v)", functional, cycle)
-	}
 }
 
 // serveConcurrentWorkload is the serving-path benchmark workload: a

@@ -1,9 +1,8 @@
 // Command dpu-gateway is the sharded serving front: it consistent-hashes
 // each request graph's fingerprint across N dpu-serve backends, so every
-// backend's compile cache, tuned-decision table and executor pools stay
-// hot for its own shard — horizontal scale that preserves the
-// compile-once/execute-many economics instead of multiplying cold
-// compiles by the fleet size.
+// backend's compile cache and tuned-decision table stay hot for its own
+// shard — horizontal scale that preserves the compile-once/execute-many
+// economics instead of multiplying cold compiles by the fleet size.
 //
 //	POST /execute   routed to the fingerprint's shard owner; hedged to
 //	                the next ring owner past the p99-derived delay, and

@@ -3,7 +3,7 @@
 // north star: many clients submit the same few graphs with different
 // inputs, the engine compiles each graph once, and the micro-batching
 // scheduler (internal/sched) coalesces concurrent executions of the same
-// graph into shared batches on pooled simulator machines.
+// graph into shared batches.
 //
 // API (see internal/serve for the handler):
 //
@@ -56,13 +56,12 @@
 // autotuning never makes the workload slower. A decision is per graph
 // fingerprint and overrides the config of every later request for that
 // graph; clients that need their exact config honored should be served
-// without -autotune. /stats reports the decision table,
-// tuned hits and in-flight tunes under "tune", and per-config machine
-// pools under "engine". -tune-search anneal makes background tunes run
-// simulated annealing over the enlarged config space (RNG seeded by
-// -tune-seed, deterministic at any worker count) instead of the fixed
-// grid; either way the decision's provenance records the search that
-// produced it.
+// without -autotune. /stats reports the decision table, tuned hits and
+// in-flight tunes under "tune". -tune-search anneal makes background
+// tunes run simulated annealing over the enlarged config space (RNG
+// seeded by -tune-seed, deterministic at any worker count) instead of
+// the fixed grid; either way the decision's provenance records the
+// search that produced it.
 //
 // Example:
 //
@@ -88,7 +87,6 @@ import (
 	"dpuv2/internal/engine"
 	"dpuv2/internal/sched"
 	"dpuv2/internal/serve"
-	"dpuv2/internal/sim"
 	"dpuv2/internal/trace"
 	"dpuv2/internal/tune"
 )
@@ -97,11 +95,9 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", 128, "compile-cache capacity (programs)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0: one per CPU)")
-	pool := flag.Int("pool", 0, "idle machines retained per config (0: 2 per CPU)")
 	maxBatch := flag.Int("max-batch", 32, "dispatch a batch at this many coalesced executions")
 	queueDepth := flag.Int("queue-depth", 4096, "admitted-but-unfinished executions before 429s")
 	maxInputs := flag.Int("max-inputs", 1024, "input vectors allowed per request before 413s")
-	backendName := flag.String("backend", "functional", "execution backend: functional (fast path, the default) or cycle (cycle-accurate simulation)")
 	artifactDir := flag.String("artifact-dir", "", "persistent compiled-program store: preload .dpuprog artifacts and .dputune decisions at boot, persist new ones")
 	autotune := flag.Bool("autotune", false, "serve each graph fingerprint on its tuned config (stored .dputune decisions; unseen fingerprints tune in the background)")
 	tuneBudget := flag.Duration("tune-budget", 30*time.Second, "wall-clock budget per background tune (with -autotune)")
@@ -116,10 +112,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (e.g. localhost:6060); empty disables. Always a separate listener — the serving port never exposes /debug/pprof")
 	flag.Parse()
 
-	backend, err := sim.ParseBackend(*backendName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var store *artifact.Store
 	if *artifactDir != "" {
 		var err error
@@ -140,8 +132,8 @@ func main() {
 		tuner = tune.New(tune.Options{Metric: metric, Budget: *tuneBudget,
 			Search: search, Anneal: dse.AnnealOptions{Seed: *tuneSeed}})
 	}
-	eng := engine.New(engine.Options{CacheSize: *cache, Workers: *workers, PoolSize: *pool,
-		Store: store, AutoTune: *autotune, Tuner: tuner, Backend: backend})
+	eng := engine.New(engine.Options{CacheSize: *cache, Workers: *workers,
+		Store: store, AutoTune: *autotune, Tuner: tuner})
 	if store != nil {
 		n, err := eng.Preload()
 		if err != nil {
@@ -217,8 +209,8 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("dpu-serve listening on %s (backend=%s cache=%d max-batch=%d queue-depth=%d)",
-		*addr, backend, *cache, *maxBatch, *queueDepth)
+	log.Printf("dpu-serve listening on %s (cache=%d max-batch=%d queue-depth=%d)",
+		*addr, *cache, *maxBatch, *queueDepth)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -7,14 +7,8 @@
 // nothing is compiled at all: the deployment shape where compilation is
 // an offline step.
 //
-// -backend functional swaps the cycle-accurate machine for the
-// functional fast path (internal/sim.FuncEvaluator): bit-identical
-// outputs and the exact (static) cycle count, but no register/memory
-// traffic, so the power/energy report is omitted.
-//
 //	dpu-sim -workload jagmesh4 -scale 0.5
 //	dpu-sim -artifact mnist.dpuprog
-//	dpu-sim -workload mnist -backend functional
 package main
 
 import (
@@ -45,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	b := fs.Int("b", 64, "register banks B")
 	r := fs.Int("r", 32, "registers per bank R")
 	seed := fs.Int64("seed", 0, "input/compiler seed")
-	backendName := fs.String("backend", "cycle", "execution backend: cycle (cycle-accurate, full stats) or functional (fast path, outputs and cycle count only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0 // -h is a successful usage request, not a mistake
@@ -107,34 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	backend, err := sim.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
 	rng := rand.New(rand.NewSource(*seed ^ 0x51b))
 	inputs := make([]float64, len(c.Graph.Inputs()))
 	for i := range inputs {
 		inputs[i] = 0.25 + 0.75*rng.Float64()
-	}
-	if backend == sim.BackendFunctional {
-		// The functional backend produces outputs and the (static) cycle
-		// count but no register/memory traffic, so the power and energy
-		// models have nothing to work from — report the reduced set.
-		res, err := sim.RunWith(backend, c, inputs)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if err := sim.CheckOutputs(c, inputs, res, 0); err != nil {
-			fmt.Fprintln(stderr, "verification FAILED:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "workload:    %s, %d ops on %v\n", c.Graph.Name, c.Stats.Nodes, cfg.Normalize())
-		fmt.Fprintf(stdout, "backend:     functional (no power/energy model; use -backend cycle)\n")
-		fmt.Fprintf(stdout, "verified:    %d outputs match the reference evaluator exactly\n", len(res.Outputs))
-		fmt.Fprintf(stdout, "cycles:      %d (%d instructions + pipeline drain)\n", res.Stats.Cycles, c.Stats.Instructions)
-		return 0
 	}
 	res, err := sim.Verify(c, inputs, 0)
 	if err != nil {

@@ -1,7 +1,12 @@
 // Package dpuv2 is the public façade of the DPU-v2 reproduction: build or
 // import an irregular computation DAG, compile it for a DPU-v2
-// configuration, execute it on the cycle-accurate simulator, and read
-// back verified results together with performance and energy estimates.
+// configuration, execute it, and read back verified results together
+// with performance and energy estimates. Execution evaluates the
+// compiled schedule directly (bit-exact with the cycle-accurate machine
+// model, which `dpu-sim` steps instruction by instruction); the cycle
+// and activity counts behind the estimates are read off the instruction
+// stream — the datapath is static, so they are properties of the
+// program, not of a run.
 //
 // The heavy lifting lives in the internal packages (see DESIGN.md for the
 // map); this package re-exports the types a downstream user needs:
@@ -68,6 +73,22 @@ type CompileOptions = compiler.Options
 // Program is a compiled, runnable DPU-v2 executable with its metadata.
 type Program struct {
 	compiled *compiler.Compiled
+	// report is the program's performance and energy report, derived
+	// once from the instruction stream: every execution has the same.
+	report func() Report
+}
+
+func newProgram(c *compiler.Compiled) *Program {
+	return &Program{compiled: c, report: sync.OnceValue(func() Report {
+		est := energy.EstimateRun(c.Prog.Cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog)
+		return Report{
+			Cycles:         est.Cycles,
+			ThroughputGOPS: est.ThroughputGOP,
+			PowerMW:        est.PowerMW,
+			EnergyPerOpPJ:  est.EnergyPerOp,
+			EDP:            est.EDP,
+		}
+	})}
 }
 
 // Fingerprint is a stable content hash of a Graph (the compile-cache
@@ -92,7 +113,9 @@ func (p *Program) BinarySize() int { return (p.compiled.Prog.BitSize() + 7) / 8 
 // Binary returns the packed instruction stream (fig. 7(b)).
 func (p *Program) Binary() []byte { return p.compiled.Prog.Pack() }
 
-// Report summarizes one execution.
+// Report summarizes one execution. It is the same for every execution
+// of a Program: the schedule is static, so cycles and the activity
+// behind the power model do not depend on the input values.
 type Report struct {
 	Cycles         int
 	ThroughputGOPS float64
@@ -109,18 +132,16 @@ type Result struct {
 	Report  Report
 }
 
-// Execute runs the program on the cycle-accurate simulator with the given
-// input values (in graph-input order) and verifies every sink against the
-// reference evaluator before returning. It is a thin wrapper over the
-// package's default serving engine, so the machine it runs on comes from
-// the engine's per-configuration pool.
+// Execute runs the program with the given input values (in graph-input
+// order) and verifies every sink against the reference evaluator before
+// returning. It is a thin wrapper over the package's default serving
+// engine.
 func Execute(p *Program, inputs []float64) (*Result, error) {
 	return DefaultEngine().Execute(p, inputs)
 }
 
 // EngineOptions tune a serving Engine; the zero value is a
-// production-ready default. The Backend field is ignored: a façade
-// Engine always executes on the cycle-accurate machine (see NewEngine).
+// production-ready default.
 type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of a serving engine's activity: compile-cache
@@ -130,20 +151,14 @@ type EngineStats = engine.Stats
 
 // Engine is the compile-once/execute-many serving layer: a
 // content-addressed compile cache (single-flight, LRU-bounded) in front
-// of a per-configuration pool of simulator machines. One Engine serves
-// any number of goroutines.
+// of a free list of reusable evaluators. One Engine serves any number of
+// goroutines.
 type Engine struct {
 	e *engine.Engine
 }
 
-// NewEngine returns a serving engine with the given options. Every
-// Result carries an energy Report, and the energy model is driven by the
-// machine's register-file, memory and datapath activity counts — which
-// only the cycle-accurate backend produces (the functional backend
-// reports Cycles alone, under-stating power by the whole activity
-// term) — so the façade runs cycle-accurately whatever opts.Backend says.
+// NewEngine returns a serving engine with the given options.
 func NewEngine(opts EngineOptions) *Engine {
-	opts.Backend = sim.BackendCycleAccurate
 	return &Engine{e: engine.New(opts)}
 }
 
@@ -162,12 +177,12 @@ func (en *Engine) Compile(g *Graph, cfg Config, opts CompileOptions) (*Program, 
 	if err != nil {
 		return nil, err
 	}
-	return &Program{compiled: c}, nil
+	return newProgram(c), nil
 }
 
-// Execute runs the program on a pooled machine, verifies every sink
-// against the reference evaluator, and returns the verified result with
-// its performance and energy report.
+// Execute runs the program, verifies every sink against the reference
+// evaluator, and returns the verified result with the program's
+// performance and energy report.
 func (en *Engine) Execute(p *Program, inputs []float64) (*Result, error) {
 	res, err := en.e.ExecuteCompiled(p.compiled, inputs)
 	if err != nil {
@@ -176,7 +191,11 @@ func (en *Engine) Execute(p *Program, inputs []float64) (*Result, error) {
 	if err := sim.CheckOutputs(p.compiled, inputs, res, 0); err != nil {
 		return nil, fmt.Errorf("dpuv2: %w", err)
 	}
-	return wrapResult(p, res), nil
+	return &Result{
+		Outputs: res.Outputs,
+		Sinks:   append([]NodeID(nil), p.compiled.Graph.Outputs()...),
+		Report:  p.report(),
+	}, nil
 }
 
 // ExecuteBatch runs the program over a batch of input vectors on the
@@ -196,23 +215,6 @@ func (en *Engine) ExecuteBatch(p *Program, batches [][]float64) ([]*Result, erro
 
 // Stats returns a snapshot of the engine's counters.
 func (en *Engine) Stats() EngineStats { return en.e.Stats() }
-
-// wrapResult attaches the energy/performance report to a raw simulator
-// result.
-func wrapResult(p *Program, res *sim.Result) *Result {
-	est := energy.EstimateRun(p.compiled.Prog.Cfg, p.compiled.Stats.Nodes, res.Stats, p.compiled.Prog)
-	return &Result{
-		Outputs: res.Outputs,
-		Sinks:   append([]NodeID(nil), p.compiled.Graph.Outputs()...),
-		Report: Report{
-			Cycles:         res.Stats.Cycles,
-			ThroughputGOPS: est.ThroughputGOP,
-			PowerMW:        est.PowerMW,
-			EnergyPerOpPJ:  est.EnergyPerOp,
-			EDP:            est.EDP,
-		},
-	}
-}
 
 // SinkOf maps a node id of the original (pre-binarization) graph to the
 // corresponding sink id in Result.Outputs.

@@ -246,9 +246,9 @@ func TestFacadeDefaultEngineCaching(t *testing.T) {
 
 // TestFacadeReportMatchesCycleAccurateEnergy pins the façade's energy
 // numbers to the model the rest of the repository reports: Result.Report
-// must be energy.EstimateRun over the cycle-accurate machine's
-// statistics. The functional backend fills only Stats.Cycles, so an
-// engine left on it under-reports power by the whole activity term.
+// — derived from the instruction stream, nothing simulated — must be
+// energy.EstimateRun over the statistics the cycle-accurate machine
+// counts when it actually runs the program.
 func TestFacadeReportMatchesCycleAccurateEnergy(t *testing.T) {
 	g, err := suite.Build("tretail", 0.25)
 	if err != nil {
@@ -258,32 +258,27 @@ func TestFacadeReportMatchesCycleAccurateEnergy(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = 0.5 + 0.001*float64(i%97)
 	}
-	for name, en := range map[string]*Engine{
-		"default":    DefaultEngine(),
-		"functional": NewEngine(EngineOptions{Backend: sim.BackendFunctional}),
-	} {
-		prog, err := en.Compile(g, MinEDP(), CompileOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := en.Execute(prog, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := sim.Run(prog.compiled, inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est := energy.EstimateRun(prog.compiled.Prog.Cfg, prog.compiled.Stats.Nodes, ref.Stats, prog.compiled.Prog)
-		want := Report{
-			Cycles:         ref.Stats.Cycles,
-			ThroughputGOPS: est.ThroughputGOP,
-			PowerMW:        est.PowerMW,
-			EnergyPerOpPJ:  est.EnergyPerOp,
-			EDP:            est.EDP,
-		}
-		if res.Report != want {
-			t.Errorf("%s engine: report %+v, want the cycle-accurate estimate %+v", name, res.Report, want)
-		}
+	prog, err := Compile(g, MinEDP(), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(prog, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := sim.Run(prog.compiled, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := energy.EstimateRun(prog.compiled.Prog.Cfg, prog.compiled.Stats.Nodes, ref.Stats, prog.compiled.Prog)
+	want := Report{
+		Cycles:         ref.Stats.Cycles,
+		ThroughputGOPS: est.ThroughputGOP,
+		PowerMW:        est.PowerMW,
+		EnergyPerOpPJ:  est.EnergyPerOp,
+		EDP:            est.EDP,
+	}
+	if res.Report != want {
+		t.Errorf("report %+v, want the cycle-accurate estimate %+v", res.Report, want)
 	}
 }

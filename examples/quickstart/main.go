@@ -1,6 +1,8 @@
 // Quickstart: build a tiny irregular DAG by hand, compile it for the
-// paper's min-EDP DPU-v2 configuration, execute it on the cycle-accurate
-// simulator and print the verified result with performance estimates.
+// paper's min-EDP DPU-v2 configuration, execute it and print the
+// verified result with performance estimates. The cycle, power and
+// energy figures are read off the compiled instruction stream (the
+// schedule is static); `dpu-sim` steps the cycle-accurate machine.
 package main
 
 import (

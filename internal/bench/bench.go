@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -103,7 +102,6 @@ func (r *Runner) largeSuite() []workload {
 
 type evalResult struct {
 	compiled *compiler.Compiled
-	simStats sim.Stats
 	est      energy.Estimate
 }
 
@@ -116,7 +114,7 @@ type evalEntry struct {
 	err  error
 }
 
-// eval compiles and simulates one workload on one configuration, cached.
+// eval compiles and models one workload on one configuration, cached.
 func (r *Runner) eval(w workload, cfg arch.Config, opts compiler.Options) (*evalResult, error) {
 	key := fmt.Sprintf("%s|%v|%d|%v|%d", w.name, cfg, opts.Seed, opts.RandomBanks, opts.PartitionSize)
 	r.mu.Lock()
@@ -137,19 +135,9 @@ func (r *Runner) evalUncached(w workload, cfg arch.Config, opts compiler.Options
 	if err != nil {
 		return nil, fmt.Errorf("%s on %v: %w", w.name, cfg, err)
 	}
-	rng := rand.New(rand.NewSource(r.cfg.Seed ^ int64(len(w.name))))
-	inputs := make([]float64, len(c.Graph.Inputs()))
-	for i := range inputs {
-		inputs[i] = 0.25 + 0.75*rng.Float64()
-	}
-	sres, err := sim.Run(c, inputs)
-	if err != nil {
-		return nil, fmt.Errorf("%s on %v: %w", w.name, cfg, err)
-	}
 	return &evalResult{
 		compiled: c,
-		simStats: sres.Stats,
-		est:      energy.EstimateRun(cfg, c.Stats.Nodes, sres.Stats, c.Prog),
+		est:      energy.EstimateRun(cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog),
 	}, nil
 }
 

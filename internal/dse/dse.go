@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
@@ -47,22 +46,16 @@ type Point struct {
 	Err      error
 }
 
-// Evaluate compiles, simulates and models one workload on one config.
+// Evaluate compiles one workload for one config and models its
+// execution. Nothing is simulated: cycles and activity are read off the
+// instruction stream (sim.StaticStats), which is exactly what a run of
+// the machine would count.
 func Evaluate(g *dag.Graph, cfg arch.Config, opts compiler.Options) (energy.Estimate, error) {
 	c, err := compiler.Compile(g, cfg, opts)
 	if err != nil {
 		return energy.Estimate{}, err
 	}
-	rng := rand.New(rand.NewSource(0x05E))
-	inputs := make([]float64, len(c.Graph.Inputs()))
-	for i := range inputs {
-		inputs[i] = 0.25 + 0.75*rng.Float64()
-	}
-	res, err := sim.Run(c, inputs)
-	if err != nil {
-		return energy.Estimate{}, fmt.Errorf("dse: %s on %v: %w", g.Name, cfg, err)
-	}
-	return energy.EstimateRun(cfg, c.Stats.Nodes, res.Stats, c.Prog), nil
+	return energy.EstimateRun(cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog), nil
 }
 
 // evaluatePoint evaluates one configuration over the workload suite. An

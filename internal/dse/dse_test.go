@@ -9,7 +9,9 @@ import (
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/energy"
 	"dpuv2/internal/pc"
+	"dpuv2/internal/sim"
 	"dpuv2/internal/sptrsv"
 )
 
@@ -42,6 +44,36 @@ func TestEvaluateProducesSaneMetrics(t *testing.T) {
 	}
 	if est.LatencyPerOp > 100 {
 		t.Fatalf("latency/op %.1f ns implausible (paper range 0.2–3.5)", est.LatencyPerOp)
+	}
+}
+
+// TestEvaluateMatchesSimulation pins the claim Evaluate rests on: the
+// estimate it derives from the instruction stream is, field for field,
+// the estimate over the statistics a cycle-accurate run counts — on
+// every grid point, for a circuit and a triangular solve.
+func TestEvaluateMatchesSimulation(t *testing.T) {
+	for _, g := range smallSuite() {
+		for _, cfg := range Grid() {
+			got, gerr := Evaluate(g, cfg, compiler.Options{})
+			c, cerr := compiler.Compile(g, cfg, compiler.Options{})
+			if (gerr == nil) != (cerr == nil) {
+				t.Fatalf("%s on %v: Evaluate err %v, compile err %v", g.Name, cfg, gerr, cerr)
+			}
+			if cerr != nil {
+				continue // infeasible point
+			}
+			inputs := make([]float64, len(c.Graph.Inputs()))
+			for i := range inputs {
+				inputs[i] = 0.25 + 0.5*float64(i%3)
+			}
+			res, err := sim.Run(c, inputs)
+			if err != nil {
+				t.Fatalf("%s on %v: %v", g.Name, cfg, err)
+			}
+			if want := energy.EstimateRun(cfg, c.Stats.Nodes, res.Stats, c.Prog); got != want {
+				t.Errorf("%s on %v: Evaluate %+v, simulated %+v", g.Name, cfg, got, want)
+			}
+		}
 	}
 }
 

@@ -8,11 +8,9 @@
 //     compiler options, LRU-bounded, with single-flight admission so
 //     concurrent requests for the same graph compile it exactly once;
 //
-//   - a per-configuration pool of sim.Executor instances — functional
-//     fast-path evaluators by default, cycle-accurate machines via
-//     Options.Backend (Machine.Reset makes a pooled machine
-//     observationally identical to a fresh one) — so steady-state
-//     execution allocates nothing whichever backend serves;
+//   - one bounded free list of sim.FuncEvaluator instances (an
+//     evaluator serves any program on any configuration), so
+//     steady-state execution allocates nothing;
 //
 //   - batched execution fanning input sets out over the internal/par
 //     worker pool with per-item error capture;
@@ -51,9 +49,6 @@ type Options struct {
 	// CacheSize bounds the number of cached compiled programs (LRU
 	// eviction beyond it). Default 128.
 	CacheSize int
-	// PoolSize bounds the idle machines retained per configuration;
-	// machines beyond it are dropped to the GC. Default 2×GOMAXPROCS.
-	PoolSize int
 	// Workers sizes the ExecuteBatchInto worker pool. Default GOMAXPROCS.
 	Workers int
 	// Store, when non-nil, backs the compile cache with persisted
@@ -87,23 +82,14 @@ type Options struct {
 	// to CheckMachineBounds; install a custom policy (or a func
 	// returning nil) to widen it.
 	DecisionGuard func(arch.Config) error
-	// Backend selects the execution backend the engine leases from its
-	// per-config pools. The default, sim.BackendFunctional, evaluates
-	// the compiled schedule directly — bit-exact with the cycle-accurate
-	// machine (the conformance matrix and fuzz layer pin it) and much
-	// faster, which is right for serving: clients need outputs, not
-	// micro-architectural statistics. Select sim.BackendCycleAccurate
-	// for callers that need the machine's full Stats (reg/mem traffic,
-	// peak occupancy); cycle *counts* are exact under both backends —
-	// the schedule is static, so Cycles is a compile-time constant.
-	Backend sim.Backend
 }
 
 // CheckMachineBounds rejects configurations whose machine state would
 // be unreasonably large before anything is allocated.
-// arch.Config.Validate checks constructibility, not size: B·R float64
-// registers (plus valid bits) and DataMemWords words are allocated per
-// pooled machine, so an unbounded config would OOM a server. The caps
+// arch.Config.Validate checks constructibility, not size: every
+// instruction carries B-wide control fields, and a machine for the
+// config holds B·R float64 registers plus DataMemWords words, so an
+// unbounded config would OOM whoever compiles or simulates it. The caps
 // comfortably cover every configuration of the paper (DPU-v2 (L) is
 // B=64, R=256, 4M-word memory). The serving layer applies the same
 // bounds to client-requested configs, and it is the default
@@ -131,9 +117,6 @@ func (o Options) normalize() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 128
 	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = 2 * runtime.GOMAXPROCS(0)
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -148,9 +131,6 @@ func (o Options) normalize() Options {
 
 // Stats is a point-in-time snapshot of engine activity.
 type Stats struct {
-	// Backend is the active execution backend ("functional" or
-	// "cycle"), surfaced so /stats shows which path answers traffic.
-	Backend string
 	// Hits counts Compile calls answered from the cache (including
 	// waits on a compilation already in flight).
 	Hits int64
@@ -197,11 +177,6 @@ type Stats struct {
 	TuneInFlight int64
 	// Decisions is the number of resident autotuning decisions.
 	Decisions int
-	// Pools reports the idle (free) executors retained per
-	// configuration, keyed by the config's String() — the observable
-	// footprint of the executor pool, and how operators watch a tuned
-	// config's pool grow as traffic switches onto it.
-	Pools map[string]int
 }
 
 // entry is one cache slot. done is closed when the single-flight
@@ -224,16 +199,6 @@ func (e *entry) completed() bool {
 	}
 }
 
-// executorPool is the free list of leased-out-and-returned executors
-// for one configuration — cycle-accurate machines or functional
-// evaluators, per Options.Backend. Executors come back dirty; every
-// lease re-initializes against the next program (RunOn resets machines,
-// the functional walk overwrites its whole scratch).
-type executorPool struct {
-	mu   sync.Mutex
-	free []sim.Executor
-}
-
 // Engine is a compile-once/execute-many server. It is safe for
 // concurrent use by any number of goroutines.
 type Engine struct {
@@ -246,8 +211,11 @@ type Engine struct {
 	misses     int64
 	evictions  int64
 
-	poolMu sync.Mutex
-	pools  map[arch.Config]*executorPool
+	// free is the list of idle evaluators (see getEvaluator), bounded at
+	// maxFree = 2×GOMAXPROCS.
+	freeMu  sync.Mutex
+	free    []*sim.FuncEvaluator
+	maxFree int
 
 	inFlight   atomic.Int64
 	executions atomic.Int64
@@ -284,7 +252,7 @@ func New(opts Options) *Engine {
 	return &Engine{
 		opts:         opts.normalize(),
 		entries:      make(map[artifact.Key]*entry),
-		pools:        make(map[arch.Config]*executorPool),
+		maxFree:      2 * runtime.GOMAXPROCS(0),
 		verifiedKeys: make(map[artifact.Key]struct{}),
 		tune: tuneState{
 			decisions: make(map[dag.Fingerprint]residentDecision),
@@ -622,98 +590,64 @@ func (e *Engine) evictLocked() {
 	}
 }
 
-// maxConfigPools bounds the number of distinct configurations that
-// retain idle machines. A server facing arbitrary client configs would
-// otherwise grow pool memory monotonically (each pool holds up to
-// PoolSize machines, and a machine keeps the largest memory image it
-// ever ran); configs beyond the bound simply run unpooled.
-const maxConfigPools = 64
-
-// getExecutor leases a pooled executor for cfg or builds a new one of
-// the engine's configured backend. cfg must already be normalized
-// (compiled programs carry a normalized config).
-func (e *Engine) getExecutor(cfg arch.Config) sim.Executor {
-	e.poolMu.Lock()
-	p := e.pools[cfg]
-	if p == nil && len(e.pools) < maxConfigPools {
-		p = &executorPool{}
-		e.pools[cfg] = p
+// getEvaluator leases an idle evaluator or builds a new one. The free
+// list is a plain mutex-guarded slice rather than a sync.Pool on
+// purpose: a sync.Pool drops idle items across GC cycles, and a busy
+// server collects hundreds of times a second, so every lease would
+// regrow its value scratch.
+func (e *Engine) getEvaluator() *sim.FuncEvaluator {
+	e.freeMu.Lock()
+	defer e.freeMu.Unlock()
+	if n := len(e.free); n > 0 {
+		f := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return f
 	}
-	e.poolMu.Unlock()
-	if p == nil {
-		return sim.NewExecutor(e.opts.Backend, cfg)
-	}
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return m
-	}
-	p.mu.Unlock()
-	return sim.NewExecutor(e.opts.Backend, cfg)
+	return new(sim.FuncEvaluator)
 }
 
-// putExecutor returns an executor to its configuration's pool, dropping
-// it when the pool is full. The executor is handed back dirty; the next
-// lease re-initializes it against its program (RunOn resets machines)
-// before any use.
-func (e *Engine) putExecutor(m sim.Executor) {
-	e.poolMu.Lock()
-	p := e.pools[m.Config()]
-	e.poolMu.Unlock()
-	if p == nil {
-		return
+// putEvaluator returns an evaluator to the free list, dropping it to
+// the GC when the list is full.
+func (e *Engine) putEvaluator(f *sim.FuncEvaluator) {
+	e.freeMu.Lock()
+	if len(e.free) < e.maxFree {
+		e.free = append(e.free, f)
 	}
-	p.mu.Lock()
-	if len(p.free) < e.opts.PoolSize {
-		p.free = append(p.free, m)
-	}
-	p.mu.Unlock()
+	e.freeMu.Unlock()
 }
 
-// ExecuteInto runs a compiled program on a pooled executor, writing the
+// ExecuteInto runs a compiled program on a leased evaluator, writing the
 // sink values (in c.Graph.Outputs() order) into out and returning the
-// cycle count — exact under either backend, because the schedule is
-// static. Steady state allocates nothing: the executor, its scratch,
-// and (for machines) the stats buckets are all reused.
+// cycle count — the compile-time constant c.Stats.Cycles, because the
+// schedule is static. Steady state allocates nothing.
 func (e *Engine) ExecuteInto(c *compiler.Compiled, inputs, out []float64) (cycles int, err error) {
 	e.inFlight.Add(1)
 	defer e.inFlight.Add(-1)
-	m := e.getExecutor(c.Prog.Cfg)
-	err = m.ExecuteInto(c, inputs, out)
-	cycles = m.Stats().Cycles
-	e.putExecutor(m)
+	f := e.getEvaluator()
+	err = f.ExecuteInto(c, inputs, out)
+	e.putEvaluator(f)
 	if err != nil {
 		return 0, err
 	}
 	e.executions.Add(1)
-	return cycles, nil
+	return c.Stats.Cycles, nil
 }
 
-// ExecuteCompiled runs a compiled program on a pooled executor and
-// returns a self-contained result (outputs keyed by sink id, deep-copied
-// stats safe to hold after the executor is reused). Under the functional
-// backend only Stats.Cycles is meaningful; select the cycle-accurate
-// backend for the machine's full statistics.
+// ExecuteCompiled runs a compiled program and returns its outputs keyed
+// by sink id. Result.Stats carries the cycle count only: activity is a
+// property of the program (sim.StaticStats(c.Prog)), so the engine never
+// recounts it per run.
 func (e *Engine) ExecuteCompiled(c *compiler.Compiled, inputs []float64) (*sim.Result, error) {
-	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
 	outs := c.Graph.Outputs()
 	out := make([]float64, len(outs))
-	m := e.getExecutor(c.Prog.Cfg)
-	err := m.ExecuteInto(c, inputs, out)
-	st := m.Stats().Clone()
-	e.putExecutor(m)
-	if err != nil {
+	if _, err := e.ExecuteInto(c, inputs, out); err != nil {
 		return nil, err
 	}
-	res := &sim.Result{Outputs: make(map[dag.NodeID]float64, len(outs)), Stats: st}
+	res := &sim.Result{Outputs: make(map[dag.NodeID]float64, len(outs)), Stats: sim.Stats{Cycles: c.Stats.Cycles}}
 	for i, sink := range outs {
 		res.Outputs[sink] = out[i]
 	}
-	e.executions.Add(1)
 	return res, nil
 }
 
@@ -730,11 +664,13 @@ func (e *Engine) Execute(g *dag.Graph, cfg arch.Config, opts compiler.Options, i
 // ExecuteBatchInto is the scheduler's hot path: it runs one compiled
 // program over a batch of input vectors, writing the sink values of item
 // i (in c.Graph.Outputs() order) into outs[i] and its error into
-// errs[i]; cycles, when non-nil, receives each item's cycle count. The
-// batch is split into contiguous chunks, one per worker, and each worker
-// leases a single pooled machine for its whole chunk — pool traffic and
-// compile-cache traffic are per-batch, not per-item, which is what makes
-// coalesced serving cheaper than per-request Execute calls. With one
+// errs[i]; cycles, when non-nil, is filled with c.Stats.Cycles (every
+// item of a batch runs the same static schedule — callers that hold c
+// pass nil). The batch is split into contiguous chunks, one per worker,
+// and each worker leases a single evaluator for its whole chunk —
+// free-list traffic and compile-cache traffic are per-batch, not
+// per-item, which is what makes coalesced serving cheaper than
+// per-request Execute calls. With one
 // worker (or a one-item batch) the whole call runs inline on the
 // caller's goroutine and allocates nothing in steady state.
 func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
@@ -746,32 +682,31 @@ func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float6
 	if workers > n {
 		workers = n
 	}
+	for i := range cycles {
+		cycles[i] = c.Stats.Cycles
+	}
 	e.inFlight.Add(int64(n))
 	if workers <= 1 {
 		// Closure-free serial path: the steady state allocates nothing.
-		e.runChunk(c, batches, outs, cycles, errs, 0, n)
+		e.runChunk(c, batches, outs, errs, 0, n)
 	} else {
 		par.ForEach(workers, workers, func(w int) {
-			e.runChunk(c, batches, outs, cycles, errs, n*w/workers, n*(w+1)/workers)
+			e.runChunk(c, batches, outs, errs, n*w/workers, n*(w+1)/workers)
 		})
 	}
 	e.inFlight.Add(int64(-n))
 }
 
-// runChunk executes items [lo,hi) of a batch on one leased executor.
-func (e *Engine) runChunk(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error, lo, hi int) {
-	m := e.getExecutor(c.Prog.Cfg)
+// runChunk executes items [lo,hi) of a batch on one leased evaluator.
+func (e *Engine) runChunk(c *compiler.Compiled, batches, outs [][]float64, errs []error, lo, hi int) {
+	f := e.getEvaluator()
 	for i := lo; i < hi; i++ {
-		err := m.ExecuteInto(c, batches[i], outs[i])
-		errs[i] = err
-		if cycles != nil {
-			cycles[i] = m.Stats().Cycles
-		}
-		if err == nil {
+		errs[i] = f.ExecuteInto(c, batches[i], outs[i])
+		if errs[i] == nil {
 			e.executions.Add(1)
 		}
 	}
-	e.putExecutor(m)
+	e.putEvaluator(f)
 }
 
 // Workers returns the configured worker-pool size, so wrappers layering
@@ -782,7 +717,6 @@ func (e *Engine) Workers() int { return e.opts.Workers }
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	s := Stats{
-		Backend:   e.opts.Backend.String(),
 		Hits:      e.hits,
 		Misses:    e.misses,
 		Evictions: e.evictions,
@@ -805,16 +739,5 @@ func (e *Engine) Stats() Stats {
 	e.tuneMu.Lock()
 	s.Decisions = len(e.tune.decisions)
 	e.tuneMu.Unlock()
-	s.Pools = make(map[string]int)
-	e.poolMu.Lock()
-	for cfg, p := range e.pools {
-		p.mu.Lock()
-		free := len(p.free)
-		p.mu.Unlock()
-		if free > 0 {
-			s.Pools[cfg.String()] = free
-		}
-	}
-	e.poolMu.Unlock()
 	return s
 }

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
+	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/sim"
 )
 
 // TestConcurrentSingleFlightAndIsolation is the engine's load test, in
@@ -18,7 +21,7 @@ import (
 //     though all goroutines request every graph concurrently;
 //   - no cross-request bleed: each goroutine uses its own input scale,
 //     and every output must match the reference for those inputs even
-//     though machines are pooled and reset between requests;
+//     though evaluators are leased and reused between requests;
 //   - the LRU and stats stay coherent under contention.
 func TestConcurrentSingleFlightAndIsolation(t *testing.T) {
 	const (
@@ -154,5 +157,95 @@ func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 	}
 	if st.Cached > cache {
 		t.Errorf("cached = %d exceeds the bound %d at quiescence", st.Cached, cache)
+	}
+}
+
+// TestStressSharedFreeListAcrossConfigs leases the engine's one free
+// list from many goroutines across programs of very different sizes and
+// different configurations, so an evaluator whose scratch was grown (and
+// filled) by a big graph is handed to a small one and back. Every item
+// is checked against its own reference vector, and the cycle count
+// against the cycle-accurate machine's. Run under -race in CI.
+func TestStressSharedFreeListAcrossConfigs(t *testing.T) {
+	e := New(Options{Workers: 4})
+	type prog struct {
+		c      *compiler.Compiled
+		cycles int // what the machine counts
+	}
+	var progs []prog
+	for i, spec := range []struct {
+		interior int
+		cfg      arch.Config
+	}{
+		{8, arch.Config{D: 1, B: 4, R: 8}},
+		{600, arch.Config{D: 3, B: 32, R: 32}},
+		{40, arch.Config{D: 2, B: 8, R: 16}},
+		{300, arch.Config{D: 2, B: 16, R: 16, Output: arch.OutCrossbar}},
+	} {
+		g := dag.RandomGraph(dag.RandomConfig{
+			Inputs: 3 + i, Interior: spec.interior, MaxArgs: 2 + i%3, MulFrac: 0.4, Seed: int64(i) + 500,
+		})
+		c, err := e.Compile(g, spec.cfg, compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sim.Run(c, testInputs(c.Graph, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{c, ref.Stats.Cycles})
+	}
+	const goroutines, iters, items = 8, 30, 5
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for it := 0; it < iters; it++ {
+				p := progs[(w+it)%len(progs)]
+				sinks := p.c.Graph.Outputs()
+				batches := make([][]float64, items)
+				outs := make([][]float64, items)
+				for b := range batches {
+					batches[b] = make([]float64, len(p.c.Graph.Inputs()))
+					for i := range batches[b] {
+						batches[b][i] = rng.Float64()*6 - 3
+					}
+					outs[b] = make([]float64, len(sinks))
+				}
+				// Alternate the batched path (one lease per chunk) with
+				// the single-item path (one lease per call).
+				cycles, errs := make([]int, items), make([]error, items)
+				if it%2 == 0 {
+					e.ExecuteBatchInto(p.c, batches, outs, cycles, errs)
+				} else {
+					for b := range batches {
+						cycles[b], errs[b] = e.ExecuteInto(p.c, batches[b], outs[b])
+					}
+				}
+				for b := range batches {
+					if errs[b] != nil {
+						t.Errorf("worker %d iter %d item %d: %v", w, it, b, errs[b])
+						return
+					}
+					if cycles[b] != p.cycles {
+						t.Errorf("worker %d iter %d item %d: %d cycles, machine counts %d", w, it, b, cycles[b], p.cycles)
+					}
+					want, _ := dag.Eval(p.c.Graph, batches[b])
+					for j, sink := range sinks {
+						if outs[b][j] != want[sink] {
+							t.Errorf("worker %d iter %d item %d: sink %d = %v, want %v (scratch bleed?)",
+								w, it, b, sink, outs[b][j], want[sink])
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := e.Stats(); st.Executions != goroutines*iters*items || st.InFlight != 0 {
+		t.Errorf("executions = %d (want %d), in-flight = %d", st.Executions, goroutines*iters*items, st.InFlight)
 	}
 }

@@ -4,7 +4,7 @@ package engine
 // instead of Compile/ExecuteBatchInto when a batch carries a trace, so
 // the engine's share of a request's latency decomposes into named spans
 // — resolve (the whole cache interaction), store_decode and compile
-// (where a miss actually went), execute (the leased-executor batch
+// (where a miss actually went), execute (the leased-evaluator batch
 // window). With a nil trace both are exactly their untraced twins:
 // tracing is an overlay, never a second code path.
 
@@ -32,16 +32,14 @@ func (e *Engine) CompileTraced(g *dag.Graph, cfg arch.Config, opts compiler.Opti
 }
 
 // ExecuteBatchIntoTraced is ExecuteBatchInto recording an "execute"
-// span (batch size, backend) against tr.
+// span (batch size) against tr.
 func (e *Engine) ExecuteBatchIntoTraced(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error, tr *trace.Trace) {
 	if tr == nil {
 		e.ExecuteBatchInto(c, batches, outs, cycles, errs)
 		return
 	}
 	sp := tr.Begin("execute", 0)
-	tr.SetAttrs(sp,
-		trace.Int("batch_size", int64(len(batches))),
-		trace.Str("backend", e.opts.Backend.String()))
+	tr.SetAttrs(sp, trace.Int("batch_size", int64(len(batches))))
 	e.ExecuteBatchInto(c, batches, outs, cycles, errs)
 	tr.End(sp)
 }

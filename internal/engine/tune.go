@@ -5,8 +5,8 @@ package engine
 // With Options.AutoTune set, the engine maintains a per-fingerprint map
 // of artifact.Decision records and Resolve consults it on every request:
 // a decided fingerprint is served on its tuned configuration (and the
-// compile cache, machine pool and scheduler batch key all follow,
-// because they key on the config Resolve returns); an undecided one is
+// compile cache and scheduler batch key follow, because they key on the
+// config Resolve returns); an undecided one is
 // served on the caller's default. With Options.Tuner also set, first
 // sight of an undecided fingerprint kicks off exactly one background
 // tune; requests keep flowing on the default config until the decision

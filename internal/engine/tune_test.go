@@ -578,24 +578,6 @@ func TestTuneStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestStatsPoolsPerConfig: executing on two configs must surface two
-// pool entries, so operators can watch a tuned config's pool grow.
-func TestStatsPoolsPerConfig(t *testing.T) {
-	e := New(Options{})
-	g := tuneTestGraph()
-	for _, cfg := range []arch.Config{arch.MinEDP(), arch.MinEnergy()} {
-		if _, err := e.Execute(g, cfg, compiler.Options{}, []float64{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := e.Stats()
-	for _, cfg := range []arch.Config{arch.MinEDP(), arch.MinEnergy()} {
-		if s.Pools[cfg.String()] < 1 {
-			t.Fatalf("pool for %v not visible in stats: %+v", cfg, s.Pools)
-		}
-	}
-}
-
 // TestAutoTuneConcurrentResolveRace exercises the decision table under
 // the race detector: concurrent first sights, tuning completion and
 // readers must not tear.

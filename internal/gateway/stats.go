@@ -145,9 +145,9 @@ func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*serve.StatsRespo
 	return &st, nil
 }
 
-// mergeStats folds src into dst: counters sum, pools merge, histogram
-// snapshots merge exactly, and the merged summaries are recomputed from
-// the merged snapshots (never by combining quantiles).
+// mergeStats folds src into dst: counters sum, histogram snapshots merge
+// exactly, and the merged summaries are recomputed from the merged
+// snapshots (never by combining quantiles).
 func mergeStats(dst *serve.StatsResponse, src *serve.StatsResponse) {
 	mergeEngine(&dst.Engine, &src.Engine)
 
@@ -191,13 +191,8 @@ func mergeStats(dst *serve.StatsResponse, src *serve.StatsResponse) {
 	t.Workloads = append(t.Workloads, u.Workloads...)
 }
 
-// mergeEngine sums the engine counters and merges the pool map. The
-// backend name merges to "mixed" if the fleet disagrees — a deployment
-// smell worth surfacing, not hiding.
+// mergeEngine sums the engine counters.
 func mergeEngine(d *engine.Stats, s *engine.Stats) {
-	if d.Backend != s.Backend {
-		d.Backend = "mixed"
-	}
 	d.Hits += s.Hits
 	d.Misses += s.Misses
 	d.Evictions += s.Evictions
@@ -216,16 +211,6 @@ func mergeEngine(d *engine.Stats, s *engine.Stats) {
 	d.TuneErrors += s.TuneErrors
 	d.TuneInFlight += s.TuneInFlight
 	d.Decisions += s.Decisions
-	if len(s.Pools) > 0 {
-		merged := make(map[string]int, len(d.Pools)+len(s.Pools))
-		for k, v := range d.Pools {
-			merged[k] = v
-		}
-		for k, v := range s.Pools {
-			merged[k] += v
-		}
-		d.Pools = merged
-	}
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -15,9 +15,8 @@
 //
 //   - machinereset: a sim.Machine holds register-bank valid bits and a
 //     landing ring from its last program. Reusing one without Reset
-//     leaks that state into the next run — exactly the bug class the
-//     engine's machine pool makes easy to write. Any function that
-//     receives a *sim.Machine (pools hand them back dirty) must Reset
+//     leaks that state into the next run. Any function that receives a
+//     *sim.Machine (its caller may have run it already) must Reset
 //     before Run, and a machine built outside a loop must be Reset
 //     inside the loop that reruns it.
 //
@@ -198,8 +197,7 @@ func machineReset(fset *token.FileSet, f *ast.File) []Issue {
 			continue
 		}
 
-		// Machines handed to the function arrive with unknown (for the
-		// engine pool: known-dirty) state.
+		// Machines handed to the function arrive with unknown state.
 		dirty := map[string]bool{}
 		if fd.Type.Params != nil {
 			for _, field := range fd.Type.Params.List {
@@ -212,8 +210,7 @@ func machineReset(fset *token.FileSet, f *ast.File) []Issue {
 			}
 		}
 		// Machines built fresh in this function (NewMachine zeroes
-		// state, so a straight-line Run is fine) plus pool checkouts
-		// (getMachine results are dirty like params).
+		// state, so a straight-line Run is fine).
 		fresh := map[string]bool{}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
@@ -224,15 +221,8 @@ func machineReset(fset *token.FileSet, f *ast.File) []Issue {
 				if i >= len(as.Lhs) {
 					break
 				}
-				id, ok := as.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				switch machineOrigin(rhs, simName, inSim) {
-				case "fresh":
+				if id, ok := as.Lhs[i].(*ast.Ident); ok && isNewMachine(rhs, simName, inSim) {
 					fresh[id.Name] = true
-				case "pooled":
-					dirty[id.Name] = true
 				}
 			}
 			return true
@@ -307,31 +297,21 @@ func isMachineType(t ast.Expr, simName string, inSim bool) bool {
 	return false
 }
 
-// machineOrigin classifies an assignment RHS: "fresh" for
-// sim.NewMachine(...), "pooled" for anything named getMachine (the
-// engine's pool accessor), "" otherwise.
-func machineOrigin(rhs ast.Expr, simName string, inSim bool) string {
+// isNewMachine reports whether an assignment RHS is a call of
+// sim.NewMachine (plain NewMachine inside package sim).
+func isNewMachine(rhs ast.Expr, simName string, inSim bool) bool {
 	call, ok := rhs.(*ast.CallExpr)
 	if !ok {
-		return ""
+		return false
 	}
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok && simName != "" && id.Name == simName && fun.Sel.Name == "NewMachine" {
-			return "fresh"
-		}
-		if fun.Sel.Name == "getMachine" {
-			return "pooled"
-		}
+		id, ok := fun.X.(*ast.Ident)
+		return ok && simName != "" && id.Name == simName && fun.Sel.Name == "NewMachine"
 	case *ast.Ident:
-		if inSim && fun.Name == "NewMachine" {
-			return "fresh"
-		}
-		if fun.Name == "getMachine" {
-			return "pooled"
-		}
+		return inSim && fun.Name == "NewMachine"
 	}
-	return ""
+	return false
 }
 
 // firstMethodCall returns the position of the first `name.method(...)`
@@ -359,8 +339,8 @@ func firstMethodCall(n ast.Node, name, method string) token.Pos {
 	return best
 }
 
-// createdIn reports whether body (re)assigns name from a machine
-// source, which makes in-loop reuse safe.
+// createdIn reports whether body (re)assigns name from NewMachine,
+// which makes in-loop reuse safe.
 func createdIn(body *ast.BlockStmt, name, simName string, inSim bool) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -373,7 +353,7 @@ func createdIn(body *ast.BlockStmt, name, simName string, inSim bool) bool {
 				break
 			}
 			id, ok := as.Lhs[i].(*ast.Ident)
-			if ok && id.Name == name && machineOrigin(rhs, simName, inSim) != "" {
+			if ok && id.Name == name && isNewMachine(rhs, simName, inSim) {
 				found = true
 			}
 		}

@@ -197,24 +197,3 @@ func good(m *sim.Machine, p *arch.Program) {
 		t.Errorf("unexpected message: %s", issues[0])
 	}
 }
-
-func TestMachineResetPooledCheckout(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/x/x.go", `package x
-
-import (
-	"dpuv2/internal/arch"
-	"dpuv2/internal/sim"
-)
-
-type pool struct{}
-
-func (pool) getMachine(cfg arch.Config) *sim.Machine { return sim.NewMachine(cfg, nil) }
-
-func bad(e pool, cfg arch.Config, p *arch.Program) {
-	m := e.getMachine(cfg)
-	m.Run(p)
-}
-`)
-	wantRules(t, lintTree(t, root), "machinereset")
-}

@@ -3,8 +3,8 @@
 // (same content address: fingerprint + normalized config + compiler
 // options) while a batch of it is executing are coalesced into one
 // batched engine invocation, which compiles once and executes every item
-// on a small number of leased machines — the engine's fastest path —
-// instead of N independent compile-cache and machine-pool round trips.
+// on a small number of leased evaluators — the engine's fastest path —
+// instead of N independent compile-cache and free-list round trips.
 //
 // There is one dispatch rule and no clock in it (batch-while-busy):
 //
@@ -53,7 +53,9 @@ func (e *CompileError) Unwrap() error { return e.Err }
 
 // Backend is what the scheduler needs from the serving engine.
 // *engine.Engine satisfies it; tests substitute fakes to probe policy
-// without real compilation.
+// without real compilation. The scheduler always passes nil for cycles:
+// every item of a batch ran the same static schedule, so Result.Cycles
+// is c.Stats.Cycles.
 type Backend interface {
 	Compile(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error)
 	ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error)
@@ -97,13 +99,6 @@ type Options struct {
 	// rule reads no clock); nil means SystemClock. Tests inject a
 	// FakeClock to make the stage windows exact.
 	Clock Clock
-	// NoCycles skips per-item cycle collection: Result.Cycles is 0 for
-	// every item and the per-batch cycles slice is never allocated. The
-	// batch key is unchanged — cycles are response decoration, not
-	// coalescing state. For callers that only need outputs; note that
-	// even the functional backend reports exact cycle counts (the
-	// schedule is static), so the default keeps them.
-	NoCycles bool
 }
 
 func (o Options) normalize() Options {
@@ -205,7 +200,6 @@ type batch struct {
 	done     chan struct{}
 	c        *compiler.Compiled
 	outs     [][]float64
-	cycles   []int // nil under Options.NoCycles
 	errs     []error
 	batchErr error // compile failure (*CompileError): fails every item
 
@@ -221,14 +215,6 @@ type batch struct {
 	// the per-item execute span for it when the backend already
 	// recorded a richer one.
 	btr *trace.Trace
-}
-
-// cyclesAt returns item i's cycle count, 0 when collection is off.
-func (b *batch) cyclesAt(i int) int {
-	if b.cycles == nil {
-		return 0
-	}
-	return b.cycles[i]
 }
 
 // Scheduler coalesces submissions into batched backend executions. It is
@@ -370,7 +356,7 @@ func (s *Scheduler) SubmitManyTraced(g *dag.Graph, cfg arch.Config, copts compil
 		case sl.b.errs[sl.idx] != nil:
 			errs[i] = sl.b.errs[sl.idx]
 		default:
-			results[i] = Result{Outputs: sl.b.outs[sl.idx], Cycles: sl.b.cyclesAt(sl.idx), Compiled: sl.b.c}
+			results[i] = Result{Outputs: sl.b.outs[sl.idx], Cycles: sl.b.c.Stats.Cycles, Compiled: sl.b.c}
 		}
 	}
 	return results, errs
@@ -427,9 +413,6 @@ func (s *Scheduler) run(b *batch) {
 	ins := make([][]float64, n)
 	b.outs = make([][]float64, n)
 	flat := make([]float64, n*len(sinks))
-	if !s.opts.NoCycles {
-		b.cycles = make([]int, n)
-	}
 	b.errs = make([]error, n)
 	for i := range b.reqs {
 		ins[i] = b.reqs[i].inputs
@@ -437,9 +420,9 @@ func (s *Scheduler) run(b *batch) {
 	}
 	b.execStart = s.clock.Now()
 	if b.btr != nil {
-		s.traced.ExecuteBatchIntoTraced(c, ins, b.outs, b.cycles, b.errs, b.btr)
+		s.traced.ExecuteBatchIntoTraced(c, ins, b.outs, nil, b.errs, b.btr)
 	} else {
-		s.backend.ExecuteBatchInto(c, ins, b.outs, b.cycles, b.errs)
+		s.backend.ExecuteBatchInto(c, ins, b.outs, nil, b.errs)
 	}
 	b.execEnd = s.clock.Now()
 	// The engine writes outputs in the compiled (binarized) graph's sink

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
+	"dpuv2/internal/sim"
 	"dpuv2/internal/trace"
 )
 
@@ -456,48 +458,44 @@ func TestDistinctKeysDoNotCoalesce(t *testing.T) {
 	}
 }
 
-// TestNoCyclesSkipsCycleCollection: Options.NoCycles drops the per-item
-// cycle slice (serving paths that only need outputs shouldn't pay for
-// it); outputs are unaffected and Result.Cycles reads as zero. The
-// batch key ignores the option, so NoCycles and default schedulers see
-// identical coalescing.
-func TestNoCyclesSkipsCycleCollection(t *testing.T) {
+// cyclesProbe records the cycles argument the scheduler hands the
+// backend.
+type cyclesProbe struct {
+	*engine.Engine
+	sawNonNil atomic.Bool
+}
+
+func (p *cyclesProbe) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
+	if cycles != nil {
+		p.sawNonNil.Store(true)
+	}
+	p.Engine.ExecuteBatchInto(c, batches, outs, cycles, errs)
+}
+
+// TestResultCyclesAreTheCompiledConstant: every item of a batch ran the
+// same static schedule, so Result.Cycles is c.Stats.Cycles — which is
+// what the cycle-accurate machine counts — and the scheduler collects no
+// per-item array for it (it passes nil for the backend's cycles slot).
+func TestResultCyclesAreTheCompiledConstant(t *testing.T) {
 	g := testGraph(11)
 	in := testInputs(g, 1)
-	want := wantEval(t, g, in)
-
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8, NoCycles: true})
+	probe := &cyclesProbe{Engine: engine.New(engine.Options{})}
+	s := New(probe, Options{MaxBatch: 8})
 	defer s.Close()
-	res, err := s.Submit(g, testCfg, compiler.Options{}, in)
+	results, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in, in, in})
+	ref, err := sim.Run(results[0].Compiled, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles != 0 {
-		t.Errorf("NoCycles result reports %d cycles, want 0", res.Cycles)
-	}
-	for j := range want {
-		if res.Outputs[j] != want[j] {
-			t.Errorf("output %d = %v, want %v", j, res.Outputs[j], want[j])
-		}
-	}
-	results, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in, in})
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
 		}
-		if results[i].Cycles != 0 {
-			t.Errorf("item %d reports %d cycles, want 0", i, results[i].Cycles)
+		if results[i].Cycles != ref.Stats.Cycles {
+			t.Errorf("item %d reports %d cycles, the machine counts %d", i, results[i].Cycles, ref.Stats.Cycles)
 		}
 	}
-
-	// Default scheduler on the same graph still reports real cycles.
-	sc := New(engine.New(engine.Options{}), Options{MaxBatch: 8})
-	defer sc.Close()
-	res2, err := sc.Submit(g, testCfg, compiler.Options{}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Cycles <= 0 {
-		t.Errorf("default scheduler reports %d cycles, want > 0", res2.Cycles)
+	if probe.sawNonNil.Load() {
+		t.Error("the scheduler allocated a per-item cycles slice")
 	}
 }

@@ -99,10 +99,10 @@ func TestStageDecomposition(t *testing.T) {
 			t.Errorf("%s: queue_wait span %+v, want empty at offset %v", tc.name, qsp, tc.linger)
 		}
 		// Each request leads its own one-item batch, so its trace gets the
-		// engine's execute span (with the backend attr), not the
+		// engine's execute span (with the batch_size attr), not the
 		// scheduler's per-item one.
-		if esp.Attrs["backend"] == nil || esp.Attrs["batch_size"] != int64(1) {
-			t.Errorf("%s: execute span attrs %+v, want the engine's (backend, batch_size)", tc.name, esp.Attrs)
+		if esp.Attrs["batch_size"] != int64(1) {
+			t.Errorf("%s: execute span attrs %+v, want the engine's (batch_size)", tc.name, esp.Attrs)
 		}
 		// The engine's cache resolution rode the same trace: a miss (with
 		// its compile) for the first batch, a hit for the follow-on.

@@ -31,11 +31,10 @@ mul 6 7
 `
 
 // TestNonFiniteEndToEnd is the non-finite conformance satellite's
-// serving leg: the same DAG that drives NaN/±Inf through both sim
-// backends (internal/sim) is submitted over HTTP, and the handler must
-// itemize the non-finite vector as a per-item error (JSON cannot encode
-// Inf/NaN) while finite vectors on the same request succeed — under
-// both execution backends, with identical itemization.
+// serving leg: the same DAG that drives NaN/±Inf through the machine and
+// the evaluator (internal/sim) is submitted over HTTP, and the handler
+// must itemize the non-finite vector as a per-item error (JSON cannot
+// encode Inf/NaN) while finite vectors on the same request succeed.
 func TestNonFiniteEndToEnd(t *testing.T) {
 	g, err := dag.Read(strings.NewReader(nonFiniteGraphText), "nonfinite")
 	if err != nil {
@@ -69,11 +68,16 @@ func TestNonFiniteEndToEnd(t *testing.T) {
 	if classes[true] == 0 || infs < 2 {
 		t.Fatalf("fixture broke: want NaN and both infinities at sinks, got %v", want)
 	}
-	for _, b := range []sim.Backend{sim.BackendFunctional, sim.BackendCycleAccurate} {
-		res, err := sim.RunWith(b, c, overflow)
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
+	// The reference machine and the engine's serving executor.
+	machine, err := sim.Run(c, overflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := engine.New(engine.Options{}).ExecuteCompiled(c, overflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, res := range map[string]*sim.Result{"machine": machine, "engine": served} {
 		for _, s := range outs {
 			got := res.Outputs[s]
 			// Bitwise identity except NaN (payload propagation is
@@ -88,44 +92,41 @@ func TestNonFiniteEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Serving leg, per backend: vector 0 (overflow) must come back as a
-	// per-item "non-finite output" error, vector 1 (subnormal input)
-	// must succeed with finite outputs — a non-finite item must not
-	// poison its batch.
+	// Serving leg: vector 0 (overflow) must come back as a per-item
+	// "non-finite output" error, vector 1 (subnormal input) must succeed
+	// with finite outputs — a non-finite item must not poison its batch.
 	req := ExecuteRequest{Graph: nonFiniteGraphText, Config: cfg, Inputs: [][]float64{overflow, finite}}
-	for _, b := range []sim.Backend{sim.BackendFunctional, sim.BackendCycleAccurate} {
-		s := New(engine.New(engine.Options{Backend: b}), Options{})
-		srv := httptest.NewServer(s.Handler())
-		resp, out := postExecute(t, srv, req)
-		srv.Close()
-		s.Drain()
-		if resp.StatusCode != 200 {
-			t.Fatalf("backend %v: status %d", b, resp.StatusCode)
-		}
-		if len(out.Results) != 2 {
-			t.Fatalf("backend %v: %d results, want 2", b, len(out.Results))
-		}
-		bad, good := out.Results[0], out.Results[1]
-		if !strings.Contains(bad.Error, "non-finite output") {
-			t.Errorf("backend %v: overflow vector error = %q, want non-finite itemization", b, bad.Error)
-		}
-		if len(bad.Outputs) != 0 {
-			t.Errorf("backend %v: non-finite vector leaked outputs %v into JSON", b, bad.Outputs)
-		}
-		if good.Error != "" {
-			t.Errorf("backend %v: finite vector errored: %s", b, good.Error)
-		}
-		if len(good.Outputs) != len(outs) {
-			t.Errorf("backend %v: finite vector has %d outputs, want %d", b, len(good.Outputs), len(outs))
-		}
-		wantFinite, err := dag.Eval(c.Graph, finite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, s := range outs {
-			if got := good.Outputs[j]; got != wantFinite[s] {
-				t.Errorf("backend %v: finite vector output %d = %v, want %v", b, j, got, wantFinite[s])
-			}
+	s := New(engine.New(engine.Options{}), Options{})
+	srv := httptest.NewServer(s.Handler())
+	resp, out := postExecute(t, srv, req)
+	srv.Close()
+	s.Drain()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if len(out.Results) != 2 {
+		t.Fatalf("%d results, want 2", len(out.Results))
+	}
+	bad, good := out.Results[0], out.Results[1]
+	if !strings.Contains(bad.Error, "non-finite output") {
+		t.Errorf("overflow vector error = %q, want non-finite itemization", bad.Error)
+	}
+	if len(bad.Outputs) != 0 {
+		t.Errorf("non-finite vector leaked outputs %v into JSON", bad.Outputs)
+	}
+	if good.Error != "" {
+		t.Errorf("finite vector errored: %s", good.Error)
+	}
+	if len(good.Outputs) != len(outs) {
+		t.Errorf("finite vector has %d outputs, want %d", len(good.Outputs), len(outs))
+	}
+	wantFinite, err := dag.Eval(c.Graph, finite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, s := range outs {
+		if got := good.Outputs[j]; got != wantFinite[s] {
+			t.Errorf("finite vector output %d = %v, want %v", j, got, wantFinite[s])
 		}
 	}
 }

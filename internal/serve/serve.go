@@ -73,11 +73,10 @@ type HTTPStats struct {
 	LatencyHist metrics.Snapshot `json:"latency_hist"`
 }
 
-// StatsResponse is the GET /stats body: engine counters (including
-// per-config machine-pool sizes), scheduler counters (queue depth,
-// batch-size histogram, per-item latency quantiles), HTTP-level latency
-// quantiles and the autotuning section (decision table, tuned hits,
-// background tunes in flight).
+// StatsResponse is the GET /stats body: engine counters, scheduler
+// counters (queue depth, batch-size histogram, per-item latency
+// quantiles), HTTP-level latency quantiles and the autotuning section
+// (decision table, tuned hits, background tunes in flight).
 type StatsResponse struct {
 	Engine engine.Stats     `json:"engine"`
 	Sched  sched.Stats      `json:"sched"`
@@ -301,14 +300,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// Autotuning: a fingerprint with a tuned decision is served on the
 	// tuned configuration instead of the request's. Everything downstream
-	// — the scheduler's batch key, the engine's compile-cache key and the
-	// machine pool — keys on what Resolve returns, so coalescing and
-	// pooling follow the switch atomically. Without AutoTune this is the
-	// identity. The tuned config must pass the same machine-size bounds
-	// as a client-requested one (the .dputune format admits larger
-	// memories than the serving limit): an out-of-bounds decision is
-	// ignored, not served — a hand-staged store file must not be able to
-	// OOM the server through a config the request path would have 400ed.
+	// — the scheduler's batch key and the engine's compile-cache key —
+	// keys on what Resolve returns, so coalescing follows the switch
+	// atomically. Without AutoTune this is the identity. The tuned config
+	// must pass the same machine-size bounds as a client-requested one
+	// (the .dputune format admits larger memories than the serving
+	// limit): an out-of-bounds decision is ignored, not served — a
+	// hand-staged store file must not be able to OOM the server through
+	// a config the request path would have 400ed.
 	if rcfg, ropts := s.eng.Resolve(g, cfg, req.Options); checkConfigBounds(rcfg) == nil {
 		cfg, req.Options = rcfg, ropts
 	}

@@ -3,149 +3,43 @@ package sim
 import (
 	"fmt"
 
-	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 )
 
-// Backend names an execution backend. The serving engine defaults to
-// the functional fast path (the zero value); tools that report timing,
-// energy or micro-architectural statistics — dpu-tune, dpu-dse,
-// dpu-bench, dpu-sim's power model — select the cycle-accurate machine.
-type Backend uint8
-
-const (
-	// BackendFunctional evaluates the compiled schedule directly: a
-	// straight-line walk over the binarized graph the verified
-	// instruction stream implements, with no register allocation, bank
-	// or crossbar modeling, and no per-cycle accounting. Bit-exact with
-	// the cycle-accurate machine (same float64 operations in the same
-	// association order), and the backend a serving path that only needs
-	// outputs should use.
-	BackendFunctional Backend = iota
-	// BackendCycleAccurate runs the full machine model (register files,
-	// bank ports, landing ring, per-cycle statistics) — the fidelity
-	// tuning and benchmarking need.
-	BackendCycleAccurate
-)
-
-// String returns the flag-friendly name of the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendFunctional:
-		return "functional"
-	case BackendCycleAccurate:
-		return "cycle"
-	}
-	return fmt.Sprintf("backend(%d)", uint8(b))
-}
-
-// ParseBackend resolves a -backend flag value.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "functional", "func":
-		return BackendFunctional, nil
-	case "cycle", "cycle-accurate":
-		return BackendCycleAccurate, nil
-	}
-	return 0, fmt.Errorf("sim: unknown backend %q (want functional or cycle)", s)
-}
-
-// Executor runs compiled programs. Implementations are NOT safe for
-// concurrent use — callers lease one executor per goroutine (the
-// engine's per-config pools) — but an executor is reusable: ExecuteInto
-// leaves it ready for the next call, whatever program that is.
+// FuncEvaluator is the serving executor: it evaluates the compiled
+// (binarized) graph directly instead of simulating the instruction
+// stream. The static verifier proves every served program hazard-free,
+// so the bookkeeping the machine model pays for on every run — register
+// allocation replay, bank-port and crossbar checks, the landing ring —
+// decides nothing about the outputs; the graph walk performs the same
+// float64 operations in the same association order (each binarized node
+// is one PE operation) and is therefore bit-exact with the Machine, at a
+// fraction of the cost — the conformance matrix and the fuzz layer pin
+// it over random DAG × config × input populations, non-finite values
+// included. The one carve-out is NaN payload bits: IEEE 754 leaves
+// payload propagation implementation-defined (hardware keeps the first
+// operand's payload when two distinct NaNs meet, and instruction operand
+// order is the compiler's choice), so the contract there is "both
+// produce NaN". It reports no statistics because there is nothing to
+// measure: cycles are c.Stats.Cycles and activity is StaticStats(c.Prog),
+// both fixed at compile time.
 //
-// The contract both backends satisfy:
-//
-//   - ExecuteInto writes the sink values of c.Graph (in
-//     c.Graph.Outputs() order) into out, reading inputs in graph-input
-//     order, and results are bit-exact across backends — the
-//     conformance matrix and fuzz layer pin functional ≡ cycle-accurate
-//     over random DAG × config × input populations, non-finite values
-//     included. The one carve-out is NaN payload bits: IEEE 754 leaves
-//     payload propagation implementation-defined (hardware keeps the
-//     first operand's payload when two distinct NaNs meet, and
-//     instruction operand order is the compiler's choice), so the
-//     contract is "both backends produce NaN", not payload identity;
-//   - Stats is valid after a successful ExecuteInto. The cycle-accurate
-//     machine fills every field; the functional backend fills only
-//     Cycles, which is still exact: the datapath is fully static (one
-//     instruction issues per cycle, stall-free, plus the D+1-cycle
-//     drain), so the cycle count is the compile-time constant
-//     c.Stats.Cycles, not a simulation result.
-type Executor interface {
-	// Backend identifies the implementation.
-	Backend() Backend
-	// Config returns the configuration the executor was built for.
-	Config() arch.Config
-	// ExecuteInto executes c with the given inputs, writing sink values
-	// into out.
-	ExecuteInto(c *compiler.Compiled, inputs, out []float64) error
-	// Stats returns statistics for the most recent execution.
-	Stats() Stats
-}
-
-// NewExecutor builds an executor of the given backend for cfg.
-func NewExecutor(b Backend, cfg arch.Config) Executor {
-	if b == BackendCycleAccurate {
-		return NewMachine(cfg, nil)
-	}
-	return NewFuncEvaluator(cfg)
-}
-
-// Backend identifies the machine as the cycle-accurate backend.
-func (m *Machine) Backend() Backend { return BackendCycleAccurate }
-
-// ExecuteInto implements Executor on the cycle-accurate machine: the
-// machine is reset against c's memory image and runs the full
-// instruction stream (see RunOn).
-func (m *Machine) ExecuteInto(c *compiler.Compiled, inputs, out []float64) error {
-	return RunOn(m, c, inputs, out)
-}
-
-// FuncEvaluator is the functional fast-path executor: it evaluates the
-// compiled (binarized) graph directly instead of simulating the
-// instruction stream. PR 6's static verifier proves every served
-// program hazard-free, so the bookkeeping the machine model pays for on
-// every request — register allocation replay, bank-port and crossbar
-// checks, the landing ring, per-cycle stats — decides nothing about the
-// outputs; the graph walk performs the same float64 operations in the
-// same association order (each binarized node is one PE operation) and
-// is therefore bit-exact with the machine, at a fraction of the cost.
-//
-// The value scratch is sized once per graph population and reused, so
-// steady-state execution allocates nothing.
+// The zero value is ready to use and serves any program on any
+// configuration. An evaluator is not safe for concurrent use — lease
+// one per goroutine — but is reusable: the value scratch grows to the
+// largest graph seen and is overwritten by every call, so steady-state
+// execution allocates nothing.
 type FuncEvaluator struct {
-	cfg    arch.Config
-	vals   []float64
-	cycles int
+	vals []float64
 }
-
-// NewFuncEvaluator returns a functional executor for cfg. The
-// configuration does not influence results (that is the point of the
-// backend); it is carried so pools can key leased evaluators the same
-// way they key machines.
-func NewFuncEvaluator(cfg arch.Config) *FuncEvaluator {
-	return &FuncEvaluator{cfg: cfg.Normalize()}
-}
-
-// Backend identifies the evaluator as the functional backend.
-func (f *FuncEvaluator) Backend() Backend { return BackendFunctional }
-
-// Config returns the configuration the evaluator was built for.
-func (f *FuncEvaluator) Config() arch.Config { return f.cfg }
-
-// Stats returns the statistics of the last execution: only Cycles is
-// filled (exactly — the static schedule fixes it at compile time).
-func (f *FuncEvaluator) Stats() Stats { return Stats{Cycles: f.cycles} }
 
 // ExecuteInto evaluates c's binarized graph with the given inputs
 // (graph-input order), writing sink values into out in
 // c.Graph.Outputs() order. The walk mirrors dag.Eval exactly — the
-// reference the cycle-accurate machine is conformance-tested against —
-// node by node in topological (id) order, accumulating left-to-right,
-// so ternary-and-wider nodes can never appear (the compiled graph is
+// reference the Machine is conformance-tested against — node by node in
+// topological (id) order, accumulating left-to-right, so
+// ternary-and-wider nodes can never appear (the compiled graph is
 // binary) and every operation matches the machine's bit for bit.
 func (f *FuncEvaluator) ExecuteInto(c *compiler.Compiled, inputs, out []float64) error {
 	if len(inputs) != len(c.InputWord) {
@@ -189,24 +83,5 @@ func (f *FuncEvaluator) ExecuteInto(c *compiler.Compiled, inputs, out []float64)
 	for i, sink := range outs {
 		out[i] = vals[sink]
 	}
-	f.cycles = c.Stats.Cycles
 	return nil
-}
-
-// RunWith executes a compiled program on a fresh executor of the given
-// backend and returns the sink values keyed by node id. Functional
-// results carry only the (exact, statically known) cycle count in
-// Stats; use Run for the machine's full statistics.
-func RunWith(b Backend, c *compiler.Compiled, inputs []float64) (*Result, error) {
-	ex := NewExecutor(b, c.Prog.Cfg)
-	outs := c.Graph.Outputs()
-	out := make([]float64, len(outs))
-	if err := ex.ExecuteInto(c, inputs, out); err != nil {
-		return nil, err
-	}
-	res := &Result{Outputs: make(map[dag.NodeID]float64, len(outs)), Stats: ex.Stats().Clone()}
-	for i, sink := range outs {
-		res.Outputs[sink] = out[i]
-	}
-	return res, nil
 }

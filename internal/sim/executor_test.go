@@ -10,9 +10,10 @@ import (
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/suite"
 )
 
-// sameBits is the cross-backend value contract: bitwise identity for
+// sameBits is the machine-vs-evaluator value contract: bitwise identity for
 // every representable float64 — signed zeros and infinities included —
 // except NaN, where both sides must be NaN but the payload bits are
 // unconstrained. IEEE 754 leaves NaN payload propagation to the
@@ -24,40 +25,110 @@ func sameBits(a, b float64) bool {
 		(math.IsNaN(a) && math.IsNaN(b))
 }
 
-func TestBackendStringParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Backend
-	}{
-		{"functional", BackendFunctional},
-		{"func", BackendFunctional},
-		{"cycle", BackendCycleAccurate},
-		{"cycle-accurate", BackendCycleAccurate},
+// runFunc executes c on a fresh FuncEvaluator and returns the sink
+// values keyed by node id, the shape Run returns for the Machine.
+func runFunc(c *compiler.Compiled, inputs []float64) (*Result, error) {
+	outs := c.Graph.Outputs()
+	out := make([]float64, len(outs))
+	if err := new(FuncEvaluator).ExecuteInto(c, inputs, out); err != nil {
+		return nil, err
 	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v", c.in, got, err, c.want)
+	res := &Result{Outputs: make(map[dag.NodeID]float64, len(outs))}
+	for i, sink := range outs {
+		res.Outputs[sink] = out[i]
+	}
+	return res, nil
+}
+
+// checkStaticStats requires StaticStats(c.Prog) to equal what a Machine
+// counted while running c, field for field (PeakActive aside — the one
+// field only the allocation replay knows), and the compile-time cycle
+// count to agree with both.
+func checkStaticStats(t *testing.T, c *compiler.Compiled, ran Stats) {
+	t.Helper()
+	st := StaticStats(c.Prog)
+	if st.Cycles != ran.Cycles || c.Stats.Cycles != ran.Cycles {
+		t.Errorf("cycles: static %d, compile-time %d, machine %d", st.Cycles, c.Stats.Cycles, ran.Cycles)
+	}
+	if st.PEOpsDone != ran.PEOpsDone || st.RegReads != ran.RegReads || st.RegWrites != ran.RegWrites ||
+		st.MemReads != ran.MemReads || st.MemWrites != ran.MemWrites {
+		t.Errorf("activity: static %+v, machine %+v", st, ran)
+	}
+	if len(st.Instrs) != len(ran.Instrs) {
+		t.Errorf("instruction kinds: static %v, machine %v", st.Instrs, ran.Instrs)
+	}
+	for k, v := range ran.Instrs {
+		if st.Instrs[k] != v {
+			t.Errorf("instrs[%v]: static %d, machine %d", k, st.Instrs[k], v)
 		}
 	}
-	if _, err := ParseBackend("quantum"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
-	}
-	if BackendFunctional.String() != "functional" || BackendCycleAccurate.String() != "cycle" {
-		t.Errorf("String(): %q, %q", BackendFunctional, BackendCycleAccurate)
-	}
-	var zero Backend
-	if zero != BackendFunctional {
-		t.Error("the zero Backend must be the functional default")
+	if st.PeakActive != nil {
+		t.Errorf("static stats claim a peak occupancy: %v", st.PeakActive)
 	}
 }
 
-// TestExecutorConformanceMatrix is the tentpole's correctness gate: over
-// the same (graph × config) matrix that pins the machine against the
-// reference evaluator, the functional backend must match the
-// cycle-accurate machine bit-for-bit on every sink, and report the same
-// cycle count (the schedule is static, so cycles are a compile-time
-// constant both backends expose identically).
+// TestStaticStatsMatchMachine is the oracle for "activity is a property
+// of the program": over the conformance matrix, the option matrix
+// (spilling R=16 rows and partitioned compiles included) and the twelve
+// Table I workloads, the stateless pass over the instruction stream
+// reports exactly what the machine counts while running it.
+func TestStaticStatsMatchMachine(t *testing.T) {
+	// The matrices must actually reach every counting rule: every
+	// instruction kind, and programs that spill.
+	kinds := map[arch.Kind]bool{}
+	spilling := 0
+	check := func(name string, g *dag.Graph, cfg arch.Config, o compiler.Options) {
+		c, err := compiler.Compile(g, cfg, o)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		res, err := Run(c, randInputs(c.Graph, 5))
+		if err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		t.Run(name, func(t *testing.T) { checkStaticStats(t, c, res.Stats) })
+		for k := range res.Stats.Instrs {
+			kinds[k] = true
+		}
+		if c.Stats.SpillStores > 0 {
+			spilling++
+		}
+	}
+	for gi, g := range conformanceGraphs(testing.Short()) {
+		for _, cfg := range conformanceConfigs(testing.Short()) {
+			check(fmt.Sprintf("graph%d/%s", gi, cfg), g, cfg, compiler.Options{})
+		}
+	}
+	for si, shape := range optionMatrixShapes {
+		g := dag.RandomGraph(shape)
+		for _, cfg := range optionMatrixConfigs {
+			for oi, o := range optionMatrixOptions {
+				check(fmt.Sprintf("shape%d/%s/opts%d", si, cfg, oi), g, cfg, o)
+			}
+		}
+	}
+	for _, name := range suite.Names() {
+		g, err := suite.Build(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, g, arch.MinEDP(), compiler.Options{})
+	}
+	for _, k := range []arch.Kind{arch.KindNop, arch.KindExec, arch.KindLoad, arch.KindStore, arch.KindStore4, arch.KindCopy} {
+		if !kinds[k] {
+			t.Errorf("no program in the matrices issues a %v: its counting rule is untested", k)
+		}
+	}
+	if spilling == 0 {
+		t.Error("no program in the matrices spills")
+	}
+}
+
+// TestExecutorConformanceMatrix is the serving executor's correctness
+// gate: over the same (graph × config) matrix that pins the machine
+// against the reference evaluator, the FuncEvaluator must match the
+// Machine bit-for-bit on every sink — one evaluator and one machine
+// reused across trials, as their callers reuse them.
 func TestExecutorConformanceMatrix(t *testing.T) {
 	for gi, g := range conformanceGraphs(testing.Short()) {
 		for _, cfg := range conformanceConfigs(testing.Short()) {
@@ -68,8 +139,8 @@ func TestExecutorConformanceMatrix(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(int64(gi) + 77))
 				outs := c.Graph.Outputs()
-				m := NewExecutor(BackendCycleAccurate, cfg)
-				f := NewExecutor(BackendFunctional, cfg)
+				m := NewMachine(cfg, nil)
+				f := new(FuncEvaluator)
 				mOut := make([]float64, len(outs))
 				fOut := make([]float64, len(outs))
 				for trial := 0; trial < 3; trial++ {
@@ -77,22 +148,20 @@ func TestExecutorConformanceMatrix(t *testing.T) {
 					for i := range inputs {
 						inputs[i] = rng.Float64()*4 - 2
 					}
-					if err := m.ExecuteInto(c, inputs, mOut); err != nil {
-						t.Fatalf("cycle: %v", err)
+					if err := RunOn(m, c, inputs, mOut); err != nil {
+						t.Fatalf("machine: %v", err)
 					}
 					if err := f.ExecuteInto(c, inputs, fOut); err != nil {
-						t.Fatalf("functional: %v", err)
+						t.Fatalf("evaluator: %v", err)
 					}
 					for i := range mOut {
 						if !sameBits(mOut[i], fOut[i]) {
-							t.Errorf("trial %d sink %d: cycle %v, functional %v (must be bit-exact)",
+							t.Errorf("trial %d sink %d: machine %v, evaluator %v (must be bit-exact)",
 								trial, outs[i], mOut[i], fOut[i])
 						}
 					}
-					mc, fc := m.Stats().Cycles, f.Stats().Cycles
-					if mc != fc || fc != c.Stats.Cycles {
-						t.Errorf("trial %d: cycles: cycle-accurate %d, functional %d, compile-time %d — all must agree",
-							trial, mc, fc, c.Stats.Cycles)
+					if mc := m.Stats().Cycles; mc != c.Stats.Cycles {
+						t.Errorf("trial %d: machine ran %d cycles, compile-time count is %d", trial, mc, c.Stats.Cycles)
 					}
 				}
 			})
@@ -119,8 +188,8 @@ func nonFiniteGraph() *dag.Graph {
 	return g
 }
 
-// TestExecutorNonFiniteConformance drives NaN and ±Inf through both
-// backends and the reference evaluator, requiring bitwise-identical
+// TestExecutorNonFiniteConformance drives NaN and ±Inf through the
+// machine, the evaluator and the reference evaluator, requiring bitwise-identical
 // propagation everywhere — both from overflowing arithmetic and from
 // non-finite inputs fed in directly.
 func TestExecutorNonFiniteConformance(t *testing.T) {
@@ -153,8 +222,8 @@ func TestExecutorNonFiniteConformance(t *testing.T) {
 			if si == 0 && (!sawNaN || !sawInf) {
 				t.Fatalf("fixture broke: finite-input reference must reach NaN and Inf sinks, got %v", want)
 			}
-			for _, b := range []Backend{BackendFunctional, BackendCycleAccurate} {
-				res, err := RunWith(b, c, inputs)
+			for b, run := range map[string]func(*compiler.Compiled, []float64) (*Result, error){"evaluator": runFunc, "machine": Run} {
+				res, err := run(c, inputs)
 				if err != nil {
 					t.Fatalf("%s/%s inputs %v: %v", cfg, b, inputs, err)
 				}
@@ -166,7 +235,7 @@ func TestExecutorNonFiniteConformance(t *testing.T) {
 					}
 				}
 				// The fixed CheckOutputs must agree: identical non-finite
-				// propagation is a pass, for both backends.
+				// propagation is a pass, for both executors.
 				if err := CheckOutputs(c, inputs, res, 0); err != nil {
 					t.Errorf("%s/%s inputs %v: CheckOutputs rejected identical propagation: %v", cfg, b, inputs, err)
 				}
@@ -242,9 +311,8 @@ func TestCheckOutputsNaNRegression(t *testing.T) {
 	}
 }
 
-// TestFuncEvaluatorErrors pins the executor contract's error cases and
-// that messages match the machine path's, so callers can't tell the
-// backends apart by failure mode.
+// TestFuncEvaluatorErrors pins the evaluator's error cases and that the
+// messages match the machine path's (RunOn).
 func TestFuncEvaluatorErrors(t *testing.T) {
 	g := dag.New("tiny")
 	a, b := g.AddInput(), g.AddInput()
@@ -253,7 +321,7 @@ func TestFuncEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFuncEvaluator(c.Prog.Cfg)
+	f := new(FuncEvaluator)
 	out := make([]float64, 1)
 	if err := f.ExecuteInto(c, []float64{1}, out); err == nil || !strings.Contains(err.Error(), "inputs provided") {
 		t.Errorf("short inputs: %v", err)
@@ -276,7 +344,7 @@ func TestFuncEvaluatorSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFuncEvaluator(cfg)
+	f := new(FuncEvaluator)
 	inputs := make([]float64, len(c.Graph.Inputs()))
 	for i := range inputs {
 		inputs[i] = float64(i) + 0.5
@@ -295,11 +363,11 @@ func TestFuncEvaluatorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// FuzzFunctionalConformance extends the fuzz layer to the tentpole
-// claim: over fuzzer-chosen graph shapes, configurations and inputs —
-// non-finite values included — the functional backend must match the
-// cycle-accurate machine bitwise on every sink (modulo NaN payloads;
-// see sameBits) and agree on the cycle count.
+// FuzzFunctionalConformance extends the fuzz layer to the two static
+// claims: over fuzzer-chosen graph shapes, configurations and inputs —
+// non-finite values included — the FuncEvaluator must match the Machine
+// bitwise on every sink (modulo NaN payloads; see sameBits), and
+// StaticStats must equal the statistics the machine counted.
 func FuzzFunctionalConformance(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(16), uint8(32), 1.0, 0.5)
 	f.Add(int64(7), uint8(4), uint8(1), uint8(4), uint8(4), math.Inf(1), -2.0)
@@ -330,23 +398,21 @@ func FuzzFunctionalConformance(f *testing.F) {
 		if len(inputs) > 1 {
 			inputs[1] = in1
 		}
-		mRes, err := RunWith(BackendCycleAccurate, c, inputs)
+		mRes, err := Run(c, inputs)
 		if err != nil {
-			t.Fatalf("cycle: %v", err)
+			t.Fatalf("machine: %v", err)
 		}
-		fRes, err := RunWith(BackendFunctional, c, inputs)
+		fRes, err := runFunc(c, inputs)
 		if err != nil {
-			t.Fatalf("functional: %v", err)
+			t.Fatalf("evaluator: %v", err)
 		}
 		for _, sink := range c.Graph.Outputs() {
 			mv, fv := mRes.Outputs[sink], fRes.Outputs[sink]
 			if !sameBits(mv, fv) {
-				t.Errorf("sink %d: cycle %v (%#x), functional %v (%#x)",
+				t.Errorf("sink %d: machine %v (%#x), evaluator %v (%#x)",
 					sink, mv, math.Float64bits(mv), fv, math.Float64bits(fv))
 			}
 		}
-		if mRes.Stats.Cycles != fRes.Stats.Cycles {
-			t.Errorf("cycles: cycle-accurate %d, functional %d", mRes.Stats.Cycles, fRes.Stats.Cycles)
-		}
+		checkStaticStats(t, c, mRes.Stats)
 	})
 }

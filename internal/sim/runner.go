@@ -20,8 +20,7 @@ type Result struct {
 // machine is Reset to the program's initial memory image, inputs are
 // installed (in graph-input order), and the sink values are written into
 // out in c.Graph.Outputs() order. Once the machine and the graph's
-// derived caches are warm, steady-state reuse allocates nothing — this
-// is the serving engine's hot path.
+// derived caches are warm, steady-state reuse allocates nothing.
 func RunOn(m *Machine, c *compiler.Compiled, inputs []float64, out []float64) error {
 	if len(inputs) != len(c.InputWord) {
 		return fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))

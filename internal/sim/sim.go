@@ -24,7 +24,9 @@ import (
 	"dpuv2/internal/arch"
 )
 
-// Stats aggregates what the machine did during one execution.
+// Stats aggregates what the machine does during one execution of a
+// program. Everything but PeakActive is a function of the instruction
+// stream alone (see StaticStats).
 type Stats struct {
 	Cycles     int
 	Instrs     map[arch.Kind]int
@@ -34,20 +36,6 @@ type Stats struct {
 	MemReads   int   // words read from data memory
 	MemWrites  int   // words written to data memory
 	PeakActive []int // maximum simultaneously valid registers per bank
-}
-
-// Clone deep-copies the stats so they stay valid after the machine that
-// produced them is reset and reused (the serving engine pools machines).
-func (s Stats) Clone() Stats {
-	c := s
-	if s.Instrs != nil {
-		c.Instrs = make(map[arch.Kind]int, len(s.Instrs))
-		for k, v := range s.Instrs {
-			c.Instrs[k] = v
-		}
-	}
-	c.PeakActive = append([]int(nil), s.PeakActive...)
-	return c
 }
 
 // Machine is the architectural state of one DPU-v2 core.
@@ -143,18 +131,14 @@ func (m *Machine) fillFreeBits() {
 	}
 }
 
-// Config returns the configuration the machine was built for.
-func (m *Machine) Config() arch.Config { return m.cfg }
-
 // Reset returns the machine to the state NewMachine(cfg, initMem) would
 // produce, reusing every allocation: register values may stay stale (all
 // valid bits are cleared, and every read is gated by them), the landing
 // ring keeps its capacity, and the stats map keeps its buckets. A reset
 // machine is observationally identical to a fresh one — the conformance
 // suite asserts bit-identical outputs and statistics — which is what
-// lets the serving engine pool machines across requests. The only case
-// that allocates is an initMem larger than any image the machine has
-// held before.
+// lets RunOn callers rerun one machine. The only case that allocates is
+// an initMem larger than any image the machine has held before.
 func (m *Machine) Reset(initMem []float64) {
 	for b := 0; b < m.cfg.B; b++ {
 		clear(m.valid[b])
