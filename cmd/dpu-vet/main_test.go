@@ -13,6 +13,7 @@ import (
 	"dpuv2/internal/artifact"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/verify"
 )
 
 // writeArtifacts populates dir with one clean artifact and one clean
@@ -113,6 +114,37 @@ func TestVetSemanticallyCorruptArtifact(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "uninit-read") {
 		t.Errorf("output does not name the finding class: %s", out.String())
+	}
+}
+
+// TestVetStatsMismatch: an artifact with a legal program but a halved
+// stored cycle count is reported as stats-mismatch, and the class
+// round-trips through -json.
+func TestVetStatsMismatch(t *testing.T) {
+	dir := t.TempDir()
+	a, err := artifact.DecodeBytes(writeArtifacts(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Compiled.Stats.Cycles /= 2
+	bad, err := artifact.EncodeBytes(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "lying"+artifact.Ext)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-json", path}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d on a stats-mismatched artifact, want 1", code)
+	}
+	var r report
+	if err := json.Unmarshal(out.Bytes(), &r); err != nil {
+		t.Fatalf("not JSON: %v: %s", err, out.String())
+	}
+	if len(r.Findings) != 1 || r.Findings[0].Class != verify.ClassStatsMismatch {
+		t.Errorf("findings %v, want one stats-mismatch", r.Findings)
 	}
 }
 

@@ -81,19 +81,40 @@ func TestTreeStructure(t *testing.T) {
 	if _, _, ok := cfg.Children(PE{Tree: 0, Layer: 1, Index: 0}); ok {
 		t.Fatal("leaf PEs have no children")
 	}
-	if p, ok := cfg.Parent(l); !ok || p != root {
-		t.Fatalf("Parent = %v %v", p, ok)
-	}
-	if _, ok := cfg.Parent(root); ok {
-		t.Fatal("root has no parent")
-	}
 	a, b := cfg.InputPorts(PE{Tree: 1, Layer: 1, Index: 2})
 	if a != 8+4 || b != 8+5 {
 		t.Fatalf("InputPorts = %d,%d", a, b)
 	}
-	pe, side := cfg.LeafPortPE(13)
-	if pe != (PE{Tree: 1, Layer: 1, Index: 2}) || side != 1 {
-		t.Fatalf("LeafPortPE(13) = %v,%d", pe, side)
+	// The wiring tables say the same: layers in id order, leaf PEs read
+	// their ports, and every other PE reads its children.
+	w := cfg.Wiring()
+	seen := 0
+	for layer := 1; layer <= cfg.D; layer++ {
+		for i, id := range w.Layers[layer] {
+			p := cfg.PECoord(id)
+			if p.Layer != layer || (i > 0 && id <= w.Layers[layer][i-1]) {
+				t.Fatalf("Layers[%d][%d] = %d (%+v)", layer, i, id, p)
+			}
+			seen++
+		}
+	}
+	if seen != cfg.NumPEs() {
+		t.Fatalf("wiring lists %d PEs, want %d", seen, cfg.NumPEs())
+	}
+	if leaf := cfg.PEID(PE{Tree: 1, Layer: 1, Index: 2}); w.Left[leaf] != a || w.Right[leaf] != b {
+		t.Fatalf("leaf wiring %d,%d, want ports %d,%d", w.Left[leaf], w.Right[leaf], a, b)
+	}
+	if id := cfg.PEID(root); w.Left[id] != cfg.PEID(l) || w.Right[id] != cfg.PEID(r) {
+		t.Fatalf("root wiring %d,%d, want children %d,%d", w.Left[id], w.Right[id], cfg.PEID(l), cfg.PEID(r))
+	}
+	used := make([]bool, cfg.B)
+	ops := make([]PEOp, cfg.NumPEs())
+	ops[cfg.PEID(PE{Tree: 1, Layer: 1, Index: 2})] = PEBypassR
+	w.MarkPorts(ops, used)
+	for port, u := range used {
+		if u != (port == 13) {
+			t.Fatalf("MarkPorts: port %d used=%v; only port 13 feeds a bypass-right leaf", port, u)
+		}
 	}
 }
 

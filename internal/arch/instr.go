@@ -83,6 +83,19 @@ func (op PEOp) String() string {
 	return fmt.Sprintf("peop(%d)", uint8(op))
 }
 
+// Operands reports which of its two inputs op consumes.
+func (op PEOp) Operands() (left, right bool) {
+	switch op {
+	case PEAdd, PEMul:
+		return true, true
+	case PEBypassL:
+		return true, false
+	case PEBypassR:
+		return false, true
+	}
+	return false, false
+}
+
 // Move is one lane of a copy_4 or store_4 instruction: read (SrcBank,
 // SrcAddr) and deliver it to Dst — a destination bank for copies (write
 // address auto-generated) or a memory lane for store_4.

@@ -53,14 +53,6 @@ func (c Config) Children(p PE) (left, right PE, ok bool) {
 	return left, right, true
 }
 
-// Parent returns the PE consuming p's output, or ok=false for roots.
-func (c Config) Parent(p PE) (PE, bool) {
-	if p.Layer >= c.D {
-		return PE{}, false
-	}
-	return PE{Tree: p.Tree, Layer: p.Layer + 1, Index: p.Index / 2}, true
-}
-
 // InputPorts returns the two global input-port indices read by a
 // leaf-layer PE. Ports are numbered 0..B−1; tree t owns ports
 // [t·2^D, (t+1)·2^D).
@@ -72,12 +64,49 @@ func (c Config) InputPorts(p PE) (int, int) {
 	return base, base + 1
 }
 
-// LeafPortPE returns the leaf PE reading global input port port and
-// whether the port is that PE's left (0) or right (1) operand.
-func (c Config) LeafPortPE(port int) (PE, int) {
-	tree := port / c.TreeInputs()
-	within := port % c.TreeInputs()
-	return PE{Tree: tree, Layer: 1, Index: within / 2}, within % 2
+// Wiring is the PE trees' wiring in table form, built once per
+// configuration so the executors' per-instruction walks do no coordinate
+// arithmetic.
+type Wiring struct {
+	// Layers[l] lists the PE ids of layer l (1 = leaf … D = root) in
+	// ascending order; within a layer no PE feeds another.
+	Layers [][]int
+	// Left and Right are each PE's operand sources: global input ports
+	// for the leaf layer, child PE ids above it.
+	Left, Right []int
+}
+
+// Wiring tabulates c's PE trees.
+func (c Config) Wiring() *Wiring {
+	n := c.NumPEs()
+	w := &Wiring{Layers: make([][]int, c.D+1), Left: make([]int, n), Right: make([]int, n)}
+	ids := make([]int, 0, n)
+	for l := 1; l <= c.D; l++ {
+		start := len(ids)
+		for t := 0; t < c.Trees(); t++ {
+			for k := 0; k < c.LayerWidth(l); k++ {
+				p := PE{Tree: t, Layer: l, Index: k}
+				id := c.PEID(p)
+				ids = append(ids, id)
+				if l == 1 {
+					w.Left[id], w.Right[id] = c.InputPorts(p)
+				} else {
+					left, right, _ := c.Children(p)
+					w.Left[id], w.Right[id] = c.PEID(left), c.PEID(right)
+				}
+			}
+		}
+		w.Layers[l] = ids[start:len(ids):len(ids)]
+	}
+	return w
+}
+
+// MarkPorts sets used[port] to whether the leaf PE owning input port
+// port consumes it under ops: ports are read on demand.
+func (w *Wiring) MarkPorts(ops []PEOp, used []bool) {
+	for _, id := range w.Layers[1] {
+		used[w.Left[id]], used[w.Right[id]] = ops[id].Operands()
+	}
 }
 
 // CanWrite reports whether the output interconnect connects PE p to bank.

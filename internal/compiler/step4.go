@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dpuv2/internal/arch"
+	"dpuv2/internal/regfile"
 )
 
 // Step 4 — register allocation, spilling and emission (§IV-D).
@@ -17,7 +18,9 @@ import (
 // bank would overflow spills the resident value with the furthest next
 // use (Belady) via store_4, reloading it before its next consumer.
 //
-// Micro-timing contract (the simulator implements the identical rules):
+// Micro-timing contract (the register file's half — lowest-free
+// addresses, landing ring, frees before landings — is internal/regfile,
+// shared with the simulator and the verifier):
 //   - an instruction issued at cycle t performs its register reads (and
 //     valid_rst frees) at t;
 //   - its writes land at the end of cycle t+1 (load, copy) or t+D (exec)
@@ -42,13 +45,10 @@ type regalloc struct {
 	resident []bool
 	spilled  []bool // evicted to memory; reload before the next use
 
-	occ      [][]bool
-	occCnt   []int
-	inflight []int // writes scheduled but not landed, per bank
-
-	// pipeline ring: writes landing at cycle c live in ring[c%len].
-	ring     [][]pendingWrite
-	ringMask []uint64 // banks written per ring slot
+	// rf replays the hardware's allocation; a landing write carries the
+	// value it delivers, and land records where it went.
+	rf       *regfile.File[ValID]
+	overflow error
 
 	uses   [][]int32 // per value: schedule positions of planned reads
 	usePtr []int32
@@ -66,18 +66,11 @@ func newRegalloc(ds *draftState, sched []*draftOp, stats *Stats) *regalloc {
 		loc:       make([]int16, nv),
 		resident:  make([]bool, nv),
 		spilled:   make([]bool, nv),
-		occ:       make([][]bool, cfg.B),
-		occCnt:    make([]int, cfg.B),
-		inflight:  make([]int, cfg.B),
-		ring:      make([][]pendingWrite, cfg.D+2),
-		ringMask:  make([]uint64, cfg.D+2),
+		rf:        regfile.New[ValID](cfg.B, cfg.R, cfg.D),
 		uses:      make([][]int32, nv),
 		usePtr:    make([]int32, nv),
 		spillHint: make([]int, cfg.B),
 		stats:     stats,
-	}
-	for b := range r.occ {
-		r.occ[b] = make([]bool, cfg.R)
 	}
 	for i := range r.loc {
 		r.loc[i] = -1
@@ -111,37 +104,17 @@ func (r *regalloc) consume(v ValID) bool {
 	return int(r.usePtr[v]) >= len(r.uses[v])
 }
 
-func (r *regalloc) scheduleWrite(v ValID, bank, land int) {
-	slot := land % len(r.ring)
-	r.ring[slot] = append(r.ring[slot], pendingWrite{v, bank})
-	r.ringMask[slot] |= 1 << uint(bank)
-	r.inflight[bank]++
-}
-
-// flushLand applies the writes landing at cycle t with lowest-free-address
-// allocation, after the issuing instruction's frees (caller ordering).
-func (r *regalloc) flushLand(t int) error {
-	slot := t % len(r.ring)
-	for _, pw := range r.ring[slot] {
-		addr := -1
-		for a := 0; a < r.cfg.R; a++ {
-			if !r.occ[pw.bank][a] {
-				addr = a
-				break
-			}
+// land records where a landing write went. Capacity planning makes a
+// full bank a compiler bug.
+func (r *regalloc) land(bank, addr int, v ValID) {
+	if addr < 0 {
+		if r.overflow == nil {
+			r.overflow = fmt.Errorf("compiler: bank %d overflow at cycle %d (capacity planning bug)", bank, len(r.out)-1)
 		}
-		if addr < 0 {
-			return fmt.Errorf("compiler: bank %d overflow at cycle %d (capacity planning bug)", pw.bank, t)
-		}
-		r.occ[pw.bank][addr] = true
-		r.occCnt[pw.bank]++
-		r.inflight[pw.bank]--
-		r.loc[pw.val] = int16(addr)
-		r.resident[pw.val] = true
+		return
 	}
-	r.ring[slot] = r.ring[slot][:0]
-	r.ringMask[slot] = 0
-	return nil
+	r.loc[v] = int16(addr)
+	r.resident[v] = true
 }
 
 // emit appends instr at the current cycle: frees apply now, writes land at
@@ -150,16 +123,17 @@ func (r *regalloc) emit(in *arch.Instr, frees []ValID, writes []pendingWrite, la
 	t := r.cycle()
 	r.out = append(r.out, in)
 	for _, v := range frees {
-		b := r.bankOf(v)
-		r.occ[b][r.loc[v]] = false
-		r.occCnt[b]--
+		r.rf.Free(r.bankOf(v), int(r.loc[v]))
 		r.resident[v] = false
 		r.loc[v] = -1
 	}
 	for _, w := range writes {
-		r.scheduleWrite(w.val, w.bank, t+lat)
+		if _, ok := r.rf.Schedule(w.bank, t+lat, w.val); !ok {
+			return fmt.Errorf("compiler: two writes land on bank %d at cycle %d (scheduling bug)", w.bank, t+lat)
+		}
 	}
-	return r.flushLand(t)
+	r.rf.Land(t, r.land)
+	return r.overflow
 }
 
 func (r *regalloc) emitNop() error {
@@ -167,8 +141,14 @@ func (r *regalloc) emitNop() error {
 	return r.emit(&arch.Instr{Kind: arch.KindNop}, nil, nil, 1)
 }
 
-func (r *regalloc) writeConflict(mask uint64, land int) bool {
-	return r.ringMask[land%len(r.ring)]&mask != 0
+// busy reports whether a write to any bank of need already lands at land.
+func (r *regalloc) busy(need map[int]int, land int) bool {
+	for b := range need {
+		if r.rf.Busy(b, land) {
+			return true
+		}
+	}
+	return false
 }
 
 // pickVictim selects the resident, unpinned value of bank with the
@@ -280,7 +260,7 @@ func (r *regalloc) ensureCapacity(need map[int]int, pinned map[ValID]bool) error
 			if !ok {
 				continue
 			}
-			over := r.occCnt[bank] + r.inflight[bank] + n - r.cfg.R
+			over := r.rf.Occupied()[bank] + r.rf.InFlight(bank) + n - r.cfg.R
 			for _, v := range victims {
 				if r.bankOf(v) == bank {
 					over--
@@ -345,7 +325,7 @@ func (r *regalloc) reload(v ValID, pinned map[ValID]bool) error {
 	if err := r.ensureCapacity(map[int]int{bank: 1}, pinned); err != nil {
 		return err
 	}
-	for r.writeConflict(1<<uint(bank), r.cycle()+1) {
+	for r.rf.Busy(bank, r.cycle()+1) {
 		if err := r.emitNop(); err != nil {
 			return err
 		}
@@ -425,11 +405,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		}
 	}
 	// Write-port conflicts at the landing cycle.
-	var mask uint64
-	for b := range need {
-		mask |= 1 << uint(b)
-	}
-	for mask != 0 && r.writeConflict(mask, r.cycle()+lat) {
+	for r.busy(need, r.cycle()+lat) {
 		if err := r.emitNop(); err != nil {
 			return err
 		}

@@ -18,24 +18,61 @@ import (
 // the static verifier can tell the artifact is illegal.
 func plantIllegalArtifact(t *testing.T, st *artifact.Store, g *dag.Graph, cfg arch.Config, opts compiler.Options) {
 	t.Helper()
+	plantArtifact(t, st, g, cfg, opts, func(c *compiler.Compiled) {
+		i := -1
+		for j, in := range c.Prog.Instrs {
+			if in.Kind == arch.KindExec {
+				i = j
+				break
+			}
+		}
+		if i <= 0 {
+			t.Fatal("no exec instruction to displace")
+		}
+		c.Prog.Instrs[0], c.Prog.Instrs[i] = c.Prog.Instrs[i], c.Prog.Instrs[0]
+	})
+}
+
+// plantArtifact compiles g for (cfg, opts), applies tamper and persists
+// the result, re-encoded with a valid checksum, at the key's content
+// address.
+func plantArtifact(t *testing.T, st *artifact.Store, g *dag.Graph, cfg arch.Config, opts compiler.Options, tamper func(*compiler.Compiled)) {
+	t.Helper()
 	c, err := compiler.Compile(g, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := -1
-	for j, in := range c.Prog.Instrs {
-		if in.Kind == arch.KindExec {
-			i = j
-			break
-		}
-	}
-	if i <= 0 {
-		t.Fatal("no exec instruction to displace")
-	}
-	c.Prog.Instrs[0], c.Prog.Instrs[i] = c.Prog.Instrs[i], c.Prog.Instrs[0]
+	tamper(c)
 	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: opts.Normalized(), Compiled: c}
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyRejectsStoredStatsMismatch: an artifact whose program is
+// legal but whose stored cycle count was halved must not be served —
+// the engine reports c.Stats.Cycles to clients as the program's latency.
+// The request is answered by the recompiled program, with its cycles.
+func TestVerifyRejectsStoredStatsMismatch(t *testing.T) {
+	st := openStore(t)
+	g := testGraph(47)
+	opts := compiler.Options{}
+	plantArtifact(t, st, g, testCfg, opts, func(c *compiler.Compiled) { c.Stats.Cycles /= 2 })
+
+	e := New(Options{Store: st})
+	res, err := e.Execute(g, testCfg, opts, testInputs(g, 0.5))
+	if err != nil {
+		t.Fatalf("request must survive a tampered store: %v", err)
+	}
+	want, err := compiler.Compile(g, testCfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Cycles != want.Stats.Cycles {
+		t.Errorf("served cycles = %d, want the recompiled program's %d", res.Stats.Cycles, want.Stats.Cycles)
+	}
+	if s := e.Stats(); s.VerifyRejects != 1 || s.StoreHits != 0 {
+		t.Errorf("VerifyRejects = %d, StoreHits = %d, want 1 and 0", s.VerifyRejects, s.StoreHits)
 	}
 }
 

@@ -1,0 +1,155 @@
+// Package regfile is the register-file half of the DPU-v2 micro-timing
+// contract (§II-A, §IV-D), implemented once for the compiler, the
+// simulator and the static verifier: a landing write takes the lowest
+// free address of its bank (the fig. 5(d) valid-bit priority encoder),
+// writes land at fixed latencies with at most one per bank per cycle,
+// and a cycle's frees apply before its landings allocate. A File is
+// generic over what a landing carries — the compiler's value id, the
+// simulator's float64, the verifier's issuing pc — and each caller keeps
+// its own policy for faults.
+package regfile
+
+import "math/bits"
+
+// File is a banked register file's allocation state plus the landing
+// ring of the writes in flight.
+type File[P any] struct {
+	regs  int
+	words int      // free-bitmap words per bank
+	free  []uint64 // bank-major; a set bit is a free address
+
+	occupied []int // valid registers per bank
+	inflight []int // writes scheduled but not landed, per bank
+
+	// Writes landing at cycle c wait in ring[c%len(ring)]; busy is a
+	// bitset per slot of the banks it writes (bankWords words each).
+	ring      [][]landing[P]
+	busy      []uint64
+	bankWords int
+}
+
+type landing[P any] struct {
+	bank int
+	p    P
+}
+
+// New returns an empty banks×regs file whose writes land at most
+// maxLatency cycles after they are scheduled.
+func New[P any](banks, regs, maxLatency int) *File[P] {
+	f := &File[P]{
+		regs:      regs,
+		words:     (regs + 63) / 64,
+		occupied:  make([]int, banks),
+		inflight:  make([]int, banks),
+		ring:      make([][]landing[P], maxLatency+2),
+		bankWords: (banks + 63) / 64,
+	}
+	f.free = make([]uint64, banks*f.words)
+	f.busy = make([]uint64, len(f.ring)*f.bankWords)
+	// A slot holds at most one landing per bank: scheduling never
+	// allocates.
+	backing := make([]landing[P], len(f.ring)*banks)
+	for i := range f.ring {
+		f.ring[i] = backing[i*banks : i*banks : (i+1)*banks]
+	}
+	f.Reset()
+	return f
+}
+
+// Reset empties the file and the ring, reusing every allocation.
+func (f *File[P]) Reset() {
+	for b := range f.occupied {
+		w := f.free[b*f.words : (b+1)*f.words]
+		for i := range w {
+			w[i] = ^uint64(0)
+		}
+		if r := f.regs % 64; r != 0 {
+			w[len(w)-1] = 1<<r - 1
+		}
+	}
+	clear(f.occupied)
+	clear(f.inflight)
+	clear(f.busy)
+	for i := range f.ring {
+		f.ring[i] = f.ring[i][:0]
+	}
+}
+
+// Valid reports whether addr of bank holds a live value.
+func (f *File[P]) Valid(bank, addr int) bool {
+	return f.free[bank*f.words+addr>>6]&(1<<uint(addr&63)) == 0
+}
+
+// Free releases addr of bank (a valid_rst). Freeing an address that holds
+// no value does nothing.
+func (f *File[P]) Free(bank, addr int) {
+	i, bit := bank*f.words+addr>>6, uint64(1)<<uint(addr&63)
+	if f.free[i]&bit == 0 {
+		f.free[i] |= bit
+		f.occupied[bank]--
+	}
+}
+
+// Occupied returns the File's own count of valid registers per bank.
+func (f *File[P]) Occupied() []int { return f.occupied }
+
+// InFlight returns the number of writes to bank scheduled but not landed.
+func (f *File[P]) InFlight(bank int) int { return f.inflight[bank] }
+
+// Busy reports whether a write to bank already lands at cycle land.
+func (f *File[P]) Busy(bank, land int) bool {
+	s := land % len(f.ring)
+	return f.busy[s*f.bankWords+bank>>6]&(1<<uint(bank&63)) != 0
+}
+
+// Schedule queues a write of p to bank, landing at the end of cycle land.
+// A bank takes one landing per cycle: if a write already lands on bank
+// at land, nothing is queued and Schedule returns that write's payload
+// and false.
+func (f *File[P]) Schedule(bank, land int, p P) (P, bool) {
+	s := land % len(f.ring)
+	if f.Busy(bank, land) {
+		for _, l := range f.ring[s] {
+			if l.bank == bank {
+				return l.p, false
+			}
+		}
+	}
+	f.busy[s*f.bankWords+bank>>6] |= 1 << uint(bank&63)
+	f.ring[s] = append(f.ring[s], landing[P]{bank, p})
+	f.inflight[bank]++
+	var zero P
+	return zero, true
+}
+
+// Land applies the writes landing at the end of cycle, in the order they
+// were scheduled: each takes the lowest free address of its bank and is
+// then reported to fn, with addr = -1 when the bank was full (the write
+// is dropped). Call it after the cycle's frees.
+func (f *File[P]) Land(cycle int, fn func(bank, addr int, p P)) {
+	s := cycle % len(f.ring)
+	for _, l := range f.ring[s] {
+		f.inflight[l.bank]--
+		addr := f.allocLowestFree(l.bank)
+		if addr >= 0 {
+			f.occupied[l.bank]++
+		}
+		fn(l.bank, addr, l.p)
+	}
+	f.ring[s] = f.ring[s][:0]
+	clear(f.busy[s*f.bankWords : (s+1)*f.bankWords])
+}
+
+// allocLowestFree claims the lowest free address of bank, or returns -1
+// when the bank is full.
+func (f *File[P]) allocLowestFree(bank int) int {
+	w := f.free[bank*f.words : (bank+1)*f.words]
+	for i, word := range w {
+		if word != 0 {
+			t := bits.TrailingZeros64(word)
+			w[i] = word &^ (1 << uint(t))
+			return i<<6 | t
+		}
+	}
+	return -1
+}

@@ -8,53 +8,93 @@ import (
 	"dpuv2/internal/dag"
 )
 
-// linearScanLowestFree is the seed's O(R) reference allocator: the fig.
-// 5(d) priority encoder picks the lowest invalid address of the bank.
-func linearScanLowestFree(valid []bool) int {
-	for a := range valid {
-		if !valid[a] {
-			return a
-		}
-	}
-	return -1
+// naiveRegs is an independent model of the register file: valid bits
+// per bank, frees applied at issue, and each landing write taking the
+// lowest invalid address of its bank by linear scan. A bank takes at
+// most one landing per cycle, so landings of one cycle commute.
+type naiveRegs struct {
+	valid   [][]bool
+	landing map[int][]int // cycle → banks landing at its end
 }
 
-// checkFreeListInvariant asserts, for every bank, that the free bitmap is
-// the exact complement of the valid bits and that the bitmap's allocation
-// choice equals the linear scan's.
-func checkFreeListInvariant(t *testing.T, m *Machine, cycle int) {
-	t.Helper()
-	for b := 0; b < m.cfg.B; b++ {
-		for a := 0; a < m.cfg.R; a++ {
-			bit := m.freeBits[b*m.freeWords+a/64]>>(uint(a%64))&1 == 1
-			if bit == m.valid[b][a] {
-				t.Fatalf("cycle %d: bank %d addr %d: free bit %v contradicts valid %v", cycle, b, a, bit, m.valid[b][a])
+// issue applies in's frees and queues its writes as the machine would at
+// cycle t.
+func (n *naiveRegs) issue(cfg arch.Config, w *arch.Wiring, in *arch.Instr, t int) {
+	switch in.Kind {
+	case arch.KindExec:
+		used := make([]bool, cfg.B)
+		w.MarkPorts(in.PEOps, used)
+		for port, u := range used {
+			if b := in.InputSel[port]; u && in.ValidRst[b] {
+				n.valid[b][in.ReadAddr[b]] = false
 			}
 		}
-		want := linearScanLowestFree(m.valid[b])
-		got := -1
-		base := b * m.freeWords
-		for w := 0; w < m.freeWords; w++ {
-			if word := m.freeBits[base+w]; word != 0 {
-				got = w << 6
-				for word&1 == 0 {
-					word >>= 1
-					got++
-				}
+		for b, en := range in.WriteEn {
+			if en {
+				n.landing[t+cfg.D] = append(n.landing[t+cfg.D], b)
+			}
+		}
+	case arch.KindLoad:
+		for b, en := range in.Mask {
+			if en {
+				n.landing[t+1] = append(n.landing[t+1], b)
+			}
+		}
+	case arch.KindStore:
+		for b, en := range in.ReadEn {
+			if en && in.ValidRst[b] {
+				n.valid[b][in.ReadAddr[b]] = false
+			}
+		}
+	case arch.KindCopy, arch.KindStore4:
+		for _, mv := range in.Moves {
+			if mv.Rst {
+				n.valid[mv.SrcBank][mv.SrcAddr] = false
+			}
+			if in.Kind == arch.KindCopy {
+				n.landing[t+1] = append(n.landing[t+1], int(mv.Dst))
+			}
+		}
+	}
+}
+
+func (n *naiveRegs) land(t int) {
+	for _, b := range n.landing[t] {
+		for a := range n.valid[b] {
+			if !n.valid[b][a] {
+				n.valid[b][a] = true
 				break
 			}
 		}
-		if got != want {
-			t.Fatalf("cycle %d: bank %d: bitmap would allocate %d, linear scan %d", cycle, b, got, want)
+	}
+	delete(n.landing, t)
+}
+
+// checkRegs asserts that the machine's register file holds exactly the
+// naive model's valid bits, and counts them the same.
+func checkRegs(t *testing.T, m *Machine, n *naiveRegs, cycle int) {
+	t.Helper()
+	for b := range n.valid {
+		occ := 0
+		for a, v := range n.valid[b] {
+			if m.rf.Valid(b, a) != v {
+				t.Fatalf("cycle %d: bank %d addr %d: machine valid %v, linear-scan model %v", cycle, b, a, !v, v)
+			}
+			if v {
+				occ++
+			}
+		}
+		if got := m.rf.Occupied()[b]; got != occ {
+			t.Fatalf("cycle %d: bank %d: machine counts %d valid registers, model %d", cycle, b, got, occ)
 		}
 	}
 }
 
 // TestFreeListMatchesLinearScanOnTrace replays real compiled program
-// traces instruction by instruction and checks after every cycle that the
-// bitmap allocator would make exactly the allocation the seed's linear
-// scan made — i.e. the priority-encoder semantics are preserved bit for
-// bit across the whole trace, including spill-induced churn.
+// traces instruction by instruction and checks after every cycle that
+// the machine's register file (the shared regfile core) made exactly the
+// allocations a linear-scan priority encoder makes — bit for bit across
+// the whole trace, including spill-induced churn.
 func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 	cases := []struct {
 		name string
@@ -94,18 +134,28 @@ func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 					}
 				}
 			}
-			checkFreeListInvariant(t, m, -1)
+			n := &naiveRegs{valid: make([][]bool, m.cfg.B), landing: map[int][]int{}}
+			for b := range n.valid {
+				n.valid[b] = make([]bool, m.cfg.R)
+			}
+			w := m.cfg.Wiring()
 			for i, in := range c.Prog.Instrs {
+				n.issue(m.cfg, w, in, m.cycle)
+				n.land(m.cycle)
 				if err := m.step(in); err != nil {
 					t.Fatalf("instruction %d: %v", i, err)
 				}
-				checkFreeListInvariant(t, m, m.cycle)
+				checkRegs(t, m, n, m.cycle)
 			}
 			for d := 0; d < m.cfg.D+1; d++ {
-				if err := m.endCycle(); err != nil {
+				n.land(m.cycle)
+				if err := m.tick(); err != nil {
 					t.Fatal(err)
 				}
-				checkFreeListInvariant(t, m, m.cycle)
+				checkRegs(t, m, n, m.cycle)
+			}
+			if len(n.landing) != 0 {
+				t.Fatalf("writes still in flight after the drain: %v", n.landing)
 			}
 		})
 	}

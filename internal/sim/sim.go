@@ -19,9 +19,9 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"dpuv2/internal/arch"
+	"dpuv2/internal/regfile"
 )
 
 // Stats aggregates what the machine does during one execution of a
@@ -38,24 +38,17 @@ type Stats struct {
 	PeakActive []int // maximum simultaneously valid registers per bank
 }
 
-// Machine is the architectural state of one DPU-v2 core.
+// Machine is the architectural state of one DPU-v2 core. Register
+// allocation and the landing pipeline are the shared regfile.File; the
+// machine adds the values, the data memory and its strict fault policy.
 type Machine struct {
 	cfg   arch.Config
-	regs  [][]float64
-	valid [][]bool
+	wire  *arch.Wiring
+	rf    *regfile.File[float64]
+	regs  []float64 // bank-major B×R; read only where rf says valid
 	mem   []float64
-
-	// freeBits mirrors valid as a bank-major bitmap (bit set = address
-	// free), so the fig. 5(d) valid-bit priority encoder — "a landing
-	// write takes the lowest free address of its bank" — is a
-	// trailing-zeros scan over at most ceil(R/64) words instead of an
-	// O(R) linear probe. freeWords is the number of words per bank.
-	freeBits  []uint64
-	freeWords int
-
-	ring     [][]landing // pending writes by landing cycle % len
-	cycle    int
-	occupied []int
+	cycle int
+	fault error // first landing fault of the current cycle
 
 	// exec scratch, sized once in NewMachine and reused every cycle so
 	// the hot path does not allocate. The value slices (port, val) may
@@ -74,11 +67,6 @@ type Machine struct {
 	OccTrace func(cycle int, perBank []int)
 }
 
-type landing struct {
-	bank int
-	val  float64
-}
-
 // NewMachine builds a machine for cfg with the given initial data-memory
 // image (padded to whole rows; the memory can grow up to cfg.DataMemWords
 // through stores).
@@ -86,12 +74,10 @@ func NewMachine(cfg arch.Config, initMem []float64) *Machine {
 	cfg = cfg.Normalize()
 	m := &Machine{
 		cfg:       cfg,
-		regs:      make([][]float64, cfg.B),
-		valid:     make([][]bool, cfg.B),
+		wire:      cfg.Wiring(),
+		rf:        regfile.New[float64](cfg.B, cfg.R, cfg.D),
+		regs:      make([]float64, cfg.B*cfg.R),
 		mem:       make([]float64, len(initMem)),
-		freeWords: (cfg.R + 63) / 64,
-		ring:      make([][]landing, cfg.D+2),
-		occupied:  make([]int, cfg.B),
 		portUsed:  make([]bool, cfg.B),
 		port:      make([]float64, cfg.B),
 		readBanks: make([]bool, cfg.B),
@@ -99,55 +85,21 @@ func NewMachine(cfg arch.Config, initMem []float64) *Machine {
 		live:      make([]bool, cfg.NumPEs()),
 	}
 	copy(m.mem, initMem)
-	// Single backing arrays for the register file keep NewMachine at a
-	// constant allocation count regardless of B.
-	regBacking := make([]float64, cfg.B*cfg.R)
-	validBacking := make([]bool, cfg.B*cfg.R)
-	for b := 0; b < cfg.B; b++ {
-		m.regs[b] = regBacking[b*cfg.R : (b+1)*cfg.R : (b+1)*cfg.R]
-		m.valid[b] = validBacking[b*cfg.R : (b+1)*cfg.R : (b+1)*cfg.R]
-	}
-	m.freeBits = make([]uint64, cfg.B*m.freeWords)
-	m.fillFreeBits()
-	for i := range m.ring {
-		m.ring[i] = make([]landing, 0, cfg.B)
-	}
 	m.stats.Instrs = make(map[arch.Kind]int)
 	m.stats.PeakActive = make([]int, cfg.B)
 	return m
 }
 
-// fillFreeBits marks every register address of every bank free.
-func (m *Machine) fillFreeBits() {
-	for b := 0; b < m.cfg.B; b++ {
-		base := b * m.freeWords
-		for a := 0; a < m.cfg.R; a += 64 {
-			if m.cfg.R-a >= 64 {
-				m.freeBits[base+a/64] = ^uint64(0)
-			} else {
-				m.freeBits[base+a/64] = 1<<uint(m.cfg.R-a) - 1
-			}
-		}
-	}
-}
-
 // Reset returns the machine to the state NewMachine(cfg, initMem) would
-// produce, reusing every allocation: register values may stay stale (all
-// valid bits are cleared, and every read is gated by them), the landing
-// ring keeps its capacity, and the stats map keeps its buckets. A reset
-// machine is observationally identical to a fresh one — the conformance
-// suite asserts bit-identical outputs and statistics — which is what
-// lets RunOn callers rerun one machine. The only case that allocates is
-// an initMem larger than any image the machine has held before.
+// produce, reusing every allocation: register values may stay stale (the
+// register file is emptied, and every read is gated by it), and the
+// stats map keeps its buckets. A reset machine is observationally
+// identical to a fresh one — the conformance suite asserts bit-identical
+// outputs and statistics — which is what lets RunOn callers rerun one
+// machine. The only case that allocates is an initMem larger than any
+// image the machine has held before.
 func (m *Machine) Reset(initMem []float64) {
-	for b := 0; b < m.cfg.B; b++ {
-		clear(m.valid[b])
-	}
-	m.fillFreeBits()
-	clear(m.occupied)
-	for i := range m.ring {
-		m.ring[i] = m.ring[i][:0]
-	}
+	m.rf.Reset()
 	m.cycle = 0
 	if cap(m.mem) < len(initMem) {
 		m.mem = make([]float64, len(initMem))
@@ -193,66 +145,45 @@ func (m *Machine) readReg(bank, addr int) (float64, error) {
 	if addr < 0 || addr >= m.cfg.R {
 		return 0, fmt.Errorf("sim: cycle %d: read addr %d out of range on bank %d", m.cycle, addr, bank)
 	}
-	if !m.valid[bank][addr] {
+	if !m.rf.Valid(bank, addr) {
 		return 0, fmt.Errorf("sim: cycle %d: read of invalid register %d.%d (RAW hazard escaped the compiler)", m.cycle, bank, addr)
 	}
 	m.stats.RegReads++
-	return m.regs[bank][addr], nil
+	return m.regs[bank*m.cfg.R+addr], nil
 }
 
-func (m *Machine) free(bank, addr int) {
-	if m.valid[bank][addr] {
-		m.valid[bank][addr] = false
-		m.freeBits[bank*m.freeWords+addr/64] |= 1 << uint(addr%64)
-		m.occupied[bank]--
+func (m *Machine) write(bank int, v float64, land int) error {
+	if _, ok := m.rf.Schedule(bank, land, v); !ok {
+		return fmt.Errorf("sim: cycle %d: two writes land on bank %d at cycle %d", m.cycle, bank, land)
 	}
-}
-
-// allocLowestFree claims and returns the lowest free register address of
-// bank — the fig. 5(d) priority-encoder choice — or -1 when the bank is
-// full.
-func (m *Machine) allocLowestFree(bank int) int {
-	base := bank * m.freeWords
-	for w := 0; w < m.freeWords; w++ {
-		if word := m.freeBits[base+w]; word != 0 {
-			t := bits.TrailingZeros64(word)
-			m.freeBits[base+w] = word &^ (1 << uint(t))
-			return w<<6 | t
-		}
-	}
-	return -1
-}
-
-func (m *Machine) scheduleWrite(bank int, v float64, land int) error {
-	slot := land % len(m.ring)
-	for _, l := range m.ring[slot] {
-		if l.bank == bank {
-			return fmt.Errorf("sim: cycle %d: two writes land on bank %d at cycle %d", m.cycle, bank, land)
-		}
-	}
-	m.ring[slot] = append(m.ring[slot], landing{bank, v})
 	return nil
 }
 
-// endCycle applies the writes landing at the current cycle and advances.
-func (m *Machine) endCycle() error {
-	slot := m.cycle % len(m.ring)
-	for _, l := range m.ring[slot] {
-		addr := m.allocLowestFree(l.bank)
-		if addr < 0 {
-			return fmt.Errorf("sim: cycle %d: bank %d overflow", m.cycle, l.bank)
+// land stores one landing write's value at the address the register file
+// chose for it.
+func (m *Machine) land(bank, addr int, v float64) {
+	if addr < 0 {
+		if m.fault == nil {
+			m.fault = fmt.Errorf("sim: cycle %d: bank %d overflow", m.cycle, bank)
 		}
-		m.regs[l.bank][addr] = l.val
-		m.valid[l.bank][addr] = true
-		m.occupied[l.bank]++
-		if m.occupied[l.bank] > m.stats.PeakActive[l.bank] {
-			m.stats.PeakActive[l.bank] = m.occupied[l.bank]
-		}
-		m.stats.RegWrites++
+		return
 	}
-	m.ring[slot] = m.ring[slot][:0]
+	m.regs[bank*m.cfg.R+addr] = v
+	if occ := m.rf.Occupied()[bank]; occ > m.stats.PeakActive[bank] {
+		m.stats.PeakActive[bank] = occ
+	}
+	m.stats.RegWrites++
+}
+
+// tick lands the current cycle's writes and advances the clock.
+func (m *Machine) tick() error {
+	m.rf.Land(m.cycle, m.land)
+	if err := m.fault; err != nil {
+		m.fault = nil
+		return err
+	}
 	if m.OccTrace != nil {
-		m.OccTrace(m.cycle, m.occupied)
+		m.OccTrace(m.cycle, m.rf.Occupied())
 	}
 	m.cycle++
 	return nil
@@ -267,7 +198,7 @@ func (m *Machine) Run(p *arch.Program) error {
 	}
 	// Drain the pipeline.
 	for d := 0; d < m.cfg.D+1; d++ {
-		if err := m.endCycle(); err != nil {
+		if err := m.tick(); err != nil {
 			return err
 		}
 	}
@@ -295,7 +226,7 @@ func (m *Machine) step(in *arch.Instr) error {
 				return err
 			}
 			m.stats.MemReads++
-			if err := m.scheduleWrite(lane, v, m.cycle+1); err != nil {
+			if err := m.write(lane, v, m.cycle+1); err != nil {
 				return err
 			}
 		}
@@ -310,91 +241,56 @@ func (m *Machine) step(in *arch.Instr) error {
 				return err
 			}
 			if in.ValidRst[b] {
-				m.free(b, int(in.ReadAddr[b]))
+				m.rf.Free(b, int(in.ReadAddr[b]))
 			}
 			if err := m.SetMem(row+b, v); err != nil {
 				return err
 			}
 			m.stats.MemWrites++
 		}
-	case arch.KindStore4:
+	case arch.KindCopy, arch.KindStore4:
 		row := in.MemAddr * m.cfg.B
-		var seen uint64
-		for _, mv := range in.Moves {
-			if seen&(1<<uint(mv.SrcBank)) != 0 {
-				return fmt.Errorf("two reads of bank %d in one store_4", mv.SrcBank)
+		for i, mv := range in.Moves {
+			for _, prev := range in.Moves[:i] {
+				if prev.SrcBank == mv.SrcBank {
+					return fmt.Errorf("two reads of bank %d in one %s", mv.SrcBank, in.Kind)
+				}
 			}
-			seen |= 1 << uint(mv.SrcBank)
 			v, err := m.readReg(int(mv.SrcBank), int(mv.SrcAddr))
 			if err != nil {
 				return err
 			}
 			if mv.Rst {
-				m.free(int(mv.SrcBank), int(mv.SrcAddr))
+				m.rf.Free(int(mv.SrcBank), int(mv.SrcAddr))
 			}
-			if err := m.SetMem(row+int(mv.Dst), v); err != nil {
-				return err
+			if in.Kind == arch.KindCopy {
+				err = m.write(int(mv.Dst), v, m.cycle+1)
+			} else if err = m.SetMem(row+int(mv.Dst), v); err == nil {
+				m.stats.MemWrites++
 			}
-			m.stats.MemWrites++
-		}
-	case arch.KindCopy:
-		var seen uint64
-		for _, mv := range in.Moves {
-			if seen&(1<<uint(mv.SrcBank)) != 0 {
-				return fmt.Errorf("two reads of bank %d in one copy", mv.SrcBank)
-			}
-			seen |= 1 << uint(mv.SrcBank)
-			v, err := m.readReg(int(mv.SrcBank), int(mv.SrcAddr))
 			if err != nil {
-				return err
-			}
-			if mv.Rst {
-				m.free(int(mv.SrcBank), int(mv.SrcAddr))
-			}
-			if err := m.scheduleWrite(int(mv.Dst), v, m.cycle+1); err != nil {
 				return err
 			}
 		}
 	default:
 		return fmt.Errorf("unknown kind %d", in.Kind)
 	}
-	return m.endCycle()
+	return m.tick()
 }
 
 // exec evaluates the PE trees for one datapath cycle.
 func (m *Machine) exec(in *arch.Instr) error {
-	cfg := m.cfg
+	cfg, w := m.cfg, m.wire
 	// Reset the reused scratch liveness flags; the value slices keep
 	// stale data, which is never observed because every read is gated by
 	// these flags.
 	portUsed, port, readBanks := m.portUsed, m.port, m.readBanks
 	val, live := m.val, m.live
-	for i := range portUsed {
-		portUsed[i] = false
-	}
-	for i := range readBanks {
-		readBanks[i] = false
-	}
-	for i := range live {
-		live[i] = false
-	}
+	clear(readBanks)
+	clear(live)
 	// Port values through the input crossbar; a port is live only if a
 	// leaf PE consumes it, so reads are demand-driven.
-	for id, op := range in.PEOps {
-		p := cfg.PECoord(id)
-		if p.Layer != 1 || op == arch.PEIdle {
-			continue
-		}
-		l, r := cfg.InputPorts(p)
-		switch op {
-		case arch.PEAdd, arch.PEMul:
-			portUsed[l], portUsed[r] = true, true
-		case arch.PEBypassL:
-			portUsed[l] = true
-		case arch.PEBypassR:
-			portUsed[r] = true
-		}
-	}
+	w.MarkPorts(in.PEOps, portUsed)
 	for pn := 0; pn < cfg.B; pn++ {
 		if !portUsed[pn] {
 			continue
@@ -414,57 +310,38 @@ func (m *Machine) exec(in *arch.Instr) error {
 	// one bank read to every subscribed port before the slot is released.
 	for bank, read := range readBanks {
 		if read && in.ValidRst[bank] {
-			m.free(bank, int(in.ReadAddr[bank]))
+			m.rf.Free(bank, int(in.ReadAddr[bank]))
 		}
 	}
-	// Evaluate layer by layer.
+	// Evaluate layer by layer: the leaf layer reads ports, the layers
+	// above read their children.
+	src, srcLive := port, portUsed
 	for l := 1; l <= cfg.D; l++ {
-		for t := 0; t < cfg.Trees(); t++ {
-			for k := 0; k < cfg.LayerWidth(l); k++ {
-				p := arch.PE{Tree: t, Layer: l, Index: k}
-				id := cfg.PEID(p)
-				op := in.PEOps[id]
-				if op == arch.PEIdle {
-					continue
-				}
-				var a, b float64
-				var la, lb bool
-				if l == 1 {
-					pl, pr := cfg.InputPorts(p)
-					a, b = port[pl], port[pr]
-					la, lb = portUsed[pl], portUsed[pr]
-				} else {
-					c0, c1, _ := cfg.Children(p)
-					i0, i1 := cfg.PEID(c0), cfg.PEID(c1)
-					a, b = val[i0], val[i1]
-					la, lb = live[i0], live[i1]
-				}
-				switch op {
-				case arch.PEAdd:
-					if !la || !lb {
-						return fmt.Errorf("PE %d adds a dead operand", id)
-					}
-					val[id] = a + b
-					m.stats.PEOpsDone++
-				case arch.PEMul:
-					if !la || !lb {
-						return fmt.Errorf("PE %d multiplies a dead operand", id)
-					}
-					val[id] = a * b
-					m.stats.PEOpsDone++
-				case arch.PEBypassL:
-					if !la {
-						return fmt.Errorf("PE %d bypasses a dead left operand", id)
-					}
-					val[id] = a
-				case arch.PEBypassR:
-					if !lb {
-						return fmt.Errorf("PE %d bypasses a dead right operand", id)
-					}
-					val[id] = b
-				}
-				live[id] = true
+		if l == 2 {
+			src, srcLive = val, live
+		}
+		for _, id := range w.Layers[l] {
+			op := in.PEOps[id]
+			if op == arch.PEIdle {
+				continue
 			}
+			if needL, needR := op.Operands(); needL && !srcLive[w.Left[id]] || needR && !srcLive[w.Right[id]] {
+				return fmt.Errorf("PE %d (%s) consumes a dead operand", id, op)
+			}
+			a, b := src[w.Left[id]], src[w.Right[id]]
+			switch op {
+			case arch.PEAdd:
+				val[id] = a + b
+				m.stats.PEOpsDone++
+			case arch.PEMul:
+				val[id] = a * b
+				m.stats.PEOpsDone++
+			case arch.PEBypassL:
+				val[id] = a
+			case arch.PEBypassR:
+				val[id] = b
+			}
+			live[id] = true
 		}
 	}
 	// Write-backs through the output interconnect.
@@ -472,12 +349,11 @@ func (m *Machine) exec(in *arch.Instr) error {
 		if !in.WriteEn[bank] {
 			continue
 		}
-		p := cfg.SelPE(bank, in.WriteSel[bank])
-		id := cfg.PEID(p)
+		id := cfg.PEID(cfg.SelPE(bank, in.WriteSel[bank]))
 		if !live[id] {
 			return fmt.Errorf("bank %d writes output of idle PE %d", bank, id)
 		}
-		if err := m.scheduleWrite(bank, val[id], m.cycle+cfg.D); err != nil {
+		if err := m.write(bank, val[id], m.cycle+cfg.D); err != nil {
 			return err
 		}
 	}

@@ -300,7 +300,7 @@ func TestMachineRejectsBankOverflow(t *testing.T) {
 	}
 	err := m.step(ld)
 	if err == nil {
-		err = m.endCycle()
+		err = m.tick()
 	}
 	if err == nil {
 		t.Fatal("expected overflow error")

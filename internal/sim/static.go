@@ -25,9 +25,10 @@ import "dpuv2/internal/arch"
 // The result equals Machine.Stats field for field on any program that
 // passes internal/verify (and so runs to completion: a machine that
 // faults mid-program has counted only a prefix). PeakActive is the one
-// exception and is left nil: bank occupancy depends on which addresses
-// the valid-bit priority encoder hands out, which only a replay of the
-// allocation knows — run a Machine (OccTrace, Stats) for that.
+// exception and is left nil: bank occupancy is a count (+1 per landing,
+// −1 per free of a valid register), so it depends on when each write
+// lands relative to the frees, which only a replay of the landing ring
+// knows — run a Machine (OccTrace, Stats) for that.
 func StaticStats(p *arch.Program) Stats {
 	cfg := p.Cfg.Normalize()
 	perTree, leaves := (1<<uint(cfg.D))-1, 1<<uint(cfg.D-1)

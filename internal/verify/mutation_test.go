@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -142,6 +143,26 @@ func TestMutationClasses(t *testing.T) {
 		}
 		c.OutputWord[sink] = w
 		requireClass(t, verify.Compiled(c), verify.ClassMapping)
+	})
+
+	t.Run("stats-cycles-halved", func(t *testing.T) {
+		// A CRC-clean artifact can still lie about its cycle count, which
+		// the engine reports to clients: exactly one stats-mismatch, and
+		// the class survives the dpu-vet JSON round trip.
+		c := goodCompiled(t)
+		c.Stats.Cycles /= 2
+		fs := verify.Compiled(c)
+		if len(fs) != 1 || fs[0].Class != verify.ClassStatsMismatch || fs[0].Sev != verify.SevError {
+			t.Fatalf("want exactly one stats-mismatch error, got %v", fs)
+		}
+		b, err := json.Marshal(fs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back verify.Finding
+		if err := json.Unmarshal(b, &back); err != nil || back != fs[0] {
+			t.Fatalf("JSON round trip: %s → %+v (%v)", b, back, err)
+		}
 	})
 
 	t.Run("crossbar-write-sel-past-numpes", func(t *testing.T) {

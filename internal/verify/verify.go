@@ -30,6 +30,7 @@ import (
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
+	"dpuv2/internal/regfile"
 )
 
 // Severity ranks a finding.
@@ -102,6 +103,10 @@ const (
 	// ClassDeadReset (warning) is a valid_rst bit that frees nothing
 	// because its bank is not read in the same instruction.
 	ClassDeadReset
+	// ClassStatsMismatch is a compiled program whose stored statistics
+	// (cycles, instruction, exec and nop counts) disagree with its
+	// instruction stream — the engine reports those cycles to clients.
+	ClassStatsMismatch
 )
 
 func (c Class) String() string {
@@ -122,6 +127,8 @@ func (c Class) String() string {
 		return "mapping"
 	case ClassDeadReset:
 		return "dead-reset"
+	case ClassStatsMismatch:
+		return "stats-mismatch"
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
@@ -135,7 +142,7 @@ func (c Class) MarshalJSON() ([]byte, error) {
 // findings.
 func (c *Class) UnmarshalJSON(b []byte) error {
 	name := string(bytes.Trim(b, `"`))
-	for x := ClassResource; x <= ClassDeadReset; x++ {
+	for x := ClassResource; x <= ClassStatsMismatch; x++ {
 		if x.String() == name {
 			*c = x
 			return nil
@@ -154,7 +161,7 @@ type Finding struct {
 	// PE is the processing element involved, -1 when not applicable.
 	PE int `json:"pe"`
 	// Bank is the register bank involved, -1 when not applicable.
-	Bank int `json:"bank"`
+	Bank int    `json:"bank"`
 	Msg  string `json:"msg"`
 }
 
@@ -244,6 +251,14 @@ func Compiled(c *compiler.Compiled) []Finding {
 		return fs // configuration itself was rejected; maps are meaningless
 	}
 	cfg := a.cfg
+	// Loads and Stores count draft operations, not instructions, so only
+	// the stream-level counts are comparable.
+	st, n := c.Stats, len(c.Prog.Instrs)
+	if !a.truncated && (st.Cycles != n+cfg.D+1 || st.Instructions != n || st.Execs != a.execs || st.Nops != a.nops) {
+		fs = append(fs, Finding{Sev: SevError, Class: ClassStatsMismatch, PC: -1, PE: -1, Bank: -1, Msg: fmt.Sprintf(
+			"stored stats (cycles %d, instructions %d, execs %d, nops %d) disagree with the program (%d, %d, %d, %d)",
+			st.Cycles, st.Instructions, st.Execs, st.Nops, n+cfg.D+1, n, a.execs, a.nops)})
+	}
 	nn := c.Graph.NumNodes()
 	for i, id := range c.Remap {
 		if int(id) < 0 || int(id) >= nn {
@@ -276,14 +291,17 @@ func Compiled(c *compiler.Compiled) []Finding {
 	return fs
 }
 
-// analyzer is the abstract machine: the simulator's register-file and
-// pipeline bookkeeping with the values removed.
+// analyzer is the abstract machine: the simulator's register file and
+// pipeline (regfile.File, with the issuing pc as each landing's payload)
+// and its exec walk, with the values removed.
 type analyzer struct {
-	cfg   arch.Config
-	valid []bool // bank-major B×R: address currently holds a live value
-	ever  []bool // bank-major: address held a value at least once
-	ring  [][]pending
-	cycle int
+	cfg  arch.Config
+	wire *arch.Wiring
+	rf   *regfile.File[int]
+	ever []bool // bank-major B×R: address held a value at least once
+	// cycle is the current cycle, and execs/nops the instructions of
+	// each kind issued so far, for the Compiled stats check.
+	cycle, execs, nops int
 	// stored collects the data-memory words written by store/store_4
 	// instructions, for the Compiled output-coverage check.
 	stored map[int]struct{}
@@ -291,23 +309,9 @@ type analyzer struct {
 	fs        []Finding
 	truncated bool
 
-	// Topology, precomputed once (the per-instruction loops are the hot
-	// path of the <10%-of-decode budget).
-	layerIDs [][]int // PE ids by layer (1-based; children precede parents)
-	leafL    []int   // per-PE left input port, -1 off the leaf layer
-	leafR    []int
-	child0   []int // per-PE child ids, -1 on the leaf layer
-	child1   []int
-
 	portUsed []bool
 	readBank []bool
 	live     []bool
-}
-
-// pending is one scheduled landing write: which bank, and which
-// instruction issued it (for finding anchors).
-type pending struct {
-	bank, pc int
 }
 
 func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
@@ -324,53 +328,36 @@ func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
 	if cfg.B*cfg.R > maxStateCells {
 		return reject(ClassResource, fmt.Sprintf("register file %d×%d exceeds the verifiable bound %d cells", cfg.B, cfg.R, maxStateCells)), nil
 	}
-	a := newAnalyzer(cfg)
+	a := &analyzer{
+		cfg:      cfg,
+		wire:     cfg.Wiring(),
+		rf:       regfile.New[int](cfg.B, cfg.R, cfg.D),
+		ever:     make([]bool, cfg.B*cfg.R),
+		stored:   make(map[int]struct{}),
+		portUsed: make([]bool, cfg.B),
+		readBank: make([]bool, cfg.B),
+		live:     make([]bool, cfg.NumPEs()),
+	}
 	for pc, in := range p.Instrs {
 		if a.truncated {
 			break
 		}
+		switch in.Kind {
+		case arch.KindExec:
+			a.execs++
+		case arch.KindNop:
+			a.nops++
+		}
 		if a.structural(pc, in) {
 			a.issue(pc, in)
 		}
-		a.endCycle()
+		a.tick()
 	}
 	// Pipeline drain, as in sim.Machine.Run: writes in flight land.
 	for d := 0; d <= cfg.D && !a.truncated; d++ {
-		a.endCycle()
+		a.tick()
 	}
 	return a.fs, a
-}
-
-func newAnalyzer(cfg arch.Config) *analyzer {
-	n := cfg.NumPEs()
-	a := &analyzer{
-		cfg:      cfg,
-		valid:    make([]bool, cfg.B*cfg.R),
-		ever:     make([]bool, cfg.B*cfg.R),
-		ring:     make([][]pending, cfg.D+2),
-		stored:   make(map[int]struct{}),
-		layerIDs: make([][]int, cfg.D+1),
-		leafL:    make([]int, n),
-		leafR:    make([]int, n),
-		child0:   make([]int, n),
-		child1:   make([]int, n),
-		portUsed: make([]bool, cfg.B),
-		readBank: make([]bool, cfg.B),
-		live:     make([]bool, n),
-	}
-	for id := 0; id < n; id++ {
-		p := cfg.PECoord(id)
-		a.layerIDs[p.Layer] = append(a.layerIDs[p.Layer], id)
-		a.leafL[id], a.leafR[id] = -1, -1
-		a.child0[id], a.child1[id] = -1, -1
-		if p.Layer == 1 {
-			a.leafL[id], a.leafR[id] = cfg.InputPorts(p)
-		} else {
-			c0, c1, _ := cfg.Children(p)
-			a.child0[id], a.child1[id] = cfg.PEID(c0), cfg.PEID(c1)
-		}
-	}
-	return a
 }
 
 func (a *analyzer) report(f Finding) {
@@ -495,7 +482,7 @@ func (a *analyzer) issue(pc int, in *arch.Instr) {
 	case arch.KindLoad:
 		for lane, en := range in.Mask {
 			if en {
-				a.scheduleWrite(pc, lane, a.cycle+1)
+				a.write(pc, lane, a.cycle+1)
 			}
 		}
 	case arch.KindStore:
@@ -510,25 +497,26 @@ func (a *analyzer) issue(pc int, in *arch.Instr) {
 			addr := int(in.ReadAddr[b])
 			a.checkRead(pc, b, addr)
 			if in.ValidRst[b] {
-				a.free(b, addr)
+				a.rf.Free(b, addr)
 			}
 			a.stored[row+b] = struct{}{}
 		}
 	case arch.KindCopy, arch.KindStore4:
 		row := in.MemAddr * cfg.B
-		read := make(map[uint16]struct{}, len(in.Moves))
-		for _, mv := range in.Moves {
-			if _, dup := read[mv.SrcBank]; dup {
-				a.errorf(ClassResource, pc, -1, int(mv.SrcBank), "two reads of bank %d in one %s", mv.SrcBank, in.Kind)
-				continue
+	lanes:
+		for i, mv := range in.Moves {
+			for _, prev := range in.Moves[:i] {
+				if prev.SrcBank == mv.SrcBank {
+					a.errorf(ClassResource, pc, -1, int(mv.SrcBank), "two reads of bank %d in one %s", mv.SrcBank, in.Kind)
+					continue lanes
+				}
 			}
-			read[mv.SrcBank] = struct{}{}
 			a.checkRead(pc, int(mv.SrcBank), int(mv.SrcAddr))
 			if mv.Rst {
-				a.free(int(mv.SrcBank), int(mv.SrcAddr))
+				a.rf.Free(int(mv.SrcBank), int(mv.SrcAddr))
 			}
 			if in.Kind == arch.KindCopy {
-				a.scheduleWrite(pc, int(mv.Dst), a.cycle+1)
+				a.write(pc, int(mv.Dst), a.cycle+1)
 			} else {
 				a.stored[row+int(mv.Dst)] = struct{}{}
 			}
@@ -540,25 +528,10 @@ func (a *analyzer) issue(pc int, in *arch.Instr) {
 // liveness from the leaf ops, bank-read validation, post-read frees,
 // layer-by-layer liveness propagation, and write-back scheduling.
 func (a *analyzer) exec(pc int, in *arch.Instr) {
-	cfg := a.cfg
-	clear(a.portUsed)
+	cfg, w := a.cfg, a.wire
 	clear(a.readBank)
 	clear(a.live)
-	for _, id := range a.layerIDs[1] {
-		op := in.PEOps[id]
-		if op == arch.PEIdle {
-			continue
-		}
-		l, r := a.leafL[id], a.leafR[id]
-		switch op {
-		case arch.PEAdd, arch.PEMul:
-			a.portUsed[l], a.portUsed[r] = true, true
-		case arch.PEBypassL:
-			a.portUsed[l] = true
-		case arch.PEBypassR:
-			a.portUsed[r] = true
-		}
-	}
+	w.MarkPorts(in.PEOps, a.portUsed)
 	for pn := 0; pn < cfg.B; pn++ {
 		if !a.portUsed[pn] {
 			continue
@@ -582,31 +555,19 @@ func (a *analyzer) exec(pc int, in *arch.Instr) {
 			continue
 		}
 		if a.readBank[bank] {
-			a.free(bank, int(in.ReadAddr[bank]))
+			a.rf.Free(bank, int(in.ReadAddr[bank]))
 		} else {
 			a.warnf(ClassDeadReset, pc, -1, bank, "valid_rst frees nothing (bank not read)")
 		}
 	}
 	for l := 1; l <= cfg.D; l++ {
-		for _, id := range a.layerIDs[l] {
+		for _, id := range w.Layers[l] {
 			op := in.PEOps[id]
 			if op == arch.PEIdle {
 				continue
 			}
-			if l > 1 {
-				la, lb := a.live[a.child0[id]], a.live[a.child1[id]]
-				dead := false
-				switch op {
-				case arch.PEAdd, arch.PEMul:
-					dead = !la || !lb
-				case arch.PEBypassL:
-					dead = !la
-				case arch.PEBypassR:
-					dead = !lb
-				}
-				if dead {
-					a.errorf(ClassDeadOperand, pc, id, -1, "PE %d (%s) consumes a dead operand", id, op)
-				}
+			if needL, needR := op.Operands(); l > 1 && (needL && !a.live[w.Left[id]] || needR && !a.live[w.Right[id]]) {
+				a.errorf(ClassDeadOperand, pc, id, -1, "PE %d (%s) consumes a dead operand", id, op)
 			}
 			a.live[id] = true // optimistic: one finding per root cause
 		}
@@ -619,14 +580,14 @@ func (a *analyzer) exec(pc int, in *arch.Instr) {
 		if !a.live[id] {
 			a.errorf(ClassDeadOperand, pc, id, bank, "bank %d writes output of idle PE %d", bank, id)
 		}
-		a.scheduleWrite(pc, bank, a.cycle+cfg.D)
+		a.write(pc, bank, a.cycle+cfg.D)
 	}
 }
 
 // checkRead validates a register read at issue time: the address must
 // hold a live value. addr is already bounds-checked by structural.
 func (a *analyzer) checkRead(pc, bank, addr int) {
-	if a.valid[bank*a.cfg.R+addr] {
+	if a.rf.Valid(bank, addr) {
 		return
 	}
 	if a.ever[bank*a.cfg.R+addr] {
@@ -636,47 +597,27 @@ func (a *analyzer) checkRead(pc, bank, addr int) {
 	}
 }
 
-func (a *analyzer) free(bank, addr int) {
-	a.valid[bank*a.cfg.R+addr] = false
+// write queues a landing write, rejecting a second write to the same
+// bank in the same landing cycle — exactly the conflict the simulator
+// faults on.
+func (a *analyzer) write(pc, bank, land int) {
+	if other, ok := a.rf.Schedule(bank, land, pc); !ok {
+		a.errorf(ClassWriteConflict, pc, -1, bank, "two writes land on bank %d at cycle %d (also scheduled at pc %d)", bank, land, other)
+	}
 }
 
-// scheduleWrite queues a landing write, rejecting a second write to the
-// same bank in the same landing cycle — exactly the conflict the
-// simulator faults on.
-func (a *analyzer) scheduleWrite(pc, bank, land int) {
-	slot := land % len(a.ring)
-	for _, w := range a.ring[slot] {
-		if w.bank == bank {
-			a.errorf(ClassWriteConflict, pc, -1, bank, "two writes land on bank %d at cycle %d (also scheduled at pc %d)", bank, land, w.pc)
-			return
-		}
-	}
-	a.ring[slot] = append(a.ring[slot], pending{bank: bank, pc: pc})
-}
-
-// endCycle lands the current cycle's writes — each taking the lowest
-// free address of its bank, the deterministic fig. 5(d) policy — and
-// advances the clock. Frees from this cycle's issue have already
-// applied, preserving the frees-before-landings ordering.
-func (a *analyzer) endCycle() {
-	slot := a.cycle % len(a.ring)
-	for _, w := range a.ring[slot] {
-		if addr := a.allocLowestFree(w.bank); addr < 0 {
-			a.errorf(ClassBankOverflow, w.pc, -1, w.bank, "bank %d overflows at cycle %d (all %d registers live)", w.bank, a.cycle, a.cfg.R)
-		}
-	}
-	a.ring[slot] = a.ring[slot][:0]
+// tick lands the current cycle's writes and advances the clock. Frees
+// from this cycle's issue have already applied, preserving the
+// frees-before-landings ordering.
+func (a *analyzer) tick() {
+	a.rf.Land(a.cycle, a.land)
 	a.cycle++
 }
 
-func (a *analyzer) allocLowestFree(bank int) int {
-	base := bank * a.cfg.R
-	for addr := 0; addr < a.cfg.R; addr++ {
-		if !a.valid[base+addr] {
-			a.valid[base+addr] = true
-			a.ever[base+addr] = true
-			return addr
-		}
+func (a *analyzer) land(bank, addr, pc int) {
+	if addr < 0 {
+		a.errorf(ClassBankOverflow, pc, -1, bank, "bank %d overflows at cycle %d (all %d registers live)", bank, a.cycle, a.cfg.R)
+		return
 	}
-	return -1
+	a.ever[bank*a.cfg.R+addr] = true
 }
