@@ -40,11 +40,22 @@ type draftOp struct {
 	reads []ValID     // values read at issue
 	wrs   []ValID     // values written (land one/D cycles later)
 	moves []draftMove // copy/store4 lanes
-	// exec-only placement results
-	alias   map[ValID]ValID // block input -> value actually read
-	outVal  map[ValID]ValID // home output -> value the exec writes
-	outPE   map[ValID]arch.PE
-	outBank map[ValID]int // value written by exec -> bank
+	// exec-only placement results: the block inputs replaced by a
+	// replica (src = input, w = the replica the exec reads), and the bank
+	// each value of wrs is written to. wrs[i] is block.Outputs[i] itself
+	// or, when that output was displaced, a temp a post-copy moves home.
+	repairs []draftMove
+	outBank []int8
+}
+
+// readOf returns the value an exec reads for block input v.
+func (op *draftOp) readOf(v ValID) ValID {
+	for _, m := range op.repairs {
+		if m.src == v {
+			return m.w
+		}
+	}
+	return v
 }
 
 type valKind uint8
@@ -82,6 +93,17 @@ type draftState struct {
 	rowSeen  []int32 // leaf row -> 1 + last block that emitted a load of it
 	rowBuf   []int   // emitLoads' scratch: rows the block touches
 
+	// matchOutputs' scratch, reused across blocks: the output index
+	// holding each bank (-1 free), each output's bank, and a per-bank
+	// visit stamp for the augmenting search.
+	taken     []int32
+	assign    []int
+	seen      []int32
+	seenStamp int32
+	// Arenas backing every exec's reads/wrs and outBank, sized once.
+	valArena  []ValID
+	bankArena []int8
+
 	stats *Stats
 }
 
@@ -93,6 +115,8 @@ func newDraftState(g *dag.Graph, cfg arch.Config, ba *bankAlloc, seed int64, sta
 		vals:    make([]valInfo, nv),
 		rowHint: make([]int, cfg.B),
 		loaded:  make([]bool, nv),
+		taken:   make([]int32, cfg.B),
+		seen:    make([]int32, cfg.B),
 		stats:   stats,
 	}
 	for i := 0; i < nv; i++ {
@@ -206,9 +230,8 @@ func (ds *draftState) emitLoads(block *Block, bi int) {
 
 // repairInputs resolves constraint-F violations: when several distinct
 // inputs share a home bank, all but one are copied into free banks first;
-// the exec then reads the replicas.
-func (ds *draftState) repairInputs(block *Block) map[ValID]ValID {
-	alias := make(map[ValID]ValID, len(block.Inputs))
+// the exec then reads the replicas, which the returned moves name.
+func (ds *draftState) repairInputs(block *Block) []draftMove {
 	var used uint64
 	var moves []draftMove
 	// First value per bank stays; later arrivals are repaired, in the
@@ -217,7 +240,6 @@ func (ds *draftState) repairInputs(block *Block) map[ValID]ValID {
 		b := int(ds.vals[v].bank)
 		if used&(1<<uint(b)) == 0 {
 			used |= 1 << uint(b)
-			alias[v] = v
 			continue
 		}
 		free := ^used & (uint64(1)<<uint(ds.cfg.B) - 1)
@@ -229,12 +251,11 @@ func (ds *draftState) repairInputs(block *Block) map[ValID]ValID {
 		dst := nthSetBit(free, ds.rng.Intn(bits.OnesCount64(free)))
 		used |= 1 << uint(dst)
 		tv := ds.newTemp(dst)
-		alias[v] = tv
 		moves = append(moves, draftMove{src: v, dst: dst, w: tv})
 		ds.stats.InputConflicts++
 	}
 	ds.emitCopies(moves)
-	return alias
+	return moves
 }
 
 // emitCopies batches moves into copy_4 instructions. Within one
@@ -273,40 +294,30 @@ func (ds *draftState) emitCopies(moves []draftMove) {
 // reach, preferring home banks and completing the assignment with
 // augmenting paths (a perfect matching always exists for the supported
 // topologies: the writable sets form a laminar family of dyadic
-// intervals, so Hall's condition holds for distinct PEs).
-func (ds *draftState) matchOutputs(block *Block) (map[ValID]int, error) {
-	taken := make(map[int]ValID, len(block.Outputs))
-	assign := make(map[ValID]int, len(block.Outputs))
+// intervals, so Hall's condition holds for distinct PEs). The result,
+// indexed like block.Outputs, is scratch valid until the next call.
+func (ds *draftState) matchOutputs(block *Block) ([]int, error) {
+	for b := range ds.taken {
+		ds.taken[b] = -1
+	}
 	// First pass: home banks.
-	for _, v := range block.Outputs {
-		home := int(ds.vals[v].bank)
-		if _, busy := taken[home]; !busy && ds.cfg.CanWrite(block.OutPE[v], home) {
-			taken[home] = v
-			assign[v] = home
+	assign := ds.assign[:0]
+	for i, v := range block.Outputs {
+		a, home := -1, int(ds.vals[v].bank)
+		if ds.taken[home] < 0 && ds.cfg.CanWrite(block.OutPE[v], home) {
+			ds.taken[home] = int32(i)
+			a = home
 		}
+		assign = append(assign, a)
 	}
+	ds.assign = assign
 	// Second pass: Kuhn augmenting for the rest.
-	var augment func(v ValID, seen map[int]bool) bool
-	augment = func(v ValID, seen map[int]bool) bool {
-		for _, b := range ds.cfg.WritableBanks(block.OutPE[v]) {
-			if seen[b] {
-				continue
-			}
-			seen[b] = true
-			holder, busy := taken[b]
-			if !busy || augment(holder, seen) {
-				taken[b] = v
-				assign[v] = b
-				return true
-			}
-		}
-		return false
-	}
-	for _, v := range block.Outputs {
-		if _, ok := assign[v]; ok {
+	for i := range block.Outputs {
+		if assign[i] >= 0 {
 			continue
 		}
-		if !augment(v, make(map[int]bool)) {
+		ds.seenStamp++
+		if !ds.augment(block, int32(i)) {
 			return nil, fmt.Errorf("compiler: cannot match %d outputs to banks (topology %s)",
 				len(block.Outputs), ds.cfg.Output)
 		}
@@ -314,9 +325,37 @@ func (ds *draftState) matchOutputs(block *Block) (map[ValID]int, error) {
 	return assign, nil
 }
 
+// augment finds output i a bank along an augmenting path of the current
+// matching, visiting each bank at most once per search.
+func (ds *draftState) augment(block *Block, i int32) bool {
+	for _, b := range ds.cfg.WritableBanks(block.OutPE[block.Outputs[i]]) {
+		if ds.seen[b] == ds.seenStamp {
+			continue
+		}
+		ds.seen[b] = ds.seenStamp
+		if h := ds.taken[b]; h < 0 || ds.augment(block, h) {
+			ds.taken[b] = i
+			ds.assign[i] = b
+			return true
+		}
+	}
+	return false
+}
+
+// carve returns an empty slice with capacity n cut from the arena, which
+// is sized once for the whole draft.
+func carve[T any](arena *[]T, n int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, 0, n)
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a) : len(a)+n]
+}
+
 // emitExec appends the exec op plus post-copies that move displaced
 // outputs to their home banks.
-func (ds *draftState) emitExec(block *Block, alias map[ValID]ValID) error {
+func (ds *draftState) emitExec(block *Block, repairs []draftMove) error {
 	assign, err := ds.matchOutputs(block)
 	if err != nil {
 		return err
@@ -324,32 +363,26 @@ func (ds *draftState) emitExec(block *Block, alias map[ValID]ValID) error {
 	op := &draftOp{
 		kind:    dExec,
 		block:   block,
-		alias:   alias,
-		outVal:  make(map[ValID]ValID, len(block.Outputs)),
-		outPE:   block.OutPE,
-		outBank: make(map[ValID]int, len(block.Outputs)),
+		repairs: repairs,
+		reads:   carve(&ds.valArena, len(block.Inputs)),
+		wrs:     carve(&ds.valArena, len(block.Outputs)),
+		outBank: carve(&ds.bankArena, len(block.Outputs)),
 	}
-	seen := make(map[ValID]bool, len(block.Inputs))
+	// Block inputs are distinct and every replica is a fresh temp, so the
+	// values read are distinct too.
 	for _, v := range block.Inputs {
-		rv := alias[v]
-		if !seen[rv] {
-			seen[rv] = true
-			op.reads = append(op.reads, rv)
-		}
+		op.reads = append(op.reads, op.readOf(v))
 	}
 	var post []draftMove
-	for _, v := range block.Outputs {
-		b := assign[v]
+	for i, v := range block.Outputs {
+		b := assign[i]
+		op.outBank = append(op.outBank, int8(b))
 		if b == int(ds.vals[v].bank) {
-			op.outVal[v] = v
-			op.outBank[v] = b
 			op.wrs = append(op.wrs, v)
 			continue
 		}
 		// Displaced: exec writes a temp, a post-copy moves it home.
 		tv := ds.newTemp(b)
-		op.outVal[v] = tv
-		op.outBank[tv] = b
 		op.wrs = append(op.wrs, tv)
 		post = append(post, draftMove{src: tv, dst: int(ds.vals[v].bank), w: v})
 		ds.stats.OutputMoves++
@@ -420,10 +453,17 @@ func (ds *draftState) emitStores() map[dag.NodeID]int {
 func (ds *draftState) buildDraft(blocks []*Block) (map[dag.NodeID]int, error) {
 	ds.placeLeaves(blocks)
 	ds.rowSeen = make([]int32, len(ds.rowVals))
+	nin, nout := 0, 0
+	for _, b := range blocks {
+		nin += len(b.Inputs)
+		nout += len(b.Outputs)
+	}
+	ds.valArena = make([]ValID, 0, nin+nout)
+	ds.bankArena = make([]int8, 0, nout)
 	for bi, b := range blocks {
 		ds.emitLoads(b, bi)
-		alias := ds.repairInputs(b)
-		if err := ds.emitExec(b, alias); err != nil {
+		repairs := ds.repairInputs(b)
+		if err := ds.emitExec(b, repairs); err != nil {
 			return nil, err
 		}
 	}

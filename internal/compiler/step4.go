@@ -55,6 +55,17 @@ type regalloc struct {
 
 	spillHint []int // spill-region first-fit cursor per bank
 
+	// emitOp's scratch, reused across ops: pin[v] == pinStamp marks the
+	// operands of the op being emitted (never evicted for it), need counts
+	// its incoming writes per bank (reloadNeed is reload's one-bank
+	// equivalent), and writes/frees are its register-file effects.
+	pin        []int32
+	pinStamp   int32
+	need       []int
+	reloadNeed []int
+	writes     []pendingWrite
+	frees      []ValID
+
 	stats *Stats
 }
 
@@ -63,14 +74,17 @@ func newRegalloc(ds *draftState, sched []*draftOp, stats *Stats) *regalloc {
 	nv := len(ds.vals)
 	r := &regalloc{
 		ds: ds, cfg: cfg,
-		loc:       make([]int16, nv),
-		resident:  make([]bool, nv),
-		spilled:   make([]bool, nv),
-		rf:        regfile.New[ValID](cfg.B, cfg.R, cfg.D),
-		uses:      make([][]int32, nv),
-		usePtr:    make([]int32, nv),
-		spillHint: make([]int, cfg.B),
-		stats:     stats,
+		loc:        make([]int16, nv),
+		resident:   make([]bool, nv),
+		spilled:    make([]bool, nv),
+		rf:         regfile.New[ValID](cfg.B, cfg.R, cfg.D),
+		uses:       make([][]int32, nv),
+		usePtr:     make([]int32, nv),
+		spillHint:  make([]int, cfg.B),
+		pin:        make([]int32, nv),
+		need:       make([]int, cfg.B),
+		reloadNeed: make([]int, cfg.B),
+		stats:      stats,
 	}
 	for i := range r.loc {
 		r.loc[i] = -1
@@ -142,9 +156,9 @@ func (r *regalloc) emitNop() error {
 }
 
 // busy reports whether a write to any bank of need already lands at land.
-func (r *regalloc) busy(need map[int]int, land int) bool {
-	for b := range need {
-		if r.rf.Busy(b, land) {
+func (r *regalloc) busy(need []int, land int) bool {
+	for b, n := range need {
+		if n > 0 && r.rf.Busy(b, land) {
 			return true
 		}
 	}
@@ -153,12 +167,12 @@ func (r *regalloc) busy(need map[int]int, land int) bool {
 
 // pickVictim selects the resident, unpinned value of bank with the
 // furthest next use. O(values); spills are rare at sane R.
-func (r *regalloc) pickVictim(bank int, pinned map[ValID]bool, already []ValID) ValID {
+func (r *regalloc) pickVictim(bank int, already []ValID) ValID {
 	best := InvalidVal
 	var bestUse int32 = -1
 	for v := range r.ds.vals {
 		vid := ValID(v)
-		if !r.resident[vid] || r.bankOf(vid) != bank || pinned[vid] {
+		if !r.resident[vid] || r.bankOf(vid) != bank || r.pin[vid] == r.pinStamp {
 			continue
 		}
 		dup := false
@@ -247,17 +261,16 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 	return nil
 }
 
-// ensureCapacity spills until every bank in need can absorb its incoming
+// ensureCapacity spills until every bank can absorb need[bank] incoming
 // writes; pinned values (operands of the op about to issue) stay.
-func (r *regalloc) ensureCapacity(need map[int]int, pinned map[ValID]bool) error {
+func (r *regalloc) ensureCapacity(need []int) error {
 	for round := 0; ; round++ {
 		var victims []ValID
-		// Banks in ascending order, not map order: the victim list decides
-		// how spills batch into store_4s, and which bank an undersized
-		// register file is reported on.
-		for bank := 0; bank < r.cfg.B; bank++ {
-			n, ok := need[bank]
-			if !ok {
+		// Banks in ascending order: the victim list decides how spills
+		// batch into store_4s, and which bank an undersized register file
+		// is reported on.
+		for bank, n := range need {
+			if n == 0 {
 				continue
 			}
 			over := r.rf.Occupied()[bank] + r.rf.InFlight(bank) + n - r.cfg.R
@@ -267,7 +280,7 @@ func (r *regalloc) ensureCapacity(need map[int]int, pinned map[ValID]bool) error
 				}
 			}
 			for ; over > 0; over-- {
-				v := r.pickVictim(bank, pinned, victims)
+				v := r.pickVictim(bank, victims)
 				if v == InvalidVal {
 					return fmt.Errorf("compiler: register file too small (R=%d, bank %d): working set exceeds capacity", r.cfg.R, bank)
 				}
@@ -278,7 +291,7 @@ func (r *regalloc) ensureCapacity(need map[int]int, pinned map[ValID]bool) error
 			return nil
 		}
 		if round > r.cfg.B*r.cfg.R {
-			return fmt.Errorf("compiler: spill livelock on banks %v", need)
+			return fmt.Errorf("compiler: spill livelock on banks %v (incoming writes per bank)", need)
 		}
 		if err := r.emitSpills(victims); err != nil {
 			return err
@@ -288,13 +301,13 @@ func (r *regalloc) ensureCapacity(need map[int]int, pinned map[ValID]bool) error
 
 // prepareReads reloads spilled operands and stalls until every operand is
 // readable.
-func (r *regalloc) prepareReads(reads []ValID, pinned map[ValID]bool) error {
+func (r *regalloc) prepareReads(reads []ValID) error {
 	for _, v := range reads {
 		if r.resident[v] || !r.spilled[v] {
 			// Resident, or still in flight: waiting below resolves it.
 			continue
 		}
-		if err := r.reload(v, pinned); err != nil {
+		if err := r.reload(v); err != nil {
 			return err
 		}
 	}
@@ -319,10 +332,13 @@ func (r *regalloc) prepareReads(reads []ValID, pinned map[ValID]bool) error {
 }
 
 // reload brings a spilled value back into its home bank.
-func (r *regalloc) reload(v ValID, pinned map[ValID]bool) error {
+func (r *regalloc) reload(v ValID) error {
 	bank := r.bankOf(v)
 	word := int(r.ds.vals[v].word)
-	if err := r.ensureCapacity(map[int]int{bank: 1}, pinned); err != nil {
+	r.reloadNeed[bank] = 1
+	err := r.ensureCapacity(r.reloadNeed)
+	r.reloadNeed[bank] = 0
+	if err != nil {
 		return err
 	}
 	for r.rf.Busy(bank, r.cycle()+1) {
@@ -367,16 +383,17 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			}
 		}
 	}
-	pinned := make(map[ValID]bool, len(reads))
+	r.pinStamp++
 	for _, v := range reads {
-		pinned[v] = true
+		r.pin[v] = r.pinStamp
 	}
-	if err := r.prepareReads(reads, pinned); err != nil {
+	if err := r.prepareReads(reads); err != nil {
 		return err
 	}
 	// Capacity for this op's writes.
-	need := map[int]int{}
-	var writes []pendingWrite
+	need := r.need
+	clear(need)
+	writes := r.writes[:0]
 	lat := 1
 	switch op.kind {
 	case dLoad:
@@ -386,21 +403,21 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			writes = append(writes, pendingWrite{v, b})
 		}
 	case dCopy:
-		for i, m := range op.moves {
-			_ = i
+		for _, m := range op.moves {
 			need[m.dst]++
 			writes = append(writes, pendingWrite{m.w, m.dst})
 		}
 	case dExec:
 		lat = r.cfg.D
-		for _, w := range op.wrs {
-			b := op.outBank[w]
+		for i, w := range op.wrs {
+			b := int(op.outBank[i])
 			need[b]++
 			writes = append(writes, pendingWrite{w, b})
 		}
 	}
-	if len(need) > 0 {
-		if err := r.ensureCapacity(need, pinned); err != nil {
+	r.writes = writes
+	if len(writes) > 0 {
+		if err := r.ensureCapacity(need); err != nil {
 			return err
 		}
 	}
@@ -411,16 +428,16 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		}
 	}
 	// Build and emit the concrete instruction.
+	var in *arch.Instr
+	frees := r.frees[:0]
 	switch op.kind {
 	case dLoad:
-		in := arch.NewLoad(r.cfg, op.row)
+		in = arch.NewLoad(r.cfg, op.row)
 		for _, v := range op.wrs {
 			in.Mask[r.bankOf(v)] = true
 		}
-		return r.emit(in, nil, writes, 1)
 	case dCopy:
-		in := &arch.Instr{Kind: arch.KindCopy}
-		var frees []ValID
+		in = &arch.Instr{Kind: arch.KindCopy}
 		for _, m := range op.moves {
 			rst := r.consume(m.src)
 			if rst {
@@ -433,11 +450,9 @@ func (r *regalloc) emitOp(op *draftOp) error {
 				Rst:     rst,
 			})
 		}
-		return r.emit(in, frees, writes, 1)
 	case dExec:
-		in := arch.NewExec(r.cfg)
+		in = arch.NewExec(r.cfg)
 		copy(in.PEOps, op.block.PEOps)
-		var frees []ValID
 		for _, rv := range op.reads {
 			b := r.bankOf(rv)
 			in.ReadEn[b] = true
@@ -451,22 +466,19 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			if v == InvalidVal {
 				continue
 			}
-			rv := op.alias[v]
-			in.InputSel[port] = uint16(r.bankOf(rv))
+			in.InputSel[port] = uint16(r.bankOf(op.readOf(v)))
 		}
-		for home, w := range op.outVal {
-			b := op.outBank[w]
-			sel, err := r.cfg.WriteSel(b, op.outPE[home])
+		for i, home := range op.block.Outputs {
+			b := int(op.outBank[i])
+			sel, err := r.cfg.WriteSel(b, op.block.OutPE[home])
 			if err != nil {
 				return err
 			}
 			in.WriteEn[b] = true
 			in.WriteSel[b] = sel
 		}
-		return r.emit(in, frees, writes, r.cfg.D)
 	case dStore:
-		in := arch.NewStore(r.cfg, op.row)
-		var frees []ValID
+		in = arch.NewStore(r.cfg, op.row)
 		for _, v := range op.reads {
 			if !r.resident[v] && r.spilled[v] {
 				continue // already in memory at its destination (spilled)
@@ -479,10 +491,8 @@ func (r *regalloc) emitOp(op *draftOp) error {
 				frees = append(frees, v)
 			}
 		}
-		return r.emit(in, frees, nil, 1)
 	case dStore4:
-		in := &arch.Instr{Kind: arch.KindStore4, MemAddr: op.row}
-		var frees []ValID
+		in = &arch.Instr{Kind: arch.KindStore4, MemAddr: op.row}
 		for _, m := range op.moves {
 			if !r.resident[m.src] && r.spilled[m.src] {
 				continue // spilled to its own destination word already
@@ -501,7 +511,9 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		if len(in.Moves) == 0 {
 			return nil // everything already in memory
 		}
-		return r.emit(in, frees, nil, 1)
+	default:
+		return fmt.Errorf("compiler: unknown draft op kind %d", op.kind)
 	}
-	return fmt.Errorf("compiler: unknown draft op kind %d", op.kind)
+	r.frees = frees
+	return r.emit(in, frees, writes, lat)
 }
