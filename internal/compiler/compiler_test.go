@@ -20,6 +20,20 @@ func decomposeFor(t *testing.T, g *dag.Graph, cfg arch.Config) []*Block {
 	return decomposeWith(t, g, cfg, Options{})
 }
 
+// cutPolicies is every way decompose can cut: its own choice, and each
+// cut forced through the test hook.
+var cutPolicies = []struct {
+	name string
+	cut  cutPolicy
+}{{"chosen", cutAuto}, {"greedy", cutGreedy}, {"band", cutBand}}
+
+// forceCut makes decompose cut with policy p until the test ends.
+func forceCut(t *testing.T, p cutPolicy) {
+	prev := forcedCut
+	forcedCut = p
+	t.Cleanup(func() { forcedCut = prev })
+}
+
 func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options) []*Block {
 	t.Helper()
 	opts = opts.normalize()
@@ -35,7 +49,7 @@ func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options) []
 // cone, cone depths within D, slot root layer = cone depth, slots disjoint,
 // and block order topological (constraint A) — strictly: a cone reads
 // nothing of another cone in its own block. Checked on the shapes, configs
-// and option rows of internal/verify's conformance matrix.
+// and option rows of internal/verify's conformance matrix, under each cut.
 func TestDecomposeInvariants(t *testing.T) {
 	type tcase struct {
 		g    *dag.Graph
@@ -66,8 +80,13 @@ func TestDecomposeInvariants(t *testing.T) {
 			}
 		}
 	}
-	for ci, tc := range cases {
-		checkDecomposition(t, ci, tc.g, tc.cfg.Normalize(), decomposeWith(t, tc.g, tc.cfg, tc.opts))
+	for _, p := range cutPolicies {
+		t.Run(p.name, func(t *testing.T) {
+			forceCut(t, p.cut)
+			for ci, tc := range cases {
+				checkDecomposition(t, ci, tc.g, tc.cfg.Normalize(), decomposeWith(t, tc.g, tc.cfg, tc.opts))
+			}
+		})
 	}
 }
 
@@ -234,6 +253,15 @@ func TestCompileDeterministic(t *testing.T) {
 	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}
 	tight := arch.Config{D: 3, B: 16, R: 6, Output: arch.OutPerLayer}
 	tretail := pc.Build(pc.Suite()[0], 0.25)
+	for _, p := range cutPolicies {
+		t.Run(p.name, func(t *testing.T) {
+			forceCut(t, p.cut)
+			checkCompileDeterministic(t, tretail, cfg, tight)
+		})
+	}
+}
+
+func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch.Config) {
 	for _, tc := range []struct {
 		name string
 		g    *dag.Graph

@@ -165,7 +165,16 @@ func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 // word) into the blocks that are executed, and assigns every cone its
 // subtree slot. The blocks share the cones' node lists; nothing is copied
 // but the Subgraph headers.
-func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph, dfsBlock []int32) []*Block {
+//
+// It also returns the order's issue span: execs issue one per cycle, each
+// at least D+1 cycles after every block it reads,
+//
+//	issue[s] = max(issue[s−1]+1, max over producer blocks p of issue[p]+D+1),
+//
+// and the span is issue[last]+1. It is what decompose compares the two
+// cuts by: it sees the exec chain but not the loads, copies and stores
+// steps 2–4 add (DESIGN.md "Step 1: two cuts, one chosen").
+func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph, dfsBlock []int32) ([]*Block, int32) {
 	nc := int32(len(cones))
 	cs := &coneSched{lat: int32(cfg.D + 1)}
 	cs.far.less = cs.byPath
@@ -176,6 +185,7 @@ func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph
 	out := make([]Subgraph, 0, nc)
 	placed := make([]bool, nc)
 	var ends []int32         // ends[s] = len(out) when block s closed
+	var issue []int32        // issue[s]: block s's exec issue cycle
 	var cur, misfits []int32 // cones placed in / too deep for the open block
 	slots := newSlotPool(cfg)
 	// lo is the oldest unplaced cone; cones [0, hi) have been admitted to
@@ -211,6 +221,16 @@ func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph
 		for _, c := range misfits {
 			cs.push(c, s+1)
 		}
+		at := int32(0)
+		if s > 0 {
+			at = issue[s-1] + 1
+		}
+		for _, c := range cur {
+			if p := cs.lastDep[c]; p >= 0 && issue[p]+cs.lat > at {
+				at = issue[p] + cs.lat
+			}
+		}
+		issue = append(issue, at)
 		// Close block s: consumers whose last producer it held become
 		// ready for block s+1 (once inside the window).
 		for _, c := range cur {
@@ -235,5 +255,9 @@ func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph
 		blocks[s] = &slab[s]
 		first = end
 	}
-	return blocks
+	span := int32(0)
+	if len(issue) > 0 {
+		span = issue[len(issue)-1] + 1
+	}
+	return blocks, span
 }

@@ -145,8 +145,11 @@ func BenchmarkCompileMsnbc(b *testing.B) {
 // TestBankAssignmentGolden pins allocateBanks' output: the allocator's
 // bookkeeping may change, its decisions — including the order it draws from
 // the rng — may not. The hashes were taken with the lazy-stack buckets the
-// allocator had before its intrusive lists, on the blocks step 1b emits.
+// allocator had before its intrusive lists, on the blocks step 1b emits for
+// the greedy cut, which is what the allocator is pinned on whichever cut
+// step 1 chooses.
 func TestBankAssignmentGolden(t *testing.T) {
+	forceCut(t, cutGreedy)
 	cfg := arch.MinEDP()
 	for _, tc := range []struct {
 		name      string

@@ -29,6 +29,30 @@ import (
 // latency for its predecessor. The cones are therefore re-binned into the
 // blocks that are actually executed by scheduleCones (schedule.go), which
 // keeps the DFS order's locality through a bounded window.
+//
+// Which nodes may seed a cone or sink a fill cone is the cut's policy.
+// The greedy cut takes every schedulable node. The band cut takes only
+// band level 0 (bandLevels): sinks, fan-out nodes, and every D-th node
+// of a chain of single-consumer ancestors of one, so cones line up on
+// D-level bands and each advances the critical path by up to D levels
+// instead of the one or two a cone cut at a misaligned level gives. It
+// wins where the DAG is wide; where the graph is one chain, a cone
+// straddling two bands is exactly what is wanted and the greedy cut wins.
+// decompose cuts both ways and keeps the cut whose block order issues
+// sooner.
+
+// cutPolicy selects the nodes step 1a's candidate heap accepts.
+type cutPolicy uint8
+
+const (
+	cutAuto   cutPolicy = iota // cut both ways, keep the shorter schedule
+	cutGreedy                  // every schedulable node
+	cutBand                    // band level 0 only
+)
+
+// forcedCut is a test hook: any policy but cutAuto makes decompose cut
+// that way alone.
+var forcedCut cutPolicy
 
 // idHeap is a binary min-heap of int32 ids ordered by less. Hand-rolled
 // because container/heap boxes every pushed id into an interface.
@@ -136,10 +160,12 @@ type decomposer struct {
 	g      *dag.Graph
 	cfg    arch.Config
 	opts   Options
+	keys   []int64 // heap priority: (partition, DFS order)
 	depth  []int32 // cone depth, capped at D+1; 0 for leaves/mapped
 	mapped []bool
 	inHeap []bool
-	heap   idHeap // candidate sinks by (partition, DFS order)
+	heap   idHeap  // candidate sinks by (partition, DFS order)
+	band   []uint8 // band levels under cutBand; nil under cutGreedy
 	// claim stamps avoid reallocating per-block sets.
 	claim      []int32
 	claimStamp int32
@@ -158,7 +184,7 @@ type decomposer struct {
 func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *decomposer {
 	n := g.NumNodes()
 	d := &decomposer{
-		g: g, cfg: cfg, opts: opts,
+		g: g, cfg: cfg, opts: opts, keys: keys,
 		depth:  make([]int32, n),
 		mapped: make([]bool, n),
 		inHeap: make([]bool, n),
@@ -166,13 +192,32 @@ func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *d
 		claim:  make([]int32, n),
 		visit:  make([]int32, n),
 	}
-	cap := int32(cfg.D + 1)
+	for i := 0; i < n; i++ {
+		if !g.Op(dag.NodeID(i)).IsLeaf() {
+			d.interior++
+		}
+	}
+	return d
+}
+
+// reset starts a cut under policy (cutGreedy or cutBand), reusing the
+// per-node scratch of the previous cut. The node arena is fresh: the
+// previous cut's blocks still point into it.
+func (d *decomposer) reset(policy cutPolicy) {
+	g, n := d.g, d.g.NumNodes()
+	d.band = nil
+	if policy == cutBand {
+		d.band = bandLevels(g, d.cfg.D)
+	}
+	clear(d.mapped)
+	clear(d.inHeap)
+	d.heap.items = d.heap.items[:0]
+	cap := int32(d.cfg.D + 1)
 	for i := 0; i < n; i++ {
 		id := dag.NodeID(i)
 		if g.Op(id).IsLeaf() {
 			continue
 		}
-		d.interior++
 		dep := int32(1)
 		for _, a := range g.Args(id) {
 			if !g.Op(a).IsLeaf() && d.depth[a]+1 > dep {
@@ -183,19 +228,54 @@ func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *d
 			dep = cap
 		}
 		d.depth[i] = dep
-		if dep <= int32(cfg.D) {
+		if dep <= int32(d.cfg.D) {
 			d.push(id)
 		}
 	}
 	d.arena = make([]dag.NodeID, 0, d.interior)
-	// Cones average two to three nodes on the suite; one regrowth at most.
-	d.cones = make([]Subgraph, 0, d.interior/3+1)
-	d.dfsBlock = make([]int32, 0, d.interior/3+1)
-	return d
+	// The cone list is only read by scheduleCones, which copies the
+	// headers out, so the cuts share it. Cones average two to three nodes
+	// on the suite; one regrowth at most.
+	if d.cones == nil {
+		d.cones = make([]Subgraph, 0, d.interior/3+1)
+		d.dfsBlock = make([]int32, 0, d.interior/3+1)
+	}
+	d.cones, d.dfsBlock = d.cones[:0], d.dfsBlock[:0]
+}
+
+// bandLevels returns every node's band level: a sink or a node with other
+// than one distinct consumer is level 0, and a node whose consumers are
+// all one node sits one level above it, modulo D. Every path up from a
+// level-0 node meets another within D nodes, so a level-0 node whose
+// level-0 ancestors are mapped always has a schedulable cone.
+func bandLevels(g *dag.Graph, D int) []uint8 {
+	lv := make([]uint8, g.NumNodes())
+	for i := len(lv) - 1; i >= 0; i-- {
+		succ := g.Succs(dag.NodeID(i))
+		if len(succ) == 0 {
+			continue
+		}
+		one := true
+		for _, s := range succ[1:] {
+			if s != succ[0] {
+				one = false
+				break
+			}
+		}
+		if one {
+			lv[i] = uint8((int(lv[succ[0]]) + 1) % D)
+		}
+	}
+	return lv
+}
+
+// candidate reports whether the cut's policy lets n seed or sink a cone.
+func (d *decomposer) candidate(n dag.NodeID) bool {
+	return d.band == nil || d.band[n] == 0
 }
 
 func (d *decomposer) push(n dag.NodeID) {
-	if !d.inHeap[n] && !d.mapped[n] {
+	if !d.inHeap[n] && !d.mapped[n] && d.candidate(n) {
 		d.inHeap[n] = true
 		d.heap.push(int32(n))
 	}
@@ -290,9 +370,35 @@ func (d *decomposer) commit(cones []Subgraph, work []dag.NodeID) []dag.NodeID {
 	return work
 }
 
-// decompose runs step 1 and returns the block list in schedule order.
+// decompose runs step 1 and returns the block list in schedule order. At
+// D ≥ 2 it cuts the DAG both ways and keeps the cut whose block order
+// issues its last exec sooner, the greedy cut on a tie; at D = 1 every
+// node is band level 0 and the two cuts are one.
 func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Block, error) {
 	d := newDecomposer(g, cfg, opts, keys)
+	if forcedCut != cutAuto {
+		blocks, _, err := d.cut(forcedCut)
+		return blocks, err
+	}
+	greedy, span, err := d.cut(cutGreedy)
+	if err != nil || cfg.D < 2 {
+		return greedy, err
+	}
+	band, bandSpan, err := d.cut(cutBand)
+	if err != nil {
+		return nil, err
+	}
+	if bandSpan < span {
+		return band, nil
+	}
+	return greedy, nil
+}
+
+// cut runs steps 1a and 1b under policy and returns the executed blocks
+// with the issue span of their order (scheduleCones).
+func (d *decomposer) cut(policy cutPolicy) ([]*Block, int32, error) {
+	d.reset(policy)
+	g, cfg := d.g, d.cfg
 	slots := newSlotPool(cfg)
 	coneBuf := make([]dag.NodeID, 0, 1<<uint(cfg.D))
 	var rejected, others, work []dag.NodeID
@@ -304,13 +410,13 @@ func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Bl
 			resweep := false
 			for i := 0; i < g.NumNodes(); i++ {
 				id := dag.NodeID(i)
-				if !g.Op(id).IsLeaf() && !d.mapped[id] && d.depth[id] <= int32(cfg.D) {
+				if !g.Op(id).IsLeaf() && !d.mapped[id] && d.depth[id] <= int32(cfg.D) && d.candidate(id) {
 					d.push(id)
 					resweep = true
 				}
 			}
 			if !resweep {
-				return nil, fmt.Errorf("compiler: %d nodes unschedulable (graph depth bookkeeping broken)", d.interior-len(d.arena))
+				return nil, 0, fmt.Errorf("compiler: %d nodes unschedulable (graph depth bookkeeping broken)", d.interior-len(d.arena))
 			}
 			continue
 		}
@@ -350,7 +456,8 @@ func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Bl
 		}
 		nblocks++
 	}
-	return scheduleCones(g, cfg, keys, d.cones, d.dfsBlock), nil
+	blocks, span := scheduleCones(g, cfg, d.keys, d.cones, d.dfsBlock)
+	return blocks, span, nil
 }
 
 // bestSeed pops up to SeedLookahead candidates and keeps the deepest cone
