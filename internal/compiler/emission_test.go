@@ -67,14 +67,14 @@ func TestEmissionGolden(t *testing.T) {
 	}
 	want := map[string]uint64{
 		"circuit-64/minEDP":   0xfa3866cbc4426e09,
-		"circuit-64/spill":    0xfb738603e5696693,
+		"circuit-64/spill":    0xc468174c5663d14b,
 		"circuit-64/crossbar": 0xf4f85d286a7f4871,
 		"tretail/minEDP":      0x8eb30e57ca127a85,
-		"tretail/spill":       0x9839d9a0231cb681,
-		"tretail/crossbar":    0x770d89f95d803108,
-		"msnbc/minEDP":        0xefdced674105d73a,
-		"msnbc/spill":         0x7c7fb85cda0a0199,
-		"msnbc/crossbar":      0x18e34a31b7cb700b,
+		"tretail/spill":       0xe6f86e56d70cdd74,
+		"tretail/crossbar":    0xc145410137b3eab6,
+		"msnbc/minEDP":        0x441d501a5481c8e8,
+		"msnbc/spill":         0x3ab3cbe9a40b8883,
+		"msnbc/crossbar":      0xd665b31e911e72bc,
 		"dw2048/minEDP":       0x85a4b2ad0125a3f6,
 		"dw2048/spill":        0x630f15da79977412,
 		"dw2048/crossbar":     0x83156fe65ed363c0,
