@@ -28,11 +28,7 @@ var cutPolicies = []struct {
 }{{"chosen", cutAuto}, {"greedy", cutGreedy}, {"band", cutBand}}
 
 // forceCut makes decompose cut with policy p until the test ends.
-func forceCut(t *testing.T, p cutPolicy) {
-	prev := forcedCut
-	forcedCut = p
-	t.Cleanup(func() { forcedCut = prev })
-}
+func forceCut(t *testing.T, p cutPolicy) { t.Cleanup(setCut(p)) }
 
 func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options) []*Block {
 	t.Helper()

@@ -14,8 +14,14 @@ const (
 // CompileCut is Compile with step 1 forced to one cut policy instead of
 // choosing between the two.
 func CompileCut(g *dag.Graph, cfg arch.Config, opts Options, cut cutPolicy) (*Compiled, error) {
-	prev := forcedCut
-	forcedCut = cut
-	defer func() { forcedCut = prev }()
+	defer setCut(cut)()
 	return Compile(g, cfg, opts)
+}
+
+// setCut forces decompose's cut policy and returns the function that
+// restores the previous one.
+func setCut(p cutPolicy) (restore func()) {
+	prev := forcedCut
+	forcedCut = p
+	return func() { forcedCut = prev }
 }
