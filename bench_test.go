@@ -8,6 +8,7 @@ package dpuv2
 // CPU baseline.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -279,28 +280,24 @@ func runClients(b *testing.B, nc int, op func() error) {
 // BenchmarkServeConcurrent races the scheduler against calling the
 // engine directly: the same serving workload driven by concurrent
 // closed-loop clients, each doing Compile-hit + Execute on its own
-// ("direct") versus submitting to the batch-while-busy scheduler
-// ("batched": clients coalesce into ExecuteBatchInto batches while one
-// executes). Batching pays one compile-cache touch and one machine
-// lease per batch instead of per request, and builds no per-item result
-// maps or stats clones; it costs a mutex, a batch record and a channel
-// wakeup per request. With a ~1 µs functional execute the second bill
-// is the larger one: batched is SLOWER than direct here, and more so
-// under batch-while-busy than under the linger timer it replaced,
-// because a sub-microsecond execution is a short coalescing window
-// (batches of 3, not 8). Measured on 2 vCPUs (-benchtime 1s -count 3,
-// ns/op medians):
+// ("direct") versus submitting one vector to the scheduler ("batched":
+// admission, one compile-cache hit and a one-item ExecuteBatchInto on
+// the client's goroutine). The scheduler's bill is its bookkeeping — a
+// mutex to admit and one to release, three clock reads and four
+// histogram observations per call. Merging concurrent callers into
+// shared batches was tried for this and measured slower: at a ≈ 0.1 µs
+// execute the merge window holds 3 items at 8 clients and 11 at 32, and
+// the park/wake cost outweighs one compile-cache touch per call.
+// Measured on 2 vCPUs (-benchtime 1s -count 5, ns/op medians):
 //
-//	                          direct   batched   items/batch
-//	linger timer, 8 clients      987      1616        8.0
-//	linger timer, 32 clients    1017      1262       32.0
-//	batch-while-busy, 8         1057      2453        2.9
-//	batch-while-busy, 32        1037      1793       12.0
+//	                              direct   batched   items/batch   B/op
+//	merging callers, 8 clients       670      1926        2.8       486
+//	merging callers, 32 clients      665      1372       10.8       357
+//	per-call path, 8 clients         716      1006        1.0       120
+//	per-call path, 32 clients        712      1005        1.0       120
 //
-// What the timer bought in this throughput race it took back in
-// latency: a real server's p50 on one-vector requests fell from 1.48 ms
-// to 0.72 ms when it went (DESIGN.md "Scheduling & load"). Short mode runs the 8-client pair
-// only.
+// (DESIGN.md "Scheduling & load" has the condition under which merging
+// would pay.) Short mode runs the 8-client pair only.
 func BenchmarkServeConcurrent(b *testing.B) {
 	clientCounts := []int{8, 32}
 	if testing.Short() {
@@ -372,14 +369,14 @@ func TestServeBatchHotPathAllocZero(t *testing.T) {
 }
 
 // TestSchedulerSubmitAllocCeiling bounds the full scheduler round trip
-// (admission, batch bookkeeping, dispatch, delivery): the
-// ceiling is deliberately generous — it exists to catch a regression
-// that reintroduces per-item result maps or stats clones on the batched
-// path, which would blow well past it.
+// (admission, compile-cache hit, one chunk, accounting). It measures 5
+// allocations per one-vector Submit — the vector list, the result and
+// error slices, the output rows — and the ceiling is that plus 3, so a
+// regression that adds per-call bookkeeping fails here.
 func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(engine.Options{Workers: 1})
-	sch := sched.New(eng, sched.Options{}) // idle key: every submission dispatches at once
+	sch := sched.New(eng, sched.Options{})
 	defer sch.Close()
 	if _, err := sch.Submit(g, cfg, compiler.Options{}, in); err != nil {
 		t.Fatal(err)
@@ -389,16 +386,17 @@ func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 40
+	const ceiling = 5 + 3
 	if allocs > ceiling {
 		t.Errorf("scheduler round trip allocates %v objects per submission, ceiling %d", allocs, ceiling)
 	}
 }
 
 // TestSchedulerSubmitTracedAllocCeiling pins tracing's hot-path cost:
-// a submission carrying a live trace stays under the same generous
-// ceiling as an untraced one — span recording appends into the trace's
-// preallocated buffer and must not add per-item heap traffic.
+// a submission carrying a live trace measures one allocation more than
+// an untraced one (the engine's fingerprint attribute on its resolve
+// span) — span recording appends into the trace's preallocated buffer
+// and must not add per-item heap traffic. The ceiling is 6 plus 3.
 func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(engine.Options{Workers: 1})
@@ -408,15 +406,15 @@ func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	tr := tracer.Start(trace.ID{}, "bench", time.Time{})
 	defer tracer.Finish(tr)
 	vecs := [][]float64{in}
-	if _, errs := sch.SubmitManyTraced(g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
+	if _, errs := sch.SubmitManyTraced(context.Background(), g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, errs := sch.SubmitManyTraced(g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
+		if _, errs := sch.SubmitManyTraced(context.Background(), g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
 	})
-	const ceiling = 40 // identical to the untraced ceiling
+	const ceiling = 6 + 3
 	if allocs > ceiling {
 		t.Errorf("traced round trip allocates %v objects per submission, ceiling %d", allocs, ceiling)
 	}

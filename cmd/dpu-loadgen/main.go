@@ -65,8 +65,8 @@ type target struct {
 }
 
 // buildPopulation renders `n` random DAGs spanning shapes (binary/k-ary,
-// deep/wide) — every client draws from the same population, so requests
-// for the same graph coalesce in the server's scheduler.
+// deep/wide) — every client draws from the same population, so the
+// server's compile cache serves most requests from a hit.
 func buildPopulation(n int, seed int64) []target {
 	shapes := []dag.RandomConfig{
 		{Inputs: 4, Interior: 30, MaxArgs: 2, MulFrac: 0.3},

@@ -1,9 +1,9 @@
 // Command dpu-serve exposes the compile-once/execute-many serving engine
 // over HTTP — the deployment shape of the ROADMAP's "heavy traffic"
 // north star: many clients submit the same few graphs with different
-// inputs, the engine compiles each graph once, and the micro-batching
-// scheduler (internal/sched) coalesces concurrent executions of the same
-// graph into shared batches.
+// inputs, the engine compiles each graph once, and the scheduler
+// (internal/sched) bounds admitted work and runs each request's vectors
+// in batches on the engine.
 //
 // API (see internal/serve for the handler):
 //
@@ -21,10 +21,10 @@
 //	GET /healthz  → 200 ok (503 while draining)
 //
 // Every request goes through the scheduler, which needs no tuning: a
-// request whose graph is idle executes at once, and requests arriving
-// while a batch of their graph executes coalesce into the next one
-// (-max-batch caps it). SIGINT/SIGTERM drain gracefully: in-flight
-// requests complete, new ones are answered 503 until the listener
+// request executes at once on its own handler goroutine, its vectors
+// cut into batches of at most -max-batch, and -queue-depth bounds the
+// vectors admitted at any moment. SIGINT/SIGTERM drain gracefully:
+// in-flight requests complete, new ones are answered 503 until the listener
 // closes. The whole drain sequence (including background tunes and
 // store flushes) runs under the single -drain-timeout deadline, and a
 // second signal forces immediate exit. Connections are hardened against
@@ -95,7 +95,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", 128, "compile-cache capacity (programs)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0: one per CPU)")
-	maxBatch := flag.Int("max-batch", 32, "dispatch a batch at this many coalesced executions")
+	maxBatch := flag.Int("max-batch", 32, "run a request's input vectors on the engine in batches of at most this many")
 	queueDepth := flag.Int("queue-depth", 4096, "admitted-but-unfinished executions before 429s")
 	maxInputs := flag.Int("max-inputs", 1024, "input vectors allowed per request before 413s")
 	artifactDir := flag.String("artifact-dir", "", "persistent compiled-program store: preload .dpuprog artifacts and .dputune decisions at boot, persist new ones")

@@ -669,8 +669,8 @@ func (e *Engine) Execute(g *dag.Graph, cfg arch.Config, opts compiler.Options, i
 // pass nil). The batch is split into contiguous chunks, one per worker,
 // and each worker leases a single evaluator for its whole chunk —
 // free-list traffic and compile-cache traffic are per-batch, not
-// per-item, which is what makes coalesced serving cheaper than
-// per-request Execute calls. With one
+// per-item, which is what makes a many-vector request cheaper than one
+// Execute call per vector. With one
 // worker (or a one-item batch) the whole call runs inline on the
 // caller's goroutine and allocates nothing in steady state.
 func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {

@@ -1,7 +1,7 @@
 package engine
 
 // Tracing entry points: the scheduler (sched.TracedBackend) calls these
-// instead of Compile/ExecuteBatchInto when a batch carries a trace, so
+// instead of Compile/ExecuteBatchInto when a call carries a trace, so
 // the engine's share of a request's latency decomposes into named spans
 // — resolve (the whole cache interaction), store_decode and compile
 // (where a miss actually went), execute (the leased-evaluator batch

@@ -157,20 +157,15 @@ func mergeStats(dst *serve.StatsResponse, src *serve.StatsResponse) {
 	d.Completed += s.Completed
 	d.Failed += s.Failed
 	d.Batches += s.Batches
-	d.SizeFlushes += s.SizeFlushes
-	d.LingerFlushes += s.LingerFlushes
-	d.CloseFlushes += s.CloseFlushes
 	d.QueueDepth += s.QueueDepth
 	d.QueueLimit += s.QueueLimit
 	d.BatchSizeHist = d.BatchSizeHist.Merge(s.BatchSizeHist)
 	d.LatencyHist = d.LatencyHist.Merge(s.LatencyHist)
 	d.QueueWaitHist = d.QueueWaitHist.Merge(s.QueueWaitHist)
-	d.LingerHist = d.LingerHist.Merge(s.LingerHist)
 	d.ExecuteHist = d.ExecuteHist.Merge(s.ExecuteHist)
 	d.BatchSize = d.BatchSizeHist.Summary()
 	d.Latency = d.LatencyHist.Summary()
 	d.QueueWait = d.QueueWaitHist.Summary()
-	d.Linger = d.LingerHist.Summary()
 	d.Execute = d.ExecuteHist.Summary()
 
 	dst.HTTP.Requests += src.HTTP.Requests

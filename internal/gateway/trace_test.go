@@ -96,7 +96,10 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		t.Fatalf("backend trace service %q", brec.Service)
 	}
 	var sum int64
-	for _, stage := range []string{"queue_wait", "linger", "execute"} {
+	if sp := findStage(brec, "linger"); sp != nil {
+		t.Fatalf("backend trace carries a linger span: %+v", brec.Spans)
+	}
+	for _, stage := range []string{"queue_wait", "execute"} {
 		sp := findStage(brec, stage)
 		if sp == nil {
 			t.Fatalf("backend trace missing %s span: %+v", stage, brec.Spans)

@@ -8,7 +8,6 @@ import (
 // Clock abstracts the scheduler's one use of time — reading the current
 // instant for the latency accounting — so tests can make the stage
 // windows exact with a FakeClock while production uses the system clock.
-// The dispatch rule itself reads no clock.
 type Clock interface {
 	Now() time.Time
 }

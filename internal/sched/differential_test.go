@@ -52,9 +52,9 @@ func directOutputs(t *testing.T, e *engine.Engine, g *dag.Graph, in []float64) [
 
 // TestDifferentialBatchedVsDirect proves the tentpole's correctness
 // claim: for a random DAG population, results served through the
-// batching scheduler are bit-exact with direct Engine.Execute calls —
-// first serially per graph, then under concurrent mixed-graph load where
-// requests from different callers coalesce into shared batches.
+// scheduler's chunked batch path are bit-exact with direct
+// Engine.Execute calls — first serially per graph, then under
+// concurrent mixed-graph load.
 func TestDifferentialBatchedVsDirect(t *testing.T) {
 	nGraphs := 16
 	itersPerGraph := 4
@@ -100,8 +100,8 @@ func TestDifferentialBatchedVsDirect(t *testing.T) {
 	}
 
 	// Phase 2: concurrent mixed-graph load — one goroutine per graph
-	// walking the population in a different order, so batches routinely
-	// mix iterations and goroutines.
+	// walking the population in a different order, so every graph is
+	// executing on several goroutines at once.
 	var wg sync.WaitGroup
 	for w := 0; w < nGraphs; w++ {
 		wg.Add(1)

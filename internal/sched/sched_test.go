@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,30 +52,30 @@ func wantEval(t *testing.T, g *dag.Graph, in []float64) []float64 {
 	return want
 }
 
-// waitStats polls until cond on the scheduler's stats holds; the policy
-// tests use it only to wait for concurrent Submit goroutines to reach
-// their blocking point, never to time-race the dispatch rule itself.
-func waitStats(t *testing.T, s *Scheduler, cond func(Stats) bool) {
+// checkOutputs fails t unless got equals want bit for bit.
+func checkOutputs(t *testing.T, what string, got, want []float64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond(s.Stats()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for scheduler state; stats = %+v", s.Stats())
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if got[j] != want[j] {
+			t.Errorf("%s: output %d = %v, want %v", what, j, got[j], want[j])
 		}
-		time.Sleep(50 * time.Microsecond)
 	}
 }
 
-// gatedBackend is a real engine whose batch executions block until the
-// test opens the gate: while the first execution is held, its key is
-// busy, so everything the test submits meanwhile parks — the dispatch
-// rule is driven by events, with no clock to race. It implements
-// TracedBackend so traced batches still carry the engine's spans.
+// gatedBackend is a real engine whose FIRST batch execution blocks until
+// the test opens the gate; every later execution passes straight
+// through. It holds one call mid-execution while the test drives others,
+// with no clock to race. It implements TracedBackend so traced calls
+// still carry the engine's spans, and counts the executions it ran.
 type gatedBackend struct {
 	eng     *engine.Engine
 	once    sync.Once
 	started chan struct{} // closed when the first execution reaches the gate
-	gate    chan struct{} // executions block until it is closed
+	gate    chan struct{} // the first execution blocks until it is closed
+	execs   atomic.Int64
 }
 
 func newGatedBackend() *gatedBackend {
@@ -86,12 +86,19 @@ func newGatedBackend() *gatedBackend {
 	}
 }
 
-// open releases every held execution and lets later ones through.
+// open releases the held execution.
 func (b *gatedBackend) open() { close(b.gate) }
 
 func (b *gatedBackend) wait() {
-	b.once.Do(func() { close(b.started) })
-	<-b.gate
+	first := false
+	b.once.Do(func() {
+		first = true
+		close(b.started)
+	})
+	if first {
+		<-b.gate
+	}
+	b.execs.Add(1)
 }
 
 func (b *gatedBackend) Compile(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
@@ -112,207 +119,142 @@ func (b *gatedBackend) ExecuteBatchIntoTraced(c *compiler.Compiled, batches, out
 	b.eng.ExecuteBatchIntoTraced(c, batches, outs, cycles, errs, tr)
 }
 
-// TestCoalescingPolicyTable drives the batch-while-busy rule
-// deterministically: one call's vectors go first and are held inside the
-// gated backend, single-vector arrivals are admitted while the key is
-// busy, the fake clock moves, and only then does the gate open. Batch
-// sizes and dispatch triggers are exact for every row.
-func TestCoalescingPolicyTable(t *testing.T) {
-	const parked = 5 * time.Millisecond
-	cases := []struct {
-		name       string
-		maxBatch   int
-		queueDepth int
-		first      int // vectors of the first SubmitMany call
-		arrivals   int // single-vector Submits while the first execution is held
-		wantSize   int64
-		wantLinger int64
-		wantRej    int64
-		// wantLingerMax is the longest enqueue→detach window: zero unless
-		// a batch waited out the held execution.
-		wantLingerMax time.Duration
-		// wantSizes maps batch size → how many batches of that size
-		// were dispatched (read back from the batch-size histogram).
-		wantSizes map[int64]uint64
-	}{
-		{
-			name:     "idle key dispatches a lone request at once",
-			maxBatch: 100, first: 1,
-			wantSizes: map[int64]uint64{1: 1},
-		},
-		{
-			name:     "arrivals during an execution form one follow-on batch",
-			maxBatch: 100, first: 1, arrivals: 3,
-			wantLinger: 1, wantLingerMax: parked,
-			wantSizes: map[int64]uint64{1: 1, 3: 1},
-		},
-		{
-			name:     "batch fills before linger", // a parked batch that fills goes out by size
-			maxBatch: 2, first: 1, arrivals: 2,
-			wantSize:  1,
-			wantSizes: map[int64]uint64{1: 1, 2: 1},
-		},
-		{
-			name:     "max-batch splits, linger flushes the tail", // the tail parks behind its own call
-			maxBatch: 2, first: 5,
-			wantSize: 2, wantLinger: 1, wantLingerMax: parked,
-			wantSizes: map[int64]uint64{2: 2, 1: 1},
-		},
-		{
-			name:     "queue-full rejection",
-			maxBatch: 100, queueDepth: 2, first: 1, arrivals: 4,
-			wantLinger: 1, wantRej: 3, wantLingerMax: parked,
-			wantSizes: map[int64]uint64{1: 2},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			clk := NewFakeClock(time.Unix(0, 0))
-			gb := newGatedBackend()
-			s := New(gb, Options{MaxBatch: tc.maxBatch, QueueDepth: tc.queueDepth, Clock: clk})
-			defer s.Close()
-			g := testGraph(1)
-			in := testInputs(g, 1)
-			want := wantEval(t, g, in)
+type outcome struct {
+	res Result
+	err error
+}
 
-			type outcome struct {
-				res Result
-				err error
-			}
-			total := tc.first + tc.arrivals
-			results := make(chan outcome, total)
-			go func() {
-				vecs := make([][]float64, tc.first)
-				for i := range vecs {
-					vecs[i] = in
-				}
-				res, errs := s.SubmitMany(g, testCfg, compiler.Options{}, vecs)
-				for i := range res {
-					results <- outcome{res[i], errs[i]}
-				}
-			}()
-			<-gb.started // the first batch is executing: the key is busy
-			for i := 0; i < tc.arrivals; i++ {
-				go func() {
-					res, err := s.Submit(g, testCfg, compiler.Options{}, in)
-					results <- outcome{res, err}
-				}()
-			}
-			// Every arrival has been admitted (and parked) or rejected
-			// before the clock moves and the gate opens.
-			waitStats(t, s, func(st Stats) bool {
-				return st.Submitted+st.Rejected == int64(total)
-			})
-			clk.Advance(parked)
-			gb.open()
-			var rejected int64
-			for i := 0; i < total; i++ {
-				o := <-results
-				if o.err != nil {
-					if !errors.Is(o.err, ErrQueueFull) {
-						t.Fatalf("unexpected error: %v", o.err)
-					}
-					rejected++
-					continue
-				}
-				for j := range want {
-					if o.res.Outputs[j] != want[j] {
-						t.Errorf("output %d = %v, want %v", j, o.res.Outputs[j], want[j])
-					}
-				}
-				if o.res.Cycles <= 0 {
-					t.Error("missing cycle count")
-				}
-			}
-			st := s.Stats()
-			if rejected != tc.wantRej || st.Rejected != tc.wantRej {
-				t.Errorf("rejected = %d (stats %d), want %d", rejected, st.Rejected, tc.wantRej)
-			}
-			if st.SizeFlushes != tc.wantSize {
-				t.Errorf("size flushes = %d, want %d", st.SizeFlushes, tc.wantSize)
-			}
-			if st.LingerFlushes != tc.wantLinger {
-				t.Errorf("linger flushes = %d, want %d", st.LingerFlushes, tc.wantLinger)
-			}
-			if st.CloseFlushes != 0 {
-				t.Errorf("close flushes = %d, want 0", st.CloseFlushes)
-			}
-			if st.Linger.Max != int64(tc.wantLingerMax) {
-				t.Errorf("linger max = %v, want %v", time.Duration(st.Linger.Max), tc.wantLingerMax)
-			}
-			if st.Completed != int64(total)-tc.wantRej {
-				t.Errorf("completed = %d, want %d", st.Completed, int64(total)-tc.wantRej)
-			}
-			if st.QueueDepth != 0 {
-				t.Errorf("queue depth = %d after quiescence, want 0", st.QueueDepth)
-			}
-			gotSizes := map[int64]uint64{}
-			var nBatches int64
-			for _, b := range st.BatchSizeHist.Buckets {
-				gotSizes[b.Upper] = b.Count
-				nBatches += int64(b.Count)
-			}
-			if !reflect.DeepEqual(gotSizes, tc.wantSizes) {
-				t.Errorf("batch sizes = %v, want %v", gotSizes, tc.wantSizes)
-			}
-			if st.Batches != nBatches {
-				t.Errorf("batches = %d, histogram holds %d", st.Batches, nBatches)
-			}
-		})
+// submitAsync runs Submit on its own goroutine and delivers the outcome.
+func submitAsync(s *Scheduler, g *dag.Graph, in []float64) <-chan outcome {
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := s.Submit(g, testCfg, compiler.Options{}, in)
+		ch <- outcome{res, err}
+	}()
+	return ch
+}
+
+// TestSameKeyCallsDoNotWait: while call A is held mid-execution, call B
+// on the same graph and config runs to completion on its own goroutine
+// — nothing parks B behind A.
+func TestSameKeyCallsDoNotWait(t *testing.T) {
+	gb := newGatedBackend()
+	s := New(gb, Options{})
+	defer s.Close()
+	defer gb.open() // deferred calls run last-in first-out: gate, then Close
+	g := testGraph(5)
+	in := testInputs(g, 1)
+	want := wantEval(t, g, in)
+
+	held := submitAsync(s, g, in)
+	<-gb.started
+	select {
+	case o := <-submitAsync(s, g, in):
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		checkOutputs(t, "call B", o.res.Outputs, want)
+	case <-time.After(10 * time.Second):
+		t.Fatal("call B on the held call's key did not complete: it waited for call A")
+	}
+	select {
+	case <-held:
+		t.Fatal("call A completed before its gate opened")
+	default:
 	}
 }
 
-// TestCloseDrainsAndRejects pins the graceful-drain contract: Close
-// dispatches a parked batch at once (it does not wait for the executing
-// batch to deliver), blocks until everything delivers, and later
-// submissions fail with ErrClosed.
+// TestCancelledCallSkipsUnstartedChunks: a call whose context is
+// cancelled while its first chunk executes never starts the second. The
+// second chunk's items fail with the context's error, count as failed,
+// and give their queue slots back.
+func TestCancelledCallSkipsUnstartedChunks(t *testing.T) {
+	gb := newGatedBackend()
+	s := New(gb, Options{MaxBatch: 1})
+	defer s.Close()
+	g := testGraph(6)
+	in := testInputs(g, 1)
+	want := wantEval(t, g, in)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	type call struct {
+		res  []Result
+		errs []error
+	}
+	done := make(chan call, 1)
+	go func() {
+		res, errs := s.SubmitManyTraced(ctx, g, testCfg, compiler.Options{}, [][]float64{in, in}, nil)
+		done <- call{res, errs}
+	}()
+	<-gb.started // chunk 1 is executing, chunk 2 not started
+	cancel()
+	gb.open()
+	got := <-done
+	if got.errs[0] != nil {
+		t.Fatalf("chunk 1 started before the cancel, yet failed: %v", got.errs[0])
+	}
+	checkOutputs(t, "chunk 1", got.res[0].Outputs, want)
+	if !errors.Is(got.errs[1], context.Canceled) {
+		t.Errorf("chunk 2 error = %v, want context.Canceled", got.errs[1])
+	}
+	if n := gb.execs.Load(); n != 1 {
+		t.Errorf("backend ran %d chunks, want 1 (chunk 2 must never execute)", n)
+	}
+	st := s.Stats()
+	if st.Completed != 1 || st.Failed != 1 || st.QueueDepth != 0 {
+		t.Errorf("completed/failed/queue depth = %d/%d/%d, want 1/1/0", st.Completed, st.Failed, st.QueueDepth)
+	}
+}
+
+// TestCloseDrainsAndRejects pins the graceful-drain contract: Close stops
+// admission at once, blocks until the admitted call still executing has
+// finished, and later submissions fail with ErrClosed.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	gb := newGatedBackend()
-	s := New(gb, Options{MaxBatch: 100})
+	s := New(gb, Options{})
 	g := testGraph(2)
 	in := testInputs(g, 1)
 	want := wantEval(t, g, in)
 
-	const n = 3
-	results := make(chan Result, n)
-	errs := make(chan error, n)
-	submit := func() {
-		res, err := s.Submit(g, testCfg, compiler.Options{}, in)
-		results <- res
-		errs <- err
-	}
-	go submit()
+	held := submitAsync(s, g, in)
 	<-gb.started
-	for i := 1; i < n; i++ {
-		go submit() // parks behind the held execution
-	}
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == n })
 	closed := make(chan struct{})
 	go func() {
-		s.Close() // returns only after both batches delivered
+		s.Close() // returns only after the held call finished
 		close(closed)
 	}()
-	// Close flushed the parked batch while the first was still held.
-	waitStats(t, s, func(st Stats) bool { return st.CloseFlushes == 1 })
-	if st := s.Stats(); st.Completed != 0 || st.Batches != 2 {
-		t.Errorf("before the gate opens: %+v, want 2 dispatched batches, none completed", st)
+	// Calls admitted before Close took effect run straight through; once
+	// it has, every submission is rejected.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := s.Submit(g, testCfg, compiler.Options{}, in)
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never stopped admission")
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with an admitted call still executing")
+	default:
+	}
+	if st := s.Stats(); st.QueueDepth != 1 {
+		t.Errorf("queue depth = %d while the held call executes, want 1", st.QueueDepth)
 	}
 	gb.open()
 	<-closed
-	st := s.Stats()
-	if st.CloseFlushes != 1 || st.LingerFlushes != 0 || st.Completed != n {
-		t.Errorf("after close: %+v, want 1 close flush, 0 linger flushes and %d completed", st, n)
+	o := <-held
+	if o.err != nil {
+		t.Fatal(o.err)
 	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-		res := <-results
-		for j := range want {
-			if res.Outputs[j] != want[j] {
-				t.Errorf("drained output %d = %v, want %v", j, res.Outputs[j], want[j])
-			}
-		}
+	checkOutputs(t, "drained call", o.res.Outputs, want)
+	if st := s.Stats(); st.QueueDepth != 0 || st.Submitted != st.Completed+st.Failed {
+		t.Errorf("after close: %+v, want queue depth 0 and submitted == completed + failed", st)
 	}
 	if _, err := s.Submit(g, testCfg, compiler.Options{}, in); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
@@ -320,11 +262,11 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestSubmitManyCoalescesAndReportsPerItem checks that one caller's
-// vectors coalesce into shared batches, per-item errors stay in their
-// slots, and admission failures past the queue bound are itemized.
-func TestSubmitManyCoalescesAndReportsPerItem(t *testing.T) {
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 8})
+// TestSubmitManyReportsPerItem checks that one call's vectors run in
+// MaxBatch chunks, per-item errors stay in their slots, and admission
+// failures past the queue bound are itemized.
+func TestSubmitManyReportsPerItem(t *testing.T) {
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2})
 	defer s.Close()
 	g := testGraph(3)
 	in := testInputs(g, 1)
@@ -339,14 +281,10 @@ func TestSubmitManyCoalescesAndReportsPerItem(t *testing.T) {
 		t.Error("wrong-arity item did not error")
 	}
 	for _, i := range []int{0, 2} {
-		for j := range want {
-			if results[i].Outputs[j] != want[j] {
-				t.Errorf("item %d output %d = %v, want %v", i, j, results[i].Outputs[j], want[j])
-			}
-		}
+		checkOutputs(t, "good item", results[i].Outputs, want)
 	}
-	if st := s.Stats(); st.Failed != 1 || st.Completed != 2 {
-		t.Errorf("stats = %+v, want 2 completed / 1 failed", st)
+	if st := s.Stats(); st.Failed != 1 || st.Completed != 2 || st.Batches != 2 || st.BatchSize.Max != 2 {
+		t.Errorf("stats = %+v, want 2 completed / 1 failed in chunks of 2 and 1", st)
 	}
 
 	// Admission: a queue bound smaller than the request itemizes
@@ -416,45 +354,6 @@ func TestCompileErrorFailsWholeBatch(t *testing.T) {
 	}
 	if st := s.Stats(); st.Failed != 2 || st.Completed != 0 || st.Batches != 1 {
 		t.Errorf("stats = %+v, want 2 failed in 1 batch", st)
-	}
-}
-
-// TestDistinctKeysDoNotCoalesce: a busy key holds back only its own
-// traffic. While one graph's batch is held executing, a different graph
-// and a different config of the same graph must dispatch at once, each
-// in its own batch, instead of parking.
-func TestDistinctKeysDoNotCoalesce(t *testing.T) {
-	gb := newGatedBackend()
-	s := New(gb, Options{MaxBatch: 100})
-	defer s.Close()
-	g1, g2 := testGraph(5), testGraph(6)
-	var wg sync.WaitGroup
-	submit := func(g *dag.Graph, cfg arch.Config) {
-		defer wg.Done()
-		in := testInputs(g, 1)
-		want := wantEval(t, g, in)
-		res, err := s.Submit(g, cfg, compiler.Options{}, in)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for j := range want {
-			if res.Outputs[j] != want[j] {
-				t.Errorf("graph %s output %d = %v, want %v", g.Name, j, res.Outputs[j], want[j])
-			}
-		}
-	}
-	wg.Add(3)
-	go submit(g1, testCfg)
-	<-gb.started
-	go submit(g2, testCfg)
-	go submit(g1, arch.Config{D: 2, B: 8, R: 32})
-	// All three are dispatched while the gate is still shut.
-	waitStats(t, s, func(st Stats) bool { return st.Batches == 3 })
-	gb.open()
-	wg.Wait()
-	if st := s.Stats(); st.Batches != 3 || st.LingerFlushes != 0 {
-		t.Errorf("batches/linger flushes = %d/%d, want 3/0 (distinct keys must not coalesce)", st.Batches, st.LingerFlushes)
 	}
 }
 

@@ -1,229 +1,187 @@
 package sched
 
 // Stage-decomposition tests: the scheduler splits per-item latency into
-// linger / queue_wait / execute on the injected clock, feeds the three
-// per-stage histograms (conserving counts), and records the same windows
-// as spans on a traced request. Batches are formed by holding an
-// execution in the gated backend (sched_test.go), never by a timer.
+// queue_wait / execute on the injected clock, feeds the per-stage
+// histograms (conserving counts), and records the windows as spans on a
+// traced call. A call is held mid-execution by the gated backend
+// (sched_test.go), never by a timer.
 
 import (
-	"sync"
+	"context"
 	"testing"
 	"time"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
+	"dpuv2/internal/engine"
 	"dpuv2/internal/trace"
 )
 
-// findSpan returns the first span with the given stage, or nil.
-func findSpan(rec *trace.Record, stage string) *trace.SpanRecord {
-	for i := range rec.Spans {
-		if rec.Spans[i].Stage == stage {
-			return &rec.Spans[i]
+// findSpans returns the spans with the given stage, in recording order.
+func findSpans(rec *trace.Record, stage string) []trace.SpanRecord {
+	var out []trace.SpanRecord
+	for _, sp := range rec.Spans {
+		if sp.Stage == stage {
+			out = append(out, sp)
 		}
 	}
-	return nil
+	return out
 }
 
-// TestStageDecomposition drives two traced requests through the two
-// ways a batch leaves — at once on an idle key, and parked behind the
-// first — with the execution held while a fake clock moves, and checks
-// both readouts of the decomposition: the Stats histograms and the
-// trace's stage spans. On a fake clock the windows are exact: the lone
-// request never lingers and executes for exactly the held time; the
-// parked one lingers for exactly that time and then passes through
-// zero-width (nothing advances the clock after the gate opens).
+// TestStageDecomposition drives two traced calls on one key: a
+// two-chunk call whose first chunk is held while a fake clock moves,
+// and a one-vector call that runs to completion meanwhile. On a fake
+// clock every window is exact: the held chunk executes for the held
+// time, the second chunk of the same call waits exactly that long
+// (queue_wait runs from admission to chunk start), and the other call
+// passes through zero-width.
 func TestStageDecomposition(t *testing.T) {
 	const held = 5 * time.Millisecond
 	clk := NewFakeClock(time.Unix(0, 0))
 	gb := newGatedBackend()
-	s := New(gb, Options{MaxBatch: 100, Clock: clk})
+	s := New(gb, Options{MaxBatch: 1, Clock: clk})
 	defer s.Close()
 	tracer := trace.New(trace.Options{Clock: clk, SampleEvery: 1, Service: "test"})
-	tr1 := tracer.Start(trace.ID{}, "lone", clk.Now())
-	tr2 := tracer.Start(trace.ID{}, "parked", clk.Now())
+	tr1 := tracer.Start(trace.ID{}, "chunked", clk.Now())
+	tr2 := tracer.Start(trace.ID{}, "alone", clk.Now())
 
 	g := testGraph(11)
 	in := testInputs(g, 1)
-	done := make(chan error, 2)
-	submit := func(tr *trace.Trace) {
-		_, errs := s.SubmitManyTraced(g, testCfg, compiler.Options{}, [][]float64{in}, tr)
-		done <- errs[0]
+	submit := func(tr *trace.Trace, vecs [][]float64) <-chan []error {
+		ch := make(chan []error, 1)
+		go func() {
+			_, errs := s.SubmitManyTraced(context.Background(), g, testCfg, compiler.Options{}, vecs, tr)
+			ch <- errs
+		}()
+		return ch
 	}
-	go submit(tr1)
-	<-gb.started
-	go submit(tr2)
-	waitStats(t, s, func(st Stats) bool { return st.QueueDepth == 2 })
+	done1 := submit(tr1, [][]float64{in, in})
+	<-gb.started // tr1's first chunk is held
+	for _, err := range <-submit(tr2, [][]float64{in}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	clk.Advance(held)
 	gb.open()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
+	for _, err := range <-done1 {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	rec1, rec2 := tracer.Finish(tr1), tracer.Finish(tr2)
 
+	// Per item (queue_wait, execute): tr1 chunk 1 (0, held), tr1 chunk 2
+	// (held, 0), tr2 (0, 0).
 	st := s.Stats()
-	if st.LingerHist.Count != 2 || st.QueueWaitHist.Count != 2 || st.ExecuteHist.Count != 2 {
-		t.Fatalf("stage histogram counts %d/%d/%d, want 2/2/2",
-			st.LingerHist.Count, st.QueueWaitHist.Count, st.ExecuteHist.Count)
+	if st.QueueWaitHist.Count != 3 || st.ExecuteHist.Count != 3 || st.LatencyHist.Count != 3 {
+		t.Fatalf("queue_wait/execute/latency counts %d/%d/%d, want 3/3/3",
+			st.QueueWaitHist.Count, st.ExecuteHist.Count, st.LatencyHist.Count)
 	}
-	if st.Linger.Max != int64(held) || st.Execute.Max != int64(held) || st.QueueWait.Max != 0 {
-		t.Fatalf("linger/execute/queue_wait max %d/%d/%d, want %d/%d/0 on the fake clock",
-			st.Linger.Max, st.Execute.Max, st.QueueWait.Max, held, held)
+	if st.QueueWaitHist.Sum != int64(held) || st.ExecuteHist.Sum != int64(held) || st.LatencyHist.Sum != int64(2*held) {
+		t.Fatalf("queue_wait/execute/latency sums %d/%d/%d, want %d/%d/%d on the fake clock",
+			st.QueueWaitHist.Sum, st.ExecuteHist.Sum, st.LatencyHist.Sum, held, held, 2*held)
 	}
-	if st.LingerFlushes != 1 {
-		t.Fatalf("linger flushes %d, want 1 (the parked batch)", st.LingerFlushes)
+	if st.Batches != 3 || st.LingerFlushes != 0 || st.LingerHist.Count != 0 {
+		t.Fatalf("batches %d, linger flushes %d, linger count %d; want 3, 0, 0",
+			st.Batches, st.LingerFlushes, st.LingerHist.Count)
 	}
 
 	for _, tc := range []struct {
 		name     string
 		rec      *trace.Record
-		linger   time.Duration
+		chunks   int
 		cacheHit bool
 	}{
-		{"lone", rec1, 0, false},
-		{"parked", rec2, held, true},
+		{"chunked", rec1, 2, false},
+		{"alone", rec2, 1, true},
 	} {
-		lsp := findSpan(tc.rec, StageLinger)
-		qsp := findSpan(tc.rec, StageQueueWait)
-		esp := findSpan(tc.rec, StageExecute)
-		if lsp == nil || qsp == nil || esp == nil {
-			t.Fatalf("%s: missing stage spans in %+v", tc.name, tc.rec.Spans)
+		// One queue_wait span per call: admission → first chunk, zero here
+		// (the compile takes no fake time).
+		qsp := findSpans(tc.rec, StageQueueWait)
+		if len(qsp) != 1 || qsp[0].OffsetNS != 0 || qsp[0].DurationNS != 0 {
+			t.Errorf("%s: queue_wait spans %+v, want one empty span at offset 0", tc.name, qsp)
 		}
-		if lsp.DurationNS != int64(tc.linger) || lsp.OffsetNS != 0 {
-			t.Errorf("%s: linger span %+v, want %v at offset 0", tc.name, lsp, tc.linger)
+		// One engine execute span per chunk, carrying its batch size (the
+		// engine opens it past the gate, so it holds no fake time).
+		esp := findSpans(tc.rec, StageExecute)
+		if len(esp) != tc.chunks {
+			t.Fatalf("%s: %d execute spans, want %d: %+v", tc.name, len(esp), tc.chunks, tc.rec.Spans)
 		}
-		if qsp.OffsetNS != int64(tc.linger) || qsp.DurationNS != 0 {
-			t.Errorf("%s: queue_wait span %+v, want empty at offset %v", tc.name, qsp, tc.linger)
+		var sum int64
+		for i, sp := range esp {
+			if sp.Attrs["batch_size"] != int64(1) {
+				t.Errorf("%s: execute span %d = %+v, want the engine's with batch_size 1", tc.name, i, sp)
+			}
+			sum += sp.DurationNS
 		}
-		// Each request leads its own one-item batch, so its trace gets the
-		// engine's execute span (with the batch_size attr), not the
-		// scheduler's per-item one.
-		if esp.Attrs["batch_size"] != int64(1) {
-			t.Errorf("%s: execute span attrs %+v, want the engine's (batch_size)", tc.name, esp.Attrs)
+		if sum+qsp[0].DurationNS > tc.rec.DurationNS {
+			t.Errorf("%s: stage sum %d exceeds trace duration %d", tc.name, sum, tc.rec.DurationNS)
+		}
+		if len(findSpans(tc.rec, "linger")) != 0 {
+			t.Errorf("%s: a linger span was recorded: %+v", tc.name, tc.rec.Spans)
 		}
 		// The engine's cache resolution rode the same trace: a miss (with
-		// its compile) for the first batch, a hit for the follow-on.
-		rsp := findSpan(tc.rec, "resolve")
-		if rsp == nil || rsp.Attrs["cache_hit"] != tc.cacheHit {
-			t.Errorf("%s: resolve span %+v, want cache_hit=%v", tc.name, rsp, tc.cacheHit)
+		// its compile) for the first call, a hit for the second.
+		rsp := findSpans(tc.rec, "resolve")
+		if len(rsp) != 1 || rsp[0].Attrs["cache_hit"] != tc.cacheHit {
+			t.Errorf("%s: resolve spans %+v, want one with cache_hit=%v", tc.name, rsp, tc.cacheHit)
 		}
-		if (findSpan(tc.rec, "compile") != nil) == tc.cacheHit {
+		if (len(findSpans(tc.rec, "compile")) != 0) == tc.cacheHit {
 			t.Errorf("%s: compile span presence wrong for cache_hit=%v: %+v", tc.name, tc.cacheHit, tc.rec.Spans)
-		}
-		// Stage windows are contiguous and sum to at most the trace total.
-		if sum := lsp.DurationNS + qsp.DurationNS + esp.DurationNS; sum > tc.rec.DurationNS {
-			t.Errorf("%s: stage sum %d exceeds trace duration %d", tc.name, sum, tc.rec.DurationNS)
 		}
 	}
 }
 
-// TestStageCountConservation: every delivered item — dispatched at once,
-// filled, parked or failed — observes all three stage histograms, so
-// their counts stay equal to each other (and to delivered items) no
-// matter how batches formed.
+// TestStageCountConservation: every admitted item — executed, failed in
+// execution or compilation, or skipped by a cancelled context — observes
+// both stage histograms once, so queue_wait.count == execute.count ==
+// completed + failed, however the call ended. Rejected items observe
+// neither.
 func TestStageCountConservation(t *testing.T) {
-	gb := newGatedBackend()
-	s := New(gb, Options{MaxBatch: 2})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2, QueueDepth: 8})
 	defer s.Close()
 	g := testGraph(12)
 	in := testInputs(g, 1)
-	var wg sync.WaitGroup
-	submit := func() {
-		defer wg.Done()
-		if _, err := s.Submit(g, testCfg, compiler.Options{}, in); err != nil {
-			t.Error(err)
+	vecs := func(n int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = in
 		}
+		return out
 	}
-	// One item goes out at once and is held; behind it 2 fill a batch
-	// (size flush) and a 4th parks until the last delivery.
-	wg.Add(4)
-	go submit()
-	<-gb.started
-	for i := 0; i < 3; i++ {
-		go submit()
+	copts := compiler.Options{}
+	if _, err := s.Submit(g, testCfg, copts, in); err != nil {
+		t.Fatal(err)
 	}
-	waitStats(t, s, func(st Stats) bool { return st.Submitted == 4 })
-	// A failed batch must conserve too: an uncompilable config fails
-	// every item of its batch before reaching the gate.
+	// Five vectors in three chunks, one with the wrong arity.
+	five := vecs(5)
+	five[3] = in[:1]
+	s.SubmitMany(g, testCfg, copts, five)
+	// A compile failure fails every item of its call.
 	bad := arch.Config{D: 5, B: 2, R: 8} // B < 2^D: rejected by the compiler
-	if _, errs := s.SubmitMany(g, bad, compiler.Options{}, [][]float64{in, in}); errs[0] == nil || errs[1] == nil {
-		t.Error("compile failure did not surface")
-	}
-	gb.open()
-	wg.Wait()
+	s.SubmitMany(g, bad, copts, vecs(2))
+	// A cancelled context fails every chunk before it starts.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.SubmitManyTraced(ctx, g, testCfg, copts, vecs(3), nil)
+	// Twelve vectors against a bound of 8: the overflow is rejected.
+	s.SubmitMany(g, testCfg, copts, vecs(12))
 
 	st := s.Stats()
-	if st.Completed != 4 || st.Failed != 2 {
-		t.Fatalf("completed/failed %d/%d, want 4/2", st.Completed, st.Failed)
+	const admitted = 1 + 5 + 2 + 3 + 8
+	if st.Submitted != admitted || st.Rejected != 4 {
+		t.Fatalf("submitted/rejected %d/%d, want %d/4", st.Submitted, st.Rejected, admitted)
 	}
-	if st.SizeFlushes != 2 || st.LingerFlushes != 1 || st.Batches != 4 {
-		t.Fatalf("size/linger flushes %d/%d of %d batches, want 2/1 of 4", st.SizeFlushes, st.LingerFlushes, st.Batches)
+	if st.Completed != 1+4+8 || st.Failed != 1+2+3 {
+		t.Fatalf("completed/failed %d/%d, want 13/6", st.Completed, st.Failed)
 	}
-	const delivered = 6
-	if st.QueueWaitHist.Count != delivered || st.LingerHist.Count != delivered || st.ExecuteHist.Count != delivered {
-		t.Fatalf("stage counts %d/%d/%d, want all == delivered %d",
-			st.QueueWaitHist.Count, st.LingerHist.Count, st.ExecuteHist.Count, delivered)
+	if st.QueueWaitHist.Count != admitted || st.ExecuteHist.Count != admitted || st.LatencyHist.Count != admitted {
+		t.Fatalf("queue_wait/execute/latency counts %d/%d/%d, want all == admitted %d",
+			st.QueueWaitHist.Count, st.ExecuteHist.Count, st.LatencyHist.Count, admitted)
 	}
-	if st.LatencyHist.Count != delivered {
-		t.Fatalf("latency count %d, want %d", st.LatencyHist.Count, delivered)
-	}
-}
-
-// TestCoalescedItemsShareStageSpans: two traced requests coalescing into
-// one batch each get their own linger/queue_wait/execute spans — the
-// non-leader's execute span comes from the scheduler (per-item window),
-// the leader's from the engine.
-func TestCoalescedItemsShareStageSpans(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	gb := newGatedBackend()
-	s := New(gb, Options{MaxBatch: 100, Clock: clk})
-	defer s.Close()
-	tracer := trace.New(trace.Options{Clock: clk, SampleEvery: 1})
-	g := testGraph(13)
-	in := testInputs(g, 1)
-
-	var wg sync.WaitGroup
-	submit := func(tr *trace.Trace) {
-		defer wg.Done()
-		if _, errs := s.SubmitManyTraced(g, testCfg, compiler.Options{}, [][]float64{in}, tr); errs[0] != nil {
-			t.Error(errs[0])
-		}
-	}
-	// An untraced request holds the key busy; the two traced ones park
-	// behind it in one follow-on batch.
-	wg.Add(3)
-	go submit(nil)
-	<-gb.started
-	tr1 := tracer.Start(trace.ID{}, "r1", clk.Now())
-	tr2 := tracer.Start(trace.ID{}, "r2", clk.Now())
-	go submit(tr1)
-	go submit(tr2)
-	waitStats(t, s, func(st Stats) bool { return st.QueueDepth == 3 })
-	gb.open()
-	wg.Wait()
-	rec1, rec2 := tracer.Finish(tr1), tracer.Finish(tr2)
-	if st := s.Stats(); st.Batches != 2 {
-		t.Fatalf("batches = %d, want 2 (the traced pair coalesced)", st.Batches)
-	}
-
-	for _, rec := range []*trace.Record{rec1, rec2} {
-		for _, stage := range []string{StageLinger, StageQueueWait, StageExecute} {
-			if findSpan(rec, stage) == nil {
-				t.Fatalf("trace %s missing %s span: %+v", rec.TraceID, stage, rec.Spans)
-			}
-		}
-	}
-	// Exactly one of the two traces carries the engine-level resolve span.
-	n := 0
-	for _, rec := range []*trace.Record{rec1, rec2} {
-		if findSpan(rec, "resolve") != nil {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("%d traces carry the batch-level resolve span, want exactly 1", n)
+	if st.Batches != 1+3+1+2+4 || st.BatchSizeHist.Sum != admitted || st.QueueDepth != 0 {
+		t.Fatalf("batches %d holding %d items, queue depth %d; want 11 holding %d, depth 0",
+			st.Batches, st.BatchSizeHist.Sum, st.QueueDepth, admitted)
 	}
 }

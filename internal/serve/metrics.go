@@ -36,9 +36,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("dpu_sched_completed_total", st.Sched.Completed)
 	p.Counter("dpu_sched_failed_total", st.Sched.Failed)
 	p.Counter("dpu_sched_batches_total", st.Sched.Batches)
-	p.Counter("dpu_sched_size_flushes_total", st.Sched.SizeFlushes)
-	p.Counter("dpu_sched_linger_flushes_total", st.Sched.LingerFlushes)
-	p.Counter("dpu_sched_close_flushes_total", st.Sched.CloseFlushes)
 	p.Gauge("dpu_sched_queue_depth", int64(st.Sched.QueueDepth))
 	p.Gauge("dpu_sched_queue_limit", int64(st.Sched.QueueLimit))
 	p.Histogram("dpu_sched_batch_size", "", st.Sched.BatchSizeHist)
@@ -46,7 +43,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// One family, one series per stage: the decomposition is a label so
 	// a scraper sums/compares stages without name gymnastics.
 	p.Histogram("dpu_sched_stage_latency_ns", `stage="`+sched.StageQueueWait+`"`, st.Sched.QueueWaitHist)
-	p.Histogram("dpu_sched_stage_latency_ns", `stage="`+sched.StageLinger+`"`, st.Sched.LingerHist)
 	p.Histogram("dpu_sched_stage_latency_ns", `stage="`+sched.StageExecute+`"`, st.Sched.ExecuteHist)
 
 	// Engine layer.

@@ -1,10 +1,9 @@
 // Package serve is the HTTP serving layer over the engine and the
-// micro-batching scheduler: cmd/dpu-serve mounts it on a listener,
+// admission scheduler: cmd/dpu-serve mounts it on a listener,
 // cmd/dpu-loadgen and the tests drive it in-process. Every request goes
-// through the scheduler — each input vector of a POST /execute becomes
-// one submission, so concurrent clients with the same graph coalesce
-// into shared engine batches — with admission control surfaced as HTTP
-// status codes:
+// through the scheduler — a POST /execute is one call, its input vectors
+// admitted against the queue bound and run in chunks on the engine's
+// batch path — with admission control surfaced as HTTP status codes:
 //
 //	400  malformed JSON / graph / config
 //	413  more input vectors than the per-request bound
@@ -92,8 +91,8 @@ const MaxRequestBytes = 64 << 20
 // Options configure a Server; the zero value is a production-ready
 // default.
 type Options struct {
-	// Sched configures the batching scheduler (MaxBatch, QueueDepth,
-	// Clock — the latter injected by tests).
+	// Sched configures the scheduler (MaxBatch, QueueDepth, Clock — the
+	// latter injected by tests).
 	Sched sched.Options
 	// MaxInputsPerRequest rejects requests carrying more input vectors
 	// with 413, so one client cannot monopolize the queue. Default 1024.
@@ -173,21 +172,16 @@ func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Scheduler exposes the batching scheduler (tests and stats).
+// Scheduler exposes the scheduler (tests and stats).
 func (s *Server) Scheduler() *sched.Scheduler { return s.sch }
 
 // Drain gracefully shuts the serving path down: new requests are
-// answered 503, the scheduler stops admission and flushes its open
-// batches (so requests parked behind an executing batch are dispatched
-// at once), and Drain returns once every in-flight request has been
+// answered 503, the scheduler stops admission and waits for the calls it
+// admitted, and Drain returns once every in-flight request has been
 // answered.
 // Safe to call more than once.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	// Close the scheduler BEFORE waiting on handlers: it stops admission
-	// and dispatches parked batches now instead of behind the batches
-	// still executing; the barrier below then waits for the handlers
-	// those batches answer.
 	s.sch.Close()
 	s.drainMu.Lock()
 	s.drainMu.Unlock() //nolint:staticcheck // empty critical section = barrier
@@ -299,11 +293,11 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Autotuning: a fingerprint with a tuned decision is served on the
-	// tuned configuration instead of the request's. Everything downstream
-	// — the scheduler's batch key and the engine's compile-cache key —
-	// keys on what Resolve returns, so coalescing follows the switch
-	// atomically. Without AutoTune this is the identity. The tuned config
-	// must pass the same machine-size bounds as a client-requested one
+	// tuned configuration instead of the request's. The engine's
+	// compile-cache key is what Resolve returns, so every request after
+	// the switch runs the tuned program. Without AutoTune this is the
+	// identity. The tuned config must pass the same machine-size bounds
+	// as a client-requested one
 	// (the .dputune format admits larger memories than the serving
 	// limit): an out-of-bounds decision is ignored, not served — a
 	// hand-staged store file must not be able to OOM the server through
@@ -322,10 +316,10 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	for _, sk := range g.Outputs() {
 		resp.Sinks = append(resp.Sinks, int(sk))
 	}
-	// The scheduler's batch leader compiles (single-flight, cached); the
-	// request does NOT pre-compile, so serving touches the engine's cache
-	// lock once per batch, not once per request.
-	c, ok := s.executeBatched(w, g, cfg, &req, &resp, tr)
+	// The scheduler compiles once per call (single-flight, cached); the
+	// handler does NOT pre-compile, so a request touches the engine's
+	// cache lock once, not once per vector.
+	c, ok := s.executeBatched(w, r, g, cfg, &req, &resp, tr)
 	if !ok {
 		return // already answered with 422/429/503
 	}
@@ -365,16 +359,17 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		trace.Int("bytes", int64(len(body))))
 }
 
-// executeBatched fans the request's input vectors through the scheduler,
-// coalescing with concurrent requests, and returns the compiled program
-// the batch ran (nil when no vector completed) for response metadata.
-// It reports ok=false after answering the request itself when every
-// vector was turned away before execution: full-queue and draining map
-// to 429/503, a compilation failure to 422. Partial admission stays a
-// 200 with per-item errors, so a burst sheds its overflow without
-// losing the work already queued.
-func (s *Server) executeBatched(w http.ResponseWriter, g *dag.Graph, cfg arch.Config, req *ExecuteRequest, resp *ExecuteResponse, tr *trace.Trace) (*compiler.Compiled, bool) {
-	results, errs := s.sch.SubmitManyTraced(g, cfg, req.Options, req.Inputs, tr)
+// executeBatched runs the request's input vectors through the scheduler
+// as one call under the request's context — chunks not started when the
+// client goes away (a hedge loser, say) are skipped and free their queue
+// slots — and returns the compiled program the call ran (nil when no
+// vector completed) for response metadata. It reports ok=false after
+// answering the request itself when every vector was turned away before
+// execution: full-queue and draining map to 429/503, a compilation
+// failure to 422. Partial admission stays a 200 with per-item errors, so
+// a burst sheds its overflow without losing the work already queued.
+func (s *Server) executeBatched(w http.ResponseWriter, r *http.Request, g *dag.Graph, cfg arch.Config, req *ExecuteRequest, resp *ExecuteResponse, tr *trace.Trace) (*compiler.Compiled, bool) {
+	results, errs := s.sch.SubmitManyTraced(r.Context(), g, cfg, req.Options, req.Inputs, tr)
 	var c *compiler.Compiled
 	admitted, anyOK := false, false
 	var compileErr *sched.CompileError

@@ -52,9 +52,9 @@ func waitSched(t *testing.T, s *Server, cond func(sched.Stats) bool) {
 }
 
 // gatedBackend holds every batch execution until the test opens the
-// gate. While the first one is held its key is busy, so later requests
-// for that key park in the scheduler — the deterministic stand-in for
-// "a batch is executing" that the admission and drain tests need.
+// gate, so the requests it holds keep their queue slots — the
+// deterministic stand-in for "a request is executing" that the admission
+// and drain tests need.
 type gatedBackend struct {
 	eng      *engine.Engine
 	once     sync.Once
@@ -407,10 +407,9 @@ func TestServeStatsSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeGracefulDrain: requests in flight when the drain starts — one
-// executing, one parked behind it — complete successfully; requests
-// arriving after it are answered 503, and /healthz flips to 503 so load
-// balancers stop routing here.
+// TestServeGracefulDrain: requests executing when the drain starts
+// complete successfully; requests arriving after it are answered 503,
+// and /healthz flips to 503 so load balancers stop routing here.
 func TestServeGracefulDrain(t *testing.T) {
 	s, srv, gb := newGatedServer(t, sched.Options{MaxBatch: 100})
 	req := ExecuteRequest{Graph: "input\ninput\nmul 0 1\n", Inputs: [][]float64{{6, 7}}}
@@ -421,18 +420,22 @@ func TestServeGracefulDrain(t *testing.T) {
 		inflight <- reply{resp.StatusCode, out}
 	}
 	go post()
-	<-gb.started
 	go post()
+	// Both requests are held inside the backend, each on its own handler.
 	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == 2 })
 
 	drained := make(chan struct{})
 	go func() {
-		s.Drain()
+		s.Drain() // blocks until both held requests are answered
 		close(drained)
 	}()
-	// The drain dispatched the parked request without waiting for the
-	// executing one, and blocks until both are answered.
-	waitSched(t, s, func(st sched.Stats) bool { return st.CloseFlushes == 1 })
+	deadline := time.Now().Add(10 * time.Second)
+	for !s.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("Drain never started")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 
 	// New work is rejected while the drain is still in progress.
 	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusServiceUnavailable {

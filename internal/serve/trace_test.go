@@ -70,10 +70,13 @@ func TestServeMetricsExposition(t *testing.T) {
 		for _, s := range f.Samples {
 			stages[s.Labels["stage"]] = true
 		}
-		for _, st := range []string{"queue_wait", "linger", "execute"} {
+		for _, st := range []string{"queue_wait", "execute"} {
 			if !stages[st] {
 				t.Errorf("stage %q missing from dpu_sched_stage_latency_ns", st)
 			}
+		}
+		if stages["linger"] {
+			t.Error(`dpu_sched_stage_latency_ns still carries stage="linger"`)
 		}
 	}
 }
@@ -117,7 +120,7 @@ func TestServeTraceJoinsTraceparent(t *testing.T) {
 	if rec.Service != "serve" {
 		t.Fatalf("service %q, want serve", rec.Service)
 	}
-	for _, stage := range []string{"decode", "queue_wait", "linger", "execute", "encode"} {
+	for _, stage := range []string{"decode", "queue_wait", "execute", "encode"} {
 		if !hasStage(rec, stage) {
 			t.Errorf("span %q missing: %+v", stage, rec.Spans)
 		}
@@ -125,13 +128,8 @@ func TestServeTraceJoinsTraceparent(t *testing.T) {
 	// Stage windows never exceed the end-to-end request duration.
 	var sum int64
 	for _, sp := range rec.Spans {
-		switch sp.Stage {
-		case "queue_wait", "linger":
+		if sp.Stage == "queue_wait" || sp.Stage == "execute" {
 			sum += sp.DurationNS
-		case "execute":
-			if sp.Attrs["batch_size"] != nil { // the engine's batch window
-				sum += sp.DurationNS
-			}
 		}
 	}
 	if sum > rec.DurationNS {

@@ -243,9 +243,9 @@ func TestServeAutoTuneOutOfBoundsDecisionIgnored(t *testing.T) {
 	}
 }
 
-// TestServeAutoTuneBatchKeyFollowsDecision: once a decision lands,
-// concurrent requests for the graph coalesce under the *tuned* batch key
-// — the scheduler must see one key, not a default/tuned split.
+// TestServeAutoTuneBatchKeyFollowsDecision: once a decision lands, a
+// request's whole batch of vectors runs on the *tuned* config — one
+// compile key, not a default/tuned split.
 func TestServeAutoTuneBatchKeyFollowsDecision(t *testing.T) {
 	tuned := arch.MinEnergy()
 	ft := &switchTuner{tuned: tuned}

@@ -1,6 +1,6 @@
 // Package trace is the request-scoped tracing substrate of the serving
 // stack: every layer on the request path (gateway routing, HTTP
-// decode/encode, scheduler queue/linger/execute, engine
+// decode/encode, scheduler queue_wait/execute, engine
 // resolve/compile/store-decode) records a named span against the one
 // Trace that follows the request, and completed traces land in a
 // bounded in-process ring plus a slow-trace reservoir queryable over
@@ -228,9 +228,8 @@ type span struct {
 }
 
 // Trace accumulates one request's spans. All methods are safe on a nil
-// receiver (the not-sampled case) and safe for concurrent use — the
-// gateway's hedged attempts record against one trace from the handler
-// loop while batch leaders record scheduler spans from theirs.
+// receiver (the not-sampled case) and safe for concurrent use, so any
+// layer may record from whichever goroutine it runs on.
 // Span index 0 is the root (the whole request); Begin/Span return span
 // indices usable as parents, with -1 meaning "dropped, parent to root".
 type Trace struct {
