@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"dpuv2/internal/arch"
@@ -16,13 +18,46 @@ func (o Options) Normalized() Options { return o.normalize() }
 
 // Compile lowers a DAG to a DPU-v2 program for the given configuration,
 // running the four steps of §IV. Non-binary graphs are binarized first;
-// the returned Compiled carries the remapping.
+// the returned Compiled carries the remapping. It is Plan followed by
+// Emit(cfg.R).
 func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
+	p, err := Plan(g, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Emit(cfg.R)
+}
+
+// Planned is a graph taken through steps 1–3 for one datapath (D, B,
+// topology) and options: the cut, expansion, bank allocation, draft and
+// its reordering — everything compilation decides before the register
+// file's size R enters, which only step 4 reads. Emit turns a plan into a
+// program for a given R without modifying it, so a design-space sweep
+// plans once per datapath and emits once per R.
+type Planned struct {
+	cfg     arch.Config // normalized, R zero
+	graph   *dag.Graph  // binarized
+	remap   []dag.NodeID
+	vals    []valInfo  // home bank and memory word of every value
+	rows    int        // memory rows the init/output region fills
+	sched   []*draftOp // step 3's order; nil entries are nop slots
+	outWord map[dag.NodeID]int
+	stats   Stats // what steps 1–3 counted
+	elapsed time.Duration
+}
+
+// Plan runs steps 1–3 of Compile for g under cfg and opts. cfg.R is not
+// read: Emit supplies and checks it.
+func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	start := time.Now()
 	cfg = cfg.Normalize()
+	// Check everything but R with a legal stand-in, then zero it so that
+	// nothing before step 4 can depend on it.
+	cfg.R = 2
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.R = 0
 	if cfg.Output == arch.OutOneToOne {
 		return nil, fmt.Errorf("compiler: topology %s has no input crossbar and is not compilable (§III-C rejects it)", cfg.Output)
 	}
@@ -42,13 +77,13 @@ func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
 		bg, remap = dag.Binarize(g)
 	}
 
-	stats := &Stats{}
+	p := &Planned{cfg: cfg, graph: bg, remap: remap}
 	keys := partitionKeys(bg, dag.DFSOrder(bg), opts.PartitionSize)
 	blocks, err := decompose(bg, cfg, opts, keys)
 	if err != nil {
 		return nil, err
 	}
-	stats.Blocks = len(blocks)
+	p.stats.Blocks = len(blocks)
 
 	exp := newExpansion(cfg, bg.NumNodes())
 	for _, b := range blocks {
@@ -62,16 +97,42 @@ func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 
-	ds := newDraftState(bg, cfg, ba, opts.Seed, stats)
-	outWord, err := ds.buildDraft(blocks)
-	if err != nil {
+	ds := newDraftState(bg, cfg, ba, opts.Seed, &p.stats)
+	if p.outWord, err = ds.buildDraft(blocks); err != nil {
 		return nil, err
 	}
+	p.sched = reorder(ds.ops, len(ds.vals), cfg.D, opts.Window)
+	p.vals, p.rows = ds.vals, ds.rows
 
-	sched := reorder(ds.ops, len(ds.vals), cfg.D, opts.Window)
+	for i := 0; i < bg.NumNodes(); i++ {
+		if !bg.Op(dag.NodeID(i)).IsLeaf() {
+			p.stats.Nodes++
+		}
+	}
+	if p.stats.Execs > 0 {
+		p.stats.MeanUtil /= float64(p.stats.Execs)
+	}
+	p.elapsed = time.Since(start)
+	return p, nil
+}
 
-	ra := newRegalloc(ds, sched, stats)
-	instrs, err := ra.run(sched)
+// Emit runs step 4 — register allocation, spilling and address
+// assignment — for r registers per bank, and builds the program. Spilling
+// gives values memory words in a spill region above the plan's rows, so
+// Emit works on its own copy of the plan's value table and its own spill
+// region. Each result owns its Prog, InputWord, OutputWord and Stats;
+// Graph and Remap are the plan's, shared by every program it emits, and
+// must not be modified.
+func (p *Planned) Emit(r int) (*Compiled, error) {
+	start := time.Now()
+	cfg := p.cfg
+	cfg.R = r
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	stats := p.stats
+	ra := newRegalloc(cfg, slices.Clone(p.vals), p.rows, p.sched, &stats)
+	instrs, err := ra.run(p.sched)
 	if err != nil {
 		return nil, err
 	}
@@ -85,47 +146,38 @@ func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
 
 	// Data-memory image: every touched row, including the spill region
 	// (zero-initialized), with constant leaves filled in.
-	words := len(ds.rowMask) * cfg.B
+	bg, vals := p.graph, ra.vals
+	words := (p.rows + len(ra.spillRows)) * cfg.B
 	if words > cfg.DataMemWords {
 		return nil, fmt.Errorf("compiler: memory image needs %d words, data memory holds %d", words, cfg.DataMemWords)
 	}
 	prog.InitMem = make([]float64, words)
 	for i := 0; i < bg.NumNodes(); i++ {
-		v := ValID(i)
-		if bg.Op(dag.NodeID(i)) == dag.OpConst && ds.vals[v].word >= 0 {
-			prog.InitMem[ds.vals[v].word] = bg.Node(dag.NodeID(i)).Val
+		if bg.Op(dag.NodeID(i)) == dag.OpConst && vals[i].word >= 0 {
+			prog.InitMem[vals[i].word] = bg.Node(dag.NodeID(i)).Val
 		}
 	}
 
 	// Input words, in graph-input order; -1 for inputs nothing consumes.
 	var inputWord []int
 	for _, id := range bg.Inputs() {
-		if w := ds.vals[id].word; w >= 0 {
+		if w := vals[id].word; w >= 0 {
 			inputWord = append(inputWord, int(w))
 		} else {
 			inputWord = append(inputWord, -1)
 		}
 	}
 
-	// Final stats.
-	for i := 0; i < bg.NumNodes(); i++ {
-		if !bg.Op(dag.NodeID(i)).IsLeaf() {
-			stats.Nodes++
-		}
-	}
 	stats.Instructions = len(prog.Instrs)
 	stats.Cycles = len(prog.Instrs) + cfg.D + 1
-	if stats.Execs > 0 {
-		stats.MeanUtil /= float64(stats.Execs)
-	}
-	stats.CompileSeconds = time.Since(start).Seconds()
+	stats.CompileSeconds = (p.elapsed + time.Since(start)).Seconds()
 
 	return &Compiled{
 		Prog:       prog,
 		Graph:      bg,
-		Remap:      remap,
+		Remap:      p.remap,
 		InputWord:  inputWord,
-		OutputWord: outWord,
-		Stats:      *stats,
+		OutputWord: maps.Clone(p.outWord),
+		Stats:      stats,
 	}, nil
 }

@@ -165,9 +165,12 @@ func TestExpandInvariants(t *testing.T) {
 		if len(b.PEOps) != cfg.NumPEs() || len(b.PortVal) != cfg.B {
 			t.Fatalf("block %d: wrong artifact sizes", bi)
 		}
-		for v, pe := range b.OutPE {
+		if len(b.OutPE) != len(b.Outputs) {
+			t.Fatalf("block %d: %d output PEs for %d outputs", bi, len(b.OutPE), len(b.Outputs))
+		}
+		for i, pe := range b.OutPE {
 			if b.PEOps[cfg.PEID(pe)] != arch.PEAdd && b.PEOps[cfg.PEID(pe)] != arch.PEMul {
-				t.Fatalf("block %d: output %d driven by non-arithmetic PE", bi, v)
+				t.Fatalf("block %d: output %d driven by non-arithmetic PE", bi, b.Outputs[i])
 			}
 		}
 		// Every arithmetic leaf PE's ports are populated.
@@ -209,12 +212,12 @@ func TestBankAllocationRespectsHardware(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range blocks {
-		for _, v := range b.Outputs {
+		for i, v := range b.Outputs {
 			bank := int(ba.bank[v])
 			if bank < 0 {
 				t.Fatalf("output %d unassigned", v)
 			}
-			if !cfg.CanWrite(b.OutPE[v], bank) {
+			if !cfg.CanWrite(b.OutPE[i], bank) {
 				// Constraint H is soft only through post-copies; the
 				// allocator itself must stay within the writable set.
 				t.Fatalf("output %d assigned bank %d outside PE reach", v, bank)

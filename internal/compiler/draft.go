@@ -75,11 +75,12 @@ type valInfo struct {
 }
 
 type draftState struct {
-	g    *dag.Graph
-	cfg  arch.Config
-	rng  *rand.Rand
-	vals []valInfo
-	ops  []*draftOp
+	g        *dag.Graph
+	cfg      arch.Config
+	rng      *rand.Rand
+	vals     []valInfo
+	ops      []*draftOp
+	writable []uint64 // per PE id: the banks it can write
 
 	// init-region memory layout: per-row lane occupancy, and a per-bank
 	// cursor so first-fit stays O(1) amortized.
@@ -111,13 +112,14 @@ func newDraftState(g *dag.Graph, cfg arch.Config, ba *bankAlloc, seed int64, sta
 	nv := g.NumNodes()
 	ds := &draftState{
 		g: g, cfg: cfg,
-		rng:     rand.New(rand.NewSource(seed ^ 0x9e3779b9)),
-		vals:    make([]valInfo, nv),
-		rowHint: make([]int, cfg.B),
-		loaded:  make([]bool, nv),
-		taken:   make([]int32, cfg.B),
-		seen:    make([]int32, cfg.B),
-		stats:   stats,
+		rng:      rand.New(rand.NewSource(seed ^ 0x9e3779b9)),
+		vals:     make([]valInfo, nv),
+		writable: ba.writable,
+		rowHint:  make([]int, cfg.B),
+		loaded:   make([]bool, nv),
+		taken:    make([]int32, cfg.B),
+		seen:     make([]int32, cfg.B),
+		stats:    stats,
 	}
 	for i := 0; i < nv; i++ {
 		k := vNode
@@ -304,7 +306,7 @@ func (ds *draftState) matchOutputs(block *Block) ([]int, error) {
 	assign := ds.assign[:0]
 	for i, v := range block.Outputs {
 		a, home := -1, int(ds.vals[v].bank)
-		if ds.taken[home] < 0 && ds.cfg.CanWrite(block.OutPE[v], home) {
+		if ds.taken[home] < 0 && ds.writableBy(block, i)&(1<<uint(home)) != 0 {
 			ds.taken[home] = int32(i)
 			a = home
 		}
@@ -325,10 +327,16 @@ func (ds *draftState) matchOutputs(block *Block) ([]int, error) {
 	return assign, nil
 }
 
+// writableBy returns the banks the PE driving block output i can write.
+func (ds *draftState) writableBy(block *Block, i int) uint64 {
+	return ds.writable[ds.cfg.PEID(block.OutPE[i])]
+}
+
 // augment finds output i a bank along an augmenting path of the current
-// matching, visiting each bank at most once per search.
+// matching, visiting each bank at most once per search, in ascending order.
 func (ds *draftState) augment(block *Block, i int32) bool {
-	for _, b := range ds.cfg.WritableBanks(block.OutPE[block.Outputs[i]]) {
+	for m := ds.writableBy(block, int(i)); m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
 		if ds.seen[b] == ds.seenStamp {
 			continue
 		}

@@ -19,11 +19,15 @@ type expansion struct {
 	cfg    arch.Config
 	inCone []int32 // node -> stamp when in current block
 	stamp  int32
-	posBuf map[dag.NodeID][]arch.PE
+	// top[n] is the highest-layer PE node n is placed at in the current
+	// block, the first placed on a tie; layer 0 until n is placed.
+	top []arch.PE
+	// isInput[v] == stamp marks a value already in the block's Inputs.
+	isInput []int32
 }
 
 func newExpansion(cfg arch.Config, n int) *expansion {
-	return &expansion{cfg: cfg, inCone: make([]int32, n), posBuf: make(map[dag.NodeID][]arch.PE)}
+	return &expansion{cfg: cfg, inCone: make([]int32, n), top: make([]arch.PE, n), isInput: make([]int32, n)}
 }
 
 // expand fills block.PEOps/PortVal/Inputs/Outputs/OutPE.
@@ -32,15 +36,13 @@ func (e *expansion) expand(g *dag.Graph, block *Block) error {
 	for _, sg := range block.Subgraphs {
 		for _, n := range sg.Nodes {
 			e.inCone[n] = e.stamp
+			e.top[n] = arch.PE{}
 		}
 	}
 	block.PEOps = make([]arch.PEOp, e.cfg.NumPEs())
 	block.PortVal = make([]ValID, e.cfg.B)
 	for i := range block.PortVal {
 		block.PortVal[i] = InvalidVal
-	}
-	for k := range e.posBuf {
-		delete(e.posBuf, k)
 	}
 
 	var place func(n dag.NodeID, pe arch.PE) error
@@ -73,7 +75,9 @@ func (e *expansion) expand(g *dag.Graph, block *Block) error {
 			return fmt.Errorf("compiler: node %d has non-arithmetic op %v", n, g.Op(n))
 		}
 		block.PEOps[id] = op
-		e.posBuf[n] = append(e.posBuf[n], pe)
+		if pe.Layer > e.top[n].Layer {
+			e.top[n] = pe
+		}
 		args := g.Args(n)
 		if len(args) != 2 {
 			return fmt.Errorf("compiler: node %d has %d args; graph not binarized", n, len(args))
@@ -109,17 +113,15 @@ func (e *expansion) expand(g *dag.Graph, block *Block) error {
 		}
 	}
 
-	// Distinct inputs.
-	seen := make(map[ValID]bool)
+	// Distinct inputs; every port value is a node's output.
 	for _, v := range block.PortVal {
-		if v != InvalidVal && !seen[v] {
-			seen[v] = true
+		if v != InvalidVal && e.isInput[v] != e.stamp {
+			e.isInput[v] = e.stamp
 			block.Inputs = append(block.Inputs, v)
 		}
 	}
 
 	// Outputs: nodes with any consumer outside the block, or DAG sinks.
-	block.OutPE = make(map[ValID]arch.PE)
 	for _, sg := range block.Subgraphs {
 		for _, n := range sg.Nodes {
 			io := len(g.Succs(n)) == 0
@@ -132,14 +134,8 @@ func (e *expansion) expand(g *dag.Graph, block *Block) error {
 			if !io {
 				continue
 			}
-			best := e.posBuf[n][0]
-			for _, p := range e.posBuf[n][1:] {
-				if p.Layer > best.Layer {
-					best = p
-				}
-			}
 			block.Outputs = append(block.Outputs, ValID(n))
-			block.OutPE[ValID(n)] = best
+			block.OutPE = append(block.OutPE, e.top[n])
 		}
 	}
 	return nil

@@ -28,8 +28,25 @@ import (
 
 type bankAlloc struct {
 	bank []int8 // home bank per value, -1 while unassigned
+	// writable[id] is the mask of banks PE id can write (constraint H),
+	// tabulated once so steps 2b and 2c never list them per output.
+	writable []uint64
 	// conflict statistics
 	fallbacks int
+}
+
+// writableMasks tabulates every PE's writable banks as a bit mask.
+func writableMasks(cfg arch.Config) []uint64 {
+	masks := make([]uint64, cfg.NumPEs())
+	for id := range masks {
+		p := cfg.PECoord(id)
+		for bk := 0; bk < cfg.B; bk++ {
+			if cfg.CanWrite(p, bk) {
+				masks[id] |= 1 << uint(bk)
+			}
+		}
+	}
+	return masks
 }
 
 type valConstraints struct {
@@ -62,12 +79,10 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options)
 	for i := range hard {
 		hard[i] = allBanks
 	}
+	writable := writableMasks(cfg)
 	for _, b := range blocks {
-		for _, v := range b.Outputs {
-			var m uint64
-			for _, bk := range cfg.WritableBanks(b.OutPE[v]) {
-				m |= 1 << uint(bk)
-			}
+		for i, v := range b.Outputs {
+			m := writable[cfg.PEID(b.OutPE[i])]
 			vc.compat[v] = m
 			hard[v] = m
 			isIO[v] = true
@@ -92,7 +107,7 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options)
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	ba := &bankAlloc{bank: make([]int8, nv)}
+	ba := &bankAlloc{bank: make([]int8, nv), writable: writable}
 	for i := range ba.bank {
 		ba.bank[i] = -1
 	}

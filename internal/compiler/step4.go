@@ -36,8 +36,15 @@ type pendingWrite struct {
 }
 
 type regalloc struct {
-	ds  *draftState
 	cfg arch.Config
+
+	// vals is the emit's own copy of the plan's value table: spilling
+	// gives values memory words. The spill region starts empty at row
+	// spillBase, above every row the plan laid out, and spillRows[i] is
+	// the lane occupancy of its row spillBase+i.
+	vals      []valInfo
+	spillBase int
+	spillRows []uint64
 
 	out []*arch.Instr
 
@@ -53,7 +60,7 @@ type regalloc struct {
 	uses   [][]int32 // per value: schedule positions of planned reads
 	usePtr []int32
 
-	spillHint []int // spill-region first-fit cursor per bank
+	spillHint []int // first-fit cursor per bank, an index into spillRows
 
 	// emitOp's scratch, reused across ops: pin[v] == pinStamp marks the
 	// operands of the op being emitted (never evicted for it), need counts
@@ -69,11 +76,10 @@ type regalloc struct {
 	stats *Stats
 }
 
-func newRegalloc(ds *draftState, sched []*draftOp, stats *Stats) *regalloc {
-	cfg := ds.cfg
-	nv := len(ds.vals)
+func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftOp, stats *Stats) *regalloc {
+	nv := len(vals)
 	r := &regalloc{
-		ds: ds, cfg: cfg,
+		cfg: cfg, vals: vals, spillBase: spillBase,
 		loc:        make([]int16, nv),
 		resident:   make([]bool, nv),
 		spilled:    make([]bool, nv),
@@ -102,7 +108,7 @@ func newRegalloc(ds *draftState, sched []*draftOp, stats *Stats) *regalloc {
 
 func (r *regalloc) cycle() int { return len(r.out) }
 
-func (r *regalloc) bankOf(v ValID) int { return int(r.ds.vals[v].bank) }
+func (r *regalloc) bankOf(v ValID) int { return int(r.vals[v].bank) }
 
 func (r *regalloc) nextUse(v ValID) int32 {
 	if int(r.usePtr[v]) < len(r.uses[v]) {
@@ -170,7 +176,7 @@ func (r *regalloc) busy(need []int, land int) bool {
 func (r *regalloc) pickVictim(bank int, already []ValID) ValID {
 	best := InvalidVal
 	var bestUse int32 = -1
-	for v := range r.ds.vals {
+	for v := range r.vals {
 		vid := ValID(v)
 		if !r.resident[vid] || r.bankOf(vid) != bank || r.pin[vid] == r.pinStamp {
 			continue
@@ -197,26 +203,21 @@ func (r *regalloc) pickVictim(bank int, already []ValID) ValID {
 // evicted. Values with an existing word (leaves, stored sinks, previously
 // spilled values) reuse it; the stored image is identical either way.
 func (r *regalloc) spillWord(v ValID) int {
-	if r.ds.vals[v].word >= 0 {
-		return int(r.ds.vals[v].word)
+	if r.vals[v].word >= 0 {
+		return int(r.vals[v].word)
 	}
 	bank := r.bankOf(v)
-	row := r.spillHint[bank]
-	if row < r.ds.rows {
-		row = r.ds.rows // spill region sits above the init/output region
-	}
-	for {
-		for row >= len(r.ds.rowMask) {
-			r.ds.rowMask = append(r.ds.rowMask, 0)
+	for row := r.spillHint[bank]; ; row++ {
+		if row == len(r.spillRows) {
+			r.spillRows = append(r.spillRows, 0)
 		}
-		if r.ds.rowMask[row]&(1<<uint(bank)) == 0 {
-			r.ds.rowMask[row] |= 1 << uint(bank)
+		if r.spillRows[row]&(1<<uint(bank)) == 0 {
+			r.spillRows[row] |= 1 << uint(bank)
 			r.spillHint[bank] = row
-			w := row*r.cfg.B + bank
-			r.ds.vals[v].word = int32(w)
+			w := (r.spillBase+row)*r.cfg.B + bank
+			r.vals[v].word = int32(w)
 			return w
 		}
-		row++
 	}
 }
 
@@ -248,7 +249,7 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 			in.Moves = append(in.Moves, arch.Move{
 				SrcBank: uint16(r.bankOf(v)),
 				SrcAddr: uint16(r.loc[v]),
-				Dst:     uint16(int(r.ds.vals[v].word) % r.cfg.B),
+				Dst:     uint16(int(r.vals[v].word) % r.cfg.B),
 				Rst:     true,
 			})
 			r.spilled[v] = true
@@ -334,7 +335,7 @@ func (r *regalloc) prepareReads(reads []ValID) error {
 // reload brings a spilled value back into its home bank.
 func (r *regalloc) reload(v ValID) error {
 	bank := r.bankOf(v)
-	word := int(r.ds.vals[v].word)
+	word := int(r.vals[v].word)
 	r.reloadNeed[bank] = 1
 	err := r.ensureCapacity(r.reloadNeed)
 	r.reloadNeed[bank] = 0
@@ -468,9 +469,9 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			}
 			in.InputSel[port] = uint16(r.bankOf(op.readOf(v)))
 		}
-		for i, home := range op.block.Outputs {
+		for i := range op.block.Outputs {
 			b := int(op.outBank[i])
-			sel, err := r.cfg.WriteSel(b, op.block.OutPE[home])
+			sel, err := r.cfg.WriteSel(b, op.block.OutPE[i])
 			if err != nil {
 				return err
 			}

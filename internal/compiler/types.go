@@ -50,9 +50,9 @@ type Block struct {
 	// Outputs lists the values this block must write to the register
 	// file: cone nodes with consumers outside the block, and DAG sinks.
 	Outputs []ValID
-	// OutPE maps each output to the PE chosen to drive its write (the
+	// OutPE[i] is the PE chosen to drive the write of Outputs[i] (the
 	// highest-layer replica, which has the widest bank connectivity).
-	OutPE map[ValID]arch.PE
+	OutPE []arch.PE
 }
 
 // Options tunes compilation. The zero value is the paper's configuration.
@@ -109,11 +109,14 @@ type Stats struct {
 	Cycles         int     // instructions + pipeline drain
 	PeakUtil       float64 // busiest exec: arithmetic PEs / total PEs
 	MeanUtil       float64 // average over execs
+	// CompileSeconds is the plan's time (steps 1–3) plus the time of the
+	// Emit that produced this program (step 4), so emits sharing one plan
+	// each count the plan once.
 	CompileSeconds float64
 }
 
-// Compiled is the result of Compile: the program plus the metadata needed
-// to run and verify it.
+// Compiled is the result of Compile or Emit: the program plus the
+// metadata needed to run and verify it.
 type Compiled struct {
 	Prog *arch.Program
 	// Graph is the binarized DAG the program executes.

@@ -55,40 +55,89 @@ func Evaluate(g *dag.Graph, cfg arch.Config, opts compiler.Options) (energy.Esti
 	if err != nil {
 		return energy.Estimate{}, err
 	}
-	return energy.EstimateRun(cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog), nil
+	return estimate(cfg, c), nil
 }
 
-// evaluatePoint evaluates one configuration over the workload suite. An
-// error on any workload marks the point infeasible and carries that
-// error; evaluation of the remaining configurations is unaffected (no
-// sweep-wide bail). Cancellation of ctx is checked between workloads, so
-// a canceled point stops after the workload it is on rather than
-// finishing the suite.
+// estimate models the execution of c, compiled for cfg.
+func estimate(cfg arch.Config, c *compiler.Compiled) energy.Estimate {
+	return energy.EstimateRun(cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog)
+}
+
+// evaluatePoint evaluates one configuration over the workload suite; see
+// evaluateGroup.
 func evaluatePoint(ctx context.Context, workloads []*dag.Graph, cfg arch.Config, opts compiler.Options) Point {
-	p := Point{Cfg: cfg.Normalize(), Feasible: true}
-	var lat, en float64
-	for _, g := range workloads {
-		if err := ctx.Err(); err != nil {
-			p.Feasible = false
-			p.Err = err
-			break
-		}
-		est, err := Evaluate(g, cfg, opts)
-		if err != nil {
-			p.Feasible = false
-			p.Err = err
-			break
-		}
-		lat += est.LatencyPerOp
-		en += est.EnergyPerOp
-		p.AreaMM2 = est.AreaMM2
+	var p [1]Point
+	evaluateGroup(ctx, workloads, []arch.Config{cfg}, []int{0}, opts, p[:])
+	return p[0]
+}
+
+// evaluateGroup evaluates cfgs[i] over the workload suite into points[i]
+// for every i in group, configurations that differ in R alone. Only
+// step 4 of the compiler reads R, so each workload is planned once for
+// the group and emitted once per member.
+//
+// An error on any workload marks that point infeasible and carries the
+// error (a plan error, every point still evaluating); the other points
+// are unaffected (no sweep-wide bail). Cancellation of ctx is checked
+// before each plan and each emission, so a canceled point stops where it
+// is rather than finishing the suite.
+func evaluateGroup(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Config, group []int, opts compiler.Options, points []Point) {
+	live := make([]int, 0, len(group)) // points still feasible
+	for _, i := range group {
+		points[i] = Point{Cfg: cfgs[i].Normalize(), Feasible: true}
+		live = append(live, i)
 	}
-	if p.Feasible && len(workloads) > 0 {
-		p.LatencyPerOp = lat / float64(len(workloads))
-		p.EnergyPerOp = en / float64(len(workloads))
+	fail := func(i int, err error) {
+		p := &points[i]
+		p.Feasible, p.Err = false, err
+		p.LatencyPerOp, p.EnergyPerOp = 0, 0 // drop the partial sums
+	}
+	for _, g := range workloads {
+		if len(live) == 0 {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			for _, i := range live {
+				fail(i, err)
+			}
+			return
+		}
+		plan, err := compiler.Plan(g, cfgs[live[0]], opts)
+		if err != nil {
+			for _, i := range live {
+				fail(i, err)
+			}
+			return
+		}
+		next := live[:0]
+		for _, i := range live {
+			if err := ctx.Err(); err != nil {
+				fail(i, err)
+				continue
+			}
+			c, err := plan.Emit(cfgs[i].R)
+			if err != nil {
+				fail(i, err)
+				continue
+			}
+			est := estimate(cfgs[i], c)
+			p := &points[i]
+			p.LatencyPerOp += est.LatencyPerOp
+			p.EnergyPerOp += est.EnergyPerOp
+			p.AreaMM2 = est.AreaMM2
+			next = append(next, i)
+		}
+		live = next
+	}
+	if len(workloads) == 0 {
+		return
+	}
+	for _, i := range live {
+		p := &points[i]
+		p.LatencyPerOp /= float64(len(workloads))
+		p.EnergyPerOp /= float64(len(workloads))
 		p.EDP = p.LatencyPerOp * p.EnergyPerOp
 	}
-	return p
 }
 
 // Sweep evaluates every configuration over every workload and returns one
@@ -100,12 +149,12 @@ func Sweep(workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Options) []
 }
 
 // SweepParallel is Sweep with an explicit worker count (workers <= 0
-// means GOMAXPROCS). Configurations are distributed over a worker pool;
-// every point is evaluated independently, failures are captured per
-// point, and the returned slice is in cfgs order regardless of worker
-// interleaving — the output is point-for-point identical to a serial
-// sweep because each evaluation is deterministic and shares nothing
-// mutable.
+// means GOMAXPROCS). The configurations that differ only in R form one
+// group, which plans each workload once (evaluateGroup); groups are
+// distributed over a worker pool, failures are captured per point, and
+// the returned slice is in cfgs order regardless of worker interleaving.
+// Every point is what evaluating it alone gives, because compilation is
+// deterministic and the groups share nothing mutable.
 func SweepParallel(workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Options, workers int) []Point {
 	return SweepContext(context.Background(), workloads, cfgs, opts, workers)
 }
@@ -113,7 +162,7 @@ func SweepParallel(workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Opt
 // SweepContext is SweepParallel with cancellation: when ctx is canceled
 // (or its deadline expires) mid-sweep, configurations not yet evaluated
 // are returned promptly as infeasible points carrying ctx's error, and a
-// point mid-evaluation stops at its next workload boundary. The sweep
+// point mid-evaluation stops before its next plan or emission. The sweep
 // never returns early — the slice always has one point per configuration,
 // in cfgs order — so callers working under a budget (the autotuner) get
 // whatever partial results the budget bought, each point labeled either
@@ -126,13 +175,22 @@ func SweepContext(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Confi
 			g.Outputs()
 		}
 	}
-	points := make([]Point, len(cfgs))
-	par.ForEach(len(cfgs), workers, func(i int) {
-		if err := ctx.Err(); err != nil {
-			points[i] = Point{Cfg: cfgs[i].Normalize(), Err: err}
-			return
+	var groups [][]int
+	groupOf := make(map[arch.Config]int)
+	for i, c := range cfgs {
+		key := c.Normalize()
+		key.R = 0
+		k, ok := groupOf[key]
+		if !ok {
+			k = len(groups)
+			groupOf[key] = k
+			groups = append(groups, nil)
 		}
-		points[i] = evaluatePoint(ctx, workloads, cfgs[i], opts)
+		groups[k] = append(groups[k], i)
+	}
+	points := make([]Point, len(cfgs))
+	par.ForEach(len(groups), workers, func(k int) {
+		evaluateGroup(ctx, workloads, cfgs, groups[k], opts, points)
 	})
 	return points
 }

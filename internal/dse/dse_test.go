@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,17 +141,54 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %d points, serial has %d", workers, len(parallel), len(serial))
 		}
 		for i := range serial {
-			s, p := serial[i], parallel[i]
-			if s.Cfg != p.Cfg || s.LatencyPerOp != p.LatencyPerOp ||
-				s.EnergyPerOp != p.EnergyPerOp || s.EDP != p.EDP ||
-				s.AreaMM2 != p.AreaMM2 || s.Feasible != p.Feasible {
-				t.Errorf("workers=%d point %d: parallel %+v != serial %+v", workers, i, p, s)
+			if !samePoint(parallel[i], serial[i]) {
+				t.Errorf("workers=%d point %d: parallel %+v != serial %+v", workers, i, parallel[i], serial[i])
 			}
-			switch {
-			case (s.Err == nil) != (p.Err == nil):
-				t.Errorf("workers=%d point %d: error presence differs: %v vs %v", workers, i, p.Err, s.Err)
-			case s.Err != nil && s.Err.Error() != p.Err.Error():
-				t.Errorf("workers=%d point %d: error text differs:\n  parallel: %v\n  serial:   %v", workers, i, p.Err, s.Err)
+		}
+	}
+}
+
+// samePoint reports whether a and b agree on every field, errors by text.
+func samePoint(a, b Point) bool {
+	ea, eb := a.Err, b.Err
+	a.Err, b.Err = nil, nil
+	return a == b && (ea == nil) == (eb == nil) && (ea == nil || ea.Error() == eb.Error())
+}
+
+// TestSweepMatchesPerPoint: a sweep plans each workload once per group of
+// configurations that differ only in R and emits once per R; every point
+// must be what evaluating its configuration alone gives, at any worker
+// count. Besides the grid, the list has a point that fails at emission in
+// a group whose other points do not (R=1), a group that fails at planning
+// (B=128 exceeds the bank allocator) and a group under another topology.
+func TestSweepMatchesPerPoint(t *testing.T) {
+	suite := smallSuite()
+	cfgs := append(Grid(),
+		arch.Config{D: 1, B: 8, R: 1, Output: arch.OutPerLayer},
+		arch.Config{D: 3, B: 128, R: 16, Output: arch.OutPerLayer},
+		arch.Config{D: 3, B: 128, R: 32, Output: arch.OutPerLayer},
+		arch.Config{D: 2, B: 16, R: 64, Output: arch.OutCrossbar},
+		arch.Config{D: 2, B: 16, R: 16, Output: arch.OutCrossbar},
+	)
+	want := make([]Point, len(cfgs))
+	feasible := 0
+	for i, cfg := range cfgs {
+		want[i] = evaluatePoint(context.Background(), suite, cfg, compiler.Options{})
+		if want[i].Feasible {
+			feasible++
+		}
+	}
+	if feasible != len(cfgs)-3 {
+		t.Fatalf("%d of %d points feasible, want all but the R=1 and B=128 points", feasible, len(cfgs))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got := SweepParallel(suite, cfgs, compiler.Options{}, workers)
+		if len(got) != len(cfgs) {
+			t.Fatalf("workers=%d: %d points for %d configurations", workers, len(got), len(cfgs))
+		}
+		for i := range want {
+			if !samePoint(got[i], want[i]) {
+				t.Errorf("workers=%d point %d: swept %+v, alone %+v", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -188,52 +226,59 @@ func TestSweepContextCanceledUpFront(t *testing.T) {
 	}
 }
 
-// TestSweepContextCancelMidSweep cancels a running sweep and asserts it
-// returns promptly with partial results: points not yet started carry the
-// cancellation error, anything already evaluated is a normal point, and
-// the two together cover the whole grid.
-func TestSweepContextCancelMidSweep(t *testing.T) {
-	// Big enough that a full 48-point sweep takes many seconds — the
-	// prompt return below is then meaningful — while a single in-flight
-	// point finishes quickly.
-	suite := []*dag.Graph{pc.Build(pc.Suite()[0], 0.2)}
+// cancelAtCheck is a context that cancels itself on its n-th Err call,
+// so a test can cancel a sweep at a fixed point of its progress rather
+// than after a wall-clock delay.
+type cancelAtCheck struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int32
+}
+
+func newCancelAtCheck(n int32) *cancelAtCheck {
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	points := SweepContext(ctx, suite, Grid(), compiler.Options{}, 2)
-	elapsed := time.Since(start)
-	if len(points) != len(Grid()) {
-		t.Fatalf("got %d points, want one per config", len(points))
+	c := &cancelAtCheck{Context: ctx, cancel: cancel}
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAtCheck) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
 	}
-	canceled, evaluated := 0, 0
-	for _, p := range points {
-		switch {
-		case errors.Is(p.Err, context.Canceled):
-			canceled++
-		case p.Feasible:
-			evaluated++
-			if p.LatencyPerOp <= 0 {
-				t.Fatalf("evaluated point has bogus metrics: %+v", p)
-			}
-		case p.Err == nil:
-			t.Fatalf("infeasible point with no error: %+v", p)
+	return c.Context.Err()
+}
+
+// TestSweepContextCancelMidSweep cancels a running sweep right after its
+// first point completes and asserts every later point comes back carrying
+// the cancellation error instead of being evaluated. A sweep checks its
+// context before each plan and each emission, so the third check is the
+// one after the first emission: on one worker exactly the first point
+// completes, whatever the machine's speed. On two workers the checks of
+// two groups interleave, and at most one point can complete.
+func TestSweepContextCancelMidSweep(t *testing.T) {
+	suite := []*dag.Graph{pc.Build(pc.Suite()[0], 0.05)}
+	for _, workers := range []int{1, 2} {
+		ctx := newCancelAtCheck(3)
+		points := SweepContext(ctx, suite, Grid(), compiler.Options{}, workers)
+		ctx.cancel()
+		if len(points) != len(Grid()) {
+			t.Fatalf("workers=%d: got %d points, want one per config", workers, len(points))
 		}
-	}
-	if canceled == 0 {
-		t.Fatal("cancellation landed after the whole sweep finished; grid too small or machine too fast for this test")
-	}
-	if canceled+evaluated < len(Grid())-2 { // allow a couple of genuinely infeasible points
-		t.Fatalf("canceled %d + evaluated %d does not cover the %d-point grid", canceled, evaluated, len(Grid()))
-	}
-	// Prompt return: at most the in-flight points drain. A full sweep of
-	// this workload takes well over 10s; 5s of headroom keeps slow CI
-	// machines from flaking while still catching a sweep that ignores
-	// cancellation.
-	if elapsed > 5*time.Second {
-		t.Fatalf("canceled sweep took %v, cancellation not honored", elapsed)
+		canceled, evaluated := 0, 0
+		for i, p := range points {
+			switch {
+			case errors.Is(p.Err, context.Canceled):
+				canceled++
+			case p.Feasible && p.LatencyPerOp > 0:
+				evaluated++
+			default:
+				t.Fatalf("workers=%d point %d neither evaluated nor canceled: %+v", workers, i, p)
+			}
+		}
+		if evaluated > 1 || workers == 1 && !points[0].Feasible {
+			t.Fatalf("workers=%d: %d points evaluated (first feasible: %v), want only the first", workers, evaluated, points[0].Feasible)
+		}
 	}
 }
 
