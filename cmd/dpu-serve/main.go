@@ -146,7 +146,7 @@ func main() {
 		if s.VerifyRejects > 0 {
 			log.Printf("dpu-serve: warm-start purged %d artifacts that failed static verification in %s (run dpu-vet for details)", s.VerifyRejects, *artifactDir)
 		}
-		log.Printf("dpu-serve: warm-started %d compiled programs and %d tuning decisions from %s", n, s.StoreTuned, *artifactDir)
+		log.Printf("dpu-serve: warm-started %d compiled programs and %d tuning decisions from %s", n, eng.TuneStats().StoreTuned, *artifactDir)
 	}
 	sampleEvery := *traceSample
 	if sampleEvery <= 0 {

@@ -129,54 +129,45 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// Stats is a point-in-time snapshot of engine activity.
+// Stats is a point-in-time snapshot of engine activity. The `prom` tags
+// declare its /metrics families (see package metrics); the autotuning
+// counters live in TuneStats.
 type Stats struct {
 	// Hits counts Compile calls answered from the cache (including
 	// waits on a compilation already in flight).
-	Hits int64
+	Hits int64 `prom:"dpu_engine_cache_hits_total"`
 	// Misses counts Compile calls that started a compilation.
-	Misses int64
+	Misses int64 `prom:"dpu_engine_cache_misses_total"`
 	// Evictions counts cached programs discarded by the LRU bound.
-	Evictions int64
+	Evictions int64 `prom:"dpu_engine_cache_evictions_total"`
 	// Cached is the number of programs currently cached.
-	Cached int
+	Cached int64 `prom:"dpu_engine_cached_programs"`
 	// InFlight is the number of executions currently running.
-	InFlight int64
+	InFlight int64 `prom:"dpu_engine_inflight_executions"`
 	// Executions counts completed successful executions.
-	Executions int64
+	Executions int64 `prom:"dpu_engine_executions_total"`
 	// StoreHits counts compile misses answered by decoding a persisted
 	// artifact instead of compiling.
-	StoreHits int64
+	StoreHits int64 `prom:"dpu_engine_store_hits_total"`
 	// StoreMisses counts compile misses the backing store could not
 	// answer (no artifact for the key).
-	StoreMisses int64
+	StoreMisses int64 `prom:"dpu_engine_store_misses_total"`
 	// StoreErrors counts failed store interactions: artifacts that would
 	// not decode and persists that failed. The engine degrades to
 	// compiling; the counter is how operators notice a damaged store.
-	StoreErrors int64
+	StoreErrors int64 `prom:"dpu_engine_store_errors_total"`
 	// Preloaded counts artifacts loaded into the cache by Preload.
-	Preloaded int64
+	Preloaded int64 `prom:"dpu_engine_preloaded_total"`
 	// Verified counts decoded artifacts that passed static verification
 	// at an engine trust boundary (store decode, preload, decision
 	// install). Re-admissions of an already-verified content address are
 	// memoized and not re-counted, so this tracks distinct verified keys.
-	Verified int64
+	Verified int64 `prom:"dpu_engine_verified_total"`
 	// VerifyRejects counts artifacts rejected by the static verifier —
 	// treated exactly like checksum failures: the engine purges the file
 	// and falls back to compiling. A nonzero value means something wrote
 	// illegal programs into the store.
-	VerifyRejects int64
-	// TunedHits counts requests Resolve served on a tuned decision's
-	// configuration; StoreTuned counts decisions loaded from the store;
-	// Tunes/TuneErrors/TuneInFlight track background tuning (see
-	// TuneStats for the full autotuning picture).
-	TunedHits    int64
-	StoreTuned   int64
-	Tunes        int64
-	TuneErrors   int64
-	TuneInFlight int64
-	// Decisions is the number of resident autotuning decisions.
-	Decisions int
+	VerifyRejects int64 `prom:"dpu_engine_verify_rejects_total"`
 }
 
 // entry is one cache slot. done is closed when the single-flight
@@ -720,7 +711,7 @@ func (e *Engine) Stats() Stats {
 		Hits:      e.hits,
 		Misses:    e.misses,
 		Evictions: e.evictions,
-		Cached:    len(e.entries),
+		Cached:    int64(len(e.entries)),
 	}
 	e.mu.Unlock()
 	s.InFlight = e.inFlight.Load()
@@ -731,13 +722,5 @@ func (e *Engine) Stats() Stats {
 	s.Preloaded = e.preloaded.Load()
 	s.Verified = e.verified.Load()
 	s.VerifyRejects = e.verifyRejects.Load()
-	s.TunedHits = e.tunedHits.Load()
-	s.StoreTuned = e.storeTuned.Load()
-	s.Tunes = e.tunes.Load()
-	s.TuneErrors = e.tuneErrors.Load()
-	s.TuneInFlight = e.tuneInFlight.Load()
-	e.tuneMu.Lock()
-	s.Decisions = len(e.tune.decisions)
-	e.tuneMu.Unlock()
 	return s
 }

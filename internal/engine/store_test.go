@@ -22,6 +22,20 @@ func openStore(t *testing.T) *artifact.Store {
 	return st
 }
 
+// newStoreEngine is New for an engine over a test's temporary store. It
+// waits for the engine's background tunes and async artifact persists at
+// cleanup, which runs before the TempDir behind the store is removed, so
+// a late write cannot fail that removal with "directory not empty".
+func newStoreEngine(t *testing.T, opts Options) *Engine {
+	t.Helper()
+	e := New(opts)
+	t.Cleanup(func() {
+		e.WaitTunes()
+		e.Flush()
+	})
+	return e
+}
+
 // TestStoreBackedCompilePersistsAndRehydrates: a compile miss persists
 // an artifact; a second engine sharing the store answers the same miss
 // by decoding instead of compiling, bit-exactly.
@@ -30,7 +44,7 @@ func TestStoreBackedCompilePersistsAndRehydrates(t *testing.T) {
 	g := testGraph(1)
 	opts := compiler.Options{Seed: 3}
 
-	e1 := New(Options{Store: st})
+	e1 := newStoreEngine(t, Options{Store: st})
 	c1, err := e1.Compile(g, testCfg, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +58,7 @@ func TestStoreBackedCompilePersistsAndRehydrates(t *testing.T) {
 		t.Fatalf("store holds %d artifacts (%v), want 1", n, err)
 	}
 
-	e2 := New(Options{Store: st})
+	e2 := newStoreEngine(t, Options{Store: st})
 	c2, err := e2.Compile(g, testCfg, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +100,7 @@ func TestStoreBackedCompilePersistsAndRehydrates(t *testing.T) {
 func TestPreloadWarmStart(t *testing.T) {
 	st := openStore(t)
 	const graphs = 5
-	e1 := New(Options{Store: st})
+	e1 := newStoreEngine(t, Options{Store: st})
 	for i := 0; i < graphs; i++ {
 		if _, err := e1.Compile(testGraph(int64(i)), testCfg, compiler.Options{}); err != nil {
 			t.Fatal(err)
@@ -95,7 +109,7 @@ func TestPreloadWarmStart(t *testing.T) {
 	e1.Flush()
 
 	// "Restart": a fresh engine over the same directory.
-	e2 := New(Options{Store: st})
+	e2 := newStoreEngine(t, Options{Store: st})
 	n, err := e2.Preload()
 	if err != nil {
 		t.Fatal(err)
@@ -139,14 +153,14 @@ func TestPreloadWarmStart(t *testing.T) {
 // count matches what is actually resident.
 func TestPreloadRespectsCacheBound(t *testing.T) {
 	st := openStore(t)
-	e1 := New(Options{Store: st})
+	e1 := newStoreEngine(t, Options{Store: st})
 	for i := 0; i < 6; i++ {
 		if _, err := e1.Compile(testGraph(int64(i)), testCfg, compiler.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e1.Flush()
-	e2 := New(Options{Store: st, CacheSize: 3})
+	e2 := newStoreEngine(t, Options{Store: st, CacheSize: 3})
 	n, err := e2.Preload()
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +183,7 @@ func TestPreloadRespectsCacheBound(t *testing.T) {
 // just not ours) and still loads everything it can read.
 func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	st := openStore(t)
-	e1 := New(Options{Store: st})
+	e1 := newStoreEngine(t, Options{Store: st})
 	if _, err := e1.Compile(testGraph(1), testCfg, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +200,7 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(st.Dir(), "future"+artifact.Ext), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e2 := New(Options{Store: st})
+	e2 := newStoreEngine(t, Options{Store: st})
 	n, err := e2.Preload()
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +226,7 @@ func TestCorruptArtifactFallsBackToCompile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(st.Dir(), key.ID()+artifact.Ext), []byte("rotten bits"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +276,7 @@ func TestPoisonedRemapRejectedOnStoreHit(t *testing.T) {
 	if err := st.Put(poisonedArtifact(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatalf("poisoned store broke compilation: %v", err)
@@ -293,7 +307,7 @@ func TestPoisonedRemapRejectedAfterPreload(t *testing.T) {
 	if err := st.Put(poisonedArtifact(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	if n, err := e.Preload(); err != nil || n != 1 {
 		t.Fatalf("preload: %d, %v", n, err)
 	}
@@ -331,7 +345,7 @@ func TestPoisonedRemapConcurrentWaitersHealOnce(t *testing.T) {
 	if err := st.Put(poisonedArtifact(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	if n, err := e.Preload(); err != nil || n != 1 {
 		t.Fatalf("preload: %d, %v", n, err)
 	}
@@ -378,7 +392,7 @@ func TestStoreRaceOneArtifactPerKey(t *testing.T) {
 	)
 	engs := make([]*Engine, engines)
 	for i := range engs {
-		engs[i] = New(Options{Store: st})
+		engs[i] = newStoreEngine(t, Options{Store: st})
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
@@ -433,7 +447,7 @@ func TestStoreRaceOneArtifactPerKey(t *testing.T) {
 // — and everything it loads must execute.
 func TestStoreRacePreloadDuringPersist(t *testing.T) {
 	st := openStore(t)
-	writer := New(Options{Store: st})
+	writer := newStoreEngine(t, Options{Store: st})
 	const graphs = 10
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -448,7 +462,7 @@ func TestStoreRacePreloadDuringPersist(t *testing.T) {
 	}()
 	var loaded int
 	for round := 0; round < 20; round++ {
-		reader := New(Options{Store: st})
+		reader := newStoreEngine(t, Options{Store: st})
 		n, err := reader.Preload()
 		if err != nil {
 			t.Fatalf("preload round %d: %v", round, err)
@@ -460,7 +474,7 @@ func TestStoreRacePreloadDuringPersist(t *testing.T) {
 	}
 	wg.Wait()
 	writer.Flush()
-	final := New(Options{Store: st})
+	final := newStoreEngine(t, Options{Store: st})
 	n, err := final.Preload()
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func TestCompileTracedStoreDecodeSpan(t *testing.T) {
 	g := testGraph(22)
 
 	// First engine persists the artifact.
-	e1 := New(Options{Store: st})
+	e1 := newStoreEngine(t, Options{Store: st})
 	if _, err := e1.Compile(g, testCfg, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCompileTracedStoreDecodeSpan(t *testing.T) {
 
 	// Second engine's in-memory miss is answered by the store: the
 	// resolve span nests a store_decode hit instead of a compile.
-	e2 := New(Options{Store: st})
+	e2 := newStoreEngine(t, Options{Store: st})
 	tracer := trace.New(trace.Options{SampleEvery: 1})
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
 	if _, err := e2.CompileTraced(g, testCfg, compiler.Options{}, tr); err != nil {

@@ -312,25 +312,26 @@ type TunedWorkload struct {
 	Pinned       bool    `json:"pinned"` // true when the decision keeps the default config
 }
 
-// TuneStats is the autotuning section of the serving stats.
+// TuneStats is the autotuning section of the serving stats. The `prom`
+// tags declare its /metrics families (see package metrics).
 type TuneStats struct {
 	// Enabled reports whether the engine resolves requests through the
 	// decision table at all.
 	Enabled bool `json:"enabled"`
 	// Decisions is the number of resident decisions (including pinned
 	// defaults from failed or store-less probes).
-	Decisions int `json:"decisions"`
+	Decisions int64 `json:"decisions" prom:"dpu_engine_decisions"`
 	// TunedHits counts requests served on a decision's configuration.
-	TunedHits int64 `json:"tuned_hits"`
+	TunedHits int64 `json:"tuned_hits" prom:"dpu_engine_tuned_hits_total"`
 	// Tunes counts background tunes completed in this process;
 	// TuneErrors counts tuner failures (which pin the default).
-	Tunes      int64 `json:"tunes"`
-	TuneErrors int64 `json:"tune_errors"`
+	Tunes      int64 `json:"tunes" prom:"dpu_engine_tunes_total"`
+	TuneErrors int64 `json:"tune_errors" prom:"dpu_engine_tune_errors_total"`
 	// InFlight is the number of background tunes currently running.
-	InFlight int64 `json:"tune_in_flight"`
+	InFlight int64 `json:"tune_in_flight" prom:"dpu_engine_tunes_inflight"`
 	// StoreTuned counts decisions loaded from the persistent store
 	// (preload and on-demand probes).
-	StoreTuned int64 `json:"store_tuned"`
+	StoreTuned int64 `json:"store_tuned" prom:"dpu_engine_store_tuned_total"`
 	// Workloads lists the resident non-pinned decisions.
 	Workloads []TunedWorkload `json:"workloads,omitempty"`
 }
@@ -346,7 +347,7 @@ func (e *Engine) TuneStats() TuneStats {
 		StoreTuned: e.storeTuned.Load(),
 	}
 	e.tuneMu.Lock()
-	s.Decisions = len(e.tune.decisions)
+	s.Decisions = int64(len(e.tune.decisions))
 	for fp, r := range e.tune.decisions {
 		if r.d == nil {
 			continue

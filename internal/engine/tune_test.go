@@ -71,7 +71,7 @@ func TestResolveIdentityWithoutAutoTune(t *testing.T) {
 	if cfg != def || opts != (compiler.Options{}).Normalized() {
 		t.Fatalf("Resolve changed the request: %v %+v", cfg, opts)
 	}
-	if s := e.Stats(); s.TunedHits != 0 || s.Decisions != 0 {
+	if s := e.TuneStats(); s.TunedHits != 0 || s.Decisions != 0 {
 		t.Fatalf("autotune counters moved without AutoTune: %+v", s)
 	}
 }
@@ -104,7 +104,7 @@ func TestAutoTuneBackgroundSwitch(t *testing.T) {
 			t.Fatalf("request %d resolved to %v before the tune finished", i, cfg)
 		}
 	}
-	if s := e.Stats(); s.TuneInFlight != 1 || s.Tunes != 0 || s.TunedHits != 0 {
+	if s := e.TuneStats(); s.InFlight != 1 || s.Tunes != 0 || s.TunedHits != 0 {
 		t.Fatalf("mid-tune stats: %+v", s)
 	}
 
@@ -121,13 +121,12 @@ func TestAutoTuneBackgroundSwitch(t *testing.T) {
 	if opts != (compiler.Options{}).Normalized() {
 		t.Fatalf("post-tune options %+v", opts)
 	}
-	s := e.Stats()
-	if s.TuneInFlight != 0 || s.Tunes != 1 || s.TunedHits != 1 || s.TuneErrors != 0 {
+	if s := e.TuneStats(); s.InFlight != 0 || s.Tunes != 1 || s.TunedHits != 1 || s.TuneErrors != 0 {
 		t.Fatalf("post-tune stats: %+v", s)
 	}
 	// The background tune pre-compiled the tuned program: executing on
 	// the resolved config must be a cache hit, not a miss.
-	misses := s.Misses
+	misses := e.Stats().Misses
 	if _, err := e.Execute(g, cfg, opts, []float64{2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestAutoTuneFailurePinsDefault(t *testing.T) {
 	if got := ft.calls.Load(); got != 1 {
 		t.Fatalf("failing tuner retried %d times", got)
 	}
-	s := e.Stats()
+	s := e.TuneStats()
 	if s.TuneErrors != 1 || s.Tunes != 0 || s.TunedHits != 0 {
 		t.Fatalf("stats after failed tune: %+v", s)
 	}
@@ -221,7 +220,7 @@ func TestAutoTuneMismatchedFingerprintRejected(t *testing.T) {
 	if cfg, _ := e.Resolve(g, def, compiler.Options{}); cfg != def {
 		t.Fatalf("mismatched decision applied: %v", cfg)
 	}
-	if s := e.Stats(); s.TuneErrors != 1 {
+	if s := e.TuneStats(); s.TuneErrors != 1 {
 		t.Fatalf("mismatch not counted as error: %+v", s)
 	}
 }
@@ -243,7 +242,7 @@ func TestAutoTunePersistAndWarmRestart(t *testing.T) {
 			return tunedFor(tg.Fingerprint(), tuned, d, o), nil
 		},
 	}
-	e1 := New(Options{Tuner: ft, Store: st})
+	e1 := newStoreEngine(t, Options{Tuner: ft, Store: st})
 	e1.Resolve(g, def, compiler.Options{})
 	e1.WaitTunes()
 	e1.Flush()
@@ -263,12 +262,11 @@ func TestAutoTunePersistAndWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := New(Options{AutoTune: true, Store: st2})
+	e2 := newStoreEngine(t, Options{AutoTune: true, Store: st2})
 	if _, err := e2.Preload(); err != nil {
 		t.Fatal(err)
 	}
-	s := e2.Stats()
-	if s.StoreTuned != 1 || s.Decisions != 1 {
+	if s := e2.TuneStats(); s.StoreTuned != 1 || s.Decisions != 1 {
 		t.Fatalf("preload did not load the decision: %+v", s)
 	}
 	cfg, opts := e2.Resolve(g, def, compiler.Options{})
@@ -278,15 +276,15 @@ func TestAutoTunePersistAndWarmRestart(t *testing.T) {
 	if _, err := e2.Execute(g, cfg, opts, []float64{2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	s = e2.Stats()
-	if s.Tunes != 0 || s.TuneInFlight != 0 {
-		t.Fatalf("restart re-tuned: %+v", s)
+	ts := e2.TuneStats()
+	if ts.Tunes != 0 || ts.InFlight != 0 {
+		t.Fatalf("restart re-tuned: %+v", ts)
 	}
-	if s.Misses != 0 {
+	if s := e2.Stats(); s.Misses != 0 {
 		t.Fatalf("restart compiled despite preloaded tuned artifact: %+v", s)
 	}
-	if s.TunedHits != 1 {
-		t.Fatalf("tuned hit not counted: %+v", s)
+	if ts.TunedHits != 1 {
+		t.Fatalf("tuned hit not counted: %+v", ts)
 	}
 }
 
@@ -306,11 +304,11 @@ func TestAutoTuneStoreProbeWithoutPreload(t *testing.T) {
 	if err := st.PutDecision(d); err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{AutoTune: true, Store: st})
+	e := newStoreEngine(t, Options{AutoTune: true, Store: st})
 	if cfg, _ := e.Resolve(g, def, compiler.Options{}); cfg != tuned {
 		t.Fatalf("store probe missed the decision: %v", cfg)
 	}
-	if s := e.Stats(); s.StoreTuned != 1 || s.TunedHits != 1 {
+	if s := e.TuneStats(); s.StoreTuned != 1 || s.TunedHits != 1 {
 		t.Fatalf("probe stats: %+v", s)
 	}
 
@@ -323,7 +321,7 @@ func TestAutoTuneStoreProbeWithoutPreload(t *testing.T) {
 			t.Fatalf("undecided workload changed config: %v", cfg)
 		}
 	}
-	if s := e.Stats(); s.Decisions != 2 {
+	if s := e.TuneStats(); s.Decisions != 2 {
 		t.Fatalf("negative probe not pinned: %+v", s)
 	}
 }
@@ -359,8 +357,8 @@ func TestAutoTuneInFlightCap(t *testing.T) {
 			t.Fatalf("pre-decision resolve served %v", cfg)
 		}
 	}
-	if s := e.Stats(); s.TuneInFlight != int64(maxTunesInFlight) {
-		t.Fatalf("in-flight tunes = %d, want the cap %d", s.TuneInFlight, maxTunesInFlight)
+	if s := e.TuneStats(); s.InFlight != int64(maxTunesInFlight) {
+		t.Fatalf("in-flight tunes = %d, want the cap %d", s.InFlight, maxTunesInFlight)
 	}
 	close(ft.gate)
 	e.WaitTunes()
@@ -405,7 +403,7 @@ func TestAutoTuneDecisionTableBound(t *testing.T) {
 		e.Resolve(g, def, compiler.Options{})
 		e.WaitTunes()
 	}
-	s := e.Stats()
+	s := e.TuneStats()
 	if s.Decisions > 2 {
 		t.Fatalf("decision table grew past its bound: %+v", s)
 	}
@@ -435,7 +433,7 @@ func TestAutoTuneStoreErrorDefers(t *testing.T) {
 			return tunedFor(tg.Fingerprint(), arch.MinEnergy(), d, o), nil
 		},
 	}
-	e := New(Options{Tuner: ft, Store: st})
+	e := newStoreEngine(t, Options{Tuner: ft, Store: st})
 	def := arch.MinEDP()
 	for i := 0; i < 3; i++ {
 		if cfg, _ := e.Resolve(g, def, compiler.Options{}); cfg != def {
@@ -446,11 +444,10 @@ func TestAutoTuneStoreErrorDefers(t *testing.T) {
 	if got := ft.calls.Load(); got != 0 {
 		t.Fatalf("store outage launched %d re-tunes", got)
 	}
-	s := e.Stats()
-	if s.Decisions != 0 {
+	if s := e.TuneStats(); s.Decisions != 0 {
 		t.Fatalf("store outage pinned the fingerprint: %+v", s)
 	}
-	if s.StoreErrors == 0 {
+	if s := e.Stats(); s.StoreErrors == 0 {
 		t.Fatalf("store outage not surfaced: %+v", s)
 	}
 
@@ -496,15 +493,14 @@ func TestPreloadSkipsMisaddressedDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(Options{AutoTune: true, Store: st})
+	e := newStoreEngine(t, Options{AutoTune: true, Store: st})
 	if _, err := e.Preload(); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Stats()
-	if s.Decisions != 1 || s.StoreTuned != 1 {
+	if s := e.TuneStats(); s.Decisions != 1 || s.StoreTuned != 1 {
 		t.Fatalf("misaddressed decision installed: %+v", s)
 	}
-	if s.StoreErrors == 0 {
+	if s := e.Stats(); s.StoreErrors == 0 {
 		t.Fatalf("misaddressed decision not surfaced: %+v", s)
 	}
 	if cfg, _ := e.Resolve(g, def, compiler.Options{}); cfg != arch.MinEnergy() {
@@ -535,11 +531,11 @@ func TestPreloadHonorsDecisionTableBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := New(Options{AutoTune: true, Store: st})
+	e := newStoreEngine(t, Options{AutoTune: true, Store: st})
 	if _, err := e.Preload(); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.Decisions > 2 || s.StoreTuned > 2 {
+	if s := e.TuneStats(); s.Decisions > 2 || s.StoreTuned > 2 {
 		t.Fatalf("preload bypassed the decision-table bound: %+v", s)
 	}
 }

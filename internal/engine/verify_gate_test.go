@@ -59,7 +59,7 @@ func TestVerifyRejectsStoredStatsMismatch(t *testing.T) {
 	opts := compiler.Options{}
 	plantArtifact(t, st, g, testCfg, opts, func(c *compiler.Compiled) { c.Stats.Cycles /= 2 })
 
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	res, err := e.Execute(g, testCfg, opts, testInputs(g, 0.5))
 	if err != nil {
 		t.Fatalf("request must survive a tampered store: %v", err)
@@ -87,7 +87,7 @@ func TestVerifyRejectsStorePlantedIllegalArtifact(t *testing.T) {
 	opts := compiler.Options{}
 	plantIllegalArtifact(t, st, g, testCfg, opts)
 
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	inputs := testInputs(g, 0.5)
 	res, err := e.Execute(g, testCfg, opts, inputs)
 	if err != nil {
@@ -114,7 +114,7 @@ func TestVerifyRejectsStorePlantedIllegalArtifact(t *testing.T) {
 	// The purge and the fallback's async persist leave a clean artifact
 	// behind: a second engine decodes and verifies it.
 	e.Flush()
-	e2 := New(Options{Store: st})
+	e2 := newStoreEngine(t, Options{Store: st})
 	if _, err := e2.Compile(g, testCfg, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPreloadSkipsIllegalArtifact(t *testing.T) {
 	st := openStore(t)
 	plantIllegalArtifact(t, st, testGraph(42), testCfg, compiler.Options{})
 
-	e := New(Options{Store: st})
+	e := newStoreEngine(t, Options{Store: st})
 	n, err := e.Preload()
 	if err != nil {
 		t.Fatal(err)
@@ -168,14 +168,13 @@ func TestDecisionInstallRejectsIllegalArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(Options{Store: st, AutoTune: true})
+	e := newStoreEngine(t, Options{Store: st, AutoTune: true})
 	gotCfg, _ := e.Resolve(g, def, opts)
 	if gotCfg != def {
 		t.Errorf("Resolve switched to %v despite an illegal tuned artifact, want default %v", gotCfg, def)
 	}
-	s := e.Stats()
-	if s.VerifyRejects != 1 || s.StoreTuned != 0 {
-		t.Errorf("VerifyRejects=%d StoreTuned=%d, want 1/0", s.VerifyRejects, s.StoreTuned)
+	if s, ts := e.Stats(), e.TuneStats(); s.VerifyRejects != 1 || ts.StoreTuned != 0 {
+		t.Errorf("VerifyRejects=%d StoreTuned=%d, want 1/0", s.VerifyRejects, ts.StoreTuned)
 	}
 	if n, err := st.Len(); err != nil || n != 0 {
 		t.Errorf("store holds %d artifacts (%v), want 0 — poisoned tuned program must be purged", n, err)
@@ -188,7 +187,7 @@ func TestDecisionInstallRejectsIllegalArtifact(t *testing.T) {
 func TestVerifyMemoizedPerStoreKey(t *testing.T) {
 	st := openStore(t)
 	g1, g2 := testGraph(44), testGraph(45)
-	seed := New(Options{Store: st})
+	seed := newStoreEngine(t, Options{Store: st})
 	for _, g := range []*dag.Graph{g1, g2} {
 		if _, err := seed.Compile(g, testCfg, compiler.Options{}); err != nil {
 			t.Fatal(err)
@@ -196,7 +195,7 @@ func TestVerifyMemoizedPerStoreKey(t *testing.T) {
 	}
 	seed.Flush()
 
-	e := New(Options{Store: st, CacheSize: 1})
+	e := newStoreEngine(t, Options{Store: st, CacheSize: 1})
 	for round := 0; round < 2; round++ {
 		for _, g := range []*dag.Graph{g1, g2} {
 			if _, err := e.Compile(g, testCfg, compiler.Options{}); err != nil {

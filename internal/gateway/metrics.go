@@ -2,10 +2,10 @@ package gateway
 
 // GET /metrics: the gateway's OWN state in Prometheus text form —
 // routing counters, hedge/failover activity, end-to-end latency buckets
-// and per-backend health gauges. Deliberately not the fleet merge: a
-// scraper should scrape every dpu-serve's /metrics directly and let the
-// metrics backend aggregate; GET /stats remains the endpoint that merges
-// for humans.
+// (the `prom` tags of GatewayStats) and per-backend health gauges.
+// Deliberately not the fleet merge: a scraper should scrape every
+// dpu-serve's /metrics directly and let the metrics backend aggregate;
+// GET /stats remains the endpoint that merges for humans.
 
 import (
 	"bytes"
@@ -21,13 +21,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	p := metrics.NewPromWriter(&buf)
-	p.Counter("dpu_gateway_proxied_total", g.proxied.Load())
-	p.Counter("dpu_gateway_rejected_total", g.rejected.Load())
-	p.Counter("dpu_gateway_hedges_total", g.hedges.Load())
-	p.Counter("dpu_gateway_hedge_wins_total", g.hedgeWins.Load())
-	p.Counter("dpu_gateway_failovers_total", g.failovers.Load())
-	p.Gauge("dpu_gateway_hedge_delay_ns", int64(g.hedgeDelay()))
-	p.Histogram("dpu_gateway_request_latency_ns", "", g.latency.Snapshot())
+	st := g.ownStats()
+	metrics.WriteProm(p, &st)
 	for _, b := range g.backends {
 		up := int64(0)
 		if b.getState() == stateHealthy {

@@ -14,12 +14,12 @@ import (
 	"net/http"
 	"sync"
 
-	"dpuv2/internal/engine"
 	"dpuv2/internal/metrics"
 	"dpuv2/internal/serve"
 )
 
-// GatewayStats is the gateway's own section of GET /stats.
+// GatewayStats is the gateway's own section of GET /stats. The `prom`
+// tags declare the gateway's /metrics families (see package metrics).
 type GatewayStats struct {
 	// Backends/Healthy/Draining/Down count configured backends by their
 	// last probed state (unknown backends count as down).
@@ -29,17 +29,19 @@ type GatewayStats struct {
 	Down     int `json:"down"`
 	// Proxied counts /execute requests answered from a backend; Rejected
 	// counts those the gateway answered 502/503 itself.
-	Proxied  int64 `json:"proxied"`
-	Rejected int64 `json:"rejected"`
+	Proxied  int64 `json:"proxied" prom:"dpu_gateway_proxied_total"`
+	Rejected int64 `json:"rejected" prom:"dpu_gateway_rejected_total"`
 	// Hedges counts hedge copies launched, HedgeWins those that answered
 	// first; Failovers counts immediate re-routes after a hard failure.
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedge_wins"`
-	Failovers int64 `json:"failovers"`
+	Hedges    int64 `json:"hedges" prom:"dpu_gateway_hedges_total"`
+	HedgeWins int64 `json:"hedge_wins" prom:"dpu_gateway_hedge_wins_total"`
+	Failovers int64 `json:"failovers" prom:"dpu_gateway_failovers_total"`
 	// HedgeDelayNS is the current p99-derived hedge trigger.
-	HedgeDelayNS int64 `json:"hedge_delay_ns"`
-	// Latency is gateway-side end-to-end request time (ns).
-	Latency metrics.Summary `json:"latency_ns"`
+	HedgeDelayNS int64 `json:"hedge_delay_ns" prom:"dpu_gateway_hedge_delay_ns"`
+	// Latency is gateway-side end-to-end request time (ns); LatencyHist
+	// is the bucket snapshot behind it.
+	Latency     metrics.Summary  `json:"latency_ns"`
+	LatencyHist metrics.Snapshot `json:"latency_hist" prom:"dpu_gateway_request_latency_ns"`
 }
 
 // BackendStatus is one backend's row in GET /stats.
@@ -67,16 +69,7 @@ type FleetStatsResponse struct {
 // not hang on a wedged backend).
 func (g *Gateway) Stats(ctx context.Context) FleetStatsResponse {
 	out := FleetStatsResponse{
-		Gateway: GatewayStats{
-			Backends:     len(g.backends),
-			Proxied:      g.proxied.Load(),
-			Rejected:     g.rejected.Load(),
-			Hedges:       g.hedges.Load(),
-			HedgeWins:    g.hedgeWins.Load(),
-			Failovers:    g.failovers.Load(),
-			HedgeDelayNS: int64(g.hedgeDelay()),
-			Latency:      g.latency.Summary(),
-		},
+		Gateway:  g.ownStats(),
 		Backends: make([]BackendStatus, len(g.backends)),
 	}
 	var wg sync.WaitGroup
@@ -125,6 +118,23 @@ func (g *Gateway) Stats(ctx context.Context) FleetStatsResponse {
 	return out
 }
 
+// ownStats snapshots the gateway's own counters (the backend state
+// counts are filled in by Stats).
+func (g *Gateway) ownStats() GatewayStats {
+	st := GatewayStats{
+		Backends:     len(g.backends),
+		Proxied:      g.proxied.Load(),
+		Rejected:     g.rejected.Load(),
+		Hedges:       g.hedges.Load(),
+		HedgeWins:    g.hedgeWins.Load(),
+		Failovers:    g.failovers.Load(),
+		HedgeDelayNS: int64(g.hedgeDelay()),
+		LatencyHist:  g.latency.Snapshot(),
+	}
+	metrics.Summarize(&st)
+	return st
+}
+
 // fetchStats pulls one backend's /stats.
 func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*serve.StatsResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.opts.HealthTimeout)
@@ -145,67 +155,15 @@ func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*serve.StatsRespo
 	return &st, nil
 }
 
-// mergeStats folds src into dst: counters sum, histogram snapshots merge
-// exactly, and the merged summaries are recomputed from the merged
-// snapshots (never by combining quantiles).
+// mergeStats folds src into dst: the tagged counters sum and histogram
+// snapshots merge exactly (metrics.Merge), with the merged summaries
+// recomputed from the merged snapshots, never by combining quantiles.
 func mergeStats(dst *serve.StatsResponse, src *serve.StatsResponse) {
-	mergeEngine(&dst.Engine, &src.Engine)
-
-	d, s := &dst.Sched, &src.Sched
-	d.Submitted += s.Submitted
-	d.Rejected += s.Rejected
-	d.Completed += s.Completed
-	d.Failed += s.Failed
-	d.Batches += s.Batches
-	d.QueueDepth += s.QueueDepth
-	d.QueueLimit += s.QueueLimit
-	d.BatchSizeHist = d.BatchSizeHist.Merge(s.BatchSizeHist)
-	d.LatencyHist = d.LatencyHist.Merge(s.LatencyHist)
-	d.QueueWaitHist = d.QueueWaitHist.Merge(s.QueueWaitHist)
-	d.ExecuteHist = d.ExecuteHist.Merge(s.ExecuteHist)
-	d.BatchSize = d.BatchSizeHist.Summary()
-	d.Latency = d.LatencyHist.Summary()
-	d.QueueWait = d.QueueWaitHist.Summary()
-	d.Execute = d.ExecuteHist.Summary()
-
-	dst.HTTP.Requests += src.HTTP.Requests
-	dst.HTTP.Errors += src.HTTP.Errors
-	dst.HTTP.LatencyHist = dst.HTTP.LatencyHist.Merge(src.HTTP.LatencyHist)
-	dst.HTTP.Latency = dst.HTTP.LatencyHist.Summary()
-
-	t, u := &dst.Tune, &src.Tune
-	t.Enabled = t.Enabled || u.Enabled
-	t.Decisions += u.Decisions
-	t.TunedHits += u.TunedHits
-	t.Tunes += u.Tunes
-	t.TuneErrors += u.TuneErrors
-	t.InFlight += u.InFlight
-	t.StoreTuned += u.StoreTuned
+	metrics.Merge(dst, src)
+	dst.Tune.Enabled = dst.Tune.Enabled || src.Tune.Enabled
 	// Workloads are per-fingerprint rows; with shard affinity they are
 	// disjoint across backends, so the fleet view is the concatenation.
-	t.Workloads = append(t.Workloads, u.Workloads...)
-}
-
-// mergeEngine sums the engine counters.
-func mergeEngine(d *engine.Stats, s *engine.Stats) {
-	d.Hits += s.Hits
-	d.Misses += s.Misses
-	d.Evictions += s.Evictions
-	d.Cached += s.Cached
-	d.InFlight += s.InFlight
-	d.Executions += s.Executions
-	d.StoreHits += s.StoreHits
-	d.StoreMisses += s.StoreMisses
-	d.StoreErrors += s.StoreErrors
-	d.Preloaded += s.Preloaded
-	d.Verified += s.Verified
-	d.VerifyRejects += s.VerifyRejects
-	d.TunedHits += s.TunedHits
-	d.StoreTuned += s.StoreTuned
-	d.Tunes += s.Tunes
-	d.TuneErrors += s.TuneErrors
-	d.TuneInFlight += s.TuneInFlight
-	d.Decisions += s.Decisions
+	dst.Tune.Workloads = append(dst.Tune.Workloads, src.Tune.Workloads...)
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -68,19 +68,6 @@ func (p *PromWriter) sample(name, labels string, format string, args ...any) {
 	}
 }
 
-// Counter emits a monotonically increasing counter family with one
-// unlabeled sample.
-func (p *PromWriter) Counter(name string, v int64) {
-	p.typeLine(name, "counter")
-	p.sample(name, "", "%d", v)
-}
-
-// Gauge emits a gauge family with one unlabeled sample.
-func (p *PromWriter) Gauge(name string, v int64) {
-	p.typeLine(name, "gauge")
-	p.sample(name, "", "%d", v)
-}
-
 // GaugeLabeled emits one labeled sample of a gauge family (the TYPE
 // line is shared across calls with the same name).
 func (p *PromWriter) GaugeLabeled(name, labels string, v int64) {

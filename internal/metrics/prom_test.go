@@ -170,8 +170,10 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 func TestPromWriterCountersAndGauges(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("dpu_requests_total", 42)
-	p.Gauge("dpu_queue_depth", 7)
+	WriteProm(p, struct {
+		Requests int64 `prom:"dpu_requests_total"`
+		Depth    int64 `prom:"dpu_queue_depth"`
+	}{42, 7})
 	p.GaugeLabeled("dpu_backend_up", `backend="http://a"`, 1)
 	p.GaugeLabeled("dpu_backend_up", `backend="http://b"`, 0)
 	if err := p.Err(); err != nil {
@@ -187,6 +189,9 @@ func TestPromWriterCountersAndGauges(t *testing.T) {
 	if fams[0].Name != "dpu_requests_total" || fams[0].Kind != "counter" || fams[0].Samples[0].Value != 42 {
 		t.Fatalf("counter family %+v", fams[0])
 	}
+	if fams[1].Name != "dpu_queue_depth" || fams[1].Kind != "gauge" || fams[1].Samples[0].Value != 7 {
+		t.Fatalf("gauge family %+v", fams[1])
+	}
 	if got := len(fams[2].Samples); got != 2 {
 		t.Fatalf("labeled gauge has %d samples, want 2", got)
 	}
@@ -199,8 +204,10 @@ func TestPromWriterCountersAndGauges(t *testing.T) {
 func TestPromWriterRejectsRetypedFamily(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("dpu_thing", 1)
-	p.Gauge("dpu_thing", 2)
+	WriteProm(p, struct {
+		H Snapshot `prom:"dpu_thing"`
+		G int64    `prom:"dpu_thing"`
+	}{})
 	if p.Err() == nil {
 		t.Fatal("re-typing a family must error")
 	}

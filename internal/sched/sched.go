@@ -107,26 +107,27 @@ type Result struct {
 	Compiled *compiler.Compiled
 }
 
-// Stats is a point-in-time snapshot of scheduler activity.
+// Stats is a point-in-time snapshot of scheduler activity. The `prom`
+// tags declare its /metrics families (see package metrics).
 type Stats struct {
 	// Submitted counts admitted requests; Rejected counts requests
 	// turned away by admission control or ErrClosed.
-	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
+	Submitted int64 `json:"submitted" prom:"dpu_sched_submitted_total"`
+	Rejected  int64 `json:"rejected" prom:"dpu_sched_rejected_total"`
 	// Completed counts requests finished successfully, Failed those
 	// finished with a per-item, compile or context error.
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
+	Completed int64 `json:"completed" prom:"dpu_sched_completed_total"`
+	Failed    int64 `json:"failed" prom:"dpu_sched_failed_total"`
 	// Batches counts chunks, executed or failed; BatchSize their sizes.
-	Batches int64 `json:"batches"`
+	Batches int64 `json:"batches" prom:"dpu_sched_batches_total"`
 	// LingerFlushes, Linger and LingerHist are always zero: no request
-	// waits for another. They stay on the wire because bench/ still reads
-	// them, until its seam (ROADMAP item 1b) lets them go.
+	// waits for another. They stay on the wire, untagged, because bench/
+	// still reads them, until its seam (ROADMAP item 1b) lets them go.
 	LingerFlushes int64 `json:"linger_flushes"`
 	// QueueDepth is the current number of admitted-but-unfinished
 	// items; QueueLimit is the admission bound.
-	QueueDepth int             `json:"queue_depth"`
-	QueueLimit int             `json:"queue_limit"`
+	QueueDepth int64           `json:"queue_depth" prom:"dpu_sched_queue_depth"`
+	QueueLimit int64           `json:"queue_limit" prom:"dpu_sched_queue_limit"`
 	BatchSize  metrics.Summary `json:"batch_size"`
 	// Latency is per-item admission → chunk end (ns), which QueueWait
 	// and Execute decompose (see StageQueueWait).
@@ -139,11 +140,11 @@ type Stats struct {
 	// merge exactly (metrics.Snapshot.Merge), which is how the gateway
 	// builds its fleet view. Every admitted item observes both stages, so
 	// queue_wait.count == execute.count == completed + failed.
-	BatchSizeHist metrics.Snapshot `json:"batch_size_hist"`
-	LatencyHist   metrics.Snapshot `json:"latency_hist"`
-	QueueWaitHist metrics.Snapshot `json:"queue_wait_hist"`
+	BatchSizeHist metrics.Snapshot `json:"batch_size_hist" prom:"dpu_sched_batch_size"`
+	LatencyHist   metrics.Snapshot `json:"latency_hist" prom:"dpu_sched_latency_ns"`
+	QueueWaitHist metrics.Snapshot `json:"queue_wait_hist" prom:"dpu_sched_stage_latency_ns{stage=\"queue_wait\"}"`
 	LingerHist    metrics.Snapshot `json:"linger_hist"`
-	ExecuteHist   metrics.Snapshot `json:"execute_hist"`
+	ExecuteHist   metrics.Snapshot `json:"execute_hist" prom:"dpu_sched_stage_latency_ns{stage=\"execute\"}"`
 }
 
 // Scheduler admits and runs submissions. It is safe for concurrent use
@@ -337,21 +338,19 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	depth := s.queued
 	s.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Submitted:     s.submitted.Load(),
 		Rejected:      s.rejected.Load(),
 		Completed:     s.completed.Load(),
 		Failed:        s.failed.Load(),
 		Batches:       s.batches.Load(),
-		QueueDepth:    depth,
-		QueueLimit:    s.opts.QueueDepth,
-		BatchSize:     s.batchSize.Summary(),
-		Latency:       s.latency.Summary(),
-		QueueWait:     s.queueWait.Summary(),
-		Execute:       s.execute.Summary(),
+		QueueDepth:    int64(depth),
+		QueueLimit:    int64(s.opts.QueueDepth),
 		BatchSizeHist: s.batchSize.Snapshot(),
 		LatencyHist:   s.latency.Snapshot(),
 		QueueWaitHist: s.queueWait.Snapshot(),
 		ExecuteHist:   s.execute.Snapshot(),
 	}
+	metrics.Summarize(&st)
+	return st
 }

@@ -58,18 +58,22 @@ type ExecuteResponse struct {
 	Results []ExecuteResult `json:"results"`
 }
 
-// HTTPStats is the serving layer's own slice of GET /stats.
+// HTTPStats is the serving layer's own slice of GET /stats. The `prom`
+// tags declare its /metrics families (see package metrics).
 type HTTPStats struct {
-	Requests int64 `json:"requests"`
+	Requests int64 `json:"requests" prom:"dpu_http_requests_total"`
 	// Errors counts requests answered with a non-2xx status.
-	Errors int64 `json:"errors"`
+	Errors int64 `json:"errors" prom:"dpu_http_errors_total"`
+	// NonFiniteOutputs counts input vectors whose outputs overflowed to
+	// ±Inf/NaN and were itemized as errors inside a 200.
+	NonFiniteOutputs int64 `json:"non_finite_outputs" prom:"dpu_http_non_finite_outputs_total"`
 	// Latency summarizes whole-request wall time in nanoseconds,
 	// including scheduler queueing.
 	Latency metrics.Summary `json:"latency_ns"`
 	// LatencyHist is the full bucket snapshot behind Latency — the
 	// mergeable form a gateway aggregates across backends
 	// (metrics.Snapshot.Merge); quantiles themselves don't merge.
-	LatencyHist metrics.Snapshot `json:"latency_hist"`
+	LatencyHist metrics.Snapshot `json:"latency_hist" prom:"dpu_http_request_latency_ns"`
 }
 
 // StatsResponse is the GET /stats body: engine counters, scheduler
@@ -129,9 +133,10 @@ type Server struct {
 	// exclusively (briefly) by Drain, which thereby waits for them.
 	drainMu sync.RWMutex
 
-	requests atomic.Int64
-	errors   atomic.Int64
-	latency  metrics.Histogram
+	requests  atomic.Int64
+	errors    atomic.Int64
+	nonFinite atomic.Int64
+	latency   metrics.Histogram
 
 	tracer *trace.Tracer
 
@@ -195,17 +200,19 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Stats snapshots all three layers.
 func (s *Server) Stats() StatsResponse {
-	return StatsResponse{
+	st := StatsResponse{
 		Engine: s.eng.Stats(),
 		Sched:  s.sch.Stats(),
 		HTTP: HTTPStats{
-			Requests:    s.requests.Load(),
-			Errors:      s.errors.Load(),
-			Latency:     s.latency.Summary(),
-			LatencyHist: s.latency.Snapshot(),
+			Requests:         s.requests.Load(),
+			Errors:           s.errors.Load(),
+			NonFiniteOutputs: s.nonFinite.Load(),
+			LatencyHist:      s.latency.Snapshot(),
 		},
 		Tune: s.eng.TuneStats(),
 	}
+	metrics.Summarize(&st.HTTP)
+	return st
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -225,17 +232,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) fail(w http.ResponseWriter, msg string, status int) {
 	s.errors.Add(1)
 	http.Error(w, msg, status)
-}
-
-// checkConfigBounds rejects client configs whose machine state would be
-// unreasonably large before anything is allocated — a hostile {R: 1e9}
-// request would otherwise OOM the server. The limits live in the engine
-// (engine.CheckMachineBounds), which builds the machines and applies
-// the same bounds as its default autotuning DecisionGuard, so client
-// requests and stored tuning decisions can never disagree about what
-// fits.
-func checkConfigBounds(cfg arch.Config) error {
-	return engine.CheckMachineBounds(cfg)
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
@@ -288,7 +284,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		// replaced.
 		cfg = arch.MinEDP()
 	}
-	if err := checkConfigBounds(cfg); err != nil {
+	// A hostile {R: 1e9} request would otherwise OOM the server.
+	if err := engine.CheckMachineBounds(cfg); err != nil {
 		s.fail(w, "bad config: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -302,7 +299,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// limit): an out-of-bounds decision is ignored, not served — a
 	// hand-staged store file must not be able to OOM the server through
 	// a config the request path would have 400ed.
-	if rcfg, ropts := s.eng.Resolve(g, cfg, req.Options); checkConfigBounds(rcfg) == nil {
+	if rcfg, ropts := s.eng.Resolve(g, cfg, req.Options); engine.CheckMachineBounds(rcfg) == nil {
 		cfg, req.Options = rcfg, ropts
 	}
 	resp := ExecuteResponse{
@@ -343,6 +340,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		for _, v := range res.Outputs {
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				resp.Results[i] = ExecuteResult{Error: fmt.Sprintf("non-finite output %v (overflow?)", v)}
+				s.nonFinite.Add(1)
 				break
 			}
 		}

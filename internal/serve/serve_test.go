@@ -250,19 +250,23 @@ func TestServeBadRequests(t *testing.T) {
 
 // TestServeNonFiniteOutputsItemized: JSON cannot represent ±Inf/NaN, so
 // an overflowing execution must come back as that vector's error — not
-// as a truncated 200 killed by the response encoder.
+// as a truncated 200 killed by the response encoder — and be counted.
 func TestServeNonFiniteOutputsItemized(t *testing.T) {
-	_, srv := newTestServer(t, Options{})
+	s, srv := newTestServer(t, Options{})
 	req := ExecuteRequest{
 		Graph:  "const 1e308\nconst 1e308\nmul 0 1\n",
-		Inputs: [][]float64{{}},
+		Inputs: [][]float64{{}, {}},
 	}
 	resp, out := postExecute(t, srv, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	if len(out.Results) != 1 || out.Results[0].Error == "" {
+	if len(out.Results) != 2 || out.Results[0].Error == "" || out.Results[1].Error == "" {
 		t.Errorf("overflow not itemized: %+v", out.Results)
+	}
+	if st := s.Stats().HTTP; st.NonFiniteOutputs != 2 || st.Errors != 0 {
+		t.Errorf("non_finite_outputs/errors = %d/%d, want 2/0 (two vectors itemized inside a 200)",
+			st.NonFiniteOutputs, st.Errors)
 	}
 }
 
