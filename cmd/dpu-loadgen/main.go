@@ -54,6 +54,7 @@ type config struct {
 	inputsPer   int
 	seed        int64
 	slowest     int
+	traceEvery  int
 	jsonOut     bool
 }
 
@@ -111,11 +112,11 @@ type summary struct {
 	// transport or were refused with a non-200 status (429/503 shedding,
 	// connect errors, client timeouts).
 	ErrorLatency metrics.Summary `json:"error_latency_ns"`
-	// SlowestAdmitted lists the K slowest admitted requests with the
-	// trace IDs the generator stamped on them (every request carries a
-	// traceparent header, so the server traced these) — the bridge from a
-	// reported tail to GET /traces on the server side: take a trace_id
-	// from here, find the matching trace there, read where the time went.
+	// SlowestAdmitted lists the K slowest admitted requests among those
+	// the generator stamped with a traceparent (-trace-every), so the
+	// server traced each of them — the bridge from a reported tail to GET
+	// /traces on the server side: take a trace_id from here, find the
+	// matching trace there, read where the time went.
 	SlowestAdmitted []SlowRequest `json:"slowest_admitted,omitempty"`
 }
 
@@ -189,7 +190,7 @@ func run(cfg config, logw io.Writer) (summary, error) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.seed + 7919*int64(w)))
-			for {
+			for n := 0; ; n++ {
 				if interval > 0 {
 					// Global pacing: claim the next slot of the
 					// schedule and wait for it.
@@ -215,18 +216,22 @@ func run(cfg config, logw io.Writer) (summary, error) {
 					transport.Add(1)
 					continue
 				}
-				// Every request carries a freshly minted traceparent, so
-				// the server traces all loadgen traffic (header-carrying
-				// requests bypass sampling) and the summary's slowest rows
-				// can be looked up on the server's /traces by ID.
-				traceID := trace.NewID()
 				hreq, err := http.NewRequest(http.MethodPost, url+"/execute", bytes.NewReader(body))
 				if err != nil {
 					transport.Add(1)
 					continue
 				}
 				hreq.Header.Set("Content-Type", "application/json")
-				hreq.Header.Set(trace.Header, trace.Traceparent(traceID, trace.NewSpanID()))
+				// A traceparent makes the server trace the request
+				// (header-carrying requests bypass its sampling), so only
+				// every traceEvery-th request of a client carries one:
+				// tracing all traffic would distort what is measured.
+				var traceID trace.ID
+				traced := cfg.traceEvery > 0 && n%cfg.traceEvery == 0
+				if traced {
+					traceID = trace.NewID()
+					hreq.Header.Set(trace.Header, trace.Traceparent(traceID, trace.NewSpanID()))
+				}
 				t0 := time.Now()
 				resp, err := client.Do(hreq)
 				requests.Add(1)
@@ -254,7 +259,9 @@ func run(cfg config, logw io.Writer) (summary, error) {
 				// transfer and decode — not time-to-first-byte.
 				d := time.Since(t0)
 				hist.ObserveDuration(d)
-				recordSlow(traceID.String(), d)
+				if traced {
+					recordSlow(traceID.String(), d)
+				}
 				if err != nil {
 					transport.Add(1)
 					continue
@@ -301,7 +308,8 @@ func main() {
 	flag.IntVar(&cfg.graphs, "graphs", 4, "distinct random graphs in the population")
 	flag.IntVar(&cfg.inputsPer, "inputs", 2, "input vectors per request")
 	flag.Int64Var(&cfg.seed, "seed", 1, "population and input seed")
-	flag.IntVar(&cfg.slowest, "slowest", 5, "report the trace IDs of this many slowest admitted requests (0: none)")
+	flag.IntVar(&cfg.slowest, "slowest", 5, "report the trace IDs of this many slowest traced admitted requests (0: none)")
+	flag.IntVar(&cfg.traceEvery, "trace-every", 0, "send a traceparent, which makes the server trace the request, on every Nth request of each client (0: none)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the summary as JSON")
 	flag.Parse()
 

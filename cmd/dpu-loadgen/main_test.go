@@ -6,8 +6,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
+
+	"dpuv2/internal/engine"
+	"dpuv2/internal/serve"
+	"dpuv2/internal/trace"
 )
 
 // TestLoadgenSelfSmoke is the in-process version of CI's loadgen smoke
@@ -76,6 +81,57 @@ func TestLoadgenPacing(t *testing.T) {
 	// 40 qps × 0.5 s = 20 scheduled slots; allow slack for rounding.
 	if s.Requests > 25 {
 		t.Errorf("pacing exceeded: %d requests for a 20-slot schedule", s.Requests)
+	}
+}
+
+// TestTraceEvery: by default no request carries a traceparent and no
+// slow trace is reported; with -trace-every N, the first of every N
+// requests of each client carries one, and the slowest rows name only
+// those.
+func TestTraceEvery(t *testing.T) {
+	for _, every := range []int{0, 1, 3} {
+		srv := serve.New(engine.New(engine.Options{}), serve.Options{})
+		var mu sync.Mutex
+		sent, traced := 0, map[string]bool{}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			sent++
+			if id, _, ok := trace.ParseTraceparent(r.Header.Get(trace.Header)); ok {
+				traced[id.String()] = true
+			}
+			mu.Unlock()
+			srv.Handler().ServeHTTP(w, r)
+		}))
+		s, err := run(config{
+			url:         ts.URL,
+			duration:    200 * time.Millisecond,
+			concurrency: 1,
+			graphs:      2,
+			inputsPer:   1,
+			seed:        1,
+			slowest:     1000,
+			traceEvery:  every,
+		}, io.Discard)
+		ts.Close()
+		srv.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if every > 0 {
+			want = (sent + every - 1) / every
+		}
+		if len(traced) != want {
+			t.Errorf("-trace-every %d: %d of %d requests traced, want %d", every, len(traced), sent, want)
+		}
+		if len(s.SlowestAdmitted) != len(traced) {
+			t.Errorf("-trace-every %d: %d slow rows for %d traced requests", every, len(s.SlowestAdmitted), len(traced))
+		}
+		for _, r := range s.SlowestAdmitted {
+			if !traced[r.TraceID] {
+				t.Errorf("-trace-every %d: slow row %s was never sent", every, r.TraceID)
+			}
+		}
 	}
 }
 

@@ -37,7 +37,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -420,22 +419,20 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer g.tracer.Finish(tr)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
+	body, err := serve.ReadBody(w, r)
 	if err != nil {
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The shard key: only the graph text matters here. Config/options
-	// stay opaque bytes the backend will parse — the gateway must not
-	// need a new release to pass new fields through.
-	var shard struct {
-		Graph string `json:"graph"`
-	}
-	if err := json.Unmarshal(body, &shard); err != nil {
+	// The shard key is the graph's fingerprint. The body is decoded by
+	// the backend's own decoder, so the gateway turns away exactly the
+	// bodies a backend would, and forwards the bytes it read unchanged.
+	req, err := serve.DecodeExecuteRequest(body)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	gr, err := dag.Read(strings.NewReader(shard.Graph), "request")
+	gr, err := dag.Read(strings.NewReader(req.Graph), "request")
 	if err != nil {
 		http.Error(w, "bad graph: "+err.Error(), http.StatusBadRequest)
 		return

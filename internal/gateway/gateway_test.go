@@ -379,6 +379,9 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	}{
 		{`{not json`, http.StatusBadRequest},
 		{`{"graph":"add 0 1\n"}`, http.StatusBadRequest}, // arg before any node
+		// A body the backend's decoder rejects never leaves the gateway.
+		{`{"graph":"input\n","inputs":[[1e400]]}`, http.StatusBadRequest},
+		{`{"graph":"input\n","inputs":[["1"]]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(front.URL+"/execute", "application/json", strings.NewReader(tc.body))
 		if err != nil {

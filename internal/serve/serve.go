@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
@@ -74,6 +75,16 @@ type HTTPStats struct {
 	// mergeable form a gateway aggregates across backends
 	// (metrics.Snapshot.Merge); quantiles themselves don't merge.
 	LatencyHist metrics.Snapshot `json:"latency_hist" prom:"dpu_http_request_latency_ns"`
+	// Decode, Parse and Encode summarize the handler's own stages in
+	// nanoseconds: reading and decoding the body, dag.Read of its graph,
+	// and marshalling and writing the reply. Every request that reaches
+	// a stage observes it, so the counts fall from decode to encode.
+	Decode     metrics.Summary  `json:"decode_ns"`
+	Parse      metrics.Summary  `json:"parse_ns"`
+	Encode     metrics.Summary  `json:"encode_ns"`
+	DecodeHist metrics.Snapshot `json:"decode_hist" prom:"dpu_http_stage_latency_ns{stage=\"decode\"}"`
+	ParseHist  metrics.Snapshot `json:"parse_hist" prom:"dpu_http_stage_latency_ns{stage=\"parse\"}"`
+	EncodeHist metrics.Snapshot `json:"encode_hist" prom:"dpu_http_stage_latency_ns{stage=\"encode\"}"`
 }
 
 // StatsResponse is the GET /stats body: engine counters, scheduler
@@ -133,10 +144,11 @@ type Server struct {
 	// exclusively (briefly) by Drain, which thereby waits for them.
 	drainMu sync.RWMutex
 
-	requests  atomic.Int64
-	errors    atomic.Int64
-	nonFinite atomic.Int64
-	latency   metrics.Histogram
+	requests              atomic.Int64
+	errors                atomic.Int64
+	nonFinite             atomic.Int64
+	latency               metrics.Histogram
+	decode, parse, encode metrics.Histogram
 
 	tracer *trace.Tracer
 
@@ -208,6 +220,9 @@ func (s *Server) Stats() StatsResponse {
 			Errors:           s.errors.Load(),
 			NonFiniteOutputs: s.nonFinite.Load(),
 			LatencyHist:      s.latency.Snapshot(),
+			DecodeHist:       s.decode.Snapshot(),
+			ParseHist:        s.parse.Snapshot(),
+			EncodeHist:       s.encode.Snapshot(),
 		},
 		Tune: s.eng.TuneStats(),
 	}
@@ -259,8 +274,15 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tracer.Finish(tr)
 
+	t0 := s.clock.Now()
+	body, err := ReadBody(w, r)
 	var req ExecuteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+	if err == nil {
+		req, err = DecodeExecuteRequest(body)
+	}
+	s.stage(tr, &s.decode, "decode", t0,
+		trace.Int("bytes", int64(len(body))), trace.Int("inputs", int64(len(req.Inputs))))
+	if err != nil {
 		s.fail(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -269,13 +291,13 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			len(req.Inputs), s.opts.MaxInputsPerRequest), http.StatusRequestEntityTooLarge)
 		return
 	}
+	t0 = s.clock.Now()
 	g, err := dag.Read(strings.NewReader(req.Graph), "request")
+	s.stage(tr, &s.parse, "parse", t0)
 	if err != nil {
 		s.fail(w, "bad graph: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	tr.Span("decode", start, s.clock.Now().Sub(start), 0,
-		trace.Int("inputs", int64(len(req.Inputs))))
 	cfg := req.Config
 	if cfg == (arch.Config{}) {
 		// Only a fully omitted config defaults to the paper's min-EDP
@@ -345,16 +367,23 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	encStart := s.clock.Now()
-	body, err := json.Marshal(resp)
+	t0 = s.clock.Now()
+	out, err := json.Marshal(resp)
 	if err != nil {
 		s.fail(w, "encode: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	tr.Span("encode", encStart, s.clock.Now().Sub(encStart), 0,
-		trace.Int("bytes", int64(len(body))))
+	w.Write(out)
+	s.stage(tr, &s.encode, "encode", t0, trace.Int("bytes", int64(len(out))))
+}
+
+// stage records a handler stage that began at t0 and ends now: in its
+// histogram, and as a span when the request is traced.
+func (s *Server) stage(tr *trace.Trace, h *metrics.Histogram, name string, t0 time.Time, attrs ...trace.Attr) {
+	d := s.clock.Now().Sub(t0)
+	h.ObserveDuration(d)
+	tr.Span(name, t0, d, 0, attrs...)
 }
 
 // executeBatched runs the request's input vectors through the scheduler

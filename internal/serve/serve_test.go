@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
+	"dpuv2/internal/metrics"
 	"dpuv2/internal/sched"
 )
 
@@ -200,6 +202,18 @@ func TestServeBadRequests(t *testing.T) {
 		t.Errorf("truncated JSON: status = %d, want 400", resp.StatusCode)
 	}
 
+	// Bytes after the object: json.Unmarshal, and so the gateway, rejects
+	// the body, and the backend must agree.
+	resp, err = http.Post(srv.URL+"/execute", "application/json",
+		strings.NewReader(`{"graph":"input\ninput\nadd 0 1\n","inputs":[[1,2]]} x`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing bytes: status = %d, want 400", resp.StatusCode)
+	}
+
 	if resp, _ := postExecute(t, srv, ExecuteRequest{Graph: "bogus op\n"}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed graph: status = %d, want 400", resp.StatusCode)
 	}
@@ -267,6 +281,35 @@ func TestServeNonFiniteOutputsItemized(t *testing.T) {
 	if st := s.Stats().HTTP; st.NonFiniteOutputs != 2 || st.Errors != 0 {
 		t.Errorf("non_finite_outputs/errors = %d/%d, want 2/0 (two vectors itemized inside a 200)",
 			st.NonFiniteOutputs, st.Errors)
+	}
+}
+
+// TestServeStageHistograms: every request observes each handler stage
+// it reaches — a malformed body only decode, a bad graph decode and
+// parse, a served request all three — on /stats and on /metrics.
+func TestServeStageHistograms(t *testing.T) {
+	s, srv := newTestServer(t, Options{})
+	for _, body := range []string{
+		`{not json`,
+		`{"graph":"bogus op\n"}`,
+		`{"graph":"input\ninput\nadd 0 1\n","inputs":[[1,2]]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/execute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	st := s.Stats().HTTP
+	for _, c := range []struct {
+		stage string
+		sum   metrics.Summary
+		hist  metrics.Snapshot
+		want  uint64
+	}{{"decode", st.Decode, st.DecodeHist, 3}, {"parse", st.Parse, st.ParseHist, 2}, {"encode", st.Encode, st.EncodeHist, 1}} {
+		if c.hist.Count != c.want || c.sum.Count != c.want {
+			t.Errorf("%s: histogram count %d, summary count %d, want %d", c.stage, c.hist.Count, c.sum.Count, c.want)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func TestServeMetricsExposition(t *testing.T) {
 
 // TestServeTraceJoinsTraceparent: a request carrying a traceparent is
 // always traced under that exact trace ID, and the retained record
-// decomposes the request into decode / stage / encode spans.
+// decomposes the request into decode / parse / stage / encode spans.
 func TestServeTraceJoinsTraceparent(t *testing.T) {
 	s, srv := newTestServer(t, Options{
 		Trace: trace.Options{SampleEvery: -1}, // never sample bare requests
@@ -120,7 +120,7 @@ func TestServeTraceJoinsTraceparent(t *testing.T) {
 	if rec.Service != "serve" {
 		t.Fatalf("service %q, want serve", rec.Service)
 	}
-	for _, stage := range []string{"decode", "queue_wait", "execute", "encode"} {
+	for _, stage := range []string{"decode", "parse", "queue_wait", "execute", "encode"} {
 		if !hasStage(rec, stage) {
 			t.Errorf("span %q missing: %+v", stage, rec.Spans)
 		}
