@@ -79,9 +79,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	// Static verification before anything is reported or emitted — the
-	// same everything-we-emit-must-verify assertion the engine's
-	// VerifyCompiles option enforces, at the offline entry point that
-	// feeds shared artifact stores.
+	// everything-we-emit-must-verify assertion, at the offline entry
+	// point that feeds shared artifact stores.
 	if fs := verify.Compiled(c); verify.HasErrors(fs) {
 		fmt.Fprintf(stderr, "dpu-compile: compiled program fails static verification (%s):\n", verify.Summary(fs))
 		for _, f := range fs {

@@ -2,8 +2,7 @@
 // benchmark suites and reports the min-latency, min-energy and min-EDP
 // configurations (fig. 11/12). -timeout bounds the sweep's wall time:
 // points the budget did not reach are reported as skipped, and the
-// min-* winners are chosen over what was evaluated (the same partial-
-// result contract the autotuner uses).
+// min-* winners are chosen over what was evaluated.
 //
 //	dpu-dse -scale 0.25 [-timeout 2m]
 //
@@ -33,7 +32,6 @@ import (
 	"dpuv2/internal/dse"
 	"dpuv2/internal/pc"
 	"dpuv2/internal/sptrsv"
-	"dpuv2/internal/tune"
 )
 
 // run is the testable body of the command; it returns the process exit
@@ -57,11 +55,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var search tune.SearchKind
-	if err := search.Parse(*searchName); err != nil {
-		fmt.Fprintln(stderr, err)
+	if *searchName != "grid" && *searchName != "anneal" {
+		fmt.Fprintf(stderr, "dpu-dse: unknown search kind %q (want grid or anneal)\n", *searchName)
 		return 2
 	}
+	anneal := *searchName == "anneal"
 	var metric dse.Metric
 	if err := metric.ParseMetric(*metricName); err != nil {
 		fmt.Fprintln(stderr, err)
@@ -71,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dpu-dse: -chains %d / -steps %d must be non-negative\n", *chains, *steps)
 		return 2
 	}
-	if *tracePath != "" && search != tune.SearchAnneal {
+	if *tracePath != "" && !anneal {
 		fmt.Fprintln(stderr, "dpu-dse: -trace requires -search anneal")
 		return 2
 	}
@@ -124,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	report("min energy:", dse.MinEnergy, "D=3,B=16,R=64")
 	report("min EDP:", dse.MinEDP, "D=3,B=64,R=32")
 
-	if search != tune.SearchAnneal {
+	if !anneal {
 		return 0
 	}
 

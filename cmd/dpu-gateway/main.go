@@ -1,7 +1,6 @@
 // Command dpu-gateway is the sharded serving front: it consistent-hashes
 // each request graph's fingerprint across N dpu-serve backends, so every
-// backend's compile cache and tuned-decision table stay hot for its own
-// shard — horizontal scale that preserves the compile-once/execute-many
+// backend's compile cache stays hot for its own shard — horizontal scale that preserves the compile-once/execute-many
 // economics instead of multiplying cold compiles by the fleet size.
 //
 //	POST /execute   routed to the fingerprint's shard owner; hedged to

@@ -25,9 +25,9 @@
 // cut into batches of at most -max-batch, and -queue-depth bounds the
 // vectors admitted at any moment. SIGINT/SIGTERM drain gracefully:
 // in-flight requests complete, new ones are answered 503 until the listener
-// closes. The whole drain sequence (including background tunes and
-// store flushes) runs under the single -drain-timeout deadline, and a
-// second signal forces immediate exit. Connections are hardened against
+// closes. The whole drain sequence (including store flushes) runs under
+// the single -drain-timeout deadline, and a second signal forces
+// immediate exit. Connections are hardened against
 // stalled clients: -read-timeout bounds how long a request may take to
 // arrive, -idle-timeout reclaims idle keep-alives.
 //
@@ -41,27 +41,9 @@
 // the server fill it. /stats reports store hits/misses/preloads under
 // "engine".
 //
-// -autotune closes the loop from the paper's design-space exploration to
-// the serving path: each graph fingerprint is served on the hardware
-// configuration the DSE says is best for it. Decisions come from
-// `.dputune` records in -artifact-dir (produced offline by `dpu-tune
-// -store <dir>` and preloaded at boot) or, for fingerprints with no
-// stored decision, from an in-process background tune bounded by
-// -tune-budget: the first requests run on the submitted config while the
-// sweep runs off the request path, then traffic atomically switches to
-// the winner (which is also persisted, with its pre-compiled program,
-// for the next restart). A tuned config must beat the config it was
-// tuned against (the one submitted at first sight) by ≥1% on
-// -tune-metric or the decision pins that default — relative to it,
-// autotuning never makes the workload slower. A decision is per graph
-// fingerprint and overrides the config of every later request for that
-// graph; clients that need their exact config honored should be served
-// without -autotune. /stats reports the decision table, tuned hits and
-// in-flight tunes under "tune". -tune-search anneal makes background
-// tunes run simulated annealing over the enlarged config space (RNG
-// seeded by -tune-seed, deterministic at any worker count) instead of
-// the fixed grid; either way the decision's provenance records the
-// search that produced it.
+// The hardware configuration is the request's "config" (default the
+// paper's min-EDP point): the server never picks one per graph. Choose
+// a configuration offline with `dpu-dse`, as the paper's §V does.
 //
 // Example:
 //
@@ -83,12 +65,10 @@ import (
 	"time"
 
 	"dpuv2/internal/artifact"
-	"dpuv2/internal/dse"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/sched"
 	"dpuv2/internal/serve"
 	"dpuv2/internal/trace"
-	"dpuv2/internal/tune"
 )
 
 func main() {
@@ -98,15 +78,10 @@ func main() {
 	maxBatch := flag.Int("max-batch", 32, "run a request's input vectors on the engine in batches of at most this many")
 	queueDepth := flag.Int("queue-depth", 4096, "admitted-but-unfinished executions before 429s")
 	maxInputs := flag.Int("max-inputs", 1024, "input vectors allowed per request before 413s")
-	artifactDir := flag.String("artifact-dir", "", "persistent compiled-program store: preload .dpuprog artifacts and .dputune decisions at boot, persist new ones")
-	autotune := flag.Bool("autotune", false, "serve each graph fingerprint on its tuned config (stored .dputune decisions; unseen fingerprints tune in the background)")
-	tuneBudget := flag.Duration("tune-budget", 30*time.Second, "wall-clock budget per background tune (with -autotune)")
-	tuneMetric := flag.String("tune-metric", "latency", "background-tune optimization target: latency, energy or edp")
-	tuneSearch := flag.String("tune-search", "grid", "background-tune candidate search: grid (the 48-point sweep) or anneal (annealing over the enlarged space)")
-	tuneSeed := flag.Int64("tune-seed", 0, "anneal RNG seed for -tune-search anneal (recorded in decision provenance)")
+	artifactDir := flag.String("artifact-dir", "", "persistent compiled-program store: preload .dpuprog artifacts at boot, persist new ones")
 	readTimeout := flag.Duration("read-timeout", serve.DefaultReadTimeout, "close a connection that has not finished sending its request by then (slow-loris bound)")
 	idleTimeout := flag.Duration("idle-timeout", serve.DefaultIdleTimeout, "reclaim idle keep-alive connections after this long")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on the whole shutdown sequence (drain, background tunes, store flush, listener close)")
+	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "bound on the whole shutdown sequence (drain, store flush, listener close)")
 	traceSample := flag.Int("trace-sample", trace.DefaultSampleEvery, "trace 1 in N requests arriving without a traceparent header (0: never; requests carrying the header are always traced)")
 	traceSlow := flag.Duration("trace-slow", trace.DefaultSlowThreshold, "retain traces at least this slow in the slow-trace reservoir (GET /traces)")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (e.g. localhost:6060); empty disables. Always a separate listener — the serving port never exposes /debug/pprof")
@@ -119,21 +94,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var tuner engine.Tuner
-	if *autotune {
-		var metric dse.Metric
-		if err := metric.ParseMetric(*tuneMetric); err != nil {
-			log.Fatal(err)
-		}
-		var search tune.SearchKind
-		if err := search.Parse(*tuneSearch); err != nil {
-			log.Fatal(err)
-		}
-		tuner = tune.New(tune.Options{Metric: metric, Budget: *tuneBudget,
-			Search: search, Anneal: dse.AnnealOptions{Seed: *tuneSeed}})
-	}
-	eng := engine.New(engine.Options{CacheSize: *cache, Workers: *workers,
-		Store: store, AutoTune: *autotune, Tuner: tuner})
+	eng := engine.New(engine.Options{CacheSize: *cache, Workers: *workers, Store: store})
 	if store != nil {
 		n, err := eng.Preload()
 		if err != nil {
@@ -146,7 +107,7 @@ func main() {
 		if s.VerifyRejects > 0 {
 			log.Printf("dpu-serve: warm-start purged %d artifacts that failed static verification in %s (run dpu-vet for details)", s.VerifyRejects, *artifactDir)
 		}
-		log.Printf("dpu-serve: warm-started %d compiled programs and %d tuning decisions from %s", n, eng.TuneStats().StoreTuned, *artifactDir)
+		log.Printf("dpu-serve: warm-started %d compiled programs from %s", n, *artifactDir)
 	}
 	sampleEvery := *traceSample
 	if sampleEvery <= 0 {
@@ -186,13 +147,12 @@ func main() {
 			log.Printf("dpu-serve: second %v, forcing immediate exit", sig)
 			os.Exit(1)
 		}()
-		// The WHOLE sequence shares one deadline — a wedged background
-		// tune or a store flush on a dead disk must not block exit.
+		// The WHOLE sequence shares one deadline — a store flush on a
+		// dead disk must not block exit.
 		deadline := time.Now().Add(*drainTimeout)
 		ok := serve.DrainWithin(*drainTimeout,
-			srv.Drain,     // in-flight requests finish; new ones get 503
-			eng.WaitTunes, // background tunes publish (and persist) their decisions
-			eng.Flush,     // async artifact persists land before exit
+			srv.Drain, // in-flight requests finish; new ones get 503
+			eng.Flush, // async artifact persists land before exit
 		)
 		if !ok {
 			log.Printf("dpu-serve: drain did not complete within %v, exiting anyway", *drainTimeout)

@@ -3,7 +3,7 @@
 // boundaries (see internal/verify), as a lint over files. Point it at a
 // shared -artifact-dir before (or instead of) serving from it:
 //
-//	dpu-vet /var/dpu-store          # vet every artifact and decision
+//	dpu-vet /var/dpu-store          # vet every artifact
 //	dpu-vet -json prog.dpuprog      # machine-readable findings
 //
 // Exit status is 0 when everything decodes and verifies clean (warnings
@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if strings.HasPrefix(d.Name(), ".") {
 				return nil
 			}
-			if ext := filepath.Ext(path); ext == artifact.Ext || ext == artifact.DecisionExt {
+			if filepath.Ext(path) == artifact.Ext {
 				files = append(files, path)
 			}
 			return nil
@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// vetFile decodes and verifies one file by extension.
+// vetFile decodes and verifies one artifact file.
 func vetFile(path string) report {
 	r := report{Path: path}
 	b, err := os.ReadFile(path)
@@ -124,21 +124,12 @@ func vetFile(path string) report {
 		r.Error = err.Error()
 		return r
 	}
-	switch filepath.Ext(path) {
-	case artifact.DecisionExt:
-		// Decoding fully validates a decision (config, options, scores);
-		// the program it points at is vetted as its own .dpuprog file.
-		if _, err := artifact.DecodeDecisionBytes(b); err != nil {
-			r.Error = err.Error()
-		}
-	default:
-		a, err := artifact.DecodeBytes(b)
-		if err != nil {
-			r.Error = err.Error()
-			return r
-		}
-		r.Findings = verify.Compiled(a.Compiled)
+	a, err := artifact.DecodeBytes(b)
+	if err != nil {
+		r.Error = err.Error()
+		return r
 	}
+	r.Findings = verify.Compiled(a.Compiled)
 	return r
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -16,8 +17,8 @@ import (
 	"dpuv2/internal/verify"
 )
 
-// writeArtifacts populates dir with one clean artifact and one clean
-// decision, returning the artifact's encoded bytes for corruption tests.
+// writeArtifacts populates dir with one clean artifact, returning its
+// encoded bytes for corruption tests.
 func writeArtifacts(t *testing.T, dir string) []byte {
 	t.Helper()
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 4, Interior: 30, MaxArgs: 2, MulFrac: 0.3, Seed: 5})
@@ -34,21 +35,38 @@ func writeArtifacts(t *testing.T, dir string) []byte {
 	if err := os.WriteFile(filepath.Join(dir, "good"+artifact.Ext), ab, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := &artifact.Decision{
-		Fingerprint: g.Fingerprint(),
-		Config:      c.Prog.Cfg,
-		Options:     compiler.Options{}.Normalized(),
-		Score:       1,
-		Provenance:  artifact.Provenance{Metric: "edp", Default: c.Prog.Cfg, DefaultScore: 1, Tuner: "test"},
-	}
-	db, err := artifact.EncodeDecisionBytes(d)
+	return ab
+}
+
+// leftoverDecision is a complete .dputune record (a per-fingerprint
+// autotuning decision, a format this build no longer reads or writes)
+// as older builds left it in a store directory.
+const leftoverDecision = "7f44505554554e45020003f1f9b787000000000000004d5a28d14a3caa63cd9dbd" +
+	"f15cace8e2bb9b2b38198409ab0450f4a4f61a706703408001008080100000000000" +
+	"c072400000d804203000000000000000f03f076c6174656e63790340200180801000" +
+	"00000000c072400000000000000040303000000a6470752d74756e652f3204677269" +
+	"64000000000000000000000000000000000000000000"
+
+// TestVetSkipsLeftoverDecisionFile: a store directory upgraded from a
+// build that wrote .dputune decisions vets clean — the leftover file is
+// not an artifact, so it is neither vetted nor reported.
+func TestVetSkipsLeftoverDecisionFile(t *testing.T) {
+	dir := t.TempDir()
+	writeArtifacts(t, dir)
+	b, err := hex.DecodeString(leftoverDecision)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "good"+artifact.DecisionExt), db, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "4d5a28d14a3caa63cd9dbdf15cace8e2bb9b2b38198409ab0450f4a4f61a7067.dputune"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return ab
+	var out, errb bytes.Buffer
+	if code := run([]string{dir}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d with a leftover decision file; out=%s err=%s", code, out.String(), errb.String())
+	}
+	if got := out.String(); got != "vetted 1 file(s): 0 bad, 0 warning(s)\n" {
+		t.Errorf("output %q, want only the one program vetted", got)
+	}
 }
 
 func TestVetCleanDir(t *testing.T) {
@@ -168,8 +186,8 @@ func TestVetJSON(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != 3 { // good.dpuprog, good.dputune, trunc.dpuprog
-		t.Errorf("got %d JSON reports, want 3", lines)
+	if lines != 2 { // good.dpuprog, trunc.dpuprog
+		t.Errorf("got %d JSON reports, want 2", lines)
 	}
 }
 

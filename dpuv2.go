@@ -146,9 +146,7 @@ type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of a serving engine's activity: compile-cache
 // hits/misses/evictions, cached programs, in-flight and completed
-// executions, artifact-store and verifier counters. It carries no
-// autotuning counters; those are engine.TuneStats, the /stats "tune"
-// section.
+// executions, artifact-store and verifier counters.
 type EngineStats = engine.Stats
 
 // Engine is the compile-once/execute-many serving layer: a

@@ -493,12 +493,55 @@ func (d *dec) intNonNeg(what string, limit int) int {
 	return int(v)
 }
 
+// decodeOptions reads the compiler-options section and validates it
+// into normalized (cache-key) form.
+func (d *dec) decodeOptions() compiler.Options {
+	var opts compiler.Options
+	opts.Seed = d.varint()
+	opts.RandomBanks = d.boolean()
+	opts.Window = d.intNonNeg("window", maxTuning)
+	opts.SeedLookahead = d.intNonNeg("seed lookahead", maxTuning)
+	opts.FillLookahead = d.intNonNeg("fill lookahead", maxTuning)
+	opts.PartitionSize = d.intNonNeg("partition size", math.MaxInt32)
+	if d.err == nil && opts != opts.Normalized() {
+		d.fail("options %+v not in normalized form", opts)
+	}
+	return opts
+}
+
+// decodeConfig reads the config section and validates it into
+// normalized, format-bounded form.
+func (d *dec) decodeConfig() arch.Config {
+	var cfg arch.Config
+	cfg.D = int(d.uvarint())
+	cfg.B = int(d.uvarint())
+	cfg.R = int(d.uvarint())
+	cfg.Output = arch.OutputTopology(d.u8())
+	cfg.DataMemWords = int(d.uvarint())
+	cfg.ClockMHz = d.f64()
+	if d.err != nil {
+		return cfg
+	}
+	if err := cfg.Validate(); err != nil {
+		d.fail("config: %v", err)
+		return cfg
+	}
+	if cfg != cfg.Normalize() {
+		d.fail("config %v not in normalized form", cfg)
+		return cfg
+	}
+	if err := checkConfig(cfg); err != nil {
+		d.fail("config: %v", err)
+	}
+	return cfg
+}
+
 func decodePayload(b []byte) (*Artifact, error) {
 	d := &dec{buf: b}
 	a := &Artifact{}
 
 	// Hardware configuration.
-	cfg := d.decodeConfig("config")
+	cfg := d.decodeConfig()
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -179,8 +179,7 @@ func (s *Store) Put(a *Artifact) error {
 }
 
 // writeAtomic lands b at dest via a same-directory temp file and an
-// atomic rename — the write discipline both record types (programs and
-// decisions) rely on so a reader can never observe a torn file.
+// atomic rename, so a reader can never observe a torn file.
 func (s *Store) writeAtomic(dest string, b []byte) error {
 	f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
@@ -203,132 +202,34 @@ func (s *Store) writeAtomic(dest string, b []byte) error {
 	return nil
 }
 
-// DecisionExt is the autotuning-decision file extension. Decisions live
-// in the same directory as the compiled programs they select, so one
-// `-artifact-dir` carries the whole tuned deployment.
-const DecisionExt = ".dputune"
-
-// decisionPath addresses a decision by the workload fingerprint alone:
-// a decision is per workload, not per (workload, config) — it exists to
-// *pick* the config.
-func (s *Store) decisionPath(fp dag.Fingerprint) string {
-	return filepath.Join(s.dir, fp.String()+DecisionExt)
-}
-
-// PutDecision persists d under its workload fingerprint. Unlike Put,
-// which is first-wins (a compiled program is deterministic for its key),
-// PutDecision is last-wins: a re-tune with a bigger budget or fresher
-// cost model legitimately replaces the old choice. The write is atomic
-// (same-directory temp file + rename), so concurrent readers see either
-// the old complete decision or the new one, never a torn file.
-func (s *Store) PutDecision(d *Decision) error {
-	b, err := EncodeDecisionBytes(d)
-	if err != nil {
-		return err
-	}
-	if err := s.writeAtomic(s.decisionPath(d.Fingerprint), b); err != nil {
-		return fmt.Errorf("artifact: put decision: %w", err)
-	}
-	return nil
-}
-
-// GetDecision loads the decision for fp. A missing file is ErrNotFound;
-// a corrupt file surfaces its typed error and is removed (self-healing,
-// like Get), except ErrVersion files, which another binary may own. A
-// decision whose embedded fingerprint does not match its address is
-// treated as corrupt.
-func (s *Store) GetDecision(fp dag.Fingerprint) (*Decision, error) {
-	p := s.decisionPath(fp)
-	b, err := os.ReadFile(p)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("%w: decision %s", ErrNotFound, fp.Short())
-		}
-		return nil, fmt.Errorf("artifact: %w", err)
-	}
-	d, err := DecodeDecisionBytes(b)
-	if err != nil {
-		if !errors.Is(err, ErrVersion) {
-			os.Remove(p)
-		}
-		return nil, fmt.Errorf("%s: %w", p, err)
-	}
-	if d.Fingerprint != fp {
-		os.Remove(p)
-		return nil, fmt.Errorf("%s: %w: decision is for %s, not its address %s", p, ErrCorrupt, d.Fingerprint.Short(), fp.Short())
-	}
-	return d, nil
-}
-
-// RemoveDecision deletes the decision for fp; a missing file is not an
-// error.
-func (s *Store) RemoveDecision(fp dag.Fingerprint) error {
-	if err := os.Remove(s.decisionPath(fp)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("artifact: remove decision: %w", err)
-	}
-	return nil
-}
-
-// WalkDecisions decodes every *.dputune file in the store and calls fn
-// with the path and either the decision or its decode error. fn
-// returning false stops the walk. Like Walk, concurrent mutation is
-// tolerated.
-func (s *Store) WalkDecisions(fn func(path string, d *Decision, err error) bool) error {
-	err := s.walkExt(DecisionExt, func(p string, b []byte, rerr error) bool {
-		if rerr != nil {
-			return fn(p, nil, rerr)
-		}
-		d, derr := DecodeDecisionBytes(b)
-		return fn(p, d, derr)
-	})
-	if err != nil {
-		return fmt.Errorf("artifact: walk decisions: %w", err)
-	}
-	return nil
-}
-
-// walkExt iterates the complete files carrying one extension, handing
-// fn each file's raw bytes (or its read error); fn returning false
-// stops the walk. Temp files are skipped and files vanishing mid-walk
-// (a raced removal) are tolerated — the shared discipline of both
-// record walks.
-func (s *Store) walkExt(ext string, fn func(path string, b []byte, err error) bool) error {
+// Walk decodes every artifact file in the store (any *.dpuprog, not
+// just content-addressed names) and calls fn with the path and either
+// the artifact or its decode error. fn returning false stops the walk.
+// Temp files and files of any other extension are skipped, and files
+// appearing or vanishing mid-walk are tolerated — concurrent Puts only
+// ever add complete files.
+func (s *Store) Walk(fn func(path string, a *Artifact, err error) bool) error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("artifact: walk: %w", err)
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, ext) {
+		if ent.IsDir() || strings.HasPrefix(name, tmpPrefix) || !strings.HasSuffix(name, Ext) {
 			continue
 		}
 		p := filepath.Join(s.dir, name)
 		b, err := os.ReadFile(p)
-		if err != nil && errors.Is(err, fs.ErrNotExist) {
+		var a *Artifact
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
 			continue // raced a concurrent removal
+		case err == nil:
+			a, err = DecodeBytes(b)
 		}
-		if !fn(p, b, err) {
+		if !fn(p, a, err) {
 			return nil
 		}
-	}
-	return nil
-}
-
-// Walk decodes every artifact file in the store (any *.dpuprog, not
-// just content-addressed names) and calls fn with the path and either
-// the artifact or its decode error. fn returning false stops the walk.
-// Files appearing or vanishing mid-walk are tolerated — concurrent
-// Puts only ever add complete files.
-func (s *Store) Walk(fn func(path string, a *Artifact, err error) bool) error {
-	err := s.walkExt(Ext, func(p string, b []byte, rerr error) bool {
-		if rerr != nil {
-			return fn(p, nil, rerr)
-		}
-		a, derr := DecodeBytes(b)
-		return fn(p, a, derr)
-	})
-	if err != nil {
-		return fmt.Errorf("artifact: walk: %w", err)
 	}
 	return nil
 }

@@ -81,8 +81,7 @@ type AnnealOptions struct {
 	// Cool is the geometric per-step temperature decay in (0, 1]
 	// (default 0.92).
 	Cool float64
-	// Metric is the optimization target (default MinLatency, matching
-	// the tuner).
+	// Metric is the optimization target (default MinLatency).
 	Metric Metric
 	// Start is the seed candidate set, swept first so the chains start
 	// from its best feasible point; nil means Grid(), the paper's 48
@@ -101,8 +100,7 @@ type AnnealOptions struct {
 	Guard func(arch.Config) error
 }
 
-// Normalized fills defaulted fields, the shape recorded in traces and
-// decision provenance.
+// Normalized fills defaulted fields, the shape recorded in traces.
 func (o AnnealOptions) Normalized() AnnealOptions {
 	if o.Chains <= 0 {
 		o.Chains = 4

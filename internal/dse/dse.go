@@ -164,7 +164,7 @@ func SweepParallel(workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Opt
 // are returned promptly as infeasible points carrying ctx's error, and a
 // point mid-evaluation stops before its next plan or emission. The sweep
 // never returns early — the slice always has one point per configuration,
-// in cfgs order — so callers working under a budget (the autotuner) get
+// in cfgs order — so callers working under a budget (dpu-dse -timeout) get
 // whatever partial results the budget bought, each point labeled either
 // with its metrics or with the cancellation error.
 func SweepContext(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Options, workers int) []Point {

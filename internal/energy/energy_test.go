@@ -124,7 +124,7 @@ func syntheticStats(cfg arch.Config, ops int) sim.Stats {
 
 // rankByEDP scores every config with EstimateRun and returns the config
 // strings best-first, ties broken by the config's own string — the
-// deterministic order an autotuner relies on.
+// deterministic order a design-space search relies on.
 func rankByEDP(cfgs []arch.Config, ops int) []string {
 	type scored struct {
 		name string
@@ -148,12 +148,12 @@ func rankByEDP(cfgs []arch.Config, ops int) []string {
 	return names
 }
 
-// TestRankingStability pins the property autotuning decisions depend on:
+// TestRankingStability pins the property the DSE's min-* picks depend on:
 // scoring the same candidates always yields the same order — across
 // repeated runs, across candidate-iteration order (the model is a pure
 // function, so shuffling the input must only permute, never rescore) —
 // and the top of the ranking matches a golden expectation, so a model
-// change that silently reshuffles tuned configs fails loudly here.
+// change that silently reshuffles the winners fails loudly here.
 func TestRankingStability(t *testing.T) {
 	grid := make([]arch.Config, 0, 48)
 	for _, d := range []int{1, 2, 3} {
@@ -184,7 +184,7 @@ func TestRankingStability(t *testing.T) {
 
 	// Golden head of the ranking for this workload shape. If a model
 	// change legitimately reorders the design space, update these (and
-	// expect persisted tuning decisions to be re-derived).
+	// expect the DSE's reported winners to move).
 	golden := []string{
 		"D=3,B=64,R=16,per-layer",
 		"D=2,B=64,R=16,per-layer",
@@ -228,7 +228,7 @@ func offGridCandidates() []arch.Config {
 // TestRankingStabilityOffGrid extends the golden ranking to the
 // annealing search's enlarged candidate space: off-grid candidates must
 // rank reproducibly alongside the 48 grid points — same order under
-// shuffling, and a pinned golden head — so annealed decisions are as
+// shuffling, and a pinned golden head — so annealed winners are as
 // stable as grid ones.
 func TestRankingStabilityOffGrid(t *testing.T) {
 	cfgs := make([]arch.Config, 0, 64)
@@ -264,7 +264,7 @@ func TestRankingStabilityOffGrid(t *testing.T) {
 	}
 
 	// Golden head over the enlarged space. If a model change legitimately
-	// reorders it, update these and re-derive persisted anneal decisions.
+	// reorders it, update these and re-run the anneal searches.
 	golden := []string{
 		"D=6,B=64,R=8,per-layer",
 		"D=4,B=128,R=32,per-layer",

@@ -27,9 +27,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -54,34 +52,8 @@ type Options struct {
 	// Store, when non-nil, backs the compile cache with persisted
 	// artifacts: misses consult it before compiling, successful
 	// compilations are persisted to it asynchronously (Flush waits for
-	// them), and Preload fills the cache from it. With AutoTune it also
-	// carries the .dputune decision records.
+	// them), and Preload fills the cache from it.
 	Store *artifact.Store
-	// AutoTune routes requests through the per-fingerprint decision
-	// table (see Resolve): a workload with a tuned decision — resident,
-	// in the Store, or produced by the Tuner — is served on the tuned
-	// configuration instead of the caller's.
-	AutoTune bool
-	// Tuner, when non-nil, tunes undecided fingerprints in the
-	// background on first sight (implies AutoTune). *tune.Tuner is the
-	// production implementation.
-	Tuner Tuner
-	// VerifyCompiles statically verifies every fresh compilation before
-	// it is served or persisted — the differential debug assertion
-	// "everything we emit must verify". The compiler is already proven
-	// against the verifier by the conformance matrix, so production
-	// leaves this off; test and tuning rigs turn it on to catch a
-	// compiler regression at its source instead of at the next decode.
-	VerifyCompiles bool
-	// DecisionGuard vets a decision's configuration before it is
-	// applied: a decision whose config fails the guard is pinned to the
-	// default instead of served (and surfaced in StoreErrors or
-	// TuneErrors, by source), so a hand-staged store file can never
-	// switch traffic onto a config the request path would have rejected
-	// — and never shows up as a tuned hit it didn't earn. Nil defaults
-	// to CheckMachineBounds; install a custom policy (or a func
-	// returning nil) to widen it.
-	DecisionGuard func(arch.Config) error
 }
 
 // CheckMachineBounds rejects configurations whose machine state would
@@ -92,11 +64,10 @@ type Options struct {
 // unbounded config would OOM whoever compiles or simulates it. The caps
 // comfortably cover every configuration of the paper (DPU-v2 (L) is
 // B=64, R=256, 4M-word memory). The serving layer applies the same
-// bounds to client-requested configs, and it is the default
-// DecisionGuard, so autotuning decisions cannot bypass them. The
-// annealing search (dse.SearchAnneal) reuses this check as its default
-// mutation guard, so the search never proposes a configuration the
-// serving layer would refuse to instantiate.
+// bounds to client-requested configs. The annealing search
+// (dse.SearchAnneal) reuses this check as its default mutation guard,
+// so the search never proposes a configuration the serving layer would
+// refuse to instantiate.
 func CheckMachineBounds(cfg arch.Config) error {
 	cfg = cfg.Normalize()
 	const (
@@ -120,18 +91,11 @@ func (o Options) normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Tuner != nil {
-		o.AutoTune = true
-	}
-	if o.DecisionGuard == nil {
-		o.DecisionGuard = CheckMachineBounds
-	}
 	return o
 }
 
 // Stats is a point-in-time snapshot of engine activity. The `prom` tags
-// declare its /metrics families (see package metrics); the autotuning
-// counters live in TuneStats.
+// declare its /metrics families (see package metrics).
 type Stats struct {
 	// Hits counts Compile calls answered from the cache (including
 	// waits on a compilation already in flight).
@@ -159,8 +123,7 @@ type Stats struct {
 	// Preloaded counts artifacts loaded into the cache by Preload.
 	Preloaded int64 `prom:"dpu_engine_preloaded_total"`
 	// Verified counts decoded artifacts that passed static verification
-	// at an engine trust boundary (store decode, preload, decision
-	// install). Re-admissions of an already-verified content address are
+	// at an engine trust boundary (store decode, preload). Re-admissions of an already-verified content address are
 	// memoized and not re-counted, so this tracks distinct verified keys.
 	Verified int64 `prom:"dpu_engine_verified_total"`
 	// VerifyRejects counts artifacts rejected by the static verifier —
@@ -225,17 +188,6 @@ type Engine struct {
 	verifiedKeys  map[artifact.Key]struct{}
 	// persists tracks in-flight async artifact writes; Flush waits on it.
 	persists sync.WaitGroup
-
-	// Autotuning state (tune.go).
-	tuneMu       sync.Mutex // guards tune
-	tune         tuneState
-	tunedHits    atomic.Int64
-	storeTuned   atomic.Int64
-	tunes        atomic.Int64
-	tuneErrors   atomic.Int64
-	tuneInFlight atomic.Int64
-	// tuneWG tracks background tunes; WaitTunes waits on it.
-	tuneWG sync.WaitGroup
 }
 
 // New returns an engine with the given options.
@@ -245,12 +197,15 @@ func New(opts Options) *Engine {
 		entries:      make(map[artifact.Key]*entry),
 		maxFree:      2 * runtime.GOMAXPROCS(0),
 		verifiedKeys: make(map[artifact.Key]struct{}),
-		tune: tuneState{
-			decisions: make(map[dag.Fingerprint]residentDecision),
-			tuning:    make(map[dag.Fingerprint]struct{}),
-			probing:   make(map[dag.Fingerprint]struct{}),
-		},
 	}
+}
+
+// Resolve maps a request to the configuration and compiler options it
+// is served on: the caller's own, in normalized (cache-key) form. It
+// stays as the serving path's one config-resolution step, so the
+// handler and anything replaying the handler name the same cache key.
+func (e *Engine) Resolve(g *dag.Graph, cfg arch.Config, opts compiler.Options) (arch.Config, compiler.Options) {
+	return cfg.Normalize(), opts.Normalized()
 }
 
 // Compile returns the compiled program for (g, cfg, opts), compiling at
@@ -402,11 +357,6 @@ func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, pare
 	tr.SetAttrs(cs, trace.Int("nodes", int64(g.NumNodes())))
 	c, err := compiler.Compile(cg, k.Config, k.Options)
 	tr.End(cs)
-	if err == nil && e.opts.VerifyCompiles {
-		if fs := verify.Compiled(c); verify.HasErrors(fs) {
-			return nil, fmt.Errorf("engine: compiler emitted a program that fails verification (%s)", verify.Summary(fs))
-		}
-	}
 	if err == nil && e.opts.Store != nil {
 		a := &artifact.Artifact{Fingerprint: k.Fingerprint, Options: k.Options, Compiled: c}
 		e.persists.Add(1)
@@ -434,7 +384,7 @@ func (e *Engine) Preload() (n int, err error) {
 	if st == nil {
 		return 0, nil
 	}
-	werr := st.Walk(func(path string, a *artifact.Artifact, derr error) bool {
+	err = st.Walk(func(path string, a *artifact.Artifact, derr error) bool {
 		if derr != nil {
 			// Another binary's format version is a legitimate neighbor in
 			// a shared store (mixed-version fleet), not damage; only real
@@ -467,46 +417,7 @@ func (e *Engine) Preload() (n int, err error) {
 		e.mu.Unlock()
 		return !full
 	})
-	if werr == nil && e.opts.AutoTune {
-		// Decisions ride along: a warm-started autotuning server serves
-		// every stored fingerprint on its tuned config from the first
-		// request, with zero in-process tuning. The permanent decision
-		// table keeps its bound here too — a store accumulating more
-		// decisions than the cap stops loading once full, like the
-		// program walk stops at the cache bound.
-		werr = st.WalkDecisions(func(path string, d *artifact.Decision, derr error) bool {
-			if derr != nil {
-				if !errors.Is(derr, artifact.ErrVersion) {
-					e.storeErrors.Add(1)
-				}
-				return true
-			}
-			// Same identity check GetDecision enforces: a decision is
-			// served only from its own address. A misaddressed file
-			// (stale copy, hand-renamed) must not shadow the current
-			// decision for the fingerprint it embeds — walk order would
-			// otherwise decide which one wins.
-			if base := strings.TrimSuffix(filepath.Base(path), artifact.DecisionExt); base != d.Fingerprint.String() {
-				e.storeErrors.Add(1)
-				return true
-			}
-			r := e.admitDecision(d, "store")
-			e.tuneMu.Lock()
-			full := len(e.tune.decisions) >= maxDecisions
-			if _, known := e.tune.decisions[d.Fingerprint]; !known && !full {
-				e.tune.decisions[d.Fingerprint] = r
-				if r.d != nil {
-					e.storeTuned.Add(1)
-				} else {
-					e.storeErrors.Add(1) // guard-rejected store content
-				}
-				full = len(e.tune.decisions) >= maxDecisions
-			}
-			e.tuneMu.Unlock()
-			return !full
-		})
-	}
-	return n, werr
+	return n, err
 }
 
 // Flush waits for every asynchronous artifact persist started so far.

@@ -30,6 +30,22 @@ func testInputs(g *dag.Graph, scale float64) []float64 {
 
 var testCfg = arch.Config{D: 2, B: 8, R: 16}
 
+// TestResolveNormalizes: Resolve passes the request's config and
+// options through untouched, normalization aside, so the handler and
+// the compile cache name the same key.
+func TestResolveNormalizes(t *testing.T) {
+	e := New(Options{})
+	g := testGraph(1)
+	def := arch.MinEDP()
+	cfg, opts := e.Resolve(g, def, compiler.Options{})
+	if cfg != def || opts != (compiler.Options{}).Normalized() {
+		t.Fatalf("Resolve changed the request: %v %+v", cfg, opts)
+	}
+	if cfg, _ := e.Resolve(g, testCfg, compiler.Options{}); cfg != testCfg.Normalize() {
+		t.Fatalf("Resolve(%v) = %v, want the normalized %v", testCfg, cfg, testCfg.Normalize())
+	}
+}
+
 func TestCompileCacheHitsAndSharing(t *testing.T) {
 	e := New(Options{})
 	g := testGraph(1)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,16 +25,13 @@ func openStore(t *testing.T) *artifact.Store {
 }
 
 // newStoreEngine is New for an engine over a test's temporary store. It
-// waits for the engine's background tunes and async artifact persists at
-// cleanup, which runs before the TempDir behind the store is removed, so
-// a late write cannot fail that removal with "directory not empty".
+// waits for the engine's async artifact persists at cleanup, which runs
+// before the TempDir behind the store is removed, so a late write cannot
+// fail that removal with "directory not empty".
 func newStoreEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
 	e := New(opts)
-	t.Cleanup(func() {
-		e.WaitTunes()
-		e.Flush()
-	})
+	t.Cleanup(e.Flush)
 	return e
 }
 
@@ -145,6 +144,58 @@ func TestPreloadWarmStart(t *testing.T) {
 	}
 	if s.Hits != graphs {
 		t.Errorf("hits = %d, want %d", s.Hits, graphs)
+	}
+}
+
+// leftoverDecision is a complete .dputune record (a per-fingerprint
+// autotuning decision, a format this build no longer reads or writes)
+// as older builds left it in a store directory.
+const leftoverDecision = "7f44505554554e45020003f1f9b787000000000000004d5a28d14a3caa63cd9dbd" +
+	"f15cace8e2bb9b2b38198409ab0450f4a4f61a706703408001008080100000000000" +
+	"c072400000d804203000000000000000f03f076c6174656e63790340200180801000" +
+	"00000000c072400000000000000040303000000a6470752d74756e652f3204677269" +
+	"64000000000000000000000000000000000000000000"
+
+// TestPreloadIgnoresLeftoverDecisionFile is the upgrade path for a store
+// directory an older build also wrote .dputune decisions into: Open
+// leaves the file alone, and Preload loads every program without
+// counting the stranger as store damage.
+func TestPreloadIgnoresLeftoverDecisionFile(t *testing.T) {
+	dir := t.TempDir()
+	st, err := artifact.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const graphs = 3
+	e1 := newStoreEngine(t, Options{Store: st})
+	for i := 0; i < graphs; i++ {
+		if _, err := e1.Compile(testGraph(int64(i)), testCfg, compiler.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e1.Flush()
+	rec, err := hex.DecodeString(leftoverDecision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "4d5a28d14a3caa63cd9dbdf15cace8e2bb9b2b38198409ab0450f4a4f61a7067.dputune")
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err = artifact.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, rec) {
+		t.Fatalf("Open disturbed the leftover decision file (err %v)", err)
+	}
+	e2 := newStoreEngine(t, Options{Store: st})
+	n, err := e2.Preload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e2.Stats(); n != graphs || s.Preloaded != graphs || s.StoreErrors != 0 {
+		t.Errorf("Preload loaded %d (stats %+v), want %d programs and 0 store errors", n, s, graphs)
 	}
 }
 

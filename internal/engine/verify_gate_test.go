@@ -147,40 +147,6 @@ func TestPreloadSkipsIllegalArtifact(t *testing.T) {
 	}
 }
 
-// TestDecisionInstallRejectsIllegalArtifact: a tuned decision whose
-// pre-compiled program fails verification must not switch traffic —
-// Resolve keeps the default config and the artifact is purged.
-func TestDecisionInstallRejectsIllegalArtifact(t *testing.T) {
-	st := openStore(t)
-	g := testGraph(43)
-	def := testCfg.Normalize()
-	tuned := arch.Config{D: 1, B: 16, R: 16, Output: arch.OutCrossbar}.Normalize()
-	opts := compiler.Options{}.Normalized()
-	plantIllegalArtifact(t, st, g, tuned, opts)
-	d := &artifact.Decision{
-		Fingerprint: g.Fingerprint(),
-		Config:      tuned,
-		Options:     opts,
-		Score:       1,
-		Provenance:  artifact.Provenance{Metric: "edp", Default: def, DefaultScore: 2, Tuner: "test"},
-	}
-	if err := st.PutDecision(d); err != nil {
-		t.Fatal(err)
-	}
-
-	e := newStoreEngine(t, Options{Store: st, AutoTune: true})
-	gotCfg, _ := e.Resolve(g, def, opts)
-	if gotCfg != def {
-		t.Errorf("Resolve switched to %v despite an illegal tuned artifact, want default %v", gotCfg, def)
-	}
-	if s, ts := e.Stats(), e.TuneStats(); s.VerifyRejects != 1 || ts.StoreTuned != 0 {
-		t.Errorf("VerifyRejects=%d StoreTuned=%d, want 1/0", s.VerifyRejects, ts.StoreTuned)
-	}
-	if n, err := st.Len(); err != nil || n != 0 {
-		t.Errorf("store holds %d artifacts (%v), want 0 — poisoned tuned program must be purged", n, err)
-	}
-}
-
 // TestVerifyMemoizedPerStoreKey: verification cost is once per content
 // address, not once per decode — an LRU-thrashed engine re-decodes the
 // same artifacts repeatedly but Verified stays at the key count.
@@ -212,25 +178,5 @@ func TestVerifyMemoizedPerStoreKey(t *testing.T) {
 	}
 	if s.VerifyRejects != 0 {
 		t.Errorf("VerifyRejects = %d, want 0", s.VerifyRejects)
-	}
-}
-
-// TestVerifyCompilesAssertion: the differential debug option accepts
-// genuine compiler output (rejection would mean a compiler bug, which
-// the conformance matrix in internal/verify guards against).
-func TestVerifyCompilesAssertion(t *testing.T) {
-	e := New(Options{VerifyCompiles: true})
-	g := testGraph(46)
-	c, err := e.Compile(g, testCfg, compiler.Options{})
-	if err != nil {
-		t.Fatalf("verified compile: %v", err)
-	}
-	inputs := testInputs(g, 1)
-	res, err := e.ExecuteCompiled(c, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.CheckOutputs(c, inputs, res, 0); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,11 +1,10 @@
 // Package gateway is the sharded multi-node serving tier: an HTTP front
 // that consistent-hashes graph fingerprints across N dpu-serve backends,
-// so each backend's compile cache, tuned-decision table and executor
-// pools stay hot for its shard — the compile-once/execute-many premise,
-// preserved at fleet scale. One process with machine pools cannot carry
-// millions of users; N processes WITHOUT shard affinity would each
-// re-compile (and re-tune) the full fingerprint population, shredding
-// every cache PRs 2–7 built. The gateway is what makes horizontal scale
+// so each backend's compile cache stays hot for its shard — the
+// compile-once/execute-many premise, preserved at fleet scale. One
+// process cannot carry millions of users; N processes WITHOUT shard
+// affinity would each re-compile the full fingerprint population,
+// shredding every cache. The gateway is what makes horizontal scale
 // cache-coherent.
 //
 // Mechanics:

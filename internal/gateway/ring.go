@@ -12,13 +12,12 @@ import (
 // ring is a consistent-hash ring over backend addresses. Each backend
 // owns vnodes points on a uint64 circle; a key is owned by the backend
 // of the first point at or clockwise-after it. Consistent hashing is
-// what makes the sharded tier worth building: every per-backend cache in
-// the stack — the compile cache, the .dputune decision table, the
-// executor pools — keys on the graph fingerprint, so routing a
-// fingerprint to a stable backend keeps all three hot for its shard,
-// and removing one backend remaps ONLY the ranges that backend owned
-// (its keys fail over to their clockwise successors) instead of
-// reshuffling the whole fleet's working set.
+// what makes the sharded tier worth building: each backend's compile
+// cache keys on the graph fingerprint, so routing a fingerprint to a
+// stable backend keeps it hot for its shard, and removing one backend
+// remaps ONLY the ranges that backend owned (its keys fail over to
+// their clockwise successors) instead of reshuffling the whole fleet's
+// working set.
 //
 // Point placement is a pure function of the backend address and the
 // vnode index (sha256, like the fingerprint itself), so every gateway

@@ -113,7 +113,7 @@ func (g *Gateway) Stats(ctx context.Context) FleetStatsResponse {
 			out.Fleet = &merged
 			continue
 		}
-		mergeStats(out.Fleet, row.Stats)
+		metrics.Merge(out.Fleet, row.Stats)
 	}
 	return out
 }
@@ -153,17 +153,6 @@ func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*serve.StatsRespo
 		return nil, err
 	}
 	return &st, nil
-}
-
-// mergeStats folds src into dst: the tagged counters sum and histogram
-// snapshots merge exactly (metrics.Merge), with the merged summaries
-// recomputed from the merged snapshots, never by combining quantiles.
-func mergeStats(dst *serve.StatsResponse, src *serve.StatsResponse) {
-	metrics.Merge(dst, src)
-	dst.Tune.Enabled = dst.Tune.Enabled || src.Tune.Enabled
-	// Workloads are per-fingerprint rows; with shard affinity they are
-	// disjoint across backends, so the fleet view is the concatenation.
-	dst.Tune.Workloads = append(dst.Tune.Workloads, src.Tune.Workloads...)
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {

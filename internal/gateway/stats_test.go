@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dpuv2/internal/engine"
 	"dpuv2/internal/metrics"
 	"dpuv2/internal/serve"
 )
@@ -50,17 +49,12 @@ func fillStats(st *serve.StatsResponse, seed int64) {
 // TestFleetMergeSumsEveryTaggedField: merging two backends' /stats sums
 // every prom-tagged int64, merges every tagged snapshot bucket-exact,
 // and leaves every summary equal to Summary() of its (merged) snapshot.
-// The two non-metric tune fields merge by hand: Enabled ORs, Workloads
-// concatenate.
 func TestFleetMergeSumsEveryTaggedField(t *testing.T) {
 	var a, b serve.StatsResponse
 	fillStats(&a, 1)
 	fillStats(&b, 2)
-	a.Tune.Workloads = []engine.TunedWorkload{{Fingerprint: "a"}}
-	b.Tune.Enabled = true
-	b.Tune.Workloads = []engine.TunedWorkload{{Fingerprint: "b"}}
 	want := a
-	mergeStats(&a, &b)
+	metrics.Merge(&a, &b)
 
 	// The leaves of the pre-merge dst and of src, in walk order.
 	var befores, others []reflect.Value
@@ -94,8 +88,5 @@ func TestFleetMergeSumsEveryTaggedField(t *testing.T) {
 	})
 	if tagged == 0 {
 		t.Fatal("no prom-tagged fields in serve.StatsResponse")
-	}
-	if !a.Tune.Enabled || len(a.Tune.Workloads) != 2 || a.Tune.Workloads[1].Fingerprint != "b" {
-		t.Errorf("tune enabled/workloads not merged: %+v", a.Tune)
 	}
 }

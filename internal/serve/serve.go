@@ -89,13 +89,11 @@ type HTTPStats struct {
 
 // StatsResponse is the GET /stats body: engine counters, scheduler
 // counters (queue depth, batch-size histogram, per-item latency
-// quantiles), HTTP-level latency quantiles and the autotuning section
-// (decision table, tuned hits, background tunes in flight).
+// quantiles) and HTTP-level latency quantiles.
 type StatsResponse struct {
-	Engine engine.Stats     `json:"engine"`
-	Sched  sched.Stats      `json:"sched"`
-	HTTP   HTTPStats        `json:"http"`
-	Tune   engine.TuneStats `json:"tune"`
+	Engine engine.Stats `json:"engine"`
+	Sched  sched.Stats  `json:"sched"`
+	HTTP   HTTPStats    `json:"http"`
 }
 
 // MaxRequestBytes bounds one /execute body; graphs and input batches
@@ -224,7 +222,6 @@ func (s *Server) Stats() StatsResponse {
 			ParseHist:        s.parse.Snapshot(),
 			EncodeHist:       s.encode.Snapshot(),
 		},
-		Tune: s.eng.TuneStats(),
 	}
 	metrics.Summarize(&st.HTTP)
 	return st
@@ -311,19 +308,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "bad config: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Autotuning: a fingerprint with a tuned decision is served on the
-	// tuned configuration instead of the request's. The engine's
-	// compile-cache key is what Resolve returns, so every request after
-	// the switch runs the tuned program. Without AutoTune this is the
-	// identity. The tuned config must pass the same machine-size bounds
-	// as a client-requested one
-	// (the .dputune format admits larger memories than the serving
-	// limit): an out-of-bounds decision is ignored, not served — a
-	// hand-staged store file must not be able to OOM the server through
-	// a config the request path would have 400ed.
-	if rcfg, ropts := s.eng.Resolve(g, cfg, req.Options); engine.CheckMachineBounds(rcfg) == nil {
-		cfg, req.Options = rcfg, ropts
-	}
+	cfg, req.Options = s.eng.Resolve(g, cfg, req.Options)
 	resp := ExecuteResponse{
 		Fingerprint: g.Fingerprint().String(),
 		Batched:     true,

@@ -56,9 +56,9 @@ func NewHTTPServer(addr string, h http.Handler, readTimeout, idleTimeout time.Du
 // case the remaining steps are abandoned (the goroutine running them is
 // left behind; the caller is about to exit the process). This is the
 // shutdown bound for the whole drain sequence: without it a single
-// wedged step (a background tune that never returns, a store flush on a
-// dead disk) blocks process exit forever, because only the final
-// listener shutdown ever carried a deadline. The real-time timer is
+// wedged step (a store flush on a dead disk) blocks process exit
+// forever, because only the final listener shutdown ever carried a
+// deadline. The real-time timer is
 // deliberate — this is a process-shutdown wall-clock bound, not
 // scheduling policy; there is no request path (and no FakeClock) here.
 //

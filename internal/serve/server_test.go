@@ -86,18 +86,17 @@ func TestNewHTTPServerDefaults(t *testing.T) {
 
 // TestDrainWithinBoundsWedgedStep is the regression test for the
 // unbounded shutdown sequence: a drain step that never returns (the
-// wedged-background-tune shape — WaitTunes on a tuner stuck in a sweep)
-// must not block exit past the deadline. Before DrainWithin, dpu-serve
-// ran Drain→WaitTunes→Flush inline with no deadline; only the final
-// listener shutdown was bounded.
+// shape of a store flush on a dead disk) must not block exit past the
+// deadline. Before DrainWithin, dpu-serve ran its drain steps inline
+// with no deadline; only the final listener shutdown was bounded.
 func TestDrainWithinBoundsWedgedStep(t *testing.T) {
 	ran := make(chan string, 3)
-	wedged := make(chan struct{}) // never closed: the stuck tune
+	wedged := make(chan struct{}) // never closed: the stuck flush
 	start := time.Now()
 	ok := DrainWithin(100*time.Millisecond,
 		func() { ran <- "drain" },
-		func() { ran <- "wait-tunes"; <-wedged },
-		func() { ran <- "flush" },
+		func() { ran <- "flush"; <-wedged },
+		func() { ran <- "close" },
 	)
 	if ok {
 		t.Fatal("DrainWithin reported completion with a wedged step")
@@ -105,7 +104,7 @@ func TestDrainWithinBoundsWedgedStep(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("DrainWithin returned after %v, want ~100ms", elapsed)
 	}
-	if got := []string{<-ran, <-ran}; got[0] != "drain" || got[1] != "wait-tunes" {
+	if got := []string{<-ran, <-ran}; got[0] != "drain" || got[1] != "flush" {
 		t.Errorf("steps ran out of order: %v", got)
 	}
 	select {

@@ -1,8 +1,8 @@
 // Package suite resolves Table I workload names to generated graphs —
-// the one lookup shared by the dpu-compile, dpu-sim and dpu-tune CLIs,
-// so the three binaries accept exactly the same workload names (small
-// and large PC suites plus the SpTRSV suite) and a new benchmark is
-// added in one place.
+// the one lookup shared by the dpu-compile and dpu-sim CLIs, so both
+// binaries accept exactly the same workload names (small and large PC
+// suites plus the SpTRSV suite) and a new benchmark is added in one
+// place.
 package suite
 
 import (

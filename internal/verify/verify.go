@@ -1,9 +1,9 @@
 // Package verify statically checks compiled DPU-v2 programs against the
 // machine model before anything executes them. It is the trust boundary
 // between "the checksum matched" and "this program is legal": a decoded
-// artifact from a shared store, a tuned decision's pre-compiled program,
-// or the compiler's own output can all be proven free of the hazards the
-// simulator treats as fatal — without running a single input.
+// artifact from a shared store or the compiler's own output can both be
+// proven free of the hazards the simulator treats as fatal — without
+// running a single input.
 //
 // The key property making exact static verification possible is that the
 // hardware's write addresses are deterministic functions of the
