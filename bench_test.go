@@ -307,15 +307,20 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	for _, nc := range clientCounts {
 		b.Run(fmt.Sprintf("direct/clients=%d", nc), func(b *testing.B) {
 			eng := engine.New(engine.Options{})
-			if _, err := eng.Execute(g, cfg, compiler.Options{}, in); err != nil {
+			direct := func() error {
+				c, err := eng.Compile(g, cfg, compiler.Options{})
+				if err != nil {
+					return err
+				}
+				_, err = eng.ExecuteCompiled(c, in)
+				return err
+			}
+			if err := direct(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			runClients(b, nc, func() error {
-				_, err := eng.Execute(g, cfg, compiler.Options{}, in)
-				return err
-			})
+			runClients(b, nc, direct)
 		})
 		b.Run(fmt.Sprintf("batched/clients=%d", nc), func(b *testing.B) {
 			eng := engine.New(engine.Options{})
@@ -489,25 +494,6 @@ func BenchmarkHostParallel(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(g.NumNodes()), "nodes/run")
-}
-
-// BenchmarkAblationWindow quantifies the value of the step-3 reorder
-// window (DESIGN.md ablation): window=1 degenerates to in-order issue.
-func BenchmarkAblationWindow(b *testing.B) {
-	g := pc.Build(pc.Suite()[0], 0.25)
-	for _, w := range []int{1, 30, 300} {
-		b.Run(map[int]string{1: "window1", 30: "window30", 300: "window300"}[w], func(b *testing.B) {
-			var cycles int
-			for i := 0; i < b.N; i++ {
-				c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{Window: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = c.Stats.Cycles
-			}
-			b.ReportMetric(float64(cycles), "cycles")
-		})
-	}
 }
 
 // BenchmarkAblationTopology quantifies the interconnect choice (fig. 6):

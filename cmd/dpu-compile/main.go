@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out != "" {
 		var data []byte
 		if strings.HasSuffix(*out, artifact.Ext) {
-			a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: opts.Normalized(), Compiled: c}
+			a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: opts, Compiled: c}
 			data, err = artifact.EncodeBytes(a)
 			if err != nil {
 				fmt.Fprintln(stderr, err)

@@ -47,7 +47,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated dpu-serve base URLs (required)")
-	vnodes := flag.Int("vnodes", gateway.DefaultVNodes, "virtual nodes per backend on the hash ring")
 	healthInterval := flag.Duration("health-interval", time.Second, "backend /healthz polling period")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "bound on one proxied attempt to one backend")
 	hedgeMin := flag.Duration("hedge-min", 2*time.Millisecond, "lower clamp on the p99-derived hedge delay")
@@ -76,7 +75,6 @@ func main() {
 	}
 	gw, err := gateway.New(gateway.Options{
 		Backends:       addrs,
-		VNodes:         *vnodes,
 		HealthInterval: *healthInterval,
 		RequestTimeout: *requestTimeout,
 		HedgeMin:       *hedgeMin,
@@ -132,8 +130,8 @@ func main() {
 		close(done)
 	}()
 
-	log.Printf("dpu-gateway listening on %s over %d backends (vnodes=%d health-interval=%v hedge=[%v,%v] hedging=%v)",
-		*addr, len(addrs), *vnodes, *healthInterval, *hedgeMin, *hedgeMax, !*noHedge)
+	log.Printf("dpu-gateway listening on %s over %d backends (health-interval=%v hedge=[%v,%v] hedging=%v)",
+		*addr, len(addrs), *healthInterval, *hedgeMin, *hedgeMax, !*noHedge)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func writeArtifact(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}.Normalized(), Compiled: c}
+	art := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}, Compiled: c}
 	data, err := artifact.EncodeBytes(art)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestSimulateArtifact(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "artifact:") || !strings.Contains(out, "format v1") {
+	if !strings.Contains(out, "artifact:") || !strings.Contains(out, fmt.Sprintf("format v%d", artifact.Version)) {
 		t.Errorf("report does not identify the artifact:\n%s", out)
 	}
 	if !strings.Contains(out, "verified:") {

@@ -27,7 +27,7 @@ func writeArtifacts(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}.Normalized(), Compiled: c}
+	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}, Compiled: c}
 	ab, err := artifact.EncodeBytes(a)
 	if err != nil {
 		t.Fatal(err)

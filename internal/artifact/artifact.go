@@ -6,7 +6,7 @@
 // graph again.
 //
 // An artifact is self-describing: it carries the hardware configuration
-// and (normalized) compiler options it was built for, the source
+// and compiler options it was built for, the source
 // graph's content fingerprint — exactly the serving engine's cache key
 // — and everything needed to execute: the binarized graph, the node
 // remapping, the input/output data-memory map, the compile statistics
@@ -16,7 +16,7 @@
 //
 //	offset  size  field
 //	0       8     magic "\x7fDPUPROG"
-//	8       2     format version (currently 1)
+//	8       2     format version (currently 2)
 //	10      4     CRC-32C (Castagnoli) of the payload
 //	14      8     payload length in bytes
 //	22      …     payload
@@ -55,7 +55,7 @@ import (
 // Version is the current format version. Bump it on any payload layout
 // change so stale artifacts fail with ErrVersion instead of decoding
 // into garbage.
-const Version = 1
+const Version = 2
 
 // magic opens every artifact; the non-ASCII first byte keeps text tools
 // from mangling the file.
@@ -93,9 +93,7 @@ type Artifact struct {
 	// the client submits — which may differ from Compiled.Graph's own
 	// fingerprint when binarization rewrote it.
 	Fingerprint dag.Fingerprint
-	// Options are the compiler options the program was built with,
-	// normalized (Encode normalizes them, so Decode always returns the
-	// cache-key form).
+	// Options are the compiler options the program was built with.
 	Options compiler.Options
 	// Compiled is the runnable program: instructions, memory image,
 	// binarized graph and data-memory maps.
@@ -201,17 +199,8 @@ func (e *enc) config(cfg arch.Config) {
 func (e *enc) options(o compiler.Options) {
 	e.varint(o.Seed)
 	e.boolean(o.RandomBanks)
-	e.varint(int64(o.Window))
-	e.varint(int64(o.SeedLookahead))
-	e.varint(int64(o.FillLookahead))
 	e.varint(int64(o.PartitionSize))
 }
-
-// maxTuning bounds the compiler tuning knobs an artifact may carry —
-// shared by encoder and decoder, so Encode can never produce a payload
-// Decode rejects (a persisted-but-undecodable artifact would put its
-// key in an endless recompile/re-persist cycle).
-const maxTuning = 1 << 20
 
 // Format limits on the register file, aligned with the serving layer's
 // machine-size caps: instruction decode allocates per-instruction
@@ -237,21 +226,13 @@ func checkConfig(cfg arch.Config) error {
 	return nil
 }
 
-// checkOptions enforces the decoder's option bounds at encode time.
+// checkOptions enforces the decoder's option bounds at encode time, so
+// Encode can never produce a payload Decode rejects (a
+// persisted-but-undecodable artifact would put its key in an endless
+// recompile/re-persist cycle).
 func checkOptions(o compiler.Options) error {
-	for _, f := range []struct {
-		name string
-		v    int
-		max  int
-	}{
-		{"window", o.Window, maxTuning},
-		{"seed lookahead", o.SeedLookahead, maxTuning},
-		{"fill lookahead", o.FillLookahead, maxTuning},
-		{"partition size", o.PartitionSize, math.MaxInt32},
-	} {
-		if f.v < 0 || f.v > f.max {
-			return fmt.Errorf("artifact: compiler option %s %d outside the encodable range [0,%d]", f.name, f.v, f.max)
-		}
+	if o.PartitionSize < 0 || o.PartitionSize > math.MaxInt32 {
+		return fmt.Errorf("artifact: compiler option partition size %d outside the encodable range [0,%d]", o.PartitionSize, math.MaxInt32)
 	}
 	return nil
 }
@@ -268,8 +249,7 @@ func encodePayload(a *Artifact) ([]byte, error) {
 	if !g.IsBinary() {
 		return nil, errors.New("artifact: compiled graph is not binary")
 	}
-	opts := a.Options.Normalized()
-	if err := checkOptions(opts); err != nil {
+	if err := checkOptions(a.Options); err != nil {
 		return nil, err
 	}
 	cfg := c.Prog.Cfg
@@ -278,7 +258,7 @@ func encodePayload(a *Artifact) ([]byte, error) {
 	}
 	var e enc
 	e.config(cfg)
-	e.options(opts)
+	e.options(a.Options)
 	e.raw(a.Fingerprint[:])
 
 	// Graph: name, then nodes in id (topological) order.
@@ -493,19 +473,12 @@ func (d *dec) intNonNeg(what string, limit int) int {
 	return int(v)
 }
 
-// decodeOptions reads the compiler-options section and validates it
-// into normalized (cache-key) form.
+// decodeOptions reads the compiler-options section.
 func (d *dec) decodeOptions() compiler.Options {
 	var opts compiler.Options
 	opts.Seed = d.varint()
 	opts.RandomBanks = d.boolean()
-	opts.Window = d.intNonNeg("window", maxTuning)
-	opts.SeedLookahead = d.intNonNeg("seed lookahead", maxTuning)
-	opts.FillLookahead = d.intNonNeg("fill lookahead", maxTuning)
 	opts.PartitionSize = d.intNonNeg("partition size", math.MaxInt32)
-	if d.err == nil && opts != opts.Normalized() {
-		d.fail("options %+v not in normalized form", opts)
-	}
 	return opts
 }
 

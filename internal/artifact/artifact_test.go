@@ -59,7 +59,7 @@ func compileArtifact(t testing.TB, g *dag.Graph, cfg arch.Config, opts compiler.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Artifact{Fingerprint: g.Fingerprint(), Options: opts.Normalized(), Compiled: c}
+	return &Artifact{Fingerprint: g.Fingerprint(), Options: opts, Compiled: c}
 }
 
 // execute runs an artifact's program with deterministic inputs and
@@ -327,27 +327,15 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 // never be read back and its key recompiles forever.
 func TestEncodeDecodeBoundsAgree(t *testing.T) {
 	base := testArtifact(t, 3)
-	for _, tc := range []struct {
-		name string
-		opts compiler.Options
-	}{
-		{"oversized window", compiler.Options{Window: 2 * maxTuning}},
-		{"oversized lookahead", compiler.Options{SeedLookahead: maxTuning + 1}},
-		{"negative partition", compiler.Options{PartitionSize: -1}},
-	} {
-		bad := &Artifact{Fingerprint: base.Fingerprint, Options: tc.opts, Compiled: base.Compiled}
-		if _, err := EncodeBytes(bad); err == nil {
-			t.Errorf("%s: encoded options Decode would reject: %+v", tc.name, tc.opts)
-		}
+	bad := &Artifact{Fingerprint: base.Fingerprint, Options: compiler.Options{PartitionSize: -1}, Compiled: base.Compiled}
+	if _, err := EncodeBytes(bad); err == nil {
+		t.Errorf("encoded options Decode would reject: %+v", bad.Options)
 	}
-	// And the largest values Encode accepts must decode.
+	// And the largest value Encode accepts must decode.
 	edge := &Artifact{
 		Fingerprint: base.Fingerprint,
-		Options: compiler.Options{
-			Window: maxTuning, SeedLookahead: maxTuning, FillLookahead: maxTuning,
-			PartitionSize: 1<<31 - 1,
-		},
-		Compiled: base.Compiled,
+		Options:     compiler.Options{PartitionSize: 1<<31 - 1},
+		Compiled:    base.Compiled,
 	}
 	b, err := EncodeBytes(edge)
 	if err != nil {

@@ -21,22 +21,24 @@ var ErrNotFound = errors.New("artifact: not in store")
 
 // Key is the content address of a compiled program — the same triple
 // the serving engine keys its in-memory cache on. Construct with
-// KeyFor, which normalizes; two keys are equal iff they address the
-// same compilation.
+// KeyFor, which normalizes the config; two keys are equal iff they
+// address the same compilation.
 type Key struct {
 	Fingerprint dag.Fingerprint
 	Config      arch.Config
 	Options     compiler.Options
 }
 
-// KeyFor builds the normalized key for (fp, cfg, opts).
+// KeyFor builds the key for (fp, cfg, opts), with cfg normalized.
 func KeyFor(fp dag.Fingerprint, cfg arch.Config, opts compiler.Options) Key {
-	return Key{Fingerprint: fp, Config: cfg.Normalize(), Options: opts.Normalized()}
+	return Key{Fingerprint: fp, Config: cfg.Normalize(), Options: opts}
 }
 
 // keyDomain versions the key hash; bump alongside any change to the
-// canonical key encoding below so old store files cannot alias.
-const keyDomain = "dpuv2/artifact/key/v1"
+// canonical key encoding below so old store files cannot alias. It moves
+// with Version, so a file of an older format lives at an address no
+// current key names and is never read as this build's artifact.
+const keyDomain = "dpuv2/artifact/key/v2"
 
 // ID returns the key's stable hex content address, the store filename
 // stem. It hashes the same canonical binary encoding the artifact

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -179,7 +180,7 @@ func TestStoreGetPreservesFutureVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[8], b[9] = 2, 0 // format v2, as a newer binary would write
+	binary.LittleEndian.PutUint16(b[8:], Version+1) // as a newer binary would write
 	if err := os.WriteFile(p, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

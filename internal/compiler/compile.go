@@ -3,18 +3,13 @@ package compiler
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"time"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/dag"
 )
-
-// Normalized returns the options with defaulted fields filled in, the
-// form Compile actually runs with. Cache layers key on it so that the
-// zero value and an explicitly spelled-out default address the same
-// compiled program.
-func (o Options) Normalized() Options { return o.normalize() }
 
 // Compile lowers a DAG to a DPU-v2 program for the given configuration,
 // running the four steps of §IV. Non-binary graphs are binarized first;
@@ -64,7 +59,9 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.normalize()
+	if opts.PartitionSize < 0 || opts.PartitionSize > math.MaxInt32 {
+		return nil, fmt.Errorf("compiler: partition size %d outside [0,%d]", opts.PartitionSize, math.MaxInt32)
+	}
 
 	bg := g
 	var remap []dag.NodeID
@@ -79,7 +76,7 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 
 	p := &Planned{cfg: cfg, graph: bg, remap: remap}
 	keys := partitionKeys(bg, dag.DFSOrder(bg), opts.PartitionSize)
-	blocks, err := decompose(bg, cfg, opts, keys)
+	blocks, err := decompose(bg, cfg, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +98,11 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	if p.outWord, err = ds.buildDraft(blocks); err != nil {
 		return nil, err
 	}
-	p.sched = reorder(ds.ops, len(ds.vals), cfg.D, opts.Window)
+	window := reorderWindow
+	if forcedWindow > 0 {
+		window = forcedWindow
+	}
+	p.sched = reorder(ds.ops, len(ds.vals), cfg.D, window)
 	p.vals, p.rows = ds.vals, ds.rows
 
 	for i := 0; i < bg.NumNodes(); i++ {

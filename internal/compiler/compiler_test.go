@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -32,8 +33,7 @@ func forceCut(t *testing.T, p cutPolicy) { t.Cleanup(setCut(p)) }
 
 func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options) []*Block {
 	t.Helper()
-	opts = opts.normalize()
-	blocks, err := decompose(g, cfg.Normalize(), opts, partitionKeys(g, dag.DFSOrder(g), opts.PartitionSize))
+	blocks, err := decompose(g, cfg.Normalize(), partitionKeys(g, dag.DFSOrder(g), opts.PartitionSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,6 @@ func TestDecomposeInvariants(t *testing.T) {
 			for _, opts := range []Options{
 				{},
 				{Seed: 99},
-				{Window: 1},
-				{Window: 50, SeedLookahead: 1, FillLookahead: 1},
 				{RandomBanks: true},
 				{PartitionSize: 64},
 			} {
@@ -307,6 +305,22 @@ func TestCompileRejectsTooManyBanks(t *testing.T) {
 	_, err := Compile(g, arch.Config{D: 3, B: 128, R: 16, Output: arch.OutPerLayer}, Options{})
 	if err == nil {
 		t.Fatal("expected rejection of B>64")
+	}
+}
+
+// TestCompileRejectsPartitionSizeOutOfRange: Options is a content address,
+// so every value Plan accepts must be one the artifact format can carry
+// and must name a program of its own. A negative size would compile the
+// unpartitioned program under a second key.
+func TestCompileRejectsPartitionSizeOutOfRange(t *testing.T) {
+	g := testGraph(1, 50)
+	for _, n := range []int{-1, math.MaxInt32 + 1} {
+		if _, err := Compile(g, arch.MinEDP(), Options{PartitionSize: n}); err == nil {
+			t.Errorf("PartitionSize %d compiled", n)
+		}
+	}
+	if _, err := Compile(g, arch.MinEDP(), Options{PartitionSize: math.MaxInt32}); err != nil {
+		t.Errorf("PartitionSize MaxInt32: %v", err)
 	}
 }
 

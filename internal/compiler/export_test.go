@@ -25,3 +25,12 @@ func setCut(p cutPolicy) (restore func()) {
 	forcedCut = p
 	return func() { forcedCut = prev }
 }
+
+// CompileWindow is Compile with step 3's reorder window set to window
+// instead of reorderWindow (the window ablation).
+func CompileWindow(g *dag.Graph, cfg arch.Config, opts Options, window int) (*Compiled, error) {
+	prev := forcedWindow
+	forcedWindow = window
+	defer func() { forcedWindow = prev }()
+	return Compile(g, cfg, opts)
+}

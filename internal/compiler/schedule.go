@@ -40,6 +40,25 @@ import (
 // scale 0.25: 266 cycles against 245).
 const coneWindow = 16
 
+// The search bounds of steps 1 and 3. reorderWindow is how many draft ops,
+// from the oldest unissued one, step 3 searches for a ready op, the
+// paper's setting (§IV-C); seedLookahead is how many candidate roots step 1
+// weighs for a block's seed cone, and fillLookahead how many it may pass
+// over while filling the block's other slots. Like coneWindow they are
+// constants, not Options fields: Options is part of every program's
+// content address, and no other value is worth a key of its own —
+// windows of 300 and above emit the same programs, smaller ones only add
+// cycles (DESIGN.md "Why the window").
+const (
+	reorderWindow = 300
+	seedLookahead = 16
+	fillLookahead = 24
+)
+
+// forcedWindow is a test hook for the window ablation: a positive value
+// replaces reorderWindow.
+var forcedWindow int
+
 // coneSched is the list scheduler's state. All per-cone state is dense,
 // indexed by the cone's position in the DFS cut.
 type coneSched struct {

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -182,5 +183,25 @@ func TestBankAssignmentGolden(t *testing.T) {
 		if h.Sum64() != tc.hash || ba.fallbacks != tc.fallbacks {
 			t.Errorf("%s: bank assignment moved: hash %#x fallbacks %d, want %#x %d", tc.name, h.Sum64(), ba.fallbacks, tc.hash, tc.fallbacks)
 		}
+	}
+}
+
+// BenchmarkAblationWindow quantifies the value of the step-3 reorder
+// window (DESIGN.md "Ablation windows"): window 1 degenerates to in-order
+// issue, 300 is reorderWindow, the paper's setting.
+func BenchmarkAblationWindow(b *testing.B) {
+	g := pc.Build(pc.Suite()[0], 0.25)
+	for _, w := range []int{1, 30, reorderWindow} {
+		b.Run(fmt.Sprintf("window%d", w), func(b *testing.B) {
+			var cycles int
+			for i := 0; i < b.N; i++ {
+				c, err := CompileWindow(g, arch.MinEDP(), Options{}, w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles = c.Stats.Cycles
+			}
+			b.ReportMetric(float64(cycles), "cycles")
+		})
 	}
 }

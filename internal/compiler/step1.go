@@ -159,7 +159,6 @@ func (p *slotPool) alloc(d int) (arch.PE, bool) {
 type decomposer struct {
 	g      *dag.Graph
 	cfg    arch.Config
-	opts   Options
 	keys   []int64 // heap priority: (partition, DFS order)
 	depth  []int32 // cone depth, capped at D+1; 0 for leaves/mapped
 	mapped []bool
@@ -181,10 +180,10 @@ type decomposer struct {
 	arena    []dag.NodeID
 }
 
-func newDecomposer(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) *decomposer {
+func newDecomposer(g *dag.Graph, cfg arch.Config, keys []int64) *decomposer {
 	n := g.NumNodes()
 	d := &decomposer{
-		g: g, cfg: cfg, opts: opts, keys: keys,
+		g: g, cfg: cfg, keys: keys,
 		depth:  make([]int32, n),
 		mapped: make([]bool, n),
 		inHeap: make([]bool, n),
@@ -374,8 +373,8 @@ func (d *decomposer) commit(cones []Subgraph, work []dag.NodeID) []dag.NodeID {
 // D ≥ 2 it cuts the DAG both ways and keeps the cut whose block order
 // issues its last exec sooner, the greedy cut on a tie; at D = 1 every
 // node is band level 0 and the two cuts are one.
-func decompose(g *dag.Graph, cfg arch.Config, opts Options, keys []int64) ([]*Block, error) {
-	d := newDecomposer(g, cfg, opts, keys)
+func decompose(g *dag.Graph, cfg arch.Config, keys []int64) ([]*Block, error) {
+	d := newDecomposer(g, cfg, keys)
 	if forcedCut != cutAuto {
 		blocks, _, err := d.cut(forcedCut)
 		return blocks, err
@@ -429,7 +428,7 @@ func (d *decomposer) cut(policy cutPolicy) ([]*Block, int32, error) {
 		d.addCone(seed, coneBuf, nblocks)
 		// Fill remaining slots with DFS-adjacent cones.
 		rejected = rejected[:0]
-		for slots.maxDepth() >= 1 && len(rejected) < d.opts.FillLookahead {
+		for slots.maxDepth() >= 1 && len(rejected) < fillLookahead {
 			n := d.pop()
 			if n == dag.InvalidNode {
 				break
@@ -460,14 +459,14 @@ func (d *decomposer) cut(policy cutPolicy) ([]*Block, int32, error) {
 	return blocks, span, nil
 }
 
-// bestSeed pops up to SeedLookahead candidates and keeps the deepest cone
+// bestSeed pops up to seedLookahead candidates and keeps the deepest cone
 // (ties broken toward the DFS-earliest, which is the pop order). others is
 // the caller's scratch for the candidates passed over.
 func (d *decomposer) bestSeed(others *[]dag.NodeID) dag.NodeID {
 	best := dag.InvalidNode
 	var bestDepth int32 = -1
 	*others = (*others)[:0]
-	for i := 0; i < d.opts.SeedLookahead; i++ {
+	for i := 0; i < seedLookahead; i++ {
 		n := d.pop()
 		if n == dag.InvalidNode {
 			break

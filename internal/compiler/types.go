@@ -56,6 +56,10 @@ type Block struct {
 }
 
 // Options tunes compilation. The zero value is the paper's configuration.
+// Every field is part of the program's content address (.dpuprog and every
+// cache key), so a value that changes nothing would split the cache: the
+// step-1 and step-3 search bounds are package constants (reorderWindow,
+// seedLookahead, fillLookahead) instead of fields.
 type Options struct {
 	// Seed drives the randomized tie-breaks of the bank allocator
 	// (objective J spreads values by choosing uniformly among compatible
@@ -64,30 +68,12 @@ type Options struct {
 	// RandomBanks replaces the conflict-aware allocator of step 2 with
 	// uniform random placement; fig. 10(b) uses this as its baseline.
 	RandomBanks bool
-	// Window is the reorder search window of step 3 (default 300, the
-	// paper's setting).
-	Window int
-	// SeedLookahead and FillLookahead bound the candidate scans of the
-	// greedy block builder (step 1).
-	SeedLookahead, FillLookahead int
 	// PartitionSize, when positive, coarsely partitions the DAG into
 	// chunks of this many interior nodes that are decomposed into blocks
 	// independently, the strategy the paper uses for multi-million-node
-	// PCs (§V-B). Zero disables partitioning.
+	// PCs (§V-B). Zero disables partitioning; Plan rejects a negative
+	// value and one above math.MaxInt32, the artifact format's bound.
 	PartitionSize int
-}
-
-func (o Options) normalize() Options {
-	if o.Window <= 0 {
-		o.Window = 300
-	}
-	if o.SeedLookahead <= 0 {
-		o.SeedLookahead = 16
-	}
-	if o.FillLookahead <= 0 {
-		o.FillLookahead = 24
-	}
-	return o
 }
 
 // Stats reports what compilation did; the experiment harness consumes

@@ -1,5 +1,5 @@
 // Annealing-based design-space search — the escape hatch from the
-// paper's fixed 48-point grid. Where Sweep can only score the D/B/R
+// paper's fixed 48-point grid. Where SweepParallel can only score the D/B/R
 // combinations of §V, SearchAnneal explores an enlarged combinatorial
 // space (deeper trees, off-grid bank/register ladders, every supported
 // output topology, data-memory sizing) with parallel simulated

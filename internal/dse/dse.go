@@ -140,15 +140,9 @@ func evaluateGroup(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Conf
 	}
 }
 
-// Sweep evaluates every configuration over every workload and returns one
-// Point per configuration with per-op metrics averaged over workloads,
-// like the paper's fig. 11. It uses every available CPU; see
-// SweepParallel for an explicit worker count.
-func Sweep(workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Options) []Point {
-	return SweepParallel(workloads, cfgs, opts, 0)
-}
-
-// SweepParallel is Sweep with an explicit worker count (workers <= 0
+// SweepParallel evaluates every configuration over every workload and
+// returns one Point per configuration with per-op metrics averaged over
+// workloads, like the paper's fig. 11, on workers goroutines (workers <= 0
 // means GOMAXPROCS). The configurations that differ only in R form one
 // group, which plans each workload once (evaluateGroup); groups are
 // distributed over a worker pool, failures are captured per point, and

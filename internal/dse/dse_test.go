@@ -85,7 +85,7 @@ func TestSweepAndBest(t *testing.T) {
 		{D: 2, B: 16, R: 32, Output: arch.OutPerLayer},
 		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer},
 	}
-	points := Sweep(suite, cfgs, compiler.Options{})
+	points := SweepParallel(suite, cfgs, compiler.Options{}, 0)
 	if len(points) != len(cfgs) {
 		t.Fatalf("got %d points", len(points))
 	}
@@ -335,7 +335,7 @@ func TestMetricStringParseRoundTrip(t *testing.T) {
 func TestInfeasiblePointReported(t *testing.T) {
 	// A graph with a huge working set cannot compile at tiny R.
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 400, Interior: 3000, MaxArgs: 2, MulFrac: 0.5, Seed: 2})
-	points := Sweep([]*dag.Graph{g}, []arch.Config{{D: 3, B: 8, R: 2, Output: arch.OutPerLayer}}, compiler.Options{})
+	points := SweepParallel([]*dag.Graph{g}, []arch.Config{{D: 3, B: 8, R: 2, Output: arch.OutPerLayer}}, compiler.Options{}, 0)
 	if len(points) != 1 {
 		t.Fatal("want one point")
 	}

@@ -201,11 +201,12 @@ func New(opts Options) *Engine {
 }
 
 // Resolve maps a request to the configuration and compiler options it
-// is served on: the caller's own, in normalized (cache-key) form. It
-// stays as the serving path's one config-resolution step, so the
-// handler and anything replaying the handler name the same cache key.
+// is served on: the caller's own, with the config in normalized
+// (cache-key) form. It stays as the serving path's one config-resolution
+// step, so the handler and anything replaying the handler name the same
+// cache key.
 func (e *Engine) Resolve(g *dag.Graph, cfg arch.Config, opts compiler.Options) (arch.Config, compiler.Options) {
-	return cfg.Normalize(), opts.Normalized()
+	return cfg.Normalize(), opts
 }
 
 // Compile returns the compiled program for (g, cfg, opts), compiling at
@@ -553,16 +554,6 @@ func (e *Engine) ExecuteCompiled(c *compiler.Compiled, inputs []float64) (*sim.R
 	return res, nil
 }
 
-// Execute compiles (or cache-hits) and runs in one call — the
-// one-request serving path.
-func (e *Engine) Execute(g *dag.Graph, cfg arch.Config, opts compiler.Options, inputs []float64) (*sim.Result, error) {
-	c, err := e.Compile(g, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecuteCompiled(c, inputs)
-}
-
 // ExecuteBatchInto is the scheduler's hot path: it runs one compiled
 // program over a batch of input vectors, writing the sink values of item
 // i (in c.Graph.Outputs() order) into outs[i] and its error into
@@ -572,7 +563,7 @@ func (e *Engine) Execute(g *dag.Graph, cfg arch.Config, opts compiler.Options, i
 // and each worker leases a single evaluator for its whole chunk —
 // free-list traffic and compile-cache traffic are per-batch, not
 // per-item, which is what makes a many-vector request cheaper than one
-// Execute call per vector. With one
+// ExecuteCompiled call per vector. With one
 // worker (or a one-item batch) the whole call runs inline on the
 // caller's goroutine and allocates nothing in steady state.
 func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {

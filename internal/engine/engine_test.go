@@ -38,7 +38,7 @@ func TestResolveNormalizes(t *testing.T) {
 	g := testGraph(1)
 	def := arch.MinEDP()
 	cfg, opts := e.Resolve(g, def, compiler.Options{})
-	if cfg != def || opts != (compiler.Options{}).Normalized() {
+	if cfg != def || opts != (compiler.Options{}) {
 		t.Fatalf("Resolve changed the request: %v %+v", cfg, opts)
 	}
 	if cfg, _ := e.Resolve(g, testCfg, compiler.Options{}); cfg != testCfg.Normalize() {
@@ -139,13 +139,13 @@ func TestExecuteMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := testGraph(seed)
 		in := testInputs(g, 1)
-		res, err := e.Execute(g, testCfg, compiler.Options{}, in)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		c, err := e.Compile(g, testCfg, compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		res, err := e.ExecuteCompiled(c, in)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		want, err := dag.Eval(c.Graph, in)
 		if err != nil {

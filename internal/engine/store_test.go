@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -9,9 +10,11 @@ import (
 	"sync"
 	"testing"
 
+	"dpuv2/internal/arch"
 	"dpuv2/internal/artifact"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/pc"
 	"dpuv2/internal/sim"
 )
 
@@ -239,7 +242,8 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1.Flush()
-	// Re-stamp a copy of the artifact as format v2 under another name.
+	// Re-stamp a copy of the artifact as the next format version under
+	// another name.
 	var src string
 	st.Walk(func(p string, a *artifact.Artifact, err error) bool { src = p; return false })
 	b, err := os.ReadFile(src)
@@ -247,7 +251,7 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	b = append([]byte(nil), b...)
-	b[8], b[9] = 2, 0
+	binary.LittleEndian.PutUint16(b[8:], artifact.Version+1)
 	if err := os.WriteFile(filepath.Join(st.Dir(), "future"+artifact.Ext), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +269,68 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(st.Dir(), "future"+artifact.Ext)); err != nil {
 		t.Error("preload removed the future-version artifact")
 	}
+}
+
+// TestUpgradeFromV1Store: a store written by a format-v1 build (whose
+// options carried three more fields) is skipped, not counted as damage.
+// Open leaves the v1 file alone, Preload caches nothing and raises no
+// error, and the first request for the file's graph compiles once and
+// persists a current artifact at its own key beside the untouched v1
+// file.
+func TestUpgradeFromV1Store(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", "v1", "pc_small.dpuprog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The graph, config and options the v1 fixture was compiled from.
+	g := pc.Build(pc.Suite()[0], 0.01)
+	cfg := arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
+	opts := compiler.Options{Seed: 7}
+	if fp := g.Fingerprint(); !bytes.Contains(v1, fp[:]) {
+		t.Fatal("the v1 fixture was not compiled from this graph")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "pc_small"+artifact.Ext)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, v1) {
+			t.Fatalf("%s: the v1 file changed (err %v)", when, err)
+		}
+	}
+	st, err := artifact.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged("after Open")
+
+	e := newStoreEngine(t, Options{Store: st})
+	if n, err := e.Preload(); err != nil || n != 0 {
+		t.Fatalf("Preload cached %d programs (err %v), want 0", n, err)
+	}
+	if s := e.Stats(); s.StoreErrors != 0 {
+		t.Fatalf("a v1 file raised the damage counter: %+v", s)
+	}
+	if _, err := e.Compile(g, cfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	if s := e.Stats(); s.Misses != 1 || s.StoreMisses != 1 || s.StoreErrors != 0 {
+		t.Errorf("first request: misses %d, store misses %d, store errors %d; want 1, 1, 0", s.Misses, s.StoreMisses, s.StoreErrors)
+	}
+	a, err := st.Get(artifact.KeyFor(g.Fingerprint(), cfg, opts))
+	if err != nil {
+		t.Fatalf("no current artifact persisted at the new key: %v", err)
+	}
+	if a.Options != opts {
+		t.Errorf("persisted options %+v, want %+v", a.Options, opts)
+	}
+	if n, err := st.Len(); err != nil || n != 2 {
+		t.Errorf("store holds %d artifacts (%v), want the v1 file and the new one", n, err)
+	}
+	unchanged("after the recompile")
 }
 
 // TestCorruptArtifactFallsBackToCompile: a damaged store never breaks
@@ -315,7 +381,7 @@ func poisonedArtifact(t *testing.T, g *dag.Graph) *artifact.Artifact {
 		t.Fatal(err)
 	}
 	c.Remap = c.Remap[:len(c.Remap)-1]
-	return &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}.Normalized(), Compiled: c}
+	return &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}, Compiled: c}
 }
 
 // TestPoisonedRemapRejectedOnStoreHit: an artifact whose remap does not

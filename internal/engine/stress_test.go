@@ -129,12 +129,12 @@ func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 				for k := 0; k < nGraphs; k++ {
 					g := graphs[(k*(w+1)+it)%nGraphs]
 					in := testInputs(g, scale)
-					res, err := e.Execute(g, testCfg, compiler.Options{}, in)
+					c, err := e.Compile(g, testCfg, compiler.Options{})
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}
-					c, err := e.Compile(g, testCfg, compiler.Options{})
+					res, err := e.ExecuteCompiled(c, in)
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return

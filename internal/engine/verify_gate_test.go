@@ -43,7 +43,7 @@ func plantArtifact(t *testing.T, st *artifact.Store, g *dag.Graph, cfg arch.Conf
 		t.Fatal(err)
 	}
 	tamper(c)
-	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: opts.Normalized(), Compiled: c}
+	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: opts, Compiled: c}
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +60,13 @@ func TestVerifyRejectsStoredStatsMismatch(t *testing.T) {
 	plantArtifact(t, st, g, testCfg, opts, func(c *compiler.Compiled) { c.Stats.Cycles /= 2 })
 
 	e := newStoreEngine(t, Options{Store: st})
-	res, err := e.Execute(g, testCfg, opts, testInputs(g, 0.5))
+	c, err := e.Compile(g, testCfg, opts)
 	if err != nil {
 		t.Fatalf("request must survive a tampered store: %v", err)
+	}
+	res, err := e.ExecuteCompiled(c, testInputs(g, 0.5))
+	if err != nil {
+		t.Fatal(err)
 	}
 	want, err := compiler.Compile(g, testCfg, opts)
 	if err != nil {
@@ -89,11 +93,11 @@ func TestVerifyRejectsStorePlantedIllegalArtifact(t *testing.T) {
 
 	e := newStoreEngine(t, Options{Store: st})
 	inputs := testInputs(g, 0.5)
-	res, err := e.Execute(g, testCfg, opts, inputs)
+	c, err := e.Compile(g, testCfg, opts)
 	if err != nil {
 		t.Fatalf("request must survive a poisoned store: %v", err)
 	}
-	c, err := e.Compile(g, testCfg, opts) // cache hit on the recompiled program
+	res, err := e.ExecuteCompiled(c, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

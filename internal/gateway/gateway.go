@@ -51,23 +51,14 @@ import (
 	"dpuv2/internal/trace"
 )
 
-// DefaultVNodes is the virtual-node count per backend: enough that two
-// backends split the key space within a few percent, cheap enough that
-// ring rebuilds are microseconds.
-const DefaultVNodes = 128
-
 // Options configure a Gateway; zero values take the documented defaults.
 type Options struct {
 	// Backends are the dpu-serve base URLs (e.g. http://10.0.0.1:8080).
 	Backends []string
-	// VNodes is the virtual-node count per backend on the hash ring.
-	// Default 128.
-	VNodes int
-	// HealthInterval is the /healthz polling period. Default 1s.
+	// HealthInterval is the /healthz polling period. Default 1s. One
+	// health probe or /stats fetch is bounded by the interval, capped at
+	// 2s.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe. Default HealthInterval
-	// (capped at 2s).
-	HealthTimeout time.Duration
 	// RequestTimeout bounds one proxied attempt to one backend.
 	// Default 30s.
 	RequestTimeout time.Duration
@@ -89,17 +80,8 @@ type Options struct {
 }
 
 func (o Options) normalize() Options {
-	if o.VNodes <= 0 {
-		o.VNodes = DefaultVNodes
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
-	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = o.HealthInterval
-		if o.HealthTimeout > 2*time.Second {
-			o.HealthTimeout = 2 * time.Second
-		}
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -204,7 +186,7 @@ func New(opts Options) (*Gateway, error) {
 			// pool. The per-attempt context enforces RequestTimeout; the
 			// client timeout is the safety net behind it.
 			client: &http.Client{
-				Timeout: opts.RequestTimeout + opts.HealthTimeout,
+				Timeout: opts.RequestTimeout + gw.healthTimeout(),
 				Transport: &http.Transport{
 					MaxIdleConns:        64,
 					MaxIdleConnsPerHost: 64,
@@ -216,7 +198,7 @@ func New(opts Options) (*Gateway, error) {
 		gw.backends = append(gw.backends, b)
 		gw.byAddr[addr] = b
 	}
-	gw.ring.Store(newRing(nil, opts.VNodes))
+	gw.ring.Store(newRing(nil))
 	gw.checkHealth() // synchronous first pass
 	gw.stopped.Add(1)
 	go gw.healthLoop()
@@ -288,11 +270,17 @@ func (g *Gateway) checkHealth() {
 	}
 }
 
+// healthTimeout bounds one health probe or /stats fetch: the polling
+// interval, capped at 2s.
+func (g *Gateway) healthTimeout() time.Duration {
+	return min(g.opts.HealthInterval, 2*time.Second)
+}
+
 // probe classifies one backend: 200 → healthy, 503 → draining (the
 // serve.Server readiness signal), anything else → down. Reports whether
 // the state changed.
 func (g *Gateway) probe(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), g.healthTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+"/healthz", nil)
 	if err != nil {
@@ -329,7 +317,7 @@ func (g *Gateway) rebuildRing() {
 			live = append(live, b.addr)
 		}
 	}
-	g.ring.Store(newRing(live, g.opts.VNodes))
+	g.ring.Store(newRing(live))
 	states := make([]string, len(g.backends))
 	for i, b := range g.backends {
 		states[i] = b.addr + "=" + b.getState().String()

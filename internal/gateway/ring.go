@@ -38,12 +38,14 @@ func vnodePoint(addr string, i int) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
+// vnodes is the virtual-node count per backend: enough that two backends
+// split the key space within a few percent, cheap enough that ring
+// rebuilds are microseconds.
+const vnodes = 128
+
 // newRing builds a ring over addrs with vnodes points per backend.
 // An empty addrs yields an empty ring (Owner returns "").
-func newRing(addrs []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+func newRing(addrs []string) *ring {
 	r := &ring{addrs: append([]string(nil), addrs...)}
 	r.points = make([]ringPoint, 0, len(addrs)*vnodes)
 	for _, a := range addrs {

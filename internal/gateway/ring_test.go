@@ -21,12 +21,12 @@ func ringAddrs(n int) []string {
 // reverts) agrees on shard ownership with no coordination.
 func TestRingDeterministicAffinity(t *testing.T) {
 	addrs := ringAddrs(5)
-	r1 := newRing(addrs, 64)
+	r1 := newRing(addrs)
 	shuffled := append([]string(nil), addrs...)
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	r2 := newRing(shuffled, 64)
+	r2 := newRing(shuffled)
 	rng := rand.New(rand.NewSource(7))
 	counts := map[string]int{}
 	for i := 0; i < 10000; i++ {
@@ -37,7 +37,7 @@ func TestRingDeterministicAffinity(t *testing.T) {
 		}
 		counts[o1]++
 	}
-	// Load spread sanity: every backend owns a non-trivial share. With 64
+	// Load spread sanity: every backend owns a non-trivial share. With 128
 	// vnodes × 5 backends the max/min imbalance stays well under 3x.
 	for _, a := range addrs {
 		if counts[a] < 10000/(3*len(addrs)) {
@@ -53,7 +53,7 @@ func TestRingDeterministicAffinity(t *testing.T) {
 // would reshuffle nearly everything.
 func TestRingRemovalStability(t *testing.T) {
 	addrs := ringAddrs(4)
-	full := newRing(addrs, 64)
+	full := newRing(addrs)
 	removed := addrs[2]
 	var survivors []string
 	for _, a := range addrs {
@@ -61,7 +61,7 @@ func TestRingRemovalStability(t *testing.T) {
 			survivors = append(survivors, a)
 		}
 	}
-	partial := newRing(survivors, 64)
+	partial := newRing(survivors)
 	rng := rand.New(rand.NewSource(99))
 	var remapped, kept int
 	for i := 0; i < 10000; i++ {
@@ -94,7 +94,7 @@ func TestRingRemovalStability(t *testing.T) {
 // the membership returns all of it.
 func TestRingOwners(t *testing.T) {
 	addrs := ringAddrs(3)
-	r := newRing(addrs, 32)
+	r := newRing(addrs)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		key := rng.Uint64()
@@ -113,7 +113,7 @@ func TestRingOwners(t *testing.T) {
 			seen[o] = true
 		}
 	}
-	if got := newRing(nil, 32).Owner(42); got != "" {
+	if got := newRing(nil).Owner(42); got != "" {
 		t.Errorf("empty ring owner = %q, want \"\"", got)
 	}
 	if got := r.Owners(42, 0); got != nil {

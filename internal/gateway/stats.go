@@ -137,7 +137,7 @@ func (g *Gateway) ownStats() GatewayStats {
 
 // fetchStats pulls one backend's /stats.
 func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*serve.StatsResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.opts.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, g.healthTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+"/stats", nil)
 	if err != nil {

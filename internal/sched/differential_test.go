@@ -34,11 +34,11 @@ func diffPopulation(n int) []*dag.Graph {
 // binarized graph via Remap), i.e. the same contract as sched.Submit.
 func directOutputs(t *testing.T, e *engine.Engine, g *dag.Graph, in []float64) []float64 {
 	t.Helper()
-	res, err := e.Execute(g, testCfg, compiler.Options{}, in)
+	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := e.Compile(g, testCfg, compiler.Options{})
+	res, err := e.ExecuteCompiled(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func directOutputs(t *testing.T, e *engine.Engine, g *dag.Graph, in []float64) [
 // TestDifferentialBatchedVsDirect proves the tentpole's correctness
 // claim: for a random DAG population, results served through the
 // scheduler's chunked batch path are bit-exact with direct
-// Engine.Execute calls — first serially per graph, then under
+// Engine.Compile + ExecuteCompiled calls — first serially per graph, then under
 // concurrent mixed-graph load.
 func TestDifferentialBatchedVsDirect(t *testing.T) {
 	nGraphs := 16

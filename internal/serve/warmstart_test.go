@@ -51,7 +51,7 @@ func populateStore(t testing.TB, st *artifact.Store, g *dag.Graph, cfg arch.Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}.Normalized(), Compiled: c}
+	a := &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}, Compiled: c}
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +119,51 @@ func TestServeWarmStartNoCompileOnHotPath(t *testing.T) {
 	}
 	if s.Preloaded != 1 {
 		t.Errorf("preloaded = %d, want 1", s.Preloaded)
+	}
+}
+
+// TestServeClientOptionsCannotDamageStore: the options a client sends
+// are a cache key and a store address, so no value of them may make the
+// async persist fail and raise StoreErrors, the damaged-store alarm. A
+// partition size the artifact format cannot carry is refused at compile
+// (422); a key the options no longer have is ignored, so the request
+// shares the bare request's cache entry.
+func TestServeClientOptionsCannotDamageStore(t *testing.T) {
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Store: st})
+	t.Cleanup(eng.Flush) // runs before the TempDir is removed
+	srv := New(eng, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Drain)
+	post := func(options string) int {
+		t.Helper()
+		body := `{"graph":"input\ninput\nadd 0 1\nconst 3\nmul 2 3\n","inputs":[[2,5]]` + options + `}`
+		resp, err := http.Post(ts.URL+"/execute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, options := range []string{``, `,"options":{"Window":2097152}`} {
+		if code := post(options); code != http.StatusOK {
+			t.Fatalf("options %q: status %d, want 200", options, code)
+		}
+	}
+	eng.Flush()
+	if s := eng.Stats(); s.Misses != 1 {
+		t.Errorf("a bare request and one with an unknown option key compiled %d times, want once", s.Misses)
+	}
+	if code := post(`,"options":{"PartitionSize":-1}`); code != http.StatusUnprocessableEntity {
+		t.Errorf("PartitionSize -1: status %d, want 422", code)
+	}
+	eng.Flush()
+	if s := eng.Stats(); s.StoreErrors != 0 {
+		t.Errorf("client options raised StoreErrors to %d", s.StoreErrors)
 	}
 }
 

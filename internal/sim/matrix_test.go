@@ -23,8 +23,6 @@ var (
 	optionMatrixOptions = []compiler.Options{
 		{},
 		{Seed: 99},
-		{Window: 1},
-		{Window: 50, SeedLookahead: 1, FillLookahead: 1},
 		{RandomBanks: true},
 		{PartitionSize: 64},
 	}

@@ -9,7 +9,7 @@
 //
 // The recorder is built for the serving hot path:
 //
-//   - a disabled tracer (or an unsampled request) costs zero
+//   - a nil tracer (or an unsampled request) costs zero
 //     allocations — every method is nil-safe on a nil *Trace;
 //   - a sampled request amortizes to zero: Traces are pooled
 //     (sync.Pool) and spans append into a preallocated fixed-capacity
@@ -382,13 +382,18 @@ func (r *Record) stageIn(stage string) bool {
 	return false
 }
 
-// Default retention and sampling parameters (see Options).
+// Default sampling parameters (see Options).
 const (
-	DefaultRingSize      = 256
-	DefaultReservoirSize = 32
 	DefaultSlowThreshold = 10 * time.Millisecond
 	DefaultSampleEvery   = 64
 	DefaultMaxSpans      = 64
+)
+
+// Retention bounds: the ring keeps the ringSize most recent traces, the
+// reservoir the reservoirSize slowest.
+const (
+	ringSize      = 256
+	reservoirSize = 32
 )
 
 // Options configure a Tracer; the zero value is a production-ready
@@ -399,10 +404,6 @@ type Options struct {
 	Clock Clock
 	// Service tags every Record with the recording tier.
 	Service string
-	// RingSize bounds the most-recent-traces ring. Default 256.
-	RingSize int
-	// ReservoirSize bounds the kept-slowest reservoir. Default 32.
-	ReservoirSize int
 	// SlowThreshold is the minimum duration for reservoir admission —
 	// the ring holds the recent, the reservoir holds the slow even
 	// after the ring has wrapped past them. Default 10ms.
@@ -415,20 +416,11 @@ type Options struct {
 	// MaxSpans bounds spans per trace; extras are counted in
 	// Record.DroppedSpans. Default 64.
 	MaxSpans int
-	// Disabled turns the tracer off: Start always returns nil and the
-	// request path pays nothing.
-	Disabled bool
 }
 
 func (o Options) normalize() Options {
 	if o.Clock == nil {
 		o.Clock = sysClock{}
-	}
-	if o.RingSize <= 0 {
-		o.RingSize = DefaultRingSize
-	}
-	if o.ReservoirSize <= 0 {
-		o.ReservoirSize = DefaultReservoirSize
 	}
 	if o.SlowThreshold <= 0 {
 		o.SlowThreshold = DefaultSlowThreshold
@@ -457,7 +449,7 @@ type Tracer struct {
 	ring    []atomic.Pointer[Record]
 	ringPos atomic.Uint64
 
-	// reservoir keeps the ReservoirSize slowest traces over
+	// reservoir keeps the cap(reservoir) slowest traces over
 	// SlowThreshold (min-heap by duration), mutex-guarded — admission
 	// is rare by construction.
 	resMu     sync.Mutex
@@ -467,13 +459,19 @@ type Tracer struct {
 	finished atomic.Int64
 }
 
-// New builds a Tracer.
-func New(opts Options) *Tracer {
+// New builds a Tracer. A nil *Tracer is a valid one that records
+// nothing: Start returns nil and the request path pays nothing.
+func New(opts Options) *Tracer { return newTracer(opts, ringSize, reservoirSize) }
+
+// newTracer is New with the retention bounds as parameters, so tests can
+// wrap the ring and fill the reservoir with a handful of traces.
+func newTracer(opts Options, ring, reservoir int) *Tracer {
 	opts = opts.normalize()
 	t := &Tracer{
-		opts:  opts,
-		clock: opts.Clock,
-		ring:  make([]atomic.Pointer[Record], opts.RingSize),
+		opts:      opts,
+		clock:     opts.Clock,
+		ring:      make([]atomic.Pointer[Record], ring),
+		reservoir: make([]*Record, 0, reservoir),
 	}
 	t.pool.New = func() any {
 		return &Trace{spans: make([]span, 0, opts.MaxSpans)}
@@ -482,7 +480,7 @@ func New(opts Options) *Tracer {
 }
 
 // Enabled reports whether the tracer records at all.
-func (t *Tracer) Enabled() bool { return t != nil && !t.opts.Disabled }
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // Sample decides whether to trace a request that arrived without a
 // traceparent header: 1 in SampleEvery, deterministic from a counter
@@ -500,7 +498,7 @@ func (t *Tracer) Sample() bool {
 
 // Start opens a trace whose root span is named root. A zero id mints a
 // fresh one; a zero start reads the clock. Returns nil (and records
-// nothing, at zero cost downstream) when the tracer is disabled.
+// nothing, at zero cost downstream) on a nil tracer.
 func (t *Tracer) Start(id ID, root string, start time.Time) *Trace {
 	if !t.Enabled() {
 		return nil
@@ -586,7 +584,7 @@ func (t *Tracer) keep(rec *Record) {
 		return
 	}
 	t.resMu.Lock()
-	if len(t.reservoir) < t.opts.ReservoirSize {
+	if len(t.reservoir) < cap(t.reservoir) {
 		t.reservoir = append(t.reservoir, rec)
 		t.siftUp(len(t.reservoir) - 1)
 	} else if len(t.reservoir) > 0 && rec.DurationNS > t.reservoir[0].DurationNS {

@@ -153,7 +153,7 @@ func TestMaxSpansBudget(t *testing.T) {
 
 func TestRingEviction(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk, RingSize: 4, SlowThreshold: time.Hour})
+	tr8 := newTracer(Options{Clock: clk, SlowThreshold: time.Hour}, 4, reservoirSize)
 	var ids []string
 	for i := 0; i < 10; i++ {
 		tr := tr8.Start(ID{}, "r", clk.Now())
@@ -177,7 +177,7 @@ func TestRingEviction(t *testing.T) {
 func TestReservoirKeepsSlowest(t *testing.T) {
 	clk := newManualClock()
 	// Ring of 1 so only the reservoir retains history.
-	tr8 := New(Options{Clock: clk, RingSize: 1, ReservoirSize: 3, SlowThreshold: 10 * time.Millisecond})
+	tr8 := newTracer(Options{Clock: clk, SlowThreshold: 10 * time.Millisecond}, 1, 3)
 	durs := []time.Duration{
 		5 * time.Millisecond, // under threshold: never admitted
 		20 * time.Millisecond,
@@ -242,15 +242,15 @@ func TestTracesFilters(t *testing.T) {
 }
 
 func TestDisabledTracerZeroAlloc(t *testing.T) {
-	tr8 := New(Options{Disabled: true})
+	var tr8 *Tracer
 	clk := newManualClock()
 	allocs := testing.AllocsPerRun(100, func() {
 		if tr8.Sample() {
-			t.Fatal("disabled tracer sampled")
+			t.Fatal("nil tracer sampled")
 		}
 		tr := tr8.Start(NewID(), "r", clk.Now())
 		if tr != nil {
-			t.Fatal("disabled tracer started a trace")
+			t.Fatal("nil tracer started a trace")
 		}
 		sp := tr.Begin("s", 0)
 		tr.SetAttrs(sp, Int("k", 1))
@@ -259,7 +259,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		tr8.Finish(tr)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled tracing allocated %.1f per request, want 0", allocs)
+		t.Fatalf("nil tracer allocated %.1f per request, want 0", allocs)
 	}
 }
 

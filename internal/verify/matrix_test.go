@@ -32,8 +32,6 @@ func TestConformanceMatrixVerifiesClean(t *testing.T) {
 	opts := []compiler.Options{
 		{},
 		{Seed: 99},
-		{Window: 1},
-		{Window: 50, SeedLookahead: 1, FillLookahead: 1},
 		{RandomBanks: true},
 		{PartitionSize: 64},
 	}
