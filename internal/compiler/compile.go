@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -98,11 +99,7 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	if p.outWord, err = ds.buildDraft(blocks); err != nil {
 		return nil, err
 	}
-	window := reorderWindow
-	if forcedWindow > 0 {
-		window = forcedWindow
-	}
-	p.sched = reorder(ds.ops, len(ds.vals), cfg.D, window)
+	p.sched = reorder(ds.ops, len(ds.vals), cfg.D, cmp.Or(forcedWindow, reorderWindow))
 	p.vals, p.rows = ds.vals, ds.rows
 
 	for i := 0; i < bg.NumNodes(); i++ {

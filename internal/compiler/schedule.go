@@ -55,7 +55,7 @@ const (
 	fillLookahead = 24
 )
 
-// forcedWindow is a test hook for the window ablation: a positive value
+// forcedWindow is a test hook for the window ablation: a nonzero value
 // replaces reorderWindow.
 var forcedWindow int
 

@@ -57,9 +57,8 @@ type Block struct {
 
 // Options tunes compilation. The zero value is the paper's configuration.
 // Every field is part of the program's content address (.dpuprog and every
-// cache key), so a value that changes nothing would split the cache: the
-// step-1 and step-3 search bounds are package constants (reorderWindow,
-// seedLookahead, fillLookahead) instead of fields.
+// cache key); the search bounds of steps 1 and 3 are constants (see
+// reorderWindow).
 type Options struct {
 	// Seed drives the randomized tie-breaks of the bank allocator
 	// (objective J spreads values by choosing uniformly among compatible
