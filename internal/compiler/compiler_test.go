@@ -67,6 +67,8 @@ func TestDecomposeInvariants(t *testing.T) {
 			for _, opts := range []Options{
 				{},
 				{Seed: 99},
+				{Seed: 99, RandomBanks: true},
+				{RandomBanks: true, PartitionSize: 64},
 				{RandomBanks: true},
 				{PartitionSize: 64},
 			} {
