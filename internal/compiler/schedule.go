@@ -47,8 +47,8 @@ const coneWindow = 16
 // over while filling the block's other slots. Like coneWindow they are
 // constants, not Options fields: Options is part of every program's
 // content address, and no other value is worth a key of its own —
-// windows of 300 and above emit the same programs, smaller ones only add
-// cycles (DESIGN.md "Why the window").
+// windows of 300 and above emit the same programs, and smaller windows and
+// other lookaheads cost cycles on most graphs (DESIGN.md "Why the window").
 const (
 	reorderWindow = 300
 	seedLookahead = 16
