@@ -7,7 +7,6 @@ package dse
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"dpuv2/internal/arch"
@@ -61,14 +60,6 @@ func Evaluate(g *dag.Graph, cfg arch.Config, opts compiler.Options) (energy.Esti
 // estimate models the execution of c, compiled for cfg.
 func estimate(cfg arch.Config, c *compiler.Compiled) energy.Estimate {
 	return energy.EstimateRun(cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog)
-}
-
-// evaluatePoint evaluates one configuration over the workload suite; see
-// evaluateGroup.
-func evaluatePoint(ctx context.Context, workloads []*dag.Graph, cfg arch.Config, opts compiler.Options) Point {
-	var p [1]Point
-	evaluateGroup(ctx, workloads, []arch.Config{cfg}, []int{0}, opts, p[:])
-	return p[0]
 }
 
 // evaluateGroup evaluates cfgs[i] over the workload suite into points[i]
@@ -198,34 +189,6 @@ const (
 	MinEDP
 )
 
-// String names the metric the way the CLIs spell it.
-func (m Metric) String() string {
-	switch m {
-	case MinLatency:
-		return "latency"
-	case MinEnergy:
-		return "energy"
-	case MinEDP:
-		return "edp"
-	}
-	return fmt.Sprintf("metric(%d)", int(m))
-}
-
-// ParseMetric is the inverse of String, for flag values.
-func (m *Metric) ParseMetric(s string) error {
-	switch s {
-	case "latency":
-		*m = MinLatency
-	case "energy":
-		*m = MinEnergy
-	case "edp":
-		*m = MinEDP
-	default:
-		return fmt.Errorf("dse: unknown metric %q (latency, energy or edp)", s)
-	}
-	return nil
-}
-
 // Value extracts the metric's per-op score from a point; lower is better.
 func (m Metric) Value(p Point) float64 {
 	switch m {
@@ -238,24 +201,10 @@ func (m Metric) Value(p Point) float64 {
 	}
 }
 
-// ValueOf extracts the metric's per-op score from a single-workload
-// estimate, the same quantity Value reads from a sweep point.
-func (m Metric) ValueOf(est energy.Estimate) float64 {
-	switch m {
-	case MinLatency:
-		return est.LatencyPerOp
-	case MinEnergy:
-		return est.EnergyPerOp
-	default:
-		return est.EDP
-	}
-}
-
 // Best returns the feasible point minimizing the metric. Equal metric
 // values break ties by the canonical config order (configLess), so the
 // winner is a pure function of the candidate *set*, never of slice
-// order — search-generated candidate lists (SearchAnneal) depend on
-// this for reproducible winners at any worker count.
+// order.
 func Best(points []Point, m Metric) (Point, bool) {
 	best := Point{}
 	bestV := math.Inf(1)

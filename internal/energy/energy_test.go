@@ -206,9 +206,10 @@ func TestRankingStability(t *testing.T) {
 	}
 }
 
-// offGridCandidates are configurations from the annealing search's
-// enlarged space — deeper trees, B/R rungs past the grid edges,
-// alternate output topologies — all valid and within machine bounds.
+// offGridCandidates are configurations off the 48-point grid — deeper
+// trees, B/R rungs past the grid edges, alternate output topologies —
+// all valid and within machine bounds, so an /execute request can name
+// any of them in its config field.
 func offGridCandidates() []arch.Config {
 	return []arch.Config{
 		{D: 4, B: 32, R: 8, Output: arch.OutPerLayer},
@@ -225,11 +226,11 @@ func offGridCandidates() []arch.Config {
 	}
 }
 
-// TestRankingStabilityOffGrid extends the golden ranking to the
-// annealing search's enlarged candidate space: off-grid candidates must
-// rank reproducibly alongside the 48 grid points — same order under
-// shuffling, and a pinned golden head — so annealed winners are as
-// stable as grid ones.
+// TestRankingStabilityOffGrid extends the golden ranking past the grid.
+// Off-grid configs reach the energy model through the /execute
+// config field, within engine.CheckMachineBounds, so they must rank
+// reproducibly alongside the 48 grid points — same order under
+// shuffling, and a pinned golden head.
 func TestRankingStabilityOffGrid(t *testing.T) {
 	cfgs := make([]arch.Config, 0, 64)
 	for _, d := range []int{1, 2, 3} {
@@ -264,7 +265,7 @@ func TestRankingStabilityOffGrid(t *testing.T) {
 	}
 
 	// Golden head over the enlarged space. If a model change legitimately
-	// reorders it, update these and re-run the anneal searches.
+	// reorders it, update these.
 	golden := []string{
 		"D=6,B=64,R=8,per-layer",
 		"D=4,B=128,R=32,per-layer",

@@ -64,10 +64,7 @@ type Options struct {
 // unbounded config would OOM whoever compiles or simulates it. The caps
 // comfortably cover every configuration of the paper (DPU-v2 (L) is
 // B=64, R=256, 4M-word memory). The serving layer applies the same
-// bounds to client-requested configs. The annealing search
-// (dse.SearchAnneal) reuses this check as its default mutation guard,
-// so the search never proposes a configuration the serving layer would
-// refuse to instantiate.
+// bounds to client-requested configs.
 func CheckMachineBounds(cfg arch.Config) error {
 	cfg = cfg.Normalize()
 	const (
