@@ -108,11 +108,6 @@ func TestSweepAndBest(t *testing.T) {
 	if bestLat.Cfg.D != 3 {
 		t.Errorf("min-latency config %v, expected the D=3 point", bestLat.Cfg)
 	}
-	probe := Point{LatencyPerOp: 1, EnergyPerOp: 2, EDP: 3}
-	if MinLatency.Value(probe) != 1 || MinEnergy.Value(probe) != 2 || MinEDP.Value(probe) != 3 {
-		t.Fatalf("Value reads the wrong fields: %v %v %v",
-			MinLatency.Value(probe), MinEnergy.Value(probe), MinEDP.Value(probe))
-	}
 	for _, p := range points {
 		if p.Feasible && p.EDP < bestEDP.EDP {
 			t.Errorf("Best(MinEDP) missed %v", p.Cfg)
@@ -313,6 +308,14 @@ func TestSweepContextCancelMidSweep(t *testing.T) {
 		if evaluated > 1 || workers == 1 && !points[0].Feasible {
 			t.Fatalf("workers=%d: %d points evaluated (first feasible: %v), want only the first", workers, evaluated, points[0].Feasible)
 		}
+	}
+}
+
+func TestMetricValueReadsPointFields(t *testing.T) {
+	p := Point{LatencyPerOp: 1, EnergyPerOp: 2, EDP: 3}
+	if MinLatency.Value(p) != 1 || MinEnergy.Value(p) != 2 || MinEDP.Value(p) != 3 {
+		t.Fatalf("Value reads the wrong fields: %v %v %v",
+			MinLatency.Value(p), MinEnergy.Value(p), MinEDP.Value(p))
 	}
 }
 
