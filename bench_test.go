@@ -176,15 +176,18 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	naive := time.Since(naiveStart)
-	// Warm the machine pool and lazy caches.
-	if _, err := eng.ExecuteInto(c, inputs, out); err != nil {
-		b.Fatal(err)
+	// Warm the evaluator free list and lazy caches.
+	batch, outs, errs := [][]float64{inputs}, [][]float64{out}, make([]error, 1)
+	eng.ExecuteBatchInto(c, batch, outs, nil, errs)
+	if errs[0] != nil {
+		b.Fatal(errs[0])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteInto(c, inputs, out); err != nil {
-			b.Fatal(err)
+		eng.ExecuteBatchInto(c, batch, outs, nil, errs)
+		if errs[0] != nil {
+			b.Fatal(errs[0])
 		}
 	}
 	b.StopTimer()
@@ -214,7 +217,7 @@ func BenchmarkEngineNaive(b *testing.B) {
 }
 
 // BenchmarkEngineBatch measures batched serving: one compile, B-sized
-// input batches fanned over the worker pool onto pooled machines.
+// input batches fanned over the worker pool onto leased evaluators.
 func BenchmarkEngineBatch(b *testing.B) {
 	g, inputs := engineBenchWorkload(b)
 	eng := engine.New(engine.Options{})
@@ -279,22 +282,24 @@ func runClients(b *testing.B, nc int, op func() error) {
 
 // BenchmarkServeConcurrent races the scheduler against calling the
 // engine directly: the same serving workload driven by concurrent
-// closed-loop clients, each doing Compile-hit + Execute on its own
-// ("direct") versus submitting one vector to the scheduler ("batched":
-// admission, one compile-cache hit and a one-item ExecuteBatchInto on
-// the client's goroutine). The scheduler's bill is its bookkeeping — a
+// closed-loop clients, each doing Compile-hit + a one-item
+// ExecuteBatchInto on its own ("direct") versus submitting one vector
+// to the scheduler ("batched": admission, one compile-cache hit and a
+// one-item ExecuteBatchInto on the client's goroutine). The scheduler's bill is its bookkeeping — a
 // mutex to admit and one to release, three clock reads and four
 // histogram observations per call. Merging concurrent callers into
 // shared batches was tried for this and measured slower: at a ≈ 0.1 µs
 // execute the merge window holds 3 items at 8 clients and 11 at 32, and
 // the park/wake cost outweighs one compile-cache touch per call.
-// Measured on 2 vCPUs (-benchtime 1s -count 5, ns/op medians):
+// Measured on 2 vCPUs (-benchtime 1s -count 5, ns/op medians; the two
+// row pairs come from different sessions, and timings drift up to ~1.5×
+// between sessions, so compare within a row):
 //
 //	                              direct   batched   items/batch   B/op
 //	merging callers, 8 clients       670      1926        2.8       486
 //	merging callers, 32 clients      665      1372       10.8       357
-//	per-call path, 8 clients         716      1006        1.0       120
-//	per-call path, 32 clients        712      1005        1.0       120
+//	per-call path, 8 clients         763      1277        1.0       120
+//	per-call path, 32 clients        747      1197        1.0       120
 //
 // (DESIGN.md "Scheduling & load" has the condition under which merging
 // would pay.) Short mode runs the 8-client pair only.
@@ -312,8 +317,9 @@ func BenchmarkServeConcurrent(b *testing.B) {
 				if err != nil {
 					return err
 				}
-				_, err = eng.ExecuteCompiled(c, in)
-				return err
+				errs := make([]error, 1)
+				eng.ExecuteBatchInto(c, [][]float64{in}, [][]float64{make([]float64, len(c.Graph.Outputs()))}, nil, errs)
+				return errs[0]
 			}
 			if err := direct(); err != nil {
 				b.Fatal(err)

@@ -53,7 +53,10 @@ func TestEmitArtifactRoundTrip(t *testing.T) {
 	if a.Fingerprint != g.Fingerprint() {
 		t.Error("artifact fingerprint differs from the source graph's")
 	}
-	if res, err := sim.Verify(a.Compiled, []float64{2, 5}, 0); err != nil {
+	in := []float64{2, 5}
+	if res, err := sim.Run(a.Compiled, in); err != nil {
+		t.Errorf("emitted program does not run: %v", err)
+	} else if err := sim.CheckOutputs(a.Compiled, in, res, 0); err != nil {
 		t.Errorf("emitted program fails verification: %v", err)
 	} else {
 		for _, v := range res.Outputs {

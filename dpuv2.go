@@ -184,18 +184,8 @@ func (en *Engine) Compile(g *Graph, cfg Config, opts CompileOptions) (*Program, 
 // evaluator, and returns the verified result with the program's
 // performance and energy report.
 func (en *Engine) Execute(p *Program, inputs []float64) (*Result, error) {
-	res, err := en.e.ExecuteCompiled(p.compiled, inputs)
-	if err != nil {
-		return nil, fmt.Errorf("dpuv2: %w", err)
-	}
-	if err := sim.CheckOutputs(p.compiled, inputs, res, 0); err != nil {
-		return nil, fmt.Errorf("dpuv2: %w", err)
-	}
-	return &Result{
-		Outputs: res.Outputs,
-		Sinks:   append([]NodeID(nil), p.compiled.Graph.Outputs()...),
-		Report:  p.report(),
-	}, nil
+	res, errs := en.execute(p, [][]float64{inputs})
+	return res[0], errs[0]
 }
 
 // ExecuteBatch runs the program over a batch of input vectors on the
@@ -203,14 +193,45 @@ func (en *Engine) Execute(p *Program, inputs []float64) (*Result, error) {
 // Results come back in input order; failed items are nil with their
 // errors joined, so callers can salvage the completed part of a batch.
 func (en *Engine) ExecuteBatch(p *Program, batches [][]float64) ([]*Result, error) {
-	out := make([]*Result, len(batches))
-	errs := make([]error, len(batches))
-	par.ForEach(len(batches), en.e.Workers(), func(i int) {
-		if out[i], errs[i] = en.Execute(p, batches[i]); errs[i] != nil {
-			errs[i] = fmt.Errorf("batch %d: %w", i, errs[i])
+	res, errs := en.execute(p, batches)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("batch %d: %w", i, err)
+		}
+	}
+	return res, errors.Join(errs...)
+}
+
+// execute is Execute and ExecuteBatch: one engine batch call, then every
+// completed item checked against the reference evaluator. Item i's
+// failure is errs[i], and res[i] is nil.
+func (en *Engine) execute(p *Program, batches [][]float64) (res []*Result, errs []error) {
+	c := p.compiled
+	sinks := c.Graph.Outputs()
+	n, w := len(batches), len(sinks)
+	flat := make([]float64, n*w)
+	outs := make([][]float64, n)
+	for i := range outs {
+		outs[i] = flat[i*w : (i+1)*w]
+	}
+	errs = make([]error, n)
+	en.e.ExecuteBatchInto(c, batches, outs, nil, errs)
+	res = make([]*Result, n)
+	par.ForEach(n, 0, func(i int) {
+		if errs[i] == nil {
+			r := &sim.Result{Outputs: make(map[NodeID]float64, w)}
+			for j, sink := range sinks {
+				r.Outputs[sink] = outs[i][j]
+			}
+			if errs[i] = sim.CheckOutputs(c, batches[i], r, 0); errs[i] == nil {
+				res[i] = &Result{Outputs: r.Outputs, Sinks: append([]NodeID(nil), sinks...), Report: p.report()}
+			}
+		}
+		if errs[i] != nil {
+			errs[i] = fmt.Errorf("dpuv2: %w", errs[i])
 		}
 	})
-	return out, errors.Join(errs...)
+	return res, errs
 }
 
 // Stats returns a snapshot of the engine's counters.

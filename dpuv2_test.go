@@ -146,6 +146,38 @@ func TestFacadeWrongInputCount(t *testing.T) {
 	}
 }
 
+// TestFacadeErrorText pins what a caller reads when an execution fails:
+// Execute wraps the executor's error in a "dpuv2: " prefix and nothing
+// else, ExecuteBatch adds "batch i: " to the failing item alone, and
+// only completed items count as executions.
+func TestFacadeErrorText(t *testing.T) {
+	en := NewEngine(EngineOptions{})
+	g := NewGraph("text")
+	a, b := g.AddInput(), g.AddInput()
+	g.AddOp(OpAdd, a, b)
+	prog, err := en.Compile(g, MinEDP(), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const arity = "dpuv2: sim: 1 inputs provided, graph has 2"
+	if _, err := en.Execute(prog, []float64{1}); err == nil || err.Error() != arity {
+		t.Errorf("Execute error = %v, want %q", err, arity)
+	}
+	if st := en.Stats(); st.Executions != 0 {
+		t.Errorf("executions after a failed Execute = %d, want 0", st.Executions)
+	}
+	res, err := en.ExecuteBatch(prog, [][]float64{{1, 2}, {1}, {3, 4}})
+	if want := "batch 1: " + arity; err == nil || err.Error() != want {
+		t.Errorf("ExecuteBatch error = %v, want %q", err, want)
+	}
+	if res[0] == nil || res[1] != nil || res[2] == nil {
+		t.Errorf("ExecuteBatch results = %v, want items 0 and 2 only", res)
+	}
+	if st := en.Stats(); st.Executions != 2 {
+		t.Errorf("executions = %d, want 2", st.Executions)
+	}
+}
+
 // TestFacadeCompileFailureSurfaces covers the failure paths through the
 // engine-backed Compile: structural validation and config validation
 // both surface, and a failed key is retried (not cached).

@@ -114,3 +114,35 @@ func TestReadLongLine(t *testing.T) {
 		t.Errorf("wide node has %d arguments, want %d", got, inputs)
 	}
 }
+
+// FuzzGraphRead: Read never panics on arbitrary text, and a graph it
+// accepts survives Write and a second Read with the same Fingerprint.
+func FuzzGraphRead(f *testing.F) {
+	f.Add("# a tiny dag\ninput\n\nconst 2.5\nadd 0 1\nmul 2 2 0\n")
+	f.Add("input\nconst NaN\nconst -0\nconst +Inf\nconst 0x1p-3\nadd 0 1 2 3 4\n")
+	f.Add("input\nadd 0 7\n")
+	f.Add("mul\n")
+	f.Add("const\n")
+	var buf bytes.Buffer
+	if err := Write(&buf, RandomGraph(RandomConfig{Inputs: 4, Interior: 20, MaxArgs: 3, MulFrac: 0.5, Seed: 1})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := Read(strings.NewReader(src), "fuzz")
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, g); err != nil {
+			t.Fatalf("accepted graph does not serialize: %v", err)
+		}
+		back, err := Read(&out, "back")
+		if err != nil {
+			t.Fatalf("written graph does not read back: %v\n%s", err, out.String())
+		}
+		if back.Fingerprint() != g.Fingerprint() {
+			t.Fatalf("round trip changed the fingerprint\nin:\n%s\nout:\n%s", src, out.String())
+		}
+	})
+}

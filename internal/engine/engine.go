@@ -235,15 +235,12 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 		// (cache and store) so the next request recompiles cleanly.
 		if ent.err == nil && len(ent.c.Remap) != g.NumNodes() {
 			// Only the waiter that actually evicts the entry purges the
-			// store file: a late waiter running after a retry has already
-			// recompiled and re-persisted the key must not delete the
-			// fresh artifact (nothing would re-persist it until the good
-			// entry leaves the cache).
-			if e.dropEntry(k, ent) {
+			// store file, and it does so before any retry can miss: a
+			// late purge would delete the artifact the retry's compile
+			// has re-persisted (nothing would re-persist it until the
+			// good entry leaves the cache).
+			if e.dropPoisoned(k, ent) {
 				e.storeErrors.Add(1)
-				if st := e.opts.Store; st != nil {
-					st.Remove(k)
-				}
 			}
 			return nil, fmt.Errorf("engine: cached program for %s maps %d nodes, graph has %d (poisoned artifact evicted; retry recompiles)",
 				k.Fingerprint.Short(), len(ent.c.Remap), g.NumNodes()), true
@@ -423,18 +420,24 @@ func (e *Engine) Preload() (n int, err error) {
 // store behind; tests call it before asserting store contents.
 func (e *Engine) Flush() { e.persists.Wait() }
 
-// dropEntry removes a completed entry from the cache if it is still the
-// resident one for k, reporting whether this caller won the removal
-// (concurrent droppers of the same entry get false).
-func (e *Engine) dropEntry(k artifact.Key, ent *entry) bool {
+// dropPoisoned removes a completed entry from the cache, and its
+// artifact from the store, if it is still the resident one for k,
+// reporting whether this caller won the removal (concurrent droppers of
+// the same entry get false). The store file goes under e.mu: no compile
+// of k can start, and so none can re-persist k, while the entry is
+// resident.
+func (e *Engine) dropPoisoned(k artifact.Key, ent *entry) bool {
 	e.mu.Lock()
-	won := e.entries[k] == ent
-	if won {
-		delete(e.entries, k)
-		e.unlink(ent)
+	defer e.mu.Unlock()
+	if e.entries[k] != ent {
+		return false
 	}
-	e.mu.Unlock()
-	return won
+	delete(e.entries, k)
+	e.unlink(ent)
+	if st := e.opts.Store; st != nil {
+		st.Remove(k)
+	}
+	return true
 }
 
 // moveToFront marks ent most recently used. Caller holds e.mu.
@@ -517,51 +520,15 @@ func (e *Engine) putEvaluator(f *sim.FuncEvaluator) {
 	e.freeMu.Unlock()
 }
 
-// ExecuteInto runs a compiled program on a leased evaluator, writing the
-// sink values (in c.Graph.Outputs() order) into out and returning the
-// cycle count — the compile-time constant c.Stats.Cycles, because the
-// schedule is static. Steady state allocates nothing.
-func (e *Engine) ExecuteInto(c *compiler.Compiled, inputs, out []float64) (cycles int, err error) {
-	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
-	f := e.getEvaluator()
-	err = f.ExecuteInto(c, inputs, out)
-	e.putEvaluator(f)
-	if err != nil {
-		return 0, err
-	}
-	e.executions.Add(1)
-	return c.Stats.Cycles, nil
-}
-
-// ExecuteCompiled runs a compiled program and returns its outputs keyed
-// by sink id. Result.Stats carries the cycle count only: activity is a
-// property of the program (sim.StaticStats(c.Prog)), so the engine never
-// recounts it per run.
-func (e *Engine) ExecuteCompiled(c *compiler.Compiled, inputs []float64) (*sim.Result, error) {
-	outs := c.Graph.Outputs()
-	out := make([]float64, len(outs))
-	if _, err := e.ExecuteInto(c, inputs, out); err != nil {
-		return nil, err
-	}
-	res := &sim.Result{Outputs: make(map[dag.NodeID]float64, len(outs)), Stats: sim.Stats{Cycles: c.Stats.Cycles}}
-	for i, sink := range outs {
-		res.Outputs[sink] = out[i]
-	}
-	return res, nil
-}
-
-// ExecuteBatchInto is the scheduler's hot path: it runs one compiled
-// program over a batch of input vectors, writing the sink values of item
-// i (in c.Graph.Outputs() order) into outs[i] and its error into
-// errs[i]; cycles, when non-nil, is filled with c.Stats.Cycles (every
-// item of a batch runs the same static schedule — callers that hold c
-// pass nil). The batch is split into contiguous chunks, one per worker,
-// and each worker leases a single evaluator for its whole chunk —
-// free-list traffic and compile-cache traffic are per-batch, not
-// per-item, which is what makes a many-vector request cheaper than one
-// ExecuteCompiled call per vector. With one
-// worker (or a one-item batch) the whole call runs inline on the
+// ExecuteBatchInto is the engine's one execute entry: it runs one
+// compiled program over a batch of input vectors, writing the sink
+// values of item i (in c.Graph.Outputs() order) into outs[i] and its
+// error into errs[i]; cycles, when non-nil, is filled with
+// c.Stats.Cycles (every item of a batch runs the same static schedule —
+// callers that hold c pass nil). The batch is split into contiguous
+// chunks, one per worker, and each worker leases a single evaluator for
+// its whole chunk, so free-list traffic is per batch, not per item. With
+// one worker (or a one-item batch) the whole call runs inline on the
 // caller's goroutine and allocates nothing in steady state.
 func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
 	n := len(batches)
@@ -598,10 +565,6 @@ func (e *Engine) runChunk(c *compiler.Compiled, batches, outs [][]float64, errs 
 	}
 	e.putEvaluator(f)
 }
-
-// Workers returns the configured worker-pool size, so wrappers layering
-// extra per-item work (e.g. verification) can match the batch fan-out.
-func (e *Engine) Workers() int { return e.opts.Workers }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {

@@ -6,7 +6,26 @@ import (
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/sim"
 )
+
+// executeOne runs one input vector through ExecuteBatchInto and returns
+// its sink values keyed by node id, with the cycle count the engine
+// reports for it.
+func executeOne(e *Engine, c *compiler.Compiled, in []float64) (*sim.Result, error) {
+	sinks := c.Graph.Outputs()
+	out := make([]float64, len(sinks))
+	cycles, errs := make([]int, 1), make([]error, 1)
+	e.ExecuteBatchInto(c, [][]float64{in}, [][]float64{out}, cycles, errs)
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	res := &sim.Result{Outputs: make(map[dag.NodeID]float64, len(sinks)), Stats: sim.Stats{Cycles: cycles[0]}}
+	for i, sink := range sinks {
+		res.Outputs[sink] = out[i]
+	}
+	return res, nil
+}
 
 // testGraph builds a small deterministic DAG whose structure varies with
 // seed: a chain of adds/muls over a few inputs.
@@ -143,7 +162,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.ExecuteCompiled(c, in)
+		res, err := executeOne(e, c, in)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -160,25 +179,29 @@ func TestExecuteMatchesReference(t *testing.T) {
 }
 
 func TestExecuteIntoSteadyStateIsAllocationFree(t *testing.T) {
+	// Default Workers: a one-item batch clamps onto the serial path.
 	e := New(Options{})
 	g := testGraph(2)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := testInputs(g, 1)
-	out := make([]float64, len(c.Graph.Outputs()))
-	// Warm the machine pool and every lazily built cache.
-	if _, err := e.ExecuteInto(c, in, out); err != nil {
-		t.Fatal(err)
+	batch := [][]float64{testInputs(g, 1)}
+	outs := [][]float64{make([]float64, len(c.Graph.Outputs()))}
+	errs := make([]error, 1)
+	// Warm the evaluator free list and every lazily built cache.
+	e.ExecuteBatchInto(c, batch, outs, nil, errs)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.ExecuteInto(c, in, out); err != nil {
-			t.Fatal(err)
+		e.ExecuteBatchInto(c, batch, outs, nil, errs)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state ExecuteInto allocates %v objects/op, want 0", allocs)
+		t.Errorf("steady-state one-item ExecuteBatchInto allocates %v objects/op, want 0", allocs)
 	}
 }
 
@@ -240,7 +263,7 @@ func TestCachedProgramImmuneToCallerMutation(t *testing.T) {
 	// Mutating the caller's graph after compiling must not corrupt the
 	// cached program another request may share.
 	g.AddOp(dag.OpAdd, 0, 1)
-	res, err := e.ExecuteCompiled(c, in)
+	res, err := executeOne(e, c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,23 +285,33 @@ func TestCachedProgramImmuneToCallerMutation(t *testing.T) {
 	}
 }
 
+// TestPooledResultStatsDoNotAliasTheMachine: the evaluator is pooled,
+// but what a caller holds is its own — a later execution on the same
+// evaluator does not rewrite an earlier result's outputs or cycles.
 func TestPooledResultStatsDoNotAliasTheMachine(t *testing.T) {
-	e := New(Options{})
+	e := New(Options{Workers: 1})
 	g := testGraph(1)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := e.ExecuteCompiled(c, testInputs(g, 1))
+	res1, err := executeOne(e, c, testInputs(g, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrs := res1.Stats.Instrs[arch.KindExec]
-	// Reuse the pooled machine; res1's stats must not change underneath.
-	if _, err := e.ExecuteCompiled(c, testInputs(g, 2)); err != nil {
+	want := make(map[dag.NodeID]float64, len(res1.Outputs))
+	for k, v := range res1.Outputs {
+		want[k] = v
+	}
+	if _, err := executeOne(e, c, testInputs(g, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if res1.Stats.Instrs[arch.KindExec] != instrs {
-		t.Error("result stats alias the pooled machine's counters")
+	for k, v := range want {
+		if res1.Outputs[k] != v {
+			t.Errorf("sink %d changed from %v to %v after the evaluator was reused", k, v, res1.Outputs[k])
+		}
+	}
+	if res1.Stats.Cycles != c.Stats.Cycles {
+		t.Errorf("cycles = %d, want the compile-time %d", res1.Stats.Cycles, c.Stats.Cycles)
 	}
 }

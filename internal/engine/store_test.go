@@ -78,11 +78,11 @@ func TestStoreBackedCompilePersistsAndRehydrates(t *testing.T) {
 		t.Error("decoded program's packed stream differs from the compiled one")
 	}
 	inputs := testInputs(g, 1.25)
-	r1, err := e1.ExecuteCompiled(c1, inputs)
+	r1, err := executeOne(e1, c1, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e2.ExecuteCompiled(c2, inputs)
+	r2, err := executeOne(e2, c2, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPreloadWarmStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := testInputs(g, 0.75)
-		res, err := e2.ExecuteCompiled(c, inputs)
+		res, err := executeOne(e2, c, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestCorruptArtifactFallsBackToCompile(t *testing.T) {
 		t.Errorf("store errors = %d, want 1", s.StoreErrors)
 	}
 	inputs := testInputs(g, 1.5)
-	res, err := e.ExecuteCompiled(c, inputs)
+	res, err := executeOne(e, c, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestPoisonedRemapRejectedAfterPreload(t *testing.T) {
 		t.Errorf("retry served remap of %d entries for %d nodes", len(c.Remap), g.NumNodes())
 	}
 	inputs := testInputs(g, 2)
-	res, err := e.ExecuteCompiled(c, inputs)
+	res, err := executeOne(e, c, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestStoreRaceOneArtifactPerKey(t *testing.T) {
 					return
 				}
 				inputs := testInputs(g, float64(w+1))
-				res, err := e.ExecuteCompiled(c, inputs)
+				res, err := executeOne(e, c, inputs)
 				if err != nil {
 					t.Errorf("execute: %v", err)
 					return

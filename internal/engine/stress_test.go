@@ -59,8 +59,10 @@ func TestConcurrentSingleFlightAndIsolation(t *testing.T) {
 					for range outs {
 						out = append(out, 0)
 					}
-					if _, err := e.ExecuteInto(c, in, out); err != nil {
-						errc <- err
+					errs := []error{nil}
+					e.ExecuteBatchInto(c, [][]float64{in}, [][]float64{out}, nil, errs)
+					if errs[0] != nil {
+						errc <- errs[0]
 						return
 					}
 					want, err := dag.Eval(c.Graph, in)
@@ -134,7 +136,7 @@ func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}
-					res, err := e.ExecuteCompiled(c, in)
+					res, err := executeOne(e, c, in)
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
@@ -214,14 +216,14 @@ func TestStressSharedFreeListAcrossConfigs(t *testing.T) {
 					}
 					outs[b] = make([]float64, len(sinks))
 				}
-				// Alternate the batched path (one lease per chunk) with
-				// the single-item path (one lease per call).
+				// Alternate whole batches (one lease per chunk) with
+				// one-item batches (one lease per call).
 				cycles, errs := make([]int, items), make([]error, items)
 				if it%2 == 0 {
 					e.ExecuteBatchInto(p.c, batches, outs, cycles, errs)
 				} else {
 					for b := range batches {
-						cycles[b], errs[b] = e.ExecuteInto(p.c, batches[b], outs[b])
+						e.ExecuteBatchInto(p.c, batches[b:b+1], outs[b:b+1], cycles[b:b+1], errs[b:b+1])
 					}
 				}
 				for b := range batches {

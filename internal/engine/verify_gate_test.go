@@ -64,7 +64,7 @@ func TestVerifyRejectsStoredStatsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request must survive a tampered store: %v", err)
 	}
-	res, err := e.ExecuteCompiled(c, testInputs(g, 0.5))
+	res, err := executeOne(e, c, testInputs(g, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestVerifyRejectsStorePlantedIllegalArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request must survive a poisoned store: %v", err)
 	}
-	res, err := e.ExecuteCompiled(c, inputs)
+	res, err := executeOne(e, c, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

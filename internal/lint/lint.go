@@ -3,22 +3,13 @@
 // parser (no go/analysis dependency). It runs as a normal test
 // (TestRepoInvariants), so `go test ./...` is the enforcement point.
 //
-// Two invariants are checked:
-//
-//   - clockuse: code in internal/sched and internal/serve must not
-//     read or arm real time directly (time.Now, time.Sleep, timers…).
-//     Those packages are tested with a deterministic FakeClock, and a
-//     single stray time.Now turns a reproducible scheduling test into
-//     a flaky one. The injectable sched.Clock is the only door; the
-//     systemClock implementation behind it carries a
-//     `//lint:allow clockuse` doc directive.
-//
-//   - machinereset: a sim.Machine holds register-bank valid bits and a
-//     landing ring from its last program. Reusing one without Reset
-//     leaks that state into the next run. Any function that receives a
-//     *sim.Machine (its caller may have run it already) must Reset
-//     before Run, and a machine built outside a loop must be Reset
-//     inside the loop that reruns it.
+// One invariant is checked, clockuse: code in internal/sched and
+// internal/serve must not read or arm real time directly (time.Now,
+// time.Sleep, timers…). Those packages are tested with a deterministic
+// FakeClock, and a single stray time.Now turns a reproducible scheduling
+// test into a flaky one. The injectable sched.Clock is the only door;
+// the systemClock implementation behind it carries a
+// `//lint:allow clockuse` doc directive.
 //
 // The analysis is purely syntactic: it tracks import aliases but does
 // no type inference, trading a little precision for zero dependencies
@@ -40,7 +31,7 @@ import (
 // Issue is one invariant violation.
 type Issue struct {
 	Pos  string // file:line, relative to the linted root
-	Rule string // "clockuse" or "machinereset"
+	Rule string // "clockuse"
 	Msg  string
 }
 
@@ -79,7 +70,6 @@ func Source(root string) ([]Issue, error) {
 		if strings.HasPrefix(rel, "internal/sched/") || strings.HasPrefix(rel, "internal/serve/") {
 			issues = append(issues, clockuse(fset, f)...)
 		}
-		issues = append(issues, machineReset(fset, f)...)
 		return nil
 	})
 	if err != nil {
@@ -181,183 +171,4 @@ func clockuse(fset *token.FileSet, f *ast.File) []Issue {
 		})
 	}
 	return issues
-}
-
-// machineReset flags sim.Machine reuse paths that skip Reset.
-func machineReset(fset *token.FileSet, f *ast.File) []Issue {
-	simName := importName(f, "dpuv2/internal/sim")
-	inSim := f.Name.Name == "sim"
-	if simName == "" && !inSim {
-		return nil
-	}
-	var issues []Issue
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || allows(fd.Doc, "machinereset") {
-			continue
-		}
-
-		// Machines handed to the function arrive with unknown state.
-		dirty := map[string]bool{}
-		if fd.Type.Params != nil {
-			for _, field := range fd.Type.Params.List {
-				if !isMachineType(field.Type, simName, inSim) {
-					continue
-				}
-				for _, name := range field.Names {
-					dirty[name.Name] = true
-				}
-			}
-		}
-		// Machines built fresh in this function (NewMachine zeroes
-		// state, so a straight-line Run is fine).
-		fresh := map[string]bool{}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				if i >= len(as.Lhs) {
-					break
-				}
-				if id, ok := as.Lhs[i].(*ast.Ident); ok && isNewMachine(rhs, simName, inSim) {
-					fresh[id.Name] = true
-				}
-			}
-			return true
-		})
-		if len(dirty) == 0 && len(fresh) == 0 {
-			continue
-		}
-
-		// Dirty machines: Run is only legal after a Reset (positional
-		// check — good enough for straight-line reuse code, and false
-		// negatives are caught by the differential tests anyway).
-		for name := range dirty {
-			run := firstMethodCall(fd.Body, name, "Run")
-			if !run.IsValid() {
-				continue
-			}
-			reset := firstMethodCall(fd.Body, name, "Reset")
-			if !reset.IsValid() || reset > run {
-				issues = append(issues, Issue{
-					Pos:  position(fset, run),
-					Rule: "machinereset",
-					Msg:  fmt.Sprintf("machine %q may carry a previous program's state; call %s.Reset before %s.Run", name, name, name),
-				})
-			}
-		}
-		// Fresh machines rerun in a loop: the loop body must recreate
-		// or Reset them, or iteration 2 starts from iteration 1's
-		// register file.
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch loop := n.(type) {
-			case *ast.ForStmt:
-				body = loop.Body
-			case *ast.RangeStmt:
-				body = loop.Body
-			default:
-				return true
-			}
-			for name := range fresh {
-				run := firstMethodCall(body, name, "Run")
-				if !run.IsValid() {
-					continue
-				}
-				if firstMethodCall(body, name, "Reset").IsValid() || createdIn(body, name, simName, inSim) {
-					continue
-				}
-				issues = append(issues, Issue{
-					Pos:  position(fset, run),
-					Rule: "machinereset",
-					Msg:  fmt.Sprintf("machine %q is rerun across loop iterations without Reset; stale register state leaks between runs", name),
-				})
-			}
-			return true
-		})
-	}
-	return issues
-}
-
-// isMachineType matches *sim.Machine (and *Machine inside package sim).
-func isMachineType(t ast.Expr, simName string, inSim bool) bool {
-	star, ok := t.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	switch x := star.X.(type) {
-	case *ast.SelectorExpr:
-		id, ok := x.X.(*ast.Ident)
-		return ok && simName != "" && id.Name == simName && x.Sel.Name == "Machine"
-	case *ast.Ident:
-		return inSim && x.Name == "Machine"
-	}
-	return false
-}
-
-// isNewMachine reports whether an assignment RHS is a call of
-// sim.NewMachine (plain NewMachine inside package sim).
-func isNewMachine(rhs ast.Expr, simName string, inSim bool) bool {
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		id, ok := fun.X.(*ast.Ident)
-		return ok && simName != "" && id.Name == simName && fun.Sel.Name == "NewMachine"
-	case *ast.Ident:
-		return inSim && fun.Name == "NewMachine"
-	}
-	return false
-}
-
-// firstMethodCall returns the position of the first `name.method(...)`
-// call under n, or token.NoPos.
-func firstMethodCall(n ast.Node, name, method string) token.Pos {
-	best := token.NoPos
-	ast.Inspect(n, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != method {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Name != name {
-			return true
-		}
-		if !best.IsValid() || call.Pos() < best {
-			best = call.Pos()
-		}
-		return true
-	})
-	return best
-}
-
-// createdIn reports whether body (re)assigns name from NewMachine,
-// which makes in-loop reuse safe.
-func createdIn(body *ast.BlockStmt, name, simName string, inSim bool) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			if i >= len(as.Lhs) {
-				break
-			}
-			id, ok := as.Lhs[i].(*ast.Ident)
-			if ok && id.Name == name && isNewMachine(rhs, simName, inSim) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -124,76 +124,3 @@ func f() time.Time { return time.Now() }
 `)
 	wantRules(t, lintTree(t, root))
 }
-
-func TestMachineResetLoopReuse(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/x/x.go", `package x
-
-import (
-	"dpuv2/internal/arch"
-	"dpuv2/internal/sim"
-)
-
-func f(cfg arch.Config, p *arch.Program) {
-	m := sim.NewMachine(cfg, nil)
-	for i := 0; i < 3; i++ {
-		m.Run(p)
-	}
-}
-`)
-	issues := lintTree(t, root)
-	wantRules(t, issues, "machinereset")
-	if !strings.Contains(issues[0].Msg, "loop") {
-		t.Errorf("message does not mention the loop: %s", issues[0])
-	}
-}
-
-func TestMachineResetLoopWithResetIsClean(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/x/x.go", `package x
-
-import (
-	"dpuv2/internal/arch"
-	"dpuv2/internal/sim"
-)
-
-func f(cfg arch.Config, p *arch.Program) {
-	m := sim.NewMachine(cfg, nil)
-	for i := 0; i < 3; i++ {
-		m.Reset(nil)
-		m.Run(p)
-	}
-}
-
-func g(cfg arch.Config, ps []*arch.Program) {
-	for _, p := range ps {
-		m := sim.NewMachine(cfg, nil) // fresh every iteration: fine
-		m.Run(p)
-	}
-}
-`)
-	wantRules(t, lintTree(t, root))
-}
-
-func TestMachineResetDirtyParam(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/x/x.go", `package x
-
-import (
-	"dpuv2/internal/arch"
-	"dpuv2/internal/sim"
-)
-
-func bad(m *sim.Machine, p *arch.Program) { m.Run(p) }
-
-func good(m *sim.Machine, p *arch.Program) {
-	m.Reset(nil)
-	m.Run(p)
-}
-`)
-	issues := lintTree(t, root)
-	wantRules(t, issues, "machinereset")
-	if !strings.Contains(issues[0].Msg, "Reset before") {
-		t.Errorf("unexpected message: %s", issues[0])
-	}
-}

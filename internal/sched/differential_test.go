@@ -29,23 +29,30 @@ func diffPopulation(n int) []*dag.Graph {
 	return graphs
 }
 
-// directOutputs runs g through the engine's unbatched serving path and
-// reports the sink values in g.Outputs() order (translating from the
-// binarized graph via Remap), i.e. the same contract as sched.Submit.
+// directOutputs runs g through a one-item engine batch, bypassing the
+// scheduler, and reports the sink values in g.Outputs() order
+// (translating from the binarized graph via Remap), i.e. the same
+// contract as sched.Submit.
 func directOutputs(t *testing.T, e *engine.Engine, g *dag.Graph, in []float64) []float64 {
 	t.Helper()
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecuteCompiled(c, in)
-	if err != nil {
-		t.Fatal(err)
+	sinks := c.Graph.Outputs()
+	out, errs := make([]float64, len(sinks)), []error{nil}
+	e.ExecuteBatchInto(c, [][]float64{in}, [][]float64{out}, nil, errs)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	at := make(map[dag.NodeID]float64, len(sinks))
+	for i, sink := range sinks {
+		at[sink] = out[i]
 	}
 	outs := g.Outputs()
 	vals := make([]float64, len(outs))
 	for j, s := range outs {
-		vals[j] = res.Outputs[c.Remap[s]]
+		vals[j] = at[c.Remap[s]]
 	}
 	return vals
 }
@@ -53,8 +60,8 @@ func directOutputs(t *testing.T, e *engine.Engine, g *dag.Graph, in []float64) [
 // TestDifferentialBatchedVsDirect proves the tentpole's correctness
 // claim: for a random DAG population, results served through the
 // scheduler's chunked batch path are bit-exact with direct
-// Engine.Compile + ExecuteCompiled calls — first serially per graph, then under
-// concurrent mixed-graph load.
+// Engine.Compile + one-item ExecuteBatchInto calls — first serially per
+// graph, then under concurrent mixed-graph load.
 func TestDifferentialBatchedVsDirect(t *testing.T) {
 	nGraphs := 16
 	itersPerGraph := 4

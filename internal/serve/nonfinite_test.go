@@ -73,9 +73,14 @@ func TestNonFiniteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := engine.New(engine.Options{}).ExecuteCompiled(c, overflow)
-	if err != nil {
-		t.Fatal(err)
+	served := &sim.Result{Outputs: map[dag.NodeID]float64{}}
+	servedOut, errs := make([]float64, len(outs)), []error{nil}
+	engine.New(engine.Options{}).ExecuteBatchInto(c, [][]float64{overflow}, [][]float64{servedOut}, nil, errs)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	for i, s := range outs {
+		served.Outputs[s] = servedOut[i]
 	}
 	for b, res := range map[string]*sim.Result{"machine": machine, "engine": served} {
 		for _, s := range outs {

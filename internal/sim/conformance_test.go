@@ -90,76 +90,3 @@ func TestConformanceMatrix(t *testing.T) {
 		}
 	}
 }
-
-// TestResetBitIdenticalToFreshMachine asserts the pooling contract: a
-// machine Reset between runs produces bit-identical outputs AND
-// identical execution statistics to a brand-new machine, across programs
-// of different configurations and repeated reuse.
-func TestResetBitIdenticalToFreshMachine(t *testing.T) {
-	graphs := conformanceGraphs(true)
-	cfgs := conformanceConfigs(true)
-	for gi, g := range graphs {
-		cfg := cfgs[gi%len(cfgs)]
-		c, err := compiler.Compile(g, cfg, compiler.Options{})
-		if err != nil {
-			t.Fatalf("graph %d: compile: %v", gi, err)
-		}
-		reused := NewMachine(c.Prog.Cfg, nil)
-		outs := c.Graph.Outputs()
-		gotOut := make([]float64, len(outs))
-		wantOut := make([]float64, len(outs))
-		for trial := 0; trial < 4; trial++ {
-			rng := rand.New(rand.NewSource(int64(100*gi + trial)))
-			inputs := make([]float64, len(c.Graph.Inputs()))
-			for i := range inputs {
-				inputs[i] = rng.Float64()*10 - 5
-			}
-			if err := RunOn(reused, c, inputs, gotOut); err != nil {
-				t.Fatalf("graph %d trial %d: reused machine: %v", gi, trial, err)
-			}
-			fresh := NewMachine(c.Prog.Cfg, nil)
-			if err := RunOn(fresh, c, inputs, wantOut); err != nil {
-				t.Fatalf("graph %d trial %d: fresh machine: %v", gi, trial, err)
-			}
-			for i := range gotOut {
-				if gotOut[i] != wantOut[i] {
-					t.Errorf("graph %d trial %d: sink %d: reused %v, fresh %v", gi, trial, i, gotOut[i], wantOut[i])
-				}
-			}
-			rs, fs := reused.Stats(), fresh.Stats()
-			if rs.Cycles != fs.Cycles || rs.PEOpsDone != fs.PEOpsDone ||
-				rs.RegReads != fs.RegReads || rs.RegWrites != fs.RegWrites ||
-				rs.MemReads != fs.MemReads || rs.MemWrites != fs.MemWrites {
-				t.Errorf("graph %d trial %d: stats diverge: reused %+v, fresh %+v", gi, trial, rs, fs)
-			}
-			for k, v := range fs.Instrs {
-				if rs.Instrs[k] != v {
-					t.Errorf("graph %d trial %d: instr count %v: reused %d, fresh %d", gi, trial, k, rs.Instrs[k], v)
-				}
-			}
-			for b, v := range fs.PeakActive {
-				if rs.PeakActive[b] != v {
-					t.Errorf("graph %d trial %d: peak occupancy bank %d: reused %d, fresh %d", gi, trial, b, rs.PeakActive[b], v)
-				}
-			}
-		}
-	}
-}
-
-// TestResetShrinksGrownMemory covers the one stateful edge of reuse: a
-// program that grows data memory past the next program's image must not
-// leak the stale words into the next run.
-func TestResetShrinksGrownMemory(t *testing.T) {
-	cfg := arch.Config{D: 1, B: 2, R: 8}.Normalize()
-	m := NewMachine(cfg, []float64{1, 2})
-	if err := m.SetMem(7, 99); err != nil { // grow beyond the image
-		t.Fatal(err)
-	}
-	m.Reset([]float64{3, 4})
-	if v, _ := m.Mem(7); v != 0 {
-		t.Errorf("stale grown memory survived Reset: word 7 = %v, want 0", v)
-	}
-	if v, _ := m.Mem(1); v != 4 {
-		t.Errorf("Reset image not installed: word 1 = %v, want 4", v)
-	}
-}

@@ -127,8 +127,8 @@ func TestStaticStatsMatchMachine(t *testing.T) {
 // TestExecutorConformanceMatrix is the serving executor's correctness
 // gate: over the same (graph × config) matrix that pins the machine
 // against the reference evaluator, the FuncEvaluator must match the
-// Machine bit-for-bit on every sink — one evaluator and one machine
-// reused across trials, as their callers reuse them.
+// Machine bit-for-bit on every sink — one evaluator reused across
+// trials, as the engine reuses it, against a fresh machine per trial.
 func TestExecutorConformanceMatrix(t *testing.T) {
 	for gi, g := range conformanceGraphs(testing.Short()) {
 		for _, cfg := range conformanceConfigs(testing.Short()) {
@@ -139,28 +139,27 @@ func TestExecutorConformanceMatrix(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(int64(gi) + 77))
 				outs := c.Graph.Outputs()
-				m := NewMachine(cfg, nil)
 				f := new(FuncEvaluator)
-				mOut := make([]float64, len(outs))
 				fOut := make([]float64, len(outs))
 				for trial := 0; trial < 3; trial++ {
 					inputs := make([]float64, len(c.Graph.Inputs()))
 					for i := range inputs {
 						inputs[i] = rng.Float64()*4 - 2
 					}
-					if err := RunOn(m, c, inputs, mOut); err != nil {
+					m, err := Run(c, inputs)
+					if err != nil {
 						t.Fatalf("machine: %v", err)
 					}
 					if err := f.ExecuteInto(c, inputs, fOut); err != nil {
 						t.Fatalf("evaluator: %v", err)
 					}
-					for i := range mOut {
-						if !sameBits(mOut[i], fOut[i]) {
+					for i, sink := range outs {
+						if !sameBits(m.Outputs[sink], fOut[i]) {
 							t.Errorf("trial %d sink %d: machine %v, evaluator %v (must be bit-exact)",
-								trial, outs[i], mOut[i], fOut[i])
+								trial, sink, m.Outputs[sink], fOut[i])
 						}
 					}
-					if mc := m.Stats().Cycles; mc != c.Stats.Cycles {
+					if mc := m.Stats.Cycles; mc != c.Stats.Cycles {
 						t.Errorf("trial %d: machine ran %d cycles, compile-time count is %d", trial, mc, c.Stats.Cycles)
 					}
 				}
@@ -311,8 +310,51 @@ func TestCheckOutputsNaNRegression(t *testing.T) {
 	}
 }
 
-// TestFuncEvaluatorErrors pins the evaluator's error cases and that the
-// messages match the machine path's (RunOn).
+// TestCheckOutputsRequiresEverySink: a result that lacks a sink fails
+// the check instead of passing vacuously, and of several wrong sinks
+// the first in c.Graph.Outputs() order is the one reported.
+func TestCheckOutputsRequiresEverySink(t *testing.T) {
+	g := dag.New("two sinks")
+	a, b := g.AddInput(), g.AddInput()
+	g.AddOp(dag.OpAdd, a, b)
+	g.AddOp(dag.OpMul, a, b)
+	c, err := compiler.Compile(g, arch.Config{D: 1, B: 2, R: 8}, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []float64{2, 5}
+	res, err := Run(c, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := c.Graph.Outputs()
+	if len(outs) != 2 {
+		t.Fatalf("graph has %d sinks, want 2", len(outs))
+	}
+	wrong := &Result{Outputs: map[dag.NodeID]float64{}}
+	for k, v := range res.Outputs {
+		wrong.Outputs[k] = v + 1
+	}
+	if err := CheckOutputs(c, in, wrong, 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sink %d =", outs[0])) {
+		t.Errorf("two wrong sinks: %v, want the first sink %d reported", err, outs[0])
+	}
+	for _, sink := range outs {
+		missing := &Result{Outputs: map[dag.NodeID]float64{}}
+		for k, v := range res.Outputs {
+			missing.Outputs[k] = v
+		}
+		delete(missing.Outputs, sink)
+		if err := CheckOutputs(c, in, missing, 0); err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Errorf("sink %d missing: CheckOutputs = %v, want a missing-sink error", sink, err)
+		}
+	}
+	if err := CheckOutputs(c, in, &Result{}, 0); err == nil {
+		t.Error("empty result passed CheckOutputs")
+	}
+}
+
+// TestFuncEvaluatorErrors pins the evaluator's error cases; the arity
+// message is the machine path's (Run) word for word.
 func TestFuncEvaluatorErrors(t *testing.T) {
 	g := dag.New("tiny")
 	a, b := g.AddInput(), g.AddInput()
@@ -325,6 +367,8 @@ func TestFuncEvaluatorErrors(t *testing.T) {
 	out := make([]float64, 1)
 	if err := f.ExecuteInto(c, []float64{1}, out); err == nil || !strings.Contains(err.Error(), "inputs provided") {
 		t.Errorf("short inputs: %v", err)
+	} else if _, merr := Run(c, []float64{1}); merr == nil || merr.Error() != err.Error() {
+		t.Errorf("short inputs: machine says %v, evaluator %v", merr, err)
 	}
 	if err := f.ExecuteInto(c, []float64{1, 2}, make([]float64, 3)); err == nil || !strings.Contains(err.Error(), "output buffer") {
 		t.Errorf("bad out buffer: %v", err)

@@ -42,7 +42,7 @@ func TestOptionMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shape %d cfg %d opts %d: compile: %v", si, ci, oi, err)
 				}
-				if _, err := Verify(c, randInputs(c.Graph, int64(si*100+ci*10+oi)), 0); err != nil {
+				if _, err := runChecked(c, randInputs(c.Graph, int64(si*100+ci*10+oi))); err != nil {
 					t.Fatalf("shape %d cfg %d opts %d: %v", si, ci, oi, err)
 				}
 			}

@@ -16,54 +16,33 @@ type Result struct {
 	Stats   Stats
 }
 
-// RunOn executes a compiled program on a caller-provided machine: the
-// machine is Reset to the program's initial memory image, inputs are
-// installed (in graph-input order), and the sink values are written into
-// out in c.Graph.Outputs() order. Once the machine and the graph's
-// derived caches are warm, steady-state reuse allocates nothing.
-func RunOn(m *Machine, c *compiler.Compiled, inputs []float64, out []float64) error {
+// Run executes a compiled program with the given DAG input values (in
+// graph-input order) on a fresh machine and returns the sink values read
+// back from data memory.
+func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
 	if len(inputs) != len(c.InputWord) {
-		return fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))
+		return nil, fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))
 	}
-	outs := c.Graph.Outputs()
-	if len(out) != len(outs) {
-		return fmt.Errorf("sim: output buffer has %d slots, graph has %d sinks", len(out), len(outs))
-	}
-	m.Reset(c.Prog.InitMem)
+	m := NewMachine(c.Prog.Cfg, c.Prog.InitMem)
 	for i, w := range c.InputWord {
 		if w < 0 {
 			continue // input consumed by nothing
 		}
 		if err := m.SetMem(w, inputs[i]); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := m.Run(c.Prog); err != nil {
-		return err
-	}
-	for i, sink := range outs {
-		v, err := m.Mem(c.OutputWord[sink])
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
-}
-
-// Run executes a compiled program with the given DAG input values (in
-// graph-input order) on a fresh machine and returns the sink values read
-// back from data memory.
-func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
-	m := NewMachine(c.Prog.Cfg, c.Prog.InitMem)
-	outs := c.Graph.Outputs()
-	out := make([]float64, len(outs))
-	if err := RunOn(m, c, inputs, out); err != nil {
 		return nil, err
 	}
+	outs := c.Graph.Outputs()
 	res := &Result{Outputs: make(map[dag.NodeID]float64, len(outs)), Stats: m.Stats()}
-	for i, sink := range outs {
-		res.Outputs[sink] = out[i]
+	for _, sink := range outs {
+		v, err := m.Mem(c.OutputWord[sink])
+		if err != nil {
+			return nil, err
+		}
+		res.Outputs[sink] = v
 	}
 	return res, nil
 }
@@ -83,12 +62,21 @@ func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
 // the tolerance clause applies only when both values are finite: an
 // infinite reference would make the relative band tol*(1+|w|) infinite
 // and accept anything, so non-finite values must match exactly.
+//
+// Every sink of c.Graph must be in res.Outputs — a missing one is an
+// error, not a vacuous pass — and sinks are checked in
+// c.Graph.Outputs() order, so the mismatch reported is the first one in
+// that order.
 func CheckOutputs(c *compiler.Compiled, inputs []float64, res *Result, tol float64) error {
 	want, err := dag.Eval(c.Graph, inputs)
 	if err != nil {
 		return err
 	}
-	for sink, got := range res.Outputs {
+	for _, sink := range c.Graph.Outputs() {
+		got, present := res.Outputs[sink]
+		if !present {
+			return fmt.Errorf("sim: sink %d missing from the result", sink)
+		}
 		w := want[sink]
 		ok := got == w || (math.IsNaN(got) && math.IsNaN(w))
 		if !ok && !math.IsInf(got, 0) && !math.IsInf(w, 0) {
@@ -99,17 +87,4 @@ func CheckOutputs(c *compiler.Compiled, inputs []float64, res *Result, tol float
 		}
 	}
 	return nil
-}
-
-// Verify runs the compiled program and compares every sink against the
-// reference evaluator.
-func Verify(c *compiler.Compiled, inputs []float64, tol float64) (*Result, error) {
-	res, err := Run(c, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckOutputs(c, inputs, res, tol); err != nil {
-		return res, err
-	}
-	return res, nil
 }

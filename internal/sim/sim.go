@@ -90,29 +90,6 @@ func NewMachine(cfg arch.Config, initMem []float64) *Machine {
 	return m
 }
 
-// Reset returns the machine to the state NewMachine(cfg, initMem) would
-// produce, reusing every allocation: register values may stay stale (the
-// register file is emptied, and every read is gated by it), and the
-// stats map keeps its buckets. A reset machine is observationally
-// identical to a fresh one — the conformance suite asserts bit-identical
-// outputs and statistics — which is what lets RunOn callers rerun one
-// machine. The only case that allocates is an initMem larger than any
-// image the machine has held before.
-func (m *Machine) Reset(initMem []float64) {
-	m.rf.Reset()
-	m.cycle = 0
-	if cap(m.mem) < len(initMem) {
-		m.mem = make([]float64, len(initMem))
-	} else {
-		m.mem = m.mem[:len(initMem)]
-	}
-	copy(m.mem, initMem)
-	instrs, peak := m.stats.Instrs, m.stats.PeakActive
-	clear(instrs)
-	clear(peak)
-	m.stats = Stats{Instrs: instrs, PeakActive: peak}
-}
-
 // Mem returns the data-memory word at addr (growing view: unwritten words
 // read as zero up to the configured capacity).
 func (m *Machine) Mem(addr int) (float64, error) {
@@ -189,8 +166,14 @@ func (m *Machine) tick() error {
 	return nil
 }
 
-// Run executes the program to completion, including pipeline drain.
+// Run executes the program to completion, including pipeline drain. A
+// machine runs once: its register file, landing ring, memory and
+// statistics are those the program left, so a second Run is an error —
+// build a new machine (or call the package-level Run) per execution.
 func (m *Machine) Run(p *arch.Program) error {
+	if m.cycle != 0 {
+		return fmt.Errorf("sim: machine has already run %d cycles; build a new one per execution", m.cycle)
+	}
 	for i, in := range p.Instrs {
 		if err := m.step(in); err != nil {
 			return fmt.Errorf("sim: instruction %d (%v): %w", i, in.Kind, err)

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,13 +23,23 @@ func randInputs(g *dag.Graph, seed int64) []float64 {
 	return in
 }
 
+// runChecked runs c on a fresh machine and checks every sink against
+// the reference evaluator.
+func runChecked(c *compiler.Compiled, inputs []float64) (*Result, error) {
+	res, err := Run(c, inputs)
+	if err != nil {
+		return nil, err
+	}
+	return res, CheckOutputs(c, inputs, res, 0)
+}
+
 func compileAndVerify(t *testing.T, g *dag.Graph, cfg arch.Config, seed int64) *Result {
 	t.Helper()
 	c, err := compiler.Compile(g, cfg, compiler.Options{Seed: seed})
 	if err != nil {
 		t.Fatalf("compile %s on %v: %v", g.Name, cfg, err)
 	}
-	res, err := Verify(c, randInputs(c.Graph, seed^0xabc), 0)
+	res, err := runChecked(c, randInputs(c.Graph, seed^0xabc))
 	if err != nil {
 		t.Fatalf("verify %s on %v: %v", g.Name, cfg, err)
 	}
@@ -131,7 +142,7 @@ func TestSpillingSmallR(t *testing.T) {
 	if c.Stats.SpillStores == 0 {
 		t.Error("expected spills at R=4")
 	}
-	if _, err := Verify(c, randInputs(c.Graph, 77), 0); err != nil {
+	if _, err := runChecked(c, randInputs(c.Graph, 77)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,7 +154,7 @@ func TestRandomBankAllocationStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if _, err := Verify(c, randInputs(c.Graph, 5), 0); err != nil {
+	if _, err := runChecked(c, randInputs(c.Graph, 5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,7 +172,7 @@ func TestSpTRSVWorkloadEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := randInputs(c.Graph, 21)
-	res, err := Verify(c, b, 0)
+	res, err := runChecked(c, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +214,7 @@ func TestPackedProgramRoundTripExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Prog.Instrs = back
-	if _, err := Verify(c, randInputs(c.Graph, 3), 0); err != nil {
+	if _, err := runChecked(c, randInputs(c.Graph, 3)); err != nil {
 		t.Fatalf("packed round-trip execution diverged: %v", err)
 	}
 }
@@ -240,6 +251,28 @@ func TestOccupancyTraceAndPeak(t *testing.T) {
 		if p > cfg.R {
 			t.Fatalf("bank %d peak %d exceeds R", b, p)
 		}
+	}
+}
+
+// TestMachineRunsOnce pins the one-shot contract: a machine keeps the
+// register file, landing ring and statistics its program left, so a
+// second Run is refused rather than started from that state.
+func TestMachineRunsOnce(t *testing.T) {
+	g := dag.RandomGraph(dag.RandomConfig{Inputs: 6, Interior: 40, MaxArgs: 3, MulFrac: 0.5, Seed: 3})
+	c, err := compiler.Compile(g, arch.Config{D: 2, B: 8, R: 16}, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(c.Prog.Cfg, c.Prog.InitMem)
+	if err := m.Run(c.Prog); err != nil {
+		t.Fatal(err)
+	}
+	first := m.Stats().Cycles
+	if err := m.Run(c.Prog); err == nil || !strings.Contains(err.Error(), "already run") {
+		t.Fatalf("second Run = %v, want an already-run error", err)
+	}
+	if got := m.Stats().Cycles; got != first {
+		t.Errorf("refused Run moved the clock: %d cycles, want %d", got, first)
 	}
 }
 
@@ -322,7 +355,7 @@ func TestCompileSimulateProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = Verify(c, randInputs(c.Graph, seed^1), 0)
+		_, err = runChecked(c, randInputs(c.Graph, seed^1))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
