@@ -1,20 +1,15 @@
 // Command dpu-loadgen is the closed-loop load generator for dpu-serve,
-// in the spirit of a k6 workload driver: a fixed set of concurrent
-// clients hammers POST /execute with a mixed population of random
-// graphs, optionally paced to a target request rate, and reports a
-// reproducible JSON summary (throughput, error counts, latency
-// quantiles) so the batching scheduler's claims can be measured rather
-// than asserted.
-//
+// in the spirit of a k6 workload driver: -c concurrent clients hammer
+// POST /execute with a mixed population of random graphs and the tool
+// reports a JSON summary (throughput, error counts, latency quantiles).
 // Closed loop means each client waits for its response before sending
 // the next request, so the offered load self-limits to what the server
-// sustains; -qps adds a global pacing schedule on top (clients skip
-// ahead to their next slot, never exceeding the target rate).
+// sustains. The population and inputs come from a fixed seed.
 //
 // Examples:
 //
 //	dpu-loadgen -url http://localhost:8080 -c 16 -duration 10s -json
-//	dpu-loadgen -self -c 8 -qps 500 -graphs 4 -duration 5s
+//	dpu-loadgen -self -c 8 -graphs 4 -duration 5s
 //
 // -self serves in-process (its own engine + batching scheduler), which
 // makes the tool a one-command smoke test: it exits non-zero if no
@@ -44,16 +39,21 @@ import (
 	"dpuv2/internal/trace"
 )
 
+// Fixed shape of the generated load: input vectors per request, the
+// seed of the graph population and of the inputs, and how many of the
+// slowest traced admitted requests the summary lists.
+const (
+	inputsPerRequest = 2
+	seed             = 1
+	slowest          = 5
+)
+
 type config struct {
 	url         string
 	self        bool
 	duration    time.Duration
 	concurrency int
-	qps         float64
 	graphs      int
-	inputsPer   int
-	seed        int64
-	slowest     int
 	traceEvery  int
 	jsonOut     bool
 }
@@ -93,7 +93,6 @@ func buildPopulation(n int, seed int64) []target {
 type summary struct {
 	DurationSec float64 `json:"duration_sec"`
 	Clients     int     `json:"clients"`
-	TargetQPS   float64 `json:"target_qps,omitempty"`
 	// Requests counts HTTP round trips; Completed/FailedVectors count
 	// individual input vectors inside 200 responses.
 	Requests        int64            `json:"requests"`
@@ -127,7 +126,7 @@ type SlowRequest struct {
 }
 
 func run(cfg config, logw io.Writer) (summary, error) {
-	targets := buildPopulation(cfg.graphs, cfg.seed)
+	targets := buildPopulation(cfg.graphs, seed)
 
 	url := cfg.url
 	if cfg.self {
@@ -155,30 +154,22 @@ func run(cfg config, logw io.Writer) (summary, error) {
 		slowMu    sync.Mutex
 		slow      []SlowRequest // K slowest admitted, sorted slowest-first
 	)
-	// recordSlow keeps the cfg.slowest slowest admitted requests by
-	// insertion into the small sorted slice — K is single digits, so this
-	// beats any heap on both code and cycles.
+	// recordSlow keeps the slowest admitted requests by insertion into
+	// the small sorted slice — K is single digits, so this beats any heap
+	// on both code and cycles.
 	recordSlow := func(id string, d time.Duration) {
-		if cfg.slowest <= 0 {
-			return
-		}
 		slowMu.Lock()
 		defer slowMu.Unlock()
-		if len(slow) == cfg.slowest && int64(d) <= slow[len(slow)-1].DurationNS {
+		if len(slow) == slowest && int64(d) <= slow[len(slow)-1].DurationNS {
 			return
 		}
 		slow = append(slow, SlowRequest{TraceID: id, DurationNS: int64(d)})
 		for j := len(slow) - 1; j > 0 && slow[j].DurationNS > slow[j-1].DurationNS; j-- {
 			slow[j], slow[j-1] = slow[j-1], slow[j]
 		}
-		if len(slow) > cfg.slowest {
-			slow = slow[:cfg.slowest]
+		if len(slow) > slowest {
+			slow = slow[:slowest]
 		}
-	}
-	var interval time.Duration
-	var slot atomic.Int64
-	if cfg.qps > 0 {
-		interval = time.Duration(float64(time.Second) / cfg.qps)
 	}
 	client := &http.Client{Timeout: 30 * time.Second}
 	start := time.Now()
@@ -189,21 +180,10 @@ func run(cfg config, logw io.Writer) (summary, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + 7919*int64(w)))
-			for n := 0; ; n++ {
-				if interval > 0 {
-					// Global pacing: claim the next slot of the
-					// schedule and wait for it.
-					at := start.Add(time.Duration(slot.Add(1)-1) * interval)
-					if at.After(deadline) {
-						return
-					}
-					time.Sleep(time.Until(at))
-				} else if !time.Now().Before(deadline) {
-					return
-				}
+			rng := rand.New(rand.NewSource(seed + 7919*int64(w)))
+			for n := 0; time.Now().Before(deadline); n++ {
 				tgt := targets[rng.Intn(len(targets))]
-				req := serve.ExecuteRequest{Graph: tgt.text, Inputs: make([][]float64, cfg.inputsPer)}
+				req := serve.ExecuteRequest{Graph: tgt.text, Inputs: make([][]float64, inputsPerRequest)}
 				for i := range req.Inputs {
 					vec := make([]float64, tgt.nIn)
 					for j := range vec {
@@ -282,7 +262,6 @@ func run(cfg config, logw io.Writer) (summary, error) {
 	s := summary{
 		DurationSec:     elapsed.Seconds(),
 		Clients:         cfg.concurrency,
-		TargetQPS:       cfg.qps,
 		Requests:        requests.Load(),
 		Completed:       completed.Load(),
 		FailedVectors:   failedVec.Load(),
@@ -304,11 +283,7 @@ func main() {
 	flag.BoolVar(&cfg.self, "self", false, "serve in-process instead of targeting -url")
 	flag.DurationVar(&cfg.duration, "duration", 5*time.Second, "how long to generate load")
 	flag.IntVar(&cfg.concurrency, "c", 8, "concurrent closed-loop clients")
-	flag.Float64Var(&cfg.qps, "qps", 0, "target request rate across all clients (0: unpaced)")
 	flag.IntVar(&cfg.graphs, "graphs", 4, "distinct random graphs in the population")
-	flag.IntVar(&cfg.inputsPer, "inputs", 2, "input vectors per request")
-	flag.Int64Var(&cfg.seed, "seed", 1, "population and input seed")
-	flag.IntVar(&cfg.slowest, "slowest", 5, "report the trace IDs of this many slowest traced admitted requests (0: none)")
 	flag.IntVar(&cfg.traceEvery, "trace-every", 0, "send a traceparent, which makes the server trace the request, on every Nth request of each client (0: none)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the summary as JSON")
 	flag.Parse()

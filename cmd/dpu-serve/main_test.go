@@ -3,8 +3,8 @@ package main
 // The HTTP handler, its batching scheduler and the full request-path
 // test matrix live in internal/serve (so cmd/dpu-loadgen can drive the
 // server in-process); this file only smoke-tests the wiring the binary
-// performs: default flag values produce a server that executes a request
-// end to end through the batched path.
+// performs: the zero serve.Options main builds produce a server that
+// executes a request end to end through the batched path.
 
 import (
 	"bytes"
@@ -14,15 +14,12 @@ import (
 	"testing"
 
 	"dpuv2/internal/engine"
-	"dpuv2/internal/sched"
 	"dpuv2/internal/serve"
 )
 
 func TestDefaultWiringServesBatched(t *testing.T) {
 	eng := engine.New(engine.Options{CacheSize: 128})
-	srv := serve.New(eng, serve.Options{
-		Sched: sched.Options{MaxBatch: 32, QueueDepth: 4096},
-	})
+	srv := serve.New(eng, serve.Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()

@@ -406,3 +406,17 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 		t.Errorf("GET /execute = %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestZeroOptionsDefaults pins the routing defaults a zero Options
+// resolves to — the values dpu-gateway runs with, since it sets none of
+// them: hedge delays clamped to [2ms, 500ms] and a 30s bound on one
+// proxied attempt.
+func TestZeroOptionsDefaults(t *testing.T) {
+	o := Options{}.normalize()
+	if o.HedgeMin != 2*time.Millisecond || o.HedgeMax != 500*time.Millisecond {
+		t.Errorf("hedge clamps = [%v, %v], want [2ms, 500ms]", o.HedgeMin, o.HedgeMax)
+	}
+	if o.RequestTimeout != 30*time.Second {
+		t.Errorf("request timeout = %v, want 30s", o.RequestTimeout)
+	}
+}

@@ -1,6 +1,6 @@
 package serve
 
-// Opt-in pprof debug listener shared by cmd/dpu-serve and
+// Opt-in pprof debug listener that Run starts for cmd/dpu-serve and
 // cmd/dpu-gateway. The profiling surface is deliberately a SEPARATE
 // listener on a separate mux: the serving mux never exposes
 // /debug/pprof, so an operator can bind the debug address to loopback
@@ -15,10 +15,9 @@ import (
 	nhpprof "net/http/pprof"
 )
 
-// NewDebugServer builds the pprof server for addr. The caller starts it
-// (ListenAndServe) and owns its lifetime; it is independent of the
-// serving listener and is simply abandoned at process exit — profiling
-// has no drain semantics.
+// NewDebugServer builds the pprof server for addr. It is independent of
+// the serving listener and has no drain semantics: Run closes it on
+// return.
 func NewDebugServer(addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", nhpprof.Index)

@@ -18,6 +18,7 @@ import (
 	"dpuv2/internal/engine"
 	"dpuv2/internal/metrics"
 	"dpuv2/internal/sched"
+	"dpuv2/internal/trace"
 )
 
 func postExecute(t *testing.T, srv *httptest.Server, req ExecuteRequest) (*http.Response, ExecuteResponse) {
@@ -328,6 +329,50 @@ func TestServeOversizedBatch413(t *testing.T) {
 	req.Inputs = req.Inputs[:2]
 	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
 		t.Errorf("status at bound = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestZeroOptionsDefaults pins what a zero Options resolves to — the
+// values dpu-serve runs with, since it sets none of them: a queue bound
+// of 4096 vectors, chunks of 32, 413 past 1024 vectors per request, and
+// unsolicited tracing at 1 in trace.DefaultSampleEvery.
+func TestZeroOptionsDefaults(t *testing.T) {
+	s, srv := newTestServer(t, Options{})
+	if got := s.Scheduler().Stats().QueueLimit; got != 4096 {
+		t.Errorf("queue limit = %d, want 4096", got)
+	}
+	// Before any request: each one consumes a sampling decision.
+	var sampled []int
+	for i := 0; i < 2*trace.DefaultSampleEvery; i++ {
+		if s.Tracer().Sample() {
+			sampled = append(sampled, i)
+		}
+	}
+	if want := []int{0, trace.DefaultSampleEvery}; !reflect.DeepEqual(sampled, want) {
+		t.Errorf("sampled calls %v of %d, want %v", sampled, 2*trace.DefaultSampleEvery, want)
+	}
+
+	req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: make([][]float64, 33)}
+	for i := range req.Inputs {
+		req.Inputs[i] = []float64{float64(i), 1}
+	}
+	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("33 vectors: status = %d, want 200", resp.StatusCode)
+	}
+	if st := s.Scheduler().Stats(); st.Batches != 2 || st.BatchSize.Max != 32 {
+		t.Errorf("33 vectors ran as %d chunks of at most %d, want 2 of at most 32", st.Batches, st.BatchSize.Max)
+	}
+
+	req.Inputs = make([][]float64, 1025)
+	for i := range req.Inputs {
+		req.Inputs[i] = []float64{1, 2}
+	}
+	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("1025 vectors: status = %d, want 413", resp.StatusCode)
+	}
+	req.Inputs = req.Inputs[:1024]
+	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
+		t.Errorf("1024 vectors: status = %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -1,15 +1,23 @@
 package serve
 
-// Process-lifecycle helpers shared by cmd/dpu-serve and cmd/dpu-gateway:
-// the hardened http.Server both binaries listen on, and the bounded
-// drain sequence both run on SIGINT/SIGTERM. They live here (not in the
-// cmds) so the two binaries cannot drift apart on connection hygiene,
-// and so the slow-loris and wedged-drain regression tests run in-package.
+// Process lifecycle shared by cmd/dpu-serve and cmd/dpu-gateway: Run
+// binds, serves on the hardened http.Server, and runs the bounded drain
+// sequence when its context ends. It lives here (not in the cmds) so the
+// two binaries cannot drift apart on connection hygiene or shutdown, and
+// so the slow-loris, wedged-drain and exit-contract tests run in-package.
 
 import (
+	"context"
+	"fmt"
+	"log"
+	"net"
 	"net/http"
 	"time"
 )
+
+// DrainTimeout bounds Run's whole shutdown sequence: the drain steps and
+// the listener shutdown share this one deadline.
+const DrainTimeout = 10 * time.Second
 
 // Default connection timeouts for NewHTTPServer. ReadTimeout must cover
 // a 64 MiB body on a slow-but-honest link; ReadHeaderTimeout only has to
@@ -79,4 +87,63 @@ func DrainWithin(d time.Duration, steps ...func()) bool {
 	case <-t.C:
 		return false
 	}
+}
+
+// Run serves h on addr until ctx is done, then shuts down: the drain
+// steps run in order while the listener still answers (so /healthz can
+// report 503 to a gateway), then the listener closes. Both share one
+// DrainTimeout deadline. When debugAddr is set, a NewDebugServer listens
+// there too; it has no drain and closes when Run returns. Both addresses
+// are bound before anything is served, so a taken one is a startup
+// error. Run returns nil only after a complete drain and shutdown, and
+// an error when a bind fails or the deadline passes; name prefixes its
+// log lines and errors.
+func Run(ctx context.Context, name, addr, debugAddr string, h http.Handler, drain ...func()) error {
+	return run(ctx, name, addr, debugAddr, h, DrainTimeout, drain)
+}
+
+// run is Run with the shutdown deadline as a parameter, so tests can
+// miss it in milliseconds. The wall-clock deadline is deliberate, as in
+// DrainWithin.
+//
+//lint:allow clockuse
+func run(ctx context.Context, name, addr, debugAddr string, h http.Handler, timeout time.Duration, drain []func()) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	if debugAddr != "" {
+		dln, err := net.Listen("tcp", debugAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("%s: debug listener: %w", name, err)
+		}
+		ds := NewDebugServer(debugAddr)
+		defer ds.Close()
+		go ds.Serve(dln)
+		log.Printf("%s: pprof debug listener on %s (separate from the serving port)", name, dln.Addr())
+	}
+	hs := NewHTTPServer(addr, h, 0, 0)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	log.Printf("%s listening on %s", name, ln.Addr())
+
+	select {
+	case err := <-served:
+		return fmt.Errorf("%s: %w", name, err)
+	case <-ctx.Done():
+	}
+	log.Printf("%s: draining (bounded by %v)", name, timeout)
+	deadline := time.Now().Add(timeout)
+	if !DrainWithin(timeout, drain...) {
+		hs.Close()
+		return fmt.Errorf("%s: drain did not complete within %v", name, timeout)
+	}
+	sctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		hs.Close()
+		return fmt.Errorf("%s: shutdown: %w", name, err)
+	}
+	return nil
 }

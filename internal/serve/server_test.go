@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,5 +123,133 @@ func TestDrainWithinBoundsWedgedStep(t *testing.T) {
 	}
 	if got := []string{<-ran, <-ran}; got[0] != "a" || got[1] != "b" {
 		t.Errorf("fast steps ran out of order: %v", got)
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on. Run binds the
+// address it is given, so the test needs to know the port beforehand.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+func healthz(addr string) (int, error) {
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		return 0, err
+	}
+	resp.Body.Close()
+	return resp.StatusCode, nil
+}
+
+// TestRunDrainsThenReturns: once ctx ends, Run runs the drain steps in
+// order while the listener still answers — /healthz says 503 mid-drain,
+// which is how a gateway learns to route around the process — then
+// closes the port and returns nil.
+func TestRunDrainsThenReturns(t *testing.T) {
+	srv := New(engine.New(engine.Options{}), Options{})
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var steps []string
+	midDrain, release := make(chan struct{}), make(chan struct{})
+	returned := make(chan error, 1)
+	go func() {
+		returned <- Run(ctx, "test", addr, "", srv.Handler(),
+			func() { steps = append(steps, "drain"); srv.Drain() },
+			func() { steps = append(steps, "hold"); close(midDrain); <-release },
+			func() { steps = append(steps, "flush") },
+		)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if code, err := healthz(addr); err == nil && code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Run never answered /healthz")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	cancel()
+	<-midDrain
+	if code, err := healthz(addr); err != nil || code != http.StatusServiceUnavailable {
+		t.Errorf("mid-drain healthz = %d, %v; want 503", code, err)
+	}
+	close(release)
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatalf("Run = %v after a clean drain, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after its drain completed")
+	}
+	if want := []string{"drain", "hold", "flush"}; !reflect.DeepEqual(steps, want) {
+		t.Errorf("drain steps ran as %v, want %v", steps, want)
+	}
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Error("port still accepts connections after Run returned")
+	}
+}
+
+// TestRunErrorsWhenDrainMissesDeadline: a wedged drain step makes Run
+// return an error, so the process exits non-zero instead of reporting a
+// clean stop.
+func TestRunErrorsWhenDrainMissesDeadline(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	wedged := make(chan struct{})
+	defer close(wedged)
+	err := run(ctx, "test", freeAddr(t), "", http.NotFoundHandler(), 50*time.Millisecond,
+		[]func(){func() { <-wedged }})
+	if err == nil || !strings.Contains(err.Error(), "drain did not complete") {
+		t.Errorf("run = %v, want a missed-deadline error", err)
+	}
+}
+
+// TestRunFailsWhenAddressTaken: a serving or debug address that is
+// already bound is a startup error, and the handler never sees a request
+// — a missing pprof listener is not discovered later by whoever reads
+// /debug/pprof.
+func TestRunFailsWhenAddressTaken(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	var served atomic.Int64
+	h := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { served.Add(1) })
+	for _, tc := range []struct{ name, addr, debugAddr string }{
+		{"addr", taken.Addr().String(), ""},
+		{"debug-addr", freeAddr(t), taken.Addr().String()},
+	} {
+		// The context is live: only a bind failure can make Run return.
+		errc := make(chan error, 1)
+		go func() { errc <- Run(context.Background(), "test", tc.addr, tc.debugAddr, h) }()
+		select {
+		case err := <-errc:
+			if err == nil {
+				t.Errorf("%s taken: Run returned nil", tc.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s taken: Run is serving", tc.name)
+		}
+		if tc.addr != taken.Addr().String() {
+			if conn, err := net.Dial("tcp", tc.addr); err == nil {
+				conn.Close()
+				t.Errorf("%s taken: serving port left open", tc.name)
+			}
+		}
+	}
+	if n := served.Load(); n != 0 {
+		t.Errorf("handler served %d requests", n)
 	}
 }
