@@ -332,14 +332,15 @@ func BenchmarkServeConcurrent(b *testing.B) {
 			eng := engine.New(engine.Options{})
 			sch := sched.New(eng, sched.Options{MaxBatch: nc})
 			defer sch.Close()
-			if _, err := sch.Submit(g, cfg, compiler.Options{}, in); err != nil {
-				b.Fatal(err)
+			vecs := [][]float64{in}
+			if _, errs := sch.SubmitMany(g, cfg, compiler.Options{}, vecs); errs[0] != nil {
+				b.Fatal(errs[0])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			runClients(b, nc, func() error {
-				_, err := sch.Submit(g, cfg, compiler.Options{}, in)
-				return err
+				_, errs := sch.SubmitMany(g, cfg, compiler.Options{}, vecs)
+				return errs[0]
 			})
 			b.StopTimer()
 			st := sch.Stats()
@@ -350,18 +351,45 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	}
 }
 
-// TestServeBatchHotPathAllocZero is the allocation ceiling on the
-// scheduler's execution hot path: a warmed serial ExecuteBatchInto (the
-// exact call the scheduler's batch runner makes) must not allocate at
-// all, whatever the batch size.
+// TestServeBatchHotPathAllocZero pins the engine's serial batch path:
+// a warmed ExecuteBatchInto on a one-worker engine runs inline on the
+// caller's goroutine and must not allocate at all, whatever the batch
+// size. dpu-serve's engine runs GOMAXPROCS workers, which take the
+// parallel path that TestServeBatchParallelAllocCeiling pins.
 func TestServeBatchHotPathAllocZero(t *testing.T) {
+	if allocs, n := batchExecuteAllocs(t, engine.Options{Workers: 1}); allocs > 0 {
+		t.Errorf("serial batch path allocates %v objects per %d-item batch, want 0", allocs, n)
+	}
+}
+
+// TestServeBatchParallelAllocCeiling bounds the parallel batch path that
+// dpu-serve's default engine (GOMAXPROCS workers) takes: par.ForEach's
+// closure, counter and wait group, plus one goroutine per worker. It
+// measures 3 + workers allocations per call (5 at GOMAXPROCS 2), and
+// the ceiling is that plus 3. It is skipped at GOMAXPROCS 1, where the
+// default engine takes the serial path.
+func TestServeBatchParallelAllocCeiling(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers == 1 {
+		t.Skip("GOMAXPROCS 1: the default engine runs batches serially")
+	}
+	allocs, n := batchExecuteAllocs(t, engine.Options{})
+	if ceiling := float64(3 + min(workers, n) + 3); allocs > ceiling {
+		t.Errorf("parallel batch path allocates %v objects per %d-item batch at %d workers, ceiling %v",
+			allocs, n, workers, ceiling)
+	}
+}
+
+// batchExecuteAllocs measures the allocations of one warmed 16-item
+// ExecuteBatchInto on an engine built with opts.
+func batchExecuteAllocs(t *testing.T, opts engine.Options) (allocs float64, n int) {
 	g, in, cfg := serveConcurrentWorkload()
-	eng := engine.New(engine.Options{Workers: 1})
+	eng := engine.New(opts)
 	c, err := eng.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 16
+	n = 16
 	batches := make([][]float64, n)
 	outs := make([][]float64, n)
 	cycles := make([]int, n)
@@ -370,61 +398,78 @@ func TestServeBatchHotPathAllocZero(t *testing.T) {
 		batches[i] = in
 		outs[i] = make([]float64, len(c.Graph.Outputs()))
 	}
-	eng.ExecuteBatchInto(c, batches, outs, cycles, errs) // warm pool
-	allocs := testing.AllocsPerRun(10, func() {
+	eng.ExecuteBatchInto(c, batches, outs, cycles, errs) // warm the evaluators
+	allocs = testing.AllocsPerRun(50, func() {
 		eng.ExecuteBatchInto(c, batches, outs, cycles, errs)
 	})
-	if allocs > 0 {
-		t.Errorf("scheduler hot path allocates %v objects per %d-item batch, want 0", allocs, n)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
 	}
+	return allocs, n
 }
 
 // TestSchedulerSubmitAllocCeiling bounds the full scheduler round trip
-// (admission, compile-cache hit, one chunk, accounting). It measures 5
-// allocations per one-vector Submit — the vector list, the result and
-// error slices, the output rows — and the ceiling is that plus 3, so a
-// regression that adds per-call bookkeeping fails here.
+// (admission, compile-cache hit, one chunk, accounting) for one vector
+// whose one-vector list is built outside the measured loop. It measures
+// 4 allocations per call — the result and error slices, the output rows
+// — and the ceiling is that plus 3, so a regression that adds per-call
+// bookkeeping fails here.
 func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(engine.Options{Workers: 1})
 	sch := sched.New(eng, sched.Options{})
 	defer sch.Close()
-	if _, err := sch.Submit(g, cfg, compiler.Options{}, in); err != nil {
-		t.Fatal(err)
+	vecs := [][]float64{in}
+	if _, errs := sch.SubmitMany(g, cfg, compiler.Options{}, vecs); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := sch.Submit(g, cfg, compiler.Options{}, in); err != nil {
-			t.Fatal(err)
+		if _, errs := sch.SubmitMany(g, cfg, compiler.Options{}, vecs); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 	})
-	const ceiling = 5 + 3
+	const ceiling = 4 + 3
 	if allocs > ceiling {
 		t.Errorf("scheduler round trip allocates %v objects per submission, ceiling %d", allocs, ceiling)
 	}
 }
 
 // TestSchedulerSubmitTracedAllocCeiling pins tracing's hot-path cost:
-// a submission carrying a live trace measures one allocation more than
-// an untraced one (the engine's fingerprint attribute on its resolve
-// span) — span recording appends into the trace's preallocated buffer
-// and must not add per-item heap traffic. The ceiling is 6 plus 3.
+// a submission carrying a live trace measures 6 allocations, two more
+// than an untraced one (the hex buffer and string of the engine's
+// fingerprint attribute on its resolve span) — span recording appends
+// into the trace's preallocated buffer and must not add per-item heap
+// traffic. The ceiling is 6 plus 3.
+// Every call records three spans (queue_wait, resolve, execute) into
+// one trace, so the run count keeps the root and every call's spans
+// within the 64-span budget: the test measures recording, not the drop
+// path.
 func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(engine.Options{Workers: 1})
 	sch := sched.New(eng, sched.Options{})
 	defer sch.Close()
-	tracer := trace.New(trace.Options{SampleEvery: 1, MaxSpans: 4096})
-	tr := tracer.Start(trace.ID{}, "bench", time.Time{})
-	defer tracer.Finish(tr)
 	vecs := [][]float64{in}
-	if _, errs := sch.SubmitManyTraced(context.Background(), g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
-		t.Fatal(errs[0])
+	if _, errs := sch.SubmitMany(g, cfg, compiler.Options{}, vecs); errs[0] != nil {
+		t.Fatal(errs[0]) // compile outside the trace: every traced call is a cache hit
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	tracer := trace.New(trace.Options{})
+	tr := tracer.Start(trace.ID{}, "bench", time.Time{})
+	// AllocsPerRun makes one warm-up call before its runs, so the trace
+	// holds the root and 3*(runs+1) spans: 64 at 20 runs.
+	const spansPerCall, budget = 3, 64
+	const runs = (budget-1)/spansPerCall - 1
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, errs := sch.SubmitManyTraced(context.Background(), g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
 	})
+	rec := tracer.Finish(tr)
+	if rec.DroppedSpans != 0 {
+		t.Fatalf("trace dropped %d spans: the measurement ran past the span budget", rec.DroppedSpans)
+	}
 	const ceiling = 6 + 3
 	if allocs > ceiling {
 		t.Errorf("traced round trip allocates %v objects per submission, ceiling %d", allocs, ceiling)

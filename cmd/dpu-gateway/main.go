@@ -25,7 +25,7 @@
 //	    -backends http://localhost:9001,http://localhost:9002
 //
 // Hedge delays are clamped to [2ms, 500ms] and one proxied attempt is
-// bounded at 30s, the gateway.Options defaults. SIGINT/SIGTERM drain
+// bounded at 30s, constants of package gateway. SIGINT/SIGTERM drain
 // through serve.Run exactly as in dpu-serve: exit 0 after a complete
 // drain, non-zero when it misses serve.DrainTimeout or an address is
 // taken, and a second signal kills the process.

@@ -60,12 +60,6 @@ type Workload struct {
 	LongestPath int // critical path l in nodes
 }
 
-// WorkloadOf summarizes a DAG.
-func WorkloadOf(g *dag.Graph) Workload {
-	st := dag.ComputeStats(g)
-	return Workload{Nodes: st.Interior, LongestPath: st.LongestPath}
-}
-
 // Model parameters calibrated against Table III and fig. 1(c)/fig. 14 of
 // the paper. All times in nanoseconds.
 const (

@@ -104,18 +104,6 @@ func TestPowerTable(t *testing.T) {
 	}
 }
 
-func TestWorkloadOf(t *testing.T) {
-	g := dag.New("w")
-	a := g.AddInput()
-	b := g.AddInput()
-	s := g.AddOp(dag.OpAdd, a, b)
-	g.AddOp(dag.OpMul, s, a)
-	w := WorkloadOf(g)
-	if w.Nodes != 2 || w.LongestPath != 3 {
-		t.Errorf("WorkloadOf = %+v", w)
-	}
-}
-
 func TestPlatformStrings(t *testing.T) {
 	if CPU.String() != "CPU" || DPU1.String() != "DPU" || SPU.String() != "SPU" {
 		t.Error("platform names broken")

@@ -241,21 +241,6 @@ func TestDFSOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestTopoOrderRespectsEdges(t *testing.T) {
-	g := RandomGraph(RandomConfig{Inputs: 5, Interior: 50, MaxArgs: 4, Seed: 11})
-	pos := make([]int, g.NumNodes())
-	for i, n := range TopoOrder(g) {
-		pos[n] = i
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		for _, a := range g.Args(NodeID(i)) {
-			if pos[a] >= pos[NodeID(i)] {
-				t.Fatalf("topo order violates edge %d->%d", a, i)
-			}
-		}
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := New("orig")
 	a := g.AddInput()

@@ -102,33 +102,3 @@ func Read(r io.Reader, name string) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// WriteDOT emits a Graphviz rendering of g (arguments point at
-// consumers, matching the paper's dataflow arrows).
-func WriteDOT(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "digraph %q {\n  rankdir=BT;\n", g.Name)
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(NodeID(i))
-		label := n.Op.String()
-		shape := "ellipse"
-		switch n.Op {
-		case OpInput:
-			shape = "box"
-			label = fmt.Sprintf("x%d", i)
-		case OpConst:
-			shape = "box"
-			label = strconv.FormatFloat(n.Val, 'g', 3, 64)
-		case OpAdd:
-			label = "+"
-		case OpMul:
-			label = "×"
-		}
-		fmt.Fprintf(bw, "  n%d [label=%q shape=%s];\n", i, label, shape)
-		for _, a := range n.Args {
-			fmt.Fprintf(bw, "  n%d -> n%d;\n", a, i)
-		}
-	}
-	bw.WriteString("}\n")
-	return bw.Flush()
-}

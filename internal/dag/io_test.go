@@ -75,23 +75,6 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	g := New("dot")
-	a := g.AddInput()
-	c := g.AddConst(2)
-	g.AddOp(OpMul, a, c)
-	var buf bytes.Buffer
-	if err := WriteDOT(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "n0 -> n2", "n1 -> n2", "shape=box"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestReadLongLine: a single node line of more than 64 KiB (a wide k-ary
 // node) parses — Read's line cap is 16 MiB, not bufio's default 64 KiB.
 func TestReadLongLine(t *testing.T) {

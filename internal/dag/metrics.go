@@ -86,19 +86,6 @@ func Levels(g *Graph) [][]NodeID {
 	return levels
 }
 
-// TopoOrder returns a topological order of the graph. Because graphs are
-// constructed append-only with backward references, ascending id order is
-// already topological; this function exists so that callers that receive
-// externally permuted graphs in the future keep working, and to make the
-// invariant checkable in tests.
-func TopoOrder(g *Graph) []NodeID {
-	order := make([]NodeID, g.NumNodes())
-	for i := range order {
-		order[i] = NodeID(i)
-	}
-	return order
-}
-
 // DFSOrder returns the order in which nodes are first visited by an
 // iterative depth-first traversal that starts from every sink and walks
 // arguments. The compiler uses occurrence distance in this order as the

@@ -24,7 +24,7 @@ func spanIndex(rec *trace.Record, stage string) int {
 
 func TestCompileTracedSpans(t *testing.T) {
 	e := New(Options{})
-	tracer := trace.New(trace.Options{SampleEvery: 1, Service: "test"})
+	tracer := trace.New(trace.Options{Service: "test"})
 	g := testGraph(21)
 
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
@@ -84,7 +84,7 @@ func TestCompileTracedStoreDecodeSpan(t *testing.T) {
 	// Second engine's in-memory miss is answered by the store: the
 	// resolve span nests a store_decode hit instead of a compile.
 	e2 := newStoreEngine(t, Options{Store: st})
-	tracer := trace.New(trace.Options{SampleEvery: 1})
+	tracer := trace.New(trace.Options{})
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
 	if _, err := e2.CompileTraced(g, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestExecuteBatchIntoTracedSpan(t *testing.T) {
 	cycles := make([]int, len(batches))
 	errs := make([]error, len(batches))
 
-	tracer := trace.New(trace.Options{SampleEvery: 1})
+	tracer := trace.New(trace.Options{})
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
 	e.ExecuteBatchIntoTraced(c, batches, outs, cycles, errs, tr)
 	rec := tracer.Finish(tr)

@@ -51,7 +51,21 @@ import (
 	"dpuv2/internal/trace"
 )
 
+// requestTimeout bounds one proxied attempt to one backend. The hedge
+// delay is the gateway's observed p99 clamped to [hedgeMin, hedgeMax],
+// and hedgeMax until it has latency samples.
+const (
+	requestTimeout = 30 * time.Second
+	hedgeMin       = 2 * time.Millisecond
+	hedgeMax       = 500 * time.Millisecond
+)
+
 // Options configure a Gateway; zero values take the documented defaults.
+// Request tracing needs no configuration: a request carrying a
+// traceparent header is always traced, others are sampled (see package
+// trace), and the gateway re-stamps the header with its own span ID
+// before forwarding, so the backend's trace shares the gateway's trace
+// ID — one ID names the request on both sides of the hop.
 type Options struct {
 	// Backends are the dpu-serve base URLs (e.g. http://10.0.0.1:8080).
 	Backends []string
@@ -59,41 +73,16 @@ type Options struct {
 	// health probe or /stats fetch is bounded by the interval, capped at
 	// 2s.
 	HealthInterval time.Duration
-	// RequestTimeout bounds one proxied attempt to one backend.
-	// Default 30s.
-	RequestTimeout time.Duration
-	// HedgeMin/HedgeMax clamp the p99-derived hedge delay. Until the
-	// gateway has latency samples the delay is HedgeMax. Defaults
-	// 2ms / 500ms.
-	HedgeMin, HedgeMax time.Duration
 	// DisableHedge turns hedging off (failover on hard errors remains).
 	DisableHedge bool
 	// Logf receives membership transitions and proxy errors.
 	// Default log.Printf.
 	Logf func(format string, args ...any)
-	// Trace configures request tracing (see trace.Options). A request
-	// carrying a traceparent header is always traced; others are sampled.
-	// The gateway re-stamps the header with its own span ID before
-	// forwarding, so the backend's trace shares the gateway's trace ID —
-	// one ID names the request on both sides of the hop.
-	Trace trace.Options
 }
 
 func (o Options) normalize() Options {
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = time.Second
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = 2 * time.Millisecond
-	}
-	if o.HedgeMax <= 0 {
-		o.HedgeMax = 500 * time.Millisecond
-	}
-	if o.HedgeMax < o.HedgeMin {
-		o.HedgeMax = o.HedgeMin
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -183,10 +172,10 @@ func New(opts Options) (*Gateway, error) {
 			addr: addr,
 			// One pooled client per backend: connections are reused per
 			// shard owner, and one slow backend cannot exhaust another's
-			// pool. The per-attempt context enforces RequestTimeout; the
+			// pool. The per-attempt context enforces requestTimeout; the
 			// client timeout is the safety net behind it.
 			client: &http.Client{
-				Timeout: opts.RequestTimeout + gw.healthTimeout(),
+				Timeout: requestTimeout + gw.healthTimeout(),
 				Transport: &http.Transport{
 					MaxIdleConns:        64,
 					MaxIdleConnsPerHost: 64,
@@ -203,11 +192,7 @@ func New(opts Options) (*Gateway, error) {
 	gw.stopped.Add(1)
 	go gw.healthLoop()
 
-	topts := opts.Trace
-	if topts.Service == "" {
-		topts.Service = "gateway"
-	}
-	gw.tracer = trace.New(topts)
+	gw.tracer = trace.New(trace.Options{Service: "gateway"})
 
 	gw.mux = http.NewServeMux()
 	gw.mux.HandleFunc("/execute", gw.handleExecute)
@@ -328,21 +313,14 @@ func (g *Gateway) rebuildRing() {
 // hedgeDelay derives the hedging trigger from the gateway's own
 // end-to-end latency: a request slower than the fleet's p99 is worth a
 // second copy on the next owner. With too few samples to trust a p99,
-// be conservative (HedgeMax) rather than duplicate eagerly.
+// be conservative (hedgeMax) rather than duplicate eagerly.
 func (g *Gateway) hedgeDelay() time.Duration {
 	const minSamples = 16
 	s := g.latency.Summary()
 	if s.Count < minSamples {
-		return g.opts.HedgeMax
+		return hedgeMax
 	}
-	d := time.Duration(s.P99)
-	if d < g.opts.HedgeMin {
-		d = g.opts.HedgeMin
-	}
-	if d > g.opts.HedgeMax {
-		d = g.opts.HedgeMax
-	}
-	return d
+	return min(max(time.Duration(s.P99), hedgeMin), hedgeMax)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -545,7 +523,7 @@ func (g *Gateway) forward(ctx context.Context, candidates []string, body []byte,
 // traceparent header tp when non-empty.
 func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, tp string) attemptResult {
 	res := attemptResult{addr: b.addr, span: -1}
-	ctx, cancel := context.WithTimeout(ctx, g.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.addr+"/execute", bytes.NewReader(body))
 	if err != nil {

@@ -228,8 +228,6 @@ func TestGatewayHedgeCancelsLoser(t *testing.T) {
 	gw := newTestGateway(t, Options{
 		Backends:       []string{slow.URL, fast.URL},
 		HealthInterval: time.Hour, // membership frozen after the initial probe
-		HedgeMin:       10 * time.Millisecond,
-		HedgeMax:       10 * time.Millisecond,
 	})
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
@@ -407,16 +405,29 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestZeroOptionsDefaults pins the routing defaults a zero Options
-// resolves to — the values dpu-gateway runs with, since it sets none of
-// them: hedge delays clamped to [2ms, 500ms] and a 30s bound on one
+// TestZeroOptionsDefaults pins the routing constants dpu-gateway runs
+// with: a hedge delay of 500ms until the gateway has 16 latency samples,
+// then the observed p99 clamped to [2ms, 500ms], and a 30s bound on one
 // proxied attempt.
 func TestZeroOptionsDefaults(t *testing.T) {
-	o := Options{}.normalize()
-	if o.HedgeMin != 2*time.Millisecond || o.HedgeMax != 500*time.Millisecond {
-		t.Errorf("hedge clamps = [%v, %v], want [2ms, 500ms]", o.HedgeMin, o.HedgeMax)
+	var fresh Gateway
+	if d := fresh.hedgeDelay(); d != 500*time.Millisecond {
+		t.Errorf("hedge delay without samples = %v, want 500ms", d)
 	}
-	if o.RequestTimeout != 30*time.Second {
-		t.Errorf("request timeout = %v, want 30s", o.RequestTimeout)
+	for _, c := range []struct{ sample, lo, hi time.Duration }{
+		{time.Microsecond, 2 * time.Millisecond, 2 * time.Millisecond},
+		{50 * time.Millisecond, 50 * time.Millisecond, 60 * time.Millisecond},
+		{10 * time.Second, 500 * time.Millisecond, 500 * time.Millisecond},
+	} {
+		var g Gateway
+		for i := 0; i < 16; i++ {
+			g.latency.ObserveDuration(c.sample)
+		}
+		if d := g.hedgeDelay(); d < c.lo || d > c.hi {
+			t.Errorf("hedge delay at p99 %v = %v, want in [%v, %v]", c.sample, d, c.lo, c.hi)
+		}
+	}
+	if requestTimeout != 30*time.Second {
+		t.Errorf("request timeout = %v, want 30s", requestTimeout)
 	}
 }

@@ -36,10 +36,8 @@ func findStage(rec *trace.Record, stage string) *trace.SpanRecord {
 
 func TestGatewayTraceEndToEnd(t *testing.T) {
 	b := newTestBackend(t)
-	gw := newTestGateway(t, Options{
-		Backends: []string{b.ts.URL},
-		Trace:    trace.Options{SampleEvery: -1}, // only header-carrying requests
-	})
+	gw := newTestGateway(t, Options{Backends: []string{b.ts.URL}})
+	gw.Tracer().Sample() // spend the always-sampled first slot: only header-carrying requests trace
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
 
@@ -117,7 +115,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 }
 
 // TestGatewayStripsInvalidTraceparent: a malformed client header is not
-// forwarded and (with sampling off) starts no trace.
+// forwarded and, on an unsampled request, starts no trace.
 func TestGatewayStripsInvalidTraceparent(t *testing.T) {
 	var gotHeader string
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -132,10 +130,8 @@ func TestGatewayStripsInvalidTraceparent(t *testing.T) {
 		w.Write([]byte(`{"results":[]}`))
 	}))
 	defer backend.Close()
-	gw := newTestGateway(t, Options{
-		Backends: []string{backend.URL},
-		Trace:    trace.Options{SampleEvery: -1},
-	})
+	gw := newTestGateway(t, Options{Backends: []string{backend.URL}})
+	gw.Tracer().Sample() // spend the always-sampled first slot: the next request is unsampled
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
 

@@ -32,7 +32,7 @@ func diffPopulation(n int) []*dag.Graph {
 // directOutputs runs g through a one-item engine batch, bypassing the
 // scheduler, and reports the sink values in g.Outputs() order
 // (translating from the binarized graph via Remap), i.e. the same
-// contract as sched.Submit.
+// contract as a Scheduler Result.
 func directOutputs(t *testing.T, e *engine.Engine, g *dag.Graph, in []float64) []float64 {
 	t.Helper()
 	c, err := e.Compile(g, testCfg, compiler.Options{})
@@ -93,7 +93,8 @@ func TestDifferentialBatchedVsDirect(t *testing.T) {
 	// Phase 1: serial — every graph/input through the scheduler alone.
 	for gi, g := range graphs {
 		for it := 0; it < itersPerGraph; it++ {
-			res, err := s.Submit(g, testCfg, compiler.Options{}, inputs[gi][it])
+			rs, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{inputs[gi][it]})
+			res, err := rs[0], errs[0]
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +118,8 @@ func TestDifferentialBatchedVsDirect(t *testing.T) {
 			for step := 0; step < nGraphs*itersPerGraph; step++ {
 				gi := (w + step) % nGraphs
 				it := step % itersPerGraph
-				res, err := s.Submit(graphs[gi], testCfg, compiler.Options{}, inputs[gi][it])
+				rs, errs := s.SubmitMany(graphs[gi], testCfg, compiler.Options{}, [][]float64{inputs[gi][it]})
+				res, err := rs[0], errs[0]
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

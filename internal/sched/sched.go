@@ -2,8 +2,8 @@
 // the serving engine. A call — one request's input vectors for one
 // graph — runs on the caller's own goroutine and never waits for another:
 // its vectors are admitted against a bounded queue (ErrQueueFull beyond
-// QueueDepth, so callers shed load instead of the server queueing without
-// bound), the graph is compiled once, and the admitted vectors run in
+// queueLimit vectors, so callers shed load instead of the server queueing
+// without bound), the graph is compiled once, and the admitted vectors run in
 // MaxBatch-sized chunks through the engine's batch path. A chunk not
 // started when the call's context is done fails with the context's error.
 // Close drains: new calls fail with ErrClosed, admitted ones finish.
@@ -25,8 +25,8 @@ import (
 	"dpuv2/internal/trace"
 )
 
-// ErrQueueFull rejects a submission that would exceed QueueDepth
-// admitted-but-unfinished requests. Servers map it to 429.
+// ErrQueueFull rejects a vector that would exceed queueLimit
+// admitted-but-unfinished vectors. Servers map it to 429.
 var ErrQueueFull = errors.New("sched: queue full")
 
 // ErrClosed rejects submissions after Close. Servers map it to 503.
@@ -70,15 +70,16 @@ const (
 	StageExecute   = "execute"
 )
 
+// queueLimit bounds admitted-but-unfinished vectors; vectors beyond it
+// are rejected with ErrQueueFull.
+const queueLimit = 4096
+
 // Options configure a Scheduler; the zero value is a production-ready
 // default.
 type Options struct {
 	// MaxBatch is the chunk size: a call's admitted vectors reach the
 	// backend at most this many at a time. Default 32.
 	MaxBatch int
-	// QueueDepth bounds admitted-but-unfinished items; submissions
-	// beyond it are rejected with ErrQueueFull. Default 4096.
-	QueueDepth int
 	// Clock is the time source of the latency accounting; nil means
 	// SystemClock. Tests inject a FakeClock to make stage windows exact.
 	Clock Clock
@@ -87,9 +88,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4096
 	}
 	if o.Clock == nil {
 		o.Clock = SystemClock
@@ -153,6 +151,7 @@ type Scheduler struct {
 	backend Backend
 	traced  TracedBackend // backend's tracing extension, nil if it has none
 	opts    Options
+	limit   int // admission bound, queueLimit (tests lower it after New)
 
 	mu     sync.Mutex
 	queued int // admitted, not yet finished
@@ -172,15 +171,7 @@ type Scheduler struct {
 func New(backend Backend, opts Options) *Scheduler {
 	opts = opts.normalize()
 	traced, _ := backend.(TracedBackend)
-	return &Scheduler{backend: backend, traced: traced, opts: opts}
-}
-
-// Submit runs one execution of g and blocks until it completes: it is
-// SubmitMany of one vector. The returned outputs are in g.Outputs()
-// order and owned by the caller.
-func (s *Scheduler) Submit(g *dag.Graph, cfg arch.Config, copts compiler.Options, inputs []float64) (Result, error) {
-	results, errs := s.SubmitManyTraced(context.Background(), g, cfg, copts, [][]float64{inputs}, nil)
-	return results[0], errs[0]
+	return &Scheduler{backend: backend, traced: traced, opts: opts, limit: queueLimit}
 }
 
 // SubmitMany runs a whole request's input vectors under one admission
@@ -205,7 +196,7 @@ func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch
 	s.mu.Lock()
 	k, reject := 0, ErrClosed
 	if !s.closed {
-		k, reject = min(n, s.opts.QueueDepth-s.queued), ErrQueueFull
+		k, reject = min(n, s.limit-s.queued), ErrQueueFull
 		s.queued += k
 	}
 	if k > 0 {
@@ -345,7 +336,7 @@ func (s *Scheduler) Stats() Stats {
 		Failed:        s.failed.Load(),
 		Batches:       s.batches.Load(),
 		QueueDepth:    int64(depth),
-		QueueLimit:    int64(s.opts.QueueDepth),
+		QueueLimit:    int64(s.limit),
 		BatchSizeHist: s.batchSize.Snapshot(),
 		LatencyHist:   s.latency.Snapshot(),
 		QueueWaitHist: s.queueWait.Snapshot(),

@@ -124,11 +124,13 @@ type outcome struct {
 	err error
 }
 
-// submitAsync runs Submit on its own goroutine and delivers the outcome.
+// submitAsync runs a one-vector SubmitMany on its own goroutine and
+// delivers the outcome.
 func submitAsync(s *Scheduler, g *dag.Graph, in []float64) <-chan outcome {
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := s.Submit(g, testCfg, compiler.Options{}, in)
+		rs, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in})
+		res, err := rs[0], errs[0]
 		ch <- outcome{res, err}
 	}()
 	return ch
@@ -227,7 +229,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	// it has, every submission is rejected.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		_, err := s.Submit(g, testCfg, compiler.Options{}, in)
+		_, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in})
+		err := errs[0]
 		if errors.Is(err, ErrClosed) {
 			break
 		}
@@ -256,8 +259,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	if st := s.Stats(); st.QueueDepth != 0 || st.Submitted != st.Completed+st.Failed {
 		t.Errorf("after close: %+v, want queue depth 0 and submitted == completed + failed", st)
 	}
-	if _, err := s.Submit(g, testCfg, compiler.Options{}, in); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if _, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in}); !errors.Is(errs[0], ErrClosed) {
+		t.Errorf("SubmitMany after Close = %v, want ErrClosed", errs[0])
 	}
 	s.Close() // idempotent
 }
@@ -289,7 +292,8 @@ func TestSubmitManyReportsPerItem(t *testing.T) {
 
 	// Admission: a queue bound smaller than the request itemizes
 	// ErrQueueFull on the overflow, still running what was admitted.
-	s2 := New(engine.New(engine.Options{}), Options{MaxBatch: 100, QueueDepth: 2})
+	s2 := New(engine.New(engine.Options{}), Options{MaxBatch: 100})
+	s2.limit = 2
 	r2, e2 := s2.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in, in, in, in})
 	for i := 0; i < 2; i++ {
 		if e2[i] != nil {
@@ -309,7 +313,7 @@ func TestSubmitManyReportsPerItem(t *testing.T) {
 
 // TestKAryGraphOutputsPermuted exercises the non-identity sink
 // permutation: a k-ary multi-sink graph is renumbered by binarization,
-// yet Submit must answer in the submitted graph's sink order.
+// yet SubmitMany must answer in the submitted graph's sink order.
 func TestKAryGraphOutputsPermuted(t *testing.T) {
 	s := New(engine.New(engine.Options{}), Options{})
 	defer s.Close()
@@ -322,7 +326,8 @@ func TestKAryGraphOutputsPermuted(t *testing.T) {
 	g.AddOp(dag.OpMul, sum, a)          // sink 4
 	in := []float64{2, 3, 4}
 	want := wantEval(t, g, in)
-	res, err := s.Submit(g, testCfg, compiler.Options{}, in)
+	rs, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in})
+	res, err := rs[0], errs[0]
 	if err != nil {
 		t.Fatal(err)
 	}

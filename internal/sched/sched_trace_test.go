@@ -41,7 +41,7 @@ func TestStageDecomposition(t *testing.T) {
 	gb := newGatedBackend()
 	s := New(gb, Options{MaxBatch: 1, Clock: clk})
 	defer s.Close()
-	tracer := trace.New(trace.Options{Clock: clk, SampleEvery: 1, Service: "test"})
+	tracer := trace.New(trace.Options{Clock: clk, Service: "test"})
 	tr1 := tracer.Start(trace.ID{}, "chunked", clk.Now())
 	tr2 := tracer.Start(trace.ID{}, "alone", clk.Now())
 
@@ -139,7 +139,8 @@ func TestStageDecomposition(t *testing.T) {
 // completed + failed, however the call ended. Rejected items observe
 // neither.
 func TestStageCountConservation(t *testing.T) {
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2, QueueDepth: 8})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2})
+	s.limit = 8
 	defer s.Close()
 	g := testGraph(12)
 	in := testInputs(g, 1)
@@ -151,8 +152,8 @@ func TestStageCountConservation(t *testing.T) {
 		return out
 	}
 	copts := compiler.Options{}
-	if _, err := s.Submit(g, testCfg, copts, in); err != nil {
-		t.Fatal(err)
+	if _, errs := s.SubmitMany(g, testCfg, copts, [][]float64{in}); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	// Five vectors in three chunks, one with the wrong arity.
 	five := vecs(5)

@@ -43,7 +43,8 @@ func TestStressNoResultCrossWiring(t *testing.T) {
 			scale := 1 + float64(w)*0.5
 			for it := 0; it < iters; it++ {
 				for gi, g := range graphs {
-					res, err := s.Submit(g, testCfg, compiler.Options{}, testInputs(g, scale))
+					rs, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{testInputs(g, scale)})
+					res, err := rs[0], errs[0]
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
@@ -94,10 +95,8 @@ func TestStressAdmissionUnderOverload(t *testing.T) {
 	g := testGraph(77)
 	in := testInputs(g, 1)
 	want := wantEval(t, g, in)
-	s := New(engine.New(engine.Options{}), Options{
-		MaxBatch:   4,
-		QueueDepth: 3,
-	})
+	s := New(engine.New(engine.Options{}), Options{MaxBatch: 4})
+	s.limit = 3
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -108,7 +107,8 @@ func TestStressAdmissionUnderOverload(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				res, err := s.Submit(g, testCfg, compiler.Options{}, in)
+				rs, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in})
+				res, err := rs[0], errs[0]
 				if err != nil {
 					if err != ErrQueueFull {
 						t.Errorf("unexpected error: %v", err)

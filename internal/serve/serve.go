@@ -101,37 +101,27 @@ type StatsResponse struct {
 // the same bound before buffering a body for hedged forwarding.
 const MaxRequestBytes = 64 << 20
 
-// Options configure a Server; the zero value is a production-ready
-// default.
-type Options struct {
-	// Sched configures the scheduler (MaxBatch, QueueDepth, Clock — the
-	// latter injected by tests).
-	Sched sched.Options
-	// MaxInputsPerRequest rejects requests carrying more input vectors
-	// with 413, so one client cannot monopolize the queue. Default 1024.
-	MaxInputsPerRequest int
-	// Trace configures request tracing (sampling, retention; see
-	// trace.Options). The tracer shares the scheduler's clock unless a
-	// clock is set explicitly, so traces and stage accounting run on one
-	// timeline. Requests carrying a traceparent header are always
-	// traced; others are sampled 1-in-Trace.SampleEvery.
-	Trace trace.Options
-}
+// maxInputsPerRequest bounds the input vectors of one request; more are
+// answered 413, so one client cannot monopolize the scheduler's queue.
+const maxInputsPerRequest = 1024
 
-func (o Options) normalize() Options {
-	if o.MaxInputsPerRequest <= 0 {
-		o.MaxInputsPerRequest = 1024
-	}
-	return o
+// Options configure a Server; the zero value is a production-ready
+// default. Request tracing needs no configuration: the tracer runs on
+// the scheduler's clock, so traces and stage accounting share one
+// timeline; requests carrying a traceparent header are always traced,
+// others are sampled (see package trace).
+type Options struct {
+	// Sched configures the scheduler: its chunk size, and the clock tests
+	// inject.
+	Sched sched.Options
 }
 
 // Server owns the handler state: the engine, the scheduler in front of
 // it, and the serving metrics. Create with New, mount Handler, stop with
 // Drain.
 type Server struct {
-	eng  *engine.Engine
-	sch  *sched.Scheduler
-	opts Options
+	eng *engine.Engine
+	sch *sched.Scheduler
 	// clock is the scheduler's clock, shared so that request latency is
 	// measured on the same (possibly fake) timeline as the scheduler's
 	// stage accounting.
@@ -158,20 +148,12 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s := &Server{
 		eng:   eng,
 		sch:   sched.New(eng, opts.Sched),
-		opts:  opts.normalize(),
 		clock: opts.Sched.Clock,
 	}
 	if s.clock == nil {
 		s.clock = sched.SystemClock
 	}
-	topts := opts.Trace
-	if topts.Clock == nil {
-		topts.Clock = s.clock
-	}
-	if topts.Service == "" {
-		topts.Service = "serve"
-	}
-	s.tracer = trace.New(topts)
+	s.tracer = trace.New(trace.Options{Clock: s.clock, Service: "serve"})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -283,9 +265,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Inputs) > s.opts.MaxInputsPerRequest {
+	if len(req.Inputs) > maxInputsPerRequest {
 		s.fail(w, fmt.Sprintf("batch of %d input vectors exceeds the per-request limit %d",
-			len(req.Inputs), s.opts.MaxInputsPerRequest), http.StatusRequestEntityTooLarge)
+			len(req.Inputs), maxInputsPerRequest), http.StatusRequestEntityTooLarge)
 		return
 	}
 	t0 = s.clock.Now()

@@ -18,27 +18,50 @@ import (
 	"dpuv2/internal/engine"
 	"dpuv2/internal/metrics"
 	"dpuv2/internal/sched"
-	"dpuv2/internal/trace"
 )
 
 func postExecute(t *testing.T, srv *httptest.Server, req ExecuteRequest) (*http.Response, ExecuteResponse) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	resp, out, err := post(srv, req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// post is postExecute returning its error, for use off the test's
+// goroutine.
+func post(srv *httptest.Server, req ExecuteRequest) (*http.Response, ExecuteResponse, error) {
+	var out ExecuteResponse
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, out, err
 	}
 	resp, err := http.Post(srv.URL+"/execute", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return nil, out, err
 	}
 	defer resp.Body.Close()
-	var out ExecuteResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
+			return nil, out, err
 		}
 	}
-	return resp, out
+	return resp, out, nil
+}
+
+// postAsync posts req on its own goroutine and delivers the reply on
+// ch; a request that fails before it gets an HTTP status is delivered
+// with status 0.
+func postAsync(srv *httptest.Server, req ExecuteRequest, ch chan<- reply) {
+	go func() {
+		resp, out, err := post(srv, req)
+		if err != nil {
+			ch <- reply{}
+			return
+		}
+		ch <- reply{resp.StatusCode, out}
+	}()
 }
 
 // waitSched polls the scheduler's stats until cond holds — used only to
@@ -81,12 +104,12 @@ func (b *gatedBackend) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]
 // newGatedServer is newTestServer with the server's scheduler swapped
 // for one dispatching onto a gated backend. Cleanup opens the gate if
 // the test has not, so a failing test cannot wedge the drain.
-func newGatedServer(t *testing.T, so sched.Options) (*Server, *httptest.Server, *gatedBackend) {
+func newGatedServer(t *testing.T) (*Server, *httptest.Server, *gatedBackend) {
 	t.Helper()
 	eng := engine.New(engine.Options{})
 	gb := &gatedBackend{eng: eng, started: make(chan struct{}), gate: make(chan struct{})}
-	s := New(eng, Options{Sched: so})
-	s.sch = sched.New(gb, so)
+	s := New(eng, Options{})
+	s.sch = sched.New(gb, sched.Options{})
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(s.Drain)
@@ -314,28 +337,10 @@ func TestServeStageHistograms(t *testing.T) {
 	}
 }
 
-// TestServeOversizedBatch413 pins the per-request batch bound.
-func TestServeOversizedBatch413(t *testing.T) {
-	_, srv := newTestServer(t, Options{MaxInputsPerRequest: 2})
-	req := ExecuteRequest{
-		Graph:  "input\ninput\nadd 0 1\n",
-		Inputs: [][]float64{{1, 2}, {3, 4}, {5, 6}},
-	}
-	resp, _ := postExecute(t, srv, req)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("status = %d, want 413", resp.StatusCode)
-	}
-	// At the bound is fine.
-	req.Inputs = req.Inputs[:2]
-	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
-		t.Errorf("status at bound = %d, want 200", resp.StatusCode)
-	}
-}
-
 // TestZeroOptionsDefaults pins what a zero Options resolves to — the
 // values dpu-serve runs with, since it sets none of them: a queue bound
-// of 4096 vectors, chunks of 32, 413 past 1024 vectors per request, and
-// unsolicited tracing at 1 in trace.DefaultSampleEvery.
+// of 4096 vectors, chunks of 32, 413 past 1024 vectors per request and
+// 200 at 1024, and unsolicited tracing at 1 in 64, the first sampled.
 func TestZeroOptionsDefaults(t *testing.T) {
 	s, srv := newTestServer(t, Options{})
 	if got := s.Scheduler().Stats().QueueLimit; got != 4096 {
@@ -343,13 +348,13 @@ func TestZeroOptionsDefaults(t *testing.T) {
 	}
 	// Before any request: each one consumes a sampling decision.
 	var sampled []int
-	for i := 0; i < 2*trace.DefaultSampleEvery; i++ {
+	for i := 0; i < 2*64; i++ {
 		if s.Tracer().Sample() {
 			sampled = append(sampled, i)
 		}
 	}
-	if want := []int{0, trace.DefaultSampleEvery}; !reflect.DeepEqual(sampled, want) {
-		t.Errorf("sampled calls %v of %d, want %v", sampled, 2*trace.DefaultSampleEvery, want)
+	if want := []int{0, 64}; !reflect.DeepEqual(sampled, want) {
+		t.Errorf("sampled calls %v of %d, want %v", sampled, 2*64, want)
 	}
 
 	req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: make([][]float64, 33)}
@@ -376,51 +381,88 @@ func TestZeroOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestServeQueueFull429 fills the scheduler's queue with a request held
-// inside the gated backend, then checks that the next request is shed
-// with 429 and that the held one completes once the gate opens.
-func TestServeQueueFull429(t *testing.T) {
-	s, srv, gb := newGatedServer(t, sched.Options{MaxBatch: 100, QueueDepth: 1})
-	req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: [][]float64{{1, 2}}}
+// holdRequests posts one request per size, of that many vectors each,
+// and returns once the gated backend holds all of them in the
+// scheduler's queue. Vector i of a request is {i, 1}, so its output is
+// i+1. The replies arrive on the returned channel after the gate opens.
+func holdRequests(t *testing.T, s *Server, srv *httptest.Server, sizes ...int) <-chan reply {
+	t.Helper()
+	held := make(chan reply, len(sizes))
+	total := 0
+	for _, n := range sizes {
+		req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: make([][]float64, n)}
+		for i := range req.Inputs {
+			req.Inputs[i] = []float64{float64(i), 1}
+		}
+		total += n
+		postAsync(srv, req, held)
+	}
+	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == int64(total) })
+	return held
+}
 
-	held := make(chan reply, 1)
-	go func() {
-		resp, out := postExecute(t, srv, req)
-		held <- reply{resp.StatusCode, out}
-	}()
-	<-gb.started
+// checkHeld fails t unless each of the n requests held by holdRequests
+// answered 200 with every vector's output.
+func checkHeld(t *testing.T, held <-chan reply, n int) {
+	t.Helper()
+	for range n {
+		got := <-held
+		if got.status != http.StatusOK {
+			t.Fatalf("held request status = %d, want 200", got.status)
+		}
+		for i, r := range got.out.Results {
+			if r.Error != "" || len(r.Outputs) != 1 || r.Outputs[0] != float64(i+1) {
+				t.Fatalf("held result %d = %+v, want [%d]", i, r, i+1)
+			}
+		}
+	}
+}
+
+// TestServeQueueFull429 fills the scheduler's 4096-vector queue with four
+// 1024-vector requests held inside the gated backend, then checks that
+// the next request is shed with 429 and that the held ones complete once
+// the gate opens.
+func TestServeQueueFull429(t *testing.T) {
+	s, srv, gb := newGatedServer(t)
+	held := holdRequests(t, s, srv, 1024, 1024, 1024, 1024)
 
 	// Queue is full: the whole next request is turned away.
+	req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: [][]float64{{1, 2}}}
 	resp, _ := postExecute(t, srv, req)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("status = %d, want 429", resp.StatusCode)
 	}
-	if st := s.Scheduler().Stats(); st.Rejected == 0 {
-		t.Error("scheduler recorded no rejection")
+	if st := s.Scheduler().Stats(); st.Rejected != 1 || st.QueueLimit != 4096 {
+		t.Errorf("rejected %d against a limit of %d, want 1 against 4096", st.Rejected, st.QueueLimit)
 	}
 
 	gb.open()
-	got := <-held
-	if got.status != http.StatusOK {
-		t.Fatalf("held request status = %d, want 200", got.status)
-	}
-	if len(got.out.Results) != 1 || got.out.Results[0].Outputs[0] != 3 {
-		t.Errorf("held result = %+v, want [3]", got.out.Results)
-	}
+	checkHeld(t, held, 4)
 }
 
 // TestServePartialAdmission: a request straddling the queue bound keeps
-// its admitted vectors and itemizes ErrQueueFull on the overflow.
+// its admitted vectors and itemizes ErrQueueFull on the overflow. Held
+// requests take 4094 of the 4096 slots, so two of its three vectors fit.
 func TestServePartialAdmission(t *testing.T) {
-	s, srv := newTestServer(t, Options{Sched: sched.Options{MaxBatch: 100, QueueDepth: 2}})
+	s, srv, gb := newGatedServer(t)
+	held := holdRequests(t, s, srv, 1024, 1024, 1024, 1022)
+
 	req := ExecuteRequest{
 		Graph:  "input\ninput\nadd 0 1\n",
 		Inputs: [][]float64{{1, 2}, {3, 4}, {5, 6}},
 	}
-	resp, out := postExecute(t, srv, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (partial admission)", resp.StatusCode)
+	partial := make(chan reply, 1)
+	postAsync(srv, req, partial)
+	// Its admitted vectors are held at the gate too.
+	waitSched(t, s, func(st sched.Stats) bool { return st.QueueDepth == 4096 && st.Rejected == 1 })
+	gb.open()
+	checkHeld(t, held, 4)
+
+	got := <-partial
+	if got.status != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (partial admission)", got.status)
 	}
+	out := got.out
 	if len(out.Results) != 3 {
 		t.Fatalf("got %d results", len(out.Results))
 	}
@@ -432,8 +474,8 @@ func TestServePartialAdmission(t *testing.T) {
 	if out.Results[2].Error == "" {
 		t.Error("overflow item did not itemize its rejection")
 	}
-	if st := s.Scheduler().Stats(); st.Submitted != 2 || st.Rejected != 1 {
-		t.Errorf("submitted/rejected = %d/%d, want 2/1", st.Submitted, st.Rejected)
+	if st := s.Scheduler().Stats(); st.Submitted != 4096 || st.Rejected != 1 {
+		t.Errorf("submitted/rejected = %d/%d, want 4096/1", st.Submitted, st.Rejected)
 	}
 }
 
@@ -503,7 +545,7 @@ func TestServeStatsSchemaRoundTrip(t *testing.T) {
 // complete successfully; requests arriving after it are answered 503,
 // and /healthz flips to 503 so load balancers stop routing here.
 func TestServeGracefulDrain(t *testing.T) {
-	s, srv, gb := newGatedServer(t, sched.Options{MaxBatch: 100})
+	s, srv, gb := newGatedServer(t)
 	req := ExecuteRequest{Graph: "input\ninput\nmul 0 1\n", Inputs: [][]float64{{6, 7}}}
 
 	inflight := make(chan reply, 2)

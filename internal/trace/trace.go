@@ -382,11 +382,16 @@ func (r *Record) stageIn(stage string) bool {
 	return false
 }
 
-// Default sampling parameters (see Options).
+// Sampling parameters. A request arriving without a traceparent header
+// is traced 1 in sampleEvery (requests carrying one are always traced —
+// the caller asked). A trace keeps at most maxSpans spans; extras are
+// counted in Record.DroppedSpans. A finished trace of at least
+// slowThreshold enters the slow-trace reservoir, which holds the slow
+// even after the ring has wrapped past them.
 const (
-	DefaultSlowThreshold = 10 * time.Millisecond
-	DefaultSampleEvery   = 64
-	DefaultMaxSpans      = 64
+	sampleEvery   = 64
+	maxSpans      = 64
+	slowThreshold = 10 * time.Millisecond
 )
 
 // Retention bounds: the ring keeps the ringSize most recent traces, the
@@ -397,48 +402,20 @@ const (
 )
 
 // Options configure a Tracer; the zero value is a production-ready
-// default with sampling at 1-in-DefaultSampleEvery.
+// default.
 type Options struct {
 	// Clock is the time source; nil means the system clock. Inject the
 	// scheduler's clock so spans and batching policy share a timeline.
 	Clock Clock
 	// Service tags every Record with the recording tier.
 	Service string
-	// SlowThreshold is the minimum duration for reservoir admission —
-	// the ring holds the recent, the reservoir holds the slow even
-	// after the ring has wrapped past them. Default 10ms.
-	SlowThreshold time.Duration
-	// SampleEvery traces 1 in N requests that arrive WITHOUT a
-	// traceparent header (requests carrying one are always traced —
-	// the caller asked). 0 means DefaultSampleEvery; negative disables
-	// unsolicited sampling entirely.
-	SampleEvery int
-	// MaxSpans bounds spans per trace; extras are counted in
-	// Record.DroppedSpans. Default 64.
-	MaxSpans int
-}
-
-func (o Options) normalize() Options {
-	if o.Clock == nil {
-		o.Clock = sysClock{}
-	}
-	if o.SlowThreshold <= 0 {
-		o.SlowThreshold = DefaultSlowThreshold
-	}
-	if o.SampleEvery == 0 {
-		o.SampleEvery = DefaultSampleEvery
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = DefaultMaxSpans
-	}
-	return o
 }
 
 // Tracer mints, recycles and retains traces for one process tier.
 // Safe for concurrent use.
 type Tracer struct {
-	opts  Options
-	clock Clock
+	service string
+	clock   Clock
 
 	seq  atomic.Uint64 // unsolicited-sampling counter
 	pool sync.Pool     // *Trace
@@ -450,7 +427,7 @@ type Tracer struct {
 	ringPos atomic.Uint64
 
 	// reservoir keeps the cap(reservoir) slowest traces over
-	// SlowThreshold (min-heap by duration), mutex-guarded — admission
+	// slowThreshold (min-heap by duration), mutex-guarded — admission
 	// is rare by construction.
 	resMu     sync.Mutex
 	reservoir []*Record
@@ -466,15 +443,17 @@ func New(opts Options) *Tracer { return newTracer(opts, ringSize, reservoirSize)
 // newTracer is New with the retention bounds as parameters, so tests can
 // wrap the ring and fill the reservoir with a handful of traces.
 func newTracer(opts Options, ring, reservoir int) *Tracer {
-	opts = opts.normalize()
 	t := &Tracer{
-		opts:      opts,
+		service:   opts.Service,
 		clock:     opts.Clock,
 		ring:      make([]atomic.Pointer[Record], ring),
 		reservoir: make([]*Record, 0, reservoir),
 	}
+	if t.clock == nil {
+		t.clock = sysClock{}
+	}
 	t.pool.New = func() any {
-		return &Trace{spans: make([]span, 0, opts.MaxSpans)}
+		return &Trace{spans: make([]span, 0, maxSpans)}
 	}
 	return t
 }
@@ -483,17 +462,11 @@ func newTracer(opts Options, ring, reservoir int) *Tracer {
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // Sample decides whether to trace a request that arrived without a
-// traceparent header: 1 in SampleEvery, deterministic from a counter
+// traceparent header: 1 in sampleEvery, deterministic from a counter
 // (the first request is always sampled, so a fresh server has
 // exemplars immediately).
 func (t *Tracer) Sample() bool {
-	if !t.Enabled() || t.opts.SampleEvery < 0 {
-		return false
-	}
-	if t.opts.SampleEvery <= 1 {
-		return true
-	}
-	return (t.seq.Add(1)-1)%uint64(t.opts.SampleEvery) == 0
+	return t != nil && (t.seq.Add(1)-1)%sampleEvery == 0
 }
 
 // Start opens a trace whose root span is named root. A zero id mints a
@@ -535,7 +508,7 @@ func (t *Tracer) Finish(tr *Trace) *Record {
 	tr.finished = true
 	rec := &Record{
 		TraceID:      tr.id.String(),
-		Service:      t.opts.Service,
+		Service:      t.service,
 		StartUnixNS:  tr.start.UnixNano(),
 		DroppedSpans: int(tr.dropped),
 		Spans:        make([]SpanRecord, len(tr.spans)),
@@ -580,7 +553,7 @@ func (t *Tracer) Finish(tr *Trace) *Record {
 func (t *Tracer) keep(rec *Record) {
 	slot := (t.ringPos.Add(1) - 1) % uint64(len(t.ring))
 	t.ring[slot].Store(rec)
-	if rec.DurationNS < int64(t.opts.SlowThreshold) {
+	if rec.DurationNS < int64(slowThreshold) {
 		return
 	}
 	t.resMu.Lock()

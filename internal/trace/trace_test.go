@@ -137,23 +137,23 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 
 func TestMaxSpansBudget(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk, MaxSpans: 4})
+	tr8 := New(Options{Clock: clk})
 	tr := tr8.Start(ID{}, "request", clk.Now())
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 70; i++ {
 		tr.Span(fmt.Sprintf("s%d", i), clk.Now(), time.Millisecond, 0)
 	}
 	rec := tr8.Finish(tr)
-	if len(rec.Spans) != 4 {
-		t.Fatalf("got %d spans, want the 4-span budget", len(rec.Spans))
+	if len(rec.Spans) != 64 {
+		t.Fatalf("got %d spans, want the 64-span budget", len(rec.Spans))
 	}
-	if rec.DroppedSpans != 7 { // 10 attempted + root = 11, 4 kept
+	if rec.DroppedSpans != 7 { // 70 attempted + root = 71, 64 kept
 		t.Fatalf("dropped %d, want 7", rec.DroppedSpans)
 	}
 }
 
 func TestRingEviction(t *testing.T) {
 	clk := newManualClock()
-	tr8 := newTracer(Options{Clock: clk, SlowThreshold: time.Hour}, 4, reservoirSize)
+	tr8 := newTracer(Options{Clock: clk}, 4, reservoirSize) // zero-length traces: none slow
 	var ids []string
 	for i := 0; i < 10; i++ {
 		tr := tr8.Start(ID{}, "r", clk.Now())
@@ -177,9 +177,9 @@ func TestRingEviction(t *testing.T) {
 func TestReservoirKeepsSlowest(t *testing.T) {
 	clk := newManualClock()
 	// Ring of 1 so only the reservoir retains history.
-	tr8 := newTracer(Options{Clock: clk, SlowThreshold: 10 * time.Millisecond}, 1, 3)
+	tr8 := newTracer(Options{Clock: clk}, 1, 3)
 	durs := []time.Duration{
-		5 * time.Millisecond, // under threshold: never admitted
+		5 * time.Millisecond, // under the 10ms threshold: never admitted
 		20 * time.Millisecond,
 		50 * time.Millisecond,
 		15 * time.Millisecond,
@@ -215,6 +215,23 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 		if recs[i].DurationNS > recs[i-1].DurationNS {
 			t.Fatalf("Traces not sorted slowest-first at %d", i)
 		}
+	}
+}
+
+// TestSlowThreshold pins the reservoir's admission bound at 10ms: with
+// a one-slot ring, a trace of 10ms outlives the ring and one of a
+// nanosecond less does not.
+func TestSlowThreshold(t *testing.T) {
+	clk := newManualClock()
+	tr8 := newTracer(Options{Clock: clk}, 1, reservoirSize)
+	for _, d := range []time.Duration{10*time.Millisecond - 1, 10 * time.Millisecond, 0} {
+		tr := tr8.Start(ID{}, "r", clk.Now())
+		clk.advance(d)
+		tr8.Finish(tr)
+	}
+	recs := tr8.Traces(0, "")
+	if len(recs) != 2 || recs[0].DurationNS != int64(10*time.Millisecond) || recs[1].DurationNS != 0 {
+		t.Fatalf("retained %+v, want the 10ms trace (reservoir) and the last one (ring)", recs)
 	}
 }
 
@@ -265,7 +282,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 
 func TestSampledTraceAmortizedAllocFree(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk, SampleEvery: 1})
+	tr8 := New(Options{Clock: clk})
 	// Warm the pool and the ring (Record allocation in Finish is off the
 	// recording path; this test pins the RECORDING side: Start from pool,
 	// Begin/Span/SetAttrs into preallocated storage).
@@ -285,30 +302,24 @@ func TestSampledTraceAmortizedAllocFree(t *testing.T) {
 }
 
 func TestSampleEvery(t *testing.T) {
-	tr8 := New(Options{SampleEvery: 4})
+	tr8 := New(Options{})
 	if !tr8.Sample() {
 		t.Fatal("first request must be sampled")
 	}
 	hits := 1
-	for i := 1; i < 16; i++ {
+	for i := 1; i < 4*64; i++ {
 		if tr8.Sample() {
 			hits++
 		}
 	}
 	if hits != 4 {
-		t.Fatalf("sampled %d of 16 at 1-in-4", hits)
-	}
-	never := New(Options{SampleEvery: -1})
-	for i := 0; i < 10; i++ {
-		if never.Sample() {
-			t.Fatal("SampleEvery<0 must never sample")
-		}
+		t.Fatalf("sampled %d of 256 at 1-in-64", hits)
 	}
 }
 
 func TestConcurrentSpanWrites(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk, MaxSpans: 256})
+	tr8 := New(Options{Clock: clk})
 	tr := tr8.Start(ID{}, "r", clk.Now())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -324,8 +335,10 @@ func TestConcurrentSpanWrites(t *testing.T) {
 	}
 	wg.Wait()
 	rec := tr8.Finish(tr)
-	if want := 1 + 8*50; len(rec.Spans)+rec.DroppedSpans != want {
-		t.Fatalf("spans %d + dropped %d != %d", len(rec.Spans), rec.DroppedSpans, want)
+	// 400 worker spans and the root against the 64-span budget: every
+	// span is either kept or counted as dropped.
+	if want := 1 + 8*50; len(rec.Spans) != 64 || len(rec.Spans)+rec.DroppedSpans != want {
+		t.Fatalf("spans %d + dropped %d, want 64 + %d", len(rec.Spans), rec.DroppedSpans, want-64)
 	}
 }
 
