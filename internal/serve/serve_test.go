@@ -339,8 +339,8 @@ func TestServeStageHistograms(t *testing.T) {
 
 // TestZeroOptionsDefaults pins what a zero Options resolves to — the
 // values dpu-serve runs with, since it sets none of them: a queue bound
-// of 4096 vectors, chunks of 32, 413 past 1024 vectors per request and
-// 200 at 1024, and unsolicited tracing at 1 in 64, the first sampled.
+// of 4096 vectors, chunks of 32, and unsolicited tracing at 1 in 64, the
+// first sampled.
 func TestZeroOptionsDefaults(t *testing.T) {
 	s, srv := newTestServer(t, Options{})
 	if got := s.Scheduler().Stats().QueueLimit; got != 4096 {
@@ -367,14 +367,20 @@ func TestZeroOptionsDefaults(t *testing.T) {
 	if st := s.Scheduler().Stats(); st.Batches != 2 || st.BatchSize.Max != 32 {
 		t.Errorf("33 vectors ran as %d chunks of at most %d, want 2 of at most 32", st.Batches, st.BatchSize.Max)
 	}
+}
 
-	req.Inputs = make([][]float64, 1025)
+// TestServeOversizedBatch413 checks the per-request bound of 1024 input
+// vectors: one more is turned away with 413, the bound itself runs.
+func TestServeOversizedBatch413(t *testing.T) {
+	_, srv := newTestServer(t, Options{})
+	req := ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: make([][]float64, 1025)}
 	for i := range req.Inputs {
 		req.Inputs[i] = []float64{1, 2}
 	}
 	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("1025 vectors: status = %d, want 413", resp.StatusCode)
 	}
+	// At the bound is fine.
 	req.Inputs = req.Inputs[:1024]
 	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
 		t.Errorf("1024 vectors: status = %d, want 200", resp.StatusCode)
