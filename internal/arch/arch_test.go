@@ -456,6 +456,30 @@ func TestInstrValidateCatchesErrors(t *testing.T) {
 	if err := in4.Validate(cfg); err == nil {
 		t.Error("expected mem range error")
 	}
+	in5 := NewExec(cfg)
+	in5.PEOps[0] = numPEOps // decodable from the opcode field, outside the ISA
+	if err := in5.Validate(cfg); err == nil {
+		t.Error("expected PE opcode error")
+	}
+}
+
+// A store gathers through ReadEn, ReadAddr and ValidRst, so Validate
+// must bound all three: Encode and the walker index them unchecked.
+func TestStoreValidateChecksEveryShape(t *testing.T) {
+	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
+	read := &Instr{Kind: KindStore, ReadEn: make([]bool, cfg.B)}
+	read.ReadEn[0] = true
+	if err := NewProgram(cfg).Append(read); err == nil {
+		t.Error("Append accepted a read-enabled store with no ReadAddr")
+	}
+	for name, in := range map[string]*Instr{
+		"no ReadAddr": {Kind: KindStore, ReadEn: make([]bool, cfg.B), ValidRst: make([]bool, cfg.B)},
+		"no ValidRst": {Kind: KindStore, ReadEn: make([]bool, cfg.B), ReadAddr: make([]uint16, cfg.B)},
+	} {
+		if err := in.Validate(cfg); err == nil {
+			t.Errorf("%s: Validate accepted a store Encode cannot pack", name)
+		}
+	}
 }
 
 func TestFixedWriteAddrBitsLarger(t *testing.T) {

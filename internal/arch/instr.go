@@ -183,6 +183,11 @@ func (in *Instr) Validate(cfg Config) error {
 		if err := checkLen("PEOps", len(in.PEOps), cfg.NumPEs()); err != nil {
 			return err
 		}
+		for id, op := range in.PEOps {
+			if op >= numPEOps {
+				return fmt.Errorf("arch: exec PE %d opcode %d outside the ISA", id, op)
+			}
+		}
 		for _, s := range [][2]int{{len(in.ReadEn), cfg.B}, {len(in.ReadAddr), cfg.B},
 			{len(in.ValidRst), cfg.B}, {len(in.InputSel), cfg.B}, {len(in.WriteEn), cfg.B}, {len(in.WriteSel), cfg.B}} {
 			if s[0] != s[1] {
@@ -219,8 +224,10 @@ func (in *Instr) Validate(cfg Config) error {
 		}
 		return nil
 	case KindStore:
-		if err := checkLen("ReadEn", len(in.ReadEn), cfg.B); err != nil {
-			return err
+		for _, s := range [][2]int{{len(in.ReadEn), cfg.B}, {len(in.ReadAddr), cfg.B}, {len(in.ValidRst), cfg.B}} {
+			if s[0] != s[1] {
+				return fmt.Errorf("arch: store per-bank slice length %d, want %d", s[0], s[1])
+			}
 		}
 		if in.MemAddr < 0 || in.MemAddr >= cfg.DataMemWords/cfg.B {
 			return fmt.Errorf("arch: store row %d out of range", in.MemAddr)

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one generator per table and
 // figure of the paper's evaluation (§V), shared by cmd/dpu-bench and the
 // repository's top-level Go benchmarks. Each generator returns the rows
-// as formatted text; EXPERIMENTS.md records how the regenerated numbers
-// compare with the paper's.
+// as formatted text; DESIGN.md ("Substitutions") says what the
+// regenerated numbers can be compared on, and ROADMAP.md records them
+// against the paper's.
 package bench
 
 import (

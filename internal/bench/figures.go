@@ -10,7 +10,7 @@ import (
 	"dpuv2/internal/dag"
 	"dpuv2/internal/dse"
 	"dpuv2/internal/pc"
-	"dpuv2/internal/sim"
+	"dpuv2/internal/regfile"
 	"dpuv2/internal/spatial"
 	"dpuv2/internal/sptrsv"
 )
@@ -120,7 +120,7 @@ func (r *Runner) Fig10b() (string, error) {
 }
 
 // Fig10cd reproduces the register-occupancy traces: active registers per
-// bank over time, without spilling (R large) and with spilling (R=64).
+// bank over time, without spilling (R large) and with spilling (R=32).
 func (r *Runner) Fig10cd() (string, error) {
 	w := r.suite()[3] // msnbc: a wide PC whose live set exceeds R=32
 	var sb strings.Builder
@@ -134,10 +134,9 @@ func (r *Runner) Fig10cd() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		m := sim.NewMachine(cfg.Normalize(), c.Prog.InitMem)
 		type snap struct{ cyc, min, max, avg int }
 		var snaps []snap
-		m.OccTrace = func(cycle int, perBank []int) {
+		err = regfile.Occupancy(cfg, c.Prog.Instrs, func(cycle int, perBank []int) {
 			if cycle%200 != 0 {
 				return
 			}
@@ -152,15 +151,8 @@ func (r *Runner) Fig10cd() (string, error) {
 				sum += o
 			}
 			snaps = append(snaps, snap{cycle, mn, mx, sum / len(perBank)})
-		}
-		for i, word := range c.InputWord {
-			if word >= 0 {
-				if err := m.SetMem(word, 0.5+float64(i%7)/10); err != nil {
-					return "", err
-				}
-			}
-		}
-		if err := m.Run(c.Prog); err != nil {
+		})
+		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&sb, "\n%s (spills=%d):\n%8s %6s %6s %6s\n", variant.name, c.Stats.SpillStores, "cycle", "min", "avg", "max")

@@ -1,18 +1,28 @@
-// Package regfile is the register-file half of the DPU-v2 micro-timing
-// contract (§II-A, §IV-D), implemented once for the compiler, the
-// simulator and the static verifier: a landing write takes the lowest
-// free address of its bank (the fig. 5(d) valid-bit priority encoder),
-// writes land at fixed latencies with at most one per bank per cycle,
-// and a cycle's frees apply before its landings allocate. A File is
-// generic over what a landing carries — the compiler's value id, the
-// simulator's float64, the verifier's issuing pc — and each caller keeps
-// its own policy for faults.
+// Package regfile is the DPU-v2 micro-timing contract (§II-A, §IV-D),
+// implemented once for the compiler, the simulator and the static
+// verifier. It has two halves.
+//
+// File is the register file: a landing write takes the lowest free
+// address of its bank (the fig. 5(d) valid-bit priority encoder), writes
+// land at fixed latencies with at most one per bank per cycle, and a
+// cycle's frees apply before its landings allocate. The compiler
+// allocates on it directly.
+//
+// Walker is the instruction half on top of a File: one instruction
+// issues per cycle; reads happen at issue and valid_rst frees after
+// them; exec evaluates the PE trees layer by layer and writes back at
+// issue+D, load and copy_4 write at issue+1; the pipeline drains for D+1
+// cycles. The machine walks with float64 payloads and fails on the first
+// hazard; the verifier walks with the issuing pc as the payload and
+// records every hazard; fig. 10(c,d) walks with no payload to trace
+// occupancy. Each supplies its differences as a Semantics.
 package regfile
 
 import "math/bits"
 
 // File is a banked register file's allocation state plus the landing
-// ring of the writes in flight.
+// ring of the writes in flight. P is what a landing carries: the
+// compiler's value id, or a Walker's payload.
 type File[P any] struct {
 	regs  int
 	words int      // free-bitmap words per bank

@@ -74,17 +74,18 @@ func (n *naiveRegs) land(t int) {
 // naive model's valid bits, and counts them the same.
 func checkRegs(t *testing.T, m *Machine, n *naiveRegs, cycle int) {
 	t.Helper()
+	rf := m.walk.File()
 	for b := range n.valid {
 		occ := 0
 		for a, v := range n.valid[b] {
-			if m.rf.Valid(b, a) != v {
+			if rf.Valid(b, a) != v {
 				t.Fatalf("cycle %d: bank %d addr %d: machine valid %v, linear-scan model %v", cycle, b, a, !v, v)
 			}
 			if v {
 				occ++
 			}
 		}
-		if got := m.rf.Occupied()[b]; got != occ {
+		if got := rf.Occupied()[b]; got != occ {
 			t.Fatalf("cycle %d: bank %d: machine counts %d valid registers, model %d", cycle, b, got, occ)
 		}
 	}
@@ -140,19 +141,20 @@ func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 			}
 			w := m.cfg.Wiring()
 			for i, in := range c.Prog.Instrs {
-				n.issue(m.cfg, w, in, m.cycle)
-				n.land(m.cycle)
-				if err := m.step(in); err != nil {
+				n.issue(m.cfg, w, in, m.walk.Cycle())
+				n.land(m.walk.Cycle())
+				if err := m.walk.Step(in); err != nil {
 					t.Fatalf("instruction %d: %v", i, err)
 				}
-				checkRegs(t, m, n, m.cycle)
+				checkRegs(t, m, n, m.walk.Cycle())
 			}
+			// The drain: cycles that issue nothing.
 			for d := 0; d < m.cfg.D+1; d++ {
-				n.land(m.cycle)
-				if err := m.tick(); err != nil {
+				n.land(m.walk.Cycle())
+				if err := m.walk.Step(&arch.Instr{Kind: arch.KindNop}); err != nil {
 					t.Fatal(err)
 				}
-				checkRegs(t, m, n, m.cycle)
+				checkRegs(t, m, n, m.walk.Cycle())
 			}
 			if len(n.landing) != 0 {
 				t.Fatalf("writes still in flight after the drain: %v", n.landing)

@@ -52,11 +52,9 @@ func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
 // same association order as the binarized graph, so results must match
 // bit-exactly; tol exists only for callers that post-process.
 //
-// The acceptance condition is written in the positive form so NaN
-// cannot slip through: the old `got != w && |got-w| > tol*(1+|w|)`
-// was false for a NaN output against any finite reference (every
-// comparison with NaN is false), silently passing the one value class
-// differential checks exist to catch. A NaN output is accepted only
+// The acceptance condition is written in the positive form because
+// every comparison with NaN is false: a rejection test would pass a NaN
+// output against any finite reference. A NaN output is accepted only
 // when the reference is NaN too — legitimate non-finite propagation
 // (Inf−Inf, 0×Inf) that both sides must reproduce identically — and
 // the tolerance clause applies only when both values are finite: an

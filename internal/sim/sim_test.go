@@ -219,41 +219,6 @@ func TestPackedProgramRoundTripExecutes(t *testing.T) {
 	}
 }
 
-func TestOccupancyTraceAndPeak(t *testing.T) {
-	g := dag.RandomGraph(dag.RandomConfig{Inputs: 16, Interior: 200, MaxArgs: 3, MulFrac: 0.5, Seed: 23})
-	cfg := arch.Config{D: 2, B: 8, R: 32, Output: arch.OutPerLayer}
-	c, err := compiler.Compile(g, cfg, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachine(cfg, c.Prog.InitMem)
-	samples := 0
-	m.OccTrace = func(cycle int, perBank []int) {
-		samples++
-		for b, occ := range perBank {
-			if occ < 0 || occ > cfg.R {
-				t.Fatalf("bank %d occupancy %d out of range", b, occ)
-			}
-		}
-	}
-	for i, w := range c.InputWord {
-		if w >= 0 {
-			m.SetMem(w, float64(i))
-		}
-	}
-	if err := m.Run(c.Prog); err != nil {
-		t.Fatal(err)
-	}
-	if samples != m.Stats().Cycles {
-		t.Fatalf("trace saw %d cycles, stats say %d", samples, m.Stats().Cycles)
-	}
-	for b, p := range m.Stats().PeakActive {
-		if p > cfg.R {
-			t.Fatalf("bank %d peak %d exceeds R", b, p)
-		}
-	}
-}
-
 // TestMachineRunsOnce pins the one-shot contract: a machine keeps the
 // register file, landing ring and statistics its program left, so a
 // second Run is refused rather than started from that state.
@@ -276,66 +241,56 @@ func TestMachineRunsOnce(t *testing.T) {
 	}
 }
 
+// runInstrs runs instrs on a fresh machine with an 8-row memory.
+func runInstrs(cfg arch.Config, instrs ...*arch.Instr) error {
+	cfg = cfg.Normalize()
+	return NewMachine(cfg, make([]float64, 8*cfg.B)).Run(&arch.Program{Cfg: cfg, Instrs: instrs})
+}
+
 func TestMachineRejectsInvalidRead(t *testing.T) {
 	cfg := arch.Config{D: 1, B: 8, R: 8, Output: arch.OutPerLayer}.Normalize()
-	m := NewMachine(cfg, nil)
 	in := arch.NewExec(cfg)
 	in.PEOps[0] = arch.PEAdd // leaf PE of tree 0 reads ports 0,1
 	in.ReadEn[0] = true
 	in.ReadEn[1] = true
 	in.InputSel[0] = 0
 	in.InputSel[1] = 1
-	if err := m.step(in); err == nil {
+	if err := runInstrs(cfg, in); err == nil {
 		t.Fatal("expected invalid-register read error")
 	}
 }
 
 func TestMachineRejectsDoubleWrite(t *testing.T) {
 	cfg := arch.Config{D: 1, B: 8, R: 8, Output: arch.OutPerLayer}.Normalize()
-	m := NewMachine(cfg, make([]float64, 16))
 	in := arch.NewLoad(cfg, 0)
 	in.Mask[3] = true
-	if err := m.step(in); err != nil {
-		t.Fatal(err)
-	}
-	// Another load in the next cycle is fine…
-	if err := m.step(in); err != nil {
+	// A load in each of two cycles is fine…
+	if err := runInstrs(cfg, in, in); err != nil {
 		t.Fatal(err)
 	}
 	// …but two copies targeting one bank in one instruction are not.
-	m2 := NewMachine(cfg, make([]float64, 16))
 	ld := arch.NewLoad(cfg, 0)
 	ld.Mask[0], ld.Mask[1] = true, true
-	if err := m2.step(ld); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.step(&arch.Instr{Kind: arch.KindNop}); err != nil {
-		t.Fatal(err)
-	}
 	cp := &arch.Instr{Kind: arch.KindCopy, Moves: []arch.Move{
 		{SrcBank: 0, SrcAddr: 0, Dst: 5},
 		{SrcBank: 1, SrcAddr: 0, Dst: 5},
 	}}
-	if err := m2.step(cp); err == nil {
+	if err := runInstrs(cfg, ld, &arch.Instr{Kind: arch.KindNop}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runInstrs(cfg, ld, &arch.Instr{Kind: arch.KindNop}, cp); err == nil {
 		t.Fatal("expected double-write error")
 	}
 }
 
 func TestMachineRejectsBankOverflow(t *testing.T) {
 	cfg := arch.Config{D: 1, B: 8, R: 2, Output: arch.OutPerLayer}.Normalize()
-	m := NewMachine(cfg, make([]float64, 8))
 	ld := arch.NewLoad(cfg, 0)
 	ld.Mask[0] = true
-	for i := 0; i < 2; i++ {
-		if err := m.step(ld); err != nil {
-			t.Fatal(err)
-		}
+	if err := runInstrs(cfg, ld, ld); err != nil {
+		t.Fatal(err)
 	}
-	err := m.step(ld)
-	if err == nil {
-		err = m.tick()
-	}
-	if err == nil {
+	if err := runInstrs(cfg, ld, ld, ld); err == nil {
 		t.Fatal("expected overflow error")
 	}
 }

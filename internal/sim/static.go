@@ -8,7 +8,7 @@ import "dpuv2/internal/arch"
 // static — one instruction issues per cycle, every write lands at a
 // fixed latency, and the compiler removes all hazards (§II-A, §IV-D) —
 // so how often each resource is touched is a property of the program,
-// not of a run. The per-kind rules mirror Machine.step:
+// not of a run. The per-kind rules mirror regfile.Walker:
 //
 //   - every instruction counts under its kind and takes one cycle; the
 //     pipeline drain adds D+1;
@@ -22,13 +22,9 @@ import "dpuv2/internal/arch"
 //     memory word; store_4 and copy_4 read one register per move and
 //     write one memory word or one register respectively.
 //
-// The result equals Machine.Stats field for field on any program that
-// passes internal/verify (and so runs to completion: a machine that
-// faults mid-program has counted only a prefix). PeakActive is the one
-// exception and is left nil: bank occupancy is a count (+1 per landing,
-// −1 per free of a valid register), so it depends on when each write
-// lands relative to the frees, which only a replay of the landing ring
-// knows — run a Machine (OccTrace, Stats) for that.
+// The result equals Machine.Stats on any program that passes
+// internal/verify (and so runs to completion: a machine that faults
+// mid-program has counted only a prefix).
 func StaticStats(p *arch.Program) Stats {
 	cfg := p.Cfg.Normalize()
 	perTree, leaves := (1<<uint(cfg.D))-1, 1<<uint(cfg.D-1)

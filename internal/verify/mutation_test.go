@@ -61,52 +61,33 @@ func firstExec(t *testing.T, c *compiler.Compiled) int {
 	return -1
 }
 
-// TestMutationClasses corrupts a known-good program one way at a time
-// and asserts the verifier rejects each corruption with the finding
-// class that names the actual hazard.
-func TestMutationClasses(t *testing.T) {
-	t.Run("swap-exec-before-loads", func(t *testing.T) {
+// streamMutations are the TestMutationClasses corruptions whose hazard
+// lives in the instruction stream; TestMachineAgreesWithVerifier runs
+// each on the machine too.
+var streamMutations = []struct {
+	name   string
+	class  verify.Class
+	mutate func(t *testing.T, c *compiler.Compiled)
+}{
+	{"swap-exec-before-loads", verify.ClassUninitRead, func(t *testing.T, c *compiler.Compiled) {
 		// Reordering the schedule breaks def-before-use: an exec issued at
 		// pc 0 reads registers no load has written yet.
-		c := goodCompiled(t)
 		i := firstExec(t, c)
 		c.Prog.Instrs[0], c.Prog.Instrs[i] = c.Prog.Instrs[i], c.Prog.Instrs[0]
-		requireClass(t, verify.Compiled(c), verify.ClassUninitRead)
-	})
-
-	t.Run("read-addr-past-R", func(t *testing.T) {
-		c := goodCompiled(t)
-		in := c.Prog.Instrs[firstExec(t, c)]
-		for b, en := range in.ReadEn {
-			if en {
-				in.ReadAddr[b] = uint16(c.Prog.Cfg.R)
-				break
-			}
-		}
-		requireClass(t, verify.Compiled(c), verify.ClassResource)
-	})
-
-	t.Run("store-row-out-of-bounds", func(t *testing.T) {
-		c := goodCompiled(t)
+	}},
+	{"store-row-out-of-bounds", verify.ClassMemBounds, func(t *testing.T, c *compiler.Compiled) {
 		cfg := c.Prog.Cfg
-		found := false
 		for _, in := range c.Prog.Instrs {
 			if in.Kind == arch.KindStore || in.Kind == arch.KindStore4 {
 				in.MemAddr = cfg.DataMemWords / cfg.B
-				found = true
-				break
+				return
 			}
 		}
-		if !found {
-			t.Fatal("no store instruction to mutate")
-		}
-		requireClass(t, verify.Compiled(c), verify.ClassMemBounds)
-	})
-
-	t.Run("read-enable-cleared", func(t *testing.T) {
+		t.Fatal("no store instruction to mutate")
+	}},
+	{"read-enable-cleared", verify.ClassDeadOperand, func(t *testing.T, c *compiler.Compiled) {
 		// Clearing a read enable under an active port starves the PE: the
 		// crossbar routes a bank nothing drives this cycle.
-		c := goodCompiled(t)
 		cfg := c.Prog.Cfg
 		in := c.Prog.Instrs[firstExec(t, c)]
 		port := -1
@@ -124,7 +105,31 @@ func TestMutationClasses(t *testing.T) {
 			break
 		}
 		in.ReadEn[in.InputSel[port]] = false
-		requireClass(t, verify.Compiled(c), verify.ClassDeadOperand)
+	}},
+}
+
+// TestMutationClasses corrupts a known-good program one way at a time
+// and asserts the verifier rejects each corruption with the finding
+// class that names the actual hazard.
+func TestMutationClasses(t *testing.T) {
+	for _, m := range streamMutations {
+		t.Run(m.name, func(t *testing.T) {
+			c := goodCompiled(t)
+			m.mutate(t, c)
+			requireClass(t, verify.Compiled(c), m.class)
+		})
+	}
+
+	t.Run("read-addr-past-R", func(t *testing.T) {
+		c := goodCompiled(t)
+		in := c.Prog.Instrs[firstExec(t, c)]
+		for b, en := range in.ReadEn {
+			if en {
+				in.ReadAddr[b] = uint16(c.Prog.Cfg.R)
+				break
+			}
+		}
+		requireClass(t, verify.Compiled(c), verify.ClassResource)
 	})
 
 	t.Run("output-word-out-of-range", func(t *testing.T) {
@@ -187,78 +192,18 @@ func TestMutationClasses(t *testing.T) {
 // conflicts and bank overflow — plus the free-list discipline cases.
 func TestSyntheticHazards(t *testing.T) {
 	t.Run("write-conflict", func(t *testing.T) {
-		// Timeline (D=2, ring latency exec=+2, load=+1):
-		//   pc0 load row0, all lanes     → lands end of cycle 1
-		//   pc1 nop                        (let the loads land)
-		//   pc2 exec, root writes bank 0 → lands cycle 4
-		//   pc3 load lane 0              → lands cycle 4: conflict
-		cfg := arch.Config{D: 2, B: 4, R: 4, Output: arch.OutCrossbar}.Normalize()
-		var p arch.Program
-		p.Cfg = cfg
-
-		ld := arch.NewLoad(cfg, 0)
-		for i := range ld.Mask {
-			ld.Mask[i] = true
-		}
-		p.MustAppend(ld)
-		p.MustAppend(&arch.Instr{Kind: arch.KindNop})
-
-		ex := arch.NewExec(cfg)
-		ex.PEOps[0] = arch.PEAdd     // leaf PE 0 reads ports 0,1
-		ex.PEOps[2] = arch.PEBypassL // root forwards the leaf's sum
-		ex.ReadEn[0], ex.ReadEn[1] = true, true
-		ex.InputSel[0], ex.InputSel[1] = 0, 1
-		ex.WriteEn[0] = true
-		ex.WriteSel[0] = 2 // root PE id
-		p.MustAppend(ex)
-
-		ld2 := arch.NewLoad(cfg, 0)
-		ld2.Mask[0] = true
-		p.MustAppend(ld2)
-
-		requireClass(t, verify.Program(&p, cfg), verify.ClassWriteConflict)
+		p := writeConflictProgram()
+		requireClass(t, verify.Program(p, p.Cfg), verify.ClassWriteConflict)
 	})
 
 	t.Run("bank-overflow", func(t *testing.T) {
-		// R=2 and three full-row loads with no frees: the third landing
-		// write finds its bank full.
-		cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-		var p arch.Program
-		p.Cfg = cfg
-		for i := 0; i < 3; i++ {
-			ld := arch.NewLoad(cfg, 0)
-			ld.Mask[0], ld.Mask[1] = true, true
-			p.MustAppend(ld)
-		}
-		requireClass(t, verify.Program(&p, cfg), verify.ClassBankOverflow)
+		p := bankOverflowProgram()
+		requireClass(t, verify.Program(p, p.Cfg), verify.ClassBankOverflow)
 	})
 
 	t.Run("use-after-free", func(t *testing.T) {
-		// An exec reads bank 0 with valid_rst, freeing the register; a
-		// later exec reads the same address again.
-		cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-		var p arch.Program
-		p.Cfg = cfg
-
-		ld := arch.NewLoad(cfg, 0)
-		ld.Mask[0], ld.Mask[1] = true, true
-		p.MustAppend(ld)
-		p.MustAppend(&arch.Instr{Kind: arch.KindNop})
-
-		ex := arch.NewExec(cfg)
-		ex.PEOps[0] = arch.PEAdd
-		ex.ReadEn[0], ex.ReadEn[1] = true, true
-		ex.InputSel[0], ex.InputSel[1] = 0, 1
-		ex.ValidRst[0] = true
-		p.MustAppend(ex)
-
-		ex2 := arch.NewExec(cfg)
-		ex2.PEOps[0] = arch.PEBypassL
-		ex2.ReadEn[0] = true
-		ex2.InputSel[0] = 0
-		p.MustAppend(ex2)
-
-		fs := verify.Program(&p, cfg)
+		p := useAfterFreeProgram()
+		fs := verify.Program(p, p.Cfg)
 		requireClass(t, fs, verify.ClassUninitRead)
 		found := false
 		for _, f := range fs {
@@ -272,20 +217,13 @@ func TestSyntheticHazards(t *testing.T) {
 	})
 
 	t.Run("idle-pe-write", func(t *testing.T) {
-		cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-		ex := arch.NewExec(cfg)
-		ex.WriteEn[0] = true
-		ex.WriteSel[0] = 0 // the only PE — left idle
-		p := &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{ex}}
-		requireClass(t, verify.Program(p, cfg), verify.ClassDeadOperand)
+		p := idlePEWriteProgram()
+		requireClass(t, verify.Program(p, p.Cfg), verify.ClassDeadOperand)
 	})
 
 	t.Run("dead-reset-is-warning-only", func(t *testing.T) {
-		cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-		ex := arch.NewExec(cfg)
-		ex.ValidRst[0] = true // no read anywhere: the bit frees nothing
-		p := &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{ex}}
-		fs := verify.Program(p, cfg)
+		p := deadResetProgram()
+		fs := verify.Program(p, p.Cfg)
 		if verify.HasErrors(fs) {
 			t.Fatalf("dead reset must not be an error: %s", verify.Summary(fs))
 		}
@@ -293,4 +231,94 @@ func TestSyntheticHazards(t *testing.T) {
 			t.Fatalf("want a dead-reset warning, got %v", fs)
 		}
 	})
+}
+
+// writeConflictProgram lands two writes on bank 0 in one cycle.
+// Timeline (D=2, ring latency exec=+2, load=+1):
+//
+//	pc0 load row0, all lanes     → lands end of cycle 1
+//	pc1 nop                        (let the loads land)
+//	pc2 exec, root writes bank 0 → lands cycle 4
+//	pc3 load lane 0              → lands cycle 4: conflict
+func writeConflictProgram() *arch.Program {
+	cfg := arch.Config{D: 2, B: 4, R: 4, Output: arch.OutCrossbar}.Normalize()
+	p := &arch.Program{Cfg: cfg}
+
+	ld := arch.NewLoad(cfg, 0)
+	for i := range ld.Mask {
+		ld.Mask[i] = true
+	}
+	p.MustAppend(ld)
+	p.MustAppend(&arch.Instr{Kind: arch.KindNop})
+
+	ex := arch.NewExec(cfg)
+	ex.PEOps[0] = arch.PEAdd     // leaf PE 0 reads ports 0,1
+	ex.PEOps[2] = arch.PEBypassL // root forwards the leaf's sum
+	ex.ReadEn[0], ex.ReadEn[1] = true, true
+	ex.InputSel[0], ex.InputSel[1] = 0, 1
+	ex.WriteEn[0] = true
+	ex.WriteSel[0] = 2 // root PE id
+	p.MustAppend(ex)
+
+	ld2 := arch.NewLoad(cfg, 0)
+	ld2.Mask[0] = true
+	p.MustAppend(ld2)
+	return p
+}
+
+// bankOverflowProgram has R=2 and three full-row loads with no frees:
+// the third landing write finds its bank full.
+func bankOverflowProgram() *arch.Program {
+	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
+	p := &arch.Program{Cfg: cfg}
+	for i := 0; i < 3; i++ {
+		ld := arch.NewLoad(cfg, 0)
+		ld.Mask[0], ld.Mask[1] = true, true
+		p.MustAppend(ld)
+	}
+	return p
+}
+
+// useAfterFreeProgram has an exec read bank 0 with valid_rst, freeing
+// the register; the exec at pc 3 reads the same address again.
+func useAfterFreeProgram() *arch.Program {
+	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
+	p := &arch.Program{Cfg: cfg}
+
+	ld := arch.NewLoad(cfg, 0)
+	ld.Mask[0], ld.Mask[1] = true, true
+	p.MustAppend(ld)
+	p.MustAppend(&arch.Instr{Kind: arch.KindNop})
+
+	ex := arch.NewExec(cfg)
+	ex.PEOps[0] = arch.PEAdd
+	ex.ReadEn[0], ex.ReadEn[1] = true, true
+	ex.InputSel[0], ex.InputSel[1] = 0, 1
+	ex.ValidRst[0] = true
+	p.MustAppend(ex)
+
+	ex2 := arch.NewExec(cfg)
+	ex2.PEOps[0] = arch.PEBypassL
+	ex2.ReadEn[0] = true
+	ex2.InputSel[0] = 0
+	p.MustAppend(ex2)
+	return p
+}
+
+// idlePEWriteProgram writes back the output of the only PE, left idle.
+func idlePEWriteProgram() *arch.Program {
+	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
+	ex := arch.NewExec(cfg)
+	ex.WriteEn[0] = true
+	ex.WriteSel[0] = 0
+	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{ex}}
+}
+
+// deadResetProgram sets a valid_rst bit with no read anywhere: the bit
+// frees nothing.
+func deadResetProgram() *arch.Program {
+	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
+	ex := arch.NewExec(cfg)
+	ex.ValidRst[0] = true
+	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{ex}}
 }

@@ -5,18 +5,14 @@
 // proven free of the hazards the simulator treats as fatal — without
 // running a single input.
 //
-// The key property making exact static verification possible is that the
-// hardware's write addresses are deterministic functions of the
-// instruction stream alone: a landing write takes the lowest free address
-// of its bank (the fig. 5(d) valid-bit priority encoder), and writes land
-// at fixed latencies (issue+1 for load/copy, issue+D for exec). The
-// verifier therefore replays the simulator's micro-timing contract over
-// abstract state — per-bank valid bitmaps and a landing ring, no values —
-// and every register address, free, and landing conflict resolves exactly
-// as it would at run time. A program that verifies clean cannot read an
-// uninitialized or freed register, overflow a bank, land two writes on
-// one bank in a cycle, consume a dead PE operand, or touch memory out of
-// bounds on the machine it was compiled for.
+// Verification is exact because register addresses, frees and landings
+// are functions of the instruction stream alone (see internal/regfile):
+// the verifier walks the program on the machine's own instruction
+// walker, with the issuing pc where the machine carries a value. A
+// program that verifies clean cannot read an uninitialized or freed
+// register, overflow a bank, land two writes on one bank in a cycle,
+// consume a dead PE operand, or touch memory out of bounds on the
+// machine it was compiled for.
 //
 // Findings are structured (severity, class, pc, PE, bank) so gates can
 // distinguish classes and CLIs can render them. Warnings mark
@@ -109,26 +105,15 @@ const (
 	ClassStatsMismatch
 )
 
+var classNames = [...]string{
+	ClassResource: "resource", ClassUninitRead: "uninit-read", ClassBankOverflow: "bank-overflow",
+	ClassWriteConflict: "write-conflict", ClassDeadOperand: "dead-operand", ClassMemBounds: "mem-bounds",
+	ClassMapping: "mapping", ClassDeadReset: "dead-reset", ClassStatsMismatch: "stats-mismatch",
+}
+
 func (c Class) String() string {
-	switch c {
-	case ClassResource:
-		return "resource"
-	case ClassUninitRead:
-		return "uninit-read"
-	case ClassBankOverflow:
-		return "bank-overflow"
-	case ClassWriteConflict:
-		return "write-conflict"
-	case ClassDeadOperand:
-		return "dead-operand"
-	case ClassMemBounds:
-		return "mem-bounds"
-	case ClassMapping:
-		return "mapping"
-	case ClassDeadReset:
-		return "dead-reset"
-	case ClassStatsMismatch:
-		return "stats-mismatch"
+	if int(c) < len(classNames) {
+		return classNames[c]
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
@@ -218,8 +203,8 @@ func Summary(fs []Finding) string {
 // quadratic.
 const maxFindings = 64
 
-// maxStateCells bounds the abstract register-file state (B×R valid
-// bits) the verifier will allocate, matching engine.CheckMachineBounds
+// maxStateCells bounds the register-file state (B×R registers) the
+// verifier will allocate, matching engine.CheckMachineBounds
 // (B ≤ 2^10, R ≤ 2^12): a decoded artifact claiming a larger register
 // file is rejected before anything is allocated for it.
 const maxStateCells = 1 << 22
@@ -291,27 +276,23 @@ func Compiled(c *compiler.Compiled) []Finding {
 	return fs
 }
 
-// analyzer is the abstract machine: the simulator's register file and
-// pipeline (regfile.File, with the issuing pc as each landing's payload)
-// and its exec walk, with the values removed.
+// analyzer is the abstract machine: the machine's own instruction walk
+// (regfile.Walker, with the issuing pc as each landing's payload, an
+// int32 to keep the B×R payload array small), its hazards turned into
+// findings, and a structural pre-check on each instruction in front of
+// it.
 type analyzer struct {
 	cfg  arch.Config
-	wire *arch.Wiring
-	rf   *regfile.File[int]
-	ever []bool // bank-major B×R: address held a value at least once
-	// cycle is the current cycle, and execs/nops the instructions of
+	walk *regfile.Walker[int32]
+	// pc is the issuing instruction, and execs/nops the instructions of
 	// each kind issued so far, for the Compiled stats check.
-	cycle, execs, nops int
+	pc, execs, nops int
 	// stored collects the data-memory words written by store/store_4
 	// instructions, for the Compiled output-coverage check.
 	stored map[int]struct{}
 
 	fs        []Finding
 	truncated bool
-
-	portUsed []bool
-	readBank []bool
-	live     []bool
 }
 
 func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
@@ -328,35 +309,30 @@ func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
 	if cfg.B*cfg.R > maxStateCells {
 		return reject(ClassResource, fmt.Sprintf("register file %d×%d exceeds the verifiable bound %d cells", cfg.B, cfg.R, maxStateCells)), nil
 	}
-	a := &analyzer{
-		cfg:      cfg,
-		wire:     cfg.Wiring(),
-		rf:       regfile.New[int](cfg.B, cfg.R, cfg.D),
-		ever:     make([]bool, cfg.B*cfg.R),
-		stored:   make(map[int]struct{}),
-		portUsed: make([]bool, cfg.B),
-		readBank: make([]bool, cfg.B),
-		live:     make([]bool, cfg.NumPEs()),
-	}
+	a := &analyzer{cfg: cfg, stored: make(map[int]struct{})}
+	a.walk = regfile.NewWalker[int32](cfg, a)
+	nop := &arch.Instr{Kind: arch.KindNop}
 	for pc, in := range p.Instrs {
 		if a.truncated {
 			break
 		}
+		a.pc = pc
 		switch in.Kind {
 		case arch.KindExec:
 			a.execs++
 		case arch.KindNop:
 			a.nops++
 		}
-		if a.structural(pc, in) {
-			a.issue(pc, in)
+		// An instruction that cannot be interpreted issues as a nop, so
+		// the cycle count stays aligned.
+		if !a.structural(pc, in) {
+			in = nop
 		}
-		a.tick()
+		// The walk cannot fail: Hazard, Load and Store return nil, and
+		// structural rejects every kind the walker would.
+		_ = a.walk.Step(in)
 	}
-	// Pipeline drain, as in sim.Machine.Run: writes in flight land.
-	for d := 0; d <= cfg.D && !a.truncated; d++ {
-		a.tick()
-	}
+	_ = a.walk.Drain() // as in sim.Machine.Run: writes in flight land
 	return a.fs, a
 }
 
@@ -373,251 +349,56 @@ func (a *analyzer) report(f Finding) {
 	a.fs = append(a.fs, f)
 }
 
-func (a *analyzer) errorf(class Class, pc, pe, bank int, msg string, args ...any) {
-	a.report(Finding{Sev: SevError, Class: class, PC: pc, PE: pe, Bank: bank, Msg: fmt.Sprintf(msg, args...)})
-}
-
-func (a *analyzer) warnf(class Class, pc, pe, bank int, msg string, args ...any) {
-	a.report(Finding{Sev: SevWarning, Class: class, PC: pc, PE: pe, Bank: bank, Msg: fmt.Sprintf(msg, args...)})
-}
-
-// structural is the resource-envelope check — Instr.Validate re-derived
-// with per-class findings, plus the bounds Validate misses (a store's
-// ReadAddr/ValidRst shape; a crossbar write select past NumPEs, which
-// would index the simulator's liveness array out of range). A false
-// return means the instruction cannot be interpreted; the caller treats
-// it as a nop so the cycle count stays aligned.
+// structural is the resource-envelope check: arch.Instr.Validate, the
+// walker's precondition, with a data-memory row out of range reported
+// as its own class. A false return means the instruction cannot be
+// interpreted; the caller issues a nop in its place so the cycle count
+// stays aligned.
 func (a *analyzer) structural(pc int, in *arch.Instr) bool {
-	cfg := a.cfg
-	rows := cfg.DataMemWords / cfg.B
-	ok := true
-	badRow := func(kind string, row int) {
-		a.errorf(ClassMemBounds, pc, -1, -1, "%s row %d outside the %d-row data memory", kind, row, rows)
-		ok = false
-	}
 	switch in.Kind {
-	case arch.KindNop:
-		return true
-	case arch.KindExec:
-		if len(in.PEOps) != cfg.NumPEs() || len(in.ReadEn) != cfg.B || len(in.ReadAddr) != cfg.B ||
-			len(in.ValidRst) != cfg.B || len(in.InputSel) != cfg.B || len(in.WriteEn) != cfg.B || len(in.WriteSel) != cfg.B {
-			a.errorf(ClassResource, pc, -1, -1, "exec slice shapes do not match the configuration")
+	case arch.KindLoad, arch.KindStore, arch.KindStore4:
+		if rows := a.cfg.DataMemWords / a.cfg.B; in.MemAddr < 0 || in.MemAddr >= rows {
+			a.report(Finding{Sev: SevError, Class: ClassMemBounds, PC: pc, PE: -1, Bank: -1,
+				Msg: fmt.Sprintf("%s row %d outside the %d-row data memory", in.Kind, in.MemAddr, rows)})
 			return false
 		}
-		for b := 0; b < cfg.B; b++ {
-			if in.ReadEn[b] && int(in.ReadAddr[b]) >= cfg.R {
-				a.errorf(ClassResource, pc, -1, b, "read address %d ≥ R=%d", in.ReadAddr[b], cfg.R)
-				ok = false
-			}
-			if int(in.InputSel[b]) >= cfg.B {
-				a.errorf(ClassResource, pc, -1, b, "input select %d ≥ B=%d", in.InputSel[b], cfg.B)
-				ok = false
-			}
-			if in.WriteEn[b] {
-				if cfg.Output == arch.OutCrossbar && int(in.WriteSel[b]) >= cfg.NumPEs() {
-					a.errorf(ClassResource, pc, -1, b, "write select %d names a nonexistent PE (%d PEs)", in.WriteSel[b], cfg.NumPEs())
-					ok = false
-				} else if p := cfg.SelPE(b, in.WriteSel[b]); !cfg.CanWrite(p, b) {
-					a.errorf(ClassResource, pc, -1, b, "write select %d illegal under the %s interconnect", in.WriteSel[b], cfg.Output)
-					ok = false
-				}
-			}
-		}
-		return ok
-	case arch.KindLoad:
-		if len(in.Mask) != cfg.B {
-			a.errorf(ClassResource, pc, -1, -1, "load mask length %d, want B=%d", len(in.Mask), cfg.B)
-			return false
-		}
-		if in.MemAddr < 0 || in.MemAddr >= rows {
-			badRow("load", in.MemAddr)
-		}
-		return ok
-	case arch.KindStore:
-		if len(in.ReadEn) != cfg.B || len(in.ReadAddr) != cfg.B || len(in.ValidRst) != cfg.B {
-			a.errorf(ClassResource, pc, -1, -1, "store slice shapes do not match the configuration")
-			return false
-		}
-		if in.MemAddr < 0 || in.MemAddr >= rows {
-			badRow("store", in.MemAddr)
-		}
-		for b := 0; b < cfg.B; b++ {
-			if in.ReadEn[b] && int(in.ReadAddr[b]) >= cfg.R {
-				a.errorf(ClassResource, pc, -1, b, "read address %d ≥ R=%d", in.ReadAddr[b], cfg.R)
-				ok = false
-			}
-		}
-		return ok
-	case arch.KindCopy, arch.KindStore4:
-		if len(in.Moves) == 0 || len(in.Moves) > arch.MaxMoves {
-			a.errorf(ClassResource, pc, -1, -1, "%s with %d lanes, want 1..%d", in.Kind, len(in.Moves), arch.MaxMoves)
-			return false
-		}
-		if in.Kind == arch.KindStore4 && (in.MemAddr < 0 || in.MemAddr >= rows) {
-			badRow("store_4", in.MemAddr)
-		}
-		for _, mv := range in.Moves {
-			if int(mv.SrcBank) >= cfg.B || int(mv.SrcAddr) >= cfg.R || int(mv.Dst) >= cfg.B {
-				a.errorf(ClassResource, pc, -1, int(mv.SrcBank), "%s lane out of range: %+v", in.Kind, mv)
-				ok = false
-			}
-		}
-		return ok
 	}
-	a.errorf(ClassResource, pc, -1, -1, "opcode %d outside the decoded ISA", uint8(in.Kind))
-	return false
+	if err := in.Validate(a.cfg); err != nil {
+		a.report(Finding{Sev: SevError, Class: ClassResource, PC: pc, PE: -1, Bank: -1, Msg: err.Error()})
+		return false
+	}
+	return true
 }
 
-// issue replays one instruction's issue-time effects: reads are
-// validated against the valid bitmap, valid_rst frees apply after the
-// reads, and writes are scheduled on the landing ring with the
-// simulator's latencies. After reporting a hazard the analyzer proceeds
-// optimistically (the port stays live, the write still lands) so one
+// Op, Load and Store make every write the walker schedules carry the
+// issuing pc, and record the words stores write.
+func (a *analyzer) Op(arch.PEOp, int32, int32) int32 { return int32(a.pc) }
+func (a *analyzer) Load(int) (int32, error)          { return int32(a.pc), nil }
+func (a *analyzer) Store(addr int, _ int32) error {
+	a.stored[addr] = struct{}{}
+	return nil
+}
+
+// hazardClass is the finding class of each walker hazard.
+var hazardClass = [...]Class{
+	regfile.UninitRead: ClassUninitRead, regfile.BankOverflow: ClassBankOverflow,
+	regfile.WriteConflict: ClassWriteConflict, regfile.DeadOperand: ClassDeadOperand,
+	regfile.DoubleRead: ClassResource, regfile.DeadReset: ClassDeadReset,
+}
+
+// Hazard turns a hazard into a finding and lets the walk continue
+// optimistically (the port stays live, the write still lands), so one
 // root cause does not multiply into a finding per downstream consumer.
-func (a *analyzer) issue(pc int, in *arch.Instr) {
-	cfg := a.cfg
-	switch in.Kind {
-	case arch.KindExec:
-		a.exec(pc, in)
-	case arch.KindLoad:
-		for lane, en := range in.Mask {
-			if en {
-				a.write(pc, lane, a.cycle+1)
-			}
-		}
-	case arch.KindStore:
-		row := in.MemAddr * cfg.B
-		for b, en := range in.ReadEn {
-			if !en {
-				if in.ValidRst[b] {
-					a.warnf(ClassDeadReset, pc, -1, b, "valid_rst frees nothing (bank not read)")
-				}
-				continue
-			}
-			addr := int(in.ReadAddr[b])
-			a.checkRead(pc, b, addr)
-			if in.ValidRst[b] {
-				a.rf.Free(b, addr)
-			}
-			a.stored[row+b] = struct{}{}
-		}
-	case arch.KindCopy, arch.KindStore4:
-		row := in.MemAddr * cfg.B
-	lanes:
-		for i, mv := range in.Moves {
-			for _, prev := range in.Moves[:i] {
-				if prev.SrcBank == mv.SrcBank {
-					a.errorf(ClassResource, pc, -1, int(mv.SrcBank), "two reads of bank %d in one %s", mv.SrcBank, in.Kind)
-					continue lanes
-				}
-			}
-			a.checkRead(pc, int(mv.SrcBank), int(mv.SrcAddr))
-			if mv.Rst {
-				a.rf.Free(int(mv.SrcBank), int(mv.SrcAddr))
-			}
-			if in.Kind == arch.KindCopy {
-				a.write(pc, int(mv.Dst), a.cycle+1)
-			} else {
-				a.stored[row+int(mv.Dst)] = struct{}{}
-			}
-		}
+func (a *analyzer) Hazard(h regfile.Hazard[int32]) error {
+	f := Finding{Sev: SevError, Class: hazardClass[h.Kind], PC: a.pc, PE: h.PE, Bank: h.Bank, Msg: h.Msg}
+	switch h.Kind {
+	case regfile.BankOverflow:
+		f.PC = int(h.Payload)
+	case regfile.WriteConflict:
+		f.Msg += fmt.Sprintf(" (also scheduled at pc %d)", h.Payload)
+	case regfile.DeadReset:
+		f.Sev = SevWarning
 	}
-}
-
-// exec mirrors sim.Machine.exec without values: demand-driven port
-// liveness from the leaf ops, bank-read validation, post-read frees,
-// layer-by-layer liveness propagation, and write-back scheduling.
-func (a *analyzer) exec(pc int, in *arch.Instr) {
-	cfg, w := a.cfg, a.wire
-	clear(a.readBank)
-	clear(a.live)
-	w.MarkPorts(in.PEOps, a.portUsed)
-	for pn := 0; pn < cfg.B; pn++ {
-		if !a.portUsed[pn] {
-			continue
-		}
-		bank := int(in.InputSel[pn])
-		if !in.ReadEn[bank] {
-			a.errorf(ClassDeadOperand, pc, -1, bank, "port %d selects bank %d which has no read enable", pn, bank)
-			continue
-		}
-		a.readBank[bank] = true
-	}
-	for bank := 0; bank < cfg.B; bank++ {
-		if a.readBank[bank] {
-			a.checkRead(pc, bank, int(in.ReadAddr[bank]))
-		}
-	}
-	// valid_rst applies after the cycle's reads (the crossbar broadcasts
-	// one bank read to every subscribed port before the slot is freed).
-	for bank := 0; bank < cfg.B; bank++ {
-		if !in.ValidRst[bank] {
-			continue
-		}
-		if a.readBank[bank] {
-			a.rf.Free(bank, int(in.ReadAddr[bank]))
-		} else {
-			a.warnf(ClassDeadReset, pc, -1, bank, "valid_rst frees nothing (bank not read)")
-		}
-	}
-	for l := 1; l <= cfg.D; l++ {
-		for _, id := range w.Layers[l] {
-			op := in.PEOps[id]
-			if op == arch.PEIdle {
-				continue
-			}
-			if needL, needR := op.Operands(); l > 1 && (needL && !a.live[w.Left[id]] || needR && !a.live[w.Right[id]]) {
-				a.errorf(ClassDeadOperand, pc, id, -1, "PE %d (%s) consumes a dead operand", id, op)
-			}
-			a.live[id] = true // optimistic: one finding per root cause
-		}
-	}
-	for bank := 0; bank < cfg.B; bank++ {
-		if !in.WriteEn[bank] {
-			continue
-		}
-		id := cfg.PEID(cfg.SelPE(bank, in.WriteSel[bank]))
-		if !a.live[id] {
-			a.errorf(ClassDeadOperand, pc, id, bank, "bank %d writes output of idle PE %d", bank, id)
-		}
-		a.write(pc, bank, a.cycle+cfg.D)
-	}
-}
-
-// checkRead validates a register read at issue time: the address must
-// hold a live value. addr is already bounds-checked by structural.
-func (a *analyzer) checkRead(pc, bank, addr int) {
-	if a.rf.Valid(bank, addr) {
-		return
-	}
-	if a.ever[bank*a.cfg.R+addr] {
-		a.errorf(ClassUninitRead, pc, -1, bank, "read of freed register %d.%d (use after valid_rst)", bank, addr)
-	} else {
-		a.errorf(ClassUninitRead, pc, -1, bank, "read of never-written register %d.%d (RAW hazard escaped the compiler)", bank, addr)
-	}
-}
-
-// write queues a landing write, rejecting a second write to the same
-// bank in the same landing cycle — exactly the conflict the simulator
-// faults on.
-func (a *analyzer) write(pc, bank, land int) {
-	if other, ok := a.rf.Schedule(bank, land, pc); !ok {
-		a.errorf(ClassWriteConflict, pc, -1, bank, "two writes land on bank %d at cycle %d (also scheduled at pc %d)", bank, land, other)
-	}
-}
-
-// tick lands the current cycle's writes and advances the clock. Frees
-// from this cycle's issue have already applied, preserving the
-// frees-before-landings ordering.
-func (a *analyzer) tick() {
-	a.rf.Land(a.cycle, a.land)
-	a.cycle++
-}
-
-func (a *analyzer) land(bank, addr, pc int) {
-	if addr < 0 {
-		a.errorf(ClassBankOverflow, pc, -1, bank, "bank %d overflows at cycle %d (all %d registers live)", bank, a.cycle, a.cfg.R)
-		return
-	}
-	a.ever[bank*a.cfg.R+addr] = true
+	a.report(f)
+	return nil
 }
