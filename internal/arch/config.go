@@ -96,6 +96,32 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Machine-size bounds, checked by CheckBounds.
+const (
+	maxB        = 1 << 10
+	maxR        = 1 << 12
+	maxMemWords = 1 << 24 // 128 MB of float64
+)
+
+// CheckBounds rejects a config whose machine state would be
+// unreasonably large, before anything is allocated for it. Validate
+// checks constructibility, not size: every instruction carries B-wide
+// control fields, and a machine for the config holds B·R float64
+// registers plus DataMemWords words, so an unbounded config would OOM
+// whoever decodes, verifies, compiles or simulates it. The serving
+// handler, the artifact encoder and decoder and the verifier all apply
+// this one bound. It comfortably covers every configuration of the
+// paper (DPU-v2 (L) is B=64, R=256, 4M-word memory).
+func (c Config) CheckBounds() error {
+	if c.B > maxB || c.R > maxR {
+		return fmt.Errorf("arch: register file %dx%d exceeds the machine-size limit %dx%d", c.B, c.R, maxB, maxR)
+	}
+	if c.DataMemWords > maxMemWords {
+		return fmt.Errorf("arch: data memory %d words exceeds the machine-size limit %d", c.DataMemWords, maxMemWords)
+	}
+	return nil
+}
+
 // Trees returns T = B / 2^D, the number of parallel PE trees.
 func (c Config) Trees() int { return c.B >> uint(c.D) }
 

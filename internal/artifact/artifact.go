@@ -202,30 +202,6 @@ func (e *enc) options(o compiler.Options) {
 	e.varint(int64(o.PartitionSize))
 }
 
-// Format limits on the register file, aligned with the serving layer's
-// machine-size caps: instruction decode allocates per-instruction
-// slices proportional to B *before* reading any bits, and execution
-// allocates B·R registers, so a config beyond any supported design is
-// corruption to reject up front, not a large allocation to attempt.
-// (The paper's largest design is B=64, R=256.)
-const (
-	maxFormatB = 1 << 10
-	maxFormatR = 1 << 12
-)
-
-// checkConfig enforces the format's config bounds, shared by encoder
-// and decoder.
-func checkConfig(cfg arch.Config) error {
-	if cfg.B > maxFormatB || cfg.R > maxFormatR {
-		return fmt.Errorf("register file %dx%d exceeds the format limit %dx%d", cfg.B, cfg.R, maxFormatB, maxFormatR)
-	}
-	const maxMemWords = 1 << 26
-	if cfg.DataMemWords > maxMemWords {
-		return fmt.Errorf("data memory %d words exceeds the format limit %d", cfg.DataMemWords, maxMemWords)
-	}
-	return nil
-}
-
 // checkOptions enforces the decoder's option bounds at encode time, so
 // Encode can never produce a payload Decode rejects (a
 // persisted-but-undecodable artifact would put its key in an endless
@@ -253,7 +229,7 @@ func encodePayload(a *Artifact) ([]byte, error) {
 		return nil, err
 	}
 	cfg := c.Prog.Cfg
-	if err := checkConfig(cfg); err != nil {
+	if err := cfg.CheckBounds(); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	var e enc
@@ -483,7 +459,7 @@ func (d *dec) decodeOptions() compiler.Options {
 }
 
 // decodeConfig reads the config section and validates it into
-// normalized, format-bounded form.
+// normalized, machine-size-bounded form.
 func (d *dec) decodeConfig() arch.Config {
 	var cfg arch.Config
 	cfg.D = int(d.uvarint())
@@ -503,7 +479,11 @@ func (d *dec) decodeConfig() arch.Config {
 		d.fail("config %v not in normalized form", cfg)
 		return cfg
 	}
-	if err := checkConfig(cfg); err != nil {
+	// Instruction decode allocates per-instruction slices proportional
+	// to B before reading any bits, so a config past the machine-size
+	// bound is corruption to reject here, not a large allocation to
+	// attempt.
+	if err := cfg.CheckBounds(); err != nil {
 		d.fail("config: %v", err)
 	}
 	return cfg

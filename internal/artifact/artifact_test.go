@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -352,7 +353,7 @@ func TestEncodeDecodeBoundsAgree(t *testing.T) {
 	// encode, not produce a file every reader rejects.
 	huge := *base.Compiled
 	prog := *huge.Prog
-	prog.Cfg.B = maxFormatB * 2
+	prog.Cfg.B = 1 << 11 // past arch's 2^10-bank bound
 	huge.Prog = &prog
 	if _, err := EncodeBytes(&Artifact{Fingerprint: base.Fingerprint, Compiled: &huge}); err == nil {
 		t.Error("encoded a config beyond the format's register-file limit")
@@ -363,17 +364,21 @@ func TestEncodeDecodeBoundsAgree(t *testing.T) {
 // claiming a terabyte-scale register file must fail with a typed error
 // at the config check — instruction decode allocates per-instruction
 // slices proportional to B, so reaching it would abort the process, not
-// return an error.
+// return an error. The payload holds only the config, so any later
+// check would fail too, on truncation: the error must name the config.
 func TestDecodeRejectsAbsurdConfigBeforeAllocating(t *testing.T) {
 	for _, cfg := range []arch.Config{
 		{D: 1, B: 1 << 40, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 18, ClockMHz: 300},
 		{D: 1, B: 2, R: 1 << 40, Output: arch.OutPerLayer, DataMemWords: 1 << 18, ClockMHz: 300},
 		{D: 1, B: 2, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 40, ClockMHz: 300},
+		// Past the serving bound, which /execute rejects, though an
+		// allocation this size would succeed.
+		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer, DataMemWords: 1 << 25, ClockMHz: 300},
 	} {
 		var e enc
 		e.config(cfg)
-		if _, err := decodePayload(e.buf); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("config %v: error %v, want ErrCorrupt", cfg, err)
+		if _, err := decodePayload(e.buf); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "config: ") {
+			t.Errorf("config %v: error %v, want ErrCorrupt at the config check", cfg, err)
 		}
 	}
 }

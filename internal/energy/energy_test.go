@@ -228,7 +228,7 @@ func offGridCandidates() []arch.Config {
 
 // TestRankingStabilityOffGrid extends the golden ranking past the grid.
 // Off-grid configs reach the energy model through the /execute
-// config field, within engine.CheckMachineBounds, so they must rank
+// config field, within arch.Config.CheckBounds, so they must rank
 // reproducibly alongside the 48 grid points — same order under
 // shuffling, and a pinned golden head.
 func TestRankingStabilityOffGrid(t *testing.T) {

@@ -56,31 +56,6 @@ type Options struct {
 	Store *artifact.Store
 }
 
-// CheckMachineBounds rejects configurations whose machine state would
-// be unreasonably large before anything is allocated.
-// arch.Config.Validate checks constructibility, not size: every
-// instruction carries B-wide control fields, and a machine for the
-// config holds B·R float64 registers plus DataMemWords words, so an
-// unbounded config would OOM whoever compiles or simulates it. The caps
-// comfortably cover every configuration of the paper (DPU-v2 (L) is
-// B=64, R=256, 4M-word memory). The serving layer applies the same
-// bounds to client-requested configs.
-func CheckMachineBounds(cfg arch.Config) error {
-	cfg = cfg.Normalize()
-	const (
-		maxB        = 1 << 10
-		maxR        = 1 << 12
-		maxMemWords = 1 << 24 // 128 MB of float64
-	)
-	if cfg.B > maxB || cfg.R > maxR {
-		return fmt.Errorf("register file %dx%d exceeds the serving limit %dx%d", cfg.B, cfg.R, maxB, maxR)
-	}
-	if cfg.DataMemWords > maxMemWords {
-		return fmt.Errorf("data memory %d words exceeds the serving limit %d", cfg.DataMemWords, maxMemWords)
-	}
-	return nil
-}
-
 func (o Options) normalize() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 128

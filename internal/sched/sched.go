@@ -80,17 +80,11 @@ type Options struct {
 	// MaxBatch is the chunk size: a call's admitted vectors reach the
 	// backend at most this many at a time. Default 32.
 	MaxBatch int
-	// Clock is the time source of the latency accounting; nil means
-	// SystemClock. Tests inject a FakeClock to make stage windows exact.
-	Clock Clock
 }
 
 func (o Options) normalize() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Clock == nil {
-		o.Clock = SystemClock
 	}
 	return o
 }
@@ -118,7 +112,7 @@ type Stats struct {
 	Failed    int64 `json:"failed" prom:"dpu_sched_failed_total"`
 	// Batches counts chunks, executed or failed; BatchSize their sizes.
 	Batches int64 `json:"batches" prom:"dpu_sched_batches_total"`
-	// LingerFlushes, Linger and LingerHist are always zero: no request
+	// LingerFlushes and LingerHist are always zero: no request
 	// waits for another. They stay on the wire, untagged, because bench/
 	// still reads them, until its seam (ROADMAP item 1b) lets them go.
 	LingerFlushes int64 `json:"linger_flushes"`
@@ -131,7 +125,6 @@ type Stats struct {
 	// and Execute decompose (see StageQueueWait).
 	Latency   metrics.Summary `json:"latency_ns"`
 	QueueWait metrics.Summary `json:"queue_wait_ns"`
-	Linger    metrics.Summary `json:"linger_wait_ns"`
 	Execute   metrics.Summary `json:"execute_ns"`
 	// The *Hist fields are the bucket snapshots behind the summaries.
 	// Quantiles of different processes cannot be averaged; snapshots
@@ -152,6 +145,9 @@ type Scheduler struct {
 	traced  TracedBackend // backend's tracing extension, nil if it has none
 	opts    Options
 	limit   int // admission bound, queueLimit (tests lower it after New)
+	// now reads the time for the latency accounting: time.Now, which a
+	// test replaces after New to make the stage windows exact.
+	now func() time.Time
 
 	mu     sync.Mutex
 	queued int // admitted, not yet finished
@@ -171,7 +167,7 @@ type Scheduler struct {
 func New(backend Backend, opts Options) *Scheduler {
 	opts = opts.normalize()
 	traced, _ := backend.(TracedBackend)
-	return &Scheduler{backend: backend, traced: traced, opts: opts, limit: queueLimit}
+	return &Scheduler{backend: backend, traced: traced, opts: opts, limit: queueLimit, now: time.Now}
 }
 
 // SubmitMany runs a whole request's input vectors under one admission
@@ -192,7 +188,7 @@ func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch
 	n := len(batches)
 	results := make([]Result, n)
 	errs := make([]error, n)
-	enq := s.opts.Clock.Now()
+	enq := s.now()
 	s.mu.Lock()
 	k, reject := 0, ErrClosed
 	if !s.closed {
@@ -236,7 +232,7 @@ func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch
 		if err == nil {
 			err = ctx.Err()
 		}
-		start := s.opts.Clock.Now()
+		start := s.now()
 		if lo == 0 {
 			tr.Span(StageQueueWait, enq, start.Sub(enq), 0)
 		}
@@ -250,7 +246,7 @@ func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch
 		default:
 			s.backend.ExecuteBatchInto(c, batches[lo:hi], outs[lo:hi], nil, errs[lo:hi])
 		}
-		s.finish(errs[lo:hi], enq, start, s.opts.Clock.Now())
+		s.finish(errs[lo:hi], enq, start, s.now())
 	}
 	if c == nil {
 		return results, errs

@@ -1,13 +1,15 @@
 package sched
 
 // Stage-decomposition tests: the scheduler splits per-item latency into
-// queue_wait / execute on the injected clock, feeds the per-stage
-// histograms (conserving counts), and records the windows as spans on a
-// traced call. A call is held mid-execution by the gated backend
-// (sched_test.go), never by a timer.
+// queue_wait / execute on its now field, feeds the per-stage histograms
+// (conserving counts), and records the windows as spans on a traced
+// call. A call is held mid-execution by the gated backend
+// (sched_test.go), never by a timer, and a test-local fake behind now
+// makes every window exact.
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,22 +30,45 @@ func findSpans(rec *trace.Record, stage string) []trace.SpanRecord {
 	return out
 }
 
+// fakeNow is a manually advanced time source for the scheduler's now
+// field: time moves only on advance.
+type fakeNow struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (f *fakeNow) now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *fakeNow) advance(d time.Duration) {
+	f.mu.Lock()
+	f.t = f.t.Add(d)
+	f.mu.Unlock()
+}
+
 // TestStageDecomposition drives two traced calls on one key: a
-// two-chunk call whose first chunk is held while a fake clock moves,
-// and a one-vector call that runs to completion meanwhile. On a fake
-// clock every window is exact: the held chunk executes for the held
-// time, the second chunk of the same call waits exactly that long
-// (queue_wait runs from admission to chunk start), and the other call
-// passes through zero-width.
+// two-chunk call whose first chunk is held while the fake time moves,
+// and a one-vector call that runs to completion meanwhile. Every window
+// is exact: the held chunk executes for the held time, the second chunk
+// of the same call waits exactly that long (queue_wait runs from
+// admission to chunk start), and the other call passes through
+// zero-width. Any time read that bypasses now adds real nanoseconds and
+// breaks the exact sums.
 func TestStageDecomposition(t *testing.T) {
 	const held = 5 * time.Millisecond
-	clk := NewFakeClock(time.Unix(0, 0))
+	// The fake starts at the wall clock, on which the tracer closes the
+	// traces and the engine times its spans.
+	clk := &fakeNow{t: time.Now()}
 	gb := newGatedBackend()
-	s := New(gb, Options{MaxBatch: 1, Clock: clk})
+	s := New(gb, Options{MaxBatch: 1})
+	s.now = clk.now
 	defer s.Close()
-	tracer := trace.New(trace.Options{Clock: clk, Service: "test"})
-	tr1 := tracer.Start(trace.ID{}, "chunked", clk.Now())
-	tr2 := tracer.Start(trace.ID{}, "alone", clk.Now())
+	tracer := trace.New(trace.Options{Service: "test"})
+	tr1 := tracer.Start(trace.ID{}, "chunked", clk.now())
+	tr2 := tracer.Start(trace.ID{}, "alone", clk.now())
 
 	g := testGraph(11)
 	in := testInputs(g, 1)
@@ -62,7 +87,7 @@ func TestStageDecomposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clk.Advance(held)
+	clk.advance(held)
 	gb.open()
 	for _, err := range <-done1 {
 		if err != nil {
@@ -79,7 +104,7 @@ func TestStageDecomposition(t *testing.T) {
 			st.QueueWaitHist.Count, st.ExecuteHist.Count, st.LatencyHist.Count)
 	}
 	if st.QueueWaitHist.Sum != int64(held) || st.ExecuteHist.Sum != int64(held) || st.LatencyHist.Sum != int64(2*held) {
-		t.Fatalf("queue_wait/execute/latency sums %d/%d/%d, want %d/%d/%d on the fake clock",
+		t.Fatalf("queue_wait/execute/latency sums %d/%d/%d, want %d/%d/%d on the fake time",
 			st.QueueWaitHist.Sum, st.ExecuteHist.Sum, st.LatencyHist.Sum, held, held, 2*held)
 	}
 	if st.Batches != 3 || st.LingerFlushes != 0 || st.LingerHist.Count != 0 {
@@ -103,7 +128,7 @@ func TestStageDecomposition(t *testing.T) {
 			t.Errorf("%s: queue_wait spans %+v, want one empty span at offset 0", tc.name, qsp)
 		}
 		// One engine execute span per chunk, carrying its batch size (the
-		// engine opens it past the gate, so it holds no fake time).
+		// engine times it on the tracer's wall clock, past the gate).
 		esp := findSpans(tc.rec, StageExecute)
 		if len(esp) != tc.chunks {
 			t.Fatalf("%s: %d execute spans, want %d: %+v", tc.name, len(esp), tc.chunks, tc.rec.Spans)

@@ -106,13 +106,11 @@ const MaxRequestBytes = 64 << 20
 const maxInputsPerRequest = 1024
 
 // Options configure a Server; the zero value is a production-ready
-// default. Request tracing needs no configuration: the tracer runs on
-// the scheduler's clock, so traces and stage accounting share one
-// timeline; requests carrying a traceparent header are always traced,
-// others are sampled (see package trace).
+// default. Request tracing needs no configuration: requests carrying a
+// traceparent header are always traced, others are sampled (see package
+// trace).
 type Options struct {
-	// Sched configures the scheduler: its chunk size, and the clock tests
-	// inject.
+	// Sched configures the scheduler: its chunk size.
 	Sched sched.Options
 }
 
@@ -122,10 +120,6 @@ type Options struct {
 type Server struct {
 	eng *engine.Engine
 	sch *sched.Scheduler
-	// clock is the scheduler's clock, shared so that request latency is
-	// measured on the same (possibly fake) timeline as the scheduler's
-	// stage accounting.
-	clock sched.Clock
 
 	draining atomic.Bool
 	// drainMu is held shared by every in-flight /execute handler and
@@ -146,14 +140,10 @@ type Server struct {
 // New builds a Server around eng.
 func New(eng *engine.Engine, opts Options) *Server {
 	s := &Server{
-		eng:   eng,
-		sch:   sched.New(eng, opts.Sched),
-		clock: opts.Sched.Clock,
+		eng:    eng,
+		sch:    sched.New(eng, opts.Sched),
+		tracer: trace.New(trace.Options{Service: "serve"}),
 	}
-	if s.clock == nil {
-		s.clock = sched.SystemClock
-	}
-	s.tracer = trace.New(trace.Options{Clock: s.clock, Service: "serve"})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
@@ -229,9 +219,9 @@ func (s *Server) fail(w http.ResponseWriter, msg string, status int) {
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	start := s.clock.Now()
+	start := time.Now()
 	s.requests.Add(1)
-	defer func() { s.latency.ObserveDuration(s.clock.Now().Sub(start)) }()
+	defer func() { s.latency.ObserveDuration(time.Since(start)) }()
 	if r.Method != http.MethodPost {
 		s.fail(w, "POST only", http.StatusMethodNotAllowed)
 		return
@@ -253,7 +243,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tracer.Finish(tr)
 
-	t0 := s.clock.Now()
+	t0 := time.Now()
 	body, err := ReadBody(w, r)
 	var req ExecuteRequest
 	if err == nil {
@@ -270,7 +260,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			len(req.Inputs), maxInputsPerRequest), http.StatusRequestEntityTooLarge)
 		return
 	}
-	t0 = s.clock.Now()
+	t0 = time.Now()
 	g, err := dag.Read(strings.NewReader(req.Graph), "request")
 	s.stage(tr, &s.parse, "parse", t0)
 	if err != nil {
@@ -286,7 +276,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		cfg = arch.MinEDP()
 	}
 	// A hostile {R: 1e9} request would otherwise OOM the server.
-	if err := engine.CheckMachineBounds(cfg); err != nil {
+	if err := cfg.CheckBounds(); err != nil {
 		s.fail(w, "bad config: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -334,7 +324,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	t0 = s.clock.Now()
+	t0 = time.Now()
 	out, err := json.Marshal(resp)
 	if err != nil {
 		s.fail(w, "encode: "+err.Error(), http.StatusInternalServerError)
@@ -348,7 +338,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // stage records a handler stage that began at t0 and ends now: in its
 // histogram, and as a span when the request is traced.
 func (s *Server) stage(tr *trace.Trace, h *metrics.Histogram, name string, t0 time.Time, attrs ...trace.Attr) {
-	d := s.clock.Now().Sub(t0)
+	d := time.Since(t0)
 	h.ObserveDuration(d)
 	tr.Span(name, t0, d, 0, attrs...)
 }

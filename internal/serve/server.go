@@ -66,11 +66,7 @@ func NewHTTPServer(addr string, h http.Handler, readTimeout, idleTimeout time.Du
 // shutdown bound for the whole drain sequence: without it a single
 // wedged step (a store flush on a dead disk) blocks process exit
 // forever, because only the final listener shutdown ever carried a
-// deadline. The real-time timer is
-// deliberate — this is a process-shutdown wall-clock bound, not
-// scheduling policy; there is no request path (and no FakeClock) here.
-//
-//lint:allow clockuse
+// deadline.
 func DrainWithin(d time.Duration, steps ...func()) bool {
 	done := make(chan struct{})
 	go func() {
@@ -103,10 +99,7 @@ func Run(ctx context.Context, name, addr, debugAddr string, h http.Handler, drai
 }
 
 // run is Run with the shutdown deadline as a parameter, so tests can
-// miss it in milliseconds. The wall-clock deadline is deliberate, as in
-// DrainWithin.
-//
-//lint:allow clockuse
+// miss it in milliseconds.
 func run(ctx context.Context, name, addr, debugAddr string, h http.Handler, timeout time.Duration, drain []func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -14,10 +14,7 @@
 //   - a sampled request amortizes to zero: Traces are pooled
 //     (sync.Pool) and spans append into a preallocated fixed-capacity
 //     slice; only Finish, off the latency-critical section, builds the
-//     immutable Record that the ring retains;
-//   - time comes from an injectable Clock (structurally compatible with
-//     sched.Clock), so the packages under the repo's clock-use lint rule
-//     can trace on the same fake timeline their policies run on.
+//     immutable Record that the ring retains.
 package trace
 
 import (
@@ -28,19 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Clock is the tracer's time source. It is a structural subset of
-// sched.Clock, so the scheduler's injectable clocks (SystemClock,
-// FakeClock) satisfy it directly; defining it here keeps trace free of
-// a sched import (sched imports trace, not the reverse).
-type Clock interface {
-	Now() time.Time
-}
-
-// sysClock is the default Clock.
-type sysClock struct{}
-
-func (sysClock) Now() time.Time { return time.Now() }
 
 // ID is a 16-byte trace identifier (the W3C trace-id).
 type ID [16]byte
@@ -143,9 +127,10 @@ func Traceparent(id ID, parent SpanID) string {
 
 // ParseTraceparent parses a W3C traceparent header value. It accepts
 // any version except the reserved ff, requires the fixed 00-version
-// layout, and rejects all-zero trace and parent IDs, per the spec.
+// layout with the flags ending the value or followed by a '-' field
+// separator, and rejects all-zero trace and parent IDs, per the spec.
 func ParseTraceparent(h string) (ID, SpanID, bool) {
-	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' || (len(h) > 55 && h[55] != '-') {
 		return ID{}, SpanID{}, false
 	}
 	if h[0] == 'f' && h[1] == 'f' {
@@ -257,7 +242,7 @@ func (t *Trace) Now() time.Time {
 	if t == nil || t.tracer == nil {
 		return time.Time{}
 	}
-	return t.tracer.clock.Now()
+	return t.tracer.now()
 }
 
 // Begin opens a live span under parent (-1 or 0 for the root) and
@@ -267,7 +252,7 @@ func (t *Trace) Begin(stage string, parent int) int {
 	if t == nil || t.tracer == nil {
 		return -1
 	}
-	start := t.tracer.clock.Now()
+	start := t.tracer.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.addLocked(stage, start, -1, parent)
@@ -278,7 +263,7 @@ func (t *Trace) End(idx int) {
 	if t == nil || idx < 0 || t.tracer == nil {
 		return
 	}
-	now := t.tracer.clock.Now()
+	now := t.tracer.now()
 	t.mu.Lock()
 	if !t.finished && idx < len(t.spans) && t.spans[idx].dur < 0 {
 		d := now.Sub(t.spans[idx].start)
@@ -404,9 +389,6 @@ const (
 // Options configure a Tracer; the zero value is a production-ready
 // default.
 type Options struct {
-	// Clock is the time source; nil means the system clock. Inject the
-	// scheduler's clock so spans and batching policy share a timeline.
-	Clock Clock
 	// Service tags every Record with the recording tier.
 	Service string
 }
@@ -415,7 +397,7 @@ type Options struct {
 // Safe for concurrent use.
 type Tracer struct {
 	service string
-	clock   Clock
+	now     func() time.Time // time.Now outside tests
 
 	seq  atomic.Uint64 // unsolicited-sampling counter
 	pool sync.Pool     // *Trace
@@ -438,19 +420,17 @@ type Tracer struct {
 
 // New builds a Tracer. A nil *Tracer is a valid one that records
 // nothing: Start returns nil and the request path pays nothing.
-func New(opts Options) *Tracer { return newTracer(opts, ringSize, reservoirSize) }
+func New(opts Options) *Tracer { return newTracer(opts, time.Now, ringSize, reservoirSize) }
 
-// newTracer is New with the retention bounds as parameters, so tests can
-// wrap the ring and fill the reservoir with a handful of traces.
-func newTracer(opts Options, ring, reservoir int) *Tracer {
+// newTracer is New with the time source and the retention bounds as
+// parameters, so tests can make span windows exact, wrap the ring and
+// fill the reservoir with a handful of traces.
+func newTracer(opts Options, now func() time.Time, ring, reservoir int) *Tracer {
 	t := &Tracer{
 		service:   opts.Service,
-		clock:     opts.Clock,
+		now:       now,
 		ring:      make([]atomic.Pointer[Record], ring),
 		reservoir: make([]*Record, 0, reservoir),
-	}
-	if t.clock == nil {
-		t.clock = sysClock{}
 	}
 	t.pool.New = func() any {
 		return &Trace{spans: make([]span, 0, maxSpans)}
@@ -480,7 +460,7 @@ func (t *Tracer) Start(id ID, root string, start time.Time) *Trace {
 		id = NewID()
 	}
 	if start.IsZero() {
-		start = t.clock.Now()
+		start = t.now()
 	}
 	tr := t.pool.Get().(*Trace)
 	tr.tracer = t
@@ -503,7 +483,7 @@ func (t *Tracer) Finish(tr *Trace) *Record {
 	if t == nil || tr == nil {
 		return nil
 	}
-	now := t.clock.Now()
+	now := t.now()
 	tr.mu.Lock()
 	tr.finished = true
 	rec := &Record{

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// manualClock is a trivial settable Clock (the tracer never arms timers,
-// so it needs less than sched.FakeClock).
+// manualClock is a trivial settable time source for newTracer: time
+// moves only on advance, so span windows are exact.
 type manualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -60,6 +60,8 @@ func TestTraceparentRejects(t *testing.T) {
 		valid[:36] + strings.Repeat("0", 16) + valid[52:], // zero parent
 		strings.ToUpper(valid),                            // hex must be lowercase
 		valid[:54],                                        // truncated
+		valid + "x",                                       // junk glued to the flags
+		"01" + valid[2:] + "x",                            // likewise under a future version
 	}
 	for _, h := range bad {
 		if _, _, ok := ParseTraceparent(h); ok {
@@ -88,7 +90,7 @@ func TestIDsNonZeroAndDistinct(t *testing.T) {
 
 func TestSpanRecording(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk, Service: "test"})
+	tr8 := newTracer(Options{Service: "test"}, clk.Now, ringSize, reservoirSize)
 	tr := tr8.Start(ID{}, "request", clk.Now())
 	if tr == nil {
 		t.Fatal("Start returned nil on an enabled tracer")
@@ -125,7 +127,7 @@ func TestSpanRecording(t *testing.T) {
 
 func TestFinishClosesOpenSpans(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	tr := tr8.Start(ID{}, "request", clk.Now())
 	sp := tr.Begin("hedge", 0) // never Ended: a canceled loser attempt
 	clk.advance(3 * time.Millisecond)
@@ -137,7 +139,7 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 
 func TestMaxSpansBudget(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	tr := tr8.Start(ID{}, "request", clk.Now())
 	for i := 0; i < 70; i++ {
 		tr.Span(fmt.Sprintf("s%d", i), clk.Now(), time.Millisecond, 0)
@@ -153,7 +155,7 @@ func TestMaxSpansBudget(t *testing.T) {
 
 func TestRingEviction(t *testing.T) {
 	clk := newManualClock()
-	tr8 := newTracer(Options{Clock: clk}, 4, reservoirSize) // zero-length traces: none slow
+	tr8 := newTracer(Options{}, clk.Now, 4, reservoirSize) // zero-length traces: none slow
 	var ids []string
 	for i := 0; i < 10; i++ {
 		tr := tr8.Start(ID{}, "r", clk.Now())
@@ -177,7 +179,7 @@ func TestRingEviction(t *testing.T) {
 func TestReservoirKeepsSlowest(t *testing.T) {
 	clk := newManualClock()
 	// Ring of 1 so only the reservoir retains history.
-	tr8 := newTracer(Options{Clock: clk}, 1, 3)
+	tr8 := newTracer(Options{}, clk.Now, 1, 3)
 	durs := []time.Duration{
 		5 * time.Millisecond, // under the 10ms threshold: never admitted
 		20 * time.Millisecond,
@@ -223,7 +225,7 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 // nanosecond less does not.
 func TestSlowThreshold(t *testing.T) {
 	clk := newManualClock()
-	tr8 := newTracer(Options{Clock: clk}, 1, reservoirSize)
+	tr8 := newTracer(Options{}, clk.Now, 1, reservoirSize)
 	for _, d := range []time.Duration{10*time.Millisecond - 1, 10 * time.Millisecond, 0} {
 		tr := tr8.Start(ID{}, "r", clk.Now())
 		clk.advance(d)
@@ -237,7 +239,7 @@ func TestSlowThreshold(t *testing.T) {
 
 func TestTracesFilters(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	fast := tr8.Start(ID{}, "r", clk.Now())
 	fast.Span("decode", clk.Now(), time.Millisecond, 0)
 	clk.advance(time.Millisecond)
@@ -282,7 +284,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 
 func TestSampledTraceAmortizedAllocFree(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	// Warm the pool and the ring (Record allocation in Finish is off the
 	// recording path; this test pins the RECORDING side: Start from pool,
 	// Begin/Span/SetAttrs into preallocated storage).
@@ -319,7 +321,7 @@ func TestSampleEvery(t *testing.T) {
 
 func TestConcurrentSpanWrites(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	tr := tr8.Start(ID{}, "r", clk.Now())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -344,7 +346,7 @@ func TestConcurrentSpanWrites(t *testing.T) {
 
 func TestUseAfterFinishIsDropped(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	tr := tr8.Start(ID{}, "r", clk.Now())
 	sp := tr.Begin("s", 0)
 	rec := tr8.Finish(tr)
@@ -359,7 +361,7 @@ func TestUseAfterFinishIsDropped(t *testing.T) {
 
 func TestTracesHandler(t *testing.T) {
 	clk := newManualClock()
-	tr8 := New(Options{Clock: clk})
+	tr8 := newTracer(Options{}, clk.Now, ringSize, reservoirSize)
 	for i, d := range []time.Duration{time.Millisecond, 30 * time.Millisecond} {
 		tr := tr8.Start(ID{}, "request", clk.Now())
 		tr.Span("decode", clk.Now(), time.Duration(i+1)*time.Millisecond, 0)

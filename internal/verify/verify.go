@@ -203,12 +203,6 @@ func Summary(fs []Finding) string {
 // quadratic.
 const maxFindings = 64
 
-// maxStateCells bounds the register-file state (B×R registers) the
-// verifier will allocate, matching engine.CheckMachineBounds
-// (B ≤ 2^10, R ≤ 2^12): a decoded artifact claiming a larger register
-// file is rejected before anything is allocated for it.
-const maxStateCells = 1 << 22
-
 // Program statically verifies a program against cfg and returns its
 // findings (empty = clean). It never executes the program and never
 // panics on malformed input: every illegal encoding becomes a finding.
@@ -306,8 +300,10 @@ func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
 	if err := cfg.Validate(); err != nil {
 		return reject(ClassResource, err.Error()), nil
 	}
-	if cfg.B*cfg.R > maxStateCells {
-		return reject(ClassResource, fmt.Sprintf("register file %d×%d exceeds the verifiable bound %d cells", cfg.B, cfg.R, maxStateCells)), nil
+	// A config claiming a huge machine is rejected before any state is
+	// allocated for it.
+	if err := cfg.CheckBounds(); err != nil {
+		return reject(ClassResource, err.Error()), nil
 	}
 	a := &analyzer{cfg: cfg, stored: make(map[int]struct{})}
 	a.walk = regfile.NewWalker[int32](cfg, a)

@@ -23,7 +23,7 @@ func TestDegenerateInputs(t *testing.T) {
 	if fs := verify.Program(&arch.Program{}, arch.Config{D: 9, B: 2, R: 2}); !verify.HasErrors(fs) {
 		t.Error("invalid config must not verify")
 	}
-	// A register file past engine.CheckMachineBounds is rejected before
+	// A register file past arch.Config.CheckBounds is rejected before
 	// any state is allocated for it.
 	huge := arch.Config{D: 1, B: 4096, R: 4096}
 	if fs := verify.Program(&arch.Program{Cfg: huge}, huge); !verify.HasErrors(fs) {
