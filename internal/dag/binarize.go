@@ -1,9 +1,11 @@
 package dag
 
+import "math"
+
 // Binarize returns a graph in which every interior node has exactly two
 // arguments, by expanding k-ary nodes (k>2) into balanced trees of 2-input
 // nodes of the same op, and widening 1-ary nodes into a 2-input op with a
-// neutral constant (0 for add, 1 for mul). The compiler requires a binary
+// neutral constant (−0 for add, 1 for mul). The compiler requires a binary
 // DAG so that nodes map one-to-one onto the 2-input PEs (§IV-A).
 //
 // The second return value maps each original node id to the id of the node
@@ -32,7 +34,9 @@ func Binarize(g *Graph) (*Graph, []NodeID) {
 	neutral := func(op Op) NodeID {
 		if op == OpAdd {
 			if zeroID == InvalidNode {
-				zeroID = out.AddConst(0)
+				// −0, not +0: x + (−0) is x bit for bit for every x,
+				// while −0 + (+0) is +0.
+				zeroID = out.AddConst(math.Copysign(0, -1))
 			}
 			return zeroID
 		}

@@ -26,7 +26,7 @@ func TestBinarizePresizesExactly(t *testing.T) {
 		{"tretail@0.1", pc.Build(pc.Suite()[0], 0.1), "92c1994f74e88057d4ce9bb662b1af914ed184be661bcbd57dc20b3b027d9d3d", 0x5219c378ace80525},
 		{"msnbc@0.1", pc.Build(pc.Suite()[3], 0.1), "5e7f648ac90eab23e8c6a707ed1901abcc6eea193795e2861c408c0681172c52", 0xaa8def9c8f789b55},
 		{"random-4ary", dag.RandomGraph(dag.RandomConfig{Inputs: 12, Interior: 400, MaxArgs: 4, MulFrac: 0.5, Seed: 7}), "f4db3d646ad2c3c56ee0f5494185ecbda647e641eca33c34f0061b5a1c4df2dd", 0x8a67eb9965746600},
-		{"unary", unary, "ed84f6c88ffb90edd23fd0177e3d5f7a37dd3c73d872e72f0d7f85048e3f6b1a", 0x96b6b6de411469d4},
+		{"unary", unary, "fcf7c897314566d17d3afeb84be7afe8e563c9cc51a9bb7ef127f1d1a6ba45aa", 0x96b6b6de411469d4},
 	} {
 		if tc.g.IsBinary() {
 			t.Fatalf("%s: already binary, test is vacuous", tc.name)

@@ -165,6 +165,34 @@ func TestBinarizeUnaryNode(t *testing.T) {
 	}
 }
 
+// TestBinarizeUnaryWideningIsExact: the neutral constant a 1-ary node
+// is widened with must leave every value bit for bit, signed zeros,
+// infinities, NaN and subnormals included — the widened graph is what
+// the server evaluates, and the client's graph is the reference. An add
+// widened with +0 turns −0 into +0.
+func TestBinarizeUnaryWideningIsExact(t *testing.T) {
+	for _, op := range []Op{OpAdd, OpMul} {
+		g := New("unary")
+		g.AddOp(op, g.AddInput())
+		bg, remap := Binarize(g)
+		for _, x := range []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, 1.5} {
+			want, err := Eval(g, []float64{x})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Eval(bg, []float64{x})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, b := want[1], got[remap[1]]
+			if math.Float64bits(w) != math.Float64bits(b) && !(math.IsNaN(w) && math.IsNaN(b)) {
+				t.Errorf("unary %v at %v: binarized %v (%#x), original %v (%#x)",
+					op, x, b, math.Float64bits(b), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
 func TestBinarizePreservesLeafValues(t *testing.T) {
 	g := New("t")
 	c := g.AddConst(4.25)
