@@ -529,16 +529,19 @@ func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float6
 	e.inFlight.Add(int64(-n))
 }
 
-// runChunk executes items [lo,hi) of a batch on one leased evaluator.
+// runChunk executes items [lo,hi) of a batch on one leased evaluator,
+// which walks the graph once per pass of up to 32 of them.
 func (e *Engine) runChunk(c *compiler.Compiled, batches, outs [][]float64, errs []error, lo, hi int) {
 	f := e.getEvaluator()
-	for i := lo; i < hi; i++ {
-		errs[i] = f.ExecuteInto(c, batches[i], outs[i])
-		if errs[i] == nil {
-			e.executions.Add(1)
+	f.ExecuteBatchInto(c, batches[lo:hi], outs[lo:hi], errs[lo:hi])
+	e.putEvaluator(f)
+	ok := 0
+	for _, err := range errs[lo:hi] {
+		if err == nil {
+			ok++
 		}
 	}
-	e.putEvaluator(f)
+	e.executions.Add(int64(ok))
 }
 
 // Stats returns a snapshot of the engine's counters.

@@ -205,6 +205,45 @@ func TestExecuteIntoSteadyStateIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestExecuteFullChunkSteadyStateIsAllocationFree is the one-item case
+// above at the scheduler's chunk size: a warmed 32-item batch on a
+// one-worker engine fills one 32-lane pass of the evaluator and must
+// allocate nothing either.
+func TestExecuteFullChunkSteadyStateIsAllocationFree(t *testing.T) {
+	e := New(Options{Workers: 1})
+	g := testGraph(2)
+	c, err := e.Compile(g, testCfg, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	batch, outs, errs := make([][]float64, n), make([][]float64, n), make([]error, n)
+	for i := range batch {
+		batch[i] = testInputs(g, float64(i+1))
+		outs[i] = make([]float64, len(c.Graph.Outputs()))
+	}
+	e.ExecuteBatchInto(c, batch, outs, nil, errs)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		e.ExecuteBatchInto(c, batch, outs, nil, errs)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state %d-item ExecuteBatchInto allocates %v objects/op, want 0", n, allocs)
+	}
+	for i := range batch {
+		want, _ := dag.Eval(c.Graph, batch[i])
+		for j, sink := range c.Graph.Outputs() {
+			if outs[i][j] != want[sink] {
+				t.Errorf("item %d sink %d = %v, want %v", i, sink, outs[i][j], want[sink])
+			}
+		}
+	}
+}
+
 // TestExecuteBatchSalvagesPartialFailure: a malformed item fails in its
 // own slot; its neighbours complete and only they count as executions.
 func TestExecuteBatchSalvagesPartialFailure(t *testing.T) {

@@ -7,6 +7,14 @@ import (
 	"dpuv2/internal/dag"
 )
 
+// maxLanes is the widest pass: the vectors of one scheduler chunk.
+const maxLanes = 32
+
+// laneBudget bounds a pass's scratch at 2 MiB of float64s: a graph of
+// more than laneBudget/maxLanes nodes runs with fewer lanes, and one of
+// more than laneBudget nodes with one, the footprint of a one-vector walk.
+const laneBudget = 1 << 18
+
 // FuncEvaluator is the serving executor: it evaluates the compiled
 // (binarized) graph directly instead of simulating the instruction
 // stream. The static verifier proves every served program hazard-free,
@@ -25,63 +33,136 @@ import (
 // measure: cycles are c.Stats.Cycles and activity is StaticStats(c.Prog),
 // both fixed at compile time.
 //
+// A batch is evaluated node-major, the paper's premise applied to the
+// host: one node holds too little arithmetic to pay for its own
+// dispatch, so each walk of the graph carries up to 32 vectors ("lanes")
+// through a [node][lane] scratch, and every node's dispatch is paid once
+// per pass instead of once per vector. Lanes never mix: lane l of a row
+// is computed only from lane l of its argument rows.
+//
 // The zero value is ready to use and serves any program on any
 // configuration. An evaluator is not safe for concurrent use — lease
-// one per goroutine — but is reusable: the value scratch grows to the
-// largest graph seen and is overwritten by every call, so steady-state
-// execution allocates nothing.
+// one per goroutine — but is reusable: the scratch grows to the largest
+// nodes × lanes product seen (at most max(8·nodes bytes, 2 MiB) per
+// graph; 709 kB for tretail@0.25 at 32 lanes) and is overwritten by
+// every pass, so steady-state execution allocates nothing.
 type FuncEvaluator struct {
 	vals []float64
 }
 
-// ExecuteInto evaluates c's binarized graph with the given inputs
-// (graph-input order), writing sink values into out in
-// c.Graph.Outputs() order. The walk mirrors dag.Eval exactly — the
-// reference the Machine is conformance-tested against — node by node in
-// topological (id) order, accumulating left-to-right, so
-// ternary-and-wider nodes can never appear (the compiled graph is
-// binary) and every operation matches the machine's bit for bit.
-func (f *FuncEvaluator) ExecuteInto(c *compiler.Compiled, inputs, out []float64) error {
-	if len(inputs) != len(c.InputWord) {
-		return fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))
-	}
+// ExecuteBatchInto evaluates c's binarized graph for every input vector
+// of batches (each in graph-input order), writing item i's sink values
+// into outs[i] in c.Graph.Outputs() order and its error into errs[i].
+// An item with the wrong input arity or output length fails in its own
+// slot and takes no lane; the others run in passes of
+// min(items, 32, max(1, 2^18/nodes)) lanes.
+//
+// The walk mirrors dag.Eval exactly — the reference the Machine is
+// conformance-tested against — node by node in topological (id) order,
+// accumulating left-to-right over Args in every lane, so each lane
+// performs the same float64 operations in the same order as a
+// one-vector walk and every output matches the machine's bit for bit.
+func (f *FuncEvaluator) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, errs []error) {
 	g := c.Graph
-	outs := g.Outputs()
-	if len(out) != len(outs) {
-		return fmt.Errorf("sim: output buffer has %d slots, graph has %d sinks", len(out), len(outs))
-	}
 	n := g.NumNodes()
-	if cap(f.vals) < n {
-		f.vals = make([]float64, n)
+	width := min(len(batches), maxLanes, max(1, laneBudget/max(n, 1)))
+	sinks := g.Outputs()
+	var items [maxLanes]int        // batch index of each lane
+	var inputs [maxLanes][]float64 // input vector of each lane
+	for i := 0; i < len(batches); {
+		w := 0
+		for ; i < len(batches) && w < width; i++ {
+			switch {
+			case len(batches[i]) != len(c.InputWord):
+				errs[i] = fmt.Errorf("sim: %d inputs provided, graph has %d", len(batches[i]), len(c.InputWord))
+			case len(outs[i]) != len(sinks):
+				errs[i] = fmt.Errorf("sim: output buffer has %d slots, graph has %d sinks", len(outs[i]), len(sinks))
+			default:
+				items[w], inputs[w] = i, batches[i]
+				w++
+			}
+		}
+		if w == 0 {
+			continue
+		}
+		if cap(f.vals) < n*w {
+			f.vals = make([]float64, n*w)
+		}
+		vals := f.vals[:n*w]
+		err := walk(g, vals, inputs[:w])
+		for l, item := range items[:w] {
+			errs[item] = err
+			if err == nil {
+				for k, sink := range sinks {
+					outs[item][k] = vals[int(sink)*w+l]
+				}
+			}
+		}
 	}
-	vals := f.vals[:n]
-	next := 0
-	for i := 0; i < n; i++ {
+}
+
+// walk evaluates g once over vals, a [node][lane] scratch with one lane
+// per input vector.
+func walk(g *dag.Graph, vals []float64, inputs [][]float64) error {
+	w, next := len(inputs), 0
+	for i, off := 0, 0; i < g.NumNodes(); i, off = i+1, off+w {
 		nd := g.Node(dag.NodeID(i))
+		dst := vals[off : off+w]
 		switch nd.Op {
 		case dag.OpInput:
-			vals[i] = inputs[next]
+			for l, in := range inputs {
+				dst[l] = in[next]
+			}
 			next++
 		case dag.OpConst:
-			vals[i] = nd.Val
+			for l := range dst {
+				dst[l] = nd.Val
+			}
 		case dag.OpAdd:
-			acc := vals[nd.Args[0]]
-			for _, a := range nd.Args[1:] {
-				acc += vals[a]
+			if len(nd.Args) == 2 { // every node of a binarized graph
+				addRows(dst, vals[int(nd.Args[0])*w:], vals[int(nd.Args[1])*w:])
+				continue
 			}
-			vals[i] = acc
+			x := vals[int(nd.Args[0])*w:]
+			for _, a := range nd.Args[1:] {
+				addRows(dst, x, vals[int(a)*w:])
+				x = dst
+			}
+			if len(nd.Args) == 1 {
+				copy(dst, x)
+			}
 		case dag.OpMul:
-			acc := vals[nd.Args[0]]
-			for _, a := range nd.Args[1:] {
-				acc *= vals[a]
+			if len(nd.Args) == 2 { // every node of a binarized graph
+				mulRows(dst, vals[int(nd.Args[0])*w:], vals[int(nd.Args[1])*w:])
+				continue
 			}
-			vals[i] = acc
+			x := vals[int(nd.Args[0])*w:]
+			for _, a := range nd.Args[1:] {
+				mulRows(dst, x, vals[int(a)*w:])
+				x = dst
+			}
+			if len(nd.Args) == 1 {
+				copy(dst, x)
+			}
 		default:
 			return fmt.Errorf("sim: node %d has unknown op %v", i, nd.Op)
 		}
 	}
-	for i, sink := range outs {
-		out[i] = vals[sink]
-	}
 	return nil
+}
+
+// addRows sets dst[l] = x[l] + y[l] for every lane l of dst.
+func addRows(dst, x, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	for l := range dst {
+		dst[l] = x[l] + y[l]
+	}
+}
+
+// mulRows sets dst[l] = x[l] * y[l] for every lane l of dst.
+func mulRows(dst, x, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	for l := range dst {
+		dst[l] = x[l] * y[l]
+	}
 }

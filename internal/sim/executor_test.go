@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,13 +27,16 @@ func sameBits(a, b float64) bool {
 		(math.IsNaN(a) && math.IsNaN(b))
 }
 
-// runFunc executes c on a fresh FuncEvaluator and returns the sink
-// values keyed by node id, the shape Run returns for the Machine.
+// runFunc executes c as a one-item batch on a fresh FuncEvaluator and
+// returns the sink values keyed by node id, the shape Run returns for
+// the Machine.
 func runFunc(c *compiler.Compiled, inputs []float64) (*Result, error) {
 	outs := c.Graph.Outputs()
 	out := make([]float64, len(outs))
-	if err := new(FuncEvaluator).ExecuteInto(c, inputs, out); err != nil {
-		return nil, err
+	errs := make([]error, 1)
+	new(FuncEvaluator).ExecuteBatchInto(c, [][]float64{inputs}, [][]float64{out}, errs)
+	if errs[0] != nil {
+		return nil, errs[0]
 	}
 	res := &Result{Outputs: make(map[dag.NodeID]float64, len(outs))}
 	for i, sink := range outs {
@@ -115,8 +119,9 @@ func TestStaticStatsMatchMachine(t *testing.T) {
 // TestExecutorConformanceMatrix is the serving executor's correctness
 // gate: over the same (graph × config) matrix that pins the machine
 // against the reference evaluator, the FuncEvaluator must match the
-// Machine bit-for-bit on every sink — one evaluator reused across
-// trials, as the engine reuses it, against a fresh machine per trial.
+// Machine bit-for-bit on every sink — its three trials run as one
+// batch, three lanes of one pass, as the engine runs a chunk, against
+// a fresh machine per trial.
 func TestExecutorConformanceMatrix(t *testing.T) {
 	for gi, g := range conformanceGraphs(testing.Short()) {
 		for _, cfg := range conformanceConfigs(testing.Short()) {
@@ -127,24 +132,28 @@ func TestExecutorConformanceMatrix(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(int64(gi) + 77))
 				outs := c.Graph.Outputs()
-				f := new(FuncEvaluator)
-				fOut := make([]float64, len(outs))
-				for trial := 0; trial < 3; trial++ {
-					inputs := make([]float64, len(c.Graph.Inputs()))
-					for i := range inputs {
-						inputs[i] = rng.Float64()*4 - 2
+				const trials = 3
+				batch, fOut, errs := make([][]float64, trials), make([][]float64, trials), make([]error, trials)
+				for trial := range batch {
+					batch[trial] = make([]float64, len(c.Graph.Inputs()))
+					for i := range batch[trial] {
+						batch[trial][i] = rng.Float64()*4 - 2
+					}
+					fOut[trial] = make([]float64, len(outs))
+				}
+				new(FuncEvaluator).ExecuteBatchInto(c, batch, fOut, errs)
+				for trial, inputs := range batch {
+					if errs[trial] != nil {
+						t.Fatalf("evaluator trial %d: %v", trial, errs[trial])
 					}
 					m, err := Run(c, inputs)
 					if err != nil {
 						t.Fatalf("machine: %v", err)
 					}
-					if err := f.ExecuteInto(c, inputs, fOut); err != nil {
-						t.Fatalf("evaluator: %v", err)
-					}
 					for i, sink := range outs {
-						if !sameBits(m.Outputs[sink], fOut[i]) {
+						if !sameBits(m.Outputs[sink], fOut[trial][i]) {
 							t.Errorf("trial %d sink %d: machine %v, evaluator %v (must be bit-exact)",
-								trial, sink, m.Outputs[sink], fOut[i])
+								trial, sink, m.Outputs[sink], fOut[trial][i])
 						}
 					}
 					if mc := m.Stats.Cycles; mc != c.Stats.Cycles {
@@ -341,8 +350,10 @@ func TestCheckOutputsRequiresEverySink(t *testing.T) {
 	}
 }
 
-// TestFuncEvaluatorErrors pins the evaluator's error cases; the arity
-// message is the machine path's (Run) word for word.
+// TestFuncEvaluatorErrors pins the evaluator's per-item error cases:
+// each failing item fails in its own slot, whatever its position in the
+// batch, and the good items around it are evaluated. The arity message
+// is the machine path's (Run) word for word.
 func TestFuncEvaluatorErrors(t *testing.T) {
 	g := dag.New("tiny")
 	a, b := g.AddInput(), g.AddInput()
@@ -351,24 +362,26 @@ func TestFuncEvaluatorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := new(FuncEvaluator)
-	out := make([]float64, 1)
-	if err := f.ExecuteInto(c, []float64{1}, out); err == nil || !strings.Contains(err.Error(), "inputs provided") {
+	batch := [][]float64{{1}, {1, 2}, {1, 2}, {3, 4}}
+	outs := [][]float64{make([]float64, 1), make([]float64, 3), make([]float64, 1), make([]float64, 1)}
+	errs := []error{nil, nil, errors.New("stale"), errors.New("stale")}
+	new(FuncEvaluator).ExecuteBatchInto(c, batch, outs, errs)
+	if err := errs[0]; err == nil || !strings.Contains(err.Error(), "inputs provided") {
 		t.Errorf("short inputs: %v", err)
 	} else if _, merr := Run(c, []float64{1}); merr == nil || merr.Error() != err.Error() {
 		t.Errorf("short inputs: machine says %v, evaluator %v", merr, err)
 	}
-	if err := f.ExecuteInto(c, []float64{1, 2}, make([]float64, 3)); err == nil || !strings.Contains(err.Error(), "output buffer") {
+	if err := errs[1]; err == nil || !strings.Contains(err.Error(), "output buffer") {
 		t.Errorf("bad out buffer: %v", err)
 	}
-	if err := f.ExecuteInto(c, []float64{1, 2}, out); err != nil || out[0] != 3 {
-		t.Errorf("ExecuteInto = %v, out %v; want nil, [3]", err, out)
+	if errs[2] != nil || outs[2][0] != 3 || errs[3] != nil || outs[3][0] != 7 {
+		t.Errorf("good items: errs %v, outs %v %v; want nil, [3] [7]", errs[2:], outs[2], outs[3])
 	}
 }
 
-// TestFuncEvaluatorSteadyStateAllocs verifies the fast path's reuse
-// contract: once the scratch is warm, repeated executions allocate
-// nothing.
+// TestFuncEvaluatorSteadyStateAllocs verifies the reuse contract: once
+// the scratch is warm, repeated executions of a one-item and of a
+// full 32-lane batch allocate nothing.
 func TestFuncEvaluatorSteadyStateAllocs(t *testing.T) {
 	g := conformanceGraphs(true)[1]
 	cfg := arch.Config{D: 2, B: 8, R: 16}
@@ -376,22 +389,23 @@ func TestFuncEvaluatorSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := new(FuncEvaluator)
-	inputs := make([]float64, len(c.Graph.Inputs()))
-	for i := range inputs {
-		inputs[i] = float64(i) + 0.5
-	}
-	out := make([]float64, len(c.Graph.Outputs()))
-	if err := f.ExecuteInto(c, inputs, out); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := f.ExecuteInto(c, inputs, out); err != nil {
+	for _, n := range []int{1, maxLanes} {
+		batch, outs, errs := make([][]float64, n), make([][]float64, n), make([]error, n)
+		for i := range batch {
+			batch[i] = randInputs(c.Graph, int64(i))
+			outs[i] = make([]float64, len(c.Graph.Outputs()))
+		}
+		f := new(FuncEvaluator)
+		f.ExecuteBatchInto(c, batch, outs, errs) // warm the scratch
+		if err := errors.Join(errs...); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state ExecuteInto allocates %v times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			f.ExecuteBatchInto(c, batch, outs, errs)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state %d-item ExecuteBatchInto allocates %v times per run, want 0", n, allocs)
+		}
 	}
 }
 
@@ -434,16 +448,26 @@ func FuzzFunctionalConformance(f *testing.F) {
 		if err != nil {
 			t.Fatalf("machine: %v", err)
 		}
-		fRes, err := runFunc(c, inputs)
-		if err != nil {
+		// The vector runs as the middle lane of a three-lane pass, its
+		// neighbours carrying their own inputs, so lane indexing is in
+		// the comparison too.
+		sinks := c.Graph.Outputs()
+		batch := [][]float64{randInputs(c.Graph, seed+1), inputs, randInputs(c.Graph, seed+2)}
+		outs := [][]float64{make([]float64, len(sinks)), make([]float64, len(sinks)), make([]float64, len(sinks))}
+		errs := make([]error, len(batch))
+		new(FuncEvaluator).ExecuteBatchInto(c, batch, outs, errs)
+		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("evaluator: %v", err)
 		}
-		for _, sink := range c.Graph.Outputs() {
-			mv, fv := mRes.Outputs[sink], fRes.Outputs[sink]
+		for i, sink := range sinks {
+			mv, fv := mRes.Outputs[sink], outs[1][i]
 			if !sameBits(mv, fv) {
 				t.Errorf("sink %d: machine %v (%#x), evaluator %v (%#x)",
 					sink, mv, math.Float64bits(mv), fv, math.Float64bits(fv))
 			}
+		}
+		for _, l := range []int{0, 2} {
+			checkLane(t, c, batch[l], outs[l], fmt.Sprintf("neighbour lane %d", l))
 		}
 		checkStaticStats(t, c, mRes.Stats)
 	})
