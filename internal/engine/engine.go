@@ -13,7 +13,9 @@
 //     steady-state execution allocates nothing;
 //
 //   - batched execution fanning input sets out over the internal/par
-//     worker pool with per-item error capture;
+//     worker pool with per-item error capture, each worker's chunk
+//     evaluated node-major — one walk of the graph per pass of up to 32
+//     vectors over the evaluator's [node][lane] scratch;
 //
 //   - an optional persistent backing store of compiled-program
 //     artifacts (internal/artifact): a compile miss consults the store
@@ -502,7 +504,8 @@ func (e *Engine) putEvaluator(f *sim.FuncEvaluator) {
 // c.Stats.Cycles (every item of a batch runs the same static schedule —
 // callers that hold c pass nil). The batch is split into contiguous
 // chunks, one per worker, and each worker leases a single evaluator for
-// its whole chunk, so free-list traffic is per batch, not per item. With
+// its whole chunk, so free-list traffic is per batch, not per item, and
+// the evaluator walks the graph once per 32 of the chunk's vectors. With
 // one worker (or a one-item batch) the whole call runs inline on the
 // caller's goroutine and allocates nothing in steady state.
 func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
@@ -529,8 +532,7 @@ func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float6
 	e.inFlight.Add(int64(-n))
 }
 
-// runChunk executes items [lo,hi) of a batch on one leased evaluator,
-// which walks the graph once per pass of up to 32 of them.
+// runChunk executes items [lo,hi) of a batch on one leased evaluator.
 func (e *Engine) runChunk(c *compiler.Compiled, batches, outs [][]float64, errs []error, lo, hi int) {
 	f := e.getEvaluator()
 	f.ExecuteBatchInto(c, batches[lo:hi], outs[lo:hi], errs[lo:hi])
