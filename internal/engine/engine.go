@@ -503,20 +503,21 @@ func (e *Engine) putEvaluator(f *sim.FuncEvaluator) {
 // error into errs[i]; cycles, when non-nil, is filled with
 // c.Stats.Cycles (every item of a batch runs the same static schedule —
 // callers that hold c pass nil). The batch is split into contiguous
-// chunks, one per worker, and each worker leases a single evaluator for
-// its whole chunk, so free-list traffic is per batch, not per item, and
-// the evaluator walks the graph once per 32 of the chunk's vectors. With
-// one worker (or a one-item batch) the whole call runs inline on the
-// caller's goroutine and allocates nothing in steady state.
+// chunks of whole evaluator passes (sim.PassWidth vectors each, 32 for
+// any graph up to 8,192 nodes), at most one chunk per worker, and each
+// worker leases a single evaluator for its chunk, so free-list traffic
+// is per batch, not per item. A batch of up to one pass width — every
+// scheduler chunk — therefore runs as a single pass inline on the
+// caller's goroutine, whatever the core count, and allocates nothing in
+// steady state.
 func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
 	n := len(batches)
 	if n == 0 {
 		return
 	}
-	workers := e.opts.Workers
-	if workers > n {
-		workers = n
-	}
+	width := sim.PassWidth(c.Graph)
+	passes := (n + width - 1) / width
+	workers := min(e.opts.Workers, passes)
 	for i := range cycles {
 		cycles[i] = c.Stats.Cycles
 	}
@@ -526,7 +527,9 @@ func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float6
 		e.runChunk(c, batches, outs, errs, 0, n)
 	} else {
 		par.ForEach(workers, workers, func(w int) {
-			e.runChunk(c, batches, outs, errs, n*w/workers, n*(w+1)/workers)
+			lo := min(n, width*(passes*w/workers))
+			hi := min(n, width*(passes*(w+1)/workers))
+			e.runChunk(c, batches, outs, errs, lo, hi)
 		})
 	}
 	e.inFlight.Add(int64(-n))

@@ -206,11 +206,11 @@ func TestExecuteIntoSteadyStateIsAllocationFree(t *testing.T) {
 }
 
 // TestExecuteFullChunkSteadyStateIsAllocationFree is the one-item case
-// above at the scheduler's chunk size: a warmed 32-item batch on a
-// one-worker engine fills one 32-lane pass of the evaluator and must
-// allocate nothing either.
+// above at the scheduler's chunk size: a warmed 32-item batch fills one
+// 32-lane pass of the evaluator, so even an eight-worker engine runs it
+// inline as a single chunk and must allocate nothing either.
 func TestExecuteFullChunkSteadyStateIsAllocationFree(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{Workers: 8})
 	g := testGraph(2)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {

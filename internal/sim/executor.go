@@ -50,12 +50,19 @@ type FuncEvaluator struct {
 	vals []float64
 }
 
+// PassWidth is the number of lanes in a full pass over g:
+// min(32, max(1, 2^18/nodes)), so a pass's scratch stays within
+// max(8·nodes bytes, 2 MiB).
+func PassWidth(g *dag.Graph) int {
+	return min(maxLanes, max(1, laneBudget/max(g.NumNodes(), 1)))
+}
+
 // ExecuteBatchInto evaluates c's binarized graph for every input vector
 // of batches (each in graph-input order), writing item i's sink values
 // into outs[i] in c.Graph.Outputs() order and its error into errs[i].
 // An item with the wrong input arity or output length fails in its own
 // slot and takes no lane; the others run in passes of
-// min(items, 32, max(1, 2^18/nodes)) lanes.
+// min(items, PassWidth(c.Graph)) lanes.
 //
 // The walk mirrors dag.Eval exactly — the reference the Machine is
 // conformance-tested against — node by node in topological (id) order,
@@ -65,7 +72,7 @@ type FuncEvaluator struct {
 func (f *FuncEvaluator) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, errs []error) {
 	g := c.Graph
 	n := g.NumNodes()
-	width := min(len(batches), maxLanes, max(1, laneBudget/max(n, 1)))
+	width := min(len(batches), PassWidth(g))
 	sinks := g.Outputs()
 	var items [maxLanes]int        // batch index of each lane
 	var inputs [maxLanes][]float64 // input vector of each lane
@@ -102,12 +109,13 @@ func (f *FuncEvaluator) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][
 }
 
 // walk evaluates g once over vals, a [node][lane] scratch with one lane
-// per input vector.
+// per input vector. Every add and mul node is binary: the compiler and
+// the artifact decoder accept only binarized graphs.
 func walk(g *dag.Graph, vals []float64, inputs [][]float64) error {
 	w, next := len(inputs), 0
-	for i, off := 0, 0; i < g.NumNodes(); i, off = i+1, off+w {
+	for i := 0; i < g.NumNodes(); i++ {
 		nd := g.Node(dag.NodeID(i))
-		dst := vals[off : off+w]
+		dst := vals[i*w : i*w+w]
 		switch nd.Op {
 		case dag.OpInput:
 			for l, in := range inputs {
@@ -118,51 +126,24 @@ func walk(g *dag.Graph, vals []float64, inputs [][]float64) error {
 			for l := range dst {
 				dst[l] = nd.Val
 			}
-		case dag.OpAdd:
-			if len(nd.Args) == 2 { // every node of a binarized graph
-				addRows(dst, vals[int(nd.Args[0])*w:], vals[int(nd.Args[1])*w:])
-				continue
+		case dag.OpAdd, dag.OpMul:
+			if len(nd.Args) != 2 {
+				return fmt.Errorf("sim: node %d has %d args, graph not binarized", i, len(nd.Args))
 			}
-			x := vals[int(nd.Args[0])*w:]
-			for _, a := range nd.Args[1:] {
-				addRows(dst, x, vals[int(a)*w:])
-				x = dst
-			}
-			if len(nd.Args) == 1 {
-				copy(dst, x)
-			}
-		case dag.OpMul:
-			if len(nd.Args) == 2 { // every node of a binarized graph
-				mulRows(dst, vals[int(nd.Args[0])*w:], vals[int(nd.Args[1])*w:])
-				continue
-			}
-			x := vals[int(nd.Args[0])*w:]
-			for _, a := range nd.Args[1:] {
-				mulRows(dst, x, vals[int(a)*w:])
-				x = dst
-			}
-			if len(nd.Args) == 1 {
-				copy(dst, x)
+			x, y := int(nd.Args[0])*w, int(nd.Args[1])*w
+			xs, ys := vals[x:x+w], vals[y:y+w]
+			if nd.Op == dag.OpAdd {
+				for l := range dst {
+					dst[l] = xs[l] + ys[l]
+				}
+			} else {
+				for l := range dst {
+					dst[l] = xs[l] * ys[l]
+				}
 			}
 		default:
 			return fmt.Errorf("sim: node %d has unknown op %v", i, nd.Op)
 		}
 	}
 	return nil
-}
-
-// addRows sets dst[l] = x[l] + y[l] for every lane l of dst.
-func addRows(dst, x, y []float64) {
-	x, y = x[:len(dst)], y[:len(dst)]
-	for l := range dst {
-		dst[l] = x[l] + y[l]
-	}
-}
-
-// mulRows sets dst[l] = x[l] * y[l] for every lane l of dst.
-func mulRows(dst, x, y []float64) {
-	x, y = x[:len(dst)], y[:len(dst)]
-	for l := range dst {
-		dst[l] = x[l] * y[l]
-	}
 }

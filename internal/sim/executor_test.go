@@ -377,6 +377,24 @@ func TestFuncEvaluatorErrors(t *testing.T) {
 	if errs[2] != nil || outs[2][0] != 3 || errs[3] != nil || outs[3][0] != 7 {
 		t.Errorf("good items: errs %v, outs %v %v; want nil, [3] [7]", errs[2:], outs[2], outs[3])
 	}
+
+	// The walk serves binarized graphs only; a unary or 3-arg node fails
+	// every item of the pass instead of being evaluated.
+	for _, arity := range []int{1, 3} {
+		u := dag.New("unbinarized")
+		args := []dag.NodeID{u.AddInput(), u.AddInput(), u.AddInput()}
+		u.AddOp(dag.OpMul, args[:arity]...)
+		uc := &compiler.Compiled{Graph: u, InputWord: make([]int, 3)}
+		sinks := len(u.Outputs())
+		errs := []error{nil, nil}
+		outs := [][]float64{make([]float64, sinks), make([]float64, sinks)}
+		new(FuncEvaluator).ExecuteBatchInto(uc, [][]float64{{1, 2, 3}, {4, 5, 6}}, outs, errs)
+		for i, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), "not binarized") {
+				t.Errorf("%d-arg node, item %d: %v, want a not-binarized error", arity, i, err)
+			}
+		}
+	}
 }
 
 // TestFuncEvaluatorSteadyStateAllocs verifies the reuse contract: once

@@ -108,15 +108,15 @@ func TestFuncEvaluatorLanes(t *testing.T) {
 // fewer lanes — one lane past laneBudget nodes — its scratch stays
 // within max(8·nodes bytes, 2 MiB), and its outputs stay exact. The
 // evaluator reads only the graph and the input count, so the graphs are
-// evaluated uncompiled.
+// binarized but not compiled.
 func TestFuncEvaluatorLaneBudget(t *testing.T) {
 	for _, tc := range []struct {
 		interior, items, lanes int
 	}{
-		{interior: 20000, items: 40, lanes: 13},
+		{interior: 20000, items: 40, lanes: 11},
 		{interior: laneBudget + 100, items: 3, lanes: 1},
 	} {
-		g := dag.RandomGraph(dag.RandomConfig{Inputs: 16, Interior: tc.interior, MaxArgs: 2, MulFrac: 0.2, Window: 32, Seed: 5})
+		g, _ := dag.Binarize(dag.RandomGraph(dag.RandomConfig{Inputs: 16, Interior: tc.interior, MaxArgs: 2, MulFrac: 0.2, Window: 32, Seed: 5}))
 		n := g.NumNodes()
 		c := &compiler.Compiled{Graph: g, InputWord: make([]int, len(g.Inputs()))}
 		batch, outs, errs := make([][]float64, tc.items), make([][]float64, tc.items), make([]error, tc.items)
@@ -153,7 +153,7 @@ func BenchmarkFuncEvaluatorBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{1, 8, 16, 32} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
 			batch, outs, errs := make([][]float64, n), make([][]float64, n), make([]error, n)
 			for i := range batch {
