@@ -354,42 +354,46 @@ func BenchmarkServeConcurrent(b *testing.B) {
 // TestServeBatchHotPathAllocZero pins the engine's serial batch path:
 // a warmed ExecuteBatchInto on a one-worker engine runs inline on the
 // caller's goroutine and must not allocate at all, whatever the batch
-// size. dpu-serve's engine runs GOMAXPROCS workers, which take the
-// parallel path that TestServeBatchParallelAllocCeiling pins.
+// size. dpu-serve's engine runs GOMAXPROCS workers and takes this path
+// too for a batch of up to one evaluator pass (32 vectors); longer
+// batches take the parallel path that TestServeBatchParallelAllocCeiling
+// pins.
 func TestServeBatchHotPathAllocZero(t *testing.T) {
-	if allocs, n := batchExecuteAllocs(t, engine.Options{Workers: 1}); allocs > 0 {
+	const n = 16
+	if allocs := batchExecuteAllocs(t, engine.Options{Workers: 1}, n); allocs > 0 {
 		t.Errorf("serial batch path allocates %v objects per %d-item batch, want 0", allocs, n)
 	}
 }
 
 // TestServeBatchParallelAllocCeiling bounds the parallel batch path that
-// dpu-serve's default engine (GOMAXPROCS workers) takes: par.ForEach's
-// closure, counter and wait group, plus one goroutine per worker. It
-// measures 3 + workers allocations per call (5 at GOMAXPROCS 2), and
-// the ceiling is that plus 3. It is skipped at GOMAXPROCS 1, where the
-// default engine takes the serial path.
+// dpu-serve's default engine (GOMAXPROCS workers) takes for a batch of
+// more than one evaluator pass (32 vectors): par.ForEach's closure,
+// counter and wait group, plus one goroutine per chunk. On a 64-item
+// batch (two passes) it measures 3 + min(workers, 2) allocations per
+// call, and the ceiling is that plus 3. It is skipped at GOMAXPROCS 1,
+// where the default engine takes the serial path.
 func TestServeBatchParallelAllocCeiling(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers == 1 {
 		t.Skip("GOMAXPROCS 1: the default engine runs batches serially")
 	}
-	allocs, n := batchExecuteAllocs(t, engine.Options{})
-	if ceiling := float64(3 + min(workers, n) + 3); allocs > ceiling {
+	const n = 64
+	allocs := batchExecuteAllocs(t, engine.Options{}, n)
+	if ceiling := float64(3 + min(workers, 2) + 3); allocs > ceiling {
 		t.Errorf("parallel batch path allocates %v objects per %d-item batch at %d workers, ceiling %v",
 			allocs, n, workers, ceiling)
 	}
 }
 
-// batchExecuteAllocs measures the allocations of one warmed 16-item
+// batchExecuteAllocs measures the allocations of one warmed n-item
 // ExecuteBatchInto on an engine built with opts.
-func batchExecuteAllocs(t *testing.T, opts engine.Options) (allocs float64, n int) {
+func batchExecuteAllocs(t *testing.T, opts engine.Options, n int) float64 {
 	g, in, cfg := serveConcurrentWorkload()
 	eng := engine.New(opts)
 	c, err := eng.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n = 16
 	batches := make([][]float64, n)
 	outs := make([][]float64, n)
 	cycles := make([]int, n)
@@ -399,7 +403,7 @@ func batchExecuteAllocs(t *testing.T, opts engine.Options) (allocs float64, n in
 		outs[i] = make([]float64, len(c.Graph.Outputs()))
 	}
 	eng.ExecuteBatchInto(c, batches, outs, cycles, errs) // warm the evaluators
-	allocs = testing.AllocsPerRun(50, func() {
+	allocs := testing.AllocsPerRun(50, func() {
 		eng.ExecuteBatchInto(c, batches, outs, cycles, errs)
 	})
 	for i, err := range errs {
@@ -407,7 +411,7 @@ func batchExecuteAllocs(t *testing.T, opts engine.Options) (allocs float64, n in
 			t.Fatalf("item %d: %v", i, err)
 		}
 	}
-	return allocs, n
+	return allocs
 }
 
 // TestSchedulerSubmitAllocCeiling bounds the full scheduler round trip
