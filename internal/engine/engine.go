@@ -12,10 +12,11 @@
 //     evaluator serves any program on any configuration), so
 //     steady-state execution allocates nothing;
 //
-//   - batched execution fanning input sets out over the internal/par
-//     worker pool with per-item error capture, each worker's chunk
-//     evaluated node-major — one walk of the graph per pass of up to 32
-//     vectors over the evaluator's [node][lane] scratch;
+//   - batched execution with per-item error capture, evaluated
+//     node-major — one walk of the graph per pass of up to 32 vectors
+//     over the evaluator's [node][lane] scratch — and split over the
+//     internal/par worker pool in whole passes, so a 32-vector batch is
+//     one pass on every host;
 //
 //   - an optional persistent backing store of compiled-program
 //     artifacts (internal/artifact): a compile miss consults the store

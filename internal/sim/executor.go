@@ -66,9 +66,11 @@ func PassWidth(g *dag.Graph) int {
 //
 // The walk mirrors dag.Eval exactly — the reference the Machine is
 // conformance-tested against — node by node in topological (id) order,
-// accumulating left-to-right over Args in every lane, so each lane
-// performs the same float64 operations in the same order as a
-// one-vector walk and every output matches the machine's bit for bit.
+// each node one binary operation on its two argument rows in Args
+// order, so each lane performs the same float64 operations in the same
+// order as a one-vector walk and every output matches the machine's bit
+// for bit. A graph with an add or mul node of any other arity fails
+// every item of the pass: compiled graphs are binarized.
 func (f *FuncEvaluator) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, errs []error) {
 	g := c.Graph
 	n := g.NumNodes()
