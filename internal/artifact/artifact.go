@@ -530,8 +530,8 @@ func decodePayload(b []byte) (*Artifact, error) {
 			g.AddConst(d.f64())
 		case dag.OpAdd, dag.OpMul:
 			nargs := int(d.uvarint())
-			if nargs < 1 || nargs > 2 {
-				d.fail("node %d has %d args, want 1..2 (binary graph)", i, nargs)
+			if nargs != 2 {
+				d.fail("node %d has %d args, want 2 (binary graph)", i, nargs)
 				break
 			}
 			args := make([]dag.NodeID, nargs)

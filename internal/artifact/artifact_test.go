@@ -199,7 +199,8 @@ func TestDecodeTypedErrors(t *testing.T) {
 
 // TestDecodeCorruptPayloads re-checksums structurally invalid payloads
 // so they reach the semantic decoder, which must reject each one as
-// ErrCorrupt (and never panic).
+// ErrCorrupt (and never panic); a case with a reason must be rejected
+// for it.
 func TestDecodeCorruptPayloads(t *testing.T) {
 	a := testArtifact(t, 2)
 	base, err := encodePayload(a)
@@ -207,19 +208,35 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name string
-		f    func(p []byte) []byte
+		name   string
+		f      func(p []byte) []byte
+		reason string
 	}{
-		{"empty payload", func(p []byte) []byte { return nil }},
-		{"invalid config D", func(p []byte) []byte { p[0] = 0x3f; return p }},
-		{"unknown topology", func(p []byte) []byte { p[3] = 99; return p }},
-		{"payload cut mid-graph", func(p []byte) []byte { return p[:len(p)/2] }},
-		{"garbage tail", func(p []byte) []byte { return append(p, 1, 2, 3) }},
+		{"empty payload", func(p []byte) []byte { return nil }, ""},
+		{"invalid config D", func(p []byte) []byte { p[0] = 0x3f; return p }, ""},
+		{"unknown topology", func(p []byte) []byte { p[3] = 99; return p }, ""},
+		{"payload cut mid-graph", func(p []byte) []byte { return p[:len(p)/2] }, ""},
+		{"garbage tail", func(p []byte) []byte { return append(p, 1, 2, 3) }, ""},
+		// A compiled graph is binary: a 1-arg node is refused where it
+		// stands, before the evaluator could meet it.
+		{"1-arg node", func([]byte) []byte {
+			var e enc
+			e.config(a.Compiled.Prog.Cfg)
+			e.options(a.Options)
+			e.raw(a.Fingerprint[:])
+			e.str("unary")
+			e.uvarint(2)
+			e.u8(uint8(dag.OpInput))
+			e.u8(uint8(dag.OpAdd))
+			e.uvarint(1)
+			e.uvarint(0)
+			return e.buf
+		}, "node 1 has 1 args"},
 	}
 	for _, tc := range cases {
 		p := tc.f(append([]byte(nil), base...))
-		if _, err := decodePayload(p); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: error %v, want ErrCorrupt", tc.name, err)
+		if _, err := decodePayload(p); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: error %v, want ErrCorrupt %q", tc.name, err, tc.reason)
 		}
 	}
 }

@@ -153,49 +153,43 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// Experiments lists the available experiment names in paper order.
-func Experiments() []string {
-	return []string{
-		"table1", "table2", "table3",
-		"fig1c", "fig3c", "fig6e", "fig10b", "fig10cd",
-		"fig11", "fig12", "fig13", "fig14a", "fig14b",
-		"progsize", "footprint",
-	}
+// experiments is every generator in paper order, by the name Run takes.
+var experiments = []struct {
+	name string
+	run  func(*Runner) (string, error)
+}{
+	{"table1", (*Runner).Table1},
+	{"table2", (*Runner).Table2},
+	{"table3", (*Runner).Table3},
+	{"fig1c", (*Runner).Fig1c},
+	{"fig3c", (*Runner).Fig3c},
+	{"fig6e", (*Runner).Fig6e},
+	{"fig10b", (*Runner).Fig10b},
+	{"fig10cd", (*Runner).Fig10cd},
+	{"fig11", (*Runner).Fig11},
+	{"fig12", (*Runner).Fig12},
+	{"fig13", (*Runner).Fig13},
+	{"fig14a", (*Runner).Fig14a},
+	{"fig14b", (*Runner).Fig14b},
+	{"progsize", (*Runner).ProgSize},
+	{"footprint", (*Runner).Footprint},
 }
 
-// Run dispatches an experiment by name.
+// Experiments lists the available experiment names in paper order.
+func Experiments() []string {
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	return names
+}
+
+// Run dispatches an experiment by name (case-insensitive).
 func (r *Runner) Run(name string) (string, error) {
-	switch strings.ToLower(name) {
-	case "table1":
-		return r.Table1()
-	case "table2":
-		return r.Table2()
-	case "table3":
-		return r.Table3()
-	case "fig1c":
-		return r.Fig1c()
-	case "fig3c":
-		return r.Fig3c()
-	case "fig6e":
-		return r.Fig6e()
-	case "fig10b":
-		return r.Fig10b()
-	case "fig10cd":
-		return r.Fig10cd()
-	case "fig11":
-		return r.Fig11()
-	case "fig12":
-		return r.Fig12()
-	case "fig13":
-		return r.Fig13()
-	case "fig14a":
-		return r.Fig14a()
-	case "fig14b":
-		return r.Fig14b()
-	case "progsize":
-		return r.ProgSize()
-	case "footprint":
-		return r.Footprint()
+	for _, x := range experiments {
+		if strings.EqualFold(x.name, name) {
+			return x.run(r)
+		}
 	}
 	return "", fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(Experiments(), ", "))
 }

@@ -13,9 +13,9 @@ import (
 )
 
 // Compile lowers a DAG to a DPU-v2 program for the given configuration,
-// running the four steps of §IV. Non-binary graphs are binarized first;
-// the returned Compiled carries the remapping. It is Plan followed by
-// Emit(cfg.R).
+// running the four steps of §IV. Every graph is binarized first, into a
+// graph of its own (the caller's is never aliased); the returned Compiled
+// carries the remapping. It is Plan followed by Emit(cfg.R).
 func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
 	p, err := Plan(g, cfg, opts)
 	if err != nil {
@@ -64,17 +64,7 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 		return nil, fmt.Errorf("compiler: partition size %d outside [0,%d]", opts.PartitionSize, math.MaxInt32)
 	}
 
-	bg := g
-	var remap []dag.NodeID
-	if g.IsBinary() {
-		remap = make([]dag.NodeID, g.NumNodes())
-		for i := range remap {
-			remap[i] = dag.NodeID(i)
-		}
-	} else {
-		bg, remap = dag.Binarize(g)
-	}
-
+	bg, remap := dag.Binarize(g)
 	p := &Planned{cfg: cfg, graph: bg, remap: remap}
 	keys := partitionKeys(bg, dag.DFSOrder(bg), opts.PartitionSize)
 	blocks, err := decompose(bg, cfg, keys)

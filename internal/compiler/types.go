@@ -106,8 +106,9 @@ type Compiled struct {
 	Prog *arch.Program
 	// Graph is the binarized DAG the program executes.
 	Graph *dag.Graph
-	// Remap maps the caller's original node ids to Graph's ids (identity
-	// when the input was already binary).
+	// Remap maps the caller's original node ids to Graph's ids, as
+	// dag.Binarize returns it: it carries the caller's sinks onto
+	// Graph's sinks in order, so output j of Graph is the caller's sink j.
 	Remap []dag.NodeID
 	// InputWord[i] is the data-memory word holding the i-th OpInput (in
 	// Graph input order); the runner writes input values there.

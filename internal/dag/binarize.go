@@ -9,7 +9,10 @@ import "math"
 // DAG so that nodes map one-to-one onto the 2-input PEs (§IV-A).
 //
 // The second return value maps each original node id to the id of the node
-// computing its value in the binarized graph.
+// computing its value in the binarized graph. Ids map in increasing order
+// and no sink gains a consumer, so the sinks keep their order:
+// remap[g.Outputs()[j]] == out.Outputs()[j]. A graph that is already
+// binary comes back node for node identical.
 func Binarize(g *Graph) (*Graph, []NodeID) {
 	out := New(g.Name)
 	// The output size is known up front: a k-ary node becomes max(1, k−1)

@@ -270,25 +270,13 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// IsBinary reports whether every interior node has at most two arguments,
-// i.e. the graph is directly mappable to the 2-input PEs.
+// IsBinary reports whether every interior node has exactly two
+// arguments, i.e. the graph maps node for node onto the 2-input PEs.
 func (g *Graph) IsBinary() bool {
 	for i := range g.nodes {
-		if len(g.nodes[i].Args) > 2 {
+		if n := &g.nodes[i]; !n.Op.IsLeaf() && len(n.Args) != 2 {
 			return false
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the graph (derived caches excluded).
-func (g *Graph) Clone() *Graph {
-	c := &Graph{Name: g.Name, nodes: make([]Node, len(g.nodes))}
-	copy(c.nodes, g.nodes)
-	for i := range c.nodes {
-		if a := c.nodes[i].Args; a != nil {
-			c.nodes[i].Args = append([]NodeID(nil), a...)
-		}
-	}
-	return c
 }

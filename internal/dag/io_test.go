@@ -98,8 +98,10 @@ func TestReadLongLine(t *testing.T) {
 	}
 }
 
-// FuzzGraphRead: Read never panics on arbitrary text, and a graph it
-// accepts survives Write and a second Read with the same Fingerprint.
+// FuzzGraphRead: Read never panics on arbitrary text, a graph it
+// accepts survives Write and a second Read with the same Fingerprint,
+// and Binarize keeps its structural contract on it (checkBinarized:
+// binary output, a remap entry per node, sinks in order).
 func FuzzGraphRead(f *testing.F) {
 	f.Add("# a tiny dag\ninput\n\nconst 2.5\nadd 0 1\nmul 2 2 0\n")
 	f.Add("input\nconst NaN\nconst -0\nconst +Inf\nconst 0x1p-3\nadd 0 1 2 3 4\n")
@@ -126,6 +128,10 @@ func FuzzGraphRead(f *testing.F) {
 		}
 		if back.Fingerprint() != g.Fingerprint() {
 			t.Fatalf("round trip changed the fingerprint\nin:\n%s\nout:\n%s", src, out.String())
+		}
+		bg, remap := Binarize(g)
+		if err := checkBinarized(g, bg, remap); err != nil {
+			t.Fatalf("Binarize: %v\nin:\n%s", err, src)
 		}
 	})
 }

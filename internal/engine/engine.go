@@ -206,12 +206,11 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 		e.moveToFront(ent)
 		e.mu.Unlock()
 		<-ent.done
-		// A program the engine compiled always satisfies this, but a
-		// preloaded artifact is only validated against its own content —
-		// a crafted remap shorter than the graph it claims to serve
-		// would index out of range on the serving hot path. Evict it
-		// (cache and store) so the next request recompiles cleanly.
-		if ent.err == nil && len(ent.c.Remap) != g.NumNodes() {
+		// A program the engine compiled always serves g, but a preloaded
+		// artifact is only validated against its own content. Evict one
+		// that does not (cache and store) so the next request recompiles
+		// cleanly.
+		if ent.err == nil && !servesGraph(g, ent.c) {
 			// Only the waiter that actually evicts the entry purges the
 			// store file, and it does so before any retry can miss: a
 			// late purge would delete the artifact the retry's compile
@@ -220,8 +219,8 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 			if e.dropPoisoned(k, ent) {
 				e.storeErrors.Add(1)
 			}
-			return nil, fmt.Errorf("engine: cached program for %s maps %d nodes, graph has %d (poisoned artifact evicted; retry recompiles)",
-				k.Fingerprint.Short(), len(ent.c.Remap), g.NumNodes()), true
+			return nil, fmt.Errorf("engine: cached program for %s does not map the graph's %d nodes and sinks onto its own (poisoned artifact evicted; retry recompiles)",
+				k.Fingerprint.Short(), g.NumNodes()), true
 		}
 		return ent.c, ent.err, true
 	}
@@ -245,6 +244,25 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 	e.evictLocked()
 	e.mu.Unlock()
 	return c, err, false
+}
+
+// servesGraph reports whether c answers for g: its remap covers g's
+// nodes and carries g's sinks onto c.Graph's sinks, in order, so output
+// j of c.Graph is g's sink j. Every program the compiler builds does
+// (dag.Binarize keeps sinks in order); a decoded artifact is checked
+// only against its own content, so the engine checks this before it
+// serves one.
+func servesGraph(g *dag.Graph, c *compiler.Compiled) bool {
+	orig, sinks := g.Outputs(), c.Graph.Outputs()
+	if len(c.Remap) != g.NumNodes() || len(orig) != len(sinks) {
+		return false
+	}
+	for j, o := range orig {
+		if c.Remap[o] != sinks[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // maxVerifiedKeys bounds the verification memo; past it the memo is
@@ -287,7 +305,7 @@ func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, pare
 	if st := e.opts.Store; st != nil {
 		sd := tr.Begin("store_decode", parent)
 		switch a, err := st.Get(k); {
-		case err == nil && len(a.Compiled.Remap) == g.NumNodes():
+		case err == nil && servesGraph(g, a.Compiled):
 			if e.verifyDecoded(k, a.Compiled) {
 				e.storeHits.Add(1)
 				tr.SetAttrs(sd, trace.Bool("hit", true))
@@ -300,9 +318,9 @@ func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, pare
 			e.storeErrors.Add(1)
 			st.Remove(k)
 		case err == nil:
-			// Internally consistent artifact, but its remap does not fit
-			// the graph being served — crafted or foreign content at this
-			// key. Purge it and compile; the persist below replaces it.
+			// Internally consistent artifact, but it does not serve the
+			// graph at hand — crafted or foreign content at this key.
+			// Purge it and compile; the persist below replaces it.
 			e.storeErrors.Add(1)
 			st.Remove(k)
 		case errors.Is(err, artifact.ErrNotFound):
@@ -317,18 +335,9 @@ func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, pare
 		tr.SetAttrs(sd, trace.Bool("hit", false))
 		tr.End(sd)
 	}
-	// A binary graph would be carried by the Compiled as-is (non-binary
-	// graphs are binarized into a fresh one), aliasing the caller's
-	// mutable object into the cache; compile a private clone so a caller
-	// mutating its graph afterwards cannot corrupt cached programs other
-	// requests share. O(n) on a miss only, amortized by the cache.
-	cg := g
-	if g.IsBinary() {
-		cg = g.Clone()
-	}
 	cs := tr.Begin("compile", parent)
 	tr.SetAttrs(cs, trace.Int("nodes", int64(g.NumNodes())))
-	c, err := compiler.Compile(cg, k.Config, k.Options)
+	c, err := compiler.Compile(g, k.Config, k.Options)
 	tr.End(cs)
 	if err == nil && e.opts.Store != nil {
 		a := &artifact.Artifact{Fingerprint: k.Fingerprint, Options: k.Options, Compiled: c}

@@ -280,9 +280,8 @@ func TestExecuteBatchSalvagesPartialFailure(t *testing.T) {
 
 func TestCachedProgramImmuneToCallerMutation(t *testing.T) {
 	e := New(Options{})
-	// Built by hand so the graph is binary: the compiler then carries the
-	// caller's graph itself (no binarization copy), the aliasing-prone
-	// case.
+	// Built by hand so the graph is binary: binarization then returns an
+	// identical graph, and the program must still hold its own copy.
 	g := dag.New("mutate-after-compile")
 	a, b := g.AddInput(), g.AddInput()
 	s := g.AddOp(dag.OpAdd, a, b)
@@ -293,6 +292,9 @@ func TestCachedProgramImmuneToCallerMutation(t *testing.T) {
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.Graph == g {
+		t.Fatal("the compiled program aliases the caller's graph")
 	}
 	in := testInputs(g, 1)
 	want, err := dag.Eval(c.Graph, in)

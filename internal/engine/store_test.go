@@ -371,84 +371,119 @@ func TestCorruptArtifactFallsBackToCompile(t *testing.T) {
 	}
 }
 
-// poisonedArtifact builds an internally consistent artifact whose remap
-// is one entry short of the graph it claims to serve — the shape that
-// would index out of range on the serving hot path if trusted.
-func poisonedArtifact(t *testing.T, g *dag.Graph) *artifact.Artifact {
+// poisons are the remaps an internally consistent artifact can carry
+// that do not serve the graph it claims to: one entry short (it would
+// index out of range on the serving hot path if trusted), and full
+// length with a sink pointed at an interior node (it would answer with
+// the wrong value).
+var poisons = []struct {
+	name   string
+	poison func(g *dag.Graph, c *compiler.Compiled)
+}{
+	{"short", func(g *dag.Graph, c *compiler.Compiled) { c.Remap = c.Remap[:len(c.Remap)-1] }},
+	{"sink-to-interior", func(g *dag.Graph, c *compiler.Compiled) {
+		for id := range c.Graph.NumNodes() {
+			n := dag.NodeID(id)
+			if !c.Graph.Op(n).IsLeaf() && len(c.Graph.Succs(n)) > 0 {
+				c.Remap[g.Outputs()[0]] = n
+				return
+			}
+		}
+		panic("compiled graph has no interior non-sink node")
+	}},
+}
+
+// poisonedArtifact builds an internally consistent artifact for g whose
+// remap has been poisoned.
+func poisonedArtifact(t *testing.T, g *dag.Graph, poison func(*dag.Graph, *compiler.Compiled)) *artifact.Artifact {
 	t.Helper()
 	c, err := compiler.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Remap = c.Remap[:len(c.Remap)-1]
+	poison(g, c)
 	return &artifact.Artifact{Fingerprint: g.Fingerprint(), Options: compiler.Options{}, Compiled: c}
 }
 
-// TestPoisonedRemapRejectedOnStoreHit: an artifact whose remap does not
-// fit the request graph is purged and transparently recompiled on the
-// miss path — never served, never a panic.
-func TestPoisonedRemapRejectedOnStoreHit(t *testing.T) {
-	st := openStore(t)
-	g := testGraph(21)
-	if err := st.Put(poisonedArtifact(t, g)); err != nil {
-		t.Fatal(err)
-	}
-	e := newStoreEngine(t, Options{Store: st})
-	c, err := e.Compile(g, testCfg, compiler.Options{})
-	if err != nil {
-		t.Fatalf("poisoned store broke compilation: %v", err)
-	}
-	if len(c.Remap) != g.NumNodes() {
-		t.Fatalf("served remap has %d entries for a %d-node graph", len(c.Remap), g.NumNodes())
-	}
-	if s := e.Stats(); s.StoreErrors != 1 || s.StoreHits != 0 {
-		t.Errorf("stats: %+v, want 1 store error and no store hit", s)
-	}
-	// The recompile's persist healed the key.
-	e.Flush()
+// checkHealed fails t unless the store's artifact for g serves g.
+func checkHealed(t *testing.T, st *artifact.Store, g *dag.Graph) {
+	t.Helper()
 	key := artifact.KeyFor(g.Fingerprint(), testCfg, compiler.Options{})
 	if a, err := st.Get(key); err != nil {
 		t.Errorf("store did not heal: %v", err)
-	} else if len(a.Compiled.Remap) != g.NumNodes() {
-		t.Error("healed artifact still carries the short remap")
+	} else if !servesGraph(g, a.Compiled) {
+		t.Error("healed artifact still carries the poisoned remap")
+	}
+}
+
+// TestPoisonedRemapRejectedOnStoreHit: an artifact whose remap does not
+// serve the request graph is purged and transparently recompiled on the
+// miss path — never served, never a panic.
+func TestPoisonedRemapRejectedOnStoreHit(t *testing.T) {
+	for _, p := range poisons {
+		t.Run(p.name, func(t *testing.T) {
+			st := openStore(t)
+			g := testGraph(21)
+			if err := st.Put(poisonedArtifact(t, g, p.poison)); err != nil {
+				t.Fatal(err)
+			}
+			e := newStoreEngine(t, Options{Store: st})
+			c, err := e.Compile(g, testCfg, compiler.Options{})
+			if err != nil {
+				t.Fatalf("poisoned store broke compilation: %v", err)
+			}
+			if !servesGraph(g, c) {
+				t.Fatal("served a program that does not serve the graph")
+			}
+			if s := e.Stats(); s.StoreErrors != 1 || s.StoreHits != 0 {
+				t.Errorf("stats: %+v, want 1 store error and no store hit", s)
+			}
+			// The recompile's persist healed the key.
+			e.Flush()
+			checkHealed(t, st, g)
+		})
 	}
 }
 
 // TestPoisonedRemapRejectedAfterPreload: Preload cannot check a remap
 // (it has no request graph), so the cache-hit path must — a typed
 // error, eviction from cache and store, and a clean recompile on retry
-// instead of an index-out-of-range panic mid-request.
+// instead of an index-out-of-range panic or a wrong answer mid-request.
 func TestPoisonedRemapRejectedAfterPreload(t *testing.T) {
-	st := openStore(t)
-	g := testGraph(22)
-	if err := st.Put(poisonedArtifact(t, g)); err != nil {
-		t.Fatal(err)
-	}
-	e := newStoreEngine(t, Options{Store: st})
-	if n, err := e.Preload(); err != nil || n != 1 {
-		t.Fatalf("preload: %d, %v", n, err)
-	}
-	if _, err := e.Compile(g, testCfg, compiler.Options{}); err == nil {
-		t.Fatal("poisoned preloaded artifact was served")
-	}
-	if s := e.Stats(); s.StoreErrors != 1 {
-		t.Errorf("store errors = %d, want 1", s.StoreErrors)
-	}
-	// Retry: the entry and file are gone, so this is a clean compile.
-	c, err := e.Compile(g, testCfg, compiler.Options{})
-	if err != nil {
-		t.Fatalf("retry after eviction: %v", err)
-	}
-	if len(c.Remap) != g.NumNodes() {
-		t.Errorf("retry served remap of %d entries for %d nodes", len(c.Remap), g.NumNodes())
-	}
-	inputs := testInputs(g, 2)
-	res, err := executeOne(e, c, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.CheckOutputs(c, inputs, res, 0); err != nil {
-		t.Errorf("recovered program vs reference: %v", err)
+	for _, p := range poisons {
+		t.Run(p.name, func(t *testing.T) {
+			st := openStore(t)
+			g := testGraph(22)
+			if err := st.Put(poisonedArtifact(t, g, p.poison)); err != nil {
+				t.Fatal(err)
+			}
+			e := newStoreEngine(t, Options{Store: st})
+			if n, err := e.Preload(); err != nil || n != 1 {
+				t.Fatalf("preload: %d, %v", n, err)
+			}
+			if _, err := e.Compile(g, testCfg, compiler.Options{}); err == nil {
+				t.Fatal("poisoned preloaded artifact was served")
+			}
+			if s := e.Stats(); s.StoreErrors != 1 {
+				t.Errorf("store errors = %d, want 1", s.StoreErrors)
+			}
+			// Retry: the entry and file are gone, so this is a clean compile.
+			c, err := e.Compile(g, testCfg, compiler.Options{})
+			if err != nil {
+				t.Fatalf("retry after eviction: %v", err)
+			}
+			if !servesGraph(g, c) {
+				t.Error("retry served a program that does not serve the graph")
+			}
+			inputs := testInputs(g, 2)
+			res, err := executeOne(e, c, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.CheckOutputs(c, inputs, res, 0); err != nil {
+				t.Errorf("recovered program vs reference: %v", err)
+			}
+		})
 	}
 }
 
@@ -457,42 +492,41 @@ func TestPoisonedRemapRejectedAfterPreload(t *testing.T) {
 // the waiter that evicts the entry purges the file, so a late waiter
 // cannot delete the artifact a retry has already re-persisted.
 func TestPoisonedRemapConcurrentWaitersHealOnce(t *testing.T) {
-	st := openStore(t)
-	g := testGraph(23)
-	if err := st.Put(poisonedArtifact(t, g)); err != nil {
-		t.Fatal(err)
-	}
-	e := newStoreEngine(t, Options{Store: st})
-	if n, err := e.Preload(); err != nil || n != 1 {
-		t.Fatalf("preload: %d, %v", n, err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// First call may fail on the poisoned entry; retry must
-			// succeed with a correct remap.
-			for attempt := 0; attempt < 2; attempt++ {
-				c, err := e.Compile(g, testCfg, compiler.Options{})
-				if err != nil {
-					continue
-				}
-				if len(c.Remap) != g.NumNodes() {
-					t.Errorf("served remap of %d entries for %d nodes", len(c.Remap), g.NumNodes())
-				}
-				return
+	for _, p := range poisons {
+		t.Run(p.name, func(t *testing.T) {
+			st := openStore(t)
+			g := testGraph(23)
+			if err := st.Put(poisonedArtifact(t, g, p.poison)); err != nil {
+				t.Fatal(err)
 			}
-			t.Error("compile did not recover after the poisoned entry was evicted")
-		}()
-	}
-	wg.Wait()
-	e.Flush()
-	key := artifact.KeyFor(g.Fingerprint(), testCfg, compiler.Options{})
-	if a, err := st.Get(key); err != nil {
-		t.Errorf("store not healed after concurrent waiters: %v", err)
-	} else if len(a.Compiled.Remap) != g.NumNodes() {
-		t.Error("healed artifact still short")
+			e := newStoreEngine(t, Options{Store: st})
+			if n, err := e.Preload(); err != nil || n != 1 {
+				t.Fatalf("preload: %d, %v", n, err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// First call may fail on the poisoned entry; retry must
+					// succeed with a program that serves the graph.
+					for attempt := 0; attempt < 2; attempt++ {
+						c, err := e.Compile(g, testCfg, compiler.Options{})
+						if err != nil {
+							continue
+						}
+						if !servesGraph(g, c) {
+							t.Error("served a program that does not serve the graph")
+						}
+						return
+					}
+					t.Error("compile did not recover after the poisoned entry was evicted")
+				}()
+			}
+			wg.Wait()
+			e.Flush()
+			checkHealed(t, st, g)
+		})
 	}
 }
 

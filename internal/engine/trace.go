@@ -1,12 +1,12 @@
 package engine
 
-// Tracing entry points: the scheduler (sched.TracedBackend) calls these
-// instead of Compile/ExecuteBatchInto when a call carries a trace, so
-// the engine's share of a request's latency decomposes into named spans
-// — resolve (the whole cache interaction), store_decode and compile
-// (where a miss actually went), execute (the leased-evaluator batch
-// window). With a nil trace both are exactly their untraced twins:
-// tracing is an overlay, never a second code path.
+// Tracing entry point: the scheduler (sched.TracedBackend) calls this
+// instead of Compile when a call carries a trace, so the engine's cache
+// interaction decomposes into named spans — resolve (the whole cache
+// interaction), store_decode and compile (where a miss actually went).
+// The scheduler records each chunk's execute span itself. With a nil
+// trace it is exactly Compile: tracing is an overlay, never a second
+// code path.
 
 import (
 	"dpuv2/internal/arch"
@@ -29,17 +29,4 @@ func (e *Engine) CompileTraced(g *dag.Graph, cfg arch.Config, opts compiler.Opti
 		trace.Bool("cache_hit", hit))
 	tr.End(sp)
 	return c, err
-}
-
-// ExecuteBatchIntoTraced is ExecuteBatchInto recording an "execute"
-// span (batch size) against tr.
-func (e *Engine) ExecuteBatchIntoTraced(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error, tr *trace.Trace) {
-	if tr == nil {
-		e.ExecuteBatchInto(c, batches, outs, cycles, errs)
-		return
-	}
-	sp := tr.Begin("execute", 0)
-	tr.SetAttrs(sp, trace.Int("batch_size", int64(len(batches))))
-	e.ExecuteBatchInto(c, batches, outs, cycles, errs)
-	tr.End(sp)
 }

@@ -1,9 +1,8 @@
 package engine
 
-// Tests for the traced engine entry points: CompileTraced's resolve
+// Tests for the traced engine entry point: CompileTraced's resolve
 // span reports the cache outcome and nests where a miss actually went
-// (compile, or store_decode on a store hit), and
-// ExecuteBatchIntoTraced brackets the batch window with its attrs.
+// (compile, or store_decode on a store hit).
 
 import (
 	"testing"
@@ -102,41 +101,5 @@ func TestCompileTracedStoreDecodeSpan(t *testing.T) {
 	}
 	if spanIndex(rec, "compile") >= 0 {
 		t.Fatal("store hit still recorded a compile span")
-	}
-}
-
-func TestExecuteBatchIntoTracedSpan(t *testing.T) {
-	e := New(Options{})
-	g := testGraph(23)
-	c, err := e.Compile(g, testCfg, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := testInputs(g, 1)
-	batches := [][]float64{in, in, in}
-	outs := make([][]float64, len(batches))
-	for i := range outs {
-		outs[i] = make([]float64, len(g.Outputs()))
-	}
-	cycles := make([]int, len(batches))
-	errs := make([]error, len(batches))
-
-	tracer := trace.New(trace.Options{})
-	tr := tracer.Start(trace.ID{}, "request", time.Time{})
-	e.ExecuteBatchIntoTraced(c, batches, outs, cycles, errs, tr)
-	rec := tracer.Finish(tr)
-
-	ei := spanIndex(rec, "execute")
-	if ei < 0 {
-		t.Fatalf("no execute span: %+v", rec.Spans)
-	}
-	esp := rec.Spans[ei]
-	if esp.Attrs["batch_size"] != int64(len(batches)) {
-		t.Fatalf("execute attrs %+v, want batch_size=%d", esp.Attrs, len(batches))
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("item %d failed: %v", i, err)
-		}
 	}
 }

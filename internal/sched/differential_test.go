@@ -16,7 +16,7 @@ import (
 func diffPopulation(n int) []*dag.Graph {
 	shapes := []dag.RandomConfig{
 		{Inputs: 3, Interior: 20, MaxArgs: 2, MulFrac: 0.3},
-		{Inputs: 5, Interior: 35, MaxArgs: 4, MulFrac: 0.5},            // k-ary: sink permutation path
+		{Inputs: 5, Interior: 35, MaxArgs: 4, MulFrac: 0.5},            // k-ary: binarized and renumbered
 		{Inputs: 2, Interior: 40, MaxArgs: 2, MulFrac: 0.2, Window: 3}, // deep chain
 		{Inputs: 8, Interior: 25, MaxArgs: 3, MulFrac: 0.4, Window: 50},
 	}

@@ -51,14 +51,14 @@ type Backend interface {
 }
 
 // TracedBackend is the optional tracing extension of Backend: a backend
-// that records its own spans (compile-cache resolution, store decode,
-// chunk execution) against the call's trace. *engine.Engine implements
-// it; plain Backends — including every test fake — keep working, they
-// just contribute no engine-side spans.
+// that records its own compile-cache spans (resolution, store decode,
+// compile) against the call's trace. *engine.Engine implements it;
+// plain Backends — including every test fake — keep working, they just
+// contribute no resolve spans. The scheduler records every chunk's
+// execute span itself, whatever the backend.
 type TracedBackend interface {
 	Backend
 	CompileTraced(g *dag.Graph, cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, error)
-	ExecuteBatchIntoTraced(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error, tr *trace.Trace)
 }
 
 // Stage names of the per-item latency decomposition, as trace spans and
@@ -90,7 +90,8 @@ func (o Options) normalize() Options {
 }
 
 // Result is one completed submission: the sink values in the submitted
-// graph's Outputs() order, the simulated cycle count, and the compiled
+// graph's Outputs() order, which is the compiled graph's (dag.Binarize
+// keeps sinks in order), the simulated cycle count, and the compiled
 // program the call ran, so callers needing compile metadata don't
 // re-touch the engine's cache.
 type Result struct {
@@ -182,8 +183,8 @@ func (s *Scheduler) SubmitMany(g *dag.Graph, cfg arch.Config, copts compiler.Opt
 // fills the admitted ones are a prefix and the rest fail with
 // ErrQueueFull (ErrClosed after Close). A chunk not started when ctx is
 // done fails with ctx.Err(). A traced call gets one queue_wait span
-// (admission → first chunk); a TracedBackend adds its compile spans and
-// one execute span per chunk.
+// (admission → first chunk) and one execute span per chunk run; a
+// TracedBackend adds its compile spans.
 func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch.Config, copts compiler.Options, batches [][]float64, tr *trace.Trace) ([]Result, []error) {
 	n := len(batches)
 	results := make([]Result, n)
@@ -236,33 +237,23 @@ func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch
 		if lo == 0 {
 			tr.Span(StageQueueWait, enq, start.Sub(enq), 0)
 		}
-		switch {
-		case err != nil:
+		if err != nil {
 			for i := lo; i < hi; i++ {
 				errs[i] = err
 			}
-		case s.traced != nil && tr != nil:
-			s.traced.ExecuteBatchIntoTraced(c, batches[lo:hi], outs[lo:hi], nil, errs[lo:hi], tr)
-		default:
+		} else {
 			s.backend.ExecuteBatchInto(c, batches[lo:hi], outs[lo:hi], nil, errs[lo:hi])
 		}
-		s.finish(errs[lo:hi], enq, start, s.now())
+		end := s.now()
+		if err == nil {
+			tr.Span(StageExecute, start, end.Sub(start), 0, trace.Int("batch_size", int64(hi-lo)))
+		}
+		s.finish(errs[lo:hi], enq, start, end)
 	}
-	if c == nil {
-		return results, errs
-	}
-	perm := sinkPerm(g, c)
 	for i, out := range outs {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			results[i] = Result{Outputs: out, Cycles: c.Stats.Cycles, Compiled: c}
 		}
-		if perm != nil {
-			out = make([]float64, len(perm))
-			for j, p := range perm {
-				out[j] = outs[i][p]
-			}
-		}
-		results[i] = Result{Outputs: out, Cycles: c.Stats.Cycles, Compiled: c}
 	}
 	return results, errs
 }
@@ -285,29 +276,6 @@ func (s *Scheduler) finish(errs []error, enq, start, end time.Time) {
 	s.mu.Lock()
 	s.queued -= len(errs)
 	s.mu.Unlock()
-}
-
-// sinkPerm maps the submitted graph's sink order onto the compiled
-// (binarized) graph's, in which the engine writes outputs: item output j
-// is engine output perm[j]. It is nil for the identity — every
-// already-binary graph — which is detected without allocating.
-func sinkPerm(g *dag.Graph, c *compiler.Compiled) []int {
-	orig, sinks := g.Outputs(), c.Graph.Outputs()
-	for j, o := range orig {
-		if len(orig) == len(sinks) && c.Remap[o] == sinks[j] {
-			continue
-		}
-		pos := make(map[dag.NodeID]int, len(sinks))
-		for i, sk := range sinks {
-			pos[sk] = i
-		}
-		perm := make([]int, len(orig))
-		for j, o := range orig {
-			perm[j] = pos[c.Remap[o]]
-		}
-		return perm
-	}
-	return nil
 }
 
 // Close stops admission (new submissions fail with ErrClosed) and blocks

@@ -69,7 +69,8 @@ func checkOutputs(t *testing.T, what string, got, want []float64) {
 // the test opens the gate; every later execution passes straight
 // through. It holds one call mid-execution while the test drives others,
 // with no clock to race. It implements TracedBackend so traced calls
-// still carry the engine's spans, and counts the executions it ran.
+// still carry the engine's resolve spans, and counts the executions it
+// ran.
 type gatedBackend struct {
 	eng     *engine.Engine
 	once    sync.Once
@@ -112,11 +113,6 @@ func (b *gatedBackend) CompileTraced(g *dag.Graph, cfg arch.Config, opts compile
 func (b *gatedBackend) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
 	b.wait()
 	b.eng.ExecuteBatchInto(c, batches, outs, cycles, errs)
-}
-
-func (b *gatedBackend) ExecuteBatchIntoTraced(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error, tr *trace.Trace) {
-	b.wait()
-	b.eng.ExecuteBatchIntoTraced(c, batches, outs, cycles, errs, tr)
 }
 
 type outcome struct {
@@ -311,19 +307,20 @@ func TestSubmitManyReportsPerItem(t *testing.T) {
 	s2.Close()
 }
 
-// TestKAryGraphOutputsPermuted exercises the non-identity sink
-// permutation: a k-ary multi-sink graph is renumbered by binarization,
-// yet SubmitMany must answer in the submitted graph's sink order.
-func TestKAryGraphOutputsPermuted(t *testing.T) {
+// TestKAryGraphOutputsInSinkOrder: binarization renumbers a k-ary
+// multi-sink graph, yet SubmitMany answers in the submitted graph's sink
+// order (the binarized sinks come in the same order, so outputs need no
+// reordering).
+func TestKAryGraphOutputsInSinkOrder(t *testing.T) {
 	s := New(engine.New(engine.Options{}), Options{})
 	defer s.Close()
-	// Two sinks, one of them a 3-ary op: binarization renumbers.
+	// Two sinks, the first a 3-ary op: binarization renumbers both.
 	g := dag.New("kary")
 	a := g.AddInput()
 	bb := g.AddInput()
 	c := g.AddInput()
-	sum := g.AddOp(dag.OpAdd, a, bb, c) // sink 3 (renumbered)
-	g.AddOp(dag.OpMul, sum, a)          // sink 4
+	g.AddOp(dag.OpAdd, a, bb, c) // sink 3, binarized to 4
+	g.AddOp(dag.OpMul, a, bb)    // sink 4, binarized to 5
 	in := []float64{2, 3, 4}
 	want := wantEval(t, g, in)
 	rs, errs := s.SubmitMany(g, testCfg, compiler.Options{}, [][]float64{in})

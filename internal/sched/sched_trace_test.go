@@ -59,9 +59,10 @@ func (f *fakeNow) advance(d time.Duration) {
 // breaks the exact sums.
 func TestStageDecomposition(t *testing.T) {
 	const held = 5 * time.Millisecond
-	// The fake starts at the wall clock, on which the tracer closes the
-	// traces and the engine times its spans.
-	clk := &fakeNow{t: time.Now()}
+	// The fake starts held before the wall clock, on which the tracer
+	// closes the traces and the engine times its resolve spans, so every
+	// fake-time span ends before its trace does.
+	clk := &fakeNow{t: time.Now().Add(-held)}
 	gb := newGatedBackend()
 	s := New(gb, Options{MaxBatch: 1})
 	s.now = clk.now
@@ -115,11 +116,11 @@ func TestStageDecomposition(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		rec      *trace.Record
-		chunks   int
+		execs    []time.Duration // execute span per chunk
 		cacheHit bool
 	}{
-		{"chunked", rec1, 2, false},
-		{"alone", rec2, 1, true},
+		{"chunked", rec1, []time.Duration{held, 0}, false},
+		{"alone", rec2, []time.Duration{0}, true},
 	} {
 		// One queue_wait span per call: admission → first chunk, zero here
 		// (the compile takes no fake time).
@@ -127,16 +128,16 @@ func TestStageDecomposition(t *testing.T) {
 		if len(qsp) != 1 || qsp[0].OffsetNS != 0 || qsp[0].DurationNS != 0 {
 			t.Errorf("%s: queue_wait spans %+v, want one empty span at offset 0", tc.name, qsp)
 		}
-		// One engine execute span per chunk, carrying its batch size (the
-		// engine times it on the tracer's wall clock, past the gate).
+		// One execute span per chunk, timed on now like the histograms
+		// and carrying its batch size.
 		esp := findSpans(tc.rec, StageExecute)
-		if len(esp) != tc.chunks {
-			t.Fatalf("%s: %d execute spans, want %d: %+v", tc.name, len(esp), tc.chunks, tc.rec.Spans)
+		if len(esp) != len(tc.execs) {
+			t.Fatalf("%s: %d execute spans, want %d: %+v", tc.name, len(esp), len(tc.execs), tc.rec.Spans)
 		}
 		var sum int64
 		for i, sp := range esp {
-			if sp.Attrs["batch_size"] != int64(1) {
-				t.Errorf("%s: execute span %d = %+v, want the engine's with batch_size 1", tc.name, i, sp)
+			if sp.Attrs["batch_size"] != int64(1) || sp.DurationNS != int64(tc.execs[i]) {
+				t.Errorf("%s: execute span %d = %+v, want %v with batch_size 1", tc.name, i, sp, tc.execs[i])
 			}
 			sum += sp.DurationNS
 		}
@@ -155,6 +156,47 @@ func TestStageDecomposition(t *testing.T) {
 		if (len(findSpans(tc.rec, "compile")) != 0) == tc.cacheHit {
 			t.Errorf("%s: compile span presence wrong for cache_hit=%v: %+v", tc.name, tc.cacheHit, tc.rec.Spans)
 		}
+	}
+}
+
+// plainBackend hides the engine's TracedBackend extension: the
+// scheduler sees a bare Backend.
+type plainBackend struct{ Backend }
+
+// TestExecuteSpanPerChunk: a traced call records one execute span per
+// chunk it runs, carrying the chunk's size, whatever the backend — a
+// plain Backend contributes no resolve span but its chunks are still
+// timed. A call that never executes records none.
+func TestExecuteSpanPerChunk(t *testing.T) {
+	s := New(plainBackend{engine.New(engine.Options{})}, Options{MaxBatch: 2})
+	defer s.Close()
+	tracer := trace.New(trace.Options{})
+	g := testGraph(23)
+	in := testInputs(g, 1)
+	want := wantEval(t, g, in)
+
+	tr := tracer.Start(trace.ID{}, "request", time.Now())
+	rs, errs := s.SubmitManyTraced(context.Background(), g, testCfg, compiler.Options{}, [][]float64{in, in, in}, tr)
+	rec := tracer.Finish(tr)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("item %d failed: %v", i, err)
+		}
+		checkOutputs(t, "item", rs[i].Outputs, want)
+	}
+	esp := findSpans(rec, StageExecute)
+	if len(esp) != 2 || esp[0].Attrs["batch_size"] != int64(2) || esp[1].Attrs["batch_size"] != int64(1) {
+		t.Fatalf("execute spans %+v, want two with batch_size 2 and 1", esp)
+	}
+	if len(findSpans(rec, "resolve")) != 0 {
+		t.Errorf("a plain Backend recorded a resolve span: %+v", rec.Spans)
+	}
+
+	bad := arch.Config{D: 5, B: 2, R: 8} // B < 2^D: rejected by the compiler
+	tr = tracer.Start(trace.ID{}, "request", time.Now())
+	s.SubmitManyTraced(context.Background(), g, bad, compiler.Options{}, [][]float64{in}, tr)
+	if esp := findSpans(tracer.Finish(tr), StageExecute); len(esp) != 0 {
+		t.Errorf("a call that failed to compile recorded execute spans %+v", esp)
 	}
 }
 

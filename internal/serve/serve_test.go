@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -201,6 +202,50 @@ func TestServeKAryGraphSinkIDs(t *testing.T) {
 	}
 	if got := out.Results[0].Outputs; len(got) != 1 || got[0] != 7 {
 		t.Errorf("outputs = %v, want [7]", got)
+	}
+}
+
+// TestServeUnaryGraphsBitExact: graphs whose only non-binary nodes are
+// unary are served (200), with dag.Eval's exact bits for every sink —
+// −0 through a unary add included — in the submitted graph's sink order.
+func TestServeUnaryGraphsBitExact(t *testing.T) {
+	_, srv := newTestServer(t, Options{})
+	nz := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		src    string
+		inputs [][]float64
+	}{
+		{"input\nadd 0\n", [][]float64{{nz}, {0}, {1.5}}},
+		{"input\ninput\nadd 0 1\nmul 2\n", [][]float64{{nz, nz}, {2, -3}}},
+		{"input\ninput\ninput\nadd 0 1 2\nadd 3\n", [][]float64{{nz, nz, nz}, {1, 2, 4}}},
+	} {
+		g, err := dag.Read(strings.NewReader(tc.src), "unary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, out := postExecute(t, srv, ExecuteRequest{Graph: tc.src, Inputs: tc.inputs})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status = %d", tc.src, resp.StatusCode)
+		}
+		sinks := g.Outputs()
+		if len(out.Sinks) != len(sinks) || len(out.Results) != len(tc.inputs) {
+			t.Fatalf("%q: sinks %v and %d results, want %v and %d", tc.src, out.Sinks, len(out.Results), sinks, len(tc.inputs))
+		}
+		for i, in := range tc.inputs {
+			want, err := dag.Eval(g, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := out.Results[i]
+			if r.Error != "" || len(r.Outputs) != len(sinks) {
+				t.Fatalf("%q on %v: result %+v", tc.src, in, r)
+			}
+			for j, sk := range sinks {
+				if out.Sinks[j] != int(sk) || math.Float64bits(r.Outputs[j]) != math.Float64bits(want[sk]) {
+					t.Errorf("%q on %v: sink %d = %v, dag.Eval %v", tc.src, in, out.Sinks[j], r.Outputs[j], want[sk])
+				}
+			}
+		}
 	}
 }
 
