@@ -1,7 +1,8 @@
 // Command dpu-gateway is the sharded serving front: it consistent-hashes
 // each request graph's fingerprint across N dpu-serve backends, so every
-// backend's compile cache stays hot for its own shard — horizontal scale that preserves the compile-once/execute-many
-// economics instead of multiplying cold compiles by the fleet size.
+// backend's compile cache stays hot for its own shard — horizontal scale
+// that preserves the compile-once/execute-many economics instead of
+// multiplying cold compiles by the fleet size.
 //
 //	POST /execute   routed to the fingerprint's shard owner; hedged to
 //	                the next ring owner past the p99-derived delay, and
@@ -24,11 +25,12 @@
 //	dpu-gateway -addr :8080 \
 //	    -backends http://localhost:9001,http://localhost:9002
 //
-// Hedge delays are clamped to [2ms, 500ms] and one proxied attempt is
-// bounded at 30s, constants of package gateway. SIGINT/SIGTERM drain
-// through serve.Run exactly as in dpu-serve: exit 0 after a complete
-// drain, non-zero when it misses serve.DrainTimeout or an address is
-// taken, and a second signal kills the process.
+// Hedging is always on: its delay is the gateway's observed p99, clamped
+// to [2ms, 500ms], and one proxied attempt is bounded at 30s, constants
+// of package gateway. A backend answer longer than 64 MiB is a 502.
+// SIGINT/SIGTERM drain through serve.Run exactly as in dpu-serve: exit 0
+// after a complete drain, non-zero when it misses serve.DrainTimeout or
+// an address is taken, and a second signal kills the process.
 package main
 
 import (
@@ -49,7 +51,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backends := flag.String("backends", "", "comma-separated dpu-serve base URLs (required)")
 	healthInterval := flag.Duration("health-interval", time.Second, "backend /healthz polling period")
-	noHedge := flag.Bool("no-hedge", false, "disable hedged retries (failover on hard errors remains)")
 	debugAddr := flag.String("debug-addr", "", "pprof listen address (e.g. localhost:6061); empty disables. Always a separate listener — the serving port never exposes /debug/pprof")
 	flag.Parse()
 
@@ -65,12 +66,11 @@ func main() {
 	gw, err := gateway.New(gateway.Options{
 		Backends:       addrs,
 		HealthInterval: *healthInterval,
-		DisableHedge:   *noHedge,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("dpu-gateway: %d backends (health-interval=%v hedging=%v)", len(addrs), *healthInterval, !*noHedge)
+	log.Printf("dpu-gateway: %d backends (health-interval=%v)", len(addrs), *healthInterval)
 
 	// The first signal starts the drain; stopping the notification then
 	// restores the default action, so a second signal kills the process.

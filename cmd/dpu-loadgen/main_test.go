@@ -15,9 +15,9 @@ import (
 	"dpuv2/internal/trace"
 )
 
-// TestLoadgenSelfSmoke is the in-process version of CI's loadgen smoke
-// step: a short self-targeted run must complete requests, record
-// consistent counters, and produce a JSON-serializable summary.
+// TestLoadgenSelfSmoke: a short self-targeted run must complete
+// requests, record consistent counters and ordered quantiles, and
+// produce a JSON-serializable summary.
 func TestLoadgenSelfSmoke(t *testing.T) {
 	dur := 400 * time.Millisecond
 	if testing.Short() {
@@ -47,7 +47,7 @@ func TestLoadgenSelfSmoke(t *testing.T) {
 	if s.Latency.Count != uint64(s.Requests) {
 		t.Errorf("latency count %d != requests %d", s.Latency.Count, s.Requests)
 	}
-	if s.Latency.P50 <= 0 || s.Latency.P50 > s.Latency.P99 {
+	if s.Latency.P50 <= 0 || s.Latency.P50 > s.Latency.P99 || s.Latency.P99 > s.Latency.P999 {
 		t.Errorf("latency quantiles inconsistent: %+v", s.Latency)
 	}
 	if _, err := json.Marshal(s); err != nil {

@@ -60,8 +60,8 @@ type NodeID int32
 const InvalidNode NodeID = -1
 
 // Node is a single operation in the DAG. Leaf nodes (Input, Const) have no
-// arguments; interior nodes have between one and two. The representation
-// intentionally allows >2 arguments before binarization (see Binarize).
+// arguments; interior nodes have one or more. The compiler runs on
+// Binarize's form, in which every interior node has exactly two.
 type Node struct {
 	Op   Op
 	Args []NodeID

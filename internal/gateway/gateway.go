@@ -36,6 +36,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -60,6 +61,12 @@ const (
 	hedgeMax       = 500 * time.Millisecond
 )
 
+// errTooLarge fails an attempt whose answer is longer than
+// serve.MaxRequestBytes, the most the gateway buffers: the client gets a
+// 502, never a truncated 200. Execution is a pure function of the
+// request, so no other owner is tried.
+var errTooLarge = fmt.Errorf("backend response exceeds the %d-byte limit", serve.MaxRequestBytes)
+
 // Options configure a Gateway; zero values take the documented defaults.
 // Request tracing needs no configuration: a request carrying a
 // traceparent header is always traced, others are sampled (see package
@@ -73,8 +80,6 @@ type Options struct {
 	// health probe or /stats fetch is bounded by the interval, capped at
 	// 2s.
 	HealthInterval time.Duration
-	// DisableHedge turns hedging off (failover on hard errors remains).
-	DisableHedge bool
 	// Logf receives membership transitions and proxy errors.
 	// Default log.Printf.
 	Logf func(format string, args ...any)
@@ -414,7 +419,7 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 	res, ok := g.forward(r.Context(), candidates, body, tp, tr)
 	if !ok {
 		g.rejected.Add(1)
-		msg := "all shard owners failed"
+		msg := "no usable backend answer"
 		if res.err != nil {
 			msg += ": " + res.err.Error()
 		} else if res.status != 0 {
@@ -438,7 +443,7 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 // (connect error, 503-draining) fail over to the remaining owners at
 // once. The first usable response wins; every other in-flight attempt is
 // canceled. Reports ok=false with the last failure when no candidate
-// answered.
+// answered, and at once when an answer was too large to relay.
 func (g *Gateway) forward(ctx context.Context, candidates []string, body []byte, tp string, tr *trace.Trace) (attemptResult, bool) {
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll() // cancels every losing attempt
@@ -474,7 +479,7 @@ func (g *Gateway) forward(ctx context.Context, candidates []string, body []byte,
 
 	var hedgeC <-chan time.Time
 	var hedged bool
-	if !g.opts.DisableHedge && len(candidates) > 1 {
+	if len(candidates) > 1 {
 		t := time.NewTimer(g.hedgeDelay())
 		defer t.Stop()
 		hedgeC = t.C
@@ -497,6 +502,9 @@ func (g *Gateway) forward(ctx context.Context, candidates []string, body []byte,
 				return res, true
 			}
 			last = res
+			if errors.Is(res.err, errTooLarge) {
+				return res, false // every owner would answer the same
+			}
 			// Hard failure: this owner is gone or draining; fail its
 			// range over to the next distinct owner right away.
 			if next < len(candidates) {
@@ -542,8 +550,14 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, tp strin
 	defer resp.Body.Close()
 	res.status = resp.StatusCode
 	res.contentType = resp.Header.Get("Content-Type")
-	if res.body, err = io.ReadAll(io.LimitReader(resp.Body, serve.MaxRequestBytes)); err != nil {
+	if resp.ContentLength > serve.MaxRequestBytes {
+		res.err = errTooLarge
+		return res
+	}
+	if res.body, err = io.ReadAll(io.LimitReader(resp.Body, serve.MaxRequestBytes+1)); err != nil {
 		res.err = err
+	} else if len(res.body) > serve.MaxRequestBytes {
+		res.body, res.err = nil, errTooLarge
 	}
 	return res
 }

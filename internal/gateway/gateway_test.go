@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/serve"
+	"dpuv2/internal/trace"
 )
 
 // testBackend is one real dpu-serve stack behind an httptest listener,
@@ -66,10 +68,20 @@ func testGraphs(t *testing.T, n int) []testGraph {
 	return out
 }
 
-func executeVia(t *testing.T, url string, graph string) (*serve.ExecuteResponse, int) {
+// executeVia posts one vector for graph to url, with the traceparent
+// header tp when non-empty.
+func executeVia(t *testing.T, url, graph, tp string) (*serve.ExecuteResponse, int) {
 	t.Helper()
 	body, _ := json.Marshal(serve.ExecuteRequest{Graph: graph, Inputs: [][]float64{{1, 2}}})
-	resp, err := http.Post(url+"/execute", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/execute", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if tp != "" {
+		req.Header.Set(trace.Header, tp)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("execute via %s: %v", url, err)
 	}
@@ -102,45 +114,50 @@ func newTestGateway(t *testing.T, opts Options) *Gateway {
 }
 
 // TestGatewayShardAffinity is the tier's core invariant end to end: the
-// same fingerprint always routes to the same live backend, so repeated
-// traffic for a graph compiles exactly once fleet-wide — per-backend
-// engine misses equal the number of distinct fingerprints in that
-// backend's shard, never the full population.
+// first copy of every request goes to its fingerprint's ring owner, so
+// each backend compiles its own shard and the fleet compiles a graph a
+// second time only where a hedge copy (hedging is on, as deployed)
+// reached the other backend.
 func TestGatewayShardAffinity(t *testing.T) {
 	b1, b2 := newTestBackend(t), newTestBackend(t)
-	// The invariant under test is routing. A hedge copy (armed once the
-	// latency window has 16 samples) would compile the graph on the
-	// second owner as well; hedging has its own test.
-	gw := newTestGateway(t, Options{Backends: []string{b1.ts.URL, b2.ts.URL}, DisableHedge: true})
+	gw := newTestGateway(t, Options{Backends: []string{b1.ts.URL, b2.ts.URL}})
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
 
 	graphs := testGraphs(t, 12)
+	r := gw.ring.Load()
+	owned := map[string]int64{}
+	for _, g := range graphs {
+		owned[r.Owner(ringKey(g.fp))]++
+	}
 	const rounds = 4
 	for round := 0; round < rounds; round++ {
 		for _, g := range graphs {
-			if out, status := executeVia(t, front.URL, g.text); status != http.StatusOK {
+			id := trace.NewID()
+			if out, status := executeVia(t, front.URL, g.text, trace.Traceparent(id, trace.NewSpanID())); status != http.StatusOK {
 				t.Fatalf("status %d", status)
 			} else if out.Fingerprint != g.fp.String() {
 				t.Fatalf("fingerprint mismatch: %s != %s", out.Fingerprint, g.fp)
 			}
+			// Routing: the first copy went to the ring owner.
+			rec := findTrace(gw.Tracer().Traces(0, ""), id.String())
+			if rec == nil {
+				t.Fatalf("gateway retained no trace for %s", id)
+			}
+			if sp, owner := findStage(rec, "forward"), r.Owner(ringKey(g.fp)); sp == nil || sp.Attrs["backend"] != owner {
+				t.Fatalf("forward span %+v, want backend %s (the ring owner)", sp, owner)
+			}
 		}
 	}
+	// Each backend compiled at least its shard; a hedge copy may have
+	// compiled a graph on the other backend once more.
 	s1, s2 := b1.eng.Stats(), b2.eng.Stats()
-	// Shard affinity: each fingerprint compiled on exactly one backend.
-	if s1.Misses+s2.Misses != int64(len(graphs)) {
-		t.Errorf("fleet-wide misses %d+%d, want %d (one compile per fingerprint)", s1.Misses, s2.Misses, len(graphs))
+	hedges := gw.Stats(context.Background()).Gateway.Hedges
+	if s1.Misses < owned[b1.ts.URL] || s2.Misses < owned[b2.ts.URL] || s1.Misses+s2.Misses > int64(len(graphs))+hedges {
+		t.Errorf("misses %d/%d for shards of %d/%d graphs and %d hedges", s1.Misses, s2.Misses, owned[b1.ts.URL], owned[b2.ts.URL], hedges)
 	}
 	if b1.executes.Load() == 0 || b2.executes.Load() == 0 {
 		t.Errorf("traffic not spread: backend hits %d / %d", b1.executes.Load(), b2.executes.Load())
-	}
-	// The ring's static assignment matches where traffic actually went.
-	r := gw.ring.Load()
-	for _, g := range graphs {
-		owner := r.Owner(ringKey(g.fp))
-		if owner != b1.ts.URL && owner != b2.ts.URL {
-			t.Fatalf("owner %q not a backend", owner)
-		}
 	}
 }
 
@@ -156,7 +173,7 @@ func TestGatewayDrainingBackendGetsNoNewRequests(t *testing.T) {
 
 	graphs := testGraphs(t, 8)
 	for _, g := range graphs {
-		if _, status := executeVia(t, front.URL, g.text); status != http.StatusOK {
+		if _, status := executeVia(t, front.URL, g.text, ""); status != http.StatusOK {
 			t.Fatalf("warmup status %d", status)
 		}
 	}
@@ -176,7 +193,7 @@ func TestGatewayDrainingBackendGetsNoNewRequests(t *testing.T) {
 	before := b1.executes.Load()
 	for round := 0; round < 3; round++ {
 		for _, g := range graphs {
-			if _, status := executeVia(t, front.URL, g.text); status != http.StatusOK {
+			if _, status := executeVia(t, front.URL, g.text, ""); status != http.StatusOK {
 				t.Fatalf("post-drain request failed with %d — shard did not fail over", status)
 			}
 		}
@@ -247,7 +264,7 @@ func TestGatewayHedgeCancelsLoser(t *testing.T) {
 	}
 
 	start := time.Now()
-	out, status := executeVia(t, front.URL, victim.text)
+	out, status := executeVia(t, front.URL, victim.text, "")
 	if status != http.StatusOK || out == nil {
 		t.Fatalf("hedged request failed: status %d", status)
 	}
@@ -277,7 +294,6 @@ func TestGatewayFailoverOnDeadBackend(t *testing.T) {
 	gw := newTestGateway(t, Options{
 		Backends:       []string{dying.ts.URL, live.ts.URL},
 		HealthInterval: time.Hour, // the checker must NOT save us
-		DisableHedge:   true,      // isolate the hard-failure path
 	})
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
@@ -296,7 +312,7 @@ func TestGatewayFailoverOnDeadBackend(t *testing.T) {
 	dying.ts.CloseClientConnections()
 	dying.ts.Close()
 
-	out, status := executeVia(t, front.URL, victim.text)
+	out, status := executeVia(t, front.URL, victim.text, "")
 	if status != http.StatusOK || out == nil {
 		t.Fatalf("failover request failed: status %d", status)
 	}
@@ -311,6 +327,56 @@ func TestGatewayFailoverOnDeadBackend(t *testing.T) {
 	}
 }
 
+// TestGatewayOverLimitResponse502: a backend answer longer than
+// serve.MaxRequestBytes, streamed chunked as dpu-serve does or with its
+// length declared, reaches the client as a 502 that Rejected counts —
+// never as a truncated 200 — and is not retried on the next owner. The
+// chunked case buffers 64 MiB in the gateway, so it does not run under
+// the race detector.
+func TestGatewayOverLimitResponse502(t *testing.T) {
+	for _, declared := range []bool{false, true} {
+		if !declared && raceEnabled {
+			continue
+		}
+		big := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/execute" {
+				fmt.Fprintln(w, "ok")
+				return
+			}
+			io.Copy(io.Discard, r.Body)
+			if declared {
+				w.Header().Set("Content-Length", strconv.Itoa(serve.MaxRequestBytes+1))
+			}
+			chunk := bytes.Repeat([]byte(" "), 1<<20)
+			for left := serve.MaxRequestBytes + 1; left > 0; left -= len(chunk) {
+				if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+					return
+				}
+			}
+		})
+		b1, b2 := httptest.NewServer(big), httptest.NewServer(big)
+		gw := newTestGateway(t, Options{Backends: []string{b1.URL, b2.URL}})
+		front := httptest.NewServer(gw.Handler())
+
+		body, _ := json.Marshal(serve.ExecuteRequest{Graph: "input\ninput\nadd 0 1\n", Inputs: [][]float64{{1, 2}}})
+		resp, err := http.Post(front.URL+"/execute", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Errorf("declared length %v: status %d with %d bytes, want 502", declared, resp.StatusCode, n)
+		}
+		if st := gw.Stats(context.Background()).Gateway; st.Rejected != 1 || st.Proxied != 0 || st.Failovers != 0 {
+			t.Errorf("declared length %v: rejected %d, proxied %d, failovers %d; want 1, 0, 0", declared, st.Rejected, st.Proxied, st.Failovers)
+		}
+		front.Close()
+		b1.Close()
+		b2.Close()
+	}
+}
+
 // TestGatewayStatsAggregation: the fleet /stats section is the exact
 // counter sum and histogram merge of the per-backend sections, with the
 // per-backend breakdown beside it.
@@ -321,7 +387,7 @@ func TestGatewayStatsAggregation(t *testing.T) {
 	defer front.Close()
 
 	for _, g := range testGraphs(t, 10) {
-		if _, status := executeVia(t, front.URL, g.text); status != http.StatusOK {
+		if _, status := executeVia(t, front.URL, g.text, ""); status != http.StatusOK {
 			t.Fatalf("status %d", status)
 		}
 	}

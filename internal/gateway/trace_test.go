@@ -25,6 +25,28 @@ func findTrace(recs []*trace.Record, id string) *trace.Record {
 	return nil
 }
 
+// onlyTrace is findTrace that also fails t unless exactly one record
+// carries id and its spans cover every stage in stages.
+func onlyTrace(t *testing.T, side string, recs []*trace.Record, id string, stages ...string) *trace.Record {
+	t.Helper()
+	var rec *trace.Record
+	n := 0
+	for _, r := range recs {
+		if r.TraceID == id {
+			rec, n = r, n+1
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%s retained %d traces for %s, want 1", side, n, id)
+	}
+	for _, st := range stages {
+		if findStage(rec, st) == nil {
+			t.Fatalf("%s trace has no %s span: %+v", side, st, rec.Spans)
+		}
+	}
+	return rec
+}
+
 func findStage(rec *trace.Record, stage string) *trace.SpanRecord {
 	for i := range rec.Spans {
 		if rec.Spans[i].Stage == stage {
@@ -64,11 +86,9 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		t.Fatalf("execute status = %d", resp.StatusCode)
 	}
 
-	// Gateway side: route + forward under the pinned ID.
-	grec := findTrace(gw.Tracer().Traces(0, ""), id.String())
-	if grec == nil {
-		t.Fatalf("gateway retained no trace for %s", id)
-	}
+	// Gateway side: one record under the pinned ID, with route and
+	// forward under the gateway's root span.
+	grec := onlyTrace(t, "gateway", gw.Tracer().Traces(0, ""), id.String(), "gateway", "route", "forward")
 	if grec.Service != "gateway" {
 		t.Fatalf("gateway trace service %q", grec.Service)
 	}
@@ -86,10 +106,8 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	// Backend side: the SAME trace ID (the gateway re-stamps the header
 	// with its own parent span but never a new trace), decomposed into
 	// the scheduler's stage windows.
-	brec := findTrace(b.srv.Tracer().Traces(0, ""), id.String())
-	if brec == nil {
-		t.Fatalf("backend retained no trace for %s", id)
-	}
+	brec := onlyTrace(t, "backend", b.srv.Tracer().Traces(0, ""), id.String(),
+		"serve", "decode", "parse", "queue_wait", "execute", "encode")
 	if brec.Service != "serve" {
 		t.Fatalf("backend trace service %q", brec.Service)
 	}
@@ -98,11 +116,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		t.Fatalf("backend trace carries a linger span: %+v", brec.Spans)
 	}
 	for _, stage := range []string{"queue_wait", "execute"} {
-		sp := findStage(brec, stage)
-		if sp == nil {
-			t.Fatalf("backend trace missing %s span: %+v", stage, brec.Spans)
-		}
-		sum += sp.DurationNS
+		sum += findStage(brec, stage).DurationNS
 	}
 	if sum > brec.DurationNS {
 		t.Fatalf("stage sum %d exceeds backend request duration %d", sum, brec.DurationNS)

@@ -115,7 +115,7 @@ type Stats struct {
 	Batches int64 `json:"batches" prom:"dpu_sched_batches_total"`
 	// LingerFlushes and LingerHist are always zero: no request
 	// waits for another. They stay on the wire, untagged, because bench/
-	// still reads them, until its seam (ROADMAP item 1b) lets them go.
+	// still reads them, until its seam (ROADMAP item 1a) lets them go.
 	LingerFlushes int64 `json:"linger_flushes"`
 	// QueueDepth is the current number of admitted-but-unfinished
 	// items; QueueLimit is the admission bound.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -251,5 +252,26 @@ func TestRunFailsWhenAddressTaken(t *testing.T) {
 	}
 	if n := served.Load(); n != 0 {
 		t.Errorf("handler served %d requests", n)
+	}
+}
+
+// TestPprofOnDebugServerOnly: the serving handler has no /debug/pprof
+// (404), and NewDebugServer's handler answers it (200).
+func TestPprofOnDebugServerOnly(t *testing.T) {
+	s := New(engine.New(engine.Options{}), Options{})
+	defer s.Drain()
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		want int
+	}{
+		{"serving", s.Handler(), http.StatusNotFound},
+		{"debug", NewDebugServer("").Handler, http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s handler: /debug/pprof/cmdline = %d, want %d", tc.name, rec.Code, tc.want)
+		}
 	}
 }
