@@ -74,24 +74,20 @@ type Node struct {
 // an empty usable graph.
 //
 // A fully built graph is safe for concurrent readers (Succs, Fanout,
-// Outputs, …): the derived adjacency is memoized behind an atomic pointer,
-// so parallel compilations may share one workload graph. Mutation (Add*)
-// is not safe concurrently with anything else.
+// Outputs, …): the derived adjacency and sinks are memoized behind
+// atomic pointers, so parallel compilations may share one workload
+// graph. Mutation (Add*) is not safe concurrently with anything else.
 type Graph struct {
 	// Name labels the workload for reports (e.g. "mnist", "jagmesh4").
 	Name  string
 	nodes []Node
 
-	// memoized derived state, invalidated on mutation
-	derived atomic.Pointer[derived]
+	// memoized successor lists (see Succs), invalidated on mutation
+	succs atomic.Pointer[[][]NodeID]
+	// memoized sinks (see Outputs), invalidated on mutation
+	outputs atomic.Pointer[[]NodeID]
 	// memoized content hash (see Fingerprint), invalidated on mutation
 	fp atomic.Pointer[Fingerprint]
-}
-
-// derived is the adjacency bookkeeping computed once per graph revision.
-type derived struct {
-	succs   [][]NodeID
-	outputs []NodeID
 }
 
 // New returns an empty graph with the given display name.
@@ -160,7 +156,8 @@ func (g *Graph) append(n Node) NodeID {
 }
 
 func (g *Graph) invalidate() {
-	g.derived.Store(nil)
+	g.succs.Store(nil)
+	g.outputs.Store(nil)
 	g.fp.Store(nil)
 }
 
@@ -168,17 +165,17 @@ func (g *Graph) invalidate() {
 // adjacency is computed once and cached; callers must not mutate the
 // returned slice.
 func (g *Graph) Succs(id NodeID) []NodeID {
-	return g.ensureDerived().succs[id]
+	return g.ensureSuccs()[id]
 }
 
 // Fanout returns the number of consumers of node id.
 func (g *Graph) Fanout(id NodeID) int {
-	return len(g.ensureDerived().succs[id])
+	return len(g.ensureSuccs()[id])
 }
 
-func (g *Graph) ensureDerived() *derived {
-	if d := g.derived.Load(); d != nil {
-		return d
+func (g *Graph) ensureSuccs() [][]NodeID {
+	if p := g.succs.Load(); p != nil {
+		return *p
 	}
 	counts := make([]int32, len(g.nodes))
 	for i := range g.nodes {
@@ -188,37 +185,51 @@ func (g *Graph) ensureDerived() *derived {
 	}
 	// One backing array for all adjacency lists keeps the memory layout
 	// compact for multi-million-node graphs.
-	total := 0
-	for _, c := range counts {
-		total += int(c)
-	}
-	backing := make([]NodeID, total)
-	d := &derived{succs: make([][]NodeID, len(g.nodes))}
+	backing := make([]NodeID, g.NumEdges())
+	succs := make([][]NodeID, len(g.nodes))
 	off := 0
 	for i, c := range counts {
-		d.succs[i] = backing[off : off : off+int(c)]
+		succs[i] = backing[off : off : off+int(c)]
 		off += int(c)
 	}
 	for i := range g.nodes {
 		for _, a := range g.nodes[i].Args {
-			d.succs[a] = append(d.succs[a], NodeID(i))
+			succs[a] = append(succs[a], NodeID(i))
 		}
 	}
-	for i := range g.nodes {
-		if len(d.succs[i]) == 0 {
-			d.outputs = append(d.outputs, NodeID(i))
-		}
-	}
-	// Concurrent first readers may compute d twice; the results are
-	// identical, and the CAS keeps every reader on one winner.
-	g.derived.CompareAndSwap(nil, d)
-	return g.derived.Load()
+	// Concurrent first readers may compute the lists twice; the results
+	// are identical, and the CAS keeps every reader on one winner.
+	g.succs.CompareAndSwap(nil, &succs)
+	return *g.succs.Load()
 }
 
 // Outputs returns the sink nodes (fanout zero) of the graph, in id order.
 // These are the externally observable results of executing the DAG.
+// They are memoized apart from the successor lists: a served graph
+// needs its sinks on every request and its successors never, so one
+// mark pass over the arguments finds them.
 func (g *Graph) Outputs() []NodeID {
-	return g.ensureDerived().outputs
+	if p := g.outputs.Load(); p != nil {
+		return *p
+	}
+	used := make([]bool, len(g.nodes))
+	sinks := len(g.nodes)
+	for i := range g.nodes {
+		for _, a := range g.nodes[i].Args {
+			if !used[a] {
+				used[a] = true
+				sinks--
+			}
+		}
+	}
+	out := make([]NodeID, 0, sinks)
+	for i, u := range used {
+		if !u {
+			out = append(out, NodeID(i))
+		}
+	}
+	g.outputs.CompareAndSwap(nil, &out)
+	return *g.outputs.Load()
 }
 
 // Inputs returns the ids of all OpInput leaves in id order.

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The paper's compiler accepts DAGs "in any of the popular graph formats"
@@ -46,59 +47,141 @@ func Write(w io.Writer, g *Graph) error {
 }
 
 // Read parses the text node-list format produced by Write.
+//
+// It tokenizes each line in the scanner's own buffer and collects the
+// graph in flat arrays: an op per node, a value per const, the end of
+// each node's arguments, and one argument list for the whole graph.
+// After the last line it builds the node arena once, at its final
+// length, with every node's Args a clipped view of the shared list.
 func Read(r io.Reader, name string) (*Graph, error) {
-	g := New(name)
+	var (
+		ops  []Op
+		vals []float64 // one per const node, in id order
+		ends []int32   // node i's arguments are args[ends[i-1]:ends[i]]
+		args []NodeID
+	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		word, rest := nextField(sc.Bytes())
+		if word == nil || word[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		switch string(word) {
 		case "input":
-			g.AddInput()
+			ops = push(ops, OpInput)
 		case "const":
-			if len(fields) != 2 {
+			f, rest := nextField(rest)
+			if next, _ := nextField(rest); f == nil || next != nil {
 				return nil, fmt.Errorf("dag: line %d: const needs one value", line)
 			}
-			v, err := strconv.ParseFloat(fields[1], 64)
+			v, err := strconv.ParseFloat(string(f), 64)
 			if err != nil {
 				return nil, fmt.Errorf("dag: line %d: %v", line, err)
 			}
-			g.AddConst(v)
+			ops, vals = push(ops, OpConst), push(vals, v)
 		case "add", "mul":
-			op := OpAdd
-			if fields[0] == "mul" {
-				op = OpMul
+			f, rest := nextField(rest)
+			if f == nil {
+				return nil, fmt.Errorf("dag: line %d: %s needs arguments", line, word)
 			}
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("dag: line %d: %s needs arguments", line, fields[0])
-			}
-			args := make([]NodeID, 0, len(fields)-1)
-			for _, f := range fields[1:] {
-				a, err := strconv.Atoi(f)
+			for ; f != nil; f, rest = nextField(rest) {
+				a, err := strconv.Atoi(string(f))
 				if err != nil {
 					return nil, fmt.Errorf("dag: line %d: %v", line, err)
 				}
-				if a < 0 || a >= g.NumNodes() {
+				if a < 0 || a >= len(ops) {
 					return nil, fmt.Errorf("dag: line %d: argument %d out of range", line, a)
 				}
-				args = append(args, NodeID(a))
+				args = push(args, NodeID(a))
 			}
-			g.AddOp(op, args...)
+			op := OpAdd
+			if string(word) == "mul" {
+				op = OpMul
+			}
+			ops = push(ops, op)
 		default:
-			return nil, fmt.Errorf("dag: line %d: unknown op %q", line, fields[0])
+			return nil, fmt.Errorf("dag: line %d: unknown op %q", line, word)
 		}
+		ends = push(ends, int32(len(args)))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g.NumNodes() == 0 {
+	if len(ops) == 0 {
 		return nil, fmt.Errorf("dag: empty graph")
+	}
+	g := &Graph{Name: name, nodes: make([]Node, len(ops))}
+	var s int32
+	for i, op := range ops {
+		n := &g.nodes[i]
+		n.Op = op
+		if op == OpConst {
+			n.Val, vals = vals[0], vals[1:]
+		}
+		// Clipped, so an append to one node's Args cannot overwrite the
+		// next node's.
+		if e := ends[i]; e > s {
+			n.Args = args[s:e:e]
+			s = e
+		}
 	}
 	return g, nil
 }
+
+// push appends v to s, doubling its capacity when it is full: Read's
+// arrays then reallocate about log2(n) times for n entries, and the
+// bytes they allocate in all stay within twice their final size. (A
+// plain append grows a large slice by a quarter; slices.Grow doubles,
+// but allocates twice per growth under the race detector.)
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, 2*cap(s)+16), s...)
+	}
+	return append(s, v)
+}
+
+// nextField returns the first field of b and what follows it, splitting
+// where strings.Fields does: at the ASCII spaces and at every rune
+// unicode.IsSpace accepts; a byte that is not valid UTF-8 is not a space.
+// It returns a nil field when b holds no field.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) {
+		sp, w := asciiSpace[b[i]], 1
+		if b[i] >= utf8.RuneSelf {
+			sp, w = runeSpace(b[i:])
+		}
+		if !sp {
+			break
+		}
+		i += w
+	}
+	if i == len(b) {
+		return nil, nil
+	}
+	j := i
+	for j < len(b) {
+		sp, w := asciiSpace[b[j]], 1
+		if b[j] >= utf8.RuneSelf {
+			sp, w = runeSpace(b[j:])
+		}
+		if sp {
+			break
+		}
+		j += w
+	}
+	return b[i:j], b[j:]
+}
+
+// runeSpace reports whether b starts with a space rune, and the rune's
+// byte length.
+func runeSpace(b []byte) (bool, int) {
+	r, w := utf8.DecodeRune(b)
+	return unicode.IsSpace(r), w
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that are spaces.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}

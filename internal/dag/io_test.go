@@ -1,8 +1,14 @@
 package dag
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -134,4 +140,147 @@ func FuzzGraphRead(f *testing.F) {
 			t.Fatalf("Binarize: %v\nin:\n%s", err, src)
 		}
 	})
+}
+
+// readFields is Read as it was written over strings.Fields, one
+// AddOp per line: the oracle FuzzReadMatchesFields holds Read to.
+func readFields(r io.Reader, name string) (*Graph, error) {
+	g := New(name)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		switch fields[0] {
+		case "input":
+			g.AddInput()
+		case "const":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("dag: line %d: const needs one value", line)
+			}
+			v, err := strconv.ParseFloat(fields[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("dag: line %d: %v", line, err)
+			}
+			g.AddConst(v)
+		case "add", "mul":
+			op := OpAdd
+			if fields[0] == "mul" {
+				op = OpMul
+			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("dag: line %d: %s needs arguments", line, fields[0])
+			}
+			args := make([]NodeID, 0, len(fields)-1)
+			for _, f := range fields[1:] {
+				a, err := strconv.Atoi(f)
+				if err != nil {
+					return nil, fmt.Errorf("dag: line %d: %v", line, err)
+				}
+				if a < 0 || a >= g.NumNodes() {
+					return nil, fmt.Errorf("dag: line %d: argument %d out of range", line, a)
+				}
+				args = append(args, NodeID(a))
+			}
+			g.AddOp(op, args...)
+		default:
+			return nil, fmt.Errorf("dag: line %d: unknown op %q", line, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if g.NumNodes() == 0 {
+		return nil, fmt.Errorf("dag: empty graph")
+	}
+	return g, nil
+}
+
+// FuzzReadMatchesFields: Read, which tokenizes bytes in place, accepts
+// and rejects exactly what readFields does, with the same error text,
+// and builds the same graph: node count, Fingerprint and every node's
+// op, arguments and constant bits. Each node's Args is clipped to its
+// own arguments.
+func FuzzReadMatchesFields(f *testing.F) {
+	for _, sep := range []string{"\u0085", "\u00a0", "\u1680", "\u2028", "\u3000", "\v", "\f", "\r\n"} {
+		f.Add("input" + sep + "\ninput\nadd" + sep + "0" + sep + "1" + sep + "\n" + sep + "mul 2" + sep + "0\n")
+	}
+	f.Add("input\n\xff\n")
+	f.Add("input\nadd 0 \xff0\n")
+	f.Add("input\x80\ninput\nmul 0\xc21\n")
+	f.Add("input\nadd +1 0\nadd 01 -0\n")
+	f.Add("input\nadd 1_0 0\n")
+	f.Add("const nan\nconst Inf\nconst 0x1p-3\nadd 0 1 2\n")
+	f.Add("  # comment\ninput\n#add 0\n")
+	f.Add("input extra\nadd 0\n")
+	f.Add("const 1 2\n")
+	f.Add("add\n")
+	f.Add("input\nadd 1\n")
+	f.Add("input\nadd 0 7\n")
+	f.Add("input\nadd -1\n")
+	f.Add("input\nadd 99999999999999999999\n")
+	f.Add("frob 0\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		got, err := Read(strings.NewReader(src), "fuzz")
+		want, werr := readFields(strings.NewReader(src), "fuzz")
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("Read error %v, strings.Fields reader %v\nin: %q", err, werr, src)
+		}
+		if err != nil {
+			return
+		}
+		if got.NumNodes() != want.NumNodes() || got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("%d nodes, fingerprint %s; want %d, %s\nin: %q",
+				got.NumNodes(), got.Fingerprint().Short(), want.NumNodes(), want.Fingerprint().Short(), src)
+		}
+		for i := range got.NumNodes() {
+			a, b := got.Node(NodeID(i)), want.Node(NodeID(i))
+			if a.Op != b.Op || math.Float64bits(a.Val) != math.Float64bits(b.Val) ||
+				!slices.Equal(a.Args, b.Args) || cap(a.Args) != len(a.Args) {
+				t.Fatalf("node %d: %v %v %v (cap %d), want %v %v %v\nin: %q",
+					i, a.Op, a.Args, a.Val, cap(a.Args), b.Op, b.Args, b.Val, src)
+			}
+		}
+	})
+}
+
+// TestReadAllocationsPerGraph: Read allocates a bounded number of times
+// whatever the graph's size (its arrays grow by doubling, so a graph
+// 1000 times larger costs a few dozen more allocations, not one per
+// line), and its bytes are the scanner's buffer plus a small multiple
+// of the text.
+func TestReadAllocationsPerGraph(t *testing.T) {
+	text := func(interior int) string {
+		var buf bytes.Buffer
+		g := RandomGraph(RandomConfig{Inputs: interior/10 + 1, Interior: interior, MaxArgs: 4, MulFrac: 0.4, Seed: 3})
+		if err := Write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	read := func(src string) {
+		if _, err := Read(strings.NewReader(src), "alloc"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small, large := text(9), text(10000)
+	few := testing.AllocsPerRun(5, func() { read(small) })
+	many := testing.AllocsPerRun(5, func() { read(large) })
+	if many > few+40 {
+		t.Errorf("%v allocations for %d bytes of text, %v for %d", many, len(large), few, len(small))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read(large)
+	runtime.ReadMemStats(&after)
+	bytes, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+8*len(large))
+	if bytes > limit {
+		t.Errorf("Read of %d bytes of text allocated %d bytes, limit %d", len(large), bytes, limit)
+	}
+	t.Logf("%v allocations for %d bytes of text, %v for %d; %d bytes allocated for the larger", many, len(large), few, len(small), bytes)
 }

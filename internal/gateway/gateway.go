@@ -550,14 +550,19 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, body []byte, tp strin
 	defer resp.Body.Close()
 	res.status = resp.StatusCode
 	res.contentType = resp.Header.Get("Content-Type")
-	if resp.ContentLength > serve.MaxRequestBytes {
+	switch n := resp.ContentLength; {
+	case n > serve.MaxRequestBytes:
 		res.err = errTooLarge
-		return res
-	}
-	if res.body, err = io.ReadAll(io.LimitReader(resp.Body, serve.MaxRequestBytes+1)); err != nil {
-		res.err = err
-	} else if len(res.body) > serve.MaxRequestBytes {
-		res.body, res.err = nil, errTooLarge
+	case n >= 0:
+		// A declared answer is read into one buffer of its size.
+		res.body = make([]byte, n)
+		_, res.err = io.ReadFull(resp.Body, res.body)
+	default:
+		if res.body, err = io.ReadAll(io.LimitReader(resp.Body, serve.MaxRequestBytes+1)); err != nil {
+			res.err = err
+		} else if len(res.body) > serve.MaxRequestBytes {
+			res.body, res.err = nil, errTooLarge
+		}
 	}
 	return res
 }

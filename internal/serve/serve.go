@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,6 +332,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	// The declared length lets the gateway read the answer into one
+	// buffer of its size.
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.Write(out)
 	s.stage(tr, &s.encode, "encode", t0, trace.Int("bytes", int64(len(out))))
 }
