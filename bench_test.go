@@ -1,9 +1,9 @@
 package dpuv2
 
 // One benchmark per table and figure of the paper's evaluation (§V), each
-// delegating to the shared experiment harness in internal/bench at a
+// delegating to the shared experiment harness in internal/figures at a
 // reduced workload scale so `go test -bench=.` stays tractable. Full-size
-// runs: `go run ./cmd/dpu-bench -scale 1.0`. Additional micro-benchmarks
+// runs: `go run ./cmd/dpu-figures -scale 1.0`. Additional micro-benchmarks
 // cover the compiler, simulator, instruction codec and the host-parallel
 // CPU baseline.
 
@@ -19,11 +19,11 @@ import (
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/baseline"
-	"dpuv2/internal/bench"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/dse"
 	"dpuv2/internal/engine"
+	"dpuv2/internal/figures"
 	"dpuv2/internal/pc"
 	"dpuv2/internal/sched"
 	"dpuv2/internal/sim"
@@ -31,8 +31,8 @@ import (
 	"dpuv2/internal/trace"
 )
 
-func benchConfig() bench.Config {
-	return bench.Config{Scale: 0.1, LargeScale: 0.01}
+func benchConfig() figures.Config {
+	return figures.Config{Scale: 0.1, LargeScale: 0.01}
 }
 
 // slowExperiments are the sweep-backed figures that take >1 s per
@@ -46,13 +46,9 @@ func runExperiment(b *testing.B, name string) {
 		b.Skipf("%s takes >1s per iteration; skipped in -short mode", name)
 	}
 	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner(benchConfig())
-		out, err := r.Run(name)
-		if err != nil {
+		r := figures.NewRunner(benchConfig())
+		if _, err := r.Run(name); err != nil {
 			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("empty experiment output")
 		}
 	}
 }

@@ -13,7 +13,7 @@
 // request path. Populate it with `dpu-compile -o <dir>/name.dpuprog`,
 // or let a previous run fill it. The hardware configuration is the
 // request's "config" (default the paper's min-EDP point); choose one
-// offline with dpu-dse, as the paper's §V does.
+// offline with `dpu-figures -exp fig11`, as the paper's §V does.
 //
 // serve.Run owns listening and shutdown: SIGINT/SIGTERM drain in-flight
 // requests and flush the store under one serve.DrainTimeout deadline.

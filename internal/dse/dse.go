@@ -6,7 +6,6 @@
 package dse
 
 import (
-	"context"
 	"math"
 
 	"dpuv2/internal/arch"
@@ -69,10 +68,8 @@ func estimate(cfg arch.Config, c *compiler.Compiled) energy.Estimate {
 //
 // An error on any workload marks that point infeasible and carries the
 // error (a plan error, every point still evaluating); the other points
-// are unaffected (no sweep-wide bail). Cancellation of ctx is checked
-// before each plan and each emission, so a canceled point stops where it
-// is rather than finishing the suite.
-func evaluateGroup(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Config, group []int, opts compiler.Options, points []Point) {
+// are unaffected (no sweep-wide bail).
+func evaluateGroup(workloads []*dag.Graph, cfgs []arch.Config, group []int, opts compiler.Options, points []Point) {
 	live := make([]int, 0, len(group)) // points still feasible
 	for _, i := range group {
 		points[i] = Point{Cfg: cfgs[i].Normalize(), Feasible: true}
@@ -87,12 +84,6 @@ func evaluateGroup(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Conf
 		if len(live) == 0 {
 			break
 		}
-		if err := ctx.Err(); err != nil {
-			for _, i := range live {
-				fail(i, err)
-			}
-			return
-		}
 		plan, err := compiler.Plan(g, cfgs[live[0]], opts)
 		if err != nil {
 			for _, i := range live {
@@ -102,10 +93,6 @@ func evaluateGroup(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Conf
 		}
 		next := live[:0]
 		for _, i := range live {
-			if err := ctx.Err(); err != nil {
-				fail(i, err)
-				continue
-			}
 			c, err := plan.Emit(cfgs[i].R)
 			if err != nil {
 				fail(i, err)
@@ -141,25 +128,6 @@ func evaluateGroup(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Conf
 // Every point is what evaluating it alone gives, because compilation is
 // deterministic and the groups share nothing mutable.
 func SweepParallel(workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Options, workers int) []Point {
-	return SweepContext(context.Background(), workloads, cfgs, opts, workers)
-}
-
-// SweepContext is SweepParallel with cancellation: when ctx is canceled
-// (or its deadline expires) mid-sweep, configurations not yet evaluated
-// are returned promptly as infeasible points carrying ctx's error, and a
-// point mid-evaluation stops before its next plan or emission. The sweep
-// never returns early — the slice always has one point per configuration,
-// in cfgs order — so callers working under a budget (dpu-dse -timeout) get
-// whatever partial results the budget bought, each point labeled either
-// with its metrics or with the cancellation error.
-func SweepContext(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Config, opts compiler.Options, workers int) []Point {
-	// Force the lazily memoized graph adjacency into existence before
-	// fanning out, so the workers strictly read the shared graphs.
-	for _, g := range workloads {
-		if g.NumNodes() > 0 {
-			g.Outputs()
-		}
-	}
 	var groups [][]int
 	groupOf := make(map[arch.Config]int)
 	for i, c := range cfgs {
@@ -175,7 +143,7 @@ func SweepContext(ctx context.Context, workloads []*dag.Graph, cfgs []arch.Confi
 	}
 	points := make([]Point, len(cfgs))
 	par.ForEach(len(groups), workers, func(k int) {
-		evaluateGroup(ctx, workloads, cfgs, groups[k], opts, points)
+		evaluateGroup(workloads, cfgs, groups[k], opts, points)
 	})
 	return points
 }

@@ -1,11 +1,7 @@
 package dse
 
 import (
-	"context"
-	"errors"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
@@ -126,7 +122,7 @@ func TestSweepAndBest(t *testing.T) {
 // synthesis — so the win is reported by the grid sweep, not served.
 func TestMinLatencyPointStrictlyFasterThanDefault(t *testing.T) {
 	g := pc.Build(pc.Suite()[0], 0.02) // tretail
-	points := SweepContext(context.Background(), []*dag.Graph{g}, Grid(), compiler.Options{}, 0)
+	points := SweepParallel([]*dag.Graph{g}, Grid(), compiler.Options{}, 0)
 	best, ok := Best(points, MinLatency)
 	if !ok {
 		t.Fatal("no feasible grid point")
@@ -219,94 +215,6 @@ func TestSweepMatchesPerPoint(t *testing.T) {
 			if !samePoint(got[i], want[i]) {
 				t.Errorf("workers=%d point %d: swept %+v, alone %+v", workers, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestSweepContextCanceledUpFront: with a context canceled before the
-// sweep starts, every point comes back infeasible with the context's
-// error — same length, same order, no evaluation, and the sweep returns
-// promptly instead of burning the full grid.
-func TestSweepContextCanceledUpFront(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	suite := []*dag.Graph{pc.Build(pc.Suite()[0], 0.2)}
-	start := time.Now()
-	points := SweepContext(ctx, suite, Grid(), compiler.Options{}, 0)
-	elapsed := time.Since(start)
-	if len(points) != len(Grid()) {
-		t.Fatalf("got %d points, want one per config", len(points))
-	}
-	for i, p := range points {
-		if p.Feasible {
-			t.Fatalf("point %d evaluated despite canceled context: %+v", i, p)
-		}
-		if !errors.Is(p.Err, context.Canceled) {
-			t.Fatalf("point %d error = %v, want context.Canceled", i, p.Err)
-		}
-		if p.Cfg != Grid()[i].Normalize() {
-			t.Fatalf("point %d config %v out of order (want %v)", i, p.Cfg, Grid()[i].Normalize())
-		}
-	}
-	// No compilation happened, so even a generous bound proves promptness
-	// (the full 48-point sweep of this workload takes seconds).
-	if elapsed > 2*time.Second {
-		t.Fatalf("canceled sweep took %v", elapsed)
-	}
-}
-
-// cancelAtCheck is a context that cancels itself on its n-th Err call,
-// so a test can cancel a sweep at a fixed point of its progress rather
-// than after a wall-clock delay.
-type cancelAtCheck struct {
-	context.Context
-	cancel context.CancelFunc
-	left   atomic.Int32
-}
-
-func newCancelAtCheck(n int32) *cancelAtCheck {
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &cancelAtCheck{Context: ctx, cancel: cancel}
-	c.left.Store(n)
-	return c
-}
-
-func (c *cancelAtCheck) Err() error {
-	if c.left.Add(-1) == 0 {
-		c.cancel()
-	}
-	return c.Context.Err()
-}
-
-// TestSweepContextCancelMidSweep cancels a running sweep right after its
-// first point completes and asserts every later point comes back carrying
-// the cancellation error instead of being evaluated. A sweep checks its
-// context before each plan and each emission, so the third check is the
-// one after the first emission: on one worker exactly the first point
-// completes, whatever the machine's speed. On two workers the checks of
-// two groups interleave, and at most one point can complete.
-func TestSweepContextCancelMidSweep(t *testing.T) {
-	suite := []*dag.Graph{pc.Build(pc.Suite()[0], 0.05)}
-	for _, workers := range []int{1, 2} {
-		ctx := newCancelAtCheck(3)
-		points := SweepContext(ctx, suite, Grid(), compiler.Options{}, workers)
-		ctx.cancel()
-		if len(points) != len(Grid()) {
-			t.Fatalf("workers=%d: got %d points, want one per config", workers, len(points))
-		}
-		canceled, evaluated := 0, 0
-		for i, p := range points {
-			switch {
-			case errors.Is(p.Err, context.Canceled):
-				canceled++
-			case p.Feasible && p.LatencyPerOp > 0:
-				evaluated++
-			default:
-				t.Fatalf("workers=%d point %d neither evaluated nor canceled: %+v", workers, i, p)
-			}
-		}
-		if evaluated > 1 || workers == 1 && !points[0].Feasible {
-			t.Fatalf("workers=%d: %d points evaluated (first feasible: %v), want only the first", workers, evaluated, points[0].Feasible)
 		}
 	}
 }

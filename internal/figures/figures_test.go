@@ -1,0 +1,277 @@
+package figures
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"strconv"
+	"testing"
+)
+
+func tinyRunner() *Runner {
+	return NewRunner(Config{Scale: 0.04, LargeScale: 0.004})
+}
+
+// tables walks t and its parts, depth first.
+func tables(t *Table, fn func(*Table)) {
+	fn(t)
+	for _, p := range t.Parts {
+		tables(p, fn)
+	}
+}
+
+func TestEveryExperimentRuns(t *testing.T) {
+	r := tinyRunner()
+	for _, name := range Experiments() {
+		tab, err := r.Run(name)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		rows := 0
+		tables(tab, func(s *Table) {
+			rows += len(s.Rows)
+			for _, row := range s.Rows {
+				if len(row.Vals) != len(s.Cols) || row.Paper != nil && len(row.Paper) != len(s.Cols) {
+					t.Errorf("%s: row %q has %d values and %d paper values for %d columns",
+						name, row.Label, len(row.Vals), len(row.Paper), len(s.Cols))
+				}
+			}
+		})
+		if rows == 0 {
+			t.Errorf("%s: no rows", name)
+		}
+		if err := Render(&bytes.Buffer{}, tab); err != nil {
+			t.Errorf("%s: render: %v", name, err)
+		}
+	}
+}
+
+func TestUnknownExperimentRejected(t *testing.T) {
+	if _, err := tinyRunner().Run("fig99"); err == nil {
+		t.Fatal("expected unknown-experiment error")
+	}
+}
+
+func TestCacheReuse(t *testing.T) {
+	r := tinyRunner()
+	if _, err := r.Run("table1"); err != nil {
+		t.Fatal(err)
+	}
+	n := len(r.cache)
+	if n == 0 {
+		t.Fatal("cache empty after table1")
+	}
+	// fig13 uses the same min-EDP evaluations; no new small-suite entries
+	// should appear.
+	if _, err := r.Run("fig13"); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.cache) != n {
+		t.Errorf("cache grew from %d to %d; fig13 should fully reuse table1 evals", n, len(r.cache))
+	}
+}
+
+func TestTable1ListsAllWorkloads(t *testing.T) {
+	tab, err := tinyRunner().Run("table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[string]float64{}
+	tables(tab, func(s *Table) {
+		for _, row := range s.Rows {
+			nodes[row.Label] = s.Get(row.Label, "nodes(n)")
+		}
+	})
+	for _, name := range []string{"tretail", "mnist", "nltcs", "msnbc", "msweb", "bnetflix",
+		"bp_200", "west2021", "sieber", "jagmesh4", "rdb968", "dw2048",
+		"pigs", "andes", "munin", "mildew"} {
+		if !(nodes[name] > 0) {
+			t.Errorf("table1 lists %s with %v nodes", name, nodes[name])
+		}
+	}
+}
+
+// TestFig10bNoRatioWithoutConflicts: at scale 0.04 the conflict-aware
+// allocator leaves no conflict on tretail, so there is no reduction to
+// report, only the two counts.
+func TestFig10bNoRatioWithoutConflicts(t *testing.T) {
+	tab, err := tinyRunner().Run("fig10b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, ours := tab.Get("tretail", "random"), tab.Get("tretail", "ours")
+	if ours != 0 || !(random > 0) {
+		t.Fatalf("random %v, ours %v: want random conflicts and none of ours at this scale", random, ours)
+	}
+	if red := tab.Get("tretail", "reduction"); !math.IsNaN(red) {
+		t.Errorf("reduction %v reported over zero conflicts", red)
+	}
+	if tab.Paper("tretail", "reduction") != 292 {
+		t.Errorf("paper reduction %v, want 292", tab.Paper("tretail", "reduction"))
+	}
+}
+
+// TestRenderAlignsColumns: every column is as wide as its widest cell,
+// so a label longer than the heading still leaves the value columns
+// aligned; an unmeasured value prints "-" and reference values print on
+// a "(paper)" line.
+func TestRenderAlignsColumns(t *testing.T) {
+	tab := &Table{
+		Title: "T",
+		Key:   "config",
+		Cols:  []Col{{"lat(ns)", "%.3f"}, {"EDP", "%.2fx"}},
+		Rows: []Row{
+			{Label: "D=2,B=32,R=128,per-layer", Vals: []float64{0.741, 47.5}},
+			{Label: "short", Vals: []float64{12.5, none}, Paper: []float64{none, 6}},
+		},
+		Notes: []string{"note"},
+	}
+	var b bytes.Buffer
+	if err := Render(&b, tab); err != nil {
+		t.Fatal(err)
+	}
+	want := "T\n" +
+		"config                    lat(ns)     EDP\n" +
+		"D=2,B=32,R=128,per-layer    0.741  47.50x\n" +
+		"short                      12.500       -\n" +
+		"(paper)                             6.00x\n" +
+		"note\n"
+	if b.String() != want {
+		t.Errorf("rendered\n%s\nwant\n%s", b.String(), want)
+	}
+}
+
+// The claims TestPaperClaims checks are pinned at these scales.
+const claimScale, claimLargeScale = 0.1, 0.01
+
+// claim is one qualitative result of the paper, read off typed tables:
+// check reports whether it holds and the values it compared.
+type claim struct {
+	name  string
+	check func(tab map[string]*Table) (bool, string)
+}
+
+var paperClaims = []claim{
+	{"fig6e: conflicts (a) <= (b) < (c)", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig6e"]
+		a := f.Get("(a) crossbar/crossbar", "conflicts")
+		b := f.Get("(b) crossbar/one-PE-per-layer", "conflicts")
+		c := f.Get("(c) crossbar/one-PE", "conflicts")
+		return a <= b && b < c, fmt.Sprintf("a=%v b=%v c=%v", a, b, c)
+	}},
+	{"fig3c: tree >= systolic at every input count", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig3c"]
+		for _, row := range f.Rows {
+			if sys, tree := f.Get(row.Label, "systolic"), f.Get(row.Label, "tree"); !(tree >= sys) {
+				return false, fmt.Sprintf("%s inputs: tree %v%%, systolic %v%%", row.Label, tree, sys)
+			}
+		}
+		return len(f.Rows) > 0, fmt.Sprintf("%d input counts", len(f.Rows))
+	}},
+	{"fig1c: GPU < CPU below 100k nodes", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig1c"]
+		below := 0
+		for _, row := range f.Rows {
+			if n, _ := strconv.Atoi(row.Label); n >= 100_000 {
+				continue
+			}
+			below++
+			if gpu, cpu := f.Get(row.Label, "GPU"), f.Get(row.Label, "CPU"); !(gpu < cpu) {
+				return false, fmt.Sprintf("%s nodes: GPU %v, CPU %v", row.Label, gpu, cpu)
+			}
+		}
+		return below > 0, fmt.Sprintf("%d sizes below 100k", below)
+	}},
+	{"fig14a: DPU-v2 mean > CPU mean > GPU mean", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig14a"]
+		v2, cpu, gpu := f.Get("mean", "DPU-v2"), f.Get("mean", "CPU"), f.Get("mean", "GPU")
+		return v2 > cpu && cpu > gpu, fmt.Sprintf("DPU-v2 %v, CPU %v, GPU %v", v2, cpu, gpu)
+	}},
+	{"fig14a: DPU-v2 mean > DPU mean", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig14a"]
+		v2, v1 := f.Get("mean", "DPU-v2"), f.Get("mean", "DPU")
+		return v2 > v1, fmt.Sprintf("DPU-v2 %v, DPU %v", v2, v1)
+	}},
+	{"table3: DPU-v2 EDP < CPU EDP", func(tab map[string]*Table) (bool, string) {
+		f := tab["table3"].Parts[0]
+		v2, cpu := f.Get("DPU-v2", "EDP(pJ*ns)"), f.Get("CPU", "EDP(pJ*ns)")
+		return v2 < cpu, fmt.Sprintf("DPU-v2 %v, CPU %v", v2, cpu)
+	}},
+	{"table3: DPU-v2 EDP < DPU EDP", func(tab map[string]*Table) (bool, string) {
+		f := tab["table3"].Parts[0]
+		v2, v1 := f.Get("DPU-v2", "EDP(pJ*ns)"), f.Get("DPU", "EDP(pJ*ns)")
+		return v2 < v1, fmt.Sprintf("DPU-v2 %v, DPU %v", v2, v1)
+	}},
+	{"fig10b: random allocation conflicts more", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig10b"]
+		random, ours := f.Get("tretail", "random"), f.Get("tretail", "ours")
+		return random > ours, fmt.Sprintf("random %v, ours %v", random, ours)
+	}},
+	{"progsize: automatic write addressing saves bits (§III-B)", func(tab map[string]*Table) (bool, string) {
+		s := tab["progsize"].Get("mean", "saving")
+		return s > 0, fmt.Sprintf("mean saving %v%%", s)
+	}},
+	{"footprint: smaller than CSR (§IV-E)", func(tab map[string]*Table) (bool, string) {
+		s := tab["footprint"].Get("mean", "saving")
+		return s > 0, fmt.Sprintf("mean saving %v%%", s)
+	}},
+	optimumClaim("min latency"),
+	optimumClaim("min energy"),
+	optimumClaim("min EDP"),
+}
+
+// optimumClaim: fig. 11's optimum is the paper's design point.
+func optimumClaim(name string) claim {
+	return claim{"fig11: " + name + " is the paper's point", func(tab map[string]*Table) (bool, string) {
+		f := tab["fig11"].Parts[0]
+		var got, paper []float64
+		for _, c := range []string{"D", "B", "R"} {
+			got = append(got, f.Get(name, c))
+			paper = append(paper, f.Paper(name, c))
+		}
+		return fmt.Sprint(got) == fmt.Sprint(paper), fmt.Sprintf("D,B,R %v, paper %v", got, paper)
+	}}
+}
+
+// knownGaps are the paper claims this reproduction does not hold at
+// claimScale, each with what it reads there. A gap that starts to hold
+// fails TestPaperClaims until it is removed from here; a claim moves in
+// only by an edit that records what it reads.
+var knownGaps = map[string]string{
+	"fig14a: DPU-v2 mean > DPU mean":          "1.78 against 3.46 GOPS",
+	"table3: DPU-v2 EDP < DPU EDP":            "43.9 against 5.8 pJ*ns",
+	"fig11: min latency is the paper's point": "D=2,B=64,R=64 against D=3,B=64,R=128",
+	"fig11: min energy is the paper's point":  "D=2,B=32,R=16 against D=3,B=16,R=64",
+	"fig11: min EDP is the paper's point":     "D=2,B=64,R=16 against D=3,B=64,R=32",
+}
+
+// TestPaperClaims asserts every qualitative paper claim the harness
+// reproduces at claimScale and names the ones it does not in knownGaps.
+func TestPaperClaims(t *testing.T) {
+	r := NewRunner(Config{Scale: claimScale, LargeScale: claimLargeScale})
+	tab := map[string]*Table{}
+	for _, name := range []string{"fig1c", "fig3c", "fig6e", "fig10b", "fig11", "fig14a", "table3", "progsize", "footprint"} {
+		var err error
+		if tab[name], err = r.Run(name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	claimed := map[string]bool{}
+	for _, c := range paperClaims {
+		claimed[c.name] = true
+		ok, got := c.check(tab)
+		_, gap := knownGaps[c.name]
+		switch {
+		case gap && ok:
+			t.Errorf("%s now holds (%s): remove from knownGaps", c.name, got)
+		case !gap && !ok:
+			t.Errorf("%s does not hold: %s", c.name, got)
+		}
+	}
+	for name := range knownGaps {
+		if !claimed[name] {
+			t.Errorf("knownGaps names %q, which is not a claim", name)
+		}
+	}
+}
