@@ -462,7 +462,8 @@ func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	const spansPerCall, budget = 3, 64
 	const runs = (budget-1)/spansPerCall - 1
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, errs := sch.SubmitManyTraced(context.Background(), g, cfg, compiler.Options{}, vecs, tr); errs[0] != nil {
+		compile := func() (*compiler.Compiled, error) { return eng.CompileTraced(g, cfg, compiler.Options{}, tr) }
+		if _, errs := sch.SubmitManyTraced(context.Background(), compile, vecs, tr); errs[0] != nil {
 			t.Fatal(errs[0])
 		}
 	})

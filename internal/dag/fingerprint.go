@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 )
 
@@ -33,39 +34,74 @@ func (g *Graph) Fingerprint() Fingerprint {
 	if p := g.fp.Load(); p != nil {
 		return *p
 	}
-	h := sha256.New()
-	var scratch [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		h.Write(scratch[:4])
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
-	h.Write([]byte(fingerprintDomain))
-	put32(uint32(len(g.nodes)))
+	var h fingerprinter
+	h.begin(len(g.nodes))
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		scratch[0] = byte(n.Op)
-		h.Write(scratch[:1])
-		switch n.Op {
-		case OpConst:
-			put64(math.Float64bits(n.Val))
-		case OpInput:
-			// position alone identifies an input
-		default:
-			put32(uint32(len(n.Args)))
-			for _, a := range n.Args {
-				put32(uint32(a))
-			}
-		}
+		h.node(n.Op, n.Val, n.Args)
 	}
-	var f Fingerprint
-	h.Sum(f[:0])
+	f := h.sum()
 	// Concurrent first callers may hash twice; the results are identical.
 	// Return the local value: a racing mutation may have already cleared
 	// the memo again, so the pointer must not be re-read.
 	g.fp.CompareAndSwap(nil, &f)
 	return f
+}
+
+// fingerprinter is the one encoder of the Fingerprint layout, shared by
+// Graph.Fingerprint and Parsed.Fingerprint: the domain, the node count,
+// then per node its op byte and either its constant's bits (const),
+// nothing (input), or its argument count and arguments, all little
+// endian. It batches the encoding through buf, so the hash sees a few
+// large writes instead of one per field.
+type fingerprinter struct {
+	h   hash.Hash
+	buf [512]byte
+	n   int
+}
+
+func (f *fingerprinter) begin(nodes int) {
+	f.h = sha256.New()
+	f.n = copy(f.buf[:], fingerprintDomain)
+	f.put32(uint32(nodes))
+}
+
+func (f *fingerprinter) node(op Op, val float64, args []NodeID) {
+	f.room(1)
+	f.buf[f.n] = byte(op)
+	f.n++
+	switch op {
+	case OpConst:
+		f.room(8)
+		binary.LittleEndian.PutUint64(f.buf[f.n:], math.Float64bits(val))
+		f.n += 8
+	case OpInput:
+		// position alone identifies an input
+	default:
+		f.put32(uint32(len(args)))
+		for _, a := range args {
+			f.put32(uint32(a))
+		}
+	}
+}
+
+func (f *fingerprinter) put32(v uint32) {
+	f.room(4)
+	binary.LittleEndian.PutUint32(f.buf[f.n:], v)
+	f.n += 4
+}
+
+// room flushes buf to the hash unless k more bytes fit.
+func (f *fingerprinter) room(k int) {
+	if f.n+k > len(f.buf) {
+		f.h.Write(f.buf[:f.n])
+		f.n = 0
+	}
+}
+
+func (f *fingerprinter) sum() Fingerprint {
+	f.h.Write(f.buf[:f.n])
+	var fp Fingerprint
+	f.h.Sum(fp[:0])
+	return fp
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -46,93 +47,162 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Read parses the text node-list format produced by Write.
-//
-// It tokenizes each line in the scanner's own buffer and collects the
-// graph in flat arrays: an op per node, a value per const, the end of
-// each node's arguments, and one argument list for the whole graph.
-// After the last line it builds the node arena once, at its final
-// length, with every node's Args a clipped view of the shared list.
+// Read parses the text node-list format produced by Write: it reads r
+// to the end, parses the text (see Parse) and builds the graph.
 func Read(r io.Reader, name string) (*Graph, error) {
-	var (
-		ops  []Op
-		vals []float64 // one per const node, in id order
-		ends []int32   // node i's arguments are args[ends[i-1]:ends[i]]
-		args []NodeID
-	)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		word, rest := nextField(sc.Bytes())
-		if word == nil || word[0] == '#' {
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, err
+	}
+	p, err := Parse(sb.String())
+	if err != nil {
+		return nil, err
+	}
+	return p.Graph(name), nil
+}
+
+// maxLine bounds one line of graph text, as the 16 MiB token limit of
+// the bufio.Scanner this parser replaced did: a line of maxLine bytes
+// or more, counting a trailing '\r' but not the '\n', is rejected with
+// bufio.ErrTooLong.
+const maxLine = 1 << 24
+
+// Parsed is graph text parsed into flat arrays: an op per node, a value
+// per const, the end of each node's arguments, and one argument list
+// for the whole graph. It yields the graph's Fingerprint without
+// building nodes, and builds the Graph only when asked, so a server
+// can key its cache on the text and build a graph only on a miss. A
+// Parsed is not safe for concurrent use.
+type Parsed struct {
+	ops  []Op
+	vals []float64 // one per const node, in id order
+	ends []int32   // node i's arguments are args[ends[i-1]:ends[i]]
+	args []NodeID
+	fp   *Fingerprint // memoized by Fingerprint
+}
+
+// Parse parses the text node-list format produced by Write, tokenizing
+// each line in place. Lines end at '\n'; a '\r' before it is a space to
+// nextField, so CRLF text needs no case of its own.
+func Parse(text string) (*Parsed, error) {
+	// A node line takes at least 6 bytes ("input\n"), so n bounds the
+	// nodes by the lines and by the bytes: ops and ends never grow, and
+	// what is allocated up front stays near twice the text however many
+	// blank or comment lines it holds.
+	n := min(strings.Count(text, "\n")+1, len(text)/6+1)
+	p := &Parsed{ops: make([]Op, 0, n), ends: make([]int32, 0, n), args: make([]NodeID, 0, 2*n)}
+	for line := 1; text != ""; line++ {
+		ln := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			ln, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		if len(ln) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		word, rest := nextField(ln)
+		if word == "" || word[0] == '#' {
 			continue
 		}
-		switch string(word) {
+		switch word {
 		case "input":
-			ops = push(ops, OpInput)
+			p.ops = push(p.ops, OpInput)
 		case "const":
 			f, rest := nextField(rest)
-			if next, _ := nextField(rest); f == nil || next != nil {
+			if next, _ := nextField(rest); f == "" || next != "" {
 				return nil, fmt.Errorf("dag: line %d: const needs one value", line)
 			}
-			v, err := strconv.ParseFloat(string(f), 64)
+			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("dag: line %d: %v", line, err)
 			}
-			ops, vals = push(ops, OpConst), push(vals, v)
+			p.ops, p.vals = push(p.ops, OpConst), push(p.vals, v)
 		case "add", "mul":
 			f, rest := nextField(rest)
-			if f == nil {
+			if f == "" {
 				return nil, fmt.Errorf("dag: line %d: %s needs arguments", line, word)
 			}
-			for ; f != nil; f, rest = nextField(rest) {
-				a, err := strconv.Atoi(string(f))
+			for ; f != ""; f, rest = nextField(rest) {
+				a, err := strconv.Atoi(f)
 				if err != nil {
 					return nil, fmt.Errorf("dag: line %d: %v", line, err)
 				}
-				if a < 0 || a >= len(ops) {
+				if a < 0 || a >= len(p.ops) {
 					return nil, fmt.Errorf("dag: line %d: argument %d out of range", line, a)
 				}
-				args = push(args, NodeID(a))
+				p.args = push(p.args, NodeID(a))
 			}
 			op := OpAdd
-			if string(word) == "mul" {
+			if word == "mul" {
 				op = OpMul
 			}
-			ops = push(ops, op)
+			p.ops = push(p.ops, op)
 		default:
 			return nil, fmt.Errorf("dag: line %d: unknown op %q", line, word)
 		}
-		ends = push(ends, int32(len(args)))
+		p.ends = push(p.ends, int32(len(p.args)))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(ops) == 0 {
+	if len(p.ops) == 0 {
 		return nil, fmt.Errorf("dag: empty graph")
 	}
-	g := &Graph{Name: name, nodes: make([]Node, len(ops))}
-	var s int32
-	for i, op := range ops {
-		n := &g.nodes[i]
-		n.Op = op
-		if op == OpConst {
-			n.Val, vals = vals[0], vals[1:]
-		}
-		// Clipped, so an append to one node's Args cannot overwrite the
-		// next node's.
-		if e := ends[i]; e > s {
-			n.Args = args[s:e:e]
-			s = e
-		}
-	}
-	return g, nil
+	return p, nil
 }
 
-// push appends v to s, doubling its capacity when it is full: Read's
-// arrays then reallocate about log2(n) times for n entries, and the
+// node returns node i's op, constant value and arguments, clipped (nil
+// for a leaf); vc counts the consts before i.
+func (p *Parsed) node(i int, vc *int) (op Op, v float64, args []NodeID) {
+	op = p.ops[i]
+	if op == OpConst {
+		v = p.vals[*vc]
+		*vc++
+	}
+	s, e := int32(0), p.ends[i]
+	if i > 0 {
+		s = p.ends[i-1]
+	}
+	if e > s {
+		args = p.args[s:e:e]
+	}
+	return op, v, args
+}
+
+// Fingerprint returns the Fingerprint of the graph the text describes,
+// hashed from the flat arrays in Graph.Fingerprint's exact layout.
+func (p *Parsed) Fingerprint() Fingerprint {
+	if p.fp == nil {
+		var h fingerprinter
+		h.begin(len(p.ops))
+		vc := 0
+		for i := range p.ops {
+			h.node(p.node(i, &vc))
+		}
+		f := h.sum()
+		p.fp = &f
+	}
+	return *p.fp
+}
+
+// Graph builds the graph: the node arena is allocated once at its final
+// length, every node's Args is a clipped view of the shared argument
+// list (so an append to one node's Args cannot overwrite the next
+// node's), and a fingerprint already computed seeds the graph's memo.
+// The graph shares p's arrays: p must not be used to build another.
+func (p *Parsed) Graph(name string) *Graph {
+	g := &Graph{Name: name, nodes: make([]Node, len(p.ops))}
+	vc := 0
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		n.Op, n.Val, n.Args = p.node(i, &vc)
+	}
+	if p.fp != nil {
+		g.fp.Store(p.fp)
+	}
+	return g
+}
+
+// push appends v to s, doubling its capacity when it is full: Parse's
+// vals and args then reallocate about log2(n) times for n entries, and the
 // bytes they allocate in all stay within twice their final size. (A
 // plain append grows a large slice by a quarter; slices.Grow doubles,
 // but allocates twice per growth under the race detector.)
@@ -143,43 +213,43 @@ func push[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// nextField returns the first field of b and what follows it, splitting
+// nextField returns the first field of s and what follows it, splitting
 // where strings.Fields does: at the ASCII spaces and at every rune
 // unicode.IsSpace accepts; a byte that is not valid UTF-8 is not a space.
-// It returns a nil field when b holds no field.
-func nextField(b []byte) (field, rest []byte) {
+// It returns an empty field when s holds no field.
+func nextField(s string) (field, rest string) {
 	i := 0
-	for i < len(b) {
-		sp, w := asciiSpace[b[i]], 1
-		if b[i] >= utf8.RuneSelf {
-			sp, w = runeSpace(b[i:])
+	for i < len(s) {
+		sp, w := asciiSpace[s[i]], 1
+		if s[i] >= utf8.RuneSelf {
+			sp, w = runeSpace(s[i:])
 		}
 		if !sp {
 			break
 		}
 		i += w
 	}
-	if i == len(b) {
-		return nil, nil
+	if i == len(s) {
+		return "", ""
 	}
 	j := i
-	for j < len(b) {
-		sp, w := asciiSpace[b[j]], 1
-		if b[j] >= utf8.RuneSelf {
-			sp, w = runeSpace(b[j:])
+	for j < len(s) {
+		sp, w := asciiSpace[s[j]], 1
+		if s[j] >= utf8.RuneSelf {
+			sp, w = runeSpace(s[j:])
 		}
 		if sp {
 			break
 		}
 		j += w
 	}
-	return b[i:j], b[j:]
+	return s[i:j], s[j:]
 }
 
-// runeSpace reports whether b starts with a space rune, and the rune's
+// runeSpace reports whether s starts with a space rune, and the rune's
 // byte length.
-func runeSpace(b []byte) (bool, int) {
-	r, w := utf8.DecodeRune(b)
+func runeSpace(s string) (bool, int) {
+	r, w := utf8.DecodeRuneInString(s)
 	return unicode.IsSpace(r), w
 }
 

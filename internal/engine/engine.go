@@ -6,7 +6,9 @@
 //   - a content-addressed compile cache keyed by the graph's stable
 //     Fingerprint plus the (normalized) hardware configuration and
 //     compiler options, LRU-bounded, with single-flight admission so
-//     concurrent requests for the same graph compile it exactly once;
+//     concurrent requests for the same graph compile it exactly once,
+//     and a lookup by key alone (Lookup) that answers a resident
+//     program without the request's graph being built;
 //
 //   - one bounded free list of sim.FuncEvaluator instances (an
 //     evaluator serves any program on any configuration), so
@@ -115,6 +117,11 @@ type entry struct {
 	done chan struct{}
 	c    *compiler.Compiled
 	err  error
+	// sinks memoizes the sinks of the client graphs c serves, set once
+	// a graph with key's fingerprint has been checked against c: at its
+	// compile or store decode, or at the first Compile hit on a
+	// preloaded entry. Nil until then; Lookup answers only when set.
+	sinks atomic.Pointer[[]dag.NodeID]
 
 	prev, next *entry // LRU list, most-recent first
 }
@@ -179,7 +186,8 @@ func New(opts Options) *Engine {
 // is served on: the caller's own, with the config in normalized
 // (cache-key) form. It stays as the serving path's one config-resolution
 // step, so the handler and anything replaying the handler name the same
-// cache key.
+// cache key. It does not read g, which may be nil: the handler resolves
+// before it knows whether it needs to build a graph.
 func (e *Engine) Resolve(g *dag.Graph, cfg arch.Config, opts compiler.Options) (arch.Config, compiler.Options) {
 	return cfg.Normalize(), opts
 }
@@ -206,11 +214,14 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 		e.moveToFront(ent)
 		e.mu.Unlock()
 		<-ent.done
+		if ent.err != nil || ent.sinks.Load() != nil {
+			return ent.c, ent.err, true
+		}
 		// A program the engine compiled always serves g, but a preloaded
 		// artifact is only validated against its own content. Evict one
 		// that does not (cache and store) so the next request recompiles
 		// cleanly.
-		if ent.err == nil && !servesGraph(g, ent.c) {
+		if !servesGraph(g, ent.c) {
 			// Only the waiter that actually evicts the entry purges the
 			// store file, and it does so before any retry can miss: a
 			// late purge would delete the artifact the retry's compile
@@ -222,7 +233,9 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 			return nil, fmt.Errorf("engine: cached program for %s does not map the graph's %d nodes and sinks onto its own (poisoned artifact evicted; retry recompiles)",
 				k.Fingerprint.Short(), g.NumNodes()), true
 		}
-		return ent.c, ent.err, true
+		sinks := g.Outputs()
+		ent.sinks.Store(&sinks)
+		return ent.c, nil, true
 	}
 	e.misses++
 	ent := &entry{key: k, done: make(chan struct{})}
@@ -232,8 +245,15 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 	e.mu.Unlock()
 
 	c, err := e.resolveMiss(g, k, tr, parent)
+	var sinks []dag.NodeID
+	if err == nil {
+		sinks = g.Outputs() // resolveMiss returns only a program that serves g
+	}
 	e.mu.Lock()
 	ent.c, ent.err = c, err
+	if err == nil {
+		ent.sinks.Store(&sinks) // with c, under e.mu, where Lookup reads both
+	}
 	if err != nil && e.entries[k] == ent {
 		delete(e.entries, k)
 		e.unlink(ent)
@@ -244,6 +264,41 @@ func (e *Engine) compile(g *dag.Graph, cfg arch.Config, opts compiler.Options, t
 	e.evictLocked()
 	e.mu.Unlock()
 	return c, err, false
+}
+
+// Lookup answers a request by its content address alone: for a
+// resident, completed entry whose program has been checked against a
+// graph with fingerprint fp, it returns the program and that graph's
+// sinks, counting a hit and touching the LRU exactly as Compile's hit
+// path does. An absent, in-flight or unchecked entry is no answer and
+// counts nothing: the caller builds the graph and calls Compile, which
+// counts the miss or hit and checks a preloaded program with
+// servesGraph before it is served. This is sound because servesGraph
+// reads only the graph's node count and sinks, and both are functions
+// of the structure fp names. A hit records a "resolve" span with
+// cache_hit=true against tr (nil records nothing).
+func (e *Engine) Lookup(fp dag.Fingerprint, cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, []dag.NodeID, bool) {
+	t0 := tr.Now()
+	k := artifact.KeyFor(fp, cfg, opts)
+	e.mu.Lock()
+	ent, ok := e.entries[k]
+	var sinks *[]dag.NodeID
+	if ok {
+		sinks = ent.sinks.Load()
+	}
+	if sinks == nil {
+		e.mu.Unlock()
+		return nil, nil, false
+	}
+	e.hits++
+	e.moveToFront(ent)
+	c := ent.c
+	e.mu.Unlock()
+	if tr != nil {
+		tr.Span("resolve", t0, tr.Now().Sub(t0), 0,
+			trace.Str("fingerprint", fp.Short()), trace.Bool("cache_hit", true))
+	}
+	return c, *sinks, true
 }
 
 // servesGraph reports whether c answers for g: its remap covers g's

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -632,5 +633,80 @@ func TestStoreRacePreloadDuringPersist(t *testing.T) {
 	}
 	if n != graphs {
 		t.Errorf("final preload loaded %d, want %d (last mid-flight round saw %d)", n, graphs, loaded)
+	}
+}
+
+// TestLookupAnswersOnlyCheckedEntries: Lookup answers a key only for a
+// resident program checked against a graph with that fingerprint — one
+// compiled here, decoded from the store, or preloaded and then met by a
+// Compile hit — with that graph's sinks, counting a hit and touching the
+// LRU as Compile does. An absent, failed or unchecked key is no answer
+// and counts nothing.
+func TestLookupAnswersOnlyCheckedEntries(t *testing.T) {
+	st := openStore(t)
+	a, b, c := testGraph(61), testGraph(62), testGraph(63)
+	e := newStoreEngine(t, Options{CacheSize: 2, Store: st})
+	lookup := func(e *Engine, g *dag.Graph) bool {
+		t.Helper()
+		before := e.Stats()
+		p, sinks, ok := e.Lookup(g.Fingerprint(), testCfg, compiler.Options{}, nil)
+		after := e.Stats()
+		want := int64(0)
+		if ok {
+			want = 1
+		}
+		if hits := after.Hits - before.Hits; hits != want || after.Misses != before.Misses {
+			t.Errorf("Lookup answered %v and counted %d hits, %d misses", ok, hits, after.Misses-before.Misses)
+		}
+		if ok && (!slices.Equal(sinks, g.Outputs()) || !servesGraph(g, p)) {
+			t.Errorf("Lookup answered sinks %v, graph has %v", sinks, g.Outputs())
+		}
+		return ok
+	}
+	compile := func(e *Engine, g *dag.Graph) {
+		t.Helper()
+		if _, err := e.Compile(g, testCfg, compiler.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lookup(e, a) {
+		t.Fatal("an absent key was answered")
+	}
+	if _, err := e.Compile(a, arch.Config{D: 5, B: 2, R: 8}, compiler.Options{}); err == nil {
+		t.Fatal("compile on an illegal config succeeded")
+	}
+	if _, _, ok := e.Lookup(a.Fingerprint(), arch.Config{D: 5, B: 2, R: 8}, compiler.Options{}, nil); ok {
+		t.Fatal("a failed compile was answered")
+	}
+	compile(e, a)
+	compile(e, b)
+	if !lookup(e, a) {
+		t.Fatal("a compiled program was not answered")
+	}
+	compile(e, c) // evicts b: the lookup made a the most recent
+	if lookup(e, b) || !lookup(e, a) {
+		t.Fatal("Lookup did not touch the LRU as a Compile hit does")
+	}
+	e.Flush()
+	compile(e, b) // a store decode, checked against b
+	if s := e.Stats(); s.StoreHits != 1 || !lookup(e, b) {
+		t.Fatalf("store hits %d; a decoded program must be answered", s.StoreHits)
+	}
+
+	e2 := newStoreEngine(t, Options{CacheSize: 3, Store: st})
+	if n, err := e2.Preload(); err != nil || n != 3 {
+		t.Fatalf("preload: %d, %v", n, err)
+	}
+	for _, g := range []*dag.Graph{a, b, c} {
+		if lookup(e2, g) {
+			t.Fatal("a preloaded program was answered before a graph checked it")
+		}
+		compile(e2, g)
+		if !lookup(e2, g) {
+			t.Fatal("a preloaded program met by a Compile hit was not answered")
+		}
+	}
+	if s := e2.Stats(); s.Misses != 0 {
+		t.Errorf("preloaded engine compiled %d times", s.Misses)
 	}
 }

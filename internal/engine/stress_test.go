@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -104,8 +105,10 @@ func TestConcurrentSingleFlightAndIsolation(t *testing.T) {
 }
 
 // TestConcurrentChurnAgainstSmallLRU drives more distinct graphs than
-// the cache holds from many goroutines: recompiles are expected (misses
-// > graphs), but every response must still verify and the cache must
+// the cache holds from many goroutines, each resolving as the server
+// does — Lookup by key first, Compile on no answer: recompiles are
+// expected (misses > graphs), but every keyed answer must carry the
+// graph's sinks, every response must still verify, and the cache must
 // never exceed its bound by more than the in-flight compilations.
 func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 	const (
@@ -131,10 +134,17 @@ func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 				for k := 0; k < nGraphs; k++ {
 					g := graphs[(k*(w+1)+it)%nGraphs]
 					in := testInputs(g, scale)
-					c, err := e.Compile(g, testCfg, compiler.Options{})
-					if err != nil {
-						t.Errorf("worker %d: %v", w, err)
+					c, sinks, ok := e.Lookup(g.Fingerprint(), testCfg, compiler.Options{}, nil)
+					if ok && (!slices.Equal(sinks, g.Outputs()) || !servesGraph(g, c)) {
+						t.Errorf("worker %d: Lookup answered sinks %v for a graph with %v", w, sinks, g.Outputs())
 						return
+					}
+					if !ok {
+						var err error
+						if c, err = e.Compile(g, testCfg, compiler.Options{}); err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
 					}
 					res, err := executeOne(e, c, in)
 					if err != nil {

@@ -1,7 +1,7 @@
 package engine
 
-// Tracing entry point: the scheduler (sched.TracedBackend) calls this
-// instead of Compile when a call carries a trace, so the engine's cache
+// Tracing entry point: the server's compile step calls this instead of
+// Compile when its request carries a trace, so the engine's cache
 // interaction decomposes into named spans — resolve (the whole cache
 // interaction), store_decode and compile (where a miss actually went).
 // The scheduler records each chunk's execute span itself. With a nil

@@ -402,20 +402,25 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	gr, err := dag.Read(strings.NewReader(req.Graph), "request")
+	// One parse of the graph text gives the fingerprint; no graph is
+	// built.
+	p, err := dag.Parse(req.Graph)
 	if err != nil {
 		http.Error(w, "bad graph: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	candidates := g.ring.Load().Owners(ringKey(gr.Fingerprint()), len(g.backends))
+	fp := p.Fingerprint()
+	candidates := g.ring.Load().Owners(ringKey(fp), len(g.backends))
 	if len(candidates) == 0 {
 		g.rejected.Add(1)
 		http.Error(w, "no live backends", http.StatusServiceUnavailable)
 		return
 	}
-	tr.Span("route", start, tr.Now().Sub(start), 0,
-		trace.Str("fingerprint", gr.Fingerprint().Short()),
-		trace.Str("owner", candidates[0]))
+	if tr != nil {
+		tr.Span("route", start, tr.Now().Sub(start), 0,
+			trace.Str("fingerprint", fp.Short()),
+			trace.Str("owner", candidates[0]))
+	}
 	res, ok := g.forward(r.Context(), candidates, body, tp, tr)
 	if !ok {
 		g.rejected.Add(1)

@@ -50,17 +50,6 @@ type Backend interface {
 	ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error)
 }
 
-// TracedBackend is the optional tracing extension of Backend: a backend
-// that records its own compile-cache spans (resolution, store decode,
-// compile) against the call's trace. *engine.Engine implements it;
-// plain Backends — including every test fake — keep working, they just
-// contribute no resolve spans. The scheduler records every chunk's
-// execute span itself, whatever the backend.
-type TracedBackend interface {
-	Backend
-	CompileTraced(g *dag.Graph, cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, error)
-}
-
 // Stage names of the per-item latency decomposition, as trace spans and
 // histogram labels: QueueWait is admission → start of the item's chunk
 // (the call's compile and earlier chunks), Execute the chunk's backend
@@ -143,7 +132,6 @@ type Stats struct {
 // by any number of goroutines.
 type Scheduler struct {
 	backend Backend
-	traced  TracedBackend // backend's tracing extension, nil if it has none
 	opts    Options
 	limit   int // admission bound, queueLimit (tests lower it after New)
 	// now reads the time for the latency accounting: time.Now, which a
@@ -167,25 +155,29 @@ type Scheduler struct {
 // New returns a scheduler dispatching onto backend.
 func New(backend Backend, opts Options) *Scheduler {
 	opts = opts.normalize()
-	traced, _ := backend.(TracedBackend)
-	return &Scheduler{backend: backend, traced: traced, opts: opts, limit: queueLimit, now: time.Now}
+	return &Scheduler{backend: backend, opts: opts, limit: queueLimit, now: time.Now}
 }
 
 // SubmitMany runs a whole request's input vectors under one admission
-// and one compile, and returns per-item results and errors in input
-// order.
+// and one compile, the backend's Compile of (g, cfg, copts), and returns
+// per-item results and errors in input order.
 func (s *Scheduler) SubmitMany(g *dag.Graph, cfg arch.Config, copts compiler.Options, batches [][]float64) ([]Result, []error) {
-	return s.SubmitManyTraced(context.Background(), g, cfg, copts, batches, nil)
+	return s.SubmitManyTraced(context.Background(), func() (*compiler.Compiled, error) {
+		return s.backend.Compile(g, cfg, copts)
+	}, batches, nil)
 }
 
-// SubmitManyTraced is SubmitMany under ctx, recording against tr (nil
-// records nothing). Vectors are admitted in order, so when the queue
-// fills the admitted ones are a prefix and the rest fail with
-// ErrQueueFull (ErrClosed after Close). A chunk not started when ctx is
-// done fails with ctx.Err(). A traced call gets one queue_wait span
-// (admission → first chunk) and one execute span per chunk run; a
-// TracedBackend adds its compile spans.
-func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch.Config, copts compiler.Options, batches [][]float64, tr *trace.Trace) ([]Result, []error) {
+// SubmitManyTraced is SubmitMany under ctx with the call's compile step
+// given as a function, recording against tr (nil records nothing).
+// Vectors are admitted in order, so when the queue fills the admitted
+// ones are a prefix and the rest fail with ErrQueueFull (ErrClosed after
+// Close). compile runs once, after admission and only if it admitted a
+// vector, so a call turned away builds and compiles nothing; a server
+// passes a step that answers a resident program by key and builds its
+// graph only on a miss. A chunk not started when ctx is done fails with
+// ctx.Err(). A traced call gets one queue_wait span (admission → first
+// chunk) and one execute span per chunk run; compile records its own.
+func (s *Scheduler) SubmitManyTraced(ctx context.Context, compile func() (*compiler.Compiled, error), batches [][]float64, tr *trace.Trace) ([]Result, []error) {
 	n := len(batches)
 	results := make([]Result, n)
 	errs := make([]error, n)
@@ -210,13 +202,7 @@ func (s *Scheduler) SubmitManyTraced(ctx context.Context, g *dag.Graph, cfg arch
 	}
 	s.submitted.Add(int64(k))
 
-	var c *compiler.Compiled
-	var err error
-	if s.traced != nil && tr != nil {
-		c, err = s.traced.CompileTraced(g, cfg, copts, tr)
-	} else {
-		c, err = s.backend.Compile(g, cfg, copts)
-	}
+	c, err := compile()
 	var outs [][]float64
 	if err != nil {
 		err = &CompileError{Err: err}

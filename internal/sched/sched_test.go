@@ -13,7 +13,6 @@ import (
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/sim"
-	"dpuv2/internal/trace"
 )
 
 var testCfg = arch.Config{D: 2, B: 8, R: 16}
@@ -68,9 +67,7 @@ func checkOutputs(t *testing.T, what string, got, want []float64) {
 // gatedBackend is a real engine whose FIRST batch execution blocks until
 // the test opens the gate; every later execution passes straight
 // through. It holds one call mid-execution while the test drives others,
-// with no clock to race. It implements TracedBackend so traced calls
-// still carry the engine's resolve spans, and counts the executions it
-// ran.
+// with no clock to race, and counts the executions it ran.
 type gatedBackend struct {
 	eng     *engine.Engine
 	once    sync.Once
@@ -106,13 +103,15 @@ func (b *gatedBackend) Compile(g *dag.Graph, cfg arch.Config, opts compiler.Opti
 	return b.eng.Compile(g, cfg, opts)
 }
 
-func (b *gatedBackend) CompileTraced(g *dag.Graph, cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, error) {
-	return b.eng.CompileTraced(g, cfg, opts, tr)
-}
-
 func (b *gatedBackend) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float64, cycles []int, errs []error) {
 	b.wait()
 	b.eng.ExecuteBatchInto(c, batches, outs, cycles, errs)
+}
+
+// compileStep is the compile step SubmitMany hands SubmitManyTraced:
+// b's Compile of g on testCfg.
+func compileStep(b Backend, g *dag.Graph) func() (*compiler.Compiled, error) {
+	return func() (*compiler.Compiled, error) { return b.Compile(g, testCfg, compiler.Options{}) }
 }
 
 type outcome struct {
@@ -181,7 +180,7 @@ func TestCancelledCallSkipsUnstartedChunks(t *testing.T) {
 	}
 	done := make(chan call, 1)
 	go func() {
-		res, errs := s.SubmitManyTraced(ctx, g, testCfg, compiler.Options{}, [][]float64{in, in}, nil)
+		res, errs := s.SubmitManyTraced(ctx, compileStep(gb, g), [][]float64{in, in}, nil)
 		done <- call{res, errs}
 	}()
 	<-gb.started // chunk 1 is executing, chunk 2 not started

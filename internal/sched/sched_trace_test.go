@@ -9,6 +9,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -76,7 +77,9 @@ func TestStageDecomposition(t *testing.T) {
 	submit := func(tr *trace.Trace, vecs [][]float64) <-chan []error {
 		ch := make(chan []error, 1)
 		go func() {
-			_, errs := s.SubmitManyTraced(context.Background(), g, testCfg, compiler.Options{}, vecs, tr)
+			_, errs := s.SubmitManyTraced(context.Background(), func() (*compiler.Compiled, error) {
+				return gb.eng.CompileTraced(g, testCfg, compiler.Options{}, tr)
+			}, vecs, tr)
 			ch <- errs
 		}()
 		return ch
@@ -159,16 +162,13 @@ func TestStageDecomposition(t *testing.T) {
 	}
 }
 
-// plainBackend hides the engine's TracedBackend extension: the
-// scheduler sees a bare Backend.
-type plainBackend struct{ Backend }
-
 // TestExecuteSpanPerChunk: a traced call records one execute span per
-// chunk it runs, carrying the chunk's size, whatever the backend — a
-// plain Backend contributes no resolve span but its chunks are still
-// timed. A call that never executes records none.
+// chunk it runs, carrying the chunk's size, whatever its compile step —
+// one that records nothing contributes no resolve span, but the chunks
+// are still timed. A call that never executes records none.
 func TestExecuteSpanPerChunk(t *testing.T) {
-	s := New(plainBackend{engine.New(engine.Options{})}, Options{MaxBatch: 2})
+	eng := engine.New(engine.Options{})
+	s := New(eng, Options{MaxBatch: 2})
 	defer s.Close()
 	tracer := trace.New(trace.Options{})
 	g := testGraph(23)
@@ -176,7 +176,7 @@ func TestExecuteSpanPerChunk(t *testing.T) {
 	want := wantEval(t, g, in)
 
 	tr := tracer.Start(trace.ID{}, "request", time.Now())
-	rs, errs := s.SubmitManyTraced(context.Background(), g, testCfg, compiler.Options{}, [][]float64{in, in, in}, tr)
+	rs, errs := s.SubmitManyTraced(context.Background(), compileStep(eng, g), [][]float64{in, in, in}, tr)
 	rec := tracer.Finish(tr)
 	for i, err := range errs {
 		if err != nil {
@@ -189,12 +189,14 @@ func TestExecuteSpanPerChunk(t *testing.T) {
 		t.Fatalf("execute spans %+v, want two with batch_size 2 and 1", esp)
 	}
 	if len(findSpans(rec, "resolve")) != 0 {
-		t.Errorf("a plain Backend recorded a resolve span: %+v", rec.Spans)
+		t.Errorf("an untraced compile step recorded a resolve span: %+v", rec.Spans)
 	}
 
 	bad := arch.Config{D: 5, B: 2, R: 8} // B < 2^D: rejected by the compiler
 	tr = tracer.Start(trace.ID{}, "request", time.Now())
-	s.SubmitManyTraced(context.Background(), g, bad, compiler.Options{}, [][]float64{in}, tr)
+	s.SubmitManyTraced(context.Background(), func() (*compiler.Compiled, error) {
+		return eng.Compile(g, bad, compiler.Options{})
+	}, [][]float64{in}, tr)
 	if esp := findSpans(tracer.Finish(tr), StageExecute); len(esp) != 0 {
 		t.Errorf("a call that failed to compile recorded execute spans %+v", esp)
 	}
@@ -206,7 +208,8 @@ func TestExecuteSpanPerChunk(t *testing.T) {
 // completed + failed, however the call ended. Rejected items observe
 // neither.
 func TestStageCountConservation(t *testing.T) {
-	s := New(engine.New(engine.Options{}), Options{MaxBatch: 2})
+	eng := engine.New(engine.Options{})
+	s := New(eng, Options{MaxBatch: 2})
 	s.limit = 8
 	defer s.Close()
 	g := testGraph(12)
@@ -232,7 +235,7 @@ func TestStageCountConservation(t *testing.T) {
 	// A cancelled context fails every chunk before it starts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s.SubmitManyTraced(ctx, g, testCfg, copts, vecs(3), nil)
+	s.SubmitManyTraced(ctx, compileStep(eng, g), vecs(3), nil)
 	// Twelve vectors against a bound of 8: the overflow is rejected.
 	s.SubmitMany(g, testCfg, copts, vecs(12))
 
@@ -251,5 +254,50 @@ func TestStageCountConservation(t *testing.T) {
 	if st.Batches != 1+3+1+2+4 || st.BatchSizeHist.Sum != admitted || st.QueueDepth != 0 {
 		t.Fatalf("batches %d holding %d items, queue depth %d; want 11 holding %d, depth 0",
 			st.Batches, st.BatchSizeHist.Sum, st.QueueDepth, admitted)
+	}
+}
+
+// TestRejectedCallNeverCompiles: a call whose every vector admission
+// turns away — the queue full, or the scheduler closed — and a call with
+// no vectors never run their compile step, so a 429 or 503 builds and
+// compiles nothing. A call with room runs it exactly once.
+func TestRejectedCallNeverCompiles(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	g := testGraph(24)
+	in := testInputs(g, 1)
+	calls := 0
+	compile := func() (*compiler.Compiled, error) {
+		calls++
+		return eng.Compile(g, testCfg, compiler.Options{})
+	}
+	s := New(eng, Options{})
+	submit := func(vecs ...[]float64) []error {
+		_, errs := s.SubmitManyTraced(context.Background(), compile, vecs, nil)
+		return errs
+	}
+	s.limit = 0
+	for _, err := range submit(in, in) {
+		if !errors.Is(err, ErrQueueFull) {
+			t.Errorf("over a full queue: %v, want ErrQueueFull", err)
+		}
+	}
+	s.limit = queueLimit
+	submit()
+	s.Close()
+	for _, err := range submit(in) {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("after Close: %v, want ErrClosed", err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("rejected calls ran the compile step %d times, want 0", calls)
+	}
+	s = New(eng, Options{})
+	defer s.Close()
+	if errs := submit(in, in); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("admitted call failed: %v", errs)
+	}
+	if calls != 1 {
+		t.Errorf("an admitted call ran the compile step %d times, want 1", calls)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,9 +76,10 @@ type HTTPStats struct {
 	// (metrics.Snapshot.Merge); quantiles themselves don't merge.
 	LatencyHist metrics.Snapshot `json:"latency_hist" prom:"dpu_http_request_latency_ns"`
 	// Decode, Parse and Encode summarize the handler's own stages in
-	// nanoseconds: reading and decoding the body, dag.Read of its graph,
-	// and marshalling and writing the reply. Every request that reaches
-	// a stage observes it, so the counts fall from decode to encode.
+	// nanoseconds: reading and decoding the body, dag.Parse of its graph
+	// and its Fingerprint, and marshalling and writing the reply. Every
+	// request that reaches a stage observes it, so the counts fall from
+	// decode to encode.
 	Decode     metrics.Summary  `json:"decode_ns"`
 	Parse      metrics.Summary  `json:"parse_ns"`
 	Encode     metrics.Summary  `json:"encode_ns"`
@@ -261,8 +261,14 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			len(req.Inputs), maxInputsPerRequest), http.StatusRequestEntityTooLarge)
 		return
 	}
+	// One parse of the graph text gives the cache key; the graph itself
+	// is built only if the engine has no checked program for it.
 	t0 = time.Now()
-	g, err := dag.Read(strings.NewReader(req.Graph), "request")
+	p, err := dag.Parse(req.Graph)
+	var fp dag.Fingerprint
+	if err == nil {
+		fp = p.Fingerprint()
+	}
 	s.stage(tr, &s.parse, "parse", t0)
 	if err != nil {
 		s.fail(w, "bad graph: "+err.Error(), http.StatusBadRequest)
@@ -281,35 +287,48 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "bad config: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	cfg, req.Options = s.eng.Resolve(g, cfg, req.Options)
+	cfg, req.Options = s.eng.Resolve(nil, cfg, req.Options)
 	resp := ExecuteResponse{
-		Fingerprint: g.Fingerprint().String(),
+		Fingerprint: fp.String(),
 		Batched:     true,
 		Results:     make([]ExecuteResult, len(req.Inputs)),
 	}
-	tr.SetAttrs(0, trace.Str("fingerprint", g.Fingerprint().Short()))
-	// Report sinks as ids of the graph the client submitted; for k-ary
-	// graphs the compiled (binarized) graph has different ids.
-	for _, sk := range g.Outputs() {
-		resp.Sinks = append(resp.Sinks, int(sk))
+	if tr != nil {
+		tr.SetAttrs(0, trace.Str("fingerprint", fp.Short()))
 	}
-	// The scheduler compiles once per call (single-flight, cached); the
-	// handler does NOT pre-compile, so a request touches the engine's
-	// cache lock once, not once per vector.
-	c, ok := s.executeBatched(w, r, g, cfg, &req, &resp, tr)
-	if !ok {
+	// The call's compile step, run once after admission (never for a
+	// call turned away): a resident, checked program is answered by key
+	// with its sinks; otherwise the graph is built from the parsed text
+	// and compiled (single-flight, cached), and the sinks are its own.
+	var c *compiler.Compiled
+	var sinks []dag.NodeID
+	compile := func() (*compiler.Compiled, error) {
+		var ok bool
+		if c, sinks, ok = s.eng.Lookup(fp, cfg, req.Options, tr); ok {
+			return c, nil
+		}
+		g := p.Graph("request")
+		sinks = g.Outputs()
+		var err error
+		c, err = s.eng.CompileTraced(g, cfg, req.Options, tr)
+		return c, err
+	}
+	if !s.executeBatched(w, r, compile, &req, &resp, tr) {
 		return // already answered with 422/429/503
 	}
 	if c == nil {
-		// No item carried the compiled program (empty input list, or
-		// every vector failed in execution): compile — almost always a
-		// cache hit — purely for the response metadata.
-		var err error
-		c, err = s.eng.CompileTraced(g, cfg, req.Options, tr)
-		if err != nil {
+		// An empty input list admits nothing, so the scheduler ran no
+		// compile step: run it for the response metadata.
+		if _, err := compile(); err != nil {
 			s.fail(w, "compile: "+err.Error(), http.StatusUnprocessableEntity)
 			return
 		}
+	}
+	// Report sinks as ids of the graph the client submitted; for k-ary
+	// graphs the compiled (binarized) graph has different ids.
+	resp.Sinks = make([]int, len(sinks))
+	for i, sk := range sinks {
+		resp.Sinks[i] = int(sk)
 	}
 	resp.Config = c.Prog.Cfg.String()
 	resp.Compile = c.Stats
@@ -348,26 +367,22 @@ func (s *Server) stage(tr *trace.Trace, h *metrics.Histogram, name string, t0 ti
 }
 
 // executeBatched runs the request's input vectors through the scheduler
-// as one call under the request's context — chunks not started when the
-// client goes away (a hedge loser, say) are skipped and free their queue
-// slots — and returns the compiled program the call ran (nil when no
-// vector completed) for response metadata. It reports ok=false after
-// answering the request itself when every vector was turned away before
-// execution: full-queue and draining map to 429/503, a compilation
-// failure to 422. Partial admission stays a 200 with per-item errors, so
-// a burst sheds its overflow without losing the work already queued.
-func (s *Server) executeBatched(w http.ResponseWriter, r *http.Request, g *dag.Graph, cfg arch.Config, req *ExecuteRequest, resp *ExecuteResponse, tr *trace.Trace) (*compiler.Compiled, bool) {
-	results, errs := s.sch.SubmitManyTraced(r.Context(), g, cfg, req.Options, req.Inputs, tr)
-	var c *compiler.Compiled
+// as one call with compile as its compile step, under the request's
+// context — chunks not started when the client goes away (a hedge
+// loser, say) are skipped and free their queue slots. It reports false
+// after answering the request itself when every vector was turned away
+// before execution: full-queue and draining map to 429/503, a
+// compilation failure to 422. Partial admission stays a 200 with
+// per-item errors, so a burst sheds its overflow without losing the
+// work already queued.
+func (s *Server) executeBatched(w http.ResponseWriter, r *http.Request, compile func() (*compiler.Compiled, error), req *ExecuteRequest, resp *ExecuteResponse, tr *trace.Trace) bool {
+	results, errs := s.sch.SubmitManyTraced(r.Context(), compile, req.Inputs, tr)
 	admitted, anyOK := false, false
 	var compileErr *sched.CompileError
-	for i, err := range errs {
+	for _, err := range errs {
 		switch {
 		case err == nil:
 			admitted, anyOK = true, true
-			if c == nil {
-				c = results[i].Compiled
-			}
 		case !errors.Is(err, sched.ErrQueueFull) && !errors.Is(err, sched.ErrClosed):
 			admitted = true
 			errors.As(err, &compileErr)
@@ -379,11 +394,11 @@ func (s *Server) executeBatched(w http.ResponseWriter, r *http.Request, g *dag.G
 		} else {
 			s.fail(w, "queue full: "+errs[0].Error(), http.StatusTooManyRequests)
 		}
-		return nil, false
+		return false
 	}
 	if compileErr != nil && !anyOK {
 		s.fail(w, "compile: "+compileErr.Err.Error(), http.StatusUnprocessableEntity)
-		return nil, false
+		return false
 	}
 	for i := range req.Inputs {
 		if errs[i] != nil {
@@ -392,5 +407,5 @@ func (s *Server) executeBatched(w http.ResponseWriter, r *http.Request, g *dag.G
 		}
 		resp.Results[i] = ExecuteResult{Outputs: results[i].Outputs, Cycles: results[i].Cycles}
 	}
-	return c, true
+	return true
 }
