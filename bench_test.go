@@ -462,7 +462,10 @@ func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	const spansPerCall, budget = 3, 64
 	const runs = (budget-1)/spansPerCall - 1
 	allocs := testing.AllocsPerRun(runs, func() {
-		compile := func() (*compiler.Compiled, error) { return eng.CompileTraced(g, cfg, compiler.Options{}, tr) }
+		compile := func() (*compiler.Compiled, error) {
+			c, _, err := eng.Program(g.Fingerprint(), func() *dag.Graph { return g }, cfg, compiler.Options{}, tr)
+			return c, err
+		}
 		if _, errs := sch.SubmitManyTraced(context.Background(), compile, vecs, tr); errs[0] != nil {
 			t.Fatal(errs[0])
 		}

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -636,75 +638,89 @@ func TestStoreRacePreloadDuringPersist(t *testing.T) {
 	}
 }
 
-// TestLookupAnswersOnlyCheckedEntries: Lookup answers a key only for a
-// resident program checked against a graph with that fingerprint — one
-// compiled here, decoded from the store, or preloaded and then met by a
-// Compile hit — with that graph's sinks, counting a hit and touching the
-// LRU as Compile does. An absent, failed or unchecked key is no answer
-// and counts nothing.
-func TestLookupAnswersOnlyCheckedEntries(t *testing.T) {
+// TestProgramGraphBuilds counts, per Program call, the hits, misses
+// and calls of its graph builder: the graph is built once on a miss,
+// never on a hit of an entry that was compiled or store-decoded, never
+// for a waiter on an in-flight compile, and once on the first hit of a
+// preloaded entry (which checks the program against it) and never
+// after. A failed compile is not cached, and a hit touches the LRU.
+func TestProgramGraphBuilds(t *testing.T) {
 	st := openStore(t)
 	a, b, c := testGraph(61), testGraph(62), testGraph(63)
 	e := newStoreEngine(t, Options{CacheSize: 2, Store: st})
-	lookup := func(e *Engine, g *dag.Graph) bool {
+	// resolve calls Program for g on cfg and checks what it counted:
+	// hits and misses from Stats, builds from the graph builder.
+	resolve := func(e *Engine, g *dag.Graph, cfg arch.Config, hits, misses, builds int64) error {
 		t.Helper()
+		var built atomic.Int64
 		before := e.Stats()
-		p, sinks, ok := e.Lookup(g.Fingerprint(), testCfg, compiler.Options{}, nil)
+		p, sinks, err := e.Program(g.Fingerprint(), func() *dag.Graph { built.Add(1); return g }, cfg, compiler.Options{}, nil)
 		after := e.Stats()
-		want := int64(0)
-		if ok {
-			want = 1
+		got := [3]int64{after.Hits - before.Hits, after.Misses - before.Misses, built.Load()}
+		if want := [3]int64{hits, misses, builds}; got != want {
+			t.Errorf("hits, misses, graph builds %v, want %v", got, want)
 		}
-		if hits := after.Hits - before.Hits; hits != want || after.Misses != before.Misses {
-			t.Errorf("Lookup answered %v and counted %d hits, %d misses", ok, hits, after.Misses-before.Misses)
+		if err == nil && (!slices.Equal(sinks, g.Outputs()) || !servesGraph(g, p)) {
+			t.Errorf("Program answered sinks %v, graph has %v", sinks, g.Outputs())
 		}
-		if ok && (!slices.Equal(sinks, g.Outputs()) || !servesGraph(g, p)) {
-			t.Errorf("Lookup answered sinks %v, graph has %v", sinks, g.Outputs())
-		}
-		return ok
+		return err
 	}
-	compile := func(e *Engine, g *dag.Graph) {
+	must := func(err error) {
 		t.Helper()
-		if _, err := e.Compile(g, testCfg, compiler.Options{}); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if lookup(e, a) {
-		t.Fatal("an absent key was answered")
-	}
-	if _, err := e.Compile(a, arch.Config{D: 5, B: 2, R: 8}, compiler.Options{}); err == nil {
+	illegal := arch.Config{D: 5, B: 2, R: 8}
+	if resolve(e, a, illegal, 0, 1, 1) == nil {
 		t.Fatal("compile on an illegal config succeeded")
 	}
-	if _, _, ok := e.Lookup(a.Fingerprint(), arch.Config{D: 5, B: 2, R: 8}, compiler.Options{}, nil); ok {
-		t.Fatal("a failed compile was answered")
+	if resolve(e, a, illegal, 0, 1, 1) == nil {
+		t.Fatal("a failed compile was cached")
 	}
-	compile(e, a)
-	compile(e, b)
-	if !lookup(e, a) {
-		t.Fatal("a compiled program was not answered")
+	must(resolve(e, a, testCfg, 0, 1, 1))
+	must(resolve(e, b, testCfg, 0, 1, 1))
+	must(resolve(e, a, testCfg, 1, 0, 0))
+	must(resolve(e, c, testCfg, 0, 1, 1)) // evicts b: the hit made a the most recent
+	if s := e.Stats(); s.Evictions != 1 {
+		t.Fatalf("evictions %d, want 1", s.Evictions)
 	}
-	compile(e, c) // evicts b: the lookup made a the most recent
-	if lookup(e, b) || !lookup(e, a) {
-		t.Fatal("Lookup did not touch the LRU as a Compile hit does")
-	}
+	must(resolve(e, a, testCfg, 1, 0, 0))
 	e.Flush()
-	compile(e, b) // a store decode, checked against b
-	if s := e.Stats(); s.StoreHits != 1 || !lookup(e, b) {
-		t.Fatalf("store hits %d; a decoded program must be answered", s.StoreHits)
+	must(resolve(e, b, testCfg, 0, 1, 1)) // a store decode, checked against b
+	if s := e.Stats(); s.StoreHits != 1 {
+		t.Fatalf("store hits %d; b must be decoded, not compiled", s.StoreHits)
 	}
+	must(resolve(e, b, testCfg, 1, 0, 0))
+
+	// A waiter on an in-flight compile: the first caller's builder
+	// holds the compile until the second caller has counted its hit.
+	d, e3 := testGraph(64), New(Options{})
+	release := make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := e3.Program(d.Fingerprint(), func() *dag.Graph { <-release; return d }, testCfg, compiler.Options{}, nil)
+		first <- err
+	}()
+	for e3.Stats().Misses == 0 {
+		runtime.Gosched() // until the first caller has inserted d
+	}
+	waiter := make(chan error, 1)
+	go func() { waiter <- resolve(e3, d, testCfg, 1, 0, 0) }()
+	for e3.Stats().Hits == 0 {
+		runtime.Gosched() // until the waiter has counted its hit
+	}
+	close(release)
+	must(<-first)
+	must(<-waiter)
 
 	e2 := newStoreEngine(t, Options{CacheSize: 3, Store: st})
 	if n, err := e2.Preload(); err != nil || n != 3 {
 		t.Fatalf("preload: %d, %v", n, err)
 	}
 	for _, g := range []*dag.Graph{a, b, c} {
-		if lookup(e2, g) {
-			t.Fatal("a preloaded program was answered before a graph checked it")
-		}
-		compile(e2, g)
-		if !lookup(e2, g) {
-			t.Fatal("a preloaded program met by a Compile hit was not answered")
-		}
+		must(resolve(e2, g, testCfg, 1, 0, 1))
+		must(resolve(e2, g, testCfg, 1, 0, 0))
 	}
 	if s := e2.Stats(); s.Misses != 0 {
 		t.Errorf("preloaded engine compiled %d times", s.Misses)

@@ -1,14 +1,15 @@
 package engine
 
-// Tests for the traced engine entry point: CompileTraced's resolve
-// span reports the cache outcome and nests where a miss actually went
-// (compile, or store_decode on a store hit).
+// Tests for the engine's spans: Program's resolve span reports the
+// cache outcome and nests where a miss actually went (compile, or
+// store_decode on a store hit).
 
 import (
 	"testing"
 	"time"
 
 	"dpuv2/internal/compiler"
+	"dpuv2/internal/dag"
 	"dpuv2/internal/trace"
 )
 
@@ -21,13 +22,13 @@ func spanIndex(rec *trace.Record, stage string) int {
 	return -1
 }
 
-func TestCompileTracedSpans(t *testing.T) {
+func TestProgramResolveSpans(t *testing.T) {
 	e := New(Options{})
 	tracer := trace.New(trace.Options{Service: "test"})
 	g := testGraph(21)
 
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
-	if _, err := e.CompileTraced(g, testCfg, compiler.Options{}, tr); err != nil {
+	if _, _, err := e.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	miss := tracer.Finish(tr)
@@ -56,7 +57,7 @@ func TestCompileTracedSpans(t *testing.T) {
 
 	// Same key again: a hit resolves without compiling.
 	tr = tracer.Start(trace.ID{}, "request", time.Time{})
-	if _, err := e.CompileTraced(g, testCfg, compiler.Options{}, tr); err != nil {
+	if _, _, err := e.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	hit := tracer.Finish(tr)
@@ -69,7 +70,7 @@ func TestCompileTracedSpans(t *testing.T) {
 	}
 }
 
-func TestCompileTracedStoreDecodeSpan(t *testing.T) {
+func TestProgramStoreDecodeSpan(t *testing.T) {
 	st := openStore(t)
 	g := testGraph(22)
 
@@ -85,7 +86,7 @@ func TestCompileTracedStoreDecodeSpan(t *testing.T) {
 	e2 := newStoreEngine(t, Options{Store: st})
 	tracer := trace.New(trace.Options{})
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
-	if _, err := e2.CompileTraced(g, testCfg, compiler.Options{}, tr); err != nil {
+	if _, _, err := e2.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	rec := tracer.Finish(tr)

@@ -104,7 +104,8 @@ type Stats struct {
 	Batches int64 `json:"batches" prom:"dpu_sched_batches_total"`
 	// LingerFlushes and LingerHist are always zero: no request
 	// waits for another. They stay on the wire, untagged, because bench/
-	// still reads them, until its seam (ROADMAP item 1a) lets them go.
+	// still reads them: ROADMAP item 20 gives bench its seam, then item
+	// 7b deletes them.
 	LingerFlushes int64 `json:"linger_flushes"`
 	// QueueDepth is the current number of admitted-but-unfinished
 	// items; QueueLimit is the admission bound.

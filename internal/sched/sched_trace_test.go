@@ -16,6 +16,7 @@ import (
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
+	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/trace"
 )
@@ -78,7 +79,8 @@ func TestStageDecomposition(t *testing.T) {
 		ch := make(chan []error, 1)
 		go func() {
 			_, errs := s.SubmitManyTraced(context.Background(), func() (*compiler.Compiled, error) {
-				return gb.eng.CompileTraced(g, testCfg, compiler.Options{}, tr)
+				c, _, err := gb.eng.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr)
+				return c, err
 			}, vecs, tr)
 			ch <- errs
 		}()

@@ -287,7 +287,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "bad config: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	cfg, req.Options = s.eng.Resolve(nil, cfg, req.Options)
 	resp := ExecuteResponse{
 		Fingerprint: fp.String(),
 		Batched:     true,
@@ -297,20 +296,15 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		tr.SetAttrs(0, trace.Str("fingerprint", fp.Short()))
 	}
 	// The call's compile step, run once after admission (never for a
-	// call turned away): a resident, checked program is answered by key
-	// with its sinks; otherwise the graph is built from the parsed text
-	// and compiled (single-flight, cached), and the sinks are its own.
+	// call turned away): the engine answers by key with the program and
+	// the client graph's sinks, and builds the graph from the parsed text
+	// only when it needs it (a miss, or the first hit on a preloaded
+	// entry).
 	var c *compiler.Compiled
 	var sinks []dag.NodeID
 	compile := func() (*compiler.Compiled, error) {
-		var ok bool
-		if c, sinks, ok = s.eng.Lookup(fp, cfg, req.Options, tr); ok {
-			return c, nil
-		}
-		g := p.Graph("request")
-		sinks = g.Outputs()
 		var err error
-		c, err = s.eng.CompileTraced(g, cfg, req.Options, tr)
+		c, sinks, err = s.eng.Program(fp, func() *dag.Graph { return p.Graph("request") }, cfg, req.Options, tr)
 		return c, err
 	}
 	if !s.executeBatched(w, r, compile, &req, &resp, tr) {
