@@ -112,6 +112,26 @@ func TestFig10bNoRatioWithoutConflicts(t *testing.T) {
 	}
 }
 
+// TestFig10cdSpillsAtFullScale: at scale 1.0 msnbc's live set outgrows
+// R=32, so that variant spills and stays within its 32 registers while
+// R=256 holds a peak above 32 without a spill. Below scale 1.0 neither
+// variant spills, so the figure shows nothing there.
+func TestFig10cdSpillsAtFullScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles msnbc at scale 1.0")
+	}
+	tab, err := NewRunner(Config{Scale: 1, LargeScale: 0.004}).Run("fig10cd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spills, peak := tab.Get("with spilling", "spills"), tab.Get("with spilling", "peak"); !(spills > 0) || peak > 32 {
+		t.Errorf("R=32: %v spills, peak %v; want spills and a peak of at most 32", spills, peak)
+	}
+	if spills, peak := tab.Get("without spilling", "spills"), tab.Get("without spilling", "peak"); spills != 0 || !(peak > 32) {
+		t.Errorf("R=256: %v spills, peak %v; want no spill and a peak above 32", spills, peak)
+	}
+}
+
 // TestRenderAlignsColumns: every column is as wide as its widest cell,
 // so a label longer than the heading still leaves the value columns
 // aligned; an unmeasured value prints "-" and reference values print on

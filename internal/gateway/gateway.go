@@ -202,7 +202,7 @@ func New(opts Options) (*Gateway, error) {
 	gw.mux = http.NewServeMux()
 	gw.mux.HandleFunc("/execute", gw.handleExecute)
 	gw.mux.HandleFunc("/stats", gw.handleStats)
-	gw.mux.HandleFunc("/metrics", gw.handleMetrics)
+	gw.mux.HandleFunc("/metrics", metrics.Handler(func() any { return gw.ownStats() }, gw.writeBackendUp))
 	gw.mux.HandleFunc("/traces", gw.tracer.Handler())
 	gw.mux.HandleFunc("/healthz", gw.handleHealthz)
 	return gw, nil
@@ -369,21 +369,12 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "gateway draining", http.StatusServiceUnavailable)
 		return
 	}
-	// A request carrying trace context is always traced; bare requests
-	// are sampled. When the gateway traces, it re-stamps the forwarded
-	// traceparent with its own span ID (same trace ID, so the backend's
-	// trace joins this one); when it doesn't, a client-supplied header
-	// passes through untouched.
-	var tr *trace.Trace
-	tp := r.Header.Get(trace.Header)
-	if id, _, ok := trace.ParseTraceparent(tp); ok {
-		tr = g.tracer.Start(id, "gateway", start)
-	} else {
-		tp = ""
-		if g.tracer.Sample() {
-			tr = g.tracer.Start(trace.ID{}, "gateway", start)
-		}
-	}
+	// A traced request forwards a traceparent re-stamped with the
+	// gateway's own span ID (same trace ID, so the backend's trace joins
+	// this one). An untraced one forwards none: a valid client header is
+	// always traced, so what is dropped here is a malformed one.
+	tr := g.tracer.StartRequest(r.Header, "gateway", start)
+	var tp string
 	if tr != nil {
 		tp = trace.Traceparent(tr.ID(), trace.NewSpanID())
 	}

@@ -17,6 +17,7 @@ import (
 
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
+	"dpuv2/internal/metrics"
 	"dpuv2/internal/pc"
 	"dpuv2/internal/serve"
 	"dpuv2/internal/trace"
@@ -530,6 +531,44 @@ func TestGatewayStatsAggregation(t *testing.T) {
 	if st.Fleet.HTTP.LatencyHist.Count != latCount || st.Fleet.HTTP.Latency.Count != latCount {
 		t.Errorf("fleet latency count %d (summary %d), backend sum %d — histograms not merged",
 			st.Fleet.HTTP.LatencyHist.Count, st.Fleet.HTTP.Latency.Count, latCount)
+	}
+
+	// /metrics is the gateway's own families, then one health gauge per
+	// backend; it answers GET only.
+	mresp, err := http.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	if ct := mresp.Header.Get("Content-Type"); mresp.StatusCode != http.StatusOK || ct != metrics.PromContentType {
+		t.Fatalf("/metrics status %d, content type %q", mresp.StatusCode, ct)
+	}
+	fams, err := metrics.ParseProm(mresp.Body)
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	up := map[string]float64{}
+	var proxied float64
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			switch smp.Name {
+			case "dpu_gateway_backend_up":
+				up[smp.Labels["backend"]] = smp.Value
+			case "dpu_gateway_proxied_total":
+				proxied = smp.Value
+			}
+		}
+	}
+	if len(up) != 2 || up[b1.ts.URL] != 1 || up[b2.ts.URL] != 1 || proxied != 10 {
+		t.Errorf("/metrics backend_up %v, proxied_total %v; want both backends up and 10 proxied", up, proxied)
+	}
+	post, err := http.Post(front.URL+"/metrics", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics status = %d, want 405", post.StatusCode)
 	}
 }
 

@@ -135,6 +135,19 @@ func (g *Gateway) ownStats() GatewayStats {
 	return st
 }
 
+// writeBackendUp writes the per-backend health gauges that follow the
+// gateway's own families on its /metrics. That body is deliberately not
+// the fleet merge: a scraper scrapes every dpu-serve's /metrics itself.
+func (g *Gateway) writeBackendUp(p *metrics.PromWriter) {
+	for _, b := range g.backends {
+		up := int64(0)
+		if b.getState() == stateHealthy {
+			up = 1
+		}
+		p.GaugeLabeled("dpu_gateway_backend_up", `backend="`+b.addr+`"`, up)
+	}
+}
+
 // fetchStats pulls one backend's /stats.
 func (g *Gateway) fetchStats(ctx context.Context, b *backend) (*serve.StatsResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.healthTimeout())

@@ -1,14 +1,17 @@
 // Stats structs declare their metrics once, in a `prom` struct tag next
-// to the `json` one; WriteProm (/metrics), Merge (the fleet /stats) and
-// Summarize (the /stats summaries) read the tags, so a new metric is one
-// tagged field. An int64 field is a counter when its family name ends in
-// _total and a gauge otherwise. A Snapshot field is a histogram; its tag
-// may carry labels, `prom:"name{stage=\"x\"}"`, so that fields share a
-// family. A Summary field X is always XHist.Summary(). Nested structs
-// other than Snapshot and Summary are walked; untagged fields ignored.
+// to the `json` one; WriteProm (/metrics, served by Handler), Merge (the
+// fleet /stats) and Summarize (the /stats summaries) read the tags, so a
+// new metric is one tagged field. An int64 field is a counter when its
+// family name ends in _total and a gauge otherwise. A Snapshot field is a
+// histogram; its tag may carry labels, `prom:"name{stage=\"x\"}"`, so
+// that fields share a family. A Summary field X is always
+// XHist.Summary(). Nested structs other than Snapshot and Summary are
+// walked; untagged fields ignored.
 package metrics
 
 import (
+	"bytes"
+	"net/http"
 	"reflect"
 	"strings"
 )
@@ -63,6 +66,31 @@ func WriteProm(p *PromWriter, stats any) {
 			p.sample(name, labels, "%d", v.FieldByIndex(path).Int())
 		}
 	})
+}
+
+// Handler returns the GET /metrics handler of a tier: the tagged
+// fields of stats() (WriteProm), then whatever extra writes (nil for
+// nothing). The body is buffered, so a failed exposition answers 500
+// rather than a truncated 200.
+func Handler(stats func() any, extra func(*PromWriter)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
+		var buf bytes.Buffer
+		p := NewPromWriter(&buf)
+		WriteProm(p, stats())
+		if extra != nil {
+			extra(p)
+		}
+		if err := p.Err(); err != nil {
+			http.Error(w, "metrics: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", PromContentType)
+		w.Write(buf.Bytes())
+	}
 }
 
 // Merge folds *src into *dst, two pointers to the same struct type:

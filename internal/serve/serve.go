@@ -148,7 +148,7 @@ func New(eng *engine.Engine, opts Options) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", metrics.Handler(func() any { return s.Stats() }, nil))
 	s.mux.HandleFunc("/traces", s.tracer.Handler())
 	s.mux.HandleFunc("/execute", s.handleExecute)
 	return s
@@ -233,15 +233,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "server draining", http.StatusServiceUnavailable)
 		return
 	}
-	// A request carrying trace context is always traced (the caller —
-	// a client or the gateway — asked for this exemplar); bare requests
-	// are sampled. A nil tr makes every recording below a no-op.
-	var tr *trace.Trace
-	if id, _, ok := trace.ParseTraceparent(r.Header.Get(trace.Header)); ok {
-		tr = s.tracer.Start(id, "serve", start)
-	} else if s.tracer.Sample() {
-		tr = s.tracer.Start(trace.ID{}, "serve", start)
-	}
+	// A nil tr (an untraced request) makes every recording below a no-op.
+	tr := s.tracer.StartRequest(r.Header, "serve", start)
 	defer s.tracer.Finish(tr)
 
 	t0 := time.Now()

@@ -79,6 +79,14 @@ func TestServeMetricsExposition(t *testing.T) {
 			t.Error(`dpu_sched_stage_latency_ns still carries stage="linger"`)
 		}
 	}
+	post, err := http.Post(srv.URL+"/metrics", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics status = %d, want 405", post.StatusCode)
+	}
 }
 
 // TestServeTraceJoinsTraceparent: a request carrying a traceparent is

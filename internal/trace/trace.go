@@ -18,9 +18,12 @@
 package trace
 
 import (
+	"cmp"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -409,13 +412,10 @@ type Tracer struct {
 	ringPos atomic.Uint64
 
 	// reservoir keeps the cap(reservoir) slowest traces over
-	// slowThreshold (min-heap by duration), mutex-guarded — admission
-	// is rare by construction.
+	// slowThreshold, slowest first, mutex-guarded — admission is rare
+	// by construction.
 	resMu     sync.Mutex
 	reservoir []*Record
-
-	started  atomic.Int64
-	finished atomic.Int64
 }
 
 // New builds a Tracer. A nil *Tracer is a valid one that records
@@ -438,10 +438,7 @@ func newTracer(opts Options, now func() time.Time, ring, reservoir int) *Tracer 
 	return t
 }
 
-// Enabled reports whether the tracer records at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Sample decides whether to trace a request that arrived without a
+// Sample decides whether to trace a request that arrived without a valid
 // traceparent header: 1 in sampleEvery, deterministic from a counter
 // (the first request is always sampled, so a fresh server has
 // exemplars immediately).
@@ -449,11 +446,29 @@ func (t *Tracer) Sample() bool {
 	return t != nil && (t.seq.Add(1)-1)%sampleEvery == 0
 }
 
+// StartRequest is the one tracing rule of both tiers: a request whose
+// header h carries a valid traceparent is always traced under that
+// trace ID (the caller asked for this exemplar), and any other request
+// is sampled. It returns nil for a request left untraced, which makes
+// every recording downstream a no-op.
+func (t *Tracer) StartRequest(h http.Header, root string, start time.Time) *Trace {
+	if t == nil {
+		return nil
+	}
+	if id, _, ok := ParseTraceparent(h.Get(Header)); ok {
+		return t.Start(id, root, start)
+	}
+	if t.Sample() {
+		return t.Start(ID{}, root, start)
+	}
+	return nil
+}
+
 // Start opens a trace whose root span is named root. A zero id mints a
 // fresh one; a zero start reads the clock. Returns nil (and records
 // nothing, at zero cost downstream) on a nil tracer.
 func (t *Tracer) Start(id ID, root string, start time.Time) *Trace {
-	if !t.Enabled() {
+	if t == nil {
 		return nil
 	}
 	if id.IsZero() {
@@ -470,7 +485,6 @@ func (t *Tracer) Start(id ID, root string, start time.Time) *Trace {
 	tr.finished = false
 	tr.spans = tr.spans[:0]
 	tr.spans = append(tr.spans, span{stage: root, start: start, dur: -1, parent: -1})
-	t.started.Add(1)
 	return tr
 }
 
@@ -522,14 +536,16 @@ func (t *Tracer) Finish(tr *Trace) *Record {
 	tr.mu.Unlock()
 	rec.DurationNS = rec.Spans[0].DurationNS
 	t.keep(rec)
-	t.finished.Add(1)
 	tr.tracer = nil
 	t.pool.Put(tr)
 	return rec
 }
 
 // keep retains a finished record: always in the ring, and in the
-// slow-trace reservoir when it clears the threshold.
+// slow-trace reservoir when it clears the threshold. The record goes
+// before the first resident strictly faster than itself, so of equal
+// durations the earliest are kept; a full reservoir without one turns
+// it away, and otherwise drops its last, fastest resident.
 func (t *Tracer) keep(rec *Record) {
 	slot := (t.ringPos.Add(1) - 1) % uint64(len(t.ring))
 	t.ring[slot].Store(rec)
@@ -537,46 +553,18 @@ func (t *Tracer) keep(rec *Record) {
 		return
 	}
 	t.resMu.Lock()
-	if len(t.reservoir) < cap(t.reservoir) {
-		t.reservoir = append(t.reservoir, rec)
-		t.siftUp(len(t.reservoir) - 1)
-	} else if len(t.reservoir) > 0 && rec.DurationNS > t.reservoir[0].DurationNS {
-		t.reservoir[0] = rec
-		t.siftDown(0)
+	defer t.resMu.Unlock()
+	full := len(t.reservoir) == cap(t.reservoir)
+	i := slices.IndexFunc(t.reservoir, func(r *Record) bool { return r.DurationNS < rec.DurationNS })
+	switch {
+	case i < 0 && full:
+		return
+	case i < 0:
+		i = len(t.reservoir)
+	case full:
+		t.reservoir = t.reservoir[:len(t.reservoir)-1]
 	}
-	t.resMu.Unlock()
-}
-
-// siftUp/siftDown maintain the reservoir min-heap (slowest survive:
-// the fastest resident is at the root and is the one displaced).
-// Caller holds t.resMu.
-func (t *Tracer) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if t.reservoir[p].DurationNS <= t.reservoir[i].DurationNS {
-			return
-		}
-		t.reservoir[p], t.reservoir[i] = t.reservoir[i], t.reservoir[p]
-		i = p
-	}
-}
-
-func (t *Tracer) siftDown(i int) {
-	n := len(t.reservoir)
-	for {
-		l, r, min := 2*i+1, 2*i+2, i
-		if l < n && t.reservoir[l].DurationNS < t.reservoir[min].DurationNS {
-			min = l
-		}
-		if r < n && t.reservoir[r].DurationNS < t.reservoir[min].DurationNS {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		t.reservoir[i], t.reservoir[min] = t.reservoir[min], t.reservoir[i]
-		i = min
-	}
+	t.reservoir = slices.Insert(t.reservoir, i, rec)
 }
 
 // Traces returns retained traces (ring ∪ reservoir, deduplicated)
@@ -610,10 +598,6 @@ func (t *Tracer) Traces(min time.Duration, stage string) []*Record {
 	}
 	t.resMu.Unlock()
 	// Slowest first: the reader is debugging a tail.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].DurationNS > out[j-1].DurationNS; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b *Record) int { return cmp.Compare(b.DurationNS, a.DurationNS) })
 	return out
 }

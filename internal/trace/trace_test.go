@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -217,6 +218,92 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 		if recs[i].DurationNS > recs[i-1].DurationNS {
 			t.Fatalf("Traces not sorted slowest-first at %d", i)
 		}
+	}
+
+	// A tie with the fastest resident does not displace it: the earlier
+	// 30ms record stays, and the later one leaves with the ring's slot.
+	var kept ID
+	for _, r := range recs {
+		if r.DurationNS == int64(30*time.Millisecond) {
+			kept, _ = ParseID(r.TraceID)
+		}
+	}
+	tie := tr8.Start(ID{}, "r", clk.Now())
+	clk.advance(30 * time.Millisecond)
+	tr8.Finish(tie)
+	tr8.Finish(tr8.Start(ID{}, "r", clk.Now())) // a 0ms finish takes the ring's slot
+	recs = tr8.Traces(10*time.Millisecond, "")
+	if len(recs) != 3 || recs[2].TraceID != kept.String() {
+		t.Fatalf("after a 30ms tie the reservoir holds %+v, want the earlier 30ms trace %s last", recs, kept)
+	}
+}
+
+// TestTracesStableOnTies: records of equal duration come back in the
+// order they were retained, ring slots first, then the reservoir's
+// admission order — the same order on every call.
+func TestTracesStableOnTies(t *testing.T) {
+	clk := newManualClock()
+	tr8 := newTracer(Options{}, clk.Now, 1, 3)
+	var want []string
+	for range 3 {
+		tr := tr8.Start(ID{}, "r", clk.Now())
+		clk.advance(20 * time.Millisecond)
+		want = append(want, tr8.Finish(tr).TraceID)
+	}
+	want = append(want, tr8.Finish(tr8.Start(ID{}, "r", clk.Now())).TraceID)
+	for call := range 2 {
+		var got []string
+		for _, r := range tr8.Traces(0, "") {
+			got = append(got, r.TraceID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("call %d: Traces order %v, want %v", call, got, want)
+		}
+	}
+}
+
+// TestStartRequest pins the tracing rule both tiers share: a valid
+// traceparent is always traced under its trace ID, a malformed one is
+// ignored, and a request without a usable one is sampled 1 in 64.
+func TestStartRequest(t *testing.T) {
+	tr8 := New(Options{})
+	h := http.Header{}
+	if tr := tr8.StartRequest(h, "r", time.Time{}); tr == nil {
+		t.Fatal("the first bare request was not sampled")
+	} else {
+		tr8.Finish(tr)
+	}
+	id := NewID()
+	h.Set(Header, Traceparent(id, NewSpanID()))
+	for i := range 3 {
+		tr := tr8.StartRequest(h, "r", time.Time{})
+		if tr.ID() != id {
+			t.Fatalf("request %d with a traceparent traced as %v, want %v", i, tr.ID(), id)
+		}
+		tr8.Finish(tr)
+	}
+	h.Set(Header, "00-NOTHEX-beef-01")
+	traced := 0
+	for range 2 * sampleEvery {
+		if tr := tr8.StartRequest(h, "r", time.Time{}); tr != nil {
+			if tr.ID() == id {
+				t.Fatal("a malformed traceparent kept the last valid trace ID")
+			}
+			traced++
+			tr8.Finish(tr)
+		}
+	}
+	if traced != 2 {
+		t.Fatalf("traced %d of %d requests with a malformed traceparent, want 2 (1 in %d)", traced, 2*sampleEvery, sampleEvery)
+	}
+	var off *Tracer
+	h.Set(Header, Traceparent(id, NewSpanID()))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if off.StartRequest(h, "r", time.Time{}) != nil {
+			t.Fatal("nil tracer started a trace")
+		}
+	}); allocs != 0 {
+		t.Fatalf("nil tracer allocated %.1f per request, want 0", allocs)
 	}
 }
 
