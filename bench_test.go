@@ -463,7 +463,7 @@ func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	const runs = (budget-1)/spansPerCall - 1
 	allocs := testing.AllocsPerRun(runs, func() {
 		compile := func() (*compiler.Compiled, error) {
-			c, _, err := eng.Program(g.Fingerprint(), func() *dag.Graph { return g }, cfg, compiler.Options{}, tr)
+			c, _, err := eng.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, cfg, compiler.Options{}, tr)
 			return c, err
 		}
 		if _, errs := sch.SubmitManyTraced(context.Background(), compile, vecs, tr); errs[0] != nil {

@@ -44,12 +44,14 @@ func (e *entry) completed() bool {
 // preloaded entry, whose program is checked against it before it is
 // served. That is sound because servesGraph reads only the graph's node
 // count and sinks, and both are functions of the structure fp names.
+// An error from graph fails the call as a compile error does, but a
+// preloaded entry stays resident: its program is not at fault.
 // Compilation failures surface to every waiting caller and are not
 // cached, so a transient failure does not poison the key. A "resolve"
 // span with the fingerprint and cache outcome is recorded against tr
 // (nil records nothing); a miss nests store_decode and/or compile under
 // it.
-func (e *Engine) Program(fp dag.Fingerprint, graph func() *dag.Graph, cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, []dag.NodeID, error) {
+func (e *Engine) Program(fp dag.Fingerprint, graph func() (*dag.Graph, error), cfg arch.Config, opts compiler.Options, tr *trace.Trace) (*compiler.Compiled, []dag.NodeID, error) {
 	sp := tr.Begin("resolve", 0)
 	k := artifact.KeyFor(fp, cfg, opts)
 	e.mu.Lock()
@@ -66,7 +68,7 @@ func (e *Engine) Program(fp dag.Fingerprint, graph func() *dag.Graph, cfg arch.C
 	}
 	e.mu.Unlock()
 	if !hit {
-		e.fill(ent, graph(), tr, sp)
+		e.fill(ent, graph, tr, sp)
 	}
 	c, sinks, err := e.answer(ent, graph)
 	if tr != nil {
@@ -79,14 +81,19 @@ func (e *Engine) Program(fp dag.Fingerprint, graph func() *dag.Graph, cfg arch.C
 // Compile returns the compiled program for (g, cfg, opts): Program for
 // a caller that holds the graph.
 func (e *Engine) Compile(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
-	c, _, err := e.Program(g.Fingerprint(), func() *dag.Graph { return g }, cfg, opts, nil)
+	c, _, err := e.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, cfg, opts, nil)
 	return c, err
 }
 
-// fill resolves the miss ent was inserted for and completes it; a
-// failed entry leaves the cache so the next call misses again.
-func (e *Engine) fill(ent *entry, g *dag.Graph, tr *trace.Trace, parent int) {
-	c, err := e.resolveMiss(g, ent.key, tr, parent)
+// fill builds the graph of the miss ent was inserted for, resolves it
+// and completes ent; a failed entry leaves the cache so the next call
+// misses again.
+func (e *Engine) fill(ent *entry, graph func() (*dag.Graph, error), tr *trace.Trace, parent int) {
+	g, err := graph()
+	var c *compiler.Compiled
+	if err == nil {
+		c, err = e.resolveMiss(g, ent.key, tr, parent)
+	}
 	var sinks []dag.NodeID
 	if err == nil {
 		sinks = g.Outputs() // resolveMiss returns only a program that serves g
@@ -111,7 +118,7 @@ func (e *Engine) fill(ent *entry, g *dag.Graph, tr *trace.Trace, parent int) {
 // validated against its own content, so its first hit checks it against
 // graph; one that does not serve it is evicted (cache and store) so the
 // next request recompiles cleanly.
-func (e *Engine) answer(ent *entry, graph func() *dag.Graph) (*compiler.Compiled, []dag.NodeID, error) {
+func (e *Engine) answer(ent *entry, graph func() (*dag.Graph, error)) (*compiler.Compiled, []dag.NodeID, error) {
 	<-ent.done
 	if ent.err != nil {
 		return nil, nil, ent.err
@@ -119,7 +126,10 @@ func (e *Engine) answer(ent *entry, graph func() *dag.Graph) (*compiler.Compiled
 	if sinks := ent.sinks.Load(); sinks != nil {
 		return ent.c, *sinks, nil
 	}
-	g := graph()
+	g, err := graph()
+	if err != nil {
+		return nil, nil, err
+	}
 	if !servesGraph(g, ent.c) {
 		// Only the caller that actually evicts the entry purges the
 		// store file, and it does so before any retry can miss: a late

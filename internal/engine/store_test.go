@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -654,7 +655,7 @@ func TestProgramGraphBuilds(t *testing.T) {
 		t.Helper()
 		var built atomic.Int64
 		before := e.Stats()
-		p, sinks, err := e.Program(g.Fingerprint(), func() *dag.Graph { built.Add(1); return g }, cfg, compiler.Options{}, nil)
+		p, sinks, err := e.Program(g.Fingerprint(), func() (*dag.Graph, error) { built.Add(1); return g, nil }, cfg, compiler.Options{}, nil)
 		after := e.Stats()
 		got := [3]int64{after.Hits - before.Hits, after.Misses - before.Misses, built.Load()}
 		if want := [3]int64{hits, misses, builds}; got != want {
@@ -699,7 +700,7 @@ func TestProgramGraphBuilds(t *testing.T) {
 	release := make(chan struct{})
 	first := make(chan error, 1)
 	go func() {
-		_, _, err := e3.Program(d.Fingerprint(), func() *dag.Graph { <-release; return d }, testCfg, compiler.Options{}, nil)
+		_, _, err := e3.Program(d.Fingerprint(), func() (*dag.Graph, error) { <-release; return d, nil }, testCfg, compiler.Options{}, nil)
 		first <- err
 	}()
 	for e3.Stats().Misses == 0 {
@@ -724,5 +725,50 @@ func TestProgramGraphBuilds(t *testing.T) {
 	}
 	if s := e2.Stats(); s.Misses != 0 {
 		t.Errorf("preloaded engine compiled %d times", s.Misses)
+	}
+}
+
+// TestProgramGraphError: a graph builder that fails fails the call. On
+// a miss the entry leaves the cache, so the next call misses again; on
+// a preloaded entry's first hit the entry stays resident and unchecked,
+// store file included, and the next caller's graph checks it.
+func TestProgramGraphError(t *testing.T) {
+	st := openStore(t)
+	g := testGraph(65)
+	errBuild := errors.New("graph text does not parse")
+	failing := func() (*dag.Graph, error) { return nil, errBuild }
+	good := func() (*dag.Graph, error) { return g, nil }
+
+	e := newStoreEngine(t, Options{Store: st})
+	if _, _, err := e.Program(g.Fingerprint(), failing, testCfg, compiler.Options{}, nil); !errors.Is(err, errBuild) {
+		t.Fatalf("miss with a failing builder: %v", err)
+	}
+	if s := e.Stats(); s.Misses != 1 || s.Cached != 0 {
+		t.Fatalf("misses %d, cached %d; want 1 and 0", s.Misses, s.Cached)
+	}
+	if _, _, err := e.Program(g.Fingerprint(), good, testCfg, compiler.Options{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.Misses != 2 || s.Cached != 1 {
+		t.Fatalf("misses %d, cached %d; want 2 and 1", s.Misses, s.Cached)
+	}
+	e.Flush()
+
+	e2 := newStoreEngine(t, Options{Store: st})
+	if n, err := e2.Preload(); err != nil || n != 1 {
+		t.Fatalf("preload: %d, %v", n, err)
+	}
+	if _, _, err := e2.Program(g.Fingerprint(), failing, testCfg, compiler.Options{}, nil); !errors.Is(err, errBuild) {
+		t.Fatalf("preloaded hit with a failing builder: %v", err)
+	}
+	if s := e2.Stats(); s.Hits != 1 || s.Cached != 1 || s.StoreErrors != 0 {
+		t.Fatalf("hits %d, cached %d, store errors %d; want 1, 1, 0", s.Hits, s.Cached, s.StoreErrors)
+	}
+	_, sinks, err := e2.Program(g.Fingerprint(), good, testCfg, compiler.Options{}, nil)
+	if err != nil || !slices.Equal(sinks, g.Outputs()) {
+		t.Fatalf("sinks %v, %v; want %v", sinks, err, g.Outputs())
+	}
+	if s := e2.Stats(); s.Hits != 2 || s.Misses != 0 {
+		t.Fatalf("hits %d, misses %d; want 2 and 0", s.Hits, s.Misses)
 	}
 }

@@ -135,7 +135,7 @@ func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 				for k := 0; k < nGraphs; k++ {
 					g := graphs[(k*(w+1)+it)%nGraphs]
 					in := testInputs(g, scale)
-					c, sinks, err := e.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, nil)
+					c, sinks, err := e.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, testCfg, compiler.Options{}, nil)
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return

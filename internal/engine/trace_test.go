@@ -28,7 +28,7 @@ func TestProgramResolveSpans(t *testing.T) {
 	g := testGraph(21)
 
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
-	if _, _, err := e.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr); err != nil {
+	if _, _, err := e.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	miss := tracer.Finish(tr)
@@ -57,7 +57,7 @@ func TestProgramResolveSpans(t *testing.T) {
 
 	// Same key again: a hit resolves without compiling.
 	tr = tracer.Start(trace.ID{}, "request", time.Time{})
-	if _, _, err := e.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr); err != nil {
+	if _, _, err := e.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	hit := tracer.Finish(tr)
@@ -86,7 +86,7 @@ func TestProgramStoreDecodeSpan(t *testing.T) {
 	e2 := newStoreEngine(t, Options{Store: st})
 	tracer := trace.New(trace.Options{})
 	tr := tracer.Start(trace.ID{}, "request", time.Time{})
-	if _, _, err := e2.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr); err != nil {
+	if _, _, err := e2.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, testCfg, compiler.Options{}, tr); err != nil {
 		t.Fatal(err)
 	}
 	rec := tracer.Finish(tr)

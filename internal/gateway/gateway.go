@@ -148,6 +148,9 @@ type Gateway struct {
 	rejected  atomic.Int64 // no live backend / all attempts failed
 	latency   metrics.Histogram
 	tracer    *trace.Tracer
+	// fps gives each graph text's fingerprint by the backends' rule,
+	// parsing a text only when the memo does not hold it.
+	fps dag.Fingerprints
 
 	draining atomic.Bool
 	mux      *http.ServeMux
@@ -393,14 +396,13 @@ func (g *Gateway) handleExecute(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// One parse of the graph text gives the fingerprint; no graph is
-	// built.
-	p, err := dag.Parse(req.Graph)
+	// The memo gives the fingerprint, parsing the text only if it has
+	// not seen it; no graph is built.
+	fp, _, err := g.fps.Parse(req.Graph)
 	if err != nil {
 		http.Error(w, "bad graph: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	fp := p.Fingerprint()
 	candidates := g.ring.Load().Owners(ringKey(fp), len(g.backends))
 	if len(candidates) == 0 {
 		g.rejected.Add(1)

@@ -79,7 +79,7 @@ func TestStageDecomposition(t *testing.T) {
 		ch := make(chan []error, 1)
 		go func() {
 			_, errs := s.SubmitManyTraced(context.Background(), func() (*compiler.Compiled, error) {
-				c, _, err := gb.eng.Program(g.Fingerprint(), func() *dag.Graph { return g }, testCfg, compiler.Options{}, tr)
+				c, _, err := gb.eng.Program(g.Fingerprint(), func() (*dag.Graph, error) { return g, nil }, testCfg, compiler.Options{}, tr)
 				return c, err
 			}, vecs, tr)
 			ch <- errs

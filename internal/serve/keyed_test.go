@@ -55,11 +55,14 @@ func newKeyedGraph(t *testing.T, seed int64) keyedGraph {
 }
 
 // keyedServer serves eng; every answer it gives is checked against the
-// oracle: fingerprint, sinks, and outputs bit for bit.
+// oracle: fingerprint, sinks, and outputs bit for bit. parsed records
+// the texts the server has parsed, which its parse memo then holds.
 type keyedServer struct {
-	t   *testing.T
-	eng *engine.Engine
-	srv *httptest.Server
+	t      *testing.T
+	eng    *engine.Engine
+	s      *Server
+	srv    *httptest.Server
+	parsed map[string]bool
 }
 
 func newKeyedServer(t *testing.T, eng *engine.Engine) *keyedServer {
@@ -68,13 +71,24 @@ func newKeyedServer(t *testing.T, eng *engine.Engine) *keyedServer {
 	t.Cleanup(srv.Close)
 	t.Cleanup(s.Drain)
 	t.Cleanup(eng.Flush)
-	return &keyedServer{t: t, eng: eng, srv: srv}
+	return &keyedServer{t: t, eng: eng, s: s, srv: srv, parsed: map[string]bool{}}
 }
 
-// post sends k and returns the status, checking a 200's answer.
-func (ks *keyedServer) post(k keyedGraph) int {
+// post sends k with cfg (the zero config is the default) and returns
+// the status, checking a 200's answer and that the parse memo answered
+// exactly for a text the server had parsed before.
+func (ks *keyedServer) post(k keyedGraph, cfg arch.Config) int {
 	ks.t.Helper()
-	resp, out := postExecute(ks.t, ks.srv, ExecuteRequest{Graph: k.text, Inputs: [][]float64{k.in}})
+	memoHits := ks.s.Stats().HTTP.ParseMemoHits
+	resp, out := postExecute(ks.t, ks.srv, ExecuteRequest{Graph: k.text, Config: cfg, Inputs: [][]float64{k.in}})
+	want := int64(0)
+	if ks.parsed[k.text] {
+		want = 1
+	}
+	if got := ks.s.Stats().HTTP.ParseMemoHits - memoHits; got != want {
+		ks.t.Errorf("%s: %d parse memo hits, want %d", k.fp.Short(), got, want)
+	}
+	ks.parsed[k.text] = true
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode
 	}
@@ -97,7 +111,7 @@ func (ks *keyedServer) post(k keyedGraph) int {
 func (ks *keyedServer) step(name string, k keyedGraph, status int, hits, misses, storeHits, evictions int64) {
 	ks.t.Helper()
 	before := ks.eng.Stats()
-	if got := ks.post(k); got != status {
+	if got := ks.post(k, arch.Config{}); got != status {
 		ks.t.Fatalf("%s: status %d, want %d", name, got, status)
 	}
 	after := ks.eng.Stats()
@@ -107,12 +121,29 @@ func (ks *keyedServer) step(name string, k keyedGraph, status int, hits, misses,
 	}
 }
 
+// learn has the server parse k's text in a request that fails its
+// config check, after the parse and before the engine: its parse memo
+// then holds the text, and the engine has not seen it.
+func (ks *keyedServer) learn(k keyedGraph) {
+	ks.t.Helper()
+	before := ks.eng.Stats()
+	if got := ks.post(k, arch.Config{D: 3, B: 64, R: 1 << 30}); got != http.StatusBadRequest {
+		ks.t.Fatalf("out-of-bounds config: status %d, want 400", got)
+	}
+	if after := ks.eng.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		ks.t.Errorf("a request refused before the engine counted hits %d, misses %d", after.Hits-before.Hits, after.Misses-before.Misses)
+	}
+}
+
 // TestKeyedHitPathOnTheWire cycles four graphs through a two-entry
 // cache backed by a store, then restarts the server with Preload: a
 // keyed hit, a miss, an eviction, a store decode and a preloaded entry
 // not yet checked against a request graph each answer with dag.Read's
-// fingerprint and sinks and the oracle's outputs, and the engine counts
-// exactly one hit or miss per request.
+// fingerprint and sinks and the oracle's outputs, the engine counts
+// exactly one hit or miss per request, and the parse memo answers
+// every text a server has parsed before. A miss on a text the memo
+// holds (after an eviction, and after the restart for a text learned
+// before it) parses the text inside the engine's graph callback.
 func TestKeyedHitPathOnTheWire(t *testing.T) {
 	var ks [4]keyedGraph
 	for i := range ks {
@@ -148,6 +179,17 @@ func TestKeyedHitPathOnTheWire(t *testing.T) {
 		t.Fatalf("preload: %d artifacts, %v; want 2", n, err)
 	}
 	s = newKeyedServer(t, eng)
+	// One text of each kind is already in the new server's memo when
+	// the engine first meets it, so its preloaded check or its store
+	// decode builds the graph from a parse inside the callback.
+	for _, pre := range []bool{true, false} {
+		for _, k := range ks {
+			if preloaded[k.fp] == pre {
+				s.learn(k)
+				break
+			}
+		}
+	}
 	for _, k := range ks {
 		if !preloaded[k.fp] {
 			continue
@@ -167,9 +209,11 @@ func TestKeyedHitPathOnTheWire(t *testing.T) {
 
 // TestPoisonedPreloadNeverAnsweredByKey: a preloaded artifact that does
 // not serve its graph (a remap one entry short) is never answered by
-// key. The request that meets it builds its graph, fails the engine's
-// check of the program against it with a 422 that evicts it from cache
-// and store, and the retry recompiles.
+// key, even when the parse memo already holds the text's fingerprint.
+// The request that meets it parses the text inside the engine's graph
+// callback, builds its graph, fails the engine's check of the program
+// against it with a 422 that evicts it from cache and store, and the
+// retry recompiles.
 func TestPoisonedPreloadNeverAnsweredByKey(t *testing.T) {
 	k := newKeyedGraph(t, 41)
 	g, err := dag.Read(strings.NewReader(k.text), "poison")
@@ -193,6 +237,7 @@ func TestPoisonedPreloadNeverAnsweredByKey(t *testing.T) {
 		t.Fatalf("preload: %d artifacts, %v; want 1", n, err)
 	}
 	s := newKeyedServer(t, eng)
+	s.learn(k)
 	s.step("poisoned entry evicted", k, http.StatusUnprocessableEntity, 1, 0, 0, 0)
 	if st := eng.Stats(); st.StoreErrors != 1 || st.Cached != 0 {
 		t.Errorf("store errors %d, cached %d; want 1 and 0", st.StoreErrors, st.Cached)

@@ -68,6 +68,10 @@ type HTTPStats struct {
 	// NonFiniteOutputs counts input vectors whose outputs overflowed to
 	// ±Inf/NaN and were itemized as errors inside a 200.
 	NonFiniteOutputs int64 `json:"non_finite_outputs" prom:"dpu_http_non_finite_outputs_total"`
+	// ParseMemoHits counts requests whose graph text the server had
+	// already parsed, answered its fingerprint by the parse memo
+	// without parsing it again.
+	ParseMemoHits int64 `json:"parse_memo_hits" prom:"dpu_http_parse_memo_hits_total"`
 	// Latency summarizes whole-request wall time in nanoseconds,
 	// including scheduler queueing.
 	Latency metrics.Summary `json:"latency_ns"`
@@ -76,10 +80,10 @@ type HTTPStats struct {
 	// (metrics.Snapshot.Merge); quantiles themselves don't merge.
 	LatencyHist metrics.Snapshot `json:"latency_hist" prom:"dpu_http_request_latency_ns"`
 	// Decode, Parse and Encode summarize the handler's own stages in
-	// nanoseconds: reading and decoding the body, dag.Parse of its graph
-	// and its Fingerprint, and marshalling and writing the reply. Every
-	// request that reaches a stage observes it, so the counts fall from
-	// decode to encode.
+	// nanoseconds: reading and decoding the body, the parse memo's
+	// lookup of its graph's Fingerprint (with dag.Parse on a memo miss),
+	// and marshalling and writing the reply. Every request that reaches
+	// a stage observes it, so the counts fall from decode to encode.
 	Decode     metrics.Summary  `json:"decode_ns"`
 	Parse      metrics.Summary  `json:"parse_ns"`
 	Encode     metrics.Summary  `json:"encode_ns"`
@@ -130,8 +134,13 @@ type Server struct {
 	requests              atomic.Int64
 	errors                atomic.Int64
 	nonFinite             atomic.Int64
+	parseMemoHits         atomic.Int64
 	latency               metrics.Histogram
 	decode, parse, encode metrics.Histogram
+
+	// fps gives each graph text's fingerprint, parsing a text only when
+	// the memo does not hold it.
+	fps dag.Fingerprints
 
 	tracer *trace.Tracer
 
@@ -190,6 +199,7 @@ func (s *Server) Stats() StatsResponse {
 			Requests:         s.requests.Load(),
 			Errors:           s.errors.Load(),
 			NonFiniteOutputs: s.nonFinite.Load(),
+			ParseMemoHits:    s.parseMemoHits.Load(),
 			LatencyHist:      s.latency.Snapshot(),
 			DecodeHist:       s.decode.Snapshot(),
 			ParseHist:        s.parse.Snapshot(),
@@ -254,18 +264,19 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			len(req.Inputs), maxInputsPerRequest), http.StatusRequestEntityTooLarge)
 		return
 	}
-	// One parse of the graph text gives the cache key; the graph itself
-	// is built only if the engine has no checked program for it.
+	// The memo gives the cache key, parsing the text only if it has not
+	// seen it; the graph itself is built only if the engine has no
+	// checked program for it.
 	t0 = time.Now()
-	p, err := dag.Parse(req.Graph)
-	var fp dag.Fingerprint
-	if err == nil {
-		fp = p.Fingerprint()
-	}
-	s.stage(tr, &s.parse, "parse", t0)
+	fp, p, err := s.fps.Parse(req.Graph)
+	memoHit := err == nil && p == nil
+	s.stage(tr, &s.parse, "parse", t0, trace.Bool("memo_hit", memoHit))
 	if err != nil {
 		s.fail(w, "bad graph: "+err.Error(), http.StatusBadRequest)
 		return
+	}
+	if memoHit {
+		s.parseMemoHits.Add(1)
 	}
 	cfg := req.Config
 	if cfg == (arch.Config{}) {
@@ -290,14 +301,23 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// The call's compile step, run once after admission (never for a
 	// call turned away): the engine answers by key with the program and
-	// the client graph's sinks, and builds the graph from the parsed text
-	// only when it needs it (a miss, or the first hit on a preloaded
-	// entry).
+	// the client graph's sinks, and builds the graph only when it needs
+	// it (a miss, or the first hit on a preloaded entry), parsing the
+	// text then if the memo answered its fingerprint.
+	graph := func() (*dag.Graph, error) {
+		if p == nil {
+			var err error
+			if p, err = dag.Parse(req.Graph); err != nil {
+				return nil, err
+			}
+		}
+		return p.Graph("request"), nil
+	}
 	var c *compiler.Compiled
 	var sinks []dag.NodeID
 	compile := func() (*compiler.Compiled, error) {
 		var err error
-		c, sinks, err = s.eng.Program(fp, func() *dag.Graph { return p.Graph("request") }, cfg, req.Options, tr)
+		c, sinks, err = s.eng.Program(fp, graph, cfg, req.Options, tr)
 		return c, err
 	}
 	if !s.executeBatched(w, r, compile, &req, &resp, tr) {

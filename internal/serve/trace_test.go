@@ -92,29 +92,35 @@ func TestServeMetricsExposition(t *testing.T) {
 // TestServeTraceJoinsTraceparent: a request carrying a traceparent is
 // always traced under that exact trace ID, and the retained record
 // decomposes the request into decode / parse / stage / encode spans.
+// The parse span says whether the parse memo answered: not for the
+// first sight of a text, and for a second one.
 func TestServeTraceJoinsTraceparent(t *testing.T) {
 	s, srv := newTestServer(t, Options{})
 	s.Tracer().Sample() // spend the always-sampled first slot: only header-carrying requests trace
 
-	id := trace.NewID()
 	body, err := json.Marshal(execRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/execute", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	send := func(id trace.ID) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/execute", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(trace.Header, trace.Traceparent(id, trace.NewSpanID()))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("execute status = %d", resp.StatusCode)
+		}
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(trace.Header, trace.Traceparent(id, trace.NewSpanID()))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute status = %d", resp.StatusCode)
-	}
+	id := trace.NewID()
+	send(id)
 
 	recs := s.Tracer().Traces(0, "")
 	if len(recs) != 1 {
@@ -155,6 +161,21 @@ func TestServeTraceJoinsTraceparent(t *testing.T) {
 	}
 	if out.Count != 1 || out.Traces[0].TraceID != id.String() {
 		t.Fatalf("/traces = %+v, want the joined trace", out)
+	}
+
+	second := trace.NewID()
+	send(second)
+	hits := map[string]any{}
+	for _, rec := range s.Tracer().Traces(0, "") {
+		for _, sp := range rec.Spans {
+			if sp.Stage == "parse" {
+				hits[rec.TraceID] = sp.Attrs["memo_hit"]
+			}
+		}
+	}
+	if hits[id.String()] != false || hits[second.String()] != true {
+		t.Errorf("parse span memo_hit %v on the first sight of the text and %v on the second, want false and true",
+			hits[id.String()], hits[second.String()])
 	}
 }
 

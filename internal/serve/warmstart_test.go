@@ -186,27 +186,32 @@ func TestWarmStartDecodeFasterThanCompile(t *testing.T) {
 	populateStore(t, st, g, arch.MinEDP())
 	key := artifact.KeyFor(g.Fingerprint(), arch.MinEDP(), compiler.Options{})
 
-	measure := func(n int, f func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
+	// The best of each side over 40 interleaved rounds, alternating
+	// which side runs first: a burst of load from elsewhere on the box
+	// then slows samples on both sides, not only the one it lands on,
+	// and each side has enough samples for its best to be a quiet one.
+	sides := [2]func(){
+		func() {
+			if _, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return best
+		},
+		func() {
+			if _, err := st.Get(key); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
-	compile := measure(3, func() {
-		if _, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{}); err != nil {
-			t.Fatal(err)
+	best := [2]time.Duration{1<<63 - 1, 1<<63 - 1}
+	for round := range 40 {
+		for i := range 2 {
+			side := (i + round) % 2
+			start := time.Now()
+			sides[side]()
+			best[side] = min(best[side], time.Since(start))
 		}
-	})
-	decode := measure(5, func() {
-		if _, err := st.Get(key); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	compile, decode := best[0], best[1]
 	t.Logf("cold compile %v, store decode %v (%.1fx)", compile, decode, float64(compile)/float64(decode))
 	if decode*5 > compile {
 		t.Errorf("decode-from-store (%v) is not ≥5x faster than a cold compile (%v)", decode, compile)
