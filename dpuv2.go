@@ -177,6 +177,15 @@ func (en *Engine) Compile(g *Graph, cfg Config, opts CompileOptions) (*Program, 
 	if err != nil {
 		return nil, err
 	}
+	if c.CheckProgram() != nil {
+		// A store-backed engine answers a payload it has verified before
+		// from a serving decode, which leaves out the instruction stream
+		// that Report and Binary read. Compilation is deterministic, so
+		// compiling g again gives that stream.
+		if c, err = compiler.Compile(g, cfg, opts); err != nil {
+			return nil, err
+		}
+	}
 	return newProgram(c), nil
 }
 

@@ -1,9 +1,11 @@
 package dpuv2
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"dpuv2/internal/artifact"
 	"dpuv2/internal/energy"
 	"dpuv2/internal/sim"
 	"dpuv2/internal/suite"
@@ -312,5 +314,45 @@ func TestFacadeReportMatchesCycleAccurateEnergy(t *testing.T) {
 	}
 	if res.Report != want {
 		t.Errorf("report %+v, want the cycle-accurate estimate %+v", res.Report, want)
+	}
+}
+
+// TestFacadeStoreServingDecode: a store-backed engine answers a payload
+// it has verified before from a serving decode, without the instruction
+// stream; the facade's Program still reports and packs the full
+// program, identical to a fresh compile's.
+func TestFacadeStoreServingDecode(t *testing.T) {
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := suite.Build("tretail", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := suite.Build("msnbc", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(EngineOptions{}).Compile(g, MinEDP(), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := NewEngine(EngineOptions{Store: st, CacheSize: 1})
+	var p *Program
+	// Compile and persist, then a verified full decode, then a serving
+	// decode: each Compile of g evicts other and the reverse.
+	for _, h := range []*Graph{g, other, g, other, g} {
+		if p, err = en.Compile(h, MinEDP(), CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		en.e.Flush()
+	}
+	if s := en.Stats(); s.StoreHits != 3 || s.Verified != 2 {
+		t.Fatalf("StoreHits = %d, Verified = %d; want 3 and 2 (the last Compile a serving decode)", s.StoreHits, s.Verified)
+	}
+	if !bytes.Equal(p.Binary(), want.Binary()) || p.report() != want.report() {
+		t.Errorf("serving-decoded Program: %d-byte binary, report %+v; want %d bytes, %+v",
+			p.BinarySize(), p.report(), want.BinarySize(), want.report())
 	}
 }

@@ -29,6 +29,12 @@
 // byte-level difference between two artifacts always reflects a real
 // difference in content.
 //
+// The program comes last, so a reader that needs only what serving a
+// request reads (identity, graph, maps, stats) can stop before it:
+// Store.GetServing does that for payloads its caller has verified
+// before, named by their SHA-256 Digest, and the program it returns
+// refuses to run or encode (compiler.Compiled.CheckProgram).
+//
 // Malformed input never panics; it yields a typed error: ErrBadMagic,
 // ErrVersion, ErrTruncated, ErrChecksum, or ErrCorrupt for content that
 // passes the checksum but violates a structural invariant. Any change
@@ -39,6 +45,7 @@ package artifact
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,6 +91,11 @@ var (
 // castagnoli is the CRC-32C table used for the payload checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// Digest is the SHA-256 of an artifact's payload, the bytes its
+// checksum covers: two images with one digest decode to the same
+// artifact, so a verdict about one holds for the other.
+type Digest [sha256.Size]byte
+
 // Artifact is one compiled program with its content address: the
 // serving engine keys its cache on (Fingerprint, Compiled.Prog.Cfg,
 // Options), and the artifact carries all three so a store can be
@@ -96,9 +108,22 @@ type Artifact struct {
 	// Options are the compiler options the program was built with.
 	Options compiler.Options
 	// Compiled is the runnable program: instructions, memory image,
-	// binarized graph and data-memory maps.
+	// binarized graph and data-memory maps. A serving decode leaves out
+	// the instructions and memory image (see Serving).
 	Compiled *compiler.Compiled
+	// Digest names the payload the artifact was decoded from; it is
+	// zero for an artifact built in memory, and EncodeBytes ignores it.
+	Digest Digest
+
+	serving bool
 }
+
+// Serving reports whether a came from a serving decode
+// (Store.GetServing): its Compiled.Prog holds only Cfg and W, with
+// fewer instructions than Compiled.Stats counts. sim.Run,
+// verify.Compiled and EncodeBytes all refuse such a program; serving
+// reads only its graph, maps, config and stats.
+func (a *Artifact) Serving() bool { return a.serving }
 
 // EncodeBytes serializes a into the .dpuprog format.
 func EncodeBytes(a *Artifact) ([]byte, error) {
@@ -127,7 +152,12 @@ func Encode(w io.Writer, a *Artifact) error {
 // DecodeBytes parses a .dpuprog image. Every failure is typed (see the
 // Err* values); success returns a fully validated artifact whose
 // program is executable as-is.
-func DecodeBytes(b []byte) (*Artifact, error) {
+func DecodeBytes(b []byte) (*Artifact, error) { return decodeBytes(b, nil) }
+
+// decodeBytes checks b's header and checksum, digests the payload and
+// decodes it, fully unless serving is non-nil and reports true for the
+// digest, in which case it takes the serving decode (see decodePayload).
+func decodeBytes(b []byte, serving func(Digest) bool) (*Artifact, error) {
 	if len(b) < headerSize {
 		if len(b) >= len(magic) && !bytes.Equal(b[:len(magic)], magic[:]) {
 			return nil, ErrBadMagic
@@ -152,7 +182,13 @@ func DecodeBytes(b []byte) (*Artifact, error) {
 	if got := crc32.Checksum(rest, castagnoli); got != sum {
 		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, sum, got)
 	}
-	return decodePayload(rest)
+	digest := Digest(sha256.Sum256(rest))
+	a, err := decodePayload(rest, serving != nil && serving(digest))
+	if err != nil {
+		return nil, err
+	}
+	a.Digest = digest
+	return a, nil
 }
 
 // Decode reads one artifact from r (consuming it to EOF).
@@ -227,6 +263,9 @@ func encodePayload(a *Artifact) ([]byte, error) {
 	}
 	if err := checkOptions(a.Options); err != nil {
 		return nil, err
+	}
+	if err := c.CheckProgram(); err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	cfg := c.Prog.Cfg
 	if err := cfg.CheckBounds(); err != nil {
@@ -489,7 +528,17 @@ func (d *dec) decodeConfig() arch.Config {
 	return cfg
 }
 
-func decodePayload(b []byte) (*Artifact, error) {
+// decodePayload decodes a checksummed payload. A full decode reads it
+// all and unpacks the program; a serving decode (serving true) stops
+// after the stats and leaves Compiled.Prog with only Cfg and W: the
+// instruction count, packed stream and memory image are never read, so
+// the decode costs what serving a request reads (graph, maps, stats),
+// not what running the program on the machine would. It is the same
+// decoder up to that point, with every check, so it accepts every
+// payload the full decode does. A program whose stats count no
+// instructions is decoded whole, its memory image being all it has, so
+// a serving-decoded program always lacks instructions its stats count.
+func decodePayload(b []byte, serving bool) (*Artifact, error) {
 	d := &dec{buf: b}
 	a := &Artifact{}
 
@@ -513,53 +562,14 @@ func decodePayload(b []byte) (*Artifact, error) {
 	if numNodes == 0 {
 		return nil, fmt.Errorf("%w: empty graph", ErrCorrupt)
 	}
-	g := dag.New(name)
-	// count() bounds numNodes by the bytes present, but a node costs ~50x
-	// its 1-byte minimum encoding in arena memory — preallocating on the
-	// claimed count alone would let a garbage file drive an allocation
-	// ~50x its size before the first invalid byte is examined. Cap the
-	// hint; a genuinely large graph grows geometrically as its real bytes
-	// are consumed.
-	g.Grow(min(numNodes, 1<<16))
-	for i := 0; i < numNodes && d.err == nil; i++ {
-		op := dag.Op(d.u8())
-		switch op {
-		case dag.OpInput:
-			g.AddInput()
-		case dag.OpConst:
-			g.AddConst(d.f64())
-		case dag.OpAdd, dag.OpMul:
-			nargs := int(d.uvarint())
-			if nargs != 2 {
-				d.fail("node %d has %d args, want 2 (binary graph)", i, nargs)
-				break
-			}
-			args := make([]dag.NodeID, nargs)
-			for j := range args {
-				arg := d.uvarint()
-				if d.err != nil {
-					break
-				}
-				if arg >= uint64(i) {
-					d.fail("node %d references %d (not topologically earlier)", i, arg)
-					break
-				}
-				args[j] = dag.NodeID(arg)
-			}
-			if d.err == nil {
-				g.AddOp(op, args...)
-			}
-		default:
-			d.fail("unknown op %d", uint8(op))
-		}
-	}
+	g, numInputs := d.decodeGraph(name, numNodes)
 	if d.err != nil {
 		return nil, d.err
 	}
 
-	// Remap (source-graph ids → binarized ids). Same amplification guard
-	// as the node arena: append against the consumed bytes, not the
-	// claimed count.
+	// Remap (source-graph ids → binarized ids). The claimed count is
+	// bounded by the payload, not by the node count, so append against
+	// the consumed bytes rather than preallocate on the claim.
 	numRemap := d.count("remap", 1)
 	remap := make([]dag.NodeID, 0, min(numRemap, 1<<16))
 	for i := 0; i < numRemap; i++ {
@@ -575,7 +585,7 @@ func decodePayload(b []byte) (*Artifact, error) {
 	}
 
 	// Input words: one per OpInput leaf, -1 for unconsumed inputs.
-	inputWord := make([]int, len(g.Inputs()))
+	inputWord := make([]int, numInputs)
 	for i := range inputWord {
 		w := d.varint()
 		if d.err != nil {
@@ -605,60 +615,133 @@ func decodePayload(b []byte) (*Artifact, error) {
 
 	var stats compiler.Stats
 	d.decodeStats(&stats)
-
-	// Program.
-	numInstrs := d.count("instruction", 1)
-	packed := d.raw(d.count("packed byte", 1))
-	initMem := make([]float64, d.count("memory word", 8))
 	if d.err != nil {
 		return nil, d.err
 	}
-	if len(initMem) > cfg.DataMemWords {
-		return nil, fmt.Errorf("%w: memory image %d words exceeds data memory %d", ErrCorrupt, len(initMem), cfg.DataMemWords)
-	}
-	memBytes := d.raw(8 * len(initMem))
-	if d.err != nil {
-		return nil, d.err
-	}
-	for i := range initMem {
-		initMem[i] = math.Float64frombits(binary.LittleEndian.Uint64(memBytes[8*i:]))
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d unread payload bytes", ErrCorrupt, d.remaining())
-	}
-	// A corrupted count would make Unpack walk the packed stream far out
-	// of proportion; bound it by the payload that actually carries it
-	// (every instruction is at least an opcode, i.e. >0 bits).
-	if numInstrs > 8*len(packed) {
-		return nil, fmt.Errorf("%w: %d instructions cannot fit %d packed bytes", ErrCorrupt, numInstrs, len(packed))
-	}
-	instrs, err := arch.Unpack(packed, cfg, numInstrs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	prog := arch.NewProgram(cfg)
-	for i, in := range instrs {
-		if err := prog.Append(in); err != nil {
-			return nil, fmt.Errorf("%w: instruction %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	// Canonical packing: don't-care padding bits must be zero and the
-	// stream must end exactly where instruction numInstrs-1 does, so
-	// re-encoding an accepted artifact is byte-identical.
-	if !bytes.Equal(prog.Pack(), packed) {
-		return nil, fmt.Errorf("%w: instruction stream not canonically packed", ErrCorrupt)
-	}
-	prog.InitMem = initMem
-
 	a.Compiled = &compiler.Compiled{
-		Prog:       prog,
+		Prog:       arch.NewProgram(cfg),
 		Graph:      g,
 		Remap:      remap,
 		InputWord:  inputWord,
 		OutputWord: outputWord,
 		Stats:      stats,
 	}
+	a.serving = serving && stats.Instructions != 0
+	if a.serving {
+		return a, nil
+	}
+	if err := d.decodeProgram(a.Compiled.Prog, stats.Instructions); err != nil {
+		return nil, err
+	}
 	return a, nil
+}
+
+// decodeGraph reads the binarized graph's n nodes in id (topological)
+// order and counts its inputs. A first pass checks every node and
+// counts the inputs and interior nodes; the second fills the node
+// arena and one argument list, each allocated at its final length, as
+// dag.Parsed.Graph builds a parsed graph. The arena is sized only after
+// the bytes proved to hold n valid nodes, so a garbage count cannot
+// drive the allocation.
+func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs int) {
+	start, interior := d.off, 0
+	for i := 0; i < n && d.err == nil; i++ {
+		switch op := dag.Op(d.u8()); op {
+		case dag.OpInput:
+			inputs++
+		case dag.OpConst:
+			d.f64()
+		case dag.OpAdd, dag.OpMul:
+			if nargs := d.uvarint(); d.err == nil && nargs != 2 {
+				d.fail("node %d has %d args, want 2 (binary graph)", i, nargs)
+			}
+			for range 2 {
+				if arg := d.uvarint(); d.err == nil && arg >= uint64(i) {
+					d.fail("node %d references %d (not topologically earlier)", i, arg)
+				}
+			}
+			interior++
+		default:
+			d.fail("unknown op %d", uint8(op))
+		}
+	}
+	if d.err != nil {
+		return nil, 0
+	}
+	d.off = start
+	nodes := make([]dag.Node, n)
+	args := make([]dag.NodeID, 2*interior)
+	for i := range nodes {
+		nd := &nodes[i]
+		nd.Op = dag.Op(d.u8())
+		switch nd.Op {
+		case dag.OpConst:
+			nd.Val = d.f64()
+		case dag.OpAdd, dag.OpMul:
+			d.uvarint() // the arity, 2
+			args[0], args[1] = dag.NodeID(d.uvarint()), dag.NodeID(d.uvarint())
+			nd.Args, args = args[:2:2], args[2:]
+		}
+	}
+	g, err := dag.FromNodes(name, nodes)
+	if err != nil {
+		d.fail("graph: %v", err)
+	}
+	return g, inputs
+}
+
+// decodeProgram reads the program tail into prog: the instruction
+// count, which must equal the stats' count (EncodeBytes refuses a
+// program whose stream and stats disagree, so the canonical decoder
+// does too), the canonically packed stream and the memory image. It
+// ends the payload.
+func (d *dec) decodeProgram(prog *arch.Program, instructions int) error {
+	cfg := prog.Cfg
+	numInstrs := d.count("instruction", 1)
+	packed := d.raw(d.count("packed byte", 1))
+	initMem := make([]float64, d.count("memory word", 8))
+	if d.err != nil {
+		return d.err
+	}
+	if numInstrs != instructions {
+		return fmt.Errorf("%w: %d instructions, stats count %d", ErrCorrupt, numInstrs, instructions)
+	}
+	if len(initMem) > cfg.DataMemWords {
+		return fmt.Errorf("%w: memory image %d words exceeds data memory %d", ErrCorrupt, len(initMem), cfg.DataMemWords)
+	}
+	memBytes := d.raw(8 * len(initMem))
+	if d.err != nil {
+		return d.err
+	}
+	for i := range initMem {
+		initMem[i] = math.Float64frombits(binary.LittleEndian.Uint64(memBytes[8*i:]))
+	}
+	if d.remaining() != 0 {
+		return fmt.Errorf("%w: %d unread payload bytes", ErrCorrupt, d.remaining())
+	}
+	// A corrupted count would make Unpack walk the packed stream far out
+	// of proportion; bound it by the payload that actually carries it
+	// (every instruction is at least an opcode, i.e. >0 bits).
+	if numInstrs > 8*len(packed) {
+		return fmt.Errorf("%w: %d instructions cannot fit %d packed bytes", ErrCorrupt, numInstrs, len(packed))
+	}
+	instrs, err := arch.Unpack(packed, cfg, numInstrs)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	for i, in := range instrs {
+		if err := prog.Append(in); err != nil {
+			return fmt.Errorf("%w: instruction %d: %v", ErrCorrupt, i, err)
+		}
+	}
+	// Canonical packing: don't-care padding bits must be zero and the
+	// stream must end exactly where instruction numInstrs-1 does, so
+	// re-encoding an accepted artifact is byte-identical.
+	if !bytes.Equal(prog.Pack(), packed) {
+		return fmt.Errorf("%w: instruction stream not canonically packed", ErrCorrupt)
+	}
+	prog.InitMem = initMem
+	return nil
 }
 
 func (d *dec) decodeStats(s *compiler.Stats) {

@@ -235,7 +235,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := tc.f(append([]byte(nil), base...))
-		if _, err := decodePayload(p); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.reason) {
+		if _, err := decodePayload(p, false); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.reason) {
 			t.Errorf("%s: error %v, want ErrCorrupt %q", tc.name, err, tc.reason)
 		}
 	}
@@ -261,7 +261,7 @@ func TestDecodeCountAmplificationBounded(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := decodePayload(payload); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodePayload(payload, false); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("error %v, want ErrCorrupt", err)
 	}
 	runtime.ReadMemStats(&after)
@@ -394,7 +394,7 @@ func TestDecodeRejectsAbsurdConfigBeforeAllocating(t *testing.T) {
 	} {
 		var e enc
 		e.config(cfg)
-		if _, err := decodePayload(e.buf); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "config: ") {
+		if _, err := decodePayload(e.buf, false); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "config: ") {
 			t.Errorf("config %v: error %v, want ErrCorrupt at the config check", cfg, err)
 		}
 	}

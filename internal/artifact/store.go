@@ -119,7 +119,15 @@ func (s *Store) path(k Key) string {
 // damage. The removal can in principle race a concurrent writer's
 // just-renamed replacement; the loss is one persist, repaired by the
 // next miss.
-func (s *Store) Get(k Key) (*Artifact, error) {
+func (s *Store) Get(k Key) (*Artifact, error) { return s.GetServing(k, nil) }
+
+// GetServing is Get for a caller that remembers which payloads it has
+// verified: when verified reports true for the file's payload digest,
+// the artifact comes from a serving decode (see Artifact.Serving),
+// which never reads the program tail. Every other check of Get, the
+// identity check included, runs either way, and the returned
+// artifact's Digest names its payload.
+func (s *Store) GetServing(k Key, verified func(Digest) bool) (*Artifact, error) {
 	p := s.path(k)
 	b, err := os.ReadFile(p)
 	if err != nil {
@@ -128,7 +136,7 @@ func (s *Store) Get(k Key) (*Artifact, error) {
 		}
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	a, err := DecodeBytes(b)
+	a, err := decodeBytes(b, verified)
 	if err != nil {
 		if !errors.Is(err, ErrVersion) {
 			os.Remove(p)

@@ -6,12 +6,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
+	"dpuv2/internal/pc"
+	"dpuv2/internal/sim"
+	"dpuv2/internal/verify"
 )
 
 func TestStorePutGetRoundTrip(t *testing.T) {
@@ -301,4 +305,89 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	if n, err := st.Len(); err != nil || n != len(arts) {
 		t.Errorf("store holds %d artifacts (%v), want %d", n, err, len(arts))
 	}
+}
+
+// TestServingDecode: a serving decode keeps everything serving reads
+// (identity, graph, maps, config, stats) and leaves out the instruction
+// stream and memory image, and every consumer of that stream refuses
+// the program rather than run it as an empty one: sim.Run, EncodeBytes
+// and the verifier. The full decode of the same file passes all three.
+func TestServingDecode(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testArtifact(t, 5)
+	if err := st.Put(a); err != nil {
+		t.Fatal(err)
+	}
+	k := a.Key()
+	var asked []Digest
+	served, err := st.GetServing(k, func(d Digest) bool { asked = append(asked, d); return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := st.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 1 || asked[0] != served.Digest || served.Digest != full.Digest || full.Digest == (Digest{}) {
+		t.Fatalf("digests: asked %x, served %x, full %x; want one nonzero digest", asked, served.Digest, full.Digest)
+	}
+	if !served.Serving() || full.Serving() {
+		t.Fatalf("Serving() = %v and %v, want true for the serving decode only", served.Serving(), full.Serving())
+	}
+	sc, fc := served.Compiled, full.Compiled
+	if sc.Prog.Cfg != fc.Prog.Cfg || sc.Prog.W != fc.Prog.W || sc.Stats != fc.Stats || served.Key() != k {
+		t.Errorf("serving decode lost the config, widths, stats or identity")
+	}
+	if sc.Graph.NumNodes() != fc.Graph.NumNodes() || !reflect.DeepEqual(sc.Remap, fc.Remap) ||
+		!reflect.DeepEqual(sc.InputWord, fc.InputWord) || !reflect.DeepEqual(sc.OutputWord, fc.OutputWord) {
+		t.Errorf("serving decode lost the graph or its maps")
+	}
+	if len(sc.Prog.Instrs) != 0 || sc.Prog.InitMem != nil {
+		t.Errorf("serving decode carries %d instructions and %d memory words, want none", len(sc.Prog.Instrs), len(sc.Prog.InitMem))
+	}
+
+	inputs := make([]float64, len(fc.InputWord))
+	for _, tc := range []struct {
+		name   string
+		c      *compiler.Compiled
+		refuse bool
+	}{{"serving", sc, true}, {"full", fc, false}} {
+		_, runErr := sim.Run(tc.c, inputs)
+		_, encErr := EncodeBytes(&Artifact{Fingerprint: a.Fingerprint, Options: a.Options, Compiled: tc.c})
+		rejected := verify.HasErrors(verify.Compiled(tc.c))
+		if (runErr != nil) != tc.refuse || (encErr != nil) != tc.refuse || rejected != tc.refuse {
+			t.Errorf("%s decode: sim.Run %v, EncodeBytes %v, verifier rejects %v; want refused = %v",
+				tc.name, runErr, encErr, rejected, tc.refuse)
+		}
+	}
+}
+
+// TestServingDecodeAllocationsFlat pins the one-arena graph build: a
+// serving decode of a 4,800-node artifact allocates as many times as
+// one of a 480-node artifact, within a small constant. Building the
+// graph node by node allocated once more per interior node.
+func TestServingDecodeAllocationsFlat(t *testing.T) {
+	verified := func(Digest) bool { return true }
+	allocs := func(nodes int) float64 {
+		g := pc.Generate(pc.Config{Vars: 8, TargetNodes: nodes, TargetDepth: 12, SumFanin: 3, Weighted: true, SkipProb: 0.15, Seed: 1000})
+		b, err := EncodeBytes(compileArtifact(t, g, arch.MinEDP(), compiler.Options{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if a, err := decodeBytes(b, verified); err != nil || !a.Serving() {
+				t.Fatalf("serving decode: %v", err)
+			}
+		})
+	}
+	small, large := allocs(480), allocs(4800)
+	// Measured 13 at both sizes (go1.24). Building the graph node by
+	// node added one allocation per interior node.
+	if large > small+4 {
+		t.Errorf("serving decode allocates %v times at 4,800 nodes, %v at 480", large, small)
+	}
+	t.Logf("%v allocations at 480 nodes, %v at 4,800", small, large)
 }

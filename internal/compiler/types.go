@@ -9,6 +9,8 @@
 package compiler
 
 import (
+	"fmt"
+
 	"dpuv2/internal/arch"
 	"dpuv2/internal/dag"
 )
@@ -117,6 +119,18 @@ type Compiled struct {
 	// holds its value after the program finishes.
 	OutputWord map[dag.NodeID]int
 	Stats      Stats
+}
+
+// CheckProgram returns an error unless c's program carries the
+// instructions its stats count. A serving-decoded artifact's program
+// (artifact.Store.GetServing) holds only its configuration, so whatever
+// runs, encodes or reports on the instruction stream checks this first:
+// such a program fails loudly instead of passing for an empty one.
+func (c *Compiled) CheckProgram() error {
+	if n := len(c.Prog.Instrs); n != c.Stats.Instructions {
+		return fmt.Errorf("program carries %d instructions, its stats count %d (a serving-decoded program holds none)", n, c.Stats.Instructions)
+	}
+	return nil
 }
 
 func peOpFor(op dag.Op) arch.PEOp {

@@ -93,6 +93,21 @@ type Graph struct {
 // New returns an empty graph with the given display name.
 func New(name string) *Graph { return &Graph{Name: name} }
 
+// FromNodes returns the graph whose node arena is nodes, adopted
+// without a copy, after checking it as Validate does. A decoder that
+// sizes nodes and one shared argument list at their final lengths thus
+// builds a graph in two allocations, where Add* pays one per interior
+// node. Each node's Args must be a clipped view of the shared list (len
+// equal to cap), so an append to one node's Args cannot overwrite the
+// next node's; the caller must not touch nodes afterwards.
+func FromNodes(name string, nodes []Node) (*Graph, error) {
+	g := &Graph{Name: name, nodes: nodes}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // NumNodes returns the number of nodes in the graph.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 

@@ -406,3 +406,30 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+// TestFromNodes: an arena FromNodes adopts is the graph Add* builds
+// (same fingerprint, no copy), and one Validate would reject is refused.
+func TestFromNodes(t *testing.T) {
+	want := New("g")
+	a, b := want.AddInput(), want.AddConst(2)
+	want.AddOp(OpMul, a, want.AddOp(OpAdd, a, b))
+	args := []NodeID{0, 1, 0, 2}
+	nodes := []Node{{Op: OpInput}, {Op: OpConst, Val: 2}, {Op: OpAdd, Args: args[0:2:2]}, {Op: OpMul, Args: args[2:4:4]}}
+	g, err := FromNodes("g", nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() != want.Fingerprint() || g.Node(0) != &nodes[0] {
+		t.Error("FromNodes did not adopt the arena as the graph Add* builds")
+	}
+	for name, bad := range map[string][]Node{
+		"empty":     nil,
+		"forward":   {{Op: OpInput}, {Op: OpAdd, Args: []NodeID{0, 1}}},
+		"leaf args": {{Op: OpInput}, {Op: OpConst, Args: []NodeID{0}}},
+		"no args":   {{Op: OpInput}, {Op: OpMul}},
+	} {
+		if _, err := FromNodes(name, bad); err == nil {
+			t.Errorf("%s: FromNodes accepted an invalid arena", name)
+		}
+	}
+}

@@ -25,7 +25,9 @@
 //     before compiling, a fresh compilation is persisted asynchronously,
 //     and Preload warm-starts the cache from the store at boot so a
 //     restarted server never compiles its resident population again;
-//     every decoded artifact is statically verified first (store.go);
+//     every decoded artifact is statically verified first, once per
+//     payload digest, and a store miss on a payload already verified
+//     decodes only what serving reads (store.go);
 //
 //   - an atomically maintained Stats snapshot for observability.
 package engine
@@ -98,8 +100,9 @@ type Stats struct {
 	// Preloaded counts artifacts loaded into the cache by Preload.
 	Preloaded int64 `prom:"dpu_engine_preloaded_total"`
 	// Verified counts decoded artifacts that passed static verification
-	// at an engine trust boundary (store decode, preload). Re-admissions of an already-verified content address are
-	// memoized and not re-counted, so this tracks distinct verified keys.
+	// at an engine trust boundary (store decode, preload). Re-admissions
+	// of an already-verified payload digest are memoized and not
+	// re-counted, so this tracks distinct verified contents.
 	Verified int64 `prom:"dpu_engine_verified_total"`
 	// VerifyRejects counts artifacts rejected by the static verifier —
 	// treated exactly like checksum failures: the engine purges the file
@@ -134,12 +137,12 @@ type Engine struct {
 	preloaded   atomic.Int64
 
 	// Static-verification gate state: every decoded artifact passes
-	// through verifyDecoded before the engine trusts it; the memo makes
-	// that once per content address, not once per decode.
-	verified      atomic.Int64
-	verifyRejects atomic.Int64
-	verifyMu      sync.Mutex
-	verifiedKeys  map[artifact.Key]struct{}
+	// through verifyDecoded before the engine trusts it; the memo of
+	// payload digests makes that once per content, not once per decode.
+	verified        atomic.Int64
+	verifyRejects   atomic.Int64
+	verifyMu        sync.Mutex
+	verifiedDigests map[artifact.Digest]struct{}
 	// persists tracks in-flight async artifact writes; Flush waits on it.
 	persists sync.WaitGroup
 }
@@ -147,10 +150,10 @@ type Engine struct {
 // New returns an engine with the given options.
 func New(opts Options) *Engine {
 	return &Engine{
-		opts:         opts.normalize(),
-		entries:      make(map[artifact.Key]*entry),
-		free:         make(chan *sim.FuncEvaluator, 2*runtime.GOMAXPROCS(0)),
-		verifiedKeys: make(map[artifact.Key]struct{}),
+		opts:            opts.normalize(),
+		entries:         make(map[artifact.Key]*entry),
+		free:            make(chan *sim.FuncEvaluator, 2*runtime.GOMAXPROCS(0)),
+		verifiedDigests: make(map[artifact.Digest]struct{}),
 	}
 }
 

@@ -10,48 +10,59 @@ import (
 	"dpuv2/internal/verify"
 )
 
-// maxVerifiedKeys bounds the verification memo; past it the memo is
+// maxVerified bounds the verification memo; past it the memo is
 // cleared (re-verifying is correct, just slower) rather than grown.
-const maxVerifiedKeys = 4096
+const maxVerified = 4096
+
+// verifiedDigest reports whether the payload named d has passed
+// verifyDecoded; the store serving-decodes exactly those.
+func (e *Engine) verifiedDigest(d artifact.Digest) bool {
+	e.verifyMu.Lock()
+	_, ok := e.verifiedDigests[d]
+	e.verifyMu.Unlock()
+	return ok
+}
 
 // verifyDecoded statically verifies a decoded artifact before the
-// engine trusts it, memoized per content address so the serving path
-// pays the verifier once per store key, not once per decode. A false
-// return (counted in Stats.VerifyRejects) means the program carries
-// error-severity findings and must be treated like a checksum failure.
-func (e *Engine) verifyDecoded(k artifact.Key, c *compiler.Compiled) bool {
-	e.verifyMu.Lock()
-	_, done := e.verifiedKeys[k]
-	e.verifyMu.Unlock()
-	if done {
+// engine trusts it, memoized per payload digest: the verifier runs once
+// per distinct content, however often it is decoded, and a file
+// replaced at the same address is verified anew. A serving-decoded
+// artifact passes unchecked, since the store decodes one only for a
+// digest verifiedDigest reported. A false return (counted in
+// Stats.VerifyRejects) means the program carries error-severity
+// findings and must be treated like a checksum failure.
+func (e *Engine) verifyDecoded(a *artifact.Artifact) bool {
+	if a.Serving() || e.verifiedDigest(a.Digest) {
 		return true
 	}
-	if fs := verify.Compiled(c); verify.HasErrors(fs) {
+	if fs := verify.Compiled(a.Compiled); verify.HasErrors(fs) {
 		e.verifyRejects.Add(1)
 		return false
 	}
 	e.verified.Add(1)
 	e.verifyMu.Lock()
-	if len(e.verifiedKeys) >= maxVerifiedKeys {
-		clear(e.verifiedKeys)
+	if len(e.verifiedDigests) >= maxVerified {
+		clear(e.verifiedDigests)
 	}
-	e.verifiedKeys[k] = struct{}{}
+	e.verifiedDigests[a.Digest] = struct{}{}
 	e.verifyMu.Unlock()
 	return true
 }
 
 // resolveMiss produces the compiled program for a cache miss: a backing
 // store is consulted first (a decoded artifact is bit-identical to a
-// fresh compilation and much cheaper); otherwise the graph is compiled
-// and, on success, persisted to the store off the request path. The
-// store consult and the compilation record spans under parent when a
-// trace rides the miss (tr and every span handle are nil-safe).
+// fresh compilation and much cheaper; one whose payload was verified
+// before is serving-decoded, without its instructions); otherwise the
+// graph is compiled and, on success, persisted to the store off the
+// request path. The store consult and the compilation record spans
+// under parent when a trace rides the miss (tr and every span handle
+// are nil-safe).
 func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, parent int) (*compiler.Compiled, error) {
 	if st := e.opts.Store; st != nil {
 		sd := tr.Begin("store_decode", parent)
-		switch a, err := st.Get(k); {
+		switch a, err := st.GetServing(k, e.verifiedDigest); {
 		case err == nil && servesGraph(g, a.Compiled):
-			if e.verifyDecoded(k, a.Compiled) {
+			if e.verifyDecoded(a) {
 				e.storeHits.Add(1)
 				tr.SetAttrs(sd, trace.Bool("hit", true))
 				tr.End(sd)
@@ -122,7 +133,7 @@ func (e *Engine) Preload() (n int, err error) {
 			return true
 		}
 		k := a.Key()
-		if !e.verifyDecoded(k, a.Compiled) {
+		if !e.verifyDecoded(a) {
 			// Same gate as the decode path: an illegal program must not
 			// warm-start into the serving cache. Purge it so the next
 			// compile of the key persists a clean replacement.

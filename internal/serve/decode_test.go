@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"dpuv2/internal/artifact"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/pc"
@@ -258,6 +259,56 @@ func TestHandlerAllocationsPerRequest(t *testing.T) {
 		t.Errorf("%v allocations per request, ceiling %d", allocs, handlerAllocCeiling)
 	}
 	t.Logf("%v allocations per request", allocs)
+}
+
+// TestHandlerAllocationsPerStoreMiss bounds the allocations of a
+// serve_churn-shaped /execute, BenchmarkHandler/churn's request: a
+// 480-node circuit evicted from an 8-entry cache, so the engine misses
+// and the artifact store answers with a serving decode of a payload it
+// verified before. Request and recorder are counted.
+func TestHandlerAllocationsPerStoreMiss(t *testing.T) {
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{CacheSize: 8, Store: st})
+	s := New(eng, Options{})
+	t.Cleanup(s.Drain)
+	h := s.Handler()
+	bodies := handlerBodies(t, circuits(32, 480, 1000), 1)
+	i := 0
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/execute", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		i++
+	}
+	for range 2 * len(bodies) { // compile and persist, then verify every payload once
+		serve()
+		eng.Flush()
+	}
+	before := eng.Stats()
+	allocs := testing.AllocsPerRun(len(bodies), serve)
+	after := eng.Stats()
+	if after.Hits != before.Hits || after.StoreHits == before.StoreHits || after.Verified != before.Verified {
+		t.Fatalf("engine hits %d → %d, store hits %d → %d, verified %d → %d: want store-decoded misses of verified payloads",
+			before.Hits, after.Hits, before.StoreHits, after.StoreHits, before.Verified, after.Verified)
+	}
+	// Measured 93, and 99 under -race (go1.24, 2 vCPU); 905 when every
+	// store decode unpacked, revalidated and repacked the instruction
+	// stream and built the graph node by node (906 allocs/op in
+	// BenchmarkHandler/churn). The slack of about 30 absorbs runtime
+	// differences and stays far below one allocation per instruction.
+	ceiling := 125.0
+	if raceEnabled {
+		ceiling = 130
+	}
+	if allocs > ceiling {
+		t.Errorf("%v allocations per store-answered miss, ceiling %v", allocs, ceiling)
+	}
+	t.Logf("%v allocations per store-answered miss", allocs)
 }
 
 // TestHandlerBytesPerHit bounds the bytes a serve_hot-shaped /execute

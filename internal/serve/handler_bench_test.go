@@ -18,7 +18,7 @@ import (
 
 // handlerBodies renders one /execute body per graph, each carrying
 // vectors input vectors uniform in [0,1).
-func handlerBodies(b *testing.B, graphs []*dag.Graph, vectors int) [][]byte {
+func handlerBodies(b testing.TB, graphs []*dag.Graph, vectors int) [][]byte {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	bodies := make([][]byte, len(graphs))

@@ -224,15 +224,18 @@ func TestWarmStartDecodeFasterThanCompile(t *testing.T) {
 //	first-request     — full HTTP request against a freshly warm-started
 //	                    server (preload untimed); the engine never
 //	                    compiles (asserted).
-//	decode-from-store — store lookup + decode alone.
+//	decode-from-store — store lookup + full decode alone.
+//	serving-decode    — store lookup + the serving decode a miss on an
+//	                    already verified payload takes (no program tail).
 //	verify-decoded    — the static verifier over the decoded program:
 //	                    what the engine's trust-boundary gate adds the
-//	                    ONE time it verifies a store key. The engine
-//	                    memoizes verification per key (verifiedKeys), so
-//	                    this cost is paid once per artifact per process,
-//	                    not per request — amortized it is well under the
-//	                    "<10% of decode" budget, and even unamortized it
-//	                    is the same order as a single decode.
+//	                    ONE time it verifies a payload. The engine
+//	                    memoizes verification per payload digest
+//	                    (verifiedDigests), so this cost is paid once per
+//	                    content per process, not per request — amortized
+//	                    it is well under the "<10% of decode" budget, and
+//	                    even unamortized it is the same order as a single
+//	                    decode.
 //	cold-compile      — what the same miss costs without a store.
 func BenchmarkServeWarmStart(b *testing.B) {
 	g, text, inputs := warmGraph(b)
@@ -273,6 +276,14 @@ func BenchmarkServeWarmStart(b *testing.B) {
 	b.Run("decode-from-store", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := st.Get(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("serving-decode", func(b *testing.B) {
+		verified := func(artifact.Digest) bool { return true }
+		for i := 0; i < b.N; i++ {
+			if a, err := st.GetServing(key, verified); err != nil || !a.Serving() {
 				b.Fatal(err)
 			}
 		}

@@ -18,8 +18,12 @@ type Result struct {
 
 // Run executes a compiled program with the given DAG input values (in
 // graph-input order) on a fresh machine and returns the sink values read
-// back from data memory.
+// back from data memory. A program without the instructions its stats
+// count (a serving-decoded artifact's) is refused, never run.
 func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
+	if err := c.CheckProgram(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	if len(inputs) != len(c.InputWord) {
 		return nil, fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))
 	}
