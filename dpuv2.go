@@ -141,7 +141,9 @@ func Execute(p *Program, inputs []float64) (*Result, error) {
 }
 
 // EngineOptions tune a serving Engine; the zero value is a
-// production-ready default.
+// production-ready default. An engine with a Store persists each fresh
+// compilation to it in the background: call Engine.Flush before the
+// program exits, or those artifacts may never be written.
 type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of a serving engine's activity: compile-cache
@@ -245,6 +247,10 @@ func (en *Engine) execute(p *Program, batches [][]float64) (res []*Result, errs 
 
 // Stats returns a snapshot of the engine's counters.
 func (en *Engine) Stats() EngineStats { return en.e.Stats() }
+
+// Flush waits until every artifact the engine has started persisting to
+// its Store is written. Without a Store it returns at once.
+func (en *Engine) Flush() { en.e.Flush() }
 
 // SinkOf maps a node id of the original (pre-binarization) graph to the
 // corresponding sink id in Result.Outputs.

@@ -346,7 +346,7 @@ func TestFacadeStoreServingDecode(t *testing.T) {
 		if p, err = en.Compile(h, MinEDP(), CompileOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		en.e.Flush()
+		en.Flush()
 	}
 	if s := en.Stats(); s.StoreHits != 3 || s.Verified != 2 {
 		t.Fatalf("StoreHits = %d, Verified = %d; want 3 and 2 (the last Compile a serving decode)", s.StoreHits, s.Verified)
@@ -354,5 +354,31 @@ func TestFacadeStoreServingDecode(t *testing.T) {
 	if !bytes.Equal(p.Binary(), want.Binary()) || p.report() != want.report() {
 		t.Errorf("serving-decoded Program: %d-byte binary, report %+v; want %d bytes, %+v",
 			p.BinarySize(), p.report(), want.BinarySize(), want.report())
+	}
+}
+
+// TestFacadeFlushPersists: once Flush returns, every program a
+// store-backed engine compiled is in the store, so a fresh engine on the
+// same store answers from it without compiling.
+func TestFacadeFlushPersists(t *testing.T) {
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := suite.Build("tretail", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := NewEngine(EngineOptions{Store: st})
+	if _, err := en.Compile(g, MinEDP(), CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	en.Flush()
+	fresh := NewEngine(EngineOptions{Store: st})
+	if _, err := fresh.Compile(g, MinEDP(), CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := fresh.Stats(); s.StoreHits != 1 || s.StoreMisses != 0 {
+		t.Fatalf("fresh engine: StoreHits = %d, StoreMisses = %d; want 1 and 0", s.StoreHits, s.StoreMisses)
 	}
 }

@@ -138,7 +138,7 @@ func TestPerLayerTopologyInvariants(t *testing.T) {
 	// Each PE of layer l reaches exactly 2^l banks, all within its tree.
 	for id := 0; id < cfg.NumPEs(); id++ {
 		p := cfg.PECoord(id)
-		banks := cfg.WritableBanks(p)
+		banks := writableBanks(cfg, p)
 		if len(banks) != 1<<uint(p.Layer) {
 			t.Fatalf("PE %+v writes %d banks, want %d", p, len(banks), 1<<uint(p.Layer))
 		}
@@ -147,7 +147,7 @@ func TestPerLayerTopologyInvariants(t *testing.T) {
 				t.Fatalf("PE %+v writes bank %d outside its tree", p, b)
 			}
 			if !cfg.CanWrite(p, b) {
-				t.Fatalf("WritableBanks inconsistent with CanWrite")
+				t.Fatalf("writableBanks inconsistent with CanWrite")
 			}
 		}
 	}
@@ -156,7 +156,7 @@ func TestPerLayerTopologyInvariants(t *testing.T) {
 func TestCrossbarTopology(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutCrossbar}.Normalize()
 	for id := 0; id < cfg.NumPEs(); id++ {
-		if got := len(cfg.WritableBanks(cfg.PECoord(id))); got != cfg.B {
+		if got := len(writableBanks(cfg, cfg.PECoord(id))); got != cfg.B {
 			t.Fatalf("crossbar PE %d writes %d banks", id, got)
 		}
 	}
@@ -178,7 +178,7 @@ func TestPerPETopology(t *testing.T) {
 		}
 	}
 	root := PE{Tree: 0, Layer: 2, Index: 0}
-	if got := len(cfg.WritableBanks(root)); got != 2 {
+	if got := len(writableBanks(cfg, root)); got != 2 {
 		t.Fatalf("root writes %d banks, want 2 (own + spare)", got)
 	}
 }
@@ -188,7 +188,7 @@ func TestWriteSelRoundTrip(t *testing.T) {
 		cfg := Config{D: 3, B: 16, R: 32, Output: topo}.Normalize()
 		for id := 0; id < cfg.NumPEs(); id++ {
 			p := cfg.PECoord(id)
-			for _, bank := range cfg.WritableBanks(p) {
+			for _, bank := range writableBanks(cfg, p) {
 				sel, err := cfg.WriteSel(bank, p)
 				if err != nil {
 					t.Fatalf("%v: %v", topo, err)
@@ -421,15 +421,15 @@ func TestDecodeLengthsMatchWidths(t *testing.T) {
 		in := randomInstr(rng, cfg)
 		var bw BitWriter
 		Encode(in, cfg, w, &bw)
-		if bw.Bits() != w.Len(in.Kind) {
-			t.Fatalf("%v encoded to %d bits, Widths says %d", in.Kind, bw.Bits(), w.Len(in.Kind))
+		if bw.nbit != w.Len(in.Kind) {
+			t.Fatalf("%v encoded to %d bits, Widths says %d", in.Kind, bw.nbit, w.Len(in.Kind))
 		}
 		br := NewBitReader(bw.Bytes())
 		if _, err := Decode(br, cfg, w); err != nil {
 			t.Fatal(err)
 		}
-		if br.Pos() != w.Len(in.Kind) {
-			t.Fatalf("%v decode consumed %d bits, want %d", in.Kind, br.Pos(), w.Len(in.Kind))
+		if br.pos != w.Len(in.Kind) {
+			t.Fatalf("%v decode consumed %d bits, want %d", in.Kind, br.pos, w.Len(in.Kind))
 		}
 	}
 }
@@ -487,7 +487,7 @@ func TestFixedWriteAddrBitsLarger(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := NewProgram(cfg)
 	for i := 0; i < 300; i++ {
-		p.MustAppend(randomInstr(rng, cfg))
+		mustAppend(t, p, randomInstr(rng, cfg))
 	}
 	if p.FixedWriteAddrBits() <= p.BitSize() {
 		t.Fatalf("explicit write addresses should cost more: %d vs %d",
@@ -501,5 +501,38 @@ func TestKindAndPEOpStrings(t *testing.T) {
 	}
 	if PEAdd.String() != "add" || PEBypassR.String() != "bypr" {
 		t.Error("peop strings wrong")
+	}
+}
+
+// writableBanks lists the banks PE p can write under c, ascending, by
+// enumeration: the tests hold CanWrite to it.
+func writableBanks(c Config, p PE) []int {
+	var banks []int
+	switch c.Output {
+	case OutCrossbar:
+		banks = make([]int, c.B)
+		for i := range banks {
+			banks[i] = i
+		}
+	case OutPerLayer:
+		base := p.Tree * c.TreeInputs()
+		for j := p.Index << uint(p.Layer); j < (p.Index+1)<<uint(p.Layer); j++ {
+			banks = append(banks, base+j)
+		}
+	case OutPerPE, OutOneToOne:
+		for b := 0; b < c.B; b++ {
+			if bp, ok := c.bankPE(b); ok && bp == p {
+				banks = append(banks, b)
+			}
+		}
+	}
+	return banks
+}
+
+// mustAppend appends in to p, failing t if it does not validate.
+func mustAppend(t testing.TB, p *Program, in *Instr) {
+	t.Helper()
+	if err := p.Append(in); err != nil {
+		t.Fatal(err)
 	}
 }

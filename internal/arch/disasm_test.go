@@ -44,10 +44,10 @@ func TestDisassembleKinds(t *testing.T) {
 func TestDisassembleProgramOffsets(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
 	p := NewProgram(cfg)
-	p.MustAppend(&Instr{Kind: KindNop})
+	mustAppend(t, p, &Instr{Kind: KindNop})
 	ld := NewLoad(cfg, 0)
 	ld.Mask[0] = true
-	p.MustAppend(ld)
+	mustAppend(t, p, ld)
 	out := DisassembleProgram(p)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {

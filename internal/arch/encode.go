@@ -125,9 +125,6 @@ func (bw *BitWriter) PutBool(b bool) {
 	bw.Put(v, 1)
 }
 
-// Bits returns the number of bits written.
-func (bw *BitWriter) Bits() int { return bw.nbit }
-
 // Bytes returns the backing store (last byte possibly partial).
 func (bw *BitWriter) Bytes() []byte { return bw.buf }
 
@@ -142,9 +139,6 @@ type BitReader struct {
 
 // NewBitReader wraps buf for reading from bit offset 0.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
-
-// Pos returns the current bit offset.
-func (br *BitReader) Pos() int { return br.pos }
 
 // Take reads n bits, byte-sized chunks at a time. Reading past the end
 // yields zeros and sets the overrun flag (see BitReader).

@@ -123,8 +123,8 @@ func FuzzEncodeDisasmRoundTrip(f *testing.F) {
 
 		var bw BitWriter
 		Encode(in, cfg, w, &bw)
-		if bw.Bits() != w.Len(in.Kind) {
-			t.Fatalf("%s: packed %d bits, Widths advertises %d", in.Kind, bw.Bits(), w.Len(in.Kind))
+		if bw.nbit != w.Len(in.Kind) {
+			t.Fatalf("%s: packed %d bits, Widths advertises %d", in.Kind, bw.nbit, w.Len(in.Kind))
 		}
 
 		out, err := Decode(NewBitReader(bw.Bytes()), cfg, w)
@@ -137,9 +137,9 @@ func FuzzEncodeDisasmRoundTrip(f *testing.F) {
 
 		var bw2 BitWriter
 		Encode(out, cfg, w, &bw2)
-		if bw2.Bits() != bw.Bits() || !bytes.Equal(bw2.Bytes(), bw.Bytes()) {
+		if bw2.nbit != bw.nbit || !bytes.Equal(bw2.Bytes(), bw.Bytes()) {
 			t.Fatalf("repack not identical for %s:\n  first  %x (%d bits)\n  second %x (%d bits)",
-				in.Kind, bw.Bytes(), bw.Bits(), bw2.Bytes(), bw2.Bits())
+				in.Kind, bw.Bytes(), bw.nbit, bw2.Bytes(), bw2.nbit)
 		}
 
 		d1, d2 := Disassemble(in, cfg), Disassemble(out, cfg)

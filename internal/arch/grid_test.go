@@ -21,7 +21,7 @@ func TestCodecAcrossGrid(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(d*1000 + bk*10 + rg)))
 					p := NewProgram(cfg)
 					for i := 0; i < 25; i++ {
-						p.MustAppend(randomInstr(rng, cfg))
+						mustAppend(t, p, randomInstr(rng, cfg))
 					}
 					back, err := Unpack(p.Pack(), cfg, len(p.Instrs))
 					if err != nil {

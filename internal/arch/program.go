@@ -29,14 +29,6 @@ func (p *Program) Append(in *Instr) error {
 	return nil
 }
 
-// MustAppend appends and panics on validation failure; the compiler uses
-// it for instructions it constructs itself.
-func (p *Program) MustAppend(in *Instr) {
-	if err := p.Append(in); err != nil {
-		panic(err)
-	}
-}
-
 // BitSize returns the densely packed size of the instruction stream in
 // bits (fig. 7(b): variable-length instructions without bubbles).
 func (p *Program) BitSize() int {

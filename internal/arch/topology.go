@@ -131,30 +131,6 @@ func (c Config) CanWrite(p PE, bank int) bool {
 	return false
 }
 
-// WritableBanks lists the banks PE p can write, ascending.
-func (c Config) WritableBanks(p PE) []int {
-	var banks []int
-	switch c.Output {
-	case OutCrossbar:
-		banks = make([]int, c.B)
-		for i := range banks {
-			banks[i] = i
-		}
-	case OutPerLayer:
-		base := p.Tree * c.TreeInputs()
-		for j := p.Index << uint(p.Layer); j < (p.Index+1)<<uint(p.Layer); j++ {
-			banks = append(banks, base+j)
-		}
-	case OutPerPE, OutOneToOne:
-		for b := 0; b < c.B; b++ {
-			if bp, ok := c.bankPE(b); ok && bp == p {
-				banks = append(banks, b)
-			}
-		}
-	}
-	return banks
-}
-
 // bankPE gives the unique PE connected to bank under the one-bank-one-PE
 // topologies. A tree has 2^D banks but only 2^D−1 PEs; the spare bank
 // (the last of the group) is attached to the root, matching the paper's

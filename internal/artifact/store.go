@@ -101,9 +101,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, k.ID()+Ext)
 }

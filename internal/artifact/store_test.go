@@ -85,7 +85,7 @@ func TestStorePutFirstWins(t *testing.T) {
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(st.Dir(), a.Key().ID()+Ext)
+	p := st.path(a.Key())
 	first, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestStoreGetRejectsMisfiledArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(st.Dir(), a.Key().ID()+Ext), eb, 0o644); err != nil {
+	if err := os.WriteFile(st.path(a.Key()), eb, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Get(a.Key()); !errors.Is(err, ErrCorrupt) {
@@ -142,7 +142,7 @@ func TestStoreSelfHealsAfterCorruption(t *testing.T) {
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(st.Dir(), a.Key().ID()+Ext)
+	p := st.path(a.Key())
 	good, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestStoreGetPreservesFutureVersions(t *testing.T) {
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(st.Dir(), a.Key().ID()+Ext)
+	p := st.path(a.Key())
 	b, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)

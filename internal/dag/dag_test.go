@@ -112,21 +112,6 @@ func TestEvalSimple(t *testing.T) {
 	}
 }
 
-func TestEvalOutputs(t *testing.T) {
-	g := New("t")
-	a := g.AddInput()
-	b := g.AddInput()
-	g.AddOp(OpAdd, a, b)
-	g.AddOp(OpMul, a, b)
-	outs, err := EvalOutputs(g, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0] != 7 || outs[1] != 12 {
-		t.Fatalf("outputs = %v, want [7 12]", outs)
-	}
-}
-
 func TestBinarizeExpandsWideNodes(t *testing.T) {
 	g := New("t")
 	var ins []NodeID

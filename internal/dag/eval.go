@@ -43,17 +43,3 @@ func Eval(g *Graph, inputs []float64) ([]float64, error) {
 	}
 	return vals, nil
 }
-
-// EvalOutputs is a convenience wrapper returning only the sink values.
-func EvalOutputs(g *Graph, inputs []float64) ([]float64, error) {
-	vals, err := Eval(g, inputs)
-	if err != nil {
-		return nil, err
-	}
-	outs := g.Outputs()
-	res := make([]float64, len(outs))
-	for i, o := range outs {
-		res[i] = vals[o]
-	}
-	return res, nil
-}

@@ -44,19 +44,10 @@ type Point struct {
 	Err      error
 }
 
-// Evaluate compiles one workload for one config and models its
-// execution. Nothing is simulated: cycles and activity are read off the
-// instruction stream (sim.StaticStats), which is exactly what a run of
-// the machine would count.
-func Evaluate(g *dag.Graph, cfg arch.Config, opts compiler.Options) (energy.Estimate, error) {
-	c, err := compiler.Compile(g, cfg, opts)
-	if err != nil {
-		return energy.Estimate{}, err
-	}
-	return estimate(cfg, c), nil
-}
-
-// estimate models the execution of c, compiled for cfg.
+// estimate models the execution of c, compiled for cfg. Nothing is
+// simulated: cycles and activity are read off the instruction stream
+// (sim.StaticStats), which is exactly what a run of the machine would
+// count.
 func estimate(cfg arch.Config, c *compiler.Compiled) energy.Estimate {
 	return energy.EstimateRun(cfg, c.Stats.Nodes, sim.StaticStats(c.Prog), c.Prog)
 }

@@ -18,6 +18,17 @@ func smallSuite() []*dag.Graph {
 	return []*dag.Graph{g1, g2}
 }
 
+// evaluate compiles g for cfg and returns the sweep's per-point
+// estimate of its execution.
+func evaluate(t *testing.T, g *dag.Graph, cfg arch.Config) energy.Estimate {
+	t.Helper()
+	c, err := compiler.Compile(g, cfg, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return estimate(cfg, c)
+}
+
 func TestGridHas48Points(t *testing.T) {
 	cfgs := Grid()
 	if len(cfgs) != 48 {
@@ -32,10 +43,7 @@ func TestGridHas48Points(t *testing.T) {
 
 func TestEvaluateProducesSaneMetrics(t *testing.T) {
 	g := pc.Build(pc.Suite()[0], 0.05)
-	est, err := Evaluate(g, arch.MinEDP(), compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := evaluate(t, g, arch.MinEDP())
 	if est.LatencyPerOp <= 0 || est.EnergyPerOp <= 0 || est.EDP <= 0 {
 		t.Fatalf("non-positive metrics: %+v", est)
 	}
@@ -44,21 +52,19 @@ func TestEvaluateProducesSaneMetrics(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesSimulation pins the claim Evaluate rests on: the
-// estimate it derives from the instruction stream is, field for field,
-// the estimate over the statistics a cycle-accurate run counts — on
-// every grid point, for a circuit and a triangular solve.
+// TestEvaluateMatchesSimulation pins the claim the sweep's per-point
+// estimate rests on: the estimate it derives from the instruction
+// stream is, field for field, the estimate over the statistics a
+// cycle-accurate run counts — on every grid point, for a circuit and a
+// triangular solve.
 func TestEvaluateMatchesSimulation(t *testing.T) {
 	for _, g := range smallSuite() {
 		for _, cfg := range Grid() {
-			got, gerr := Evaluate(g, cfg, compiler.Options{})
-			c, cerr := compiler.Compile(g, cfg, compiler.Options{})
-			if (gerr == nil) != (cerr == nil) {
-				t.Fatalf("%s on %v: Evaluate err %v, compile err %v", g.Name, cfg, gerr, cerr)
-			}
-			if cerr != nil {
+			c, err := compiler.Compile(g, cfg, compiler.Options{})
+			if err != nil {
 				continue // infeasible point
 			}
+			got := estimate(cfg, c)
 			inputs := make([]float64, len(c.Graph.Inputs()))
 			for i := range inputs {
 				inputs[i] = 0.25 + 0.5*float64(i%3)
@@ -68,7 +74,7 @@ func TestEvaluateMatchesSimulation(t *testing.T) {
 				t.Fatalf("%s on %v: %v", g.Name, cfg, err)
 			}
 			if want := energy.EstimateRun(cfg, c.Stats.Nodes, res.Stats, c.Prog); got != want {
-				t.Errorf("%s on %v: Evaluate %+v, simulated %+v", g.Name, cfg, got, want)
+				t.Errorf("%s on %v: estimate %+v, simulated %+v", g.Name, cfg, got, want)
 			}
 		}
 	}
@@ -127,14 +133,7 @@ func TestMinLatencyPointStrictlyFasterThanDefault(t *testing.T) {
 	if !ok {
 		t.Fatal("no feasible grid point")
 	}
-	fast, err := Evaluate(g, best.Cfg, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := Evaluate(g, arch.MinEDP(), compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast, def := evaluate(t, g, best.Cfg), evaluate(t, g, arch.MinEDP())
 	if fast.Cycles >= def.Cycles {
 		t.Fatalf("min-latency %v runs %d cycles, default %v runs %d — not strictly faster",
 			best.Cfg, fast.Cycles, arch.MinEDP(), def.Cycles)

@@ -256,7 +256,8 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	}
 	b = append([]byte(nil), b...)
 	binary.LittleEndian.PutUint16(b[8:], artifact.Version+1)
-	if err := os.WriteFile(filepath.Join(st.Dir(), "future"+artifact.Ext), b, 0o644); err != nil {
+	future := filepath.Join(filepath.Dir(src), "future"+artifact.Ext)
+	if err := os.WriteFile(future, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	e2 := newStoreEngine(t, Options{Store: st})
@@ -270,7 +271,7 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	if s := e2.Stats(); s.StoreErrors != 0 {
 		t.Errorf("a future-version neighbor raised the damage counter: %+v", s)
 	}
-	if _, err := os.Stat(filepath.Join(st.Dir(), "future"+artifact.Ext)); err != nil {
+	if _, err := os.Stat(future); err != nil {
 		t.Error("preload removed the future-version artifact")
 	}
 }
@@ -340,11 +341,15 @@ func TestUpgradeFromV1Store(t *testing.T) {
 // TestCorruptArtifactFallsBackToCompile: a damaged store never breaks
 // serving — the engine recompiles and counts the error.
 func TestCorruptArtifactFallsBackToCompile(t *testing.T) {
-	st := openStore(t)
+	dir := t.TempDir()
+	st, err := artifact.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := testGraph(9)
 	key := artifact.KeyFor(g.Fingerprint(), testCfg, compiler.Options{})
 	// Plant garbage at exactly the address the engine will probe.
-	if err := os.WriteFile(filepath.Join(st.Dir(), key.ID()+artifact.Ext), []byte("rotten bits"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, key.ID()+artifact.Ext), []byte("rotten bits"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	e := newStoreEngine(t, Options{Store: st})

@@ -18,6 +18,7 @@ import (
 	"dpuv2/internal/dag"
 	"dpuv2/internal/engine"
 	"dpuv2/internal/metrics"
+	"dpuv2/internal/metrics/promtest"
 	"dpuv2/internal/pc"
 	"dpuv2/internal/serve"
 	"dpuv2/internal/trace"
@@ -131,7 +132,7 @@ func TestGatewayShardAffinity(t *testing.T) {
 	r := gw.ring.Load()
 	owned := map[string]int64{}
 	for _, g := range graphs {
-		owned[r.Owner(ringKey(g.fp))]++
+		owned[r.Owners(ringKey(g.fp), 1)[0]]++
 	}
 	const rounds = 4
 	for round := 0; round < rounds; round++ {
@@ -147,7 +148,7 @@ func TestGatewayShardAffinity(t *testing.T) {
 			if rec == nil {
 				t.Fatalf("gateway retained no trace for %s", id)
 			}
-			if sp, owner := findStage(rec, "forward"), r.Owner(ringKey(g.fp)); sp == nil || sp.Attrs["backend"] != owner {
+			if sp, owner := findStage(rec, "forward"), r.Owners(ringKey(g.fp), 1)[0]; sp == nil || sp.Attrs["backend"] != owner {
 				t.Fatalf("forward span %+v, want backend %s (the ring owner)", sp, owner)
 			}
 		}
@@ -257,7 +258,7 @@ func TestGatewayHedgeCancelsLoser(t *testing.T) {
 	r := gw.ring.Load()
 	var victim testGraph
 	for i, g := range testGraphs(t, 64) {
-		if r.Owner(ringKey(g.fp)) == slow.URL {
+		if r.Owners(ringKey(g.fp), 1)[0] == slow.URL {
 			victim = g
 			break
 		}
@@ -304,7 +305,7 @@ func TestGatewayFailoverOnDeadBackend(t *testing.T) {
 	r := gw.ring.Load()
 	var victim testGraph
 	for i, g := range testGraphs(t, 64) {
-		if r.Owner(ringKey(g.fp)) == dying.ts.URL {
+		if r.Owners(ringKey(g.fp), 1)[0] == dying.ts.URL {
 			victim = g
 			break
 		}
@@ -545,7 +546,7 @@ func TestGatewayStatsAggregation(t *testing.T) {
 	if ct := mresp.Header.Get("Content-Type"); mresp.StatusCode != http.StatusOK || ct != metrics.PromContentType {
 		t.Fatalf("/metrics status %d, content type %q", mresp.StatusCode, ct)
 	}
-	fams, err := metrics.ParseProm(mresp.Body)
+	fams, err := promtest.Parse(mresp.Body)
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}

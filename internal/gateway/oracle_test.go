@@ -288,7 +288,7 @@ func TestGatewayFleetOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owner := ring.Owner(ringKey(g.Fingerprint()))
+		owner := ring.Owners(ringKey(g.Fingerprint()), 1)[0]
 		if owned[owner] == oracleGraphs/2 {
 			continue
 		}

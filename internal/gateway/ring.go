@@ -44,7 +44,7 @@ func vnodePoint(addr string, i int) uint64 {
 const vnodes = 128
 
 // newRing builds a ring over addrs with vnodes points per backend.
-// An empty addrs yields an empty ring (Owner returns "").
+// An empty addrs yields an empty ring (Owners returns nil).
 func newRing(addrs []string) *ring {
 	r := &ring{addrs: append([]string(nil), addrs...)}
 	r.points = make([]ringPoint, 0, len(addrs)*vnodes)
@@ -69,15 +69,6 @@ func newRing(addrs []string) *ring {
 // ring coordinate.
 func ringKey(fp dag.Fingerprint) uint64 {
 	return binary.BigEndian.Uint64(fp[:8])
-}
-
-// Owner returns the backend owning key, "" on an empty ring.
-func (r *ring) Owner(key uint64) string {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
 }
 
 // Owners returns up to n DISTINCT backends in clockwise order starting

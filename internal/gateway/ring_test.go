@@ -31,7 +31,7 @@ func TestRingDeterministicAffinity(t *testing.T) {
 	counts := map[string]int{}
 	for i := 0; i < 10000; i++ {
 		key := rng.Uint64()
-		o1, o2 := r1.Owner(key), r2.Owner(key)
+		o1, o2 := r1.Owners(key, 1)[0], r2.Owners(key, 1)[0]
 		if o1 != o2 {
 			t.Fatalf("key %x owned by %s on one ring, %s on a shuffled-membership ring", key, o1, o2)
 		}
@@ -66,7 +66,7 @@ func TestRingRemovalStability(t *testing.T) {
 	var remapped, kept int
 	for i := 0; i < 10000; i++ {
 		key := rng.Uint64()
-		before, after := full.Owner(key), partial.Owner(key)
+		before, after := full.Owners(key, 1)[0], partial.Owners(key, 1)[0]
 		if before != removed {
 			kept++
 			if after != before {
@@ -102,8 +102,8 @@ func TestRingOwners(t *testing.T) {
 		if len(owners) != len(addrs) {
 			t.Fatalf("Owners(%x) = %v, want all %d backends", key, owners, len(addrs))
 		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("Owners[0] %s != Owner %s", owners[0], r.Owner(key))
+		if owner := r.Owners(key, 1)[0]; owners[0] != owner {
+			t.Fatalf("Owners(n=10)[0] %s != Owners(n=1)[0] %s", owners[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, o := range owners {
@@ -113,8 +113,8 @@ func TestRingOwners(t *testing.T) {
 			seen[o] = true
 		}
 	}
-	if got := newRing(nil).Owner(42); got != "" {
-		t.Errorf("empty ring owner = %q, want \"\"", got)
+	if got := newRing(nil).Owners(42, 1); got != nil {
+		t.Errorf("empty ring owners = %v, want nil", got)
 	}
 	if got := r.Owners(42, 0); got != nil {
 		t.Errorf("Owners(n=0) = %v, want nil", got)

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dpuv2/internal/metrics/promtest"
 )
 
 // exactQuantile is the reference the histogram's conservative promise is
@@ -81,7 +83,7 @@ func TestQuantileNeverUnderestimates(t *testing.T) {
 // rebuildSnapshot reconstructs a Snapshot from one parsed /metrics
 // histogram series: de-cumulate the le buckets, take _count and _sum,
 // and the exact max from the <name>_max rider gauge.
-func rebuildSnapshot(t *testing.T, fams []*PromFamily, name string, labelSel map[string]string) Snapshot {
+func rebuildSnapshot(t *testing.T, fams []*promtest.Family, name string, labelSel map[string]string) Snapshot {
 	t.Helper()
 	match := func(ls map[string]string) bool {
 		for k, v := range labelSel {
@@ -151,7 +153,7 @@ func TestPromExpositionRoundTrip(t *testing.T) {
 		if err := p.Err(); err != nil {
 			t.Fatal(err)
 		}
-		fams, err := ParseProm(bytes.NewReader(buf.Bytes()))
+		fams, err := promtest.Parse(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("trial %d: exposition does not parse: %v\n%s", trial, err, buf.String())
 		}
@@ -179,7 +181,7 @@ func TestPromWriterCountersAndGauges(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseProm(bytes.NewReader(buf.Bytes()))
+	fams, err := promtest.Parse(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
@@ -225,7 +227,7 @@ func TestParsePromRejectsIncoherentHistogram(t *testing.T) {
 		"orphan 1\n",
 	}
 	for i, body := range bad {
-		if _, err := ParseProm(strings.NewReader(body)); err == nil {
+		if _, err := promtest.Parse(strings.NewReader(body)); err == nil {
 			t.Errorf("case %d: parsed without error:\n%s", i, body)
 		}
 	}

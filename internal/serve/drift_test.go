@@ -12,6 +12,7 @@ import (
 	"dpuv2/internal/engine"
 	"dpuv2/internal/gateway"
 	"dpuv2/internal/metrics"
+	"dpuv2/internal/metrics/promtest"
 	"dpuv2/internal/serve"
 )
 
@@ -50,7 +51,7 @@ func scrape(t *testing.T, url string) map[string]bool {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	fams, err := metrics.ParseProm(resp.Body)
+	fams, err := promtest.Parse(resp.Body)
 	if err != nil {
 		t.Fatalf("%s/metrics does not parse: %v", url, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dpuv2/internal/metrics"
+	"dpuv2/internal/metrics/promtest"
 	"dpuv2/internal/trace"
 )
 
@@ -42,11 +43,11 @@ func TestServeMetricsExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != metrics.PromContentType {
 		t.Fatalf("content type %q", ct)
 	}
-	fams, err := metrics.ParseProm(resp.Body)
+	fams, err := promtest.Parse(resp.Body)
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}
-	byName := map[string]*metrics.PromFamily{}
+	byName := map[string]*promtest.Family{}
 	for _, f := range fams {
 		byName[f.Name] = f
 	}

@@ -81,19 +81,6 @@ func (m *CSR) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// MulVec computes y = L·x, used by tests to verify Solve/DAG round trips.
-func (m *CSR) MulVec(x []float64) []float64 {
-	y := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		var acc float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			acc += m.Val[k] * x[m.Col[k]]
-		}
-		y[i] = acc
-	}
-	return y
-}
-
 // FootprintBytes returns the memory footprint of the CSR structure with
 // 4-byte indices and 4-byte values, the conventional layout the paper
 // compares its instruction stream against in §IV-E.
@@ -132,34 +119,6 @@ func randVal(rng *rand.Rand) float64 {
 		v = -v
 	}
 	return v
-}
-
-// Band generates an n×n lower-triangular banded matrix: each row has the
-// diagonal plus up to fill off-diagonals drawn from the preceding
-// bandwidth columns. Band patterns give long dependency chains, like the
-// dw2048 matrix in the paper's suite.
-func Band(n, bandwidth, fill int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
-	rows := make([]builderRow, n)
-	for i := 0; i < n; i++ {
-		seen := map[int32]bool{}
-		for k := 0; k < fill && i > 0; k++ {
-			lo := i - bandwidth
-			if lo < 0 {
-				lo = 0
-			}
-			c := int32(lo + rng.Intn(i-lo))
-			if !seen[c] {
-				seen[c] = true
-				rows[i].cols = append(rows[i].cols, c)
-				rows[i].vals = append(rows[i].vals, randVal(rng))
-			}
-		}
-		// Diagonal dominant enough to keep the solve well conditioned.
-		rows[i].cols = append(rows[i].cols, int32(i))
-		rows[i].vals = append(rows[i].vals, 2+rng.Float64())
-	}
-	return buildCSR(rows)
 }
 
 // Mesh2D generates the lower factor sparsity of a 5-point finite

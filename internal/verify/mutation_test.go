@@ -242,14 +242,10 @@ func TestSyntheticHazards(t *testing.T) {
 //	pc3 load lane 0              → lands cycle 4: conflict
 func writeConflictProgram() *arch.Program {
 	cfg := arch.Config{D: 2, B: 4, R: 4, Output: arch.OutCrossbar}.Normalize()
-	p := &arch.Program{Cfg: cfg}
-
 	ld := arch.NewLoad(cfg, 0)
 	for i := range ld.Mask {
 		ld.Mask[i] = true
 	}
-	p.MustAppend(ld)
-	p.MustAppend(&arch.Instr{Kind: arch.KindNop})
 
 	ex := arch.NewExec(cfg)
 	ex.PEOps[0] = arch.PEAdd     // leaf PE 0 reads ports 0,1
@@ -258,50 +254,55 @@ func writeConflictProgram() *arch.Program {
 	ex.InputSel[0], ex.InputSel[1] = 0, 1
 	ex.WriteEn[0] = true
 	ex.WriteSel[0] = 2 // root PE id
-	p.MustAppend(ex)
 
 	ld2 := arch.NewLoad(cfg, 0)
 	ld2.Mask[0] = true
-	p.MustAppend(ld2)
-	return p
+	return validProgram(cfg, ld, &arch.Instr{Kind: arch.KindNop}, ex, ld2)
 }
 
 // bankOverflowProgram has R=2 and three full-row loads with no frees:
 // the third landing write finds its bank full.
 func bankOverflowProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-	p := &arch.Program{Cfg: cfg}
+	var loads []*arch.Instr
 	for i := 0; i < 3; i++ {
 		ld := arch.NewLoad(cfg, 0)
 		ld.Mask[0], ld.Mask[1] = true, true
-		p.MustAppend(ld)
+		loads = append(loads, ld)
 	}
-	return p
+	return validProgram(cfg, loads...)
 }
 
 // useAfterFreeProgram has an exec read bank 0 with valid_rst, freeing
 // the register; the exec at pc 3 reads the same address again.
 func useAfterFreeProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-	p := &arch.Program{Cfg: cfg}
-
 	ld := arch.NewLoad(cfg, 0)
 	ld.Mask[0], ld.Mask[1] = true, true
-	p.MustAppend(ld)
-	p.MustAppend(&arch.Instr{Kind: arch.KindNop})
 
 	ex := arch.NewExec(cfg)
 	ex.PEOps[0] = arch.PEAdd
 	ex.ReadEn[0], ex.ReadEn[1] = true, true
 	ex.InputSel[0], ex.InputSel[1] = 0, 1
 	ex.ValidRst[0] = true
-	p.MustAppend(ex)
 
 	ex2 := arch.NewExec(cfg)
 	ex2.PEOps[0] = arch.PEBypassL
 	ex2.ReadEn[0] = true
 	ex2.InputSel[0] = 0
-	p.MustAppend(ex2)
+	return validProgram(cfg, ld, &arch.Instr{Kind: arch.KindNop}, ex, ex2)
+}
+
+// validProgram is instrs on cfg, each checked by Program.Append: the
+// fixtures above break only rules the structural check cannot see, so
+// an instruction it rejects is a bug in the fixture.
+func validProgram(cfg arch.Config, instrs ...*arch.Instr) *arch.Program {
+	p := &arch.Program{Cfg: cfg}
+	for _, in := range instrs {
+		if err := p.Append(in); err != nil {
+			panic(err)
+		}
+	}
 	return p
 }
 
