@@ -63,6 +63,9 @@ func main() {
 		if s.StoreErrors > 0 {
 			log.Printf("dpu-serve: warm-start skipped %d undecodable artifacts in %s", s.StoreErrors, *artifactDir)
 		}
+		if s.StoreStale > 0 {
+			log.Printf("dpu-serve: warm-start skipped %d artifacts of another compiler revision in %s", s.StoreStale, *artifactDir)
+		}
 		if s.VerifyRejects > 0 {
 			log.Printf("dpu-serve: warm-start purged %d artifacts that failed static verification in %s (run dpu-vet for details)", s.VerifyRejects, *artifactDir)
 		}

@@ -166,6 +166,37 @@ func TestVetStatsMismatch(t *testing.T) {
 	}
 }
 
+// TestVetStaleCompiler: an artifact another compiler revision built is
+// still a legal program, so it vets with exit 0, but it carries a
+// stale-compiler warning, and the class round-trips through -json.
+func TestVetStaleCompiler(t *testing.T) {
+	dir := t.TempDir()
+	a, err := artifact.DecodeBytes(writeArtifacts(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Compiled.Revision = compiler.Revision + 1
+	stale, err := artifact.EncodeBytes(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "stale"+artifact.Ext)
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-json", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d on a stale but legal artifact, want 0; out=%s", code, out.String())
+	}
+	var r report
+	if err := json.Unmarshal(out.Bytes(), &r); err != nil {
+		t.Fatalf("not JSON: %v: %s", err, out.String())
+	}
+	if len(r.Findings) != 1 || r.Findings[0].Class != verify.ClassStaleCompiler || r.Findings[0].Sev != verify.SevWarning {
+		t.Errorf("findings %v, want one stale-compiler warning", r.Findings)
+	}
+}
+
 func TestVetJSON(t *testing.T) {
 	dir := t.TempDir()
 	ab := writeArtifacts(t, dir)

@@ -6,17 +6,18 @@
 // graph again.
 //
 // An artifact is self-describing: it carries the hardware configuration
-// and compiler options it was built for, the source
-// graph's content fingerprint — exactly the serving engine's cache key
-// — and everything needed to execute: the binarized graph, the node
-// remapping, the input/output data-memory map, the compile statistics
-// and the densely packed instruction stream plus initial memory image.
+// and compiler options it was built for, the revision of the compiler
+// that built it, the source graph's content fingerprint — together
+// exactly the serving engine's cache key — and everything needed to
+// execute: the binarized graph, the node remapping, the input/output
+// data-memory map, the compile statistics and the densely packed
+// instruction stream plus the data-memory word of every constant.
 //
 // File layout (all multi-byte header fields little-endian):
 //
 //	offset  size  field
 //	0       8     magic "\x7fDPUPROG"
-//	8       2     format version (currently 2)
+//	8       2     format version (currently 3)
 //	10      4     CRC-32C (Castagnoli) of the payload
 //	14      8     payload length in bytes
 //	22      …     payload
@@ -28,6 +29,14 @@
 // produces — Encode(Decode(x)) == x whenever Decode(x) succeeds — so a
 // byte-level difference between two artifacts always reflects a real
 // difference in content.
+//
+// The initial memory image is not stored: its only non-zero words are
+// the graph's constants, so the payload records the image's length and
+// each constant's word, and Decode derives the image from the constant
+// values the graph section already holds (compiler.InitImage). Encode
+// refuses a program whose image is not exactly that derived one, so no
+// image content can be silently dropped, and a constant's value in the
+// graph and in the machine's memory cannot disagree.
 //
 // The program comes last, so a reader that needs only what serving a
 // request reads (identity, graph, maps, stats) can stop before it:
@@ -62,7 +71,7 @@ import (
 // Version is the current format version. Bump it on any payload layout
 // change so stale artifacts fail with ErrVersion instead of decoding
 // into garbage.
-const Version = 2
+const Version = 3
 
 // magic opens every artifact; the non-ASCII first byte keeps text tools
 // from mangling the file.
@@ -108,8 +117,9 @@ type Artifact struct {
 	// Options are the compiler options the program was built with.
 	Options compiler.Options
 	// Compiled is the runnable program: instructions, memory image,
-	// binarized graph and data-memory maps. A serving decode leaves out
-	// the instructions and memory image (see Serving).
+	// binarized graph, data-memory maps and compiler revision. A serving
+	// decode leaves out the instructions, constant words and memory image
+	// (see Serving).
 	Compiled *compiler.Compiled
 	// Digest names the payload the artifact was decoded from; it is
 	// zero for an artifact built in memory, and EncodeBytes ignores it.
@@ -131,12 +141,17 @@ func EncodeBytes(a *Artifact) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return frame(payload), nil
+}
+
+// frame prefixes payload with the header that declares and checksums it.
+func frame(payload []byte) []byte {
 	buf := make([]byte, headerSize, headerSize+len(payload))
 	copy(buf, magic[:])
 	binary.LittleEndian.PutUint16(buf[8:], Version)
 	binary.LittleEndian.PutUint32(buf[10:], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint64(buf[14:], uint64(len(payload)))
-	return append(buf, payload...), nil
+	return append(buf, payload...)
 }
 
 // Encode writes a to w in the .dpuprog format.
@@ -238,13 +253,92 @@ func (e *enc) options(o compiler.Options) {
 	e.varint(int64(o.PartitionSize))
 }
 
-// checkOptions enforces the decoder's option bounds at encode time, so
-// Encode can never produce a payload Decode rejects (a
+// identity writes what names a compilation, the payload's first section:
+// the config, the options, the compiler revision and the source graph's
+// fingerprint.
+func (e *enc) identity(cfg arch.Config, o compiler.Options, revision int, fp dag.Fingerprint) {
+	e.config(cfg)
+	e.options(o)
+	e.uvarint(uint64(revision))
+	e.raw(fp[:])
+}
+
+// checkOptions enforces the decoder's option and revision bounds at
+// encode time, so Encode can never produce a payload Decode rejects (a
 // persisted-but-undecodable artifact would put its key in an endless
 // recompile/re-persist cycle).
-func checkOptions(o compiler.Options) error {
+func checkOptions(o compiler.Options, revision int) error {
 	if o.PartitionSize < 0 || o.PartitionSize > math.MaxInt32 {
 		return fmt.Errorf("artifact: compiler option partition size %d outside the encodable range [0,%d]", o.PartitionSize, math.MaxInt32)
+	}
+	if revision < 0 || revision > math.MaxInt32 {
+		return fmt.Errorf("artifact: compiler revision %d outside the encodable range [0,%d]", revision, math.MaxInt32)
+	}
+	return nil
+}
+
+// checkImageLen reports whether a memory image of words words is one the
+// format holds: whole B-word rows within the configured data memory.
+func checkImageLen(cfg arch.Config, words uint64) error {
+	if words%uint64(cfg.B) != 0 || words > uint64(cfg.DataMemWords) {
+		return fmt.Errorf("memory image of %d words is not whole %d-word rows within the %d-word data memory", words, cfg.B, cfg.DataMemWords)
+	}
+	return nil
+}
+
+// checkConstWords reports the first way constWord fails to place a
+// graph's numConsts constants in a words-word image: a wrong count, a
+// word outside [-1, words), or two constants at one word.
+func checkConstWords(constWord []int, numConsts, words int) error {
+	if len(constWord) != numConsts {
+		return fmt.Errorf("%d constant words for %d graph constants", len(constWord), numConsts)
+	}
+	taken := make([]uint64, (words+63)/64)
+	for i, w := range constWord {
+		if w < -1 || w >= words {
+			return fmt.Errorf("constant %d at word %d outside [-1,%d)", i, w, words)
+		}
+		if w < 0 {
+			continue
+		}
+		if taken[w/64]&(1<<(w%64)) != 0 {
+			return fmt.Errorf("constant %d shares word %d with an earlier constant", i, w)
+		}
+		taken[w/64] |= 1 << (w % 64)
+	}
+	return nil
+}
+
+// checkInitImage returns an error unless c.Prog.InitMem is exactly
+// compiler.InitImage(c.Graph, c.ConstWord, len(c.Prog.InitMem)), bit for
+// bit, the image Decode rebuilds. Every constant's word must hold its
+// value and all others must be +0; with the constant words distinct
+// (checkConstWords), counting the non-zero words proves the second
+// without building the derived image.
+func checkInitImage(c *compiler.Compiled) error {
+	img, k, nonZero := c.Prog.InitMem, 0, 0
+	for i := 0; i < c.Graph.NumNodes(); i++ {
+		n := c.Graph.Node(dag.NodeID(i))
+		if n.Op != dag.OpConst {
+			continue
+		}
+		if w := c.ConstWord[k]; w >= 0 {
+			if math.Float64bits(img[w]) != math.Float64bits(n.Val) {
+				return fmt.Errorf("memory word %d holds %v, its constant (node %d) is %v", w, img[w], i, n.Val)
+			}
+			if math.Float64bits(n.Val) != 0 {
+				nonZero++
+			}
+		}
+		k++
+	}
+	for _, v := range img {
+		if math.Float64bits(v) != 0 {
+			nonZero--
+		}
+	}
+	if nonZero != 0 {
+		return fmt.Errorf("memory image holds %d non-zero words that are no constant's", -nonZero)
 	}
 	return nil
 }
@@ -261,7 +355,7 @@ func encodePayload(a *Artifact) ([]byte, error) {
 	if !g.IsBinary() {
 		return nil, errors.New("artifact: compiled graph is not binary")
 	}
-	if err := checkOptions(a.Options); err != nil {
+	if err := checkOptions(a.Options, c.Revision); err != nil {
 		return nil, err
 	}
 	if err := c.CheckProgram(); err != nil {
@@ -272,13 +366,12 @@ func encodePayload(a *Artifact) ([]byte, error) {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	var e enc
-	e.config(cfg)
-	e.options(a.Options)
-	e.raw(a.Fingerprint[:])
+	e.identity(cfg, a.Options, c.Revision, a.Fingerprint)
 
 	// Graph: name, then nodes in id (topological) order.
 	e.str(g.Name)
 	e.uvarint(uint64(g.NumNodes()))
+	numConsts := 0
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(dag.NodeID(i))
 		e.u8(uint8(n.Op))
@@ -286,6 +379,7 @@ func encodePayload(a *Artifact) ([]byte, error) {
 		case dag.OpInput:
 		case dag.OpConst:
 			e.f64(n.Val)
+			numConsts++
 		case dag.OpAdd, dag.OpMul:
 			e.uvarint(uint64(len(n.Args)))
 			for _, arg := range n.Args {
@@ -322,12 +416,23 @@ func encodePayload(a *Artifact) ([]byte, error) {
 
 	e.stats(c.Stats)
 
-	// Program: instruction count + canonical dense packing + memory image.
+	// Program: instruction count + canonical dense packing + memory
+	// image length + each constant's word; the image itself is derived.
+	words := len(c.Prog.InitMem)
+	if err := checkImageLen(cfg, uint64(words)); err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
+	}
+	if err := checkConstWords(c.ConstWord, numConsts, words); err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
+	}
+	if err := checkInitImage(c); err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
+	}
 	e.uvarint(uint64(len(c.Prog.Instrs)))
 	e.bytes(c.Prog.Pack())
-	e.uvarint(uint64(len(c.Prog.InitMem)))
-	for _, v := range c.Prog.InitMem {
-		e.f64(v)
+	e.uvarint(uint64(words))
+	for _, w := range c.ConstWord {
+		e.varint(int64(w))
 	}
 	return e.buf, nil
 }
@@ -497,6 +602,16 @@ func (d *dec) decodeOptions() compiler.Options {
 	return opts
 }
 
+// decodeRevision reads the compiler revision.
+func (d *dec) decodeRevision() int {
+	v := d.uvarint()
+	if d.err == nil && v > math.MaxInt32 {
+		d.fail("compiler revision %d out of range [0,%d]", v, math.MaxInt32)
+		return 0
+	}
+	return int(v)
+}
+
 // decodeConfig reads the config section and validates it into
 // normalized, machine-size-bounded form.
 func (d *dec) decodeConfig() arch.Config {
@@ -548,8 +663,9 @@ func decodePayload(b []byte, serving bool) (*Artifact, error) {
 		return nil, d.err
 	}
 
-	// Compiler options.
+	// Compiler options and revision.
 	a.Options = d.decodeOptions()
+	revision := d.decodeRevision()
 
 	copy(a.Fingerprint[:], d.raw(len(a.Fingerprint)))
 
@@ -562,7 +678,7 @@ func decodePayload(b []byte, serving bool) (*Artifact, error) {
 	if numNodes == 0 {
 		return nil, fmt.Errorf("%w: empty graph", ErrCorrupt)
 	}
-	g, numInputs := d.decodeGraph(name, numNodes)
+	g, numInputs, numConsts := d.decodeGraph(name, numNodes)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -625,25 +741,26 @@ func decodePayload(b []byte, serving bool) (*Artifact, error) {
 		InputWord:  inputWord,
 		OutputWord: outputWord,
 		Stats:      stats,
+		Revision:   revision,
 	}
 	a.serving = serving && stats.Instructions != 0
 	if a.serving {
 		return a, nil
 	}
-	if err := d.decodeProgram(a.Compiled.Prog, stats.Instructions); err != nil {
+	if err := d.decodeProgram(a.Compiled, numConsts); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
 // decodeGraph reads the binarized graph's n nodes in id (topological)
-// order and counts its inputs. A first pass checks every node and
-// counts the inputs and interior nodes; the second fills the node
+// order and counts its inputs and constants. A first pass checks every
+// node and counts the leaves and interior nodes; the second fills the node
 // arena and one argument list, each allocated at its final length, as
 // dag.Parsed.Graph builds a parsed graph. The arena is sized only after
 // the bytes proved to hold n valid nodes, so a garbage count cannot
 // drive the allocation.
-func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs int) {
+func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs, consts int) {
 	start, interior := d.off, 0
 	for i := 0; i < n && d.err == nil; i++ {
 		switch op := dag.Op(d.u8()); op {
@@ -651,6 +768,7 @@ func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs int) {
 			inputs++
 		case dag.OpConst:
 			d.f64()
+			consts++
 		case dag.OpAdd, dag.OpMul:
 			if nargs := d.uvarint(); d.err == nil && nargs != 2 {
 				d.fail("node %d has %d args, want 2 (binary graph)", i, nargs)
@@ -666,7 +784,7 @@ func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs int) {
 		}
 	}
 	if d.err != nil {
-		return nil, 0
+		return nil, 0, 0
 	}
 	d.off = start
 	nodes := make([]dag.Node, n)
@@ -687,37 +805,48 @@ func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs int) {
 	if err != nil {
 		d.fail("graph: %v", err)
 	}
-	return g, inputs
+	return g, inputs, consts
 }
 
-// decodeProgram reads the program tail into prog: the instruction
-// count, which must equal the stats' count (EncodeBytes refuses a
-// program whose stream and stats disagree, so the canonical decoder
-// does too), the canonically packed stream and the memory image. It
-// ends the payload.
-func (d *dec) decodeProgram(prog *arch.Program, instructions int) error {
+// decodeProgram reads the program tail into c: the instruction count,
+// which must equal the stats' count (EncodeBytes refuses a program whose
+// stream and stats disagree, so the canonical decoder does too), the
+// canonically packed stream, the memory image length and the word of
+// each of the graph's numConsts constants, from which it derives the
+// image. It ends the payload. The image is allocated only once the
+// constant list has been read and checked, so a corrupted length cannot
+// drive the allocation.
+func (d *dec) decodeProgram(c *compiler.Compiled, numConsts int) error {
+	prog := c.Prog
 	cfg := prog.Cfg
 	numInstrs := d.count("instruction", 1)
 	packed := d.raw(d.count("packed byte", 1))
-	initMem := make([]float64, d.count("memory word", 8))
+	words := d.uvarint()
 	if d.err != nil {
 		return d.err
 	}
-	if numInstrs != instructions {
-		return fmt.Errorf("%w: %d instructions, stats count %d", ErrCorrupt, numInstrs, instructions)
+	if numInstrs != c.Stats.Instructions {
+		return fmt.Errorf("%w: %d instructions, stats count %d", ErrCorrupt, numInstrs, c.Stats.Instructions)
 	}
-	if len(initMem) > cfg.DataMemWords {
-		return fmt.Errorf("%w: memory image %d words exceeds data memory %d", ErrCorrupt, len(initMem), cfg.DataMemWords)
+	if err := checkImageLen(cfg, words); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	memBytes := d.raw(8 * len(initMem))
+	constWord := make([]int, numConsts)
+	for i := range constWord {
+		w := d.varint()
+		if d.err == nil && (w < -1 || w >= int64(words)) {
+			d.fail("constant %d at word %d outside [-1,%d)", i, w, words)
+		}
+		constWord[i] = int(w)
+	}
 	if d.err != nil {
 		return d.err
-	}
-	for i := range initMem {
-		initMem[i] = math.Float64frombits(binary.LittleEndian.Uint64(memBytes[8*i:]))
 	}
 	if d.remaining() != 0 {
 		return fmt.Errorf("%w: %d unread payload bytes", ErrCorrupt, d.remaining())
+	}
+	if err := checkConstWords(constWord, numConsts, int(words)); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	// A corrupted count would make Unpack walk the packed stream far out
 	// of proportion; bound it by the payload that actually carries it
@@ -740,7 +869,8 @@ func (d *dec) decodeProgram(prog *arch.Program, instructions int) error {
 	if !bytes.Equal(prog.Pack(), packed) {
 		return fmt.Errorf("%w: instruction stream not canonically packed", ErrCorrupt)
 	}
-	prog.InitMem = initMem
+	prog.InitMem = compiler.InitImage(c.Graph, constWord, int(words))
+	c.ConstWord = constWord
 	return nil
 }
 

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,9 +223,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		// stands, before the evaluator could meet it.
 		{"1-arg node", func([]byte) []byte {
 			var e enc
-			e.config(a.Compiled.Prog.Cfg)
-			e.options(a.Options)
-			e.raw(a.Fingerprint[:])
+			e.identity(a.Compiled.Prog.Cfg, a.Options, compiler.Revision, a.Fingerprint)
 			e.str("unary")
 			e.uvarint(2)
 			e.u8(uint8(dag.OpInput))
@@ -242,33 +242,125 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 }
 
 // TestDecodeCountAmplificationBounded: a garbage payload declaring a
-// huge node count must fail at its first invalid byte without first
-// preallocating ~50 bytes of arena per claimed 1-byte node — the
-// rejection of a crafted multi-megabyte file stays proportional to the
-// file, not to the lie it tells.
+// huge count must fail at its first invalid byte without first
+// allocating what the count claims — the rejection of a crafted file
+// stays proportional to the file, not to the lie it tells. Two lies are
+// told: 4M one-byte nodes (~50 bytes of arena each), and a memory image
+// of 2^24 words (128 MB) in front of a constant list that ends early.
 func TestDecodeCountAmplificationBounded(t *testing.T) {
 	a := testArtifact(t, 1)
 	var e enc
-	e.config(a.Compiled.Prog.Cfg)
-	e.options(a.Options)
-	e.raw(a.Fingerprint[:])
+	e.identity(a.Compiled.Prog.Cfg, a.Options, compiler.Revision, a.Fingerprint)
 	e.str("amplified")
 	const claimed = 4 << 20
 	e.uvarint(claimed)                         // 4M nodes claimed...
 	e.raw(bytes.Repeat([]byte{0xff}, claimed)) // ...backed by invalid op bytes
-	payload := e.buf
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if _, err := decodePayload(payload, false); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("error %v, want ErrCorrupt", err)
+	cfg := testCfg
+	cfg.DataMemWords = 1 << 24 // the largest data memory the format admits
+	big := compileArtifact(t, testGraph(1), cfg, compiler.Options{Seed: 1})
+	if len(big.Compiled.ConstWord) == 0 {
+		t.Fatal("the graph has no constant: its list cannot end early")
 	}
-	runtime.ReadMemStats(&after)
-	// Unbounded preallocation would be ~200 MB (4M nodes × ~50 B); the
-	// capped decoder stays within a few MB plus noise.
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
-		t.Errorf("rejecting the payload allocated %d MB", alloc>>20)
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"node count", e.buf},
+		{"image length", withTail(t, big, 1<<24, nil)},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := decodePayload(tc.payload, false); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error %v, want ErrCorrupt", tc.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		// Unbounded preallocation would be ~200 MB for the nodes and 128 MB
+		// for the image; the capped decoder stays within a few MB plus
+		// noise.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Errorf("%s: rejecting the payload allocated %d MB", tc.name, alloc>>20)
+		}
+	}
+}
+
+// withTail returns a's payload with the program section's image length
+// and constant words replaced by words and constWord, for tails that
+// Encode would refuse to write.
+func withTail(t testing.TB, a *Artifact, words uint64, constWord []int64) []byte {
+	t.Helper()
+	p, err := encodePayload(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tail enc
+	tail.uvarint(uint64(len(a.Compiled.Prog.InitMem)))
+	for _, w := range a.Compiled.ConstWord {
+		tail.varint(int64(w))
+	}
+	e := enc{buf: p[:len(p)-len(tail.buf)]}
+	e.uvarint(words)
+	for _, w := range constWord {
+		e.varint(w)
+	}
+	return e.buf
+}
+
+// badConstTails returns payloads of the pc golden program whose image
+// length or constant words break the format's rules, each with the
+// reason the decoder must give.
+func badConstTails(t testing.TB) []struct {
+	name, reason string
+	payload      []byte
+} {
+	t.Helper()
+	a := goldenSpecs(t)["pc_small.dpuprog"]
+	c := a.Compiled
+	words := uint64(len(c.Prog.InitMem))
+	var cw []int64
+	placed := 0 // constants with a word
+	for _, w := range c.ConstWord {
+		cw = append(cw, int64(w))
+		if w >= 0 {
+			placed++
+		}
+	}
+	if len(cw) < 2 || cw[0] < 0 || cw[1] < 0 {
+		t.Fatalf("the pc golden's first two constants are not both placed: %v", c.ConstWord)
+	}
+	with := func(i int, w int64) []int64 {
+		out := slices.Clone(cw)
+		out[i] = w
+		return out
+	}
+	cfg := c.Prog.Cfg
+	return []struct {
+		name, reason string
+		payload      []byte
+	}{
+		{"one constant word short", "bad varint", withTail(t, a, words, cw[:len(cw)-1])},
+		{"one constant word extra", "unread payload bytes", withTail(t, a, words, append(slices.Clone(cw), -1))},
+		{"word past the image", "outside [-1,", withTail(t, a, words, with(0, int64(words)))},
+		{"word below -1", "outside [-1,", withTail(t, a, words, with(0, -2))},
+		{"two constants at one word", "shares word", withTail(t, a, words, with(1, cw[0]))},
+		{"image length not whole rows", "not whole", withTail(t, a, words+1, cw)},
+		{"image length past data memory", "not whole", withTail(t, a, uint64(cfg.DataMemWords+cfg.B), cw)},
+	}
+}
+
+// TestDecodeRejectsBadConstantWords: the decoder refuses, as ErrCorrupt
+// and for its reason, every way an image length or constant list can
+// break the format.
+func TestDecodeRejectsBadConstantWords(t *testing.T) {
+	for _, tc := range badConstTails(t) {
+		if _, err := decodePayload(tc.payload, false); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: error %v, want ErrCorrupt %q", tc.name, err, tc.reason)
+		}
+		if _, err := DecodeBytes(frame(tc.payload)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: framed, error %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 
@@ -342,6 +434,93 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 			t.Error("encoded an artifact with missing input words")
 		}
 	}
+}
+
+// TestEncodeRejectsUnderivableImage: Encode refuses a program whose
+// memory image is not the one Decode derives from its constants, so no
+// image content is dropped silently; likewise a constant list the
+// decoder would reject.
+func TestEncodeRejectsUnderivableImage(t *testing.T) {
+	a := goldenSpecs(t)["pc_small.dpuprog"]
+	c := a.Compiled
+	isConst := make(map[int]bool)
+	for _, w := range c.ConstWord {
+		isConst[w] = true
+	}
+	free := -1
+	for w := range c.Prog.InitMem {
+		if !isConst[w] {
+			free = w
+			break
+		}
+	}
+	if free < 0 || c.ConstWord[0] < 0 {
+		t.Fatal("the program has no word outside its constants, or no placed first constant")
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(c *compiler.Compiled)
+		reason string
+	}{
+		{"non-constant word set", func(c *compiler.Compiled) { c.Prog.InitMem[free] = 1 }, "no constant's"},
+		{"non-constant word -0", func(c *compiler.Compiled) { c.Prog.InitMem[free] = math.Copysign(0, -1) }, "no constant's"},
+		{"constant word changed", func(c *compiler.Compiled) { c.Prog.InitMem[c.ConstWord[0]] += 1 }, "its constant"},
+		{"constant word missing", func(c *compiler.Compiled) { c.ConstWord = c.ConstWord[1:] }, "constant words for"},
+		{"two constants at one word", func(c *compiler.Compiled) { c.ConstWord[1] = c.ConstWord[0] }, "shares word"},
+		{"image not whole rows", func(c *compiler.Compiled) { c.Prog.InitMem = c.Prog.InitMem[:len(c.Prog.InitMem)-1] }, "not whole"},
+	} {
+		bc, prog := *c, *c.Prog
+		prog.InitMem = slices.Clone(prog.InitMem)
+		bc.Prog, bc.ConstWord = &prog, slices.Clone(c.ConstWord)
+		tc.change(&bc)
+		if _, err := EncodeBytes(&Artifact{Fingerprint: a.Fingerprint, Compiled: &bc}); err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.reason)
+		}
+	}
+}
+
+// TestArtifactBytesTableI bounds the format's size on the benchmark's
+// offline corpus: the twelve Table I graphs at scale 0.1, compiled for
+// the min-EDP point, encode to 667,587 bytes in all (format v2, which
+// stored the dense memory image, took 856,798). The ceiling is 51 kB per
+// job of the 13-job toolchain pass (twelve graphs and a sweep that
+// encodes nothing). Each artifact must also decode to the memory image
+// and constant words it was encoded from; as Encode refuses two
+// constants at one word, this is also the check that the compiler never
+// emits them.
+func TestArtifactBytesTableI(t *testing.T) {
+	var graphs []*dag.Graph
+	for _, s := range pc.Suite() {
+		graphs = append(graphs, pc.Build(s, 0.1))
+	}
+	for _, s := range sptrsv.Suite() {
+		g, _ := sptrsv.Build(s, 0.1)
+		graphs = append(graphs, g)
+	}
+	total := 0
+	for _, g := range graphs {
+		name := g.Name
+		a := compileArtifact(t, g, arch.MinEDP(), compiler.Options{})
+		b, err := EncodeBytes(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := DecodeBytes(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got.Compiled.ConstWord, a.Compiled.ConstWord) ||
+			!slices.EqualFunc(got.Compiled.Prog.InitMem, a.Compiled.Prog.InitMem, func(x, y float64) bool {
+				return math.Float64bits(x) == math.Float64bits(y)
+			}) {
+			t.Errorf("%s: the decoded memory image or constant words differ from the compiled ones", name)
+		}
+		total += len(b)
+	}
+	if limit := 51 * 1024 * 13; total > limit {
+		t.Errorf("the twelve Table I artifacts take %d bytes, above the %d-byte ceiling", total, limit)
+	}
+	t.Logf("the twelve Table I artifacts take %d bytes", total)
 }
 
 // TestEncodeDecodeBoundsAgree: Encode must refuse exactly what Decode

@@ -55,6 +55,11 @@ func FuzzArtifactDecode(f *testing.F) {
 	} else {
 		f.Add(b)
 	}
+	// Image lengths and constant lists the decoder must refuse: a count
+	// mismatch, words out of range, a shared word, a bad image length.
+	for _, tc := range badConstTails(f) {
+		f.Add(frame(tc.payload))
+	}
 	for _, name := range []string{"pc_small.dpuprog", "sptrsv_small.dpuprog"} {
 		if b, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
 			f.Add(b)
@@ -120,8 +125,8 @@ func FuzzArtifactDecode(f *testing.F) {
 
 // sameServed fails t unless the serving decode s carries exactly what
 // the full decode a does up to the program tail: fingerprint, options,
-// config, graph (per node: op, args and Val bits), remap, input and
-// output words and stats, floats compared by their bits. s is a serving
+// config, compiler revision, graph (per node: op, args and Val bits),
+// remap, input and output words and stats, floats compared by their bits. s is a serving
 // decode (Serving true, no instructions) unless the stats count no
 // instructions, in which case it is decoded whole.
 func sameServed(t *testing.T, a, s *Artifact) {
@@ -132,13 +137,11 @@ func sameServed(t *testing.T, a, s *Artifact) {
 		e *enc
 		a *Artifact
 	}{{&ae, a}, {&se, s}} {
-		e.e.config(e.a.Compiled.Prog.Cfg)
-		e.e.options(e.a.Options)
-		e.e.raw(e.a.Fingerprint[:])
+		e.e.identity(e.a.Compiled.Prog.Cfg, e.a.Options, e.a.Compiled.Revision, e.a.Fingerprint)
 		e.e.stats(e.a.Compiled.Stats)
 	}
 	if !bytes.Equal(ae.buf, se.buf) || sc.Prog.W != ac.Prog.W {
-		t.Fatal("serving decode differs in config, options, fingerprint or stats")
+		t.Fatal("serving decode differs in config, options, revision, fingerprint or stats")
 	}
 	if ag, sg := ac.Graph, sc.Graph; ag.Name != sg.Name || ag.NumNodes() != sg.NumNodes() {
 		t.Fatalf("serving decode graph %q of %d nodes, full %q of %d", sg.Name, sg.NumNodes(), ag.Name, ag.NumNodes())

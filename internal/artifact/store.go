@@ -19,37 +19,40 @@ import (
 // ErrNotFound reports a store lookup for a key with no artifact.
 var ErrNotFound = errors.New("artifact: not in store")
 
-// Key is the content address of a compiled program — the same triple
-// the serving engine keys its in-memory cache on. Construct with
-// KeyFor, which normalizes the config; two keys are equal iff they
-// address the same compilation.
+// Key is the content address of a compiled program — the same key the
+// serving engine keys its in-memory cache on. Construct with KeyFor,
+// which normalizes the config and names this build's compiler; two keys
+// are equal iff they address the same compilation by the same compiler.
 type Key struct {
 	Fingerprint dag.Fingerprint
 	Config      arch.Config
 	Options     compiler.Options
+	// Revision is the compiler revision (compiler.Revision) the program
+	// was built by.
+	Revision int
 }
 
-// KeyFor builds the key for (fp, cfg, opts), with cfg normalized.
+// KeyFor builds the key under which this build's compiler serves
+// (fp, cfg, opts), with cfg normalized.
 func KeyFor(fp dag.Fingerprint, cfg arch.Config, opts compiler.Options) Key {
-	return Key{Fingerprint: fp, Config: cfg.Normalize(), Options: opts}
+	return Key{Fingerprint: fp, Config: cfg.Normalize(), Options: opts, Revision: compiler.Revision}
 }
 
 // keyDomain versions the key hash; bump alongside any change to the
 // canonical key encoding below so old store files cannot alias. It moves
 // with Version, so a file of an older format lives at an address no
-// current key names and is never read as this build's artifact.
-const keyDomain = "dpuv2/artifact/key/v2"
+// current key names and is never read as this build's artifact; the
+// revision in the key does the same for another compiler's program.
+const keyDomain = "dpuv2/artifact/key/v3"
 
 // ID returns the key's stable hex content address, the store filename
-// stem. It hashes the same canonical binary encoding the artifact
-// payload uses, so it is identical across processes and hosts.
+// stem. It hashes the artifact payload's own identity section, so it is
+// identical across processes and hosts.
 func (k Key) ID() string {
 	var e enc
-	e.config(k.Config)
-	e.options(k.Options)
+	e.identity(k.Config, k.Options, k.Revision, k.Fingerprint)
 	h := sha256.New()
 	h.Write([]byte(keyDomain))
-	h.Write(k.Fingerprint[:])
 	h.Write(e.buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -148,9 +151,11 @@ func (s *Store) GetServing(k Key, verified func(Digest) bool) (*Artifact, error)
 }
 
 // Key returns the artifact's own content address, derived from its
-// embedded fingerprint, configuration and options.
+// embedded fingerprint, configuration, options and compiler revision.
 func (a *Artifact) Key() Key {
-	return KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, a.Options)
+	k := KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, a.Options)
+	k.Revision = a.Compiled.Revision
+	return k
 }
 
 // Remove deletes the artifact stored under k; a missing file is not an

@@ -108,9 +108,9 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 // assignment — for r registers per bank, and builds the program. Spilling
 // gives values memory words in a spill region above the plan's rows, so
 // Emit works on its own copy of the plan's value table and its own spill
-// region. Each result owns its Prog, InputWord, OutputWord and Stats;
-// Graph and Remap are the plan's, shared by every program it emits, and
-// must not be modified.
+// region. Each result owns its Prog, InputWord, ConstWord, OutputWord
+// and Stats; Graph and Remap are the plan's, shared by every program it
+// emits, and must not be modified.
 func (p *Planned) Emit(r int) (*Compiled, error) {
 	start := time.Now()
 	cfg := p.cfg
@@ -139,21 +139,18 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	if words > cfg.DataMemWords {
 		return nil, fmt.Errorf("compiler: memory image needs %d words, data memory holds %d", words, cfg.DataMemWords)
 	}
-	prog.InitMem = make([]float64, words)
+	var constWord []int
 	for i := 0; i < bg.NumNodes(); i++ {
-		if bg.Op(dag.NodeID(i)) == dag.OpConst && vals[i].word >= 0 {
-			prog.InitMem[vals[i].word] = bg.Node(dag.NodeID(i)).Val
+		if bg.Op(dag.NodeID(i)) == dag.OpConst {
+			constWord = append(constWord, int(vals[i].word))
 		}
 	}
+	prog.InitMem = InitImage(bg, constWord, words)
 
 	// Input words, in graph-input order; -1 for inputs nothing consumes.
 	var inputWord []int
 	for _, id := range bg.Inputs() {
-		if w := vals[id].word; w >= 0 {
-			inputWord = append(inputWord, int(w))
-		} else {
-			inputWord = append(inputWord, -1)
-		}
+		inputWord = append(inputWord, int(vals[id].word))
 	}
 
 	stats.Instructions = len(prog.Instrs)
@@ -165,7 +162,28 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 		Graph:      bg,
 		Remap:      p.remap,
 		InputWord:  inputWord,
+		ConstWord:  constWord,
 		OutputWord: maps.Clone(p.outWord),
 		Stats:      stats,
+		Revision:   Revision,
 	}, nil
+}
+
+// InitImage returns the initial data-memory image of a program whose
+// constants sit at constWord (as Compiled.ConstWord): words zeroed
+// words with the Val of g's i-th OpConst node, in node-id order, at
+// constWord[i], and nothing for a constant whose word is -1. It is the
+// whole image: every other word starts zero.
+func InitImage(g *dag.Graph, constWord []int, words int) []float64 {
+	img := make([]float64, words)
+	k := 0
+	for i := 0; i < g.NumNodes(); i++ {
+		if n := g.Node(dag.NodeID(i)); n.Op == dag.OpConst {
+			if w := constWord[k]; w >= 0 {
+				img[w] = n.Val
+			}
+			k++
+		}
+	}
+	return img
 }

@@ -51,12 +51,20 @@ func emissionHash(c *Compiled) uint64 {
 	return h.Sum64()
 }
 
+// goldenRevision is the compiler Revision whose emission the hashes of
+// TestEmissionGolden pin.
+const goldenRevision = 1
+
 // TestEmissionGolden pins the compiler's output on a fixed corpus ×
 // three configurations (the min-EDP point, a spilling register file and
 // a crossbar interconnect). A refactor of register allocation or its
 // replay must leave every hash unchanged; a deliberate change to
-// emission updates the table.
+// emission updates the table and bumps Revision with goldenRevision, so
+// persisted programs of the old emission stop matching any current key.
 func TestEmissionGolden(t *testing.T) {
+	if Revision != goldenRevision {
+		t.Fatalf("compiler Revision is %d, the emission golden pins revision %d: update the hashes and goldenRevision together", Revision, goldenRevision)
+	}
 	cfgs := []struct {
 		name string
 		cfg  arch.Config

@@ -95,10 +95,14 @@ func compiledDiff(a, b *compiler.Compiled) string {
 		return "Remap"
 	case !reflect.DeepEqual(a.InputWord, b.InputWord):
 		return "InputWord"
+	case !reflect.DeepEqual(a.ConstWord, b.ConstWord):
+		return "ConstWord"
 	case !reflect.DeepEqual(a.OutputWord, b.OutputWord):
 		return "OutputWord"
 	case sa != sb:
 		return "Stats"
+	case a.Revision != b.Revision:
+		return "Revision"
 	}
 	return ""
 }

@@ -57,6 +57,13 @@ type Block struct {
 	OutPE []arch.PE
 }
 
+// Revision numbers the compiler's emission: bump it with any change to
+// what Compile emits for some input (instructions, memory image, maps or
+// stats), so that a persisted program of another revision is never taken
+// for this compiler's output. It is part of every artifact's content
+// address (artifact.Key).
+const Revision = 1
+
 // Options tunes compilation. The zero value is the paper's configuration.
 // Every field is part of the program's content address (.dpuprog and every
 // cache key); the search bounds of steps 1 and 3 are constants (see
@@ -115,10 +122,18 @@ type Compiled struct {
 	// InputWord[i] is the data-memory word holding the i-th OpInput (in
 	// Graph input order); the runner writes input values there.
 	InputWord []int
+	// ConstWord[i] is the data-memory word holding the i-th OpConst (in
+	// Graph node-id order), -1 for a constant nothing reads. Prog.InitMem
+	// is InitImage(Graph, ConstWord, len(Prog.InitMem)): the constants are
+	// its only non-zero words.
+	ConstWord []int
 	// OutputWord maps every sink of Graph to the data-memory word that
 	// holds its value after the program finishes.
 	OutputWord map[dag.NodeID]int
 	Stats      Stats
+	// Revision is the compiler revision that emitted the program: Emit
+	// sets Revision, a decoded artifact the one its payload records.
+	Revision int
 }
 
 // CheckProgram returns an error unless c's program carries the

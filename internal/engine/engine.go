@@ -97,6 +97,10 @@ type Stats struct {
 	// not decode and persists that failed. The engine degrades to
 	// compiling; the counter is how operators notice a damaged store.
 	StoreErrors int64 `prom:"dpu_engine_store_errors_total"`
+	// StoreStale counts artifacts Preload skipped because another
+	// compiler revision built them: legal programs, but under a key no
+	// request of this build forms. They are left in the store.
+	StoreStale int64 `prom:"dpu_engine_store_stale_total"`
 	// Preloaded counts artifacts loaded into the cache by Preload.
 	Preloaded int64 `prom:"dpu_engine_preloaded_total"`
 	// Verified counts decoded artifacts that passed static verification
@@ -134,6 +138,7 @@ type Engine struct {
 	storeHits   atomic.Int64
 	storeMisses atomic.Int64
 	storeErrors atomic.Int64
+	storeStale  atomic.Int64
 	preloaded   atomic.Int64
 
 	// Static-verification gate state: every decoded artifact passes
@@ -256,6 +261,7 @@ func (e *Engine) Stats() Stats {
 	s.StoreHits = e.storeHits.Load()
 	s.StoreMisses = e.storeMisses.Load()
 	s.StoreErrors = e.storeErrors.Load()
+	s.StoreStale = e.storeStale.Load()
 	s.Preloaded = e.preloaded.Load()
 	s.Verified = e.verified.Load()
 	s.VerifyRejects = e.verifyRejects.Load()

@@ -114,9 +114,10 @@ func (e *Engine) resolveMiss(g *dag.Graph, k artifact.Key, tr *trace.Trace, pare
 // is full: decoding a 10,000-artifact store into a 256-entry cache
 // would pay the whole decode bill only to evict immediately, and the
 // reported count would lie about what is resident. Artifacts that fail
-// to decode are skipped (and counted in Stats.StoreErrors); n reports
-// how many programs were actually cached. Without a store, Preload is
-// a no-op.
+// to decode are skipped (and counted in Stats.StoreErrors), as are
+// artifacts another compiler revision built (counted in
+// Stats.StoreStale and left in place); n reports how many programs were
+// actually cached. Without a store, Preload is a no-op.
 func (e *Engine) Preload() (n int, err error) {
 	st := e.opts.Store
 	if st == nil {
@@ -130,6 +131,13 @@ func (e *Engine) Preload() (n int, err error) {
 			if !errors.Is(derr, artifact.ErrVersion) {
 				e.storeErrors.Add(1)
 			}
+			return true
+		}
+		if a.Compiled.Revision != compiler.Revision {
+			// Cached, it would hold a slot under a key no request of
+			// this build forms; another binary of the fleet may still
+			// serve it, so it stays.
+			e.storeStale.Add(1)
 			return true
 		}
 		k := a.Key()

@@ -276,66 +276,107 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	}
 }
 
-// TestUpgradeFromV1Store: a store written by a format-v1 build (whose
-// options carried three more fields) is skipped, not counted as damage.
-// Open leaves the v1 file alone, Preload caches nothing and raises no
-// error, and the first request for the file's graph compiles once and
-// persists a current artifact at its own key beside the untouched v1
-// file.
-func TestUpgradeFromV1Store(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", "v1", "pc_small.dpuprog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The graph, config and options the v1 fixture was compiled from.
+// TestUpgradeFromOldFormatStores: a store written by a build of an
+// older format (v1, whose options carried three more fields; v2, which
+// stored the dense memory image) is skipped, not counted as damage. For
+// each, Open leaves the old file alone, Preload caches nothing and
+// raises no error, and the first request for the file's graph compiles
+// once and persists a current artifact at its own key beside the
+// untouched old file.
+func TestUpgradeFromOldFormatStores(t *testing.T) {
+	// The graph, config and options every old fixture was compiled from.
 	g := pc.Build(pc.Suite()[0], 0.01)
 	cfg := arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
 	opts := compiler.Options{Seed: 7}
-	if fp := g.Fingerprint(); !bytes.Contains(v1, fp[:]) {
-		t.Fatal("the v1 fixture was not compiled from this graph")
+	for _, version := range []string{"v1", "v2"} {
+		t.Run(version, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", version, "pc_small.dpuprog"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp := g.Fingerprint(); !bytes.Contains(old, fp[:]) {
+				t.Fatalf("the %s fixture was not compiled from this graph", version)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "pc_small"+artifact.Ext)
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			unchanged := func(when string) {
+				t.Helper()
+				if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, old) {
+					t.Fatalf("%s: the %s file changed (err %v)", when, version, err)
+				}
+			}
+			st, err := artifact.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unchanged("after Open")
+
+			e := newStoreEngine(t, Options{Store: st})
+			if n, err := e.Preload(); err != nil || n != 0 {
+				t.Fatalf("Preload cached %d programs (err %v), want 0", n, err)
+			}
+			if s := e.Stats(); s.StoreErrors != 0 {
+				t.Fatalf("a %s file raised the damage counter: %+v", version, s)
+			}
+			if _, err := e.Compile(g, cfg, opts); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+			if s := e.Stats(); s.Misses != 1 || s.StoreMisses != 1 || s.StoreErrors != 0 {
+				t.Errorf("first request: misses %d, store misses %d, store errors %d; want 1, 1, 0", s.Misses, s.StoreMisses, s.StoreErrors)
+			}
+			a, err := st.Get(artifact.KeyFor(g.Fingerprint(), cfg, opts))
+			if err != nil {
+				t.Fatalf("no current artifact persisted at the new key: %v", err)
+			}
+			if a.Options != opts || a.Compiled.Revision != compiler.Revision {
+				t.Errorf("persisted options %+v, revision %d; want %+v, %d", a.Options, a.Compiled.Revision, opts, compiler.Revision)
+			}
+			if n, err := st.Len(); err != nil || n != 2 {
+				t.Errorf("store holds %d artifacts (%v), want the %s file and the new one", n, err, version)
+			}
+			unchanged("after the recompile")
+		})
 	}
+}
+
+// TestPreloadSkipsStaleRevision: an artifact another compiler revision
+// built is a legal program under a key no request of this build forms.
+// Preload skips it, counts it in StoreStale and not in StoreErrors, and
+// leaves the file as it was; the current artifact beside it loads.
+func TestPreloadSkipsStaleRevision(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "pc_small"+artifact.Ext)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	unchanged := func(when string) {
-		t.Helper()
-		if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, v1) {
-			t.Fatalf("%s: the v1 file changed (err %v)", when, err)
-		}
-	}
 	st, err := artifact.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unchanged("after Open")
-
-	e := newStoreEngine(t, Options{Store: st})
-	if n, err := e.Preload(); err != nil || n != 0 {
-		t.Fatalf("Preload cached %d programs (err %v), want 0", n, err)
-	}
-	if s := e.Stats(); s.StoreErrors != 0 {
-		t.Fatalf("a v1 file raised the damage counter: %+v", s)
-	}
-	if _, err := e.Compile(g, cfg, opts); err != nil {
+	if err := st.Put(poisonedArtifact(t, testGraph(1), func(*dag.Graph, *compiler.Compiled) {})); err != nil {
 		t.Fatal(err)
 	}
-	e.Flush()
-	if s := e.Stats(); s.Misses != 1 || s.StoreMisses != 1 || s.StoreErrors != 0 {
-		t.Errorf("first request: misses %d, store misses %d, store errors %d; want 1, 1, 0", s.Misses, s.StoreMisses, s.StoreErrors)
-	}
-	a, err := st.Get(artifact.KeyFor(g.Fingerprint(), cfg, opts))
+	stale, err := artifact.EncodeBytes(poisonedArtifact(t, testGraph(2), func(_ *dag.Graph, c *compiler.Compiled) {
+		c.Revision = compiler.Revision + 1
+	}))
 	if err != nil {
-		t.Fatalf("no current artifact persisted at the new key: %v", err)
+		t.Fatal(err)
 	}
-	if a.Options != opts {
-		t.Errorf("persisted options %+v, want %+v", a.Options, opts)
+	path := filepath.Join(dir, "stale"+artifact.Ext)
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if n, err := st.Len(); err != nil || n != 2 {
-		t.Errorf("store holds %d artifacts (%v), want the v1 file and the new one", n, err)
+
+	e := newStoreEngine(t, Options{Store: st})
+	if n, err := e.Preload(); err != nil || n != 1 {
+		t.Fatalf("Preload cached %d programs (err %v), want 1", n, err)
 	}
-	unchanged("after the recompile")
+	if s := e.Stats(); s.StoreStale != 1 || s.StoreErrors != 0 || s.Preloaded != 1 {
+		t.Errorf("store stale %d, store errors %d, preloaded %d; want 1, 0, 1", s.StoreStale, s.StoreErrors, s.Preloaded)
+	}
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, stale) {
+		t.Errorf("the stale file changed (err %v)", err)
+	}
 }
 
 // TestCorruptArtifactFallsBackToCompile: a damaged store never breaks

@@ -103,12 +103,17 @@ const (
 	// (cycles, instruction, exec and nop counts) disagree with its
 	// instruction stream — the engine reports those cycles to clients.
 	ClassStatsMismatch
+	// ClassStaleCompiler (warning) is a program another compiler
+	// revision emitted: legal, but no key of this build names it, so a
+	// serving engine never loads it.
+	ClassStaleCompiler
 )
 
 var classNames = [...]string{
 	ClassResource: "resource", ClassUninitRead: "uninit-read", ClassBankOverflow: "bank-overflow",
 	ClassWriteConflict: "write-conflict", ClassDeadOperand: "dead-operand", ClassMemBounds: "mem-bounds",
 	ClassMapping: "mapping", ClassDeadReset: "dead-reset", ClassStatsMismatch: "stats-mismatch",
+	ClassStaleCompiler: "stale-compiler",
 }
 
 func (c Class) String() string {
@@ -127,7 +132,7 @@ func (c Class) MarshalJSON() ([]byte, error) {
 // findings.
 func (c *Class) UnmarshalJSON(b []byte) error {
 	name := string(bytes.Trim(b, `"`))
-	for x := ClassResource; x <= ClassStatsMismatch; x++ {
+	for x := ClassResource; x <= ClassStaleCompiler; x++ {
 		if x.String() == name {
 			*c = x
 			return nil
@@ -214,7 +219,8 @@ func Program(p *arch.Program, cfg arch.Config) []Finding {
 // Compiled verifies a compiled program plus its serving metadata: the
 // instruction stream (as Program) and the remap/input/output maps the
 // engine trusts to route values — a store-decoded artifact passes
-// through exactly this before it may serve traffic.
+// through exactly this before it may serve traffic. A program another
+// compiler revision emitted draws a ClassStaleCompiler warning.
 func Compiled(c *compiler.Compiled) []Finding {
 	metaf := func(msg string, args ...any) Finding {
 		return Finding{Sev: SevError, Class: ClassMapping, PC: -1, PE: -1, Bank: -1, Msg: fmt.Sprintf(msg, args...)}
@@ -266,6 +272,10 @@ func Compiled(c *compiler.Compiled) []Finding {
 				fs = append(fs, metaf("sink %d reads output word %d, which no store instruction writes", sink, w))
 			}
 		}
+	}
+	if c.Revision != compiler.Revision {
+		fs = append(fs, Finding{Sev: SevWarning, Class: ClassStaleCompiler, PC: -1, PE: -1, Bank: -1, Msg: fmt.Sprintf(
+			"emitted by compiler revision %d, this build's is %d: no key of this build names the program", c.Revision, compiler.Revision)})
 	}
 	return fs
 }
