@@ -309,40 +309,6 @@ func checkConstWords(constWord []int, numConsts, words int) error {
 	return nil
 }
 
-// checkInitImage returns an error unless c.Prog.InitMem is exactly
-// compiler.InitImage(c.Graph, c.ConstWord, len(c.Prog.InitMem)), bit for
-// bit, the image Decode rebuilds. Every constant's word must hold its
-// value and all others must be +0; with the constant words distinct
-// (checkConstWords), counting the non-zero words proves the second
-// without building the derived image.
-func checkInitImage(c *compiler.Compiled) error {
-	img, k, nonZero := c.Prog.InitMem, 0, 0
-	for i := 0; i < c.Graph.NumNodes(); i++ {
-		n := c.Graph.Node(dag.NodeID(i))
-		if n.Op != dag.OpConst {
-			continue
-		}
-		if w := c.ConstWord[k]; w >= 0 {
-			if math.Float64bits(img[w]) != math.Float64bits(n.Val) {
-				return fmt.Errorf("memory word %d holds %v, its constant (node %d) is %v", w, img[w], i, n.Val)
-			}
-			if math.Float64bits(n.Val) != 0 {
-				nonZero++
-			}
-		}
-		k++
-	}
-	for _, v := range img {
-		if math.Float64bits(v) != 0 {
-			nonZero--
-		}
-	}
-	if nonZero != 0 {
-		return fmt.Errorf("memory image holds %d non-zero words that are no constant's", -nonZero)
-	}
-	return nil
-}
-
 func encodePayload(a *Artifact) ([]byte, error) {
 	c := a.Compiled
 	if c == nil || c.Prog == nil || c.Graph == nil {
@@ -425,8 +391,13 @@ func encodePayload(a *Artifact) ([]byte, error) {
 	if err := checkConstWords(c.ConstWord, numConsts, words); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	if err := checkInitImage(c); err != nil {
-		return nil, fmt.Errorf("artifact: %w", err)
+	// Refuse an image Decode would not rebuild bit for bit, so no image
+	// content is ever dropped silently.
+	img := compiler.InitImage(g, c.ConstWord, words)
+	for i, v := range c.Prog.InitMem {
+		if math.Float64bits(v) != math.Float64bits(img[i]) {
+			return nil, fmt.Errorf("artifact: memory word %d holds %v, the image derived from the constants %v", i, v, img[i])
+		}
 	}
 	e.uvarint(uint64(len(c.Prog.Instrs)))
 	e.bytes(c.Prog.Pack())
@@ -645,8 +616,9 @@ func (d *dec) decodeConfig() arch.Config {
 
 // decodePayload decodes a checksummed payload. A full decode reads it
 // all and unpacks the program; a serving decode (serving true) stops
-// after the stats and leaves Compiled.Prog with only Cfg and W: the
-// instruction count, packed stream and memory image are never read, so
+// after the stats and leaves Compiled.Prog with only Cfg and W, and
+// Compiled.ConstWord nil: the instruction count, packed stream, image
+// length and constant words are never read, nor the image derived, so
 // the decode costs what serving a request reads (graph, maps, stats),
 // not what running the program on the machine would. It is the same
 // decoder up to that point, with every check, so it accepts every

@@ -120,6 +120,9 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Compiled.Prog.InitMem, a.Compiled.Prog.InitMem) {
 			t.Errorf("seed %d: memory image changed", seed)
 		}
+		if !reflect.DeepEqual(got.Compiled.ConstWord, a.Compiled.ConstWord) || got.Compiled.Revision != a.Compiled.Revision {
+			t.Errorf("seed %d: constant words or compiler revision changed", seed)
+		}
 		if !bytes.Equal(got.Compiled.Prog.Pack(), a.Compiled.Prog.Pack()) {
 			t.Errorf("seed %d: packed instruction stream changed", seed)
 		}
@@ -462,9 +465,9 @@ func TestEncodeRejectsUnderivableImage(t *testing.T) {
 		change func(c *compiler.Compiled)
 		reason string
 	}{
-		{"non-constant word set", func(c *compiler.Compiled) { c.Prog.InitMem[free] = 1 }, "no constant's"},
-		{"non-constant word -0", func(c *compiler.Compiled) { c.Prog.InitMem[free] = math.Copysign(0, -1) }, "no constant's"},
-		{"constant word changed", func(c *compiler.Compiled) { c.Prog.InitMem[c.ConstWord[0]] += 1 }, "its constant"},
+		{"non-constant word set", func(c *compiler.Compiled) { c.Prog.InitMem[free] = 1 }, "memory word"},
+		{"non-constant word -0", func(c *compiler.Compiled) { c.Prog.InitMem[free] = math.Copysign(0, -1) }, "memory word"},
+		{"constant word changed", func(c *compiler.Compiled) { c.Prog.InitMem[c.ConstWord[0]] += 1 }, "memory word"},
 		{"constant word missing", func(c *compiler.Compiled) { c.ConstWord = c.ConstWord[1:] }, "constant words for"},
 		{"two constants at one word", func(c *compiler.Compiled) { c.ConstWord[1] = c.ConstWord[0] }, "shares word"},
 		{"image not whole rows", func(c *compiler.Compiled) { c.Prog.InitMem = c.Prog.InitMem[:len(c.Prog.InitMem)-1] }, "not whole"},

@@ -155,9 +155,9 @@ func sameServed(t *testing.T, a, s *Artifact) {
 	if !slices.Equal(ac.Remap, sc.Remap) || !slices.Equal(ac.InputWord, sc.InputWord) || !maps.Equal(ac.OutputWord, sc.OutputWord) {
 		t.Fatal("serving decode differs in remap, input words or output words")
 	}
-	if want := ac.Stats.Instructions != 0; s.Serving() != want || (want && (sc.Prog.Instrs != nil || sc.Prog.InitMem != nil)) {
-		t.Fatalf("Serving() = %v with %d instructions, %d memory words; want %v and none when serving",
-			s.Serving(), len(sc.Prog.Instrs), len(sc.Prog.InitMem), want)
+	if want := ac.Stats.Instructions != 0; s.Serving() != want || (want && (sc.Prog.Instrs != nil || sc.Prog.InitMem != nil || sc.ConstWord != nil)) {
+		t.Fatalf("Serving() = %v with %d instructions, %d memory words, %d constant words; want %v and none when serving",
+			s.Serving(), len(sc.Prog.Instrs), len(sc.Prog.InitMem), len(sc.ConstWord), want)
 	}
 }
 

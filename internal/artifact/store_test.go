@@ -63,6 +63,7 @@ func TestStoreKeyAddressing(t *testing.T) {
 		KeyFor(testArtifact(t, 2).Fingerprint, a.Compiled.Prog.Cfg, a.Options),
 		KeyFor(a.Fingerprint, arch.Config{D: 2, B: 8, R: 32, Output: arch.OutPerLayer}, a.Options),
 		KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, compiler.Options{Seed: 99}),
+		{Fingerprint: k.Fingerprint, Config: k.Config, Options: k.Options, Revision: k.Revision + 1},
 	}
 	seen := map[string]bool{k.ID(): true}
 	for i, v := range variants {

@@ -150,7 +150,11 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	// Input words, in graph-input order; -1 for inputs nothing consumes.
 	var inputWord []int
 	for _, id := range bg.Inputs() {
-		inputWord = append(inputWord, int(vals[id].word))
+		if w := vals[id].word; w >= 0 {
+			inputWord = append(inputWord, int(w))
+		} else {
+			inputWord = append(inputWord, -1)
+		}
 	}
 
 	stats.Instructions = len(prog.Instrs)
@@ -170,10 +174,9 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 }
 
 // InitImage returns the initial data-memory image of a program whose
-// constants sit at constWord (as Compiled.ConstWord): words zeroed
-// words with the Val of g's i-th OpConst node, in node-id order, at
-// constWord[i], and nothing for a constant whose word is -1. It is the
-// whole image: every other word starts zero.
+// constants sit at constWord (as Compiled.ConstWord): words words, all
+// zero except that word constWord[i] holds the Val of g's i-th OpConst
+// node (in node-id order) wherever constWord[i] is not -1.
 func InitImage(g *dag.Graph, constWord []int, words int) []float64 {
 	img := make([]float64, words)
 	k := 0
