@@ -153,9 +153,7 @@ func (s *Store) GetServing(k Key, verified func(Digest) bool) (*Artifact, error)
 // Key returns the artifact's own content address, derived from its
 // embedded fingerprint, configuration, options and compiler revision.
 func (a *Artifact) Key() Key {
-	k := KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, a.Options)
-	k.Revision = a.Compiled.Revision
-	return k
+	return Key{Fingerprint: a.Fingerprint, Config: a.Compiled.Prog.Cfg.Normalize(), Options: a.Options, Revision: a.Compiled.Revision}
 }
 
 // Remove deletes the artifact stored under k; a missing file is not an
