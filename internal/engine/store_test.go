@@ -276,14 +276,14 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 	}
 }
 
-// TestUpgradeFromOldFormatStores: a store written by a build of an
-// older format (v1, whose options carried three more fields; v2, which
-// stored the dense memory image) is skipped, not counted as damage. For
-// each, Open leaves the old file alone, Preload caches nothing and
-// raises no error, and the first request for the file's graph compiles
-// once and persists a current artifact at its own key beside the
-// untouched old file.
-func TestUpgradeFromOldFormatStores(t *testing.T) {
+// TestUpgradeFromV1Store (named when v1 was the only older format): a
+// store written by a build of an older format (v1, whose options
+// carried three more fields; v2, which stored the dense memory image)
+// is skipped, not counted as damage. For each, Open leaves the old file
+// alone, Preload caches nothing and raises no error, and the first
+// request for the file's graph compiles once and persists a current
+// artifact at its own key beside the untouched old file.
+func TestUpgradeFromV1Store(t *testing.T) {
 	// The graph, config and options every old fixture was compiled from.
 	g := pc.Build(pc.Suite()[0], 0.01)
 	cfg := arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
