@@ -28,6 +28,7 @@ import (
 	"dpuv2/internal/artifact"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/sim"
 	"dpuv2/internal/suite"
 	"dpuv2/internal/verify"
 )
@@ -95,6 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "blocks:        %d (mean PE utilization %.2f, peak %.2f)\n", st.Blocks, st.MeanUtil, st.PeakUtil)
 	fmt.Fprintf(stdout, "instructions:  %d (exec %d, load %d, copy %d, store %d, nop %d)\n",
 		st.Instructions, st.Execs, st.Loads, st.Copies, st.Stores+st.SpillStores, st.Nops)
+	bound := sim.LowerBound(c.Graph, cfg)
+	fmt.Fprintf(stdout, "cycles:        %d (lower bound %d: max(%d op + %d leaf slots, %d latency) + drain)\n",
+		st.Cycles, bound.Cycles, bound.Ops, bound.Leaves, bound.Latency)
 	fmt.Fprintf(stdout, "conflicts:     %d repaired words (%d input, %d output moves)\n",
 		st.CopiedWords, st.InputConflicts, st.OutputMoves)
 	fmt.Fprintf(stdout, "spills:        %d stores, %d reloads\n", st.SpillStores, st.Reloads)

@@ -1,12 +1,14 @@
 package dse
 
 import (
+	"fmt"
 	"testing"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/energy"
+	"dpuv2/internal/par"
 	"dpuv2/internal/pc"
 	"dpuv2/internal/sim"
 	"dpuv2/internal/sptrsv"
@@ -277,5 +279,57 @@ func TestBestTieBreakIsCanonical(t *testing.T) {
 	withWin := append([]Point{mk(6, 128, 256, arch.OutPerPE, 0, 4)}, tied...)
 	if best, _ := Best(withWin, MinEDP); best.EDP != 4 {
 		t.Fatalf("tie-break overrode a strictly better score: %+v", best)
+	}
+}
+
+// tableI builds the twelve Table I graphs at scale.
+func tableI(scale float64) []*dag.Graph {
+	var gs []*dag.Graph
+	for _, s := range pc.Suite() {
+		gs = append(gs, pc.Build(s, scale))
+	}
+	for _, s := range sptrsv.Suite() {
+		g, _ := sptrsv.Build(s, scale)
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// TestCyclesAboveBound: no compiled program runs in fewer cycles than
+// sim.LowerBound allows, over the 48-point grid on the Table I graphs at
+// scale 0.1, and at 1.0 outside -short. A program under the bound means
+// the compiler emitted something the machine cannot do in that time, or
+// the bound's terms are wrong.
+func TestCyclesAboveBound(t *testing.T) {
+	scales := []float64{0.1}
+	if !testing.Short() {
+		scales = append(scales, 1.0)
+	}
+	cfgs := Grid()
+	for _, scale := range scales {
+		for _, g := range tableI(scale) {
+			errs := make([]string, len(cfgs))
+			par.ForEach(len(cfgs)/4, 0, func(k int) {
+				// Grid() lists the four R of one datapath in a row.
+				plan, err := compiler.Plan(g, cfgs[4*k], compiler.Options{})
+				if err != nil {
+					return
+				}
+				for _, cfg := range cfgs[4*k : 4*k+4] {
+					c, err := plan.Emit(cfg.R)
+					if err != nil {
+						continue // the register file cannot hold a block
+					}
+					if b := sim.LowerBound(c.Graph, cfg); c.Stats.Cycles < b.Cycles {
+						errs[4*k] += fmt.Sprintf("%s@%g %v: %d cycles under the bound %+v\n", g.Name, scale, cfg, c.Stats.Cycles, b)
+					}
+				}
+			})
+			for _, e := range errs {
+				if e != "" {
+					t.Error(e)
+				}
+			}
+		}
 	}
 }

@@ -317,3 +317,30 @@ func TestCompileSimulateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLowerBoundMetOnTinyGraphs: on graphs small enough that one load
+// and one exec cover them, the compiled program runs exactly the cycles
+// LowerBound's latency term allows — the term is the machine's, not an
+// estimate — and the op and leaf terms are one slot each.
+func TestLowerBoundMetOnTinyGraphs(t *testing.T) {
+	one := dag.New("one")
+	one.AddOp(dag.OpMul, one.AddInput(), one.AddInput())
+	tiny := dag.New("tiny")
+	s := tiny.AddOp(dag.OpAdd, tiny.AddInput(), tiny.AddInput())
+	tiny.AddOp(dag.OpMul, s, tiny.AddConst(3))
+	for _, tc := range []struct {
+		g   *dag.Graph
+		cfg arch.Config
+	}{
+		{one, arch.Config{D: 1, B: 8, R: 16}},
+		{one, arch.MinEDP()},
+		{tiny, arch.Config{D: 2, B: 8, R: 16}},
+		{tiny, arch.MinEDP()},
+	} {
+		res := compileAndVerify(t, tc.g, tc.cfg, 1)
+		b := LowerBound(tc.g, tc.cfg)
+		if b.Ops != 1 || b.Leaves != 1 || res.Stats.Cycles != b.Cycles {
+			t.Errorf("%s on %v: %d cycles, bound %+v", tc.g.Name, tc.cfg, res.Stats.Cycles, b)
+		}
+	}
+}

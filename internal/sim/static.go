@@ -1,6 +1,9 @@
 package sim
 
-import "dpuv2/internal/arch"
+import (
+	"dpuv2/internal/arch"
+	"dpuv2/internal/dag"
+)
 
 // StaticStats returns the statistics a Machine would report after
 // running p, computed from the instruction stream alone: no machine, no
@@ -77,3 +80,69 @@ func countTrue(bs []bool) int {
 	}
 	return n
 }
+
+// Bound is a lower bound on the cycles of any program that computes a
+// graph on a configuration, from three terms counted in issue slots (one
+// instruction issues per cycle):
+//
+//   - Ops: ⌈interior nodes / NumPEs⌉ execs, since an exec performs at
+//     most one operation per PE;
+//   - Leaves: ⌈leaves an interior node reads / B⌉ loads, since such a
+//     leaf reaches the register file only through a load lane and a
+//     load fills at most B of them;
+//   - Latency: the slots the longest path needs under the walker's
+//     landing rules. A path of l interior nodes takes at least
+//     k = ⌈l/D⌉ dependent execs; the first reads a loaded leaf (a load
+//     issued at t is readable from t+2), each later one reads its
+//     producer's result (an exec issued at t is readable from t+D+1),
+//     and the path's sink reaches data memory through a store issued no
+//     earlier than D+1 after the last exec. The store is instruction
+//     2 + k(D+1) at the earliest, so the stream holds k(D+1)+3 of them.
+//
+// Cycles is max(Ops+Leaves, Latency) plus the D+1 drain, the form
+// Stats.Cycles takes. A compiled program below it is a compiler or
+// simulator bug.
+type Bound struct {
+	Ops, Leaves, Latency int
+	Cycles               int
+}
+
+// LowerBound returns the Bound of g (binarized, as Compiled.Graph is) on
+// cfg.
+func LowerBound(g *dag.Graph, cfg arch.Config) Bound {
+	cfg = cfg.Normalize()
+	read := make([]bool, g.NumNodes())
+	chain := make([]int32, g.NumNodes()) // interior nodes on the longest path ending here
+	interior, leaves, longest := 0, 0, int32(0)
+	for i := 0; i < g.NumNodes(); i++ {
+		id := dag.NodeID(i)
+		if g.Op(id).IsLeaf() {
+			continue
+		}
+		interior++
+		c := int32(0)
+		for _, a := range g.Args(id) {
+			if g.Op(a).IsLeaf() {
+				if !read[a] {
+					read[a] = true
+					leaves++
+				}
+			} else {
+				c = max(c, chain[a])
+			}
+		}
+		chain[i] = c + 1
+		longest = max(longest, c+1)
+	}
+	b := Bound{
+		Ops:    ceilDiv(interior, cfg.NumPEs()),
+		Leaves: ceilDiv(leaves, cfg.B),
+	}
+	if longest > 0 {
+		b.Latency = ceilDiv(int(longest), cfg.D)*(cfg.D+1) + 3
+	}
+	b.Cycles = max(b.Ops+b.Leaves, b.Latency) + cfg.D + 1
+	return b
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
