@@ -96,6 +96,17 @@ func NewWalker[P any](cfg arch.Config, sem Semantics[P]) *Walker[P] {
 	}
 }
 
+// Reset returns the walker to cycle 0 with an empty register file, as
+// NewWalker left it, reusing every allocation.
+func (w *Walker[P]) Reset() {
+	w.rf.Reset()
+	clear(w.regs)
+	clear(w.ever)
+	clear(w.port)
+	clear(w.val)
+	w.cycle, w.reads, w.writes, w.fault = 0, 0, 0, nil
+}
+
 // Cycle returns the number of cycles walked so far.
 func (w *Walker[P]) Cycle() int { return w.cycle }
 

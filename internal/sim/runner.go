@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
@@ -16,10 +17,17 @@ type Result struct {
 	Stats   Stats
 }
 
+// machines holds idle machines per normalized configuration, one
+// *sync.Pool each, so that Run builds a register file, landing ring and
+// data memory only when every machine of the configuration is busy.
+var machines sync.Map
+
 // Run executes a compiled program with the given DAG input values (in
-// graph-input order) on a fresh machine and returns the sink values read
-// back from data memory. A program without the instructions its stats
-// count (a serving-decoded artifact's) is refused, never run.
+// graph-input order) on a machine in the state NewMachine builds and
+// returns the sink values read back from data memory. The machine comes
+// from a per-configuration pool and is reset before it runs; only a run
+// that succeeds returns it. A program without the instructions its
+// stats count (a serving-decoded artifact's) is refused, never run.
 func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
 	if err := c.CheckProgram(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -27,7 +35,25 @@ func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
 	if len(inputs) != len(c.InputWord) {
 		return nil, fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))
 	}
-	m := NewMachine(c.Prog.Cfg, c.Prog.InitMem)
+	cfg := c.Prog.Cfg.Normalize()
+	pool, ok := machines.Load(cfg)
+	if !ok {
+		pool, _ = machines.LoadOrStore(cfg, new(sync.Pool))
+	}
+	m, ok := pool.(*sync.Pool).Get().(*Machine)
+	if ok {
+		m.reset(c.Prog.InitMem)
+	} else {
+		m = NewMachine(cfg, c.Prog.InitMem)
+	}
+	res, err := run(m, c, inputs)
+	if err == nil {
+		pool.(*sync.Pool).Put(m)
+	}
+	return res, err
+}
+
+func run(m *Machine, c *compiler.Compiled, inputs []float64) (*Result, error) {
 	for i, w := range c.InputWord {
 		if w < 0 {
 			continue // input consumed by nothing

@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/regfile"
@@ -53,6 +54,15 @@ func NewMachine(cfg arch.Config, initMem []float64) *Machine {
 	return m
 }
 
+// reset returns m to the state NewMachine(m.cfg, initMem) builds,
+// reusing its allocations.
+func (m *Machine) reset(initMem []float64) {
+	m.mem = append(m.mem[:0], initMem...)
+	clear(m.stats.Instrs)
+	m.stats = Stats{Instrs: m.stats.Instrs}
+	m.walk.Reset()
+}
+
 // Mem returns the data-memory word at addr (growing view: unwritten words
 // read as zero up to the configured capacity).
 func (m *Machine) Mem(addr int) (float64, error) {
@@ -78,9 +88,11 @@ func (m *Machine) SetMem(addr int, v float64) error {
 	return nil
 }
 
-// Stats returns execution statistics (valid after Run).
+// Stats returns execution statistics (valid after Run) in a Stats of
+// the caller's own.
 func (m *Machine) Stats() Stats {
 	st := m.stats
+	st.Instrs = maps.Clone(m.stats.Instrs)
 	st.RegReads, st.RegWrites = m.walk.Traffic()
 	return st
 }
