@@ -57,7 +57,11 @@ type regalloc struct {
 	rf       *regfile.File[ValID]
 	overflow error
 
-	uses   [][]int32 // per value: schedule positions of planned reads
+	// The schedule positions of every value's planned reads, in CSR
+	// form: value v's are uses[useOff[v]:useOff[v+1]], ascending, and
+	// usePtr[v] indexes the next one not yet consumed.
+	uses   []int32
+	useOff []int32
 	usePtr []int32
 
 	spillHint []int // first-fit cursor per bank, an index into spillRows
@@ -84,7 +88,7 @@ func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftO
 		resident:   make([]bool, nv),
 		spilled:    make([]bool, nv),
 		rf:         regfile.New[ValID](cfg.B, cfg.R, cfg.D),
-		uses:       make([][]int32, nv),
+		useOff:     make([]int32, nv+1),
 		usePtr:     make([]int32, nv),
 		spillHint:  make([]int, cfg.B),
 		pin:        make([]int32, nv),
@@ -95,14 +99,29 @@ func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftO
 	for i := range r.loc {
 		r.loc[i] = -1
 	}
-	for j, op := range sched {
-		if op == nil {
-			continue
-		}
-		for _, v := range op.reads {
-			r.uses[v] = append(r.uses[v], int32(j))
+	// Count the reads per value, give each value its run, then fill the
+	// runs in schedule order, with usePtr as the cursors.
+	for _, op := range sched {
+		if op != nil {
+			for _, v := range op.reads {
+				r.useOff[v+1]++
+			}
 		}
 	}
+	for v := range nv {
+		r.useOff[v+1] += r.useOff[v]
+	}
+	r.uses = make([]int32, r.useOff[nv])
+	copy(r.usePtr, r.useOff)
+	for j, op := range sched {
+		if op != nil {
+			for _, v := range op.reads {
+				r.uses[r.usePtr[v]] = int32(j)
+				r.usePtr[v]++
+			}
+		}
+	}
+	copy(r.usePtr, r.useOff)
 	return r
 }
 
@@ -111,8 +130,8 @@ func (r *regalloc) cycle() int { return len(r.out) }
 func (r *regalloc) bankOf(v ValID) int { return int(r.vals[v].bank) }
 
 func (r *regalloc) nextUse(v ValID) int32 {
-	if int(r.usePtr[v]) < len(r.uses[v]) {
-		return r.uses[v][r.usePtr[v]]
+	if r.usePtr[v] < r.useOff[v+1] {
+		return r.uses[r.usePtr[v]]
 	}
 	return useInf
 }
@@ -121,7 +140,7 @@ func (r *regalloc) nextUse(v ValID) int32 {
 // last planned one (→ valid_rst).
 func (r *regalloc) consume(v ValID) bool {
 	r.usePtr[v]++
-	return int(r.usePtr[v]) >= len(r.uses[v])
+	return r.usePtr[v] >= r.useOff[v+1]
 }
 
 // land records where a landing write went. Capacity planning makes a
