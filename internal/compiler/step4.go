@@ -50,7 +50,8 @@ type regalloc struct {
 
 	loc      []int16 // register address per resident value
 	resident []bool
-	spilled  []bool // evicted to memory; reload before the next use
+	held     []ValID // bank-major B×R: the value at each address, or InvalidVal
+	spilled  []bool  // evicted to memory; reload before the next use
 
 	// rf replays the hardware's allocation; a landing write carries the
 	// value it delivers, and land records where it went.
@@ -86,6 +87,7 @@ func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftO
 		cfg: cfg, vals: vals, spillBase: spillBase,
 		loc:        make([]int16, nv),
 		resident:   make([]bool, nv),
+		held:       make([]ValID, cfg.B*cfg.R),
 		spilled:    make([]bool, nv),
 		rf:         regfile.New[ValID](cfg.B, cfg.R, cfg.D),
 		useOff:     make([]int32, nv+1),
@@ -98,6 +100,9 @@ func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftO
 	}
 	for i := range r.loc {
 		r.loc[i] = -1
+	}
+	for i := range r.held {
+		r.held[i] = InvalidVal
 	}
 	// Count the reads per value, give each value its run, then fill the
 	// runs in schedule order, with usePtr as the cursors.
@@ -154,6 +159,7 @@ func (r *regalloc) land(bank, addr int, v ValID) {
 	}
 	r.loc[v] = int16(addr)
 	r.resident[v] = true
+	r.held[bank*r.cfg.R+addr] = v
 }
 
 // emit appends instr at the current cycle: frees apply now, writes land at
@@ -163,6 +169,7 @@ func (r *regalloc) emit(in *arch.Instr, frees []ValID, writes []pendingWrite, la
 	r.out = append(r.out, in)
 	for _, v := range frees {
 		r.rf.Free(r.bankOf(v), int(r.loc[v]))
+		r.held[r.bankOf(v)*r.cfg.R+int(r.loc[v])] = InvalidVal
 		r.resident[v] = false
 		r.loc[v] = -1
 	}
@@ -191,13 +198,12 @@ func (r *regalloc) busy(need []int, land int) bool {
 }
 
 // pickVictim selects the resident, unpinned value of bank with the
-// furthest next use. O(values); spills are rare at sane R.
+// furthest next use, the lowest value id among equals. O(R).
 func (r *regalloc) pickVictim(bank int, already []ValID) ValID {
 	best := InvalidVal
 	var bestUse int32 = -1
-	for v := range r.vals {
-		vid := ValID(v)
-		if !r.resident[vid] || r.bankOf(vid) != bank || r.pin[vid] == r.pinStamp {
+	for _, vid := range r.held[bank*r.cfg.R : (bank+1)*r.cfg.R] {
+		if vid == InvalidVal || r.pin[vid] == r.pinStamp {
 			continue
 		}
 		dup := false
@@ -210,7 +216,7 @@ func (r *regalloc) pickVictim(bank int, already []ValID) ValID {
 		if dup {
 			continue
 		}
-		if nu := r.nextUse(vid); nu > bestUse {
+		if nu := r.nextUse(vid); nu > bestUse || nu == bestUse && vid < best {
 			bestUse = nu
 			best = vid
 		}
