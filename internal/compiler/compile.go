@@ -25,21 +25,29 @@ func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
 }
 
 // Planned is a graph taken through steps 1–3 for one datapath (D, B,
-// topology) and options: the cut, expansion, bank allocation, draft and
-// its reordering — everything compilation decides before the register
-// file's size R enters, which only step 4 reads. Emit turns a plan into a
-// program for a given R without modifying it, so a design-space sweep
-// plans once per datapath and emits once per R.
+// topology) and options: the cut, expansion, bank allocation, and a
+// draft and its reordering per leaf layout — everything compilation
+// decides before the register file's size R enters, which only step 4
+// reads. Emit turns a plan into a program for a given R without
+// modifying it, so a design-space sweep plans once per datapath and
+// emits once per R.
 type Planned struct {
-	cfg     arch.Config // normalized, R zero
-	graph   *dag.Graph  // binarized
-	remap   []dag.NodeID
+	cfg   arch.Config // normalized, R zero
+	graph *dag.Graph  // binarized
+	remap []dag.NodeID
+	// drafts are the candidate layouts: first-fit, then the row layout
+	// when its image fits data memory and its schedule is shorter.
+	drafts  []*draft
+	elapsed time.Duration
+}
+
+// draft is steps 2c–3 under one leaf layout.
+type draft struct {
 	vals    []valInfo  // home bank and memory word of every value
 	rows    int        // memory rows the init/output region fills
 	sched   []*draftOp // step 3's order; nil entries are nop slots
 	outWord map[dag.NodeID]int
 	stats   Stats // what steps 1–3 counted
-	elapsed time.Duration
 }
 
 // Plan runs steps 1–3 of Compile for g under cfg and opts. cfg.R is not
@@ -71,7 +79,12 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.stats.Blocks = len(blocks)
+	base := Stats{Blocks: len(blocks)}
+	for i := 0; i < bg.NumNodes(); i++ {
+		if !bg.Op(dag.NodeID(i)).IsLeaf() {
+			base.Nodes++
+		}
+	}
 
 	exp := newExpansion(cfg, bg.NumNodes())
 	for _, b := range blocks {
@@ -85,32 +98,55 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 		return nil, err
 	}
 
-	ds := newDraftState(bg, cfg, ba, opts.Seed, &p.stats)
-	if p.outWord, err = ds.buildDraft(blocks); err != nil {
-		return nil, err
+	// Step 2c–3 per layout. The row layout needs one load per block but
+	// leaves the image sparse and can lengthen the schedule (loads were
+	// filling latency slots anyway), so it is a candidate only where it
+	// fits and its schedule is strictly shorter; Emit decides between the
+	// candidates by the cycles step 4 emits.
+	layouts := []leafLayout{layoutFirstFit, layoutRows}
+	if forcedLayout != layoutAuto {
+		layouts = []leafLayout{forcedLayout}
 	}
-	p.sched = reorder(ds.ops, len(ds.vals), cfg.D, cmp.Or(forcedWindow, reorderWindow))
-	p.vals, p.rows = ds.vals, ds.rows
-
-	for i := 0; i < bg.NumNodes(); i++ {
-		if !bg.Op(dag.NodeID(i)).IsLeaf() {
-			p.stats.Nodes++
+	for _, layout := range layouts {
+		d, err := newDraft(bg, cfg, layout, blocks, ba, opts.Seed, base)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if p.stats.Execs > 0 {
-		p.stats.MeanUtil /= float64(p.stats.Execs)
+		if len(p.drafts) > 0 && (d.rows*cfg.B > cfg.DataMemWords || len(d.sched) >= len(p.drafts[0].sched)) {
+			continue
+		}
+		p.drafts = append(p.drafts, d)
 	}
 	p.elapsed = time.Since(start)
 	return p, nil
 }
 
+// newDraft runs step 2c (the draft, laying leaves out by layout) and
+// step 3 (reordering) over the blocks.
+func newDraft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, ba *bankAlloc, seed int64, base Stats) (*draft, error) {
+	d := &draft{stats: base}
+	ds := newDraftState(bg, cfg, layout, ba, seed, &d.stats)
+	var err error
+	if d.outWord, err = ds.buildDraft(blocks); err != nil {
+		return nil, err
+	}
+	d.sched = reorder(ds.ops, len(ds.vals), cfg.D, cmp.Or(forcedWindow, reorderWindow))
+	d.vals, d.rows = ds.vals, ds.rows
+	if d.stats.Execs > 0 {
+		d.stats.MeanUtil /= float64(d.stats.Execs)
+	}
+	return d, nil
+}
+
 // Emit runs step 4 — register allocation, spilling and address
-// assignment — for r registers per bank, and builds the program. Spilling
-// gives values memory words in a spill region above the plan's rows, so
-// Emit works on its own copy of the plan's value table and its own spill
-// region. Each result owns its Prog, InputWord, ConstWord, OutputWord
-// and Stats; Graph and Remap are the plan's, shared by every program it
-// emits, and must not be modified.
+// assignment — for r registers per bank on every draft of the plan, and
+// builds the program of the one that emits the fewest instructions (the
+// first-fit draft on a tie; the first draft's error when none emits).
+// Spilling gives values memory words in a spill region above the draft's
+// rows, so each allocation works on its own copy of the draft's value
+// table and its own spill region. Each result owns its Prog, InputWord,
+// ConstWord, OutputWord and Stats; Graph and Remap are the plan's,
+// shared by every program it emits, and must not be modified.
 func (p *Planned) Emit(r int) (*Compiled, error) {
 	start := time.Now()
 	cfg := p.cfg
@@ -118,11 +154,32 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	stats := p.stats
-	ra := newRegalloc(cfg, slices.Clone(p.vals), p.rows, p.sched, &stats)
-	instrs, err := ra.run(p.sched)
-	if err != nil {
-		return nil, err
+	var (
+		best     *draft
+		bestRA   *regalloc
+		instrs   []*arch.Instr
+		stats    Stats
+		firstErr error
+	)
+	for _, d := range p.drafts {
+		st := d.stats
+		ra := newRegalloc(cfg, slices.Clone(d.vals), d.rows, d.sched, &st)
+		out, err := ra.run(d.sched)
+		if err == nil && (d.rows+len(ra.spillRows))*cfg.B > cfg.DataMemWords {
+			err = fmt.Errorf("compiler: memory image needs %d words, data memory holds %d", (d.rows+len(ra.spillRows))*cfg.B, cfg.DataMemWords)
+		}
+		if err != nil {
+			if d == p.drafts[0] {
+				firstErr = err
+			}
+			continue
+		}
+		if best == nil || len(out) < len(instrs) {
+			best, bestRA, instrs, stats = d, ra, out, st
+		}
+	}
+	if best == nil {
+		return nil, firstErr
 	}
 
 	prog := arch.NewProgram(cfg)
@@ -134,11 +191,8 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 
 	// Data-memory image: every touched row, including the spill region
 	// (zero-initialized), with constant leaves filled in.
-	bg, vals := p.graph, ra.vals
-	words := (p.rows + len(ra.spillRows)) * cfg.B
-	if words > cfg.DataMemWords {
-		return nil, fmt.Errorf("compiler: memory image needs %d words, data memory holds %d", words, cfg.DataMemWords)
-	}
+	bg, vals := p.graph, bestRA.vals
+	words := (best.rows + len(bestRA.spillRows)) * cfg.B
 	var constWord []int
 	for i := 0; i < bg.NumNodes(); i++ {
 		if bg.Op(dag.NodeID(i)) == dag.OpConst {
@@ -167,7 +221,7 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 		Remap:      p.remap,
 		InputWord:  inputWord,
 		ConstWord:  constWord,
-		OutputWord: maps.Clone(p.outWord),
+		OutputWord: maps.Clone(best.outWord),
 		Stats:      stats,
 		Revision:   Revision,
 	}, nil

@@ -3,6 +3,7 @@ package compiler_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -23,6 +24,48 @@ func build(t *testing.T, name string, scale float64) *dag.Graph {
 	return g
 }
 
+type selectionCase struct {
+	name string
+	g    *dag.Graph
+	cfg  arch.Config
+}
+
+// tableINames lists the twelve Table I graphs.
+func tableINames() []string {
+	var names []string
+	for _, s := range pc.Suite() {
+		names = append(names, s.Name)
+	}
+	for _, s := range sptrsv.Suite() {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// selectionCases are the 280 compiles the plan-selection guards run: the
+// Table I graphs at 0.05 and 0.1, four of them at 0.02 across the
+// design-space grid, and 64 480-node circuits.
+func selectionCases(t *testing.T) []selectionCase {
+	var cases []selectionCase
+	for _, scale := range []float64{0.05, 0.1} {
+		for _, name := range tableINames() {
+			cases = append(cases, selectionCase{fmt.Sprintf("%s@%g", name, scale), build(t, name, scale), arch.MinEDP()})
+		}
+	}
+	for _, name := range []string{"tretail", "msnbc", "dw2048", "bp_200"} {
+		g := build(t, name, 0.02)
+		for _, cfg := range dse.Grid() {
+			cases = append(cases, selectionCase{fmt.Sprintf("%s@0.02 %s", name, cfg), g, cfg})
+		}
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		g := pc.Generate(pc.Config{Vars: 8, TargetNodes: 480, TargetDepth: 12,
+			SumFanin: 3, Weighted: true, SkipProb: 0.15, Seed: 1000 + seed})
+		cases = append(cases, selectionCase{fmt.Sprintf("circuit-480/%d", seed), g, arch.MinEDP()})
+	}
+	return cases
+}
+
 // TestCutSelectionNeverWorse checks step 1's choice between the greedy and
 // the band cut against the greedy cut it replaced: on the Table I graphs,
 // four of them across the design-space grid, and a population of 480-node
@@ -30,36 +73,7 @@ func build(t *testing.T, name string, scale float64) *dag.Graph {
 // cut alone, and never fails where the greedy cut compiles. On a wide DAG
 // (tretail@0.25, the serve_batch graph) it must find the band cut's gain.
 func TestCutSelectionNeverWorse(t *testing.T) {
-	type tcase struct {
-		name string
-		g    *dag.Graph
-		cfg  arch.Config
-	}
-	var cases []tcase
-	var tableI []string
-	for _, s := range pc.Suite() {
-		tableI = append(tableI, s.Name)
-	}
-	for _, s := range sptrsv.Suite() {
-		tableI = append(tableI, s.Name)
-	}
-	for _, scale := range []float64{0.05, 0.1} {
-		for _, name := range tableI {
-			cases = append(cases, tcase{fmt.Sprintf("%s@%g", name, scale), build(t, name, scale), arch.MinEDP()})
-		}
-	}
-	for _, name := range []string{"tretail", "msnbc", "dw2048", "bp_200"} {
-		g := build(t, name, 0.02)
-		for _, cfg := range dse.Grid() {
-			cases = append(cases, tcase{fmt.Sprintf("%s@0.02 %s", name, cfg), g, cfg})
-		}
-	}
-	for seed := int64(0); seed < 64; seed++ {
-		g := pc.Generate(pc.Config{Vars: 8, TargetNodes: 480, TargetDepth: 12,
-			SumFanin: 3, Weighted: true, SkipProb: 0.15, Seed: 1000 + seed})
-		cases = append(cases, tcase{fmt.Sprintf("circuit-480/%d", seed), g, arch.MinEDP()})
-	}
-
+	cases := selectionCases(t)
 	gained := 0
 	for _, tc := range cases {
 		greedy, gerr := compiler.CompileCut(tc.g, tc.cfg, compiler.Options{}, compiler.CutGreedy)
@@ -94,5 +108,87 @@ func TestCutSelectionNeverWorse(t *testing.T) {
 	}
 	if chosen.Stats.Cycles > 190 {
 		t.Errorf("tretail@0.25: %d cycles, want ≤ 190", chosen.Stats.Cycles)
+	}
+}
+
+// TestPlanSelectionNeverWorse checks the choice between the two leaf
+// layouts against first-fit alone, the layout it replaced: over the
+// compiles of TestCutSelectionNeverWorse and the Table I graphs at 1.0
+// (outside -short), the chosen program never takes more cycles than the
+// first-fit one and never fails where first-fit compiles. The row
+// layout must win somewhere: at 0.1 it takes msnbc from 446 cycles to
+// 368.
+func TestPlanSelectionNeverWorse(t *testing.T) {
+	cases := selectionCases(t)
+	if !testing.Short() {
+		for _, name := range tableINames() {
+			cases = append(cases, selectionCase{name + "@1", build(t, name, 1), arch.MinEDP()})
+		}
+	}
+	gained := 0
+	for _, tc := range cases {
+		firstFit, ferr := compiler.CompileFirstFit(tc.g, tc.cfg, compiler.Options{})
+		chosen, err := compiler.Compile(tc.g, tc.cfg, compiler.Options{})
+		switch {
+		case err != nil && ferr == nil:
+			t.Errorf("%s: the chosen plan fails (%v), first-fit compiles", tc.name, err)
+			continue
+		case err != nil || ferr != nil:
+			continue // infeasible grid point
+		}
+		if chosen.Stats.Cycles > firstFit.Stats.Cycles {
+			t.Errorf("%s: the chosen plan takes %d cycles, first-fit %d", tc.name, chosen.Stats.Cycles, firstFit.Stats.Cycles)
+		}
+		if chosen.Stats.Cycles < firstFit.Stats.Cycles {
+			gained++
+		}
+		if tc.name == "msnbc@0.1" && chosen.Stats.Cycles > 368 {
+			t.Errorf("msnbc@0.1: %d cycles, want ≤ 368 (first-fit %d)", chosen.Stats.Cycles, firstFit.Stats.Cycles)
+		}
+	}
+	t.Logf("%d compiles, %d faster than first-fit", len(cases), gained)
+}
+
+// TestLargeSuiteCompiles: every large PC compiles at scale 0.1 on the
+// large configuration with the figures' partitioning. A sparser leaf
+// layout once overflowed data memory on munin and mildew here; a layout
+// whose image does not fit is no candidate.
+func TestLargeSuiteCompiles(t *testing.T) {
+	for _, s := range pc.LargeSuite() {
+		c, err := compiler.Compile(pc.Build(s, 0.1), arch.Large(), compiler.Options{PartitionSize: 20000})
+		if err != nil {
+			t.Errorf("%s@0.1: %v", s.Name, err)
+			continue
+		}
+		if words := len(c.Prog.InitMem); words > arch.Large().DataMemWords {
+			t.Errorf("%s@0.1: image of %d words, data memory holds %d", s.Name, words, arch.Large().DataMemWords)
+		}
+	}
+}
+
+// TestRowLayoutMustFitDataMemory: in a data memory only as large as the
+// first-fit image, the sparser row layout is no candidate and the graph
+// still compiles, to the first-fit program.
+func TestRowLayoutMustFitDataMemory(t *testing.T) {
+	g := build(t, "msnbc", 0.1)
+	firstFit, err := compiler.CompileFirstFit(g, arch.MinEDP(), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(roomy.Prog.InitMem) <= len(firstFit.Prog.InitMem) {
+		t.Fatalf("the chosen image (%d words) is no larger than first-fit's (%d): the check sees nothing", len(roomy.Prog.InitMem), len(firstFit.Prog.InitMem))
+	}
+	cfg := arch.MinEDP()
+	cfg.DataMemWords = len(firstFit.Prog.InitMem)
+	c, err := compiler.Compile(g, cfg, compiler.Options{})
+	if err != nil {
+		t.Fatalf("data memory of %d words: %v", cfg.DataMemWords, err)
+	}
+	if !reflect.DeepEqual(c.Prog.Instrs, firstFit.Prog.Instrs) || len(c.Prog.InitMem) > cfg.DataMemWords {
+		t.Errorf("data memory of %d words: %d cycles, image %d words; want the first-fit program (%d cycles)", cfg.DataMemWords, c.Stats.Cycles, len(c.Prog.InitMem), firstFit.Stats.Cycles)
 	}
 }

@@ -74,9 +74,24 @@ type valInfo struct {
 	word int32
 }
 
+// leafLayout is how step 2c lays leaves out in data memory. Plan drafts
+// both layouts and Emit keeps the program with fewer cycles.
+type leafLayout uint8
+
+const (
+	layoutAuto     leafLayout = iota // draft both, keep the faster (forcedLayout only)
+	layoutFirstFit                   // per-bank first-fit in first-use order
+	layoutRows                       // each block's new leaves share a row
+)
+
+// forcedLayout is a test hook: any layout but layoutAuto makes Plan
+// draft that layout alone.
+var forcedLayout leafLayout
+
 type draftState struct {
 	g        *dag.Graph
 	cfg      arch.Config
+	layout   leafLayout
 	rng      *rand.Rand
 	vals     []valInfo
 	ops      []*draftOp
@@ -88,6 +103,7 @@ type draftState struct {
 	rowHint []int
 	rowVals [][]ValID // leaf values placed per row (load grouping)
 	rows    int
+	pending []ValID // placeBlockRow's scratch: the block's leaves to place
 
 	loaded   []bool  // leaf already covered by a draft load
 	firstUse []int32 // leaf -> index of the first block consuming it
@@ -108,10 +124,10 @@ type draftState struct {
 	stats *Stats
 }
 
-func newDraftState(g *dag.Graph, cfg arch.Config, ba *bankAlloc, seed int64, stats *Stats) *draftState {
+func newDraftState(g *dag.Graph, cfg arch.Config, layout leafLayout, ba *bankAlloc, seed int64, stats *Stats) *draftState {
 	nv := g.NumNodes()
 	ds := &draftState{
-		g: g, cfg: cfg,
+		g: g, cfg: cfg, layout: layout,
 		rng:      rand.New(rand.NewSource(seed ^ 0x9e3779b9)),
 		vals:     make([]valInfo, nv),
 		writable: ba.writable,
@@ -140,45 +156,99 @@ func (ds *draftState) newTemp(bank int) ValID {
 	return ValID(len(ds.vals) - 1)
 }
 
-// firstFitWord claims the first free word in the bank's lane (a vector
-// load or store moves lane i to or from bank i) at or after the bank's
-// cursor, growing the memory image as needed, and returns it.
+// claim marks lanes of row r taken, growing the memory image as needed.
+// A bank's row hint is a row below which its lane is taken everywhere.
+func (ds *draftState) claim(r int, lanes uint64) {
+	for r >= len(ds.rowMask) {
+		ds.rowMask = append(ds.rowMask, 0)
+	}
+	ds.rowMask[r] |= lanes
+	for m := lanes; m != 0; m &= m - 1 {
+		if b := bits.TrailingZeros64(m); ds.rowHint[b] == r {
+			ds.rowHint[b] = r + 1
+		}
+	}
+	ds.rows = max(ds.rows, r+1)
+}
+
+// freeRow returns the first row whose lanes are all free (a vector load
+// or store moves lane i to or from bank i), searching from the highest
+// of their banks' row hints; a row past the image is free.
+func (ds *draftState) freeRow(lanes uint64) int {
+	r := 0
+	for m := lanes; m != 0; m &= m - 1 {
+		r = max(r, ds.rowHint[bits.TrailingZeros64(m)])
+	}
+	for r < len(ds.rowMask) && ds.rowMask[r]&lanes != 0 {
+		r++
+	}
+	return r
+}
+
+// firstFitWord claims the first free word in the bank's lane and
+// returns it.
 func (ds *draftState) firstFitWord(bank int) int32 {
-	r := ds.rowHint[bank]
-	for ; ; r++ {
-		if r >= len(ds.rowMask) {
-			ds.rowMask = append(ds.rowMask, 0)
-		}
-		if ds.rowMask[r]&(1<<uint(bank)) == 0 {
-			break
-		}
-	}
-	ds.rowMask[r] |= 1 << uint(bank)
-	ds.rowHint[bank] = r
-	if r+1 > ds.rows {
-		ds.rows = r + 1
-	}
+	r := ds.freeRow(1 << uint(bank))
+	ds.claim(r, 1<<uint(bank))
 	return int32(r*ds.cfg.B + bank)
 }
 
-// placeLeafWord assigns a leaf value its init-memory word; lane equals the
-// value's home bank because vector loads deliver lane i to bank i.
-func (ds *draftState) placeLeafWord(v ValID) {
-	if ds.vals[v].word >= 0 {
-		return
-	}
-	w := ds.firstFitWord(int(ds.vals[v].bank))
-	ds.vals[v].word = w
-	r := int(w) / ds.cfg.B
+// placeAt gives leaf v the word of row r in its home bank's lane, which
+// the caller has claimed; lane equals the home bank because vector loads
+// deliver lane i to bank i.
+func (ds *draftState) placeAt(v ValID, r int) {
+	ds.vals[v].word = int32(r*ds.cfg.B + int(ds.vals[v].bank))
 	for r >= len(ds.rowVals) {
 		ds.rowVals = append(ds.rowVals, nil)
 	}
 	ds.rowVals[r] = append(ds.rowVals[r], v)
 }
 
-// placeLeaves lays every leaf out in first-use order with per-bank
-// first-fit (lane must equal the home bank). Rows therefore mix lanes
-// whose first uses are spread over the schedule; the lookahead filter in
+// placeLeafWord assigns a leaf value its init-memory word by first-fit.
+func (ds *draftState) placeLeafWord(v ValID) {
+	if ds.vals[v].word >= 0 {
+		return
+	}
+	ds.placeAt(v, int(ds.firstFitWord(int(ds.vals[v].bank)))/ds.cfg.B)
+}
+
+// placeBlockRow lays the block's leaves that have no word yet out in
+// the first row whose lanes for all their banks are free, so one load
+// brings them in. Leaves sharing a bank (step 2 repairs those with
+// copies) go to the next such row.
+func (ds *draftState) placeBlockRow(b *Block) {
+	pend := ds.pending[:0]
+	for _, v := range b.Inputs {
+		if ds.vals[v].kind == vLeaf && ds.vals[v].word < 0 {
+			pend = append(pend, v)
+		}
+	}
+	ds.pending = pend
+	for len(pend) > 0 {
+		var lanes uint64
+		for _, v := range pend {
+			lanes |= 1 << uint(ds.vals[v].bank)
+		}
+		r := ds.freeRow(lanes)
+		ds.claim(r, lanes)
+		rest, placed := pend[:0], uint64(0)
+		for _, v := range pend {
+			if bit := uint64(1) << uint(ds.vals[v].bank); placed&bit == 0 {
+				placed |= bit
+				ds.placeAt(v, r)
+			} else {
+				rest = append(rest, v)
+			}
+		}
+		pend = rest
+	}
+}
+
+// placeLeaves lays every leaf out in first-use order. Under first-fit
+// each leaf takes the first free word of its bank's lane, so a block's
+// new leaves spread over several rows whose other lanes hold leaves
+// first used elsewhere in the schedule; under the row layout each
+// block's new leaves share a row. Either way the lookahead filter in
 // emitLoads decides which lanes ride along on each load, bounding both
 // load count and register pressure.
 func (ds *draftState) placeLeaves(blocks []*Block) {
@@ -190,7 +260,12 @@ func (ds *draftState) placeLeaves(blocks []*Block) {
 			if int32(bi) < ds.firstUse[v] {
 				ds.firstUse[v] = int32(bi)
 			}
-			ds.placeLeafWord(v)
+			if ds.layout == layoutFirstFit {
+				ds.placeLeafWord(v)
+			}
+		}
+		if ds.layout == layoutRows {
+			ds.placeBlockRow(b)
 		}
 	}
 }

@@ -34,3 +34,18 @@ func CompileWindow(g *dag.Graph, cfg arch.Config, opts Options, window int) (*Co
 	defer func() { forcedWindow = prev }()
 	return Compile(g, cfg, opts)
 }
+
+// CompileFirstFit is Compile with step 2c laying leaves out by first-fit
+// alone instead of choosing between the two layouts.
+func CompileFirstFit(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
+	defer setLayout(layoutFirstFit)()
+	return Compile(g, cfg, opts)
+}
+
+// setLayout forces Plan's leaf layout and returns the function that
+// restores the previous one.
+func setLayout(l leafLayout) (restore func()) {
+	prev := forcedLayout
+	forcedLayout = l
+	return func() { forcedLayout = prev }
+}
