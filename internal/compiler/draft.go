@@ -97,8 +97,8 @@ type draftState struct {
 	ops      []*draftOp
 	writable []uint64 // per PE id: the banks it can write
 
-	// init-region memory layout: per-row lane occupancy, and a per-bank
-	// cursor so first-fit stays O(1) amortized.
+	// init-region memory layout: per-row lane occupancy, and per bank a
+	// row below which its lane is taken, where every search starts.
 	rowMask []uint64
 	rowHint []int
 	rowVals [][]ValID // leaf values placed per row (load grouping)
@@ -157,7 +157,6 @@ func (ds *draftState) newTemp(bank int) ValID {
 }
 
 // claim marks lanes of row r taken, growing the memory image as needed.
-// A bank's row hint is a row below which its lane is taken everywhere.
 func (ds *draftState) claim(r int, lanes uint64) {
 	for r >= len(ds.rowMask) {
 		ds.rowMask = append(ds.rowMask, 0)

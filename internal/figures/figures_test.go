@@ -259,11 +259,11 @@ func optimumClaim(name string) claim {
 // fails TestPaperClaims until it is removed from here; a claim moves in
 // only by an edit that records what it reads.
 var knownGaps = map[string]string{
-	"fig14a: DPU-v2 mean > DPU mean":          "1.78 against 3.46 GOPS",
-	"table3: DPU-v2 EDP < DPU EDP":            "43.9 against 5.8 pJ*ns",
+	"fig14a: DPU-v2 mean > DPU mean":          "1.94 against 3.46 GOPS",
+	"table3: DPU-v2 EDP < DPU EDP":            "41.7 against 5.8 pJ*ns",
 	"fig11: min latency is the paper's point": "D=2,B=64,R=64 against D=3,B=64,R=128",
 	"fig11: min energy is the paper's point":  "D=2,B=32,R=16 against D=3,B=16,R=64",
-	"fig11: min EDP is the paper's point":     "D=2,B=64,R=16 against D=3,B=64,R=32",
+	"fig11: min EDP is the paper's point":     "D=2,B=32,R=16 against D=3,B=64,R=32",
 }
 
 // TestPaperClaims asserts every qualitative paper claim the harness
