@@ -19,7 +19,7 @@ type Result struct {
 
 // machines holds idle machines per normalized configuration, one
 // *sync.Pool each, so that Run builds a register file, landing ring and
-// data memory only when every machine of the configuration is busy.
+// data memory only when its configuration's pool has none idle.
 var machines sync.Map
 
 // Run executes a compiled program with the given DAG input values (in
