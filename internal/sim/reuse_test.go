@@ -125,8 +125,13 @@ func TestRunNeverReusesFaultedMachine(t *testing.T) {
 // TestRunSteadyStateAllocs: once a configuration's machine is pooled, a
 // run allocates only its Result (the struct, the outputs map and the
 // Instrs map; 5 allocations today), whatever the program's length. A
-// machine built per run costs about 25 more.
+// machine built per run costs about 25 more. Under the race detector
+// sync.Pool.Put drops one machine in four at random, so the count there
+// says nothing about reuse and the test skips.
 func TestRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
 	c := reuseProgram(t, 4, arch.MinEDP())
 	in := randInputs(c.Graph, 4)
 	if _, err := Run(c, in); err != nil {
