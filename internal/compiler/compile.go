@@ -104,8 +104,8 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	// fits and its schedule is strictly shorter; Emit decides between the
 	// candidates by the cycles step 4 emits.
 	layouts := []leafLayout{layoutFirstFit, layoutRows}
-	if forcedLayout != layoutAuto {
-		layouts = []leafLayout{forcedLayout}
+	if forceFirstFit {
+		layouts = layouts[:1]
 	}
 	for _, layout := range layouts {
 		d, err := newDraft(bg, cfg, layout, blocks, ba, opts.Seed, base)
@@ -142,6 +142,8 @@ func newDraft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block
 // assignment — for r registers per bank on every draft of the plan, and
 // builds the program of the one that emits the fewest instructions (the
 // first-fit draft on a tie; the first draft's error when none emits).
+// The drafts are emitted in order, and each stops once it is as long as
+// the shortest program before it.
 // Spilling gives values memory words in a spill region above the draft's
 // rows, so each allocation works on its own copy of the draft's value
 // table and its own spill region. Each result owns its Prog, InputWord,
@@ -163,8 +165,12 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	)
 	for _, d := range p.drafts {
 		st := d.stats
+		limit := math.MaxInt
+		if best != nil {
+			limit = len(instrs)
+		}
 		ra := newRegalloc(cfg, slices.Clone(d.vals), d.rows, d.sched, &st)
-		out, err := ra.run(d.sched)
+		out, err := ra.run(d.sched, limit)
 		if err == nil && (d.rows+len(ra.spillRows))*cfg.B > cfg.DataMemWords {
 			err = fmt.Errorf("compiler: memory image needs %d words, data memory holds %d", (d.rows+len(ra.spillRows))*cfg.B, cfg.DataMemWords)
 		}
@@ -174,9 +180,7 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 			}
 			continue
 		}
-		if best == nil || len(out) < len(instrs) {
-			best, bestRA, instrs, stats = d, ra, out, st
-		}
+		best, bestRA, instrs, stats = d, ra, out, st
 	}
 	if best == nil {
 		return nil, firstErr

@@ -79,14 +79,13 @@ type valInfo struct {
 type leafLayout uint8
 
 const (
-	layoutAuto     leafLayout = iota // draft both, keep the faster (forcedLayout only)
-	layoutFirstFit                   // per-bank first-fit in first-use order
+	layoutFirstFit leafLayout = iota // per-bank first-fit in first-use order
 	layoutRows                       // each block's new leaves share a row
 )
 
-// forcedLayout is a test hook: any layout but layoutAuto makes Plan
-// draft that layout alone.
-var forcedLayout leafLayout
+// forceFirstFit is a test hook: when set, Plan drafts the first-fit
+// layout alone.
+var forceFirstFit bool
 
 type draftState struct {
 	g        *dag.Graph

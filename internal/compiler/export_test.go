@@ -38,14 +38,8 @@ func CompileWindow(g *dag.Graph, cfg arch.Config, opts Options, window int) (*Co
 // CompileFirstFit is Compile with step 2c laying leaves out by first-fit
 // alone instead of choosing between the two layouts.
 func CompileFirstFit(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
-	defer setLayout(layoutFirstFit)()
+	prev := forceFirstFit
+	forceFirstFit = true
+	defer func() { forceFirstFit = prev }()
 	return Compile(g, cfg, opts)
-}
-
-// setLayout forces Plan's leaf layout and returns the function that
-// restores the previous one.
-func setLayout(l leafLayout) (restore func()) {
-	prev := forcedLayout
-	forcedLayout = l
-	return func() { forcedLayout = prev }
 }

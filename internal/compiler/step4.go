@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 
 	"dpuv2/internal/arch"
@@ -381,7 +382,13 @@ func (r *regalloc) reload(v ValID) error {
 
 // run processes the reordered schedule and produces the final instruction
 // list.
-func (r *regalloc) run(sched []*draftOp) ([]*arch.Instr, error) {
+// errNotShorter stops run once its program is as long as the limit it
+// was given: a program that long would lose to the one already emitted.
+var errNotShorter = errors.New("compiler: step 4 reached the length of a program already emitted")
+
+// run emits the schedule and returns the program, or errNotShorter as
+// soon as the program reaches limit instructions.
+func (r *regalloc) run(sched []*draftOp, limit int) ([]*arch.Instr, error) {
 	for _, op := range sched {
 		if op == nil {
 			// Scheduler nop slot: only emit it if a hazard actually
@@ -391,6 +398,9 @@ func (r *regalloc) run(sched []*draftOp) ([]*arch.Instr, error) {
 		}
 		if err := r.emitOp(op); err != nil {
 			return nil, err
+		}
+		if len(r.out) >= limit {
+			return nil, errNotShorter
 		}
 	}
 	return r.out, nil
