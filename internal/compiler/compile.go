@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -50,9 +49,29 @@ type draft struct {
 	stats   Stats // what steps 1–3 counted
 }
 
+// search is the space of mapping decisions Plan tries on every graph:
+// step 1's cuts (the shortest issue span is kept, the first on a tie),
+// step 2c's leaf layouts (Plan's rule) and step 3's reorder window.
+type search struct {
+	cuts    []cutPolicy
+	layouts []leafLayout
+	window  int
+}
+
+// fullSearch is Plan's space: both cuts, greedy first; both layouts,
+// first-fit first; and reorderWindow.
+func fullSearch() search {
+	return search{[]cutPolicy{cutGreedy, cutBand}, []leafLayout{layoutFirstFit, layoutRows}, reorderWindow}
+}
+
 // Plan runs steps 1–3 of Compile for g under cfg and opts. cfg.R is not
 // read: Emit supplies and checks it.
 func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
+	return plan(g, cfg, opts, fullSearch())
+}
+
+// plan is Plan over the search space s.
+func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, error) {
 	start := time.Now()
 	cfg = cfg.Normalize()
 	// Check everything but R with a legal stand-in, then zero it so that
@@ -75,7 +94,7 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	bg, remap := dag.Binarize(g)
 	p := &Planned{cfg: cfg, graph: bg, remap: remap}
 	keys := partitionKeys(bg, dag.DFSOrder(bg), opts.PartitionSize)
-	blocks, err := decompose(bg, cfg, keys)
+	blocks, err := decompose(bg, cfg, keys, s.cuts)
 	if err != nil {
 		return nil, err
 	}
@@ -103,12 +122,8 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 	// filling latency slots anyway), so it is a candidate only where it
 	// fits and its schedule is strictly shorter; Emit decides between the
 	// candidates by the cycles step 4 emits.
-	layouts := []leafLayout{layoutFirstFit, layoutRows}
-	if forceFirstFit {
-		layouts = layouts[:1]
-	}
-	for _, layout := range layouts {
-		d, err := newDraft(bg, cfg, layout, blocks, ba, opts.Seed, base)
+	for _, layout := range s.layouts {
+		d, err := newDraft(bg, cfg, layout, blocks, ba, opts.Seed, s.window, base)
 		if err != nil {
 			return nil, err
 		}
@@ -122,15 +137,15 @@ func Plan(g *dag.Graph, cfg arch.Config, opts Options) (*Planned, error) {
 }
 
 // newDraft runs step 2c (the draft, laying leaves out by layout) and
-// step 3 (reordering) over the blocks.
-func newDraft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, ba *bankAlloc, seed int64, base Stats) (*draft, error) {
+// step 3 (reordering within window) over the blocks.
+func newDraft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, ba *bankAlloc, seed int64, window int, base Stats) (*draft, error) {
 	d := &draft{stats: base}
 	ds := newDraftState(bg, cfg, layout, ba, seed, &d.stats)
 	var err error
 	if d.outWord, err = ds.buildDraft(blocks); err != nil {
 		return nil, err
 	}
-	d.sched = reorder(ds.ops, len(ds.vals), cfg.D, cmp.Or(forcedWindow, reorderWindow))
+	d.sched = reorder(ds.ops, len(ds.vals), cfg.D, window)
 	d.vals, d.rows = ds.vals, ds.rows
 	if d.stats.Execs > 0 {
 		d.stats.MeanUtil /= float64(d.stats.Execs)

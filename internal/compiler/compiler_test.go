@@ -18,22 +18,19 @@ func testGraph(seed int64, n int) *dag.Graph {
 
 func decomposeFor(t *testing.T, g *dag.Graph, cfg arch.Config) []*Block {
 	t.Helper()
-	return decomposeWith(t, g, cfg, Options{})
+	return decomposeWith(t, g, cfg, Options{}, fullSearch().cuts)
 }
 
-// cutPolicies is every way decompose can cut: its own choice, and each
-// cut forced through the test hook.
-var cutPolicies = []struct {
+// cutSpaces is every cut list decompose is run with: Plan's, which
+// chooses between the two cuts, and each cut alone.
+var cutSpaces = []struct {
 	name string
-	cut  cutPolicy
-}{{"chosen", cutAuto}, {"greedy", cutGreedy}, {"band", cutBand}}
+	cuts []cutPolicy
+}{{"chosen", fullSearch().cuts}, {"greedy", []cutPolicy{cutGreedy}}, {"band", []cutPolicy{cutBand}}}
 
-// forceCut makes decompose cut with policy p until the test ends.
-func forceCut(t *testing.T, p cutPolicy) { t.Cleanup(setCut(p)) }
-
-func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options) []*Block {
+func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options, cuts []cutPolicy) []*Block {
 	t.Helper()
-	blocks, err := decompose(g, cfg.Normalize(), partitionKeys(g, dag.DFSOrder(g), opts.PartitionSize))
+	blocks, err := decompose(g, cfg.Normalize(), partitionKeys(g, dag.DFSOrder(g), opts.PartitionSize), cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +73,11 @@ func TestDecomposeInvariants(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range cutPolicies {
+	for _, p := range cutSpaces {
 		t.Run(p.name, func(t *testing.T) {
-			forceCut(t, p.cut)
+			t.Parallel()
 			for ci, tc := range cases {
-				checkDecomposition(t, ci, tc.g, tc.cfg.Normalize(), decomposeWith(t, tc.g, tc.cfg, tc.opts))
+				checkDecomposition(t, ci, tc.g, tc.cfg.Normalize(), decomposeWith(t, tc.g, tc.cfg, tc.opts, p.cuts))
 			}
 		})
 	}
@@ -252,15 +249,17 @@ func TestCompileDeterministic(t *testing.T) {
 	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}
 	tight := arch.Config{D: 3, B: 16, R: 6, Output: arch.OutPerLayer}
 	tretail := pc.Build(pc.Suite()[0], 0.25)
-	for _, p := range cutPolicies {
+	for _, p := range cutSpaces {
 		t.Run(p.name, func(t *testing.T) {
-			forceCut(t, p.cut)
-			checkCompileDeterministic(t, tretail, cfg, tight)
+			t.Parallel()
+			s := fullSearch()
+			s.cuts = p.cuts
+			checkCompileDeterministic(t, tretail, cfg, tight, s)
 		})
 	}
 }
 
-func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch.Config) {
+func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch.Config, s search) {
 	for _, tc := range []struct {
 		name string
 		g    *dag.Graph
@@ -274,7 +273,7 @@ func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch
 		// gathered in decides how they pack into stores.
 		{"tretail@0.25 spilling", tretail, tight, Options{}},
 	} {
-		a, err := Compile(tc.g, tc.cfg, tc.opts)
+		a, err := compile(tc.g, tc.cfg, tc.opts, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +281,7 @@ func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch
 			t.Errorf("%s: no spills, the case is vacuous", tc.name)
 		}
 		for i := 0; i < 3; i++ {
-			b, err := Compile(tc.g, tc.cfg, tc.opts)
+			b, err := compile(tc.g, tc.cfg, tc.opts, s)
 			if err != nil {
 				t.Fatal(err)
 			}

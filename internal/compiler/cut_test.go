@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -15,7 +16,7 @@ import (
 	"dpuv2/internal/suite"
 )
 
-func build(t *testing.T, name string, scale float64) *dag.Graph {
+func build(t testing.TB, name string, scale float64) *dag.Graph {
 	t.Helper()
 	g, err := suite.Build(name, scale)
 	if err != nil {
@@ -190,5 +191,113 @@ func TestRowLayoutMustFitDataMemory(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.Prog.Instrs, firstFit.Prog.Instrs) || len(c.Prog.InitMem) > cfg.DataMemWords {
 		t.Errorf("data memory of %d words: %d cycles, image %d words; want the first-fit program (%d cycles)", cfg.DataMemWords, c.Stats.Cycles, len(c.Prog.InitMem), firstFit.Stats.Cycles)
+	}
+}
+
+// searchSpaces are Compile and the narrower search spaces the tests
+// compile under: each cut alone, first-fit alone and step 3's window 30.
+var searchSpaces = []struct {
+	name    string
+	compile func(*dag.Graph, arch.Config, compiler.Options) (*compiler.Compiled, error)
+}{
+	{"chosen", compiler.Compile},
+	{"greedy", func(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
+		return compiler.CompileCut(g, cfg, opts, compiler.CutGreedy)
+	}},
+	{"band", func(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
+		return compiler.CompileCut(g, cfg, opts, compiler.CutBand)
+	}},
+	{"first-fit", compiler.CompileFirstFit},
+	{"window30", func(g *dag.Graph, cfg arch.Config, opts compiler.Options) (*compiler.Compiled, error) {
+		return compiler.CompileWindow(g, cfg, opts, 30)
+	}},
+}
+
+// TestConcurrentSearchSpaces compiles two graphs under Plan's search space
+// and four narrower ones from 8 goroutines at once: each search space is a
+// value handed to the planner, so no compile can see another's, and each
+// result must equal its sequential run.
+func TestConcurrentSearchSpaces(t *testing.T) {
+	type job struct {
+		name string
+		run  func() (*compiler.Compiled, error)
+	}
+	var jobs []job
+	for _, gs := range []struct {
+		name  string
+		scale float64
+	}{{"tretail", 0.25}, {"msnbc", 0.1}} {
+		g := build(t, gs.name, gs.scale)
+		for _, s := range searchSpaces {
+			jobs = append(jobs, job{fmt.Sprintf("%s@%g %s", gs.name, gs.scale, s.name), func() (*compiler.Compiled, error) {
+				return s.compile(g, arch.MinEDP(), compiler.Options{})
+			}})
+		}
+	}
+	want := make([]*compiler.Compiled, len(jobs))
+	for i, j := range jobs {
+		c, err := j.run()
+		if err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		want[i] = c
+	}
+
+	const workers = 8
+	errs := make(chan error, workers*len(jobs))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each worker starts at its own job, so different search
+			// spaces are in flight at once.
+			for k := range jobs {
+				i := (w + k) % len(jobs)
+				c, err := jobs[i].run()
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("%s: %v", jobs[i].name, err)
+				case !bytes.Equal(c.Prog.Pack(), want[i].Prog.Pack()) ||
+					!reflect.DeepEqual(c.Prog.InitMem, want[i].Prog.InitMem) ||
+					c.Stats.Cycles != want[i].Stats.Cycles:
+					errs <- fmt.Errorf("%s: concurrent compile differs from its sequential run", jobs[i].name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// BenchmarkSearchSpaces compiles each Table I graph at scale 0.1 and 1.0
+// under min-EDP in every search space of searchSpaces and reports the
+// program's cycles, loads and spill stores: the per-graph tables of
+// DESIGN.md's compiler section. One compile per case is enough, the
+// counts are exact:
+//
+//	go test -run '^$' -bench SearchSpaces -benchtime 1x ./internal/compiler
+func BenchmarkSearchSpaces(b *testing.B) {
+	for _, scale := range []float64{0.1, 1} {
+		for _, name := range tableINames() {
+			g := build(b, name, scale)
+			for _, s := range searchSpaces {
+				b.Run(fmt.Sprintf("%s@%g/%s", name, scale, s.name), func(b *testing.B) {
+					var c *compiler.Compiled
+					for range b.N {
+						var err error
+						if c, err = s.compile(g, arch.MinEDP(), compiler.Options{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(c.Stats.Cycles), "cycles")
+					b.ReportMetric(float64(c.Stats.Loads), "loads")
+					b.ReportMetric(float64(c.Stats.SpillStores), "spills")
+				})
+			}
+		}
 	}
 }

@@ -83,10 +83,6 @@ const (
 	layoutRows                       // each block's new leaves share a row
 )
 
-// forceFirstFit is a test hook: when set, Plan drafts the first-fit
-// layout alone.
-var forceFirstFit bool
-
 type draftState struct {
 	g        *dag.Graph
 	cfg      arch.Config

@@ -11,35 +11,35 @@ const (
 	CutBand   = cutBand
 )
 
-// CompileCut is Compile with step 1 forced to one cut policy instead of
-// choosing between the two.
-func CompileCut(g *dag.Graph, cfg arch.Config, opts Options, cut cutPolicy) (*Compiled, error) {
-	defer setCut(cut)()
-	return Compile(g, cfg, opts)
+// compile is Compile over the search space s.
+func compile(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Compiled, error) {
+	p, err := plan(g, cfg, opts, s)
+	if err != nil {
+		return nil, err
+	}
+	return p.Emit(cfg.R)
 }
 
-// setCut forces decompose's cut policy and returns the function that
-// restores the previous one.
-func setCut(p cutPolicy) (restore func()) {
-	prev := forcedCut
-	forcedCut = p
-	return func() { forcedCut = prev }
+// CompileCut is Compile with step 1 making one cut instead of choosing
+// between the two.
+func CompileCut(g *dag.Graph, cfg arch.Config, opts Options, cut cutPolicy) (*Compiled, error) {
+	s := fullSearch()
+	s.cuts = []cutPolicy{cut}
+	return compile(g, cfg, opts, s)
 }
 
 // CompileWindow is Compile with step 3's reorder window set to window
 // instead of reorderWindow (the window ablation).
 func CompileWindow(g *dag.Graph, cfg arch.Config, opts Options, window int) (*Compiled, error) {
-	prev := forcedWindow
-	forcedWindow = window
-	defer func() { forcedWindow = prev }()
-	return Compile(g, cfg, opts)
+	s := fullSearch()
+	s.window = window
+	return compile(g, cfg, opts, s)
 }
 
 // CompileFirstFit is Compile with step 2c laying leaves out by first-fit
 // alone instead of choosing between the two layouts.
 func CompileFirstFit(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
-	prev := forceFirstFit
-	forceFirstFit = true
-	defer func() { forceFirstFit = prev }()
-	return Compile(g, cfg, opts)
+	s := fullSearch()
+	s.layouts = []leafLayout{layoutFirstFit}
+	return compile(g, cfg, opts, s)
 }

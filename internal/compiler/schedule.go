@@ -46,18 +46,14 @@ const coneWindow = 16
 // weighs for a block's seed cone, and fillLookahead how many it may pass
 // over while filling the block's other slots. Like coneWindow they are
 // constants, not Options fields: Options is part of every program's
-// content address, and no other value is worth a key of its own —
-// windows of 300 and above emit the same programs, and smaller windows and
-// other lookaheads cost cycles on most graphs (DESIGN.md "Why the window").
+// content address. The paper's window is not the fastest one here: window
+// 30 is faster on tretail@0.25 and on the SpTRSV graphs at scale 1.0, and
+// slower on some grid points (DESIGN.md "Step 3: the reorder window").
 const (
 	reorderWindow = 300
 	seedLookahead = 16
 	fillLookahead = 24
 )
-
-// forcedWindow is a test hook for the window ablation: a nonzero value
-// replaces reorderWindow.
-var forcedWindow int
 
 // coneSched is the list scheduler's state. All per-cone state is dense,
 // indexed by the cone's position in the DFS cut.

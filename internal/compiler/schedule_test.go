@@ -150,7 +150,6 @@ func BenchmarkCompileMsnbc(b *testing.B) {
 // the greedy cut, which is what the allocator is pinned on whichever cut
 // step 1 chooses.
 func TestBankAssignmentGolden(t *testing.T) {
-	forceCut(t, cutGreedy)
 	cfg := arch.MinEDP()
 	for _, tc := range []struct {
 		name      string
@@ -165,7 +164,7 @@ func TestBankAssignmentGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		bg := binarized(g)
-		blocks := decomposeFor(t, bg, cfg)
+		blocks := decomposeWith(t, bg, cfg, Options{}, []cutPolicy{cutGreedy})
 		exp := newExpansion(cfg, bg.NumNodes())
 		for _, b := range blocks {
 			if err := exp.expand(bg, b); err != nil {

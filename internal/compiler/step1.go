@@ -38,21 +38,16 @@ import (
 // instead of the one or two a cone cut at a misaligned level gives. It
 // wins where the DAG is wide; where the graph is one chain, a cone
 // straddling two bands is exactly what is wanted and the greedy cut wins.
-// decompose cuts both ways and keeps the cut whose block order issues
-// sooner.
+// decompose cuts each way the search lists and keeps the cut whose block
+// order issues sooner.
 
 // cutPolicy selects the nodes step 1a's candidate heap accepts.
 type cutPolicy uint8
 
 const (
-	cutAuto   cutPolicy = iota // cut both ways, keep the shorter schedule
-	cutGreedy                  // every schedulable node
+	cutGreedy cutPolicy = iota // every schedulable node
 	cutBand                    // band level 0 only
 )
-
-// forcedCut is a test hook: any policy but cutAuto makes decompose cut
-// that way alone.
-var forcedCut cutPolicy
 
 // idHeap is a binary min-heap of int32 ids ordered by less. Hand-rolled
 // because container/heap boxes every pushed id into an interface.
@@ -369,28 +364,27 @@ func (d *decomposer) commit(cones []Subgraph, work []dag.NodeID) []dag.NodeID {
 	return work
 }
 
-// decompose runs step 1 and returns the block list in schedule order. At
-// D ≥ 2 it cuts the DAG both ways and keeps the cut whose block order
-// issues its last exec sooner, the greedy cut on a tie; at D = 1 every
-// node is band level 0 and the two cuts are one.
-func decompose(g *dag.Graph, cfg arch.Config, keys []int64) ([]*Block, error) {
+// decompose runs step 1 and returns the block list in schedule order. It
+// cuts the DAG under each of cuts and keeps the cut whose block order
+// issues its last exec soonest, the first on a tie; at D = 1 every node is
+// band level 0 and all cuts are one, so only the first is made.
+func decompose(g *dag.Graph, cfg arch.Config, keys []int64, cuts []cutPolicy) ([]*Block, error) {
 	d := newDecomposer(g, cfg, keys)
-	if forcedCut != cutAuto {
-		blocks, _, err := d.cut(forcedCut)
-		return blocks, err
+	var best []*Block
+	var bestSpan int32
+	for i, p := range cuts {
+		if i > 0 && cfg.D < 2 {
+			break
+		}
+		blocks, span, err := d.cut(p)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 || span < bestSpan {
+			best, bestSpan = blocks, span
+		}
 	}
-	greedy, span, err := d.cut(cutGreedy)
-	if err != nil || cfg.D < 2 {
-		return greedy, err
-	}
-	band, bandSpan, err := d.cut(cutBand)
-	if err != nil {
-		return nil, err
-	}
-	if bandSpan < span {
-		return band, nil
-	}
-	return greedy, nil
+	return best, nil
 }
 
 // cut runs steps 1a and 1b under policy and returns the executed blocks

@@ -66,8 +66,7 @@ const Revision = 2
 
 // Options tunes compilation. The zero value is the paper's configuration.
 // Every field is part of the program's content address (.dpuprog and every
-// cache key); the search bounds of steps 1 and 3 are constants (see
-// reorderWindow).
+// cache key); the search bounds of steps 1 and 3 are constants.
 type Options struct {
 	// Seed drives the randomized tie-breaks of the bank allocator
 	// (objective J spreads values by choosing uniformly among compatible
