@@ -6,6 +6,7 @@
 //   - every top-level declaration in a non-test file under internal/ is
 //     named in some non-test file other than where a declaration names it;
 //   - the test-support packages are imported only from _test.go files;
+//   - no test file assigns a top-level var of a non-test file;
 //   - every -run and -fuzz pattern in the CI workflow selects a test.
 package lint
 
@@ -88,7 +89,9 @@ func load(root string) (*module, error) {
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
+		// Object resolution marks each identifier declared in its own
+		// file, which testWrites needs to tell a local from a package var.
+		f, err := parser.ParseFile(m.fset, p, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -230,6 +233,91 @@ func supportImports(m *module) []string {
 	return out
 }
 
+// testWrites reports each statement of a test file that assigns a
+// top-level var of a non-test file: v = …, v op= …, v++, v-- or a range
+// assignment, on v in its own package or on pkg.V from another package's
+// tests. A package var that a test sets is a second way to configure the
+// code under test, and nothing that reads it may run beside that test.
+// A name declared in the test file itself (a local, a parameter) is
+// resolved by the parser and is not a package var of another file.
+func testWrites(m *module) []string {
+	vars := make(map[string]map[string]bool) // package dir → non-test vars
+	pkgName := make(map[string]string)       // package dir → its non-test package name
+	for _, f := range m.files {
+		if f.test {
+			continue
+		}
+		pkgName[f.dir] = f.ast.Name.Name
+		for _, d := range f.ast.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if vars[f.dir] == nil {
+							vars[f.dir] = make(map[string]bool)
+						}
+						vars[f.dir][id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	var out []string
+	for _, f := range m.files {
+		if !f.test {
+			continue
+		}
+		imports := make(map[string]string) // local name → package dir
+		for _, imp := range f.ast.Imports {
+			if dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, "`\""), m.path+"/"); ok {
+				name := pkgName[dir]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imports[name] = dir
+			}
+		}
+		check := func(lhs ast.Expr) {
+			dir, name := "", ""
+			switch x := lhs.(type) {
+			case *ast.Ident:
+				if x.Obj == nil && f.ast.Name.Name == pkgName[f.dir] {
+					dir, name = f.dir, x.Name
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && pkg.Obj == nil {
+					dir, name = imports[pkg.Name], x.Sel.Name
+				}
+			}
+			if name != "" && vars[dir][name] {
+				pos := m.fset.Position(lhs.Pos())
+				out = append(out, fmt.Sprintf("%s:%d: test assigns %s, a package var of %s", f.rel, pos.Line, name, dir))
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				if s.Tok != token.DEFINE {
+					for _, lhs := range s.Lhs {
+						check(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				check(s.X)
+			case *ast.RangeStmt:
+				if s.Tok == token.ASSIGN {
+					for _, lhs := range []ast.Expr{s.Key, s.Value} {
+						if lhs != nil {
+							check(lhs)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
 // selectorRE finds a -run or -fuzz flag and its pattern, quoted or bare.
 var selectorRE = regexp.MustCompile(`-(run|fuzz)[ =]('[^']*'|"[^"]*"|\S+)`)
 
@@ -325,6 +413,9 @@ func TestRepoInvariants(t *testing.T) {
 	for _, msg := range supportImports(m) {
 		t.Error(msg)
 	}
+	for _, msg := range testWrites(m) {
+		t.Error(msg)
+	}
 	msgs, err := ciSelectors(m, ".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
@@ -349,8 +440,12 @@ func TestRulesCatchPlants(t *testing.T) {
 		}
 	}
 	write("go.mod", "module planted\n\ngo 1.24\n")
-	write("internal/a/a.go", "package a\n\nfunc Used() int { return 1 }\n\nfunc Unused() int { return 2 }\n")
-	write("internal/a/a_test.go", "package a\n\nimport \"testing\"\n\nfunc TestHere(t *testing.T) { _ = Unused() }\n")
+	write("internal/a/a.go", "package a\n\nfunc Used() int { return 1 + hook + Hook }\n\nfunc Unused() int { return 2 }\n\nvar hook, Hook int\n")
+	// Two writes to package vars, in-package and from an external test;
+	// the shadowing local and parameter are not package vars.
+	write("internal/a/a_test.go", "package a\n\nimport \"testing\"\n\nfunc TestHere(t *testing.T) { _ = Unused(); hook = 2 }\n\n"+
+		"func TestLocal(t *testing.T) { hook := 0; hook++; func(Hook int) { Hook += hook }(1) }\n")
+	write("internal/a/ext_test.go", "package a_test\n\nimport (\n\t\"testing\"\n\n\t\"planted/internal/a\"\n)\n\nfunc TestExt(t *testing.T) { a.Hook++ }\n")
 	write("internal/metrics/promtest/p.go", "package promtest\n\nfunc Parse() int { return 3 }\n")
 	write("cmd/x/main.go", "package main\n\nimport (\n\t\"planted/internal/a\"\n\t\"planted/internal/metrics/promtest\"\n)\n\n"+
 		"func main() { _ = a.Used() + promtest.Parse() }\n")
@@ -364,9 +459,11 @@ func TestRulesCatchPlants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := append(append(unused(m), supportImports(m)...), sels...)
+	got := append(append(append(unused(m), supportImports(m)...), testWrites(m)...), sels...)
 	want := []string{
 		"internal/a/a.go:5: Unused has no non-test use",
+		"internal/a/a_test.go:5: test assigns hook, a package var of internal/a",
+		"internal/a/ext_test.go:9: test assigns Hook, a package var of internal/a",
 		"cmd/x/main.go: non-test file imports test-support package planted/internal/metrics/promtest",
 		`ci.yml:1: -run alternative "TestGone" selects no test`,
 		`ci.yml:2: -fuzz alternative "FuzzMissing" selects no test`,
