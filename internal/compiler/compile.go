@@ -50,8 +50,8 @@ type draft struct {
 }
 
 // search is the space of mapping decisions Plan tries on every graph:
-// step 1's cuts (the shortest issue span is kept, the first on a tie),
-// step 2c's leaf layouts (Plan's rule) and step 3's reorder window.
+// step 1's cuts (the shortest issue span wins, the first on a tie), step
+// 2c's leaf layouts (the first is always kept) and step 3's window.
 type search struct {
 	cuts    []cutPolicy
 	layouts []leafLayout
