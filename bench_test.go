@@ -348,15 +348,13 @@ func BenchmarkServeConcurrent(b *testing.B) {
 }
 
 // TestServeBatchHotPathAllocZero pins the engine's serial batch path:
-// a warmed ExecuteBatchInto on a one-worker engine runs inline on the
-// caller's goroutine and must not allocate at all, whatever the batch
-// size. dpu-serve's engine runs GOMAXPROCS workers and takes this path
-// too for a batch of up to one evaluator pass (32 vectors); longer
-// batches take the parallel path that TestServeBatchParallelAllocCeiling
-// pins.
+// a warmed ExecuteBatchInto of up to one evaluator pass (32 vectors)
+// runs inline on the caller's goroutine, whatever the core count, and
+// must not allocate at all. Longer batches take the parallel path that
+// TestServeBatchParallelAllocCeiling pins.
 func TestServeBatchHotPathAllocZero(t *testing.T) {
 	const n = 16
-	if allocs := batchExecuteAllocs(t, engine.Options{Workers: 1}, n); allocs > 0 {
+	if allocs := batchExecuteAllocs(t, n); allocs > 0 {
 		t.Errorf("serial batch path allocates %v objects per %d-item batch, want 0", allocs, n)
 	}
 }
@@ -374,7 +372,7 @@ func TestServeBatchParallelAllocCeiling(t *testing.T) {
 		t.Skip("GOMAXPROCS 1: the default engine runs batches serially")
 	}
 	const n = 64
-	allocs := batchExecuteAllocs(t, engine.Options{}, n)
+	allocs := batchExecuteAllocs(t, n)
 	if ceiling := float64(3 + min(workers, 2) + 3); allocs > ceiling {
 		t.Errorf("parallel batch path allocates %v objects per %d-item batch at %d workers, ceiling %v",
 			allocs, n, workers, ceiling)
@@ -382,10 +380,10 @@ func TestServeBatchParallelAllocCeiling(t *testing.T) {
 }
 
 // batchExecuteAllocs measures the allocations of one warmed n-item
-// ExecuteBatchInto on an engine built with opts.
-func batchExecuteAllocs(t *testing.T, opts engine.Options, n int) float64 {
+// ExecuteBatchInto on a default engine.
+func batchExecuteAllocs(t *testing.T, n int) float64 {
 	g, in, cfg := serveConcurrentWorkload()
-	eng := engine.New(opts)
+	eng := engine.New(engine.Options{})
 	c, err := eng.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +416,7 @@ func batchExecuteAllocs(t *testing.T, opts engine.Options, n int) float64 {
 // bookkeeping fails here.
 func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
-	eng := engine.New(engine.Options{Workers: 1})
+	eng := engine.New(engine.Options{})
 	sch := sched.New(eng, sched.Options{})
 	defer sch.Close()
 	vecs := [][]float64{in}
@@ -448,7 +446,7 @@ func TestSchedulerSubmitAllocCeiling(t *testing.T) {
 // path.
 func TestSchedulerSubmitTracedAllocCeiling(t *testing.T) {
 	g, in, cfg := serveConcurrentWorkload()
-	eng := engine.New(engine.Options{Workers: 1})
+	eng := engine.New(engine.Options{})
 	sch := sched.New(eng, sched.Options{})
 	defer sch.Close()
 	vecs := [][]float64{in}

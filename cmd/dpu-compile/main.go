@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	b := fs.Int("b", 64, "register banks B")
 	r := fs.Int("r", 32, "registers per bank R")
 	out := fs.String("o", "", "write the program to this file (*.dpuprog: versioned artifact; otherwise raw packed binary)")
-	seed := fs.Int64("seed", 0, "compiler randomization seed")
 	part := fs.Int("partition", 0, "coarse partition size (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -73,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	cfg := arch.Config{D: *d, B: *b, R: *r, Output: arch.OutPerLayer}
-	opts := compiler.Options{Seed: *seed, PartitionSize: *part}
+	opts := compiler.Options{PartitionSize: *part}
 	c, err := compiler.Compile(g, cfg, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	d := fs.Int("d", 3, "tree depth D")
 	b := fs.Int("b", 64, "register banks B")
 	r := fs.Int("r", 32, "registers per bank R")
-	seed := fs.Int64("seed", 0, "input/compiler seed")
+	seed := fs.Int64("seed", 0, "input seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0 // -h is a successful usage request, not a mistake
@@ -63,13 +63,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "dpu-sim: -%s conflicts with -artifact (the artifact carries its own workload and configuration)\n", conflict)
 			return 2
 		}
-		f, err := os.Open(*artifactPath)
+		raw, err := os.ReadFile(*artifactPath)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		a, err := artifact.Decode(f)
-		f.Close()
+		a, err := artifact.DecodeBytes(raw)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -94,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		cfg = arch.Config{D: *d, B: *b, R: *r, Output: arch.OutPerLayer}
-		c, err = compiler.Compile(g, cfg, compiler.Options{Seed: *seed})
+		c, err = compiler.Compile(g, cfg, compiler.Options{})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "workload:    %s, %d ops on %v\n", c.Graph.Name, c.Stats.Nodes, cfg.Normalize())
 	fmt.Fprintf(stdout, "verified:    %d outputs match the reference evaluator exactly\n", len(res.Outputs))
 	fmt.Fprintf(stdout, "cycles:      %d (%d instructions + pipeline drain)\n", res.Stats.Cycles, c.Stats.Instructions)
-	fmt.Fprintf(stdout, "throughput:  %.3f GOPS at %.0f MHz\n", est.ThroughputGOP, cfg.Normalize().ClockMHz)
+	fmt.Fprintf(stdout, "throughput:  %.3f GOPS at %d MHz\n", est.ThroughputGOP, energy.ClockMHz)
 	fmt.Fprintf(stdout, "power:       %.1f mW (modeled, 28nm)\n", est.PowerMW)
 	fmt.Fprintf(stdout, "energy/op:   %.2f pJ, EDP %.2f pJ*ns\n", est.EnergyPerOp, est.EDP)
 	fmt.Fprintf(stdout, "reg traffic: %d reads, %d writes; memory %d reads, %d writes\n",

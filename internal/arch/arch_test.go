@@ -519,7 +519,7 @@ func writableBanks(c Config, p PE) []int {
 		for j := p.Index << uint(p.Layer); j < (p.Index+1)<<uint(p.Layer); j++ {
 			banks = append(banks, base+j)
 		}
-	case OutPerPE, OutOneToOne:
+	case OutPerPE:
 		for b := 0; b < c.B; b++ {
 			if bp, ok := c.bankPE(b); ok && bp == p {
 				banks = append(banks, b)

@@ -12,9 +12,9 @@ package arch
 import "fmt"
 
 // OutputTopology selects the PE-output → register-bank interconnect of
-// fig. 6. The input interconnect is a full crossbar for all supported
-// designs (a)–(c); design (d) removes it and is modeled for completeness
-// but rejected by the compiler, as in the paper.
+// fig. 6. The input interconnect is a full crossbar in every design.
+// Fig. 6(d), which also removes the input crossbar, is not modeled: the
+// paper rejects it, and no program could be compiled for it.
 type OutputTopology uint8
 
 const (
@@ -26,8 +26,6 @@ const (
 	// OutPerPE is fig. 6(c): each bank is writable from exactly one PE
 	// (the root's bank group reaches only the root).
 	OutPerPE
-	// OutOneToOne is fig. 6(d): additionally removes the input crossbar.
-	OutOneToOne
 )
 
 func (o OutputTopology) String() string {
@@ -38,8 +36,6 @@ func (o OutputTopology) String() string {
 		return "per-layer"
 	case OutPerPE:
 		return "per-pe"
-	case OutOneToOne:
-		return "one-to-one"
 	}
 	return fmt.Sprintf("topology(%d)", uint8(o))
 }
@@ -52,26 +48,20 @@ type Config struct {
 	B int
 	// R is the number of registers per bank.
 	R int
-	// Output selects the output interconnect topology; the zero value of
-	// a Config is completed to OutPerLayer (the paper's choice) by
-	// Normalize.
+	// Output selects the output interconnect topology. Its zero value is
+	// OutCrossbar, which Normalize leaves as it is; the paper's choice is
+	// OutPerLayer.
 	Output OutputTopology
 	// DataMemWords is the capacity of the on-chip data memory in words.
 	// Zero means the 256K-word default (1 MB at 4 B/word), enough to hold
 	// inputs, results and spill slots for the full-scale Table I suites.
 	DataMemWords int
-	// ClockMHz is the target frequency; zero means 300 MHz, the paper's
-	// synthesis target.
-	ClockMHz float64
 }
 
 // Normalize fills defaulted fields and returns the completed config.
 func (c Config) Normalize() Config {
 	if c.DataMemWords == 0 {
 		c.DataMemWords = 1 << 18
-	}
-	if c.ClockMHz == 0 {
-		c.ClockMHz = 300
 	}
 	return c
 }
@@ -90,7 +80,7 @@ func (c Config) Validate() error {
 	if c.R < 2 {
 		return fmt.Errorf("arch: R=%d too small", c.R)
 	}
-	if c.Output > OutOneToOne {
+	if c.Output > OutPerPE {
 		return fmt.Errorf("arch: unknown output topology %d", c.Output)
 	}
 	return nil
@@ -132,7 +122,7 @@ func (c Config) NumPEs() int { return c.Trees() * ((1 << uint(c.D)) - 1) }
 func (c Config) TreeInputs() int { return 1 << uint(c.D) }
 
 // MinEDP returns the design-space point the paper's exploration selects
-// (D=3, B=64, R=32, per-layer output interconnect, 300 MHz).
+// (D=3, B=64, R=32, per-layer output interconnect).
 func MinEDP() Config {
 	return Config{D: 3, B: 64, R: 32, Output: OutPerLayer}.Normalize()
 }

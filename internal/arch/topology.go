@@ -124,15 +124,15 @@ func (c Config) CanWrite(p PE, bank int) bool {
 		}
 		j := bank % c.TreeInputs()
 		return j>>uint(p.Layer) == p.Index
-	case OutPerPE, OutOneToOne:
+	case OutPerPE:
 		bp, ok := c.bankPE(bank)
 		return ok && bp == p
 	}
 	return false
 }
 
-// bankPE gives the unique PE connected to bank under the one-bank-one-PE
-// topologies. A tree has 2^D banks but only 2^D−1 PEs; the spare bank
+// bankPE gives the unique PE connected to bank under the one-PE-per-bank
+// topology (OutPerPE). A tree has 2^D banks but only 2^D−1 PEs; the spare bank
 // (the last of the group) is attached to the root, matching the paper's
 // note that the top PE gets two banks.
 func (c Config) bankPE(bank int) (PE, bool) {

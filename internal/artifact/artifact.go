@@ -17,7 +17,7 @@
 //
 //	offset  size  field
 //	0       8     magic "\x7fDPUPROG"
-//	8       2     format version (currently 3)
+//	8       2     format version (currently 4)
 //	10      4     CRC-32C (Castagnoli) of the payload
 //	14      8     payload length in bytes
 //	22      …     payload
@@ -25,18 +25,18 @@
 // The payload is a canonical varint encoding (see encodePayload): every
 // integer is a minimal-length varint, map-like sections are emitted in
 // a fixed order, and the packed instruction stream must repack
-// byte-identically. Decode therefore accepts exactly the image Encode
-// produces — Encode(Decode(x)) == x whenever Decode(x) succeeds — so a
-// byte-level difference between two artifacts always reflects a real
-// difference in content.
+// byte-identically. DecodeBytes therefore accepts exactly the image
+// EncodeBytes produces — EncodeBytes(DecodeBytes(x)) == x whenever
+// DecodeBytes(x) succeeds — so a byte-level difference between two
+// artifacts always reflects a real difference in content.
 //
 // The initial memory image is not stored: its only non-zero words are
 // the graph's constants, so the payload records the image's length and
-// each constant's word, and Decode derives the image from the constant
-// values the graph section already holds (compiler.InitImage). Encode
-// refuses a program whose image is not exactly that derived one, so no
-// image content can be silently dropped, and a constant's value in the
-// graph and in the machine's memory cannot disagree.
+// each constant's word, and DecodeBytes derives the image from the
+// constant values the graph section already holds (compiler.InitImage).
+// EncodeBytes refuses a program whose image is not exactly that derived
+// one, so no image content can be silently dropped, and a constant's
+// value in the graph and in the machine's memory cannot disagree.
 //
 // The program comes last, so a reader that needs only what serving a
 // request reads (identity, graph, maps, stats) can stop before it:
@@ -59,7 +59,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"math/bits"
 
@@ -71,7 +70,7 @@ import (
 // Version is the current format version. Bump it on any payload layout
 // change so stale artifacts fail with ErrVersion instead of decoding
 // into garbage.
-const Version = 3
+const Version = 4
 
 // magic opens every artifact; the non-ASCII first byte keeps text tools
 // from mangling the file.
@@ -154,16 +153,6 @@ func frame(payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// Encode writes a to w in the .dpuprog format.
-func Encode(w io.Writer, a *Artifact) error {
-	b, err := EncodeBytes(a)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // DecodeBytes parses a .dpuprog image. Every failure is typed (see the
 // Err* values); success returns a fully validated artifact whose
 // program is executable as-is.
@@ -206,15 +195,6 @@ func decodeBytes(b []byte, serving func(Digest) bool) (*Artifact, error) {
 	return a, nil
 }
 
-// Decode reads one artifact from r (consuming it to EOF).
-func Decode(r io.Reader) (*Artifact, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(b)
-}
-
 // ---------------------------------------------------------------------
 // Payload encoding. Canonical by construction: minimal varints, fixed
 // section order, sinks in graph-output order, packed instructions in
@@ -244,11 +224,9 @@ func (e *enc) config(cfg arch.Config) {
 	e.uvarint(uint64(cfg.R))
 	e.u8(uint8(cfg.Output))
 	e.uvarint(uint64(cfg.DataMemWords))
-	e.f64(cfg.ClockMHz)
 }
 
 func (e *enc) options(o compiler.Options) {
-	e.varint(o.Seed)
 	e.boolean(o.RandomBanks)
 	e.varint(int64(o.PartitionSize))
 }
@@ -567,7 +545,6 @@ func (d *dec) intNonNeg(what string, limit int) int {
 // decodeOptions reads the compiler-options section.
 func (d *dec) decodeOptions() compiler.Options {
 	var opts compiler.Options
-	opts.Seed = d.varint()
 	opts.RandomBanks = d.boolean()
 	opts.PartitionSize = d.intNonNeg("partition size", math.MaxInt32)
 	return opts
@@ -592,7 +569,6 @@ func (d *dec) decodeConfig() arch.Config {
 	cfg.R = int(d.uvarint())
 	cfg.Output = arch.OutputTopology(d.u8())
 	cfg.DataMemWords = int(d.uvarint())
-	cfg.ClockMHz = d.f64()
 	if d.err != nil {
 		return cfg
 	}

@@ -38,7 +38,7 @@ var testCfg = arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
 func testArtifact(t testing.TB, seed int64) *Artifact {
 	t.Helper()
 	g := testGraph(seed)
-	return compileArtifact(t, g, testCfg, compiler.Options{Seed: seed})
+	return compileArtifact(t, g, testCfg, compiler.Options{})
 }
 
 func testGraph(seed int64) *dag.Graph {
@@ -261,7 +261,7 @@ func TestDecodeCountAmplificationBounded(t *testing.T) {
 
 	cfg := testCfg
 	cfg.DataMemWords = 1 << 24 // the largest data memory the format admits
-	big := compileArtifact(t, testGraph(1), cfg, compiler.Options{Seed: 1})
+	big := compileArtifact(t, testGraph(1), cfg, compiler.Options{})
 	if len(big.Compiled.ConstWord) == 0 {
 		t.Fatal("the graph has no constant: its list cannot end early")
 	}
@@ -375,8 +375,8 @@ func goldenSpecs(t testing.TB) map[string]*Artifact {
 	pcG := pc.Build(pc.Suite()[0], 0.01) // tretail at minimum size (64 nodes)
 	spG, _ := sptrsv.Build(sptrsv.Suite()[0], 0.02)
 	return map[string]*Artifact{
-		"pc_small.dpuprog":     compileArtifact(t, pcG, testCfg, compiler.Options{Seed: 7}),
-		"sptrsv_small.dpuprog": compileArtifact(t, spG, testCfg, compiler.Options{Seed: 7}),
+		"pc_small.dpuprog":     compileArtifact(t, pcG, testCfg, compiler.Options{}),
+		"sptrsv_small.dpuprog": compileArtifact(t, spG, testCfg, compiler.Options{}),
 	}
 }
 
@@ -567,12 +567,12 @@ func TestEncodeDecodeBoundsAgree(t *testing.T) {
 // check would fail too, on truncation: the error must name the config.
 func TestDecodeRejectsAbsurdConfigBeforeAllocating(t *testing.T) {
 	for _, cfg := range []arch.Config{
-		{D: 1, B: 1 << 40, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 18, ClockMHz: 300},
-		{D: 1, B: 2, R: 1 << 40, Output: arch.OutPerLayer, DataMemWords: 1 << 18, ClockMHz: 300},
-		{D: 1, B: 2, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 40, ClockMHz: 300},
+		{D: 1, B: 1 << 40, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 18},
+		{D: 1, B: 2, R: 1 << 40, Output: arch.OutPerLayer, DataMemWords: 1 << 18},
+		{D: 1, B: 2, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 40},
 		// Past the serving bound, which /execute rejects, though an
 		// allocation this size would succeed.
-		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer, DataMemWords: 1 << 25, ClockMHz: 300},
+		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer, DataMemWords: 1 << 25},
 	} {
 		var e enc
 		e.config(cfg)

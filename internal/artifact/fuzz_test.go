@@ -190,7 +190,7 @@ func FuzzStoreGetAfterCorruption(f *testing.F) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Get(k)
+		got, err := st.GetServing(k, nil)
 		if mask == 0 || bytes.Equal(b, orig) {
 			if err != nil {
 				t.Fatalf("pristine artifact failed to load: %v", err)

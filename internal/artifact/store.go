@@ -43,7 +43,7 @@ func KeyFor(fp dag.Fingerprint, cfg arch.Config, opts compiler.Options) Key {
 // with Version, so a file of an older format lives at an address no
 // current key names and is never read as this build's artifact; the
 // revision in the key does the same for another compiler's program.
-const keyDomain = "dpuv2/artifact/key/v3"
+const keyDomain = "dpuv2/artifact/key/v4"
 
 // ID returns the key's stable hex content address, the store filename
 // stem. It hashes the artifact payload's own identity section, so it is
@@ -108,10 +108,10 @@ func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, k.ID()+Ext)
 }
 
-// Get loads and decodes the artifact stored under k. A missing file is
-// ErrNotFound; a file that fails to decode, or whose embedded identity
-// does not match k, surfaces its typed decode error so callers can
-// distinguish "compile it" from "the store is damaged". A *corrupt*
+// GetServing loads and decodes the artifact stored under k. A missing
+// file is ErrNotFound; a file that fails to decode, or whose embedded
+// identity does not match k, surfaces its typed decode error so callers
+// can distinguish "compile it" from "the store is damaged". A *corrupt*
 // file is also removed, so the store self-heals: the caller's recompile
 // will persist a fresh artifact instead of being shadowed by the corpse
 // forever (Put is first-wins). An ErrVersion file is left alone — in a
@@ -119,14 +119,13 @@ func (s *Store) path(k Key) string {
 // damage. The removal can in principle race a concurrent writer's
 // just-renamed replacement; the loss is one persist, repaired by the
 // next miss.
-func (s *Store) Get(k Key) (*Artifact, error) { return s.GetServing(k, nil) }
-
-// GetServing is Get for a caller that remembers which payloads it has
-// verified: when verified reports true for the file's payload digest,
-// the artifact comes from a serving decode (see Artifact.Serving),
-// which never reads the program tail. Every other check of Get, the
-// identity check included, runs either way, and the returned
-// artifact's Digest names its payload.
+//
+// A caller that remembers which payloads it has verified passes
+// verified: when it reports true for the file's payload digest, the
+// artifact comes from a serving decode (see Artifact.Serving), which
+// never reads the program tail. Every other check, the identity check
+// included, runs either way, and the returned artifact's Digest names
+// its payload. A nil verified always decodes in full.
 func (s *Store) GetServing(k Key, verified func(Digest) bool) (*Artifact, error) {
 	p := s.path(k)
 	b, err := os.ReadFile(p)
@@ -242,19 +241,4 @@ func (s *Store) Walk(fn func(path string, a *Artifact, err error) bool) error {
 		}
 	}
 	return nil
-}
-
-// Len counts the artifact files currently in the store.
-func (s *Store) Len() (int, error) {
-	n := 0
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("artifact: %w", err)
-	}
-	for _, ent := range entries {
-		if !ent.IsDir() && !strings.HasPrefix(ent.Name(), tmpPrefix) && strings.HasSuffix(ent.Name(), Ext) {
-			n++
-		}
-	}
-	return n, nil
 }

@@ -18,6 +18,13 @@ import (
 	"dpuv2/internal/verify"
 )
 
+// storeLen counts the artifact files in st.
+func storeLen(st *Store) (int, error) {
+	n := 0
+	err := st.Walk(func(string, *Artifact, error) bool { n++; return true })
+	return n, err
+}
+
 func TestStorePutGetRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -26,13 +33,13 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	a := testArtifact(t, 1)
 	k := a.Key()
 
-	if _, err := st.Get(k); !errors.Is(err, ErrNotFound) {
+	if _, err := st.GetServing(k, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty store Get: %v, want ErrNotFound", err)
 	}
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Get(k)
+	got, err := st.GetServing(k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +47,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 		t.Error("store round trip changed the artifact identity")
 	}
 	execute(t, got)
-	if n, err := st.Len(); err != nil || n != 1 {
+	if n, err := storeLen(st); err != nil || n != 1 {
 		t.Fatalf("Len = %d, %v; want 1", n, err)
 	}
 }
@@ -62,7 +69,7 @@ func TestStoreKeyAddressing(t *testing.T) {
 	variants := []Key{
 		KeyFor(testArtifact(t, 2).Fingerprint, a.Compiled.Prog.Cfg, a.Options),
 		KeyFor(a.Fingerprint, arch.Config{D: 2, B: 8, R: 32, Output: arch.OutPerLayer}, a.Options),
-		KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, compiler.Options{Seed: 99}),
+		KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, compiler.Options{RandomBanks: true}),
 		{Fingerprint: k.Fingerprint, Config: k.Config, Options: k.Options, Revision: k.Revision + 1},
 	}
 	seen := map[string]bool{k.ID(): true}
@@ -126,7 +133,7 @@ func TestStoreGetRejectsMisfiledArtifact(t *testing.T) {
 	if err := os.WriteFile(st.path(a.Key()), eb, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get(a.Key()); !errors.Is(err, ErrCorrupt) {
+	if _, err := st.GetServing(a.Key(), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("misfiled artifact served: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -153,7 +160,7 @@ func TestStoreSelfHealsAfterCorruption(t *testing.T) {
 	if err := os.WriteFile(p, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get(a.Key()); !errors.Is(err, ErrChecksum) {
+	if _, err := st.GetServing(a.Key(), nil); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted Get: %v, want ErrChecksum", err)
 	}
 	if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
@@ -163,7 +170,7 @@ func TestStoreSelfHealsAfterCorruption(t *testing.T) {
 	if err := st.Put(a); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := st.Get(a.Key()); err != nil || got.Fingerprint != a.Fingerprint {
+	if got, err := st.GetServing(a.Key(), nil); err != nil || got.Fingerprint != a.Fingerprint {
 		t.Fatalf("store did not heal: %v", err)
 	}
 }
@@ -189,7 +196,7 @@ func TestStoreGetPreservesFutureVersions(t *testing.T) {
 	if err := os.WriteFile(p, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Get(a.Key()); !errors.Is(err, ErrVersion) {
+	if _, err := st.GetServing(a.Key(), nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("Get: %v, want ErrVersion", err)
 	}
 	if _, err := os.Stat(p); err != nil {
@@ -257,7 +264,7 @@ func TestStoreOpenSweepsTempFiles(t *testing.T) {
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Error("reopening the store did not sweep the stale temp file")
 	}
-	if n, _ := st.Len(); n != 1 {
+	if n, _ := storeLen(st); n != 1 {
 		t.Errorf("sweep removed a real artifact: Len = %d", n)
 	}
 }
@@ -287,7 +294,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 						return
 					}
 				}
-				got, err := st.Get(a.Key())
+				got, err := st.GetServing(a.Key(), nil)
 				if errors.Is(err, ErrNotFound) {
 					continue
 				}
@@ -303,7 +310,7 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n, err := st.Len(); err != nil || n != len(arts) {
+	if n, err := storeLen(st); err != nil || n != len(arts) {
 		t.Errorf("store holds %d artifacts (%v), want %d", n, err, len(arts))
 	}
 }
@@ -328,7 +335,7 @@ func TestServingDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := st.Get(k)
+	full, err := st.GetServing(k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

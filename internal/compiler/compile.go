@@ -51,17 +51,19 @@ type draft struct {
 
 // search is the space of mapping decisions Plan tries on every graph:
 // step 1's cuts (the shortest issue span wins, the first on a tie), step
-// 2c's leaf layouts (the first is always kept) and step 3's window.
+// 2c's leaf layouts (the first is always kept) and step 3's window, with
+// the seed of step 2's bank allocator and step 2c's copy repair.
 type search struct {
 	cuts    []cutPolicy
 	layouts []leafLayout
 	window  int
+	seed    int64
 }
 
 // fullSearch is Plan's space: both cuts, greedy first; both layouts,
-// first-fit first; and reorderWindow.
+// first-fit first; reorderWindow; and seed 0.
 func fullSearch() search {
-	return search{[]cutPolicy{cutGreedy, cutBand}, []leafLayout{layoutFirstFit, layoutRows}, reorderWindow}
+	return search{[]cutPolicy{cutGreedy, cutBand}, []leafLayout{layoutFirstFit, layoutRows}, reorderWindow, 0}
 }
 
 // Plan runs steps 1–3 of Compile for g under cfg and opts. cfg.R is not
@@ -81,9 +83,6 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 		return nil, err
 	}
 	cfg.R = 0
-	if cfg.Output == arch.OutOneToOne {
-		return nil, fmt.Errorf("compiler: topology %s has no input crossbar and is not compilable (§III-C rejects it)", cfg.Output)
-	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -112,7 +111,7 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 		}
 	}
 
-	ba, err := allocateBanks(bg, cfg, blocks, opts)
+	ba, err := allocateBanks(bg, cfg, blocks, opts, s.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +122,7 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 	// fits and its schedule is strictly shorter; Emit decides between the
 	// candidates by the cycles step 4 emits.
 	for _, layout := range s.layouts {
-		d, err := newDraft(bg, cfg, layout, blocks, ba, opts.Seed, s.window, base)
+		d, err := newDraft(bg, cfg, layout, blocks, ba, s.seed, s.window, base)
 		if err != nil {
 			return nil, err
 		}

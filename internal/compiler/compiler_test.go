@@ -3,6 +3,7 @@ package compiler
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"dpuv2/internal/arch"
@@ -63,8 +64,6 @@ func TestDecomposeInvariants(t *testing.T) {
 		} {
 			for _, opts := range []Options{
 				{},
-				{Seed: 99},
-				{Seed: 99, RandomBanks: true},
 				{RandomBanks: true, PartitionSize: 64},
 				{RandomBanks: true},
 				{PartitionSize: 64},
@@ -204,7 +203,7 @@ func TestBankAllocationRespectsHardware(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ba, err := allocateBanks(g, cfg, blocks, Options{Seed: 1})
+	ba, err := allocateBanks(g, cfg, blocks, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,9 @@ func TestBankAllocationRespectsHardware(t *testing.T) {
 
 func countConflicts(t *testing.T, g *dag.Graph, cfg arch.Config, random bool) int {
 	t.Helper()
-	c, err := Compile(g, cfg, Options{Seed: 3, RandomBanks: random})
+	s := fullSearch()
+	s.seed = 3
+	c, err := compile(g, cfg, Options{RandomBanks: random}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +266,16 @@ func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch
 		g    *dag.Graph
 		cfg  arch.Config
 		opts Options
+		seed int64
 	}{
-		{"random", testGraph(11, 400), cfg, Options{Seed: 42}},
-		{"tretail@0.25", tretail, cfg, Options{}},
-		{"tretail@0.25 partitioned", tretail, cfg, Options{PartitionSize: 200}},
+		{"random", testGraph(11, 400), cfg, Options{}, 42},
+		{"tretail@0.25", tretail, cfg, Options{}, 0},
+		{"tretail@0.25 partitioned", tretail, cfg, Options{PartitionSize: 200}, 0},
 		// Several banks over capacity at once: the order spill victims are
 		// gathered in decides how they pack into stores.
-		{"tretail@0.25 spilling", tretail, tight, Options{}},
+		{"tretail@0.25 spilling", tretail, tight, Options{}, 0},
 	} {
+		s.seed = tc.seed
 		a, err := compile(tc.g, tc.cfg, tc.opts, s)
 		if err != nil {
 			t.Fatal(err)
@@ -293,11 +296,14 @@ func checkCompileDeterministic(t *testing.T, tretail *dag.Graph, cfg, tight arch
 	}
 }
 
+// TestCompileRejectsOneToOne: fig. 6(d), the one-to-one topology without
+// an input crossbar, is not modeled, so its old enum value 3 is an
+// unknown topology.
 func TestCompileRejectsOneToOne(t *testing.T) {
 	g := testGraph(1, 50)
-	_, err := Compile(g, arch.Config{D: 2, B: 8, R: 16, Output: arch.OutOneToOne}, Options{})
-	if err == nil {
-		t.Fatal("expected rejection of one-to-one topology")
+	_, err := Compile(g, arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerPE + 1}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "unknown output topology 3") {
+		t.Fatalf("got %v, want the unknown output topology 3 rejected", err)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestBankAssignmentGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ba, err := allocateBanks(bg, cfg, blocks, Options{Seed: 5})
+		ba, err := allocateBanks(bg, cfg, blocks, Options{}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

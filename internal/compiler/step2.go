@@ -55,7 +55,10 @@ type valConstraints struct {
 	member [][]int32 // value -> indexes into groups
 }
 
-func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options) (*bankAlloc, error) {
+// allocateBanks is step 2's bank allocation; seed drives its randomized
+// tie-breaks (objective J spreads values by choosing uniformly among
+// compatible banks) and, with opts.RandomBanks, the placement itself.
+func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options, seed int64) (*bankAlloc, error) {
 	if cfg.B > 64 {
 		return nil, fmt.Errorf("compiler: B=%d exceeds the 64-bank allocator limit", cfg.B)
 	}
@@ -106,7 +109,7 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options)
 		addGroup(b.Outputs)
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	ba := &bankAlloc{bank: make([]int8, nv), writable: writable}
 	for i := range ba.bank {
 		ba.bank[i] = -1

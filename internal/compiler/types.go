@@ -66,12 +66,9 @@ const Revision = 2
 
 // Options tunes compilation. The zero value is the paper's configuration.
 // Every field is part of the program's content address (.dpuprog and every
-// cache key); the search bounds of steps 1 and 3 are constants.
+// cache key); the search bounds of steps 1 and 3 are constants, and the
+// seed of step 2's randomized tie-breaks is 0.
 type Options struct {
-	// Seed drives the randomized tie-breaks of the bank allocator
-	// (objective J spreads values by choosing uniformly among compatible
-	// banks).
-	Seed int64
 	// RandomBanks replaces the conflict-aware allocator of step 2 with
 	// uniform random placement; fig. 10(b) uses this as its baseline.
 	RandomBanks bool

@@ -181,8 +181,7 @@ func Best(points []Point, m Metric) (Point, bool) {
 }
 
 // configLess is the canonical strict order on configurations used for
-// tie-breaking: D, then B, then R, then Output, then DataMemWords
-// (ClockMHz last for completeness).
+// tie-breaking: D, then B, then R, then Output, then DataMemWords.
 func configLess(a, b arch.Config) bool {
 	if a.D != b.D {
 		return a.D < b.D
@@ -196,8 +195,5 @@ func configLess(a, b arch.Config) bool {
 	if a.Output != b.Output {
 		return a.Output < b.Output
 	}
-	if a.DataMemWords != b.DataMemWords {
-		return a.DataMemWords < b.DataMemWords
-	}
-	return a.ClockMHz < b.ClockMHz
+	return a.DataMemWords < b.DataMemWords
 }

@@ -16,7 +16,7 @@ import (
 func TestExecuteBatchIntoMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 3, 4} {
 		for _, n := range []int{9, 100} {
-			e := New(Options{Workers: workers})
+			e := withWorkers(workers)
 			g := testGraph(42)
 			c, err := e.Compile(g, testCfg, compiler.Options{})
 			if err != nil {
@@ -70,7 +70,7 @@ func TestExecuteBatchIntoMatchesReference(t *testing.T) {
 // allocation contract: once the pool and caches are warm, a
 // single-worker batch execution allocates nothing per item.
 func TestExecuteBatchIntoSerialAllocFree(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := withWorkers(1)
 	g := testGraph(7)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {

@@ -52,8 +52,6 @@ type Options struct {
 	// CacheSize bounds the number of cached compiled programs (LRU
 	// eviction beyond it). Default 128.
 	CacheSize int
-	// Workers sizes the ExecuteBatchInto worker pool. Default GOMAXPROCS.
-	Workers int
 	// Store, when non-nil, backs the compile cache with persisted
 	// artifacts: misses consult it before compiling, successful
 	// compilations are persisted to it asynchronously (Flush waits for
@@ -64,9 +62,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 128
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -119,6 +114,9 @@ type Stats struct {
 // concurrent use by any number of goroutines.
 type Engine struct {
 	opts Options
+	// workers bounds the goroutines one ExecuteBatchInto call splits its
+	// passes over: GOMAXPROCS. In-package tests set it right after New.
+	workers int
 
 	mu        sync.Mutex // guards the cache and its counters
 	entries   map[artifact.Key]*entry
@@ -156,6 +154,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	return &Engine{
 		opts:            opts.normalize(),
+		workers:         runtime.GOMAXPROCS(0),
 		entries:         make(map[artifact.Key]*entry),
 		free:            make(chan *sim.FuncEvaluator, 2*runtime.GOMAXPROCS(0)),
 		verifiedDigests: make(map[artifact.Digest]struct{}),
@@ -214,7 +213,7 @@ func (e *Engine) ExecuteBatchInto(c *compiler.Compiled, batches, outs [][]float6
 	}
 	width := sim.PassWidth(c.Graph)
 	passes := (n + width - 1) / width
-	workers := min(e.opts.Workers, passes)
+	workers := min(e.workers, passes)
 	for i := range cycles {
 		cycles[i] = c.Stats.Cycles
 	}

@@ -12,6 +12,13 @@ import (
 // executeOne runs one input vector through ExecuteBatchInto and returns
 // its sink values keyed by node id, with the cycle count the engine
 // reports for it.
+// withWorkers is New(Options{}) splitting each batch over n workers.
+func withWorkers(n int) *Engine {
+	e := New(Options{})
+	e.workers = n
+	return e
+}
+
 func executeOne(e *Engine, c *compiler.Compiled, in []float64) (*sim.Result, error) {
 	sinks := c.Graph.Outputs()
 	out := make([]float64, len(sinks))
@@ -97,7 +104,7 @@ func TestCompileCacheHitsAndSharing(t *testing.T) {
 	if _, err := e.Compile(g, arch.Config{D: 2, B: 4, R: 16}, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Compile(g, testCfg, compiler.Options{Seed: 7}); err != nil {
+	if _, err := e.Compile(g, testCfg, compiler.Options{RandomBanks: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Misses != 3 {
@@ -137,9 +144,9 @@ func TestCompileCacheLRUEviction(t *testing.T) {
 func TestCompileFailureSurfacesAndIsNotCached(t *testing.T) {
 	e := New(Options{})
 	g := testGraph(1)
-	bad := arch.Config{D: 2, B: 8, R: 16, Output: arch.OutOneToOne}
+	bad := arch.Config{D: 2, B: 6, R: 16, Output: arch.OutPerLayer} // B not a multiple of 2^D
 	if _, err := e.Compile(g, bad, compiler.Options{}); err == nil {
-		t.Fatal("expected compile failure for the one-to-one topology")
+		t.Fatal("expected compile failure for B=6 at D=2")
 	}
 	if _, err := e.Compile(g, bad, compiler.Options{}); err == nil {
 		t.Fatal("expected compile failure on retry")
@@ -179,7 +186,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 }
 
 func TestExecuteIntoSteadyStateIsAllocationFree(t *testing.T) {
-	// Default Workers: a one-item batch clamps onto the serial path.
+	// Default workers: a one-item batch clamps onto the serial path.
 	e := New(Options{})
 	g := testGraph(2)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
@@ -210,7 +217,7 @@ func TestExecuteIntoSteadyStateIsAllocationFree(t *testing.T) {
 // 32-lane pass of the evaluator, so even an eight-worker engine runs it
 // inline as a single chunk and must allocate nothing either.
 func TestExecuteFullChunkSteadyStateIsAllocationFree(t *testing.T) {
-	e := New(Options{Workers: 8})
+	e := withWorkers(8)
 	g := testGraph(2)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {
@@ -330,7 +337,7 @@ func TestCachedProgramImmuneToCallerMutation(t *testing.T) {
 // but what a caller holds is its own — a later execution on the same
 // evaluator does not rewrite an earlier result's outputs or cycles.
 func TestPooledResultStatsDoNotAliasTheMachine(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := withWorkers(1)
 	g := testGraph(1)
 	c, err := e.Compile(g, testCfg, compiler.Options{})
 	if err != nil {

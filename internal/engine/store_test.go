@@ -31,6 +31,13 @@ func openStore(t *testing.T) *artifact.Store {
 	return st
 }
 
+// storeLen counts the artifact files in st.
+func storeLen(st *artifact.Store) (int, error) {
+	n := 0
+	err := st.Walk(func(string, *artifact.Artifact, error) bool { n++; return true })
+	return n, err
+}
+
 // newStoreEngine is New for an engine over a test's temporary store. It
 // waits for the engine's async artifact persists at cleanup, which runs
 // before the TempDir behind the store is removed, so a late write cannot
@@ -48,7 +55,7 @@ func newStoreEngine(t *testing.T, opts Options) *Engine {
 func TestStoreBackedCompilePersistsAndRehydrates(t *testing.T) {
 	st := openStore(t)
 	g := testGraph(1)
-	opts := compiler.Options{Seed: 3}
+	opts := compiler.Options{PartitionSize: 64}
 
 	e1 := newStoreEngine(t, Options{Store: st})
 	c1, err := e1.Compile(g, testCfg, opts)
@@ -60,7 +67,7 @@ func TestStoreBackedCompilePersistsAndRehydrates(t *testing.T) {
 	if s1.StoreMisses != 1 || s1.StoreHits != 0 {
 		t.Fatalf("first engine: store hits/misses = %d/%d, want 0/1", s1.StoreHits, s1.StoreMisses)
 	}
-	if n, err := st.Len(); err != nil || n != 1 {
+	if n, err := storeLen(st); err != nil || n != 1 {
 		t.Fatalf("store holds %d artifacts (%v), want 1", n, err)
 	}
 
@@ -284,11 +291,13 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 // request for the file's graph compiles once and persists a current
 // artifact at its own key beside the untouched old file.
 func TestUpgradeFromV1Store(t *testing.T) {
-	// The graph, config and options every old fixture was compiled from.
+	// The graph and config every old fixture was compiled from. The old
+	// fixtures' options also held a seed (7), which options no longer
+	// carry: their programs are still legal, under a key no request forms.
 	g := pc.Build(pc.Suite()[0], 0.01)
 	cfg := arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
-	opts := compiler.Options{Seed: 7}
-	for _, version := range []string{"v1", "v2"} {
+	opts := compiler.Options{}
+	for _, version := range []string{"v1", "v2", "v3"} {
 		t.Run(version, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", version, "pc_small.dpuprog"))
 			if err != nil {
@@ -328,14 +337,14 @@ func TestUpgradeFromV1Store(t *testing.T) {
 			if s := e.Stats(); s.Misses != 1 || s.StoreMisses != 1 || s.StoreErrors != 0 {
 				t.Errorf("first request: misses %d, store misses %d, store errors %d; want 1, 1, 0", s.Misses, s.StoreMisses, s.StoreErrors)
 			}
-			a, err := st.Get(artifact.KeyFor(g.Fingerprint(), cfg, opts))
+			a, err := st.GetServing(artifact.KeyFor(g.Fingerprint(), cfg, opts), nil)
 			if err != nil {
 				t.Fatalf("no current artifact persisted at the new key: %v", err)
 			}
 			if a.Options != opts || a.Compiled.Revision != compiler.Revision {
 				t.Errorf("persisted options %+v, revision %d; want %+v, %d", a.Options, a.Compiled.Revision, opts, compiler.Revision)
 			}
-			if n, err := st.Len(); err != nil || n != 2 {
+			if n, err := storeLen(st); err != nil || n != 2 {
 				t.Errorf("store holds %d artifacts (%v), want the %s file and the new one", n, err, version)
 			}
 			unchanged("after the recompile")
@@ -414,7 +423,7 @@ func TestCorruptArtifactFallsBackToCompile(t *testing.T) {
 	// fallback compilation's persist replaced it, so the *next* restart
 	// decodes instead of compiling again.
 	e.Flush()
-	if a, err := st.Get(key); err != nil {
+	if a, err := st.GetServing(key, nil); err != nil {
 		t.Errorf("store did not heal after the fallback compile: %v", err)
 	} else if a.Fingerprint != g.Fingerprint() {
 		t.Error("healed artifact carries the wrong fingerprint")
@@ -459,7 +468,7 @@ func poisonedArtifact(t *testing.T, g *dag.Graph, poison func(*dag.Graph, *compi
 func checkHealed(t *testing.T, st *artifact.Store, g *dag.Graph) {
 	t.Helper()
 	key := artifact.KeyFor(g.Fingerprint(), testCfg, compiler.Options{})
-	if a, err := st.Get(key); err != nil {
+	if a, err := st.GetServing(key, nil); err != nil {
 		t.Errorf("store did not heal: %v", err)
 	} else if !servesGraph(g, a.Compiled) {
 		t.Error("healed artifact still carries the poisoned remap")
@@ -625,7 +634,7 @@ func TestStoreRaceOneArtifactPerKey(t *testing.T) {
 	for _, e := range engs {
 		e.Flush()
 	}
-	if n, err := st.Len(); err != nil || n != graphs {
+	if n, err := storeLen(st); err != nil || n != graphs {
 		t.Fatalf("store holds %d artifacts (%v), want exactly %d — one per key", n, err, graphs)
 	}
 	bad := 0

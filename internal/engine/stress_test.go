@@ -177,7 +177,7 @@ func TestConcurrentChurnAgainstSmallLRU(t *testing.T) {
 // is checked against its own reference vector, and the cycle count
 // against the cycle-accurate machine's. Run under -race in CI.
 func TestStressSharedFreeListAcrossConfigs(t *testing.T) {
-	e := New(Options{Workers: 4})
+	e := withWorkers(4)
 	type prog struct {
 		c      *compiler.Compiled
 		cycles int // what the machine counts

@@ -148,7 +148,7 @@ func TestPreloadSkipsIllegalArtifact(t *testing.T) {
 	if s.VerifyRejects != 1 || s.Preloaded != 0 || s.StoreErrors == 0 {
 		t.Errorf("stats after poisoned preload: %+v", s)
 	}
-	if n, err := st.Len(); err != nil || n != 0 {
+	if n, err := storeLen(st); err != nil || n != 0 {
 		t.Errorf("store holds %d artifacts (%v), want 0 — poisoned file must be purged", n, err)
 	}
 }
@@ -244,7 +244,7 @@ func TestVerifyReplacedArtifactReverified(t *testing.T) {
 		t.Errorf("StoreHits rose by %d, want 0", s.StoreHits-before.StoreHits)
 	}
 	e.Flush()
-	if a, err := st.Get(key); err != nil {
+	if a, err := st.GetServing(key, nil); err != nil {
 		t.Errorf("the fresh compile's artifact is missing: %v", err)
 	} else if fs := verify.Compiled(a.Compiled); verify.HasErrors(fs) {
 		t.Errorf("the illegal artifact was not purged: %v", fs)

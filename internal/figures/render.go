@@ -58,21 +58,11 @@ func (t *Table) add(label string, vals ...float64) {
 
 // Get returns the measured value in the row labeled label and the
 // column named col, or NaN when the table has no such cell.
-func (t *Table) Get(label, col string) float64 { return t.cell(label, col, false) }
-
-// Paper returns the paper's reference value for the cell Get reads, or
-// NaN when the paper gives none.
-func (t *Table) Paper(label, col string) float64 { return t.cell(label, col, true) }
-
-func (t *Table) cell(label, col string, paper bool) float64 {
+func (t *Table) Get(label, col string) float64 {
 	for _, r := range t.Rows {
-		vals := r.Vals
-		if paper {
-			vals = r.Paper
-		}
 		for i, c := range t.Cols {
-			if r.Label == label && c.Name == col && i < len(vals) {
-				return vals[i]
+			if r.Label == label && c.Name == col && i < len(r.Vals) {
+				return r.Vals[i]
 			}
 		}
 	}

@@ -214,9 +214,6 @@ func New(opts Options) (*Gateway, error) {
 // Handler returns the HTTP handler tree.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// Tracer exposes the request tracer (tests and diagnostics).
-func (g *Gateway) Tracer() *trace.Tracer { return g.tracer }
-
 // Drain flips /healthz to 503 and rejects new /execute requests, so a
 // front balancer (or a gateway-of-gateways) can take this instance out.
 func (g *Gateway) Drain() { g.draining.Store(true) }

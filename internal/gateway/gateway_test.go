@@ -144,7 +144,7 @@ func TestGatewayShardAffinity(t *testing.T) {
 				t.Fatalf("fingerprint mismatch: %s != %s", out.Fingerprint, g.fp)
 			}
 			// Routing: the first copy went to the ring owner.
-			rec := findTrace(gw.Tracer().Traces(0, ""), id.String())
+			rec := findTrace(gw.tracer.Traces(0, ""), id.String())
 			if rec == nil {
 				t.Fatalf("gateway retained no trace for %s", id)
 			}

@@ -59,7 +59,7 @@ func findStage(rec *trace.Record, stage string) *trace.SpanRecord {
 func TestGatewayTraceEndToEnd(t *testing.T) {
 	b := newTestBackend(t)
 	gw := newTestGateway(t, Options{Backends: []string{b.ts.URL}})
-	gw.Tracer().Sample() // spend the always-sampled first slot: only header-carrying requests trace
+	gw.tracer.Sample() // spend the always-sampled first slot: only header-carrying requests trace
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
 
@@ -88,7 +88,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 
 	// Gateway side: one record under the pinned ID, with route and
 	// forward under the gateway's root span.
-	grec := onlyTrace(t, "gateway", gw.Tracer().Traces(0, ""), id.String(), "gateway", "route", "forward")
+	grec := onlyTrace(t, "gateway", gw.tracer.Traces(0, ""), id.String(), "gateway", "route", "forward")
 	if grec.Service != "gateway" {
 		t.Fatalf("gateway trace service %q", grec.Service)
 	}
@@ -106,7 +106,17 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	// Backend side: the SAME trace ID (the gateway re-stamps the header
 	// with its own parent span but never a new trace), decomposed into
 	// the scheduler's stage windows.
-	brec := onlyTrace(t, "backend", b.srv.Tracer().Traces(0, ""), id.String(),
+	hres, err := http.Get(b.ts.URL + "/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backend trace.TracesResponse
+	err = json.NewDecoder(hres.Body).Decode(&backend)
+	hres.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	brec := onlyTrace(t, "backend", backend.Traces, id.String(),
 		"serve", "decode", "parse", "queue_wait", "execute", "encode")
 	if brec.Service != "serve" {
 		t.Fatalf("backend trace service %q", brec.Service)
@@ -145,7 +155,7 @@ func TestGatewayStripsInvalidTraceparent(t *testing.T) {
 	}))
 	defer backend.Close()
 	gw := newTestGateway(t, Options{Backends: []string{backend.URL}})
-	gw.Tracer().Sample() // spend the always-sampled first slot: the next request is unsampled
+	gw.tracer.Sample() // spend the always-sampled first slot: the next request is unsampled
 	front := httptest.NewServer(gw.Handler())
 	defer front.Close()
 
@@ -165,7 +175,7 @@ func TestGatewayStripsInvalidTraceparent(t *testing.T) {
 	if gotHeader != "" {
 		t.Fatalf("malformed traceparent forwarded as %q", gotHeader)
 	}
-	if recs := gw.Tracer().Traces(0, ""); len(recs) != 0 {
+	if recs := gw.tracer.Traces(0, ""); len(recs) != 0 {
 		t.Fatalf("malformed header started %d traces", len(recs))
 	}
 }

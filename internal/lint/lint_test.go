@@ -4,7 +4,7 @@
 // real repository and over a small planted module that must fail it:
 //
 //   - every top-level declaration in a non-test file under internal/ is
-//     named in some non-test file other than where a declaration names it;
+//     used by some non-test file, uses resolved by type;
 //   - the test-support packages are imported only from _test.go files;
 //   - no test file assigns a top-level var of a non-test file;
 //   - every -run and -fuzz pattern in the CI workflow selects a test.
@@ -13,8 +13,11 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -30,14 +33,28 @@ import (
 // code, so they are not held to the non-test-use rule.
 var testSupport = []string{"internal/metrics/promtest"}
 
-// implicit lists the declarations Go calls without naming them, keyed
-// by package directory, receiver and name. Each carries its reason.
+// implicit lists the methods Go or the standard library calls through
+// an interface without naming them, keyed by name and signature. Each
+// carries its reason.
 var implicit = map[string]string{
-	"internal/verify.Severity.MarshalJSON":   "called by encoding/json",
-	"internal/verify.Severity.UnmarshalJSON": "called by encoding/json",
-	"internal/verify.Class.MarshalJSON":      "called by encoding/json",
-	"internal/verify.Class.UnmarshalJSON":    "called by encoding/json",
-	"internal/sched.CompileError.Unwrap":     "called by errors.Is and errors.As",
+	"String() string":               "fmt calls it through fmt.Stringer",
+	"MarshalJSON() ([]byte, error)": "encoding/json calls it through json.Marshaler",
+	"UnmarshalJSON([]byte) error":   "encoding/json calls it through json.Unmarshaler",
+	"Unwrap() error":                "errors.Is and errors.As call it",
+}
+
+// methodKey is fn's name and signature without parameter names, the
+// key of implicit.
+func methodKey(fn *types.Func) string {
+	sig := fn.Signature()
+	bare := func(t *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, t.Len())
+		for i := range vars {
+			vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
+		}
+		return types.NewTuple(vars...)
+	}
+	return fn.Name() + strings.TrimPrefix(types.TypeString(types.NewSignatureType(nil, nil, nil, bare(sig.Params()), bare(sig.Results()), sig.Variadic()), nil), "func")
 }
 
 // file is one parsed Go file of the module.
@@ -118,51 +135,161 @@ func isSupport(dir string) bool {
 }
 
 // unused reports each top-level func, method, type, var and const of a
-// non-test file under internal/ whose name no non-test file mentions
-// except where a top-level declaration is named. Matching by name can
-// only over-count uses (a field, a local or another package's
-// identifier of the same name counts), so a declaration it reports has
-// no non-test use at all.
-func unused(m *module) []string {
-	uses := make(map[string]bool)
-	for _, f := range m.files {
-		if f.test {
-			continue
-		}
-		names := make(map[*ast.Ident]bool)
-		for _, d := range f.ast.Decls {
-			for _, id := range declNames(d) {
-				names[id.name] = true
+// non-test file under internal/ that no non-test file outside the
+// test-support packages uses. Uses are resolved by type (see check), so
+// another declaration, field or local of the same name does not hide a
+// dead one. A method also counts as used when it implements an
+// interface method that is used, and when its name and signature are
+// ones Go or the standard library calls through an interface (implicit).
+func unused(m *module) ([]string, error) {
+	c, err := check(m)
+	if err != nil {
+		return nil, err
+	}
+	var ifaces []*types.Func // interface methods a non-test file calls
+	used := make(map[types.Object]bool)
+	for _, obj := range c.uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaces = append(ifaces, fn)
 			}
 		}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !names[id] {
-				uses[id.Name] = true
+		used[obj] = true
+	}
+	implements := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, im := range ifaces {
+			if im.Name() == fn.Name() && (satisfies(recv, im) || satisfies(types.NewPointer(recv), im)) {
+				return true
 			}
-			return true
-		})
+		}
+		return false
 	}
 	var out []string
-	for _, f := range m.files {
-		if f.test || !strings.HasPrefix(f.rel, "internal/") {
+	for _, f := range c.files {
+		if !strings.HasPrefix(f.rel, "internal/") {
 			continue
 		}
 		for _, d := range f.ast.Decls {
 			for _, id := range declNames(d) {
-				name := id.name.Name
-				if name == "_" || name == "init" || uses[name] {
+				obj := c.defs[id.name]
+				if obj == nil || used[obj] || id.name.Name == "_" || id.name.Name == "init" {
 					continue
 				}
-				if _, ok := implicit[f.dir+"."+id.qual]; ok {
-					continue
+				if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+					if _, ok := implicit[methodKey(fn)]; ok || implements(fn) {
+						continue
+					}
 				}
 				pos := m.fset.Position(id.name.Pos())
 				out = append(out, fmt.Sprintf("%s:%d: %s has no non-test use", f.rel, pos.Line, id.qual))
 			}
 		}
 	}
-	return out
+	return out, nil
 }
+
+// satisfies reports whether t has every method of im's interface. A
+// generic interface is compared by method names alone, since its
+// methods may be called at an instantiation t only matches for some
+// type arguments.
+func satisfies(t types.Type, im *types.Func) bool {
+	it := im.Signature().Recv().Type()
+	if n, ok := it.(*types.Named); ok && n.Origin().TypeParams().Len() > 0 {
+		iface := n.Origin().Underlying().(*types.Interface)
+		ms := types.NewMethodSet(t)
+		for i := range iface.NumMethods() {
+			if ms.Lookup(nil, iface.Method(i).Name()) == nil {
+				return false
+			}
+		}
+		return true
+	}
+	iface, ok := it.Underlying().(*types.Interface)
+	return ok && types.Implements(t, iface)
+}
+
+// checked is the module's non-test code, type-checked: the files the
+// default build context selects, and what their identifiers define and
+// use. Uses holds only the production packages' identifiers, not the
+// test-support packages'.
+type checked struct {
+	files []*file
+	defs  map[*ast.Ident]types.Object
+	uses  map[*ast.Ident]types.Object
+}
+
+// check type-checks every package of non-test files under m, importing
+// the standard library through go/importer, so the module needs no
+// loader beyond the standard library.
+func check(m *module) (*checked, error) {
+	byPath := make(map[string][]*file) // import path → its non-test files
+	var paths []string
+	for _, f := range m.files {
+		if strings.HasSuffix(f.rel, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(filepath.Join(m.root, filepath.FromSlash(f.dir)), filepath.Base(f.rel))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
+		p := m.path
+		if f.dir != "." {
+			p += "/" + f.dir
+		}
+		if byPath[p] == nil {
+			paths = append(paths, p)
+		}
+		byPath[p] = append(byPath[p], f)
+	}
+	c := &checked{defs: make(map[*ast.Ident]types.Object), uses: make(map[*ast.Ident]types.Object)}
+	support := &types.Info{Defs: make(map[*ast.Ident]types.Object), Uses: make(map[*ast.Ident]types.Object)}
+	prod := &types.Info{Defs: c.defs, Uses: c.uses}
+	std := importer.Default()
+	pkgs := make(map[string]*types.Package)
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p, ok := pkgs[path]; ok {
+			return p, nil
+		}
+		files := byPath[path]
+		if files == nil {
+			return std.Import(path)
+		}
+		info := prod
+		if files[0].test {
+			info = support
+		} else {
+			c.files = append(c.files, files...)
+		}
+		asts := make([]*ast.File, len(files))
+		for i, f := range files {
+			asts[i] = f.ast
+		}
+		p, err := (&types.Config{Importer: imp}).Check(path, m.fset, asts, info)
+		pkgs[path] = p
+		return p, err
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := imp.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// importerFunc is a types.Importer made of one function.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // declName is one name a top-level declaration introduces; qual is
 // "Recv.Name" for a method and the bare name otherwise.
@@ -407,7 +534,11 @@ func TestRepoInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range unused(m) {
+	dead, err := unused(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range dead {
 		t.Error(msg)
 	}
 	for _, msg := range supportImports(m) {
@@ -440,15 +571,19 @@ func TestRulesCatchPlants(t *testing.T) {
 		}
 	}
 	write("go.mod", "module planted\n\ngo 1.24\n")
-	write("internal/a/a.go", "package a\n\nfunc Used() int { return 1 + hook + Hook }\n\nfunc Unused() int { return 2 }\n\nvar hook, Hook int\n")
+	// U.Len is dead though T.Len, a method of the same name, is used;
+	// V.String is reached only through fmt.
+	write("internal/a/a.go", "package a\n\nfunc Used() int { return 1 + hook + Hook }\n\nfunc Unused() int { return 2 }\n\nvar hook, Hook int\n\n"+
+		"type T struct{}\n\nfunc (T) Len() int { return 0 }\n\ntype U struct{}\n\nfunc (U) Len() int { return 1 }\n\n"+
+		"type V int\n\nfunc (V) String() string { return \"v\" }\n")
 	// Two writes to package vars, in-package and from an external test;
 	// the shadowing local and parameter are not package vars.
 	write("internal/a/a_test.go", "package a\n\nimport \"testing\"\n\nfunc TestHere(t *testing.T) { _ = Unused(); hook = 2 }\n\n"+
 		"func TestLocal(t *testing.T) { hook := 0; hook++; func(Hook int) { Hook += hook }(1) }\n")
 	write("internal/a/ext_test.go", "package a_test\n\nimport (\n\t\"testing\"\n\n\t\"planted/internal/a\"\n)\n\nfunc TestExt(t *testing.T) { a.Hook++ }\n")
 	write("internal/metrics/promtest/p.go", "package promtest\n\nfunc Parse() int { return 3 }\n")
-	write("cmd/x/main.go", "package main\n\nimport (\n\t\"planted/internal/a\"\n\t\"planted/internal/metrics/promtest\"\n)\n\n"+
-		"func main() { _ = a.Used() + promtest.Parse() }\n")
+	write("cmd/x/main.go", "package main\n\nimport (\n\t\"fmt\"\n\n\t\"planted/internal/a\"\n\t\"planted/internal/metrics/promtest\"\n)\n\n"+
+		"func main() { fmt.Println(a.Used()+promtest.Parse()+a.T{}.Len(), a.V(1)) }\n")
 	write("ci.yml", "      - run: go test -run 'TestHere|^TestGone$' ./internal/a\n"+
 		"      - run: go test -run '^$' -fuzz FuzzMissing ./internal/...\n")
 	m, err := load(root)
@@ -459,9 +594,14 @@ func TestRulesCatchPlants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := append(append(append(unused(m), supportImports(m)...), testWrites(m)...), sels...)
+	dead, err := unused(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(append(append(dead, supportImports(m)...), testWrites(m)...), sels...)
 	want := []string{
 		"internal/a/a.go:5: Unused has no non-test use",
+		"internal/a/a.go:15: U.Len has no non-test use",
 		"internal/a/a_test.go:5: test assigns hook, a package var of internal/a",
 		"internal/a/ext_test.go:9: test assigns Hook, a package var of internal/a",
 		"cmd/x/main.go: non-test file imports test-support package planted/internal/metrics/promtest",

@@ -1,4 +1,4 @@
-package sim
+package regfile_test
 
 import (
 	"testing"
@@ -6,6 +6,7 @@ import (
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/regfile"
 )
 
 // naiveRegs is an independent model of the register file: valid bits
@@ -70,32 +71,32 @@ func (n *naiveRegs) land(t int) {
 	delete(n.landing, t)
 }
 
-// checkRegs asserts that the machine's register file holds exactly the
-// naive model's valid bits, and counts them the same.
-func checkRegs(t *testing.T, m *Machine, n *naiveRegs, cycle int) {
+// checkRegs asserts that the register file holds exactly the naive
+// model's valid bits, and counts them the same.
+func checkRegs(t *testing.T, rf *regfile.File[struct{}], n *naiveRegs, cycle int) {
 	t.Helper()
-	rf := m.walk.File()
 	for b := range n.valid {
 		occ := 0
 		for a, v := range n.valid[b] {
 			if rf.Valid(b, a) != v {
-				t.Fatalf("cycle %d: bank %d addr %d: machine valid %v, linear-scan model %v", cycle, b, a, !v, v)
+				t.Fatalf("cycle %d: bank %d addr %d: walker valid %v, linear-scan model %v", cycle, b, a, !v, v)
 			}
 			if v {
 				occ++
 			}
 		}
 		if got := rf.Occupied()[b]; got != occ {
-			t.Fatalf("cycle %d: bank %d: machine counts %d valid registers, model %d", cycle, b, got, occ)
+			t.Fatalf("cycle %d: bank %d: walker counts %d valid registers, model %d", cycle, b, got, occ)
 		}
 	}
 }
 
 // TestFreeListMatchesLinearScanOnTrace replays real compiled program
 // traces instruction by instruction and checks after every cycle that
-// the machine's register file (the shared regfile core) made exactly the
-// allocations a linear-scan priority encoder makes — bit for bit across
-// the whole trace, including spill-induced churn.
+// the register file the machine and the verifier walk on made exactly
+// the allocations a linear-scan priority encoder makes — bit for bit
+// across the whole trace, including spill-induced churn. Which address
+// a write takes never depends on the values, so the walk carries none.
 func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 	cases := []struct {
 		name string
@@ -123,73 +124,36 @@ func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := dag.RandomGraph(tc.gen)
-			c, err := compiler.Compile(g, tc.cfg, compiler.Options{Seed: 7})
+			c, err := compiler.Compile(g, tc.cfg, compiler.Options{})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			m := NewMachine(c.Prog.Cfg, c.Prog.InitMem)
-			for i, w := range c.InputWord {
-				if w >= 0 {
-					if err := m.SetMem(w, 0.25+float64(i%11)/13); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			n := &naiveRegs{valid: make([][]bool, m.cfg.B), landing: map[int][]int{}}
+			cfg := c.Prog.Cfg
+			walk := regfile.NewWalker[struct{}](cfg, regfile.NoPayload{})
+			n := &naiveRegs{valid: make([][]bool, cfg.B), landing: map[int][]int{}}
 			for b := range n.valid {
-				n.valid[b] = make([]bool, m.cfg.R)
+				n.valid[b] = make([]bool, cfg.R)
 			}
-			w := m.cfg.Wiring()
+			w := cfg.Wiring()
 			for i, in := range c.Prog.Instrs {
-				n.issue(m.cfg, w, in, m.walk.Cycle())
-				n.land(m.walk.Cycle())
-				if err := m.walk.Step(in); err != nil {
+				n.issue(cfg, w, in, walk.Cycle())
+				n.land(walk.Cycle())
+				if err := walk.Step(in); err != nil {
 					t.Fatalf("instruction %d: %v", i, err)
 				}
-				checkRegs(t, m, n, m.walk.Cycle())
+				checkRegs(t, walk.File(), n, walk.Cycle())
 			}
 			// The drain: cycles that issue nothing.
-			for d := 0; d < m.cfg.D+1; d++ {
-				n.land(m.walk.Cycle())
-				if err := m.walk.Step(&arch.Instr{Kind: arch.KindNop}); err != nil {
+			for d := 0; d < cfg.D+1; d++ {
+				n.land(walk.Cycle())
+				if err := walk.Step(&arch.Instr{Kind: arch.KindNop}); err != nil {
 					t.Fatal(err)
 				}
-				checkRegs(t, m, n, m.walk.Cycle())
+				checkRegs(t, walk.File(), n, walk.Cycle())
 			}
 			if len(n.landing) != 0 {
 				t.Fatalf("writes still in flight after the drain: %v", n.landing)
 			}
 		})
-	}
-}
-
-// TestMachineRunNoAllocsSteadyState asserts the hot path is allocation
-// free: once a Machine exists, stepping instructions must not allocate.
-func TestMachineRunNoAllocsSteadyState(t *testing.T) {
-	g := dag.RandomGraph(dag.RandomConfig{Inputs: 16, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Seed: 44})
-	c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		m := NewMachine(c.Prog.Cfg, c.Prog.InitMem)
-		for i, w := range c.InputWord {
-			if w >= 0 {
-				m.SetMem(w, float64(i))
-			}
-		}
-		if err := m.Run(c.Prog); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm up
-	perRun := testing.AllocsPerRun(10, run)
-	// Everything left is Machine construction (a fixed count independent
-	// of program length); the per-instruction loop itself contributes
-	// nothing. The seed allocated 5 slices per exec instruction, putting
-	// this in the hundreds.
-	limit := float64(30)
-	if perRun > limit {
-		t.Errorf("Machine construction+run allocates %.0f times, want <= %.0f", perRun, limit)
 	}
 }

@@ -113,9 +113,6 @@ func (w *Walker[P]) Cycle() int { return w.cycle }
 // Traffic returns the register reads issued and the writes landed so far.
 func (w *Walker[P]) Traffic() (reads, writes int) { return w.reads, w.writes }
 
-// File returns the register file, for inspection.
-func (w *Walker[P]) File() *File[P] { return w.rf }
-
 // Step issues in at the current cycle, then lands the cycle's writes and
 // advances the clock.
 func (w *Walker[P]) Step(in *arch.Instr) error {

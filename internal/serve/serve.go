@@ -163,14 +163,8 @@ func New(eng *engine.Engine, opts Options) *Server {
 	return s
 }
 
-// Tracer exposes the request tracer (tests and diagnostics).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Scheduler exposes the scheduler (tests and stats).
-func (s *Server) Scheduler() *sched.Scheduler { return s.sch }
 
 // Drain gracefully shuts the serving path down: new requests are
 // answered 503, the scheduler stops admission and waits for the calls it
@@ -183,12 +177,6 @@ func (s *Server) Drain() {
 	s.drainMu.Lock()
 	s.drainMu.Unlock() //nolint:staticcheck // empty critical section = barrier
 }
-
-// Draining reports whether Drain has started — the readiness signal
-// behind /healthz's 503. A gateway polls /healthz and removes a
-// draining backend from its hash ring so the shard fails over before
-// the process exits.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Stats snapshots all three layers.
 func (s *Server) Stats() StatsResponse {

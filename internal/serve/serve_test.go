@@ -70,9 +70,9 @@ func postAsync(srv *httptest.Server, req ExecuteRequest, ch chan<- reply) {
 func waitSched(t *testing.T, s *Server, cond func(sched.Stats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !cond(s.Scheduler().Stats()) {
+	for !cond(s.sch.Stats()) {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out; sched stats = %+v", s.Scheduler().Stats())
+			t.Fatalf("timed out; sched stats = %+v", s.sch.Stats())
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -125,6 +125,36 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Cleanup(srv.Close)
 	t.Cleanup(s.Drain)
 	return s, srv
+}
+
+// TestExecuteIgnoresClockAndSeed: a program depends on the graph and
+// the datapath alone, so two /execute bodies for one graph that differ
+// only in a clock and a compiler seed (fields the request does not have,
+// which the server ignores as encoding/json does any unknown field)
+// compile once and get byte-identical answers.
+func TestExecuteIgnoresClockAndSeed(t *testing.T) {
+	s, srv := newTestServer(t, Options{})
+	const graph = `"input\ninput\nadd 0 1\nconst 3\nmul 2 3\n"`
+	var answers [2][]byte
+	for i, extra := range [2]struct{ clock, seed string }{{"300", "0"}, {"450", "7"}} {
+		body := `{"graph":` + graph + `,"config":{"D":2,"B":8,"R":16,"ClockMHz":` + extra.clock +
+			`},"options":{"Seed":` + extra.seed + `},"inputs":[[2,5]]}`
+		resp, err := http.Post(srv.URL+"/execute", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d, err %v: %s", i, resp.StatusCode, err, answers[i])
+		}
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Errorf("answers differ:\n%s\n%s", answers[0], answers[1])
+	}
+	if st := s.Stats().Engine; st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("engine misses %d, hits %d; want 1, 1", st.Misses, st.Hits)
+	}
 }
 
 func TestServeExecuteEndToEnd(t *testing.T) {
@@ -388,13 +418,13 @@ func TestServeStageHistograms(t *testing.T) {
 // first sampled.
 func TestZeroOptionsDefaults(t *testing.T) {
 	s, srv := newTestServer(t, Options{})
-	if got := s.Scheduler().Stats().QueueLimit; got != 4096 {
+	if got := s.sch.Stats().QueueLimit; got != 4096 {
 		t.Errorf("queue limit = %d, want 4096", got)
 	}
 	// Before any request: each one consumes a sampling decision.
 	var sampled []int
 	for i := 0; i < 2*64; i++ {
-		if s.Tracer().Sample() {
+		if s.tracer.Sample() {
 			sampled = append(sampled, i)
 		}
 	}
@@ -409,7 +439,7 @@ func TestZeroOptionsDefaults(t *testing.T) {
 	if resp, _ := postExecute(t, srv, req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("33 vectors: status = %d, want 200", resp.StatusCode)
 	}
-	if st := s.Scheduler().Stats(); st.Batches != 2 || st.BatchSize.Max != 32 {
+	if st := s.sch.Stats(); st.Batches != 2 || st.BatchSize.Max != 32 {
 		t.Errorf("33 vectors ran as %d chunks of at most %d, want 2 of at most 32", st.Batches, st.BatchSize.Max)
 	}
 }
@@ -483,7 +513,7 @@ func TestServeQueueFull429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("status = %d, want 429", resp.StatusCode)
 	}
-	if st := s.Scheduler().Stats(); st.Rejected != 1 || st.QueueLimit != 4096 {
+	if st := s.sch.Stats(); st.Rejected != 1 || st.QueueLimit != 4096 {
 		t.Errorf("rejected %d against a limit of %d, want 1 against 4096", st.Rejected, st.QueueLimit)
 	}
 
@@ -525,7 +555,7 @@ func TestServePartialAdmission(t *testing.T) {
 	if out.Results[2].Error == "" {
 		t.Error("overflow item did not itemize its rejection")
 	}
-	if st := s.Scheduler().Stats(); st.Submitted != 4096 || st.Rejected != 1 {
+	if st := s.sch.Stats(); st.Submitted != 4096 || st.Rejected != 1 {
 		t.Errorf("submitted/rejected = %d/%d, want 4096/1", st.Submitted, st.Rejected)
 	}
 }
@@ -615,7 +645,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		close(drained)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for !s.Draining() {
+	for !s.draining.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("Drain never started")
 		}

@@ -97,7 +97,7 @@ func TestServeMetricsExposition(t *testing.T) {
 // first sight of a text, and for a second one.
 func TestServeTraceJoinsTraceparent(t *testing.T) {
 	s, srv := newTestServer(t, Options{})
-	s.Tracer().Sample() // spend the always-sampled first slot: only header-carrying requests trace
+	s.tracer.Sample() // spend the always-sampled first slot: only header-carrying requests trace
 
 	body, err := json.Marshal(execRequest())
 	if err != nil {
@@ -123,7 +123,7 @@ func TestServeTraceJoinsTraceparent(t *testing.T) {
 	id := trace.NewID()
 	send(id)
 
-	recs := s.Tracer().Traces(0, "")
+	recs := s.tracer.Traces(0, "")
 	if len(recs) != 1 {
 		t.Fatalf("got %d traces, want exactly the header-carrying request", len(recs))
 	}
@@ -167,7 +167,7 @@ func TestServeTraceJoinsTraceparent(t *testing.T) {
 	second := trace.NewID()
 	send(second)
 	hits := map[string]any{}
-	for _, rec := range s.Tracer().Traces(0, "") {
+	for _, rec := range s.tracer.Traces(0, "") {
 		for _, sp := range rec.Spans {
 			if sp.Stage == "parse" {
 				hits[rec.TraceID] = sp.Attrs["memo_hit"]

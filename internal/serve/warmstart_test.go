@@ -197,7 +197,7 @@ func TestWarmStartDecodeFasterThanCompile(t *testing.T) {
 			}
 		},
 		func() {
-			if _, err := st.Get(key); err != nil {
+			if _, err := st.GetServing(key, nil); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -275,7 +275,7 @@ func BenchmarkServeWarmStart(b *testing.B) {
 	})
 	b.Run("decode-from-store", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := st.Get(key); err != nil {
+			if _, err := st.GetServing(key, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -289,7 +289,7 @@ func BenchmarkServeWarmStart(b *testing.B) {
 		}
 	})
 	b.Run("verify-decoded", func(b *testing.B) {
-		a, err := st.Get(key)
+		a, err := st.GetServing(key, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,8 +22,6 @@ var (
 	}
 	optionMatrixOptions = []compiler.Options{
 		{},
-		{Seed: 99},
-		{Seed: 99, RandomBanks: true},
 		{RandomBanks: true, PartitionSize: 64},
 		{RandomBanks: true},
 		{PartitionSize: 64},

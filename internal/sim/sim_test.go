@@ -35,7 +35,7 @@ func runChecked(c *compiler.Compiled, inputs []float64) (*Result, error) {
 
 func compileAndVerify(t *testing.T, g *dag.Graph, cfg arch.Config, seed int64) *Result {
 	t.Helper()
-	c, err := compiler.Compile(g, cfg, compiler.Options{Seed: seed})
+	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatalf("compile %s on %v: %v", g.Name, cfg, err)
 	}
@@ -135,7 +135,7 @@ func TestSpillingSmallR(t *testing.T) {
 	// R=4 forces heavy spilling; results must still be exact.
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 30, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Seed: 9})
 	cfg := arch.Config{D: 2, B: 8, R: 4, Output: arch.OutPerLayer}
-	c, err := compiler.Compile(g, cfg, compiler.Options{Seed: 1})
+	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestSpillingSmallR(t *testing.T) {
 func TestRandomBankAllocationStillCorrect(t *testing.T) {
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 20, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Seed: 11})
 	cfg := arch.Config{D: 3, B: 16, R: 64, Output: arch.OutPerLayer}
-	c, err := compiler.Compile(g, cfg, compiler.Options{Seed: 1, RandomBanks: true})
+	c, err := compiler.Compile(g, cfg, compiler.Options{RandomBanks: true})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestPCWorkloadEndToEnd(t *testing.T) {
 func TestSpTRSVWorkloadEndToEnd(t *testing.T) {
 	m := sptrsv.Leveled(120, 24, 2, 3)
 	g, xs := sptrsv.Lower(m)
-	c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{Seed: 3})
+	c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPackedProgramRoundTripExecutes(t *testing.T) {
 	// decoded-form execution.
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 12, Interior: 150, MaxArgs: 3, MulFrac: 0.5, Seed: 17})
 	cfg := arch.Config{D: 2, B: 16, R: 32, Output: arch.OutPerLayer}
-	c, err := compiler.Compile(g, cfg, compiler.Options{Seed: 2})
+	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestCompileSimulateProperty(t *testing.T) {
 			MulFrac:  0.5,
 			Seed:     seed,
 		})
-		c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{Seed: seed})
+		c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{})
 		if err != nil {
 			return false
 		}

@@ -13,8 +13,7 @@ import (
 
 // CSR is a square sparse matrix in compressed-sparse-row form. For
 // triangular solves the matrix must be lower triangular with a nonzero
-// diagonal; LowerTriangular generators guarantee that and Validate checks
-// it.
+// diagonal; the generators guarantee that and the tests check it.
 type CSR struct {
 	N      int
 	RowPtr []int32 // length N+1
@@ -24,45 +23,6 @@ type CSR struct {
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Col) }
-
-// Validate checks CSR structural invariants plus lower-triangularity with
-// a nonzero diagonal as the last entry of every row.
-func (m *CSR) Validate() error {
-	if m.N < 1 {
-		return fmt.Errorf("sptrsv: empty matrix")
-	}
-	if len(m.RowPtr) != m.N+1 {
-		return fmt.Errorf("sptrsv: RowPtr length %d, want %d", len(m.RowPtr), m.N+1)
-	}
-	if m.RowPtr[0] != 0 || int(m.RowPtr[m.N]) != len(m.Col) || len(m.Col) != len(m.Val) {
-		return fmt.Errorf("sptrsv: inconsistent RowPtr/Col/Val")
-	}
-	for i := 0; i < m.N; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		if lo > hi {
-			return fmt.Errorf("sptrsv: row %d has negative extent", i)
-		}
-		if lo == hi {
-			return fmt.Errorf("sptrsv: row %d empty (zero diagonal)", i)
-		}
-		for k := lo; k < hi; k++ {
-			c := m.Col[k]
-			if c < 0 || int(c) > i {
-				return fmt.Errorf("sptrsv: entry (%d,%d) above diagonal", i, c)
-			}
-			if k > lo && c <= m.Col[k-1] {
-				return fmt.Errorf("sptrsv: row %d columns not ascending", i)
-			}
-		}
-		if int(m.Col[hi-1]) != i {
-			return fmt.Errorf("sptrsv: row %d missing diagonal", i)
-		}
-		if m.Val[hi-1] == 0 {
-			return fmt.Errorf("sptrsv: row %d zero diagonal value", i)
-		}
-	}
-	return nil
-}
 
 // Solve performs the reference forward substitution L·x = b and returns x.
 func (m *CSR) Solve(b []float64) ([]float64, error) {
@@ -79,13 +39,6 @@ func (m *CSR) Solve(b []float64) ([]float64, error) {
 		x[i] = acc / m.Val[hi-1]
 	}
 	return x, nil
-}
-
-// FootprintBytes returns the memory footprint of the CSR structure with
-// 4-byte indices and 4-byte values, the conventional layout the paper
-// compares its instruction stream against in §IV-E.
-func (m *CSR) FootprintBytes() int {
-	return 4*len(m.RowPtr) + 4*len(m.Col) + 4*len(m.Val)
 }
 
 type builderRow struct {

@@ -161,14 +161,6 @@ func TestValidateCatchesMissingDiagonal(t *testing.T) {
 	}
 }
 
-func TestFootprintBytes(t *testing.T) {
-	m := Band(100, 4, 2, 1)
-	want := 4*(m.N+1) + 8*m.NNZ()
-	if got := m.FootprintBytes(); got != want {
-		t.Fatalf("FootprintBytes = %d, want %d", got, want)
-	}
-}
-
 // Property: Lower∘Solve agreement holds across random leveled matrices.
 func TestLowerSolveProperty(t *testing.T) {
 	f := func(seed int64, n8, lv8 uint8) bool {

@@ -31,8 +31,6 @@ func TestConformanceMatrixVerifiesClean(t *testing.T) {
 	}
 	opts := []compiler.Options{
 		{},
-		{Seed: 99},
-		{Seed: 99, RandomBanks: true},
 		{RandomBanks: true, PartitionSize: 64},
 		{RandomBanks: true},
 		{PartitionSize: 64},

@@ -208,19 +208,14 @@ func Summary(fs []Finding) string {
 // quadratic.
 const maxFindings = 64
 
-// Program statically verifies a program against cfg and returns its
-// findings (empty = clean). It never executes the program and never
-// panics on malformed input: every illegal encoding becomes a finding.
-func Program(p *arch.Program, cfg arch.Config) []Finding {
-	fs, _ := run(p, cfg)
-	return fs
-}
-
-// Compiled verifies a compiled program plus its serving metadata: the
-// instruction stream (as Program) and the remap/input/output maps the
+// Compiled statically verifies a compiled program plus its serving
+// metadata and returns its findings (empty = clean): the instruction
+// stream against its configuration and the remap/input/output maps the
 // engine trusts to route values — a store-decoded artifact passes
 // through exactly this before it may serve traffic. A program another
-// compiler revision emitted draws a ClassStaleCompiler warning.
+// compiler revision emitted draws a ClassStaleCompiler warning. It never
+// executes the program and never panics on malformed input: every
+// illegal encoding becomes a finding.
 func Compiled(c *compiler.Compiled) []Finding {
 	metaf := func(msg string, args ...any) Finding {
 		return Finding{Sev: SevError, Class: ClassMapping, PC: -1, PE: -1, Bank: -1, Msg: fmt.Sprintf(msg, args...)}
