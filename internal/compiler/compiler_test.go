@@ -64,6 +64,8 @@ func TestDecomposeInvariants(t *testing.T) {
 		} {
 			for _, opts := range []Options{
 				{},
+				{PartitionSize: 16},
+				{RandomBanks: true, PartitionSize: 16},
 				{RandomBanks: true, PartitionSize: 64},
 				{RandomBanks: true},
 				{PartitionSize: 64},

@@ -22,6 +22,8 @@ var (
 	}
 	optionMatrixOptions = []compiler.Options{
 		{},
+		{PartitionSize: 16},
+		{RandomBanks: true, PartitionSize: 16},
 		{RandomBanks: true, PartitionSize: 64},
 		{RandomBanks: true},
 		{PartitionSize: 64},

@@ -31,6 +31,8 @@ func TestConformanceMatrixVerifiesClean(t *testing.T) {
 	}
 	opts := []compiler.Options{
 		{},
+		{PartitionSize: 16},
+		{RandomBanks: true, PartitionSize: 16},
 		{RandomBanks: true, PartitionSize: 64},
 		{RandomBanks: true},
 		{PartitionSize: 64},
