@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,6 +21,46 @@ func TestFig11ReportsOptima(t *testing.T) {
 		"min latency", "min energy", "min EDP"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRecordWritesLedger: -record writes the fidelity ledger, a JSON
+// object with a row per paper claim and per Table I graph, and prints
+// no table.
+func TestRecordWritesLedger(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "FIDELITY.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-record", path, "-scale", "0.02", "-large-scale", "0.004"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-record printed tables:\n%s", stdout.String())
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger struct {
+		Scale  float64
+		Claims []struct {
+			Name  string
+			Holds bool
+		}
+		Graphs []struct {
+			Name   string
+			Cycles int
+		}
+	}
+	if err := json.Unmarshal(b, &ledger); err != nil {
+		t.Fatalf("ledger is not JSON: %v\n%s", err, b)
+	}
+	if ledger.Scale != 0.02 || len(ledger.Claims) == 0 || len(ledger.Graphs) != 12 {
+		t.Errorf("ledger at scale %v with %d claims and %d graphs, want 0.02, some and 12", ledger.Scale, len(ledger.Claims), len(ledger.Graphs))
+	}
+	for _, g := range ledger.Graphs {
+		if g.Cycles <= 0 {
+			t.Errorf("%s: %d cycles", g.Name, g.Cycles)
 		}
 	}
 }
@@ -46,7 +89,7 @@ func TestHelpExitsZero(t *testing.T) {
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-h exited %d", code)
 	}
-	for _, flag := range []string{"-exp", "-scale", "-large-scale", "-workers"} {
+	for _, flag := range []string{"-exp", "-scale", "-large-scale", "-workers", "-record"} {
 		if !strings.Contains(stderr.String(), flag) {
 			t.Errorf("usage text does not document %s", flag)
 		}

@@ -2,21 +2,9 @@ package figures
 
 import (
 	"bytes"
-	"fmt"
 	"math"
-	"strconv"
 	"testing"
 )
-
-// paperValue returns the paper's reference value for the cell t.Get
-// reads, or NaN when the paper gives none.
-func paperValue(t *Table, label, col string) float64 {
-	ref := &Table{Cols: t.Cols}
-	for _, r := range t.Rows {
-		ref.Rows = append(ref.Rows, Row{Label: r.Label, Vals: r.Paper})
-	}
-	return ref.Get(label, col)
-}
 
 func tinyRunner() *Runner {
 	return NewRunner(Config{Scale: 0.04, LargeScale: 0.004})
@@ -175,95 +163,6 @@ func TestRenderAlignsColumns(t *testing.T) {
 // The claims TestPaperClaims checks are pinned at these scales.
 const claimScale, claimLargeScale = 0.1, 0.01
 
-// claim is one qualitative result of the paper, read off typed tables:
-// check reports whether it holds and the values it compared.
-type claim struct {
-	name  string
-	check func(tab map[string]*Table) (bool, string)
-}
-
-var paperClaims = []claim{
-	{"fig6e: conflicts (a) <= (b) < (c)", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig6e"]
-		a := f.Get("(a) crossbar/crossbar", "conflicts")
-		b := f.Get("(b) crossbar/one-PE-per-layer", "conflicts")
-		c := f.Get("(c) crossbar/one-PE", "conflicts")
-		return a <= b && b < c, fmt.Sprintf("a=%v b=%v c=%v", a, b, c)
-	}},
-	{"fig3c: tree >= systolic at every input count", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig3c"]
-		for _, row := range f.Rows {
-			if sys, tree := f.Get(row.Label, "systolic"), f.Get(row.Label, "tree"); !(tree >= sys) {
-				return false, fmt.Sprintf("%s inputs: tree %v%%, systolic %v%%", row.Label, tree, sys)
-			}
-		}
-		return len(f.Rows) > 0, fmt.Sprintf("%d input counts", len(f.Rows))
-	}},
-	{"fig1c: GPU < CPU below 100k nodes", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig1c"]
-		below := 0
-		for _, row := range f.Rows {
-			if n, _ := strconv.Atoi(row.Label); n >= 100_000 {
-				continue
-			}
-			below++
-			if gpu, cpu := f.Get(row.Label, "GPU"), f.Get(row.Label, "CPU"); !(gpu < cpu) {
-				return false, fmt.Sprintf("%s nodes: GPU %v, CPU %v", row.Label, gpu, cpu)
-			}
-		}
-		return below > 0, fmt.Sprintf("%d sizes below 100k", below)
-	}},
-	{"fig14a: DPU-v2 mean > CPU mean > GPU mean", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig14a"]
-		v2, cpu, gpu := f.Get("mean", "DPU-v2"), f.Get("mean", "CPU"), f.Get("mean", "GPU")
-		return v2 > cpu && cpu > gpu, fmt.Sprintf("DPU-v2 %v, CPU %v, GPU %v", v2, cpu, gpu)
-	}},
-	{"fig14a: DPU-v2 mean > DPU mean", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig14a"]
-		v2, v1 := f.Get("mean", "DPU-v2"), f.Get("mean", "DPU")
-		return v2 > v1, fmt.Sprintf("DPU-v2 %v, DPU %v", v2, v1)
-	}},
-	{"table3: DPU-v2 EDP < CPU EDP", func(tab map[string]*Table) (bool, string) {
-		f := tab["table3"].Parts[0]
-		v2, cpu := f.Get("DPU-v2", "EDP(pJ*ns)"), f.Get("CPU", "EDP(pJ*ns)")
-		return v2 < cpu, fmt.Sprintf("DPU-v2 %v, CPU %v", v2, cpu)
-	}},
-	{"table3: DPU-v2 EDP < DPU EDP", func(tab map[string]*Table) (bool, string) {
-		f := tab["table3"].Parts[0]
-		v2, v1 := f.Get("DPU-v2", "EDP(pJ*ns)"), f.Get("DPU", "EDP(pJ*ns)")
-		return v2 < v1, fmt.Sprintf("DPU-v2 %v, DPU %v", v2, v1)
-	}},
-	{"fig10b: random allocation conflicts more", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig10b"]
-		random, ours := f.Get("tretail", "random"), f.Get("tretail", "ours")
-		return random > ours, fmt.Sprintf("random %v, ours %v", random, ours)
-	}},
-	{"progsize: automatic write addressing saves bits (§III-B)", func(tab map[string]*Table) (bool, string) {
-		s := tab["progsize"].Get("mean", "saving")
-		return s > 0, fmt.Sprintf("mean saving %v%%", s)
-	}},
-	{"footprint: smaller than CSR (§IV-E)", func(tab map[string]*Table) (bool, string) {
-		s := tab["footprint"].Get("mean", "saving")
-		return s > 0, fmt.Sprintf("mean saving %v%%", s)
-	}},
-	optimumClaim("min latency"),
-	optimumClaim("min energy"),
-	optimumClaim("min EDP"),
-}
-
-// optimumClaim: fig. 11's optimum is the paper's design point.
-func optimumClaim(name string) claim {
-	return claim{"fig11: " + name + " is the paper's point", func(tab map[string]*Table) (bool, string) {
-		f := tab["fig11"].Parts[0]
-		var got, paper []float64
-		for _, c := range []string{"D", "B", "R"} {
-			got = append(got, f.Get(name, c))
-			paper = append(paper, paperValue(f, name, c))
-		}
-		return fmt.Sprint(got) == fmt.Sprint(paper), fmt.Sprintf("D,B,R %v, paper %v", got, paper)
-	}}
-}
-
 // knownGaps are the paper claims this reproduction does not hold at
 // claimScale, each with what it reads there. A gap that starts to hold
 // fails TestPaperClaims until it is removed from here; a claim moves in
@@ -279,24 +178,20 @@ var knownGaps = map[string]string{
 // TestPaperClaims asserts every qualitative paper claim the harness
 // reproduces at claimScale and names the ones it does not in knownGaps.
 func TestPaperClaims(t *testing.T) {
-	r := NewRunner(Config{Scale: claimScale, LargeScale: claimLargeScale})
-	tab := map[string]*Table{}
-	for _, name := range []string{"fig1c", "fig3c", "fig6e", "fig10b", "fig11", "fig14a", "table3", "progsize", "footprint"} {
-		var err error
-		if tab[name], err = r.Run(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	readings, err := NewRunner(Config{Scale: claimScale, LargeScale: claimLargeScale}).readClaims()
+	if err != nil {
+		t.Fatal(err)
 	}
 	claimed := map[string]bool{}
-	for _, c := range paperClaims {
+	for i, c := range paperClaims {
 		claimed[c.name] = true
-		ok, got := c.check(tab)
+		got := readings[i]
 		_, gap := knownGaps[c.name]
 		switch {
-		case gap && ok:
-			t.Errorf("%s now holds (%s): remove from knownGaps", c.name, got)
-		case !gap && !ok:
-			t.Errorf("%s does not hold: %s", c.name, got)
+		case gap && got.holds:
+			t.Errorf("%s now holds (%s): remove from knownGaps", c.name, got.detail)
+		case !gap && !got.holds:
+			t.Errorf("%s does not hold: %s", c.name, got.detail)
 		}
 	}
 	for name := range knownGaps {
