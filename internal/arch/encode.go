@@ -230,22 +230,12 @@ func Encode(in *Instr, cfg Config, w Widths, bw *BitWriter) {
 func Decode(br *BitReader, cfg Config, w Widths) (*Instr, error) {
 	cfg = cfg.Normalize()
 	k := Kind(br.Take(w.Opcode))
-	in := &Instr{Kind: k}
+	var in *Instr
 	switch k {
 	case KindNop:
+		in = &Instr{Kind: k}
 	case KindExec:
-		// One backing array per element type: a full-scale program decodes
-		// hundreds of thousands of exec instructions, and two allocations
-		// in place of six is a measurable slice of artifact decode.
-		bools := make([]bool, 3*cfg.B)
-		in.ReadEn = bools[:cfg.B:cfg.B]
-		in.ValidRst = bools[cfg.B : 2*cfg.B : 2*cfg.B]
-		in.WriteEn = bools[2*cfg.B:]
-		sels := make([]uint16, 3*cfg.B)
-		in.ReadAddr = sels[:cfg.B:cfg.B]
-		in.InputSel = sels[cfg.B : 2*cfg.B : 2*cfg.B]
-		in.WriteSel = sels[2*cfg.B:]
-		in.PEOps = make([]PEOp, cfg.NumPEs())
+		in = NewExec(cfg)
 		for i := range in.PEOps {
 			in.PEOps[i] = PEOp(br.Take(w.PEOp))
 		}
@@ -264,17 +254,12 @@ func Decode(br *BitReader, cfg Config, w Widths) (*Instr, error) {
 			in.WriteSel[b] = uint16(br.Take(w.WriteSel))
 		}
 	case KindLoad:
-		in.MemAddr = int(br.Take(w.MemAddr))
-		in.Mask = make([]bool, cfg.B)
+		in = NewLoad(cfg, int(br.Take(w.MemAddr)))
 		for b := 0; b < cfg.B; b++ {
 			in.Mask[b] = br.TakeBool()
 		}
 	case KindStore:
-		in.MemAddr = int(br.Take(w.MemAddr))
-		bools := make([]bool, 2*cfg.B)
-		in.ReadEn = bools[:cfg.B:cfg.B]
-		in.ValidRst = bools[cfg.B:]
-		in.ReadAddr = make([]uint16, cfg.B)
+		in = NewStore(cfg, int(br.Take(w.MemAddr)))
 		for b := 0; b < cfg.B; b++ {
 			in.ReadEn[b] = br.TakeBool()
 			in.ReadAddr[b] = uint16(br.Take(w.ReadAddr))
@@ -283,6 +268,7 @@ func Decode(br *BitReader, cfg Config, w Widths) (*Instr, error) {
 			in.ValidRst[b] = br.TakeBool()
 		}
 	case KindStore4, KindCopy:
+		in = &Instr{Kind: k}
 		if k == KindStore4 {
 			in.MemAddr = int(br.Take(w.MemAddr))
 		}

@@ -137,28 +137,33 @@ type Instr struct {
 	Moves []Move
 }
 
-// NewExec allocates an exec instruction with all-idle PEs for cfg.
+// NewExec allocates an exec instruction with all-idle PEs for cfg. Its
+// per-bank fields share one array per element type: a full-scale program
+// decodes hundreds of thousands of exec instructions, and three
+// allocations in place of seven is a measurable slice of artifact decode.
 func NewExec(cfg Config) *Instr {
+	bools, sels := make([]bool, 3*cfg.B), make([]uint16, 3*cfg.B)
 	return &Instr{
 		Kind:     KindExec,
 		PEOps:    make([]PEOp, cfg.NumPEs()),
-		ReadEn:   make([]bool, cfg.B),
-		ReadAddr: make([]uint16, cfg.B),
-		ValidRst: make([]bool, cfg.B),
-		InputSel: make([]uint16, cfg.B),
-		WriteEn:  make([]bool, cfg.B),
-		WriteSel: make([]uint16, cfg.B),
+		ReadEn:   bools[:cfg.B:cfg.B],
+		ValidRst: bools[cfg.B : 2*cfg.B : 2*cfg.B],
+		WriteEn:  bools[2*cfg.B:],
+		ReadAddr: sels[:cfg.B:cfg.B],
+		InputSel: sels[cfg.B : 2*cfg.B : 2*cfg.B],
+		WriteSel: sels[2*cfg.B:],
 	}
 }
 
 // NewStore allocates a full-vector store instruction for cfg.
 func NewStore(cfg Config, memAddr int) *Instr {
+	bools := make([]bool, 2*cfg.B)
 	return &Instr{
 		Kind:     KindStore,
 		MemAddr:  memAddr,
-		ReadEn:   make([]bool, cfg.B),
+		ReadEn:   bools[:cfg.B:cfg.B],
+		ValidRst: bools[cfg.B:],
 		ReadAddr: make([]uint16, cfg.B),
-		ValidRst: make([]bool, cfg.B),
 	}
 }
 

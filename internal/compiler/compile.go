@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"dpuv2/internal/arch"
@@ -25,7 +26,7 @@ func Compile(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, error) {
 
 // Planned is a graph taken through steps 1–3 for one datapath (D, B,
 // topology) and options: the cut, expansion, bank allocation, and a
-// draft and its reordering per leaf layout — everything compilation
+// draft per leaf layout and reorder window — everything compilation
 // decides before the register file's size R enters, which only step 4
 // reads. Emit turns a plan into a program for a given R without
 // modifying it, so a design-space sweep plans once per datapath and
@@ -34,13 +35,17 @@ type Planned struct {
 	cfg   arch.Config // normalized, R zero
 	graph *dag.Graph  // binarized
 	remap []dag.NodeID
-	// drafts are the candidate layouts: first-fit, then the row layout
-	// when its image fits data memory and its schedule is shorter.
+	// drafts are the candidates, window by window and within a window
+	// layout by layout: first-fit under reorderWindow first, always; a
+	// row draft where its image fits data memory and its schedule is
+	// shorter than first-fit's under the same window; a later window's
+	// draft where its schedule differs from its layout's under the first.
 	drafts  []*draft
 	elapsed time.Duration
 }
 
-// draft is steps 2c–3 under one leaf layout.
+// draft is steps 2c–3 under one leaf layout and reorder window. The
+// drafts of one layout share everything but sched.
 type draft struct {
 	vals    []valInfo  // home bank and memory word of every value
 	rows    int        // memory rows the init/output region fills
@@ -51,19 +56,20 @@ type draft struct {
 
 // search is the space of mapping decisions Plan tries on every graph:
 // step 1's cuts (the shortest issue span wins, the first on a tie), step
-// 2c's leaf layouts (the first is always kept) and step 3's window, with
-// the seed of step 2's bank allocator and step 2c's copy repair.
+// 2c's leaf layouts and step 3's windows (the first of each is always
+// kept), with the seed of step 2's bank allocator and step 2c's copy
+// repair.
 type search struct {
 	cuts    []cutPolicy
 	layouts []leafLayout
-	window  int
+	windows []int
 	seed    int64
 }
 
 // fullSearch is Plan's space: both cuts, greedy first; both layouts,
-// first-fit first; reorderWindow; and seed 0.
+// first-fit first; reorderWindow, then shortWindow; and seed 0.
 func fullSearch() search {
-	return search{[]cutPolicy{cutGreedy, cutBand}, []leafLayout{layoutFirstFit, layoutRows}, reorderWindow, 0}
+	return search{[]cutPolicy{cutGreedy, cutBand}, []leafLayout{layoutFirstFit, layoutRows}, []int{reorderWindow, shortWindow}, 0}
 }
 
 // Plan runs steps 1–3 of Compile for g under cfg and opts. cfg.R is not
@@ -92,8 +98,10 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 
 	bg, remap := dag.Binarize(g)
 	p := &Planned{cfg: cfg, graph: bg, remap: remap}
-	keys := partitionKeys(bg, dag.DFSOrder(bg), opts.PartitionSize)
-	blocks, err := decompose(bg, cfg, keys, s.cuts)
+	sc := planPool.Get().(*planScratch)
+	defer planPool.Put(sc)
+	sc.keys = partitionKeys(sc.keys, bg, dag.DFSOrder(bg), opts.PartitionSize)
+	blocks, err := sc.dec.decompose(bg, cfg, sc.keys, s.cuts)
 	if err != nil {
 		return nil, err
 	}
@@ -104,47 +112,80 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 		}
 	}
 
-	exp := newExpansion(cfg, bg.NumNodes())
+	sc.exp.reset(cfg, bg.NumNodes())
 	for _, b := range blocks {
-		if err := exp.expand(bg, b); err != nil {
+		if err := sc.exp.expand(bg, b); err != nil {
 			return nil, err
 		}
 	}
 
-	ba, err := allocateBanks(bg, cfg, blocks, opts, s.seed)
-	if err != nil {
+	if err := sc.banks.allocate(bg, cfg, blocks, opts, s.seed); err != nil {
 		return nil, err
 	}
 
-	// Step 2c–3 per layout. The row layout needs one load per block but
-	// leaves the image sparse and can lengthen the schedule (loads were
-	// filling latency slots anyway), so it is a candidate only where it
-	// fits and its schedule is strictly shorter; Emit decides between the
-	// candidates by the cycles step 4 emits.
-	for _, layout := range s.layouts {
-		d, err := newDraft(bg, cfg, layout, blocks, ba, s.seed, s.window, base)
+	// Step 2c once per layout, step 3 once per window: drafts[l][w]. The
+	// row layout needs one load per block but leaves the image sparse and
+	// can lengthen the schedule (loads were filling latency slots
+	// anyway), so it is a candidate only where it fits and its schedule
+	// is strictly shorter than first-fit's under the same window. A
+	// shorter window hoists loads less far ahead of their execs; where it
+	// leaves a layout's schedule as it was, it is no candidate. Emit
+	// decides between the candidates by the cycles step 4 emits.
+	drafts := make([][]*draft, len(s.layouts))
+	for l, layout := range s.layouts {
+		d, err := sc.draft(bg, cfg, layout, blocks, s.seed, base)
 		if err != nil {
 			return nil, err
 		}
-		if len(p.drafts) > 0 && (d.rows*cfg.B > cfg.DataMemWords || len(d.sched) >= len(p.drafts[0].sched)) {
-			continue
+		for _, window := range s.windows {
+			dw := *d
+			dw.sched = sc.reorder(sc.ds.ops, len(d.vals), cfg.D, window)
+			drafts[l] = append(drafts[l], &dw)
 		}
-		p.drafts = append(p.drafts, d)
 	}
+	for w := range s.windows {
+		for l := range s.layouts {
+			d := drafts[l][w]
+			if w > 0 && slices.Equal(d.sched, drafts[l][0].sched) {
+				continue
+			}
+			if l > 0 && (d.rows*cfg.B > cfg.DataMemWords || len(d.sched) >= len(drafts[0][w].sched)) {
+				continue
+			}
+			p.drafts = append(p.drafts, d)
+		}
+	}
+	sc.ds.ops, sc.ds.vals = nil, nil
 	p.elapsed = time.Since(start)
 	return p, nil
 }
 
-// newDraft runs step 2c (the draft, laying leaves out by layout) and
-// step 3 (reordering within window) over the blocks.
-func newDraft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, ba *bankAlloc, seed int64, window int, base Stats) (*draft, error) {
+// planScratch is the working storage of plan that no plan keeps: the
+// partition keys, step 1's decomposer (and step 1b's scheduler in it),
+// the expansion, the bank allocator, the draft state and step 3's
+// arrays. plan takes one from planPool and puts it back, so the next
+// plan reuses them.
+type planScratch struct {
+	keys        []int64
+	dec         decomposer
+	exp         expansion
+	banks       bankAlloc
+	ds          draftState
+	prod, posOf []int32
+}
+
+var planPool = sync.Pool{New: func() any { return new(planScratch) }}
+
+// draft runs step 2c, the draft laying leaves out by layout, over the
+// blocks, and returns it unordered; its op list is sc.ds.ops, for step 3.
+func (sc *planScratch) draft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, seed int64, base Stats) (*draft, error) {
 	d := &draft{stats: base}
-	ds := newDraftState(bg, cfg, layout, ba, seed, &d.stats)
+	ds := &sc.ds
+	ds.reset(bg, cfg, layout, &sc.banks, seed, &d.stats, len(blocks))
 	var err error
 	if d.outWord, err = ds.buildDraft(blocks); err != nil {
 		return nil, err
 	}
-	d.sched = reorder(ds.ops, len(ds.vals), cfg.D, window)
 	d.vals, d.rows = ds.vals, ds.rows
 	if d.stats.Execs > 0 {
 		d.stats.MeanUtil /= float64(d.stats.Execs)
@@ -155,12 +196,15 @@ func newDraft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block
 // Emit runs step 4 — register allocation, spilling and address
 // assignment — for r registers per bank on every draft of the plan, and
 // builds the program of the one that emits the fewest instructions (the
-// first-fit draft on a tie; the first draft's error when none emits).
+// earliest draft on a tie; the first draft's error when none emits).
 // The drafts are emitted in order, and each stops once it is as long as
 // the shortest program before it.
 // Spilling gives values memory words in a spill region above the draft's
 // rows, so each allocation works on its own copy of the draft's value
-// table and its own spill region. Each result owns its Prog, InputWord,
+// table and its own spill region. Step 4's arrays, that copy and the
+// instructions of a losing draft are reused by the next draft and,
+// through emitPool, by the next Emit; the winner's instructions become
+// the program. Each result owns its Prog, InputWord,
 // ConstWord, OutputWord and Stats; Graph and Remap are the plan's,
 // shared by every program it emits, and must not be modified.
 func (p *Planned) Emit(r int) (*Compiled, error) {
@@ -170,21 +214,24 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sc := emitPool.Get().(*emitScratch)
+	defer emitPool.Put(sc)
 	var (
-		best     *draft
-		bestRA   *regalloc
-		instrs   []*arch.Instr
-		stats    Stats
-		firstErr error
+		best      *draft
+		bestBuf   instrBuf
+		stats     Stats
+		spillRows int
+		firstErr  error
 	)
 	for _, d := range p.drafts {
-		st := d.stats
 		limit := math.MaxInt
 		if best != nil {
-			limit = len(instrs)
+			limit = len(bestBuf.instrs)
 		}
-		ra := newRegalloc(cfg, slices.Clone(d.vals), d.rows, d.sched, &st)
-		out, err := ra.run(d.sched, limit)
+		sc.vals = append(sc.vals[:0], d.vals...)
+		ra := &sc.ra
+		ra.reset(cfg, sc.vals, d.rows, d.sched, d.stats, &sc.buf)
+		err := ra.run(d.sched, limit)
 		if err == nil && (d.rows+len(ra.spillRows))*cfg.B > cfg.DataMemWords {
 			err = fmt.Errorf("compiler: memory image needs %d words, data memory holds %d", (d.rows+len(ra.spillRows))*cfg.B, cfg.DataMemWords)
 		}
@@ -194,23 +241,25 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 			}
 			continue
 		}
-		best, bestRA, instrs, stats = d, ra, out, st
+		best, stats, spillRows = d, ra.stats, len(ra.spillRows)
+		bestBuf, sc.buf = sc.buf, bestBuf
 	}
+	sc.ra.out = nil
 	if best == nil {
 		return nil, firstErr
 	}
 
-	prog := arch.NewProgram(cfg)
-	for i, in := range instrs {
-		if err := prog.Append(in); err != nil {
-			return nil, fmt.Errorf("compiler: emitted invalid instruction %d: %w", i, err)
-		}
+	prog, err := bestBuf.program(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	// Data-memory image: every touched row, including the spill region
-	// (zero-initialized), with constant leaves filled in.
-	bg, vals := p.graph, bestRA.vals
-	words := (best.rows + len(bestRA.spillRows)) * cfg.B
+	// (zero-initialized), with constant leaves filled in. Step 4 gives
+	// memory words only to values that had none, never to a leaf, so the
+	// draft's value table has every leaf's word.
+	bg, vals := p.graph, best.vals
+	words := (best.rows + spillRows) * cfg.B
 	var constWord []int
 	for i := 0; i < bg.NumNodes(); i++ {
 		if bg.Op(dag.NodeID(i)) == dag.OpConst {
@@ -220,7 +269,7 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	prog.InitMem = InitImage(bg, constWord, words)
 
 	// Input words, in graph-input order; -1 for inputs nothing consumes.
-	var inputWord []int
+	inputWord := make([]int, 0, len(bg.Inputs()))
 	for _, id := range bg.Inputs() {
 		if w := vals[id].word; w >= 0 {
 			inputWord = append(inputWord, int(w))

@@ -31,7 +31,7 @@ var cutSpaces = []struct {
 
 func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options, cuts []cutPolicy) []*Block {
 	t.Helper()
-	blocks, err := decompose(g, cfg.Normalize(), partitionKeys(g, dag.DFSOrder(g), opts.PartitionSize), cuts)
+	blocks, err := new(decomposer).decompose(g, cfg.Normalize(), partitionKeys(nil, g, dag.DFSOrder(g), opts.PartitionSize), cuts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func decomposeWith(t *testing.T, g *dag.Graph, cfg arch.Config, opts Options, cu
 }
 
 // Step-1 invariants of the blocks that are executed, i.e. after
-// scheduleCones re-binned the DFS cut: every interior node in exactly one
+// coneSched.schedule re-binned the DFS cut: every interior node in exactly one
 // cone, cone depths within D, slot root layer = cone depth, slots disjoint,
 // and block order topological (constraint A) — strictly: a cone reads
 // nothing of another cone in its own block. Checked on the shapes, configs
@@ -155,7 +155,8 @@ func TestExpandInvariants(t *testing.T) {
 	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}.Normalize()
 	g := testGraph(7, 500)
 	blocks := decomposeFor(t, g, cfg)
-	exp := newExpansion(cfg, g.NumNodes())
+	exp := new(expansion)
+	exp.reset(cfg, g.NumNodes())
 	for bi, b := range blocks {
 		if err := exp.expand(g, b); err != nil {
 			t.Fatalf("block %d: %v", bi, err)
@@ -199,14 +200,15 @@ func TestBankAllocationRespectsHardware(t *testing.T) {
 	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}.Normalize()
 	g := testGraph(9, 600)
 	blocks := decomposeFor(t, g, cfg)
-	exp := newExpansion(cfg, g.NumNodes())
+	exp := new(expansion)
+	exp.reset(cfg, g.NumNodes())
 	for _, b := range blocks {
 		if err := exp.expand(g, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ba, err := allocateBanks(g, cfg, blocks, Options{}, 1)
-	if err != nil {
+	ba := new(bankAlloc)
+	if err := ba.allocate(g, cfg, blocks, Options{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range blocks {
@@ -385,7 +387,7 @@ func TestReorderRespectsGaps(t *testing.T) {
 		{kind: dExec, wrs: []ValID{2}},
 		{kind: dExec, wrs: []ValID{3}},
 	}
-	sched := reorder(ops, 4, 3, 300)
+	sched := new(planScratch).reorder(ops, 4, 3, 300)
 	pos := map[*draftOp]int{}
 	for i, op := range sched {
 		if op != nil {
@@ -410,8 +412,8 @@ func TestWindowLimitsReordering(t *testing.T) {
 	for i := 2; i < 10; i++ {
 		ops = append(ops, &draftOp{kind: dExec, wrs: []ValID{ValID(i)}})
 	}
-	narrow := reorder(ops, 10, 3, 1)
-	wide := reorder(ops, 10, 3, 300)
+	narrow := new(planScratch).reorder(ops, 10, 3, 1)
+	wide := new(planScratch).reorder(ops, 10, 3, 300)
 	nNops := func(s []*draftOp) int {
 		n := 0
 		for _, op := range s {

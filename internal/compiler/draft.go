@@ -119,19 +119,31 @@ type draftState struct {
 	stats *Stats
 }
 
-func newDraftState(g *dag.Graph, cfg arch.Config, layout leafLayout, ba *bankAlloc, seed int64, stats *Stats) *draftState {
+// reset readies ds to draft g's blocks under layout, with the banks ba
+// allocated, counting into stats. The value table and op list are new,
+// since the draft keeps them; every other array is reused.
+func (ds *draftState) reset(g *dag.Graph, cfg arch.Config, layout leafLayout, ba *bankAlloc, seed int64, stats *Stats, blocks int) {
 	nv := g.NumNodes()
-	ds := &draftState{
-		g: g, cfg: cfg, layout: layout,
-		rng:      rand.New(rand.NewSource(seed ^ 0x9e3779b9)),
-		vals:     make([]valInfo, nv),
-		writable: ba.writable,
-		rowHint:  make([]int, cfg.B),
-		loaded:   make([]bool, nv),
-		taken:    make([]int32, cfg.B),
-		seen:     make([]int32, cfg.B),
-		stats:    stats,
+	ds.g, ds.cfg, ds.layout, ds.stats = g, cfg, layout, stats
+	if ds.rng == nil {
+		ds.rng = rand.New(rand.NewSource(seed ^ 0x9e3779b9))
+	} else {
+		ds.rng.Seed(seed ^ 0x9e3779b9)
 	}
+	// Copy repair adds temps past the nodes, and each block takes a load,
+	// an exec and a copy or two.
+	ds.vals = make([]valInfo, nv, nv+nv/4)
+	ds.ops = make([]*draftOp, 0, 4*blocks)
+	ds.writable = ba.writable
+	ds.rowMask, ds.rows, ds.pending, ds.rowBuf = ds.rowMask[:0], 0, ds.pending[:0], ds.rowBuf[:0]
+	ds.rowHint = resize(ds.rowHint, cfg.B)
+	for r := range ds.rowVals {
+		ds.rowVals[r] = ds.rowVals[r][:0]
+	}
+	ds.rowVals = ds.rowVals[:0]
+	ds.loaded = resize(ds.loaded, nv)
+	ds.taken, ds.seen, ds.seenStamp = resize(ds.taken, cfg.B), resize(ds.seen, cfg.B), 0
+	ds.assign = ds.assign[:0]
 	for i := 0; i < nv; i++ {
 		k := vNode
 		if g.Op(dag.NodeID(i)).IsLeaf() {
@@ -139,11 +151,10 @@ func newDraftState(g *dag.Graph, cfg arch.Config, layout leafLayout, ba *bankAll
 		}
 		ds.vals[i] = valInfo{kind: k, bank: ba.bank[i], word: -1}
 	}
-	ds.firstUse = make([]int32, nv)
+	ds.firstUse = resize(ds.firstUse, nv)
 	for i := range ds.firstUse {
 		ds.firstUse[i] = 1 << 30
 	}
-	return ds
 }
 
 func (ds *draftState) newTemp(bank int) ValID {
@@ -193,7 +204,11 @@ func (ds *draftState) firstFitWord(bank int) int32 {
 func (ds *draftState) placeAt(v ValID, r int) {
 	ds.vals[v].word = int32(r*ds.cfg.B + int(ds.vals[v].bank))
 	for r >= len(ds.rowVals) {
-		ds.rowVals = append(ds.rowVals, nil)
+		if n := len(ds.rowVals); n < cap(ds.rowVals) {
+			ds.rowVals = ds.rowVals[:n+1] // a row an earlier draft emptied
+		} else {
+			ds.rowVals = append(ds.rowVals, nil)
+		}
 	}
 	ds.rowVals[r] = append(ds.rowVals[r], v)
 }
@@ -419,12 +434,13 @@ func (ds *draftState) augment(block *Block, i int32) bool {
 	return false
 }
 
-// carve returns an empty slice with capacity n cut from the arena, which
-// is sized once for the whole draft.
+// carve returns an empty slice with capacity n cut from the arena. A full
+// arena is replaced by one twice as large; what was cut before keeps the
+// old array.
 func carve[T any](arena *[]T, n int) []T {
 	a := *arena
 	if cap(a)-len(a) < n {
-		a = make([]T, 0, n)
+		a = make([]T, 0, max(n, 2*cap(a)))
 	}
 	*arena = a[:len(a)+n]
 	return a[len(a) : len(a) : len(a)+n]
@@ -529,7 +545,7 @@ func (ds *draftState) emitStores() map[dag.NodeID]int {
 // order and returns the draft op list plus the sink→word map.
 func (ds *draftState) buildDraft(blocks []*Block) (map[dag.NodeID]int, error) {
 	ds.placeLeaves(blocks)
-	ds.rowSeen = make([]int32, len(ds.rowVals))
+	ds.rowSeen = resize(ds.rowSeen, len(ds.rowVals))
 	nin, nout := 0, 0
 	for _, b := range blocks {
 		nin += len(b.Inputs)

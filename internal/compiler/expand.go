@@ -26,8 +26,10 @@ type expansion struct {
 	isInput []int32
 }
 
-func newExpansion(cfg arch.Config, n int) *expansion {
-	return &expansion{cfg: cfg, inCone: make([]int32, n), top: make([]arch.PE, n), isInput: make([]int32, n)}
+// reset readies e for a graph of n nodes, reusing its arrays.
+func (e *expansion) reset(cfg arch.Config, n int) {
+	e.cfg, e.stamp = cfg, 0
+	e.inCone, e.top, e.isInput = resize(e.inCone, n), resize(e.top, n), resize(e.isInput, n)
 }
 
 // expand fills block.PEOps/PortVal/Inputs/Outputs/OutPE.

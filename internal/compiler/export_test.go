@@ -28,11 +28,12 @@ func CompileCut(g *dag.Graph, cfg arch.Config, opts Options, cut cutPolicy) (*Co
 	return compile(g, cfg, opts, s)
 }
 
-// CompileWindow is Compile with step 3's reorder window set to window
-// instead of reorderWindow (the window ablation).
+// CompileWindow is Compile with step 3 reordering under window alone
+// instead of choosing between reorderWindow and shortWindow (the window
+// ablation).
 func CompileWindow(g *dag.Graph, cfg arch.Config, opts Options, window int) (*Compiled, error) {
 	s := fullSearch()
-	s.window = window
+	s.windows = []int{window}
 	return compile(g, cfg, opts, s)
 }
 

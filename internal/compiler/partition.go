@@ -31,8 +31,9 @@ func Partition(g *dag.Graph, size int) []int32 {
 // partitionKeys combines partition ids with DFS order into the priority
 // keys used by the block builder: earlier partitions drain completely
 // before later ones begin, so each partition is decomposed independently.
-func partitionKeys(g *dag.Graph, dfs []int32, size int) []int64 {
-	keys := make([]int64, g.NumNodes())
+// The keys go into dst's array when it is large enough.
+func partitionKeys(dst []int64, g *dag.Graph, dfs []int32, size int) []int64 {
+	keys := resize(dst, g.NumNodes())
 	if size <= 0 {
 		for i, d := range dfs {
 			keys[i] = int64(d)

@@ -44,7 +44,7 @@ func TestPartitionBoundsAndMonotonic(t *testing.T) {
 func TestPartitionKeysOrdering(t *testing.T) {
 	g := testGraph(23, 1000)
 	dfs := dag.DFSOrder(g)
-	keys := partitionKeys(g, dfs, 100)
+	keys := partitionKeys(nil, g, dfs, 100)
 	part := Partition(g, 100)
 	for i := 1; i < g.NumNodes(); i++ {
 		if part[i] > part[i-1] && keys[i] <= keys[i-1] {
@@ -52,7 +52,7 @@ func TestPartitionKeysOrdering(t *testing.T) {
 		}
 	}
 	// Without partitioning, keys equal DFS order.
-	flat := partitionKeys(g, dfs, 0)
+	flat := partitionKeys(nil, g, dfs, 0)
 	for i, k := range flat {
 		if k != int64(dfs[i]) {
 			t.Fatalf("flat keys should equal DFS order")

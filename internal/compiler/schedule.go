@@ -42,15 +42,18 @@ const coneWindow = 16
 
 // The search bounds of steps 1 and 3. reorderWindow is how many draft ops,
 // from the oldest unissued one, step 3 searches for a ready op, the
-// paper's setting (§IV-C); seedLookahead is how many candidate roots step 1
-// weighs for a block's seed cone, and fillLookahead how many it may pass
-// over while filling the block's other slots. Like coneWindow they are
-// constants, not Options fields: Options is part of every program's
-// content address. The paper's window is not the fastest one here: window
-// 30 is faster on tretail@0.25 and on the SpTRSV graphs at scale 1.0, and
-// slower on some grid points (DESIGN.md "Step 3: the reorder window").
+// paper's setting (§IV-C), and shortWindow the second window Plan
+// reorders every draft under: hoisting loads less far ahead, it keeps the
+// row layout from spilling on the SpTRSV graphs, but as the only window
+// it is slower on some grid points, so Emit keeps whichever program is
+// shorter (DESIGN.md "Step 3: the reorder window"). seedLookahead is how
+// many candidate roots step 1 weighs for a block's seed cone, and
+// fillLookahead how many it may pass over while filling the block's other
+// slots. Like coneWindow they are constants, not Options fields: Options
+// is part of every program's content address.
 const (
 	reorderWindow = 300
+	shortWindow   = 30
 	seedLookahead = 16
 	fillLookahead = 24
 )
@@ -70,6 +73,12 @@ type coneSched struct {
 	// (key ii, iii); near the rest (key lastDep, ii, iii). Cones migrate
 	// from near to far as blocks close.
 	far, near idHeap
+
+	// Arrays reused from one schedule to the next: the cone of each node,
+	// the slab behind the per-cone arrays, and schedule's own.
+	coneOf, slab              []int32
+	placed                    []bool
+	ends, issue, cur, misfits []int32
 }
 
 // farBack is the lastDep of a cone that reads only leaves.
@@ -115,7 +124,8 @@ func (cs *coneSched) pop(s int32) int32 {
 // buildConeGraph fills the CSR consumer lists, ndeps and path.
 func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 	nc := len(cones)
-	coneOf := make([]int32, g.NumNodes())
+	cs.coneOf = resize(cs.coneOf, g.NumNodes())
+	coneOf := cs.coneOf
 	for i := range coneOf {
 		coneOf[i] = -1
 	}
@@ -125,7 +135,8 @@ func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 		}
 	}
 	// One slab for the five per-cone arrays.
-	slab := make([]int32, 5*nc+1)
+	cs.slab = resize(cs.slab, 5*nc+1)
+	slab := cs.slab
 	cs.succOff, slab = slab[:nc+1], slab[nc+1:]
 	cs.ndeps, slab = slab[:nc], slab[nc:]
 	cs.lastDep, slab = slab[:nc], slab[nc:]
@@ -156,7 +167,7 @@ func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 		cs.succOff[c+1] += cs.succOff[c]
 		seen[c] = 0
 	}
-	cs.succ = make([]int32, cs.succOff[nc])
+	cs.succ = resize(cs.succ, int(cs.succOff[nc]))
 	fill := cs.path // borrowed as the per-producer write cursor
 	eachEdge(func(p, c int32) {
 		cs.succ[cs.succOff[p]+fill[p]] = c
@@ -175,7 +186,7 @@ func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 	}
 }
 
-// scheduleCones bins the cones of the DFS cut (dfsBlock[c] is the DFS
+// schedule bins the cones of the DFS cut (dfsBlock[c] is the DFS
 // block cone c was cut for; keys carries each sink's partition in its high
 // word) into the blocks that are executed, and assigns every cone its
 // subtree slot. The blocks share the cones' node lists; nothing is copied
@@ -189,19 +200,20 @@ func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 // and the span is issue[last]+1. It is what decompose compares the two
 // cuts by: it sees the exec chain but not the loads, copies and stores
 // steps 2–4 add (DESIGN.md "Step 1: two cuts, one chosen").
-func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph, dfsBlock []int32) ([]*Block, int32) {
+func (cs *coneSched) schedule(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph, dfsBlock []int32) ([]*Block, int32) {
 	nc := int32(len(cones))
-	cs := &coneSched{lat: int32(cfg.D + 1)}
-	cs.far.less = cs.byPath
-	cs.near.less = cs.byLastDep
+	cs.lat = int32(cfg.D + 1)
+	cs.far = idHeap{items: cs.far.items[:0], less: cs.byPath}
+	cs.near = idHeap{items: cs.near.items[:0], less: cs.byLastDep}
 	cs.buildConeGraph(g, cones)
 	part := func(c int32) int64 { return keys[cones[c].Sink] >> 32 }
 
 	out := make([]Subgraph, 0, nc)
-	placed := make([]bool, nc)
-	var ends []int32         // ends[s] = len(out) when block s closed
-	var issue []int32        // issue[s]: block s's exec issue cycle
-	var cur, misfits []int32 // cones placed in / too deep for the open block
+	cs.placed = resize(cs.placed, int(nc))
+	placed := cs.placed
+	ends := cs.ends[:0]                // ends[s] = len(out) when block s closed
+	issue := cs.issue[:0]              // issue[s]: block s's exec issue cycle
+	cur, misfits := cs.cur, cs.misfits // cones placed in / too deep for the open block
 	slots := newSlotPool(cfg)
 	// lo is the oldest unplaced cone; cones [0, hi) have been admitted to
 	// the window. Admission stops at the first cone of a later partition
@@ -274,5 +286,6 @@ func scheduleCones(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph
 	if len(issue) > 0 {
 		span = issue[len(issue)-1] + 1
 	}
+	cs.ends, cs.issue, cs.cur, cs.misfits = ends, issue, cur, misfits
 	return blocks, span
 }

@@ -57,7 +57,7 @@ func binarized(g *dag.Graph) *dag.Graph {
 
 // TestExecChainBroken is the point of step 1b: executed in DFS-cut order
 // the blocks of every graph form one serial chain (execChain == len(blocks),
-// which is what this test saw before scheduleCones existed), so every exec
+// which is what this test saw before coneSched.schedule existed), so every exec
 // waited D+1 cycles for the one before it. The nop bounds are the DFS-order
 // compiler's counts on the same graphs.
 func TestExecChainBroken(t *testing.T) {
@@ -165,14 +165,15 @@ func TestBankAssignmentGolden(t *testing.T) {
 		}
 		bg := binarized(g)
 		blocks := decomposeWith(t, bg, cfg, Options{}, []cutPolicy{cutGreedy})
-		exp := newExpansion(cfg, bg.NumNodes())
+		exp := new(expansion)
+		exp.reset(cfg, bg.NumNodes())
 		for _, b := range blocks {
 			if err := exp.expand(bg, b); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ba, err := allocateBanks(bg, cfg, blocks, Options{}, 5)
-		if err != nil {
+		ba := new(bankAlloc)
+		if err := ba.allocate(bg, cfg, blocks, Options{}, 5); err != nil {
 			t.Fatal(err)
 		}
 		h := fnv.New64a()

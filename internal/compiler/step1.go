@@ -27,7 +27,7 @@ import (
 // every DFS block reads the block just before it, so executed as cut the
 // blocks form one serial chain and every exec waits the full D+1 pipeline
 // latency for its predecessor. The cones are therefore re-binned into the
-// blocks that are actually executed by scheduleCones (schedule.go), which
+// blocks that are actually executed by coneSched.schedule (schedule.go), which
 // keeps the DFS order's locality through a bounded window.
 //
 // Which nodes may seed a cone or sink a fill cone is the cut's policy.
@@ -160,6 +160,9 @@ type decomposer struct {
 	inHeap []bool
 	heap   idHeap  // candidate sinks by (partition, DFS order)
 	band   []uint8 // band levels under cutBand; nil under cutGreedy
+	// bandBuf backs band; cs is step 1b's scheduler state.
+	bandBuf []uint8
+	cs      coneSched
 	// claim stamps avoid reallocating per-block sets.
 	claim      []int32
 	claimStamp int32
@@ -175,23 +178,26 @@ type decomposer struct {
 	arena    []dag.NodeID
 }
 
-func newDecomposer(g *dag.Graph, cfg arch.Config, keys []int64) *decomposer {
+// init readies d for g, reusing the per-node arrays of an earlier graph.
+func (d *decomposer) init(g *dag.Graph, cfg arch.Config, keys []int64) {
 	n := g.NumNodes()
-	d := &decomposer{
-		g: g, cfg: cfg, keys: keys,
-		depth:  make([]int32, n),
-		mapped: make([]bool, n),
-		inHeap: make([]bool, n),
-		heap:   idHeap{less: func(a, b int32) bool { return keys[a] < keys[b] }},
-		claim:  make([]int32, n),
-		visit:  make([]int32, n),
-	}
+	d.g, d.cfg, d.keys = g, cfg, keys
+	d.depth = resize(d.depth, n)
+	d.mapped = resize(d.mapped, n)
+	d.inHeap = resize(d.inHeap, n)
+	d.heap = idHeap{items: d.heap.items[:0], less: func(a, b int32) bool { return keys[a] < keys[b] }}
+	d.claim, d.claimStamp = resize(d.claim, n), 0
+	d.visit, d.visitStamp = resize(d.visit, n), 0
+	d.interior = 0
 	for i := 0; i < n; i++ {
 		if !g.Op(dag.NodeID(i)).IsLeaf() {
 			d.interior++
 		}
 	}
-	return d
+	// The cone list is only read by coneSched.schedule, which copies the
+	// headers out, so the cuts share it. Cones average two to three nodes
+	// on the suite; one regrowth at most.
+	d.cones, d.dfsBlock = clearTo(d.cones, d.interior/3+1), clearTo(d.dfsBlock, d.interior/3+1)
 }
 
 // reset starts a cut under policy (cutGreedy or cutBand), reusing the
@@ -201,7 +207,8 @@ func (d *decomposer) reset(policy cutPolicy) {
 	g, n := d.g, d.g.NumNodes()
 	d.band = nil
 	if policy == cutBand {
-		d.band = bandLevels(g, d.cfg.D)
+		d.bandBuf = bandLevels(d.bandBuf, g, d.cfg.D)
+		d.band = d.bandBuf
 	}
 	clear(d.mapped)
 	clear(d.inHeap)
@@ -227,13 +234,6 @@ func (d *decomposer) reset(policy cutPolicy) {
 		}
 	}
 	d.arena = make([]dag.NodeID, 0, d.interior)
-	// The cone list is only read by scheduleCones, which copies the
-	// headers out, so the cuts share it. Cones average two to three nodes
-	// on the suite; one regrowth at most.
-	if d.cones == nil {
-		d.cones = make([]Subgraph, 0, d.interior/3+1)
-		d.dfsBlock = make([]int32, 0, d.interior/3+1)
-	}
 	d.cones, d.dfsBlock = d.cones[:0], d.dfsBlock[:0]
 }
 
@@ -242,8 +242,9 @@ func (d *decomposer) reset(policy cutPolicy) {
 // all one node sits one level above it, modulo D. Every path up from a
 // level-0 node meets another within D nodes, so a level-0 node whose
 // level-0 ancestors are mapped always has a schedulable cone.
-func bandLevels(g *dag.Graph, D int) []uint8 {
-	lv := make([]uint8, g.NumNodes())
+// The levels go into dst's array when it is large enough.
+func bandLevels(dst []uint8, g *dag.Graph, D int) []uint8 {
+	lv := resize(dst, g.NumNodes())
 	for i := len(lv) - 1; i >= 0; i-- {
 		succ := g.Succs(dag.NodeID(i))
 		if len(succ) == 0 {
@@ -367,9 +368,10 @@ func (d *decomposer) commit(cones []Subgraph, work []dag.NodeID) []dag.NodeID {
 // decompose runs step 1 and returns the block list in schedule order. It
 // cuts the DAG under each of cuts and keeps the cut whose block order
 // issues its last exec soonest, the first on a tie; at D = 1 every node is
-// band level 0 and all cuts are one, so only the first is made.
-func decompose(g *dag.Graph, cfg arch.Config, keys []int64, cuts []cutPolicy) ([]*Block, error) {
-	d := newDecomposer(g, cfg, keys)
+// band level 0 and all cuts are one, so only the first is made. The
+// per-node and per-cone arrays are d's, reused from an earlier graph.
+func (d *decomposer) decompose(g *dag.Graph, cfg arch.Config, keys []int64, cuts []cutPolicy) ([]*Block, error) {
+	d.init(g, cfg, keys)
 	var best []*Block
 	var bestSpan int32
 	for i, p := range cuts {
@@ -388,7 +390,7 @@ func decompose(g *dag.Graph, cfg arch.Config, keys []int64, cuts []cutPolicy) ([
 }
 
 // cut runs steps 1a and 1b under policy and returns the executed blocks
-// with the issue span of their order (scheduleCones).
+// with the issue span of their order (coneSched.schedule).
 func (d *decomposer) cut(policy cutPolicy) ([]*Block, int32, error) {
 	d.reset(policy)
 	g, cfg := d.g, d.cfg
@@ -449,7 +451,7 @@ func (d *decomposer) cut(policy cutPolicy) ([]*Block, int32, error) {
 		}
 		nblocks++
 	}
-	blocks, span := scheduleCones(g, cfg, d.keys, d.cones, d.dfsBlock)
+	blocks, span := d.cs.schedule(g, cfg, d.keys, d.cones, d.dfsBlock)
 	return blocks, span, nil
 }
 
@@ -484,7 +486,7 @@ func (d *decomposer) bestSeed(others *[]dag.NodeID) dag.NodeID {
 }
 
 // addCone records the cone of sink, cut for DFS block blk. Its slot is
-// assigned when scheduleCones places it in an executed block.
+// assigned when coneSched.schedule places it in an executed block.
 func (d *decomposer) addCone(sink dag.NodeID, cone []dag.NodeID, blk int32) {
 	start := len(d.arena)
 	d.arena = append(d.arena, cone...)

@@ -33,11 +33,26 @@ type bankAlloc struct {
 	writable []uint64
 	// conflict statistics
 	fallbacks int
+
+	// The allocator's working arrays, reused by the next allocate:
+	// compatible and hardware-writable banks and io flag per value, the
+	// constraint groups, each value's groups in CSR form (value v's are
+	// members[memberOff[v]:memberOff[v+1]]), the Mnodes buckets, and the
+	// tie-breaking generator.
+	compat, hard []uint64
+	isIO         []bool
+	groups       [][]ValID
+	memberOff    []int32
+	members      []int32
+	head, links  []ValID
+	contention   []int
+	rng          *rand.Rand
 }
 
-// writableMasks tabulates every PE's writable banks as a bit mask.
-func writableMasks(cfg arch.Config) []uint64 {
-	masks := make([]uint64, cfg.NumPEs())
+// writableMasks tabulates every PE's writable banks as a bit mask into
+// dst's array when it is large enough.
+func writableMasks(dst []uint64, cfg arch.Config) []uint64 {
+	masks := resize(dst, cfg.NumPEs())
 	for id := range masks {
 		p := cfg.PECoord(id)
 		for bk := 0; bk < cfg.B; bk++ {
@@ -49,44 +64,39 @@ func writableMasks(cfg arch.Config) []uint64 {
 	return masks
 }
 
-type valConstraints struct {
-	compat []uint64 // remaining compatible banks per value
-	groups [][]ValID
-	member [][]int32 // value -> indexes into groups
-}
-
-// allocateBanks is step 2's bank allocation; seed drives its randomized
-// tie-breaks (objective J spreads values by choosing uniformly among
-// compatible banks) and, with opts.RandomBanks, the placement itself.
-func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options, seed int64) (*bankAlloc, error) {
+// allocate is step 2's bank allocation, into ba.bank, reusing ba's
+// arrays; seed drives its randomized tie-breaks (objective J spreads
+// values by choosing uniformly among compatible banks) and, with
+// opts.RandomBanks, the placement itself.
+func (ba *bankAlloc) allocate(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options, seed int64) error {
 	if cfg.B > 64 {
-		return nil, fmt.Errorf("compiler: B=%d exceeds the 64-bank allocator limit", cfg.B)
+		return fmt.Errorf("compiler: B=%d exceeds the 64-bank allocator limit", cfg.B)
 	}
 	nv := g.NumNodes()
 	allBanks := uint64(1)<<uint(cfg.B) - 1
 
-	vc := &valConstraints{
-		compat: make([]uint64, nv),
-		member: make([][]int32, nv),
-	}
-	isIO := make([]bool, nv)
+	ba.compat = resize(ba.compat, nv)
+	ba.isIO = resize(ba.isIO, nv)
+	compat, isIO := ba.compat, ba.isIO
 
 	// Initialize compatible sets.
 	for i := 0; i < nv; i++ {
 		if g.Op(dag.NodeID(i)).IsLeaf() {
-			vc.compat[i] = allBanks
+			compat[i] = allBanks
 			isIO[i] = true
 		}
 	}
-	hard := make([]uint64, nv) // hardware-writable mask for outputs
+	ba.hard = resize(ba.hard, nv) // hardware-writable mask for outputs
+	hard := ba.hard
 	for i := range hard {
 		hard[i] = allBanks
 	}
-	writable := writableMasks(cfg)
+	ba.writable = writableMasks(ba.writable, cfg)
+	writable := ba.writable
 	for _, b := range blocks {
 		for i, v := range b.Outputs {
 			m := writable[cfg.PEID(b.OutPE[i])]
-			vc.compat[v] = m
+			compat[v] = m
 			hard[v] = m
 			isIO[v] = true
 		}
@@ -94,23 +104,44 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options,
 
 	// Constraint groups: inputs of a block must differ pairwise (F),
 	// outputs of a block must differ pairwise (G).
-	addGroup := func(vals []ValID) {
-		if len(vals) < 2 {
-			return
-		}
-		gi := int32(len(vc.groups))
-		vc.groups = append(vc.groups, vals)
-		for _, v := range vals {
-			vc.member[v] = append(vc.member[v], gi)
-		}
-	}
+	groups := ba.groups[:0]
 	for _, b := range blocks {
-		addGroup(b.Inputs)
-		addGroup(b.Outputs)
+		for _, vals := range [2][]ValID{b.Inputs, b.Outputs} {
+			if len(vals) >= 2 {
+				groups = append(groups, vals)
+			}
+		}
 	}
+	ba.groups = groups
+	ba.memberOff = resize(ba.memberOff, nv+1)
+	off := ba.memberOff
+	for _, vals := range groups {
+		for _, v := range vals {
+			off[v+1]++
+		}
+	}
+	for v := range nv {
+		off[v+1] += off[v]
+	}
+	ba.members = resize(ba.members, int(off[nv]))
+	ba.links = resize(ba.links, 2*nv)
+	fill := ba.links[:nv] // borrowed as the per-value write cursor
+	for gi, vals := range groups {
+		for _, v := range vals {
+			ba.members[off[v]+int32(fill[v])] = int32(gi)
+			fill[v]++
+		}
+	}
+	member := func(v ValID) []int32 { return ba.members[off[v]:off[v+1]] }
 
-	rng := rand.New(rand.NewSource(seed))
-	ba := &bankAlloc{bank: make([]int8, nv), writable: writable}
+	if ba.rng == nil {
+		ba.rng = rand.New(rand.NewSource(seed))
+	} else {
+		ba.rng.Seed(seed)
+	}
+	rng := ba.rng
+	ba.fallbacks = 0
+	ba.bank = resize(ba.bank, nv)
 	for i := range ba.bank {
 		ba.bank[i] = -1
 	}
@@ -126,21 +157,22 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options,
 			k := rng.Intn(bits.OnesCount64(m))
 			ba.bank[i] = int8(nthSetBit(m, k))
 		}
-		return ba, nil
+		return nil
 	}
 
 	// Mnodes buckets keyed by |compat|: every pending value sits in exactly
 	// one bucket, an intrusive doubly-linked list threaded through
 	// next/prev with the most recent arrival at the head. A value whose
 	// compatible set shrinks moves to the head of its new bucket.
-	head := make([]ValID, cfg.B+1)
+	ba.head = resize(ba.head, cfg.B+1)
+	head := ba.head
 	for c := range head {
 		head[c] = InvalidVal
 	}
-	links := make([]ValID, 2*nv)
-	next, prev := links[:nv], links[nv:]
+	ba.links = resize(ba.links, 2*nv)
+	next, prev := ba.links[:nv], ba.links[nv:]
 	enter := func(v ValID) {
-		c := bits.OnesCount64(vc.compat[v])
+		c := bits.OnesCount64(compat[v])
 		next[v], prev[v] = head[c], InvalidVal
 		if head[c] != InvalidVal {
 			prev[head[c]] = v
@@ -151,7 +183,7 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options,
 		if prev[v] != InvalidVal {
 			next[prev[v]] = next[v]
 		} else {
-			head[bits.OnesCount64(vc.compat[v])] = next[v]
+			head[bits.OnesCount64(compat[v])] = next[v]
 		}
 		if next[v] != InvalidVal {
 			prev[next[v]] = prev[v]
@@ -165,7 +197,8 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options,
 		}
 	}
 
-	contention := make([]int, cfg.B) // fallback scratch
+	ba.contention = resize(ba.contention, cfg.B) // fallback scratch
+	contention := ba.contention
 	for ; pending > 0; pending-- {
 		// The most constrained value: head of the lowest non-empty bucket.
 		var v ValID = InvalidVal
@@ -173,20 +206,20 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options,
 			v = head[c]
 		}
 		if v == InvalidVal {
-			return nil, fmt.Errorf("compiler: bank allocator buckets drained with %d values pending", pending)
+			return fmt.Errorf("compiler: bank allocator buckets drained with %d values pending", pending)
 		}
 		leave(v)
 
 		var chosen int
-		if m := vc.compat[v]; m != 0 {
+		if m := compat[v]; m != 0 {
 			chosen = nthSetBit(m, rng.Intn(bits.OnesCount64(m)))
 		} else {
 			// No conflict-free bank remains: pick the least-contended
 			// hardware-legal bank, measured over this value's groups.
 			ba.fallbacks++
 			clear(contention)
-			for _, gi := range vc.member[v] {
-				for _, u := range vc.groups[gi] {
+			for _, gi := range member(v) {
+				for _, u := range groups[gi] {
 					if u != v && ba.bank[u] >= 0 {
 						contention[ba.bank[u]]++
 					}
@@ -207,18 +240,18 @@ func allocateBanks(g *dag.Graph, cfg arch.Config, blocks []*Block, opts Options,
 
 		// Constraint propagation: remove the bank from partners' sets.
 		bit := uint64(1) << uint(chosen)
-		for _, gi := range vc.member[v] {
-			for _, u := range vc.groups[gi] {
-				if u == v || ba.bank[u] >= 0 || vc.compat[u]&bit == 0 {
+		for _, gi := range member(v) {
+			for _, u := range groups[gi] {
+				if u == v || ba.bank[u] >= 0 || compat[u]&bit == 0 {
 					continue
 				}
 				leave(u)
-				vc.compat[u] &^= bit
+				compat[u] &^= bit
 				enter(u)
 			}
 		}
 	}
-	return ba, nil
+	return nil
 }
 
 // nthSetBit returns the position of the k-th (0-based) set bit of m.

@@ -26,8 +26,10 @@ func gapOf(k draftKind, d int) int32 {
 }
 
 // reorder returns the scheduled op list where nil entries are nops.
-func reorder(ops []*draftOp, nvals int, depth, window int) []*draftOp {
-	prod := make([]int32, nvals)
+// prod and posOf are its per-value and per-op arrays, reused.
+func (sc *planScratch) reorder(ops []*draftOp, nvals int, depth, window int) []*draftOp {
+	sc.prod = resize(sc.prod, nvals)
+	prod := sc.prod
 	for i := range prod {
 		prod[i] = -1
 	}
@@ -38,7 +40,8 @@ func reorder(ops []*draftOp, nvals int, depth, window int) []*draftOp {
 			}
 		}
 	}
-	posOf := make([]int32, len(ops))
+	sc.posOf = resize(sc.posOf, len(ops))
+	posOf := sc.posOf
 	for i := range posOf {
 		posOf[i] = -1
 	}
@@ -54,7 +57,7 @@ func reorder(ops []*draftOp, nvals int, depth, window int) []*draftOp {
 		}
 		return true
 	}
-	var out []*draftOp
+	out := make([]*draftOp, 0, len(ops)+len(ops)/2)
 	scheduled := 0
 	lo := 0
 	pos := int32(0)

@@ -3,6 +3,7 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/regfile"
@@ -47,7 +48,7 @@ type regalloc struct {
 	spillBase int
 	spillRows []uint64
 
-	out []*arch.Instr
+	out *instrBuf // the program so far
 
 	loc      []int16 // register address per resident value
 	resident []bool
@@ -57,6 +58,7 @@ type regalloc struct {
 	// rf replays the hardware's allocation; a landing write carries the
 	// value it delivers, and land records where it went.
 	rf       *regfile.File[ValID]
+	landFn   func(bank, addr int, v ValID) // r.land, bound once
 	overflow error
 
 	// The schedule positions of every value's planned reads, in CSR
@@ -78,33 +80,71 @@ type regalloc struct {
 	reloadNeed []int
 	writes     []pendingWrite
 	frees      []ValID
+	// ensureCapacity's victims, emitSpills' batches and emitOp's store
+	// operands, reused likewise.
+	victims, spillBatch, spillKeep, storeReads []ValID
 
-	stats *Stats
+	stats Stats
 }
 
-func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftOp, stats *Stats) *regalloc {
-	nv := len(vals)
-	r := &regalloc{
-		cfg: cfg, vals: vals, spillBase: spillBase,
-		loc:        make([]int16, nv),
-		resident:   make([]bool, nv),
-		held:       make([]ValID, cfg.B*cfg.R),
-		spilled:    make([]bool, nv),
-		rf:         regfile.New[ValID](cfg.B, cfg.R, cfg.D),
-		useOff:     make([]int32, nv+1),
-		usePtr:     make([]int32, nv),
-		spillHint:  make([]int, cfg.B),
-		pin:        make([]int32, nv),
-		need:       make([]int, cfg.B),
-		reloadNeed: make([]int, cfg.B),
-		stats:      stats,
+// emitScratch is what Emit reuses from draft to draft and, through
+// emitPool, from one Emit to the next: step 4's arrays, the value table
+// it spills into, and an instruction buffer for the draft being emitted
+// (the shortest program so far holds one of its own).
+type emitScratch struct {
+	ra   regalloc
+	vals []valInfo
+	buf  instrBuf
+}
+
+var emitPool = sync.Pool{New: func() any { return new(emitScratch) }}
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reset readies r to emit sched, whose draft's value table vals (r's own
+// copy) fills rows below spillBase, with stats as the counts so far and
+// out as the instruction buffer; every array of an earlier run is
+// reused.
+func (r *regalloc) reset(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftOp, stats Stats, out *instrBuf) {
+	if r.rf == nil || r.cfg.B != cfg.B || r.cfg.R != cfg.R || r.cfg.D != cfg.D {
+		r.rf = regfile.New[ValID](cfg.B, cfg.R, cfg.D)
+	} else {
+		r.rf.Reset()
+	}
+	if r.landFn == nil {
+		r.landFn = r.land
+	}
+	nv := len(vals)
+	r.cfg, r.vals, r.spillBase, r.stats, r.out = cfg, vals, spillBase, stats, out
+	r.spillRows = r.spillRows[:0]
+	r.overflow = nil
+	out.reset(cfg, sched)
+	r.loc = resize(r.loc, nv)
 	for i := range r.loc {
 		r.loc[i] = -1
 	}
+	r.resident = resize(r.resident, nv)
+	r.held = resize(r.held, cfg.B*cfg.R)
 	for i := range r.held {
 		r.held[i] = InvalidVal
 	}
+	r.spilled = resize(r.spilled, nv)
+	r.useOff = resize(r.useOff, nv+1)
+	r.usePtr = resize(r.usePtr, nv)
+	r.spillHint = resize(r.spillHint, cfg.B)
+	r.pin = resize(r.pin, nv)
+	r.pinStamp = 0
+	r.need = resize(r.need, cfg.B)
+	r.reloadNeed = resize(r.reloadNeed, cfg.B)
 	// Count the reads per value, give each value its run, then fill the
 	// runs in schedule order, with usePtr as the cursors.
 	for _, op := range sched {
@@ -117,7 +157,7 @@ func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftO
 	for v := range nv {
 		r.useOff[v+1] += r.useOff[v]
 	}
-	r.uses = make([]int32, r.useOff[nv])
+	r.uses = resize(r.uses, int(r.useOff[nv]))
 	copy(r.usePtr, r.useOff)
 	for j, op := range sched {
 		if op != nil {
@@ -128,10 +168,9 @@ func newRegalloc(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftO
 		}
 	}
 	copy(r.usePtr, r.useOff)
-	return r
 }
 
-func (r *regalloc) cycle() int { return len(r.out) }
+func (r *regalloc) cycle() int { return len(r.out.instrs) }
 
 func (r *regalloc) bankOf(v ValID) int { return int(r.vals[v].bank) }
 
@@ -154,7 +193,7 @@ func (r *regalloc) consume(v ValID) bool {
 func (r *regalloc) land(bank, addr int, v ValID) {
 	if addr < 0 {
 		if r.overflow == nil {
-			r.overflow = fmt.Errorf("compiler: bank %d overflow at cycle %d (capacity planning bug)", bank, len(r.out)-1)
+			r.overflow = fmt.Errorf("compiler: bank %d overflow at cycle %d (capacity planning bug)", bank, r.cycle()-1)
 		}
 		return
 	}
@@ -165,9 +204,9 @@ func (r *regalloc) land(bank, addr int, v ValID) {
 
 // emit appends instr at the current cycle: frees apply now, writes land at
 // t+lat, then writes landing exactly at t are applied.
-func (r *regalloc) emit(in *arch.Instr, frees []ValID, writes []pendingWrite, lat int) error {
+func (r *regalloc) emit(in arch.Instr, frees []ValID, writes []pendingWrite, lat int) error {
 	t := r.cycle()
-	r.out = append(r.out, in)
+	r.out.instrs = append(r.out.instrs, in)
 	for _, v := range frees {
 		r.rf.Free(r.bankOf(v), int(r.loc[v]))
 		r.held[r.bankOf(v)*r.cfg.R+int(r.loc[v])] = InvalidVal
@@ -179,13 +218,13 @@ func (r *regalloc) emit(in *arch.Instr, frees []ValID, writes []pendingWrite, la
 			return fmt.Errorf("compiler: two writes land on bank %d at cycle %d (scheduling bug)", w.bank, t+lat)
 		}
 	}
-	r.rf.Land(t, r.land)
+	r.rf.Land(t, r.landFn)
 	return r.overflow
 }
 
 func (r *regalloc) emitNop() error {
 	r.stats.Nops++
-	return r.emit(&arch.Instr{Kind: arch.KindNop}, nil, nil, 1)
+	return r.emit(arch.Instr{Kind: arch.KindNop}, nil, nil, 1)
 }
 
 // busy reports whether a write to any bank of need already lands at land.
@@ -251,10 +290,10 @@ func (r *regalloc) spillWord(v ValID) int {
 // frees the register), batching lanes with distinct source banks sharing
 // a memory row.
 func (r *regalloc) emitSpills(victims []ValID) error {
-	remaining := append([]ValID(nil), victims...)
+	remaining := append(r.spillKeep[:0], victims...)
 	for len(remaining) > 0 {
-		var batch []ValID
-		var keep []ValID
+		batch := r.spillBatch[:0]
+		keep := remaining[:0]
 		var mask uint64
 		row := -1
 		for _, v := range remaining {
@@ -269,8 +308,8 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 				keep = append(keep, v)
 			}
 		}
-		remaining = keep
-		in := &arch.Instr{Kind: arch.KindStore4, MemAddr: row}
+		r.spillBatch, remaining = batch, keep
+		in := arch.Instr{Kind: arch.KindStore4, MemAddr: row, Moves: r.out.moves(len(batch))}
 		for _, v := range batch {
 			in.Moves = append(in.Moves, arch.Move{
 				SrcBank: uint16(r.bankOf(v)),
@@ -285,6 +324,7 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 			return err
 		}
 	}
+	r.spillKeep = remaining
 	return nil
 }
 
@@ -292,7 +332,7 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 // writes; pinned values (operands of the op about to issue) stay.
 func (r *regalloc) ensureCapacity(need []int) error {
 	for round := 0; ; round++ {
-		var victims []ValID
+		victims := r.victims[:0]
 		// Banks in ascending order: the victim list decides how spills
 		// batch into store_4s, and which bank an undersized register file
 		// is reported on.
@@ -314,6 +354,7 @@ func (r *regalloc) ensureCapacity(need []int) error {
 				victims = append(victims, v)
 			}
 		}
+		r.victims = victims
 		if len(victims) == 0 {
 			return nil
 		}
@@ -373,22 +414,21 @@ func (r *regalloc) reload(v ValID) error {
 			return err
 		}
 	}
-	in := arch.NewLoad(r.cfg, word/r.cfg.B)
+	in := r.out.load(r.cfg, word/r.cfg.B)
 	in.Mask[bank] = true
 	r.stats.Reloads++
 	r.spilled[v] = false
-	return r.emit(in, nil, []pendingWrite{{v, bank}}, 1)
+	w := [1]pendingWrite{{v, bank}}
+	return r.emit(in, nil, w[:], 1)
 }
 
-// run processes the reordered schedule and produces the final instruction
-// list.
 // errNotShorter stops run once its program is as long as the limit it
 // was given: a program that long would lose to the one already emitted.
 var errNotShorter = errors.New("compiler: step 4 reached the length of a program already emitted")
 
-// run emits the schedule and returns the program, or errNotShorter as
-// soon as the program reaches limit instructions.
-func (r *regalloc) run(sched []*draftOp, limit int) ([]*arch.Instr, error) {
+// run emits the schedule into r.out, or returns errNotShorter as soon as
+// the program reaches limit instructions.
+func (r *regalloc) run(sched []*draftOp, limit int) error {
 	for _, op := range sched {
 		if op == nil {
 			// Scheduler nop slot: only emit it if a hazard actually
@@ -397,13 +437,13 @@ func (r *regalloc) run(sched []*draftOp, limit int) ([]*arch.Instr, error) {
 			continue
 		}
 		if err := r.emitOp(op); err != nil {
-			return nil, err
+			return err
 		}
-		if len(r.out) >= limit {
-			return nil, errNotShorter
+		if r.cycle() >= limit {
+			return errNotShorter
 		}
 	}
-	return r.out, nil
+	return nil
 }
 
 func (r *regalloc) emitOp(op *draftOp) error {
@@ -412,12 +452,13 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		// Values already spilled sit at their destination word (spill
 		// words and store words coincide); keep only resident or
 		// in-flight ones.
-		reads = reads[:0:0]
+		reads = r.storeReads[:0]
 		for _, v := range op.reads {
 			if r.resident[v] || !r.spilled[v] {
 				reads = append(reads, v)
 			}
 		}
+		r.storeReads = reads
 	}
 	r.pinStamp++
 	for _, v := range reads {
@@ -464,16 +505,16 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		}
 	}
 	// Build and emit the concrete instruction.
-	var in *arch.Instr
+	var in arch.Instr
 	frees := r.frees[:0]
 	switch op.kind {
 	case dLoad:
-		in = arch.NewLoad(r.cfg, op.row)
+		in = r.out.load(r.cfg, op.row)
 		for _, v := range op.wrs {
 			in.Mask[r.bankOf(v)] = true
 		}
 	case dCopy:
-		in = &arch.Instr{Kind: arch.KindCopy}
+		in = arch.Instr{Kind: arch.KindCopy, Moves: r.out.moves(len(op.moves))}
 		for _, m := range op.moves {
 			rst := r.consume(m.src)
 			if rst {
@@ -487,8 +528,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			})
 		}
 	case dExec:
-		in = arch.NewExec(r.cfg)
-		copy(in.PEOps, op.block.PEOps)
+		in = r.out.exec(r.cfg, op.block.PEOps)
 		for _, rv := range op.reads {
 			b := r.bankOf(rv)
 			in.ReadEn[b] = true
@@ -514,7 +554,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			in.WriteSel[b] = sel
 		}
 	case dStore:
-		in = arch.NewStore(r.cfg, op.row)
+		in = r.out.store(r.cfg, op.row)
 		for _, v := range op.reads {
 			if !r.resident[v] && r.spilled[v] {
 				continue // already in memory at its destination (spilled)
@@ -528,7 +568,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			}
 		}
 	case dStore4:
-		in = &arch.Instr{Kind: arch.KindStore4, MemAddr: op.row}
+		in = arch.Instr{Kind: arch.KindStore4, MemAddr: op.row, Moves: r.out.moves(len(op.moves))}
 		for _, m := range op.moves {
 			if !r.resident[m.src] && r.spilled[m.src] {
 				continue // spilled to its own destination word already
@@ -552,4 +592,99 @@ func (r *regalloc) emitOp(op *draftOp) error {
 	}
 	r.frees = frees
 	return r.emit(in, frees, writes, lat)
+}
+
+// instrBuf holds one draft's step 4 program: the instructions, and the
+// arrays their slices are cut from. reset keeps every array for the next
+// draft, so the instructions of a draft that loses cost no allocation;
+// the winner's buffer becomes the program's storage.
+type instrBuf struct {
+	instrs []arch.Instr
+	bools  []bool
+	u16    []uint16
+	peOps  []arch.PEOp
+	mv     []arch.Move
+}
+
+// reset empties b and makes room for the program sched will likely emit
+// under cfg: one instruction per schedule slot and the per-bank fields
+// of its execs, loads and stores, with an eighth more of each for spill
+// traffic.
+func (b *instrBuf) reset(cfg arch.Config, sched []*draftOp) {
+	var execs, loads, stores, moves int
+	for _, op := range sched {
+		if op == nil {
+			continue
+		}
+		switch op.kind {
+		case dExec:
+			execs++
+		case dLoad:
+			loads++
+		case dStore:
+			stores++
+		default:
+			moves += len(op.moves)
+		}
+	}
+	room := func(n int) int { return n + n/8 + 8 }
+	b.instrs = clearTo(b.instrs, room(len(sched)))
+	b.bools = clearTo(b.bools, room((3*execs+2*stores+loads)*cfg.B))
+	b.u16 = clearTo(b.u16, room((3*execs+stores)*cfg.B))
+	b.peOps = clearTo(b.peOps, room(execs*cfg.NumPEs()))
+	b.mv = clearTo(b.mv, room(moves))
+}
+
+// clearTo returns s emptied, with capacity for at least n elements.
+func clearTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// zeroed cuts n zero elements from the arena.
+func zeroed[T any](arena *[]T, n int) []T {
+	s := carve(arena, n)[:n]
+	clear(s)
+	return s
+}
+
+// exec returns an exec instruction configuring the PEs as peOps, with
+// every bank field zero.
+func (b *instrBuf) exec(cfg arch.Config, peOps []arch.PEOp) arch.Instr {
+	n := cfg.B
+	bools, u16 := zeroed(&b.bools, 3*n), zeroed(&b.u16, 3*n)
+	return arch.Instr{Kind: arch.KindExec, PEOps: append(carve(&b.peOps, len(peOps)), peOps...),
+		ReadEn: bools[:n:n], ValidRst: bools[n : 2*n : 2*n], WriteEn: bools[2*n:],
+		ReadAddr: u16[:n:n], InputSel: u16[n : 2*n : 2*n], WriteSel: u16[2*n:]}
+}
+
+// store returns a full-vector store of memory row row, no lane read.
+func (b *instrBuf) store(cfg arch.Config, row int) arch.Instr {
+	n := cfg.B
+	bools := zeroed(&b.bools, 2*n)
+	return arch.Instr{Kind: arch.KindStore, MemAddr: row,
+		ReadEn: bools[:n:n], ValidRst: bools[n:], ReadAddr: zeroed(&b.u16, n)}
+}
+
+// load returns a vector load of memory row row, no lane enabled.
+func (b *instrBuf) load(cfg arch.Config, row int) arch.Instr {
+	return arch.Instr{Kind: arch.KindLoad, MemAddr: row, Mask: zeroed(&b.bools, cfg.B)}
+}
+
+// moves returns an empty move list with room for n moves.
+func (b *instrBuf) moves(n int) []arch.Move { return carve(&b.mv, n) }
+
+// program hands the buffer's instructions to a program of cfg, each
+// validated; b must not be used again.
+func (b *instrBuf) program(cfg arch.Config) (*arch.Program, error) {
+	prog := arch.NewProgram(cfg)
+	prog.Instrs = make([]*arch.Instr, 0, len(b.instrs))
+	for i := range b.instrs {
+		if err := prog.Append(&b.instrs[i]); err != nil {
+			return nil, fmt.Errorf("compiler: emitted invalid instruction %d: %w", i, err)
+		}
+	}
+	return prog, nil
 }
