@@ -133,13 +133,13 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 	// decides between the candidates by the cycles step 4 emits.
 	drafts := make([][]*draft, len(s.layouts))
 	for l, layout := range s.layouts {
-		d, err := sc.draft(bg, cfg, layout, blocks, s.seed, base)
+		d, ops, err := sc.draft(bg, cfg, layout, blocks, s.seed, base)
 		if err != nil {
 			return nil, err
 		}
 		for _, window := range s.windows {
 			dw := *d
-			dw.sched = sc.reorder(sc.ds.ops, len(d.vals), cfg.D, window)
+			dw.sched = sc.reorder(ops, len(d.vals), cfg.D, window)
 			drafts[l] = append(drafts[l], &dw)
 		}
 	}
@@ -155,7 +155,6 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 			p.drafts = append(p.drafts, d)
 		}
 	}
-	sc.ds.ops, sc.ds.vals = nil, nil
 	p.elapsed = time.Since(start)
 	return p, nil
 }
@@ -177,20 +176,20 @@ type planScratch struct {
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
 
 // draft runs step 2c, the draft laying leaves out by layout, over the
-// blocks, and returns it unordered; its op list is sc.ds.ops, for step 3.
-func (sc *planScratch) draft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, seed int64, base Stats) (*draft, error) {
+// blocks, and returns it unordered with its op list for step 3.
+func (sc *planScratch) draft(bg *dag.Graph, cfg arch.Config, layout leafLayout, blocks []*Block, seed int64, base Stats) (*draft, []*draftOp, error) {
 	d := &draft{stats: base}
 	ds := &sc.ds
 	ds.reset(bg, cfg, layout, &sc.banks, seed, &d.stats, len(blocks))
 	var err error
 	if d.outWord, err = ds.buildDraft(blocks); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d.vals, d.rows = ds.vals, ds.rows
 	if d.stats.Execs > 0 {
 		d.stats.MeanUtil /= float64(d.stats.Execs)
 	}
-	return d, nil
+	return d, ds.ops, nil
 }
 
 // Emit runs step 4 — register allocation, spilling and address
@@ -244,7 +243,6 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 		best, stats, spillRows = d, ra.stats, len(ra.spillRows)
 		bestBuf, sc.buf = sc.buf, bestBuf
 	}
-	sc.ra.out = nil
 	if best == nil {
 		return nil, firstErr
 	}
