@@ -5,8 +5,9 @@ package compiler
 // least gap(producer) cycles after its producer: D+1 for exec results,
 // 2 for loads and copies (one-cycle writeback). The draft list is
 // re-scheduled greedily: at each cycle the earliest ready op within a
-// fixed window (300 in the paper) issues; when nothing is ready a nil
-// slot (a nop) is emitted. Step 4 re-validates all gaps after it inserts
+// fixed window issues (300 in the paper; Plan reorders every draft under
+// reorderWindow and shortWindow and keeps the shorter program); when
+// nothing is ready a nil slot (a nop) is emitted. Step 4 re-validates all gaps after it inserts
 // spill traffic, so this pass is purely a latency optimization.
 //
 // This pass can only hoist loads, copies and *independent* execs into an
