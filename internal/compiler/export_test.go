@@ -5,6 +5,9 @@ import (
 	"dpuv2/internal/dag"
 )
 
+// RaceEnabled is raceEnabled, for the external tests.
+const RaceEnabled = raceEnabled
+
 // The step-1 cut policies, for the external tests.
 const (
 	CutGreedy = cutGreedy
