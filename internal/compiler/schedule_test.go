@@ -176,7 +176,7 @@ func TestCompileSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.0f bytes, %.0f allocations per compile", bytes, allocs)
 }
 
-// TestBankAssignmentGolden pins allocateBanks' output: the allocator's
+// TestBankAssignmentGolden pins bankAlloc.allocate's output: the allocator's
 // bookkeeping may change, its decisions — including the order it draws from
 // the rng — may not. The hashes were taken with the lazy-stack buckets the
 // allocator had before its intrusive lists, on the blocks step 1b emits for
