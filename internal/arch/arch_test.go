@@ -259,7 +259,7 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return !br.Overrun
+		return br.pos <= 8*len(br.buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -268,22 +268,20 @@ func TestBitWriterReaderRoundTrip(t *testing.T) {
 
 func TestBitReaderOverrun(t *testing.T) {
 	br := NewBitReader([]byte{0xFF})
-	br.Take(8)
-	if br.Overrun {
-		t.Fatal("no overrun yet")
+	if v := br.Take(8); v != 0xFF {
+		t.Fatalf("read %#x, want 0xff", v)
 	}
-	br.Take(1)
-	if !br.Overrun {
-		t.Fatal("overrun not flagged")
+	if v := br.Take(3); v != 0 || br.pos != 11 {
+		t.Fatalf("read past the end: %d at bit %d, want 0 at bit 11", v, br.pos)
 	}
 }
 
-func randomInstr(rng *rand.Rand, cfg Config) *Instr {
+func randomInstr(b *Builder, rng *rand.Rand, cfg Config) Instr {
 	switch rng.Intn(6) {
 	case 0:
-		return &Instr{Kind: KindNop}
+		return Instr{Kind: KindNop}
 	case 1:
-		in := NewExec(cfg)
+		in := b.Exec(cfg)
 		for i := range in.PEOps {
 			in.PEOps[i] = PEOp(rng.Intn(numPEOps))
 		}
@@ -308,13 +306,13 @@ func randomInstr(rng *rand.Rand, cfg Config) *Instr {
 		}
 		return in
 	case 2:
-		in := NewLoad(cfg, rng.Intn(cfg.DataMemWords/cfg.B))
+		in := b.Load(cfg, rng.Intn(cfg.DataMemWords/cfg.B))
 		for b := range in.Mask {
 			in.Mask[b] = rng.Intn(2) == 0
 		}
 		return in
 	case 3:
-		in := NewStore(cfg, rng.Intn(cfg.DataMemWords/cfg.B))
+		in := b.Store(cfg, rng.Intn(cfg.DataMemWords/cfg.B))
 		for b := 0; b < cfg.B; b++ {
 			in.ReadEn[b] = rng.Intn(2) == 0
 			in.ReadAddr[b] = uint16(rng.Intn(cfg.R))
@@ -328,7 +326,7 @@ func randomInstr(rng *rand.Rand, cfg Config) *Instr {
 			k = KindStore4
 			memAddr = rng.Intn(cfg.DataMemWords / cfg.B)
 		}
-		in := &Instr{Kind: k, MemAddr: memAddr}
+		in := Instr{Kind: k, MemAddr: memAddr, Moves: b.Moves(MaxMoves)}
 		for i := 0; i < 1+rng.Intn(MaxMoves); i++ {
 			in.Moves = append(in.Moves, Move{
 				SrcBank: uint16(rng.Intn(cfg.B)),
@@ -390,13 +388,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, topo := range []OutputTopology{OutCrossbar, OutPerLayer, OutPerPE} {
 		cfg := Config{D: 3, B: 16, R: 32, Output: topo}.Normalize()
 		rng := rand.New(rand.NewSource(42))
-		p := NewProgram(cfg)
+		var b Builder
 		for i := 0; i < 200; i++ {
-			in := randomInstr(rng, cfg)
-			if err := p.Append(in); err != nil {
-				t.Fatalf("%v: append %v: %v", topo, in.Kind, err)
-			}
+			b.Append(randomInstr(&b, rng, cfg))
 		}
+		p := mustProgram(t, &b, cfg)
 		packed := p.Pack()
 		if got, want := len(packed), (p.BitSize()+7)/8; got != want {
 			t.Fatalf("%v: packed %d bytes, want %d", topo, got, want)
@@ -405,8 +401,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range back {
-			if !instrEqual(p.Instrs[i], back[i]) {
+		for i, in := range back.Instrs {
+			if !instrEqual(p.Instrs[i], in) {
 				t.Fatalf("%v: instruction %d (%v) did not round trip", topo, i, p.Instrs[i].Kind)
 			}
 		}
@@ -417,17 +413,16 @@ func TestDecodeLengthsMatchWidths(t *testing.T) {
 	cfg := MinEDP()
 	w := WidthsOf(cfg)
 	rng := rand.New(rand.NewSource(7))
+	var b Builder
 	for i := 0; i < 100; i++ {
-		in := randomInstr(rng, cfg)
+		in := randomInstr(&b, rng, cfg)
 		var bw BitWriter
-		Encode(in, cfg, w, &bw)
+		Encode(&in, cfg, w, &bw)
 		if bw.nbit != w.Len(in.Kind) {
 			t.Fatalf("%v encoded to %d bits, Widths says %d", in.Kind, bw.nbit, w.Len(in.Kind))
 		}
 		br := NewBitReader(bw.Bytes())
-		if _, err := Decode(br, cfg, w); err != nil {
-			t.Fatal(err)
-		}
+		b.decode(br, cfg, w)
 		if br.pos != w.Len(in.Kind) {
 			t.Fatalf("%v decode consumed %d bits, want %d", in.Kind, br.pos, w.Len(in.Kind))
 		}
@@ -436,13 +431,14 @@ func TestDecodeLengthsMatchWidths(t *testing.T) {
 
 func TestInstrValidateCatchesErrors(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
-	in := NewExec(cfg)
+	var b Builder
+	in := b.Exec(cfg)
 	in.ReadEn[0] = true
 	in.ReadAddr[0] = uint16(cfg.R) // out of range
 	if err := in.Validate(cfg); err == nil {
 		t.Error("expected read-addr error")
 	}
-	in2 := NewExec(cfg)
+	in2 := b.Exec(cfg)
 	in2.WriteEn[0] = true
 	in2.WriteSel[0] = uint16(cfg.D) // illegal layer select
 	if err := in2.Validate(cfg); err == nil {
@@ -452,11 +448,11 @@ func TestInstrValidateCatchesErrors(t *testing.T) {
 	if err := in3.Validate(cfg); err == nil {
 		t.Error("expected empty-moves error")
 	}
-	in4 := NewLoad(cfg, cfg.DataMemWords) // out of range row
+	in4 := b.Load(cfg, cfg.DataMemWords) // out of range row
 	if err := in4.Validate(cfg); err == nil {
 		t.Error("expected mem range error")
 	}
-	in5 := NewExec(cfg)
+	in5 := b.Exec(cfg)
 	in5.PEOps[0] = numPEOps // decodable from the opcode field, outside the ISA
 	if err := in5.Validate(cfg); err == nil {
 		t.Error("expected PE opcode error")
@@ -467,10 +463,12 @@ func TestInstrValidateCatchesErrors(t *testing.T) {
 // must bound all three: Encode and the walker index them unchecked.
 func TestStoreValidateChecksEveryShape(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
-	read := &Instr{Kind: KindStore, ReadEn: make([]bool, cfg.B)}
+	read := Instr{Kind: KindStore, ReadEn: make([]bool, cfg.B)}
 	read.ReadEn[0] = true
-	if err := NewProgram(cfg).Append(read); err == nil {
-		t.Error("Append accepted a read-enabled store with no ReadAddr")
+	var b Builder
+	b.Append(read)
+	if _, err := b.Program(cfg); err == nil {
+		t.Error("Program accepted a read-enabled store with no ReadAddr")
 	}
 	for name, in := range map[string]*Instr{
 		"no ReadAddr": {Kind: KindStore, ReadEn: make([]bool, cfg.B), ValidRst: make([]bool, cfg.B)},
@@ -485,10 +483,11 @@ func TestStoreValidateChecksEveryShape(t *testing.T) {
 func TestFixedWriteAddrBitsLarger(t *testing.T) {
 	cfg := MinEDP()
 	rng := rand.New(rand.NewSource(3))
-	p := NewProgram(cfg)
+	var b Builder
 	for i := 0; i < 300; i++ {
-		mustAppend(t, p, randomInstr(rng, cfg))
+		b.Append(randomInstr(&b, rng, cfg))
 	}
+	p := mustProgram(t, &b, cfg)
 	if p.FixedWriteAddrBits() <= p.BitSize() {
 		t.Fatalf("explicit write addresses should cost more: %d vs %d",
 			p.FixedWriteAddrBits(), p.BitSize())
@@ -529,10 +528,13 @@ func writableBanks(c Config, p PE) []int {
 	return banks
 }
 
-// mustAppend appends in to p, failing t if it does not validate.
-func mustAppend(t testing.TB, p *Program, in *Instr) {
+// mustProgram returns b's program of cfg, failing t if an instruction
+// does not validate.
+func mustProgram(t testing.TB, b *Builder, cfg Config) *Program {
 	t.Helper()
-	if err := p.Append(in); err != nil {
+	p, err := b.Program(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return p
 }

@@ -121,6 +121,26 @@ func (c Config) NumPEs() int { return c.Trees() * ((1 << uint(c.D)) - 1) }
 // TreeInputs returns 2^D, the leaf input ports of one tree.
 func (c Config) TreeInputs() int { return 1 << uint(c.D) }
 
+// WriteLatency returns when the register writes of an instruction of
+// kind k land: at the end of cycle issue+WriteLatency, readable from the
+// cycle after. An exec's results leave its trees D cycles after issue; a
+// load or copy_4 writes at issue+1. Other kinds write no register and
+// return 0.
+func (c Config) WriteLatency(k Kind) int {
+	switch k {
+	case KindExec:
+		return c.D
+	case KindLoad, KindCopy:
+		return 1
+	}
+	return 0
+}
+
+// Drain returns the cycles the D+1-stage pipeline runs after the last
+// instruction issues, until every write in flight has landed: a program
+// of n instructions takes n+Drain() cycles.
+func (c Config) Drain() int { return c.D + 1 }
+
 // MinEDP returns the design-space point the paper's exploration selects
 // (D=3, B=64, R=32, per-layer output interconnect).
 func MinEDP() Config {

@@ -10,30 +10,31 @@ func TestDisassembleKinds(t *testing.T) {
 	if got := Disassemble(&Instr{Kind: KindNop}, cfg); got != "nop" {
 		t.Errorf("nop = %q", got)
 	}
-	ld := NewLoad(cfg, 7)
+	var b Builder
+	ld := b.Load(cfg, 7)
 	ld.Mask[1], ld.Mask[5] = true, true
-	if got := Disassemble(ld, cfg); got != "load row=7 lanes[1,5]" {
+	if got := Disassemble(&ld, cfg); got != "load row=7 lanes[1,5]" {
 		t.Errorf("load = %q", got)
 	}
 	cp := &Instr{Kind: KindCopy, Moves: []Move{{SrcBank: 3, SrcAddr: 7, Dst: 5, Rst: true}}}
 	if got := Disassemble(cp, cfg); got != "copy_4 b3.7!->5" {
 		t.Errorf("copy = %q", got)
 	}
-	st := NewStore(cfg, 2)
+	st := b.Store(cfg, 2)
 	st.ReadEn[0] = true
 	st.ReadAddr[0] = 3
 	st.ValidRst[0] = true
-	if got := Disassemble(st, cfg); !strings.Contains(got, "b0.3!") {
+	if got := Disassemble(&st, cfg); !strings.Contains(got, "b0.3!") {
 		t.Errorf("store = %q", got)
 	}
-	ex := NewExec(cfg)
+	ex := b.Exec(cfg)
 	ex.PEOps[0] = PEMul
 	ex.ReadEn[2] = true
 	ex.ReadAddr[2] = 9
 	ex.WriteEn[0] = true
 	sel, _ := cfg.WriteSel(0, PE{Tree: 0, Layer: 1, Index: 0})
 	ex.WriteSel[0] = sel
-	got := Disassemble(ex, cfg)
+	got := Disassemble(&ex, cfg)
 	for _, want := range []string{"exec", "b2.9", "t0.l1.0:mul", "b0<-t0.l1.0"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("exec disasm missing %q: %q", want, got)
@@ -43,12 +44,12 @@ func TestDisassembleKinds(t *testing.T) {
 
 func TestDisassembleProgramOffsets(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
-	p := NewProgram(cfg)
-	mustAppend(t, p, &Instr{Kind: KindNop})
-	ld := NewLoad(cfg, 0)
+	var b Builder
+	b.Append(Instr{Kind: KindNop})
+	ld := b.Load(cfg, 0)
 	ld.Mask[0] = true
-	mustAppend(t, p, ld)
-	out := DisassembleProgram(p)
+	b.Append(ld)
+	out := DisassembleProgram(mustProgram(t, &b, cfg))
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines", len(lines))

@@ -1,9 +1,6 @@
 package arch
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // bitsFor returns the bits needed to represent values in [0, n); n ≤ 1
 // needs none.
@@ -129,26 +126,24 @@ func (bw *BitWriter) PutBool(b bool) {
 func (bw *BitWriter) Bytes() []byte { return bw.buf }
 
 // BitReader consumes a packed stream produced by BitWriter. Reading past
-// the end yields zeros and sets the overrun flag, mirroring an
-// instruction-memory fetch of don't-care padding.
+// the end yields zeros, mirroring an instruction-memory fetch of
+// don't-care padding; Unpack checks the position against the length.
 type BitReader struct {
-	buf     []byte
-	pos     int
-	Overrun bool
+	buf []byte
+	pos int
 }
 
 // NewBitReader wraps buf for reading from bit offset 0.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
 
 // Take reads n bits, byte-sized chunks at a time. Reading past the end
-// yields zeros and sets the overrun flag (see BitReader).
+// yields zeros (see BitReader).
 func (br *BitReader) Take(n int) uint64 {
 	var v uint64
 	got := 0
 	for got < n {
 		byteIdx := br.pos >> 3
 		if byteIdx >= len(br.buf) {
-			br.Overrun = true
 			br.pos += n - got
 			break
 		}
@@ -225,50 +220,51 @@ func Encode(in *Instr, cfg Config, w Widths, bw *BitWriter) {
 	}
 }
 
-// Decode reads one instruction from br. It mirrors the hardware decoder:
-// the opcode determines how many further bits belong to the instruction.
-func Decode(br *BitReader, cfg Config, w Widths) (*Instr, error) {
-	cfg = cfg.Normalize()
+// decode reads one instruction from br and appends it to b. It mirrors
+// the hardware decoder: the opcode determines how many further bits
+// belong to the instruction. br must hold a whole instruction of a
+// known kind, as Unpack's scan checks.
+func (b *Builder) decode(br *BitReader, cfg Config, w Widths) {
 	k := Kind(br.Take(w.Opcode))
-	var in *Instr
+	var in Instr
 	switch k {
 	case KindNop:
-		in = &Instr{Kind: k}
+		in = Instr{Kind: k}
 	case KindExec:
-		in = NewExec(cfg)
+		in = b.Exec(cfg)
 		for i := range in.PEOps {
 			in.PEOps[i] = PEOp(br.Take(w.PEOp))
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.ReadEn[b] = br.TakeBool()
-			in.ReadAddr[b] = uint16(br.Take(w.ReadAddr))
+		for bank := 0; bank < cfg.B; bank++ {
+			in.ReadEn[bank] = br.TakeBool()
+			in.ReadAddr[bank] = uint16(br.Take(w.ReadAddr))
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.ValidRst[b] = br.TakeBool()
+		for bank := 0; bank < cfg.B; bank++ {
+			in.ValidRst[bank] = br.TakeBool()
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.InputSel[b] = uint16(br.Take(w.BankSel))
+		for bank := 0; bank < cfg.B; bank++ {
+			in.InputSel[bank] = uint16(br.Take(w.BankSel))
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.WriteEn[b] = br.TakeBool()
-			in.WriteSel[b] = uint16(br.Take(w.WriteSel))
+		for bank := 0; bank < cfg.B; bank++ {
+			in.WriteEn[bank] = br.TakeBool()
+			in.WriteSel[bank] = uint16(br.Take(w.WriteSel))
 		}
 	case KindLoad:
-		in = NewLoad(cfg, int(br.Take(w.MemAddr)))
-		for b := 0; b < cfg.B; b++ {
-			in.Mask[b] = br.TakeBool()
+		in = b.Load(cfg, int(br.Take(w.MemAddr)))
+		for bank := 0; bank < cfg.B; bank++ {
+			in.Mask[bank] = br.TakeBool()
 		}
 	case KindStore:
-		in = NewStore(cfg, int(br.Take(w.MemAddr)))
-		for b := 0; b < cfg.B; b++ {
-			in.ReadEn[b] = br.TakeBool()
-			in.ReadAddr[b] = uint16(br.Take(w.ReadAddr))
+		in = b.Store(cfg, int(br.Take(w.MemAddr)))
+		for bank := 0; bank < cfg.B; bank++ {
+			in.ReadEn[bank] = br.TakeBool()
+			in.ReadAddr[bank] = uint16(br.Take(w.ReadAddr))
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.ValidRst[b] = br.TakeBool()
+		for bank := 0; bank < cfg.B; bank++ {
+			in.ValidRst[bank] = br.TakeBool()
 		}
 	case KindStore4, KindCopy:
-		in = &Instr{Kind: k}
+		in = Instr{Kind: k, Moves: b.Moves(MaxMoves)}
 		if k == KindStore4 {
 			in.MemAddr = int(br.Take(w.MemAddr))
 		}
@@ -284,11 +280,6 @@ func Decode(br *BitReader, cfg Config, w Widths) (*Instr, error) {
 				in.Moves = append(in.Moves, m)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("arch: decoded unknown opcode %d", k)
 	}
-	if br.Overrun {
-		return nil, fmt.Errorf("arch: instruction stream truncated")
-	}
-	return in, nil
+	b.Append(in)
 }

@@ -39,13 +39,13 @@ func fuzzConfig(s *fuzzSource) Config {
 // fuzzInstr builds an arbitrary in-range instruction of any kind. All
 // field values are clamped into their encodable ranges, so the packed
 // form must round-trip exactly.
-func fuzzInstr(s *fuzzSource, cfg Config) *Instr {
+func fuzzInstr(bd *Builder, s *fuzzSource, cfg Config) Instr {
 	rows := cfg.DataMemWords / cfg.B
 	switch Kind(s.next() % int(numKinds)) {
 	case KindNop:
-		return &Instr{Kind: KindNop}
+		return Instr{Kind: KindNop}
 	case KindExec:
-		in := NewExec(cfg)
+		in := bd.Exec(cfg)
 		for i := range in.PEOps {
 			in.PEOps[i] = PEOp(s.next() % int(numPEOps))
 		}
@@ -66,13 +66,13 @@ func fuzzInstr(s *fuzzSource, cfg Config) *Instr {
 		}
 		return in
 	case KindLoad:
-		in := NewLoad(cfg, s.next()%rows)
+		in := bd.Load(cfg, s.next()%rows)
 		for b := range in.Mask {
 			in.Mask[b] = s.next()%2 == 1
 		}
 		return in
 	case KindStore:
-		in := NewStore(cfg, s.next()%rows)
+		in := bd.Store(cfg, s.next()%rows)
 		for b := 0; b < cfg.B; b++ {
 			in.ReadEn[b] = s.next()%2 == 1
 			in.ReadAddr[b] = uint16(s.next() % cfg.R)
@@ -86,7 +86,7 @@ func fuzzInstr(s *fuzzSource, cfg Config) *Instr {
 			kind = KindStore4
 			memAddr = s.next() % rows
 		}
-		in := &Instr{Kind: kind, MemAddr: memAddr}
+		in := Instr{Kind: kind, MemAddr: memAddr, Moves: bd.Moves(MaxMoves)}
 		lanes := 1 + s.next()%MaxMoves
 		for i := 0; i < lanes; i++ {
 			in.Moves = append(in.Moves, Move{
@@ -116,21 +116,23 @@ func FuzzEncodeDisasmRoundTrip(f *testing.F) {
 			t.Fatalf("generator produced invalid config %s: %v", cfg, err)
 		}
 		w := WidthsOf(cfg)
-		in := fuzzInstr(s, cfg)
+		var bd Builder
+		in := fuzzInstr(&bd, s, cfg)
 		if err := in.Validate(cfg); err != nil {
-			t.Fatalf("generator produced invalid instr (%s): %v", Disassemble(in, cfg), err)
+			t.Fatalf("generator produced invalid instr (%s): %v", Disassemble(&in, cfg), err)
 		}
 
 		var bw BitWriter
-		Encode(in, cfg, w, &bw)
+		Encode(&in, cfg, w, &bw)
 		if bw.nbit != w.Len(in.Kind) {
 			t.Fatalf("%s: packed %d bits, Widths advertises %d", in.Kind, bw.nbit, w.Len(in.Kind))
 		}
 
-		out, err := Decode(NewBitReader(bw.Bytes()), cfg, w)
+		back, err := Unpack(bw.Bytes(), cfg, 1)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
+		out := back.Instrs[0]
 		if out.Kind != in.Kind {
 			t.Fatalf("kind changed: %v -> %v", in.Kind, out.Kind)
 		}
@@ -142,7 +144,7 @@ func FuzzEncodeDisasmRoundTrip(f *testing.F) {
 				in.Kind, bw.Bytes(), bw.nbit, bw2.Bytes(), bw2.nbit)
 		}
 
-		d1, d2 := Disassemble(in, cfg), Disassemble(out, cfg)
+		d1, d2 := Disassemble(&in, cfg), Disassemble(out, cfg)
 		if d1 != d2 {
 			t.Fatalf("disassembly diverges:\n  in:  %s\n  out: %s", d1, d2)
 		}

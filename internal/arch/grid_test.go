@@ -19,16 +19,17 @@ func TestCodecAcrossGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 					rng := rand.New(rand.NewSource(int64(d*1000 + bk*10 + rg)))
-					p := NewProgram(cfg)
+					var b Builder
 					for i := 0; i < 25; i++ {
-						mustAppend(t, p, randomInstr(rng, cfg))
+						b.Append(randomInstr(&b, rng, cfg))
 					}
+					p := mustProgram(t, &b, cfg)
 					back, err := Unpack(p.Pack(), cfg, len(p.Instrs))
 					if err != nil {
 						t.Fatalf("%v: %v", cfg, err)
 					}
-					for i := range back {
-						if !instrEqual(p.Instrs[i], back[i]) {
+					for i, in := range back.Instrs {
+						if !instrEqual(p.Instrs[i], in) {
 							t.Fatalf("%v: instruction %d (%v) did not round trip",
 								cfg, i, p.Instrs[i].Kind)
 						}

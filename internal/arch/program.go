@@ -20,15 +20,6 @@ func NewProgram(cfg Config) *Program {
 	return &Program{Cfg: cfg, W: WidthsOf(cfg)}
 }
 
-// Append validates and appends an instruction.
-func (p *Program) Append(in *Instr) error {
-	if err := in.Validate(p.Cfg); err != nil {
-		return err
-	}
-	p.Instrs = append(p.Instrs, in)
-	return nil
-}
-
 // BitSize returns the densely packed size of the instruction stream in
 // bits (fig. 7(b): variable-length instructions without bubbles).
 func (p *Program) BitSize() int {
@@ -39,11 +30,14 @@ func (p *Program) BitSize() int {
 	return total
 }
 
-// Counts tallies instructions per kind, the data behind fig. 13.
-func (p *Program) Counts() map[Kind]int {
-	c := make(map[Kind]int)
+// Counts tallies instructions per kind, the data behind fig. 13; an
+// instruction of a kind outside the ISA counts under none.
+func (p *Program) Counts() [numKinds]int {
+	var c [numKinds]int
 	for _, in := range p.Instrs {
-		c[in.Kind]++
+		if in.Kind < numKinds {
+			c[in.Kind]++
+		}
 	}
 	return c
 }
@@ -57,20 +51,34 @@ func (p *Program) Pack() []byte {
 	return bw.Bytes()
 }
 
-// Unpack decodes n instructions from a packed stream produced by Pack.
-func Unpack(buf []byte, cfg Config, n int) ([]*Instr, error) {
+// Unpack decodes a program of cfg from the first n instructions of a
+// stream packed by Pack, each validated. Every kind has a fixed length
+// (Widths.Len), so a scan of the opcodes counts the instructions of each
+// kind first, and the decode then fills a Builder sized to them. The
+// scan fails as soon as it runs past buf, so a count buf cannot hold
+// costs no more than buf's length and allocates nothing.
+func Unpack(buf []byte, cfg Config, n int) (*Program, error) {
 	cfg = cfg.Normalize()
 	w := WidthsOf(cfg)
+	var count [numKinds]int
 	br := NewBitReader(buf)
-	out := make([]*Instr, 0, n)
 	for i := 0; i < n; i++ {
-		in, err := Decode(br, cfg, w)
-		if err != nil {
-			return nil, fmt.Errorf("arch: instruction %d: %w", i, err)
+		k := Kind(br.Take(w.Opcode))
+		if k >= numKinds {
+			return nil, fmt.Errorf("arch: instruction %d: unknown opcode %d", i, k)
 		}
-		out = append(out, in)
+		if br.pos += w.Len(k) - w.Opcode; br.pos > 8*len(buf) {
+			return nil, fmt.Errorf("arch: instruction %d: stream truncated", i)
+		}
+		count[k]++
 	}
-	return out, nil
+	var b Builder
+	b.Reset(cfg, n, count[KindExec], count[KindLoad], count[KindStore], MaxMoves*(count[KindCopy]+count[KindStore4]))
+	br = NewBitReader(buf)
+	for range n {
+		b.decode(br, cfg, w)
+	}
+	return b.Program(cfg)
 }
 
 // FixedWriteAddrBits returns the packed size the same program would need
@@ -79,25 +87,9 @@ func Unpack(buf []byte, cfg Config, n int) ([]*Instr, error) {
 // valid_rst bits but every write port gains a full register address:
 // exec and load pay B addresses, copy_4/store_4 pay one per lane.
 func (p *Program) FixedWriteAddrBits() int {
-	ra := p.W.ReadAddr
-	total := 0
-	for _, in := range p.Instrs {
-		l := p.W.Len(in.Kind)
-		switch in.Kind {
-		case KindExec:
-			l += p.Cfg.B*ra - p.Cfg.B // + write addrs, − valid_rst
-		case KindLoad:
-			l += p.Cfg.B * ra
-		case KindStore:
-			l -= p.Cfg.B
-		case KindCopy:
-			l += MaxMoves*ra - MaxMoves
-		case KindStore4:
-			l -= MaxMoves
-		}
-		total += l
-	}
-	return total
+	c, b, ra := p.Counts(), p.Cfg.B, p.W.ReadAddr
+	return p.BitSize() + c[KindExec]*(b*ra-b) + c[KindLoad]*b*ra - c[KindStore]*b +
+		c[KindCopy]*(MaxMoves*ra-MaxMoves) - c[KindStore4]*MaxMoves
 }
 
 // FootprintBytes returns instructions + data-image footprint in bytes at

@@ -765,8 +765,7 @@ func (d *dec) decodeGraph(name string, n int) (g *dag.Graph, inputs, consts int)
 // constant list has been read and checked, so a corrupted length cannot
 // drive the allocation.
 func (d *dec) decodeProgram(c *compiler.Compiled, numConsts int) error {
-	prog := c.Prog
-	cfg := prog.Cfg
+	cfg := c.Prog.Cfg
 	numInstrs := d.count("instruction", 1)
 	packed := d.raw(d.count("packed byte", 1))
 	words := d.uvarint()
@@ -796,20 +795,11 @@ func (d *dec) decodeProgram(c *compiler.Compiled, numConsts int) error {
 	if err := checkConstWords(constWord, numConsts, int(words)); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	// A corrupted count would make Unpack walk the packed stream far out
-	// of proportion; bound it by the payload that actually carries it
-	// (every instruction is at least an opcode, i.e. >0 bits).
-	if numInstrs > 8*len(packed) {
-		return fmt.Errorf("%w: %d instructions cannot fit %d packed bytes", ErrCorrupt, numInstrs, len(packed))
-	}
-	instrs, err := arch.Unpack(packed, cfg, numInstrs)
+	// Unpack reads no further than the packed stream, so a corrupted
+	// count fails there, before anything is allocated for it.
+	prog, err := arch.Unpack(packed, cfg, numInstrs)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	for i, in := range instrs {
-		if err := prog.Append(in); err != nil {
-			return fmt.Errorf("%w: instruction %d: %v", ErrCorrupt, i, err)
-		}
 	}
 	// Canonical packing: don't-care padding bits must be zero and the
 	// stream must end exactly where instruction numInstrs-1 does, so
@@ -818,7 +808,7 @@ func (d *dec) decodeProgram(c *compiler.Compiled, numConsts int) error {
 		return fmt.Errorf("%w: instruction stream not canonically packed", ErrCorrupt)
 	}
 	prog.InitMem = compiler.InitImage(c.Graph, constWord, int(words))
-	c.ConstWord = constWord
+	c.Prog, c.ConstWord = prog, constWord
 	return nil
 }
 

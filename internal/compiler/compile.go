@@ -139,7 +139,7 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 		}
 		for _, window := range s.windows {
 			dw := *d
-			dw.sched = sc.reorder(ops, len(d.vals), cfg.D, window)
+			dw.sched = sc.reorder(ops, len(d.vals), cfg, window)
 			drafts[l] = append(drafts[l], &dw)
 		}
 	}
@@ -217,7 +217,7 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	defer emitPool.Put(sc)
 	var (
 		best      *draft
-		bestBuf   instrBuf
+		bestBuf   arch.Builder
 		stats     Stats
 		spillRows int
 		firstErr  error
@@ -225,7 +225,7 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	for _, d := range p.drafts {
 		limit := math.MaxInt
 		if best != nil {
-			limit = len(bestBuf.instrs)
+			limit = bestBuf.Len()
 		}
 		sc.vals = append(sc.vals[:0], d.vals...)
 		ra := &sc.ra
@@ -247,9 +247,9 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 		return nil, firstErr
 	}
 
-	prog, err := bestBuf.program(cfg)
+	prog, err := bestBuf.Program(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compiler: emitted an invalid program: %w", err)
 	}
 
 	// Data-memory image: every touched row, including the spill region
@@ -277,7 +277,7 @@ func (p *Planned) Emit(r int) (*Compiled, error) {
 	}
 
 	stats.Instructions = len(prog.Instrs)
-	stats.Cycles = len(prog.Instrs) + cfg.D + 1
+	stats.Cycles = len(prog.Instrs) + cfg.Drain()
 	stats.CompileSeconds = (p.elapsed + time.Since(start)).Seconds()
 
 	return &Compiled{

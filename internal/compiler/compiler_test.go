@@ -387,7 +387,7 @@ func TestReorderRespectsGaps(t *testing.T) {
 		{kind: dExec, wrs: []ValID{2}},
 		{kind: dExec, wrs: []ValID{3}},
 	}
-	sched := new(planScratch).reorder(ops, 4, 3, 300)
+	sched := new(planScratch).reorder(ops, 4, arch.Config{D: 3}, 300)
 	pos := map[*draftOp]int{}
 	for i, op := range sched {
 		if op != nil {
@@ -412,8 +412,8 @@ func TestWindowLimitsReordering(t *testing.T) {
 	for i := 2; i < 10; i++ {
 		ops = append(ops, &draftOp{kind: dExec, wrs: []ValID{ValID(i)}})
 	}
-	narrow := new(planScratch).reorder(ops, 10, 3, 1)
-	wide := new(planScratch).reorder(ops, 10, 3, 300)
+	narrow := new(planScratch).reorder(ops, 10, arch.Config{D: 3}, 1)
+	wide := new(planScratch).reorder(ops, 10, arch.Config{D: 3}, 300)
 	nNops := func(s []*draftOp) int {
 		n := 0
 		for _, op := range s {

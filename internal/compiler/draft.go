@@ -17,14 +17,13 @@ import (
 // sink observable in data memory. Concrete register addresses do not
 // exist yet — they are assigned by step 4 after reordering.
 
-type draftKind uint8
-
+// A draft op's kind is that of the instruction it becomes.
 const (
-	dLoad draftKind = iota
-	dCopy
-	dExec
-	dStore  // full-vector store (lane = bank)
-	dStore4 // gathered store of ≤4 words
+	dLoad   = arch.KindLoad
+	dCopy   = arch.KindCopy
+	dExec   = arch.KindExec
+	dStore  = arch.KindStore  // full-vector store (lane = bank)
+	dStore4 = arch.KindStore4 // gathered store of ≤4 words
 )
 
 type draftMove struct {
@@ -34,7 +33,7 @@ type draftMove struct {
 }
 
 type draftOp struct {
-	kind  draftKind
+	kind  arch.Kind
 	block *Block
 	row   int         // memory row for load/store/store4
 	reads []ValID     // values read at issue
@@ -432,6 +431,14 @@ func (ds *draftState) augment(block *Block, i int32) bool {
 		}
 	}
 	return false
+}
+
+// clearTo returns s emptied, with capacity for at least n elements.
+func clearTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // carve returns an empty slice with capacity n cut from the arena. A full

@@ -34,15 +34,19 @@ func TestEmitStopsLosingRowDraft(t *testing.T) {
 		}
 		emitCfg := p.cfg
 		emitCfg.R = cfg.R
-		stepFour := func(d *draft, limit int) ([]arch.Instr, error) {
+		stepFour := func(d *draft, limit int) ([]*arch.Instr, error) {
 			var ra regalloc
-			var out instrBuf
+			var out arch.Builder
 			ra.reset(emitCfg, append([]valInfo(nil), d.vals...), d.rows, d.sched, d.stats, &out)
 			err := ra.run(d.sched, limit)
-			return out.instrs, err
+			prog, perr := out.Program(emitCfg)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			return prog.Instrs, err
 		}
 		win, shortest, stopped := -1, math.MaxInt, 0
-		var want []arch.Instr
+		var want []*arch.Instr
 		for i, d := range p.drafts {
 			full, err := stepFour(d, math.MaxInt)
 			if err != nil {
@@ -72,7 +76,7 @@ func TestEmitStopsLosingRowDraft(t *testing.T) {
 			t.Fatalf("%s: Emit built %d instructions, draft %d emits %d", tc.name, len(c.Prog.Instrs), win, len(want))
 		}
 		for i, in := range c.Prog.Instrs {
-			if !reflect.DeepEqual(*in, want[i]) {
+			if !reflect.DeepEqual(in, want[i]) {
 				t.Fatalf("%s: Emit's instruction %d differs from draft %d's", tc.name, i, win)
 			}
 		}

@@ -202,7 +202,7 @@ func (cs *coneSched) buildConeGraph(g *dag.Graph, cones []Subgraph) {
 // steps 2–4 add (DESIGN.md "Step 1: two cuts, one chosen").
 func (cs *coneSched) schedule(g *dag.Graph, cfg arch.Config, keys []int64, cones []Subgraph, dfsBlock []int32) ([]*Block, int32) {
 	nc := int32(len(cones))
-	cs.lat = int32(cfg.D + 1)
+	cs.lat = int32(cfg.WriteLatency(arch.KindExec) + 1)
 	cs.far = idHeap{items: cs.far.items[:0], less: cs.byPath}
 	cs.near = idHeap{items: cs.near.items[:0], less: cs.byLastDep}
 	cs.buildConeGraph(g, cones)

@@ -1,9 +1,11 @@
 package compiler
 
+import "dpuv2/internal/arch"
+
 // Step 3 — pipeline-aware reordering (§IV-C). The datapath has D+1
-// pipeline stages, so an instruction consuming a value must issue at
-// least gap(producer) cycles after its producer: D+1 for exec results,
-// 2 for loads and copies (one-cycle writeback). The draft list is
+// pipeline stages, so an instruction consuming a value must issue after
+// the cycle its producer's write lands in (arch.Config.WriteLatency):
+// D+1 cycles after an exec, 2 after a load or copy. The draft list is
 // re-scheduled greedily: at each cycle the earliest ready op within a
 // fixed window issues (300 in the paper; Plan reorders every draft under
 // reorderWindow and shortWindow and keeps the shorter program); when
@@ -15,20 +17,9 @@ package compiler
 // Whether independent execs exist within the window is decided earlier,
 // by how step 1b (schedule.go) bins cones into blocks.
 
-func gapOf(k draftKind, d int) int32 {
-	switch k {
-	case dExec:
-		return int32(d + 1)
-	case dLoad, dCopy:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // reorder returns the scheduled op list where nil entries are nops.
 // prod and posOf are its per-value and per-op arrays, reused.
-func (sc *planScratch) reorder(ops []*draftOp, nvals int, depth, window int) []*draftOp {
+func (sc *planScratch) reorder(ops []*draftOp, nvals int, cfg arch.Config, window int) []*draftOp {
 	sc.prod = resize(sc.prod, nvals)
 	prod := sc.prod
 	for i := range prod {
@@ -52,7 +43,7 @@ func (sc *planScratch) reorder(ops []*draftOp, nvals int, depth, window int) []*
 			if p < 0 {
 				continue
 			}
-			if posOf[p] < 0 || posOf[p]+gapOf(ops[p].kind, depth) > pos {
+			if posOf[p] < 0 || posOf[p]+int32(cfg.WriteLatency(ops[p].kind)) >= pos {
 				return false
 			}
 		}

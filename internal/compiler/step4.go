@@ -25,8 +25,8 @@ import (
 // shared with the simulator and the verifier):
 //   - an instruction issued at cycle t performs its register reads (and
 //     valid_rst frees) at t;
-//   - its writes land at the end of cycle t+1 (load, copy) or t+D (exec)
-//     and become readable from cycle t+2 / t+D+1;
+//   - its writes land at the end of cycle t+arch.Config.WriteLatency (1
+//     for load and copy, D for exec) and are readable from the next;
 //   - within one cycle, frees apply before landing writes allocate;
 //   - at most one write may land per bank per cycle.
 
@@ -48,7 +48,7 @@ type regalloc struct {
 	spillBase int
 	spillRows []uint64
 
-	out *instrBuf // the program so far
+	out *arch.Builder // the program so far
 
 	loc      []int16 // register address per resident value
 	resident []bool
@@ -89,12 +89,12 @@ type regalloc struct {
 
 // emitScratch is what Emit reuses from draft to draft and, through
 // emitPool, from one Emit to the next: step 4's arrays, the value table
-// it spills into, and an instruction buffer for the draft being emitted
-// (the shortest program so far holds one of its own).
+// it spills into, and an instruction builder for the draft being
+// emitted (the shortest program so far holds one of its own).
 type emitScratch struct {
 	ra   regalloc
 	vals []valInfo
-	buf  instrBuf
+	buf  arch.Builder
 }
 
 var emitPool = sync.Pool{New: func() any { return new(emitScratch) }}
@@ -112,11 +112,11 @@ func resize[T any](s []T, n int) []T {
 
 // reset readies r to emit sched, whose draft's value table vals (r's own
 // copy) fills rows below spillBase, with stats as the counts so far and
-// out as the instruction buffer; every array of an earlier run is
+// out as the instruction builder; every array of an earlier run is
 // reused.
-func (r *regalloc) reset(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftOp, stats Stats, out *instrBuf) {
+func (r *regalloc) reset(cfg arch.Config, vals []valInfo, spillBase int, sched []*draftOp, stats Stats, out *arch.Builder) {
 	if r.rf == nil || r.cfg.B != cfg.B || r.cfg.R != cfg.R || r.cfg.D != cfg.D {
-		r.rf = regfile.New[ValID](cfg.B, cfg.R, cfg.D)
+		r.rf = regfile.New[ValID](cfg.B, cfg.R, cfg.WriteLatency(arch.KindExec))
 	} else {
 		r.rf.Reset()
 	}
@@ -127,7 +127,7 @@ func (r *regalloc) reset(cfg arch.Config, vals []valInfo, spillBase int, sched [
 	r.cfg, r.vals, r.spillBase, r.stats, r.out = cfg, vals, spillBase, stats, out
 	r.spillRows = r.spillRows[:0]
 	r.overflow = nil
-	out.reset(cfg, sched)
+	resetBuilder(out, cfg, sched)
 	r.loc = resize(r.loc, nv)
 	for i := range r.loc {
 		r.loc[i] = -1
@@ -170,7 +170,7 @@ func (r *regalloc) reset(cfg arch.Config, vals []valInfo, spillBase int, sched [
 	copy(r.usePtr, r.useOff)
 }
 
-func (r *regalloc) cycle() int { return len(r.out.instrs) }
+func (r *regalloc) cycle() int { return r.out.Len() }
 
 func (r *regalloc) bankOf(v ValID) int { return int(r.vals[v].bank) }
 
@@ -202,11 +202,13 @@ func (r *regalloc) land(bank, addr int, v ValID) {
 	r.held[bank*r.cfg.R+addr] = v
 }
 
-// emit appends instr at the current cycle: frees apply now, writes land at
-// t+lat, then writes landing exactly at t are applied.
-func (r *regalloc) emit(in arch.Instr, frees []ValID, writes []pendingWrite, lat int) error {
+// emit appends instr at the current cycle: frees apply now, writes land
+// when the instruction's kind writes (arch.Config.WriteLatency), then
+// writes landing exactly at t are applied.
+func (r *regalloc) emit(in arch.Instr, frees []ValID, writes []pendingWrite) error {
 	t := r.cycle()
-	r.out.instrs = append(r.out.instrs, in)
+	lat := r.cfg.WriteLatency(in.Kind)
+	r.out.Append(in)
 	for _, v := range frees {
 		r.rf.Free(r.bankOf(v), int(r.loc[v]))
 		r.held[r.bankOf(v)*r.cfg.R+int(r.loc[v])] = InvalidVal
@@ -224,7 +226,7 @@ func (r *regalloc) emit(in arch.Instr, frees []ValID, writes []pendingWrite, lat
 
 func (r *regalloc) emitNop() error {
 	r.stats.Nops++
-	return r.emit(arch.Instr{Kind: arch.KindNop}, nil, nil, 1)
+	return r.emit(arch.Instr{Kind: arch.KindNop}, nil, nil)
 }
 
 // busy reports whether a write to any bank of need already lands at land.
@@ -309,7 +311,7 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 			}
 		}
 		r.spillBatch, remaining = batch, keep
-		in := arch.Instr{Kind: arch.KindStore4, MemAddr: row, Moves: r.out.moves(len(batch))}
+		in := arch.Instr{Kind: arch.KindStore4, MemAddr: row, Moves: r.out.Moves(len(batch))}
 		for _, v := range batch {
 			in.Moves = append(in.Moves, arch.Move{
 				SrcBank: uint16(r.bankOf(v)),
@@ -320,7 +322,7 @@ func (r *regalloc) emitSpills(victims []ValID) error {
 			r.spilled[v] = true
 		}
 		r.stats.SpillStores += len(batch)
-		if err := r.emit(in, batch, nil, 1); err != nil {
+		if err := r.emit(in, batch, nil); err != nil {
 			return err
 		}
 	}
@@ -409,17 +411,17 @@ func (r *regalloc) reload(v ValID) error {
 	if err != nil {
 		return err
 	}
-	for r.rf.Busy(bank, r.cycle()+1) {
+	for r.rf.Busy(bank, r.cycle()+r.cfg.WriteLatency(arch.KindLoad)) {
 		if err := r.emitNop(); err != nil {
 			return err
 		}
 	}
-	in := r.out.load(r.cfg, word/r.cfg.B)
+	in := r.out.Load(r.cfg, word/r.cfg.B)
 	in.Mask[bank] = true
 	r.stats.Reloads++
 	r.spilled[v] = false
 	w := [1]pendingWrite{{v, bank}}
-	return r.emit(in, nil, w[:], 1)
+	return r.emit(in, nil, w[:])
 }
 
 // errNotShorter stops run once its program is as long as the limit it
@@ -471,7 +473,6 @@ func (r *regalloc) emitOp(op *draftOp) error {
 	need := r.need
 	clear(need)
 	writes := r.writes[:0]
-	lat := 1
 	switch op.kind {
 	case dLoad:
 		for _, v := range op.wrs {
@@ -485,7 +486,6 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			writes = append(writes, pendingWrite{m.w, m.dst})
 		}
 	case dExec:
-		lat = r.cfg.D
 		for i, w := range op.wrs {
 			b := int(op.outBank[i])
 			need[b]++
@@ -499,7 +499,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		}
 	}
 	// Write-port conflicts at the landing cycle.
-	for r.busy(need, r.cycle()+lat) {
+	for r.busy(need, r.cycle()+r.cfg.WriteLatency(op.kind)) {
 		if err := r.emitNop(); err != nil {
 			return err
 		}
@@ -509,13 +509,18 @@ func (r *regalloc) emitOp(op *draftOp) error {
 	frees := r.frees[:0]
 	switch op.kind {
 	case dLoad:
-		in = r.out.load(r.cfg, op.row)
+		in = r.out.Load(r.cfg, op.row)
 		for _, v := range op.wrs {
 			in.Mask[r.bankOf(v)] = true
 		}
-	case dCopy:
-		in = arch.Instr{Kind: arch.KindCopy, Moves: r.out.moves(len(op.moves))}
+	case dCopy, dStore4:
+		// A copy's row is 0, and prepareReads made its sources resident,
+		// so only a store_4 skips a lane.
+		in = arch.Instr{Kind: op.kind, MemAddr: op.row, Moves: r.out.Moves(len(op.moves))}
 		for _, m := range op.moves {
+			if !r.resident[m.src] && r.spilled[m.src] {
+				continue // spilled to its own destination word already
+			}
 			rst := r.consume(m.src)
 			if rst {
 				frees = append(frees, m.src)
@@ -527,8 +532,12 @@ func (r *regalloc) emitOp(op *draftOp) error {
 				Rst:     rst,
 			})
 		}
+		if len(in.Moves) == 0 {
+			return nil // everything already in memory
+		}
 	case dExec:
-		in = r.out.exec(r.cfg, op.block.PEOps)
+		in = r.out.Exec(r.cfg)
+		copy(in.PEOps, op.block.PEOps)
 		for _, rv := range op.reads {
 			b := r.bankOf(rv)
 			in.ReadEn[b] = true
@@ -554,7 +563,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			in.WriteSel[b] = sel
 		}
 	case dStore:
-		in = r.out.store(r.cfg, op.row)
+		in = r.out.Store(r.cfg, op.row)
 		for _, v := range op.reads {
 			if !r.resident[v] && r.spilled[v] {
 				continue // already in memory at its destination (spilled)
@@ -567,50 +576,18 @@ func (r *regalloc) emitOp(op *draftOp) error {
 				frees = append(frees, v)
 			}
 		}
-	case dStore4:
-		in = arch.Instr{Kind: arch.KindStore4, MemAddr: op.row, Moves: r.out.moves(len(op.moves))}
-		for _, m := range op.moves {
-			if !r.resident[m.src] && r.spilled[m.src] {
-				continue // spilled to its own destination word already
-			}
-			rst := r.consume(m.src)
-			if rst {
-				frees = append(frees, m.src)
-			}
-			in.Moves = append(in.Moves, arch.Move{
-				SrcBank: uint16(r.bankOf(m.src)),
-				SrcAddr: uint16(r.loc[m.src]),
-				Dst:     uint16(m.dst),
-				Rst:     rst,
-			})
-		}
-		if len(in.Moves) == 0 {
-			return nil // everything already in memory
-		}
 	default:
 		return fmt.Errorf("compiler: unknown draft op kind %d", op.kind)
 	}
 	r.frees = frees
-	return r.emit(in, frees, writes, lat)
+	return r.emit(in, frees, writes)
 }
 
-// instrBuf holds one draft's step 4 program: the instructions, and the
-// arrays their slices are cut from. reset keeps every array for the next
-// draft, so the instructions of a draft that loses cost no allocation;
-// the winner's buffer becomes the program's storage.
-type instrBuf struct {
-	instrs []arch.Instr
-	bools  []bool
-	u16    []uint16
-	peOps  []arch.PEOp
-	mv     []arch.Move
-}
-
-// reset empties b and makes room for the program sched will likely emit
-// under cfg: one instruction per schedule slot and the per-bank fields
-// of its execs, loads and stores, with an eighth more of each for spill
-// traffic.
-func (b *instrBuf) reset(cfg arch.Config, sched []*draftOp) {
+// resetBuilder empties out and makes room for the program sched will
+// likely emit under cfg: one instruction per schedule slot and the
+// execs, loads, stores and move lanes it schedules, with an eighth more
+// of each, and 8 more instructions and lanes, for spill traffic.
+func resetBuilder(out *arch.Builder, cfg arch.Config, sched []*draftOp) {
 	var execs, loads, stores, moves int
 	for _, op := range sched {
 		if op == nil {
@@ -627,64 +604,6 @@ func (b *instrBuf) reset(cfg arch.Config, sched []*draftOp) {
 			moves += len(op.moves)
 		}
 	}
-	room := func(n int) int { return n + n/8 + 8 }
-	b.instrs = clearTo(b.instrs, room(len(sched)))
-	b.bools = clearTo(b.bools, room((3*execs+2*stores+loads)*cfg.B))
-	b.u16 = clearTo(b.u16, room((3*execs+stores)*cfg.B))
-	b.peOps = clearTo(b.peOps, room(execs*cfg.NumPEs()))
-	b.mv = clearTo(b.mv, room(moves))
-}
-
-// clearTo returns s emptied, with capacity for at least n elements.
-func clearTo[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
-}
-
-// zeroed cuts n zero elements from the arena.
-func zeroed[T any](arena *[]T, n int) []T {
-	s := carve(arena, n)[:n]
-	clear(s)
-	return s
-}
-
-// exec returns an exec instruction configuring the PEs as peOps, with
-// every bank field zero.
-func (b *instrBuf) exec(cfg arch.Config, peOps []arch.PEOp) arch.Instr {
-	n := cfg.B
-	bools, u16 := zeroed(&b.bools, 3*n), zeroed(&b.u16, 3*n)
-	return arch.Instr{Kind: arch.KindExec, PEOps: append(carve(&b.peOps, len(peOps)), peOps...),
-		ReadEn: bools[:n:n], ValidRst: bools[n : 2*n : 2*n], WriteEn: bools[2*n:],
-		ReadAddr: u16[:n:n], InputSel: u16[n : 2*n : 2*n], WriteSel: u16[2*n:]}
-}
-
-// store returns a full-vector store of memory row row, no lane read.
-func (b *instrBuf) store(cfg arch.Config, row int) arch.Instr {
-	n := cfg.B
-	bools := zeroed(&b.bools, 2*n)
-	return arch.Instr{Kind: arch.KindStore, MemAddr: row,
-		ReadEn: bools[:n:n], ValidRst: bools[n:], ReadAddr: zeroed(&b.u16, n)}
-}
-
-// load returns a vector load of memory row row, no lane enabled.
-func (b *instrBuf) load(cfg arch.Config, row int) arch.Instr {
-	return arch.Instr{Kind: arch.KindLoad, MemAddr: row, Mask: zeroed(&b.bools, cfg.B)}
-}
-
-// moves returns an empty move list with room for n moves.
-func (b *instrBuf) moves(n int) []arch.Move { return carve(&b.mv, n) }
-
-// program hands the buffer's instructions to a program of cfg, each
-// validated; b must not be used again.
-func (b *instrBuf) program(cfg arch.Config) (*arch.Program, error) {
-	prog := arch.NewProgram(cfg)
-	prog.Instrs = make([]*arch.Instr, 0, len(b.instrs))
-	for i := range b.instrs {
-		if err := prog.Append(&b.instrs[i]); err != nil {
-			return nil, fmt.Errorf("compiler: emitted invalid instruction %d: %w", i, err)
-		}
-	}
-	return prog, nil
+	room := func(n int) int { return n + n/8 }
+	out.Reset(cfg, room(len(sched))+8, room(execs), room(loads), room(stores), room(moves)+8)
 }

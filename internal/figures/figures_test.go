@@ -164,15 +164,14 @@ func TestRenderAlignsColumns(t *testing.T) {
 const claimScale, claimLargeScale = 0.1, 0.01
 
 // knownGaps are the paper claims this reproduction does not hold at
-// claimScale, each with what it reads there. A gap that starts to hold
-// fails TestPaperClaims until it is removed from here; a claim moves in
-// only by an edit that records what it reads.
-var knownGaps = map[string]string{
-	"fig14a: DPU-v2 mean > DPU mean":          "1.97 against 3.46 GOPS",
-	"table3: DPU-v2 EDP < DPU EDP":            "40.3 against 5.8 pJ*ns",
-	"fig11: min latency is the paper's point": "D=2,B=64,R=64 against D=3,B=64,R=128",
-	"fig11: min energy is the paper's point":  "D=2,B=32,R=16 against D=3,B=16,R=64",
-	"fig11: min EDP is the paper's point":     "D=2,B=32,R=16 against D=3,B=64,R=32",
+// claimScale. A gap that starts to hold fails TestPaperClaims until it
+// is removed from here; TestPaperClaims logs what each reads.
+var knownGaps = map[string]bool{
+	"fig14a: DPU-v2 mean > DPU mean":          true,
+	"table3: DPU-v2 EDP < DPU EDP":            true,
+	"fig11: min latency is the paper's point": true,
+	"fig11: min energy is the paper's point":  true,
+	"fig11: min EDP is the paper's point":     true,
 }
 
 // TestPaperClaims asserts every qualitative paper claim the harness
@@ -186,11 +185,12 @@ func TestPaperClaims(t *testing.T) {
 	for i, c := range paperClaims {
 		claimed[c.name] = true
 		got := readings[i]
-		_, gap := knownGaps[c.name]
-		switch {
+		switch gap := knownGaps[c.name]; {
 		case gap && got.holds:
 			t.Errorf("%s now holds (%s): remove from knownGaps", c.name, got.detail)
-		case !gap && !got.holds:
+		case gap:
+			t.Logf("known gap %s: %s", c.name, got.detail)
+		case !got.holds:
 			t.Errorf("%s does not hold: %s", c.name, got.detail)
 		}
 	}

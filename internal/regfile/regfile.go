@@ -10,12 +10,13 @@
 //
 // Walker is the instruction half on top of a File: one instruction
 // issues per cycle; reads happen at issue and valid_rst frees after
-// them; exec evaluates the PE trees layer by layer and writes back at
-// issue+D, load and copy_4 write at issue+1; the pipeline drains for D+1
-// cycles. The machine walks with float64 payloads and fails on the first
-// hazard; the verifier walks with the issuing pc as the payload and
-// records every hazard; fig. 10(c,d) walks with no payload to trace
-// occupancy. Each supplies its differences as a Semantics.
+// them; exec evaluates the PE trees layer by layer; writes land when
+// arch.Config.WriteLatency says (issue+D for exec, issue+1 for load and
+// copy_4), and the pipeline drains for arch.Config.Drain cycles. The
+// machine walks with float64 payloads and fails on the first hazard;
+// the verifier walks with the issuing pc as the payload and records
+// every hazard; fig. 10(c,d) walks with no payload to trace occupancy.
+// Each supplies its differences as a Semantics.
 package regfile
 
 import "math/bits"

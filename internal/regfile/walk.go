@@ -85,7 +85,7 @@ func NewWalker[P any](cfg arch.Config, sem Semantics[P]) *Walker[P] {
 		cfg:      cfg,
 		wire:     cfg.Wiring(),
 		sem:      sem,
-		rf:       New[P](cfg.B, cfg.R, cfg.D),
+		rf:       New[P](cfg.B, cfg.R, cfg.WriteLatency(arch.KindExec)),
 		regs:     make([]P, cfg.B*cfg.R),
 		ever:     make([]uint64, (cfg.B*cfg.R+63)/64),
 		portUsed: make([]bool, cfg.B),
@@ -120,9 +120,10 @@ func (w *Walker[P]) Step(in *arch.Instr) error {
 	return w.tick()
 }
 
-// Drain lands every write still in flight: D+1 cycles with no issue.
+// Drain lands every write still in flight: arch.Config.Drain cycles with
+// no issue.
 func (w *Walker[P]) Drain() error {
-	for d := 0; d <= w.cfg.D; d++ {
+	for range w.cfg.Drain() {
 		if err := w.tick(); err != nil {
 			return err
 		}
@@ -174,16 +175,17 @@ const deadReset = "valid_rst frees nothing (bank not read)"
 func (w *Walker[P]) issue(in *arch.Instr) {
 	var zero P
 	row := in.MemAddr * w.cfg.B
+	land := w.cycle + w.cfg.WriteLatency(in.Kind)
 	switch in.Kind {
 	case arch.KindNop:
 	case arch.KindExec:
-		w.exec(in)
+		w.exec(in, land)
 	case arch.KindLoad:
 		for lane, en := range in.Mask {
 			if en {
 				p, err := w.sem.Load(row + lane)
 				w.fail(err)
-				w.write(lane, p, w.cycle+1)
+				w.write(lane, p, land)
 			}
 		}
 	case arch.KindStore:
@@ -214,7 +216,7 @@ func (w *Walker[P]) issue(in *arch.Instr) {
 				w.rf.Free(bank, addr)
 			}
 			if in.Kind == arch.KindCopy {
-				w.write(int(mv.Dst), w.sem.Op(arch.PEBypassL, p, p), w.cycle+1)
+				w.write(int(mv.Dst), w.sem.Op(arch.PEBypassL, p, p), land)
 			} else {
 				w.fail(w.sem.Store(row+int(mv.Dst), p))
 			}
@@ -226,8 +228,8 @@ func (w *Walker[P]) issue(in *arch.Instr) {
 
 // exec evaluates the PE trees for one datapath cycle: demand-driven
 // reads through the input crossbar, then the valid_rst frees, then the
-// layers from the leaves up, then the write-backs at issue+D.
-func (w *Walker[P]) exec(in *arch.Instr) {
+// layers from the leaves up, then the write-backs, landing at land.
+func (w *Walker[P]) exec(in *arch.Instr, land int) {
 	var zero P
 	cfg, wi := w.cfg, w.wire
 	clear(w.readBank)
@@ -290,7 +292,7 @@ func (w *Walker[P]) exec(in *arch.Instr) {
 			w.hazard(DeadOperand, bank, id, zero, "bank %d writes output of idle PE %d", bank, id)
 			p = w.sem.Op(arch.PEIdle, zero, zero)
 		}
-		w.write(bank, p, w.cycle+cfg.D)
+		w.write(bank, p, land)
 	}
 }
 

@@ -59,23 +59,24 @@ func kinds(hs []regfile.Hazard[int]) []regfile.HazardKind {
 func TestWalkerHazards(t *testing.T) {
 	cfg := arch.Config{D: 2, B: 4, R: 2, Output: arch.OutCrossbar}.Normalize()
 	nop := &arch.Instr{Kind: arch.KindNop}
+	var b arch.Builder
 	load := func(lanes ...int) *arch.Instr {
-		in := arch.NewLoad(cfg, 0)
+		in := b.Load(cfg, 0)
 		for _, l := range lanes {
 			in.Mask[l] = true
 		}
-		return in
+		return &in
 	}
 	// add reads banks 0 and 1 through leaf PE 0 and writes the root's
 	// bypass of it to bank 0 (PE 2 is tree 0's root).
 	add := func(rst bool) *arch.Instr {
-		in := arch.NewExec(cfg)
+		in := b.Exec(cfg)
 		in.PEOps[0], in.PEOps[2] = arch.PEAdd, arch.PEBypassL
 		in.ReadEn[0], in.ReadEn[1] = true, true
 		in.InputSel[0], in.InputSel[1] = 0, 1
 		in.ValidRst[0] = rst
 		in.WriteEn[0], in.WriteSel[0] = true, 2
-		return in
+		return &in
 	}
 	moves := func(kind arch.Kind, mv ...arch.Move) *arch.Instr {
 		return &arch.Instr{Kind: kind, Moves: mv}
@@ -96,13 +97,13 @@ func TestWalkerHazards(t *testing.T) {
 			[]regfile.HazardKind{regfile.WriteConflict}},
 		{"unread-port", []*arch.Instr{load(0, 1), nop, func() *arch.Instr { in := add(false); in.ReadEn[1] = false; return in }()},
 			[]regfile.HazardKind{regfile.DeadOperand}},
-		{"dead-operand", []*arch.Instr{func() *arch.Instr { in := arch.NewExec(cfg); in.PEOps[2] = arch.PEAdd; return in }()},
+		{"dead-operand", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.PEOps[2] = arch.PEAdd; return &in }()},
 			[]regfile.HazardKind{regfile.DeadOperand}},
-		{"idle-write", []*arch.Instr{func() *arch.Instr { in := arch.NewExec(cfg); in.WriteEn[1], in.WriteSel[1] = true, 2; return in }()},
+		{"idle-write", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.WriteEn[1], in.WriteSel[1] = true, 2; return &in }()},
 			[]regfile.HazardKind{regfile.DeadOperand}},
 		{"double-read", []*arch.Instr{load(0), nop, moves(arch.KindStore4, arch.Move{SrcBank: 0}, arch.Move{SrcBank: 0, Dst: 1})},
 			[]regfile.HazardKind{regfile.DoubleRead}},
-		{"dead-reset", []*arch.Instr{func() *arch.Instr { in := arch.NewExec(cfg); in.ValidRst[3] = true; return in }()},
+		{"dead-reset", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.ValidRst[3] = true; return &in }()},
 			[]regfile.HazardKind{regfile.DeadReset}},
 	}
 	for _, tc := range cases {
@@ -120,10 +121,11 @@ func TestWalkerHazards(t *testing.T) {
 func TestWalkerPayloads(t *testing.T) {
 	cfg := arch.Config{D: 1, B: 2, R: 1, Output: arch.OutCrossbar}.Normalize()
 	nop := &arch.Instr{Kind: arch.KindNop}
-	ld := arch.NewLoad(cfg, 0)
+	var b arch.Builder
+	ld := b.Load(cfg, 0)
 	ld.Mask[0] = true
 	cp := &arch.Instr{Kind: arch.KindCopy, Moves: []arch.Move{{SrcBank: 0, Dst: 1}}}
-	hs := walk(t, cfg, ld, nop, cp, ld, cp)
+	hs := walk(t, cfg, &ld, nop, cp, &ld, cp)
 	want := []regfile.Hazard[int]{
 		// Cycle 3's load finds bank 0 still full: the copy read it
 		// without valid_rst.
@@ -138,17 +140,17 @@ func TestWalkerPayloads(t *testing.T) {
 	// D=2: an exec issued at cycle 2 and a load issued at cycle 3 both
 	// land on bank 0 at the end of cycle 4.
 	cfg = arch.Config{D: 2, B: 4, R: 2, Output: arch.OutCrossbar}.Normalize()
-	ld = arch.NewLoad(cfg, 0)
+	ld = b.Load(cfg, 0)
 	ld.Mask[0], ld.Mask[1] = true, true
-	ex := arch.NewExec(cfg)
+	ex := b.Exec(cfg)
 	ex.PEOps[0], ex.PEOps[2] = arch.PEAdd, arch.PEBypassL
 	ex.ReadEn[0], ex.ReadEn[1] = true, true
 	ex.InputSel[0], ex.InputSel[1] = 0, 1
 	ex.ValidRst[0], ex.ValidRst[1] = true, true
 	ex.WriteEn[0], ex.WriteSel[0] = true, 2
-	ld0 := arch.NewLoad(cfg, 0)
+	ld0 := b.Load(cfg, 0)
 	ld0.Mask[0] = true
-	hs = walk(t, cfg, ld, nop, ex, ld0)
+	hs = walk(t, cfg, &ld, nop, &ex, &ld0)
 	want = []regfile.Hazard[int]{{Kind: regfile.WriteConflict, Bank: 0, PE: -1, Payload: 2, Msg: "two writes land on bank 0 at cycle 4"}}
 	if !reflect.DeepEqual(hs, want) {
 		t.Fatalf("hazards %+v, want %+v", hs, want)
@@ -167,10 +169,11 @@ func (failFast) Hazard(regfile.Hazard[float64]) error   { return errHazard }
 
 func TestWalkerStopsOnHazardError(t *testing.T) {
 	cfg := arch.Config{D: 1, B: 2, R: 1, Output: arch.OutCrossbar}.Normalize()
-	ld := arch.NewLoad(cfg, 0)
+	var b arch.Builder
+	ld := b.Load(cfg, 0)
 	ld.Mask[0] = true
 	w := regfile.NewWalker[float64](cfg, failFast{})
-	for _, in := range []*arch.Instr{ld, ld} {
+	for _, in := range []*arch.Instr{&ld, &ld} {
 		if err := w.Step(in); err != nil {
 			t.Fatalf("cycle %d: %v before any landing overflowed", w.Cycle(), err)
 		}

@@ -6,6 +6,7 @@ import (
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/suite"
 )
 
 // TestMachineRunNoAllocsSteadyState asserts the hot path is allocation
@@ -36,5 +37,46 @@ func TestMachineRunNoAllocsSteadyState(t *testing.T) {
 	limit := float64(30)
 	if perRun > limit {
 		t.Errorf("Machine construction+run allocates %.0f times, want <= %.0f", perRun, limit)
+	}
+}
+
+// TestUnpackAllocs holds arch.Unpack to a fixed number of allocations
+// (7 today) whatever the program's length, here 98 to 4,325
+// instructions: the instructions and their fields are cut from a
+// builder sized by one scan of the opcodes, never allocated one by one
+// (a decoder allocating per exec reads 1,459 for dw2048). A count the
+// stream cannot hold fails in the scan, before anything is sized by it.
+// Like TestRunSteadyStateAllocs, it skips under the race detector.
+func TestUnpackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not measured under the race detector")
+	}
+	const limit = 8.0
+	for _, name := range []string{"tretail", "dw2048", "pigs"} {
+		g, err := suite.Build(name, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := compiler.Compile(g, arch.MinEDP(), compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, cfg, n := c.Prog.Pack(), c.Prog.Cfg, len(c.Prog.Instrs)
+		perRun := testing.AllocsPerRun(5, func() {
+			if _, err := arch.Unpack(packed, cfg, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRun > limit {
+			t.Errorf("%s: unpacking %d instructions allocates %.0f times, want <= %.0f", name, n, perRun, limit)
+		}
+		perRun = testing.AllocsPerRun(5, func() {
+			if _, err := arch.Unpack(packed, cfg, 1<<40); err == nil {
+				t.Fatal("Unpack accepted 2^40 instructions from a finite stream")
+			}
+		})
+		if perRun > limit {
+			t.Errorf("%s: rejecting an overstated count allocates %.0f times, want <= %.0f", name, perRun, limit)
+		}
 	}
 }

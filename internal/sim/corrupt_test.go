@@ -30,25 +30,15 @@ func TestCorruptedBinaryRejectedOrDetected(t *testing.T) {
 		// Deterministic bit flips spread over the stream.
 		bit := (trial*131 + 7) % (len(mut) * 8)
 		mut[bit/8] ^= 1 << uint(bit%8)
-		instrs, err := arch.Unpack(mut, cfg, len(c.Prog.Instrs))
+		// Unpack validates every instruction it decodes.
+		back, err := arch.Unpack(mut, cfg, len(c.Prog.Instrs))
 		if err != nil {
-			detected++
-			continue
-		}
-		valid := true
-		for _, in := range instrs {
-			if in.Validate(cfg.Normalize()) != nil {
-				valid = false
-				break
-			}
-		}
-		if !valid {
 			detected++
 			continue
 		}
 		cc := *c
 		prog := *c.Prog
-		prog.Instrs = instrs
+		prog.Instrs = back.Instrs
 		cc.Prog = &prog
 		res, err := Run(&cc, inputs)
 		if err != nil {

@@ -79,8 +79,10 @@ func TestStaticStatsMatchMachine(t *testing.T) {
 			t.Fatalf("%s: run: %v", name, err)
 		}
 		t.Run(name, func(t *testing.T) { checkStaticStats(t, c, res.Stats) })
-		for k := range res.Stats.Instrs {
-			kinds[k] = true
+		for k, n := range c.Prog.Counts() {
+			if n > 0 {
+				kinds[arch.Kind(k)] = true
+			}
 		}
 		if c.Stats.SpillStores > 0 {
 			spilling++

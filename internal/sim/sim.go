@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"maps"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/regfile"
@@ -23,7 +22,6 @@ import (
 // StaticStats).
 type Stats struct {
 	Cycles    int
-	Instrs    map[arch.Kind]int
 	PEOpsDone int // arithmetic PE operations (add/mul), including replicas
 	RegReads  int
 	RegWrites int
@@ -49,7 +47,6 @@ func NewMachine(cfg arch.Config, initMem []float64) *Machine {
 	cfg = cfg.Normalize()
 	m := &Machine{cfg: cfg, mem: make([]float64, len(initMem))}
 	copy(m.mem, initMem)
-	m.stats.Instrs = make(map[arch.Kind]int)
 	m.walk = regfile.NewWalker[float64](cfg, (*semantics)(m))
 	return m
 }
@@ -58,8 +55,7 @@ func NewMachine(cfg arch.Config, initMem []float64) *Machine {
 // reusing its allocations.
 func (m *Machine) reset(initMem []float64) {
 	m.mem = append(m.mem[:0], initMem...)
-	clear(m.stats.Instrs)
-	m.stats = Stats{Instrs: m.stats.Instrs}
+	m.stats = Stats{}
 	m.walk.Reset()
 }
 
@@ -88,26 +84,24 @@ func (m *Machine) SetMem(addr int, v float64) error {
 	return nil
 }
 
-// Stats returns execution statistics (valid after Run) in a Stats of
-// the caller's own.
+// Stats returns execution statistics (valid after Run).
 func (m *Machine) Stats() Stats {
 	st := m.stats
-	st.Instrs = maps.Clone(m.stats.Instrs)
 	st.RegReads, st.RegWrites = m.walk.Traffic()
 	return st
 }
 
 // Run executes the program to completion, including pipeline drain; its
-// instructions must pass arch.Instr.Validate, as every program that
-// Program.Append built or that verifies clean does. A machine runs once: its register file, landing ring, memory and
-// statistics are those the program left, so a second Run is an error —
-// build a new machine (or call the package-level Run) per execution.
+// instructions must pass arch.Instr.Validate, as those of every program
+// an arch.Builder built or that verifies clean do. A machine runs once:
+// its register file, landing ring, memory and statistics are those the
+// program left, so a second Run is an error — build a new machine (or
+// call the package-level Run) per execution.
 func (m *Machine) Run(p *arch.Program) error {
 	if c := m.walk.Cycle(); c != 0 {
 		return fmt.Errorf("sim: machine has already run %d cycles; build a new one per execution", c)
 	}
 	for i, in := range p.Instrs {
-		m.stats.Instrs[in.Kind]++
 		if err := m.walk.Step(in); err != nil {
 			return fmt.Errorf("sim: instruction %d (%v): %w", i, in.Kind, err)
 		}

@@ -13,8 +13,8 @@ import (
 // so how often each resource is touched is a property of the program,
 // not of a run. The per-kind rules mirror regfile.Walker:
 //
-//   - every instruction counts under its kind and takes one cycle; the
-//     pipeline drain adds D+1;
+//   - every instruction takes one cycle; the pipeline drain adds
+//     arch.Config.Drain;
 //   - exec: each non-idle leaf PE reads one register per operand it
 //     consumes (two for add/mul, one for a bypass; a port is owned by
 //     exactly one leaf PE), each add/mul anywhere in the trees is one
@@ -31,12 +31,8 @@ import (
 func StaticStats(p *arch.Program) Stats {
 	cfg := p.Cfg.Normalize()
 	perTree, leaves := (1<<uint(cfg.D))-1, 1<<uint(cfg.D-1)
-	st := Stats{
-		Cycles: len(p.Instrs) + cfg.D + 1,
-		Instrs: make(map[arch.Kind]int),
-	}
+	st := Stats{Cycles: len(p.Instrs) + cfg.Drain()}
 	for _, in := range p.Instrs {
-		st.Instrs[in.Kind]++
 		switch in.Kind {
 		case arch.KindExec:
 			for id, op := range in.PEOps {
@@ -91,16 +87,17 @@ func countTrue(bs []bool) int {
 //     leaf reaches the register file only through a load lane and a
 //     load fills at most B of them;
 //   - Latency: the slots the longest path needs under the walker's
-//     landing rules. A path of l interior nodes takes at least
-//     k = ⌈l/D⌉ dependent execs; the first reads a loaded leaf (a load
-//     issued at t is readable from t+2), each later one reads its
-//     producer's result (an exec issued at t is readable from t+D+1),
-//     and the path's sink reaches data memory through a store issued no
-//     earlier than D+1 after the last exec. The store is instruction
-//     2 + k(D+1) at the earliest, so the stream holds k(D+1)+3 of them.
+//     landing rules (arch.Config.WriteLatency). A path of l interior
+//     nodes takes at least k = ⌈l/D⌉ dependent execs; the first reads a
+//     loaded leaf (a load issued at t is readable from t+2), each later
+//     one reads its producer's result (an exec issued at t is readable
+//     from t+D+1), and the path's sink reaches data memory through a
+//     store issued no earlier than D+1 after the last exec. The store is
+//     instruction 2 + k(D+1) at the earliest, so the stream holds
+//     k(D+1)+3 of them.
 //
-// Cycles is max(Ops+Leaves, Latency) plus the D+1 drain, the form
-// Stats.Cycles takes. A compiled program below it is a compiler or
+// Cycles is max(Ops+Leaves, Latency) plus the drain
+// (arch.Config.Drain), the form Stats.Cycles takes. A compiled program below it is a compiler or
 // simulator bug.
 type Bound struct {
 	Ops, Leaves, Latency int
@@ -139,9 +136,11 @@ func LowerBound(g *dag.Graph, cfg arch.Config) Bound {
 		Leaves: ceilDiv(leaves, cfg.B),
 	}
 	if longest > 0 {
-		b.Latency = ceilDiv(int(longest), cfg.D)*(cfg.D+1) + 3
+		// Issue slots from the first load to the store, inclusive.
+		loadGap, execGap := cfg.WriteLatency(arch.KindLoad)+1, cfg.WriteLatency(arch.KindExec)+1
+		b.Latency = loadGap + ceilDiv(int(longest), cfg.D)*execGap + 1
 	}
-	b.Cycles = max(b.Ops+b.Leaves, b.Latency) + cfg.D + 1
+	b.Cycles = max(b.Ops+b.Leaves, b.Latency) + cfg.Drain()
 	return b
 }
 

@@ -176,13 +176,14 @@ func TestMutationClasses(t *testing.T) {
 		// array out of range. Both Validate and the verifier must reject
 		// it.
 		cfg := arch.Config{D: 2, B: 4, R: 4, Output: arch.OutCrossbar}.Normalize()
-		in := arch.NewExec(cfg)
+		var b arch.Builder
+		in := b.Exec(cfg)
 		in.WriteEn[0] = true
 		in.WriteSel[0] = uint16(cfg.NumPEs())
 		if err := in.Validate(cfg); err == nil {
 			t.Error("Validate accepted a write select past NumPEs")
 		}
-		p := &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{in}}
+		p := &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{&in}}
 		requireClass(t, verify.Program(p, cfg), verify.ClassResource)
 	})
 }
@@ -242,12 +243,13 @@ func TestSyntheticHazards(t *testing.T) {
 //	pc3 load lane 0              → lands cycle 4: conflict
 func writeConflictProgram() *arch.Program {
 	cfg := arch.Config{D: 2, B: 4, R: 4, Output: arch.OutCrossbar}.Normalize()
-	ld := arch.NewLoad(cfg, 0)
+	var b arch.Builder
+	ld := b.Load(cfg, 0)
 	for i := range ld.Mask {
 		ld.Mask[i] = true
 	}
 
-	ex := arch.NewExec(cfg)
+	ex := b.Exec(cfg)
 	ex.PEOps[0] = arch.PEAdd     // leaf PE 0 reads ports 0,1
 	ex.PEOps[2] = arch.PEBypassL // root forwards the leaf's sum
 	ex.ReadEn[0], ex.ReadEn[1] = true, true
@@ -255,53 +257,56 @@ func writeConflictProgram() *arch.Program {
 	ex.WriteEn[0] = true
 	ex.WriteSel[0] = 2 // root PE id
 
-	ld2 := arch.NewLoad(cfg, 0)
+	ld2 := b.Load(cfg, 0)
 	ld2.Mask[0] = true
-	return validProgram(cfg, ld, &arch.Instr{Kind: arch.KindNop}, ex, ld2)
+	return validProgram(&b, cfg, ld, arch.Instr{Kind: arch.KindNop}, ex, ld2)
 }
 
 // bankOverflowProgram has R=2 and three full-row loads with no frees:
 // the third landing write finds its bank full.
 func bankOverflowProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-	var loads []*arch.Instr
+	var b arch.Builder
+	var loads []arch.Instr
 	for i := 0; i < 3; i++ {
-		ld := arch.NewLoad(cfg, 0)
+		ld := b.Load(cfg, 0)
 		ld.Mask[0], ld.Mask[1] = true, true
 		loads = append(loads, ld)
 	}
-	return validProgram(cfg, loads...)
+	return validProgram(&b, cfg, loads...)
 }
 
 // useAfterFreeProgram has an exec read bank 0 with valid_rst, freeing
 // the register; the exec at pc 3 reads the same address again.
 func useAfterFreeProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-	ld := arch.NewLoad(cfg, 0)
+	var b arch.Builder
+	ld := b.Load(cfg, 0)
 	ld.Mask[0], ld.Mask[1] = true, true
 
-	ex := arch.NewExec(cfg)
+	ex := b.Exec(cfg)
 	ex.PEOps[0] = arch.PEAdd
 	ex.ReadEn[0], ex.ReadEn[1] = true, true
 	ex.InputSel[0], ex.InputSel[1] = 0, 1
 	ex.ValidRst[0] = true
 
-	ex2 := arch.NewExec(cfg)
+	ex2 := b.Exec(cfg)
 	ex2.PEOps[0] = arch.PEBypassL
 	ex2.ReadEn[0] = true
 	ex2.InputSel[0] = 0
-	return validProgram(cfg, ld, &arch.Instr{Kind: arch.KindNop}, ex, ex2)
+	return validProgram(&b, cfg, ld, arch.Instr{Kind: arch.KindNop}, ex, ex2)
 }
 
-// validProgram is instrs on cfg, each checked by Program.Append: the
-// fixtures above break only rules the structural check cannot see, so
-// an instruction it rejects is a bug in the fixture.
-func validProgram(cfg arch.Config, instrs ...*arch.Instr) *arch.Program {
-	p := &arch.Program{Cfg: cfg}
+// validProgram is instrs, cut from b, as a program of cfg, each checked
+// by b.Program: the fixtures above break only rules the structural check
+// cannot see, so an instruction it rejects is a bug in the fixture.
+func validProgram(b *arch.Builder, cfg arch.Config, instrs ...arch.Instr) *arch.Program {
 	for _, in := range instrs {
-		if err := p.Append(in); err != nil {
-			panic(err)
-		}
+		b.Append(in)
+	}
+	p, err := b.Program(cfg)
+	if err != nil {
+		panic(err)
 	}
 	return p
 }
@@ -309,17 +314,19 @@ func validProgram(cfg arch.Config, instrs ...*arch.Instr) *arch.Program {
 // idlePEWriteProgram writes back the output of the only PE, left idle.
 func idlePEWriteProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-	ex := arch.NewExec(cfg)
+	var b arch.Builder
+	ex := b.Exec(cfg)
 	ex.WriteEn[0] = true
 	ex.WriteSel[0] = 0
-	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{ex}}
+	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{&ex}}
 }
 
 // deadResetProgram sets a valid_rst bit with no read anywhere: the bit
 // frees nothing.
 func deadResetProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
-	ex := arch.NewExec(cfg)
+	var b arch.Builder
+	ex := b.Exec(cfg)
 	ex.ValidRst[0] = true
-	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{ex}}
+	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{&ex}}
 }

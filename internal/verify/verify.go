@@ -233,11 +233,12 @@ func Compiled(c *compiler.Compiled) []Finding {
 	cfg := a.cfg
 	// Loads and Stores count draft operations, not instructions, so only
 	// the stream-level counts are comparable.
-	st, n := c.Stats, len(c.Prog.Instrs)
-	if !a.truncated && (st.Cycles != n+cfg.D+1 || st.Instructions != n || st.Execs != a.execs || st.Nops != a.nops) {
+	st, n, count := c.Stats, len(c.Prog.Instrs), c.Prog.Counts()
+	execs, nops := count[arch.KindExec], count[arch.KindNop]
+	if st.Cycles != n+cfg.Drain() || st.Instructions != n || st.Execs != execs || st.Nops != nops {
 		fs = append(fs, Finding{Sev: SevError, Class: ClassStatsMismatch, PC: -1, PE: -1, Bank: -1, Msg: fmt.Sprintf(
 			"stored stats (cycles %d, instructions %d, execs %d, nops %d) disagree with the program (%d, %d, %d, %d)",
-			st.Cycles, st.Instructions, st.Execs, st.Nops, n+cfg.D+1, n, a.execs, a.nops)})
+			st.Cycles, st.Instructions, st.Execs, st.Nops, n+cfg.Drain(), n, execs, nops)})
 	}
 	nn := c.Graph.NumNodes()
 	for i, id := range c.Remap {
@@ -283,9 +284,7 @@ func Compiled(c *compiler.Compiled) []Finding {
 type analyzer struct {
 	cfg  arch.Config
 	walk *regfile.Walker[int32]
-	// pc is the issuing instruction, and execs/nops the instructions of
-	// each kind issued so far, for the Compiled stats check.
-	pc, execs, nops int
+	pc   int // the issuing instruction
 	// stored collects the data-memory words written by store/store_4
 	// instructions, for the Compiled output-coverage check.
 	stored map[int]struct{}
@@ -318,12 +317,6 @@ func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
 			break
 		}
 		a.pc = pc
-		switch in.Kind {
-		case arch.KindExec:
-			a.execs++
-		case arch.KindNop:
-			a.nops++
-		}
 		// An instruction that cannot be interpreted issues as a nop, so
 		// the cycle count stays aligned.
 		if !a.structural(pc, in) {

@@ -47,10 +47,10 @@ func TestFindingsTruncated(t *testing.T) {
 	cfg := arch.Config{D: 1, B: 2, R: 2}.Normalize()
 	var p arch.Program
 	p.Cfg = cfg
+	var b arch.Builder
 	for i := 0; i < 500; i++ {
-		ld := arch.NewLoad(cfg, 0)
-		ld.MemAddr = cfg.DataMemWords // every instruction out of bounds
-		p.Instrs = append(p.Instrs, ld)
+		ld := b.Load(cfg, cfg.DataMemWords) // every instruction out of bounds
+		p.Instrs = append(p.Instrs, &ld)
 	}
 	fs := verify.Program(&p, cfg)
 	if len(fs) >= 500 {
