@@ -226,10 +226,8 @@ func Encode(in *Instr, cfg Config, w Widths, bw *BitWriter) {
 // known kind, as Unpack's scan checks.
 func (b *Builder) decode(br *BitReader, cfg Config, w Widths) {
 	k := Kind(br.Take(w.Opcode))
-	var in Instr
+	in := Instr{Kind: k}
 	switch k {
-	case KindNop:
-		in = Instr{Kind: k}
 	case KindExec:
 		in = b.Exec(cfg)
 		for i := range in.PEOps {
@@ -264,7 +262,7 @@ func (b *Builder) decode(br *BitReader, cfg Config, w Widths) {
 			in.ValidRst[bank] = br.TakeBool()
 		}
 	case KindStore4, KindCopy:
-		in = Instr{Kind: k, Moves: b.Moves(MaxMoves)}
+		in.Moves = b.Moves(MaxMoves)
 		if k == KindStore4 {
 			in.MemAddr = int(br.Take(w.MemAddr))
 		}
