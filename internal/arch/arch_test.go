@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -285,11 +286,12 @@ func randomInstr(b *Builder, rng *rand.Rand, cfg Config) Instr {
 		for i := range in.PEOps {
 			in.PEOps[i] = PEOp(rng.Intn(numPEOps))
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.ReadEn[b] = rng.Intn(2) == 0
-			in.ReadAddr[b] = uint16(rng.Intn(cfg.R))
-			in.ValidRst[b] = rng.Intn(2) == 0
-			in.InputSel[b] = uint16(rng.Intn(cfg.B))
+		for b := range in.Banks {
+			bc := &in.Banks[b]
+			bc.ReadEn = rng.Intn(2) == 0
+			bc.ReadAddr = uint16(rng.Intn(cfg.R))
+			bc.ValidRst = rng.Intn(2) == 0
+			bc.InputSel = uint16(rng.Intn(cfg.B))
 			if rng.Intn(2) == 0 {
 				// Pick a legal writer for this bank.
 				var cands []PE
@@ -299,9 +301,8 @@ func randomInstr(b *Builder, rng *rand.Rand, cfg Config) Instr {
 					}
 				}
 				p := cands[rng.Intn(len(cands))]
-				sel, _ := cfg.WriteSel(b, p)
-				in.WriteEn[b] = true
-				in.WriteSel[b] = sel
+				bc.WriteSel, _ = cfg.WriteSel(b, p)
+				bc.WriteEn = true
 			}
 		}
 		return in
@@ -313,10 +314,8 @@ func randomInstr(b *Builder, rng *rand.Rand, cfg Config) Instr {
 		return in
 	case 3:
 		in := b.Store(cfg, rng.Intn(cfg.DataMemWords/cfg.B))
-		for b := 0; b < cfg.B; b++ {
-			in.ReadEn[b] = rng.Intn(2) == 0
-			in.ReadAddr[b] = uint16(rng.Intn(cfg.R))
-			in.ValidRst[b] = rng.Intn(2) == 0
+		for b := range in.Banks {
+			in.Banks[b] = BankCtl{ReadEn: rng.Intn(2) == 0, ReadAddr: uint16(rng.Intn(cfg.R)), ValidRst: rng.Intn(2) == 0}
 		}
 		return in
 	default:
@@ -340,48 +339,8 @@ func randomInstr(b *Builder, rng *rand.Rand, cfg Config) Instr {
 }
 
 func instrEqual(a, b *Instr) bool {
-	if a.Kind != b.Kind || a.MemAddr != b.MemAddr || len(a.Moves) != len(b.Moves) {
-		return false
-	}
-	eqB := func(x, y []bool) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	eqU := func(x, y []uint16) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range a.Moves {
-		if a.Moves[i] != b.Moves[i] {
-			return false
-		}
-	}
-	if len(a.PEOps) != len(b.PEOps) {
-		return false
-	}
-	for i := range a.PEOps {
-		if a.PEOps[i] != b.PEOps[i] {
-			return false
-		}
-	}
-	return eqB(a.ReadEn, b.ReadEn) && eqU(a.ReadAddr, b.ReadAddr) &&
-		eqB(a.ValidRst, b.ValidRst) && eqU(a.InputSel, b.InputSel) &&
-		eqB(a.WriteEn, b.WriteEn) && eqU(a.WriteSel, b.WriteSel) &&
-		eqB(a.Mask, b.Mask)
+	return a.Kind == b.Kind && a.MemAddr == b.MemAddr && slices.Equal(a.PEOps, b.PEOps) &&
+		slices.Equal(a.Banks, b.Banks) && slices.Equal(a.Mask, b.Mask) && slices.Equal(a.Moves, b.Moves)
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -401,8 +360,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, in := range back.Instrs {
-			if !instrEqual(p.Instrs[i], in) {
+		for i := range back.Instrs {
+			if !instrEqual(&p.Instrs[i], &back.Instrs[i]) {
 				t.Fatalf("%v: instruction %d (%v) did not round trip", topo, i, p.Instrs[i].Kind)
 			}
 		}
@@ -417,7 +376,7 @@ func TestDecodeLengthsMatchWidths(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in := randomInstr(&b, rng, cfg)
 		var bw BitWriter
-		Encode(&in, cfg, w, &bw)
+		Encode(&in, w, &bw)
 		if bw.nbit != w.Len(in.Kind) {
 			t.Fatalf("%v encoded to %d bits, Widths says %d", in.Kind, bw.nbit, w.Len(in.Kind))
 		}
@@ -433,14 +392,12 @@ func TestInstrValidateCatchesErrors(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
 	var b Builder
 	in := b.Exec(cfg)
-	in.ReadEn[0] = true
-	in.ReadAddr[0] = uint16(cfg.R) // out of range
+	in.Banks[0] = BankCtl{ReadEn: true, ReadAddr: uint16(cfg.R)} // out of range
 	if err := in.Validate(cfg); err == nil {
 		t.Error("expected read-addr error")
 	}
 	in2 := b.Exec(cfg)
-	in2.WriteEn[0] = true
-	in2.WriteSel[0] = uint16(cfg.D) // illegal layer select
+	in2.Banks[0] = BankCtl{WriteEn: true, WriteSel: uint16(cfg.D)} // illegal layer select
 	if err := in2.Validate(cfg); err == nil {
 		t.Error("expected write-sel error")
 	}
@@ -459,21 +416,23 @@ func TestInstrValidateCatchesErrors(t *testing.T) {
 	}
 }
 
-// A store gathers through ReadEn, ReadAddr and ValidRst, so Validate
-// must bound all three: Encode and the walker index them unchecked.
+// A store gathers through Banks, so Validate must bound its length
+// (Encode and the walker index it unchecked) and hold the exec-only
+// half, which the packed store does not carry, to zero.
 func TestStoreValidateChecksEveryShape(t *testing.T) {
 	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
-	read := Instr{Kind: KindStore, ReadEn: make([]bool, cfg.B)}
-	read.ReadEn[0] = true
 	var b Builder
-	b.Append(read)
+	b.Append(Instr{Kind: KindStore, Banks: []BankCtl{{ReadEn: true}}})
 	if _, err := b.Program(cfg); err == nil {
-		t.Error("Program accepted a read-enabled store with no ReadAddr")
+		t.Error("Program accepted a store with one bank of 8")
 	}
-	for name, in := range map[string]*Instr{
-		"no ReadAddr": {Kind: KindStore, ReadEn: make([]bool, cfg.B), ValidRst: make([]bool, cfg.B)},
-		"no ValidRst": {Kind: KindStore, ReadEn: make([]bool, cfg.B), ReadAddr: make([]uint16, cfg.B)},
+	for name, bc := range map[string]BankCtl{
+		"input select": {InputSel: 1},
+		"write enable": {WriteEn: true},
+		"write select": {WriteSel: 1},
 	} {
+		in := b.Store(cfg, 0)
+		in.Banks[3] = bc
 		if err := in.Validate(cfg); err == nil {
 			t.Errorf("%s: Validate accepted a store Encode cannot pack", name)
 		}

@@ -6,13 +6,12 @@ import "fmt"
 // into one and Unpack decodes into one. It owns the instructions and the
 // arrays their per-bank, per-PE and per-lane slices are cut from, so an
 // instruction costs no allocation of its own. Reset keeps every array,
-// so a stream that is built and discarded leaves them to the next. The
-// instructions are values; pointers to them are taken only by Program,
-// once the stream is complete.
+// so a stream that is built and discarded leaves them to the next.
+// Program hands the instruction array itself to the program.
 type Builder struct {
 	instrs []Instr
-	bools  []bool
-	u16    []uint16
+	banks  []BankCtl
+	mask   []bool
 	peOps  []PEOp
 	mv     []Move
 }
@@ -23,8 +22,8 @@ type Builder struct {
 // stream that outgrows them still builds.
 func (b *Builder) Reset(cfg Config, n, execs, loads, stores, moves int) {
 	b.instrs = clearTo(b.instrs, n)
-	b.bools = clearTo(b.bools, (3*execs+2*stores+loads)*cfg.B)
-	b.u16 = clearTo(b.u16, (3*execs+stores)*cfg.B)
+	b.banks = clearTo(b.banks, (execs+stores)*cfg.B)
+	b.mask = clearTo(b.mask, loads*cfg.B)
 	b.peOps = clearTo(b.peOps, execs*cfg.NumPEs())
 	b.mv = clearTo(b.mv, moves)
 }
@@ -57,27 +56,20 @@ func zeroed[T any](arena *[]T, n int) []T {
 }
 
 // Exec returns an exec instruction for cfg with every PE idle and every
-// bank field zero.
+// bank control zero.
 func (b *Builder) Exec(cfg Config) Instr {
-	n := cfg.B
-	bools, u16 := zeroed(&b.bools, 3*n), zeroed(&b.u16, 3*n)
-	return Instr{Kind: KindExec, PEOps: zeroed(&b.peOps, cfg.NumPEs()),
-		ReadEn: bools[:n:n], ValidRst: bools[n : 2*n : 2*n], WriteEn: bools[2*n:],
-		ReadAddr: u16[:n:n], InputSel: u16[n : 2*n : 2*n], WriteSel: u16[2*n:]}
+	return Instr{Kind: KindExec, PEOps: zeroed(&b.peOps, cfg.NumPEs()), Banks: zeroed(&b.banks, cfg.B)}
 }
 
 // Store returns a full-vector store of memory row row for cfg, no bank
 // read.
 func (b *Builder) Store(cfg Config, row int) Instr {
-	n := cfg.B
-	bools := zeroed(&b.bools, 2*n)
-	return Instr{Kind: KindStore, MemAddr: row,
-		ReadEn: bools[:n:n], ValidRst: bools[n:], ReadAddr: zeroed(&b.u16, n)}
+	return Instr{Kind: KindStore, MemAddr: row, Banks: zeroed(&b.banks, cfg.B)}
 }
 
 // Load returns a vector load of memory row row for cfg, no lane enabled.
 func (b *Builder) Load(cfg Config, row int) Instr {
-	return Instr{Kind: KindLoad, MemAddr: row, Mask: zeroed(&b.bools, cfg.B)}
+	return Instr{Kind: KindLoad, MemAddr: row, Mask: zeroed(&b.mask, cfg.B)}
 }
 
 // Moves returns an empty lane list of a copy_4 or store_4 with room for
@@ -95,12 +87,11 @@ func (b *Builder) Len() int { return len(b.instrs) }
 // must not be used again.
 func (b *Builder) Program(cfg Config) (*Program, error) {
 	p := NewProgram(cfg)
-	p.Instrs = make([]*Instr, len(b.instrs))
 	for i := range b.instrs {
 		if err := b.instrs[i].Validate(p.Cfg); err != nil {
 			return nil, fmt.Errorf("arch: instruction %d: %w", i, err)
 		}
-		p.Instrs[i] = &b.instrs[i]
 	}
+	p.Instrs = b.instrs
 	return p, nil
 }

@@ -9,59 +9,40 @@ import (
 // debugging view of the packed stream. Formats:
 //
 //	nop
-//	exec   reads[b2.0 b6.3!] xbar[p0<-b2 ...] pe[t0:mul(add,byp) ...] writes[b9<-L3 ...]
-//	load   row=12 lanes[0,4,5]
-//	store  row=3 reads[b0.1 b2.0!]
-//	copy_4 b3.7->b5! b0.1->b9
+//	exec reads[b2.0 b6.3!] pe[t0.l1.0:add ...] writes[b9<-t0.l1.0 ...]
+//	load row=12 lanes[0,4,5]
+//	store row=3 reads[b0.1 b2.0!]
+//	copy_4 b3.7!->5 b0.1->9
 //
 // "!" marks valid_rst (last read frees the register).
 func Disassemble(in *Instr, cfg Config) string {
 	cfg = cfg.Normalize()
+	var b strings.Builder
 	switch in.Kind {
 	case KindNop:
 		return "nop"
 	case KindExec:
-		var b strings.Builder
-		b.WriteString("exec reads[")
-		first := true
-		for bank := 0; bank < cfg.B; bank++ {
-			if !in.ReadEn[bank] {
-				continue
-			}
-			if !first {
-				b.WriteByte(' ')
-			}
-			first = false
-			fmt.Fprintf(&b, "b%d.%d", bank, in.ReadAddr[bank])
-			if in.ValidRst[bank] {
-				b.WriteByte('!')
-			}
-		}
-		b.WriteString("] pe[")
-		first = true
+		b.WriteString("exec ")
+		writeReads(&b, in.Banks)
+		b.WriteString(" pe[")
+		sep := ""
 		for id, op := range in.PEOps {
 			if op == PEIdle {
 				continue
 			}
-			if !first {
-				b.WriteByte(' ')
-			}
-			first = false
 			p := cfg.PECoord(id)
-			fmt.Fprintf(&b, "t%d.l%d.%d:%s", p.Tree, p.Layer, p.Index, op)
+			fmt.Fprintf(&b, "%st%d.l%d.%d:%s", sep, p.Tree, p.Layer, p.Index, op)
+			sep = " "
 		}
 		b.WriteString("] writes[")
-		first = true
-		for bank := 0; bank < cfg.B; bank++ {
-			if !in.WriteEn[bank] {
+		sep = ""
+		for bank, bc := range in.Banks {
+			if !bc.WriteEn {
 				continue
 			}
-			if !first {
-				b.WriteByte(' ')
-			}
-			first = false
-			p := cfg.SelPE(bank, in.WriteSel[bank])
-			fmt.Fprintf(&b, "b%d<-t%d.l%d.%d", bank, p.Tree, p.Layer, p.Index)
+			p := cfg.SelPE(bank, bc.WriteSel)
+			fmt.Fprintf(&b, "%sb%d<-t%d.l%d.%d", sep, bank, p.Tree, p.Layer, p.Index)
+			sep = " "
 		}
 		b.WriteString("]")
 		return b.String()
@@ -74,18 +55,9 @@ func Disassemble(in *Instr, cfg Config) string {
 		}
 		return fmt.Sprintf("load row=%d lanes[%s]", in.MemAddr, strings.Join(lanes, ","))
 	case KindStore:
-		var rs []string
-		for bank, en := range in.ReadEn {
-			if !en {
-				continue
-			}
-			s := fmt.Sprintf("b%d.%d", bank, in.ReadAddr[bank])
-			if in.ValidRst[bank] {
-				s += "!"
-			}
-			rs = append(rs, s)
-		}
-		return fmt.Sprintf("store row=%d reads[%s]", in.MemAddr, strings.Join(rs, " "))
+		fmt.Fprintf(&b, "store row=%d ", in.MemAddr)
+		writeReads(&b, in.Banks)
+		return b.String()
 	case KindStore4, KindCopy:
 		var ms []string
 		for _, m := range in.Moves {
@@ -103,12 +75,30 @@ func Disassemble(in *Instr, cfg Config) string {
 	return fmt.Sprintf("?kind(%d)", in.Kind)
 }
 
+// writeReads renders the enabled bank reads of an exec or a store.
+func writeReads(b *strings.Builder, banks []BankCtl) {
+	b.WriteString("reads[")
+	sep := ""
+	for bank, bc := range banks {
+		if !bc.ReadEn {
+			continue
+		}
+		fmt.Fprintf(b, "%sb%d.%d", sep, bank, bc.ReadAddr)
+		if bc.ValidRst {
+			b.WriteByte('!')
+		}
+		sep = " "
+	}
+	b.WriteByte(']')
+}
+
 // DisassembleProgram renders every instruction, one per line with its
 // index and cumulative bit offset in the packed stream.
 func DisassembleProgram(p *Program) string {
 	var b strings.Builder
 	off := 0
-	for i, in := range p.Instrs {
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		fmt.Fprintf(&b, "%6d @%-8d %s\n", i, off, Disassemble(in, p.Cfg))
 		off += p.W.Len(in.Kind)
 	}

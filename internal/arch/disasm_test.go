@@ -21,24 +21,18 @@ func TestDisassembleKinds(t *testing.T) {
 		t.Errorf("copy = %q", got)
 	}
 	st := b.Store(cfg, 2)
-	st.ReadEn[0] = true
-	st.ReadAddr[0] = 3
-	st.ValidRst[0] = true
-	if got := Disassemble(&st, cfg); !strings.Contains(got, "b0.3!") {
+	st.Banks[0] = BankCtl{ReadEn: true, ReadAddr: 3, ValidRst: true}
+	st.Banks[4] = BankCtl{ReadEn: true, ReadAddr: 1}
+	if got := Disassemble(&st, cfg); got != "store row=2 reads[b0.3! b4.1]" {
 		t.Errorf("store = %q", got)
 	}
 	ex := b.Exec(cfg)
 	ex.PEOps[0] = PEMul
-	ex.ReadEn[2] = true
-	ex.ReadAddr[2] = 9
-	ex.WriteEn[0] = true
+	ex.Banks[2] = BankCtl{ReadEn: true, ReadAddr: 9}
 	sel, _ := cfg.WriteSel(0, PE{Tree: 0, Layer: 1, Index: 0})
-	ex.WriteSel[0] = sel
-	got := Disassemble(&ex, cfg)
-	for _, want := range []string{"exec", "b2.9", "t0.l1.0:mul", "b0<-t0.l1.0"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("exec disasm missing %q: %q", want, got)
-		}
+	ex.Banks[0] = BankCtl{WriteEn: true, WriteSel: sel}
+	if got, want := Disassemble(&ex, cfg), "exec reads[b2.9] pe[t0.l1.0:mul] writes[b0<-t0.l1.0]"; got != want {
+		t.Errorf("exec = %q, want %q", got, want)
 	}
 }
 

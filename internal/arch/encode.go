@@ -163,42 +163,40 @@ func (br *BitReader) Take(n int) uint64 {
 func (br *BitReader) TakeBool() bool { return br.Take(1) != 0 }
 
 // Encode appends the packed form of in to bw. The instruction must
-// already Validate against cfg.
-func Encode(in *Instr, cfg Config, w Widths, bw *BitWriter) {
+// already Validate against the configuration w was computed for.
+func Encode(in *Instr, w Widths, bw *BitWriter) {
 	bw.Put(uint64(in.Kind), w.Opcode)
 	switch in.Kind {
 	case KindNop:
-	case KindExec:
-		for _, op := range in.PEOps {
-			bw.Put(uint64(op), w.PEOp)
+	case KindExec, KindStore:
+		if in.Kind == KindExec {
+			for _, op := range in.PEOps {
+				bw.Put(uint64(op), w.PEOp)
+			}
+		} else {
+			bw.Put(uint64(in.MemAddr), w.MemAddr)
 		}
-		for b := 0; b < cfg.B; b++ {
-			bw.PutBool(in.ReadEn[b])
-			bw.Put(uint64(in.ReadAddr[b]), w.ReadAddr)
+		for _, bc := range in.Banks {
+			bw.PutBool(bc.ReadEn)
+			bw.Put(uint64(bc.ReadAddr), w.ReadAddr)
 		}
-		for b := 0; b < cfg.B; b++ {
-			bw.PutBool(in.ValidRst[b])
+		for _, bc := range in.Banks {
+			bw.PutBool(bc.ValidRst)
 		}
-		for b := 0; b < cfg.B; b++ {
-			bw.Put(uint64(in.InputSel[b]), w.BankSel)
+		if in.Kind == KindStore {
+			break
 		}
-		for b := 0; b < cfg.B; b++ {
-			bw.PutBool(in.WriteEn[b])
-			bw.Put(uint64(in.WriteSel[b]), w.WriteSel)
+		for _, bc := range in.Banks {
+			bw.Put(uint64(bc.InputSel), w.BankSel)
+		}
+		for _, bc := range in.Banks {
+			bw.PutBool(bc.WriteEn)
+			bw.Put(uint64(bc.WriteSel), w.WriteSel)
 		}
 	case KindLoad:
 		bw.Put(uint64(in.MemAddr), w.MemAddr)
-		for b := 0; b < cfg.B; b++ {
-			bw.PutBool(in.Mask[b])
-		}
-	case KindStore:
-		bw.Put(uint64(in.MemAddr), w.MemAddr)
-		for b := 0; b < cfg.B; b++ {
-			bw.PutBool(in.ReadEn[b])
-			bw.Put(uint64(in.ReadAddr[b]), w.ReadAddr)
-		}
-		for b := 0; b < cfg.B; b++ {
-			bw.PutBool(in.ValidRst[b])
+		for _, en := range in.Mask {
+			bw.PutBool(en)
 		}
 	case KindStore4, KindCopy:
 		if in.Kind == KindStore4 {
@@ -228,38 +226,37 @@ func (b *Builder) decode(br *BitReader, cfg Config, w Widths) {
 	k := Kind(br.Take(w.Opcode))
 	in := Instr{Kind: k}
 	switch k {
-	case KindExec:
-		in = b.Exec(cfg)
-		for i := range in.PEOps {
-			in.PEOps[i] = PEOp(br.Take(w.PEOp))
+	case KindExec, KindStore:
+		if k == KindExec {
+			in = b.Exec(cfg)
+			for i := range in.PEOps {
+				in.PEOps[i] = PEOp(br.Take(w.PEOp))
+			}
+		} else {
+			in = b.Store(cfg, int(br.Take(w.MemAddr)))
 		}
-		for bank := 0; bank < cfg.B; bank++ {
-			in.ReadEn[bank] = br.TakeBool()
-			in.ReadAddr[bank] = uint16(br.Take(w.ReadAddr))
+		banks := in.Banks
+		for i := range banks {
+			banks[i].ReadEn = br.TakeBool()
+			banks[i].ReadAddr = uint16(br.Take(w.ReadAddr))
 		}
-		for bank := 0; bank < cfg.B; bank++ {
-			in.ValidRst[bank] = br.TakeBool()
+		for i := range banks {
+			banks[i].ValidRst = br.TakeBool()
 		}
-		for bank := 0; bank < cfg.B; bank++ {
-			in.InputSel[bank] = uint16(br.Take(w.BankSel))
+		if k == KindStore {
+			break
 		}
-		for bank := 0; bank < cfg.B; bank++ {
-			in.WriteEn[bank] = br.TakeBool()
-			in.WriteSel[bank] = uint16(br.Take(w.WriteSel))
+		for i := range banks {
+			banks[i].InputSel = uint16(br.Take(w.BankSel))
+		}
+		for i := range banks {
+			banks[i].WriteEn = br.TakeBool()
+			banks[i].WriteSel = uint16(br.Take(w.WriteSel))
 		}
 	case KindLoad:
 		in = b.Load(cfg, int(br.Take(w.MemAddr)))
-		for bank := 0; bank < cfg.B; bank++ {
-			in.Mask[bank] = br.TakeBool()
-		}
-	case KindStore:
-		in = b.Store(cfg, int(br.Take(w.MemAddr)))
-		for bank := 0; bank < cfg.B; bank++ {
-			in.ReadEn[bank] = br.TakeBool()
-			in.ReadAddr[bank] = uint16(br.Take(w.ReadAddr))
-		}
-		for bank := 0; bank < cfg.B; bank++ {
-			in.ValidRst[bank] = br.TakeBool()
+		for i := range in.Mask {
+			in.Mask[i] = br.TakeBool()
 		}
 	case KindStore4, KindCopy:
 		in.Moves = b.Moves(MaxMoves)

@@ -49,19 +49,18 @@ func fuzzInstr(bd *Builder, s *fuzzSource, cfg Config) Instr {
 		for i := range in.PEOps {
 			in.PEOps[i] = PEOp(s.next() % int(numPEOps))
 		}
-		for b := 0; b < cfg.B; b++ {
-			in.ReadEn[b] = s.next()%2 == 1
-			in.ReadAddr[b] = uint16(s.next() % cfg.R)
-			in.ValidRst[b] = s.next()%2 == 1
-			in.InputSel[b] = uint16(s.next() % cfg.B)
-			in.WriteEn[b] = s.next()%2 == 1
+		for b := range in.Banks {
+			bc := &in.Banks[b]
+			bc.ReadEn = s.next()%2 == 1
+			bc.ReadAddr = uint16(s.next() % cfg.R)
+			bc.ValidRst = s.next()%2 == 1
+			bc.InputSel = uint16(s.next() % cfg.B)
+			bc.WriteEn = s.next()%2 == 1
 			switch cfg.Output {
 			case OutCrossbar:
-				in.WriteSel[b] = uint16(s.next() % cfg.NumPEs())
+				bc.WriteSel = uint16(s.next() % cfg.NumPEs())
 			case OutPerLayer:
-				in.WriteSel[b] = uint16(s.next() % cfg.D)
-			default:
-				in.WriteSel[b] = 0
+				bc.WriteSel = uint16(s.next() % cfg.D)
 			}
 		}
 		return in
@@ -73,10 +72,11 @@ func fuzzInstr(bd *Builder, s *fuzzSource, cfg Config) Instr {
 		return in
 	case KindStore:
 		in := bd.Store(cfg, s.next()%rows)
-		for b := 0; b < cfg.B; b++ {
-			in.ReadEn[b] = s.next()%2 == 1
-			in.ReadAddr[b] = uint16(s.next() % cfg.R)
-			in.ValidRst[b] = s.next()%2 == 1
+		for b := range in.Banks {
+			bc := &in.Banks[b]
+			bc.ReadEn = s.next()%2 == 1
+			bc.ReadAddr = uint16(s.next() % cfg.R)
+			bc.ValidRst = s.next()%2 == 1
 		}
 		return in
 	default: // KindCopy, KindStore4
@@ -123,7 +123,7 @@ func FuzzEncodeDisasmRoundTrip(f *testing.F) {
 		}
 
 		var bw BitWriter
-		Encode(&in, cfg, w, &bw)
+		Encode(&in, w, &bw)
 		if bw.nbit != w.Len(in.Kind) {
 			t.Fatalf("%s: packed %d bits, Widths advertises %d", in.Kind, bw.nbit, w.Len(in.Kind))
 		}
@@ -132,13 +132,13 @@ func FuzzEncodeDisasmRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		out := back.Instrs[0]
+		out := &back.Instrs[0]
 		if out.Kind != in.Kind {
 			t.Fatalf("kind changed: %v -> %v", in.Kind, out.Kind)
 		}
 
 		var bw2 BitWriter
-		Encode(out, cfg, w, &bw2)
+		Encode(out, w, &bw2)
 		if bw2.nbit != bw.nbit || !bytes.Equal(bw2.Bytes(), bw.Bytes()) {
 			t.Fatalf("repack not identical for %s:\n  first  %x (%d bits)\n  second %x (%d bits)",
 				in.Kind, bw.Bytes(), bw.nbit, bw2.Bytes(), bw2.nbit)

@@ -28,8 +28,8 @@ func TestCodecAcrossGrid(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v: %v", cfg, err)
 					}
-					for i, in := range back.Instrs {
-						if !instrEqual(p.Instrs[i], in) {
+					for i := range back.Instrs {
+						if !instrEqual(&p.Instrs[i], &back.Instrs[i]) {
 							t.Fatalf("%v: instruction %d (%v) did not round trip",
 								cfg, i, p.Instrs[i].Kind)
 						}
@@ -38,8 +38,8 @@ func TestCodecAcrossGrid(t *testing.T) {
 					// every kind present in the stream.
 					w := WidthsOf(cfg)
 					total := 0
-					for _, in := range p.Instrs {
-						total += w.Len(in.Kind)
+					for i := range p.Instrs {
+						total += w.Len(p.Instrs[i].Kind)
 					}
 					if total != p.BitSize() {
 						t.Fatalf("%v: BitSize %d != summed widths %d", cfg, p.BitSize(), total)

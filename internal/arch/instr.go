@@ -110,31 +110,29 @@ type Move struct {
 // MaxMoves is the lane count of copy_4/store_4.
 const MaxMoves = 4
 
+// BankCtl is one bank's control in an exec or a store (fig. 7). Both
+// give every bank the same read port: ReadEn, ReadAddr and ValidRst,
+// which releases the register after the read. Exec also routes bank
+// InputSel to crossbar port b (entry b) and writes the bank back
+// through the output interconnect (WriteEn, WriteSel; see
+// Config.WriteSel). A store encodes only the read port, so the rest
+// stays zero.
+type BankCtl struct {
+	ReadAddr, InputSel, WriteSel uint16
+	ReadEn, ValidRst, WriteEn    bool
+}
+
 // Instr is the decoded form of one instruction. Which fields are
-// meaningful depends on Kind; Encode/Decode define the packed layout.
-//
-// All per-bank slices have length B and all per-PE slices length NumPEs
-// when present.
+// meaningful depends on Kind; Encode and Unpack define the packed
+// layout. Banks and Mask have length B and PEOps length NumPEs when
+// present.
 type Instr struct {
-	Kind Kind
-
-	// Exec fields.
-	PEOps    []PEOp   // PE configuration, indexed by PEID
-	ReadEn   []bool   // bank read enables
-	ReadAddr []uint16 // bank read addresses
-	ValidRst []bool   // release the bank's read register after this read
-	InputSel []uint16 // input-crossbar select: bank feeding each port
-	WriteEn  []bool   // bank write enables
-	WriteSel []uint16 // output-interconnect select per bank (see Config.WriteSel)
-
-	// Load/Store/Store4 fields.
-	MemAddr int
-	Mask    []bool // load word-enable per lane
-
-	// Store reuses ReadEn/ReadAddr/ValidRst for the vector gather.
-
-	// Copy/Store4 lanes.
-	Moves []Move
+	Kind    Kind
+	MemAddr int       // data-memory row of load, store and store_4
+	PEOps   []PEOp    // exec PE configuration, indexed by PEID
+	Banks   []BankCtl // exec and store per-bank control
+	Mask    []bool    // load word-enable per lane
+	Moves   []Move    // copy_4 and store_4 lanes
 }
 
 // Validate checks the instruction against the configuration: slice
@@ -147,7 +145,25 @@ func (in *Instr) Validate(cfg Config) error {
 		return nil
 	}
 	switch in.Kind {
+	case KindLoad, KindStore, KindStore4:
+		if in.MemAddr < 0 || in.MemAddr >= cfg.DataMemWords/cfg.B {
+			return fmt.Errorf("arch: %s row %d out of range", in.Kind, in.MemAddr)
+		}
+	}
+	switch in.Kind {
 	case KindNop:
+		return nil
+	case KindLoad:
+		return checkLen("Mask", len(in.Mask), cfg.B)
+	case KindCopy, KindStore4:
+		if len(in.Moves) == 0 || len(in.Moves) > MaxMoves {
+			return fmt.Errorf("arch: %s with %d lanes, want 1..%d", in.Kind, len(in.Moves), MaxMoves)
+		}
+		for _, m := range in.Moves {
+			if int(m.SrcBank) >= cfg.B || int(m.SrcAddr) >= cfg.R || int(m.Dst) >= cfg.B {
+				return fmt.Errorf("arch: %s lane out of range: %+v", in.Kind, m)
+			}
+		}
 		return nil
 	case KindExec:
 		if err := checkLen("PEOps", len(in.PEOps), cfg.NumPEs()); err != nil {
@@ -158,69 +174,39 @@ func (in *Instr) Validate(cfg Config) error {
 				return fmt.Errorf("arch: exec PE %d opcode %d outside the ISA", id, op)
 			}
 		}
-		for _, s := range [][2]int{{len(in.ReadEn), cfg.B}, {len(in.ReadAddr), cfg.B},
-			{len(in.ValidRst), cfg.B}, {len(in.InputSel), cfg.B}, {len(in.WriteEn), cfg.B}, {len(in.WriteSel), cfg.B}} {
-			if s[0] != s[1] {
-				return fmt.Errorf("arch: exec per-bank slice length %d, want %d", s[0], s[1])
-			}
-		}
-		for b := 0; b < cfg.B; b++ {
-			if in.ReadEn[b] && int(in.ReadAddr[b]) >= cfg.R {
-				return fmt.Errorf("arch: exec read addr %d ≥ R=%d on bank %d", in.ReadAddr[b], cfg.R, b)
-			}
-			if int(in.InputSel[b]) >= cfg.B {
-				return fmt.Errorf("arch: exec input select %d ≥ B on port %d", in.InputSel[b], b)
-			}
-			if in.WriteEn[b] {
-				// Bound the select before decoding it: under the crossbar a
-				// decoded select can name any value its bit width admits, and
-				// SelPE on an id ≥ NumPEs would address a nonexistent PE.
-				if cfg.Output == OutCrossbar && int(in.WriteSel[b]) >= cfg.NumPEs() {
-					return fmt.Errorf("arch: exec write select %d ≥ %d PEs on bank %d", in.WriteSel[b], cfg.NumPEs(), b)
-				}
-				p := cfg.SelPE(b, in.WriteSel[b])
-				if !cfg.CanWrite(p, b) {
-					return fmt.Errorf("arch: exec write select %d illegal for bank %d", in.WriteSel[b], b)
-				}
-			}
-		}
-		return nil
-	case KindLoad:
-		if err := checkLen("Mask", len(in.Mask), cfg.B); err != nil {
-			return err
-		}
-		if in.MemAddr < 0 || in.MemAddr >= cfg.DataMemWords/cfg.B {
-			return fmt.Errorf("arch: load row %d out of range", in.MemAddr)
-		}
-		return nil
 	case KindStore:
-		for _, s := range [][2]int{{len(in.ReadEn), cfg.B}, {len(in.ReadAddr), cfg.B}, {len(in.ValidRst), cfg.B}} {
-			if s[0] != s[1] {
-				return fmt.Errorf("arch: store per-bank slice length %d, want %d", s[0], s[1])
-			}
-		}
-		if in.MemAddr < 0 || in.MemAddr >= cfg.DataMemWords/cfg.B {
-			return fmt.Errorf("arch: store row %d out of range", in.MemAddr)
-		}
-		for b := 0; b < cfg.B; b++ {
-			if in.ReadEn[b] && int(in.ReadAddr[b]) >= cfg.R {
-				return fmt.Errorf("arch: store read addr %d ≥ R on bank %d", in.ReadAddr[b], b)
-			}
-		}
-		return nil
-	case KindCopy, KindStore4:
-		if len(in.Moves) == 0 || len(in.Moves) > MaxMoves {
-			return fmt.Errorf("arch: %s with %d lanes, want 1..%d", in.Kind, len(in.Moves), MaxMoves)
-		}
-		if in.Kind == KindStore4 && (in.MemAddr < 0 || in.MemAddr >= cfg.DataMemWords/cfg.B) {
-			return fmt.Errorf("arch: store_4 row %d out of range", in.MemAddr)
-		}
-		for _, m := range in.Moves {
-			if int(m.SrcBank) >= cfg.B || int(m.SrcAddr) >= cfg.R || int(m.Dst) >= cfg.B {
-				return fmt.Errorf("arch: %s lane out of range: %+v", in.Kind, m)
-			}
-		}
-		return nil
+	default:
+		return fmt.Errorf("arch: unknown kind %d", in.Kind)
 	}
-	return fmt.Errorf("arch: unknown kind %d", in.Kind)
+	// Exec and store: every bank's read port, and exec's crossbar select
+	// and write port.
+	if err := checkLen("Banks", len(in.Banks), cfg.B); err != nil {
+		return err
+	}
+	for b, bc := range in.Banks {
+		if bc.ReadEn && int(bc.ReadAddr) >= cfg.R {
+			return fmt.Errorf("arch: %s read addr %d ≥ R=%d on bank %d", in.Kind, bc.ReadAddr, cfg.R, b)
+		}
+		if in.Kind == KindStore {
+			if bc.InputSel != 0 || bc.WriteEn || bc.WriteSel != 0 {
+				return fmt.Errorf("arch: store sets exec-only control on bank %d", b)
+			}
+			continue
+		}
+		if int(bc.InputSel) >= cfg.B {
+			return fmt.Errorf("arch: exec input select %d ≥ B on port %d", bc.InputSel, b)
+		}
+		if bc.WriteEn {
+			// Bound the select before decoding it: under the crossbar a
+			// decoded select can name any value its bit width admits, and
+			// SelPE on an id ≥ NumPEs would address a nonexistent PE.
+			if cfg.Output == OutCrossbar && int(bc.WriteSel) >= cfg.NumPEs() {
+				return fmt.Errorf("arch: exec write select %d ≥ %d PEs on bank %d", bc.WriteSel, cfg.NumPEs(), b)
+			}
+			if !cfg.CanWrite(cfg.SelPE(b, bc.WriteSel), b) {
+				return fmt.Errorf("arch: exec write select %d illegal for bank %d", bc.WriteSel, b)
+			}
+		}
+	}
+	return nil
 }

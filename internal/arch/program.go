@@ -8,7 +8,7 @@ import "fmt"
 type Program struct {
 	Cfg    Config
 	W      Widths
-	Instrs []*Instr
+	Instrs []Instr
 	// InitMem is the initial data memory, word addressed; length is a
 	// multiple of Cfg.B (whole rows).
 	InitMem []float64
@@ -24,8 +24,8 @@ func NewProgram(cfg Config) *Program {
 // bits (fig. 7(b): variable-length instructions without bubbles).
 func (p *Program) BitSize() int {
 	total := 0
-	for _, in := range p.Instrs {
-		total += p.W.Len(in.Kind)
+	for i := range p.Instrs {
+		total += p.W.Len(p.Instrs[i].Kind)
 	}
 	return total
 }
@@ -34,9 +34,9 @@ func (p *Program) BitSize() int {
 // instruction of a kind outside the ISA counts under none.
 func (p *Program) Counts() [numKinds]int {
 	var c [numKinds]int
-	for _, in := range p.Instrs {
-		if in.Kind < numKinds {
-			c[in.Kind]++
+	for i := range p.Instrs {
+		if k := p.Instrs[i].Kind; k < numKinds {
+			c[k]++
 		}
 	}
 	return c
@@ -45,8 +45,8 @@ func (p *Program) Counts() [numKinds]int {
 // Pack encodes the whole instruction stream into its dense binary form.
 func (p *Program) Pack() []byte {
 	bw := BitWriter{buf: make([]byte, 0, (p.BitSize()+7)/8)}
-	for _, in := range p.Instrs {
-		Encode(in, p.Cfg, p.W, &bw)
+	for i := range p.Instrs {
+		Encode(&p.Instrs[i], p.W, &bw)
 	}
 	return bw.Bytes()
 }

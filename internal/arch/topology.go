@@ -154,7 +154,7 @@ func (c Config) LayerPE(bank, layer int) PE {
 }
 
 // WriteSel encodes "PE p drives bank" as the select value stored in an
-// exec instruction for this topology; see Instr.WriteSel.
+// exec instruction for this topology; see BankCtl.WriteSel.
 func (c Config) WriteSel(bank int, p PE) (uint16, error) {
 	if !c.CanWrite(p, bank) {
 		return 0, fmt.Errorf("arch: PE %v cannot write bank %d under %s", p, bank, c.Output)

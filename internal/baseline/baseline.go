@@ -168,7 +168,8 @@ func PowerW(p Platform, large bool) float64 {
 
 // RunParallel executes the DAG on the host with one goroutine per core
 // using level-synchronous scheduling — the real counterpart of the CPU
-// model, used by the benchmark harness to report measured host GOPS.
+// model, which examples/crossplatform times to report measured host
+// GOPS beside the simulated DPU-v2.
 func RunParallel(g *dag.Graph, inputs []float64, workers int) ([]float64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -34,7 +34,7 @@ func TestEmitStopsLosingRowDraft(t *testing.T) {
 		}
 		emitCfg := p.cfg
 		emitCfg.R = cfg.R
-		stepFour := func(d *draft, limit int) ([]*arch.Instr, error) {
+		stepFour := func(d *draft, limit int) ([]arch.Instr, error) {
 			var ra regalloc
 			var out arch.Builder
 			ra.reset(emitCfg, append([]valInfo(nil), d.vals...), d.rows, d.sched, d.stats, &out)
@@ -46,7 +46,7 @@ func TestEmitStopsLosingRowDraft(t *testing.T) {
 			return prog.Instrs, err
 		}
 		win, shortest, stopped := -1, math.MaxInt, 0
-		var want []*arch.Instr
+		var want []arch.Instr
 		for i, d := range p.drafts {
 			full, err := stepFour(d, math.MaxInt)
 			if err != nil {

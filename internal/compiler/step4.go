@@ -535,23 +535,31 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		if len(in.Moves) == 0 {
 			return nil // everything already in memory
 		}
-	case dExec:
-		in = r.out.Exec(r.cfg)
-		copy(in.PEOps, op.block.PEOps)
-		for _, rv := range op.reads {
-			b := r.bankOf(rv)
-			in.ReadEn[b] = true
-			in.ReadAddr[b] = uint16(r.loc[rv])
-			if r.consume(rv) {
-				in.ValidRst[b] = true
-				frees = append(frees, rv)
+	case dExec, dStore:
+		if op.kind == dExec {
+			in = r.out.Exec(r.cfg)
+			copy(in.PEOps, op.block.PEOps)
+		} else {
+			in = r.out.Store(r.cfg, op.row)
+		}
+		// A store's reads are those left above: already spilled values
+		// sit at their destination word.
+		for _, v := range reads {
+			bc := &in.Banks[r.bankOf(v)]
+			bc.ReadEn, bc.ReadAddr = true, uint16(r.loc[v])
+			if r.consume(v) {
+				bc.ValidRst = true
+				frees = append(frees, v)
 			}
+		}
+		if op.kind == dStore {
+			break
 		}
 		for port, v := range op.block.PortVal {
 			if v == InvalidVal {
 				continue
 			}
-			in.InputSel[port] = uint16(r.bankOf(op.readOf(v)))
+			in.Banks[port].InputSel = uint16(r.bankOf(op.readOf(v)))
 		}
 		for i := range op.block.Outputs {
 			b := int(op.outBank[i])
@@ -559,22 +567,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			if err != nil {
 				return err
 			}
-			in.WriteEn[b] = true
-			in.WriteSel[b] = sel
-		}
-	case dStore:
-		in = r.out.Store(r.cfg, op.row)
-		for _, v := range op.reads {
-			if !r.resident[v] && r.spilled[v] {
-				continue // already in memory at its destination (spilled)
-			}
-			b := r.bankOf(v)
-			in.ReadEn[b] = true
-			in.ReadAddr[b] = uint16(r.loc[v])
-			if r.consume(v) {
-				in.ValidRst[b] = true
-				frees = append(frees, v)
-			}
+			in.Banks[b].WriteEn, in.Banks[b].WriteSel = true, sel
 		}
 	default:
 		return fmt.Errorf("compiler: unknown draft op kind %d", op.kind)

@@ -150,7 +150,7 @@ func (r *Runner) Fig10cd() (*Table, error) {
 			Cols:  cols("%.0f", "min", "avg", "max"),
 		}
 		peak := 0
-		err = regfile.Occupancy(cfg, c.Prog.Instrs, func(cycle int, perBank []int) {
+		err = regfile.Occupancy(c.Prog, func(cycle int, perBank []int) {
 			if cycle%200 != 0 {
 				return
 			}

@@ -26,12 +26,13 @@ func (n *naiveRegs) issue(cfg arch.Config, w *arch.Wiring, in *arch.Instr, t int
 		used := make([]bool, cfg.B)
 		w.MarkPorts(in.PEOps, used)
 		for port, u := range used {
-			if b := in.InputSel[port]; u && in.ValidRst[b] {
-				n.valid[b][in.ReadAddr[b]] = false
+			b := in.Banks[port].InputSel
+			if u && in.Banks[b].ValidRst {
+				n.valid[b][in.Banks[b].ReadAddr] = false
 			}
 		}
-		for b, en := range in.WriteEn {
-			if en {
+		for b, bc := range in.Banks {
+			if bc.WriteEn {
 				n.landing[t+cfg.D] = append(n.landing[t+cfg.D], b)
 			}
 		}
@@ -42,9 +43,9 @@ func (n *naiveRegs) issue(cfg arch.Config, w *arch.Wiring, in *arch.Instr, t int
 			}
 		}
 	case arch.KindStore:
-		for b, en := range in.ReadEn {
-			if en && in.ValidRst[b] {
-				n.valid[b][in.ReadAddr[b]] = false
+		for b, bc := range in.Banks {
+			if bc.ReadEn && bc.ValidRst {
+				n.valid[b][bc.ReadAddr] = false
 			}
 		}
 	case arch.KindCopy, arch.KindStore4:
@@ -135,7 +136,8 @@ func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 				n.valid[b] = make([]bool, cfg.R)
 			}
 			w := cfg.Wiring()
-			for i, in := range c.Prog.Instrs {
+			for i := range c.Prog.Instrs {
+				in := &c.Prog.Instrs[i]
 				n.issue(cfg, w, in, walk.Cycle())
 				n.land(walk.Cycle())
 				if err := walk.Step(in); err != nil {

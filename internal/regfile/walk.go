@@ -131,16 +131,16 @@ func (w *Walker[P]) Drain() error {
 	return nil
 }
 
-// Occupancy walks instrs on cfg with no payload and reports the
-// per-bank count of valid registers after every cycle, drain included.
-// Occupancy depends on the instruction stream alone: which address a
-// write takes and when it lands are fixed at compile time.
-func Occupancy(cfg arch.Config, instrs []*arch.Instr, fn func(cycle int, perBank []int)) error {
-	w := NewWalker[struct{}](cfg, noPayload{})
+// Occupancy walks p with no payload and reports the per-bank count of
+// valid registers after every cycle, drain included. Occupancy depends
+// on the instruction stream alone: which address a write takes and when
+// it lands are fixed at compile time.
+func Occupancy(p *arch.Program, fn func(cycle int, perBank []int)) error {
+	w := NewWalker[struct{}](p.Cfg, noPayload{})
 	w.occTrace = fn
-	for i, in := range instrs {
-		if err := w.Step(in); err != nil {
-			return fmt.Errorf("regfile: instruction %d (%v): %w", i, in.Kind, err)
+	for i := range p.Instrs {
+		if err := w.Step(&p.Instrs[i]); err != nil {
+			return fmt.Errorf("regfile: instruction %d (%v): %w", i, p.Instrs[i].Kind, err)
 		}
 	}
 	return w.Drain()
@@ -189,15 +189,15 @@ func (w *Walker[P]) issue(in *arch.Instr) {
 			}
 		}
 	case arch.KindStore:
-		for b, en := range in.ReadEn {
-			addr := int(in.ReadAddr[b])
+		for b, bc := range in.Banks {
+			addr := int(bc.ReadAddr)
 			switch {
-			case en:
+			case bc.ReadEn:
 				w.fail(w.sem.Store(row+b, w.read(b, addr)))
-				if in.ValidRst[b] {
+				if bc.ValidRst {
 					w.rf.Free(b, addr)
 				}
-			case in.ValidRst[b]:
+			case bc.ValidRst:
 				w.hazard(DeadReset, b, -1, zero, deadReset)
 			}
 		}
@@ -239,26 +239,29 @@ func (w *Walker[P]) exec(in *arch.Instr, land int) {
 	// it.
 	wi.MarkPorts(in.PEOps, w.portUsed)
 	for pn, used := range w.portUsed {
-		bank := int(in.InputSel[pn])
+		if !used {
+			continue
+		}
+		bank := int(in.Banks[pn].InputSel)
+		rd := &in.Banks[bank]
 		switch {
-		case !used:
-		case !in.ReadEn[bank]:
+		case !rd.ReadEn:
 			w.hazard(DeadOperand, bank, -1, zero, "port %d selects bank %d which has no read enable", pn, bank)
 		case w.readBank[bank]:
 			w.reads++
-			w.port[pn] = w.regs[bank*cfg.R+int(in.ReadAddr[bank])]
+			w.port[pn] = w.regs[bank*cfg.R+int(rd.ReadAddr)]
 		default:
 			w.readBank[bank] = true
-			w.port[pn] = w.read(bank, int(in.ReadAddr[bank]))
+			w.port[pn] = w.read(bank, int(rd.ReadAddr))
 		}
 	}
 	// valid_rst applies after the cycle's reads: the crossbar broadcasts
 	// one bank read to every subscribed port before the slot is released.
-	for bank, rst := range in.ValidRst {
+	for bank, bc := range in.Banks {
 		switch {
-		case rst && w.readBank[bank]:
-			w.rf.Free(bank, int(in.ReadAddr[bank]))
-		case rst:
+		case bc.ValidRst && w.readBank[bank]:
+			w.rf.Free(bank, int(bc.ReadAddr))
+		case bc.ValidRst:
 			w.hazard(DeadReset, bank, -1, zero, deadReset)
 		}
 	}
@@ -282,11 +285,11 @@ func (w *Walker[P]) exec(in *arch.Instr, land int) {
 		}
 	}
 	// Write-backs through the output interconnect.
-	for bank, en := range in.WriteEn {
-		if !en {
+	for bank, bc := range in.Banks {
+		if !bc.WriteEn {
 			continue
 		}
-		id := cfg.PEID(cfg.SelPE(bank, in.WriteSel[bank]))
+		id := cfg.PEID(cfg.SelPE(bank, bc.WriteSel))
 		p := w.val[id]
 		if !w.live[id] {
 			w.hazard(DeadOperand, bank, id, zero, "bank %d writes output of idle PE %d", bank, id)

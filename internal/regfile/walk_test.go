@@ -72,10 +72,8 @@ func TestWalkerHazards(t *testing.T) {
 	add := func(rst bool) *arch.Instr {
 		in := b.Exec(cfg)
 		in.PEOps[0], in.PEOps[2] = arch.PEAdd, arch.PEBypassL
-		in.ReadEn[0], in.ReadEn[1] = true, true
-		in.InputSel[0], in.InputSel[1] = 0, 1
-		in.ValidRst[0] = rst
-		in.WriteEn[0], in.WriteSel[0] = true, 2
+		in.Banks[0] = arch.BankCtl{ReadEn: true, ValidRst: rst, WriteEn: true, WriteSel: 2}
+		in.Banks[1] = arch.BankCtl{ReadEn: true, InputSel: 1}
 		return &in
 	}
 	moves := func(kind arch.Kind, mv ...arch.Move) *arch.Instr {
@@ -95,15 +93,15 @@ func TestWalkerHazards(t *testing.T) {
 			[]regfile.HazardKind{regfile.BankOverflow}},
 		{"conflict", []*arch.Instr{load(0, 1), nop, moves(arch.KindCopy, arch.Move{SrcBank: 0, Dst: 3}, arch.Move{SrcBank: 1, Dst: 3})},
 			[]regfile.HazardKind{regfile.WriteConflict}},
-		{"unread-port", []*arch.Instr{load(0, 1), nop, func() *arch.Instr { in := add(false); in.ReadEn[1] = false; return in }()},
+		{"unread-port", []*arch.Instr{load(0, 1), nop, func() *arch.Instr { in := add(false); in.Banks[1].ReadEn = false; return in }()},
 			[]regfile.HazardKind{regfile.DeadOperand}},
 		{"dead-operand", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.PEOps[2] = arch.PEAdd; return &in }()},
 			[]regfile.HazardKind{regfile.DeadOperand}},
-		{"idle-write", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.WriteEn[1], in.WriteSel[1] = true, 2; return &in }()},
+		{"idle-write", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.Banks[1].WriteEn, in.Banks[1].WriteSel = true, 2; return &in }()},
 			[]regfile.HazardKind{regfile.DeadOperand}},
 		{"double-read", []*arch.Instr{load(0), nop, moves(arch.KindStore4, arch.Move{SrcBank: 0}, arch.Move{SrcBank: 0, Dst: 1})},
 			[]regfile.HazardKind{regfile.DoubleRead}},
-		{"dead-reset", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.ValidRst[3] = true; return &in }()},
+		{"dead-reset", []*arch.Instr{func() *arch.Instr { in := b.Exec(cfg); in.Banks[3].ValidRst = true; return &in }()},
 			[]regfile.HazardKind{regfile.DeadReset}},
 	}
 	for _, tc := range cases {
@@ -144,10 +142,8 @@ func TestWalkerPayloads(t *testing.T) {
 	ld.Mask[0], ld.Mask[1] = true, true
 	ex := b.Exec(cfg)
 	ex.PEOps[0], ex.PEOps[2] = arch.PEAdd, arch.PEBypassL
-	ex.ReadEn[0], ex.ReadEn[1] = true, true
-	ex.InputSel[0], ex.InputSel[1] = 0, 1
-	ex.ValidRst[0], ex.ValidRst[1] = true, true
-	ex.WriteEn[0], ex.WriteSel[0] = true, 2
+	ex.Banks[0] = arch.BankCtl{ReadEn: true, ValidRst: true, WriteEn: true, WriteSel: 2}
+	ex.Banks[1] = arch.BankCtl{ReadEn: true, ValidRst: true, InputSel: 1}
 	ld0 := b.Load(cfg, 0)
 	ld0.Mask[0] = true
 	hs = walk(t, cfg, &ld, nop, &ex, &ld0)
@@ -197,7 +193,7 @@ func TestOccupancyTraceAndPeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples, peak := 0, 0
-	err = regfile.Occupancy(cfg, c.Prog.Instrs, func(cycle int, perBank []int) {
+	err = regfile.Occupancy(c.Prog, func(cycle int, perBank []int) {
 		if cycle != samples {
 			t.Fatalf("sample for cycle %d, want %d", cycle, samples)
 		}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/compiler"
@@ -41,17 +43,27 @@ func TestMachineRunNoAllocsSteadyState(t *testing.T) {
 }
 
 // TestUnpackAllocs holds arch.Unpack to a fixed number of allocations
-// (7 today) whatever the program's length, here 98 to 4,325
+// (6 today) whatever the program's length, here 98 to 4,325
 // instructions: the instructions and their fields are cut from a
 // builder sized by one scan of the opcodes, never allocated one by one
 // (a decoder allocating per exec reads 1,459 for dw2048). A count the
 // stream cannot hold fails in the scan, before anything is sized by it.
+// It also holds the bytes a decoded instruction costs: arch.Instr at
+// most 112 B, and Unpack's allocation per instruction under
+// bytesPerInstr. A program's instructions are one []arch.Instr whose
+// exec and store share one arena of per-bank controls; the layout of
+// seven parallel per-bank slices on a 232 B Instr behind a pointer slice
+// read 436, 417 and 451 B per instruction on these three programs, and
+// the shared arena 321, 309 and 339.
 // Like TestRunSteadyStateAllocs, it skips under the race detector.
 func TestUnpackAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not measured under the race detector")
 	}
-	const limit = 8.0
+	if size := unsafe.Sizeof(arch.Instr{}); size > 112 {
+		t.Errorf("arch.Instr is %d bytes, want <= 112", size)
+	}
+	const limit, bytesPerInstr = 8.0, 380.0
 	for _, name := range []string{"tretail", "dw2048", "pigs"} {
 		g, err := suite.Build(name, 0.1)
 		if err != nil {
@@ -62,15 +74,25 @@ func TestUnpackAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		packed, cfg, n := c.Prog.Pack(), c.Prog.Cfg, len(c.Prog.Instrs)
-		perRun := testing.AllocsPerRun(5, func() {
+		unpack := func() {
 			if _, err := arch.Unpack(packed, cfg, n); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if perRun > limit {
+		}
+		if perRun := testing.AllocsPerRun(5, unpack); perRun > limit {
 			t.Errorf("%s: unpacking %d instructions allocates %.0f times, want <= %.0f", name, n, perRun, limit)
 		}
-		perRun = testing.AllocsPerRun(5, func() {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			unpack()
+		}
+		runtime.ReadMemStats(&after)
+		if per := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n); per > bytesPerInstr {
+			t.Errorf("%s: unpacking %d instructions allocates %.0f B each, want <= %.0f", name, n, per, bytesPerInstr)
+		}
+		perRun := testing.AllocsPerRun(5, func() {
 			if _, err := arch.Unpack(packed, cfg, 1<<40); err == nil {
 				t.Fatal("Unpack accepted 2^40 instructions from a finite stream")
 			}

@@ -33,11 +33,11 @@ func faulting(t *testing.T, c *compiler.Compiled) *compiler.Compiled {
 	t.Helper()
 	bad, prog := *c, *c.Prog
 	prog.Instrs = slices.Clone(prog.Instrs)
-	i := slices.IndexFunc(prog.Instrs, func(in *arch.Instr) bool { return in.Kind == arch.KindLoad })
+	i := slices.IndexFunc(prog.Instrs, func(in arch.Instr) bool { return in.Kind == arch.KindLoad })
 	if i < 0 {
 		t.Fatal("program has no load")
 	}
-	prog.Instrs[i] = &arch.Instr{Kind: arch.KindNop}
+	prog.Instrs[i] = arch.Instr{Kind: arch.KindNop}
 	bad.Prog = &prog
 	return &bad
 }

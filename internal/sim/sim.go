@@ -101,9 +101,9 @@ func (m *Machine) Run(p *arch.Program) error {
 	if c := m.walk.Cycle(); c != 0 {
 		return fmt.Errorf("sim: machine has already run %d cycles; build a new one per execution", c)
 	}
-	for i, in := range p.Instrs {
-		if err := m.walk.Step(in); err != nil {
-			return fmt.Errorf("sim: instruction %d (%v): %w", i, in.Kind, err)
+	for i := range p.Instrs {
+		if err := m.walk.Step(&p.Instrs[i]); err != nil {
+			return fmt.Errorf("sim: instruction %d (%v): %w", i, p.Instrs[i].Kind, err)
 		}
 	}
 	if err := m.walk.Drain(); err != nil {

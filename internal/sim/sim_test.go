@@ -239,7 +239,7 @@ func TestMachineRunsOnce(t *testing.T) {
 }
 
 // runInstrs runs instrs on a fresh machine with an 8-row memory.
-func runInstrs(cfg arch.Config, instrs ...*arch.Instr) error {
+func runInstrs(cfg arch.Config, instrs ...arch.Instr) error {
 	cfg = cfg.Normalize()
 	return NewMachine(cfg, make([]float64, 8*cfg.B)).Run(&arch.Program{Cfg: cfg, Instrs: instrs})
 }
@@ -249,11 +249,9 @@ func TestMachineRejectsInvalidRead(t *testing.T) {
 	var b arch.Builder
 	in := b.Exec(cfg)
 	in.PEOps[0] = arch.PEAdd // leaf PE of tree 0 reads ports 0,1
-	in.ReadEn[0] = true
-	in.ReadEn[1] = true
-	in.InputSel[0] = 0
-	in.InputSel[1] = 1
-	if err := runInstrs(cfg, &in); err == nil {
+	in.Banks[0] = arch.BankCtl{ReadEn: true}
+	in.Banks[1] = arch.BankCtl{ReadEn: true, InputSel: 1}
+	if err := runInstrs(cfg, in); err == nil {
 		t.Fatal("expected invalid-register read error")
 	}
 }
@@ -264,20 +262,20 @@ func TestMachineRejectsDoubleWrite(t *testing.T) {
 	in := b.Load(cfg, 0)
 	in.Mask[3] = true
 	// A load in each of two cycles is fine…
-	if err := runInstrs(cfg, &in, &in); err != nil {
+	if err := runInstrs(cfg, in, in); err != nil {
 		t.Fatal(err)
 	}
 	// …but two copies targeting one bank in one instruction are not.
 	ld := b.Load(cfg, 0)
 	ld.Mask[0], ld.Mask[1] = true, true
-	cp := &arch.Instr{Kind: arch.KindCopy, Moves: []arch.Move{
+	cp := arch.Instr{Kind: arch.KindCopy, Moves: []arch.Move{
 		{SrcBank: 0, SrcAddr: 0, Dst: 5},
 		{SrcBank: 1, SrcAddr: 0, Dst: 5},
 	}}
-	if err := runInstrs(cfg, &ld, &arch.Instr{Kind: arch.KindNop}); err != nil {
+	if err := runInstrs(cfg, ld, arch.Instr{Kind: arch.KindNop}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runInstrs(cfg, &ld, &arch.Instr{Kind: arch.KindNop}, cp); err == nil {
+	if err := runInstrs(cfg, ld, arch.Instr{Kind: arch.KindNop}, cp); err == nil {
 		t.Fatal("expected double-write error")
 	}
 }
@@ -287,10 +285,10 @@ func TestMachineRejectsBankOverflow(t *testing.T) {
 	var b arch.Builder
 	ld := b.Load(cfg, 0)
 	ld.Mask[0] = true
-	if err := runInstrs(cfg, &ld, &ld); err != nil {
+	if err := runInstrs(cfg, ld, ld); err != nil {
 		t.Fatal(err)
 	}
-	if err := runInstrs(cfg, &ld, &ld, &ld); err == nil {
+	if err := runInstrs(cfg, ld, ld, ld); err == nil {
 		t.Fatal("expected overflow error")
 	}
 }

@@ -32,7 +32,8 @@ func StaticStats(p *arch.Program) Stats {
 	cfg := p.Cfg.Normalize()
 	perTree, leaves := (1<<uint(cfg.D))-1, 1<<uint(cfg.D-1)
 	st := Stats{Cycles: len(p.Instrs) + cfg.Drain()}
-	for _, in := range p.Instrs {
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		switch in.Kind {
 		case arch.KindExec:
 			for id, op := range in.PEOps {
@@ -47,15 +48,25 @@ func StaticStats(p *arch.Program) Stats {
 					}
 				}
 			}
-			st.RegWrites += countTrue(in.WriteEn)
+			for _, bc := range in.Banks {
+				if bc.WriteEn {
+					st.RegWrites++
+				}
+			}
 		case arch.KindLoad:
-			n := countTrue(in.Mask)
-			st.MemReads += n
-			st.RegWrites += n
+			for _, en := range in.Mask {
+				if en {
+					st.MemReads++
+					st.RegWrites++
+				}
+			}
 		case arch.KindStore:
-			n := countTrue(in.ReadEn)
-			st.RegReads += n
-			st.MemWrites += n
+			for _, bc := range in.Banks {
+				if bc.ReadEn {
+					st.RegReads++
+					st.MemWrites++
+				}
+			}
 		case arch.KindStore4:
 			st.RegReads += len(in.Moves)
 			st.MemWrites += len(in.Moves)
@@ -65,16 +76,6 @@ func StaticStats(p *arch.Program) Stats {
 		}
 	}
 	return st
-}
-
-func countTrue(bs []bool) int {
-	n := 0
-	for _, b := range bs {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 // Bound is a lower bound on the cycles of any program that computes a

@@ -47,7 +47,8 @@ func requireClass(t *testing.T, fs []verify.Finding, want verify.Class) {
 func firstExec(t *testing.T, c *compiler.Compiled) int {
 	t.Helper()
 	cfg := c.Prog.Cfg
-	for i, in := range c.Prog.Instrs {
+	for i := range c.Prog.Instrs {
+		in := &c.Prog.Instrs[i]
 		if in.Kind != arch.KindExec {
 			continue
 		}
@@ -77,8 +78,8 @@ var streamMutations = []struct {
 	}},
 	{"store-row-out-of-bounds", verify.ClassMemBounds, func(t *testing.T, c *compiler.Compiled) {
 		cfg := c.Prog.Cfg
-		for _, in := range c.Prog.Instrs {
-			if in.Kind == arch.KindStore || in.Kind == arch.KindStore4 {
+		for i := range c.Prog.Instrs {
+			if in := &c.Prog.Instrs[i]; in.Kind == arch.KindStore || in.Kind == arch.KindStore4 {
 				in.MemAddr = cfg.DataMemWords / cfg.B
 				return
 			}
@@ -89,7 +90,7 @@ var streamMutations = []struct {
 		// Clearing a read enable under an active port starves the PE: the
 		// crossbar routes a bank nothing drives this cycle.
 		cfg := c.Prog.Cfg
-		in := c.Prog.Instrs[firstExec(t, c)]
+		in := &c.Prog.Instrs[firstExec(t, c)]
 		port := -1
 		for id, op := range in.PEOps {
 			p := cfg.PECoord(id)
@@ -104,7 +105,7 @@ var streamMutations = []struct {
 			}
 			break
 		}
-		in.ReadEn[in.InputSel[port]] = false
+		in.Banks[in.Banks[port].InputSel].ReadEn = false
 	}},
 }
 
@@ -122,10 +123,10 @@ func TestMutationClasses(t *testing.T) {
 
 	t.Run("read-addr-past-R", func(t *testing.T) {
 		c := goodCompiled(t)
-		in := c.Prog.Instrs[firstExec(t, c)]
-		for b, en := range in.ReadEn {
-			if en {
-				in.ReadAddr[b] = uint16(c.Prog.Cfg.R)
+		in := &c.Prog.Instrs[firstExec(t, c)]
+		for b, bc := range in.Banks {
+			if bc.ReadEn {
+				in.Banks[b].ReadAddr = uint16(c.Prog.Cfg.R)
 				break
 			}
 		}
@@ -178,12 +179,11 @@ func TestMutationClasses(t *testing.T) {
 		cfg := arch.Config{D: 2, B: 4, R: 4, Output: arch.OutCrossbar}.Normalize()
 		var b arch.Builder
 		in := b.Exec(cfg)
-		in.WriteEn[0] = true
-		in.WriteSel[0] = uint16(cfg.NumPEs())
+		in.Banks[0] = arch.BankCtl{WriteEn: true, WriteSel: uint16(cfg.NumPEs())}
 		if err := in.Validate(cfg); err == nil {
 			t.Error("Validate accepted a write select past NumPEs")
 		}
-		p := &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{&in}}
+		p := &arch.Program{Cfg: cfg, Instrs: []arch.Instr{in}}
 		requireClass(t, verify.Program(p, cfg), verify.ClassResource)
 	})
 }
@@ -252,10 +252,9 @@ func writeConflictProgram() *arch.Program {
 	ex := b.Exec(cfg)
 	ex.PEOps[0] = arch.PEAdd     // leaf PE 0 reads ports 0,1
 	ex.PEOps[2] = arch.PEBypassL // root forwards the leaf's sum
-	ex.ReadEn[0], ex.ReadEn[1] = true, true
-	ex.InputSel[0], ex.InputSel[1] = 0, 1
-	ex.WriteEn[0] = true
-	ex.WriteSel[0] = 2 // root PE id
+	// Bank 0 feeds port 0 and takes the root's (PE 2's) output.
+	ex.Banks[0] = arch.BankCtl{ReadEn: true, WriteEn: true, WriteSel: 2}
+	ex.Banks[1] = arch.BankCtl{ReadEn: true, InputSel: 1}
 
 	ld2 := b.Load(cfg, 0)
 	ld2.Mask[0] = true
@@ -286,14 +285,12 @@ func useAfterFreeProgram() *arch.Program {
 
 	ex := b.Exec(cfg)
 	ex.PEOps[0] = arch.PEAdd
-	ex.ReadEn[0], ex.ReadEn[1] = true, true
-	ex.InputSel[0], ex.InputSel[1] = 0, 1
-	ex.ValidRst[0] = true
+	ex.Banks[0] = arch.BankCtl{ReadEn: true, ValidRst: true}
+	ex.Banks[1] = arch.BankCtl{ReadEn: true, InputSel: 1}
 
 	ex2 := b.Exec(cfg)
 	ex2.PEOps[0] = arch.PEBypassL
-	ex2.ReadEn[0] = true
-	ex2.InputSel[0] = 0
+	ex2.Banks[0].ReadEn = true
 	return validProgram(&b, cfg, ld, arch.Instr{Kind: arch.KindNop}, ex, ex2)
 }
 
@@ -316,9 +313,8 @@ func idlePEWriteProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
 	var b arch.Builder
 	ex := b.Exec(cfg)
-	ex.WriteEn[0] = true
-	ex.WriteSel[0] = 0
-	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{&ex}}
+	ex.Banks[0].WriteEn = true
+	return &arch.Program{Cfg: cfg, Instrs: []arch.Instr{ex}}
 }
 
 // deadResetProgram sets a valid_rst bit with no read anywhere: the bit
@@ -327,6 +323,6 @@ func deadResetProgram() *arch.Program {
 	cfg := arch.Config{D: 1, B: 2, R: 2, Output: arch.OutCrossbar}.Normalize()
 	var b arch.Builder
 	ex := b.Exec(cfg)
-	ex.ValidRst[0] = true
-	return &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{&ex}}
+	ex.Banks[0].ValidRst = true
+	return &arch.Program{Cfg: cfg, Instrs: []arch.Instr{ex}}
 }

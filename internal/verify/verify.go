@@ -312,10 +312,11 @@ func run(p *arch.Program, cfg arch.Config) ([]Finding, *analyzer) {
 	a := &analyzer{cfg: cfg, stored: make(map[int]struct{})}
 	a.walk = regfile.NewWalker[int32](cfg, a)
 	nop := &arch.Instr{Kind: arch.KindNop}
-	for pc, in := range p.Instrs {
+	for pc := range p.Instrs {
 		if a.truncated {
 			break
 		}
+		in := &p.Instrs[pc]
 		a.pc = pc
 		// An instruction that cannot be interpreted issues as a nop, so
 		// the cycle count stays aligned.

@@ -30,7 +30,7 @@ func TestDegenerateInputs(t *testing.T) {
 		t.Error("oversized register file must not verify")
 	}
 	// Unknown opcode.
-	p := &arch.Program{Cfg: cfg, Instrs: []*arch.Instr{{Kind: arch.Kind(250)}}}
+	p := &arch.Program{Cfg: cfg, Instrs: []arch.Instr{{Kind: arch.Kind(250)}}}
 	fs := verify.Program(p, cfg)
 	if !verify.HasErrors(fs) || fs[0].Class != verify.ClassResource {
 		t.Errorf("unknown opcode: want a resource error, got %v", fs)
@@ -50,7 +50,7 @@ func TestFindingsTruncated(t *testing.T) {
 	var b arch.Builder
 	for i := 0; i < 500; i++ {
 		ld := b.Load(cfg, cfg.DataMemWords) // every instruction out of bounds
-		p.Instrs = append(p.Instrs, &ld)
+		p.Instrs = append(p.Instrs, ld)
 	}
 	fs := verify.Program(&p, cfg)
 	if len(fs) >= 500 {
