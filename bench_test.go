@@ -576,7 +576,7 @@ func BenchmarkAblationDepth(b *testing.B) {
 	g := pc.Build(pc.Suite()[0], 0.25)
 	for _, d := range []int{1, 2, 3} {
 		b.Run([]string{"", "D1", "D2", "D3"}[d], func(b *testing.B) {
-			cfg := arch.Config{D: d, B: 64, R: 32, Output: arch.OutPerLayer}
+			cfg := arch.Config{D: d, B: 64, R: 32}
 			var cycles int
 			for i := 0; i < b.N; i++ {
 				c, err := compiler.Compile(g, cfg, compiler.Options{})

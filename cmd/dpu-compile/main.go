@@ -71,9 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	cfg := arch.Config{D: *d, B: *b, R: *r, Output: arch.OutPerLayer}
 	opts := compiler.Options{PartitionSize: *part}
-	c, err := compiler.Compile(g, cfg, opts)
+	c, err := compiler.Compile(g, arch.Config{D: *d, B: *b, R: *r}, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -90,12 +89,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	st := c.Stats
 	fmt.Fprintf(stdout, "workload:      %s (%d arithmetic nodes)\n", g.Name, st.Nodes)
-	fmt.Fprintf(stdout, "configuration: %v\n", cfg.Normalize())
+	fmt.Fprintf(stdout, "configuration: %v\n", c.Prog.Cfg)
 	fmt.Fprintf(stdout, "fingerprint:   %s\n", g.Fingerprint().Short())
 	fmt.Fprintf(stdout, "blocks:        %d (mean PE utilization %.2f, peak %.2f)\n", st.Blocks, st.MeanUtil, st.PeakUtil)
 	fmt.Fprintf(stdout, "instructions:  %d (exec %d, load %d, copy %d, store %d, nop %d)\n",
 		st.Instructions, st.Execs, st.Loads, st.Copies, st.Stores+st.SpillStores, st.Nops)
-	bound := sim.LowerBound(c.Graph, cfg)
+	bound := sim.LowerBound(c.Graph, c.Prog.Cfg)
 	fmt.Fprintf(stdout, "cycles:        %d (lower bound %d: max(%d op + %d leaf slots, %d latency) + drain)\n",
 		st.Cycles, bound.Cycles, bound.Ops, bound.Leaves, bound.Latency)
 	fmt.Fprintf(stdout, "conflicts:     %d repaired words (%d input, %d output moves)\n",

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var c *compiler.Compiled
-	var cfg arch.Config
 	if *artifactPath != "" {
 		// An artifact fixes the workload and configuration; accepting
 		// -workload/-d/-b/-r alongside it would silently report numbers
@@ -83,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		c = a.Compiled
-		cfg = c.Prog.Cfg
 		fmt.Fprintf(stdout, "artifact:    %s (fingerprint %s, format v%d)\n",
 			*artifactPath, a.Fingerprint.Short(), artifact.Version)
 	} else {
@@ -92,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		cfg = arch.Config{D: *d, B: *b, R: *r, Output: arch.OutPerLayer}
-		c, err = compiler.Compile(g, cfg, compiler.Options{})
+		c, err = compiler.Compile(g, arch.Config{D: *d, B: *b, R: *r}, compiler.Options{})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -112,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "verification FAILED:", err)
 		return 1
 	}
-	est := energy.EstimateRun(cfg, c.Stats.Nodes, res.Stats, c.Prog)
-	fmt.Fprintf(stdout, "workload:    %s, %d ops on %v\n", c.Graph.Name, c.Stats.Nodes, cfg.Normalize())
+	est := energy.EstimateRun(c.Prog.Cfg, c.Stats.Nodes, res.Stats, c.Prog)
+	fmt.Fprintf(stdout, "workload:    %s, %d ops on %v\n", c.Graph.Name, c.Stats.Nodes, c.Prog.Cfg)
 	fmt.Fprintf(stdout, "verified:    %d outputs match the reference evaluator exactly\n", len(res.Outputs))
 	fmt.Fprintf(stdout, "cycles:      %d (%d instructions + pipeline drain)\n", res.Stats.Cycles, c.Stats.Instructions)
 	fmt.Fprintf(stdout, "throughput:  %.3f GOPS at %d MHz\n", est.ThroughputGOP, energy.ClockMHz)

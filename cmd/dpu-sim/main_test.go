@@ -22,7 +22,7 @@ func writeArtifact(t *testing.T) string {
 	g := dag.New("cmdtest")
 	a, b := g.AddInput(), g.AddInput()
 	g.AddOp(dag.OpMul, g.AddOp(dag.OpAdd, a, b), g.AddConst(3))
-	c, err := compiler.Compile(g, arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}, compiler.Options{})
+	c, err := compiler.Compile(g, arch.Config{D: 2, B: 8, R: 16}, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,9 @@ const (
 func NewGraph(name string) *Graph { return dag.New(name) }
 
 // Config is a DPU-v2 hardware configuration (tree depth D, banks B,
-// registers per bank R, output interconnect).
+// registers per bank R, output interconnect). Its zero Output is the
+// per-layer interconnect the paper selects, and its zero DataMemWords the
+// default memory, so Config{D: 3, B: 64, R: 32} compiles as MinEDP().
 type Config = arch.Config
 
 // MinEDP returns the configuration the paper's design-space exploration

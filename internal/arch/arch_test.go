@@ -45,7 +45,7 @@ func TestDSEGridValidates(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		for _, b := range []int{8, 16, 32, 64} {
 			for _, r := range []int{16, 32, 64, 128} {
-				c := Config{D: d, B: b, R: r, Output: OutPerLayer}
+				c := Config{D: d, B: b, R: r}
 				if err := c.Validate(); err != nil {
 					t.Errorf("grid point %v: %v", c, err)
 				}
@@ -73,7 +73,7 @@ func TestPEIDRoundTrip(t *testing.T) {
 }
 
 func TestTreeStructure(t *testing.T) {
-	cfg := Config{D: 3, B: 16, R: 32, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 3, B: 16, R: 32}.Normalize()
 	root := PE{Tree: 1, Layer: 3, Index: 0}
 	l, r, ok := cfg.Children(root)
 	if !ok || l.Layer != 2 || r.Index != 1 {
@@ -120,7 +120,7 @@ func TestTreeStructure(t *testing.T) {
 }
 
 func TestPerLayerTopologyInvariants(t *testing.T) {
-	cfg := Config{D: 3, B: 32, R: 32, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 3, B: 32, R: 32}.Normalize()
 	for bank := 0; bank < cfg.B; bank++ {
 		perLayer := make(map[int]int)
 		for id := 0; id < cfg.NumPEs(); id++ {
@@ -203,7 +203,7 @@ func TestWriteSelRoundTrip(t *testing.T) {
 }
 
 func TestWriteSelRejectsIllegal(t *testing.T) {
-	cfg := Config{D: 3, B: 16, R: 32, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 3, B: 16, R: 32}.Normalize()
 	// Leaf PE 0 of tree 0 writes banks {0,1} only; bank 5 must fail.
 	if _, err := cfg.WriteSel(5, PE{Tree: 0, Layer: 1, Index: 0}); err == nil {
 		t.Fatal("expected illegal-write error")
@@ -214,7 +214,7 @@ func TestWidthsMatchPaperExample(t *testing.T) {
 	// Fig. 7 gives example lengths for D=3, B=16, R=32: nop=4, load=52,
 	// store=132, store_4=56, copy_4=72, exec=272. Our encoding is not
 	// bit-identical but must land in the same regime and ordering.
-	cfg := Config{D: 3, B: 16, R: 32, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 3, B: 16, R: 32}.Normalize()
 	w := WidthsOf(cfg)
 	if w.Nop != 3 && w.Nop != 4 {
 		t.Errorf("Nop width = %d", w.Nop)
@@ -389,7 +389,7 @@ func TestDecodeLengthsMatchWidths(t *testing.T) {
 }
 
 func TestInstrValidateCatchesErrors(t *testing.T) {
-	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 2, B: 8, R: 16}.Normalize()
 	var b Builder
 	in := b.Exec(cfg)
 	in.Banks[0] = BankCtl{ReadEn: true, ReadAddr: uint16(cfg.R)} // out of range
@@ -420,7 +420,7 @@ func TestInstrValidateCatchesErrors(t *testing.T) {
 // (Encode and the walker index it unchecked) and hold the exec-only
 // half, which the packed store does not carry, to zero.
 func TestStoreValidateChecksEveryShape(t *testing.T) {
-	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 2, B: 8, R: 16}.Normalize()
 	var b Builder
 	b.Append(Instr{Kind: KindStore, Banks: []BankCtl{{ReadEn: true}}})
 	if _, err := b.Program(cfg); err == nil {

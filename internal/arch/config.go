@@ -18,11 +18,11 @@ import "fmt"
 type OutputTopology uint8
 
 const (
-	// OutCrossbar is fig. 6(a): every PE can write every bank.
-	OutCrossbar OutputTopology = iota
 	// OutPerLayer is fig. 6(b), the design DPU-v2 selects: each bank is
 	// writable from exactly one PE per tree layer.
-	OutPerLayer
+	OutPerLayer OutputTopology = iota
+	// OutCrossbar is fig. 6(a): every PE can write every bank.
+	OutCrossbar
 	// OutPerPE is fig. 6(c): each bank is writable from exactly one PE
 	// (the root's bank group reaches only the root).
 	OutPerPE
@@ -30,10 +30,10 @@ const (
 
 func (o OutputTopology) String() string {
 	switch o {
-	case OutCrossbar:
-		return "crossbar"
 	case OutPerLayer:
 		return "per-layer"
+	case OutCrossbar:
+		return "crossbar"
 	case OutPerPE:
 		return "per-pe"
 	}
@@ -49,8 +49,8 @@ type Config struct {
 	// R is the number of registers per bank.
 	R int
 	// Output selects the output interconnect topology. Its zero value is
-	// OutCrossbar, which Normalize leaves as it is; the paper's choice is
-	// OutPerLayer.
+	// OutPerLayer, the paper's choice; a config names it only to select
+	// the crossbar or per-PE alternatives.
 	Output OutputTopology
 	// DataMemWords is the capacity of the on-chip data memory in words.
 	// Zero means the 256K-word default (1 MB at 4 B/word), enough to hold
@@ -144,24 +144,24 @@ func (c Config) Drain() int { return c.D + 1 }
 // MinEDP returns the design-space point the paper's exploration selects
 // (D=3, B=64, R=32, per-layer output interconnect).
 func MinEDP() Config {
-	return Config{D: 3, B: 64, R: 32, Output: OutPerLayer}.Normalize()
+	return Config{D: 3, B: 64, R: 32}.Normalize()
 }
 
 // MinEnergy returns the paper's minimum-energy point (D=3, B=16, R=64).
 func MinEnergy() Config {
-	return Config{D: 3, B: 16, R: 64, Output: OutPerLayer}.Normalize()
+	return Config{D: 3, B: 16, R: 64}.Normalize()
 }
 
 // MinLatency returns the paper's minimum-latency point (D=3, B=64, R=128).
 func MinLatency() Config {
-	return Config{D: 3, B: 64, R: 128, Output: OutPerLayer}.Normalize()
+	return Config{D: 3, B: 64, R: 128}.Normalize()
 }
 
 // Large returns the DPU-v2 (L) configuration used for the large-PC
 // comparison (§V-C2): min-EDP datapath with 256 registers per bank and a
 // larger data memory (4M words) backing the multi-million-node PCs.
 func Large() Config {
-	return Config{D: 3, B: 64, R: 256, Output: OutPerLayer, DataMemWords: 1 << 22}.Normalize()
+	return Config{D: 3, B: 64, R: 256, DataMemWords: 1 << 22}.Normalize()
 }
 
 // String renders the config like the paper's "D, B, R" tuples.

@@ -16,7 +16,6 @@ import (
 //
 // "!" marks valid_rst (last read frees the register).
 func Disassemble(in *Instr, cfg Config) string {
-	cfg = cfg.Normalize()
 	var b strings.Builder
 	switch in.Kind {
 	case KindNop:

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDisassembleKinds(t *testing.T) {
-	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 2, B: 8, R: 16}.Normalize()
 	if got := Disassemble(&Instr{Kind: KindNop}, cfg); got != "nop" {
 		t.Errorf("nop = %q", got)
 	}
@@ -37,7 +37,7 @@ func TestDisassembleKinds(t *testing.T) {
 }
 
 func TestDisassembleProgramOffsets(t *testing.T) {
-	cfg := Config{D: 2, B: 8, R: 16, Output: OutPerLayer}.Normalize()
+	cfg := Config{D: 2, B: 8, R: 16}.Normalize()
 	var b Builder
 	b.Append(Instr{Kind: KindNop})
 	ld := b.Load(cfg, 0)

@@ -54,16 +54,16 @@ func TestCodecAcrossGrid(t *testing.T) {
 // way the hardware does: wider register files need longer addresses,
 // more banks need more crossbar selects, deeper trees more PE fields.
 func TestWidthsMonotoneInParameters(t *testing.T) {
-	base := WidthsOf(Config{D: 2, B: 16, R: 32, Output: OutPerLayer})
-	moreR := WidthsOf(Config{D: 2, B: 16, R: 128, Output: OutPerLayer})
+	base := WidthsOf(Config{D: 2, B: 16, R: 32})
+	moreR := WidthsOf(Config{D: 2, B: 16, R: 128})
 	if moreR.Exec <= base.Exec || moreR.ReadAddr <= base.ReadAddr {
 		t.Error("exec length must grow with R")
 	}
-	moreB := WidthsOf(Config{D: 2, B: 64, R: 32, Output: OutPerLayer})
+	moreB := WidthsOf(Config{D: 2, B: 64, R: 32})
 	if moreB.Exec <= base.Exec || moreB.Load <= base.Load {
 		t.Error("exec/load length must grow with B")
 	}
-	deeper := WidthsOf(Config{D: 3, B: 16, R: 32, Output: OutPerLayer})
+	deeper := WidthsOf(Config{D: 3, B: 16, R: 32})
 	if deeper.Exec <= base.Exec {
 		t.Error("exec length must grow with D (more PEs)")
 	}

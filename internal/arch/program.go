@@ -6,6 +6,8 @@ import "fmt"
 // list (decoded form) plus the initial data-memory image holding DAG
 // inputs and constants. The packed binary is produced by Pack.
 type Program struct {
+	// Cfg is normalized (Config.Normalize): NewProgram and Unpack fill
+	// its defaults, so a reader of a program's config need not.
 	Cfg    Config
 	W      Widths
 	Instrs []Instr

@@ -17,7 +17,7 @@
 //
 //	offset  size  field
 //	0       8     magic "\x7fDPUPROG"
-//	8       2     format version (currently 4)
+//	8       2     format version (currently 5)
 //	10      4     CRC-32C (Castagnoli) of the payload
 //	14      8     payload length in bytes
 //	22      …     payload
@@ -70,7 +70,7 @@ import (
 // Version is the current format version. Bump it on any payload layout
 // change so stale artifacts fail with ErrVersion instead of decoding
 // into garbage.
-const Version = 4
+const Version = 5
 
 // magic opens every artifact; the non-ASCII first byte keeps text tools
 // from mangling the file.

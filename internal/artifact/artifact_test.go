@@ -31,7 +31,7 @@ import (
 // in the package comment.
 var update = flag.Bool("update", false, "rewrite golden .dpuprog fixtures")
 
-var testCfg = arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
+var testCfg = arch.Config{D: 2, B: 8, R: 16}
 
 // testArtifact compiles a small deterministic DAG (structure varies
 // with seed) into an artifact.
@@ -567,12 +567,12 @@ func TestEncodeDecodeBoundsAgree(t *testing.T) {
 // check would fail too, on truncation: the error must name the config.
 func TestDecodeRejectsAbsurdConfigBeforeAllocating(t *testing.T) {
 	for _, cfg := range []arch.Config{
-		{D: 1, B: 1 << 40, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 18},
-		{D: 1, B: 2, R: 1 << 40, Output: arch.OutPerLayer, DataMemWords: 1 << 18},
-		{D: 1, B: 2, R: 2, Output: arch.OutPerLayer, DataMemWords: 1 << 40},
+		{D: 1, B: 1 << 40, R: 2, DataMemWords: 1 << 18},
+		{D: 1, B: 2, R: 1 << 40, DataMemWords: 1 << 18},
+		{D: 1, B: 2, R: 2, DataMemWords: 1 << 40},
 		// Past the serving bound, which /execute rejects, though an
 		// allocation this size would succeed.
-		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer, DataMemWords: 1 << 25},
+		{D: 3, B: 64, R: 32, DataMemWords: 1 << 25},
 	} {
 		var e enc
 		e.config(cfg)

@@ -43,7 +43,7 @@ func KeyFor(fp dag.Fingerprint, cfg arch.Config, opts compiler.Options) Key {
 // with Version, so a file of an older format lives at an address no
 // current key names and is never read as this build's artifact; the
 // revision in the key does the same for another compiler's program.
-const keyDomain = "dpuv2/artifact/key/v4"
+const keyDomain = "dpuv2/artifact/key/v5"
 
 // ID returns the key's stable hex content address, the store filename
 // stem. It hashes the artifact payload's own identity section, so it is
@@ -152,7 +152,7 @@ func (s *Store) GetServing(k Key, verified func(Digest) bool) (*Artifact, error)
 // Key returns the artifact's own content address, derived from its
 // embedded fingerprint, configuration, options and compiler revision.
 func (a *Artifact) Key() Key {
-	return Key{Fingerprint: a.Fingerprint, Config: a.Compiled.Prog.Cfg.Normalize(), Options: a.Options, Revision: a.Compiled.Revision}
+	return Key{Fingerprint: a.Fingerprint, Config: a.Compiled.Prog.Cfg, Options: a.Options, Revision: a.Compiled.Revision}
 }
 
 // Remove deletes the artifact stored under k; a missing file is not an

@@ -62,13 +62,13 @@ func TestStoreKeyAddressing(t *testing.T) {
 	}
 	// Config normalization folds into the address: a zero DataMemWords
 	// addresses the same artifact as the explicit default.
-	implicit := KeyFor(a.Fingerprint, arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}, a.Options)
+	implicit := KeyFor(a.Fingerprint, arch.Config{D: 2, B: 8, R: 16}, a.Options)
 	if implicit.ID() != k.ID() {
 		t.Error("normalized and unnormalized configs address different artifacts")
 	}
 	variants := []Key{
 		KeyFor(testArtifact(t, 2).Fingerprint, a.Compiled.Prog.Cfg, a.Options),
-		KeyFor(a.Fingerprint, arch.Config{D: 2, B: 8, R: 32, Output: arch.OutPerLayer}, a.Options),
+		KeyFor(a.Fingerprint, arch.Config{D: 2, B: 8, R: 32}, a.Options),
 		KeyFor(a.Fingerprint, a.Compiled.Prog.Cfg, compiler.Options{RandomBanks: true}),
 		{Fingerprint: k.Fingerprint, Config: k.Config, Options: k.Options, Revision: k.Revision + 1},
 	}

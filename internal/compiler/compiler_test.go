@@ -50,7 +50,7 @@ func TestDecomposeInvariants(t *testing.T) {
 		cfg  arch.Config
 		opts Options
 	}
-	cases := []tcase{{testGraph(5, 800), arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}, Options{}}}
+	cases := []tcase{{testGraph(5, 800), arch.Config{D: 3, B: 16, R: 32}, Options{}}}
 	for _, shape := range []dag.RandomConfig{
 		{Inputs: 6, Interior: 120, MaxArgs: 2, MulFrac: 0.3, Window: 8, Seed: 1},   // deep
 		{Inputs: 60, Interior: 240, MaxArgs: 4, MulFrac: 0.6, Seed: 2},             // wide
@@ -60,7 +60,7 @@ func TestDecomposeInvariants(t *testing.T) {
 		for _, cfg := range []arch.Config{
 			{D: 1, B: 16, R: 16, Output: arch.OutCrossbar},
 			{D: 2, B: 8, R: 24, Output: arch.OutPerPE},
-			{D: 3, B: 32, R: 16, Output: arch.OutPerLayer},
+			{D: 3, B: 32, R: 16},
 		} {
 			for _, opts := range []Options{
 				{},
@@ -152,7 +152,7 @@ func checkDecomposition(t *testing.T, ci int, g *dag.Graph, cfg arch.Config, blo
 // Expansion invariants: ports feed leaf PEs consistently, every
 // non-idle PE has live operands, outputs have writable PEs.
 func TestExpandInvariants(t *testing.T) {
-	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}.Normalize()
+	cfg := arch.Config{D: 3, B: 16, R: 32}.Normalize()
 	g := testGraph(7, 500)
 	blocks := decomposeFor(t, g, cfg)
 	exp := new(expansion)
@@ -197,7 +197,7 @@ func TestExpandInvariants(t *testing.T) {
 // conflict-aware allocator produces far fewer violations of F/G than
 // random assignment.
 func TestBankAllocationRespectsHardware(t *testing.T) {
-	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}.Normalize()
+	cfg := arch.Config{D: 3, B: 16, R: 32}.Normalize()
 	g := testGraph(9, 600)
 	blocks := decomposeFor(t, g, cfg)
 	exp := new(expansion)
@@ -241,7 +241,7 @@ func TestConflictAwareBeatsRandom(t *testing.T) {
 	// Fig. 10(b): the paper reports ~292× fewer conflicts than random
 	// allocation; the exact factor depends on the workload, but ours must
 	// be at least an order of magnitude.
-	cfg := arch.Config{D: 3, B: 32, R: 64, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 3, B: 32, R: 64}
 	g := pc.Build(pc.Suite()[0], 0.25)
 	ours := countConflicts(t, g, cfg, false)
 	random := countConflicts(t, g, cfg, true)
@@ -251,8 +251,8 @@ func TestConflictAwareBeatsRandom(t *testing.T) {
 }
 
 func TestCompileDeterministic(t *testing.T) {
-	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}
-	tight := arch.Config{D: 3, B: 16, R: 6, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 3, B: 16, R: 32}
+	tight := arch.Config{D: 3, B: 16, R: 6}
 	tretail := pc.Build(pc.Suite()[0], 0.25)
 	for _, p := range cutSpaces {
 		t.Run(p.name, func(t *testing.T) {
@@ -313,7 +313,7 @@ func TestCompileRejectsOneToOne(t *testing.T) {
 
 func TestCompileRejectsTooManyBanks(t *testing.T) {
 	g := testGraph(1, 50)
-	_, err := Compile(g, arch.Config{D: 3, B: 128, R: 16, Output: arch.OutPerLayer}, Options{})
+	_, err := Compile(g, arch.Config{D: 3, B: 128, R: 16}, Options{})
 	if err == nil {
 		t.Fatal("expected rejection of B>64")
 	}
@@ -339,7 +339,7 @@ func TestCompileTinyRegisterFileFails(t *testing.T) {
 	// R=2 cannot hold even one block's inputs; the compiler must fail
 	// with a diagnostic rather than emit a wrong program.
 	g := testGraph(13, 200)
-	_, err := Compile(g, arch.Config{D: 3, B: 16, R: 2, Output: arch.OutPerLayer}, Options{})
+	_, err := Compile(g, arch.Config{D: 3, B: 16, R: 2}, Options{})
 	if err == nil {
 		t.Skip("R=2 compiled successfully (unusually small working set)")
 	}
@@ -348,7 +348,7 @@ func TestCompileTinyRegisterFileFails(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	g := testGraph(15, 600)
-	cfg := arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 3, B: 16, R: 32}
 	c, err := Compile(g, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestProgramSizeReduction(t *testing.T) {
 	// §III-B: automatic write addressing should save on the order of 30%
 	// program size versus explicit write addresses.
 	g := pc.Build(pc.Suite()[0], 0.25)
-	c, err := Compile(g, arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}, Options{})
+	c, err := Compile(g, arch.Config{D: 3, B: 16, R: 32}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestEmissionGolden(t *testing.T) {
 		cfg  arch.Config
 	}{
 		{"minEDP", arch.MinEDP()},
-		{"spill", arch.Config{D: 2, B: 8, R: 6, Output: arch.OutPerLayer}},
+		{"spill", arch.Config{D: 2, B: 8, R: 6}},
 		{"crossbar", arch.Config{D: 3, B: 32, R: 32, Output: arch.OutCrossbar}},
 	}
 	want := map[string]uint64{

@@ -23,7 +23,7 @@ func Grid() []arch.Config {
 	for _, d := range []int{1, 2, 3} {
 		for _, b := range []int{8, 16, 32, 64} {
 			for _, r := range []int{16, 32, 64, 128} {
-				cfgs = append(cfgs, arch.Config{D: d, B: b, R: r, Output: arch.OutPerLayer})
+				cfgs = append(cfgs, arch.Config{D: d, B: b, R: r})
 			}
 		}
 	}

@@ -85,9 +85,9 @@ func TestEvaluateMatchesSimulation(t *testing.T) {
 func TestSweepAndBest(t *testing.T) {
 	suite := smallSuite()
 	cfgs := []arch.Config{
-		{D: 1, B: 8, R: 32, Output: arch.OutPerLayer},
-		{D: 2, B: 16, R: 32, Output: arch.OutPerLayer},
-		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer},
+		{D: 1, B: 8, R: 32},
+		{D: 2, B: 16, R: 32},
+		{D: 3, B: 64, R: 32},
 	}
 	points := SweepParallel(suite, cfgs, compiler.Options{}, 0)
 	if len(points) != len(cfgs) {
@@ -153,12 +153,12 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	// A slice of the real grid plus a deliberately infeasible point so
 	// the comparison covers the error-capture path.
 	cfgs := []arch.Config{
-		{D: 1, B: 8, R: 32, Output: arch.OutPerLayer},
-		{D: 2, B: 16, R: 32, Output: arch.OutPerLayer},
+		{D: 1, B: 8, R: 32},
+		{D: 2, B: 16, R: 32},
 		{D: 2, B: 16, R: 64, Output: arch.OutCrossbar},
-		{D: 3, B: 32, R: 16, Output: arch.OutPerLayer},
-		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer},
-		{D: 3, B: 8, R: 2, Output: arch.OutPerLayer}, // likely infeasible: tiny R
+		{D: 3, B: 32, R: 16},
+		{D: 3, B: 64, R: 32},
+		{D: 3, B: 8, R: 2}, // likely infeasible: tiny R
 	}
 	serial := SweepParallel(suite, cfgs, compiler.Options{}, 1)
 	for _, workers := range []int{2, 4, len(cfgs) + 3} {
@@ -190,9 +190,9 @@ func samePoint(a, b Point) bool {
 func TestSweepMatchesPerPoint(t *testing.T) {
 	suite := smallSuite()
 	cfgs := append(Grid(),
-		arch.Config{D: 1, B: 8, R: 1, Output: arch.OutPerLayer},
-		arch.Config{D: 3, B: 128, R: 16, Output: arch.OutPerLayer},
-		arch.Config{D: 3, B: 128, R: 32, Output: arch.OutPerLayer},
+		arch.Config{D: 1, B: 8, R: 1},
+		arch.Config{D: 3, B: 128, R: 16},
+		arch.Config{D: 3, B: 128, R: 32},
 		arch.Config{D: 2, B: 16, R: 64, Output: arch.OutCrossbar},
 		arch.Config{D: 2, B: 16, R: 16, Output: arch.OutCrossbar},
 	)
@@ -231,7 +231,7 @@ func TestMetricValueReadsPointFields(t *testing.T) {
 func TestInfeasiblePointReported(t *testing.T) {
 	// A graph with a huge working set cannot compile at tiny R.
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 400, Interior: 3000, MaxArgs: 2, MulFrac: 0.5, Seed: 2})
-	points := SweepParallel([]*dag.Graph{g}, []arch.Config{{D: 3, B: 8, R: 2, Output: arch.OutPerLayer}}, compiler.Options{}, 0)
+	points := SweepParallel([]*dag.Graph{g}, []arch.Config{{D: 3, B: 8, R: 2}}, compiler.Options{}, 0)
 	if len(points) != 1 {
 		t.Fatal("want one point")
 	}
@@ -258,6 +258,7 @@ func TestBestTieBreakIsCanonical(t *testing.T) {
 		mk(2, 16, 8, arch.OutPerPE, 0, 5),
 		mk(2, 16, 8, arch.OutPerLayer, 1<<20, 5),
 		mk(2, 16, 8, arch.OutPerLayer, 0, 5), // canonical winner
+		mk(2, 16, 8, arch.OutCrossbar, 0, 5), // its crossbar twin: the paper's design wins the tie
 		mk(2, 64, 8, arch.OutPerLayer, 0, 5),
 		mk(1, 8, 16, arch.OutPerLayer, 0, 7), // worse score, better order: must lose
 	}

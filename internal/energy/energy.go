@@ -150,7 +150,6 @@ var refActivity = Activity{PEUtil: 0.55, RegTraffic: 0.45, MemTraffic: 0.08, Fet
 
 // ActivityOf derives activity factors from a simulation.
 func ActivityOf(cfg arch.Config, st sim.Stats, prog *arch.Program) Activity {
-	cfg = cfg.Normalize()
 	cyc := float64(st.Cycles)
 	if cyc == 0 {
 		cyc = 1
@@ -212,7 +211,6 @@ type Estimate struct {
 // Estimate combines simulator statistics with the component model.
 // ops is the number of DAG arithmetic operations (the paper's "OPS").
 func EstimateRun(cfg arch.Config, ops int, st sim.Stats, prog *arch.Program) Estimate {
-	cfg = cfg.Normalize()
 	b := Model(cfg)
 	act := ActivityOf(cfg, st, prog)
 	power := 0.0

@@ -25,7 +25,7 @@ func TestModelMatchesTableII(t *testing.T) {
 }
 
 func TestScalingDirections(t *testing.T) {
-	small := Model(arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer})
+	small := Model(arch.Config{D: 3, B: 16, R: 32})
 	big := Model(arch.MinEDP()) // B=64
 	if small.PowerMW[PEs] >= big.PowerMW[PEs] {
 		t.Error("PE power should grow with B (more trees)")
@@ -33,11 +33,11 @@ func TestScalingDirections(t *testing.T) {
 	if small.AreaMM2[InputXbar] >= big.AreaMM2[InputXbar] {
 		t.Error("crossbar area should grow superlinearly with B")
 	}
-	moreR := Model(arch.Config{D: 3, B: 64, R: 128, Output: arch.OutPerLayer})
+	moreR := Model(arch.Config{D: 3, B: 64, R: 128})
 	if moreR.PowerMW[RFBanks] <= big.PowerMW[RFBanks] {
 		t.Error("bank power should grow with R")
 	}
-	deeper := Model(arch.Config{D: 2, B: 64, R: 32, Output: arch.OutPerLayer})
+	deeper := Model(arch.Config{D: 2, B: 64, R: 32})
 	if deeper.AreaMM2[PEs] <= 0 {
 		t.Error("degenerate PE area")
 	}
@@ -159,7 +159,7 @@ func TestRankingStability(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		for _, b := range []int{8, 16, 32, 64} {
 			for _, r := range []int{16, 32, 64, 128} {
-				grid = append(grid, arch.Config{D: d, B: b, R: r, Output: arch.OutPerLayer})
+				grid = append(grid, arch.Config{D: d, B: b, R: r})
 			}
 		}
 	}
@@ -212,15 +212,15 @@ func TestRankingStability(t *testing.T) {
 // any of them in its config field.
 func offGridCandidates() []arch.Config {
 	return []arch.Config{
-		{D: 4, B: 32, R: 8, Output: arch.OutPerLayer},
-		{D: 4, B: 64, R: 16, Output: arch.OutPerLayer},
-		{D: 4, B: 128, R: 32, Output: arch.OutPerLayer},
-		{D: 5, B: 32, R: 64, Output: arch.OutPerLayer},
-		{D: 5, B: 64, R: 16, Output: arch.OutPerLayer},
-		{D: 6, B: 64, R: 8, Output: arch.OutPerLayer},
-		{D: 6, B: 128, R: 256, Output: arch.OutPerLayer},
-		{D: 1, B: 4, R: 8, Output: arch.OutPerLayer},
-		{D: 2, B: 4, R: 256, Output: arch.OutPerLayer},
+		{D: 4, B: 32, R: 8},
+		{D: 4, B: 64, R: 16},
+		{D: 4, B: 128, R: 32},
+		{D: 5, B: 32, R: 64},
+		{D: 5, B: 64, R: 16},
+		{D: 6, B: 64, R: 8},
+		{D: 6, B: 128, R: 256},
+		{D: 1, B: 4, R: 8},
+		{D: 2, B: 4, R: 256},
 		{D: 3, B: 64, R: 32, Output: arch.OutPerPE},
 		{D: 2, B: 16, R: 16, Output: arch.OutCrossbar},
 	}
@@ -236,7 +236,7 @@ func TestRankingStabilityOffGrid(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		for _, b := range []int{8, 16, 32, 64} {
 			for _, r := range []int{16, 32, 64, 128} {
-				cfgs = append(cfgs, arch.Config{D: d, B: b, R: r, Output: arch.OutPerLayer})
+				cfgs = append(cfgs, arch.Config{D: d, B: b, R: r})
 			}
 		}
 	}

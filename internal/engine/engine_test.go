@@ -144,7 +144,7 @@ func TestCompileCacheLRUEviction(t *testing.T) {
 func TestCompileFailureSurfacesAndIsNotCached(t *testing.T) {
 	e := New(Options{})
 	g := testGraph(1)
-	bad := arch.Config{D: 2, B: 6, R: 16, Output: arch.OutPerLayer} // B not a multiple of 2^D
+	bad := arch.Config{D: 2, B: 6, R: 16} // B not a multiple of 2^D
 	if _, err := e.Compile(g, bad, compiler.Options{}); err == nil {
 		t.Fatal("expected compile failure for B=6 at D=2")
 	}

@@ -285,19 +285,21 @@ func TestPreloadToleratesOtherFormatVersions(t *testing.T) {
 
 // TestUpgradeFromV1Store (named when v1 was the only older format): a
 // store written by a build of an older format (v1, whose options
-// carried three more fields; v2, which stored the dense memory image)
-// is skipped, not counted as damage. For each, Open leaves the old file
-// alone, Preload caches nothing and raises no error, and the first
-// request for the file's graph compiles once and persists a current
-// artifact at its own key beside the untouched old file.
+// carried three more fields; v2, which stored the dense memory image;
+// v3, whose config carried a clock and options a seed; v4, which
+// numbered the crossbar output topology 0) is skipped, not counted as
+// damage. For each, Open leaves the old file alone, Preload caches
+// nothing and raises no error, and the first request for the file's
+// graph compiles once and persists a current artifact at its own key
+// beside the untouched old file.
 func TestUpgradeFromV1Store(t *testing.T) {
 	// The graph and config every old fixture was compiled from. The old
 	// fixtures' options also held a seed (7), which options no longer
 	// carry: their programs are still legal, under a key no request forms.
 	g := pc.Build(pc.Suite()[0], 0.01)
-	cfg := arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 2, B: 8, R: 16}
 	opts := compiler.Options{}
-	for _, version := range []string{"v1", "v2", "v3"} {
+	for _, version := range []string{"v1", "v2", "v3", "v4"} {
 		t.Run(version, func(t *testing.T) {
 			old, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", version, "pc_small.dpuprog"))
 			if err != nil {

@@ -139,7 +139,7 @@ func (r *Runner) Fig10cd() (*Table, error) {
 		name string
 		r    int
 	}{{"without spilling", 256}, {"with spilling", 32}} {
-		cfg := arch.Config{D: 3, B: 64, R: variant.r, Output: arch.OutPerLayer}
+		cfg := arch.Config{D: 3, B: 64, R: variant.r}
 		c, err := compiler.Compile(w.graph, cfg, compiler.Options{})
 		if err != nil {
 			return nil, err

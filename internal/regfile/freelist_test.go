@@ -107,13 +107,13 @@ func TestFreeListMatchesLinearScanOnTrace(t *testing.T) {
 		{
 			// R=65 straddles a bitmap word boundary.
 			"wordBoundary",
-			arch.Config{D: 2, B: 8, R: 65, Output: arch.OutPerLayer},
+			arch.Config{D: 2, B: 8, R: 65},
 			dag.RandomConfig{Inputs: 24, Interior: 400, MaxArgs: 3, MulFrac: 0.5, Seed: 41},
 		},
 		{
 			// Tiny R forces spilling, churning frees and reallocations.
 			"spilling",
-			arch.Config{D: 2, B: 8, R: 6, Output: arch.OutPerLayer},
+			arch.Config{D: 2, B: 8, R: 6},
 			dag.RandomConfig{Inputs: 20, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Seed: 42},
 		},
 		{

@@ -80,7 +80,6 @@ type Walker[P any] struct {
 
 // NewWalker returns a walker at cycle 0 with an empty register file.
 func NewWalker[P any](cfg arch.Config, sem Semantics[P]) *Walker[P] {
-	cfg = cfg.Normalize()
 	return &Walker[P]{
 		cfg:      cfg,
 		wire:     cfg.Wiring(),

@@ -187,7 +187,7 @@ func TestWalkerStopsOnHazardError(t *testing.T) {
 // positive and never past R.
 func TestOccupancyTraceAndPeak(t *testing.T) {
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 16, Interior: 200, MaxArgs: 3, MulFrac: 0.5, Seed: 23})
-	cfg := arch.Config{D: 2, B: 8, R: 32, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 2, B: 8, R: 32}
 	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)

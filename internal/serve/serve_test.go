@@ -131,7 +131,8 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 // the datapath alone, so two /execute bodies for one graph that differ
 // only in a clock and a compiler seed (fields the request does not have,
 // which the server ignores as encoding/json does any unknown field)
-// compile once and get byte-identical answers.
+// compile once and get byte-identical answers, served on the per-layer
+// datapath a config naming only D, B and R means.
 func TestExecuteIgnoresClockAndSeed(t *testing.T) {
 	s, srv := newTestServer(t, Options{})
 	const graph = `"input\ninput\nadd 0 1\nconst 3\nmul 2 3\n"`
@@ -151,6 +152,13 @@ func TestExecuteIgnoresClockAndSeed(t *testing.T) {
 	}
 	if !bytes.Equal(answers[0], answers[1]) {
 		t.Errorf("answers differ:\n%s\n%s", answers[0], answers[1])
+	}
+	var out ExecuteResponse
+	if err := json.Unmarshal(answers[0], &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "D=2,B=8,R=16,per-layer"; out.Config != want {
+		t.Errorf("served on %q, want %q", out.Config, want)
 	}
 	if st := s.Stats().Engine; st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("engine misses %d, hits %d; want 1, 1", st.Misses, st.Hits)

@@ -13,7 +13,7 @@ import (
 // simulator is the safety net for the whole codec path.
 func TestCorruptedBinaryRejectedOrDetected(t *testing.T) {
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 10, Interior: 120, MaxArgs: 3, MulFrac: 0.5, Seed: 41})
-	cfg := arch.Config{D: 2, B: 16, R: 32, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 2, B: 16, R: 32}
 	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)

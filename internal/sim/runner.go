@@ -35,7 +35,7 @@ func Run(c *compiler.Compiled, inputs []float64) (*Result, error) {
 	if len(inputs) != len(c.InputWord) {
 		return nil, fmt.Errorf("sim: %d inputs provided, graph has %d", len(inputs), len(c.InputWord))
 	}
-	cfg := c.Prog.Cfg.Normalize()
+	cfg := c.Prog.Cfg
 	pool, ok := machines.Load(cfg)
 	if !ok {
 		pool, _ = machines.LoadOrStore(cfg, new(sync.Pool))

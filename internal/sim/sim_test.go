@@ -53,7 +53,7 @@ func TestTinyChain(t *testing.T) {
 	c := g.AddConst(3)
 	s := g.AddOp(dag.OpAdd, a, b)
 	g.AddOp(dag.OpMul, s, c)
-	compileAndVerify(t, g, arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}, 1)
+	compileAndVerify(t, g, arch.Config{D: 2, B: 8, R: 16}, 1)
 }
 
 func TestSingleNode(t *testing.T) {
@@ -61,7 +61,7 @@ func TestSingleNode(t *testing.T) {
 	a := g.AddInput()
 	b := g.AddInput()
 	g.AddOp(dag.OpMul, a, b)
-	compileAndVerify(t, g, arch.Config{D: 1, B: 8, R: 16, Output: arch.OutPerLayer}, 2)
+	compileAndVerify(t, g, arch.Config{D: 1, B: 8, R: 16}, 2)
 }
 
 func TestLeafSink(t *testing.T) {
@@ -72,7 +72,7 @@ func TestLeafSink(t *testing.T) {
 	b := g.AddInput()
 	g.AddOp(dag.OpAdd, a, b)
 	g.AddInput() // dangling input, also a sink
-	compileAndVerify(t, g, arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerLayer}, 3)
+	compileAndVerify(t, g, arch.Config{D: 2, B: 8, R: 16}, 3)
 }
 
 func TestSharedFanout(t *testing.T) {
@@ -88,7 +88,7 @@ func TestSharedFanout(t *testing.T) {
 		outs = append(outs, g.AddOp(dag.OpMul, s, c))
 	}
 	g.AddOp(dag.OpAdd, outs...)
-	compileAndVerify(t, g, arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}, 4)
+	compileAndVerify(t, g, arch.Config{D: 3, B: 16, R: 32}, 4)
 }
 
 func TestDeepChain(t *testing.T) {
@@ -101,16 +101,16 @@ func TestDeepChain(t *testing.T) {
 		c := g.AddConst(1.0 + 1.0/float64(i+1))
 		cur = g.AddOp(dag.OpMul, cur, c)
 	}
-	compileAndVerify(t, g, arch.Config{D: 3, B: 16, R: 32, Output: arch.OutPerLayer}, 5)
+	compileAndVerify(t, g, arch.Config{D: 3, B: 16, R: 32}, 5)
 }
 
 func TestRandomGraphsAcrossConfigs(t *testing.T) {
 	cfgs := []arch.Config{
-		{D: 1, B: 8, R: 16, Output: arch.OutPerLayer},
-		{D: 2, B: 8, R: 16, Output: arch.OutPerLayer},
+		{D: 1, B: 8, R: 16},
+		{D: 2, B: 8, R: 16},
 		{D: 2, B: 16, R: 32, Output: arch.OutCrossbar},
-		{D: 3, B: 16, R: 32, Output: arch.OutPerLayer},
-		{D: 3, B: 64, R: 32, Output: arch.OutPerLayer}, // min-EDP point
+		{D: 3, B: 16, R: 32},
+		{D: 3, B: 64, R: 32}, // min-EDP point
 		{D: 3, B: 32, R: 64, Output: arch.OutPerPE},
 	}
 	for ci, cfg := range cfgs {
@@ -131,7 +131,7 @@ func TestRandomGraphsAcrossConfigs(t *testing.T) {
 func TestSpillingSmallR(t *testing.T) {
 	// R=4 forces heavy spilling; results must still be exact.
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 30, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Seed: 9})
-	cfg := arch.Config{D: 2, B: 8, R: 4, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 2, B: 8, R: 4}
 	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -146,7 +146,7 @@ func TestSpillingSmallR(t *testing.T) {
 
 func TestRandomBankAllocationStillCorrect(t *testing.T) {
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 20, Interior: 300, MaxArgs: 3, MulFrac: 0.5, Seed: 11})
-	cfg := arch.Config{D: 3, B: 16, R: 64, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 3, B: 16, R: 64}
 	c, err := compiler.Compile(g, cfg, compiler.Options{RandomBanks: true})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -200,7 +200,7 @@ func TestPackedProgramRoundTripExecutes(t *testing.T) {
 	// Execute from the packed binary (decode path) and compare with the
 	// decoded-form execution.
 	g := dag.RandomGraph(dag.RandomConfig{Inputs: 12, Interior: 150, MaxArgs: 3, MulFrac: 0.5, Seed: 17})
-	cfg := arch.Config{D: 2, B: 16, R: 32, Output: arch.OutPerLayer}
+	cfg := arch.Config{D: 2, B: 16, R: 32}
 	c, err := compiler.Compile(g, cfg, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func runInstrs(cfg arch.Config, instrs ...arch.Instr) error {
 }
 
 func TestMachineRejectsInvalidRead(t *testing.T) {
-	cfg := arch.Config{D: 1, B: 8, R: 8, Output: arch.OutPerLayer}.Normalize()
+	cfg := arch.Config{D: 1, B: 8, R: 8}.Normalize()
 	var b arch.Builder
 	in := b.Exec(cfg)
 	in.PEOps[0] = arch.PEAdd // leaf PE of tree 0 reads ports 0,1
@@ -257,7 +257,7 @@ func TestMachineRejectsInvalidRead(t *testing.T) {
 }
 
 func TestMachineRejectsDoubleWrite(t *testing.T) {
-	cfg := arch.Config{D: 1, B: 8, R: 8, Output: arch.OutPerLayer}.Normalize()
+	cfg := arch.Config{D: 1, B: 8, R: 8}.Normalize()
 	var b arch.Builder
 	in := b.Load(cfg, 0)
 	in.Mask[3] = true
@@ -281,7 +281,7 @@ func TestMachineRejectsDoubleWrite(t *testing.T) {
 }
 
 func TestMachineRejectsBankOverflow(t *testing.T) {
-	cfg := arch.Config{D: 1, B: 8, R: 2, Output: arch.OutPerLayer}.Normalize()
+	cfg := arch.Config{D: 1, B: 8, R: 2}.Normalize()
 	var b arch.Builder
 	ld := b.Load(cfg, 0)
 	ld.Mask[0] = true

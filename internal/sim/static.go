@@ -29,7 +29,7 @@ import (
 // internal/verify (and so runs to completion: a machine that faults
 // mid-program has counted only a prefix).
 func StaticStats(p *arch.Program) Stats {
-	cfg := p.Cfg.Normalize()
+	cfg := p.Cfg
 	perTree, leaves := (1<<uint(cfg.D))-1, 1<<uint(cfg.D-1)
 	st := Stats{Cycles: len(p.Instrs) + cfg.Drain()}
 	for i := range p.Instrs {
@@ -108,7 +108,6 @@ type Bound struct {
 // LowerBound returns the Bound of g (binarized, as Compiled.Graph is) on
 // cfg.
 func LowerBound(g *dag.Graph, cfg arch.Config) Bound {
-	cfg = cfg.Normalize()
 	read := make([]bool, g.NumNodes())
 	chain := make([]int32, g.NumNodes()) // interior nodes on the longest path ending here
 	interior, leaves, longest := 0, 0, int32(0)

@@ -27,7 +27,7 @@ func TestConformanceMatrixVerifiesClean(t *testing.T) {
 	cfgs := []arch.Config{
 		{D: 1, B: 16, R: 16, Output: arch.OutCrossbar},
 		{D: 2, B: 8, R: 24, Output: arch.OutPerPE},
-		{D: 3, B: 32, R: 16, Output: arch.OutPerLayer},
+		{D: 3, B: 32, R: 16},
 	}
 	opts := []compiler.Options{
 		{},
