@@ -12,18 +12,22 @@ import (
 
 // conformanceConfigs spans the template's free axes: depth D, bank count
 // B, registers per bank R (including spill-pressure points), and the
-// three compilable output topologies of fig. 6.
+// three compilable output topologies of fig. 6. The crossbar, the most
+// permissive write path, takes most points; the paper's per-layer
+// datapath (the zero Output) repeats two of them.
 func conformanceConfigs(short bool) []arch.Config {
 	cfgs := []arch.Config{
-		{D: 1, B: 2, R: 8},
+		{D: 1, B: 2, R: 8, Output: arch.OutCrossbar},
+		{D: 2, B: 8, R: 16, Output: arch.OutCrossbar},
+		{D: 3, B: 16, R: 32, Output: arch.OutCrossbar},
 		{D: 2, B: 8, R: 16},
-		{D: 3, B: 16, R: 32},
 	}
 	if !short {
 		cfgs = append(cfgs,
-			arch.Config{D: 1, B: 4, R: 4}, // tight R forces spills
+			arch.Config{D: 1, B: 4, R: 4, Output: arch.OutCrossbar}, // tight R forces spills
 			arch.Config{D: 2, B: 16, R: 8, Output: arch.OutCrossbar},
 			arch.Config{D: 2, B: 8, R: 16, Output: arch.OutPerPE},
+			arch.Config{D: 3, B: 64, R: 32, Output: arch.OutCrossbar},
 			arch.Config{D: 3, B: 64, R: 32}, // the paper's min-EDP point
 		)
 	}

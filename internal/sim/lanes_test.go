@@ -49,7 +49,7 @@ func laneInputs(g *dag.Graph, i int) []float64 {
 
 // TestFuncEvaluatorLanes pins the node-major walk's lane discipline:
 // across batch sizes around the 32-lane pass width, on k-ary random
-// graphs compiled on two configurations, every item's sinks equal a
+// graphs compiled on three configurations, every item's sinks equal a
 // one-vector dag.Eval bit for bit, and an item with the wrong arity at
 // lane 0, mid-pass or last fails in its own slot while its neighbours
 // stay exact. One evaluator serves every batch, as the engine reuses a
@@ -59,7 +59,7 @@ func TestFuncEvaluatorLanes(t *testing.T) {
 		dag.RandomGraph(dag.RandomConfig{Inputs: 7, Interior: 90, MaxArgs: 4, MulFrac: 0.4, Seed: 21}),
 		dag.RandomGraph(dag.RandomConfig{Inputs: 4, Interior: 60, MaxArgs: 5, MulFrac: 0.3, Window: 6, Seed: 22}),
 	}
-	cfgs := []arch.Config{{D: 2, B: 8, R: 16}, {D: 3, B: 64, R: 32}}
+	cfgs := []arch.Config{{D: 2, B: 8, R: 16, Output: arch.OutCrossbar}, {D: 3, B: 64, R: 32, Output: arch.OutCrossbar}, arch.MinEDP()}
 	f := new(FuncEvaluator)
 	for gi, g := range graphs {
 		for _, cfg := range cfgs {
