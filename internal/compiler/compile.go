@@ -139,7 +139,7 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 		}
 		for _, window := range s.windows {
 			dw := *d
-			dw.sched = sc.reorder(ops, len(d.vals), cfg, window)
+			dw.sched = sc.reorder(ops, d.vals, cfg, window)
 			drafts[l] = append(drafts[l], &dw)
 		}
 	}
@@ -162,7 +162,7 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 // planScratch is the working storage of plan that no plan keeps: the
 // partition keys, step 1's decomposer (and step 1b's scheduler in it),
 // the expansion, the bank allocator, the draft state and step 3's
-// arrays. plan takes one from planPool and puts it back, so the next
+// arrays and landing ring. plan takes one from planPool and puts it back, so the next
 // plan reuses them.
 type planScratch struct {
 	keys        []int64
@@ -171,6 +171,8 @@ type planScratch struct {
 	banks       bankAlloc
 	ds          draftState
 	prod, posOf []int32
+	wmask       []uint64
+	ring        []portMark
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}

@@ -5,30 +5,62 @@ import "dpuv2/internal/arch"
 // Step 3 — pipeline-aware reordering (§IV-C). The datapath has D+1
 // pipeline stages, so an instruction consuming a value must issue after
 // the cycle its producer's write lands in (arch.Config.WriteLatency):
-// D+1 cycles after an exec, 2 after a load or copy. The draft list is
-// re-scheduled greedily: at each cycle the earliest ready op within a
-// fixed window issues (300 in the paper; Plan reorders every draft under
-// reorderWindow and shortWindow and keeps the shorter program); when
-// nothing is ready a nil slot (a nop) is emitted. Step 4 re-validates all gaps after it inserts
-// spill traffic, so this pass is purely a latency optimization.
+// D+1 cycles after an exec, 2 after a load or copy. Each register bank
+// also has one write port, so at most one write may land on a bank per
+// cycle: a load's writes land on its leaves' home banks, a copy's on its
+// moves' destinations and an exec's on its outBanks. The draft list is
+// re-scheduled greedily: at each cycle the earliest op within a fixed
+// window (300 in the paper; Plan reorders every draft under
+// reorderWindow and shortWindow and keeps the shorter program) issues
+// whose operands have landed and whose writes land on banks no issued
+// write lands on in the same cycle; when nothing is ready a nil slot (a
+// nop) is emitted. On a draft that needs no spill this schedule is the
+// program, nop for nop; step 4 stalls only around the spill stores and
+// reloads it inserts.
 //
 // This pass can only hoist loads, copies and *independent* execs into an
 // exec's latency shadow; it cannot shorten a chain of dependent execs.
 // Whether independent execs exist within the window is decided earlier,
 // by how step 1b (schedule.go) bins cones into blocks.
 
-// reorder returns the scheduled op list where nil entries are nops.
-// prod and posOf are its per-value and per-op arrays, reused.
-func (sc *planScratch) reorder(ops []*draftOp, nvals int, cfg arch.Config, window int) []*draftOp {
-	sc.prod = resize(sc.prod, nvals)
+// portMark is one slot of reorder's landing ring: the banks written at
+// cycle at.
+type portMark struct {
+	at    int32
+	banks uint64
+}
+
+// reorder returns the scheduled op list where nil entries are nops; vals
+// is the draft's value table (a load writes its leaves' home banks).
+// prod, posOf, wmask and ring are its per-value, per-op and per-cycle
+// arrays, reused.
+func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, window int) []*draftOp {
+	sc.prod = resize(sc.prod, len(vals))
 	prod := sc.prod
 	for i := range prod {
 		prod[i] = -1
 	}
+	// wmask[i] is the set of banks op i writes; B ≤ 64 (bankAlloc).
+	sc.wmask = resize(sc.wmask, len(ops))
+	wmask := sc.wmask
 	for i, op := range ops {
 		for _, w := range op.wrs {
 			if w != InvalidVal {
 				prod[w] = int32(i)
+			}
+		}
+		switch op.kind {
+		case dLoad:
+			for _, w := range op.wrs {
+				wmask[i] |= 1 << uint(vals[w].bank)
+			}
+		case dCopy:
+			for _, m := range op.moves {
+				wmask[i] |= 1 << uint(m.dst)
+			}
+		case dExec:
+			for _, b := range op.outBank {
+				wmask[i] |= 1 << uint(b)
 			}
 		}
 	}
@@ -37,7 +69,28 @@ func (sc *planScratch) reorder(ops []*draftOp, nvals int, cfg arch.Config, windo
 	for i := range posOf {
 		posOf[i] = -1
 	}
+	// The ring holds the banks written at each of the cycles a write
+	// issued now or earlier can still land in; a slot whose tag is not
+	// the cycle asked about is empty.
+	sc.ring = resize(sc.ring, cfg.Drain()+1)
+	ring := sc.ring
+	for i := range ring {
+		ring[i].at = -1
+	}
+	// mark returns the ring slot of cycle at, emptied if it held another.
+	mark := func(at int32) *portMark {
+		s := &ring[int(at)%len(ring)]
+		if s.at != at {
+			*s = portMark{at: at}
+		}
+		return s
+	}
+	landing := func(j int, pos int32) int32 { return pos + int32(cfg.WriteLatency(ops[j].kind)) }
 	ready := func(j int, pos int32) bool {
+		at := landing(j, pos)
+		if s := ring[int(at)%len(ring)]; s.at == at && s.banks&wmask[j] != 0 {
+			return false
+		}
 		for _, v := range ops[j].reads {
 			p := prod[v]
 			if p < 0 {
@@ -67,6 +120,9 @@ func (sc *planScratch) reorder(ops []*draftOp, nvals int, cfg arch.Config, windo
 				continue
 			}
 			posOf[j] = pos
+			if wmask[j] != 0 {
+				mark(landing(j, pos)).banks |= wmask[j]
+			}
 			out = append(out, ops[j])
 			scheduled++
 			issued = true
