@@ -62,7 +62,7 @@ type Block struct {
 // stats), so that a persisted program of another revision is never taken
 // for this compiler's output. It is part of every artifact's content
 // address (artifact.Key).
-const Revision = 3
+const Revision = 4
 
 // Options tunes compilation. The zero value is the paper's configuration.
 // Every field is part of the program's content address (.dpuprog and every
