@@ -403,6 +403,67 @@ func TestReorderRespectsGaps(t *testing.T) {
 	}
 }
 
+// TestReorderRespectsWritePort: each bank takes one write per cycle, so
+// step 3 must never issue two writes that land on one bank in the same
+// cycle, even where both ops are ready by their operands. With D=3 an
+// exec lands 3 cycles after issue and a load or copy 1, so in draft
+// order the third op of each case would land two cycles after the first
+// and on its bank: a load of a leaf homed on the exec's output bank, and
+// a copy into it.
+func TestReorderRespectsWritePort(t *testing.T) {
+	cfg := arch.Config{D: 3}
+	vals := make([]valInfo, 5)
+	vals[2].bank = 0 // the loaded leaf's home
+	for name, third := range map[string]*draftOp{
+		"load": {kind: dLoad, wrs: []ValID{2}},
+		"copy": {kind: dCopy, reads: []ValID{3}, wrs: []ValID{2}, moves: []draftMove{{src: 3, dst: 0, w: 2}}},
+	} {
+		ops := []*draftOp{
+			{kind: dExec, wrs: []ValID{0}, outBank: []int8{0}},
+			{kind: dExec, wrs: []ValID{1}, outBank: []int8{1}},
+			third,
+			{kind: dExec, reads: []ValID{2}, wrs: []ValID{4}, outBank: []int8{2}},
+		}
+		sched := new(planScratch).reorder(ops, vals, cfg, 300)
+		pos := map[*draftOp]int{}
+		landed := map[[2]int]int{} // (bank, cycle) → the slot whose write lands there
+		for i, op := range sched {
+			if op == nil {
+				continue
+			}
+			pos[op] = i
+			banks := []int{}
+			switch op.kind {
+			case dLoad:
+				for _, w := range op.wrs {
+					banks = append(banks, int(vals[w].bank))
+				}
+			case dCopy:
+				for _, m := range op.moves {
+					banks = append(banks, m.dst)
+				}
+			case dExec:
+				for _, b := range op.outBank {
+					banks = append(banks, int(b))
+				}
+			}
+			at := i + cfg.WriteLatency(op.kind)
+			for _, b := range banks {
+				if prev, ok := landed[[2]int{b, at}]; ok {
+					t.Errorf("%s: slots %d and %d both land on bank %d at cycle %d", name, prev, i, b, at)
+				}
+				landed[[2]int{b, at}] = i
+			}
+		}
+		if len(pos) != len(ops) {
+			t.Fatalf("%s: %d of %d ops scheduled", name, len(pos), len(ops))
+		}
+		if pos[ops[3]] <= pos[third]+1 {
+			t.Errorf("%s: the reader issued before its operand landed: slots %v", name, pos)
+		}
+	}
+}
+
 func TestWindowLimitsReordering(t *testing.T) {
 	// With window=1 the scheduler degenerates to in-order issue with nop
 	// slots; with the default window it finds the independent ops.

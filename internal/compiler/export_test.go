@@ -1,6 +1,10 @@
 package compiler
 
 import (
+	"fmt"
+	"math"
+	"slices"
+
 	"dpuv2/internal/arch"
 	"dpuv2/internal/dag"
 )
@@ -46,4 +50,41 @@ func CompileFirstFit(g *dag.Graph, cfg arch.Config, opts Options) (*Compiled, er
 	s := fullSearch()
 	s.layouts = []leafLayout{layoutFirstFit}
 	return compile(g, cfg, opts, s)
+}
+
+// CheckSpillFreeDrafts runs step 4 for r registers per bank on every
+// draft of p and, on each draft that neither spills nor fails, checks
+// that step 4 emitted step 3's schedule nop for nop: the same kind at
+// every slot, a nop where step 3 left a nil slot. It returns how many
+// drafts it checked.
+func (p *Planned) CheckSpillFreeDrafts(r int) (int, error) {
+	cfg := p.cfg
+	cfg.R = r
+	checked := 0
+	for k, d := range p.drafts {
+		var ra regalloc
+		var out arch.Builder
+		ra.reset(cfg, slices.Clone(d.vals), d.rows, d.sched, d.stats, &out)
+		if err := ra.run(d.sched, math.MaxInt); err != nil || ra.stats.SpillStores > 0 || ra.stats.Reloads > 0 {
+			continue
+		}
+		prog, err := out.Program(cfg)
+		if err != nil {
+			return checked, fmt.Errorf("draft %d: %w", k, err)
+		}
+		if len(prog.Instrs) != len(d.sched) {
+			return checked, fmt.Errorf("draft %d: step 4 emits %d instructions (%d nops), step 3 scheduled %d slots", k, len(prog.Instrs), ra.stats.Nops, len(d.sched))
+		}
+		for i, op := range d.sched {
+			want := arch.KindNop
+			if op != nil {
+				want = op.kind
+			}
+			if got := prog.Instrs[i].Kind; got != want {
+				return checked, fmt.Errorf("draft %d: step 4 emits a %v at slot %d, step 3 scheduled a %v", k, got, i, want)
+			}
+		}
+		checked++
+	}
+	return checked, nil
 }

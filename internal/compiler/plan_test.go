@@ -106,3 +106,34 @@ func compiledDiff(a, b *compiler.Compiled) string {
 	}
 	return ""
 }
+
+// TestSpillFreeDraftsEmitNopForNop: step 3 schedules operand latency and
+// each bank's one write port, so on a draft that needs no spill step 4
+// has nothing left to stall on and emits step 3's schedule exactly, nop
+// for nop. It checks every draft of the selection guards' compiles (the
+// Table I graphs at 0.05 and 0.1 among them) and, outside -short, of the
+// Table I graphs at 1.0.
+func TestSpillFreeDraftsEmitNopForNop(t *testing.T) {
+	cases := selectionCases(t)
+	if !testing.Short() {
+		for _, name := range tableINames() {
+			cases = append(cases, selectionCase{name + "@1", build(t, name, 1), arch.MinEDP()})
+		}
+	}
+	checked := 0
+	for _, tc := range cases {
+		p, err := compiler.Plan(tc.g, tc.cfg, compiler.Options{})
+		if err != nil {
+			continue // an infeasible grid point
+		}
+		n, err := p.CheckSpillFreeDrafts(tc.cfg.R)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		checked += n
+	}
+	t.Logf("%d compiles, %d spill-free drafts emitted nop for nop", len(cases), checked)
+	if checked == 0 {
+		t.Fatal("no draft was spill-free: the check covers nothing")
+	}
+}
