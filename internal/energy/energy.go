@@ -197,7 +197,6 @@ func activityFactor(c Component, a Activity) float64 {
 // Estimate is the modeled outcome of one workload execution on one
 // configuration.
 type Estimate struct {
-	Cfg           arch.Config
 	Ops           int // DAG arithmetic nodes executed
 	Cycles        int
 	LatencyPerOp  float64 // ns
@@ -221,7 +220,6 @@ func EstimateRun(cfg arch.Config, ops int, st sim.Stats, prog *arch.Program) Est
 	tclkNS := 1e3 / ClockMHz
 	lat := float64(st.Cycles) * tclkNS
 	e := Estimate{
-		Cfg:     cfg,
 		Ops:     ops,
 		Cycles:  st.Cycles,
 		PowerMW: power,
