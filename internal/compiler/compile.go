@@ -165,14 +165,14 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 // arrays and landing ring. plan takes one from planPool and puts it back, so the next
 // plan reuses them.
 type planScratch struct {
-	keys        []int64
-	dec         decomposer
-	exp         expansion
-	banks       bankAlloc
-	ds          draftState
-	prod, posOf []int32
-	wmask       []uint64
-	ring        []portMark
+	keys  []int64
+	dec   decomposer
+	exp   expansion
+	banks bankAlloc
+	ds    draftState
+	prod  []int32
+	rops  []reorderOp
+	ring  []portMark
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}

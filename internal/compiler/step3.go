@@ -1,6 +1,10 @@
 package compiler
 
-import "dpuv2/internal/arch"
+import (
+	"math"
+
+	"dpuv2/internal/arch"
+)
 
 // Step 3 — pipeline-aware reordering (§IV-C). The datapath has D+1
 // pipeline stages, so an instruction consuming a value must issue after
@@ -30,20 +34,34 @@ type portMark struct {
 	banks uint64
 }
 
+// reorderOp is what reorder keeps of one draft op while it schedules.
+type reorderOp struct {
+	wmask uint64 // the banks the op writes; B ≤ 64 (bankAlloc)
+	lat   int32  // cfg.WriteLatency of its kind
+	land  int32  // the cycle its writes land; unissued until it issues
+	// ready is the cycle after the last landing among the producers of
+	// its first seen reads: reorder looks at each read until its
+	// producer has issued, and not again.
+	ready, seen int32
+}
+
+const unissued int32 = math.MaxInt32
+
 // reorder returns the scheduled op list where nil entries are nops; vals
 // is the draft's value table (a load writes its leaves' home banks).
-// prod, posOf, wmask and ring are its per-value, per-op and per-cycle
-// arrays, reused.
+// prod, rops and ring are its per-value, per-op and per-cycle arrays,
+// reused.
 func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, window int) []*draftOp {
 	sc.prod = resize(sc.prod, len(vals))
 	prod := sc.prod
 	for i := range prod {
 		prod[i] = -1
 	}
-	// wmask[i] is the set of banks op i writes; B ≤ 64 (bankAlloc).
-	sc.wmask = resize(sc.wmask, len(ops))
-	wmask := sc.wmask
+	sc.rops = resize(sc.rops, len(ops))
+	rops := sc.rops
 	for i, op := range ops {
+		r := &rops[i]
+		r.lat, r.land = int32(cfg.WriteLatency(op.kind)), unissued
 		for _, w := range op.wrs {
 			if w != InvalidVal {
 				prod[w] = int32(i)
@@ -52,22 +70,17 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 		switch op.kind {
 		case dLoad:
 			for _, w := range op.wrs {
-				wmask[i] |= 1 << uint(vals[w].bank)
+				r.wmask |= 1 << uint(vals[w].bank)
 			}
 		case dCopy:
 			for _, m := range op.moves {
-				wmask[i] |= 1 << uint(m.dst)
+				r.wmask |= 1 << uint(m.dst)
 			}
 		case dExec:
 			for _, b := range op.outBank {
-				wmask[i] |= 1 << uint(b)
+				r.wmask |= 1 << uint(b)
 			}
 		}
-	}
-	sc.posOf = resize(sc.posOf, len(ops))
-	posOf := sc.posOf
-	for i := range posOf {
-		posOf[i] = -1
 	}
 	// The ring holds the banks written at each of the cycles a write
 	// issued now or earlier can still land in; a slot whose tag is not
@@ -77,30 +90,25 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 	for i := range ring {
 		ring[i].at = -1
 	}
-	// mark returns the ring slot of cycle at, emptied if it held another.
-	mark := func(at int32) *portMark {
-		s := &ring[int(at)%len(ring)]
-		if s.at != at {
-			*s = portMark{at: at}
-		}
-		return s
-	}
-	landing := func(j int, pos int32) int32 { return pos + int32(cfg.WriteLatency(ops[j].kind)) }
+	// ready reports whether op j may issue at pos: its operands have
+	// landed, and no issued write lands on one of its banks when its
+	// own writes do.
 	ready := func(j int, pos int32) bool {
-		at := landing(j, pos)
-		if s := ring[int(at)%len(ring)]; s.at == at && s.banks&wmask[j] != 0 {
+		r := &rops[j]
+		for reads := ops[j].reads; int(r.seen) < len(reads); r.seen++ {
+			if p := prod[reads[r.seen]]; p >= 0 {
+				if rops[p].land == unissued {
+					return false
+				}
+				r.ready = max(r.ready, rops[p].land+1)
+			}
+		}
+		if r.ready > pos {
 			return false
 		}
-		for _, v := range ops[j].reads {
-			p := prod[v]
-			if p < 0 {
-				continue
-			}
-			if posOf[p] < 0 || posOf[p]+int32(cfg.WriteLatency(ops[p].kind)) >= pos {
-				return false
-			}
-		}
-		return true
+		at := pos + r.lat
+		s := &ring[int(at)%len(ring)]
+		return s.at != at || s.banks&r.wmask == 0
 	}
 	out := make([]*draftOp, 0, len(ops)+len(ops)/2)
 	scheduled := 0
@@ -113,20 +121,22 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 			hi = len(ops)
 		}
 		for j := lo; j < hi; j++ {
-			if posOf[j] >= 0 {
+			if rops[j].land != unissued || !ready(j, pos) {
 				continue
 			}
-			if !ready(j, pos) {
-				continue
-			}
-			posOf[j] = pos
-			if wmask[j] != 0 {
-				mark(landing(j, pos)).banks |= wmask[j]
+			r := &rops[j]
+			r.land = pos + r.lat
+			if r.wmask != 0 {
+				s := &ring[int(r.land)%len(ring)]
+				if s.at != r.land {
+					*s = portMark{at: r.land}
+				}
+				s.banks |= r.wmask
 			}
 			out = append(out, ops[j])
 			scheduled++
 			issued = true
-			for lo < len(ops) && posOf[lo] >= 0 {
+			for lo < len(ops) && rops[lo].land != unissued {
 				lo++
 			}
 			break
