@@ -15,10 +15,13 @@ import (
 // its bank (valid-bit priority encoder), so the compiler runs the exact
 // same deterministic policy over the schedule: it tracks per-bank
 // occupancy cycle by cycle, learns each value's address when its write
-// "lands", encodes read addresses and last-read valid_rst bits, inserts
-// nops for residual RAW hazards and write-port collisions, and when a
-// bank would overflow spills the resident value with the furthest next
-// use (Belady) via store_4, reloading it before its next consumer.
+// "lands", encodes read addresses and last-read valid_rst bits, and when
+// a bank would overflow spills the resident value with the furthest next
+// use (Belady) via store_4, reloading it before its next consumer. Step 3
+// already spaces the draft for operand latency and each bank's one write
+// port, so the nops step 4 inserts for a RAW hazard or a write-port
+// collision arise only around the spill stores and reloads it adds; on a
+// draft that needs no spill it emits step 3's schedule nop for nop.
 //
 // Micro-timing contract (the register file's half — lowest-free
 // addresses, landing ring, frees before landings — is internal/regfile,

@@ -126,7 +126,7 @@ func (r *Runner) Fig10b() (*Table, error) {
 // bank over time, without spilling (R large) and with spilling (R=32).
 // Occupancy is sampled every 200 cycles, and about 12 samples are shown.
 func (r *Runner) Fig10cd() (*Table, error) {
-	// msnbc: at scale 1.0 its live set (peak 56) outgrows R=32, which
+	// msnbc: at scale 1.0 its live set (peak 58) outgrows R=32, which
 	// spills; at scale 0.25 and below the peak is 17 and nothing spills.
 	w := r.suite()[3]
 	t := &Table{
