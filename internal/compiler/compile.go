@@ -162,8 +162,8 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 // planScratch is the working storage of plan that no plan keeps: the
 // partition keys, step 1's decomposer (and step 1b's scheduler in it),
 // the expansion, the bank allocator, the draft state and step 3's
-// arrays and landing ring. plan takes one from planPool and puts it back, so the next
-// plan reuses them.
+// arrays and landing ring. plan takes one from planPool and puts it
+// back, so the next plan reuses them.
 type planScratch struct {
 	keys  []int64
 	dec   decomposer
