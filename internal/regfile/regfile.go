@@ -6,7 +6,9 @@
 // address of its bank (the fig. 5(d) valid-bit priority encoder), writes
 // land at fixed latencies with at most one per bank per cycle, and a
 // cycle's frees apply before its landings allocate. The compiler
-// allocates on it directly.
+// allocates on it directly. Ports, the per-cycle set of banks a write
+// lands on, is the one write-port ring: File books on one, and the
+// compiler's step 3 schedules on one of its own.
 //
 // Walker is the instruction half on top of a File: one instruction
 // issues per cycle; reads happen at issue and valid_rst frees after
@@ -32,11 +34,10 @@ type File[P any] struct {
 	occupied []int // valid registers per bank
 	inflight []int // writes scheduled but not landed, per bank
 
-	// Writes landing at cycle c wait in ring[c%len(ring)]; busy is a
-	// bitset per slot of the banks it writes (bankWords words each).
-	ring      [][]landing[P]
-	busy      []uint64
-	bankWords int
+	// Writes landing at cycle c wait in ring[c%len(ring)], and ports
+	// holds the banks they land on.
+	ring  [][]landing[P]
+	ports Ports
 }
 
 type landing[P any] struct {
@@ -48,15 +49,13 @@ type landing[P any] struct {
 // maxLatency cycles after they are scheduled.
 func New[P any](banks, regs, maxLatency int) *File[P] {
 	f := &File[P]{
-		regs:      regs,
-		words:     (regs + 63) / 64,
-		occupied:  make([]int, banks),
-		inflight:  make([]int, banks),
-		ring:      make([][]landing[P], maxLatency+2),
-		bankWords: (banks + 63) / 64,
+		regs:     regs,
+		words:    (regs + 63) / 64,
+		occupied: make([]int, banks),
+		inflight: make([]int, banks),
+		ring:     make([][]landing[P], maxLatency+2),
 	}
 	f.free = make([]uint64, banks*f.words)
-	f.busy = make([]uint64, len(f.ring)*f.bankWords)
 	// A slot holds at most one landing per bank: scheduling never
 	// allocates.
 	backing := make([]landing[P], len(f.ring)*banks)
@@ -80,7 +79,7 @@ func (f *File[P]) Reset() {
 	}
 	clear(f.occupied)
 	clear(f.inflight)
-	clear(f.busy)
+	f.ports.Reset(len(f.occupied), len(f.ring)-2)
 	for i := range f.ring {
 		f.ring[i] = f.ring[i][:0]
 	}
@@ -108,10 +107,7 @@ func (f *File[P]) Occupied() []int { return f.occupied }
 func (f *File[P]) InFlight(bank int) int { return f.inflight[bank] }
 
 // Busy reports whether a write to bank already lands at cycle land.
-func (f *File[P]) Busy(bank, land int) bool {
-	s := land % len(f.ring)
-	return f.busy[s*f.bankWords+bank>>6]&(1<<uint(bank&63)) != 0
-}
+func (f *File[P]) Busy(bank, land int) bool { return f.ports.Busy(bank, land) }
 
 // Schedule queues a write of p to bank, landing at the end of cycle land.
 // A bank takes one landing per cycle: if a write already lands on bank
@@ -119,14 +115,15 @@ func (f *File[P]) Busy(bank, land int) bool {
 // and false.
 func (f *File[P]) Schedule(bank, land int, p P) (P, bool) {
 	s := land % len(f.ring)
-	if f.Busy(bank, land) {
+	word, bit := &f.ports.At(land)[bank>>6], uint64(1)<<uint(bank&63)
+	if *word&bit != 0 {
 		for _, l := range f.ring[s] {
 			if l.bank == bank {
 				return l.p, false
 			}
 		}
 	}
-	f.busy[s*f.bankWords+bank>>6] |= 1 << uint(bank&63)
+	*word |= bit
 	f.ring[s] = append(f.ring[s], landing[P]{bank, p})
 	f.inflight[bank]++
 	var zero P
@@ -148,8 +145,48 @@ func (f *File[P]) Land(cycle int, fn func(bank, addr int, p P)) {
 		fn(l.bank, addr, l.p)
 	}
 	f.ring[s] = f.ring[s][:0]
-	clear(f.busy[s*f.bankWords : (s+1)*f.bankWords])
+	f.ports.Clear(cycle)
 }
+
+// Ports is the write-port ring: a bank takes one write per cycle, and
+// Ports holds, for each cycle a write can still land in, the set of
+// banks a write already lands on. A write issued at cycle t lands at
+// t+lat, lat ≤ maxLatency, and the caller clears cycle t once its writes
+// have landed; the ring has maxLatency+2 slots, so before that clear it
+// can already book the next cycle's longest write, at t+1+maxLatency.
+type Ports struct {
+	slots, words int      // cycles held; bitset words per cycle
+	busy         []uint64 // slot-major bank bitsets
+}
+
+// Reset empties p for banks banks and writes landing at most maxLatency
+// cycles after they issue, reusing its array when it is large enough.
+func (p *Ports) Reset(banks, maxLatency int) {
+	p.slots, p.words = maxLatency+2, (banks+63)/64
+	n := p.slots * p.words
+	if cap(p.busy) < n {
+		p.busy = make([]uint64, n)
+		return
+	}
+	p.busy = p.busy[:n]
+	clear(p.busy)
+}
+
+// At returns the banks a write lands on at cycle land, bank b as bit
+// b&63 of word b>>6; a caller may test and set whole words of it.
+func (p *Ports) At(land int) []uint64 {
+	s := land % p.slots * p.words
+	return p.busy[s : s+p.words : s+p.words]
+}
+
+// Busy reports whether a write to bank already lands at cycle land.
+func (p *Ports) Busy(bank, land int) bool {
+	return p.At(land)[bank>>6]&(1<<uint(bank&63)) != 0
+}
+
+// Clear empties cycle's set once its writes have landed, so that the
+// slot can hold the cycle maxLatency+2 later.
+func (p *Ports) Clear(cycle int) { clear(p.At(cycle)) }
 
 // allocLowestFree claims the lowest free address of bank, or returns -1
 // when the bank is full.

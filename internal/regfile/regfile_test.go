@@ -217,3 +217,62 @@ func TestResetEqualsFresh(t *testing.T) {
 		t.Fatal("a reset File behaves differently from a new one")
 	}
 }
+
+// book marks bank busy at cycle land, as File.Schedule does.
+func book(p *Ports, bank, land int) { p.At(land)[bank>>6] |= 1 << uint(bank&63) }
+
+// TestPortsRing holds Ports to its contract, for one- and two-word bank
+// sets: a booked bank reads busy at its cycle and at no other cycle the
+// ring tells apart from it; clearing each cycle as it passes leaves no
+// stale bit for a write landing maxLatency later, not even for the next
+// cycle's before this one is cleared; and Reset reuses the array.
+func TestPortsRing(t *testing.T) {
+	for lat := 1; lat <= 6; lat++ {
+		for _, banks := range []int{1, 64, 65} {
+			name := fmt.Sprintf("maxLatency %d, %d banks", lat, banks)
+			var p Ports
+			p.Reset(banks, lat)
+			hi := banks - 1
+			const land = 100
+			book(&p, hi, land)
+			for c := land - lat - 1; c <= land+lat+1; c++ {
+				for b := range banks {
+					if got := p.Busy(b, c); got != (b == hi && c == land) {
+						t.Fatalf("%s: bank %d booked at cycle %d reads bank %d busy=%v at cycle %d", name, hi, land, b, got, c)
+					}
+				}
+			}
+			if got := len(p.At(land)); got != (banks+63)/64 {
+				t.Fatalf("%s: a cycle has %d words", name, got)
+			}
+
+			p.Reset(banks, lat)
+			for c := range 8 * (lat + 2) {
+				if got, want := p.Busy(hi, c), c >= lat; got != want {
+					t.Fatalf("%s: bank busy=%v at cycle %d, want %v", name, got, c, want)
+				}
+				if p.Busy(hi, c+lat) {
+					t.Fatalf("%s: cycle %d's longest write finds a stale bit", name, c)
+				}
+				book(&p, hi, c+lat)
+				if p.Busy(hi, c+1+lat) {
+					t.Fatalf("%s: cycle %d's longest write finds a stale bit before cycle %d is cleared", name, c+1, c)
+				}
+				p.Clear(c)
+			}
+
+			arr := &p.At(0)[0]
+			p.Reset(banks, lat)
+			if &p.At(0)[0] != arr {
+				t.Fatalf("%s: Reset allocated a new array", name)
+			}
+			for c := range lat + 2 {
+				for b := range banks {
+					if p.Busy(b, c) {
+						t.Fatalf("%s: bank %d busy at cycle %d after Reset", name, b, c)
+					}
+				}
+			}
+		}
+	}
+}
