@@ -10,6 +10,7 @@ import (
 
 	"dpuv2/internal/arch"
 	"dpuv2/internal/dag"
+	"dpuv2/internal/regfile"
 )
 
 // Compile lowers a DAG to a DPU-v2 program for the given configuration,
@@ -100,26 +101,8 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 	p := &Planned{cfg: cfg, graph: bg, remap: remap}
 	sc := planPool.Get().(*planScratch)
 	defer planPool.Put(sc)
-	sc.keys = partitionKeys(sc.keys, bg, dag.DFSOrder(bg), opts.PartitionSize)
-	blocks, err := sc.dec.decompose(bg, cfg, sc.keys, s.cuts)
+	blocks, base, err := sc.blocks(bg, cfg, opts, s)
 	if err != nil {
-		return nil, err
-	}
-	base := Stats{Blocks: len(blocks)}
-	for i := 0; i < bg.NumNodes(); i++ {
-		if !bg.Op(dag.NodeID(i)).IsLeaf() {
-			base.Nodes++
-		}
-	}
-
-	sc.exp.reset(cfg, bg.NumNodes())
-	for _, b := range blocks {
-		if err := sc.exp.expand(bg, b); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := sc.banks.allocate(bg, cfg, blocks, opts, s.seed); err != nil {
 		return nil, err
 	}
 
@@ -162,7 +145,7 @@ func plan(g *dag.Graph, cfg arch.Config, opts Options, s search) (*Planned, erro
 // planScratch is the working storage of plan that no plan keeps: the
 // partition keys, step 1's decomposer (and step 1b's scheduler in it),
 // the expansion, the bank allocator, the draft state and step 3's
-// arrays and landing ring. plan takes one from planPool and puts it
+// arrays and write-port ring. plan takes one from planPool and puts it
 // back, so the next plan reuses them.
 type planScratch struct {
 	keys  []int64
@@ -172,10 +155,34 @@ type planScratch struct {
 	ds    draftState
 	prod  []int32
 	rops  []reorderOp
-	ring  []portMark
+	ports regfile.Ports
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
+
+// blocks runs steps 1 to 2b over the binarized graph bg: it cuts bg into
+// blocks, expands them and allocates their banks, and returns them with
+// the counts every draft of them starts from.
+func (sc *planScratch) blocks(bg *dag.Graph, cfg arch.Config, opts Options, s search) ([]*Block, Stats, error) {
+	sc.keys = partitionKeys(sc.keys, bg, dag.DFSOrder(bg), opts.PartitionSize)
+	blocks, err := sc.dec.decompose(bg, cfg, sc.keys, s.cuts)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	base := Stats{Blocks: len(blocks)}
+	for i := 0; i < bg.NumNodes(); i++ {
+		if !bg.Op(dag.NodeID(i)).IsLeaf() {
+			base.Nodes++
+		}
+	}
+	sc.exp.reset(cfg, bg.NumNodes())
+	for _, b := range blocks {
+		if err := sc.exp.expand(bg, b); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	return blocks, base, sc.banks.allocate(bg, cfg, blocks, opts, s.seed)
+}
 
 // draft runs step 2c, the draft laying leaves out by layout, over the
 // blocks, and returns it unordered with its op list for step 3.

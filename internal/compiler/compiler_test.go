@@ -378,6 +378,16 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// homes returns a value table whose value i is homed on banks[i]: a
+// write of it lands there.
+func homes(banks ...int8) []valInfo {
+	vals := make([]valInfo, len(banks))
+	for i, b := range banks {
+		vals[i].bank = b
+	}
+	return vals
+}
+
 func TestReorderRespectsGaps(t *testing.T) {
 	// Synthetic draft: producer exec then dependent exec; they must end
 	// up ≥ D+1 slots apart.
@@ -387,7 +397,7 @@ func TestReorderRespectsGaps(t *testing.T) {
 		{kind: dExec, wrs: []ValID{2}},
 		{kind: dExec, wrs: []ValID{3}},
 	}
-	sched := new(planScratch).reorder(ops, make([]valInfo, 4), arch.Config{D: 3}, 300)
+	sched := new(planScratch).reorder(ops, homes(0, 1, 2, 3), arch.Config{D: 3, B: 4}, 300)
 	pos := map[*draftOp]int{}
 	for i, op := range sched {
 		if op != nil {
@@ -411,18 +421,19 @@ func TestReorderRespectsGaps(t *testing.T) {
 // and on its bank: a load of a leaf homed on the exec's output bank, and
 // a copy into it.
 func TestReorderRespectsWritePort(t *testing.T) {
-	cfg := arch.Config{D: 3}
-	vals := make([]valInfo, 5)
-	vals[2].bank = 0 // the loaded leaf's home
+	cfg := arch.Config{D: 3, B: 4}
+	// Value 0 is the first exec's output and 2 the value the third op
+	// writes, both on bank 0.
+	vals := homes(0, 1, 0, 3, 2)
 	for name, third := range map[string]*draftOp{
 		"load": {kind: dLoad, wrs: []ValID{2}},
 		"copy": {kind: dCopy, reads: []ValID{3}, wrs: []ValID{2}, moves: []draftMove{{src: 3, dst: 0, w: 2}}},
 	} {
 		ops := []*draftOp{
-			{kind: dExec, wrs: []ValID{0}, outBank: []int8{0}},
-			{kind: dExec, wrs: []ValID{1}, outBank: []int8{1}},
+			{kind: dExec, wrs: []ValID{0}},
+			{kind: dExec, wrs: []ValID{1}},
 			third,
-			{kind: dExec, reads: []ValID{2}, wrs: []ValID{4}, outBank: []int8{2}},
+			{kind: dExec, reads: []ValID{2}, wrs: []ValID{4}},
 		}
 		sched := new(planScratch).reorder(ops, vals, cfg, 300)
 		pos := map[*draftOp]int{}
@@ -432,23 +443,9 @@ func TestReorderRespectsWritePort(t *testing.T) {
 				continue
 			}
 			pos[op] = i
-			banks := []int{}
-			switch op.kind {
-			case dLoad:
-				for _, w := range op.wrs {
-					banks = append(banks, int(vals[w].bank))
-				}
-			case dCopy:
-				for _, m := range op.moves {
-					banks = append(banks, m.dst)
-				}
-			case dExec:
-				for _, b := range op.outBank {
-					banks = append(banks, int(b))
-				}
-			}
 			at := i + cfg.WriteLatency(op.kind)
-			for _, b := range banks {
+			for _, w := range op.wrs {
+				b := int(vals[w].bank)
 				if prev, ok := landed[[2]int{b, at}]; ok {
 					t.Errorf("%s: slots %d and %d both land on bank %d at cycle %d", name, prev, i, b, at)
 				}
@@ -473,8 +470,9 @@ func TestWindowLimitsReordering(t *testing.T) {
 	for i := 2; i < 10; i++ {
 		ops = append(ops, &draftOp{kind: dExec, wrs: []ValID{ValID(i)}})
 	}
-	narrow := new(planScratch).reorder(ops, make([]valInfo, 10), arch.Config{D: 3}, 1)
-	wide := new(planScratch).reorder(ops, make([]valInfo, 10), arch.Config{D: 3}, 300)
+	vals, cfg := homes(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), arch.Config{D: 3, B: 10}
+	narrow := new(planScratch).reorder(ops, vals, cfg, 1)
+	wide := new(planScratch).reorder(ops, vals, cfg, 300)
 	nNops := func(s []*draftOp) int {
 		n := 0
 		for _, op := range s {

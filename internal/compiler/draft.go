@@ -39,12 +39,11 @@ type draftOp struct {
 	reads []ValID     // values read at issue
 	wrs   []ValID     // values written (land one/D cycles later)
 	moves []draftMove // copy/store4 lanes
-	// exec-only placement results: the block inputs replaced by a
-	// replica (src = input, w = the replica the exec reads), and the bank
-	// each value of wrs is written to. wrs[i] is block.Outputs[i] itself
-	// or, when that output was displaced, a temp a post-copy moves home.
+	// exec-only: the block inputs replaced by a replica (src = input, w =
+	// the replica the exec reads). An exec's wrs[i] is block.Outputs[i]
+	// itself or, when that output was displaced, a temp homed on the
+	// bank it is written to, which a post-copy moves home.
 	repairs []draftMove
-	outBank []int8
 }
 
 // readOf returns the value an exec reads for block input v.
@@ -111,9 +110,8 @@ type draftState struct {
 	assign    []int
 	seen      []int32
 	seenStamp int32
-	// Arenas backing every exec's reads/wrs and outBank, sized once.
-	valArena  []ValID
-	bankArena []int8
+	// The arena backing every exec's reads and wrs, sized once.
+	valArena []ValID
 
 	stats *Stats
 }
@@ -466,7 +464,6 @@ func (ds *draftState) emitExec(block *Block, repairs []draftMove) error {
 		repairs: repairs,
 		reads:   carve(&ds.valArena, len(block.Inputs)),
 		wrs:     carve(&ds.valArena, len(block.Outputs)),
-		outBank: carve(&ds.bankArena, len(block.Outputs)),
 	}
 	// Block inputs are distinct and every replica is a fresh temp, so the
 	// values read are distinct too.
@@ -476,7 +473,6 @@ func (ds *draftState) emitExec(block *Block, repairs []draftMove) error {
 	var post []draftMove
 	for i, v := range block.Outputs {
 		b := assign[i]
-		op.outBank = append(op.outBank, int8(b))
 		if b == int(ds.vals[v].bank) {
 			op.wrs = append(op.wrs, v)
 			continue
@@ -559,7 +555,6 @@ func (ds *draftState) buildDraft(blocks []*Block) (map[dag.NodeID]int, error) {
 		nout += len(b.Outputs)
 	}
 	ds.valArena = make([]ValID, 0, nin+nout)
-	ds.bankArena = make([]int8, 0, nout)
 	for bi, b := range blocks {
 		ds.emitLoads(b, bi)
 		repairs := ds.repairInputs(b)

@@ -9,6 +9,7 @@ import (
 	"dpuv2/internal/arch"
 	"dpuv2/internal/dag"
 	"dpuv2/internal/pc"
+	"dpuv2/internal/sptrsv"
 	"dpuv2/internal/suite"
 )
 
@@ -236,5 +237,50 @@ func BenchmarkAblationWindow(b *testing.B) {
 			}
 			b.ReportMetric(float64(cycles), "cycles")
 		})
+	}
+}
+
+// BenchmarkReorder times step 3 alone. Outside the timer it runs steps 1
+// to 2c of every Table I graph at 0.1 at the min-EDP point, drafting each
+// under both leaf layouts as Plan does; an iteration reorders every draft
+// under both windows (DESIGN.md "Step 3: the reorder window and the write
+// port").
+func BenchmarkReorder(b *testing.B) {
+	graphs := []*dag.Graph{}
+	for _, s := range pc.Suite() {
+		graphs = append(graphs, pc.Build(s, 0.1))
+	}
+	for _, s := range sptrsv.Suite() {
+		g, _ := sptrsv.Build(s, 0.1)
+		graphs = append(graphs, g)
+	}
+	type drafted struct {
+		ops  []*draftOp
+		vals []valInfo
+	}
+	var drafts []drafted
+	cfg, s := arch.MinEDP(), fullSearch()
+	for _, g := range graphs {
+		bg, _ := dag.Binarize(g)
+		sc := new(planScratch)
+		blocks, base, err := sc.blocks(bg, cfg, Options{}, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, layout := range s.layouts {
+			d, ops, err := sc.draft(bg, cfg, layout, blocks, s.seed, base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			drafts = append(drafts, drafted{ops, d.vals})
+		}
+	}
+	sc := new(planScratch)
+	for b.Loop() {
+		for _, d := range drafts {
+			for _, w := range s.windows {
+				sc.reorder(d.ops, d.vals, cfg, w)
+			}
+		}
 	}
 }

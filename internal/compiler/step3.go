@@ -11,14 +11,15 @@ import (
 // the cycle its producer's write lands in (arch.Config.WriteLatency):
 // D+1 cycles after an exec, 2 after a load or copy. Each register bank
 // also has one write port, so at most one write may land on a bank per
-// cycle: a load's writes land on its leaves' home banks, a copy's on its
-// moves' destinations and an exec's on its outBanks. The draft list is
-// re-scheduled greedily: at each cycle the earliest op within a fixed
-// window (300 in the paper; Plan reorders every draft under
-// reorderWindow and shortWindow and keeps the shorter program) issues
-// whose operands have landed and whose writes land on banks no issued
-// write lands on in the same cycle; when nothing is ready a nil slot (a
-// nop) is emitted. On a draft that needs no spill this schedule is the
+// cycle, and every write lands on its value's home bank (step 2c homes
+// an exec's displaced output and a copy's replica on the bank written).
+// The draft list is re-scheduled greedily: at each cycle the earliest op
+// within a fixed window (300 in the paper; Plan reorders every draft
+// under reorderWindow and shortWindow and keeps the shorter program)
+// issues whose operands have landed and whose writes land on banks no
+// issued write lands on in the same cycle (regfile.Ports, the ring step
+// 4's register file books on); when nothing is ready a nil slot (a nop)
+// is emitted. On a draft that needs no spill this schedule is the
 // program, nop for nop; step 4 stalls only around the spill stores and
 // reloads it inserts.
 //
@@ -26,13 +27,6 @@ import (
 // exec's latency shadow; it cannot shorten a chain of dependent execs.
 // Whether independent execs exist within the window is decided earlier,
 // by how step 1b (schedule.go) bins cones into blocks.
-
-// portMark is one slot of reorder's landing ring: the banks written at
-// cycle at.
-type portMark struct {
-	at    int32
-	banks uint64
-}
 
 // reorderOp is what reorder keeps of one draft op while it schedules.
 type reorderOp struct {
@@ -48,8 +42,8 @@ type reorderOp struct {
 const unissued int32 = math.MaxInt32
 
 // reorder returns the scheduled op list where nil entries are nops; vals
-// is the draft's value table (a load writes its leaves' home banks).
-// prod, rops and ring are its per-value, per-op and per-cycle arrays,
+// is the draft's value table, whose home banks the writes land on.
+// prod, rops and ports are its per-value, per-op and per-cycle state,
 // reused.
 func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, window int) []*draftOp {
 	sc.prod = resize(sc.prod, len(vals))
@@ -63,33 +57,14 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 		r := &rops[i]
 		r.lat, r.land = int32(cfg.WriteLatency(op.kind)), unissued
 		for _, w := range op.wrs {
-			if w != InvalidVal {
-				prod[w] = int32(i)
-			}
-		}
-		switch op.kind {
-		case dLoad:
-			for _, w := range op.wrs {
-				r.wmask |= 1 << uint(vals[w].bank)
-			}
-		case dCopy:
-			for _, m := range op.moves {
-				r.wmask |= 1 << uint(m.dst)
-			}
-		case dExec:
-			for _, b := range op.outBank {
-				r.wmask |= 1 << uint(b)
-			}
+			prod[w] = int32(i)
+			r.wmask |= 1 << uint(vals[w].bank)
 		}
 	}
-	// The ring holds the banks written at each of the cycles a write
-	// issued now or earlier can still land in; a slot whose tag is not
-	// the cycle asked about is empty.
-	sc.ring = resize(sc.ring, cfg.Drain()+1)
-	ring := sc.ring
-	for i := range ring {
-		ring[i].at = -1
-	}
+	// One word holds every bank (B ≤ 64), and the slot of each cycle is
+	// cleared as the cycle passes, as regfile.File.Land does.
+	ports := &sc.ports
+	ports.Reset(cfg.B, cfg.WriteLatency(arch.KindExec))
 	// ready reports whether op j may issue at pos: its operands have
 	// landed, and no issued write lands on one of its banks when its
 	// own writes do.
@@ -106,9 +81,7 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 		if r.ready > pos {
 			return false
 		}
-		at := pos + r.lat
-		s := &ring[int(at)%len(ring)]
-		return s.at != at || s.banks&r.wmask == 0
+		return ports.At(int(pos + r.lat))[0]&r.wmask == 0
 	}
 	out := make([]*draftOp, 0, len(ops)+len(ops)/2)
 	scheduled := 0
@@ -126,13 +99,7 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 			}
 			r := &rops[j]
 			r.land = pos + r.lat
-			if r.wmask != 0 {
-				s := &ring[int(r.land)%len(ring)]
-				if s.at != r.land {
-					*s = portMark{at: r.land}
-				}
-				s.banks |= r.wmask
-			}
+			ports.At(int(r.land))[0] |= r.wmask
 			out = append(out, ops[j])
 			scheduled++
 			issued = true
@@ -144,6 +111,7 @@ func (sc *planScratch) reorder(ops []*draftOp, vals []valInfo, cfg arch.Config, 
 		if !issued {
 			out = append(out, nil) // nop
 		}
+		ports.Clear(int(pos))
 		pos++
 	}
 	return out

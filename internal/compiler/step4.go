@@ -23,22 +23,14 @@ import (
 // collision arise only around the spill stores and reloads it adds; on a
 // draft that needs no spill it emits step 3's schedule nop for nop.
 //
-// Micro-timing contract (the register file's half — lowest-free
-// addresses, landing ring, frees before landings — is internal/regfile,
-// shared with the simulator and the verifier):
-//   - an instruction issued at cycle t performs its register reads (and
-//     valid_rst frees) at t;
-//   - its writes land at the end of cycle t+arch.Config.WriteLatency (1
-//     for load and copy, D for exec) and are readable from the next;
-//   - within one cycle, frees apply before landing writes allocate;
-//   - at most one write may land per bank per cycle.
+// Micro-timing contract: an instruction issued at cycle t performs its
+// register reads (and valid_rst frees) at t, and its writes land on
+// their values' home banks when arch.Config.WriteLatency says. The
+// register file's half — lowest-free addresses, the landing ring, frees
+// before landings, one write per bank per cycle — is internal/regfile,
+// shared with the simulator and the verifier.
 
 const useInf = int32(1 << 30)
-
-type pendingWrite struct {
-	val  ValID
-	bank int
-}
 
 type regalloc struct {
 	cfg arch.Config
@@ -76,12 +68,11 @@ type regalloc struct {
 	// emitOp's scratch, reused across ops: pin[v] == pinStamp marks the
 	// operands of the op being emitted (never evicted for it), need counts
 	// its incoming writes per bank (reloadNeed is reload's one-bank
-	// equivalent), and writes/frees are its register-file effects.
+	// equivalent), and frees are its valid_rst values.
 	pin        []int32
 	pinStamp   int32
 	need       []int
 	reloadNeed []int
-	writes     []pendingWrite
 	frees      []ValID
 	// ensureCapacity's victims, emitSpills' batches and emitOp's store
 	// operands, reused likewise.
@@ -205,10 +196,11 @@ func (r *regalloc) land(bank, addr int, v ValID) {
 	r.held[bank*r.cfg.R+addr] = v
 }
 
-// emit appends instr at the current cycle: frees apply now, writes land
-// when the instruction's kind writes (arch.Config.WriteLatency), then
-// writes landing exactly at t are applied.
-func (r *regalloc) emit(in arch.Instr, frees []ValID, writes []pendingWrite) error {
+// emit appends instr at the current cycle: frees apply now, the values
+// written land on their home banks when the instruction's kind writes
+// (arch.Config.WriteLatency), then writes landing exactly at t are
+// applied.
+func (r *regalloc) emit(in arch.Instr, frees, writes []ValID) error {
 	t := r.cycle()
 	lat := r.cfg.WriteLatency(in.Kind)
 	r.out.Append(in)
@@ -218,9 +210,9 @@ func (r *regalloc) emit(in arch.Instr, frees []ValID, writes []pendingWrite) err
 		r.resident[v] = false
 		r.loc[v] = -1
 	}
-	for _, w := range writes {
-		if _, ok := r.rf.Schedule(w.bank, t+lat, w.val); !ok {
-			return fmt.Errorf("compiler: two writes land on bank %d at cycle %d (scheduling bug)", w.bank, t+lat)
+	for _, v := range writes {
+		if _, ok := r.rf.Schedule(r.bankOf(v), t+lat, v); !ok {
+			return fmt.Errorf("compiler: two writes land on bank %d at cycle %d (scheduling bug)", r.bankOf(v), t+lat)
 		}
 	}
 	r.rf.Land(t, r.landFn)
@@ -423,7 +415,7 @@ func (r *regalloc) reload(v ValID) error {
 	in.Mask[bank] = true
 	r.stats.Reloads++
 	r.spilled[v] = false
-	w := [1]pendingWrite{{v, bank}}
+	w := [1]ValID{v}
 	return r.emit(in, nil, w[:])
 }
 
@@ -475,28 +467,10 @@ func (r *regalloc) emitOp(op *draftOp) error {
 	// Capacity for this op's writes.
 	need := r.need
 	clear(need)
-	writes := r.writes[:0]
-	switch op.kind {
-	case dLoad:
-		for _, v := range op.wrs {
-			b := r.bankOf(v)
-			need[b]++
-			writes = append(writes, pendingWrite{v, b})
-		}
-	case dCopy:
-		for _, m := range op.moves {
-			need[m.dst]++
-			writes = append(writes, pendingWrite{m.w, m.dst})
-		}
-	case dExec:
-		for i, w := range op.wrs {
-			b := int(op.outBank[i])
-			need[b]++
-			writes = append(writes, pendingWrite{w, b})
-		}
+	for _, v := range op.wrs {
+		need[r.bankOf(v)]++
 	}
-	r.writes = writes
-	if len(writes) > 0 {
+	if len(op.wrs) > 0 {
 		if err := r.ensureCapacity(need); err != nil {
 			return err
 		}
@@ -565,7 +539,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 			in.Banks[port].InputSel = uint16(r.bankOf(op.readOf(v)))
 		}
 		for i := range op.block.Outputs {
-			b := int(op.outBank[i])
+			b := r.bankOf(op.wrs[i])
 			sel, err := r.cfg.WriteSel(b, op.block.OutPE[i])
 			if err != nil {
 				return err
@@ -576,7 +550,7 @@ func (r *regalloc) emitOp(op *draftOp) error {
 		return fmt.Errorf("compiler: unknown draft op kind %d", op.kind)
 	}
 	r.frees = frees
-	return r.emit(in, frees, writes)
+	return r.emit(in, frees, op.wrs)
 }
 
 // resetBuilder empties out and makes room for the program sched will
